@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"qtrade/internal/plan"
-	"qtrade/internal/trading"
 )
 
 // partialAggCandidates builds plans from partial-aggregate offers (aggregate
@@ -22,65 +21,15 @@ func (g *planGen) partialAggCandidates() []Candidate {
 		return nil
 	}
 	full := uint(1)<<len(g.bindings) - 1
-	var usable []*offerInfo
-	for _, info := range g.offers {
-		if info.partialAgg && info.mask == full {
-			usable = append(usable, info)
-		}
-	}
-	if len(usable) == 0 {
-		return nil
-	}
-
 	var assemblies []*assembly
 	// Single offers covering everything.
-	for _, info := range usable {
-		covers := true
-		for _, b := range info.bindings {
-			if !info.fullIn(g, b) {
-				covers = false
-				break
-			}
-		}
-		if covers {
-			node := info.remote()
-			assemblies = append(assemblies, &assembly{
-				node:      node,
-				schema:    info.schema,
-				remoteMax: info.o.Props.TotalTime,
-				remoteSum: info.o.Props.TotalTime,
-				rows:      info.o.Props.Rows,
-				bytes:     info.o.Props.Bytes,
-				offers:    []trading.Offer{info.o},
-			})
+	for _, info := range g.offers {
+		if info.partialAgg && info.mask == full && info.short == 0 {
+			assemblies = append(assemblies, info.direct())
 		}
 	}
 	// Exact-coverage unions along one binding, per schema signature.
-	for _, b := range g.bindings {
-		if bitsCount(g.fullMask[b]) < 2 {
-			continue
-		}
-		bySig := map[string][]*offerInfo{}
-		for _, info := range usable {
-			good := info.partMask[b] != 0
-			for _, ob := range info.bindings {
-				if ob != b {
-					if !info.fullIn(g, ob) {
-						good = false
-						break
-					}
-				}
-			}
-			if good {
-				bySig[info.sig] = append(bySig[info.sig], info)
-			}
-		}
-		for _, group := range bySig {
-			if a := g.exactCover(b, group); a != nil {
-				assemblies = append(assemblies, a)
-			}
-		}
-	}
+	assemblies = append(assemblies, g.unionAssemblies(full, true)...)
 
 	var out []Candidate
 	for _, a := range assemblies {
@@ -108,13 +57,4 @@ func (g *planGen) partialAggCandidates() []Candidate {
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].ResponseTime < out[j].ResponseTime })
 	return out
-}
-
-func bitsCount(m uint) int {
-	c := 0
-	for m != 0 {
-		m &= m - 1
-		c++
-	}
-	return c
 }

@@ -307,6 +307,10 @@ func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	plan.Qualify(sel, cfg.Schema)
+	gen, err := newPlanGen(sel, cfg.Schema, cfg.Cost, cfg.Mode, cfg.IDPKeep, cfg.PeerLatency)
+	if err != nil {
+		return nil, fmt.Errorf("core: no distributed plan possible: %w", err)
+	}
 
 	var bo buyerObs
 	if cfg.Metrics != nil {
@@ -345,21 +349,20 @@ func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
 	qSeq := 0
 
 	var best *Candidate
-	peers := comm.Peers()
-	for id := range cfg.ExcludeSellers {
-		delete(peers, id)
-	}
-	for id := range peers {
+	negID := "" // first RFB id: the negotiation's identity in ledger and dossier
+	var emptyReplies atomic.Int64
+	// The negotiation's own peer view: comm.Peers may hand out a map the
+	// caller keeps (PeerComm.PeerMap), which must see neither the exclusions
+	// nor the per-negotiation wrappers.
+	all := comm.Peers()
+	peers := make(map[string]trading.Peer, len(all))
+	for id, p := range all {
 		// Health gate: don't spend an RFB round-trip on a peer known to be
 		// draining or left, or whose breaker is open. The directory is an
 		// exclusion list — unknown peers pass.
-		if !cfg.Directory.Eligible(id) {
-			delete(peers, id)
+		if cfg.ExcludeSellers[id] || !cfg.Directory.Eligible(id) {
+			continue
 		}
-	}
-	negID := "" // first RFB id: the negotiation's identity in ledger and dossier
-	var emptyReplies atomic.Int64
-	for id, p := range peers {
 		guarded := cfg.Faults.Wrap(id, p)
 		if cfg.Directory != nil {
 			guarded = directoryPeer{Peer: guarded, id: id, dir: cfg.Directory}
@@ -434,6 +437,7 @@ func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
 			key := o.SellerID + "\x00" + o.SQL + "\x00" + partsKey(o)
 			if prev, ok := pool[key]; !ok || o.Price < prev.Price {
 				pool[key] = o
+				gen.put(prev.OfferID, o)
 			}
 			if b, ok := bestPrice[o.QID]; !ok || o.Price < b {
 				bestPrice[o.QID] = o.Price
@@ -445,21 +449,16 @@ func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
 				float64(time.Since(roundT0).Microseconds())/1000)
 		}
 
-		// B4: candidate plan generation from the standing pool, in
-		// deterministic order so equal-cost ties break reproducibly.
-		poolList := make([]trading.Offer, 0, len(pool))
-		for _, o := range pool {
-			poolList = append(poolList, o)
-		}
-		sort.Slice(poolList, func(i, j int) bool { return poolList[i].OfferID < poolList[j].OfferID })
+		// B4: candidate plan generation from the standing pool (the generator
+		// keeps it in OfferID order, so equal-cost ties break reproducibly).
 		var t0 time.Time
 		if cfg.Metrics != nil {
 			t0 = time.Now()
 		}
 		genSp := itSp.Child("plangen")
 		genSp.Set("mode", string(cfg.Mode))
-		genSp.Set("pool", len(poolList))
-		cands, err := GenerateWithLatency(sel, cfg.Schema, cfg.Cost, cfg.Mode, cfg.IDPKeep, poolList, cfg.PeerLatency)
+		genSp.Set("pool", len(pool))
+		cands, err := gen.run()
 		genSp.End()
 		if cfg.Metrics != nil {
 			bo.plangenMS.Observe(float64(time.Since(t0).Microseconds()) / 1000)

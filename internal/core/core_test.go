@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -357,5 +358,46 @@ func TestStatsAndExplain(t *testing.T) {
 	exp := ExplainResult(res)
 	if !strings.Contains(exp, "Remote[") {
 		t.Fatalf("explain: %s", exp)
+	}
+}
+
+// TestOptimizeLeavesPeerMapAlone: PeerComm hands Optimize the session's own
+// peer map. A session of many queries — one of them re-optimizing around an
+// excluded seller, all of them with the fault and directory wrappers on —
+// must leave that map with the same peers of the same dynamic types.
+func TestOptimizeLeavesPeerMapAlone(t *testing.T) {
+	f := buildFederation(t, nil)
+	peers := f.net.Peers("athens")
+	types := map[string]reflect.Type{}
+	for id, p := range peers {
+		types[id] = reflect.TypeOf(p)
+	}
+	comm := &PeerComm{PeerMap: peers}
+	cfg := athensCfg(f)
+	cfg.Faults = testPolicy(nil)
+	cfg.Directory = trading.NewDirectory(cfg.Faults.Breakers)
+	q := "SELECT i.invid, i.charge FROM invoiceline i WHERE i.charge > 4"
+	for i := 0; i < 200; i++ {
+		c := cfg
+		if i == 100 {
+			c.ExcludeSellers = map[string]bool{"corfu": true}
+		}
+		res, err := Optimize(c, comm, q)
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		for _, o := range res.Pool {
+			if i == 100 && o.SellerID == "corfu" {
+				t.Fatalf("excluded seller still bid: %+v", o)
+			}
+		}
+	}
+	if len(peers) != len(types) {
+		t.Fatalf("session peer map has %d peers, want %d", len(peers), len(types))
+	}
+	for id, p := range peers {
+		if got := reflect.TypeOf(p); got != types[id] {
+			t.Errorf("peer %s is now a %v, want %v", id, got, types[id])
+		}
 	}
 }

@@ -9,9 +9,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -83,32 +85,55 @@ func (a *assembly) paid() float64 {
 
 // offerInfo is a pool offer decoded against the buyer's query.
 type offerInfo struct {
-	o        trading.Offer
-	bindings []string // lower-cased, sorted
-	mask     uint
-	// partMask is the bitmask of relevant partitions covered, per binding.
-	partMask   map[string]uint
+	o    trading.Offer
+	mask uint // bindings the offer answers
+	// partMask is the bitmask of relevant partitions covered, by binding
+	// index; short marks the offer's bindings it covers only in part.
+	partMask   []uint
+	short      uint
 	schema     []expr.ColumnID
-	sig        string // schema signature for union compatibility
-	whole      bool   // complete aggregated (or view) answer to the full query
-	partialAgg bool   // per-fragment partial aggregates (merged, not unioned raw)
+	whole      bool // complete aggregated (or view) answer to the full query
+	partialAgg bool // per-fragment partial aggregates (merged, not unioned raw)
+	group      *offerGroup
 }
 
-// planGen holds the per-query state of one plan-generation run.
+// offerGroup holds the offers that may be unioned with one another: same
+// bindings, same output schema, same kind. Its exact covers are solved once
+// per binding and kept until the group's membership changes.
+type offerGroup struct {
+	mask       uint
+	partialAgg bool
+	key        string       // kind and schema signature
+	offers     []*offerInfo // by OfferID
+	covers     []coverMemo  // by binding index
+}
+
+type coverMemo struct {
+	solved bool
+	a      *assembly
+}
+
+// planGen is the buyer plan generator of one negotiation. The query is
+// analysed once; put decodes and groups each pool entry once, and run builds
+// the candidates of the current pool, reusing what earlier runs solved.
 type planGen struct {
-	sel      *sqlparse.Select
-	sch      *catalog.Schema
-	model    *cost.Model
-	mode     PlanGenMode
-	keep     int // IDP-M keep width
-	bindings []string
-	bindIdx  map[string]int
-	relevant map[string][]string // binding -> relevant partition ids
-	partBit  map[string]map[string]uint
-	fullMask map[string]uint
-	joinPred []genJoinPred
-	offers   []*offerInfo
-	hasAgg   bool
+	sel         *sqlparse.Select
+	sch         *catalog.Schema
+	model       *cost.Model
+	mode        PlanGenMode
+	keep        int // IDP-M keep width
+	peerLatency func(string) float64
+	conjuncts   []expr.Expr // of the WHERE clause
+	bindings    []string
+	bindIdx     map[string]int
+	partBit     []map[string]uint // by binding index: partition id -> bit
+	fullMask    []uint            // by binding index: all relevant partitions
+	joinPred    []genJoinPred
+	masks       []uint // binding subsets, smallest first
+	hasAgg      bool
+	offers      []*offerInfo  // by OfferID
+	groups      []*offerGroup // by (mask, key)
+	cover       coverScratch
 }
 
 type genJoinPred struct {
@@ -129,19 +154,23 @@ func Generate(sel *sqlparse.Select, sch *catalog.Schema, model *cost.Model,
 // before plans are costed.
 func GenerateWithLatency(sel *sqlparse.Select, sch *catalog.Schema, model *cost.Model,
 	mode PlanGenMode, keep int, offers []trading.Offer, peerLatency func(string) float64) ([]Candidate, error) {
-
-	if peerLatency != nil {
-		adjusted := make([]trading.Offer, len(offers))
-		copy(adjusted, offers)
-		for i := range adjusted {
-			adjusted[i].Props.TotalTime += 2 * peerLatency(adjusted[i].SellerID)
-		}
-		offers = adjusted
+	g, err := newPlanGen(sel, sch, model, mode, keep, peerLatency)
+	if err != nil {
+		return nil, err
 	}
+	for i := range offers {
+		g.put("", offers[i])
+	}
+	return g.run()
+}
 
+// newPlanGen analyses the query: its bindings, the partitions of each that
+// the single-binding predicates leave relevant, and its join predicates.
+func newPlanGen(sel *sqlparse.Select, sch *catalog.Schema, model *cost.Model,
+	mode PlanGenMode, keep int, peerLatency func(string) float64) (*planGen, error) {
 	g := &planGen{sel: sel, sch: sch, model: model, mode: mode, keep: keep,
-		bindIdx: map[string]int{}, relevant: map[string][]string{},
-		partBit: map[string]map[string]uint{}, fullMask: map[string]uint{}}
+		peerLatency: peerLatency, bindIdx: map[string]int{},
+		conjuncts: expr.Conjuncts(sel.Where)}
 	if g.keep <= 0 {
 		g.keep = 5
 	}
@@ -151,27 +180,85 @@ func GenerateWithLatency(sel *sqlparse.Select, sch *catalog.Schema, model *cost.
 		g.bindings = append(g.bindings, b)
 		g.bindIdx[b] = i
 	}
-	if len(g.bindings) == 0 {
+	n := len(g.bindings)
+	if n == 0 {
 		return nil, fmt.Errorf("core: query has no relations")
 	}
-	if len(g.bindings) > 16 {
-		return nil, fmt.Errorf("core: %d relations exceed plan generator limit", len(g.bindings))
+	if n > 16 {
+		return nil, fmt.Errorf("core: %d relations exceed plan generator limit", n)
 	}
 	g.computeRelevant()
 	g.classifyJoinPreds()
-	for i := range offers {
-		if info := g.decode(&offers[i]); info != nil {
-			g.offers = append(g.offers, info)
-		}
+	g.masks = make([]uint, 0, 1<<n-1)
+	for m := uint(1); m < 1<<n; m++ {
+		g.masks = append(g.masks, m)
 	}
-	return g.run()
+	sort.Slice(g.masks, func(i, j int) bool {
+		pi, pj := bits.OnesCount(g.masks[i]), bits.OnesCount(g.masks[j])
+		if pi != pj {
+			return pi < pj
+		}
+		return g.masks[i] < g.masks[j]
+	})
+	return g, nil
+}
+
+// put adds o to the generator's pool, in place of the entry whose OfferID is
+// prevID when that is set (a re-priced pool entry).
+func (g *planGen) put(prevID string, o trading.Offer) {
+	if prevID != "" {
+		g.drop(prevID)
+	}
+	if g.peerLatency != nil {
+		o.Props.TotalTime += 2 * g.peerLatency(o.SellerID)
+	}
+	info, key := g.decode(&o)
+	if info == nil {
+		return
+	}
+	g.offers = insertByID(g.offers, info)
+	if info.whole {
+		return // bought alone, never combined
+	}
+	i, found := slices.BinarySearchFunc(g.groups, info, func(grp *offerGroup, info *offerInfo) int {
+		return cmp.Or(cmp.Compare(grp.mask, info.mask), strings.Compare(grp.key, key))
+	})
+	if !found {
+		g.groups = slices.Insert(g.groups, i, &offerGroup{mask: info.mask, partialAgg: info.partialAgg,
+			key: key, covers: make([]coverMemo, len(g.bindings))})
+	}
+	info.group = g.groups[i]
+	info.group.offers = insertByID(info.group.offers, info)
+	clear(info.group.covers)
+}
+
+// drop removes the pool entry with the given OfferID, if it was usable.
+func (g *planGen) drop(id string) {
+	i, found := slices.BinarySearchFunc(g.offers, id, func(info *offerInfo, id string) int {
+		return strings.Compare(info.o.OfferID, id)
+	})
+	if !found {
+		return
+	}
+	if grp := g.offers[i].group; grp != nil {
+		grp.offers = slices.DeleteFunc(grp.offers, func(info *offerInfo) bool { return info == g.offers[i] })
+		clear(grp.covers)
+	}
+	g.offers = slices.Delete(g.offers, i, i+1)
+}
+
+// insertByID keeps list ordered by OfferID (equal ids in arrival order), so
+// equal-cost ties break the same way whatever order the pool was fed in.
+func insertByID(list []*offerInfo, info *offerInfo) []*offerInfo {
+	i := sort.Search(len(list), func(i int) bool { return list[i].o.OfferID > info.o.OfferID })
+	return slices.Insert(list, i, info)
 }
 
 // computeRelevant prunes each binding's partitions against the query's
 // single-binding predicates.
 func (g *planGen) computeRelevant() {
 	perBinding := map[string][]expr.Expr{}
-	for _, c := range expr.Conjuncts(g.sel.Where) {
+	for _, c := range g.conjuncts {
 		var owner string
 		single := true
 		for _, col := range expr.Columns(c) {
@@ -192,23 +279,20 @@ func (g *planGen) computeRelevant() {
 		}
 	}
 	for _, tr := range g.sel.From {
-		b := strings.ToLower(tr.Binding())
-		pred := expr.And(perBinding[b])
-		ids := rewrite.RelevantPartitions(g.sch, tr.Name, pred)
-		g.relevant[b] = ids
+		pred := expr.And(perBinding[strings.ToLower(tr.Binding())])
 		bitsOf := map[string]uint{}
 		var full uint
-		for i, id := range ids {
+		for i, id := range rewrite.RelevantPartitions(g.sch, tr.Name, pred) {
 			bitsOf[id] = 1 << i
 			full |= 1 << i
 		}
-		g.partBit[b] = bitsOf
-		g.fullMask[b] = full
+		g.partBit = append(g.partBit, bitsOf)
+		g.fullMask = append(g.fullMask, full)
 	}
 }
 
 func (g *planGen) classifyJoinPreds() {
-	for _, c := range expr.Conjuncts(g.sel.Where) {
+	for _, c := range g.conjuncts {
 		var mask uint
 		for _, col := range expr.Columns(c) {
 			if idx, ok := g.bindIdx[strings.ToLower(col.Table)]; ok {
@@ -221,26 +305,32 @@ func (g *planGen) classifyJoinPreds() {
 	}
 }
 
-// decode validates an offer against the query and computes its coverage.
-func (g *planGen) decode(o *trading.Offer) *offerInfo {
-	info := &offerInfo{o: *o, partMask: map[string]uint{}}
+// decode validates an offer against the query and computes its coverage and
+// its group key: the offer's kind and schema signature, which offers must
+// share to be unioned.
+func (g *planGen) decode(o *trading.Offer) (*offerInfo, string) {
+	info := &offerInfo{o: *o, partMask: make([]uint, len(g.bindings))}
 	for _, b := range o.Bindings {
 		lb := strings.ToLower(b)
 		idx, ok := g.bindIdx[lb]
 		if !ok {
-			return nil // not about this query's relations
+			return nil, "" // not about this query's relations
 		}
 		info.mask |= 1 << idx
-		info.bindings = append(info.bindings, lb)
 		var m uint
 		for _, pid := range o.Parts[lb] {
-			m |= g.partBit[lb][pid] // irrelevant partitions contribute 0
+			m |= g.partBit[idx][pid] // irrelevant partitions contribute 0
 		}
-		info.partMask[lb] = m
+		info.partMask[idx] = m
+		if m != g.fullMask[idx] { // never when no partition is relevant
+			info.short |= 1 << idx
+		}
 	}
-	sort.Strings(info.bindings)
 	info.schema = make([]expr.ColumnID, len(o.Cols))
 	var sig strings.Builder
+	if o.PartialAgg {
+		sig.WriteString("partial|")
+	}
 	for i, c := range o.Cols {
 		info.schema[i] = expr.ColumnID{Table: c.Table, Name: c.Name}
 		sig.WriteString(strings.ToLower(c.Table))
@@ -248,44 +338,30 @@ func (g *planGen) decode(o *trading.Offer) *offerInfo {
 		sig.WriteString(strings.ToLower(c.Name))
 		sig.WriteByte('|')
 	}
-	info.sig = sig.String()
 	// whole-query candidacy is verified against the buyer's own relevant
 	// partition sets — the seller's Complete flag was computed for the query
 	// *it* rewrote, which may differ (e.g. offers answering
 	// analyser-generated restricted queries).
-	full := uint(1)<<len(g.bindings) - 1
-	coversAll := info.mask == full
-	if coversAll {
-		for _, b := range info.bindings {
-			if !info.fullIn(g, b) {
-				coversAll = false
-				break
-			}
-		}
-	}
+	coversAll := info.mask == uint(1)<<len(g.bindings)-1 && info.short == 0
 	if o.PartialAgg {
 		// Partial aggregates are only meaningful for this query if it
 		// aggregates, and they combine exclusively with their own kind.
 		if !g.hasAgg {
-			return nil
+			return nil, ""
 		}
 		info.partialAgg = true
-		return info
+		return info, sig.String()
 	}
 	aggregated := g.hasAgg && !o.Stripped
 	info.whole = coversAll && o.Complete && aggregated
 	if g.hasAgg && !o.Stripped && !info.whole {
 		// An aggregated partial answer cannot be recombined safely.
-		return nil
+		return nil, ""
 	}
 	if !g.hasAgg && coversAll && o.Complete {
 		info.whole = true
 	}
-	return info
-}
-
-func (info *offerInfo) fullIn(g *planGen, b string) bool {
-	return info.partMask[b] == g.fullMask[b] // vacuously true when no relevant partitions
+	return info, sig.String()
 }
 
 // remote builds the Remote plan node of an offer.
@@ -300,45 +376,22 @@ func (info *offerInfo) remote() *plan.Remote {
 	}
 }
 
+// run builds the candidate plans of the current pool.
 func (g *planGen) run() ([]Candidate, error) {
-	n := len(g.bindings)
-	full := uint(1)<<n - 1
-	dp := make(map[uint][]*assembly)
+	full := uint(1)<<len(g.bindings) - 1
+	dp := make([][]*assembly, full+1) // by binding subset
 
-	masks := make([]uint, 0, 1<<n)
-	for m := uint(1); m <= full; m++ {
-		masks = append(masks, m)
-	}
-	sort.Slice(masks, func(i, j int) bool {
-		pi, pj := bits.OnesCount(masks[i]), bits.OnesCount(masks[j])
-		if pi != pj {
-			return pi < pj
-		}
-		return masks[i] < masks[j]
-	})
-
-	for _, mask := range masks {
-		var cands []*assembly
-		cands = append(cands, g.directAssemblies(mask)...)
-		cands = append(cands, g.unionAssemblies(mask)...)
-		if bits.OnesCount(mask) >= 2 {
-			cands = append(cands, g.joinAssemblies(dp, mask)...)
-		}
-		dp[mask] = g.prune(mask, cands)
+	for _, mask := range g.masks {
+		dp[mask] = g.assemblies(dp, mask)
 	}
 
 	if g.mode == GenIDP {
-		g.idpPrune(dp, masks)
+		g.idpPrune(dp)
 		// Rebuild larger subsets from the surviving 2-way entries.
-		for _, mask := range masks {
-			if bits.OnesCount(mask) < 3 {
-				continue
+		for _, mask := range g.masks {
+			if bits.OnesCount(mask) >= 3 {
+				dp[mask] = g.assemblies(dp, mask)
 			}
-			var cands []*assembly
-			cands = append(cands, g.directAssemblies(mask)...)
-			cands = append(cands, g.unionAssemblies(mask)...)
-			cands = append(cands, g.joinAssemblies(dp, mask)...)
-			dp[mask] = g.prune(mask, cands)
 		}
 	}
 
@@ -357,6 +410,16 @@ func (g *planGen) run() ([]Candidate, error) {
 		return nil, fmt.Errorf("core: no candidate plan can be built from %d offers", len(g.offers))
 	}
 	return out, nil
+}
+
+// assemblies returns the pruned ways to produce the subset: single offers,
+// unions of offers, and joins of solved smaller subsets.
+func (g *planGen) assemblies(dp [][]*assembly, mask uint) []*assembly {
+	cands := append(g.directAssemblies(mask), g.unionAssemblies(mask, false)...)
+	if bits.OnesCount(mask) >= 2 {
+		cands = append(cands, g.joinAssemblies(dp, mask)...)
+	}
+	return g.prune(mask, cands)
 }
 
 // prune keeps the best assemblies per subset: 1 for DP and greedy, keep for
@@ -387,13 +450,13 @@ func (g *planGen) prune(mask uint, cands []*assembly) []*assembly {
 
 // idpPrune implements the IDP-M(2,k) cut: rank all 2-way subsets by their
 // best assembly and drop all but the best k subsets.
-func (g *planGen) idpPrune(dp map[uint][]*assembly, masks []uint) {
+func (g *planGen) idpPrune(dp [][]*assembly) {
 	type scored struct {
 		mask uint
 		cost float64
 	}
 	var twoWay []scored
-	for _, m := range masks {
+	for _, m := range g.masks {
 		if bits.OnesCount(m) != 2 || len(dp[m]) == 0 {
 			continue
 		}
@@ -404,7 +467,7 @@ func (g *planGen) idpPrune(dp map[uint][]*assembly, masks []uint) {
 	}
 	sort.Slice(twoWay, func(i, j int) bool { return twoWay[i].cost < twoWay[j].cost })
 	for _, s := range twoWay[g.keep:] {
-		delete(dp, s.mask)
+		dp[s.mask] = nil
 	}
 }
 
@@ -413,68 +476,47 @@ func (g *planGen) idpPrune(dp map[uint][]*assembly, masks []uint) {
 func (g *planGen) directAssemblies(mask uint) []*assembly {
 	var out []*assembly
 	for _, info := range g.offers {
-		if info.mask != mask || info.whole || info.partialAgg {
+		if info.mask != mask || info.short != 0 || info.whole || info.partialAgg {
 			continue
 		}
-		ok := true
-		for _, b := range info.bindings {
-			if !info.fullIn(g, b) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		out = append(out, &assembly{
-			node:      info.remote(),
-			schema:    info.schema,
-			remoteMax: info.o.Props.TotalTime,
-			remoteSum: info.o.Props.TotalTime,
-			rows:      info.o.Props.Rows,
-			bytes:     info.o.Props.Bytes,
-			offers:    []trading.Offer{info.o},
-		})
+		out = append(out, info.direct())
 	}
 	return out
+}
+
+// direct is the assembly that buys the offer alone.
+func (info *offerInfo) direct() *assembly {
+	return &assembly{
+		node:      info.remote(),
+		schema:    info.schema,
+		remoteMax: info.o.Props.TotalTime,
+		remoteSum: info.o.Props.TotalTime,
+		rows:      info.o.Props.Rows,
+		bytes:     info.o.Props.Bytes,
+		offers:    []trading.Offer{info.o},
+	}
 }
 
 // unionAssemblies assembles the subset by unioning offers that are full in
 // every binding except one, along which their disjoint partition sets must
 // exactly cover the relevant partitions. This is how the buyer reassembles a
 // horizontally partitioned relation (or co-partitioned join) from several
-// sellers.
-func (g *planGen) unionAssemblies(mask uint) []*assembly {
+// sellers. A group's cover along a binding is solved once and kept until
+// the group changes.
+func (g *planGen) unionAssemblies(mask uint, partialAgg bool) []*assembly {
 	var out []*assembly
-	for bIdx, b := range g.bindings {
-		if mask&(1<<bIdx) == 0 {
-			continue
-		}
-		if g.fullMask[b] == 0 || bits.OnesCount(g.fullMask[b]) < 2 {
+	for b := range g.bindings {
+		if mask&(1<<b) == 0 || bits.OnesCount(g.fullMask[b]) < 2 {
 			continue // nothing to assemble along this binding
 		}
-		// Group usable offers by schema signature.
-		bySig := map[string][]*offerInfo{}
-		for _, info := range g.offers {
-			if info.mask != mask || info.whole || info.partialAgg {
+		for _, grp := range g.groups {
+			if grp.mask != mask || grp.partialAgg != partialAgg {
 				continue
 			}
-			usable := info.partMask[b] != 0
-			for _, ob := range info.bindings {
-				if ob == b {
-					continue
-				}
-				if !info.fullIn(g, ob) {
-					usable = false
-					break
-				}
+			if m := &grp.covers[b]; !m.solved {
+				*m = coverMemo{solved: true, a: g.exactCover(b, grp.offers)}
 			}
-			if usable {
-				bySig[info.sig] = append(bySig[info.sig], info)
-			}
-		}
-		for _, group := range bySig {
-			if a := g.exactCover(b, group); a != nil {
+			if a := grp.covers[b].a; a != nil {
 				out = append(out, a)
 			}
 		}
@@ -482,81 +524,133 @@ func (g *planGen) unionAssemblies(mask uint) []*assembly {
 	return out
 }
 
-// exactCover finds a low-cost set of offers whose partition masks for
-// binding b are disjoint and jointly cover all relevant partitions, via
-// bitmask DP (minimizing the response metric: max remote time, then sum).
-func (g *planGen) exactCover(b string, group []*offerInfo) *assembly {
+// maxCoverAtoms caps the exact-cover table at 2^20 states (40 MiB); a group
+// that splits a binding's partitions more finely gets no union assembly.
+const maxCoverAtoms = 20
+
+// coverState is the best known way to cover one set of atoms.
+type coverState struct {
+	max, sum float64
+	rows     int64
+	bytes    float64
+	link     int32 // last offer of the chain; 0 = not reached (or nothing to cover)
+}
+
+// coverLink is one offer of a chain; chains share their tails.
+type coverLink struct{ offer, prev int32 }
+
+// coverScratch holds exactCover's buffers, reused by every call of one
+// negotiation.
+type coverScratch struct {
+	usable []*offerInfo
+	atoms  []uint // partition mask of each atom
+	table  []coverState
+	links  []coverLink
+}
+
+// exactCover finds a low-cost set of offers whose partition masks for binding
+// b are disjoint and jointly cover all relevant partitions, minimizing the
+// response metric (max remote time, then sum). group must be in OfferID
+// order; only its offers that are full in every other binding take part.
+//
+// Partitions contained in exactly the same offers are merged into atoms, and
+// the search is a subset DP over one flat table indexed by covered-atom mask.
+// Offers are applied in order and an entry is replaced only by a strictly
+// better one, so ties go to the chain found first.
+func (g *planGen) exactCover(b int, group []*offerInfo) *assembly {
 	target := g.fullMask[b]
-	type entry struct {
-		max, sum float64
-		rows     int64
-		bytes    float64
-		used     []*offerInfo
-	}
-	dp := map[uint]*entry{0: {}}
-	// Deterministic iteration.
-	sort.Slice(group, func(i, j int) bool { return group[i].o.OfferID < group[j].o.OfferID })
+	sc := &g.cover
+	sc.usable = sc.usable[:0]
+	var covered uint
 	for _, info := range group {
 		pm := info.partMask[b]
-		if pm == 0 || pm&^target != 0 {
+		if pm == 0 || pm&^target != 0 || info.short&^(1<<b) != 0 {
 			continue
 		}
-		updates := map[uint]*entry{}
-		for covered, e := range dp {
-			if covered&pm != 0 {
-				continue // overlap would duplicate rows
-			}
-			nc := covered | pm
-			cand := &entry{
-				max:   math.Max(e.max, info.o.Props.TotalTime),
-				sum:   e.sum + info.o.Props.TotalTime,
-				rows:  e.rows + info.o.Props.Rows,
-				bytes: e.bytes + info.o.Props.Bytes,
-				used:  append(append([]*offerInfo{}, e.used...), info),
-			}
-			prev, ok := dp[nc]
-			prevU, okU := updates[nc]
-			better := func(old *entry) bool {
-				if old == nil {
-					return true
-				}
-				if cand.max != old.max {
-					return cand.max < old.max
-				}
-				return cand.sum < old.sum
-			}
-			if (!ok || better(prev)) && (!okU || better(prevU)) {
-				updates[nc] = cand
+		sc.usable = append(sc.usable, info)
+		covered |= pm
+	}
+	if len(sc.usable) < 2 || covered != target {
+		return nil // a lone offer is directAssemblies' business; a gap has no cover
+	}
+	sc.atoms = append(sc.atoms[:0], target)
+	for _, info := range sc.usable {
+		pm := info.partMask[b]
+		for i, n := 0, len(sc.atoms); i < n; i++ {
+			if in := sc.atoms[i] & pm; in != 0 && in != sc.atoms[i] {
+				sc.atoms[i] &^= pm
+				sc.atoms = append(sc.atoms, in)
 			}
 		}
-		for k, v := range updates {
-			dp[k] = v
+	}
+	if len(sc.atoms) > maxCoverAtoms {
+		return nil
+	}
+	size := 1 << len(sc.atoms)
+	if cap(sc.table) < size {
+		sc.table = make([]coverState, size)
+	}
+	table := sc.table[:size]
+	clear(table)
+	links := append(sc.links[:0], coverLink{})
+	for i, info := range sc.usable {
+		var am int
+		for j, atom := range sc.atoms {
+			if atom&info.partMask[b] != 0 {
+				am |= 1 << j
+			}
+		}
+		t := info.o.Props.TotalTime
+		// Every state disjoint from the offer, reached before this round
+		// (states the round writes contain the offer, so are never read).
+		free := (size - 1) &^ am
+		for s := free; ; s = (s - 1) & free {
+			from := &table[s]
+			if s == 0 || from.link != 0 {
+				cand := coverState{max: max(from.max, t), sum: from.sum + t,
+					rows: from.rows + info.o.Props.Rows, bytes: from.bytes + info.o.Props.Bytes}
+				to := &table[s|am]
+				if to.link == 0 || cand.max < to.max || cand.max == to.max && cand.sum < to.sum {
+					links = append(links, coverLink{offer: int32(i), prev: from.link})
+					cand.link = int32(len(links) - 1)
+					*to = cand
+				}
+			}
+			if s == 0 {
+				break
+			}
 		}
 	}
-	win, ok := dp[target]
-	if !ok || len(win.used) < 2 {
-		return nil // single-offer covers are handled by directAssemblies
+	sc.links = links
+	win := table[size-1]
+	if win.link == 0 || links[win.link].prev == 0 {
+		return nil // no cover, or one offer covers alone
 	}
-	inputs := make([]plan.Node, len(win.used))
-	var offers []trading.Offer
-	for i, info := range win.used {
-		inputs[i] = info.remote()
-		offers = append(offers, info.o)
+	n := 0
+	for l := win.link; l != 0; l = links[l].prev {
+		n++
+	}
+	inputs := make([]plan.Node, n)
+	offers := make([]trading.Offer, n)
+	for l := win.link; l != 0; l = links[l].prev {
+		n--
+		info := sc.usable[links[l].offer]
+		inputs[n], offers[n] = info.remote(), info.o
 	}
 	return &assembly{
 		node:      &plan.Union{Card: plan.Card{Est: win.rows}, Inputs: inputs},
-		schema:    win.used[0].schema,
+		schema:    sc.usable[links[win.link].offer].schema,
 		remoteMax: win.max,
 		remoteSum: win.sum,
 		rows:      win.rows,
 		bytes:     win.bytes,
 		offers:    offers,
-		unions:    []string{b},
+		unions:    []string{g.bindings[b]},
 	}
 }
 
 // joinAssemblies joins solved sub-subsets, mirroring the seller-side DP.
-func (g *planGen) joinAssemblies(dp map[uint][]*assembly, mask uint) []*assembly {
+func (g *planGen) joinAssemblies(dp [][]*assembly, mask uint) []*assembly {
 	var out []*assembly
 	gen := func(requireConnected bool) {
 		for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {

@@ -140,9 +140,19 @@ func F19Flight(queriesPerPhase int, seed int64) *Table {
 	hist.Sample()
 	admitted, flagged := rec.Stats()
 	overhead := 100 * (steadyWall - baseWall) / baseWall
+	// The steady verdict leaves out p95_regression: its two windows hold a
+	// few sub-millisecond queries each, so one scheduler or GC pause on the
+	// host puts the second window's p95 past 3× the first's. The other
+	// rules count events, not wall-clock, and must stay silent here.
+	steadyAnoms := 0
+	for _, a := range wd.Anomalies() {
+		if a.Kind != flight.AnomalyP95 {
+			steadyAnoms++
+		}
+	}
 	t.Rows = append(t.Rows, []string{"steady", d(int64(2 * queriesPerPhase)), f2(steadyWall),
 		d(admitted), d(flagged), f19Triggers(rec, 2*queriesPerPhase),
-		d(int64(len(wd.Anomalies()))), f2(overhead)})
+		d(int64(steadyAnoms)), f2(overhead)})
 
 	// Slow seller: n1 answers every call 25ms late. The SLO trigger is armed
 	// between the steady per-query wall and the straggler's, so exactly the

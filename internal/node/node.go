@@ -464,7 +464,7 @@ func (n *Node) priceQuery(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span
 			CostHash:     n.costHash,
 		}
 		if e, ok := n.prices.Get(key); ok {
-			rw, res, cached = e.Rewritten, e.Result, true
+			rw, res, err, cached = e.Rewritten, e.Result, e.Err, true
 			if ob != nil {
 				ob.cacheHits.Inc()
 			}
@@ -475,7 +475,11 @@ func (n *Node) priceQuery(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span
 	if cached {
 		dpSp := sp.Child("dp-pricing")
 		dpSp.Set("cache", "hit")
-		dpSp.Set("partials", len(res.Partials))
+		if err != nil {
+			dpSp.Set("error", err)
+		} else {
+			dpSp.Set("partials", len(res.Partials))
+		}
 		dpSp.End()
 	} else {
 		var t0 time.Time
@@ -494,34 +498,36 @@ func (n *Node) priceQuery(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span
 		if ldg != nil {
 			ldg.ObservePhase(ledger.PhaseRewrite, msSince(t0))
 		}
-		if err != nil {
-			return nil, false
+		if err == nil {
+			if ob != nil {
+				t0 = time.Now()
+			}
+			dpSp := sp.Child("dp-pricing")
+			if n.prices != nil {
+				dpSp.Set("cache", "miss")
+			}
+			res, err = localopt.Optimize(rw.Sel, n.cfg.Schema, n.store, n.cfg.Cost)
+			if err != nil {
+				dpSp.Set("error", err)
+			} else {
+				dpSp.Set("partials", len(res.Partials))
+			}
+			dpSp.End()
+			if ob != nil {
+				ob.dpMS.Observe(msSince(t0))
+			}
 		}
-		if ob != nil {
-			t0 = time.Now()
-		}
-		dpSp := sp.Child("dp-pricing")
+		// A failure is as much a function of the key as a result is (nothing
+		// local, a contradicted predicate, an unplannable rewrite), so it is
+		// remembered too: a repeat RFB must not redo the rewrite to learn it.
 		if n.prices != nil {
-			dpSp.Set("cache", "miss")
-		}
-		res, err = localopt.Optimize(rw.Sel, n.cfg.Schema, n.store, n.cfg.Cost)
-		if err != nil {
-			dpSp.Set("error", err)
-		} else {
-			dpSp.Set("partials", len(res.Partials))
-		}
-		dpSp.End()
-		if ob != nil {
-			ob.dpMS.Observe(msSince(t0))
-		}
-		if err != nil {
-			return nil, false
-		}
-		if n.prices != nil {
-			if ev := n.prices.Put(key, pricecache.Entry{Rewritten: rw, Result: res}); ev > 0 && ob != nil {
+			if ev := n.prices.Put(key, pricecache.Entry{Rewritten: rw, Result: res, Err: err}); ev > 0 && ob != nil {
 				ob.cacheEvictions.Add(int64(ev))
 			}
 		}
+	}
+	if err != nil {
+		return nil, cached
 	}
 	origHasAgg := sel.HasAggregates() || len(sel.GroupBy) > 0
 	fullBindings := len(sel.From)

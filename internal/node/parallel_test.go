@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"qtrade/internal/ledger"
 	"qtrade/internal/obs"
 	"qtrade/internal/trading"
 	"qtrade/internal/value"
@@ -301,5 +302,61 @@ func TestEndNegotiationDropsFlightState(t *testing.T) {
 	}
 	if strat.count() == priced {
 		t.Fatal("flight state survived EndNegotiation; RFB was not re-priced")
+	}
+}
+
+// TestPriceCacheRemembersFailedRewrite: a query this node cannot serve (it
+// holds no Corfu customers) fails the seller rewrite once; the repeat RFB is
+// answered from the negative entry — a cache hit, reported as such to the
+// ledger, with no second rewrite. Creating the missing fragment ticks the
+// store epoch, so the same request is priced for real.
+func TestPriceCacheRemembersFailedRewrite(t *testing.T) {
+	m := obs.NewMetrics()
+	led := ledger.New(8)
+	n := telcoNodeCfg(t, func(c *Config) { c.Metrics = m })
+	n.SetLedger(led)
+	ask := func(rfbID string) []trading.Offer {
+		t.Helper()
+		offers, err := bidOffers(n.RequestBids(trading.RFB{RFBID: rfbID, BuyerID: "athens",
+			Queries: []trading.QueryRequest{{QID: "q0", SQL: "SELECT c.custid, c.custname FROM customer c WHERE c.office = 'Corfu'"}}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return offers
+	}
+	rewrites := m.Histogram("node.myconos.rewrite_ms")
+	hits := m.Counter("node.myconos.pricecache_hits")
+	if got := ask("rfb-n1"); len(got) != 0 || rewrites.Count() != 1 || hits.Value() != 0 {
+		t.Fatalf("first request: %d offers, %d rewrites, %d hits; want 0, 1, 0", len(got), rewrites.Count(), hits.Value())
+	}
+	if got := ask("rfb-n2"); len(got) != 0 || rewrites.Count() != 1 || hits.Value() != 1 {
+		t.Fatalf("repeat request: %d offers, %d rewrites, %d hits; want 0, 1, 1", len(got), rewrites.Count(), hits.Value())
+	}
+	priced := 0
+	for _, neg := range led.Negotiations(0) {
+		for _, e := range neg.Events {
+			if e.Kind != ledger.KindPriced {
+				continue
+			}
+			priced++
+			if e.CacheHit != (neg.ID == "rfb-n2") {
+				t.Fatalf("negotiation %s: priced event cached=%v", neg.ID, e.CacheHit)
+			}
+		}
+	}
+	if priced != 2 {
+		t.Fatalf("ledger holds %d priced events, want 2", priced)
+	}
+
+	cust, _ := n.cfg.Schema.Table("customer")
+	if _, err := n.Store().CreateFragment(cust, "corfu"); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Store().Insert("customer", "corfu",
+		value.Row{value.NewInt(900), value.NewStr("zoe"), value.NewStr("Corfu")}); err != nil {
+		t.Fatal(err)
+	}
+	if got := ask("rfb-n3"); len(got) == 0 || rewrites.Count() != 2 {
+		t.Fatalf("after creating the fragment: %d offers, %d rewrites; want some, 2", len(got), rewrites.Count())
 	}
 }

@@ -41,10 +41,12 @@ type Key struct {
 // Entry is the cached computation: the seller rewrite of the query against
 // local fragments plus the modified-DP result holding every optimal partial.
 // Both are treated as immutable by all readers; concurrent pricing workers
-// share them without copying.
+// share them without copying. A negative entry carries Err instead: the
+// rewrite or the DP failed, which under the same key it always will.
 type Entry struct {
 	Rewritten *rewrite.Rewritten
 	Result    *localopt.Result
+	Err       error
 }
 
 // Cache is a mutex-guarded LRU of priced queries. The zero value is not
