@@ -477,7 +477,7 @@ func (o *optimizer) leafAtBuyer(mask uint) *buyerEntry {
 		part, _ := o.gv.Schema.Partition(r.tr.Name, pid)
 		fetchSel := sub.Clone()
 		if part != nil && part.Predicate != nil && len(r.relevant) > 1 {
-			restriction := qualifyFor(part.Predicate, r.tr.Binding())
+			restriction := expr.Qualify(part.Predicate, r.tr.Binding())
 			fetchSel.Where = expr.SimplifyPredicate(expr.And([]expr.Expr{fetchSel.Where, restriction}))
 		}
 		if holder == o.buyer {
@@ -534,15 +534,6 @@ func projectTo(input plan.Node, sub *sqlparse.Select) plan.Node {
 		}
 	}
 	return &plan.Project{Input: input, Exprs: exprs, Names: names}
-}
-
-func qualifyFor(e expr.Expr, binding string) expr.Expr {
-	return expr.Transform(expr.Clone(e), func(n expr.Expr) expr.Expr {
-		if c, ok := n.(*expr.Column); ok && c.Table == "" {
-			return &expr.Column{Table: binding, Name: c.Name, Index: -1}
-		}
-		return n
-	})
 }
 
 // remoteSubset turns a ship-nothing site evaluation into a Remote node.

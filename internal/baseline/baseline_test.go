@@ -33,7 +33,7 @@ func runPlan(t *testing.T, f *workload.Federation, p *Plan) []value.Row {
 	comm := f.Comm()
 	ex := &exec.Executor{
 		Store: f.Nodes[f.Buyer].Store(),
-		Fetch: func(nodeID, sql, offerID string) (*exec.Result, error) {
+		FetchStream: func(nodeID, sql, offerID string) (exec.RowStream, error) {
 			resp, err := comm.Fetch(nodeID, trading.ExecReq{SQL: sql})
 			if err != nil {
 				return nil, err
@@ -42,7 +42,7 @@ func runPlan(t *testing.T, f *workload.Federation, p *Plan) []value.Row {
 			for i, c := range resp.Cols {
 				cols[i] = expr.ColumnID{Table: c.Table, Name: c.Name}
 			}
-			return &exec.Result{Cols: cols, Rows: resp.Rows}, nil
+			return exec.NewRows(cols, resp.Rows, 0), nil
 		},
 	}
 	res, err := ex.Run(p.Root)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strings"
-
 	"qtrade/internal/catalog"
 	"qtrade/internal/expr"
 	"qtrade/internal/localopt"
@@ -61,51 +59,18 @@ func Analyse(sel *sqlparse.Select, sch *catalog.Schema, cands []Candidate, asked
 				continue
 			}
 			base := localopt.SubqueryFor(sel, []string{tr.Binding()})
-			pred := singleBindingPred(sel, b)
+			pred := expr.SingleBindingPred(sel.Where, b)
 			for _, pid := range rewrite.RelevantPartitions(sch, tr.Name, pred) {
 				p, ok := sch.Partition(tr.Name, pid)
 				if !ok || p.Predicate == nil {
 					continue
 				}
 				restricted := base.Clone()
-				restriction := qualifyFor(p.Predicate, tr.Binding())
+				restriction := expr.Qualify(p.Predicate, tr.Binding())
 				restricted.Where = expr.SimplifyPredicate(expr.And([]expr.Expr{restricted.Where, restriction}))
 				add(restricted)
 			}
 		}
 	}
 	return out
-}
-
-// singleBindingPred extracts the conjunction of predicates referencing only
-// the given binding.
-func singleBindingPred(sel *sqlparse.Select, binding string) expr.Expr {
-	var conj []expr.Expr
-	for _, c := range expr.Conjuncts(sel.Where) {
-		only := true
-		any := false
-		for _, col := range expr.Columns(c) {
-			if strings.EqualFold(col.Table, binding) {
-				any = true
-			} else {
-				only = false
-				break
-			}
-		}
-		if only && any {
-			conj = append(conj, expr.Clone(c))
-		}
-	}
-	return expr.And(conj)
-}
-
-// qualifyFor attaches the binding qualifier to bare columns of a partition
-// predicate.
-func qualifyFor(e expr.Expr, binding string) expr.Expr {
-	return expr.Transform(expr.Clone(e), func(n expr.Expr) expr.Expr {
-		if c, ok := n.(*expr.Column); ok && c.Table == "" {
-			return &expr.Column{Table: binding, Name: c.Name, Index: -1}
-		}
-		return n
-	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -120,12 +119,11 @@ type Config struct {
 	// are collected positionally and re-sorted).
 	Workers int
 	// FetchBatchRows sets the row-batch granularity of execution-time
-	// fetches. 0 (the default) streams purchased answers in
-	// exec.DefaultBatchSize batches; n > 0 streams in batches of n; a
-	// negative value disables streaming entirely and ships each answer as
-	// one materialized ExecResp (the pre-streaming wire behaviour). The
-	// answer is byte-identical either way — only delivery granularity, peak
-	// memory, and first-row latency change.
+	// fetches: purchased answers stream in batches of n rows, n <= 0 (the
+	// default) meaning exec.DefaultBatchSize. A batch larger than the answer
+	// ships it whole in the opening exchange. The answer is byte-identical
+	// at any setting — only delivery granularity, peak memory, and first-row
+	// latency change.
 	FetchBatchRows int
 }
 
@@ -165,8 +163,7 @@ type Result struct {
 	// Workers carries Config.Workers into execution so the remote-leaf
 	// prefetch honours the same fan-out bound as the negotiation.
 	Workers int
-	// FetchBatch carries Config.FetchBatchRows into execution (see there
-	// for the 0 / n / negative semantics).
+	// FetchBatch carries Config.FetchBatchRows into execution.
 	FetchBatch int
 	// LedgerRec is this negotiation's open trading-ledger record (nil when
 	// Config.Ledger was unset), carried into execution so the fetch/execute
@@ -573,62 +570,47 @@ func ExecuteResult(comm Comm, localExec *exec.Executor, res *Result) (*exec.Resu
 // (res.TraceCtx), so one negotiation stays one trace end to end. A nil
 // tracer is exactly ExecuteResult.
 func ExecuteResultTraced(comm Comm, localExec *exec.Executor, res *Result, tr *obs.Tracer) (*exec.Result, error) {
-	var root *obs.Span
-	if tr != nil {
-		root = tr.Start(res.BuyerID, "execute")
-		root.Set("sql", res.SQL)
-		defer root.End()
+	cur, cols, err := ExecuteResultStream(comm, localExec, res, tr)
+	if err != nil {
+		return nil, err
 	}
-	return executeUnder(comm, localExec, res, root)
+	return drainResult(cur, cols)
 }
 
-// executeUnder runs the winning plan with every remote fetch recorded as a
-// child of root (nil root = untraced, no context stamped on the wire).
-//
-// When the plan buys from more than one remote leaf and res.Workers allows
-// it, the leaves are prefetched concurrently (bounded by the same worker
-// knob as the negotiation fan-out) and the executor's sequential tree walk
-// is served from the prefetched answers. Answers are queued FIFO per
-// (seller, SQL, offer) key so every walk step consumes exactly the fetch
-// issued for its own leaf — message accounting and error attribution stay
-// identical to the serial walk.
+// executeUnder is ExecuteResultTraced under a span the caller owns and ends
+// (nil root = untraced, no context stamped on the wire); recovery runs each
+// attempt's re-executions under one such span.
 func executeUnder(comm Comm, localExec *exec.Executor, res *Result, root *obs.Span) (*exec.Result, error) {
-	ex, cleanup := buildPlanExecutor(comm, localExec, res, root)
-	defer cleanup()
-	rec := res.LedgerRec
-	rec.ExecStarted()
-	var execT0 time.Time
-	if rec != nil || res.flight != nil {
-		execT0 = time.Now()
+	h, err := openResult(comm, localExec, res, root)
+	if err != nil {
+		return nil, err
 	}
-	out, err := ex.Run(res.Candidate.Root)
-	var wall float64
-	if rec != nil || res.flight != nil {
-		wall = float64(time.Since(execT0).Microseconds()) / 1000
-	}
-	rows := int64(0)
-	if err == nil {
-		rows = int64(len(out.Rows))
-	}
-	if rec != nil {
-		if err != nil {
-			rec.ExecFinished(wall, 0, err.Error())
-		} else {
-			rec.ExecFinished(wall, rows, "")
-		}
-	}
-	finalizeFlight(res, root, ex.Stats, wall, rows, err)
-	return out, err
+	return drainResult(h, res.Candidate.Root.Schema())
 }
 
-// buildPlanExecutor assembles the executor that runs a winning plan:
-// res.FetchBatch decides whether Remote leaves stream (the default) or fall
-// back to one-shot materialized fetches, and multi-leaf plans prefetch
-// concurrently under res.Workers either way. The returned cleanup releases
-// prefetched streams the plan walk never consumed (e.g. after a failure in
-// another leaf) and must be called once execution is done.
+// drainResult materializes an opened plan: the whole answer is the stream
+// pulled to its end and closed.
+func drainResult(cur exec.Cursor, cols []expr.ColumnID) (*exec.Result, error) {
+	rows, err := exec.Drain(cur)
+	if err != nil {
+		return nil, err
+	}
+	return &exec.Result{Cols: cols, Rows: rows}, nil
+}
+
+// buildPlanExecutor assembles the executor that runs a winning plan: every
+// Remote leaf is a stream opened at res.FetchBatch rows per exchange (the
+// default batch when unset; a batch larger than the answer ships it whole in
+// the opening exchange). When the plan buys from more than one remote leaf
+// and res.Workers allows it, the leaves are opened concurrently (see
+// prefetchStreams). The returned cleanup releases prefetched streams the
+// plan walk never consumed (e.g. after a failure in another leaf) and must
+// be called once execution is done.
 func buildPlanExecutor(comm Comm, localExec *exec.Executor, res *Result, root *obs.Span) (*exec.Executor, func()) {
-	ex := &exec.Executor{}
+	ex := &exec.Executor{BatchSize: res.FetchBatch}
+	if ex.BatchSize <= 0 {
+		ex.BatchSize = exec.DefaultBatchSize
+	}
 	if localExec != nil {
 		ex.Store = localExec.Store
 		ex.Stats = localExec.Stats
@@ -655,124 +637,17 @@ func buildPlanExecutor(comm Comm, localExec *exec.Executor, res *Result, root *o
 			}
 		}
 	}
+	openOne := func(nodeID, sql, offerID string) (exec.RowStream, error) {
+		return openRemoteStream(comm, nodeID, sql, offerID, ex.BatchSize,
+			root, traced, res.TraceCtx, rec, quoted[offerID])
+	}
+	ex.FetchStream = openOne
 	cleanup := func() {}
 	// plan.Remotes walks the tree in the same pre-order the executor fetches.
-	remotes := plan.Remotes(res.Candidate.Root)
-	if batch := effectiveBatch(res.FetchBatch); batch > 0 {
-		ex.BatchSize = batch
-		openOne := func(nodeID, sql, offerID string) (exec.RowStream, error) {
-			return openRemoteStream(comm, nodeID, sql, offerID, batch,
-				root, traced, res.TraceCtx, rec, quoted[offerID])
-		}
-		ex.FetchStream = openOne
-		if len(remotes) > 1 && res.Workers != 1 {
-			ex.FetchStream, cleanup = prefetchStreams(remotes, res.Workers, openOne)
-		}
-		return ex, cleanup
-	}
-	fetchOne := func(nodeID, sql, offerID string) (*exec.Result, error) {
-		fs := root.Child("fetch " + nodeID)
-		req := trading.ExecReq{SQL: sql, OfferID: offerID}
-		if traced {
-			req.Trace = res.TraceCtx
-			req.Trace.Parent = fs.ID()
-		}
-		sentAt := time.Now()
-		resp, err := comm.Fetch(nodeID, req)
-		if rec != nil {
-			wall := float64(time.Since(sentAt).Microseconds()) / 1000
-			if err != nil {
-				rec.Fetch(nodeID, offerID, sql, quoted[offerID], wall, 0, 0, 0, err.Error())
-			} else {
-				rec.Fetch(nodeID, offerID, sql, quoted[offerID], wall, resp.ExecMS,
-					int64(len(resp.Rows)), int64(resp.WireSize()), "")
-			}
-		}
-		if err != nil {
-			fs.Set("error", err)
-			fs.End()
-			return nil, err
-		}
-		fs.Graft(resp.Trace, sentAt, time.Now())
-		fs.End()
-		cols := make([]expr.ColumnID, len(resp.Cols))
-		for i, c := range resp.Cols {
-			cols[i] = expr.ColumnID{Table: c.Table, Name: c.Name}
-		}
-		return &exec.Result{Cols: cols, Rows: resp.Rows}, nil
-	}
-	ex.Fetch = fetchOne
-	if len(remotes) > 1 && res.Workers != 1 {
-		ex.Fetch = prefetchRemotes(remotes, res.Workers, fetchOne)
+	if remotes := plan.Remotes(res.Candidate.Root); len(remotes) > 1 && res.Workers != 1 {
+		ex.FetchStream, cleanup = prefetchStreams(remotes, res.Workers, openOne)
 	}
 	return ex, cleanup
-}
-
-// effectiveBatch resolves the FetchBatchRows knob: 0 = default streaming
-// batch, negative = streaming off.
-func effectiveBatch(n int) int {
-	switch {
-	case n == 0:
-		return exec.DefaultBatchSize
-	case n < 0:
-		return 0
-	}
-	return n
-}
-
-// prefetchRemotes fetches every remote leaf concurrently — at most `workers`
-// calls in flight (0 = one per leaf) — and returns a Fetch that serves the
-// executor's sequential walk from the prefetched answers. Results are keyed
-// by (seller, SQL, offer) and consumed FIFO, so a plan that buys the same
-// offer twice still performs (and accounts) one fetch per leaf, and the walk
-// surfaces exactly the error of its own leaf's fetch. The returned Fetch is
-// only called from the executor's single goroutine, so the queue map needs
-// no lock.
-func prefetchRemotes(remotes []*plan.Remote, workers int,
-	fetchOne func(nodeID, sql, offerID string) (*exec.Result, error)) func(string, string, string) (*exec.Result, error) {
-
-	type fetched struct {
-		res *exec.Result
-		err error
-	}
-	results := make([]fetched, len(remotes))
-	if workers <= 0 || workers > len(remotes) {
-		workers = len(remotes)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(remotes) {
-					return
-				}
-				r := remotes[i]
-				res, err := fetchOne(r.NodeID, r.SQL, r.OfferID)
-				results[i] = fetched{res: res, err: err}
-			}
-		}()
-	}
-	wg.Wait()
-
-	queues := make(map[string][]fetched, len(remotes))
-	for i, r := range remotes {
-		k := r.NodeID + "\x00" + r.SQL + "\x00" + r.OfferID
-		queues[k] = append(queues[k], results[i])
-	}
-	return func(nodeID, sql, offerID string) (*exec.Result, error) {
-		k := nodeID + "\x00" + sql + "\x00" + offerID
-		q := queues[k]
-		if len(q) == 0 {
-			// A leaf the pre-walk did not see (defensive): fetch it directly.
-			return fetchOne(nodeID, sql, offerID)
-		}
-		queues[k] = q[1:]
-		return q[0].res, q[0].err
-	}
 }
 
 // ExplainResult renders the winning plan and its purchases.

@@ -12,14 +12,15 @@ import (
 
 // Flight-recorder integration: Optimize snapshots what the negotiation knew
 // (identity, wall, the optimize span) into a flightCapture riding on the
-// Result; every execution finalizer — one-shot, streamed, and each recovery
-// re-run — then assembles the full dossier from the capture plus the
-// execution's own actuals and admits it. Re-runs of the same negotiation
-// replace the earlier dossier (the recorder dedupes by ID), so the retained
-// capture always reflects the final outcome with the complete ledger chain.
+// Result; the one execution finalizer (streamHandle.Close, which every
+// execution and each recovery re-run ends in) then assembles the full dossier
+// from the capture plus the execution's own actuals and admits it. Re-runs of
+// the same negotiation replace the earlier dossier (the recorder dedupes by
+// ID), so the retained capture always reflects the final outcome with the
+// complete ledger chain.
 
 // flightCapture carries a negotiation's identity from Optimize into the
-// execution finalizers.
+// execution finalizer.
 type flightCapture struct {
 	rec        *flight.Recorder
 	id         string // negotiation id: the first RFB id, matching the ledger

@@ -20,7 +20,9 @@ import (
 // (per-call timeout, retry, breaker — retries are safe because continuation
 // is idempotent per Seq), the same failure attribution that drives
 // standing-offer substitution recovery, and the same trace plumbing as the
-// one-shot fetch it replaces.
+// negotiation. It is the only way rows reach the buyer: a caller that wants
+// the whole answer drains the same stream (ExecuteResult), and an answer that
+// fits the opening batch costs exactly one exchange.
 
 // remoteStream is one open streamed fetch. It implements exec.RowStream; the
 // executor's Remote cursor pulls it and closes it (closing early sends the
@@ -169,8 +171,8 @@ func (s *remoteStream) Close() error {
 	return nil
 }
 
-// finish records the stream's single ledger fetch event — one per leaf, like
-// the one-shot path, with actuals accumulated across every batch.
+// finish records the stream's single ledger fetch event — one per leaf, with
+// actuals accumulated across every batch.
 func (s *remoteStream) finish(err error) {
 	if s.recorded {
 		return
@@ -189,11 +191,15 @@ func (s *remoteStream) finish(err error) {
 // prefetchStreams opens every remote leaf's stream concurrently — at most
 // `workers` opens in flight (0 = one per leaf) — so the sellers all start
 // executing and their first batches ship in parallel; the executor's
-// sequential walk then consumes the streams on demand. Streams are keyed and
-// queued FIFO like prefetchRemotes, so error attribution per leaf is
-// unchanged. The returned release func closes streams the walk never took
-// (a failure elsewhere in the plan): their sellers' parked cursors are
-// freed instead of leaking until eviction.
+// sequential walk then consumes the streams on demand. Streams are keyed by
+// (seller, SQL, offer) and queued FIFO, so a plan that buys the same offer
+// twice still performs (and accounts) one fetch per leaf, and every walk step
+// surfaces exactly the error of its own leaf's open — message accounting and
+// error attribution are those of the serial walk. The returned StreamFunc is
+// only called from the executor's single goroutine, so the queue map needs no
+// lock. The returned release func closes streams the walk never took (a
+// failure elsewhere in the plan): their sellers' parked cursors are freed
+// instead of leaking until eviction.
 func prefetchStreams(remotes []*plan.Remote, workers int,
 	openOne func(nodeID, sql, offerID string) (exec.RowStream, error)) (exec.StreamFunc, func()) {
 
@@ -265,34 +271,45 @@ func ExecuteResultStream(comm Comm, localExec *exec.Executor, res *Result, tr *o
 		root = tr.Start(res.BuyerID, "execute")
 		root.Set("sql", res.SQL)
 	}
-	ex, cleanup := buildPlanExecutor(comm, localExec, res, root)
-	rec := res.LedgerRec
-	rec.ExecStarted()
-	t0 := time.Now()
-	cur, err := ex.Open(res.Candidate.Root)
+	h, err := openResult(comm, localExec, res, root)
 	if err != nil {
-		cleanup()
-		wall := float64(time.Since(t0).Microseconds()) / 1000
-		if rec != nil {
-			rec.ExecFinished(wall, 0, err.Error())
-		}
 		root.End()
-		finalizeFlight(res, root, ex.Stats, wall, 0, err)
 		return nil, nil, err
 	}
-	h := &streamHandle{cur: cur, cleanup: cleanup, rec: rec, root: root, t0: t0, res: res, st: ex.Stats}
+	h.endRoot = true
 	return h, res.Candidate.Root.Schema(), nil
 }
 
-// streamHandle finalizes a streamed execution at Close: leftover prefetched
-// streams are released, the ledger's execute record is completed with the
-// rows actually pulled, the execute span ends, and the flight dossier (if a
-// recorder is on) is assembled from whatever the cursor's consumer pulled.
+// openResult opens the winning plan with every remote fetch recorded as a
+// child of root (nil root = untraced, no context stamped on the wire). Every
+// execution of a plan — streamed to the caller, drained by ExecuteResult, a
+// recovery re-run — goes through here and is finalized by the handle's Close,
+// including an open that fails.
+func openResult(comm Comm, localExec *exec.Executor, res *Result, root *obs.Span) (*streamHandle, error) {
+	ex, cleanup := buildPlanExecutor(comm, localExec, res, root)
+	h := &streamHandle{cleanup: cleanup, root: root, res: res, st: ex.Stats}
+	res.LedgerRec.ExecStarted()
+	h.t0 = time.Now()
+	cur, err := ex.Open(res.Candidate.Root)
+	if err != nil {
+		h.err = err
+		h.Close()
+		return nil, err
+	}
+	h.cur = cur
+	return h, nil
+}
+
+// streamHandle finalizes an execution at Close: leftover prefetched streams
+// are released, the ledger's execute record is completed with the rows
+// actually pulled, and the flight dossier (if a recorder is on) is assembled
+// from whatever the cursor's consumer pulled. The execute span is the
+// caller's to end unless endRoot is set.
 type streamHandle struct {
-	cur     exec.Cursor
+	cur     exec.Cursor // nil when the open failed
 	cleanup func()
-	rec     *ledger.Rec
 	root    *obs.Span
+	endRoot bool
 	t0      time.Time
 	res     *Result
 	st      *exec.RunStats
@@ -301,7 +318,7 @@ type streamHandle struct {
 	closed  bool
 }
 
-func (h *streamHandle) Open() error { return nil } // opened by ExecuteResultStream
+func (h *streamHandle) Open() error { return nil } // opened by openResult
 
 func (h *streamHandle) Next() ([]value.Row, error) {
 	if h.closed {
@@ -321,17 +338,22 @@ func (h *streamHandle) Close() error {
 		return nil
 	}
 	h.closed = true
-	err := h.cur.Close()
+	var err error
+	if h.cur != nil {
+		err = h.cur.Close()
+	}
 	h.cleanup()
 	wall := float64(time.Since(h.t0).Microseconds()) / 1000
-	if h.rec != nil {
+	if rec := h.res.LedgerRec; rec != nil {
 		msg := ""
 		if h.err != nil {
 			msg = h.err.Error()
 		}
-		h.rec.ExecFinished(wall, h.rows, msg)
+		rec.ExecFinished(wall, h.rows, msg)
 	}
-	h.root.End()
+	if h.endRoot {
+		h.root.End()
+	}
 	finalizeFlight(h.res, h.root, h.st, wall, h.rows, h.err)
 	return err
 }

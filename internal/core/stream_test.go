@@ -12,9 +12,11 @@ import (
 	"qtrade/internal/value"
 )
 
-// Streaming and one-shot delivery must purchase the same plans and produce
-// the same answers: the chunked fetch is a transport change, not a
-// semantics change.
+// Delivery granularity is a transport setting, not a semantics one: at a
+// batch of 1, 2, the default, and one larger than any answer (every purchase
+// ships whole in its opening exchange), the federation returns what a single
+// oracle node holding all the data returns in one plain Execute, and no
+// seller is left holding a cursor.
 func TestStreamingFederationDifferential(t *testing.T) {
 	queries := []string{
 		paperQuery,
@@ -24,19 +26,17 @@ func TestStreamingFederationDifferential(t *testing.T) {
 	}
 	for _, q := range queries {
 		f := buildFederation(t, nil)
-		oneShot := athensCfg(f)
-		oneShot.FetchBatchRows = -1 // pre-streaming materializing fetch
-		_, plain := optimizeAndRunCfg(t, f, oneShot, q)
-
-		streamed := athensCfg(f)
-		streamed.FetchBatchRows = 2 // force multiple continuations per leaf
-		_, chunked := optimizeAndRunCfg(t, f, streamed, q)
-
-		if strings.Join(plain, "|") != strings.Join(chunked, "|") {
-			t.Fatalf("%s\n  one-shot %v\n  streamed %v", q, plain, chunked)
-		}
-		if got := f.corfu.OpenCursors() + f.myc.OpenCursors(); got != 0 {
-			t.Fatalf("%s: %d seller cursors left parked", q, got)
+		want := oracle(t, f.sch, q)
+		for _, batch := range []int{1, 2, 0, 1 << 20} {
+			cfg := athensCfg(f)
+			cfg.FetchBatchRows = batch
+			_, got := optimizeAndRunCfg(t, f, cfg, q)
+			if strings.Join(got, "|") != strings.Join(want, "|") {
+				t.Fatalf("%s batch %d\n  oracle   %v\n  streamed %v", q, batch, want, got)
+			}
+			if got := f.corfu.OpenCursors() + f.myc.OpenCursors() + f.athens.OpenCursors(); got != 0 {
+				t.Fatalf("%s batch %d: %d seller cursors left parked", q, batch, got)
+			}
 		}
 	}
 }

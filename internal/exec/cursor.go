@@ -39,10 +39,11 @@ type RowStream interface {
 	Close() error
 }
 
-// StreamFunc opens a chunked fetch against the named seller, the streaming
-// counterpart of FetchFunc. When an Executor has one, Remote nodes pull the
-// purchased answer batch by batch instead of materializing it in one
-// ExecResp.
+// StreamFunc resolves a Remote plan node by asking the named seller to
+// evaluate sql and opening its answer as a stream. offerID identifies the
+// purchased offer (empty for plans, like the baselines', that fetch ad hoc);
+// sellers use it to recognize composite subcontracted offers. A caller that
+// already holds the whole answer returns it wrapped in Rows.
 type StreamFunc func(nodeID, sql, offerID string) (RowStream, error)
 
 // batch returns the effective batch size.
@@ -149,10 +150,11 @@ func (ex *Executor) build(n plan.Node) (Cursor, error) {
 	return c, nil
 }
 
-// drain pulls a cursor to exhaustion, materializing its rows, and closes it.
-// Blocking operators (sort, aggregate, join build side) use it on their
-// inputs.
-func drain(c Cursor) ([]value.Row, error) {
+// Drain pulls an opened cursor to exhaustion, materializing its rows, and
+// closes it (also when a pull fails). Blocking operators (sort, aggregate,
+// join build side) use it on their inputs, and so does everything that wants
+// a whole answer from a pipeline.
+func Drain(c Cursor) ([]value.Row, error) {
 	var rows []value.Row
 	for {
 		b, err := c.Next()
@@ -425,7 +427,7 @@ func (c *joinCursor) Open() error {
 	if err := c.r.Open(); err != nil {
 		return err
 	}
-	rRows, err := drain(c.r) // build side blocks; drained and released here
+	rRows, err := Drain(c.r) // build side blocks; drained and released here
 	if err != nil {
 		return err
 	}
@@ -535,7 +537,7 @@ type blockingCursor struct {
 	ex      *Executor
 	in      Cursor
 	compute func([]value.Row) ([]value.Row, error)
-	res     *sliceBatcher
+	res     *Rows
 	closed  bool
 }
 
@@ -546,7 +548,7 @@ func (c *blockingCursor) Next() ([]value.Row, error) {
 		return nil, nil
 	}
 	if c.res == nil {
-		rows, err := drain(c.in)
+		rows, err := Drain(c.in)
 		if err != nil {
 			return nil, err
 		}
@@ -554,9 +556,9 @@ func (c *blockingCursor) Next() ([]value.Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.res = &sliceBatcher{rows: out, batch: c.ex.batch()}
+		c.res = NewRows(nil, out, c.ex.batch())
 	}
-	return c.res.next(), nil
+	return c.res.Next()
 }
 
 func (c *blockingCursor) Close() error {
@@ -567,24 +569,47 @@ func (c *blockingCursor) Close() error {
 	return c.in.Close()
 }
 
-// sliceBatcher re-emits a materialized slice in bounded batches.
-type sliceBatcher struct {
+// Rows serves an already materialized answer in bounded batches. It is both
+// a Cursor (Open is a no-op) and a RowStream (Cols is the declared schema,
+// empty when unknown): blocking operators re-emit their output through it,
+// sellers chunk the answers that have no cursor pipeline of their own, and a
+// caller holding a whole reply hands it to a Remote leaf as a stream.
+type Rows struct {
+	cols  []expr.ColumnID
 	rows  []value.Row
-	pos   int
 	batch int
+	pos   int
 }
 
-func (s *sliceBatcher) next() []value.Row {
-	if s.pos >= len(s.rows) {
-		return nil
+// NewRows wraps rows; batch <= 0 means DefaultBatchSize.
+func NewRows(cols []expr.ColumnID, rows []value.Row, batch int) *Rows {
+	if batch <= 0 {
+		batch = DefaultBatchSize
 	}
-	end := s.pos + s.batch
-	if end > len(s.rows) {
-		end = len(s.rows)
+	return &Rows{cols: cols, rows: rows, batch: batch}
+}
+
+func (r *Rows) Open() error { return nil }
+
+func (r *Rows) Cols() []expr.ColumnID { return r.cols }
+
+func (r *Rows) Next() ([]value.Row, error) {
+	if r.pos >= len(r.rows) {
+		return nil, nil
 	}
-	b := s.rows[s.pos:end]
-	s.pos = end
-	return b
+	end := r.pos + r.batch
+	if end > len(r.rows) {
+		end = len(r.rows)
+	}
+	b := r.rows[r.pos:end]
+	r.pos = end
+	return b, nil
+}
+
+// Close drops whatever was not pulled.
+func (r *Rows) Close() error {
+	r.pos = len(r.rows)
+	return nil
 }
 
 // limitCursor truncates the stream after N rows and is where streaming pays
@@ -784,45 +809,32 @@ func (c *unionCursor) Close() error {
 	return err
 }
 
-// remoteCursor resolves a Remote leaf. With a StreamFunc it pulls the
-// purchased answer batch by batch (and an early Close releases the
-// seller-side cursor); with only a FetchFunc it falls back to the one-shot
-// materialized fetch and re-emits it in bounded batches. Both paths validate
-// the seller's declared column spec against the plan — even for empty
-// results — and every batch's row width.
+// remoteCursor resolves a Remote leaf by pulling the purchased answer batch
+// by batch from the executor's FetchStream; an early Close releases the
+// seller-side cursor. The seller's declared column spec is validated against
+// the plan at open — so an empty but mis-shaped answer fails too — and every
+// batch's row width as it arrives.
 type remoteCursor struct {
 	ex     *Executor
 	t      *plan.Remote
 	st     RowStream
-	mat    *sliceBatcher
 	closed bool
 }
 
 func (c *remoteCursor) Open() error {
 	t := c.t
-	if c.ex.FetchStream != nil {
-		st, err := c.ex.FetchStream(t.NodeID, t.SQL, t.OfferID)
-		if err != nil {
-			return fmt.Errorf("exec: fetching from %s: %w", t.NodeID, err)
-		}
-		if cols := st.Cols(); len(cols) > 0 && len(cols) != len(t.Cols) {
-			st.Close()
-			return fmt.Errorf("exec: remote %s returned %d columns, plan expects %d", t.NodeID, len(cols), len(t.Cols))
-		}
-		c.st = st
-		return nil
-	}
-	if c.ex.Fetch == nil {
+	if c.ex.FetchStream == nil {
 		return fmt.Errorf("exec: plan contains Remote[%s] but executor has no fetcher", t.NodeID)
 	}
-	res, err := c.ex.Fetch(t.NodeID, t.SQL, t.OfferID)
+	st, err := c.ex.FetchStream(t.NodeID, t.SQL, t.OfferID)
 	if err != nil {
 		return fmt.Errorf("exec: fetching from %s: %w", t.NodeID, err)
 	}
-	if err := validateRemote(t, res); err != nil {
-		return err
+	if cols := st.Cols(); len(cols) > 0 && len(cols) != len(t.Cols) {
+		st.Close()
+		return fmt.Errorf("exec: remote %s returned %d columns, plan expects %d", t.NodeID, len(cols), len(t.Cols))
 	}
-	c.mat = &sliceBatcher{rows: res.Rows, batch: c.ex.batch()}
+	c.st = st
 	return nil
 }
 
@@ -830,17 +842,14 @@ func (c *remoteCursor) Next() ([]value.Row, error) {
 	if c.closed {
 		return nil, nil
 	}
-	if c.st != nil {
-		b, err := c.st.Next()
-		if err != nil {
-			return nil, err
-		}
-		if len(b) > 0 && len(b[0]) != len(c.t.Cols) {
-			return nil, fmt.Errorf("exec: remote %s returned width %d, plan expects %d", c.t.NodeID, len(b[0]), len(c.t.Cols))
-		}
-		return b, nil
+	b, err := c.st.Next()
+	if err != nil {
+		return nil, err
 	}
-	return c.mat.next(), nil
+	if len(b) > 0 && len(b[0]) != len(c.t.Cols) {
+		return nil, fmt.Errorf("exec: remote %s returned width %d, plan expects %d", c.t.NodeID, len(b[0]), len(c.t.Cols))
+	}
+	return b, nil
 }
 
 func (c *remoteCursor) Close() error {
@@ -850,19 +859,6 @@ func (c *remoteCursor) Close() error {
 	c.closed = true
 	if c.st != nil {
 		return c.st.Close()
-	}
-	return nil
-}
-
-// validateRemote checks a materialized remote answer against the plan's
-// expectations: the declared column spec (when the seller sent one — this
-// catches empty-but-mis-shaped answers) and the first row's width.
-func validateRemote(t *plan.Remote, res *Result) error {
-	if len(res.Cols) > 0 && len(res.Cols) != len(t.Cols) {
-		return fmt.Errorf("exec: remote %s returned %d columns, plan expects %d", t.NodeID, len(res.Cols), len(t.Cols))
-	}
-	if len(res.Rows) > 0 && len(res.Rows[0]) != len(t.Cols) {
-		return fmt.Errorf("exec: remote %s returned width %d, plan expects %d", t.NodeID, len(res.Rows[0]), len(t.Cols))
 	}
 	return nil
 }

@@ -30,21 +30,13 @@ type Result struct {
 	Rows []value.Row
 }
 
-// FetchFunc resolves a Remote plan node by asking the named seller to
-// evaluate sql and ship the answer. offerID identifies the purchased offer
-// (empty for plans, like the baselines', that fetch ad hoc); sellers use it
-// to recognize composite subcontracted offers.
-type FetchFunc func(nodeID, sql, offerID string) (*Result, error)
-
-// Executor runs plans against a store, fetching purchased answers via Fetch
-// (one-shot) or FetchStream (chunked).
+// Executor runs plans against a store, fetching purchased answers via
+// FetchStream.
 type Executor struct {
 	Store *storage.Store
-	Fetch FetchFunc
-	// FetchStream, when non-nil, takes precedence over Fetch for Remote
-	// nodes: purchased answers arrive batch by batch instead of as one
-	// materialized ExecResp, and closing the plan's cursor early releases
-	// the seller-side cursors.
+	// FetchStream opens the answer of a Remote node: purchased answers arrive
+	// batch by batch, and closing the plan's cursor early releases the
+	// seller-side cursors. Nil is fine for plans without Remote leaves.
 	FetchStream StreamFunc
 	// BatchSize bounds cursor batches; 0 means DefaultBatchSize.
 	BatchSize int
@@ -119,19 +111,8 @@ func (ex *Executor) Run(n plan.Node) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rows []value.Row
-	for {
-		b, err := cur.Next()
-		if err != nil {
-			cur.Close()
-			return nil, err
-		}
-		if len(b) == 0 {
-			break
-		}
-		rows = append(rows, b...)
-	}
-	if err := cur.Close(); err != nil {
+	rows, err := Drain(cur)
+	if err != nil {
 		return nil, err
 	}
 	return &Result{Cols: n.Schema(), Rows: rows}, nil
@@ -575,16 +556,13 @@ func (ex *Executor) runUnion(t *plan.Union) ([]value.Row, error) {
 	return out, nil
 }
 
+// runRemote materializes a Remote leaf through the one remote hook (there
+// is no operator logic to keep independent in a leaf that only receives
+// rows), with the same spec and width validation as the cursor pipeline.
 func (ex *Executor) runRemote(t *plan.Remote) ([]value.Row, error) {
-	if ex.Fetch == nil {
-		return nil, fmt.Errorf("exec: plan contains Remote[%s] but executor has no fetcher", t.NodeID)
-	}
-	res, err := ex.Fetch(t.NodeID, t.SQL, t.OfferID)
-	if err != nil {
-		return nil, fmt.Errorf("exec: fetching from %s: %w", t.NodeID, err)
-	}
-	if err := validateRemote(t, res); err != nil {
+	c := &remoteCursor{ex: ex, t: t}
+	if err := c.Open(); err != nil {
 		return nil, err
 	}
-	return res.Rows, nil
+	return Drain(c)
 }

@@ -337,12 +337,9 @@ func TestUnionWidthMismatch(t *testing.T) {
 func TestRemoteFetch(t *testing.T) {
 	called := ""
 	ex := &Executor{
-		Fetch: func(nodeID, sql, offerID string) (*Result, error) {
+		FetchStream: func(nodeID, sql, offerID string) (RowStream, error) {
 			called = nodeID + ":" + sql
-			return &Result{
-				Cols: []expr.ColumnID{{Name: "x"}},
-				Rows: []value.Row{{value.NewInt(42)}},
-			}, nil
+			return NewRows([]expr.ColumnID{{Name: "x"}}, []value.Row{{value.NewInt(42)}}, 0), nil
 		},
 	}
 	r := &plan.Remote{NodeID: "corfu", SQL: "SELECT x FROM t", Cols: []expr.ColumnID{{Table: "r", Name: "x"}}}
@@ -359,14 +356,14 @@ func TestRemoteFetch(t *testing.T) {
 		t.Fatal("missing fetcher must error")
 	}
 	// Width mismatch.
-	ex3 := &Executor{Fetch: func(string, string, string) (*Result, error) {
-		return &Result{Rows: []value.Row{{value.NewInt(1), value.NewInt(2)}}}, nil
+	ex3 := &Executor{FetchStream: func(string, string, string) (RowStream, error) {
+		return NewRows(nil, []value.Row{{value.NewInt(1), value.NewInt(2)}}, 0), nil
 	}}
 	if _, err := ex3.Run(r); err == nil {
 		t.Fatal("remote width mismatch must error")
 	}
 	// Fetch error propagates.
-	ex4 := &Executor{Fetch: func(string, string, string) (*Result, error) { return nil, fmt.Errorf("boom") }}
+	ex4 := &Executor{FetchStream: func(string, string, string) (RowStream, error) { return nil, fmt.Errorf("boom") }}
 	if _, err := ex4.Run(r); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("fetch error: %v", err)
 	}

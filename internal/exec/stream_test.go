@@ -119,11 +119,8 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 // for the dead sortErr variable and the dropped value.Compare error.
 func TestSortErrorPropagates(t *testing.T) {
 	bad := value.Value{K: value.Kind(99)}
-	fetch := func(string, string, string) (*Result, error) {
-		return &Result{
-			Cols: []expr.ColumnID{{Name: "x"}},
-			Rows: []value.Row{{bad}, {bad}},
-		}, nil
+	fetch := func(string, string, string) (RowStream, error) {
+		return NewRows([]expr.ColumnID{{Name: "x"}}, []value.Row{{bad}, {bad}}, 0), nil
 	}
 	mk := func() plan.Node {
 		return &plan.Sort{
@@ -131,7 +128,7 @@ func TestSortErrorPropagates(t *testing.T) {
 			Keys:  []plan.SortKey{{Expr: sqlparse.MustParseExpr("x")}},
 		}
 	}
-	ex := &Executor{Fetch: fetch}
+	ex := &Executor{FetchStream: fetch}
 	if _, err := ex.Run(mk()); err == nil || !strings.Contains(err.Error(), "not comparable") {
 		t.Fatalf("streaming sort must surface comparison error, got %v", err)
 	}
@@ -141,12 +138,12 @@ func TestSortErrorPropagates(t *testing.T) {
 }
 
 // An empty-but-mis-shaped remote answer (zero rows, wrong column spec) must
-// fail loudly instead of slipping past the width check, in the one-shot
-// path and the streaming path alike.
+// fail loudly instead of slipping past the width check, for a whole reply
+// wrapped in Rows and for a seller stream alike.
 func TestRemoteEmptyAnswerColsValidated(t *testing.T) {
 	r := &plan.Remote{NodeID: "corfu", SQL: "SELECT x FROM t", Cols: []expr.ColumnID{{Name: "x"}}}
-	ex := &Executor{Fetch: func(string, string, string) (*Result, error) {
-		return &Result{Cols: []expr.ColumnID{{Name: "a"}, {Name: "b"}}}, nil // no rows, two cols
+	ex := &Executor{FetchStream: func(string, string, string) (RowStream, error) {
+		return NewRows([]expr.ColumnID{{Name: "a"}, {Name: "b"}}, nil, 0), nil // no rows, two cols
 	}}
 	if _, err := ex.Run(r); err == nil || !strings.Contains(err.Error(), "columns") {
 		t.Fatalf("streaming: empty mis-shaped answer must error, got %v", err)
@@ -376,5 +373,46 @@ func TestOpenFirstRowEarlyClose(t *testing.T) {
 	}
 	if err := cur.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Rows adapts materialized answers to the Cursor and RowStream contracts;
+// its batching and termination behavior must hold on its own.
+func TestRowsContract(t *testing.T) {
+	cols := []expr.ColumnID{{Name: "x"}}
+	rows := []value.Row{
+		{value.NewInt(1)}, {value.NewInt(2)}, {value.NewInt(3)},
+	}
+	c := NewRows(cols, rows, 2)
+	if err := c.Open(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(c.Cols(), cols) {
+		t.Fatalf("cols: %v", c.Cols())
+	}
+	b, err := c.Next()
+	if err != nil || len(b) != 2 {
+		t.Fatalf("first batch: %v %v", b, err)
+	}
+	b, err = c.Next()
+	if err != nil || len(b) != 1 {
+		t.Fatalf("tail batch: %v %v", b, err)
+	}
+	if b, err = c.Next(); err != nil || b != nil {
+		t.Fatalf("exhausted cursor: %v %v", b, err)
+	}
+	c2 := NewRows(nil, rows, 2)
+	if _, err := c2.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := c2.Next(); err != nil || b != nil {
+		t.Fatalf("closed cursor must be exhausted: %v %v", b, err)
+	}
+	// An unset batch is the default batch, not an empty one.
+	if b, err := NewRows(nil, rows, 0).Next(); err != nil || len(b) != 3 {
+		t.Fatalf("default batch: %v %v", b, err)
 	}
 }

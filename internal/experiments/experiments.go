@@ -195,7 +195,7 @@ func measurePlan(f *workload.Federation, root plan.Node) (float64, error) {
 	comm := f.Comm()
 	ex := &exec.Executor{
 		Store: f.Nodes[f.Buyer].Store(),
-		Fetch: func(nodeID, sql, offerID string) (*exec.Result, error) {
+		FetchStream: func(nodeID, sql, offerID string) (exec.RowStream, error) {
 			resp, err := comm.Fetch(nodeID, trading.ExecReq{SQL: sql, OfferID: offerID})
 			if err != nil {
 				return nil, err
@@ -204,7 +204,7 @@ func measurePlan(f *workload.Federation, root plan.Node) (float64, error) {
 			for i, c := range resp.Cols {
 				cols[i] = expr.ColumnID{Table: c.Table, Name: c.Name}
 			}
-			return &exec.Result{Cols: cols, Rows: resp.Rows}, nil
+			return exec.NewRows(cols, resp.Rows, 0), nil
 		},
 	}
 	start := time.Now()

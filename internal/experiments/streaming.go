@@ -5,8 +5,9 @@ package experiments
 // answer row and how much of the answer the buyer must hold at once. A
 // single-relation federation sweeps the result size and runs the same
 // purchased plan both ways — streamed through ExecuteResultStream (batched
-// continuations, nothing retained) and materialized through the
-// pre-streaming one-shot fetch (FetchBatchRows < 0). The claim to
+// continuations, nothing retained) and materialized through ExecuteResult
+// with a fetch batch larger than the answer, so every purchase ships whole
+// in its opening exchange. The claim to
 // reproduce: stream_first_ms stays roughly flat as rows grow while
 // mat_first_ms (== its total: the first row of a materialized answer
 // arrives when the whole answer does) grows with cardinality, and
@@ -100,12 +101,13 @@ func f18Streamed(f *workload.Federation, seed int64) (firstMS, totalMS, peakKB f
 	return firstMS, totalMS, peakKB, rows, nil
 }
 
-// f18Materialized runs the same purchase through the one-shot path. The
-// first row is available only when the whole answer is: firstMS == totalMS
-// by construction, and the buyer buffers the entire answer at once.
-func f18Materialized(f *workload.Federation, seed int64) (totalMS, peakKB float64, rows int64, err error) {
+// f18Materialized runs the same purchase with a batch no answer over card
+// rows can fill: one exchange per leaf, drained into one result. The first
+// row is available only when the whole answer is: firstMS == totalMS by
+// construction, and the buyer buffers the entire answer at once.
+func f18Materialized(f *workload.Federation, card int) (totalMS, peakKB float64, rows int64, err error) {
 	cfg := f.BuyerConfig()
-	cfg.FetchBatchRows = -1
+	cfg.FetchBatchRows = card + 1
 	res, err := core.Optimize(cfg, f.Comm(), f18Query)
 	if err != nil {
 		return 0, 0, 0, err
@@ -136,7 +138,7 @@ func F18Streaming(cards []int, seed int64) *Table {
 		if err != nil {
 			panic(fmt.Sprintf("F18 streamed %d rows: %v", card, err))
 		}
-		mTotal, mPeak, mRows, err := f18Materialized(f18Fed(card, seed), seed)
+		mTotal, mPeak, mRows, err := f18Materialized(f18Fed(card, seed), card)
 		if err != nil {
 			panic(fmt.Sprintf("F18 materialized %d rows: %v", card, err))
 		}

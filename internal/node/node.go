@@ -22,7 +22,6 @@ import (
 
 	"qtrade/internal/catalog"
 	"qtrade/internal/cost"
-	"qtrade/internal/exec"
 	"qtrade/internal/expr"
 	"qtrade/internal/ledger"
 	"qtrade/internal/localopt"
@@ -129,7 +128,7 @@ type Node struct {
 
 	curMu    sync.Mutex               // guards the streamed-execution registry, see stream.go
 	cursors  map[string]*serverCursor // cursor id -> open streamed execution
-	curOrder []string                 // cursor eviction order (oldest first)
+	curOrder []string                 // cursor eviction order (least recently pulled first)
 	curSeq   atomic.Int64             // cursor id allocator
 }
 
@@ -857,9 +856,11 @@ func (n *Node) EndNegotiation(rfbID string, wonOfferIDs map[string]bool) {
 // either a (rewritten) query over local fragments or a compensation query
 // over a local materialized view. A sampled request ships the node's
 // execution span subtree (including subcontract fetch spans) back on the
-// response. A streaming request (req.Stream) ships the first batch plus a
-// continuation cursor; continuation and close requests (req.Cursor) are
-// routed to the streamed-execution registry in stream.go.
+// response. Every request opens the same cursor (executePurchased in
+// stream.go): a plain request gets it drained into one response, a streaming
+// request (req.Stream) the first batch plus a continuation cursor;
+// continuation and close requests (req.Cursor) are routed to the
+// streamed-execution registry in stream.go.
 func (n *Node) Execute(req trading.ExecReq) (trading.ExecResp, error) {
 	// Draining nodes still deliver: every purchased answer is in-flight work
 	// the drain must finish. Only a node that has Left refuses, and the
@@ -889,14 +890,7 @@ func (n *Node) Execute(req trading.ExecReq) (trading.ExecResp, error) {
 	// seller's actual cost behind the quote it bid with, and buyers compare
 	// it against the offer's estimated TotalTime in their trading ledger.
 	t0 := time.Now()
-	var resp trading.ExecResp
-	var sc *serverCursor
-	var err error
-	if req.Stream {
-		resp, sc, err = n.executeStreamOpen(req, sp)
-	} else {
-		resp, err = n.executeInner(req, sp)
-	}
+	resp, sc, err := n.executePurchased(req, sp)
 	wall := msSince(t0)
 	if ob != nil {
 		ob.execMS.Observe(wall)
@@ -965,55 +959,6 @@ func rfbOfOffer(offerID string) string {
 		return parts[1]
 	}
 	return ""
-}
-
-// executeInner is the body of Execute, with sp the node's execute span (nil
-// when tracing is off).
-func (n *Node) executeInner(req trading.ExecReq, sp *obs.Span) (trading.ExecResp, error) {
-	if req.OfferID != "" {
-		n.mu.Lock()
-		sc := n.subcontracts[req.OfferID]
-		n.mu.Unlock()
-		if sc != nil {
-			return n.executeSubcontract(sc, sp, req.Trace)
-		}
-	}
-	stmt, err := sqlparse.Parse(req.SQL)
-	if err != nil {
-		return trading.ExecResp{}, fmt.Errorf("node %s: %w", n.cfg.ID, err)
-	}
-	if u, ok := stmt.(*sqlparse.Union); ok {
-		return n.executeUnion(u)
-	}
-	sel := stmt.(*sqlparse.Select)
-	plan.Qualify(sel, n.cfg.Schema)
-	var root plan.Node
-	if len(sel.From) == 1 && n.store.View(sel.From[0].Name) != nil {
-		root, err = n.viewPlan(sel)
-	} else {
-		var res *localopt.Result
-		res, err = localopt.Optimize(sel, n.cfg.Schema, n.store, n.cfg.Cost)
-		if err == nil {
-			root = res.Best.Plan
-		}
-	}
-	if err != nil {
-		return trading.ExecResp{}, fmt.Errorf("node %s: %w", n.cfg.ID, err)
-	}
-	ex := &exec.Executor{Store: n.store}
-	result, err := ex.Run(root)
-	if err != nil {
-		return trading.ExecResp{}, fmt.Errorf("node %s: %w", n.cfg.ID, err)
-	}
-	specs, err := OutputSpecs(sel, n.cfg.Schema, n.store)
-	if err != nil {
-		// Fall back to the executed schema with unknown kinds.
-		specs = make([]trading.ColSpec, len(result.Cols))
-		for i, c := range result.Cols {
-			specs[i] = trading.ColSpec{Table: c.Table, Name: c.Name}
-		}
-	}
-	return trading.ExecResp{Cols: specs, Rows: result.Rows}, nil
 }
 
 // executeUnion evaluates a UNION [ALL] chain by running each branch and

@@ -25,9 +25,10 @@ import (
 // streamed answer, on completion, with totals accumulated across batches.
 
 // maxOpenCursors bounds the per-node registry of parked streamed
-// executions. Hitting the bound evicts the oldest cursor: an abandoned
-// buyer must not pin seller memory, and an evicted buyer's next
-// continuation fails loudly, pushing it into the usual recovery path.
+// executions. Hitting the bound evicts the least recently pulled cursor: an
+// abandoned buyer must not pin seller memory, a buyer that keeps pulling is
+// not the one to pay for it, and an evicted buyer's next continuation fails
+// loudly, pushing it into the usual recovery path.
 const maxOpenCursors = 64
 
 // serverCursor is one streamed execution parked between batch pulls.
@@ -47,49 +48,23 @@ type serverCursor struct {
 	finished bool             // completed, closed, or evicted
 }
 
-// sliceCursor adapts a materialized answer (a union chain or an assembled
-// subcontract, which have no cursor pipeline of their own) to the cursor
-// contract so chunked delivery stays uniform: execution materializes, but
-// the transfer is still bounded batches.
-type sliceCursor struct {
-	rows  []value.Row
-	pos   int
-	batch int
-}
-
-func (c *sliceCursor) Open() error { return nil }
-
-func (c *sliceCursor) Next() ([]value.Row, error) {
-	if c.pos >= len(c.rows) {
-		return nil, nil
-	}
-	end := c.pos + c.batch
-	if end > len(c.rows) {
-		end = len(c.rows)
-	}
-	b := c.rows[c.pos:end]
-	c.pos = end
-	return b, nil
-}
-
-func (c *sliceCursor) Close() error {
-	c.pos = len(c.rows)
-	return nil
-}
-
-// executeStreamOpen evaluates a purchased query through the cursor pipeline
-// and returns its first batch. When batches remain, the returned
-// serverCursor is non-nil and the caller (Execute) registers it after
-// finalizing the response; a result that fits in one batch costs zero extra
-// round trips and parks nothing.
-func (n *Node) executeStreamOpen(req trading.ExecReq, sp *obs.Span) (trading.ExecResp, *serverCursor, error) {
-	batch := req.BatchRows
-	if batch <= 0 {
-		batch = exec.DefaultBatchSize
-	}
-	cur, cols, err := n.openExecCursor(req, sp, batch)
+// executePurchased evaluates a purchased query through the one cursor
+// pipeline openExecCursor builds. A plain request gets the whole answer: the
+// cursor is drained. A Stream request gets the first batch; when batches
+// remain, the returned serverCursor is non-nil and the caller (Execute)
+// registers it after finalizing the response; a result that fits in one
+// batch costs zero extra round trips and parks nothing.
+func (n *Node) executePurchased(req trading.ExecReq, sp *obs.Span) (trading.ExecResp, *serverCursor, error) {
+	cur, cols, err := n.openExecCursor(req, sp)
 	if err != nil {
 		return trading.ExecResp{}, nil, err
+	}
+	if !req.Stream {
+		rows, err := exec.Drain(cur)
+		if err != nil {
+			return trading.ExecResp{}, nil, fmt.Errorf("node %s: %w", n.cfg.ID, err)
+		}
+		return trading.ExecResp{Cols: cols, Rows: rows}, nil, nil
 	}
 	first, err := cur.Next()
 	if err != nil {
@@ -118,11 +93,11 @@ func (n *Node) executeStreamOpen(req trading.ExecReq, sp *obs.Span) (trading.Exe
 	return resp, sc, nil
 }
 
-// openExecCursor builds the cursor pipeline for a purchased query: the same
-// plan construction as executeInner, but opened instead of drained. Unions
-// and subcontract assemblies have no streaming pipeline — they materialize
-// as before and chunk only the transfer.
-func (n *Node) openExecCursor(req trading.ExecReq, sp *obs.Span, batch int) (exec.Cursor, []trading.ColSpec, error) {
+// openExecCursor is the one place a purchased ExecReq is parsed and planned:
+// it builds and opens the cursor pipeline at the request's batch size (the
+// default when unset). Unions and subcontract assemblies have no streaming
+// pipeline — they materialize, and only the transfer is chunked.
+func (n *Node) openExecCursor(req trading.ExecReq, sp *obs.Span) (exec.Cursor, []trading.ColSpec, error) {
 	if req.OfferID != "" {
 		n.mu.Lock()
 		sub := n.subcontracts[req.OfferID]
@@ -132,7 +107,7 @@ func (n *Node) openExecCursor(req trading.ExecReq, sp *obs.Span, batch int) (exe
 			if err != nil {
 				return nil, nil, err
 			}
-			return &sliceCursor{rows: resp.Rows, batch: batch}, resp.Cols, nil
+			return exec.NewRows(nil, resp.Rows, req.BatchRows), resp.Cols, nil
 		}
 	}
 	stmt, err := sqlparse.Parse(req.SQL)
@@ -144,7 +119,7 @@ func (n *Node) openExecCursor(req trading.ExecReq, sp *obs.Span, batch int) (exe
 		if err != nil {
 			return nil, nil, err
 		}
-		return &sliceCursor{rows: resp.Rows, batch: batch}, resp.Cols, nil
+		return exec.NewRows(nil, resp.Rows, req.BatchRows), resp.Cols, nil
 	}
 	sel := stmt.(*sqlparse.Select)
 	plan.Qualify(sel, n.cfg.Schema)
@@ -170,7 +145,7 @@ func (n *Node) openExecCursor(req trading.ExecReq, sp *obs.Span, batch int) (exe
 			specs[i] = trading.ColSpec{Table: c.Table, Name: c.Name}
 		}
 	}
-	ex := &exec.Executor{Store: n.store, BatchSize: batch}
+	ex := &exec.Executor{Store: n.store, BatchSize: req.BatchRows}
 	cur, err := ex.Open(root)
 	if err != nil {
 		return nil, nil, fmt.Errorf("node %s: %w", n.cfg.ID, err)
@@ -249,10 +224,34 @@ func (n *Node) continueStream(req trading.ExecReq) (trading.ExecResp, error) {
 	}
 	sc.seq = req.Seq
 	sc.last = resp
-	if !resp.More {
+	if resp.More {
+		n.touchCursor(sc)
+	} else {
 		n.finishCursor(sc, true)
 	}
 	return resp, nil
+}
+
+// touchCursor marks a parked execution as just pulled: it moves to the back
+// of the eviction order. A cursor evicted while this pull was running stays
+// evicted.
+func (n *Node) touchCursor(sc *serverCursor) {
+	n.curMu.Lock()
+	defer n.curMu.Unlock()
+	if n.cursors[sc.id] == sc {
+		n.dropFromOrder(sc.id)
+		n.curOrder = append(n.curOrder, sc.id)
+	}
+}
+
+// dropFromOrder removes id from the eviction order. Callers hold curMu.
+func (n *Node) dropFromOrder(id string) {
+	for i, o := range n.curOrder {
+		if o == id {
+			n.curOrder = append(n.curOrder[:i], n.curOrder[i+1:]...)
+			return
+		}
+	}
 }
 
 // finishCursor closes a parked execution and unregisters it. Callers hold
@@ -266,12 +265,7 @@ func (n *Node) finishCursor(sc *serverCursor, served bool) {
 	sc.cur.Close()
 	n.curMu.Lock()
 	delete(n.cursors, sc.id)
-	for i, id := range n.curOrder {
-		if id == sc.id {
-			n.curOrder = append(n.curOrder[:i], n.curOrder[i+1:]...)
-			break
-		}
-	}
+	n.dropFromOrder(sc.id)
 	n.curMu.Unlock()
 	if !served || sc.offerID == "" {
 		return
@@ -282,8 +276,8 @@ func (n *Node) finishCursor(sc *serverCursor, served bool) {
 	}
 }
 
-// registerCursor parks a streamed execution, evicting the oldest one when
-// the registry is full.
+// registerCursor parks a streamed execution, evicting the least recently
+// pulled one (the front of curOrder) when the registry is full.
 func (n *Node) registerCursor(sc *serverCursor) {
 	var evict *serverCursor
 	n.curMu.Lock()

@@ -37,8 +37,9 @@ func streamAll(t *testing.T, n *Node, sql string, batch int) trading.ExecResp {
 }
 
 // TestStreamingDifferentialSQLLogic reassembles every query in the logic
-// battery from size-3 batches and demands rows identical — content AND
-// order — to the one-shot materializing Execute.
+// battery from 1-row and 3-row batches and demands Cols and rows identical —
+// content AND order — to the plain Execute, which drains the same cursor into
+// one response.
 func TestStreamingDifferentialSQLLogic(t *testing.T) {
 	n := fullNode(t)
 	queries := []string{
@@ -65,13 +66,15 @@ func TestStreamingDifferentialSQLLogic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("one-shot %q: %v", q, err)
 		}
-		got := streamAll(t, n, q, 3)
-		if !reflect.DeepEqual(got.Rows, want.Rows) &&
-			!(len(got.Rows) == 0 && len(want.Rows) == 0) {
-			t.Errorf("%s\n  streamed %v\n  one-shot %v", q, got.Rows, want.Rows)
-		}
-		if !reflect.DeepEqual(got.Cols, want.Cols) {
-			t.Errorf("%s\n  streamed cols %v != %v", q, got.Cols, want.Cols)
+		for _, batch := range []int{1, 3} {
+			got := streamAll(t, n, q, batch)
+			if !reflect.DeepEqual(got.Rows, want.Rows) &&
+				!(len(got.Rows) == 0 && len(want.Rows) == 0) {
+				t.Errorf("%s batch %d\n  streamed %v\n  one-shot %v", q, batch, got.Rows, want.Rows)
+			}
+			if !reflect.DeepEqual(got.Cols, want.Cols) {
+				t.Errorf("%s batch %d\n  streamed cols %v != %v", q, batch, got.Cols, want.Cols)
+			}
 		}
 	}
 	if n.OpenCursors() != 0 {
@@ -168,26 +171,43 @@ func TestStreamEarlyClose(t *testing.T) {
 	}
 }
 
-// The registry is bounded: abandoning more streams than maxOpenCursors
-// evicts the oldest, whose next continuation fails into recovery.
+// The registry is bounded, and the bound is paid by the stream pulled
+// longest ago, not the one opened first: with the registry full, a stream
+// its buyer keeps pulling survives a further open, and the abandoned stream
+// at the front of the order is evicted — its next continuation fails into
+// recovery.
 func TestStreamCursorEviction(t *testing.T) {
 	n := fullNode(t)
 	q := "SELECT c.custid, i.invid FROM customer c, invoiceline i"
-	var first trading.ExecResp
-	for i := 0; i < maxOpenCursors+1; i++ {
+	open := func(i int) trading.ExecResp {
 		resp, err := n.Execute(trading.ExecReq{SQL: q, Stream: true, BatchRows: 2})
 		if err != nil || !resp.More {
 			t.Fatalf("open %d: %+v %v", i, resp, err)
 		}
-		if i == 0 {
-			first = resp
-		}
+		return resp
 	}
+	opened := make([]trading.ExecResp, maxOpenCursors)
+	for i := range opened {
+		opened[i] = open(i)
+	}
+	first, second := opened[0], opened[1]
+	if _, err := n.Execute(trading.ExecReq{Cursor: first.Cursor, Seq: 1}); err != nil {
+		t.Fatalf("first stream, seq 1: %v", err)
+	}
+	open(maxOpenCursors)
 	if got := n.OpenCursors(); got != maxOpenCursors {
 		t.Fatalf("registry must stay bounded: %d > %d", got, maxOpenCursors)
 	}
-	if _, err := n.Execute(trading.ExecReq{Cursor: first.Cursor, Seq: 1}); err == nil {
-		t.Fatal("evicted cursor must refuse continuation")
+	if b, err := n.Execute(trading.ExecReq{Cursor: first.Cursor, Seq: 2}); err != nil || len(b.Rows) == 0 {
+		t.Fatalf("a stream that keeps pulling must survive a full registry: %v %v", b.Rows, err)
+	}
+	if _, err := n.Execute(trading.ExecReq{Cursor: second.Cursor, Seq: 1}); err == nil {
+		t.Fatal("the least recently pulled cursor must be evicted and refuse continuation")
+	}
+	for i, o := range opened[2:] {
+		if _, err := n.Execute(trading.ExecReq{Cursor: o.Cursor, CloseCursor: true}); err != nil {
+			t.Fatalf("stream %d must still be parked: %v", i+2, err)
+		}
 	}
 }
 
@@ -207,30 +227,8 @@ func TestStreamLeftNodeRefusesContinuation(t *testing.T) {
 	}
 }
 
-// Streamed delivery of a purchased (offer-bound) answer records exactly one
-// Served ledger event carrying the cumulative row count.
-func TestStreamServedLedgerOnce(t *testing.T) {
-	n := fullNode(t)
-	led := ledger.New(4)
-	n.SetLedger(led)
-	q := "SELECT c.custid, i.invid FROM customer c, invoiceline i"
-	open, err := n.Execute(trading.ExecReq{SQL: q, OfferID: "rfb7.oracle.1", Stream: true, BatchRows: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := len(open.Rows)
-	seq := int64(0)
-	for open.More {
-		seq++
-		open, err = n.Execute(trading.ExecReq{Cursor: open.Cursor, Seq: seq, OfferID: "rfb7.oracle.1"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows += len(open.Rows)
-	}
-	if rows != 20 {
-		t.Fatalf("reassembled %d rows, want 20", rows)
-	}
+// servedEvents returns every Served event in the ledger.
+func servedEvents(led *ledger.Ledger) []ledger.Event {
 	var served []ledger.Event
 	for _, neg := range led.Negotiations(0) {
 		for _, e := range neg.Events {
@@ -239,19 +237,70 @@ func TestStreamServedLedgerOnce(t *testing.T) {
 			}
 		}
 	}
-	if len(served) != 1 {
-		t.Fatalf("served events = %d, want 1: %+v", len(served), served)
+	return served
+}
+
+// Delivery of a purchased (offer-bound) answer records exactly one Served
+// ledger event however it is shipped: streamed, it carries the cumulative
+// rows and bytes of every batch; drained into one response, or streamed in a
+// batch larger than the answer, it carries that one exchange.
+func TestStreamServedLedgerOnce(t *testing.T) {
+	q := "SELECT c.custid, i.invid FROM customer c, invoiceline i"
+	const offer = "rfb7.oracle.1"
+	serve := func(req trading.ExecReq) (rows int, bytes int64, ev ledger.Event) {
+		t.Helper()
+		n := fullNode(t)
+		led := ledger.New(4)
+		n.SetLedger(led)
+		resp, err := n.Execute(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.ExecMS <= 0 {
+			t.Fatalf("ExecMS must be set on the opening response: %+v", resp.ExecMS)
+		}
+		rows, bytes = len(resp.Rows), int64(resp.WireSize())
+		seq := int64(0)
+		for resp.More {
+			seq++
+			resp, err = n.Execute(trading.ExecReq{Cursor: resp.Cursor, Seq: seq, OfferID: offer})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows += len(resp.Rows)
+			bytes += int64(resp.WireSize())
+		}
+		served := servedEvents(led)
+		if len(served) != 1 {
+			t.Fatalf("%+v: served events = %d, want 1: %+v", req, len(served), served)
+		}
+		return rows, bytes, served[0]
 	}
-	if served[0].Rows != 20 {
-		t.Fatalf("served rows = %d, want cumulative 20", served[0].Rows)
+	reqs := []trading.ExecReq{
+		{SQL: q, OfferID: offer, Stream: true, BatchRows: 8},
+		{SQL: q, OfferID: offer, Stream: true, BatchRows: 64},
+		{SQL: q, OfferID: offer},
 	}
-	if served[0].Bytes <= 0 || served[0].WallMS < 0 {
-		t.Fatalf("served actuals: %+v", served[0])
+	events := make([]ledger.Event, len(reqs))
+	for i, req := range reqs {
+		rows, bytes, ev := serve(req)
+		if rows != 20 {
+			t.Fatalf("%+v: delivered %d rows, want 20", req, rows)
+		}
+		if ev.Rows != 20 || ev.Bytes != bytes || ev.WallMS < 0 {
+			t.Fatalf("%+v: served %+v, want 20 rows and the %d bytes shipped", req, ev, bytes)
+		}
+		events[i] = ev
+	}
+	// One exchange is one exchange: the plain request and the stream whose
+	// batch exceeds the answer serve the same rows in the same bytes.
+	if whole, plain := events[1], events[2]; whole.Bytes != plain.Bytes {
+		t.Fatalf("single-exchange stream served %+v, plain request %+v", whole, plain)
 	}
 }
 
 // Union answers have no cursor pipeline of their own: execution
-// materializes and a sliceCursor chunks the transfer. Reassembled from
+// materializes and exec.Rows chunks the transfer. Reassembled from
 // 1-row batches, the answer must equal the one-shot union, and abandoning
 // it mid-transfer must reclaim the parked slice like any other cursor.
 func TestStreamUnionChunked(t *testing.T) {
@@ -358,38 +407,5 @@ func TestStreamContinuationTraced(t *testing.T) {
 	}
 	if _, err := n.Execute(trading.ExecReq{Cursor: open.Cursor, CloseCursor: true}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// sliceCursor adapts materialized answers to the cursor contract; its
-// batching and termination behavior must hold on its own.
-func TestSliceCursorContract(t *testing.T) {
-	rows := []value.Row{
-		{value.NewInt(1)}, {value.NewInt(2)}, {value.NewInt(3)},
-	}
-	c := &sliceCursor{rows: rows, batch: 2}
-	if err := c.Open(); err != nil {
-		t.Fatal(err)
-	}
-	b, err := c.Next()
-	if err != nil || len(b) != 2 {
-		t.Fatalf("first batch: %v %v", b, err)
-	}
-	b, err = c.Next()
-	if err != nil || len(b) != 1 {
-		t.Fatalf("tail batch: %v %v", b, err)
-	}
-	if b, err = c.Next(); err != nil || b != nil {
-		t.Fatalf("exhausted cursor: %v %v", b, err)
-	}
-	c2 := &sliceCursor{rows: rows, batch: 2}
-	if _, err := c2.Next(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if b, err := c2.Next(); err != nil || b != nil {
-		t.Fatalf("closed cursor must be exhausted: %v %v", b, err)
 	}
 }

@@ -73,7 +73,7 @@ func (n *Node) subcontractOffers(rfb trading.RFB, qr trading.QueryRequest, sel *
 		if !isKept {
 			continue // fully foreign relations are the buyer's problem
 		}
-		bindingPred := singleBindingPredOf(sel, tr.Binding())
+		bindingPred := expr.SingleBindingPred(sel.Where, tr.Binding())
 		relevant := rewrite.RelevantPartitions(n.cfg.Schema, tr.Name, bindingPred)
 		missing := subtract(relevant, held)
 		if len(missing) == 0 {
@@ -145,7 +145,7 @@ func (n *Node) buildComposite(rfb trading.RFB, qr trading.QueryRequest, sel *sql
 			return trading.Offer{}, false // whole-table gaps cannot be delegated piecewise
 		}
 		q := base.Clone()
-		restriction := qualifyColumns(p.Predicate, tr.Binding())
+		restriction := expr.Qualify(p.Predicate, tr.Binding())
 		q.Where = expr.SimplifyPredicate(expr.And([]expr.Expr{q.Where, restriction}))
 		subRFB.Queries = append(subRFB.Queries, trading.QueryRequest{
 			QID: fmt.Sprintf("sub%d", i),
@@ -361,36 +361,4 @@ func contains(list []string, x string) bool {
 		}
 	}
 	return false
-}
-
-// singleBindingPredOf extracts the conjunction of conjuncts referencing only
-// the given binding.
-func singleBindingPredOf(sel *sqlparse.Select, binding string) expr.Expr {
-	var conj []expr.Expr
-	for _, c := range expr.Conjuncts(sel.Where) {
-		only := true
-		any := false
-		for _, col := range expr.Columns(c) {
-			if strings.EqualFold(col.Table, binding) {
-				any = true
-			} else {
-				only = false
-				break
-			}
-		}
-		if only && any {
-			conj = append(conj, expr.Clone(c))
-		}
-	}
-	return expr.And(conj)
-}
-
-// qualifyColumns attaches a binding qualifier to bare columns.
-func qualifyColumns(e expr.Expr, binding string) expr.Expr {
-	return expr.Transform(expr.Clone(e), func(x expr.Expr) expr.Expr {
-		if c, ok := x.(*expr.Column); ok && c.Table == "" {
-			return &expr.Column{Table: binding, Name: c.Name, Index: -1}
-		}
-		return x
-	})
 }

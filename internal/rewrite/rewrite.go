@@ -59,7 +59,7 @@ func ForSeller(sel *sqlparse.Select, sch *catalog.Schema, store *storage.Store) 
 		// whose defining predicate contradicts the query's restriction on
 		// this relation contributes nothing (paper §3.4: restrict extents,
 		// then simplify).
-		bindingPred := bindingPredicate(sel, tr.Binding())
+		bindingPred := expr.SingleBindingPred(sel.Where, tr.Binding())
 		var usable []string
 		for _, pid := range held {
 			p, ok := sch.Partition(tr.Name, pid)
@@ -176,7 +176,7 @@ func PartitionRestriction(sch *catalog.Schema, table, binding string, partIDs []
 		if p.Predicate == nil {
 			return nil
 		}
-		ors = append(ors, qualify(p.Predicate, binding))
+		ors = append(ors, expr.Qualify(p.Predicate, binding))
 	}
 	return expr.Or(ors)
 }
@@ -197,38 +197,6 @@ func RelevantPartitions(sch *catalog.Schema, table string, pred expr.Expr) []str
 		}
 	}
 	return out
-}
-
-// bindingPredicate extracts the conjunction of query conjuncts that
-// reference only the given binding (qualified references only).
-func bindingPredicate(sel *sqlparse.Select, binding string) expr.Expr {
-	var conj []expr.Expr
-	for _, c := range expr.Conjuncts(sel.Where) {
-		only := true
-		any := false
-		for _, col := range expr.Columns(c) {
-			if strings.EqualFold(col.Table, binding) {
-				any = true
-			} else {
-				only = false
-				break
-			}
-		}
-		if only && any {
-			conj = append(conj, expr.Clone(c))
-		}
-	}
-	return expr.And(conj)
-}
-
-// qualify rewrites unqualified columns to carry the binding name.
-func qualify(e expr.Expr, binding string) expr.Expr {
-	return expr.Transform(expr.Clone(e), func(n expr.Expr) expr.Expr {
-		if c, ok := n.(*expr.Column); ok && c.Table == "" {
-			return &expr.Column{Table: binding, Name: c.Name, Index: -1}
-		}
-		return n
-	})
 }
 
 // strip removes qualifiers so single-table predicates can be combined.

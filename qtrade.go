@@ -402,11 +402,10 @@ func WithBuyerWorkers(n int) OptimizeOption {
 
 // WithFetchBatch sets the row-batch granularity of execution-time fetches:
 // purchased answers stream from sellers in bounded batches instead of
-// shipping whole. 0 (the default) uses the executor's default batch size;
-// n > 0 streams in batches of n rows; a negative n disables streaming and
-// ships each answer as one materialized response. Results are byte-identical
-// at any setting — only first-row latency, peak memory, and message
-// granularity change.
+// shipping whole, n rows per exchange; n <= 0 (the default) uses the
+// executor's default batch size, and an n larger than an answer ships that
+// answer in one exchange. Results are byte-identical at any setting — only
+// first-row latency, peak memory, and message granularity change.
 func WithFetchBatch(n int) OptimizeOption {
 	return func(c *core.Config) { c.FetchBatchRows = n }
 }
