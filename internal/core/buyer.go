@@ -229,28 +229,6 @@ func (p directoryPeer) ImproveBids(req trading.ImproveReq) (trading.BidReply, er
 	return rep, err
 }
 
-// buyerObs bundles the buyer's pre-resolved instruments (all nil-safe).
-type buyerObs struct {
-	optimizations *obs.Counter
-	rfbsSent      *obs.Counter
-	offersRecv    *obs.Counter
-	poolSize      *obs.Gauge
-	optimizeMS    *obs.Histogram
-	plangenMS     *obs.Histogram
-}
-
-func newBuyerObs(m *obs.Metrics, id string) buyerObs {
-	p := "buyer." + id + "."
-	return buyerObs{
-		optimizations: m.Counter(p + "optimizations"),
-		rfbsSent:      m.Counter(p + "rfbs_sent"),
-		offersRecv:    m.Counter(p + "offers_received"),
-		poolSize:      m.Gauge(p + "pool_size"),
-		optimizeMS:    m.Histogram(p + "optimize_ms"),
-		plangenMS:     m.Histogram(p + "plangen_ms"),
-	}
-}
-
 // partsKey canonicalizes an offer's coverage for pool deduplication (the
 // same SQL may be offered with different coverage, e.g. a partial and its
 // subcontracted completion).
@@ -265,12 +243,9 @@ func partsKey(o trading.Offer) string {
 	return strings.Join(keys, ";")
 }
 
-// Optimize runs the full iterative QT algorithm (steps B1–B8 of Figure 2)
-// for the given SQL text and returns the best distributed plan found.
-// Nothing is executed; call ExecuteResult with the returned plan to fetch
-// the purchased answers and produce rows.
-func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
-	start := time.Now()
+// withDefaults fills the unset knobs and hands the fault policy and fan-out
+// bound to a protocol that takes them.
+func (cfg Config) withDefaults() Config {
 	if cfg.Cost == nil {
 		cfg.Cost = cost.Default()
 	}
@@ -299,58 +274,14 @@ func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
 	if cfg.Strategy == nil {
 		cfg.Strategy = trading.AnchoredBuyer{}
 	}
-	sel, err := sqlparse.ParseSelect(sql)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	plan.Qualify(sel, cfg.Schema)
-	gen, err := newPlanGen(sel, cfg.Schema, cfg.Cost, cfg.Mode, cfg.IDPKeep, cfg.PeerLatency)
-	if err != nil {
-		return nil, fmt.Errorf("core: no distributed plan possible: %w", err)
-	}
+	return cfg
+}
 
-	var bo buyerObs
-	if cfg.Metrics != nil {
-		bo = newBuyerObs(cfg.Metrics, cfg.ID)
-	}
-	bo.optimizations.Inc()
-	rec := cfg.Ledger.Begin(cfg.ID, sel.SQL())
-	root := cfg.Tracer.Start(cfg.ID, "optimize")
-	root.Set("sql", sql)
-	defer root.End()
-
-	// Head sampling decides up front whether this negotiation ships trace
-	// data across the federation; tail sampling (Sampling.TailSlower) keeps
-	// collection on regardless and drops the finished trace below if the
-	// negotiation turned out fast. Without a tracer there is nothing to graft
-	// onto, so no context is minted and the wire stays trace-free.
-	head := true
-	var tctx obs.TraceContext
-	if cfg.Tracer != nil {
-		head = cfg.Sampling.SampleHead()
-		if cfg.Sampling.Collect(head) {
-			// Mint the context only when collecting: an unsampled negotiation
-			// keeps the zero TraceContext, so its messages gob-encode (and
-			// account) byte-identically to a federation without tracing.
-			tctx = obs.TraceContext{TraceID: obs.NewTraceID(cfg.ID), Sampled: true}
-			root.Set("trace_id", tctx.TraceID)
-		}
-	}
-
-	stats := Stats{}
-	pool := map[string]trading.Offer{} // seller+sql -> cheapest offer
-	bestPrice := map[string]float64{}  // qid -> best price seen
-	asked := map[string]bool{}
-	queries := []trading.QueryRequest{{QID: "q0", SQL: sel.SQL()}}
-	asked[sel.SQL()] = true
-	qSeq := 0
-
-	var best *Candidate
-	negID := "" // first RFB id: the negotiation's identity in ledger and dossier
-	var emptyReplies atomic.Int64
-	// The negotiation's own peer view: comm.Peers may hand out a map the
-	// caller keeps (PeerComm.PeerMap), which must see neither the exclusions
-	// nor the per-negotiation wrappers.
+// negotiationPeers builds the negotiation's own peer view: comm.Peers may
+// hand out a map the caller keeps (PeerComm.PeerMap), which must see neither
+// the exclusions nor the per-negotiation wrappers. empty counts the replies
+// that carry no offers.
+func negotiationPeers(cfg *Config, comm Comm, empty *atomic.Int64) map[string]trading.Peer {
 	all := comm.Peers()
 	peers := make(map[string]trading.Peer, len(all))
 	for id, p := range all {
@@ -364,73 +295,79 @@ func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
 		if cfg.Directory != nil {
 			guarded = directoryPeer{Peer: guarded, id: id, dir: cfg.Directory}
 		}
-		peers[id] = countingPeer{Peer: guarded, empty: &emptyReplies}
+		peers[id] = countingPeer{Peer: guarded, empty: empty}
 	}
+	return peers
+}
 
+// selfBids asks the buyer's own node for offers on the round's RFB: they join
+// the pool at zero network cost, so a query is outsourced only when a remote
+// offer beats local execution. A failing or absent local seller bids nothing.
+func selfBids(self LocalSeller, rfb trading.RFB, ob *negObs) []trading.Offer {
+	if self == nil {
+		return nil
+	}
+	ph := ob.phase("self-bids")
+	defer ph.end()
+	if rfb.Trace.Sampled {
+		rfb.Trace.Parent = ph.sp.ID()
+	}
+	rep, err := self.RequestBids(rfb)
+	if err != nil {
+		return nil
+	}
+	ph.sp.Set("offers", len(rep.Offers))
+	ph.sp.Graft(rep.Trace, ph.t0, time.Now())
+	return rep.Offers
+}
+
+// Optimize runs the full iterative QT algorithm (steps B1–B8 of Figure 2)
+// for the given SQL text and returns the best distributed plan found.
+// Nothing is executed; call ExecuteResult with the returned plan to fetch
+// the purchased answers and produce rows. What the loop does is reported to
+// one negObs (observe.go); no sink is fed from here.
+func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
+	cfg = cfg.withDefaults()
+	ob := newNegObs(&cfg)
+	sel, err := sqlparse.ParseSelect(sql)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	plan.Qualify(sel, cfg.Schema)
+	gen, err := newPlanGen(sel, cfg.Schema, cfg.Cost, cfg.Mode, cfg.IDPKeep, cfg.PeerLatency)
+	if err != nil {
+		return nil, fmt.Errorf("core: no distributed plan possible: %w", err)
+	}
+	ob.begin(sql, sel.SQL())
+	defer ob.close()
+
+	pool := map[string]trading.Offer{} // seller+sql+coverage -> cheapest offer
+	bestPrice := map[string]float64{}  // qid -> best price seen
+	queries := []trading.QueryRequest{{QID: "q0", SQL: sel.SQL()}}
+	asked := map[string]bool{sel.SQL(): true}
+	peers := negotiationPeers(&cfg, comm, &ob.empty)
+	var best *Candidate
 	for iter := 1; iter <= cfg.MaxIterations; iter++ {
-		stats.Iterations = iter
-		var itSp *obs.Span
-		if root != nil {
-			itSp = root.Child("iteration")
-			itSp.Set("iter", iter)
-		}
+		ob.iteration(iter)
 		// B1: strategic value estimates for the queries in Q.
 		for i := range queries {
 			queries[i].EstValue = cfg.Strategy.Estimate(queries[i].QID, bestPrice[queries[i].QID])
 		}
-		// B2/B3 + S1–S3: the nested negotiation.
+		// B2/B3 + S1–S3: the nested negotiation, then the buyer's own bids.
 		rfb := trading.RFB{
 			RFBID:   fmt.Sprintf("%s-rfb%d", cfg.ID, rfbSeq.Add(1)),
 			BuyerID: cfg.ID,
-			Trace:   tctx,
+			Trace:   ob.tctx,
 			Queries: queries,
 		}
-		if negID == "" {
-			negID = rfb.RFBID
-		}
-		stats.RFBsSent += len(peers)
-		bo.rfbsSent.Add(int64(len(peers)))
-		rec.RFBIssued(rfb.RFBID, iter, len(queries))
-		var roundT0 time.Time
-		if rec != nil {
-			roundT0 = time.Now()
-		}
-		negSp := itSp.Child("negotiate")
-		negSp.Set("peers", len(peers))
-		offers, rounds, err := cfg.Protocol.Collect(rfb, peers, negSp)
-		negSp.End()
+		ph := ob.rfbIssued(rfb, len(peers))
+		offers, rounds, err := cfg.Protocol.Collect(rfb, peers, ph.sp)
+		ph.end()
 		if err != nil {
-			itSp.End()
 			return nil, fmt.Errorf("core: negotiation failed: %w", err)
 		}
-		stats.ProtocolRounds += rounds
-		if cfg.Self != nil {
-			selfSp := itSp.Child("self-bids")
-			selfRFB := rfb
-			if selfRFB.Trace.Sampled {
-				selfRFB.Trace.Parent = selfSp.ID()
-			}
-			sentAt := time.Now()
-			rep, err := cfg.Self.RequestBids(selfRFB)
-			if err == nil {
-				selfSp.Set("offers", len(rep.Offers))
-				selfSp.Graft(rep.Trace, sentAt, time.Now())
-				offers = append(offers, rep.Offers...)
-			}
-			selfSp.End()
-		}
-		stats.OffersReceived += len(offers)
-		bo.offersRecv.Add(int64(len(offers)))
+		offers = append(offers, selfBids(cfg.Self, rfb, ob)...)
 		for _, o := range offers {
-			rec.Bid(iter, o.SellerID, o.QID, o.OfferID, o.Props.TotalTime, o.Price)
-			switch {
-			case o.FromView:
-				stats.ViewOffers++
-			case o.PartialAgg:
-				stats.PartialAggOffers++
-			default:
-				stats.OffersPriced++
-			}
 			key := o.SellerID + "\x00" + o.SQL + "\x00" + partsKey(o)
 			if prev, ok := pool[key]; !ok || o.Price < prev.Price {
 				pool[key] = o
@@ -440,84 +377,56 @@ func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
 				bestPrice[o.QID] = o.Price
 			}
 		}
-		bo.poolSize.Set(float64(len(pool)))
-		if rec != nil {
-			rec.Round(iter, rounds, len(offers), len(pool),
-				float64(time.Since(roundT0).Microseconds())/1000)
-		}
+		ob.collected(offers, rounds, len(pool))
 
 		// B4: candidate plan generation from the standing pool (the generator
 		// keeps it in OfferID order, so equal-cost ties break reproducibly).
-		var t0 time.Time
-		if cfg.Metrics != nil {
-			t0 = time.Now()
-		}
-		genSp := itSp.Child("plangen")
-		genSp.Set("mode", string(cfg.Mode))
-		genSp.Set("pool", len(pool))
+		ph = ob.phase("plangen")
+		ph.sp.Set("mode", string(cfg.Mode))
+		ph.sp.Set("pool", len(pool))
 		cands, err := gen.run()
-		genSp.End()
-		if cfg.Metrics != nil {
-			bo.plangenMS.Observe(float64(time.Since(t0).Microseconds()) / 1000)
-		}
+		ph.end()
 		if err != nil {
-			itSp.End()
 			if iter == 1 {
 				// The paper: abort when the first iteration yields no
 				// candidate plan at all.
 				return nil, fmt.Errorf("core: no distributed plan possible: %w", err)
 			}
+			ob.iterationEnd()
 			break
 		}
-		genSp.Set("candidates", len(cands))
-		newBest := cands[0]
-		improved := best == nil || ValueOf(cfg.Weight, &newBest) < ValueOf(cfg.Weight, best)*(1-1e-9)
+		ph.sp.Set("candidates", len(cands))
+		improved := best == nil || ValueOf(cfg.Weight, &cands[0]) < ValueOf(cfg.Weight, best)*(1-1e-9)
 		if improved {
-			b := newBest
+			b := cands[0]
 			best = &b
-			stats.Improvements++
 		}
-		if cfg.OnIteration != nil {
-			cfg.OnIteration(iter, ValueOf(cfg.Weight, best), len(pool))
-		}
+		ob.planned(improved, ValueOf(cfg.Weight, best))
 
-		// B5/B6: the predicates analyser proposes the next round's queries.
-		topK := cands
-		if len(topK) > 3 {
-			topK = topK[:3]
-		}
-		anSp := itSp.Child("analyse")
-		newSQLs := Analyse(sel, cfg.Schema, topK, asked, cfg.MaxNewQueries)
-		anSp.Set("new_queries", len(newSQLs))
-		anSp.End()
-		itSp.Set("improved", improved)
-		itSp.End()
+		// B5/B6: the predicates analyser proposes the next round's queries
+		// from the top candidates.
+		ph = ob.phase("analyse")
+		newSQLs := Analyse(sel, cfg.Schema, cands[:min(3, len(cands))], asked, cfg.MaxNewQueries)
+		ph.sp.Set("new_queries", len(newSQLs))
+		ph.end()
+		ob.iterationEnd()
 		// B7: terminate when neither the plan nor Q changed.
 		if !improved && len(newSQLs) == 0 {
 			break
 		}
-		if len(newSQLs) == 0 && iter > 1 && !improved {
-			break
-		}
 		for _, s := range newSQLs {
-			qSeq++
-			queries = append(queries, trading.QueryRequest{QID: fmt.Sprintf("q%d", qSeq), SQL: s})
+			queries = append(queries, trading.QueryRequest{QID: fmt.Sprintf("q%d", len(queries)), SQL: s})
 		}
-		stats.QueriesAsked = len(queries)
 	}
 	if best == nil {
 		return nil, fmt.Errorf("core: optimization produced no plan")
 	}
 
 	// B8: award the winning offers.
-	awSp := root.Child("award")
-	awSp.Set("offers", len(best.Offers))
-	var awardT0 time.Time
-	if rec != nil {
-		awardT0 = time.Now()
-	}
+	ph := ob.phase("award")
+	ph.sp.Set("offers", len(best.Offers))
 	for _, o := range best.Offers {
-		rec.Award(o.SellerID, o.QID, o.OfferID, o.Props.TotalTime, o.Price)
+		ob.awarded(o)
 		if o.SellerID == cfg.ID {
 			continue // own offers need no award message
 		}
@@ -527,33 +436,14 @@ func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
 		// winner cannot hang the buyer.
 		_ = cfg.Faults.Call(o.SellerID, func() error { return comm.Award(o.SellerID, aw) })
 	}
-	awSp.End()
-	if rec != nil {
-		rec.ObservePhase(ledger.PhaseAward, float64(time.Since(awardT0).Microseconds())/1000)
-	}
-	stats.PoolSize = len(pool)
-	stats.EmptyBidResponses = int(emptyReplies.Load())
-	stats.WallTime = time.Since(start)
-	bo.optimizeMS.Observe(float64(stats.WallTime.Microseconds()) / 1000)
-	if cfg.Tracer != nil && !cfg.Sampling.Keep(head, stats.WallTime) {
-		// Tail sampling: the negotiation was fast and head sampling said no —
-		// drop the collected trace instead of retaining it.
-		root.End()
-		cfg.Tracer.DropRoot(root)
-	}
+	ph.end()
 	finalPool := make([]trading.Offer, 0, len(pool))
 	for _, o := range pool {
 		finalPool = append(finalPool, o)
 	}
 	sort.Slice(finalPool, func(i, j int) bool { return finalPool[i].OfferID < finalPool[j].OfferID })
-	var fc *flightCapture
-	if cfg.Flight != nil {
-		fc = &flightCapture{rec: cfg.Flight, id: negID, start: start,
-			optimizeMS: float64(stats.WallTime.Microseconds()) / 1000, optSpan: root}
-	}
-	return &Result{SQL: sel.SQL(), Candidate: *best, Stats: stats, Pool: finalPool,
-		BuyerID: cfg.ID, TraceCtx: tctx, Workers: cfg.Workers,
-		FetchBatch: cfg.FetchBatchRows, LedgerRec: rec, flight: fc}, nil
+	return ob.done(&Result{SQL: sel.SQL(), Candidate: *best, Pool: finalPool, BuyerID: cfg.ID,
+		Workers: cfg.Workers, FetchBatch: cfg.FetchBatchRows}), nil
 }
 
 // ExecuteResult runs the winning plan: Remote leaves are fetched from their
@@ -598,15 +488,16 @@ func drainResult(cur exec.Cursor, cols []expr.ColumnID) (*exec.Result, error) {
 	return &exec.Result{Cols: cols, Rows: rows}, nil
 }
 
-// buildPlanExecutor assembles the executor that runs a winning plan: every
-// Remote leaf is a stream opened at res.FetchBatch rows per exchange (the
-// default batch when unset; a batch larger than the answer ships it whole in
-// the opening exchange). When the plan buys from more than one remote leaf
-// and res.Workers allows it, the leaves are opened concurrently (see
+// buildPlanExecutor assembles the executor that runs h's plan: every Remote
+// leaf is a stream opened at res.FetchBatch rows per exchange (the default
+// batch when unset; a batch larger than the answer ships it whole in the
+// opening exchange). When the plan buys from more than one remote leaf and
+// res.Workers allows it, the leaves are opened concurrently (see
 // prefetchStreams). The returned cleanup releases prefetched streams the
 // plan walk never consumed (e.g. after a failure in another leaf) and must
 // be called once execution is done.
-func buildPlanExecutor(comm Comm, localExec *exec.Executor, res *Result, root *obs.Span) (*exec.Executor, func()) {
+func buildPlanExecutor(h *streamHandle, localExec *exec.Executor) (*exec.Executor, func()) {
+	res := h.res
 	ex := &exec.Executor{BatchSize: res.FetchBatch}
 	if ex.BatchSize <= 0 {
 		ex.BatchSize = exec.DefaultBatchSize
@@ -620,26 +511,8 @@ func buildPlanExecutor(comm Comm, localExec *exec.Executor, res *Result, root *o
 		// recorder being on opts the execution in automatically.
 		ex.Stats = exec.NewRunStats()
 	}
-	traced := root != nil && res.TraceCtx.Sampled
-	// With a ledger record open, precompute each purchased offer's quoted
-	// cost so the fetch actuals can be tied back to the quote they answered
-	// (the pool covers recovery substitutes spliced in after the award).
-	rec := res.LedgerRec
-	var quoted map[string]float64
-	if rec != nil {
-		quoted = make(map[string]float64, len(res.Candidate.Offers))
-		for _, o := range res.Candidate.Offers {
-			quoted[o.OfferID] = o.Props.TotalTime
-		}
-		for _, o := range res.Pool {
-			if _, ok := quoted[o.OfferID]; !ok {
-				quoted[o.OfferID] = o.Props.TotalTime
-			}
-		}
-	}
 	openOne := func(nodeID, sql, offerID string) (exec.RowStream, error) {
-		return openRemoteStream(comm, nodeID, sql, offerID, ex.BatchSize,
-			root, traced, res.TraceCtx, rec, quoted[offerID])
+		return openRemoteStream(h, nodeID, sql, offerID, ex.BatchSize)
 	}
 	ex.FetchStream = openOne
 	cleanup := func() {}

@@ -115,34 +115,26 @@ func OptimizeAndExecute(cfg Config, comm Comm, localExec *exec.Executor, sql str
 		// substituting until the plan runs or the pool is out of equivalents.
 		if cfg.Faults != nil {
 			for err != nil && len(tc.failed) > 0 {
-				// Snapshot the failed purchases' sellers before substituteOffers
-				// patches the plan, so the ledger can name who was replaced.
-				var oldSeller map[string]string
-				if res.LedgerRec != nil {
-					oldSeller = make(map[string]string, len(res.Candidate.Offers))
-					for _, o := range res.Candidate.Offers {
-						oldSeller[o.OfferID] = o.SellerID
-					}
-				}
+				// substituteOffers swaps a patched copy into the plan; the slice
+				// read here still names who was replaced, for the audit trail.
+				old := res.Candidate.Offers
 				repl, ok := substituteOffers(res, tc.failedSet())
 				if !ok {
 					break
 				}
 				fallbacks.Add(int64(len(repl)))
 				sp.Set("fallbacks", len(repl))
-				if res.LedgerRec != nil {
-					for oldID, nb := range repl {
-						res.LedgerRec.Recovery(oldSeller[oldID], nb.SellerID, nb.OfferID,
-							tc.reasonFor(oldSeller[oldID]))
-					}
-				}
-				for _, nb := range repl {
-					if nb.SellerID == cfg.ID {
+				for _, o := range old {
+					nb, ok := repl[o.OfferID]
+					if !ok {
 						continue
 					}
-					// Courtesy award to the substitute; failures are
-					// tolerable (execution carries the purchased SQL).
-					_ = execComm.Award(nb.SellerID, trading.Award{RFBID: nb.RFBID, OfferID: nb.OfferID, BuyerID: cfg.ID})
+					res.LedgerRec.Recovery(o.SellerID, nb.SellerID, nb.OfferID, tc.reasonFor(o.SellerID))
+					if nb.SellerID != cfg.ID {
+						// Courtesy award to the substitute; failures are
+						// tolerable (execution carries the purchased SQL).
+						_ = execComm.Award(nb.SellerID, trading.Award{RFBID: nb.RFBID, OfferID: nb.OfferID, BuyerID: cfg.ID})
+					}
 				}
 				out, err = executeUnder(tc, localExec, res, sp)
 			}

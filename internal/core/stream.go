@@ -7,7 +7,6 @@ import (
 
 	"qtrade/internal/exec"
 	"qtrade/internal/expr"
-	"qtrade/internal/ledger"
 	"qtrade/internal/obs"
 	"qtrade/internal/plan"
 	"qtrade/internal/trading"
@@ -28,127 +27,97 @@ import (
 // executor's Remote cursor pulls it and closes it (closing early sends the
 // seller a cursor release instead of draining the answer).
 type remoteStream struct {
-	comm    Comm
+	run     *streamHandle // the execution this fetch belongs to
 	nodeID  string
 	sql     string
 	offerID string
 
-	root   *obs.Span
-	traced bool
-	tctx   obs.TraceContext
-	rec    *ledger.Rec
-	quoted float64
+	cols   []expr.ColumnID
+	first  []value.Row // the opening batch until Next hands it out
+	cursor string      // continuation token; empty once the seller has no more
+	seq    int64
 
-	cols      []expr.ColumnID
-	first     []value.Row
-	delivered bool
-	cursor    string
-	seq       int64
-
-	execMS   float64 // seller-reported cumulative execution ms (last batch wins)
-	wall     float64 // buyer-side wall ms across every exchange
-	rows     int64
-	bytes    int64
-	done     bool
-	closed   bool
-	recorded bool
+	execMS float64 // seller-reported cumulative execution ms (last batch wins)
+	wall   float64 // buyer-side wall ms across every exchange
+	rows   int64
+	bytes  int64
+	done   bool // exhausted, failed or closed: the fetch event is written
 }
 
 // openRemoteStream issues the opening fetch (Stream set, first batch plus a
 // continuation token when more remains) and wraps the reply as a RowStream.
-func openRemoteStream(comm Comm, nodeID, sql, offerID string, batch int,
-	root *obs.Span, traced bool, tctx obs.TraceContext, rec *ledger.Rec, quoted float64) (exec.RowStream, error) {
-
-	s := &remoteStream{
-		comm: comm, nodeID: nodeID, sql: sql, offerID: offerID,
-		root: root, traced: traced, tctx: tctx, rec: rec, quoted: quoted,
-	}
-	fs := root.Child("fetch " + nodeID)
-	req := trading.ExecReq{SQL: sql, OfferID: offerID, Stream: true, BatchRows: batch}
-	if traced {
-		req.Trace = tctx
-		req.Trace.Parent = fs.ID()
-	}
-	sentAt := time.Now()
-	resp, err := comm.Fetch(nodeID, req)
-	s.wall = float64(time.Since(sentAt).Microseconds()) / 1000
+func openRemoteStream(run *streamHandle, nodeID, sql, offerID string, batch int) (exec.RowStream, error) {
+	s := &remoteStream{run: run, nodeID: nodeID, sql: sql, offerID: offerID}
+	resp, err := s.exchange(run.root.Child("fetch "+nodeID),
+		trading.ExecReq{SQL: sql, OfferID: offerID, Stream: true, BatchRows: batch})
 	if err != nil {
-		fs.Set("error", err)
-		fs.End()
-		s.finish(err)
 		return nil, err
 	}
-	fs.Graft(resp.Trace, sentAt, time.Now())
-	fs.End()
 	s.cols = make([]expr.ColumnID, len(resp.Cols))
 	for i, c := range resp.Cols {
 		s.cols[i] = expr.ColumnID{Table: c.Table, Name: c.Name}
 	}
 	s.first = resp.Rows
-	s.execMS = resp.ExecMS
-	s.rows = int64(len(resp.Rows))
-	s.bytes = int64(resp.WireSize())
+	return s, nil
+}
+
+// exchange is one fetch round trip, the opening one or a continuation,
+// recorded as fs: a traced run stamps its context on the request and grafts
+// the seller's subtree under fs, the stream's actuals accumulate, and a
+// failure finishes the stream with the error.
+func (s *remoteStream) exchange(fs *obs.Span, req trading.ExecReq) (trading.ExecResp, error) {
+	if s.run.traced() {
+		req.Trace = s.run.res.TraceCtx
+		req.Trace.Parent = fs.ID()
+	}
+	sentAt := time.Now()
+	resp, err := s.run.comm.Fetch(s.nodeID, req)
+	recvAt := time.Now()
+	s.wall += ms(recvAt.Sub(sentAt))
+	if err != nil {
+		fs.Set("error", err)
+		fs.End()
+		s.finish(err)
+		return resp, err
+	}
+	fs.Graft(resp.Trace, sentAt, recvAt)
+	fs.End()
+	s.execMS = resp.ExecMS // cumulative on the seller side: last batch is the total
+	s.rows += int64(len(resp.Rows))
+	s.bytes += int64(resp.WireSize())
+	s.cursor = ""
 	if resp.More {
 		s.cursor = resp.Cursor
 	}
-	return s, nil
+	return resp, nil
 }
 
 func (s *remoteStream) Cols() []expr.ColumnID { return s.cols }
 
 func (s *remoteStream) Next() ([]value.Row, error) {
-	if s.done || s.closed {
+	if s.done {
 		return nil, nil
 	}
-	if !s.delivered {
-		s.delivered = true
-		if len(s.first) > 0 {
-			b := s.first
-			s.first = nil
-			if s.cursor == "" {
-				s.done = true
-				s.finish(nil)
-			}
-			return b, nil
+	if b := s.first; len(b) > 0 {
+		s.first = nil
+		if s.cursor == "" {
+			s.finish(nil)
 		}
+		return b, nil
 	}
 	if s.cursor == "" {
-		s.done = true
 		s.finish(nil)
 		return nil, nil
 	}
-	fs := s.root.Child("fetch-batch " + s.nodeID)
-	req := trading.ExecReq{OfferID: s.offerID, Cursor: s.cursor, Seq: s.seq + 1}
-	if s.traced {
-		req.Trace = s.tctx
-		req.Trace.Parent = fs.ID()
-	}
-	sentAt := time.Now()
-	resp, err := s.comm.Fetch(s.nodeID, req)
-	s.wall += float64(time.Since(sentAt).Microseconds()) / 1000
+	fs := s.run.root.Child("fetch-batch " + s.nodeID)
+	resp, err := s.exchange(fs, trading.ExecReq{OfferID: s.offerID, Cursor: s.cursor, Seq: s.seq + 1})
 	if err != nil {
-		fs.Set("error", err)
-		fs.End()
-		s.done = true
-		s.finish(err)
 		return nil, err
 	}
 	fs.Set("rows", len(resp.Rows))
-	fs.Graft(resp.Trace, sentAt, time.Now())
-	fs.End()
 	s.seq++
-	s.execMS = resp.ExecMS // cumulative on the seller side: last batch is the total
-	s.rows += int64(len(resp.Rows))
-	s.bytes += int64(resp.WireSize())
-	if resp.More {
-		s.cursor = resp.Cursor
-	} else {
-		s.cursor = ""
-	}
 	if len(resp.Rows) == 0 {
-		s.done = true
 		s.finish(nil)
-		return nil, nil
 	}
 	return resp.Rows, nil
 }
@@ -158,34 +127,43 @@ func (s *remoteStream) Next() ([]value.Row, error) {
 // release so its parked execution is reclaimed immediately instead of
 // waiting for eviction.
 func (s *remoteStream) Close() error {
-	if s.closed {
-		return nil
-	}
-	s.closed = true
 	if !s.done && s.cursor != "" {
 		req := trading.ExecReq{OfferID: s.offerID, Cursor: s.cursor, CloseCursor: true}
-		_, _ = s.comm.Fetch(s.nodeID, req)
+		_, _ = s.run.comm.Fetch(s.nodeID, req)
 		s.cursor = ""
 	}
 	s.finish(nil)
 	return nil
 }
 
-// finish records the stream's single ledger fetch event — one per leaf, with
-// actuals accumulated across every batch.
+// finish ends the stream and records its single ledger fetch event — one per
+// leaf, with actuals accumulated across every batch, next to the cost the
+// offer quoted.
 func (s *remoteStream) finish(err error) {
-	if s.recorded {
+	if s.done {
 		return
 	}
-	s.recorded = true
-	if s.rec == nil {
-		return
-	}
+	s.done = true
+	rec, quoted := s.run.res.LedgerRec, s.run.res.quotedMS(s.offerID)
 	if err != nil {
-		s.rec.Fetch(s.nodeID, s.offerID, s.sql, s.quoted, s.wall, 0, 0, 0, err.Error())
+		rec.Fetch(s.nodeID, s.offerID, s.sql, quoted, s.wall, 0, 0, 0, err.Error())
 		return
 	}
-	s.rec.Fetch(s.nodeID, s.offerID, s.sql, s.quoted, s.wall, s.execMS, s.rows, s.bytes, "")
+	rec.Fetch(s.nodeID, s.offerID, s.sql, quoted, s.wall, s.execMS, s.rows, s.bytes, "")
+}
+
+// quotedMS is the total time the purchased offer quoted: the fetch actuals
+// are tied back to the quote they answered. The pool covers a recovery
+// substitute spliced in after the award.
+func (r *Result) quotedMS(offerID string) float64 {
+	for _, offers := range [][]trading.Offer{r.Candidate.Offers, r.Pool} {
+		for i := range offers {
+			if offers[i].OfferID == offerID {
+				return offers[i].Props.TotalTime
+			}
+		}
+	}
+	return 0
 }
 
 // prefetchStreams opens every remote leaf's stream concurrently — at most
@@ -286,8 +264,9 @@ func ExecuteResultStream(comm Comm, localExec *exec.Executor, res *Result, tr *o
 // recovery re-run — goes through here and is finalized by the handle's Close,
 // including an open that fails.
 func openResult(comm Comm, localExec *exec.Executor, res *Result, root *obs.Span) (*streamHandle, error) {
-	ex, cleanup := buildPlanExecutor(comm, localExec, res, root)
-	h := &streamHandle{cleanup: cleanup, root: root, res: res, st: ex.Stats}
+	h := &streamHandle{comm: comm, res: res, root: root}
+	ex, cleanup := buildPlanExecutor(h, localExec)
+	h.cleanup, h.st = cleanup, ex.Stats
 	res.LedgerRec.ExecStarted()
 	h.t0 = time.Now()
 	cur, err := ex.Open(res.Candidate.Root)
@@ -300,23 +279,31 @@ func openResult(comm Comm, localExec *exec.Executor, res *Result, root *obs.Span
 	return h, nil
 }
 
-// streamHandle finalizes an execution at Close: leftover prefetched streams
-// are released, the ledger's execute record is completed with the rows
-// actually pulled, and the flight dossier (if a recorder is on) is assembled
-// from whatever the cursor's consumer pulled. The execute span is the
-// caller's to end unless endRoot is set.
+// streamHandle is one execution of a Result's plan: what its remote fetches
+// share — the Comm, the negotiation's Result (trace context, ledger record,
+// quotes) and the run's root span — and the finalizer every execution ends
+// in. At Close leftover prefetched streams are released, the ledger's
+// execute record is completed with the rows actually pulled, and the flight
+// dossier (if a recorder is on) is assembled from whatever the cursor's
+// consumer pulled. The execute span is the caller's to end unless endRoot is
+// set.
 type streamHandle struct {
+	comm    Comm
+	res     *Result
+	root    *obs.Span   // nil untraced
 	cur     exec.Cursor // nil when the open failed
 	cleanup func()
-	root    *obs.Span
 	endRoot bool
 	t0      time.Time
-	res     *Result
 	st      *exec.RunStats
 	rows    int64
 	err     error
 	closed  bool
 }
+
+// traced reports whether the run's fetches carry the negotiation's trace
+// context: the negotiation was sampled and this execution is being recorded.
+func (h *streamHandle) traced() bool { return h.root != nil && h.res.TraceCtx.Sampled }
 
 func (h *streamHandle) Open() error { return nil } // opened by openResult
 
@@ -343,14 +330,12 @@ func (h *streamHandle) Close() error {
 		err = h.cur.Close()
 	}
 	h.cleanup()
-	wall := float64(time.Since(h.t0).Microseconds()) / 1000
-	if rec := h.res.LedgerRec; rec != nil {
-		msg := ""
-		if h.err != nil {
-			msg = h.err.Error()
-		}
-		rec.ExecFinished(wall, h.rows, msg)
+	wall := ms(time.Since(h.t0))
+	msg := ""
+	if h.err != nil {
+		msg = h.err.Error()
 	}
+	h.res.LedgerRec.ExecFinished(wall, h.rows, msg)
 	if h.endRoot {
 		h.root.End()
 	}

@@ -52,7 +52,7 @@ func (n *Node) drainErr(op string) error {
 // node is a no-op.
 func (n *Node) Drain(reason string) {
 	if n.state.CompareAndSwap(int32(trading.StateActive), int32(trading.StateDraining)) {
-		n.ledg.Load().Lifecycle(ledger.KindDrain, n.cfg.ID, reason)
+		n.obsv.Load().ledger.Lifecycle(ledger.KindDrain, n.cfg.ID, reason)
 	}
 }
 
@@ -61,7 +61,7 @@ func (n *Node) Drain(reason string) {
 // rejoining is a fresh AddNode).
 func (n *Node) Undrain() bool {
 	if n.state.CompareAndSwap(int32(trading.StateDraining), int32(trading.StateActive)) {
-		n.ledg.Load().Lifecycle(ledger.KindUndrain, n.cfg.ID, "")
+		n.obsv.Load().ledger.Lifecycle(ledger.KindUndrain, n.cfg.ID, "")
 		return true
 	}
 	return false
@@ -77,7 +77,7 @@ func (n *Node) Leave(reason string) {
 		return
 	}
 	n.RevokeStandingOffers()
-	n.ledg.Load().Lifecycle(ledger.KindLeave, n.cfg.ID, reason)
+	n.obsv.Load().ledger.Lifecycle(ledger.KindLeave, n.cfg.ID, reason)
 }
 
 // RevokeStandingOffers drops every standing offer, pricing flight and

@@ -122,25 +122,13 @@ type Node struct {
 	flights      map[string]map[string]*flight        // rfbID -> query key
 	active       atomic.Int64                         // executions in flight, for load-aware pricing
 	state        atomic.Int32                         // lifecycle position (trading.NodeState), see lifecycle.go
-	obsv         atomic.Pointer[nodeObs]
-	traceLog     atomic.Pointer[obs.TraceLog]
-	ledg         atomic.Pointer[ledger.Ledger]
+	obsv         atomic.Pointer[nodeObs]              // never nil, see obs.go
 
 	curMu    sync.Mutex               // guards the streamed-execution registry, see stream.go
 	cursors  map[string]*serverCursor // cursor id -> open streamed execution
 	curOrder []string                 // cursor eviction order (least recently pulled first)
 	curSeq   atomic.Int64             // cursor id allocator
 }
-
-// SetTraceLog attaches a trace log that retains the most recent sampled
-// subtree this node shipped, for live exposition at /trace/last. Nil detaches.
-func (n *Node) SetTraceLog(l *obs.TraceLog) { n.traceLog.Store(l) }
-
-// SetLedger attaches a trading ledger recording this node's seller-side
-// events: per-query pricing (with price-cache provenance) and measured
-// execution of purchased answers. Nil detaches; detached costs one atomic
-// load per pricing or execution.
-func (n *Node) SetLedger(l *ledger.Ledger) { n.ledg.Store(l) }
 
 // flight is one single-flight pricing of a (RFB, query) pair: the first
 // caller computes offers, every concurrent or later caller for the same pair
@@ -196,6 +184,7 @@ func New(cfg Config) *Node {
 	if cfg.LoadAwarePricing {
 		n.cfg.Strategy = &trading.LoadAware{Inner: n.cfg.Strategy, Load: n.loadFactor}
 	}
+	n.obsv.Store(&nodeObs{})
 	n.SetObs(cfg.Tracer, cfg.Metrics)
 	return n
 }
@@ -228,26 +217,14 @@ func (n *Node) admitRFB(ob *nodeObs) func() {
 	select {
 	case n.admit <- struct{}{}:
 	default:
-		d := n.queued.Add(1)
-		if ob != nil {
-			ob.rfbsQueued.Inc()
-			ob.rfbQueueDepth.Set(float64(d))
-		}
+		ob.rfbsQueued.Inc()
+		ob.rfbQueueDepth.Set(float64(n.queued.Add(1)))
 		n.admit <- struct{}{}
-		d = n.queued.Add(-1)
-		if ob != nil {
-			ob.rfbQueueDepth.Set(float64(d))
-		}
+		ob.rfbQueueDepth.Set(float64(n.queued.Add(-1)))
 	}
-	g := n.inflight.Add(1)
-	if ob != nil {
-		ob.rfbsInflight.Set(float64(g))
-	}
+	ob.rfbsInflight.Set(float64(n.inflight.Add(1)))
 	return func() {
-		v := n.inflight.Add(-1)
-		if ob != nil {
-			ob.rfbsInflight.Set(float64(v))
-		}
+		ob.rfbsInflight.Set(float64(n.inflight.Add(-1)))
 		<-n.admit
 	}
 }
@@ -283,10 +260,8 @@ func (n *Node) Load() float64 { return float64(n.active.Load()) }
 // and a repeated RFBID returns the same offers.
 // When the RFB carries a sampled trace context, the node records its work
 // into a detached span tree and ships the finished subtree back in the
-// reply: the buyer grafts it under its own RequestBids span, and in-process
-// federations (where buyer and seller share one tracer) still see each
-// subtree exactly once, because the sampled path bypasses the node's
-// attached tracer.
+// reply (nodeObs.span/ship): the buyer grafts it under its own RequestBids
+// span.
 func (n *Node) RequestBids(rfb trading.RFB) (trading.BidReply, error) {
 	// Lifecycle gate, checked before the admission gate so a draining node
 	// rejects immediately instead of queueing work it will not do: Draining
@@ -301,21 +276,10 @@ func (n *Node) RequestBids(rfb trading.RFB) (trading.BidReply, error) {
 		release := n.admitRFB(ob)
 		defer release()
 	}
-	var sp *obs.Span
-	var remote *obs.Tracer
-	if rfb.Trace.Sampled {
-		remote = obs.NewTracer()
-		sp = remote.Start(n.cfg.ID, "request-bids")
-	} else if ob != nil {
-		sp = ob.tracer.Start(n.cfg.ID, "request-bids")
-	}
-	if ob != nil {
-		ob.rfbs.Inc()
-	}
-	if sp != nil {
-		sp.Set("rfb", rfb.RFBID)
-		sp.Set("queries", len(rfb.Queries))
-	}
+	sp := ob.span(n.cfg.ID, "request-bids", rfb.Trace)
+	ob.rfbs.Inc()
+	sp.Set("rfb", rfb.RFBID)
+	sp.Set("queries", len(rfb.Queries))
 	results := make([][]trading.Offer, len(rfb.Queries))
 	if n.cfg.Workers == 1 || len(rfb.Queries) <= 1 {
 		for i, qr := range rfb.Queries {
@@ -338,19 +302,14 @@ func (n *Node) RequestBids(rfb trading.RFB) (trading.BidReply, error) {
 	}
 	var out []trading.Offer
 	for _, offers := range results {
-		if ob != nil && len(offers) == 0 {
+		if len(offers) == 0 {
 			ob.rewritesEmpty.Inc()
 		}
 		out = append(out, offers...)
 	}
 	sp.Set("offers", len(out))
 	sp.End()
-	reply := trading.BidReply{Offers: out}
-	if remote != nil {
-		payload := sp.Payload()
-		reply.Trace = payload
-		n.traceLog.Load().Record(payload)
-	}
+	reply := trading.BidReply{Offers: out, Trace: ob.ship(sp, rfb.Trace)}
 	n.mu.Lock()
 	m := n.standing[rfb.RFBID]
 	if m == nil {
@@ -390,9 +349,7 @@ func (n *Node) offersForShared(rfb trading.RFB, qr trading.QueryRequest, sp *obs
 	if f := m[qkey]; f != nil {
 		n.mu.Unlock()
 		<-f.done
-		if ob != nil {
-			ob.pricingsCoalesced.Inc()
-		}
+		ob.pricingsCoalesced.Inc()
 		return f.offers
 	}
 	f := &flight{done: make(chan struct{})}
@@ -418,25 +375,19 @@ func (g *offerIDGen) next(kind string) string {
 	return fmt.Sprintf("%s/%s%d", g.prefix, kind, g.n)
 }
 
-// offersFor prices one requested query, recording the pricing into the
-// attached trading ledger (offers produced, price-cache provenance, wall
-// time). sp is the node's request-bids span and ob its loaded observer;
-// both are nil when observability is off.
+// offersFor prices one requested query and reports the pricing to the
+// trading ledger (offers produced, price-cache provenance, wall time). sp is
+// the node's request-bids span (nil untraced) and ob its loaded observer.
 func (n *Node) offersFor(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span, ob *nodeObs) []trading.Offer {
-	ldg := n.ledg.Load()
-	if ldg == nil {
-		offers, _ := n.priceQuery(rfb, qr, sp, ob, nil)
-		return offers
-	}
 	t0 := time.Now()
-	offers, cached := n.priceQuery(rfb, qr, sp, ob, ldg)
-	ldg.Priced(rfb.RFBID, rfb.BuyerID, n.cfg.ID, qr.QID, len(offers), cached, msSince(t0))
+	offers, cached := n.priceQuery(rfb, qr, sp, ob)
+	ob.ledger.Priced(rfb.RFBID, rfb.BuyerID, n.cfg.ID, qr.QID, len(offers), cached, msSince(t0))
 	return offers
 }
 
 // priceQuery is the body of offersFor; the second return reports whether
 // the rewrite+DP valuation came from the price cache.
-func (n *Node) priceQuery(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span, ob *nodeObs, ldg *ledger.Ledger) ([]trading.Offer, bool) {
+func (n *Node) priceQuery(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span, ob *nodeObs) ([]trading.Offer, bool) {
 	sel, err := sqlparse.ParseSelect(qr.SQL)
 	if err != nil {
 		return nil, false
@@ -464,10 +415,8 @@ func (n *Node) priceQuery(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span
 		}
 		if e, ok := n.prices.Get(key); ok {
 			rw, res, err, cached = e.Rewritten, e.Result, e.Err, true
-			if ob != nil {
-				ob.cacheHits.Inc()
-			}
-		} else if ob != nil {
+			ob.cacheHits.Inc()
+		} else {
 			ob.cacheMisses.Inc()
 		}
 	}
@@ -481,26 +430,18 @@ func (n *Node) priceQuery(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span
 		}
 		dpSp.End()
 	} else {
-		var t0 time.Time
-		if ob != nil || ldg != nil {
-			t0 = time.Now()
-		}
+		t0 := time.Now()
 		rwSp := sp.Child("rewrite")
 		rw, err = rewrite.ForSeller(sel, n.cfg.Schema, n.store)
 		if err != nil {
 			rwSp.Set("error", err)
 		}
 		rwSp.End()
-		if ob != nil {
-			ob.rewriteMS.Observe(msSince(t0))
-		}
-		if ldg != nil {
-			ldg.ObservePhase(ledger.PhaseRewrite, msSince(t0))
-		}
+		rewriteMS := msSince(t0)
+		ob.rewriteMS.Observe(rewriteMS)
+		ob.ledger.ObservePhase(ledger.PhaseRewrite, rewriteMS)
 		if err == nil {
-			if ob != nil {
-				t0 = time.Now()
-			}
+			t0 = time.Now()
 			dpSp := sp.Child("dp-pricing")
 			if n.prices != nil {
 				dpSp.Set("cache", "miss")
@@ -512,17 +453,13 @@ func (n *Node) priceQuery(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span
 				dpSp.Set("partials", len(res.Partials))
 			}
 			dpSp.End()
-			if ob != nil {
-				ob.dpMS.Observe(msSince(t0))
-			}
+			ob.dpMS.Observe(msSince(t0))
 		}
 		// A failure is as much a function of the key as a result is (nothing
 		// local, a contradicted predicate, an unplannable rewrite), so it is
 		// remembered too: a repeat RFB must not redo the rewrite to learn it.
 		if n.prices != nil {
-			if ev := n.prices.Put(key, pricecache.Entry{Rewritten: rw, Result: res, Err: err}); ev > 0 && ob != nil {
-				ob.cacheEvictions.Add(int64(ev))
-			}
+			ob.cacheEvictions.Add(int64(n.prices.Put(key, pricecache.Entry{Rewritten: rw, Result: res, Err: err})))
 		}
 	}
 	if err != nil {
@@ -538,30 +475,22 @@ func (n *Node) priceQuery(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span
 		}
 		cands = append(cands, o)
 	}
-	if ob != nil {
-		ob.offersPriced.Add(int64(len(cands)))
-	}
+	ob.offersPriced.Add(int64(len(cands)))
 	if !n.cfg.DisableViews {
 		vo := n.viewOffers(rfb, qr, sel, ids)
-		if ob != nil {
-			ob.offersView.Add(int64(len(vo)))
-		}
+		ob.offersView.Add(int64(len(vo)))
 		cands = append(cands, vo...)
 	}
 	if n.cfg.SubcontractPeers != nil && rfb.Depth == 0 {
 		scSp := sp.Child("subcontract")
 		so := n.subcontractOffers(rfb, qr, sel, rw, res.Partials, scSp, ids)
 		scSp.End()
-		if ob != nil {
-			ob.offersSubcontract.Add(int64(len(so)))
-		}
+		ob.offersSubcontract.Add(int64(len(so)))
 		cands = append(cands, so...)
 	}
 	if origHasAgg && rw.Stripped && len(rw.Dropped) == 0 && !n.cfg.DisableAggPush {
 		if o, ok := n.partialAggOffer(rfb, qr, sel, rw, res, ids); ok {
-			if ob != nil {
-				ob.offersPartialAgg.Inc()
-			}
+			ob.offersPartialAgg.Inc()
 			cands = append(cands, o)
 		}
 	}
@@ -768,13 +697,9 @@ func (n *Node) ImproveBids(req trading.ImproveReq) (trading.BidReply, error) {
 		sp.Set("rfb", req.RFBID)
 	}
 	out := n.improveOffers(req)
-	reply := trading.BidReply{Offers: out}
-	if sp != nil {
-		sp.Set("offers", len(out))
-		sp.End()
-		reply.Trace = sp.Payload()
-	}
-	return reply, nil
+	sp.Set("offers", len(out))
+	sp.End()
+	return trading.BidReply{Offers: out, Trace: sp.Payload()}, nil
 }
 
 func (n *Node) improveOffers(req trading.ImproveReq) []trading.Offer {
@@ -825,9 +750,7 @@ func (n *Node) Award(aw trading.Award) error {
 	if !ok {
 		return fmt.Errorf("node %s: unknown offer %q", n.cfg.ID, aw.OfferID)
 	}
-	if ob := n.obsv.Load(); ob != nil {
-		ob.offersWon.Inc()
-	}
+	n.obsv.Load().offersWon.Inc()
 	n.cfg.Strategy.Observe(winner.offer.QID, true)
 	for id, so := range m {
 		if id != aw.OfferID && so.offer.QID == winner.offer.QID {
@@ -874,69 +797,50 @@ func (n *Node) Execute(req trading.ExecReq) (trading.ExecResp, error) {
 	n.active.Add(1)
 	defer n.active.Add(-1)
 	ob := n.obsv.Load()
-	var sp *obs.Span
-	var remote *obs.Tracer
-	if req.Trace.Sampled {
-		remote = obs.NewTracer()
-		sp = remote.Start(n.cfg.ID, "execute")
-	} else if ob != nil {
-		sp = ob.tracer.Start(n.cfg.ID, "execute")
-	}
+	sp := ob.span(n.cfg.ID, "execute", req.Trace)
 	sp.Set("sql", req.SQL)
-	if ob != nil {
-		ob.execs.Inc()
-	}
+	ob.execs.Inc()
 	// Always measure the execution wall time: ExecMS on the response is the
 	// seller's actual cost behind the quote it bid with, and buyers compare
 	// it against the offer's estimated TotalTime in their trading ledger.
 	t0 := time.Now()
 	resp, sc, err := n.executePurchased(req, sp)
 	wall := msSince(t0)
-	if ob != nil {
-		ob.execMS.Observe(wall)
-	}
-	if err == nil {
-		resp.ExecMS = wall
-		// Annotate the execute span with the seller-side actuals next to the
-		// quote the buyer purchased against, so a grafted subtree lands in
-		// the buyer's flight dossier carrying est-vs-actual without another
-		// round-trip. (The standing offer may be gone — evicted or another
-		// RFB's — in which case only the actuals ship.)
-		if sp != nil {
-			sp.Set("rows", len(resp.Rows))
-			sp.Set("exec_ms", wall)
-			if req.OfferID != "" {
-				n.mu.Lock()
-				so := n.standing[rfbOfOffer(req.OfferID)][req.OfferID]
-				n.mu.Unlock()
-				if so != nil {
-					sp.Set("est_rows", so.offer.Props.Rows)
-					sp.Set("quoted_ms", so.offer.Props.TotalTime)
-				}
-			}
-		}
-		// Purchased answers (OfferID set) land in the seller's own ledger;
-		// recursive union-branch executions carry no offer id and stay
-		// quiet. A streamed answer with batches still pending records its
-		// Served event on completion instead (see stream.go), with totals
-		// accumulated across every batch.
-		if sc == nil {
-			if ldg := n.ledg.Load(); ldg != nil && req.OfferID != "" {
-				ldg.Served(rfbOfOffer(req.OfferID), n.cfg.ID, req.OfferID, req.SQL,
-					wall, int64(len(resp.Rows)), int64(resp.WireSize()))
-			}
-		}
-	}
+	ob.execMS.Observe(wall)
 	if err != nil {
 		sp.Set("error", err)
+		sp.End()
+		return resp, err
+	}
+	resp.ExecMS = wall
+	// Annotate the execute span with the seller-side actuals next to the
+	// quote the buyer purchased against, so a grafted subtree lands in the
+	// buyer's flight dossier carrying est-vs-actual without another
+	// round-trip. (The standing offer may be gone — evicted or another
+	// RFB's — in which case only the actuals ship.)
+	if sp != nil {
+		sp.Set("rows", len(resp.Rows))
+		sp.Set("exec_ms", wall)
+		n.mu.Lock()
+		so := n.standing[rfbOfOffer(req.OfferID)][req.OfferID]
+		n.mu.Unlock()
+		if so != nil {
+			sp.Set("est_rows", so.offer.Props.Rows)
+			sp.Set("quoted_ms", so.offer.Props.TotalTime)
+		}
+	}
+	// Purchased answers (OfferID set) land in the seller's own ledger;
+	// recursive union-branch executions carry no offer id and stay quiet. A
+	// streamed answer with batches still pending records its Served event on
+	// completion instead (see stream.go), with totals accumulated across
+	// every batch.
+	if sc == nil && req.OfferID != "" {
+		ob.ledger.Served(rfbOfOffer(req.OfferID), n.cfg.ID, req.OfferID, req.SQL,
+			wall, int64(len(resp.Rows)), int64(resp.WireSize()))
 	}
 	sp.End()
-	if remote != nil && err == nil {
-		payload := sp.Payload()
-		resp.Trace = payload
-		n.traceLog.Load().Record(payload)
-	}
-	if sc != nil && err == nil {
+	resp.Trace = ob.ship(sp, req.Trace)
+	if sc != nil {
 		// Register only after the response is final: the buyer cannot send a
 		// continuation before seeing this response, so nothing races the
 		// registration, and the cursor seeds its cumulative totals from the
@@ -947,18 +851,19 @@ func (n *Node) Execute(req trading.ExecReq) (trading.ExecResp, error) {
 		sc.last = resp
 		n.registerCursor(sc)
 	}
-	return resp, err
+	return resp, nil
 }
 
 // rfbOfOffer extracts the RFBID embedded in a node-minted offer id
 // ("<node>/<rfbID>/<qid>/<kind><seq>"), so the seller's served event joins
 // the same ledger record as its pricing. Empty for any other id shape.
 func rfbOfOffer(offerID string) string {
-	parts := strings.Split(offerID, "/")
-	if len(parts) == 4 {
-		return parts[1]
+	if strings.Count(offerID, "/") != 3 {
+		return ""
 	}
-	return ""
+	_, rest, _ := strings.Cut(offerID, "/")
+	rfb, _, _ := strings.Cut(rest, "/")
+	return rfb
 }
 
 // executeUnion evaluates a UNION [ALL] chain by running each branch and

@@ -3,16 +3,25 @@ package node
 import (
 	"time"
 
+	"qtrade/internal/ledger"
 	"qtrade/internal/obs"
 	"qtrade/internal/trading"
 )
 
-// nodeObs bundles a node's tracer with its pre-resolved instruments so the
-// seller hot path (RequestBids → rewrite → DP pricing) never touches the
-// metric registry. It is swapped atomically as a unit: nil means
-// observability is off and every call site reduces to one pointer load.
+// nodeObs is the seller's one observation seam: everything a node reports
+// to — the attached tracer, the trading ledger, the trace log and the
+// pre-resolved node.<id>.* instruments — behind one pointer that is never nil
+// and swapped as a unit. Every field is nil-safe, so the seller paths
+// (RequestBids → rewrite → DP pricing, Execute, cursor completion, lifecycle)
+// load the pointer once and call straight through whatever is attached,
+// without touching the metric registry.
 type nodeObs struct {
-	tracer *obs.Tracer
+	// tracer records requests that carry no sampled trace context; a sampled
+	// request records into a subtree of its own that ships back to the buyer
+	// (see span).
+	tracer   *obs.Tracer
+	ledger   *ledger.Ledger // seller-side pricing, serving and membership events
+	traceLog *obs.TraceLog  // the most recent subtrees shipped, for /trace/last
 
 	rfbs              *obs.Counter // RFBs received
 	offersPriced      *obs.Counter // DP-priced partial-result offers
@@ -37,16 +46,49 @@ type nodeObs struct {
 	execMS    *obs.Histogram
 }
 
-// SetObs attaches a tracer and metrics registry to the node (both may be
-// nil). Safe to call concurrently with negotiations: in-flight calls keep
-// the observer they loaded. Metric names are prefixed "node.<id>.".
-func (n *Node) SetObs(tr *obs.Tracer, m *obs.Metrics) {
-	if tr == nil && m == nil {
-		n.obsv.Store(nil)
-		return
+// span opens the span one served request records into. A sampled request
+// gets a detached tree whose finished subtree ship sends back to the buyer;
+// it bypasses the attached tracer, so an in-process federation (buyer and
+// sellers sharing one tracer) still sees each subtree exactly once. Anything
+// else lands on the attached tracer, nil when there is none.
+func (o *nodeObs) span(id, name string, tc obs.TraceContext) *obs.Span {
+	if tc.Sampled {
+		return obs.NewTracer().Start(id, name)
 	}
+	return o.tracer.Start(id, name)
+}
+
+// ship returns the finished span's subtree for the reply of a sampled
+// request, keeping a copy in the trace log; nil for any other request.
+func (o *nodeObs) ship(sp *obs.Span, tc obs.TraceContext) *obs.SpanPayload {
+	if !tc.Sampled {
+		return nil
+	}
+	p := sp.Payload()
+	o.traceLog.Record(p)
+	return p
+}
+
+// swapObs installs a copy of the current observer with edit applied. The
+// setters may race each other and in-flight calls: a call keeps the observer
+// it loaded, and no setter undoes another's field.
+func (n *Node) swapObs(edit func(*nodeObs)) {
+	for {
+		old := n.obsv.Load()
+		next := *old
+		edit(&next)
+		if n.obsv.CompareAndSwap(old, &next) {
+			return
+		}
+	}
+}
+
+// SetObs attaches a tracer and metrics registry to the node (both may be
+// nil, which detaches them). Safe to call concurrently with negotiations.
+// Metric names are prefixed "node.<id>.".
+func (n *Node) SetObs(tr *obs.Tracer, m *obs.Metrics) {
 	p := "node." + n.cfg.ID + "."
-	n.obsv.Store(&nodeObs{
+	inst := nodeObs{
 		tracer:            tr,
 		rfbs:              m.Counter(p + "rfbs"),
 		offersPriced:      m.Counter(p + "offers_priced"),
@@ -66,8 +108,22 @@ func (n *Node) SetObs(tr *obs.Tracer, m *obs.Metrics) {
 		rewriteMS:         m.Histogram(p + "rewrite_ms"),
 		dpMS:              m.Histogram(p + "dp_ms"),
 		execMS:            m.Histogram(p + "exec_ms"),
+	}
+	n.swapObs(func(o *nodeObs) {
+		inst.ledger, inst.traceLog = o.ledger, o.traceLog
+		*o = inst
 	})
 }
+
+// SetLedger attaches a trading ledger recording this node's seller-side
+// events: per-query pricing (with price-cache provenance), measured
+// execution of purchased answers, and lifecycle transitions. Nil detaches.
+func (n *Node) SetLedger(l *ledger.Ledger) { n.swapObs(func(o *nodeObs) { o.ledger = l }) }
+
+// SetTraceLog attaches a trace log that retains the most recent sampled
+// subtrees this node shipped, for live exposition at /trace/last. Nil
+// detaches.
+func (n *Node) SetTraceLog(l *obs.TraceLog) { n.swapObs(func(o *nodeObs) { o.traceLog = l }) }
 
 // SetFaultPolicy attaches (or with nil detaches) the fault policy guarding
 // the node's subcontract exchanges. Call it during federation setup, before

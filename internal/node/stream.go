@@ -187,11 +187,9 @@ func (n *Node) continueStream(req trading.ExecReq) (trading.ExecResp, error) {
 		return trading.ExecResp{}, fmt.Errorf("node %s: cursor %s out of sync (at %d, asked %d)",
 			n.cfg.ID, req.Cursor, sc.seq, req.Seq)
 	}
-	var sp *obs.Span
-	var remote *obs.Tracer
+	var sp *obs.Span // continuations are recorded for sampled requests only
 	if req.Trace.Sampled {
-		remote = obs.NewTracer()
-		sp = remote.Start(n.cfg.ID, "fetch-batch")
+		sp = obs.NewTracer().Start(n.cfg.ID, "fetch-batch")
 		sp.Set("cursor", sc.id)
 		sp.Set("seq", req.Seq)
 	}
@@ -219,9 +217,7 @@ func (n *Node) continueStream(req trading.ExecReq) (trading.ExecResp, error) {
 	sc.bytes += int64(resp.WireSize())
 	sp.Set("rows", len(rows))
 	sp.End()
-	if remote != nil {
-		resp.Trace = sp.Payload()
-	}
+	resp.Trace = sp.Payload()
 	sc.seq = req.Seq
 	sc.last = resp
 	if resp.More {
@@ -267,11 +263,8 @@ func (n *Node) finishCursor(sc *serverCursor, served bool) {
 	delete(n.cursors, sc.id)
 	n.dropFromOrder(sc.id)
 	n.curMu.Unlock()
-	if !served || sc.offerID == "" {
-		return
-	}
-	if ldg := n.ledg.Load(); ldg != nil {
-		ldg.Served(rfbOfOffer(sc.offerID), n.cfg.ID, sc.offerID, sc.sql,
+	if served && sc.offerID != "" {
+		n.obsv.Load().ledger.Served(rfbOfOffer(sc.offerID), n.cfg.ID, sc.offerID, sc.sql,
 			sc.wall, sc.rows, sc.bytes)
 	}
 }

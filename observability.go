@@ -107,23 +107,25 @@ func (t *Trace) Text() string {
 // optimized with WithTrace.
 func (p *Plan) Trace() *Trace { return &Trace{tr: p.tracer} }
 
+// execTracer is where executing the plan records: the plan's tracer when its
+// negotiation was sampled, nowhere otherwise — one negotiation is one trace
+// end to end, or none.
+func (p *Plan) execTracer() *obs.Tracer {
+	if p.res.TraceCtx.Sampled {
+		return p.tracer
+	}
+	return nil
+}
+
 // ExplainAnalyze executes the plan with per-operator profiling and renders
 // the tree with actual rows, input rows and wall time next to the plan
 // generator's estimates — the federation's EXPLAIN ANALYZE. Like its
 // namesake, it really runs the query (purchased answers are fetched from
 // their sellers).
 func (p *Plan) ExplainAnalyze() (string, error) {
-	if p.tracer != nil && !p.sampled {
-		p.fed.setNodeTracer(p.tracer)
-		defer p.fed.setNodeTracer(nil)
-	}
 	st := exec.NewRunStats()
 	ex := &exec.Executor{Store: p.fed.nodes[p.buyer].inner.Store(), Stats: st}
-	tr := p.tracer
-	if p.sampled && !p.res.TraceCtx.Sampled {
-		tr = nil
-	}
-	if _, err := core.ExecuteResultTraced(&core.NetComm{Net: p.fed.net, SelfID: p.buyer}, ex, p.res, tr); err != nil {
+	if _, err := core.ExecuteResultTraced(&core.NetComm{Net: p.fed.net, SelfID: p.buyer}, ex, p.res, p.execTracer()); err != nil {
 		return "", err
 	}
 	return core.ExplainAnalyze(p.res, st), nil
@@ -183,17 +185,4 @@ func (f *Federation) NetworkStatsByPeer() []PeerTraffic {
 		return out[i].To < out[j].To
 	})
 	return out
-}
-
-// setNodeTracer points every node's seller-side instrumentation at tr (nil
-// detaches). Traced optimizations attach on entry and detach on return;
-// concurrent traced optimizations therefore interleave their seller spans
-// into whichever tracer attached last — run them sequentially when exact
-// attribution matters.
-func (f *Federation) setNodeTracer(tr *obs.Tracer) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	for _, n := range f.nodes {
-		n.inner.SetObs(tr, f.metrics)
-	}
 }

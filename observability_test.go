@@ -441,3 +441,52 @@ func BenchmarkOptimizeTelcoTraced(b *testing.B) {
 		}
 	}
 }
+
+// TestTracedPlanHoldsOnlyItsOwnRoots: tracing one plan touches no node, so a
+// traced plan's tracer holds its own optimize and execute roots and nothing
+// of the untraced buyers negotiating and executing beside it.
+func TestTracedPlanHoldsOnlyItsOwnRoots(t *testing.T) {
+	fed := buildBenchFed()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for _, buyer := range []string{"corfu", "myconos"} {
+		wg.Add(1)
+		go func(buyer string) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := fed.Query(buyer, benchTotalsQuery); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(buyer)
+	}
+	for i := 0; i < 20; i++ {
+		p, err := fed.Optimize("hq", benchTotalsQuery, WithTrace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, r := range tracerOf(t, p).Roots() {
+			if r.Source() != "hq" {
+				t.Fatalf("plan %d: stray root %q from %s", i, r.Name(), r.Source())
+			}
+			names = append(names, r.Name())
+		}
+		if strings.Join(names, ",") != "optimize,execute" {
+			t.Fatalf("plan %d: roots %v, want optimize then execute", i, names)
+		}
+	}
+}

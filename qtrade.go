@@ -412,41 +412,42 @@ func WithFetchBatch(n int) OptimizeOption {
 
 // Plan is an optimized distributed execution plan.
 type Plan struct {
-	res     *core.Result
-	buyer   string
-	fed     *Federation
-	tracer  *obs.Tracer
-	sampled bool // a sampling policy governs this plan's trace
+	res    *core.Result
+	buyer  string
+	fed    *Federation
+	tracer *obs.Tracer
 }
 
-// Optimize runs query-trading optimization from the named buyer node
-// without executing anything.
-func (f *Federation) Optimize(buyer, sql string, opts ...OptimizeOption) (*Plan, error) {
+// buyerConfig assembles the buyer-side configuration of one optimization
+// from the named node: the federation's sinks and policies, then opts.
+func (f *Federation) buyerConfig(buyer string, opts []OptimizeOption) (core.Config, *Node, error) {
 	f.mu.RLock()
 	bn, ok := f.nodes[buyer]
 	faults := f.faults
 	f.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("qtrade: unknown buyer node %q", buyer)
+		return core.Config{}, nil, fmt.Errorf("qtrade: unknown buyer node %q", buyer)
 	}
 	cfg := core.Config{ID: buyer, Schema: f.schema.sch, Self: bn.inner, Metrics: f.metrics,
 		Faults: faults, Ledger: f.ledger, Directory: f.dir, Flight: f.flight}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	// Under a sampling policy the sellers ship their span subtrees back with
-	// the replies (or stay silent when unsampled); attaching the buyer's
-	// tracer to every node is the legacy always-on path and would double- (or
-	// wrongly) record, so it stays reserved for plain WithTrace.
-	if cfg.Tracer != nil && cfg.Sampling == nil {
-		f.setNodeTracer(cfg.Tracer)
-		defer f.setNodeTracer(nil)
+	return cfg, bn, nil
+}
+
+// Optimize runs query-trading optimization from the named buyer node
+// without executing anything.
+func (f *Federation) Optimize(buyer, sql string, opts ...OptimizeOption) (*Plan, error) {
+	cfg, _, err := f.buyerConfig(buyer, opts)
+	if err != nil {
+		return nil, err
 	}
 	res, err := core.Optimize(cfg, &core.NetComm{Net: f.net, SelfID: buyer}, sql)
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{res: res, buyer: buyer, fed: f, tracer: cfg.Tracer, sampled: cfg.Sampling != nil}, nil
+	return &Plan{res: res, buyer: buyer, fed: f, tracer: cfg.Tracer}, nil
 }
 
 // Explain renders the plan tree with the purchased offers.
@@ -484,19 +485,17 @@ type Result struct {
 // Run executes the plan: purchased answers are fetched from their sellers,
 // local operators run at the buyer.
 func (p *Plan) Run() (*Result, error) {
-	if p.tracer != nil && !p.sampled {
-		p.fed.setNodeTracer(p.tracer)
-		defer p.fed.setNodeTracer(nil)
-	}
 	ex := &exec.Executor{Store: p.fed.Node(p.buyer).inner.Store()}
-	tr := p.tracer
-	if p.sampled && !p.res.TraceCtx.Sampled {
-		tr = nil // unsampled negotiation: execution stays untraced too
-	}
-	res, err := core.ExecuteResultTraced(&core.NetComm{Net: p.fed.net, SelfID: p.buyer}, ex, p.res, tr)
+	res, err := core.ExecuteResultTraced(&core.NetComm{Net: p.fed.net, SelfID: p.buyer}, ex, p.res, p.execTracer())
 	if err != nil {
 		return nil, err
 	}
+	return newResult(res), nil
+}
+
+// newResult converts an executor answer into the public shape: qualified
+// column names, rows of plain Go values.
+func newResult(res *exec.Result) *Result {
 	out := &Result{}
 	for _, c := range res.Cols {
 		name := c.Name
@@ -512,7 +511,7 @@ func (p *Plan) Run() (*Result, error) {
 		}
 		out.Rows = append(out.Rows, row)
 	}
-	return out, nil
+	return out
 }
 
 func toAny(v value.Value) any {
@@ -542,43 +541,16 @@ func (f *Federation) Query(buyer, sql string, opts ...OptimizeOption) (*Result, 
 // purchased seller fails between negotiation and delivery, the buyer
 // re-optimizes around it and retries, up to maxRetries times.
 func (f *Federation) QueryWithRecovery(buyer, sql string, maxRetries int, opts ...OptimizeOption) (*Result, error) {
-	f.mu.RLock()
-	bn, ok := f.nodes[buyer]
-	faults := f.faults
-	f.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("qtrade: unknown buyer node %q", buyer)
-	}
-	cfg := core.Config{ID: buyer, Schema: f.schema.sch, Self: bn.inner, Metrics: f.metrics,
-		Faults: faults, Ledger: f.ledger, Directory: f.dir, Flight: f.flight}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.Tracer != nil && cfg.Sampling == nil {
-		f.setNodeTracer(cfg.Tracer)
-		defer f.setNodeTracer(nil)
+	cfg, bn, err := f.buyerConfig(buyer, opts)
+	if err != nil {
+		return nil, err
 	}
 	comm := &core.NetComm{Net: f.net, SelfID: buyer}
 	out, _, _, err := core.OptimizeAndExecute(cfg, comm, &exec.Executor{Store: bn.inner.Store()}, sql, maxRetries)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{}
-	for _, c := range out.Cols {
-		name := c.Name
-		if c.Table != "" {
-			name = c.Table + "." + c.Name
-		}
-		res.Columns = append(res.Columns, name)
-	}
-	for _, r := range out.Rows {
-		row := make([]any, len(r))
-		for i, v := range r {
-			row[i] = toAny(v)
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
+	return newResult(out), nil
 }
 
 // DrainNode begins a graceful departure: the node refuses new buyer-originated
