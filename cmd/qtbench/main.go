@@ -38,8 +38,18 @@ import (
 
 type expFlags []string
 
-func (e *expFlags) String() string     { return strings.Join(*e, ",") }
-func (e *expFlags) Set(v string) error { *e = append(*e, strings.ToUpper(v)); return nil }
+func (e *expFlags) String() string { return strings.Join(*e, ",") }
+
+// Set accepts one id or a comma-separated list, so -exp T1,F3 and
+// -exp T1 -exp F3 select the same experiments.
+func (e *expFlags) Set(v string) error {
+	for _, id := range strings.Split(v, ",") {
+		if id = strings.TrimSpace(id); id != "" {
+			*e = append(*e, strings.ToUpper(id))
+		}
+	}
+	return nil
+}
 
 func main() {
 	var exps expFlags
@@ -50,7 +60,7 @@ func main() {
 	clients := flag.String("clients", "", "comma-separated closed-loop client counts for F15 (e.g. 1,2,4,8)")
 	ledgerDump := flag.Bool("ledger", false, "audit every negotiation in a trading ledger and print the calibration report after the run")
 	jsonPath := flag.String("json", "", "also write the run's tables as a JSON artifact (experiments, seed, scale, commit) to this file")
-	flag.Var(&exps, "exp", "experiment id to run (repeatable): T1, F1..F19; default all")
+	flag.Var(&exps, "exp", "experiment id to run (repeatable or comma-separated): T1, T2, F1..F19; default all")
 	flag.Parse()
 
 	if *clients != "" {

@@ -88,7 +88,6 @@ func main() {
 			os.Exit(1)
 		}
 		cfg.SubcontractPeers = dialer.peers
-		cfg.SubcontractFetch = dialer.fetch
 	}
 	n := node.New(cfg)
 	copyStore(src, n)
@@ -245,14 +244,6 @@ func (d *peerDialer) peers() map[string]trading.Peer {
 		out[id] = p
 	}
 	return out
-}
-
-func (d *peerDialer) fetch(peerID string, req trading.ExecReq) (trading.ExecResp, error) {
-	p, err := d.peer(peerID)
-	if err != nil {
-		return trading.ExecResp{}, err
-	}
-	return p.Execute(req)
 }
 
 // setupLogging installs a text slog handler at the requested level.

@@ -80,21 +80,20 @@ func (n *Node) Leave(reason string) {
 	n.obsv.Load().ledger.Lifecycle(ledger.KindLeave, n.cfg.ID, reason)
 }
 
-// RevokeStandingOffers drops every standing offer, pricing flight and
-// subcontract assembly the node holds, returning how many offers were
-// revoked. Buyers holding awards against them see execution failures and
-// recover; buyers still negotiating simply stop hearing from this seller.
+// RevokeStandingOffers drops every RFB record the node holds — standing
+// offers, pricing flights and subcontract assemblies — returning how many
+// offers were revoked. Buyers holding awards against them see execution
+// failures and recover; buyers still negotiating simply stop hearing from
+// this seller.
 func (n *Node) RevokeStandingOffers() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	revoked := 0
-	for _, m := range n.standing {
-		revoked += len(m)
+	for _, neg := range n.negs {
+		revoked += len(neg.offers)
 	}
-	n.standing = map[string]map[string]*standingOffer{}
-	n.rfbOrder = nil
-	n.subcontracts = map[string]*subcontract{}
-	n.flights = map[string]map[string]*flight{}
+	n.negs = map[string]*sellerNeg{}
+	n.negOrder = nil
 	return revoked
 }
 
@@ -151,7 +150,7 @@ type Health struct {
 func (n *Node) Health() Health {
 	st := n.State()
 	n.mu.Lock()
-	standing := len(n.standing)
+	standing := len(n.negs)
 	n.mu.Unlock()
 	h := Health{
 		ID:           n.cfg.ID,

@@ -56,10 +56,6 @@ type Config struct {
 	// relations from these peers and offers complete extents. Only Depth-0
 	// RFBs are subcontracted.
 	SubcontractPeers func() map[string]trading.Peer
-	// SubcontractFetch fetches a purchased fragment from a subcontractor at
-	// execution time when the peers do not expose an Execute method
-	// themselves (e.g. pure trading.Peer implementations).
-	SubcontractFetch func(peerID string, req trading.ExecReq) (trading.ExecResp, error)
 	// Faults, when set, guards the nested subcontract negotiation with the
 	// policy's timeouts, retries and per-peer breakers. Share one policy
 	// (and its BreakerSet) with the buyer so failures seen on either side
@@ -104,6 +100,15 @@ type standingOffer struct {
 	truth float64
 }
 
+// sellerNeg is everything the seller holds for one RFB, in one record that
+// is opened on the RFB's first sight and dies whole: evicted as the oldest
+// beyond maxStandingRFBs, or revoked with the rest of the book.
+type sellerNeg struct {
+	offers     map[string]*standingOffer // offerID -> the ask S3 may improve
+	flights    map[string]*flight        // query key -> its single-flight pricing
+	assemblies map[string]*subcontract   // composite offerID -> how to deliver it
+}
+
 // Node is one autonomous federation member. It implements netsim.Service.
 type Node struct {
 	cfg      Config
@@ -115,14 +120,12 @@ type Node struct {
 	prices   *pricecache.Cache // nil when caching is disabled
 	costHash uint64            // fingerprint of cfg.Cost for cache keys
 
-	mu           sync.Mutex
-	standing     map[string]map[string]*standingOffer // rfbID -> offerID
-	rfbOrder     []string                             // standing eviction order
-	subcontracts map[string]*subcontract              // offerID -> assembly
-	flights      map[string]map[string]*flight        // rfbID -> query key
-	active       atomic.Int64                         // executions in flight, for load-aware pricing
-	state        atomic.Int32                         // lifecycle position (trading.NodeState), see lifecycle.go
-	obsv         atomic.Pointer[nodeObs]              // never nil, see obs.go
+	mu       sync.Mutex
+	negs     map[string]*sellerNeg   // rfbID -> its record
+	negOrder []string                // record eviction order (oldest first)
+	active   atomic.Int64            // executions in flight, for load-aware pricing
+	state    atomic.Int32            // lifecycle position (trading.NodeState), see lifecycle.go
+	obsv     atomic.Pointer[nodeObs] // never nil, see obs.go
 
 	curMu    sync.Mutex               // guards the streamed-execution registry, see stream.go
 	cursors  map[string]*serverCursor // cursor id -> open streamed execution
@@ -139,9 +142,25 @@ type flight struct {
 }
 
 // maxStandingRFBs bounds the per-node negotiation state: a long-lived seller
-// forgets its oldest RFBs' standing offers (buyers that stall that long have
+// forgets its oldest RFBs' records (buyers that stall that long have
 // abandoned the negotiation anyway).
 const maxStandingRFBs = 128
+
+// negLocked returns the record of an RFB, opening it — and evicting the
+// oldest beyond maxStandingRFBs — on first sight. Callers hold n.mu.
+func (n *Node) negLocked(rfbID string) *sellerNeg {
+	neg := n.negs[rfbID]
+	if neg == nil {
+		neg = &sellerNeg{offers: map[string]*standingOffer{}, flights: map[string]*flight{}}
+		n.negs[rfbID] = neg
+		n.negOrder = append(n.negOrder, rfbID)
+		for len(n.negOrder) > maxStandingRFBs {
+			delete(n.negs, n.negOrder[0])
+			n.negOrder = n.negOrder[1:]
+		}
+	}
+	return neg
+}
 
 // New creates a node with an empty store.
 func New(cfg Config) *Node {
@@ -167,13 +186,11 @@ func New(cfg Config) *Node {
 		cfg.PriceCacheSize = 256
 	}
 	n := &Node{
-		cfg:          cfg,
-		store:        storage.NewStore(),
-		pool:         make(chan struct{}, cfg.Workers),
-		costHash:     pricecache.HashModel(cfg.Cost),
-		standing:     map[string]map[string]*standingOffer{},
-		subcontracts: map[string]*subcontract{},
-		flights:      map[string]map[string]*flight{},
+		cfg:      cfg,
+		store:    storage.NewStore(),
+		pool:     make(chan struct{}, cfg.Workers),
+		costHash: pricecache.HashModel(cfg.Cost),
+		negs:     map[string]*sellerNeg{},
 	}
 	if cfg.MaxInflightRFBs > 0 {
 		n.admit = make(chan struct{}, cfg.MaxInflightRFBs)
@@ -311,23 +328,9 @@ func (n *Node) RequestBids(rfb trading.RFB) (trading.BidReply, error) {
 	sp.End()
 	reply := trading.BidReply{Offers: out, Trace: ob.ship(sp, rfb.Trace)}
 	n.mu.Lock()
-	m := n.standing[rfb.RFBID]
-	if m == nil {
-		m = map[string]*standingOffer{}
-		n.standing[rfb.RFBID] = m
-		n.rfbOrder = append(n.rfbOrder, rfb.RFBID)
-		for len(n.rfbOrder) > maxStandingRFBs {
-			evicted := n.rfbOrder[0]
-			n.rfbOrder = n.rfbOrder[1:]
-			for _, so := range n.standing[evicted] {
-				delete(n.subcontracts, so.offer.OfferID)
-			}
-			delete(n.standing, evicted)
-			delete(n.flights, evicted)
-		}
-	}
+	neg := n.negLocked(rfb.RFBID)
 	for i := range out {
-		m[out[i].OfferID] = &standingOffer{offer: out[i], truth: trading.TruthScore(n.cfg.Weights, out[i].Props)}
+		neg.offers[out[i].OfferID] = &standingOffer{offer: out[i], truth: trading.TruthScore(n.cfg.Weights, out[i].Props)}
 	}
 	n.mu.Unlock()
 	return reply, nil
@@ -335,44 +338,24 @@ func (n *Node) RequestBids(rfb trading.RFB) (trading.BidReply, error) {
 
 // offersForShared single-flights offersFor per (RFBID, query): the first
 // caller prices, concurrent duplicates wait on the flight and share its
-// offers, and completed flights are kept until the RFB's state is dropped
-// (EndNegotiation or standing eviction) so a retried RFBID stays
-// byte-identical without re-pricing.
+// offers, and completed flights are kept until the RFB's record dies, so a
+// retried RFBID stays byte-identical without re-pricing.
 func (n *Node) offersForShared(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span, ob *nodeObs) []trading.Offer {
 	qkey := qr.QID + "\x00" + qr.SQL
 	n.mu.Lock()
-	m := n.flights[rfb.RFBID]
-	if m == nil {
-		m = map[string]*flight{}
-		n.flights[rfb.RFBID] = m
-	}
-	if f := m[qkey]; f != nil {
+	neg := n.negLocked(rfb.RFBID)
+	if f := neg.flights[qkey]; f != nil {
 		n.mu.Unlock()
 		<-f.done
 		ob.pricingsCoalesced.Inc()
 		return f.offers
 	}
 	f := &flight{done: make(chan struct{})}
-	m[qkey] = f
+	neg.flights[qkey] = f
 	n.mu.Unlock()
 	f.offers = n.offersFor(rfb, qr, sp, ob)
 	close(f.done)
 	return f.offers
-}
-
-// offerIDGen mints deterministic offer ids scoped to one (node, RFB, query):
-// "<node>/<rfbID>/<qid>/<kind><seq>". Ids depend only on the query's own
-// pricing walk — never on cross-query scheduling — so parallel pricing emits
-// offers byte-identical to the serial path, and a coalesced retry sees
-// exactly the ids the first attempt minted.
-type offerIDGen struct {
-	prefix string
-	n      int
-}
-
-func (g *offerIDGen) next(kind string) string {
-	g.n++
-	return fmt.Sprintf("%s/%s%d", g.prefix, kind, g.n)
 }
 
 // offersFor prices one requested query and reports the pricing to the
@@ -385,117 +368,49 @@ func (n *Node) offersFor(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span,
 	return offers
 }
 
-// priceQuery is the body of offersFor; the second return reports whether
-// the rewrite+DP valuation came from the price cache.
+// priceQuery is the seller's three steps for one requested query; the second
+// return reports whether the rewrite+DP valuation came from the price cache.
 func (n *Node) priceQuery(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span, ob *nodeObs) ([]trading.Offer, bool) {
 	sel, err := sqlparse.ParseSelect(qr.SQL)
 	if err != nil {
 		return nil, false
 	}
 	plan.Qualify(sel, n.cfg.Schema)
-	ids := &offerIDGen{prefix: n.cfg.ID + "/" + rfb.RFBID + "/" + qr.QID}
-
-	// The rewrite + modified-DP walk is the expensive part of pricing; look
-	// it up in the price cache first. The key carries the store's data epoch,
-	// stats version and the cost-model hash, so any mutation since the entry
-	// was computed makes it unreachable — a hit is never stale. Strategy
-	// pricing below always runs fresh: margins adapt between rounds.
-	var (
-		rw  *rewrite.Rewritten
-		res *localopt.Result
-		key pricecache.Key
-	)
-	cached := false
-	if n.prices != nil {
-		key = pricecache.Key{
-			SQL:          sel.SQL(),
-			Epoch:        n.store.Epoch(),
-			StatsVersion: n.store.StatsVersion(),
-			CostHash:     n.costHash,
-		}
-		if e, ok := n.prices.Get(key); ok {
-			rw, res, err, cached = e.Rewritten, e.Result, e.Err, true
-			ob.cacheHits.Inc()
-		} else {
-			ob.cacheMisses.Inc()
-		}
-	}
-	if cached {
-		dpSp := sp.Child("dp-pricing")
-		dpSp.Set("cache", "hit")
-		if err != nil {
-			dpSp.Set("error", err)
-		} else {
-			dpSp.Set("partials", len(res.Partials))
-		}
-		dpSp.End()
-	} else {
-		t0 := time.Now()
-		rwSp := sp.Child("rewrite")
-		rw, err = rewrite.ForSeller(sel, n.cfg.Schema, n.store)
-		if err != nil {
-			rwSp.Set("error", err)
-		}
-		rwSp.End()
-		rewriteMS := msSince(t0)
-		ob.rewriteMS.Observe(rewriteMS)
-		ob.ledger.ObservePhase(ledger.PhaseRewrite, rewriteMS)
-		if err == nil {
-			t0 = time.Now()
-			dpSp := sp.Child("dp-pricing")
-			if n.prices != nil {
-				dpSp.Set("cache", "miss")
-			}
-			res, err = localopt.Optimize(rw.Sel, n.cfg.Schema, n.store, n.cfg.Cost)
-			if err != nil {
-				dpSp.Set("error", err)
-			} else {
-				dpSp.Set("partials", len(res.Partials))
-			}
-			dpSp.End()
-			ob.dpMS.Observe(msSince(t0))
-		}
-		// A failure is as much a function of the key as a result is (nothing
-		// local, a contradicted predicate, an unplannable rewrite), so it is
-		// remembered too: a repeat RFB must not redo the rewrite to learn it.
-		if n.prices != nil {
-			ob.cacheEvictions.Add(int64(n.prices.Put(key, pricecache.Entry{Rewritten: rw, Result: res, Err: err})))
-		}
-	}
+	// S1: rewrite the query against the local fragments and plan it.
+	rw, res, cached, err := n.rewriteAndPlan(sel, sp, ob)
 	if err != nil {
 		return nil, cached
 	}
-	origHasAgg := sel.HasAggregates() || len(sel.GroupBy) > 0
-	fullBindings := len(sel.From)
-	var cands []trading.Offer
+	// S2: every source drafts what the node can sell — the partial results
+	// the modified DP retained, matching views, complete extents assembled by
+	// subcontracting, a partial aggregate. S3: mint prices each draft.
+	m := &minter{n: n, rfbID: rfb.RFBID, qid: qr.QID, prefix: n.cfg.ID + "/" + rfb.RFBID + "/" + qr.QID}
+	hasAgg := sel.HasAggregates() || len(sel.GroupBy) > 0
 	for _, p := range res.Partials {
-		o, err := n.offerFromPartial(rfb, qr, rw, p, origHasAgg, fullBindings, ids)
-		if err != nil {
-			continue
-		}
-		cands = append(cands, o)
+		m.mint(n.partialDraft(sel, rw, p, hasAgg), ob.offersPriced)
 	}
-	ob.offersPriced.Add(int64(len(cands)))
 	if !n.cfg.DisableViews {
-		vo := n.viewOffers(rfb, qr, sel, ids)
-		ob.offersView.Add(int64(len(vo)))
-		cands = append(cands, vo...)
+		for _, match := range views.BestMatches(sel, n.store) {
+			if d, ok := n.viewDraft(sel, match); ok {
+				m.mint(d, ob.offersView)
+			}
+		}
 	}
 	if n.cfg.SubcontractPeers != nil && rfb.Depth == 0 {
 		scSp := sp.Child("subcontract")
-		so := n.subcontractOffers(rfb, qr, sel, rw, res.Partials, scSp, ids)
+		for _, d := range n.subcontractDrafts(rfb, sel, rw, res.Partials, scSp, m) {
+			m.mint(d, ob.offersSubcontract)
+		}
 		scSp.End()
-		ob.offersSubcontract.Add(int64(len(so)))
-		cands = append(cands, so...)
 	}
-	if origHasAgg && rw.Stripped && len(rw.Dropped) == 0 && !n.cfg.DisableAggPush {
-		if o, ok := n.partialAggOffer(rfb, qr, sel, rw, res, ids); ok {
-			ob.offersPartialAgg.Inc()
-			cands = append(cands, o)
+	if hasAgg && rw.Stripped && len(rw.Dropped) == 0 && !n.cfg.DisableAggPush {
+		if d, ok := n.partialAggDraft(sel, rw, res); ok {
+			m.mint(d, ob.offersPartialAgg)
 		}
 	}
 	// Cap by truthful value, cheapest first, keeping the widest coverage
 	// offers regardless (they are what the buyer most needs).
+	cands := m.offers
 	sort.SliceStable(cands, func(i, j int) bool {
 		if len(cands[i].Bindings) != len(cands[j].Bindings) {
 			return len(cands[i].Bindings) > len(cands[j].Bindings)
@@ -505,58 +420,181 @@ func (n *Node) priceQuery(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span
 	if len(cands) > n.cfg.MaxOffersPerQuery {
 		cands = cands[:n.cfg.MaxOffersPerQuery]
 	}
+	m.keepAssemblies(cands)
 	return cands, cached
 }
 
-func (n *Node) offerFromPartial(rfb trading.RFB, qr trading.QueryRequest, rw *rewrite.Rewritten, p *localopt.Partial, origHasAgg bool, fullBindings int, ids *offerIDGen) (trading.Offer, error) {
-	cols, err := OutputSpecs(p.SQL, n.cfg.Schema, n.store)
-	if err != nil {
-		return trading.Offer{}, err
+// rewriteAndPlan is step S1 and the modified DP behind S2: rewrite the query
+// against the local fragments, then plan it, keeping every optimal partial.
+// That walk is the expensive part of pricing, so it is memoized in the price
+// cache. The key carries the store's data epoch, stats version and the
+// cost-model hash, so any mutation since the entry was computed makes it
+// unreachable — a hit is never stale. Strategy pricing (S3) always runs
+// fresh: margins adapt between rounds.
+func (n *Node) rewriteAndPlan(sel *sqlparse.Select, sp *obs.Span, ob *nodeObs) (rw *rewrite.Rewritten, res *localopt.Result, cached bool, err error) {
+	var key pricecache.Key
+	if n.prices != nil {
+		key = pricecache.Key{
+			SQL:          sel.SQL(),
+			Epoch:        n.store.Epoch(),
+			StatsVersion: n.store.StatsVersion(),
+			CostHash:     n.costHash,
+		}
+		if e, ok := n.prices.Get(key); ok {
+			ob.cacheHits.Inc()
+			dpSp := sp.Child("dp-pricing")
+			dpSp.Set("cache", "hit")
+			endDP(dpSp, e.Result, e.Err)
+			return e.Rewritten, e.Result, true, e.Err
+		}
+		ob.cacheMisses.Inc()
 	}
+	t0 := time.Now()
+	rwSp := sp.Child("rewrite")
+	rw, err = rewrite.ForSeller(sel, n.cfg.Schema, n.store)
+	if err != nil {
+		rwSp.Set("error", err)
+	}
+	rwSp.End()
+	rewriteMS := msSince(t0)
+	ob.rewriteMS.Observe(rewriteMS)
+	ob.ledger.ObservePhase(ledger.PhaseRewrite, rewriteMS)
+	if err == nil {
+		t0 = time.Now()
+		dpSp := sp.Child("dp-pricing")
+		if n.prices != nil {
+			dpSp.Set("cache", "miss")
+		}
+		res, err = localopt.Optimize(rw.Sel, n.cfg.Schema, n.store, n.cfg.Cost)
+		endDP(dpSp, res, err)
+		ob.dpMS.Observe(msSince(t0))
+	}
+	// A failure is as much a function of the key as a result is (nothing
+	// local, a contradicted predicate, an unplannable rewrite), so it is
+	// remembered too: a repeat RFB must not redo the rewrite to learn it.
+	if n.prices != nil {
+		ob.cacheEvictions.Add(int64(n.prices.Put(key, pricecache.Entry{Rewritten: rw, Result: res, Err: err})))
+	}
+	return rw, res, false, err
+}
+
+// endDP closes a dp-pricing span with the partials the DP retained, or why
+// it failed.
+func endDP(dpSp *obs.Span, res *localopt.Result, err error) {
+	if err != nil {
+		dpSp.Set("error", err)
+	} else {
+		dpSp.Set("partials", len(res.Partials))
+	}
+	dpSp.End()
+}
+
+// draft is what one S2 source contributes to an offer: the subquery it would
+// answer and, in the embedded offer, what that covers (Bindings, Parts,
+// Complete and the kind flags) and what it costs (Props). mint adds the
+// rest. A composite also fills OfferID and Cols itself — it reserves its id
+// in probe order and matches its subcontractors' columns before it is minted.
+type draft struct {
+	trading.Offer
+	kind string           // offer-id kind: "o" partial, "v" view, "s" composite, "a" partial aggregate
+	sel  *sqlparse.Select // the subquery offered
+	paid float64          // what the node itself pays for purchased inputs, on top of the truthful score
+	sub  *subcontract     // composite only: the assembly that delivers it
+}
+
+// minter puts together every offer of one requested query. Ids are
+// deterministic and scoped to (node, RFB, query):
+// "<node>/<rfbID>/<qid>/<kind><seq>". They depend only on the query's own
+// pricing walk — never on cross-query scheduling — so parallel pricing emits
+// offers byte-identical to the serial path, and a coalesced retry sees
+// exactly the ids the first attempt minted.
+type minter struct {
+	n          *Node
+	rfbID, qid string
+	prefix     string
+	seq        int
+	offers     []trading.Offer
+	subs       map[string]*subcontract // assemblies of the composites minted, by offer id
+}
+
+func (m *minter) nextID(kind string) string {
+	m.seq++
+	return fmt.Sprintf("%s/%s%d", m.prefix, kind, m.seq)
+}
+
+// mint turns a draft into a priced offer: output specs, identity, and step
+// S3 — the strategy names the price of the truthful valuation. A draft whose
+// output schema cannot be derived is dropped before it takes an id; counted
+// is the per-source instrument a minted offer ticks.
+func (m *minter) mint(d draft, counted *obs.Counter) {
+	n := m.n
+	o := d.Offer
+	if o.Cols == nil {
+		cols, err := OutputSpecs(d.sel, n.cfg.Schema, n.store)
+		if err != nil {
+			return
+		}
+		o.Cols = cols
+	}
+	if o.OfferID == "" {
+		o.OfferID = m.nextID(d.kind)
+	}
+	o.RFBID, o.QID, o.SellerID, o.SQL = m.rfbID, m.qid, n.cfg.ID, d.sel.SQL()
+	o.Price = n.cfg.Strategy.Price(m.qid, trading.TruthScore(n.cfg.Weights, o.Props)+d.paid)
+	if d.sub != nil {
+		if m.subs == nil {
+			m.subs = map[string]*subcontract{}
+		}
+		m.subs[o.OfferID] = d.sub
+	}
+	m.offers = append(m.offers, o)
+	counted.Inc()
+}
+
+// keepAssemblies files the assemblies of the composites that survived the
+// offer cap in the RFB's record, where Execute finds them and where they die
+// with the record.
+func (m *minter) keepAssemblies(kept []trading.Offer) {
+	if m.subs == nil {
+		return
+	}
+	m.n.mu.Lock()
+	defer m.n.mu.Unlock()
+	neg := m.n.negLocked(m.rfbID)
+	for i := range kept {
+		if sub := m.subs[kept[i].OfferID]; sub != nil {
+			if neg.assemblies == nil {
+				neg.assemblies = map[string]*subcontract{}
+			}
+			neg.assemblies[kept[i].OfferID] = sub
+		}
+	}
+}
+
+// partialDraft offers one partial result the modified DP retained.
+func (n *Node) partialDraft(sel *sqlparse.Select, rw *rewrite.Rewritten, p *localopt.Partial, origHasAgg bool) draft {
 	parts := map[string][]string{}
-	coverage := 0.0
 	for _, b := range p.Bindings {
 		lb := strings.ToLower(b)
 		parts[lb] = rw.Parts[lb]
-		tr := p.SQL.FindFrom(b)
-		if tr != nil {
-			total := len(n.cfg.Schema.PartitionIDs(tr.Name))
-			if total > 0 {
-				coverage += float64(len(parts[lb])) / float64(total)
-			}
-		}
 	}
-	if len(p.Bindings) > 0 {
-		coverage /= float64(len(p.Bindings))
-	}
-	offerHasAgg := p.SQL.HasAggregates() || len(p.SQL.GroupBy) > 0
-	props := n.valuation(p.Cost, p.Rows, p.Bytes, coverage)
-	truth := trading.TruthScore(n.cfg.Weights, props)
-	o := trading.Offer{
-		OfferID:  ids.next("o"),
-		RFBID:    rfb.RFBID,
-		QID:      qr.QID,
-		SellerID: n.cfg.ID,
-		SQL:      p.SQL.SQL(),
+	return draft{kind: "o", sel: p.SQL, Offer: trading.Offer{
 		Bindings: p.Bindings,
 		Parts:    parts,
-		Complete: rw.Complete && len(p.Bindings) == fullBindings,
-		Stripped: origHasAgg && !offerHasAgg,
-		Cols:     cols,
-		Props:    props,
-		Price:    n.cfg.Strategy.Price(qr.QID, truth),
-	}
-	return o, nil
+		Complete: rw.Complete && len(p.Bindings) == len(sel.From),
+		Stripped: origHasAgg && !(p.SQL.HasAggregates() || len(p.SQL.GroupBy) > 0),
+		Props:    n.valuation(p.Cost, p.Rows, p.Bytes, n.coverage(p.SQL, p.Bindings, parts)),
+	}}
 }
 
-// partialAggOffer offers per-fragment partial aggregates for a stripped
+// partialAggDraft offers per-fragment partial aggregates for a stripped
 // aggregation query whose aggregates decompose (aggregate pushdown): the
 // buyer merges group totals from disjoint fragments instead of
 // re-aggregating raw rows, cutting the shipped volume to one row per group.
-func (n *Node) partialAggOffer(rfb trading.RFB, qr trading.QueryRequest, sel *sqlparse.Select, rw *rewrite.Rewritten, res *localopt.Result, ids *offerIDGen) (trading.Offer, bool) {
+func (n *Node) partialAggDraft(sel *sqlparse.Select, rw *rewrite.Rewritten, res *localopt.Result) (draft, bool) {
 	d, ok := plan.DecomposeAggregates(sel)
 	if !ok || res.Best == nil {
-		return trading.Offer{}, false
+		return draft{}, false
 	}
 	psel := &sqlparse.Select{Limit: -1, From: sel.From, Items: d.PartialItems()}
 	if rw.Sel.Where != nil {
@@ -565,97 +603,73 @@ func (n *Node) partialAggOffer(rfb trading.RFB, qr trading.QueryRequest, sel *sq
 	for _, g := range sel.GroupBy {
 		psel.GroupBy = append(psel.GroupBy, expr.Clone(g))
 	}
-	cols, err := OutputSpecs(psel, n.cfg.Schema, n.store)
-	if err != nil {
-		return trading.Offer{}, false
-	}
 	full := res.Best
 	groups := full.Rows/2 + 1
 	if len(sel.GroupBy) == 0 {
 		groups = 1
 	}
 	execCost := full.Cost + n.cfg.Cost.Aggregate(full.Rows, groups)
-	bytes := float64(groups) * float64(8*len(cols))
-	coverage := 0.0
-	for b, parts := range rw.Parts {
-		tr := sel.FindFrom(b)
-		if tr == nil {
-			continue
-		}
-		if total := len(n.cfg.Schema.PartitionIDs(tr.Name)); total > 0 {
-			coverage += float64(len(parts)) / float64(total)
-		}
-	}
-	if len(rw.Parts) > 0 {
-		coverage /= float64(len(rw.Parts))
-	}
-	props := n.valuation(execCost, groups, bytes, coverage)
-	truth := trading.TruthScore(n.cfg.Weights, props)
-	var bindings []string
-	for _, tr := range sel.From {
-		bindings = append(bindings, tr.Binding())
-	}
-	return trading.Offer{
-		OfferID:    ids.next("a"),
-		RFBID:      rfb.RFBID,
-		QID:        qr.QID,
-		SellerID:   n.cfg.ID,
-		SQL:        psel.SQL(),
+	bytes := float64(groups) * float64(8*len(psel.Items)) // one value per partial item
+	bindings := fromBindings(sel)
+	return draft{kind: "a", sel: psel, Offer: trading.Offer{
 		Bindings:   bindings,
 		Parts:      rw.Parts,
 		Complete:   rw.Complete,
 		PartialAgg: true,
-		Cols:       cols,
-		Props:      props,
-		Price:      n.cfg.Strategy.Price(qr.QID, truth),
-	}, true
+		Props:      n.valuation(execCost, groups, bytes, n.coverage(sel, bindings, rw.Parts)),
+	}}, true
 }
 
-// viewOffers is the seller predicates analyser (§3.5): offer matching
-// materialized views at the (small) cost of scanning and shipping them.
-func (n *Node) viewOffers(rfb trading.RFB, qr trading.QueryRequest, sel *sqlparse.Select, ids *offerIDGen) []trading.Offer {
-	var out []trading.Offer
-	for _, m := range views.BestMatches(sel, n.store) {
-		v := n.store.View(m.View.Name)
-		if v == nil || v.Stats == nil {
-			continue
-		}
-		cols, err := OutputSpecs(m.Comp, n.cfg.Schema, n.store)
-		if err != nil {
-			continue
-		}
-		rows := v.Stats.Rows
-		bytes := float64(rows) * math.Max(v.Stats.RowBytes, 8)
-		execCost := n.cfg.Cost.Scan(rows)
-		if m.ReAggregated {
-			execCost += n.cfg.Cost.Aggregate(rows, rows/2+1)
-		}
-		props := n.valuation(execCost, rows, bytes, 1)
-		truth := trading.TruthScore(n.cfg.Weights, props)
-		var bindings []string
-		for _, tr := range sel.From {
-			bindings = append(bindings, tr.Binding())
-		}
-		parts := map[string][]string{}
-		for _, tr := range sel.From {
-			parts[strings.ToLower(tr.Binding())] = n.cfg.Schema.PartitionIDs(tr.Name)
-		}
-		out = append(out, trading.Offer{
-			OfferID:  ids.next("v"),
-			RFBID:    rfb.RFBID,
-			QID:      qr.QID,
-			SellerID: n.cfg.ID,
-			SQL:      m.Comp.SQL(),
-			Bindings: bindings,
-			Parts:    parts,
-			Complete: true,
-			FromView: true,
-			Cols:     cols,
-			Props:    props,
-			Price:    n.cfg.Strategy.Price(qr.QID, truth),
-		})
+// viewDraft is the seller predicates analyser (§3.5): offer a matching
+// materialized view at the (small) cost of scanning and shipping it.
+func (n *Node) viewDraft(sel *sqlparse.Select, m *views.Match) (draft, bool) {
+	v := n.store.View(m.View.Name)
+	if v == nil || v.Stats == nil {
+		return draft{}, false
 	}
-	return out
+	rows := v.Stats.Rows
+	bytes := float64(rows) * math.Max(v.Stats.RowBytes, 8)
+	execCost := n.cfg.Cost.Scan(rows)
+	if m.ReAggregated {
+		execCost += n.cfg.Cost.Aggregate(rows, rows/2+1)
+	}
+	parts := map[string][]string{}
+	for _, tr := range sel.From {
+		parts[strings.ToLower(tr.Binding())] = n.cfg.Schema.PartitionIDs(tr.Name)
+	}
+	return draft{kind: "v", sel: m.Comp, Offer: trading.Offer{
+		Bindings: fromBindings(sel),
+		Parts:    parts,
+		Complete: true,
+		FromView: true,
+		Props:    n.valuation(execCost, rows, bytes, 1),
+	}}, true
+}
+
+// fromBindings lists the query's FROM bindings in order.
+func fromBindings(sel *sqlparse.Select) []string {
+	bindings := make([]string, len(sel.From))
+	for i, tr := range sel.From {
+		bindings[i] = tr.Binding()
+	}
+	return bindings
+}
+
+// coverage is the completeness of an offer: the mean, over its bindings in
+// FROM order, of the fraction of each relation's partitions it covers.
+func (n *Node) coverage(sel *sqlparse.Select, bindings []string, parts map[string][]string) float64 {
+	if len(bindings) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, b := range bindings {
+		if tr := sel.FindFrom(b); tr != nil {
+			if total := len(n.cfg.Schema.PartitionIDs(tr.Name)); total > 0 {
+				sum += float64(len(parts[strings.ToLower(b)])) / float64(total)
+			}
+		}
+	}
+	return sum / float64(len(bindings))
 }
 
 // valuation assembles the multidimensional offer properties the paper lists
@@ -705,10 +719,11 @@ func (n *Node) ImproveBids(req trading.ImproveReq) (trading.BidReply, error) {
 func (n *Node) improveOffers(req trading.ImproveReq) []trading.Offer {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	m := n.standing[req.RFBID]
-	if m == nil {
+	neg := n.negs[req.RFBID]
+	if neg == nil {
 		return nil
 	}
+	m := neg.offers
 	var out []trading.Offer
 	ids := make([]string, 0, len(m))
 	for id := range m {
@@ -742,10 +757,11 @@ func (n *Node) Award(aw trading.Award) error {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	m := n.standing[aw.RFBID]
-	if m == nil {
+	neg := n.negs[aw.RFBID]
+	if neg == nil {
 		return nil
 	}
+	m := neg.offers
 	winner, ok := m[aw.OfferID]
 	if !ok {
 		return fmt.Errorf("node %s: unknown offer %q", n.cfg.ID, aw.OfferID)
@@ -760,27 +776,14 @@ func (n *Node) Award(aw trading.Award) error {
 	return nil
 }
 
-// EndNegotiation drops the standing-offer state of an RFB, notifying the
-// strategy of losses for offers that were never awarded.
-func (n *Node) EndNegotiation(rfbID string, wonOfferIDs map[string]bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	m := n.standing[rfbID]
-	for id, so := range m {
-		if !wonOfferIDs[id] {
-			n.cfg.Strategy.Observe(so.offer.QID, false)
-		}
-	}
-	delete(n.standing, rfbID)
-	delete(n.flights, rfbID)
-}
-
-// Execute evaluates a purchased query and ships the answer. The SQL is
-// either a (rewritten) query over local fragments or a compensation query
-// over a local materialized view. A sampled request ships the node's
-// execution span subtree (including subcontract fetch spans) back on the
-// response. Every request opens the same cursor (executePurchased in
-// stream.go): a plain request gets it drained into one response, a streaming
+// Execute evaluates a purchased query and ships the answer. The SQL is a
+// (rewritten) query over local fragments, a compensation query over a local
+// materialized view, a UNION chain of those, or — when OfferID names a
+// composite — the extent a subcontract assembly delivers. A sampled request
+// ships the node's execution span subtree (including subcontract fetch
+// spans) back on the response. Every request opens the same cursor
+// (executePurchased in stream.go) over the plan tree purchasedPlan builds: a
+// plain request gets it drained into one response, a streaming
 // request (req.Stream) the first batch plus a continuation cursor;
 // continuation and close requests (req.Cursor) are routed to the
 // streamed-execution registry in stream.go.
@@ -821,21 +824,17 @@ func (n *Node) Execute(req trading.ExecReq) (trading.ExecResp, error) {
 	if sp != nil {
 		sp.Set("rows", len(resp.Rows))
 		sp.Set("exec_ms", wall)
-		n.mu.Lock()
-		so := n.standing[rfbOfOffer(req.OfferID)][req.OfferID]
-		n.mu.Unlock()
-		if so != nil {
+		if so, _ := n.purchased(req.OfferID); so != nil {
 			sp.Set("est_rows", so.offer.Props.Rows)
 			sp.Set("quoted_ms", so.offer.Props.TotalTime)
 		}
 	}
-	// Purchased answers (OfferID set) land in the seller's own ledger;
-	// recursive union-branch executions carry no offer id and stay quiet. A
-	// streamed answer with batches still pending records its Served event on
-	// completion instead (see stream.go), with totals accumulated across
-	// every batch.
+	// Purchased answers (OfferID set) land in the seller's own ledger; ad hoc
+	// executions carry no offer id and stay quiet. A streamed answer with
+	// batches still pending records its Served event on completion instead
+	// (see stream.go), with totals accumulated across every batch.
 	if sc == nil && req.OfferID != "" {
-		ob.ledger.Served(rfbOfOffer(req.OfferID), n.cfg.ID, req.OfferID, req.SQL,
+		ob.ledger.Served(n.rfbOf(req.OfferID), n.cfg.ID, req.OfferID, req.SQL,
 			wall, int64(len(resp.Rows)), int64(resp.WireSize()))
 	}
 	sp.End()
@@ -854,50 +853,37 @@ func (n *Node) Execute(req trading.ExecReq) (trading.ExecResp, error) {
 	return resp, nil
 }
 
-// rfbOfOffer extracts the RFBID embedded in a node-minted offer id
-// ("<node>/<rfbID>/<qid>/<kind><seq>"), so the seller's served event joins
-// the same ledger record as its pricing. Empty for any other id shape.
-func rfbOfOffer(offerID string) string {
-	if strings.Count(offerID, "/") != 3 {
+// rfbOf extracts the RFBID embedded in an offer id this node minted
+// ("<node>/<rfbID>/<qid>/<kind><seq>"), so an execution finds the record the
+// offer was priced under and the seller's served event joins the same ledger
+// record as its pricing. Empty for any other id shape.
+func (n *Node) rfbOf(offerID string) string {
+	id := n.cfg.ID
+	if len(offerID) <= len(id) || offerID[len(id)] != '/' || !strings.HasPrefix(offerID, id) {
 		return ""
 	}
-	_, rest, _ := strings.Cut(offerID, "/")
-	rfb, _, _ := strings.Cut(rest, "/")
-	return rfb
+	rest := offerID[len(id)+1:]
+	for range 2 { // drop "/<kind><seq>", then "/<qid>"
+		cut := strings.LastIndexByte(rest, '/')
+		if cut < 0 {
+			return ""
+		}
+		rest = rest[:cut]
+	}
+	return rest
 }
 
-// executeUnion evaluates a UNION [ALL] chain by running each branch and
-// concatenating (deduplicating for plain UNION).
-func (n *Node) executeUnion(u *sqlparse.Union) (trading.ExecResp, error) {
-	var out trading.ExecResp
-	seen := map[string]bool{}
-	for i, sel := range u.Inputs {
-		resp, err := n.Execute(trading.ExecReq{SQL: sel.SQL()})
-		if err != nil {
-			return trading.ExecResp{}, err
-		}
-		if i == 0 {
-			out.Cols = resp.Cols
-		} else if len(resp.Cols) != len(out.Cols) {
-			return trading.ExecResp{}, fmt.Errorf("node %s: union branches have different widths (%d vs %d)",
-				n.cfg.ID, len(resp.Cols), len(out.Cols))
-		}
-		for _, r := range resp.Rows {
-			if !u.All {
-				idx := make([]int, len(r))
-				for k := range idx {
-					idx[k] = k
-				}
-				key := value.Key(r, idx)
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-			}
-			out.Rows = append(out.Rows, r)
-		}
+// purchased looks an offer id up in the record of the RFB it was minted
+// under: the standing offer and, for a composite, its assembly. Both are nil
+// once the record is gone, and for ids this node did not mint.
+func (n *Node) purchased(offerID string) (*standingOffer, *subcontract) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	neg := n.negs[n.rfbOf(offerID)]
+	if neg == nil {
+		return nil, nil
 	}
-	return out, nil
+	return neg.offers[offerID], neg.assemblies[offerID]
 }
 
 // viewPlan builds the execution plan of a compensation query over a local

@@ -184,7 +184,7 @@ func TestAwardFeedsStrategy(t *testing.T) {
 	if err := n.Award(trading.Award{RFBID: "rfb1", OfferID: "nope"}); err == nil {
 		t.Fatal("unknown offer award must error")
 	}
-	n.EndNegotiation("rfb1", map[string]bool{offers[0].OfferID: true})
+	n.RevokeStandingOffers()
 	if _, err := n.ImproveBids(trading.ImproveReq{RFBID: "rfb1", BestPrice: map[string]float64{"q0": 0.01}}); err != nil {
 		t.Fatal(err)
 	}

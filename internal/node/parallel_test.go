@@ -286,7 +286,7 @@ func TestRetryCoalescesWithAbandonedAttempt(t *testing.T) {
 	}
 }
 
-// TestEndNegotiationDropsFlightState pins that a finished negotiation frees
+// TestEndNegotiationDropsFlightState pins that dropping an RFB's record frees
 // its single-flight memo: a later identical RFBID re-prices from scratch.
 func TestEndNegotiationDropsFlightState(t *testing.T) {
 	strat := &countingStrategy{}
@@ -296,12 +296,12 @@ func TestEndNegotiationDropsFlightState(t *testing.T) {
 		t.Fatal(err)
 	}
 	priced := strat.count()
-	n.EndNegotiation(rfb.RFBID, nil)
+	n.RevokeStandingOffers()
 	if _, err := n.RequestBids(rfb); err != nil {
 		t.Fatal(err)
 	}
 	if strat.count() == priced {
-		t.Fatal("flight state survived EndNegotiation; RFB was not re-priced")
+		t.Fatal("flight state survived RevokeStandingOffers; RFB was not re-priced")
 	}
 }
 

@@ -1,0 +1,94 @@
+package node
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"strings"
+	"testing"
+)
+
+// TestSellerIsS1toS3 holds the seller's seams by construction. S3 has one
+// home: the non-test files call Strategy.Price exactly once (in mint), so no
+// offer source prices on its own. Delivery has one path: nothing re-enters
+// (*Node).Execute to run part of an answer — a purchased answer is one plan
+// tree on one cursor. And priceQuery stays short enough to read as
+// S1 → S2 → S3 on one screen.
+func TestSellerIsS1toS3(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prices, priceQueryLines := 0, 0
+	for _, file := range pkgs["node"].Files {
+		ast.Inspect(file, func(x ast.Node) bool {
+			switch v := x.(type) {
+			case *ast.FuncDecl:
+				if v.Recv != nil && v.Name.Name == "priceQuery" {
+					priceQueryLines = fset.Position(v.End()).Line - fset.Position(v.Pos()).Line + 1
+				}
+			case *ast.CallExpr:
+				fn, ok := v.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				switch fn.Sel.Name {
+				case "Price":
+					if on, ok := fn.X.(*ast.SelectorExpr); ok && on.Sel.Name == "Strategy" {
+						prices++
+					}
+				case "Execute":
+					// The node is always called n, as a receiver or as a field.
+					if recv := lastIdent(fn.X); recv == "n" {
+						t.Errorf("%s: a seller path re-enters (*Node).Execute; build a plan tree for openExecCursor instead",
+							fset.Position(v.Pos()))
+					}
+				}
+			}
+			return true
+		})
+	}
+	if prices != 1 {
+		t.Errorf("%d Strategy.Price call sites, want exactly 1: offers are priced in mint", prices)
+	}
+	if priceQueryLines == 0 || priceQueryLines > 70 {
+		t.Errorf("priceQuery is %d lines, want 1..70", priceQueryLines)
+	}
+}
+
+// lastIdent names the rightmost identifier of a receiver expression
+// ("n" for both n and f.n).
+func lastIdent(e ast.Expr) string {
+	switch v := e.(type) {
+	case *ast.Ident:
+		return v.Name
+	case *ast.SelectorExpr:
+		return v.Sel.Name
+	}
+	return ""
+}
+
+// rfbOf must find the RFB an offer id was minted under whatever the RFB id
+// looks like — a composite whose record cannot be found would be answered
+// from local data alone — and must refuse ids of any other shape or node.
+func TestRFBOfOfferID(t *testing.T) {
+	n := New(Config{ID: "oracle", Schema: telcoSchema()})
+	for id, want := range map[string]string{
+		"oracle/r1/q0/o1":          "r1",
+		"oracle/eu/hq-rfb1/q0/s4":  "eu/hq-rfb1",
+		"oracle/r1/sub/corfu/q0/a": "r1/sub/corfu",
+		"other/r1/q0/o1":           "",
+		"oracle/r1":                "",
+		"oracle":                   "",
+		"rfb7.oracle.1":            "",
+		"":                         "",
+	} {
+		if got := n.rfbOf(id); got != want {
+			t.Errorf("rfbOf(%q) = %q, want %q", id, got, want)
+		}
+	}
+}

@@ -31,7 +31,8 @@ import (
 // loudly, pushing it into the usual recovery path.
 const maxOpenCursors = 64
 
-// serverCursor is one streamed execution parked between batch pulls.
+// serverCursor is one streamed execution, parked between batch pulls while
+// batches remain.
 type serverCursor struct {
 	id      string
 	offerID string
@@ -39,6 +40,7 @@ type serverCursor struct {
 
 	mu       sync.Mutex
 	cur      exec.Cursor
+	fetch    *subFetch        // the pipeline's remote hook, re-pointed at the exchange that pulls
 	pending  []value.Row      // lookahead batch (owned copy), decides More
 	seq      int64            // seq of the batch most recently delivered
 	last     trading.ExecResp // that batch, re-delivered on a retried seq
@@ -48,6 +50,22 @@ type serverCursor struct {
 	finished bool             // completed, closed, or evicted
 }
 
+// advance hands out the batch pulled last time and pulls the lookahead that
+// decides More, so the last batch of an answer says so itself and costs no
+// extra round trip. The lookahead is copied out because cursor batches are
+// only valid until the next pull. The opening batch and every continuation
+// come from here; a fresh cursor is primed by one advance that hands out
+// nothing.
+func (sc *serverCursor) advance() (rows []value.Row, more bool, err error) {
+	rows = sc.pending
+	next, err := sc.cur.Next()
+	if err != nil {
+		return nil, false, err
+	}
+	sc.pending = append([]value.Row(nil), next...)
+	return rows, len(next) > 0, nil
+}
+
 // executePurchased evaluates a purchased query through the one cursor
 // pipeline openExecCursor builds. A plain request gets the whole answer: the
 // cursor is drained. A Stream request gets the first batch; when batches
@@ -55,7 +73,8 @@ type serverCursor struct {
 // registers it after finalizing the response; a result that fits in one
 // batch costs zero extra round trips and parks nothing.
 func (n *Node) executePurchased(req trading.ExecReq, sp *obs.Span) (trading.ExecResp, *serverCursor, error) {
-	cur, cols, err := n.openExecCursor(req, sp)
+	fetch := &subFetch{n: n, batch: req.BatchRows, sp: sp, ctx: req.Trace}
+	cur, cols, err := n.openExecCursor(req, fetch)
 	if err != nil {
 		return trading.ExecResp{}, nil, err
 	}
@@ -66,75 +85,104 @@ func (n *Node) executePurchased(req trading.ExecReq, sp *obs.Span) (trading.Exec
 		}
 		return trading.ExecResp{Cols: cols, Rows: rows}, nil, nil
 	}
-	first, err := cur.Next()
+	sc := &serverCursor{offerID: req.OfferID, sql: req.SQL, cur: cur, fetch: fetch}
+	resp := trading.ExecResp{Cols: cols}
+	if _, _, err = sc.advance(); err == nil { // prime the lookahead
+		resp.Rows, resp.More, err = sc.advance()
+	}
 	if err != nil {
 		cur.Close()
 		return trading.ExecResp{}, nil, fmt.Errorf("node %s: %w", n.cfg.ID, err)
 	}
-	resp := trading.ExecResp{Cols: cols, Rows: append([]value.Row(nil), first...)}
-	// One batch of lookahead decides More without an extra round trip; it is
-	// copied out because cursor batches are only valid until the next pull.
-	pending, err := cur.Next()
-	if err != nil {
-		cur.Close()
-		return trading.ExecResp{}, nil, fmt.Errorf("node %s: %w", n.cfg.ID, err)
-	}
-	if len(pending) == 0 {
+	if !resp.More {
 		return resp, nil, cur.Close()
 	}
-	sc := &serverCursor{
-		id:      fmt.Sprintf("%s.c%d", n.cfg.ID, n.curSeq.Add(1)),
-		offerID: req.OfferID,
-		sql:     req.SQL,
-		cur:     cur,
-		pending: append([]value.Row(nil), pending...),
-	}
-	resp.Cursor, resp.More = sc.id, true
+	sc.id = fmt.Sprintf("%s.c%d", n.cfg.ID, n.curSeq.Add(1))
+	resp.Cursor = sc.id
 	return resp, sc, nil
 }
 
-// openExecCursor is the one place a purchased ExecReq is parsed and planned:
-// it builds and opens the cursor pipeline at the request's batch size (the
-// default when unset). Unions and subcontract assemblies have no streaming
-// pipeline — they materialize, and only the transfer is chunked.
-func (n *Node) openExecCursor(req trading.ExecReq, sp *obs.Span) (exec.Cursor, []trading.ColSpec, error) {
-	if req.OfferID != "" {
-		n.mu.Lock()
-		sub := n.subcontracts[req.OfferID]
-		n.mu.Unlock()
-		if sub != nil {
-			resp, err := n.executeSubcontract(sub, sp, req.Trace)
+// openExecCursor opens the cursor pipeline of a purchased ExecReq at the
+// request's batch size (the default when unset). Whatever was purchased —
+// plain, view, UNION chain, composite — is a plan tree on the one executor;
+// fetch is its remote hook, which resolves a composite's Remote leaves.
+func (n *Node) openExecCursor(req trading.ExecReq, fetch *subFetch) (exec.Cursor, []trading.ColSpec, error) {
+	root, specs, err := n.purchasedPlan(req)
+	if err != nil {
+		return nil, nil, fmt.Errorf("node %s: %w", n.cfg.ID, err)
+	}
+	ex := &exec.Executor{Store: n.store, BatchSize: req.BatchRows, FetchStream: fetch.open}
+	cur, err := ex.Open(root)
+	if err != nil {
+		return nil, nil, fmt.Errorf("node %s: %w", n.cfg.ID, err)
+	}
+	return cur, specs, nil
+}
+
+// purchasedPlan is the one place a purchased ExecReq is parsed and planned.
+// A composite offer's answer is its assembly: the node's own subquery
+// followed by one Remote leaf per purchased fragment. A UNION chain is the
+// union of its branches' plans (under a Distinct unless UNION ALL), refused
+// before a row ships when the branches differ in width.
+func (n *Node) purchasedPlan(req trading.ExecReq) (plan.Node, []trading.ColSpec, error) {
+	_, sub := n.purchased(req.OfferID)
+	sql := req.SQL
+	if sub != nil {
+		sql = sub.localSQL
+	}
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		return nil, nil, err
+	}
+	if u, ok := stmt.(*sqlparse.Union); ok {
+		var specs []trading.ColSpec
+		inputs := make([]plan.Node, len(u.Inputs))
+		for i, sel := range u.Inputs {
+			branch, bs, err := n.selectPlan(sel)
 			if err != nil {
 				return nil, nil, err
 			}
-			return exec.NewRows(nil, resp.Rows, req.BatchRows), resp.Cols, nil
+			if i == 0 {
+				specs = bs
+			} else if len(bs) != len(specs) {
+				return nil, nil, fmt.Errorf("union branches have different widths (%d vs %d)", len(bs), len(specs))
+			}
+			inputs[i] = branch
 		}
-	}
-	stmt, err := sqlparse.Parse(req.SQL)
-	if err != nil {
-		return nil, nil, fmt.Errorf("node %s: %w", n.cfg.ID, err)
-	}
-	if u, ok := stmt.(*sqlparse.Union); ok {
-		resp, err := n.executeUnion(u)
-		if err != nil {
-			return nil, nil, err
+		var root plan.Node = &plan.Union{Inputs: inputs}
+		if !u.All {
+			root = &plan.Distinct{Input: root}
 		}
-		return exec.NewRows(nil, resp.Rows, req.BatchRows), resp.Cols, nil
+		return root, specs, nil
 	}
-	sel := stmt.(*sqlparse.Select)
+	root, specs, err := n.selectPlan(stmt.(*sqlparse.Select))
+	if err != nil || sub == nil {
+		return root, specs, err
+	}
+	inputs := []plan.Node{root}
+	for _, r := range sub.remotes {
+		inputs = append(inputs, &plan.Remote{NodeID: r.peerID, SQL: r.sql, Cols: root.Schema()})
+	}
+	return &plan.Union{Inputs: inputs}, specs, nil
+}
+
+// selectPlan plans one SELECT block — a compensation query over a local
+// materialized view, or a query over local fragments through the local
+// optimizer — and derives the column specs its answer ships under.
+func (n *Node) selectPlan(sel *sqlparse.Select) (plan.Node, []trading.ColSpec, error) {
 	plan.Qualify(sel, n.cfg.Schema)
 	var root plan.Node
 	if len(sel.From) == 1 && n.store.View(sel.From[0].Name) != nil {
-		root, err = n.viewPlan(sel)
-	} else {
-		var res *localopt.Result
-		res, err = localopt.Optimize(sel, n.cfg.Schema, n.store, n.cfg.Cost)
-		if err == nil {
-			root = res.Best.Plan
+		var err error
+		if root, err = n.viewPlan(sel); err != nil {
+			return nil, nil, err
 		}
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("node %s: %w", n.cfg.ID, err)
+	} else {
+		res, err := localopt.Optimize(sel, n.cfg.Schema, n.store, n.cfg.Cost)
+		if err != nil {
+			return nil, nil, err
+		}
+		root = res.Best.Plan
 	}
 	specs, err := OutputSpecs(sel, n.cfg.Schema, n.store)
 	if err != nil {
@@ -145,12 +193,7 @@ func (n *Node) openExecCursor(req trading.ExecReq, sp *obs.Span) (exec.Cursor, [
 			specs[i] = trading.ColSpec{Table: c.Table, Name: c.Name}
 		}
 	}
-	ex := &exec.Executor{Store: n.store, BatchSize: req.BatchRows}
-	cur, err := ex.Open(root)
-	if err != nil {
-		return nil, nil, fmt.Errorf("node %s: %w", n.cfg.ID, err)
-	}
-	return cur, specs, nil
+	return root, specs, nil
 }
 
 // continueStream serves one continuation (or close) of a parked streamed
@@ -193,20 +236,17 @@ func (n *Node) continueStream(req trading.ExecReq) (trading.ExecResp, error) {
 		sp.Set("cursor", sc.id)
 		sp.Set("seq", req.Seq)
 	}
+	sc.fetch.sp, sc.fetch.ctx = sp, req.Trace
 	t0 := time.Now()
-	rows := sc.pending
-	next, err := sc.cur.Next()
+	rows, more, err := sc.advance()
 	if err != nil {
 		n.finishCursor(sc, false)
 		sp.End()
 		return trading.ExecResp{}, fmt.Errorf("node %s: %w", n.cfg.ID, err)
 	}
-	resp := trading.ExecResp{Rows: rows}
-	if len(next) > 0 {
-		sc.pending = append([]value.Row(nil), next...)
-		resp.Cursor, resp.More = sc.id, true
-	} else {
-		sc.pending = nil
+	resp := trading.ExecResp{Rows: rows, More: more}
+	if more {
+		resp.Cursor = sc.id
 	}
 	sc.wall += msSince(t0)
 	// Cumulative wall time: the final batch carries the total cost of the
@@ -250,9 +290,11 @@ func (n *Node) dropFromOrder(id string) {
 	}
 }
 
-// finishCursor closes a parked execution and unregisters it. Callers hold
-// sc.mu. When served is true the completed (possibly partial) delivery lands
-// in the seller's ledger next to its pricing events.
+// finishCursor is the one teardown of a parked execution — completion, early
+// close, protocol violation and eviction all end here: close the pipeline and
+// unregister it. Callers hold sc.mu. When served is true the completed
+// (possibly partial) delivery lands in the seller's ledger next to its
+// pricing events.
 func (n *Node) finishCursor(sc *serverCursor, served bool) {
 	if sc.finished {
 		return
@@ -264,13 +306,14 @@ func (n *Node) finishCursor(sc *serverCursor, served bool) {
 	n.dropFromOrder(sc.id)
 	n.curMu.Unlock()
 	if served && sc.offerID != "" {
-		n.obsv.Load().ledger.Served(rfbOfOffer(sc.offerID), n.cfg.ID, sc.offerID, sc.sql,
+		n.obsv.Load().ledger.Served(n.rfbOf(sc.offerID), n.cfg.ID, sc.offerID, sc.sql,
 			sc.wall, sc.rows, sc.bytes)
 	}
 }
 
 // registerCursor parks a streamed execution, evicting the least recently
-// pulled one (the front of curOrder) when the registry is full.
+// pulled one (the front of curOrder) when the registry is full; what the
+// evicted stream shipped so far is recorded as served.
 func (n *Node) registerCursor(sc *serverCursor) {
 	var evict *serverCursor
 	n.curMu.Lock()
@@ -288,10 +331,7 @@ func (n *Node) registerCursor(sc *serverCursor) {
 	n.curMu.Unlock()
 	if evict != nil {
 		evict.mu.Lock()
-		if !evict.finished {
-			evict.finished = true
-			evict.cur.Close()
-		}
+		n.finishCursor(evict, true)
 		evict.mu.Unlock()
 	}
 }

@@ -176,11 +176,18 @@ func TestStreamEarlyClose(t *testing.T) {
 // its buyer keeps pulling survives a further open, and the abandoned stream
 // at the front of the order is evicted — its next continuation fails into
 // recovery.
+//
+// Eviction is a delivery that ended early, so — like completion and early
+// close — it leaves exactly one served event, carrying what was shipped
+// before the stream was cut.
 func TestStreamCursorEviction(t *testing.T) {
 	n := fullNode(t)
+	led := ledger.New(4)
+	n.SetLedger(led)
 	q := "SELECT c.custid, i.invid FROM customer c, invoiceline i"
 	open := func(i int) trading.ExecResp {
-		resp, err := n.Execute(trading.ExecReq{SQL: q, Stream: true, BatchRows: 2})
+		resp, err := n.Execute(trading.ExecReq{SQL: q, Stream: true, BatchRows: 2,
+			OfferID: "rfb7.oracle." + itoa(i)})
 		if err != nil || !resp.More {
 			t.Fatalf("open %d: %+v %v", i, resp, err)
 		}
@@ -194,9 +201,17 @@ func TestStreamCursorEviction(t *testing.T) {
 	if _, err := n.Execute(trading.ExecReq{Cursor: first.Cursor, Seq: 1}); err != nil {
 		t.Fatalf("first stream, seq 1: %v", err)
 	}
+	if served := servedEvents(led); len(served) != 0 {
+		t.Fatalf("nothing is served while every stream is still parked: %+v", served)
+	}
 	open(maxOpenCursors)
 	if got := n.OpenCursors(); got != maxOpenCursors {
 		t.Fatalf("registry must stay bounded: %d > %d", got, maxOpenCursors)
+	}
+	served := servedEvents(led)
+	if len(served) != 1 || served[0].OfferID != "rfb7.oracle.1" ||
+		served[0].Rows != int64(len(second.Rows)) || served[0].Bytes != int64(second.WireSize()) {
+		t.Fatalf("eviction must record the opening batch of the evicted stream as served, got %+v", served)
 	}
 	if b, err := n.Execute(trading.ExecReq{Cursor: first.Cursor, Seq: 2}); err != nil || len(b.Rows) == 0 {
 		t.Fatalf("a stream that keeps pulling must survive a full registry: %v %v", b.Rows, err)
@@ -299,10 +314,10 @@ func TestStreamServedLedgerOnce(t *testing.T) {
 	}
 }
 
-// Union answers have no cursor pipeline of their own: execution
-// materializes and exec.Rows chunks the transfer. Reassembled from
-// 1-row batches, the answer must equal the one-shot union, and abandoning
-// it mid-transfer must reclaim the parked slice like any other cursor.
+// A UNION chain is a plan.Union over its branches' plans and streams like any
+// other pipeline. Reassembled from 1-row batches, the answer must equal the
+// one-shot union, and abandoning it mid-transfer must reclaim the parked
+// cursor like any other.
 func TestStreamUnionChunked(t *testing.T) {
 	n := fullNode(t)
 	q := `
@@ -326,6 +341,95 @@ func TestStreamUnionChunked(t *testing.T) {
 	}
 	if n.OpenCursors() != 0 {
 		t.Fatalf("abandoned union cursor still parked: %d", n.OpenCursors())
+	}
+}
+
+// The DISTINCT twin: a plain UNION is the same plan under a Distinct, so it
+// streams batch by batch too and de-duplicates across branches and batches.
+func TestStreamUnionDistinctChunked(t *testing.T) {
+	n := fullNode(t)
+	q := `
+		SELECT c.office FROM customer c WHERE c.custid < 3
+		UNION
+		SELECT c.office FROM customer c`
+	want, err := n.Execute(trading.ExecReq{SQL: q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Rows) != 2 {
+		t.Fatalf("one-shot union: %v", want.Rows)
+	}
+	got := streamAll(t, n, q, 1)
+	if !reflect.DeepEqual(got.Rows, want.Rows) || !reflect.DeepEqual(got.Cols, want.Cols) {
+		t.Fatalf("streamed union differs:\n  streamed %v\n  one-shot %v", got.Rows, want.Rows)
+	}
+	if n.OpenCursors() != 0 {
+		t.Fatalf("drained union left %d cursors parked", n.OpenCursors())
+	}
+}
+
+// A composite answer is a plan too — the node's own rows, then one Remote
+// leaf per subcontractor — so it streams like any other: reassembled from
+// 1-row batches it equals the one-shot answer, an early close frees the
+// cursor, and a subcontractor that fails when its fragment is fetched fails
+// the exchange that needed it, parks nothing and is named in the error.
+func TestStreamSubcontractChunked(t *testing.T) {
+	net, corfu, _ := subFederation(t)
+	o := compositeOffer(t, corfu, "r-stream")
+	want, err := corfu.Execute(trading.ExecReq{BuyerID: "buyer", OfferID: o.OfferID, SQL: o.SQL})
+	if err != nil || len(want.Rows) != 4 {
+		t.Fatalf("one-shot composite: %v %v", want.Rows, err)
+	}
+	stream := trading.ExecReq{BuyerID: "buyer", OfferID: o.OfferID, SQL: o.SQL, Stream: true, BatchRows: 1}
+	resp, err := corfu.Execute(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := resp.Rows
+	for seq := int64(1); resp.More; seq++ {
+		if len(resp.Rows) != 1 {
+			t.Fatalf("batch %d carries %d rows, want 1", seq-1, len(resp.Rows))
+		}
+		if resp, err = corfu.Execute(trading.ExecReq{Cursor: resp.Cursor, Seq: seq}); err != nil {
+			t.Fatalf("continuation %d: %v", seq, err)
+		}
+		got = append(got, resp.Rows...)
+	}
+	if !reflect.DeepEqual(got, want.Rows) {
+		t.Fatalf("streamed composite differs:\n  streamed %v\n  one-shot %v", got, want.Rows)
+	}
+
+	open, err := corfu.Execute(stream)
+	if err != nil || !open.More {
+		t.Fatalf("open: %+v %v", open, err)
+	}
+	if _, err := corfu.Execute(trading.ExecReq{Cursor: open.Cursor, CloseCursor: true}); err != nil {
+		t.Fatal(err)
+	}
+	if corfu.OpenCursors() != 0 {
+		t.Fatalf("abandoned composite cursor still parked: %d", corfu.OpenCursors())
+	}
+
+	net.SetDown("myconos", true)
+	// A batch wider than corfu's own rows: the opening exchange already needs
+	// the purchased fragment.
+	stream.BatchRows = 64
+	if _, err := corfu.Execute(stream); err == nil || !strings.Contains(err.Error(), "subcontractor myconos") {
+		t.Fatalf("open over a dead subcontractor: %v", err)
+	}
+	// In 1-row batches corfu's own rows ship first; the continuation that
+	// runs into the fragment fails and takes the cursor with it.
+	stream.BatchRows = 1
+	open, err = corfu.Execute(stream)
+	if err != nil || !open.More {
+		t.Fatalf("open: %+v %v", open, err)
+	}
+	if _, err := corfu.Execute(trading.ExecReq{Cursor: open.Cursor, Seq: 1}); err == nil ||
+		!strings.Contains(err.Error(), "subcontractor myconos") {
+		t.Fatalf("continuation over a dead subcontractor: %v", err)
+	}
+	if corfu.OpenCursors() != 0 {
+		t.Fatalf("a failed composite must park nothing, have %d", corfu.OpenCursors())
 	}
 }
 

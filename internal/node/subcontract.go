@@ -16,7 +16,6 @@ import (
 	"qtrade/internal/rewrite"
 	"qtrade/internal/sqlparse"
 	"qtrade/internal/trading"
-	"qtrade/internal/value"
 )
 
 // subcontract records how a composite offer is assembled at execution time:
@@ -24,7 +23,6 @@ import (
 // nodes.
 type subcontract struct {
 	localSQL string
-	width    int
 	remotes  []subRemote
 }
 
@@ -33,27 +31,27 @@ type subRemote struct {
 	sql    string
 }
 
-// subcontractOffers implements the §3.5 subcontracting procedure: for every
+// subcontractDrafts implements the §3.5 subcontracting procedure: for every
 // query relation the node covers only partially, it asks its own peers for
 // the missing partitions (a nested, depth-limited negotiation) and — when
-// the gap can be covered — offers the *complete* relation extent, priced as
-// its own cost plus the purchased offers.
+// the gap can be covered — drafts an offer of the *complete* relation extent,
+// costed as its own work plus the purchased offers.
 //
 // Each relation's probe is an independent nested negotiation, so they join
 // the node's pricing pool: a probe runs on a spare worker slot when one is
-// free and inline on the caller's slot otherwise. Offer ids are minted
+// free and inline on the caller's slot otherwise. Offer ids are reserved
 // up front in relation order and results are collected positionally, so the
 // output is byte-identical no matter how the probes were scheduled.
 //
 // sp is the parent span for the nested negotiation (nil when tracing is off).
-func (n *Node) subcontractOffers(rfb trading.RFB, qr trading.QueryRequest, sel *sqlparse.Select, rw *rewrite.Rewritten, partials []*localopt.Partial, sp *obs.Span, ids *offerIDGen) []trading.Offer {
+func (n *Node) subcontractDrafts(rfb trading.RFB, sel *sqlparse.Select, rw *rewrite.Rewritten, partials []*localopt.Partial, sp *obs.Span, ids *minter) []draft {
 	peers := n.cfg.SubcontractPeers()
 	if len(peers) == 0 {
 		return nil
 	}
 	if n.cfg.Faults != nil {
 		// Guard the negotiation only; execution-time fetches go through the
-		// raw peers (executeSubcontract needs their Execute method).
+		// raw peers (subFetch needs their Execute method).
 		guarded := make(map[string]trading.Peer, len(peers))
 		for id, p := range peers {
 			guarded[id] = n.cfg.Faults.Wrap(id, p)
@@ -90,15 +88,15 @@ func (n *Node) subcontractOffers(rfb trading.RFB, qr trading.QueryRequest, sel *
 			continue
 		}
 		probes = append(probes, probe{tr: tr, own: own, held: held,
-			missing: missing, relevant: relevant, offerID: ids.next("s")})
+			missing: missing, relevant: relevant, offerID: ids.nextID("s")})
 	}
-	results := make([]*trading.Offer, len(probes))
+	results := make([]*draft, len(probes))
 	var wg sync.WaitGroup
 	for i, pr := range probes {
 		run := func(i int, pr probe) {
-			if offer, ok := n.buildComposite(rfb, qr, sel, pr.tr, pr.own,
+			if d, ok := n.buildComposite(rfb, sel, pr.tr, pr.own,
 				pr.held, pr.missing, pr.relevant, peers, sp, pr.offerID); ok {
-				results[i] = &offer
+				results[i] = &d
 			}
 		}
 		if len(probes) > 1 && n.tryAcquire() {
@@ -113,7 +111,7 @@ func (n *Node) subcontractOffers(rfb trading.RFB, qr trading.QueryRequest, sel *
 		}
 	}
 	wg.Wait()
-	var out []trading.Offer
+	var out []draft
 	for _, r := range results {
 		if r != nil {
 			out = append(out, *r)
@@ -122,11 +120,11 @@ func (n *Node) subcontractOffers(rfb trading.RFB, qr trading.QueryRequest, sel *
 	return out
 }
 
-// buildComposite negotiates the missing partitions and assembles the
-// composite offer.
-func (n *Node) buildComposite(rfb trading.RFB, qr trading.QueryRequest, sel *sqlparse.Select,
+// buildComposite negotiates the missing partitions and drafts the composite
+// offer with the assembly that delivers it.
+func (n *Node) buildComposite(rfb trading.RFB, sel *sqlparse.Select,
 	tr sqlparse.TableRef, own *localopt.Partial, held, missing, relevant []string,
-	peers map[string]trading.Peer, sp *obs.Span, offerID string) (trading.Offer, bool) {
+	peers map[string]trading.Peer, sp *obs.Span, offerID string) (draft, bool) {
 
 	base := localopt.SubqueryFor(sel, []string{tr.Binding()})
 	// The nested negotiation inherits the buyer's trace context, so a sampled
@@ -142,7 +140,7 @@ func (n *Node) buildComposite(rfb trading.RFB, qr trading.QueryRequest, sel *sql
 	for i, pid := range missing {
 		p, ok := n.cfg.Schema.Partition(tr.Name, pid)
 		if !ok || p.Predicate == nil {
-			return trading.Offer{}, false // whole-table gaps cannot be delegated piecewise
+			return draft{}, false // whole-table gaps cannot be delegated piecewise
 		}
 		q := base.Clone()
 		restriction := expr.Qualify(p.Predicate, tr.Binding())
@@ -154,11 +152,11 @@ func (n *Node) buildComposite(rfb trading.RFB, qr trading.QueryRequest, sel *sql
 	}
 	offers, _, err := trading.SealedBid{Policy: n.cfg.Faults}.Collect(subRFB, peers, sp)
 	if err != nil {
-		return trading.Offer{}, false
+		return draft{}, false
 	}
 	ownCols, err := OutputSpecs(own.SQL, n.cfg.Schema, n.store)
 	if err != nil {
-		return trading.Offer{}, false
+		return draft{}, false
 	}
 	// Greedy cover of the missing partitions by cheapest compatible offers.
 	need := map[string]bool{}
@@ -204,7 +202,7 @@ func (n *Node) buildComposite(rfb trading.RFB, qr trading.QueryRequest, sel *sql
 		}
 	}
 	if len(need) > 0 {
-		return trading.Offer{}, false
+		return draft{}, false
 	}
 
 	// Assemble the composite offer. Its buyer-facing SQL describes the full
@@ -226,7 +224,7 @@ func (n *Node) buildComposite(rfb trading.RFB, qr trading.QueryRequest, sel *sql
 	props.Rows = own.Rows
 	props.Bytes = own.Bytes
 	remoteMax := 0.0
-	sc := &subcontract{localSQL: own.SQL.SQL(), width: len(ownCols)}
+	sc := &subcontract{localSQL: own.SQL.SQL()}
 	totalPurchased := 0.0
 	for _, o := range chosen {
 		remoteMax = math.Max(remoteMax, o.Props.TotalTime)
@@ -240,92 +238,63 @@ func (n *Node) buildComposite(rfb trading.RFB, qr trading.QueryRequest, sel *sql
 	if props.TotalTime > 0 {
 		props.RowsPerSec = float64(props.Rows) / (props.TotalTime / 1000)
 	}
-	truth := trading.TruthScore(n.cfg.Weights, props) + totalPurchased
-
-	n.mu.Lock()
-	n.subcontracts[offerID] = sc
-	n.mu.Unlock()
-
-	return trading.Offer{
+	return draft{kind: "s", sel: compositeSQL, paid: totalPurchased, sub: sc, Offer: trading.Offer{
 		OfferID:  offerID,
-		RFBID:    rfb.RFBID,
-		QID:      qr.QID,
-		SellerID: n.cfg.ID,
-		SQL:      compositeSQL.SQL(),
 		Bindings: []string{tr.Binding()},
 		Parts:    map[string][]string{strings.ToLower(tr.Binding()): covered},
 		Complete: len(subtract(relevant, covered)) == 0,
 		Stripped: sel.HasAggregates() || len(sel.GroupBy) > 0,
 		Cols:     ownCols,
 		Props:    props,
-		Price:    n.cfg.Strategy.Price(qr.QID, truth),
-	}, true
+	}}, true
 }
 
-// executeSubcontract assembles a composite offer's answer: local partial
-// rows plus the purchased fragments fetched from the subcontractors. sp is
-// the node's execute span; a sampled ctx is propagated on the fetches so the
-// subcontractors' execution subtrees graft under the per-peer fetch spans.
-func (n *Node) executeSubcontract(sc *subcontract, sp *obs.Span, ctx obs.TraceContext) (trading.ExecResp, error) {
-	sel, err := sqlparse.ParseSelect(sc.localSQL)
+// subFetch is the executor's remote hook on the seller: it resolves the
+// Remote leaves of a composite's plan by fetching each purchased fragment
+// from its subcontractor. sp and ctx belong to the exchange currently pulling
+// the pipeline — the execute span at open, a sampled continuation's
+// fetch-batch span later — so a fetch is recorded, and its subcontractor's
+// execution subtree grafted, under the exchange that caused it.
+type subFetch struct {
+	n     *Node
+	batch int
+	sp    *obs.Span
+	ctx   obs.TraceContext
+	peers map[string]trading.Peer // resolved once per composite, on the first fetch
+}
+
+// open implements exec.StreamFunc: the subcontractor's whole reply is handed
+// to the Remote leaf, which validates its width batch by batch.
+func (f *subFetch) open(peerID, sql, _ string) (exec.RowStream, error) {
+	n := f.n
+	if f.peers == nil {
+		f.peers = n.cfg.SubcontractPeers()
+	}
+	peer, ok := f.peers[peerID].(interface {
+		Execute(trading.ExecReq) (trading.ExecResp, error)
+	})
+	if !ok {
+		return nil, fmt.Errorf("node %s: subcontractor %s: no execution channel", n.cfg.ID, peerID)
+	}
+	fs := f.sp.Child("fetch " + peerID)
+	defer fs.End()
+	req := trading.ExecReq{BuyerID: n.cfg.ID, SQL: sql}
+	if f.ctx.Sampled {
+		req.Trace = f.ctx
+		req.Trace.Parent = fs.ID()
+	}
+	sentAt := time.Now()
+	// Guarded so a subcontractor that died after winning cannot hang the
+	// composite delivery (nil policy = direct call).
+	resp, err := trading.GuardCall(n.cfg.Faults, peerID, func() (trading.ExecResp, error) {
+		return peer.Execute(req)
+	})
 	if err != nil {
-		return trading.ExecResp{}, err
+		fs.Set("error", err)
+		return nil, fmt.Errorf("node %s: subcontractor %s: %w", n.cfg.ID, peerID, err)
 	}
-	res, err := localopt.Optimize(sel, n.cfg.Schema, n.store, n.cfg.Cost)
-	if err != nil {
-		return trading.ExecResp{}, err
-	}
-	ex := &exec.Executor{Store: n.store}
-	local, err := ex.Run(res.Best.Plan)
-	if err != nil {
-		return trading.ExecResp{}, err
-	}
-	specs, err := OutputSpecs(sel, n.cfg.Schema, n.store)
-	if err != nil {
-		return trading.ExecResp{}, err
-	}
-	rows := append([]value.Row{}, local.Rows...)
-	peers := n.cfg.SubcontractPeers()
-	for _, r := range sc.remotes {
-		peer, ok := peers[r.peerID].(interface {
-			Execute(trading.ExecReq) (trading.ExecResp, error)
-		})
-		var resp trading.ExecResp
-		var err error
-		fs := sp.Child("fetch " + r.peerID)
-		req := trading.ExecReq{BuyerID: n.cfg.ID, SQL: r.sql}
-		if ctx.Sampled {
-			req.Trace = ctx
-			req.Trace.Parent = fs.ID()
-		}
-		sentAt := time.Now()
-		switch {
-		case ok:
-			// Guarded so a subcontractor that died after winning cannot hang
-			// the composite delivery (nil policy = direct call).
-			resp, err = trading.GuardCall(n.cfg.Faults, r.peerID, func() (trading.ExecResp, error) {
-				return peer.Execute(req)
-			})
-		case n.cfg.SubcontractFetch != nil:
-			resp, err = n.cfg.SubcontractFetch(r.peerID, req)
-		default:
-			err = fmt.Errorf("no execution channel")
-		}
-		if err != nil {
-			fs.Set("error", err)
-			fs.End()
-			return trading.ExecResp{}, fmt.Errorf("node %s: subcontractor %s: %w", n.cfg.ID, r.peerID, err)
-		}
-		fs.Graft(resp.Trace, sentAt, time.Now())
-		fs.End()
-		for _, row := range resp.Rows {
-			if len(row) != sc.width {
-				return trading.ExecResp{}, fmt.Errorf("node %s: subcontracted width %d != %d", n.cfg.ID, len(row), sc.width)
-			}
-			rows = append(rows, row)
-		}
-	}
-	return trading.ExecResp{Cols: specs, Rows: rows}, nil
+	fs.Graft(resp.Trace, sentAt, time.Now())
+	return exec.NewRows(nil, resp.Rows, f.batch), nil
 }
 
 func colsMatch(a []trading.ColSpec, b []trading.ColSpec) bool {

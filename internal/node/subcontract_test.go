@@ -16,6 +16,12 @@ import (
 // corfu.
 func subFederation(t *testing.T) (*netsim.Network, *Node, *Node) {
 	t.Helper()
+	return subFederationCfg(t, nil)
+}
+
+// subFederationCfg is subFederation with corfu's config open to edits.
+func subFederationCfg(t *testing.T, edit func(*Config)) (*netsim.Network, *Node, *Node) {
+	t.Helper()
 	sch := telcoSchema()
 	net := netsim.New()
 
@@ -31,12 +37,16 @@ func subFederation(t *testing.T) (*netsim.Network, *Node, *Node) {
 		t.Fatal(err)
 	}
 
-	corfu := New(Config{
+	cfg := Config{
 		ID: "corfu", Schema: sch,
 		SubcontractPeers: func() map[string]trading.Peer {
 			return map[string]trading.Peer{"myconos": net.Peer("corfu", "myconos")}
 		},
-	})
+	}
+	if edit != nil {
+		edit(&cfg)
+	}
+	corfu := New(cfg)
 	if _, err := corfu.Store().CreateFragment(cust, "corfu"); err != nil {
 		t.Fatal(err)
 	}
@@ -187,5 +197,72 @@ func TestSubcontractQueryOnlyNeedsOwnData(t *testing.T) {
 		if !o.Complete {
 			t.Fatalf("corfu fully covers the corfu query: %+v", o)
 		}
+	}
+}
+
+// compositeOffer asks corfu for bids on the both-offices query and returns
+// the composite (two-partition) offer.
+func compositeOffer(t *testing.T, corfu *Node, rfbID string) trading.Offer {
+	t.Helper()
+	offers, err := bidOffers(corfu.RequestBids(trading.RFB{RFBID: rfbID, BuyerID: "buyer",
+		Queries: []trading.QueryRequest{{QID: "q0", SQL: bothOfficesQuery}}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range offers {
+		if len(o.Parts["c"]) == 2 {
+			return o
+		}
+	}
+	t.Fatalf("no composite offer among %d offers", len(offers))
+	return trading.Offer{}
+}
+
+// Composite assemblies must not outlive their offers: a composite the offer
+// cap discards is unreachable, so its assembly may not be held at all, and
+// whatever is held dies with the RFB's record. With a cap of one the node's
+// own (cheaper) partial wins every time, so a long-lived subcontracting
+// seller holds nothing however many RFBs it has priced.
+func TestSubcontractAssembliesDieWithTheirOffers(t *testing.T) {
+	_, corfu, _ := subFederationCfg(t, func(c *Config) { c.MaxOffersPerQuery = 1 })
+	for i := 0; i < maxStandingRFBs+10; i++ {
+		rfb := trading.RFB{RFBID: "r" + itoa(i), BuyerID: "buyer",
+			Queries: []trading.QueryRequest{{QID: "q0", SQL: bothOfficesQuery}}}
+		if _, err := corfu.RequestBids(rfb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	corfu.mu.Lock()
+	defer corfu.mu.Unlock()
+	if len(corfu.negs) > maxStandingRFBs {
+		t.Fatalf("%d records held, bound is %d", len(corfu.negs), maxStandingRFBs)
+	}
+	held := 0
+	for rfbID, neg := range corfu.negs {
+		held += len(neg.assemblies)
+		for id := range neg.assemblies {
+			if neg.offers[id] == nil {
+				t.Fatalf("rfb %s holds the assembly of %s, which is not a standing offer", rfbID, id)
+			}
+		}
+	}
+	// One query per RFB, one offer per query: no more than one per record.
+	if held > len(corfu.negs) {
+		t.Fatalf("%d assemblies held by %d records under a cap of one offer", held, len(corfu.negs))
+	}
+}
+
+// A composite that survives the cap keeps its assembly for as long as its
+// record lives, and loses it when the book is revoked: the composite SQL
+// alone must never be mistaken for the whole answer.
+func TestSubcontractAssemblyLivesInRecord(t *testing.T) {
+	_, corfu, _ := subFederation(t)
+	o := compositeOffer(t, corfu, "r-live")
+	if _, sub := corfu.purchased(o.OfferID); sub == nil {
+		t.Fatal("standing composite has no assembly")
+	}
+	corfu.RevokeStandingOffers()
+	if so, sub := corfu.purchased(o.OfferID); so != nil || sub != nil {
+		t.Fatalf("revoked record still resolves: %v %v", so, sub)
 	}
 }

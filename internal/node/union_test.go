@@ -56,7 +56,7 @@ func TestStandingStateEviction(t *testing.T) {
 		}
 	}
 	n.mu.Lock()
-	size := len(n.standing)
+	size := len(n.negs)
 	n.mu.Unlock()
 	if size > maxStandingRFBs {
 		t.Fatalf("standing state grew unbounded: %d", size)

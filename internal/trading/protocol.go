@@ -255,10 +255,42 @@ func (p SealedBid) WithWorkers(n int) Protocol { p.Workers = n; return p }
 
 // Collect implements Protocol.
 func (p SealedBid) Collect(rfb RFB, peers map[string]Peer, sp *obs.Span) ([]Offer, int, error) {
+	return collectRounds(rfb, peers, sp, p.Policy, p.Workers, 1, nil)
+}
+
+// collectRounds is the round loop every protocol shares: one sealed RFB
+// round, then improvement rounds — each announcing the best standing price
+// per query and, when counter is set, the buyer's counter-offer below it — up
+// to maxRounds (below 1 = 3) or until no price moves.
+func collectRounds(rfb RFB, peers map[string]Peer, sp *obs.Span, pol *FaultPolicy, workers, maxRounds int,
+	counter func(qid string, best float64) float64) ([]Offer, int, error) {
+
+	if maxRounds < 1 {
+		maxRounds = 3
+	}
 	round := roundSpan(sp, 1)
-	offers := fanOut(rfb, peers, p.Workers, round, p.Policy)
+	offers := fanOut(rfb, peers, workers, round, pol)
 	round.End()
-	return offers, 1, nil
+	used := 1
+	for used < maxRounds && len(offers) > 0 {
+		req := ImproveReq{RFBID: rfb.RFBID, BuyerID: rfb.BuyerID, Trace: rfb.Trace, BestPrice: bestPrices(offers)}
+		if counter != nil {
+			req.Target = make(map[string]float64, len(req.BestPrice))
+			for qid, b := range req.BestPrice {
+				req.Target[qid] = counter(qid, b)
+			}
+		}
+		round = roundSpan(sp, used+1)
+		improved := improveRound(req, peers, workers, round, pol)
+		round.End()
+		var changed bool
+		offers, changed = mergeImproved(offers, improved)
+		used++
+		if !changed {
+			break
+		}
+	}
+	return offers, used, nil
 }
 
 // IterativeBid announces the best standing price after each round and lets
@@ -283,27 +315,7 @@ func (p IterativeBid) WithWorkers(n int) Protocol { p.Workers = n; return p }
 
 // Collect implements Protocol.
 func (p IterativeBid) Collect(rfb RFB, peers map[string]Peer, sp *obs.Span) ([]Offer, int, error) {
-	rounds := p.MaxRounds
-	if rounds < 1 {
-		rounds = 3
-	}
-	round := roundSpan(sp, 1)
-	offers := fanOut(rfb, peers, p.Workers, round, p.Policy)
-	round.End()
-	used := 1
-	for used < rounds && len(offers) > 0 {
-		req := ImproveReq{RFBID: rfb.RFBID, BuyerID: rfb.BuyerID, Trace: rfb.Trace, BestPrice: bestPrices(offers)}
-		round = roundSpan(sp, used+1)
-		improved := improveRound(req, peers, p.Workers, round, p.Policy)
-		round.End()
-		var changed bool
-		offers, changed = mergeImproved(offers, improved)
-		used++
-		if !changed {
-			break
-		}
-	}
-	return offers, used, nil
+	return collectRounds(rfb, peers, sp, p.Policy, p.Workers, p.MaxRounds, nil)
 }
 
 // Bargain has the buyer counter-offer a target price below the best standing
@@ -328,36 +340,11 @@ func (p Bargain) WithWorkers(n int) Protocol { p.Workers = n; return p }
 
 // Collect implements Protocol.
 func (p Bargain) Collect(rfb RFB, peers map[string]Peer, sp *obs.Span) ([]Offer, int, error) {
-	rounds := p.MaxRounds
-	if rounds < 1 {
-		rounds = 3
-	}
 	buyer := p.Buyer
 	if buyer == nil {
 		buyer = AnchoredBuyer{}
 	}
-	round := roundSpan(sp, 1)
-	offers := fanOut(rfb, peers, p.Workers, round, p.Policy)
-	round.End()
-	used := 1
-	for used < rounds && len(offers) > 0 {
-		best := bestPrices(offers)
-		target := make(map[string]float64, len(best))
-		for qid, b := range best {
-			target[qid] = buyer.CounterOffer(qid, b)
-		}
-		req := ImproveReq{RFBID: rfb.RFBID, BuyerID: rfb.BuyerID, Trace: rfb.Trace, BestPrice: best, Target: target}
-		round = roundSpan(sp, used+1)
-		improved := improveRound(req, peers, p.Workers, round, p.Policy)
-		round.End()
-		var changed bool
-		offers, changed = mergeImproved(offers, improved)
-		used++
-		if !changed {
-			break
-		}
-	}
-	return offers, used, nil
+	return collectRounds(rfb, peers, sp, p.Policy, p.Workers, p.MaxRounds, buyer.CounterOffer)
 }
 
 // SelectWinners picks, for every query id, the standing offer with the best
