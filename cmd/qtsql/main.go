@@ -44,6 +44,7 @@ import (
 	"qtrade/internal/ledger"
 	"qtrade/internal/netsim"
 	"qtrade/internal/obs"
+	"qtrade/internal/storage"
 	"qtrade/internal/trading"
 	"qtrade/internal/value"
 	"qtrade/internal/workload"
@@ -175,6 +176,43 @@ func (s *session) end(tr *obs.Tracer) {
 		s.tlog.Record(roots[0].Payload())
 	}
 	fmt.Print(tr.RenderText())
+}
+
+// query runs one line — SQL, EXPLAIN <sql> or EXPLAIN ANALYZE <sql> — for the
+// buyer cfg describes, over comm: optimize, explain, then analyze or execute
+// and print. store is the buyer's own data (nil for a buyer that holds none).
+func (s *session) query(cfg core.Config, comm core.Comm, store *storage.Store, line string) {
+	sql, explainOnly, analyze, tr := s.begin(line)
+	cfg.Metrics, cfg.Tracer, cfg.Ledger, cfg.Flight = s.metrics, tr, s.ledg, s.flight
+	res, err := core.Optimize(cfg, comm, sql)
+	if err != nil {
+		fmt.Printf("error: %v\n", err)
+		s.end(tr)
+		return
+	}
+	ex := &exec.Executor{Store: store}
+	if analyze {
+		ex.Stats = exec.NewRunStats()
+		if _, err := core.ExecuteResultTraced(comm, ex, res, tr); err != nil {
+			fmt.Printf("execution error: %v\n", err)
+		} else {
+			fmt.Print(core.ExplainAnalyze(res, ex.Stats))
+		}
+		s.end(tr)
+		return
+	}
+	fmt.Print(core.ExplainResult(res))
+	if explainOnly {
+		s.end(tr)
+		return
+	}
+	out, err := core.ExecuteResultTraced(comm, ex, res, tr)
+	s.end(tr)
+	if err != nil {
+		fmt.Printf("execution error: %v\n", err)
+		return
+	}
+	printResult(out)
 }
 
 // serveObs starts the HTTP exposition surface when addr is non-empty: the
@@ -332,43 +370,7 @@ func main() {
 			fmt.Printf("unknown command %s\n", line)
 			continue
 		}
-		sql, explainOnly, analyze, tr := s.begin(line)
-		cfg := f.BuyerConfig()
-		cfg.Metrics = s.metrics
-		cfg.Tracer = tr
-		cfg.Ledger = s.ledg
-		cfg.Flight = s.flight
-		res, err := f.Optimize(cfg, sql)
-		if err != nil {
-			fmt.Printf("error: %v\n", err)
-			s.end(tr)
-			continue
-		}
-		if analyze {
-			st := exec.NewRunStats()
-			ex := &exec.Executor{Store: f.Nodes[f.Buyer].Store(), Stats: st}
-			if _, err := core.ExecuteResultTraced(f.Comm(), ex, res, tr); err != nil {
-				fmt.Printf("execution error: %v\n", err)
-				s.end(tr)
-				continue
-			}
-			fmt.Print(core.ExplainAnalyze(res, st))
-			s.end(tr)
-			continue
-		}
-		fmt.Print(core.ExplainResult(res))
-		if explainOnly {
-			s.end(tr)
-			continue
-		}
-		ex := &exec.Executor{Store: f.Nodes[f.Buyer].Store()}
-		out, err := core.ExecuteResultTraced(f.Comm(), ex, res, tr)
-		s.end(tr)
-		if err != nil {
-			fmt.Printf("execution error: %v\n", err)
-			continue
-		}
-		printResult(out)
+		s.query(f.BuyerConfig(), f.Comm(), f.Nodes[f.Buyer].Store(), line)
 	}
 }
 
@@ -469,37 +471,7 @@ func runRemote(offices, connect string, callTimeout time.Duration, obsAddr strin
 			fmt.Printf("unknown command %s\n", line)
 			continue
 		}
-		sql, explainOnly, analyze, tr := s.begin(line)
-		res, err := core.Optimize(core.Config{ID: "qtsql", Schema: sch, Metrics: s.metrics,
-			Tracer: tr, Ledger: s.ledg, Flight: s.flight}, comm, sql)
-		if err != nil {
-			fmt.Printf("error: %v\n", err)
-			s.end(tr)
-			continue
-		}
-		if analyze {
-			st := exec.NewRunStats()
-			if _, err := core.ExecuteResultTraced(comm, &exec.Executor{Stats: st}, res, tr); err != nil {
-				fmt.Printf("execution error: %v\n", err)
-				s.end(tr)
-				continue
-			}
-			fmt.Print(core.ExplainAnalyze(res, st))
-			s.end(tr)
-			continue
-		}
-		fmt.Print(core.ExplainResult(res))
-		if explainOnly {
-			s.end(tr)
-			continue
-		}
-		out, err := core.ExecuteResultTraced(comm, &exec.Executor{}, res, tr)
-		s.end(tr)
-		if err != nil {
-			fmt.Printf("execution error: %v\n", err)
-			continue
-		}
-		printResult(out)
+		s.query(core.Config{ID: "qtsql", Schema: sch}, comm, nil, line)
 	}
 }
 

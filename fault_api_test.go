@@ -96,3 +96,37 @@ func TestPublicAPIEmptyFaultPlanByteIdentical(t *testing.T) {
 		t.Fatalf("message counts differ: %d vs %d", plainMsgs, chaosMsgs)
 	}
 }
+
+// TestPublicAPIFaultPolicyGuardsRun: the fault policy is how a seller is
+// reached, not a property of QueryWithRecovery — a plan optimized on a healthy
+// federation and then run while every purchased seller is slower than the call
+// timeout must fail with that timeout, long before the seller would answer.
+func TestPublicAPIFaultPolicyGuardsRun(t *testing.T) {
+	fed := buildFed(t)
+	fed.EnableFaultTolerance(FaultTolerance{CallTimeout: 40 * time.Millisecond})
+	p, err := fed.Optimize("hq", totalsQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := map[string]float64{}
+	for _, b := range p.Purchases() {
+		slow[b.Seller] = 300
+	}
+	if len(slow) == 0 {
+		t.Fatal("plan purchases nothing remote")
+	}
+	fed.SetFaultPlan(&FaultPlan{SlowNodeMS: slow})
+
+	start := time.Now()
+	_, err = p.Run()
+	took := time.Since(start)
+	if err == nil || !strings.Contains(err.Error(), "call timed out") {
+		t.Fatalf("Run over sellers slower than the call timeout: err = %v after %v, want a call timeout", err, took)
+	}
+	if took > 150*time.Millisecond {
+		t.Fatalf("Run took %v: the fetch waited for the slow seller instead of the 40ms call timeout", took)
+	}
+	if n := fed.metrics.Counter("fault.call_timeouts").Value(); n < 1 {
+		t.Fatalf("fault.call_timeouts = %d, want >= 1", n)
+	}
+}

@@ -29,7 +29,7 @@ import (
 // queries are returned.
 func Analyse(sel *sqlparse.Select, sch *catalog.Schema, cands []Candidate, asked map[string]bool, maxNew int) []string {
 	if maxNew <= 0 {
-		maxNew = 12
+		maxNew = maxNewQueries
 	}
 	var out []string
 	add := func(sub *sqlparse.Select) {

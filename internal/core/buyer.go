@@ -43,15 +43,10 @@ type Config struct {
 	Weight cost.Weights // zero = cost.DefaultWeights()
 	// Protocol is the nested negotiation of steps B2/B3/S3; nil = SealedBid.
 	Protocol trading.Protocol
-	// Mode selects the buyer plan generator; empty = GenDP. IDPKeep is the
-	// M of IDP-M(2, M); 0 = 5.
-	Mode    PlanGenMode
-	IDPKeep int
+	// Mode selects the buyer plan generator; empty = GenDP.
+	Mode PlanGenMode
 	// MaxIterations bounds the trading loop; 0 = 5.
 	MaxIterations int
-	// MaxNewQueries bounds the predicates analyser output per iteration;
-	// 0 = 12.
-	MaxNewQueries int
 	// Strategy produces the buyer's value estimates (B1); nil = anchored.
 	Strategy trading.BuyerStrategy
 	// Self contributes the buyer's own offers at zero network cost.
@@ -66,9 +61,10 @@ type Config struct {
 	// Directory, when set, health-gates the peer view resolved for this
 	// negotiation: peers recorded as draining or left — or whose circuit
 	// breaker is open — are skipped before any RFB is sent, and call
-	// outcomes feed back into it (a drain rejection marks the peer
-	// draining; a successful exchange refreshes last-seen and clears an
-	// observed drain). Nil gates nothing.
+	// outcomes feed back into it (a drain rejection of any exchange,
+	// execution-time fetches included, marks the peer draining; an answered
+	// RFB refreshes last-seen and clears an observed drain). Nil gates
+	// nothing.
 	Directory *trading.Directory
 	// PeerLatency, when set, returns the buyer's measured one-way latency
 	// to a seller in cost-model time units. Sellers price delivery with
@@ -76,13 +72,14 @@ type Config struct {
 	// time with its private knowledge of the path, so nearby replicas win
 	// over far ones in heterogeneous (WAN) federations.
 	PeerLatency func(sellerID string) float64
-	// Faults, when set, guards every peer exchange with the policy's
-	// per-call timeout, bounded retry, and per-peer circuit breaker, and
-	// bounds each negotiation round with a straggler-cutting deadline
-	// (FaultAware protocols). It also unlocks the graceful-degradation path
-	// of OptimizeAndExecute: standing-offer fallback before re-optimization.
-	// Nil (the default) leaves every call unguarded — the exact
-	// pre-fault-tolerance behaviour.
+	// Faults, when set, is the policy every exchange with a seller runs under
+	// — RFB and improvement rounds (per-call timeout, bounded retry, per-peer
+	// breaker, and a straggler-cutting deadline per round), awards, and every
+	// fetch, continuation and cursor release of an execution of the resulting
+	// plan, through whichever entry point (it rides on the Result). It also
+	// unlocks the graceful-degradation path of OptimizeAndExecute:
+	// standing-offer fallback before re-optimization. Nil (the default) leaves
+	// every call direct.
 	Faults *trading.FaultPolicy
 	// Tracer, when set, records one span tree for this optimization:
 	// iterations → negotiation rounds → per-seller RFBs (with the sellers'
@@ -111,12 +108,12 @@ type Config struct {
 	// (the default) skips dossier assembly entirely.
 	Flight *flight.Recorder
 	// Workers bounds the buyer's own fan-out: the per-round RFB/improve
-	// dispatch of ConcurrencyAware protocols and the execution-time fetch of
-	// remote plan leaves. 0 (the default) means one in-flight call per
-	// seller — the full fan-out; 1 means strictly serial in deterministic
-	// order; n > 1 caps the in-flight calls at n. Whatever the setting, the
-	// assembled offer pool and the chosen plan are byte-identical (replies
-	// are collected positionally and re-sorted).
+	// dispatch of any protocol (trading.Sellers.Workers) and the
+	// execution-time opening of remote plan leaves. 0 (the default) means one
+	// in-flight call per seller — the full fan-out; 1 means strictly serial in
+	// deterministic order; n > 1 caps the in-flight calls at n. Whatever the
+	// setting, the assembled offer pool and the chosen plan are byte-identical
+	// (replies are collected positionally and re-sorted).
 	Workers int
 	// FetchBatchRows sets the row-batch granularity of execution-time
 	// fetches: purchased answers stream in batches of n rows, n <= 0 (the
@@ -126,6 +123,13 @@ type Config struct {
 	// latency change.
 	FetchBatchRows int
 }
+
+// The loop's two fixed bounds: the M of IDP-M(2, M), and how many new queries
+// the predicates analyser may propose per iteration.
+const (
+	idpKeep       = 5
+	maxNewQueries = 12
+)
 
 // Stats reports what one optimization cost.
 type Stats struct {
@@ -172,62 +176,14 @@ type Result struct {
 	// flight carries the negotiation's identity into the execution
 	// finalizers that assemble its dossier (nil when Config.Flight unset).
 	flight *flightCapture
+	// faults and dir carry Config.Faults and Config.Directory into execution:
+	// every entry point, whatever Comm it is handed, fetches, continues and
+	// releases cursors under the policy the RFB was sent under (see reach).
+	faults *trading.FaultPolicy
+	dir    *trading.Directory
 }
 
 var rfbSeq atomic.Int64
-
-// countingPeer wraps a seller to count replies that carried no offers — the
-// remote rewrite produced nothing the node could bid. The wrapper is built
-// once per optimization, so the per-call overhead is one length check.
-type countingPeer struct {
-	trading.Peer
-	empty *atomic.Int64
-}
-
-func (p countingPeer) RequestBids(rfb trading.RFB) (trading.BidReply, error) {
-	rep, err := p.Peer.RequestBids(rfb)
-	if err == nil && len(rep.Offers) == 0 {
-		p.empty.Add(1)
-	}
-	return rep, err
-}
-
-// directoryPeer feeds call outcomes back into the shared peer directory: a
-// successful exchange refreshes last-seen (undraining the peer if a drain
-// had been observed), a drain rejection marks the peer draining so the next
-// negotiation's health gate skips it without spending a round-trip.
-type directoryPeer struct {
-	trading.Peer
-	id  string
-	dir *trading.Directory
-}
-
-func (p directoryPeer) observe(err error) {
-	switch {
-	case err == nil:
-		p.dir.Seen(p.id)
-	case trading.FailureReason(err) == "drain":
-		p.dir.MarkState(p.id, trading.StateDraining)
-	}
-}
-
-func (p directoryPeer) RequestBids(rfb trading.RFB) (trading.BidReply, error) {
-	rep, err := p.Peer.RequestBids(rfb)
-	p.observe(err)
-	return rep, err
-}
-
-func (p directoryPeer) ImproveBids(req trading.ImproveReq) (trading.BidReply, error) {
-	rep, err := p.Peer.ImproveBids(req)
-	// A draining seller still serves improvement rounds (with an empty
-	// reply), so a successful improve is NOT evidence the peer undrained —
-	// only failures feed back here. RequestBids success is the undrain
-	// signal: draining nodes refuse those.
-	if err != nil {
-		p.observe(err)
-	}
-	return rep, err
-}
 
 // partsKey canonicalizes an offer's coverage for pool deduplication (the
 // same SQL may be offered with different coverage, e.g. a partial and its
@@ -243,8 +199,7 @@ func partsKey(o trading.Offer) string {
 	return strings.Join(keys, ";")
 }
 
-// withDefaults fills the unset knobs and hands the fault policy and fan-out
-// bound to a protocol that takes them.
+// withDefaults fills the unset knobs.
 func (cfg Config) withDefaults() Config {
 	if cfg.Cost == nil {
 		cfg.Cost = cost.Default()
@@ -254,16 +209,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.Protocol == nil {
 		cfg.Protocol = trading.SealedBid{}
-	}
-	if cfg.Faults != nil {
-		if fa, ok := cfg.Protocol.(trading.FaultAware); ok {
-			cfg.Protocol = fa.WithPolicy(cfg.Faults)
-		}
-	}
-	if cfg.Workers != 0 {
-		if ca, ok := cfg.Protocol.(trading.ConcurrencyAware); ok {
-			cfg.Protocol = ca.WithWorkers(cfg.Workers)
-		}
 	}
 	if cfg.Mode == "" {
 		cfg.Mode = GenDP
@@ -275,29 +220,6 @@ func (cfg Config) withDefaults() Config {
 		cfg.Strategy = trading.AnchoredBuyer{}
 	}
 	return cfg
-}
-
-// negotiationPeers builds the negotiation's own peer view: comm.Peers may
-// hand out a map the caller keeps (PeerComm.PeerMap), which must see neither
-// the exclusions nor the per-negotiation wrappers. empty counts the replies
-// that carry no offers.
-func negotiationPeers(cfg *Config, comm Comm, empty *atomic.Int64) map[string]trading.Peer {
-	all := comm.Peers()
-	peers := make(map[string]trading.Peer, len(all))
-	for id, p := range all {
-		// Health gate: don't spend an RFB round-trip on a peer known to be
-		// draining or left, or whose breaker is open. The directory is an
-		// exclusion list — unknown peers pass.
-		if cfg.ExcludeSellers[id] || !cfg.Directory.Eligible(id) {
-			continue
-		}
-		guarded := cfg.Faults.Wrap(id, p)
-		if cfg.Directory != nil {
-			guarded = directoryPeer{Peer: guarded, id: id, dir: cfg.Directory}
-		}
-		peers[id] = countingPeer{Peer: guarded, empty: empty}
-	}
-	return peers
 }
 
 // selfBids asks the buyer's own node for offers on the round's RFB: they join
@@ -334,7 +256,7 @@ func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	plan.Qualify(sel, cfg.Schema)
-	gen, err := newPlanGen(sel, cfg.Schema, cfg.Cost, cfg.Mode, cfg.IDPKeep, cfg.PeerLatency)
+	gen, err := newPlanGen(sel, cfg.Schema, cfg.Cost, cfg.Mode, idpKeep, cfg.PeerLatency)
 	if err != nil {
 		return nil, fmt.Errorf("core: no distributed plan possible: %w", err)
 	}
@@ -345,7 +267,8 @@ func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
 	bestPrice := map[string]float64{}  // qid -> best price seen
 	queries := []trading.QueryRequest{{QID: "q0", SQL: sel.SQL()}}
 	asked := map[string]bool{sel.SQL(): true}
-	peers := negotiationPeers(&cfg, comm, &ob.empty)
+	to := &sellers{comm: comm, self: cfg.ID, pol: cfg.Faults, dir: cfg.Directory}
+	view := to.round(&cfg, &ob.empty)
 	var best *Candidate
 	for iter := 1; iter <= cfg.MaxIterations; iter++ {
 		ob.iteration(iter)
@@ -360,8 +283,8 @@ func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
 			Trace:   ob.tctx,
 			Queries: queries,
 		}
-		ph := ob.rfbIssued(rfb, len(peers))
-		offers, rounds, err := cfg.Protocol.Collect(rfb, peers, ph.sp)
+		ph := ob.rfbIssued(rfb, len(view.Peers))
+		offers, rounds, err := cfg.Protocol.Collect(rfb, view, ph.sp)
 		ph.end()
 		if err != nil {
 			return nil, fmt.Errorf("core: negotiation failed: %w", err)
@@ -406,7 +329,7 @@ func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
 		// B5/B6: the predicates analyser proposes the next round's queries
 		// from the top candidates.
 		ph = ob.phase("analyse")
-		newSQLs := Analyse(sel, cfg.Schema, cands[:min(3, len(cands))], asked, cfg.MaxNewQueries)
+		newSQLs := Analyse(sel, cfg.Schema, cands[:min(3, len(cands))], asked, maxNewQueries)
 		ph.sp.Set("new_queries", len(newSQLs))
 		ph.end()
 		ob.iterationEnd()
@@ -427,14 +350,7 @@ func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
 	ph.sp.Set("offers", len(best.Offers))
 	for _, o := range best.Offers {
 		ob.awarded(o)
-		if o.SellerID == cfg.ID {
-			continue // own offers need no award message
-		}
-		aw := trading.Award{RFBID: o.RFBID, OfferID: o.OfferID, BuyerID: cfg.ID}
-		// Award failures are tolerable (sellers execute purchased SQL even
-		// without the courtesy notification), but guard them so a dead
-		// winner cannot hang the buyer.
-		_ = cfg.Faults.Call(o.SellerID, func() error { return comm.Award(o.SellerID, aw) })
+		to.award(o)
 	}
 	ph.end()
 	finalPool := make([]trading.Offer, 0, len(pool))
@@ -443,7 +359,7 @@ func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
 	}
 	sort.Slice(finalPool, func(i, j int) bool { return finalPool[i].OfferID < finalPool[j].OfferID })
 	return ob.done(&Result{SQL: sel.SQL(), Candidate: *best, Pool: finalPool, BuyerID: cfg.ID,
-		Workers: cfg.Workers, FetchBatch: cfg.FetchBatchRows}), nil
+		Workers: cfg.Workers, FetchBatch: cfg.FetchBatchRows, faults: cfg.Faults, dir: cfg.Directory}), nil
 }
 
 // ExecuteResult runs the winning plan: Remote leaves are fetched from their
@@ -470,8 +386,8 @@ func ExecuteResultTraced(comm Comm, localExec *exec.Executor, res *Result, tr *o
 // executeUnder is ExecuteResultTraced under a span the caller owns and ends
 // (nil root = untraced, no context stamped on the wire); recovery runs each
 // attempt's re-executions under one such span.
-func executeUnder(comm Comm, localExec *exec.Executor, res *Result, root *obs.Span) (*exec.Result, error) {
-	h, err := openResult(comm, localExec, res, root)
+func executeUnder(to *sellers, localExec *exec.Executor, res *Result, root *obs.Span) (*exec.Result, error) {
+	h, err := openResult(to, localExec, res, root)
 	if err != nil {
 		return nil, err
 	}

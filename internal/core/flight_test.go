@@ -320,7 +320,7 @@ func TestFlightDisabled(t *testing.T) {
 	if res.flight != nil {
 		t.Fatal("no capture without a recorder")
 	}
-	ex, cleanup := buildPlanExecutor(&streamHandle{comm: comm, res: res}, &exec.Executor{Store: f.athens.Store()})
+	ex, cleanup := buildPlanExecutor(&streamHandle{to: reach(comm, res), res: res}, &exec.Executor{Store: f.athens.Store()})
 	cleanup()
 	if ex.Stats != nil {
 		t.Fatal("RunStats must not be attached without a recorder")

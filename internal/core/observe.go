@@ -20,13 +20,13 @@ import (
 // (ROADMAP item 6) lands in phase.end, not in Optimize.
 
 // negObs observes one negotiation. It is used from Optimize's goroutine only,
-// except for empty, which the per-negotiation peer wrappers bump from the
-// protocol's fan-out workers.
+// except for empty, which the round's call observer (sellers.round) bumps
+// from the protocol's fan-out workers.
 type negObs struct {
 	cfg   *Config
 	start time.Time
 	stats Stats
-	empty atomic.Int64 // RFB replies that carried no offers, see countingPeer
+	empty atomic.Int64 // RFB replies that carried no offers
 
 	root *obs.Span        // "optimize"; nil without a tracer
 	cur  *obs.Span        // what phases hang off: the open iteration, else root

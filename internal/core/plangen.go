@@ -172,7 +172,7 @@ func newPlanGen(sel *sqlparse.Select, sch *catalog.Schema, model *cost.Model,
 		peerLatency: peerLatency, bindIdx: map[string]int{},
 		conjuncts: expr.Conjuncts(sel.Where)}
 	if g.keep <= 0 {
-		g.keep = 5
+		g.keep = idpKeep
 	}
 	g.hasAgg = sel.HasAggregates() || len(sel.GroupBy) > 0
 	for i, tr := range sel.From {

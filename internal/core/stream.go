@@ -14,14 +14,15 @@ import (
 )
 
 // This file is the buyer side of the chunked fetch protocol: remoteStream
-// pulls one purchased answer batch by batch over the Comm the rest of the
-// negotiation uses, so every batch request rides the same fault guards
-// (per-call timeout, retry, breaker — retries are safe because continuation
-// is idempotent per Seq), the same failure attribution that drives
-// standing-offer substitution recovery, and the same trace plumbing as the
-// negotiation. It is the only way rows reach the buyer: a caller that wants
-// the whole answer drains the same stream (ExecuteResult), and an answer that
-// fits the opening batch costs exactly one exchange.
+// pulls one purchased answer batch by batch through the execution's sellers
+// handle, so the opening fetch, every continuation and an early cursor
+// release all run under the negotiation's fault policy (per-call timeout,
+// retry, breaker — retries are safe because continuation is idempotent per
+// Seq), with the failure attribution that drives standing-offer substitution
+// and the same trace plumbing as the negotiation. It is the only way rows
+// reach the buyer: a caller that wants the whole answer drains the same
+// stream (ExecuteResult), and an answer that fits the opening batch costs
+// exactly one exchange.
 
 // remoteStream is one open streamed fetch. It implements exec.RowStream; the
 // executor's Remote cursor pulls it and closes it (closing early sends the
@@ -71,7 +72,7 @@ func (s *remoteStream) exchange(fs *obs.Span, req trading.ExecReq) (trading.Exec
 		req.Trace.Parent = fs.ID()
 	}
 	sentAt := time.Now()
-	resp, err := s.run.comm.Fetch(s.nodeID, req)
+	resp, err := s.run.to.fetch(s.nodeID, req)
 	recvAt := time.Now()
 	s.wall += ms(recvAt.Sub(sentAt))
 	if err != nil {
@@ -129,7 +130,7 @@ func (s *remoteStream) Next() ([]value.Row, error) {
 func (s *remoteStream) Close() error {
 	if !s.done && s.cursor != "" {
 		req := trading.ExecReq{OfferID: s.offerID, Cursor: s.cursor, CloseCursor: true}
-		_, _ = s.run.comm.Fetch(s.nodeID, req)
+		_, _ = s.run.to.fetch(s.nodeID, req)
 		s.cursor = ""
 	}
 	s.finish(nil)
@@ -249,7 +250,7 @@ func ExecuteResultStream(comm Comm, localExec *exec.Executor, res *Result, tr *o
 		root = tr.Start(res.BuyerID, "execute")
 		root.Set("sql", res.SQL)
 	}
-	h, err := openResult(comm, localExec, res, root)
+	h, err := openResult(reach(comm, res), localExec, res, root)
 	if err != nil {
 		root.End()
 		return nil, nil, err
@@ -263,8 +264,8 @@ func ExecuteResultStream(comm Comm, localExec *exec.Executor, res *Result, tr *o
 // execution of a plan — streamed to the caller, drained by ExecuteResult, a
 // recovery re-run — goes through here and is finalized by the handle's Close,
 // including an open that fails.
-func openResult(comm Comm, localExec *exec.Executor, res *Result, root *obs.Span) (*streamHandle, error) {
-	h := &streamHandle{comm: comm, res: res, root: root}
+func openResult(to *sellers, localExec *exec.Executor, res *Result, root *obs.Span) (*streamHandle, error) {
+	h := &streamHandle{to: to, res: res, root: root}
 	ex, cleanup := buildPlanExecutor(h, localExec)
 	h.cleanup, h.st = cleanup, ex.Stats
 	res.LedgerRec.ExecStarted()
@@ -280,15 +281,15 @@ func openResult(comm Comm, localExec *exec.Executor, res *Result, root *obs.Span
 }
 
 // streamHandle is one execution of a Result's plan: what its remote fetches
-// share — the Comm, the negotiation's Result (trace context, ledger record,
-// quotes) and the run's root span — and the finalizer every execution ends
-// in. At Close leftover prefetched streams are released, the ledger's
+// share — the sellers handle, the negotiation's Result (trace context, ledger
+// record, quotes) and the run's root span — and the finalizer every execution
+// ends in. At Close leftover prefetched streams are released, the ledger's
 // execute record is completed with the rows actually pulled, and the flight
 // dossier (if a recorder is on) is assembled from whatever the cursor's
 // consumer pulled. The execute span is the caller's to end unless endRoot is
 // set.
 type streamHandle struct {
-	comm    Comm
+	to      *sellers
 	res     *Result
 	root    *obs.Span   // nil untraced
 	cur     exec.Cursor // nil when the open failed

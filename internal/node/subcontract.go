@@ -49,15 +49,6 @@ func (n *Node) subcontractDrafts(rfb trading.RFB, sel *sqlparse.Select, rw *rewr
 	if len(peers) == 0 {
 		return nil
 	}
-	if n.cfg.Faults != nil {
-		// Guard the negotiation only; execution-time fetches go through the
-		// raw peers (subFetch needs their Execute method).
-		guarded := make(map[string]trading.Peer, len(peers))
-		for id, p := range peers {
-			guarded[id] = n.cfg.Faults.Wrap(id, p)
-		}
-		peers = guarded
-	}
 	type probe struct {
 		tr                      sqlparse.TableRef
 		own                     *localopt.Partial
@@ -150,7 +141,7 @@ func (n *Node) buildComposite(rfb trading.RFB, sel *sqlparse.Select,
 			SQL: q.SQL(),
 		})
 	}
-	offers, _, err := trading.SealedBid{Policy: n.cfg.Faults}.Collect(subRFB, peers, sp)
+	offers, _, err := trading.SealedBid{}.Collect(subRFB, trading.Sellers{Peers: peers, Policy: n.cfg.Faults}, sp)
 	if err != nil {
 		return draft{}, false
 	}

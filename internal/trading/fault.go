@@ -12,11 +12,13 @@ import (
 
 // This file is the buyer-side fault-tolerance vocabulary: transient-error
 // classification, per-peer circuit breakers, and the FaultPolicy that guards
-// every negotiation call with a timeout, bounded retry-with-backoff, and a
-// breaker check. Autonomy means sellers may be slow, flaky or gone; the
-// policy turns each of those into a bounded, observable failure instead of a
-// hung negotiation. Everything here is strictly opt-in: a nil *FaultPolicy
-// reproduces the unguarded behaviour exactly.
+// a seller call with a timeout, bounded retry-with-backoff, and a breaker
+// check. The policy wraps nothing: whoever makes a call runs it under the
+// policy (gather for RFB and improve rounds, GuardCall and Call elsewhere).
+// Autonomy means sellers may be slow, flaky or gone; the policy turns each of
+// those into a bounded, observable failure instead of a hung negotiation.
+// Everything here is strictly opt-in: a nil *FaultPolicy reproduces the
+// unguarded behaviour exactly.
 
 // ErrCallTimeout marks a peer call that exceeded the policy's CallTimeout.
 var ErrCallTimeout = errors.New("trading: call timed out")
@@ -367,10 +369,11 @@ func (p *FaultPolicy) backoff(attempt int) time.Duration {
 	return d << uint(attempt)
 }
 
-// guard runs one peer call under the policy: breaker check, per-call
-// timeout, and bounded retry-with-backoff on transient errors. A nil policy
-// runs fn directly.
-func guard[T any](p *FaultPolicy, id string, fn func() (T, error)) (T, error) {
+// GuardCall runs one seller exchange under the policy: breaker check,
+// per-call timeout, and bounded retry-with-backoff on transient errors. The
+// result travels through the timeout's channel, so a timed-out call's late
+// result is discarded safely. A nil policy runs fn directly.
+func GuardCall[T any](p *FaultPolicy, id string, fn func() (T, error)) (T, error) {
 	var zero T
 	if p == nil {
 		return fn()
@@ -443,46 +446,6 @@ func (p *FaultPolicy) Call(id string, fn func() error) error {
 	if p == nil {
 		return fn()
 	}
-	_, err := guard(p, id, func() (struct{}, error) { return struct{}{}, fn() })
+	_, err := GuardCall(p, id, func() (struct{}, error) { return struct{}{}, fn() })
 	return err
-}
-
-// GuardCall guards one value-returning exchange (e.g. an execution fetch)
-// under the policy: breaker check, per-call timeout, bounded transient
-// retries. The result travels through the guard's channel, so a timed-out
-// call's late result is discarded safely. A nil policy runs fn directly.
-func GuardCall[T any](p *FaultPolicy, id string, fn func() (T, error)) (T, error) {
-	return guard(p, id, fn)
-}
-
-// Wrap returns peer guarded by the policy. A nil policy returns peer
-// unchanged, so callers can wrap unconditionally.
-func (p *FaultPolicy) Wrap(id string, peer Peer) Peer {
-	if p == nil {
-		return peer
-	}
-	return GuardedPeer{ID: id, Peer: peer, Policy: p}
-}
-
-// GuardedPeer is a Peer whose calls run under a FaultPolicy.
-type GuardedPeer struct {
-	ID     string
-	Peer   Peer
-	Policy *FaultPolicy
-}
-
-// RequestBids implements Peer.
-func (g GuardedPeer) RequestBids(rfb RFB) (BidReply, error) {
-	return guard(g.Policy, g.ID, func() (BidReply, error) { return g.Peer.RequestBids(rfb) })
-}
-
-// ImproveBids implements Peer.
-func (g GuardedPeer) ImproveBids(req ImproveReq) (BidReply, error) {
-	return guard(g.Policy, g.ID, func() (BidReply, error) { return g.Peer.ImproveBids(req) })
-}
-
-// FaultAware is implemented by protocols that can run their rounds under a
-// FaultPolicy (deadline-cut fan-out with straggler accounting).
-type FaultAware interface {
-	WithPolicy(*FaultPolicy) Protocol
 }

@@ -121,7 +121,7 @@ func TestGuardRetriesTransientErrors(t *testing.T) {
 	m := obs.NewMetrics()
 	pol := &FaultPolicy{MaxRetries: 2, Backoff: time.Microsecond, Metrics: m}
 	peer := &flakyPeer{fails: 2}
-	rep, err := pol.Wrap("f", peer).RequestBids(RFB{})
+	rep, err := GuardCall(pol, "f", func() (BidReply, error) { return peer.RequestBids(RFB{}) })
 	if err != nil || len(rep.Offers) != 1 {
 		t.Fatalf("guarded call: %v %v", rep, err)
 	}
@@ -195,7 +195,7 @@ func TestRoundDeadlineCutsStragglers(t *testing.T) {
 		"fast":  &flakyPeer{},
 		"stall": stall,
 	}
-	offers, rounds, err := SealedBid{Policy: pol}.Collect(RFB{RFBID: "r"}, peers, nil)
+	offers, rounds, err := SealedBid{}.Collect(RFB{RFBID: "r"}, Sellers{Peers: peers, Policy: pol}, nil)
 	if err != nil || rounds != 1 {
 		t.Fatalf("collect: %v %d", err, rounds)
 	}
@@ -224,7 +224,7 @@ func TestStragglerSpanAnnotated(t *testing.T) {
 	}
 	tr := obs.NewTracer()
 	round := tr.Start("buyer", "round")
-	offers, _, err := SealedBid{Policy: pol}.Collect(RFB{RFBID: "r"}, peers, round)
+	offers, _, err := SealedBid{}.Collect(RFB{RFBID: "r"}, Sellers{Peers: peers, Policy: pol}, round)
 	round.End()
 	if err != nil || len(offers) != 1 {
 		t.Fatalf("collect: %v %v", offers, err)
@@ -278,14 +278,14 @@ func TestStragglerSpanAnnotated(t *testing.T) {
 func TestNilPolicyIsUnguarded(t *testing.T) {
 	var pol *FaultPolicy
 	peer := &flakyPeer{}
-	if got := pol.Wrap("x", peer); got != Peer(peer) {
-		t.Fatal("nil policy must return the peer unchanged")
+	if _, err := GuardCall(pol, "x", func() (BidReply, error) { return peer.RequestBids(RFB{}) }); err != nil || peer.calls.Load() != 1 {
+		t.Fatalf("nil policy must call the peer directly, once: %d calls, %v", peer.calls.Load(), err)
 	}
 	if err := pol.Call("x", func() error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	// gather with a nil policy waits for every peer (no deadline).
-	offers := fanOut(RFB{}, map[string]Peer{"a": &flakyPeer{}}, 0, nil, nil)
+	offers := fanOut(RFB{}, Sellers{Peers: map[string]Peer{"a": &flakyPeer{}}}, nil)
 	if len(offers) != 1 {
 		t.Fatalf("offers: %v", offers)
 	}

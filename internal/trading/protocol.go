@@ -24,58 +24,61 @@ type Peer interface {
 // protocols hang one child per round and one grandchild per seller off it.
 type Protocol interface {
 	Name() string
-	Collect(rfb RFB, peers map[string]Peer, sp *obs.Span) (offers []Offer, rounds int, err error)
+	Collect(rfb RFB, to Sellers, sp *obs.Span) (offers []Offer, rounds int, err error)
 }
 
-// ConcurrencyAware is implemented by protocols whose per-round fan-out can
-// be bounded by a buyer worker pool. WithWorkers returns a copy of the
-// protocol dispatching at most n calls concurrently per round (0 = one
-// in-flight call per peer, the full fan-out; 1 = strictly serial in sorted
-// peer-id order). The buyer applies it from Config.Workers, mirroring how
-// FaultAware threads Config.Faults through.
-type ConcurrencyAware interface {
-	WithWorkers(n int) Protocol
+// Sellers is how a negotiation reaches its sellers: who they are and how each
+// of them is called. The zero Policy, Workers and Observe are the unguarded
+// full fan-out nobody listens to.
+type Sellers struct {
+	Peers map[string]Peer
+	// Policy guards every call (breaker, per-call timeout, bounded retry) and
+	// cuts each round at its RoundTimeout. Nil guards nothing and waits for
+	// every peer.
+	Policy *FaultPolicy
+	// Workers bounds the calls in flight per round: 0 (or anything >=
+	// len(Peers)) is one per peer, 1 is strictly serial in sorted peer-id
+	// order.
+	Workers int
+	// Observe, when set, hears how each call ended: the peer, the kind of call
+	// ("rfb" or "improve"), the offers the reply carried and the error. It is
+	// told the final outcome, after the policy's retries, never an attempt. It
+	// runs on the round's worker goroutines, possibly after a deadline-cut
+	// round has returned.
+	Observe func(id, call string, offers int, err error)
 }
 
-// gatherWorkers normalizes a Workers knob against the peer count: 0 (or
-// anything >= len(peers)) means full fan-out, n >= 1 means at most n calls
-// in flight.
-func gatherWorkers(workers, peers int) int {
-	if workers <= 0 || workers > peers {
-		return peers
-	}
-	return workers
-}
-
-// gather sends one request to every peer and merges the replies. Dispatch is
-// concurrent but bounded by workers (see gatherWorkers): peers are claimed in
-// sorted-id order by a pool of worker goroutines, and replies are collected
-// positionally into a per-peer slot table, so the merged pool is
-// byte-identical whatever the interleaving — the serial path (workers=1) and
-// the full fan-out produce the same offers in the same order (pinned by
-// core's TestBuyerFanoutMatchesSerial). Failing peers are skipped: autonomy
-// means remote nodes may decline or die, and the negotiation must survive
-// that.
+// gather sends one request to every peer and merges the replies. Each worker
+// claims the next peer in sorted-id order and then guards, calls, observes:
+// the call runs under to.Policy, and to.Observe hears the one outcome the
+// guard settled on — the reply of the attempt that succeeded, or the error
+// that ended the retries. Observing attempts instead would let one flaky call
+// count as several empty replies, or undrain a peer on an attempt the policy
+// went on to time out. Nothing else in the package calls a Peer.
 //
-// When pol sets a RoundTimeout the round is cut at that deadline — the
+// Replies are collected positionally into a per-peer slot table, so the
+// merged pool is byte-identical whatever the interleaving — the serial path
+// (Workers 1) and the full fan-out produce the same offers in the same order
+// (pinned by core's TestBuyerFanoutMatchesSerial). Failing peers are skipped:
+// autonomy means remote nodes may decline or die, and the negotiation must
+// survive that.
+//
+// When the policy sets a RoundTimeout the round is cut at that deadline — the
 // offers that already arrived are used, peers still in flight OR not yet
 // dispatched are counted as stragglers (late replies are discarded through
 // the buffered channel) and their spans annotated deadline_exceeded while
 // still open (export renders them unfinished=true). With a nil policy (or no
-// RoundTimeout) gather waits for every peer, exactly the pre-deadline
-// semantics.
+// RoundTimeout) gather waits for every peer.
 //
 // Per-seller spans are created before the goroutines launch so the deadline
 // branch can annotate stragglers; each call gets the span's ID as the remote
 // parent, and a reply that carries a trace payload is grafted under that
-// span. The fault layer retries inside call and returns at most one reply
-// (abandoned timed-out attempts are discarded before they surface), so a
-// retried call can never graft a duplicate subtree.
-func gather(label string, peers map[string]Peer, workers int, round *obs.Span, pol *FaultPolicy,
-	call func(id string, p Peer, parent uint64) (BidReply, error)) []Offer {
-
-	ids := make([]string, 0, len(peers))
-	for id := range peers {
+// span. The guard returns at most one reply (abandoned timed-out attempts are
+// discarded before they surface), so a retried call can never graft a
+// duplicate subtree.
+func gather(label string, to Sellers, round *obs.Span, call func(p Peer, parent uint64) (BidReply, error)) []Offer {
+	ids := make([]string, 0, len(to.Peers))
+	for id := range to.Peers {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
@@ -91,9 +94,13 @@ func gather(label string, peers map[string]Peer, workers int, round *obs.Span, p
 			spans[i] = round.Child(label + " " + id)
 		}
 	}
+	workers := to.Workers
+	if workers <= 0 || workers > len(ids) {
+		workers = len(ids)
+	}
 	ch := make(chan reply, len(ids))
 	var next atomic.Int64 // index of the next undispatched peer
-	for w := 0; w < gatherWorkers(workers, len(ids)); w++ {
+	for w := 0; w < workers; w++ {
 		go func() {
 			for {
 				i := int(next.Add(1)) - 1
@@ -102,7 +109,10 @@ func gather(label string, peers map[string]Peer, workers int, round *obs.Span, p
 				}
 				id, ss := ids[i], spans[i]
 				sentAt := time.Now()
-				rep, err := call(id, peers[id], ss.ID())
+				rep, err := GuardCall(to.Policy, id, func() (BidReply, error) { return call(to.Peers[id], ss.ID()) })
+				if to.Observe != nil {
+					to.Observe(id, label, len(rep.Offers), err)
+				}
 				if err != nil {
 					ss.Set("error", err)
 					ss.End()
@@ -116,6 +126,7 @@ func gather(label string, peers map[string]Peer, workers int, round *obs.Span, p
 			}
 		}()
 	}
+	pol := to.Policy
 	var deadline <-chan time.Time
 	if pol != nil && pol.RoundTimeout > 0 {
 		t := time.NewTimer(pol.RoundTimeout)
@@ -158,8 +169,8 @@ func gather(label string, peers map[string]Peer, workers int, round *obs.Span, p
 	return all
 }
 
-func fanOut(rfb RFB, peers map[string]Peer, workers int, round *obs.Span, pol *FaultPolicy) []Offer {
-	return gather("rfb", peers, workers, round, pol, func(id string, p Peer, parent uint64) (BidReply, error) {
+func fanOut(rfb RFB, to Sellers, round *obs.Span) []Offer {
+	return gather("rfb", to, round, func(p Peer, parent uint64) (BidReply, error) {
 		r := rfb
 		if r.Trace.Sampled {
 			r.Trace.Parent = parent
@@ -168,8 +179,8 @@ func fanOut(rfb RFB, peers map[string]Peer, workers int, round *obs.Span, pol *F
 	})
 }
 
-func improveRound(req ImproveReq, peers map[string]Peer, workers int, round *obs.Span, pol *FaultPolicy) []Offer {
-	return gather("improve", peers, workers, round, pol, func(id string, p Peer, parent uint64) (BidReply, error) {
+func improveRound(req ImproveReq, to Sellers, round *obs.Span) []Offer {
+	return gather("improve", to, round, func(p Peer, parent uint64) (BidReply, error) {
 		r := req
 		if r.Trace.Sampled {
 			r.Trace.Parent = parent
@@ -237,39 +248,28 @@ func bestPrices(offers []Offer) map[string]float64 {
 
 // SealedBid is the paper's default bidding protocol: one RFB round, sellers
 // answer with offers, the buyer picks winners.
-type SealedBid struct {
-	// Policy, when set, bounds the round with a straggler-cutting deadline.
-	Policy *FaultPolicy
-	// Workers bounds the fan-out (0 = one in-flight call per peer).
-	Workers int
-}
+type SealedBid struct{}
 
 // Name implements Protocol.
 func (SealedBid) Name() string { return "sealed-bid" }
 
-// WithPolicy implements FaultAware.
-func (p SealedBid) WithPolicy(pol *FaultPolicy) Protocol { p.Policy = pol; return p }
-
-// WithWorkers implements ConcurrencyAware.
-func (p SealedBid) WithWorkers(n int) Protocol { p.Workers = n; return p }
-
 // Collect implements Protocol.
-func (p SealedBid) Collect(rfb RFB, peers map[string]Peer, sp *obs.Span) ([]Offer, int, error) {
-	return collectRounds(rfb, peers, sp, p.Policy, p.Workers, 1, nil)
+func (SealedBid) Collect(rfb RFB, to Sellers, sp *obs.Span) ([]Offer, int, error) {
+	return collectRounds(rfb, to, sp, 1, nil)
 }
 
 // collectRounds is the round loop every protocol shares: one sealed RFB
 // round, then improvement rounds — each announcing the best standing price
 // per query and, when counter is set, the buyer's counter-offer below it — up
 // to maxRounds (below 1 = 3) or until no price moves.
-func collectRounds(rfb RFB, peers map[string]Peer, sp *obs.Span, pol *FaultPolicy, workers, maxRounds int,
+func collectRounds(rfb RFB, to Sellers, sp *obs.Span, maxRounds int,
 	counter func(qid string, best float64) float64) ([]Offer, int, error) {
 
 	if maxRounds < 1 {
 		maxRounds = 3
 	}
 	round := roundSpan(sp, 1)
-	offers := fanOut(rfb, peers, workers, round, pol)
+	offers := fanOut(rfb, to, round)
 	round.End()
 	used := 1
 	for used < maxRounds && len(offers) > 0 {
@@ -281,7 +281,7 @@ func collectRounds(rfb RFB, peers map[string]Peer, sp *obs.Span, pol *FaultPolic
 			}
 		}
 		round = roundSpan(sp, used+1)
-		improved := improveRound(req, peers, workers, round, pol)
+		improved := improveRound(req, to, round)
 		round.End()
 		var changed bool
 		offers, changed = mergeImproved(offers, improved)
@@ -298,24 +298,14 @@ func collectRounds(rfb RFB, peers map[string]Peer, sp *obs.Span, pol *FaultPolic
 // descending auction).
 type IterativeBid struct {
 	MaxRounds int // total rounds including the initial sealed round
-	// Policy, when set, bounds every round with a straggler-cutting deadline.
-	Policy *FaultPolicy
-	// Workers bounds every round's fan-out (0 = one in-flight call per peer).
-	Workers int
 }
 
 // Name implements Protocol.
 func (p IterativeBid) Name() string { return "iterative-bid" }
 
-// WithPolicy implements FaultAware.
-func (p IterativeBid) WithPolicy(pol *FaultPolicy) Protocol { p.Policy = pol; return p }
-
-// WithWorkers implements ConcurrencyAware.
-func (p IterativeBid) WithWorkers(n int) Protocol { p.Workers = n; return p }
-
 // Collect implements Protocol.
-func (p IterativeBid) Collect(rfb RFB, peers map[string]Peer, sp *obs.Span) ([]Offer, int, error) {
-	return collectRounds(rfb, peers, sp, p.Policy, p.Workers, p.MaxRounds, nil)
+func (p IterativeBid) Collect(rfb RFB, to Sellers, sp *obs.Span) ([]Offer, int, error) {
+	return collectRounds(rfb, to, sp, p.MaxRounds, nil)
 }
 
 // Bargain has the buyer counter-offer a target price below the best standing
@@ -323,41 +313,16 @@ func (p IterativeBid) Collect(rfb RFB, peers map[string]Peer, sp *obs.Span) ([]O
 type Bargain struct {
 	MaxRounds int
 	Buyer     BuyerStrategy
-	// Policy, when set, bounds every round with a straggler-cutting deadline.
-	Policy *FaultPolicy
-	// Workers bounds every round's fan-out (0 = one in-flight call per peer).
-	Workers int
 }
 
 // Name implements Protocol.
 func (p Bargain) Name() string { return "bargain" }
 
-// WithPolicy implements FaultAware.
-func (p Bargain) WithPolicy(pol *FaultPolicy) Protocol { p.Policy = pol; return p }
-
-// WithWorkers implements ConcurrencyAware.
-func (p Bargain) WithWorkers(n int) Protocol { p.Workers = n; return p }
-
 // Collect implements Protocol.
-func (p Bargain) Collect(rfb RFB, peers map[string]Peer, sp *obs.Span) ([]Offer, int, error) {
+func (p Bargain) Collect(rfb RFB, to Sellers, sp *obs.Span) ([]Offer, int, error) {
 	buyer := p.Buyer
 	if buyer == nil {
 		buyer = AnchoredBuyer{}
 	}
-	return collectRounds(rfb, peers, sp, p.Policy, p.Workers, p.MaxRounds, buyer.CounterOffer)
-}
-
-// SelectWinners picks, for every query id, the standing offer with the best
-// (lowest) price — the buyer's winner determination for simple valuations.
-// Ties break deterministically by seller then offer id.
-func SelectWinners(offers []Offer) map[string]Offer {
-	winners := map[string]Offer{}
-	for _, o := range offers {
-		w, ok := winners[o.QID]
-		if !ok || o.Price < w.Price ||
-			(o.Price == w.Price && (o.SellerID < w.SellerID || (o.SellerID == w.SellerID && o.OfferID < w.OfferID))) {
-			winners[o.QID] = o
-		}
-	}
-	return winners
+	return collectRounds(rfb, to, sp, p.MaxRounds, buyer.CounterOffer)
 }

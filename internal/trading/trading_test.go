@@ -65,6 +65,16 @@ func (f *fakeSeller) ImproveBids(req ImproveReq) (BidReply, error) {
 	return BidReply{Offers: out}, nil
 }
 
+// cheapest returns the lowest-priced standing offer for qid.
+func cheapest(offers []Offer, qid string) (w Offer) {
+	for _, o := range offers {
+		if o.QID == qid && (w.OfferID == "" || o.Price < w.Price) {
+			w = o
+		}
+	}
+	return w
+}
+
 func rfb1() RFB {
 	return RFB{RFBID: "r1", BuyerID: "buyer", Queries: []QueryRequest{{QID: "q1", SQL: "SELECT x FROM t"}}}
 }
@@ -75,7 +85,7 @@ func TestSealedBidCollectsFromAllPeers(t *testing.T) {
 		"b": &fakeSeller{id: "b", price: 20, floor: 15},
 		"c": &fakeSeller{id: "c", fail: true},
 	}
-	offers, rounds, err := SealedBid{}.Collect(rfb1(), peers, nil)
+	offers, rounds, err := SealedBid{}.Collect(rfb1(), Sellers{Peers: peers}, nil)
 	if err != nil || rounds != 1 {
 		t.Fatalf("sealed: %v rounds=%d", err, rounds)
 	}
@@ -92,14 +102,14 @@ func TestIterativeBidDrivesPricesDown(t *testing.T) {
 	a := &fakeSeller{id: "a", price: 10, floor: 6}
 	b := &fakeSeller{id: "b", price: 12, floor: 2}
 	peers := map[string]Peer{"a": a, "b": b}
-	offers, rounds, err := IterativeBid{MaxRounds: 40}.Collect(rfb1(), peers, nil)
+	offers, rounds, err := IterativeBid{MaxRounds: 40}.Collect(rfb1(), Sellers{Peers: peers}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rounds < 2 {
 		t.Fatalf("expected multiple rounds, got %d", rounds)
 	}
-	w := SelectWinners(offers)["q1"]
+	w := cheapest(offers, "q1")
 	// b can undercut below a's floor of 6; winner must be b with price < 6.
 	if w.SellerID != "b" || w.Price >= 6 {
 		t.Fatalf("winner: %+v", w)
@@ -109,7 +119,7 @@ func TestIterativeBidDrivesPricesDown(t *testing.T) {
 func TestIterativeBidStopsWhenStable(t *testing.T) {
 	a := &fakeSeller{id: "a", price: 10, floor: 10}
 	peers := map[string]Peer{"a": a}
-	_, rounds, _ := IterativeBid{MaxRounds: 10}.Collect(rfb1(), peers, nil)
+	_, rounds, _ := IterativeBid{MaxRounds: 10}.Collect(rfb1(), Sellers{Peers: peers}, nil)
 	if rounds != 2 { // initial + one no-change improvement round
 		t.Fatalf("rounds: %d", rounds)
 	}
@@ -118,31 +128,16 @@ func TestIterativeBidStopsWhenStable(t *testing.T) {
 func TestBargainUsesCounterOffers(t *testing.T) {
 	a := &fakeSeller{id: "a", price: 100, floor: 10}
 	peers := map[string]Peer{"a": a}
-	offers, _, err := Bargain{MaxRounds: 8, Buyer: AnchoredBuyer{Discount: 0.5}}.Collect(rfb1(), peers, nil)
+	offers, _, err := Bargain{MaxRounds: 8, Buyer: AnchoredBuyer{Discount: 0.5}}.Collect(rfb1(), Sellers{Peers: peers}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := SelectWinners(offers)["q1"]
+	w := cheapest(offers, "q1")
 	if w.Price >= 50 {
 		t.Fatalf("bargaining should cut deep: %f", w.Price)
 	}
 	if a.improves == 0 {
 		t.Fatal("seller never improved")
-	}
-}
-
-func TestSelectWinnersTieBreaking(t *testing.T) {
-	offers := []Offer{
-		{OfferID: "2", QID: "q", SellerID: "b", Price: 5},
-		{OfferID: "1", QID: "q", SellerID: "a", Price: 5},
-		{OfferID: "3", QID: "q2", SellerID: "c", Price: 9},
-	}
-	w := SelectWinners(offers)
-	if w["q"].SellerID != "a" {
-		t.Fatalf("tie must break by seller id: %+v", w["q"])
-	}
-	if len(w) != 2 {
-		t.Fatalf("winners: %d", len(w))
 	}
 }
 
