@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 
 	"qtrade/internal/expr"
 	"qtrade/internal/plan"
@@ -114,6 +113,37 @@ func (ex *Executor) runAggregate(t *plan.Aggregate) ([]value.Row, error) {
 	return aggregateRows(t, in)
 }
 
+// keyIndex numbers the distinct keys it is shown in first-appearance order,
+// finding a key by its value.HashRow and then field-wise value.SameKey — the
+// grouping equivalence, with no key string built per row. Keys whose hashes
+// collide chain through next.
+type keyIndex struct {
+	heads map[uint64]int32 // key hash -> 1 + newest key with that hash
+	next  []int32          // key number -> 1 + the previous key with its hash, 0 at the end
+	keys  []value.Row
+}
+
+// find returns the number of the key equal to key (whose hash is h), or -1.
+func (x *keyIndex) find(h uint64, key value.Row) int {
+	for e := x.heads[h]; e != 0; e = x.next[e-1] {
+		if value.SameKey(x.keys[e-1], key) {
+			return int(e - 1)
+		}
+	}
+	return -1
+}
+
+// add numbers a key find did not know. The index keeps key, so it must not
+// be a scratch row.
+func (x *keyIndex) add(h uint64, key value.Row) {
+	if x.heads == nil {
+		x.heads = map[uint64]int32{}
+	}
+	x.next = append(x.next, x.heads[h])
+	x.keys = append(x.keys, key)
+	x.heads[h] = int32(len(x.keys))
+}
+
 // aggregateRows evaluates the aggregate over fully materialized input rows,
 // emitting groups in first-seen order. Shared by the streaming cursor
 // (aggregation is a blocking operator) and the materializing reference path.
@@ -139,31 +169,32 @@ func aggregateRows(t *plan.Aggregate, in []value.Row) ([]value.Row, error) {
 		argExprs[i] = b
 	}
 
-	type group struct {
-		key    value.Row
-		states []*aggState
-		order  int
+	var groups keyIndex
+	var states [][]*aggState // group number -> one state per aggregate
+	newGroup := func(h uint64, key value.Row) {
+		groups.add(h, key)
+		st := make([]*aggState, len(t.Aggs))
+		for i, it := range t.Aggs {
+			st[i] = newAggState(it)
+		}
+		states = append(states, st)
 	}
-	groups := map[string]*group{}
+	key := make(value.Row, len(groupExprs)) // scratch: cloned when it founds a group
 	for _, r := range in {
-		keyVals := make(value.Row, len(groupExprs))
 		for i, g := range groupExprs {
 			v, err := expr.Eval(g, r)
 			if err != nil {
 				return nil, err
 			}
-			keyVals[i] = v
+			key[i] = v
 		}
-		k := value.Key(keyVals, seq(len(keyVals)))
-		grp := groups[k]
-		if grp == nil {
-			grp = &group{key: keyVals, order: len(groups)}
-			for _, it := range t.Aggs {
-				grp.states = append(grp.states, newAggState(it))
-			}
-			groups[k] = grp
+		h := value.HashRow(key)
+		g := groups.find(h, key)
+		if g < 0 {
+			g = len(states)
+			newGroup(h, key.Clone())
 		}
-		for i, st := range grp.states {
+		for i, st := range states[g] {
 			var v value.Value
 			if !st.star {
 				var err error
@@ -178,26 +209,17 @@ func aggregateRows(t *plan.Aggregate, in []value.Row) ([]value.Row, error) {
 		}
 	}
 	// Global aggregation over zero rows still yields one row.
-	if len(groups) == 0 && len(t.GroupBy) == 0 {
-		g := &group{}
-		for _, it := range t.Aggs {
-			g.states = append(g.states, newAggState(it))
-		}
-		groups[""] = g
+	if len(states) == 0 && len(t.GroupBy) == 0 {
+		newGroup(value.HashRow(nil), nil)
 	}
-	ordered := make([]*group, 0, len(groups))
-	for _, g := range groups {
-		ordered = append(ordered, g)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].order < ordered[j].order })
-	out := make([]value.Row, 0, len(ordered))
-	for _, g := range ordered {
-		row := make(value.Row, 0, len(g.key)+len(g.states))
-		row = append(row, g.key...)
-		for _, st := range g.states {
-			row = append(row, st.result())
+	out := make([]value.Row, len(states))
+	for g, st := range states {
+		row := make(value.Row, 0, len(groups.keys[g])+len(st))
+		row = append(row, groups.keys[g]...)
+		for _, s := range st {
+			row = append(row, s.result())
 		}
-		out = append(out, row)
+		out[g] = row
 	}
 	return out, nil
 }

@@ -20,9 +20,12 @@ const DefaultBatchSize = 256
 // returns the next batch, where a nil or empty batch means exhausted; Close
 // releases resources. A batch is valid only until the following Next call —
 // consumers that retain rows across calls must copy the slice (the row
-// values themselves are never reused). Close is idempotent, safe to call
-// before exhaustion (early close releases upstream work, e.g. seller-side
-// cursors), and safe on a cursor whose Open failed or never ran.
+// values themselves are never reused). Operators that build rows (project,
+// join) carve them out of a slab shared by the rows around them, so a
+// retained row pins its whole slab, about a batch of rows. Close is
+// idempotent, safe to call before exhaustion (early close releases upstream
+// work, e.g. seller-side cursors), and safe on a cursor whose Open failed or
+// never ran.
 type Cursor interface {
 	Open() error
 	Next() ([]value.Row, error)
@@ -338,7 +341,8 @@ func (c *filterCursor) Close() error {
 	return c.in.Close()
 }
 
-// projectCursor evaluates the projection row by row as batches flow through.
+// projectCursor evaluates the projection row by row as batches flow through,
+// into one fresh slab per batch.
 type projectCursor struct {
 	ex     *Executor
 	t      *plan.Project
@@ -369,16 +373,17 @@ func (c *projectCursor) Next() ([]value.Row, error) {
 		return nil, err
 	}
 	c.out = c.out[:0]
+	slab := make([]value.Value, 0, len(b)*len(c.bound))
 	for _, r := range b {
-		row := make(value.Row, len(c.bound))
-		for i, e := range c.bound {
+		n := len(slab)
+		for _, e := range c.bound {
 			v, err := expr.Eval(e, r)
 			if err != nil {
 				return nil, err
 			}
-			row[i] = v
+			slab = append(slab, v)
 		}
-		c.out = append(c.out, row)
+		c.out = append(c.out, slab[n:len(slab):len(slab)])
 	}
 	return c.out, nil
 }
@@ -397,6 +402,13 @@ func (c *projectCursor) Close() error {
 // path exactly — left row order crossed with right insertion order per
 // bucket. Without equi-join keys it degrades to nested loops over the
 // materialized right side.
+//
+// The table is three flat pieces indexed by build-row number instead of a
+// heap object per entry: heads maps a key hash to the first row of its
+// chain, next links each row to the following one with the same hash, and
+// keys holds every row's key values side by side. Rows are linked last to
+// first, each pushed at the head of its chain, so a chain reads in build
+// order.
 type joinCursor struct {
 	ex       *Executor
 	t        *plan.Join
@@ -404,18 +416,17 @@ type joinCursor struct {
 	lKeys    []expr.Expr
 	rKeys    []expr.Expr
 	residual expr.Expr
-	table    map[uint64][]joinBucket
-	rRows    []value.Row // nested-loop fallback
+	rRows    []value.Row      // build side; all of it is the nested-loop fallback
+	heads    map[uint64]int32 // key hash -> 1 + first build row of the chain
+	next     []int32          // build row -> 1 + next row of its chain, 0 at the end
+	keys     []value.Value    // build row i's key at [i*len(rKeys) : (i+1)*len(rKeys)]
+	probe    value.Row        // probe-side key scratch, reused for every left row
+	slab     []value.Value    // unused tail is where the next output row goes
 	buf      []value.Row
 	idx      int
 	out      []value.Row
 	done     bool
 	closed   bool
-}
-
-type joinBucket struct {
-	keys value.Row
-	row  value.Row
 }
 
 func (c *joinCursor) Open() error {
@@ -427,38 +438,66 @@ func (c *joinCursor) Open() error {
 	if err := c.r.Open(); err != nil {
 		return err
 	}
-	rRows, err := Drain(c.r) // build side blocks; drained and released here
+	c.rRows, err = Drain(c.r) // build side blocks; drained and released here
 	if err != nil {
 		return err
 	}
-	if len(c.lKeys) == 0 {
-		c.rRows = rRows
-	} else {
-		c.table = map[uint64][]joinBucket{}
-		for _, rr := range rRows {
-			keys, null, err := evalKeys(c.rKeys, rr)
+	if nk := len(c.rKeys); nk > 0 {
+		c.heads = make(map[uint64]int32, len(c.rRows))
+		c.next = make([]int32, len(c.rRows))
+		c.keys = make([]value.Value, len(c.rRows)*nk)
+		c.probe = make(value.Row, nk)
+		for i := len(c.rRows) - 1; i >= 0; i-- {
+			key := value.Row(c.keys[i*nk : (i+1)*nk])
+			null, err := evalKeyInto(key, c.rKeys, c.rRows[i])
 			if err != nil {
 				return err
 			}
 			if null {
-				continue // NULL keys never match
+				continue // NULL keys never match: the row joins no chain
 			}
-			h := value.HashRow(keys, seq(len(keys)))
-			c.table[h] = append(c.table[h], joinBucket{keys: keys, row: rr})
+			h := value.HashRow(key)
+			c.next[i] = c.heads[h]
+			c.heads[h] = int32(i + 1)
 		}
 	}
 	return c.l.Open()
 }
 
+// evalKeyInto evaluates the key expressions over row into dst, stopping at
+// the first NULL (null = true: the key matches nothing).
+func evalKeyInto(dst value.Row, keys []expr.Expr, row value.Row) (null bool, err error) {
+	for i, k := range keys {
+		v, err := expr.Eval(k, row)
+		if err != nil {
+			return false, err
+		}
+		if v.IsNull() {
+			return true, nil
+		}
+		dst[i] = v
+	}
+	return false, nil
+}
+
+// emit carves lr ++ rr out of the slab; a row the residual rejects gives its
+// slot back. A full slab is replaced, never regrown (rows already handed out
+// keep theirs), by one sized for the left rows still to probe in this input
+// batch — or, inside a long match chain, for as many rows as the batch holds.
 func (c *joinCursor) emit(lr, rr value.Row) error {
-	row := make(value.Row, 0, len(lr)+len(rr))
-	row = append(append(row, lr...), rr...)
+	n, w := len(c.slab), len(lr)+len(rr)
+	if cap(c.slab)-n < w {
+		n, c.slab = 0, make([]value.Value, 0, w*max(len(c.buf)-c.idx+1, len(c.out)))
+	}
+	c.slab = append(append(c.slab, lr...), rr...)
+	row := value.Row(c.slab[n : n+w : n+w])
 	if c.residual != nil {
 		ok, err := expr.EvalBool(c.residual, row)
 		if err != nil {
 			return err
 		}
 		if !ok {
+			c.slab = c.slab[:n]
 			return nil
 		}
 	}
@@ -489,7 +528,7 @@ func (c *joinCursor) Next() ([]value.Row, error) {
 		}
 		lr := c.buf[c.idx]
 		c.idx++
-		if c.table == nil {
+		if c.heads == nil {
 			for _, rr := range c.rRows {
 				if err := c.emit(lr, rr); err != nil {
 					return nil, err
@@ -497,19 +536,20 @@ func (c *joinCursor) Next() ([]value.Row, error) {
 			}
 			continue
 		}
-		keys, null, err := evalKeys(c.lKeys, lr)
+		null, err := evalKeyInto(c.probe, c.lKeys, lr)
 		if err != nil {
 			return nil, err
 		}
 		if null {
 			continue
 		}
-		h := value.HashRow(keys, seq(len(keys)))
-		for _, b := range c.table[h] {
-			if !keysEqual(keys, b.keys) {
+		nk := len(c.probe)
+		for e := c.heads[value.HashRow(c.probe)]; e != 0; e = c.next[e-1] {
+			i := int(e - 1)
+			if !keysEqual(c.probe, c.keys[i*nk:(i+1)*nk]) {
 				continue
 			}
-			if err := c.emit(lr, b.row); err != nil {
+			if err := c.emit(lr, c.rRows[i]); err != nil {
 				return nil, err
 			}
 		}
@@ -684,7 +724,7 @@ func (c *limitCursor) Close() error {
 type distinctCursor struct {
 	ex     *Executor
 	in     Cursor
-	seen   map[string]bool
+	seen   keyIndex
 	buf    []value.Row
 	idx    int
 	out    []value.Row
@@ -692,10 +732,7 @@ type distinctCursor struct {
 	closed bool
 }
 
-func (c *distinctCursor) Open() error {
-	c.seen = map[string]bool{}
-	return c.in.Open()
-}
+func (c *distinctCursor) Open() error { return c.in.Open() }
 
 func (c *distinctCursor) Next() ([]value.Row, error) {
 	if c.done || c.closed {
@@ -718,9 +755,8 @@ func (c *distinctCursor) Next() ([]value.Row, error) {
 		}
 		r := c.buf[c.idx]
 		c.idx++
-		k := value.Key(r, seq(len(r)))
-		if !c.seen[k] {
-			c.seen[k] = true
+		if h := value.HashRow(r); c.seen.find(h, r) < 0 {
+			c.seen.add(h, r)
 			c.out = append(c.out, r)
 		}
 	}

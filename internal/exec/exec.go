@@ -380,7 +380,7 @@ func (ex *Executor) runJoin(t *plan.Join) ([]value.Row, error) {
 		if null {
 			continue // NULL keys never match
 		}
-		h := value.HashRow(keys, seq(len(keys)))
+		h := value.HashRow(keys)
 		table[h] = append(table[h], bucket{keys: keys, row: rr})
 	}
 	for _, lr := range l {
@@ -391,7 +391,7 @@ func (ex *Executor) runJoin(t *plan.Join) ([]value.Row, error) {
 		if null {
 			continue
 		}
-		h := value.HashRow(keys, seq(len(keys)))
+		h := value.HashRow(keys)
 		for _, b := range table[h] {
 			if !keysEqual(keys, b.keys) {
 				continue

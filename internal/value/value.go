@@ -5,7 +5,6 @@ package value
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -200,41 +199,67 @@ func Identical(a, b Value) bool {
 	return ok && c == 0
 }
 
-// Hash returns a hash of v such that Identical values hash equally.
-func Hash(v Value) uint64 {
-	h := fnv.New64a()
+// FNV-1a, 64 bit.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// integral reports the integer v groups and hashes as: an Int's value, or a
+// Float's when it is integral and in int64 range, so 1 and 1.0 fall together.
+// The range ends below 2^63: float64(math.MaxInt64) rounds up to 2^63, which
+// int64 cannot hold.
+func integral(v Value) (int64, bool) {
 	switch v.K {
-	case Null:
-		h.Write([]byte{0})
 	case Int:
-		writeUint64(h, uint64(v.I))
+		return v.I, true
 	case Float:
-		if v.F == math.Trunc(v.F) && v.F >= math.MinInt64 && v.F <= math.MaxInt64 {
-			// Integral floats hash like ints so 1 and 1.0 group together.
-			writeUint64(h, uint64(int64(v.F)))
-		} else {
-			writeUint64(h, math.Float64bits(v.F))
-		}
-	case Str:
-		h.Write([]byte{2})
-		h.Write([]byte(v.S))
-	case Bool:
-		if v.B {
-			h.Write([]byte{3, 1})
-		} else {
-			h.Write([]byte{3, 0})
+		if v.F == math.Trunc(v.F) && v.F >= math.MinInt64 && v.F < 1<<63 {
+			return int64(v.F), true
 		}
 	}
-	return h.Sum64()
+	return 0, false
 }
 
-func writeUint64(h interface{ Write([]byte) (int, error) }, u uint64) {
-	var buf [9]byte
-	buf[0] = 1
-	for i := 0; i < 8; i++ {
-		buf[i+1] = byte(u >> (8 * i))
+// Hash returns a hash of v such that Identical values, and values SameKey
+// groups together, hash equally. It is FNV-1a over a kind tag and the value's
+// bytes, folded inline: hashing allocates nothing.
+func Hash(v Value) uint64 {
+	h := uint64(fnvOffset64)
+	switch v.K {
+	case Null:
+		h = (h ^ 0) * fnvPrime64
+	case Int, Float:
+		if i, ok := integral(v); ok {
+			h = fnvUint64(h, uint64(i))
+		} else if v.F != v.F {
+			h = fnvUint64(h, math.Float64bits(math.NaN())) // every NaN payload is one key
+		} else {
+			h = fnvUint64(h, math.Float64bits(v.F))
+		}
+	case Str:
+		h = (h ^ 2) * fnvPrime64
+		for i := 0; i < len(v.S); i++ {
+			h = (h ^ uint64(v.S[i])) * fnvPrime64
+		}
+	case Bool:
+		h = (h ^ 3) * fnvPrime64
+		if v.B {
+			h ^= 1
+		}
+		h *= fnvPrime64
 	}
-	h.Write(buf[:])
+	return h
+}
+
+// fnvUint64 folds the tag byte 1 and u's eight bytes, low byte first, into h.
+func fnvUint64(h, u uint64) uint64 {
+	h = (h ^ 1) * fnvPrime64
+	for i := 0; i < 8; i++ {
+		h = (h ^ (u & 0xff)) * fnvPrime64
+		u >>= 8
+	}
+	return h
 }
 
 // Arith applies the arithmetic operator op ("+", "-", "*", "/") to two
@@ -303,13 +328,14 @@ func (r Row) Clone() Row {
 	return out
 }
 
-// HashRow hashes the projection of r onto the given column indexes.
-func HashRow(r Row, cols []int) uint64 {
-	h := fnv.New64a()
-	for _, c := range cols {
-		writeUint64(h, Hash(r[c]))
+// HashRow hashes every column of r in order: the hash of an already
+// projected join or grouping key.
+func HashRow(r Row) uint64 {
+	h := uint64(fnvOffset64)
+	for _, v := range r {
+		h = fnvUint64(h, Hash(v))
 	}
-	return h.Sum64()
+	return h
 }
 
 // RowsEqualOn reports whether two rows agree (Identical) on the given
@@ -335,13 +361,10 @@ func Key(r Row, cols []int) string {
 		switch v.K {
 		case Null:
 			sb.WriteString("\x00N")
-		case Int:
-			sb.WriteString("\x00I")
-			sb.WriteString(strconv.FormatInt(v.I, 10))
-		case Float:
-			if v.F == math.Trunc(v.F) && v.F >= math.MinInt64 && v.F <= math.MaxInt64 {
+		case Int, Float:
+			if i, ok := integral(v); ok {
 				sb.WriteString("\x00I")
-				sb.WriteString(strconv.FormatInt(int64(v.F), 10))
+				sb.WriteString(strconv.FormatInt(i, 10))
 			} else {
 				sb.WriteString("\x00F")
 				sb.WriteString(strconv.FormatFloat(v.F, 'g', -1, 64))
@@ -358,4 +381,40 @@ func Key(r Row, cols []int) string {
 		}
 	}
 	return sb.String()
+}
+
+// SameKey reports whether a and b fall in one GROUP BY / DISTINCT group: the
+// equivalence Key's rendering induces, field by field, without building the
+// strings. NULLs group together, an integral float with its integer, NaN
+// with NaN; everything else by kind and value.
+func SameKey(a, b Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !sameKey(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameKey(a, b Value) bool {
+	ai, aInt := integral(a)
+	bi, bInt := integral(b)
+	if aInt || bInt {
+		return aInt && bInt && ai == bi
+	}
+	if a.K != b.K {
+		return false
+	}
+	switch a.K {
+	case Float:
+		return a.F == b.F || (a.F != a.F && b.F != b.F)
+	case Str:
+		return a.S == b.S
+	case Bool:
+		return a.B == b.B
+	}
+	return true
 }
