@@ -10,7 +10,6 @@
 //	qtbench -exp F3 -trace f3.json -metrics  # Chrome trace + metrics dump
 //	qtbench -exp F15 -clients 1,2,4,8        # throughput at a custom client sweep
 //	qtbench -exp T1 -ledger                  # calibration report after the run
-//	qtbench -exp F19 -json bench.json        # machine-readable result artifact
 //
 // -trace writes a Chrome trace_event file of every optimization the selected
 // experiments ran (load it in chrome://tracing or https://ui.perfetto.dev);
@@ -22,14 +21,11 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime/debug"
 	"strconv"
 	"strings"
-	"time"
 
 	"qtrade/internal/experiments"
 	"qtrade/internal/ledger"
@@ -59,7 +55,6 @@ func main() {
 	metricsDump := flag.Bool("metrics", false, "print the metrics snapshot after the run")
 	clients := flag.String("clients", "", "comma-separated closed-loop client counts for F15 (e.g. 1,2,4,8)")
 	ledgerDump := flag.Bool("ledger", false, "audit every negotiation in a trading ledger and print the calibration report after the run")
-	jsonPath := flag.String("json", "", "also write the run's tables as a JSON artifact (experiments, seed, scale, commit) to this file")
 	flag.Var(&exps, "exp", "experiment id to run (repeatable or comma-separated): T1, T2, F1..F19; default all")
 	flag.Parse()
 
@@ -103,25 +98,17 @@ func main() {
 	for _, e := range exps {
 		want[e] = true
 	}
-	var tables []*experiments.Table
+	ran := 0
 	for _, s := range specs {
 		if len(want) > 0 && !want[s.ID] {
 			continue
 		}
-		t := s.Run()
-		t.Fprint(os.Stdout)
-		tables = append(tables, t)
+		s.Run().Fprint(os.Stdout)
+		ran++
 	}
-	if len(tables) == 0 {
+	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "qtbench: no experiment matched %v (have T1, T2, F1..F19)\n", exps)
 		os.Exit(1)
-	}
-	if *jsonPath != "" {
-		if err := writeArtifact(*jsonPath, *seed, *full, tables); err != nil {
-			fmt.Fprintf(os.Stderr, "qtbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "qtbench: wrote JSON artifact to %s\n", *jsonPath)
 	}
 
 	if tracer != nil {
@@ -146,32 +133,4 @@ func main() {
 	if led != nil {
 		fmt.Printf("-- trading ledger: %d negotiations audited --\n%s", led.Len(), led.Calibration().Text())
 	}
-}
-
-// writeArtifact dumps the run as one machine-readable JSON file so CI can
-// archive benchmark results and diff them across commits.
-func writeArtifact(path string, seed int64, full bool, tables []*experiments.Table) error {
-	scale := "quick"
-	if full {
-		scale = "full"
-	}
-	art := struct {
-		Seed        int64                `json:"seed"`
-		Scale       string               `json:"scale"`
-		Commit      string               `json:"commit,omitempty"`
-		RunAt       string               `json:"run_at"`
-		Experiments []*experiments.Table `json:"experiments"`
-	}{Seed: seed, Scale: scale, RunAt: time.Now().UTC().Format(time.RFC3339), Experiments: tables}
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "vcs.revision" {
-				art.Commit = s.Value
-			}
-		}
-	}
-	body, err := json.MarshalIndent(art, "", " ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(body, '\n'), 0o644)
 }

@@ -288,7 +288,7 @@ func (o *optimizer) resolve() error {
 			}
 			sel := 1.0
 			if r.localPred != nil {
-				sel = stats.Selectivity(fs, stripQuals(r.localPred))
+				sel = stats.Selectivity(fs, expr.Unqualify(r.localPred))
 			}
 			r.rows[pid] = int64(math.Ceil(float64(fs.Rows) * sel))
 			r.bytes[pid] = float64(r.rows[pid]) * math.Max(fs.RowBytes, 8)
@@ -300,15 +300,6 @@ func (o *optimizer) resolve() error {
 		}
 	}
 	return nil
-}
-
-func stripQuals(e expr.Expr) expr.Expr {
-	return expr.Transform(expr.Clone(e), func(n expr.Expr) expr.Expr {
-		if c, ok := n.(*expr.Column); ok && c.Table != "" {
-			return &expr.Column{Name: c.Name, Index: -1}
-		}
-		return n
-	})
 }
 
 func (o *optimizer) totalRows(r *rel) int64 {
@@ -565,7 +556,7 @@ func (o *optimizer) remoteSubset(mask uint, site string, se siteEntry) (*buyerEn
 }
 
 func (o *optimizer) joinEntries(l, r *buyerEntry, preds []expr.Expr) *buyerEntry {
-	outRows := joinRows(l.rows, r.rows, len(preds), maxI64(l.rows, r.rows))
+	outRows := joinRows(l.rows, r.rows, len(preds), max(l.rows, r.rows))
 	build, probe := l.rows, r.rows
 	if build > probe {
 		build, probe = probe, build
@@ -589,13 +580,6 @@ func (o *optimizer) joinEntries(l, r *buyerEntry, preds []expr.Expr) *buyerEntry
 		bytes:     l.bytes + r.bytes,
 		fetches:   l.fetches + r.fetches,
 	}
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // run is the site-aware DP over relation subsets.

@@ -698,7 +698,7 @@ func (g *planGen) join(l, r *assembly, preds []expr.Expr) *assembly {
 	// larger side (offers do not ship per-column NDVs).
 	rows := float64(l.rows) * float64(r.rows)
 	if len(preds) > 0 {
-		d := math.Max(float64(maxI(l.rows, r.rows)), 1)
+		d := math.Max(float64(max(l.rows, r.rows)), 1)
 		rows = rows / d * math.Pow(1.0/3.0, float64(len(preds)-1))
 	}
 	if rows < 1 {
@@ -815,7 +815,7 @@ func (g *planGen) wholePlanCandidates() []Candidate {
 		rows := info.o.Props.Rows
 		if g.sel.Limit >= 0 {
 			node = &plan.Limit{Input: node, N: g.sel.Limit}
-			rows = minI(rows, g.sel.Limit)
+			rows = min(rows, g.sel.Limit)
 		}
 		noteSpine(node, nil, rows)
 		out = append(out, Candidate{
@@ -842,13 +842,6 @@ func noteSpine(root, base plan.Node, rows int64) {
 		}
 		n = ch[0]
 	}
-}
-
-func minI(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // sortKeyForOutput maps an ORDER BY expression onto the remote output schema
@@ -895,13 +888,6 @@ func dedupStrings(in []string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func maxI(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // EstimateValuation turns a candidate into the multidimensional valuation the

@@ -13,144 +13,95 @@ import (
 	"qtrade/internal/value"
 )
 
-// This file is the buyer side of the chunked fetch protocol: remoteStream
-// pulls one purchased answer batch by batch through the execution's sellers
-// handle, so the opening fetch, every continuation and an early cursor
-// release all run under the negotiation's fault policy (per-call timeout,
-// retry, breaker — retries are safe because continuation is idempotent per
-// Seq), with the failure attribution that drives standing-offer substitution
-// and the same trace plumbing as the negotiation. It is the only way rows
-// reach the buyer: a caller that wants the whole answer drains the same
-// stream (ExecuteResult), and an answer that fits the opening batch costs
-// exactly one exchange.
+// This file is the buyer's side of delivery. The chunked-fetch protocol is
+// trading.Fetch; remoteStream adds what is the buyer's: every exchange goes
+// through the execution's sellers handle (the negotiation's fault policy, the
+// failure attribution that drives standing-offer substitution), is recorded as
+// a fetch span with the seller's subtree grafted under it, and the delivery
+// lands in the ledger once. It is the only way rows reach the buyer: a caller
+// that wants the whole answer drains the same stream (ExecuteResult).
 
-// remoteStream is one open streamed fetch. It implements exec.RowStream; the
-// executor's Remote cursor pulls it and closes it (closing early sends the
-// seller a cursor release instead of draining the answer).
+// remoteStream is one purchased answer being fetched. It is the exec.RowStream
+// the executor's Remote cursor pulls and closes.
 type remoteStream struct {
+	trading.Fetch
 	run     *streamHandle // the execution this fetch belongs to
 	nodeID  string
 	sql     string
 	offerID string
-
-	cols   []expr.ColumnID
-	first  []value.Row // the opening batch until Next hands it out
-	cursor string      // continuation token; empty once the seller has no more
-	seq    int64
-
-	execMS float64 // seller-reported cumulative execution ms (last batch wins)
-	wall   float64 // buyer-side wall ms across every exchange
-	rows   int64
-	bytes  int64
-	done   bool // exhausted, failed or closed: the fetch event is written
+	logged  bool // the ledger's fetch event is written
 }
 
-// openRemoteStream issues the opening fetch (Stream set, first batch plus a
-// continuation token when more remains) and wraps the reply as a RowStream.
+// openRemoteStream issues the opening fetch: Stream set, so the reply is the
+// first batch plus a continuation token when more remains.
 func openRemoteStream(run *streamHandle, nodeID, sql, offerID string, batch int) (exec.RowStream, error) {
 	s := &remoteStream{run: run, nodeID: nodeID, sql: sql, offerID: offerID}
-	resp, err := s.exchange(run.root.Child("fetch "+nodeID),
-		trading.ExecReq{SQL: sql, OfferID: offerID, Stream: true, BatchRows: batch})
-	if err != nil {
+	req := trading.ExecReq{SQL: sql, OfferID: offerID, Stream: true, BatchRows: batch}
+	if err := s.Open(s.exchange, req, 0); err != nil {
+		s.finish(err)
 		return nil, err
 	}
-	s.cols = make([]expr.ColumnID, len(resp.Cols))
-	for i, c := range resp.Cols {
-		s.cols[i] = expr.ColumnID{Table: c.Table, Name: c.Name}
-	}
-	s.first = resp.Rows
 	return s, nil
 }
 
-// exchange is one fetch round trip, the opening one or a continuation,
-// recorded as fs: a traced run stamps its context on the request and grafts
-// the seller's subtree under fs, the stream's actuals accumulate, and a
-// failure finishes the stream with the error.
-func (s *remoteStream) exchange(fs *obs.Span, req trading.ExecReq) (trading.ExecResp, error) {
+// exchange is the call the fetch makes for each round trip. An opening fetch
+// or a continuation is recorded as a span: a traced run stamps its context on
+// the request and grafts the seller's subtree under it. A cursor release is
+// best effort and leaves no trace.
+func (s *remoteStream) exchange(req trading.ExecReq) (trading.ExecResp, error) {
+	if req.CloseCursor {
+		return s.run.to.fetch(s.nodeID, req)
+	}
+	name := "fetch "
+	if req.Cursor != "" {
+		name = "fetch-batch "
+	}
+	fs := s.run.root.Child(name + s.nodeID)
 	if s.run.traced() {
 		req.Trace = s.run.res.TraceCtx
 		req.Trace.Parent = fs.ID()
 	}
 	sentAt := time.Now()
 	resp, err := s.run.to.fetch(s.nodeID, req)
-	recvAt := time.Now()
-	s.wall += ms(recvAt.Sub(sentAt))
 	if err != nil {
 		fs.Set("error", err)
-		fs.End()
-		s.finish(err)
-		return resp, err
+	} else {
+		fs.Graft(resp.Trace, sentAt, time.Now())
+		if req.Cursor != "" && fs != nil { // an attribute boxes its value
+			fs.Set("rows", len(resp.Rows))
+		}
 	}
-	fs.Graft(resp.Trace, sentAt, recvAt)
 	fs.End()
-	s.execMS = resp.ExecMS // cumulative on the seller side: last batch is the total
-	s.rows += int64(len(resp.Rows))
-	s.bytes += int64(resp.WireSize())
-	s.cursor = ""
-	if resp.More {
-		s.cursor = resp.Cursor
-	}
-	return resp, nil
+	return resp, err
 }
-
-func (s *remoteStream) Cols() []expr.ColumnID { return s.cols }
 
 func (s *remoteStream) Next() ([]value.Row, error) {
-	if s.done {
-		return nil, nil
+	b, err := s.Fetch.Next()
+	if err != nil || len(b) == 0 {
+		s.finish(err)
 	}
-	if b := s.first; len(b) > 0 {
-		s.first = nil
-		if s.cursor == "" {
-			s.finish(nil)
-		}
-		return b, nil
-	}
-	if s.cursor == "" {
-		s.finish(nil)
-		return nil, nil
-	}
-	fs := s.run.root.Child("fetch-batch " + s.nodeID)
-	resp, err := s.exchange(fs, trading.ExecReq{OfferID: s.offerID, Cursor: s.cursor, Seq: s.seq + 1})
-	if err != nil {
-		return nil, err
-	}
-	fs.Set("rows", len(resp.Rows))
-	s.seq++
-	if len(resp.Rows) == 0 {
-		s.finish(nil)
-	}
-	return resp.Rows, nil
+	return b, err
 }
 
-// Close releases the stream. Abandoning an unfinished stream (LIMIT
-// satisfied, a sibling leaf failed) sends the seller a best-effort cursor
-// release so its parked execution is reclaimed immediately instead of
-// waiting for eviction.
 func (s *remoteStream) Close() error {
-	if !s.done && s.cursor != "" {
-		req := trading.ExecReq{OfferID: s.offerID, Cursor: s.cursor, CloseCursor: true}
-		_, _ = s.run.to.fetch(s.nodeID, req)
-		s.cursor = ""
-	}
+	s.Fetch.Close()
 	s.finish(nil)
 	return nil
 }
 
-// finish ends the stream and records its single ledger fetch event — one per
-// leaf, with actuals accumulated across every batch, next to the cost the
-// offer quoted.
+// finish records the fetch's single ledger event — one per leaf, with the
+// actuals accumulated across every batch, next to the cost the offer quoted.
 func (s *remoteStream) finish(err error) {
-	if s.done {
+	if s.logged {
 		return
 	}
-	s.done = true
+	s.logged = true
 	rec, quoted := s.run.res.LedgerRec, s.run.res.quotedMS(s.offerID)
 	if err != nil {
-		rec.Fetch(s.nodeID, s.offerID, s.sql, quoted, s.wall, 0, 0, 0, err.Error())
+		rec.Fetch(s.nodeID, s.offerID, s.sql, quoted, s.WallMS, 0, 0, 0, err.Error())
 		return
 	}
-	rec.Fetch(s.nodeID, s.offerID, s.sql, quoted, s.wall, s.execMS, s.rows, s.bytes, "")
+	rec.Fetch(s.nodeID, s.offerID, s.sql, quoted, s.WallMS, s.ExecMS, s.Rows, s.Bytes, "")
 }
 
 // quotedMS is the total time the purchased offer quoted: the fetch actuals

@@ -17,7 +17,6 @@ import (
 	"qtrade/internal/core"
 	"qtrade/internal/cost"
 	"qtrade/internal/exec"
-	"qtrade/internal/expr"
 	"qtrade/internal/ledger"
 	"qtrade/internal/node"
 	"qtrade/internal/obs"
@@ -30,10 +29,10 @@ import (
 
 // Table is one regenerated experiment result.
 type Table struct {
-	ID     string     `json:"id"`
-	Title  string     `json:"title"`
-	Header []string   `json:"header"`
-	Rows   [][]string `json:"rows"`
+	ID     string
+	Title  string
+	Header []string
+	Rows   [][]string
 }
 
 // Fprint renders the table as aligned text.
@@ -196,15 +195,12 @@ func measurePlan(f *workload.Federation, root plan.Node) (float64, error) {
 	ex := &exec.Executor{
 		Store: f.Nodes[f.Buyer].Store(),
 		FetchStream: func(nodeID, sql, offerID string) (exec.RowStream, error) {
-			resp, err := comm.Fetch(nodeID, trading.ExecReq{SQL: sql, OfferID: offerID})
-			if err != nil {
+			st := &trading.Fetch{}
+			call := func(req trading.ExecReq) (trading.ExecResp, error) { return comm.Fetch(nodeID, req) }
+			if err := st.Open(call, trading.ExecReq{SQL: sql, OfferID: offerID}, exec.DefaultBatchSize); err != nil {
 				return nil, err
 			}
-			cols := make([]expr.ColumnID, len(resp.Cols))
-			for i, c := range resp.Cols {
-				cols[i] = expr.ColumnID{Table: c.Table, Name: c.Name}
-			}
-			return exec.NewRows(cols, resp.Rows, 0), nil
+			return st, nil
 		},
 	}
 	start := time.Now()

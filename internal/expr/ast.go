@@ -242,6 +242,15 @@ func (a *Agg) String() string {
 	return a.Fn + "(" + d + a.Arg.String() + ")"
 }
 
+// CloneAll deep-copies every expression of a list.
+func CloneAll(es []Expr) []Expr {
+	out := make([]Expr, len(es))
+	for i, e := range es {
+		out[i] = Clone(e)
+	}
+	return out
+}
+
 // Clone deep-copies an expression tree.
 func Clone(e Expr) Expr {
 	switch t := e.(type) {
@@ -446,6 +455,18 @@ func Qualify(e Expr, binding string) Expr {
 	return Transform(Clone(e), func(n Expr) Expr {
 		if c, ok := n.(*Column); ok && c.Table == "" {
 			return &Column{Table: binding, Name: c.Name, Index: -1}
+		}
+		return n
+	})
+}
+
+// Unqualify returns a copy of e whose columns are bare names, so it can be
+// combined with partition predicates and evaluated against single-table
+// schemas and statistics.
+func Unqualify(e Expr) Expr {
+	return Transform(Clone(e), func(n Expr) Expr {
+		if c, ok := n.(*Column); ok && c.Table != "" {
+			return &Column{Name: c.Name, Index: -1}
 		}
 		return n
 	})

@@ -237,8 +237,8 @@ func (o *optimizer) buildAccessPath(r *baseRel) error {
 		// contradicts the pushed-down predicate.
 		if part, ok := o.sch.Partition(r.ref.Name, f.PartID); ok && part.Predicate != nil && r.localPrd != nil {
 			combined := expr.And([]expr.Expr{
-				stripQualifiers(r.localPrd),
-				stripQualifiers(part.Predicate),
+				expr.Unqualify(r.localPrd),
+				expr.Unqualify(part.Predicate),
 			})
 			if expr.Unsatisfiable(expr.Simplify(combined)) {
 				continue
@@ -246,7 +246,7 @@ func (o *optimizer) buildAccessPath(r *baseRel) error {
 		}
 		sel := 1.0
 		if r.localPrd != nil {
-			sel = stats.Selectivity(fs, stripQualifiers(r.localPrd))
+			sel = stats.Selectivity(fs, expr.Unqualify(r.localPrd))
 		}
 		scan := &plan.Scan{Def: r.def, Alias: binding, PartID: f.PartID}
 		if r.localPrd != nil {
@@ -274,20 +274,6 @@ func (o *optimizer) buildAccessPath(r *baseRel) error {
 	r.rows = totalRows
 	r.st = merged
 	return nil
-}
-
-// stripQualifiers rewrites alias-qualified columns to bare names so they can
-// be evaluated against single-table schemas and statistics.
-func stripQualifiers(e expr.Expr) expr.Expr {
-	if e == nil {
-		return nil
-	}
-	return expr.Transform(expr.Clone(e), func(n expr.Expr) expr.Expr {
-		if c, ok := n.(*expr.Column); ok && c.Table != "" {
-			return &expr.Column{Name: c.Name, Index: -1}
-		}
-		return n
-	})
 }
 
 func (o *optimizer) classifyPredicates() {
@@ -462,7 +448,7 @@ func (o *optimizer) finishPartial(mask uint, entry dpEntry, full uint) (*Partial
 	if mask == full {
 		node := entry.node
 		if len(o.extra) > 0 {
-			node = &plan.Filter{Input: node, Pred: expr.And(cloneAll(o.extra))}
+			node = &plan.Filter{Input: node, Pred: expr.And(expr.CloneAll(o.extra))}
 			p.Cost += o.m.Filter(entry.rows)
 		}
 		finished, err := plan.FinalizeSelect(o.sel, node)
@@ -494,14 +480,6 @@ func (o *optimizer) finishPartial(mask uint, entry dpEntry, full uint) (*Partial
 	p.Plan = finished
 	p.Bytes = float64(p.Rows) * math.Max(rowBytes, 8)
 	return p, nil
-}
-
-func cloneAll(es []expr.Expr) []expr.Expr {
-	out := make([]expr.Expr, len(es))
-	for i, e := range es {
-		out[i] = expr.Clone(e)
-	}
-	return out
 }
 
 // estimateGroups guesses the output cardinality of an aggregation.

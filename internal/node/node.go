@@ -127,10 +127,9 @@ type Node struct {
 	state    atomic.Int32            // lifecycle position (trading.NodeState), see lifecycle.go
 	obsv     atomic.Pointer[nodeObs] // never nil, see obs.go
 
-	curMu    sync.Mutex               // guards the streamed-execution registry, see stream.go
-	cursors  map[string]*serverCursor // cursor id -> open streamed execution
-	curOrder []string                 // cursor eviction order (least recently pulled first)
-	curSeq   atomic.Int64             // cursor id allocator
+	curMu  sync.Mutex      // guards parked
+	parked []*serverCursor // open streamed executions, least recently pulled first, see stream.go
+	curSeq atomic.Int64    // cursor id allocator
 }
 
 // flight is one single-flight pricing of a (RFB, query) pair: the first
@@ -776,17 +775,15 @@ func (n *Node) Award(aw trading.Award) error {
 	return nil
 }
 
-// Execute evaluates a purchased query and ships the answer. The SQL is a
+// Execute delivers a purchased answer, or its next batch. The SQL is a
 // (rewritten) query over local fragments, a compensation query over a local
 // materialized view, a UNION chain of those, or — when OfferID names a
-// composite — the extent a subcontract assembly delivers. A sampled request
-// ships the node's execution span subtree (including subcontract fetch
-// spans) back on the response. Every request opens the same cursor
-// (executePurchased in stream.go) over the plan tree purchasedPlan builds: a
-// plain request gets it drained into one response, a streaming
-// request (req.Stream) the first batch plus a continuation cursor;
-// continuation and close requests (req.Cursor) are routed to the
-// streamed-execution registry in stream.go.
+// composite — the extent a subcontract assembly delivers. It reads gate →
+// find what was purchased → open → deliver: an opening request (plain or
+// Stream) opens the plan tree purchasedPlan builds, a continuation or release
+// (req.Cursor) finds the cursor an earlier opening parked, and either way
+// deliver (stream.go) ships the rows and, for a sampled request, the node's
+// span subtree of the exchange.
 func (n *Node) Execute(req trading.ExecReq) (trading.ExecResp, error) {
 	// Draining nodes still deliver: every purchased answer is in-flight work
 	// the drain must finish. Only a node that has Left refuses, and the
@@ -794,63 +791,42 @@ func (n *Node) Execute(req trading.ExecReq) (trading.ExecResp, error) {
 	if n.State() == trading.StateLeft {
 		return trading.ExecResp{}, n.drainErr("execute")
 	}
-	if req.Cursor != "" {
-		return n.continueStream(req)
-	}
 	n.active.Add(1)
 	defer n.active.Add(-1)
 	ob := n.obsv.Load()
+	if req.Cursor != "" {
+		sc, err := n.parkedCursor(req.Cursor)
+		if err != nil {
+			return trading.ExecResp{}, err
+		}
+		sc.mu.Lock()
+		defer sc.mu.Unlock()
+		return n.deliver(ob, sc, req, nil, time.Now())
+	}
 	sp := ob.span(n.cfg.ID, "execute", req.Trace)
 	sp.Set("sql", req.SQL)
 	ob.execs.Inc()
-	// Always measure the execution wall time: ExecMS on the response is the
-	// seller's actual cost behind the quote it bid with, and buyers compare
-	// it against the offer's estimated TotalTime in their trading ledger.
+	// The wall time since t0 is the seller's actual cost behind the quote it
+	// bid with; the quote goes on the span next to it, so a grafted subtree
+	// carries est-vs-actual into the buyer's flight dossier. (The standing
+	// offer may be gone — evicted or another RFB's: then only actuals ship.)
 	t0 := time.Now()
-	resp, sc, err := n.executePurchased(req, sp)
-	wall := msSince(t0)
-	ob.execMS.Observe(wall)
+	rfbID, so, sub := n.purchased(req.OfferID)
+	if so != nil && sp != nil {
+		sp.Set("est_rows", so.offer.Props.Rows)
+		sp.Set("quoted_ms", so.offer.Props.TotalTime)
+	}
+	var resp trading.ExecResp
+	sc, err := n.openPurchased(req, rfbID, sub, sp)
+	if err == nil {
+		resp, err = n.deliver(ob, sc, req, sp, t0)
+	}
 	if err != nil {
 		sp.Set("error", err)
 		sp.End()
-		return resp, err
 	}
-	resp.ExecMS = wall
-	// Annotate the execute span with the seller-side actuals next to the
-	// quote the buyer purchased against, so a grafted subtree lands in the
-	// buyer's flight dossier carrying est-vs-actual without another
-	// round-trip. (The standing offer may be gone — evicted or another
-	// RFB's — in which case only the actuals ship.)
-	if sp != nil {
-		sp.Set("rows", len(resp.Rows))
-		sp.Set("exec_ms", wall)
-		if so, _ := n.purchased(req.OfferID); so != nil {
-			sp.Set("est_rows", so.offer.Props.Rows)
-			sp.Set("quoted_ms", so.offer.Props.TotalTime)
-		}
-	}
-	// Purchased answers (OfferID set) land in the seller's own ledger; ad hoc
-	// executions carry no offer id and stay quiet. A streamed answer with
-	// batches still pending records its Served event on completion instead
-	// (see stream.go), with totals accumulated across every batch.
-	if sc == nil && req.OfferID != "" {
-		ob.ledger.Served(n.rfbOf(req.OfferID), n.cfg.ID, req.OfferID, req.SQL,
-			wall, int64(len(resp.Rows)), int64(resp.WireSize()))
-	}
-	sp.End()
-	resp.Trace = ob.ship(sp, req.Trace)
-	if sc != nil {
-		// Register only after the response is final: the buyer cannot send a
-		// continuation before seeing this response, so nothing races the
-		// registration, and the cursor seeds its cumulative totals from the
-		// open batch.
-		sc.wall = wall
-		sc.rows = int64(len(resp.Rows))
-		sc.bytes = int64(resp.WireSize())
-		sc.last = resp
-		n.registerCursor(sc)
-	}
-	return resp, nil
+	ob.execMS.Observe(msSince(t0))
+	return resp, err
 }
 
 // rfbOf extracts the RFBID embedded in an offer id this node minted
@@ -874,16 +850,17 @@ func (n *Node) rfbOf(offerID string) string {
 }
 
 // purchased looks an offer id up in the record of the RFB it was minted
-// under: the standing offer and, for a composite, its assembly. Both are nil
-// once the record is gone, and for ids this node did not mint.
-func (n *Node) purchased(offerID string) (*standingOffer, *subcontract) {
+// under: that RFB's id, the standing offer and, for a composite, its
+// assembly. Offer and assembly are nil once the record is gone, and for ids
+// this node did not mint.
+func (n *Node) purchased(offerID string) (rfbID string, so *standingOffer, sub *subcontract) {
+	rfbID = n.rfbOf(offerID)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	neg := n.negs[n.rfbOf(offerID)]
-	if neg == nil {
-		return nil, nil
+	if neg := n.negs[rfbID]; neg != nil {
+		so, sub = neg.offers[offerID], neg.assemblies[offerID]
 	}
-	return neg.offers[offerID], neg.assemblies[offerID]
+	return rfbID, so, sub
 }
 
 // viewPlan builds the execution plan of a compensation query over a local

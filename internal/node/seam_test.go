@@ -44,7 +44,7 @@ func TestSellerIsS1toS3(t *testing.T) {
 				case "Execute":
 					// The node is always called n, as a receiver or as a field.
 					if recv := lastIdent(fn.X); recv == "n" {
-						t.Errorf("%s: a seller path re-enters (*Node).Execute; build a plan tree for openExecCursor instead",
+						t.Errorf("%s: a seller path re-enters (*Node).Execute; build a plan tree for openPurchased instead",
 							fset.Position(v.Pos()))
 					}
 				}
@@ -57,6 +57,51 @@ func TestSellerIsS1toS3(t *testing.T) {
 	}
 	if priceQueryLines == 0 || priceQueryLines > 70 {
 		t.Errorf("priceQuery is %d lines, want 1..70", priceQueryLines)
+	}
+}
+
+// TestDeliverIsTheOnlyExchange holds the delivery seam by construction: the
+// non-test files pull a purchased answer's cursor (serverCursor.advance) at
+// one call site, in deliver — so the opening batch, every continuation and a
+// plain request's whole answer are the same exchange, and More, Cursor and
+// the cumulative ExecMS are set in one place — and report a delivery to the
+// ledger at one call site, in finishCursor, where every delivery ends.
+func TestDeliverIsTheOnlyExchange(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	home := map[string]string{"advance": "deliver", "Served": "finishCursor"}
+	calls := map[string]int{}
+	for _, file := range pkgs["node"].Files {
+		for _, d := range file.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			ast.Inspect(fd, func(x ast.Node) bool {
+				call, ok := x.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				fn, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || home[fn.Sel.Name] == "" {
+					return true
+				}
+				calls[fn.Sel.Name]++
+				if fd.Name.Name != home[fn.Sel.Name] {
+					t.Errorf("%s: %s called in %s; only %s may", fset.Position(call.Pos()),
+						fn.Sel.Name, fd.Name.Name, home[fn.Sel.Name])
+				}
+				return true
+			})
+		}
+	}
+	if calls["advance"] != 1 || calls["Served"] != 1 {
+		t.Errorf("%d advance and %d ledger.Served call sites, want exactly one of each", calls["advance"], calls["Served"])
 	}
 }
 

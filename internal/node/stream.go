@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -14,15 +15,11 @@ import (
 	"qtrade/internal/value"
 )
 
-// This file is the seller side of the chunked fetch protocol. An ExecReq
-// with Stream set opens the purchased query as a cursor pipeline and ships
-// the first batch; when more remains, the cursor is parked in a bounded
-// registry under a continuation token and the buyer pulls the rest batch by
-// batch (ExecReq.Cursor/Seq), closes early (CloseCursor), or abandons it —
-// in which case eviction reclaims the seller-side state. Continuations are
-// idempotent per Seq so the buyer's fault policy can retry a lost batch
-// without skipping rows, and the ledger's Served event fires once per
-// streamed answer, on completion, with totals accumulated across batches.
+// This file is the seller side of delivery: a purchased answer is opened as a
+// cursor pipeline (openPurchased) and every row of it leaves through deliver.
+// When a Stream request leaves batches behind, the cursor is parked in a
+// bounded registry under a continuation token until the buyer pulls the rest,
+// closes early or abandons it — in which case eviction reclaims it.
 
 // maxOpenCursors bounds the per-node registry of parked streamed
 // executions. Hitting the bound evicts the least recently pulled cursor: an
@@ -31,92 +28,65 @@ import (
 // loudly, pushing it into the usual recovery path.
 const maxOpenCursors = 64
 
-// serverCursor is one streamed execution, parked between batch pulls while
-// batches remain.
+// serverCursor is one purchased answer being delivered: for the one exchange
+// of a plain request, or parked between batch pulls while batches remain.
 type serverCursor struct {
-	id      string
+	id      string // continuation token, minted when the cursor is first parked
+	rfbID   string // the record the offer was priced under; empty for an id this node did not mint
 	offerID string
 	sql     string
+	stream  bool // one batch per exchange; false ships the whole answer in one
 
 	mu       sync.Mutex
 	cur      exec.Cursor
-	fetch    *subFetch        // the pipeline's remote hook, re-pointed at the exchange that pulls
-	pending  []value.Row      // lookahead batch (owned copy), decides More
-	seq      int64            // seq of the batch most recently delivered
-	last     trading.ExecResp // that batch, re-delivered on a retried seq
-	rows     int64            // cumulative rows shipped
-	bytes    int64            // cumulative wire bytes shipped
-	wall     float64          // cumulative execution+delivery wall ms
-	finished bool             // completed, closed, or evicted
+	cols     []trading.ColSpec // shipped with the opening batch only
+	fetch    *subFetch         // the pipeline's remote hook, re-pointed at the exchange that pulls
+	pending  []value.Row       // lookahead batch (owned copy), decides More
+	primed   bool              // pending holds a pulled batch
+	seq      int64             // seq of the batch most recently delivered
+	last     trading.ExecResp  // that batch, re-delivered on a retried seq
+	rows     int64             // cumulative rows shipped
+	bytes    int64             // cumulative wire bytes shipped
+	wall     float64           // cumulative execution+delivery wall ms
+	finished bool              // completed, closed, or evicted
 }
 
 // advance hands out the batch pulled last time and pulls the lookahead that
 // decides More, so the last batch of an answer says so itself and costs no
 // extra round trip. The lookahead is copied out because cursor batches are
-// only valid until the next pull. The opening batch and every continuation
-// come from here; a fresh cursor is primed by one advance that hands out
-// nothing.
-func (sc *serverCursor) advance() (rows []value.Row, more bool, err error) {
-	rows = sc.pending
-	next, err := sc.cur.Next()
-	if err != nil {
-		return nil, false, err
-	}
-	sc.pending = append([]value.Row(nil), next...)
-	return rows, len(next) > 0, nil
-}
-
-// executePurchased evaluates a purchased query through the one cursor
-// pipeline openExecCursor builds. A plain request gets the whole answer: the
-// cursor is drained. A Stream request gets the first batch; when batches
-// remain, the returned serverCursor is non-nil and the caller (Execute)
-// registers it after finalizing the response; a result that fits in one
-// batch costs zero extra round trips and parks nothing.
-func (n *Node) executePurchased(req trading.ExecReq, sp *obs.Span) (trading.ExecResp, *serverCursor, error) {
-	fetch := &subFetch{n: n, batch: req.BatchRows, sp: sp, ctx: req.Trace}
-	cur, cols, err := n.openExecCursor(req, fetch)
-	if err != nil {
-		return trading.ExecResp{}, nil, err
-	}
-	if !req.Stream {
-		rows, err := exec.Drain(cur)
+// only valid until the next pull. A fresh cursor pulls twice: the first pull
+// has nothing to hand out yet.
+func (sc *serverCursor) advance() ([]value.Row, bool, error) {
+	for {
+		rows, primed := sc.pending, sc.primed
+		next, err := sc.cur.Next()
 		if err != nil {
-			return trading.ExecResp{}, nil, fmt.Errorf("node %s: %w", n.cfg.ID, err)
+			return nil, false, err
 		}
-		return trading.ExecResp{Cols: cols, Rows: rows}, nil, nil
+		sc.pending, sc.primed = append([]value.Row(nil), next...), true
+		if primed {
+			return rows, len(next) > 0, nil
+		}
 	}
-	sc := &serverCursor{offerID: req.OfferID, sql: req.SQL, cur: cur, fetch: fetch}
-	resp := trading.ExecResp{Cols: cols}
-	if _, _, err = sc.advance(); err == nil { // prime the lookahead
-		resp.Rows, resp.More, err = sc.advance()
-	}
-	if err != nil {
-		cur.Close()
-		return trading.ExecResp{}, nil, fmt.Errorf("node %s: %w", n.cfg.ID, err)
-	}
-	if !resp.More {
-		return resp, nil, cur.Close()
-	}
-	sc.id = fmt.Sprintf("%s.c%d", n.cfg.ID, n.curSeq.Add(1))
-	resp.Cursor = sc.id
-	return resp, sc, nil
 }
 
-// openExecCursor opens the cursor pipeline of a purchased ExecReq at the
-// request's batch size (the default when unset). Whatever was purchased —
-// plain, view, UNION chain, composite — is a plan tree on the one executor;
-// fetch is its remote hook, which resolves a composite's Remote leaves.
-func (n *Node) openExecCursor(req trading.ExecReq, fetch *subFetch) (exec.Cursor, []trading.ColSpec, error) {
-	root, specs, err := n.purchasedPlan(req)
-	if err != nil {
-		return nil, nil, fmt.Errorf("node %s: %w", n.cfg.ID, err)
-	}
+// openPurchased opens the cursor pipeline of what was purchased at the
+// request's batch size (the default when unset). Whatever it is — plain, view,
+// UNION chain, composite — is a plan tree on the one executor, whose remote
+// hook resolves a composite's Remote leaves.
+func (n *Node) openPurchased(req trading.ExecReq, rfbID string, sub *subcontract, sp *obs.Span) (*serverCursor, error) {
+	fetch := &subFetch{n: n, batch: req.BatchRows, sp: sp, ctx: req.Trace}
 	ex := &exec.Executor{Store: n.store, BatchSize: req.BatchRows, FetchStream: fetch.open}
-	cur, err := ex.Open(root)
-	if err != nil {
-		return nil, nil, fmt.Errorf("node %s: %w", n.cfg.ID, err)
+	var cur exec.Cursor
+	root, specs, err := n.purchasedPlan(req.SQL, sub)
+	if err == nil {
+		cur, err = ex.Open(root)
 	}
-	return cur, specs, nil
+	if err != nil {
+		return nil, fmt.Errorf("node %s: %w", n.cfg.ID, err)
+	}
+	return &serverCursor{rfbID: rfbID, offerID: req.OfferID, sql: req.SQL, stream: req.Stream,
+		cur: cur, cols: specs, fetch: fetch}, nil
 }
 
 // purchasedPlan is the one place a purchased ExecReq is parsed and planned.
@@ -124,9 +94,7 @@ func (n *Node) openExecCursor(req trading.ExecReq, fetch *subFetch) (exec.Cursor
 // followed by one Remote leaf per purchased fragment. A UNION chain is the
 // union of its branches' plans (under a Distinct unless UNION ALL), refused
 // before a row ships when the branches differ in width.
-func (n *Node) purchasedPlan(req trading.ExecReq) (plan.Node, []trading.ColSpec, error) {
-	_, sub := n.purchased(req.OfferID)
-	sql := req.SQL
+func (n *Node) purchasedPlan(sql string, sub *subcontract) (plan.Node, []trading.ColSpec, error) {
 	if sub != nil {
 		sql = sub.localSQL
 	}
@@ -196,143 +164,158 @@ func (n *Node) selectPlan(sel *sqlparse.Select) (plan.Node, []trading.ColSpec, e
 	return root, specs, nil
 }
 
-// continueStream serves one continuation (or close) of a parked streamed
-// execution. Lifecycle gating already happened in Execute: a Left node never
-// reaches here, a draining node keeps delivering.
-func (n *Node) continueStream(req trading.ExecReq) (trading.ExecResp, error) {
-	n.active.Add(1)
-	defer n.active.Add(-1)
+// parkedCursor looks a continuation token up in the registry.
+func (n *Node) parkedCursor(id string) (*serverCursor, error) {
 	n.curMu.Lock()
-	sc := n.cursors[req.Cursor]
-	n.curMu.Unlock()
-	if sc == nil {
-		return trading.ExecResp{}, fmt.Errorf("node %s: unknown cursor %s", n.cfg.ID, req.Cursor)
+	defer n.curMu.Unlock()
+	for _, sc := range n.parked {
+		if sc.id == id {
+			return sc, nil
+		}
 	}
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if sc.finished {
-		return trading.ExecResp{}, fmt.Errorf("node %s: cursor %s already closed", n.cfg.ID, req.Cursor)
-	}
-	if req.CloseCursor {
-		// Early close: the buyer has what it needs (LIMIT satisfied, or the
-		// plan failed elsewhere). The partial delivery is still recorded.
-		n.finishCursor(sc, true)
-		return trading.ExecResp{}, nil
-	}
-	switch {
-	case req.Seq == sc.seq:
-		// The buyer never saw the batch already pulled for this seq (a
-		// retried delivery under the fault policy): re-deliver, don't
-		// advance.
-		return sc.last, nil
-	case req.Seq != sc.seq+1:
-		n.finishCursor(sc, false)
-		return trading.ExecResp{}, fmt.Errorf("node %s: cursor %s out of sync (at %d, asked %d)",
-			n.cfg.ID, req.Cursor, sc.seq, req.Seq)
-	}
-	var sp *obs.Span // continuations are recorded for sampled requests only
-	if req.Trace.Sampled {
-		sp = obs.NewTracer().Start(n.cfg.ID, "fetch-batch")
-		sp.Set("cursor", sc.id)
-		sp.Set("seq", req.Seq)
+	return nil, fmt.Errorf("node %s: unknown cursor %s", n.cfg.ID, id)
+}
+
+// deliver is the one exchange that moves rows of a purchased answer: the
+// opening batch, every continuation (ExecReq.Cursor/Seq), a release
+// (CloseCursor) — and the whole answer of a plain request, which is the same
+// pull repeated to exhaustion. Continuations are idempotent per Seq, so the
+// buyer's fault policy can retry a lost batch without skipping rows. sp is
+// the opening's execute span; a sampled continuation records into a
+// fetch-batch span of its own. Every response carries the wall time summed
+// since the opening's t0, so the final batch carries the total the buyer's
+// ledger records as the actual behind the seller's quote; the seller's own
+// Served event fires once, when the delivery ends. Callers hold sc.mu, or
+// own a cursor not yet parked — parked last, once the response is final: the
+// buyer cannot continue before it has seen it, so nothing races the parking.
+func (n *Node) deliver(ob *nodeObs, sc *serverCursor, req trading.ExecReq, sp *obs.Span, t0 time.Time) (trading.ExecResp, error) {
+	opening := req.Cursor == ""
+	if !opening {
+		switch {
+		case sc.finished:
+			return trading.ExecResp{}, fmt.Errorf("node %s: cursor %s already closed", n.cfg.ID, req.Cursor)
+		case req.CloseCursor:
+			// Early close: the buyer has what it needs (LIMIT satisfied, or the
+			// plan failed elsewhere). The partial delivery is still recorded.
+			n.finishCursor(sc, true)
+			return trading.ExecResp{}, nil
+		case req.Seq == sc.seq:
+			// The buyer never saw the batch already pulled for this seq (a
+			// retried delivery under the fault policy): re-deliver, don't
+			// advance.
+			return sc.last, nil
+		case req.Seq != sc.seq+1:
+			n.finishCursor(sc, false)
+			return trading.ExecResp{}, fmt.Errorf("node %s: cursor %s out of sync (at %d, asked %d)",
+				n.cfg.ID, req.Cursor, sc.seq, req.Seq)
+		}
+		if req.Trace.Sampled {
+			sp = obs.NewTracer().Start(n.cfg.ID, "fetch-batch")
+			sp.Set("cursor", sc.id)
+			sp.Set("seq", req.Seq)
+		}
 	}
 	sc.fetch.sp, sc.fetch.ctx = sp, req.Trace
-	t0 := time.Now()
-	rows, more, err := sc.advance()
-	if err != nil {
-		n.finishCursor(sc, false)
-		sp.End()
-		return trading.ExecResp{}, fmt.Errorf("node %s: %w", n.cfg.ID, err)
+	resp := trading.ExecResp{Cols: sc.cols}
+	sc.cols = nil
+	for {
+		rows, more, err := sc.advance()
+		if err != nil { // a failed exchange ships no subtree
+			n.finishCursor(sc, false)
+			return trading.ExecResp{}, fmt.Errorf("node %s: %w", n.cfg.ID, err)
+		}
+		if resp.Rows == nil {
+			resp.Rows = rows // the lookahead copy is ours to hand out
+		} else {
+			resp.Rows = append(resp.Rows, rows...)
+		}
+		if resp.More = more; sc.stream || !more {
+			break
+		}
 	}
-	resp := trading.ExecResp{Rows: rows, More: more}
-	if more {
+	if resp.More {
+		if sc.id == "" {
+			sc.id = fmt.Sprintf("%s.c%d", n.cfg.ID, n.curSeq.Add(1))
+		}
 		resp.Cursor = sc.id
 	}
 	sc.wall += msSince(t0)
-	// Cumulative wall time: the final batch carries the total cost of the
-	// streamed answer, which is what the buyer's ledger records as the
-	// actual behind the seller's quote.
 	resp.ExecMS = sc.wall
-	sc.rows += int64(len(rows))
+	sc.rows += int64(len(resp.Rows))
 	sc.bytes += int64(resp.WireSize())
-	sp.Set("rows", len(rows))
-	sp.End()
-	resp.Trace = sp.Payload()
-	sc.seq = req.Seq
-	sc.last = resp
+	if sp != nil { // attributes box their values: not on the unrecorded path
+		sp.Set("rows", len(resp.Rows))
+		if opening {
+			sp.Set("exec_ms", sc.wall)
+		}
+		sp.End()
+	}
+	if opening {
+		resp.Trace = ob.ship(sp, req.Trace)
+	} else {
+		resp.Trace = sp.Payload()
+	}
+	sc.seq, sc.last = req.Seq, resp
 	if resp.More {
-		n.touchCursor(sc)
+		n.park(sc, opening)
 	} else {
 		n.finishCursor(sc, true)
 	}
 	return resp, nil
 }
 
-// touchCursor marks a parked execution as just pulled: it moves to the back
-// of the eviction order. A cursor evicted while this pull was running stays
-// evicted.
-func (n *Node) touchCursor(sc *serverCursor) {
+// park puts sc at the back of the registry, which is kept least recently
+// pulled first: a fresh cursor is registered — evicting the front when the
+// registry is full, what that stream shipped so far being recorded as served —
+// and a parked one is marked as just pulled. A cursor evicted while its pull
+// was running stays evicted.
+func (n *Node) park(sc *serverCursor, fresh bool) {
+	var evict *serverCursor
 	n.curMu.Lock()
-	defer n.curMu.Unlock()
-	if n.cursors[sc.id] == sc {
-		n.dropFromOrder(sc.id)
-		n.curOrder = append(n.curOrder, sc.id)
+	if fresh && len(n.parked) >= maxOpenCursors {
+		evict = n.parked[0]
+		n.unpark(evict)
+	}
+	if fresh || n.unpark(sc) {
+		n.parked = append(n.parked, sc)
+	}
+	n.curMu.Unlock()
+	if evict != nil {
+		evict.mu.Lock()
+		n.finishCursor(evict, true)
+		evict.mu.Unlock()
 	}
 }
 
-// dropFromOrder removes id from the eviction order. Callers hold curMu.
-func (n *Node) dropFromOrder(id string) {
-	for i, o := range n.curOrder {
-		if o == id {
-			n.curOrder = append(n.curOrder[:i], n.curOrder[i+1:]...)
-			return
-		}
+// unpark removes sc from the registry and reports whether it was there.
+// Callers hold curMu.
+func (n *Node) unpark(sc *serverCursor) bool {
+	i := slices.Index(n.parked, sc)
+	if i >= 0 {
+		n.parked = slices.Delete(n.parked, i, i+1)
 	}
+	return i >= 0
 }
 
-// finishCursor is the one teardown of a parked execution — completion, early
-// close, protocol violation and eviction all end here: close the pipeline and
-// unregister it. Callers hold sc.mu. When served is true the completed
-// (possibly partial) delivery lands in the seller's ledger next to its
-// pricing events.
+// finishCursor is the one end of a delivery — completion, early close,
+// protocol violation, a failed pull and eviction all end here: close the
+// pipeline and, if it was parked, unregister it. Callers hold sc.mu. When
+// served is true the completed (possibly partial) delivery of a purchased
+// answer lands in the seller's ledger next to its pricing events; ad hoc
+// executions carry no offer id and stay quiet.
 func (n *Node) finishCursor(sc *serverCursor, served bool) {
 	if sc.finished {
 		return
 	}
 	sc.finished = true
 	sc.cur.Close()
-	n.curMu.Lock()
-	delete(n.cursors, sc.id)
-	n.dropFromOrder(sc.id)
-	n.curMu.Unlock()
+	if sc.id != "" {
+		n.curMu.Lock()
+		n.unpark(sc)
+		n.curMu.Unlock()
+	}
 	if served && sc.offerID != "" {
-		n.obsv.Load().ledger.Served(n.rfbOf(sc.offerID), n.cfg.ID, sc.offerID, sc.sql,
-			sc.wall, sc.rows, sc.bytes)
-	}
-}
-
-// registerCursor parks a streamed execution, evicting the least recently
-// pulled one (the front of curOrder) when the registry is full; what the
-// evicted stream shipped so far is recorded as served.
-func (n *Node) registerCursor(sc *serverCursor) {
-	var evict *serverCursor
-	n.curMu.Lock()
-	if n.cursors == nil {
-		n.cursors = map[string]*serverCursor{}
-	}
-	if len(n.cursors) >= maxOpenCursors {
-		id := n.curOrder[0]
-		n.curOrder = n.curOrder[1:]
-		evict = n.cursors[id]
-		delete(n.cursors, id)
-	}
-	n.cursors[sc.id] = sc
-	n.curOrder = append(n.curOrder, sc.id)
-	n.curMu.Unlock()
-	if evict != nil {
-		evict.mu.Lock()
-		n.finishCursor(evict, true)
-		evict.mu.Unlock()
+		n.obsv.Load().ledger.Served(sc.rfbID, n.cfg.ID, sc.offerID, sc.sql, sc.wall, sc.rows, sc.bytes)
 	}
 }
 
@@ -342,5 +325,5 @@ func (n *Node) registerCursor(sc *serverCursor) {
 func (n *Node) OpenCursors() int {
 	n.curMu.Lock()
 	defer n.curMu.Unlock()
-	return len(n.cursors)
+	return len(n.parked)
 }

@@ -36,10 +36,12 @@ func streamAll(t *testing.T, n *Node, sql string, batch int) trading.ExecResp {
 	return resp
 }
 
-// TestStreamingDifferentialSQLLogic reassembles every query in the logic
-// battery from 1-row and 3-row batches and demands Cols and rows identical —
-// content AND order — to the plain Execute, which drains the same cursor into
-// one response.
+// TestStreamingDifferentialSQLLogic delivers every query in the logic battery
+// as a plain request and reassembled from 1-, 3-, 7-, 256-row and
+// larger-than-answer batches, and demands Cols and rows identical — content
+// AND order — every way: all of them are the same pull of the same cursor.
+// Each delivery of a purchased answer leaves exactly one Served event, whose
+// totals are the rows and bytes that delivery shipped.
 func TestStreamingDifferentialSQLLogic(t *testing.T) {
 	n := fullNode(t)
 	queries := []string{
@@ -61,13 +63,38 @@ func TestStreamingDifferentialSQLLogic(t *testing.T) {
 		"SELECT c.custid, i.invid FROM customer c, invoiceline i",
 		"SELECT COUNT(*) FROM customer c WHERE c.custname IS NOT NULL",
 	}
-	for _, q := range queries {
-		want, err := n.Execute(trading.ExecReq{SQL: q})
+	const offer = "rfb7.oracle.1"
+	// deliver runs one delivery against a fresh ledger and checks its single
+	// Served event against what the responses carried.
+	deliver := func(q string, batch int) trading.ExecResp {
+		t.Helper()
+		led := ledger.New(4)
+		n.SetLedger(led)
+		defer n.SetLedger(nil)
+		req := trading.ExecReq{SQL: q, OfferID: offer, Stream: batch > 0, BatchRows: batch}
+		resp, err := n.Execute(req)
 		if err != nil {
-			t.Fatalf("one-shot %q: %v", q, err)
+			t.Fatalf("%q batch %d: %v", q, batch, err)
 		}
-		for _, batch := range []int{1, 3} {
-			got := streamAll(t, n, q, batch)
+		all, bytes := resp, int64(resp.WireSize())
+		for seq := int64(1); resp.More; seq++ {
+			if resp, err = n.Execute(trading.ExecReq{Cursor: resp.Cursor, Seq: seq}); err != nil {
+				t.Fatalf("%q batch %d, continuation %d: %v", q, batch, seq, err)
+			}
+			all.Rows = append(all.Rows, resp.Rows...)
+			bytes += int64(resp.WireSize())
+		}
+		served := servedEvents(led)
+		if len(served) != 1 || served[0].OfferID != offer || served[0].SQL != q ||
+			served[0].Rows != int64(len(all.Rows)) || served[0].Bytes != bytes {
+			t.Fatalf("%q batch %d: shipped %d rows in %d bytes, served events %+v", q, batch, len(all.Rows), bytes, served)
+		}
+		return all
+	}
+	for _, q := range queries {
+		want := deliver(q, 0) // a plain request
+		for _, batch := range []int{1, 3, 7, 256, len(want.Rows) + 1} {
+			got := deliver(q, batch)
 			if !reflect.DeepEqual(got.Rows, want.Rows) &&
 				!(len(got.Rows) == 0 && len(want.Rows) == 0) {
 				t.Errorf("%s batch %d\n  streamed %v\n  one-shot %v", q, batch, got.Rows, want.Rows)

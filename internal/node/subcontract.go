@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -85,7 +86,7 @@ func (n *Node) subcontractDrafts(rfb trading.RFB, sel *sqlparse.Select, rw *rewr
 	var wg sync.WaitGroup
 	for i, pr := range probes {
 		run := func(i int, pr probe) {
-			if d, ok := n.buildComposite(rfb, sel, pr.tr, pr.own,
+			if d, ok := n.buildComposite(rfb, ids.qid, sel, pr.tr, pr.own,
 				pr.held, pr.missing, pr.relevant, peers, sp, pr.offerID); ok {
 				results[i] = &d
 			}
@@ -113,7 +114,7 @@ func (n *Node) subcontractDrafts(rfb trading.RFB, sel *sqlparse.Select, rw *rewr
 
 // buildComposite negotiates the missing partitions and drafts the composite
 // offer with the assembly that delivers it.
-func (n *Node) buildComposite(rfb trading.RFB, sel *sqlparse.Select,
+func (n *Node) buildComposite(rfb trading.RFB, qid string, sel *sqlparse.Select,
 	tr sqlparse.TableRef, own *localopt.Partial, held, missing, relevant []string,
 	peers map[string]trading.Peer, sp *obs.Span, offerID string) (draft, bool) {
 
@@ -121,9 +122,12 @@ func (n *Node) buildComposite(rfb trading.RFB, sel *sqlparse.Select,
 	// The nested negotiation inherits the buyer's trace context, so a sampled
 	// Depth-1 subcontract ships its own sellers' subtrees back up the chain:
 	// they graft under this node's subcontract span, which in turn rides home
-	// inside the node's RequestBids payload.
+	// inside the node's RequestBids payload. Each probe is a negotiation of
+	// its own — its QIDs restart at sub0 — so its id names the parent query and
+	// binding it probes for: two probes under one parent RFB must not make a
+	// subcontractor mint the same offer id for different SQL.
 	subRFB := trading.RFB{
-		RFBID:   rfb.RFBID + "/sub/" + n.cfg.ID,
+		RFBID:   rfb.RFBID + "/sub/" + n.cfg.ID + "/" + qid + "/" + tr.Binding(),
 		BuyerID: n.cfg.ID,
 		Depth:   rfb.Depth + 1,
 		Trace:   rfb.Trace,
@@ -149,7 +153,9 @@ func (n *Node) buildComposite(rfb trading.RFB, sel *sqlparse.Select,
 	if err != nil {
 		return draft{}, false
 	}
-	// Greedy cover of the missing partitions by cheapest compatible offers.
+	// Greedy cover of the missing partitions by cheapest compatible offers: an
+	// offer is taken when every partition it brings is still needed, so it lies
+	// inside the gap and is disjoint from what was already chosen.
 	need := map[string]bool{}
 	for _, pid := range missing {
 		need[pid] = true
@@ -158,30 +164,8 @@ func (n *Node) buildComposite(rfb trading.RFB, sel *sqlparse.Select,
 	var chosen []trading.Offer
 	for _, o := range offers {
 		parts := o.Parts[strings.ToLower(tr.Binding())]
-		if len(parts) == 0 || !colsMatch(ownCols, o.Cols) {
-			continue
-		}
-		adds := false
-		inMissing := true
-		for _, pid := range parts {
-			if need[pid] {
-				adds = true
-			}
-			if !contains(missing, pid) {
-				inMissing = false
-			}
-		}
-		if !adds || !inMissing {
-			continue
-		}
-		// Disjointness with already chosen coverage.
-		overlap := false
-		for _, pid := range parts {
-			if !need[pid] {
-				overlap = true
-			}
-		}
-		if overlap {
+		if len(parts) == 0 || !colsMatch(ownCols, o.Cols) ||
+			slices.ContainsFunc(parts, func(pid string) bool { return !need[pid] }) {
 			continue
 		}
 		chosen = append(chosen, o)
@@ -254,38 +238,54 @@ type subFetch struct {
 	peers map[string]trading.Peer // resolved once per composite, on the first fetch
 }
 
-// open implements exec.StreamFunc: the subcontractor's whole reply is handed
-// to the Remote leaf, which validates its width batch by batch.
+// deliverer is the delivery surface of a subcontract peer.
+type deliverer interface {
+	Execute(trading.ExecReq) (trading.ExecResp, error)
+}
+
+// open implements exec.StreamFunc: the node acts as a buyer and fetches the
+// fragment with the one fetch client. The request is plain, so the
+// subcontractor's whole answer is the opening reply, handed to the Remote
+// leaf — which validates its shape — in batches of the serving request's size.
 func (f *subFetch) open(peerID, sql, _ string) (exec.RowStream, error) {
 	n := f.n
 	if f.peers == nil {
 		f.peers = n.cfg.SubcontractPeers()
 	}
-	peer, ok := f.peers[peerID].(interface {
-		Execute(trading.ExecReq) (trading.ExecResp, error)
-	})
+	peer, ok := f.peers[peerID].(deliverer)
 	if !ok {
 		return nil, fmt.Errorf("node %s: subcontractor %s: no execution channel", n.cfg.ID, peerID)
 	}
-	fs := f.sp.Child("fetch " + peerID)
-	defer fs.End()
-	req := trading.ExecReq{BuyerID: n.cfg.ID, SQL: sql}
-	if f.ctx.Sampled {
-		req.Trace = f.ctx
-		req.Trace.Parent = fs.ID()
+	// One exchange, recorded under whichever exchange of the composite's own
+	// delivery is pulling the pipeline, and guarded so a subcontractor that
+	// died after winning cannot hang it (nil policy = direct call).
+	call := func(req trading.ExecReq) (trading.ExecResp, error) {
+		fs := f.sp.Child("fetch " + peerID)
+		defer fs.End()
+		if f.ctx.Sampled {
+			req.Trace = f.ctx
+			req.Trace.Parent = fs.ID()
+		}
+		sentAt := time.Now()
+		resp, err := trading.GuardCall(n.cfg.Faults, peerID, func() (trading.ExecResp, error) {
+			return peer.Execute(req)
+		})
+		if err != nil {
+			fs.Set("error", err)
+			return resp, err
+		}
+		fs.Graft(resp.Trace, sentAt, time.Now())
+		return resp, nil
 	}
-	sentAt := time.Now()
-	// Guarded so a subcontractor that died after winning cannot hang the
-	// composite delivery (nil policy = direct call).
-	resp, err := trading.GuardCall(n.cfg.Faults, peerID, func() (trading.ExecResp, error) {
-		return peer.Execute(req)
-	})
-	if err != nil {
-		fs.Set("error", err)
+	batch := f.batch
+	if batch <= 0 {
+		batch = exec.DefaultBatchSize
+	}
+	st := &trading.Fetch{}
+	if err := st.Open(call, trading.ExecReq{BuyerID: n.cfg.ID, SQL: sql}, batch); err != nil {
 		return nil, fmt.Errorf("node %s: subcontractor %s: %w", n.cfg.ID, peerID, err)
 	}
-	fs.Graft(resp.Trace, sentAt, time.Now())
-	return exec.NewRows(nil, resp.Rows, f.batch), nil
+	return st, nil
 }
 
 func colsMatch(a []trading.ColSpec, b []trading.ColSpec) bool {
@@ -301,24 +301,5 @@ func colsMatch(a []trading.ColSpec, b []trading.ColSpec) bool {
 }
 
 func subtract(all, remove []string) []string {
-	rm := map[string]bool{}
-	for _, r := range remove {
-		rm[r] = true
-	}
-	var out []string
-	for _, a := range all {
-		if !rm[a] {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-func contains(list []string, x string) bool {
-	for _, l := range list {
-		if l == x {
-			return true
-		}
-	}
-	return false
+	return slices.DeleteFunc(slices.Clone(all), func(a string) bool { return slices.Contains(remove, a) })
 }

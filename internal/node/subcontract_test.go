@@ -258,11 +258,45 @@ func TestSubcontractAssembliesDieWithTheirOffers(t *testing.T) {
 func TestSubcontractAssemblyLivesInRecord(t *testing.T) {
 	_, corfu, _ := subFederation(t)
 	o := compositeOffer(t, corfu, "r-live")
-	if _, sub := corfu.purchased(o.OfferID); sub == nil {
+	if _, _, sub := corfu.purchased(o.OfferID); sub == nil {
 		t.Fatal("standing composite has no assembly")
 	}
 	corfu.RevokeStandingOffers()
-	if so, sub := corfu.purchased(o.OfferID); so != nil || sub != nil {
+	if _, so, sub := corfu.purchased(o.OfferID); so != nil || sub != nil {
 		t.Fatalf("revoked record still resolves: %v %v", so, sub)
+	}
+}
+
+// Two parent queries over the same partially held relation make two probes
+// under one parent RFB. Each is a negotiation of its own, so the
+// subcontractor must end up holding one standing offer per SQL it priced: an
+// Award, ImproveBids or Served keyed by the offer id must find the SQL that
+// was quoted under it, not whichever probe was priced last.
+func TestSubcontractProbesMintDistinctOfferIDs(t *testing.T) {
+	_, corfu, myc := subFederation(t)
+	rfb := trading.RFB{RFBID: "r9", BuyerID: "buyer", Queries: []trading.QueryRequest{
+		{QID: "q0", SQL: bothOfficesQuery},
+		{QID: "q1", SQL: "SELECT c.custid FROM customer c WHERE c.office IN ('Corfu', 'Myconos')"},
+	}}
+	if _, err := corfu.RequestBids(rfb); err != nil {
+		t.Fatal(err)
+	}
+	myc.mu.Lock()
+	defer myc.mu.Unlock()
+	flights, bySQL := 0, map[string]string{}
+	for rfbID, neg := range myc.negs {
+		flights += len(neg.flights)
+		for id, so := range neg.offers {
+			if so.offer.RFBID != rfbID {
+				t.Errorf("offer %s is filed under %s but says %s", id, rfbID, so.offer.RFBID)
+			}
+			if other, dup := bySQL[so.offer.SQL]; dup {
+				t.Errorf("offers %s and %s quote the same SQL", id, other)
+			}
+			bySQL[so.offer.SQL] = id
+		}
+	}
+	if flights != 2 || len(bySQL) != 2 {
+		t.Fatalf("myconos priced %d probes and holds %d standing offers, want 2 and 2: %v", flights, len(bySQL), bySQL)
 	}
 }

@@ -67,7 +67,7 @@ func ForSeller(sel *sqlparse.Select, sch *catalog.Schema, store *storage.Store) 
 				continue
 			}
 			if p.Predicate != nil && bindingPred != nil {
-				combined := expr.And([]expr.Expr{strip(bindingPred), strip(p.Predicate)})
+				combined := expr.And([]expr.Expr{expr.Unqualify(bindingPred), expr.Unqualify(p.Predicate)})
 				if expr.Unsatisfiable(expr.Simplify(combined)) {
 					continue
 				}
@@ -105,7 +105,7 @@ func ForSeller(sel *sqlparse.Select, sch *catalog.Schema, store *storage.Store) 
 			conj = append(conj, expr.Clone(c))
 		}
 	}
-	queryPred := expr.And(cloneAll(conj))
+	queryPred := expr.And(expr.CloneAll(conj))
 	for _, tr := range kept {
 		b := strings.ToLower(tr.Binding())
 		if len(rw.Parts[b]) == len(sch.PartitionIDs(tr.Name)) {
@@ -191,28 +191,10 @@ func RelevantPartitions(sch *catalog.Schema, table string, pred expr.Expr) []str
 			out = append(out, p.ID)
 			continue
 		}
-		combined := expr.And([]expr.Expr{strip(pred), strip(p.Predicate)})
+		combined := expr.And([]expr.Expr{expr.Unqualify(pred), expr.Unqualify(p.Predicate)})
 		if !expr.Unsatisfiable(expr.Simplify(combined)) {
 			out = append(out, p.ID)
 		}
-	}
-	return out
-}
-
-// strip removes qualifiers so single-table predicates can be combined.
-func strip(e expr.Expr) expr.Expr {
-	return expr.Transform(expr.Clone(e), func(n expr.Expr) expr.Expr {
-		if c, ok := n.(*expr.Column); ok && c.Table != "" {
-			return &expr.Column{Name: c.Name, Index: -1}
-		}
-		return n
-	})
-}
-
-func cloneAll(es []expr.Expr) []expr.Expr {
-	out := make([]expr.Expr, len(es))
-	for i, e := range es {
-		out[i] = expr.Clone(e)
 	}
 	return out
 }

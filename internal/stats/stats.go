@@ -307,7 +307,7 @@ func Merge(a, b *TableStats) *TableStats {
 			out.Cols[k] = ca
 			continue
 		}
-		m := &ColumnStats{NDV: maxI(ca.NDV, cb.NDV)}
+		m := &ColumnStats{NDV: max(ca.NDV, cb.NDV)}
 		// Disjoint fragments can double NDV; split the difference.
 		m.NDV = (m.NDV + ca.NDV + cb.NDV) / 2
 		if m.NDV > out.Rows {
@@ -331,13 +331,6 @@ func Merge(a, b *TableStats) *TableStats {
 		}
 	}
 	return out
-}
-
-func maxI(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Default selectivities for predicates the range analyzer cannot express,
@@ -470,7 +463,7 @@ func rangeSelectivity(cs *ColumnStats, r *expr.Range, rows int64) float64 {
 // JoinRows estimates |L ⋈ R| on an equality predicate between columns with
 // the given NDVs, using the standard containment assumption.
 func JoinRows(lRows, lNDV, rRows, rNDV int64) int64 {
-	d := maxI(maxI(lNDV, rNDV), 1)
+	d := max(lNDV, rNDV, 1)
 	est := float64(lRows) * float64(rRows) / float64(d)
 	if est < 0 {
 		return 0

@@ -152,15 +152,13 @@ func (a *Award) WireSize() int { return 24 + len(a.RFBID) + len(a.OfferID) + len
 // answer. It is the only message that triggers execution.
 //
 // Answers ship whole by default. The streaming fields turn the exchange into
-// a chunked fetch over the same message pair: Stream asks the seller to open
-// a cursor and return at most BatchRows rows plus a continuation token; the
-// buyer then repeats the request with Cursor set and Seq incremented per
-// batch until More goes false, or sends CloseCursor to abandon the rest
-// (early close — LIMIT satisfied, plan failed elsewhere). Seq makes
-// continuation idempotent under the fault policy's retries: a seller
-// re-delivers the batch it already sent for a repeated Seq instead of
-// advancing. Zero values gob-encode identically to the pre-streaming
-// message, so mixed-version federations interoperate.
+// a chunked fetch over the same message pair (the client is Fetch, fetch.go):
+// Stream asks the seller to open a cursor and return at most BatchRows rows
+// plus a continuation token; the request is then repeated with Cursor set and
+// Seq incremented per batch until More goes false, or with CloseCursor to
+// abandon the rest. A seller re-delivers the batch it already sent for a
+// repeated Seq instead of advancing, so a retry is safe. Zero values gob-encode
+// as the pre-streaming message did, so mixed-version federations interoperate.
 type ExecReq struct {
 	BuyerID string
 	OfferID string

@@ -2,6 +2,7 @@ package qtrade
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -262,4 +263,48 @@ func TestConcurrentQueriesUnderChurn(t *testing.T) {
 	if err != nil || canonResult(res) != want[queries[0]] {
 		t.Fatalf("federation unhealthy after churn: %v", err)
 	}
+}
+
+// A plan may outlive its buyer: once the buyer is removed, running or
+// analysing the plan is an error naming the buyer, not a nil dereference.
+func TestPlanRunAfterBuyerRemoved(t *testing.T) {
+	fed, _ := buildConcurrentFed()
+	p, err := fed.Optimize("hq", concurrentQueries[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fed.RemoveNode("hq"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run(); err == nil || !strings.Contains(err.Error(), `unknown buyer node "hq"`) {
+		t.Fatalf("Run after the buyer was removed: %v", err)
+	}
+	if _, err := p.ExplainAnalyze(); err == nil || !strings.Contains(err.Error(), `unknown buyer node "hq"`) {
+		t.Fatalf("ExplainAnalyze after the buyer was removed: %v", err)
+	}
+}
+
+// ExplainAnalyze finds its buyer under the federation's lock: nodes may join
+// while it runs (a data race on the node map under -race otherwise).
+func TestExplainAnalyzeBesideAddNode(t *testing.T) {
+	fed, _ := buildConcurrentFed()
+	p, err := fed.Optimize("hq", concurrentQueries[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			fed.MustAddNode("joiner" + strconv.Itoa(i))
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		if _, err := p.ExplainAnalyze(); err != nil {
+			t.Errorf("ExplainAnalyze beside AddNode: %v", err)
+			break
+		}
+	}
+	wg.Wait()
 }

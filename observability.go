@@ -124,8 +124,7 @@ func (p *Plan) execTracer() *obs.Tracer {
 // their sellers).
 func (p *Plan) ExplainAnalyze() (string, error) {
 	st := exec.NewRunStats()
-	ex := &exec.Executor{Store: p.fed.nodes[p.buyer].inner.Store(), Stats: st}
-	if _, err := core.ExecuteResultTraced(&core.NetComm{Net: p.fed.net, SelfID: p.buyer}, ex, p.res, p.execTracer()); err != nil {
+	if _, err := p.execute(st); err != nil {
 		return "", err
 	}
 	return core.ExplainAnalyze(p.res, st), nil

@@ -283,6 +283,15 @@ func (f *Federation) Node(id string) *Node {
 	return f.nodes[id]
 }
 
+// buyerNode finds the node a query is optimized or executed at; a plan may
+// outlive its buyer's registration.
+func (f *Federation) buyerNode(id string) (*Node, error) {
+	if n := f.Node(id); n != nil {
+		return n, nil
+	}
+	return nil, fmt.Errorf("qtrade: unknown buyer node %q", id)
+}
+
 // Row builds a row from Go values (int/int64, float64, string, bool, nil).
 func Row(vals ...any) []value.Value {
 	out := make([]value.Value, len(vals))
@@ -421,13 +430,13 @@ type Plan struct {
 // buyerConfig assembles the buyer-side configuration of one optimization
 // from the named node: the federation's sinks and policies, then opts.
 func (f *Federation) buyerConfig(buyer string, opts []OptimizeOption) (core.Config, *Node, error) {
+	bn, err := f.buyerNode(buyer)
+	if err != nil {
+		return core.Config{}, nil, err
+	}
 	f.mu.RLock()
-	bn, ok := f.nodes[buyer]
 	faults := f.faults
 	f.mu.RUnlock()
-	if !ok {
-		return core.Config{}, nil, fmt.Errorf("qtrade: unknown buyer node %q", buyer)
-	}
 	cfg := core.Config{ID: buyer, Schema: f.schema.sch, Self: bn.inner, Metrics: f.metrics,
 		Faults: faults, Ledger: f.ledger, Directory: f.dir, Flight: f.flight}
 	for _, o := range opts {
@@ -485,12 +494,22 @@ type Result struct {
 // Run executes the plan: purchased answers are fetched from their sellers,
 // local operators run at the buyer.
 func (p *Plan) Run() (*Result, error) {
-	ex := &exec.Executor{Store: p.fed.Node(p.buyer).inner.Store()}
-	res, err := core.ExecuteResultTraced(&core.NetComm{Net: p.fed.net, SelfID: p.buyer}, ex, p.res, p.execTracer())
+	res, err := p.execute(nil)
 	if err != nil {
 		return nil, err
 	}
 	return newResult(res), nil
+}
+
+// execute runs the plan at its buyer, profiling operators into st when it is
+// set. The buyer may have been removed since the plan was optimized.
+func (p *Plan) execute(st *exec.RunStats) (*exec.Result, error) {
+	bn, err := p.fed.buyerNode(p.buyer)
+	if err != nil {
+		return nil, err
+	}
+	ex := &exec.Executor{Store: bn.inner.Store(), Stats: st}
+	return core.ExecuteResultTraced(&core.NetComm{Net: p.fed.net, SelfID: p.buyer}, ex, p.res, p.execTracer())
 }
 
 // newResult converts an executor answer into the public shape: qualified
