@@ -19,12 +19,14 @@ import (
 	"qtrade/internal/catalog"
 	"qtrade/internal/cost"
 	"qtrade/internal/expr"
+	"qtrade/internal/joinorder"
 	"qtrade/internal/localopt"
 	"qtrade/internal/node"
 	"qtrade/internal/plan"
 	"qtrade/internal/rewrite"
 	"qtrade/internal/sqlparse"
 	"qtrade/internal/stats"
+	"qtrade/internal/trading"
 )
 
 // GlobalView is the omniscient catalog the centralized optimizer uses:
@@ -328,6 +330,15 @@ func (o *optimizer) connecting(a, b uint) []expr.Expr {
 	return out
 }
 
+func (o *optimizer) connected(a, b uint) bool {
+	for _, p := range o.preds {
+		if p.mask&a != 0 && p.mask&b != 0 && p.mask&^(a|b) == 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // eligibleSites returns the non-buyer sites holding full relevant coverage
 // of every relation in the subset (ship-nothing join sites).
 func (o *optimizer) eligibleSites(mask uint) []string {
@@ -484,13 +495,9 @@ func (o *optimizer) leafAtBuyer(mask uint) *buyerEntry {
 			if err != nil {
 				continue
 			}
-			ids := make([]expr.ColumnID, len(cols))
-			for k, c := range cols {
-				ids[k] = expr.ColumnID{Table: c.Table, Name: c.Name}
-			}
 			fetchCost := o.gv.Model.Scan(r.rows[pid]) + o.gv.Model.Transfer(r.bytes[pid])
 			inputs = append(inputs, &plan.Remote{
-				NodeID: holder, SQL: fetchSel.SQL(), Cols: ids,
+				NodeID: holder, SQL: fetchSel.SQL(), Cols: trading.ColumnIDs(cols),
 				EstRows: r.rows[pid], EstCost: fetchCost,
 			})
 			e.remoteMax = math.Max(e.remoteMax, fetchCost)
@@ -540,13 +547,9 @@ func (o *optimizer) remoteSubset(mask uint, site string, se siteEntry) (*buyerEn
 	if err != nil {
 		return nil, err
 	}
-	ids := make([]expr.ColumnID, len(cols))
-	for k, c := range cols {
-		ids[k] = expr.ColumnID{Table: c.Table, Name: c.Name}
-	}
 	total := se.execCost + o.gv.Model.Transfer(se.bytes)
 	return &buyerEntry{
-		node:      &plan.Remote{NodeID: site, SQL: sub.SQL(), Cols: ids, EstRows: se.rows, EstCost: total},
+		node:      &plan.Remote{NodeID: site, SQL: sub.SQL(), Cols: trading.ColumnIDs(cols), EstRows: se.rows, EstCost: total},
 		remoteMax: total,
 		remoteSum: total,
 		rows:      se.rows,
@@ -556,17 +559,7 @@ func (o *optimizer) remoteSubset(mask uint, site string, se siteEntry) (*buyerEn
 }
 
 func (o *optimizer) joinEntries(l, r *buyerEntry, preds []expr.Expr) *buyerEntry {
-	outRows := joinRows(l.rows, r.rows, len(preds), max(l.rows, r.rows))
-	build, probe := l.rows, r.rows
-	if build > probe {
-		build, probe = probe, build
-	}
-	var jc float64
-	if len(preds) > 0 {
-		jc = o.gv.Model.HashJoin(build, probe, outRows)
-	} else {
-		jc = o.gv.Model.NLJoin(l.rows, r.rows, outRows)
-	}
+	outRows, jc := o.gv.Model.BuyerJoin(l.rows, r.rows, len(preds))
 	left, right := l.node, r.node
 	if l.rows < r.rows {
 		left, right = r.node, l.node
@@ -582,141 +575,53 @@ func (o *optimizer) joinEntries(l, r *buyerEntry, preds []expr.Expr) *buyerEntry
 	}
 }
 
-// run is the site-aware DP over relation subsets.
+// run is the site-aware DP over relation subsets; with keep > 0 only the keep
+// best 2-way subsets feed the larger ones (IDP(2, keep)).
 func (o *optimizer) run() (*buyerEntry, error) {
 	n := len(o.rels)
-	full := uint(1)<<n - 1
-	dp := make(map[uint]*buyerEntry, 1<<n)
-
-	masks := make([]uint, 0, 1<<n)
-	for m := uint(1); m <= full; m++ {
-		masks = append(masks, m)
-	}
-	sort.Slice(masks, func(i, j int) bool {
-		pi, pj := bits.OnesCount(masks[i]), bits.OnesCount(masks[j])
-		if pi != pj {
-			return pi < pj
-		}
-		return masks[i] < masks[j]
-	})
-
-	consider := func(mask uint, e *buyerEntry) {
-		if e == nil {
-			return
-		}
-		if cur, ok := dp[mask]; !ok || e.response() < cur.response() {
-			dp[mask] = e
-		}
-	}
-
-	for _, mask := range masks {
-		if bits.OnesCount(mask) == 1 {
-			consider(mask, o.leafAtBuyer(mask))
-		}
-		// Ship-nothing sites for this subset. The buyer's own pure-local
-		// evaluation composes naturally from local leaf scans and joins, so
-		// only remote sites contribute Remote-subset entries.
-		for _, site := range o.eligibleSites(mask) {
-			if site == o.buyer {
-				continue
-			}
-			se := o.siteEval(mask)
-			re, err := o.remoteSubset(mask, site, se)
-			if err == nil {
-				consider(mask, re)
-			}
-		}
-		if bits.OnesCount(mask) >= 2 {
-			found := false
-			try := func(requireConnected bool) {
-				for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
-					other := mask &^ sub
-					if sub > other {
-						continue
-					}
-					l, okl := dp[sub]
-					r, okr := dp[other]
-					if !okl || !okr {
-						continue
-					}
-					preds := o.connecting(sub, other)
-					if requireConnected && len(preds) == 0 {
-						continue
-					}
-					consider(mask, o.joinEntries(l, r, preds))
-					found = true
-				}
-			}
-			try(true)
-			if !found {
-				try(false)
-			}
-		}
-		if _, ok := dp[mask]; !ok {
-			return nil, fmt.Errorf("baseline: no plan for subset %b", mask)
-		}
+	dp := joinorder.Plan[*buyerEntry]{
+		N:         n,
+		Seeds:     o.seeds,
+		Connected: o.connected,
+		Join: func(a, b uint, l, r *buyerEntry) *buyerEntry {
+			return o.joinEntries(l, r, o.connecting(a, b))
+		},
+		Keep: func(_ uint, cands []*buyerEntry) []*buyerEntry {
+			return joinorder.Cheapest(cands, (*buyerEntry).response)
+		},
 	}
 	if o.keep > 0 {
-		o.idpCut(dp, masks)
+		dp.Solve(1, 2)
+		dp.CutPairs(o.keep, (*buyerEntry).response)
+		dp.Solve(3, n)
+	} else {
+		dp.Solve(1, n)
 	}
-	best, ok := dp[full]
-	if !ok {
+	best := dp.At(uint(1)<<n - 1)
+	if len(best) == 0 {
 		return nil, fmt.Errorf("baseline: no full plan")
 	}
-	return best, nil
+	return best[0], nil
 }
 
-// idpCut reruns the DP for subsets of size >= 3 using only the keep best
-// 2-way entries, mimicking IDP(2, keep). It mutates dp in place.
-func (o *optimizer) idpCut(dp map[uint]*buyerEntry, masks []uint) {
-	type scored struct {
-		mask uint
-		cost float64
+// seeds appends the ways to have a subset at the buyer without joining there:
+// a single relation assembled from its partitions, and the subset evaluated
+// whole at a remote site that ships nothing in. The buyer's own pure-local
+// evaluation composes naturally from local leaf scans and joins, so only
+// remote sites contribute.
+func (o *optimizer) seeds(mask uint, out []*buyerEntry) []*buyerEntry {
+	if bits.OnesCount(mask) == 1 {
+		out = append(out, o.leafAtBuyer(mask))
 	}
-	var two []scored
-	for _, m := range masks {
-		if bits.OnesCount(m) == 2 {
-			if e, ok := dp[m]; ok {
-				two = append(two, scored{mask: m, cost: e.response()})
-			}
-		}
-	}
-	if len(two) <= o.keep {
-		return
-	}
-	sort.Slice(two, func(i, j int) bool { return two[i].cost < two[j].cost })
-	for _, s := range two[o.keep:] {
-		delete(dp, s.mask)
-	}
-	for _, mask := range masks {
-		if bits.OnesCount(mask) < 3 {
+	for _, site := range o.eligibleSites(mask) {
+		if site == o.buyer {
 			continue
 		}
-		delete(dp, mask)
-		for _, site := range o.eligibleSites(mask) {
-			if site == o.buyer {
-				continue
-			}
-			se := o.siteEval(mask)
-			if re, err := o.remoteSubset(mask, site, se); err == nil {
-				if cur, ok := dp[mask]; !ok || re.response() < cur.response() {
-					dp[mask] = re
-				}
-			}
-		}
-		for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
-			other := mask &^ sub
-			l, okl := dp[sub]
-			r, okr := dp[other]
-			if !okl || !okr {
-				continue
-			}
-			e := o.joinEntries(l, r, o.connecting(sub, other))
-			if cur, ok := dp[mask]; !ok || e.response() < cur.response() {
-				dp[mask] = e
-			}
+		if re, err := o.remoteSubset(mask, site, o.siteEval(mask)); err == nil {
+			out = append(out, re)
 		}
 	}
+	return out
 }
 
 // finish applies the query's post-join phase over the assembled tree.
@@ -737,16 +642,8 @@ func (o *optimizer) finish(e *buyerEntry) (plan.Node, error) {
 
 // tailCost prices the aggregation/sort tail and returns (cost, output rows).
 func (o *optimizer) tailCost(e *buyerEntry) (float64, int64) {
-	local := o.gv.Model.Filter(e.rows)
-	rows := e.rows
-	if o.sel.HasAggregates() || len(o.sel.GroupBy) > 0 {
-		groups := rows/2 + 1
-		local += o.gv.Model.Aggregate(rows, groups)
-		rows = groups
-	}
-	if len(o.sel.OrderBy) > 0 {
-		local += o.gv.Model.Sort(rows)
-	}
+	local, rows := o.gv.Model.BuyerTail(0, e.rows,
+		o.sel.HasAggregates() || len(o.sel.GroupBy) > 0, len(o.sel.OrderBy) > 0)
 	if o.sel.Limit >= 0 && rows > o.sel.Limit {
 		rows = o.sel.Limit
 	}

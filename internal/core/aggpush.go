@@ -29,7 +29,7 @@ func (g *planGen) partialAggCandidates() []Candidate {
 		}
 	}
 	// Exact-coverage unions along one binding, per schema signature.
-	assemblies = append(assemblies, g.unionAssemblies(full, true)...)
+	assemblies = g.unionAssemblies(full, true, assemblies)
 
 	var out []Candidate
 	for _, a := range assemblies {

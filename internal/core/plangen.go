@@ -20,6 +20,7 @@ import (
 	"qtrade/internal/catalog"
 	"qtrade/internal/cost"
 	"qtrade/internal/expr"
+	"qtrade/internal/joinorder"
 	"qtrade/internal/plan"
 	"qtrade/internal/rewrite"
 	"qtrade/internal/sqlparse"
@@ -129,7 +130,6 @@ type planGen struct {
 	partBit     []map[string]uint // by binding index: partition id -> bit
 	fullMask    []uint            // by binding index: all relevant partitions
 	joinPred    []genJoinPred
-	masks       []uint // binding subsets, smallest first
 	hasAgg      bool
 	offers      []*offerInfo  // by OfferID
 	groups      []*offerGroup // by (mask, key)
@@ -189,17 +189,6 @@ func newPlanGen(sel *sqlparse.Select, sch *catalog.Schema, model *cost.Model,
 	}
 	g.computeRelevant()
 	g.classifyJoinPreds()
-	g.masks = make([]uint, 0, 1<<n-1)
-	for m := uint(1); m < 1<<n; m++ {
-		g.masks = append(g.masks, m)
-	}
-	sort.Slice(g.masks, func(i, j int) bool {
-		pi, pj := bits.OnesCount(g.masks[i]), bits.OnesCount(g.masks[j])
-		if pi != pj {
-			return pi < pj
-		}
-		return g.masks[i] < g.masks[j]
-	})
 	return g, nil
 }
 
@@ -376,27 +365,31 @@ func (info *offerInfo) remote() *plan.Remote {
 	}
 }
 
-// run builds the candidate plans of the current pool.
+// run builds the candidate plans of the current pool: a subset's entries are
+// single offers, unions of offers, and joins of solved smaller subsets.
 func (g *planGen) run() ([]Candidate, error) {
-	full := uint(1)<<len(g.bindings) - 1
-	dp := make([][]*assembly, full+1) // by binding subset
-
-	for _, mask := range g.masks {
-		dp[mask] = g.assemblies(dp, mask)
+	n := len(g.bindings)
+	dp := joinorder.Plan[*assembly]{
+		N:        n,
+		LeftDeep: g.mode == GenGreedy,
+		Seeds: func(mask uint, out []*assembly) []*assembly {
+			return g.unionAssemblies(mask, false, g.directAssemblies(mask, out))
+		},
+		Connected: g.connected,
+		Join:      func(a, b uint, l, r *assembly) *assembly { return g.join(l, r, g.connecting(a, b)) },
+		Keep:      g.prune,
 	}
-
 	if g.mode == GenIDP {
-		g.idpPrune(dp)
-		// Rebuild larger subsets from the surviving 2-way entries.
-		for _, mask := range g.masks {
-			if bits.OnesCount(mask) >= 3 {
-				dp[mask] = g.assemblies(dp, mask)
-			}
-		}
+		// IDP-M(2,k): only the k best 2-way subsets feed the larger ones.
+		dp.Solve(1, 2)
+		dp.CutPairs(g.keep, (*assembly).response)
+		dp.Solve(3, n)
+	} else {
+		dp.Solve(1, n)
 	}
 
 	var out []Candidate
-	for _, a := range dp[full] {
+	for _, a := range dp.At(uint(1)<<n - 1) {
 		c, err := g.finishAssembly(a)
 		if err != nil {
 			continue
@@ -412,22 +405,9 @@ func (g *planGen) run() ([]Candidate, error) {
 	return out, nil
 }
 
-// assemblies returns the pruned ways to produce the subset: single offers,
-// unions of offers, and joins of solved smaller subsets.
-func (g *planGen) assemblies(dp [][]*assembly, mask uint) []*assembly {
-	cands := append(g.directAssemblies(mask), g.unionAssemblies(mask, false)...)
-	if bits.OnesCount(mask) >= 2 {
-		cands = append(cands, g.joinAssemblies(dp, mask)...)
-	}
-	return g.prune(mask, cands)
-}
-
 // prune keeps the best assemblies per subset: 1 for DP and greedy, keep for
 // 2-way subsets in IDP before the global IDP cut.
 func (g *planGen) prune(mask uint, cands []*assembly) []*assembly {
-	if len(cands) == 0 {
-		return nil
-	}
 	sort.SliceStable(cands, func(i, j int) bool {
 		ri, rj := cands[i].response(), cands[j].response()
 		if ri != rj {
@@ -442,39 +422,12 @@ func (g *planGen) prune(mask uint, cands []*assembly) []*assembly {
 	if g.mode == GenIDP && bits.OnesCount(mask) == 2 {
 		width = g.keep
 	}
-	if len(cands) > width {
-		cands = cands[:width]
-	}
-	return cands
+	return cands[:min(width, len(cands))]
 }
 
-// idpPrune implements the IDP-M(2,k) cut: rank all 2-way subsets by their
-// best assembly and drop all but the best k subsets.
-func (g *planGen) idpPrune(dp [][]*assembly) {
-	type scored struct {
-		mask uint
-		cost float64
-	}
-	var twoWay []scored
-	for _, m := range g.masks {
-		if bits.OnesCount(m) != 2 || len(dp[m]) == 0 {
-			continue
-		}
-		twoWay = append(twoWay, scored{mask: m, cost: dp[m][0].response()})
-	}
-	if len(twoWay) <= g.keep {
-		return
-	}
-	sort.Slice(twoWay, func(i, j int) bool { return twoWay[i].cost < twoWay[j].cost })
-	for _, s := range twoWay[g.keep:] {
-		dp[s.mask] = nil
-	}
-}
-
-// directAssemblies turns single offers fully covering the subset into
+// directAssemblies appends the single offers fully covering the subset, as
 // assemblies.
-func (g *planGen) directAssemblies(mask uint) []*assembly {
-	var out []*assembly
+func (g *planGen) directAssemblies(mask uint, out []*assembly) []*assembly {
 	for _, info := range g.offers {
 		if info.mask != mask || info.short != 0 || info.whole || info.partialAgg {
 			continue
@@ -501,10 +454,9 @@ func (info *offerInfo) direct() *assembly {
 // every binding except one, along which their disjoint partition sets must
 // exactly cover the relevant partitions. This is how the buyer reassembles a
 // horizontally partitioned relation (or co-partitioned join) from several
-// sellers. A group's cover along a binding is solved once and kept until
-// the group changes.
-func (g *planGen) unionAssemblies(mask uint, partialAgg bool) []*assembly {
-	var out []*assembly
+// sellers; the assemblies are appended to out. A group's cover along a
+// binding is solved once and kept until the group changes.
+func (g *planGen) unionAssemblies(mask uint, partialAgg bool, out []*assembly) []*assembly {
 	for b := range g.bindings {
 		if mask&(1<<b) == 0 || bits.OnesCount(g.fullMask[b]) < 2 {
 			continue // nothing to assemble along this binding
@@ -649,38 +601,14 @@ func (g *planGen) exactCover(b int, group []*offerInfo) *assembly {
 	}
 }
 
-// joinAssemblies joins solved sub-subsets, mirroring the seller-side DP.
-func (g *planGen) joinAssemblies(dp [][]*assembly, mask uint) []*assembly {
-	var out []*assembly
-	gen := func(requireConnected bool) {
-		for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
-			other := mask &^ sub
-			if sub > other {
-				continue
-			}
-			if g.mode == GenGreedy && bits.OnesCount(sub) != 1 && bits.OnesCount(other) != 1 {
-				continue // left-deep only
-			}
-			ls, rs := dp[sub], dp[other]
-			if len(ls) == 0 || len(rs) == 0 {
-				continue
-			}
-			preds := g.connecting(sub, other)
-			if requireConnected && len(preds) == 0 {
-				continue
-			}
-			for _, l := range ls {
-				for _, r := range rs {
-					out = append(out, g.join(l, r, preds))
-				}
-			}
+// connected reports whether a join predicate links the two subsets.
+func (g *planGen) connected(a, b uint) bool {
+	for _, jp := range g.joinPred {
+		if jp.mask&a != 0 && jp.mask&b != 0 {
+			return true
 		}
 	}
-	gen(true)
-	if len(out) == 0 {
-		gen(false)
-	}
-	return out
+	return false
 }
 
 func (g *planGen) connecting(a, b uint) []expr.Expr {
@@ -694,27 +622,8 @@ func (g *planGen) connecting(a, b uint) []expr.Expr {
 }
 
 func (g *planGen) join(l, r *assembly, preds []expr.Expr) *assembly {
-	// Cardinality: containment assumption with NDV ≈ distinct rows of the
-	// larger side (offers do not ship per-column NDVs).
-	rows := float64(l.rows) * float64(r.rows)
-	if len(preds) > 0 {
-		d := math.Max(float64(max(l.rows, r.rows)), 1)
-		rows = rows / d * math.Pow(1.0/3.0, float64(len(preds)-1))
-	}
-	if rows < 1 {
-		rows = 1
-	}
-	outRows := int64(math.Ceil(rows))
-	build, probe := l.rows, r.rows
-	if build > probe {
-		build, probe = probe, build
-	}
-	var joinCost float64
-	if len(preds) > 0 {
-		joinCost = g.model.HashJoin(build, probe, outRows)
-	} else {
-		joinCost = g.model.NLJoin(l.rows, r.rows, outRows)
-	}
+	// Offers do not ship per-column NDVs, so the estimate is the model's.
+	outRows, joinCost := g.model.BuyerJoin(l.rows, r.rows, len(preds))
 	left, right := l.node, r.node
 	if l.rows < r.rows {
 		left, right = r.node, l.node
@@ -772,16 +681,7 @@ func (g *planGen) finishAssembly(a *assembly) (*Candidate, error) {
 	if err != nil {
 		return nil, err
 	}
-	local := a.localCost + g.model.Filter(a.rows)
-	rows := a.rows
-	if g.hasAgg {
-		groups := rows/2 + 1
-		local += g.model.Aggregate(rows, groups)
-		rows = groups
-	}
-	if len(g.sel.OrderBy) > 0 {
-		local += g.model.Sort(rows)
-	}
+	local, rows := g.model.BuyerTail(a.localCost, a.rows, g.hasAgg, len(g.sel.OrderBy) > 0)
 	noteSpine(root, node, rows)
 	return &Candidate{
 		Root:          root,

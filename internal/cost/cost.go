@@ -72,6 +72,41 @@ func (m *Model) Aggregate(rows, groups int64) float64 {
 // Filter costs evaluating a predicate over rows.
 func (m *Model) Filter(rows int64) float64 { return float64(rows) * m.CPURow }
 
+// BuyerJoin estimates joining inputs of l and r rows where they were fetched
+// to, with no column statistics at hand: the output cardinality under the
+// containment assumption, the larger input's row count standing in for the
+// join key's distinct count and every further predicate keeping a third (at
+// least one row), and the cost of a hash join built on the smaller input —
+// of a nested loop when no predicate connects the two.
+func (m *Model) BuyerJoin(l, r int64, npreds int) (rows int64, cost float64) {
+	out := float64(l) * float64(r)
+	if npreds > 0 {
+		out = out / math.Max(float64(max(l, r)), 1) * math.Pow(1.0/3.0, float64(npreds-1))
+	}
+	rows = int64(math.Ceil(math.Max(out, 1)))
+	if npreds == 0 {
+		return rows, m.NLJoin(l, r, rows)
+	}
+	return rows, m.HashJoin(min(l, r), max(l, r), rows)
+}
+
+// BuyerTail adds to local, a buyer's processing cost so far, what it runs over
+// its joined rows — the compensation filter, an aggregation into rows/2+1
+// groups when the query aggregates, a sort when it orders — and returns the
+// sum and the rows that come out.
+func (m *Model) BuyerTail(local float64, rows int64, aggregates, ordered bool) (float64, int64) {
+	local += m.Filter(rows)
+	if aggregates {
+		groups := rows/2 + 1
+		local += m.Aggregate(rows, groups)
+		rows = groups
+	}
+	if ordered {
+		local += m.Sort(rows)
+	}
+	return local, rows
+}
+
 // Transfer costs shipping bytes over the network as one message stream.
 func (m *Model) Transfer(bytes float64) float64 {
 	if bytes <= 0 {

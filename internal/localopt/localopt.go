@@ -17,6 +17,7 @@ import (
 	"qtrade/internal/catalog"
 	"qtrade/internal/cost"
 	"qtrade/internal/expr"
+	"qtrade/internal/joinorder"
 	"qtrade/internal/plan"
 	"qtrade/internal/sqlparse"
 	"qtrade/internal/stats"
@@ -94,68 +95,35 @@ func (o *optimizer) run() (*Result, error) {
 		return nil, err
 	}
 	o.classifyPredicates()
-	o.collectNeededColumns()
+	o.needCols = neededColumns(o.sel, o.columnsOf)
 
 	n := len(o.rels)
-	full := uint(1)<<n - 1
-	dp := make(map[uint]dpEntry, 1<<n)
-	for i, r := range o.rels {
-		dp[1<<i] = dpEntry{node: r.node, cost: r.cost, rows: r.rows}
-	}
-	// Enumerate subsets in increasing popcount, all splits (bushy DP).
-	masks := make([]uint, 0, 1<<n)
-	for m := uint(1); m <= full; m++ {
-		masks = append(masks, m)
-	}
-	sort.Slice(masks, func(i, j int) bool {
-		pi, pj := bits.OnesCount(uint(masks[i])), bits.OnesCount(uint(masks[j]))
-		if pi != pj {
-			return pi < pj
-		}
-		return masks[i] < masks[j]
-	})
-	for _, mask := range masks {
-		if bits.OnesCount(uint(mask)) < 2 {
-			continue
-		}
-		best, ok := dp[mask]
-		_ = best
-		found := ok
-		trySplit := func(requireConnected bool) {
-			for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
-				other := mask &^ sub
-				if sub > other {
-					continue // each unordered split once
-				}
-				l, okl := dp[sub]
-				r, okr := dp[other]
-				if !okl || !okr {
-					continue
-				}
-				preds := o.connecting(sub, other)
-				if requireConnected && len(preds) == 0 {
-					continue
-				}
-				entry := o.joinEntry(l, r, sub, other, preds)
-				if !found || entry.cost < dp[mask].cost {
-					dp[mask] = entry
-					found = true
-				}
+	dp := joinorder.Plan[dpEntry]{
+		N: n,
+		Seeds: func(mask uint, out []dpEntry) []dpEntry {
+			if bits.OnesCount(mask) == 1 {
+				r := o.rels[bits.TrailingZeros(mask)]
+				out = append(out, dpEntry{node: r.node, cost: r.cost, rows: r.rows})
 			}
-		}
-		trySplit(true)
-		if !found {
-			trySplit(false) // forced cross product for disconnected queries
-		}
-		if !found {
-			return nil, fmt.Errorf("localopt: no plan for relation subset %b", mask)
-		}
+			return out
+		},
+		Connected: o.connected,
+		Join:      func(a, b uint, l, r dpEntry) dpEntry { return o.joinEntry(l, r, o.connecting(a, b)) },
+		// The modified DP: the optimal entry of every subset is retained.
+		Keep: func(_ uint, cands []dpEntry) []dpEntry {
+			return joinorder.Cheapest(cands, func(e dpEntry) float64 { return e.cost })
+		},
 	}
+	dp.Solve(1, n)
 
 	res := &Result{}
-	for _, mask := range masks {
-		entry := dp[mask]
-		p, err := o.finishPartial(mask, entry, full)
+	full := uint(1)<<n - 1
+	for _, mask := range joinorder.Subsets(n, 1, n) {
+		best := dp.At(mask)
+		if len(best) == 0 {
+			return nil, fmt.Errorf("localopt: no plan for relation subset %b", mask)
+		}
+		p, err := o.finishPartial(mask, best[0], full)
 		if err != nil {
 			return nil, err
 		}
@@ -311,8 +279,21 @@ func (o *optimizer) connecting(a, b uint) []joinPred {
 	return out
 }
 
+// connected reports whether connecting would return any (a join predicate
+// names exactly two relations, so one in each subset is all of it).
+func (o *optimizer) connected(a, b uint) bool {
+	for _, jp := range o.joinPreds {
+		if jp.mask&a != 0 && jp.mask&b != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+func (o *optimizer) columnsOf(i int) []catalog.ColumnDef { return o.rels[i].def.Columns }
+
 // joinEntry builds the DP entry for joining two solved subsets.
-func (o *optimizer) joinEntry(l, r dpEntry, lMask, rMask uint, preds []joinPred) dpEntry {
+func (o *optimizer) joinEntry(l, r dpEntry, preds []joinPred) dpEntry {
 	var on []expr.Expr
 	hasEqui := false
 	rows := float64(l.rows) * float64(r.rows)
@@ -368,65 +349,68 @@ func (o *optimizer) equiNDV(jp joinPred) int64 {
 	return ndv
 }
 
-// collectNeededColumns records, per binding, the columns of that relation
-// referenced anywhere in the query; partial-result offers project onto them.
-func (o *optimizer) collectNeededColumns() {
-	o.needCols = map[string][]string{}
+// neededColumns records, per lower-cased binding, the columns of that relation
+// referenced anywhere in sel, in first-reference order; partial-result offers
+// project onto them. columnsOf lists the columns of FROM entry i, or nothing
+// when its definition is not at hand: then only qualified references can be
+// told apart and a star adds nothing.
+func neededColumns(sel *sqlparse.Select, columnsOf func(i int) []catalog.ColumnDef) map[string][]string {
+	need := map[string][]string{}
 	seen := map[string]map[string]bool{}
-	addCols := func(e expr.Expr) {
-		for _, c := range expr.Columns(e) {
-			o.addNeeded(seen, c)
+	add := func(binding, name string) {
+		binding = strings.ToLower(binding)
+		m := seen[binding]
+		if m == nil {
+			m = map[string]bool{}
+			seen[binding] = m
+		}
+		if lc := strings.ToLower(name); !m[lc] {
+			m[lc] = true
+			need[binding] = append(need[binding], name)
 		}
 	}
-	for _, it := range o.sel.Items {
+	addCols := func(e expr.Expr) {
+		for _, c := range expr.Columns(e) {
+			if c.Table != "" {
+				add(c.Table, c.Name)
+				continue
+			}
+			// An unqualified column belongs to the one relation exposing it.
+			owner, matches := "", 0
+			for i, tr := range sel.From {
+				for _, cd := range columnsOf(i) {
+					if strings.EqualFold(cd.Name, c.Name) {
+						owner = tr.Binding()
+						matches++
+						break
+					}
+				}
+			}
+			if matches == 1 {
+				add(owner, c.Name)
+			}
+		}
+	}
+	for _, it := range sel.Items {
 		if it.Star {
-			for _, r := range o.rels {
-				for _, cd := range r.def.Columns {
-					o.addNeeded(seen, &expr.Column{Table: r.ref.Binding(), Name: cd.Name})
+			for i, tr := range sel.From {
+				for _, cd := range columnsOf(i) {
+					add(tr.Binding(), cd.Name)
 				}
 			}
 			continue
 		}
 		addCols(it.Expr)
 	}
-	addCols(o.sel.Where)
-	for _, g := range o.sel.GroupBy {
+	addCols(sel.Where)
+	for _, g := range sel.GroupBy {
 		addCols(g)
 	}
-	addCols(o.sel.Having)
-	for _, ob := range o.sel.OrderBy {
+	addCols(sel.Having)
+	for _, ob := range sel.OrderBy {
 		addCols(ob.Expr)
 	}
-}
-
-func (o *optimizer) addNeeded(seen map[string]map[string]bool, c *expr.Column) {
-	// Resolve the binding: qualified columns name it; unqualified columns
-	// match the unique relation exposing that column name.
-	var binding string
-	if c.Table != "" {
-		binding = strings.ToLower(c.Table)
-	} else {
-		matches := 0
-		for _, r := range o.rels {
-			if r.def.ColumnIndex(c.Name) >= 0 {
-				binding = strings.ToLower(r.ref.Binding())
-				matches++
-			}
-		}
-		if matches != 1 {
-			return
-		}
-	}
-	m := seen[binding]
-	if m == nil {
-		m = map[string]bool{}
-		seen[binding] = m
-	}
-	lc := strings.ToLower(c.Name)
-	if !m[lc] {
-		m[lc] = true
-		o.needCols[binding] = append(o.needCols[binding], c.Name)
-	}
+	return need
 }
 
 // finishPartial turns a DP entry into an offered partial result with its
@@ -471,7 +455,7 @@ func (o *optimizer) finishPartial(mask uint, entry dpEntry, full uint) (*Partial
 		p.Bytes = float64(p.Rows) * math.Max(rowBytes, 8)
 		return p, nil
 	}
-	sub := o.Subquery(mask)
+	sub := subquery(o.sel, mask, o.needCols, o.columnsOf)
 	p.SQL = sub
 	finished, err := plan.FinalizeSelect(sub, entry.node)
 	if err != nil {
@@ -497,29 +481,34 @@ func estimateGroups(rows int64, groupCols int) int64 {
 	return g
 }
 
-// Subquery builds the SPJ subquery over a subset of the query's relations:
-// the needed columns of those relations, their FROM entries, and the WHERE
+// subquery builds the SPJ subquery over a subset of sel's relations: the
+// needed columns of those relations, their FROM entries, and the WHERE
 // conjuncts referencing only them. This is the query text shipped in offers
 // and RFBs.
-func (o *optimizer) Subquery(mask uint) *sqlparse.Select {
+func subquery(sel *sqlparse.Select, mask uint, need map[string][]string, columnsOf func(i int) []catalog.ColumnDef) *sqlparse.Select {
 	sub := &sqlparse.Select{Limit: -1}
 	keep := map[string]bool{}
-	for i, r := range o.rels {
+	for i, tr := range sel.From {
 		if mask&(1<<i) == 0 {
 			continue
 		}
-		sub.From = append(sub.From, r.ref)
-		b := strings.ToLower(r.ref.Binding())
+		sub.From = append(sub.From, tr)
+		b := strings.ToLower(tr.Binding())
 		keep[b] = true
-		for _, cn := range o.needCols[b] {
-			sub.Items = append(sub.Items, sqlparse.SelectItem{Expr: expr.NewColumn(r.ref.Binding(), cn)})
+		for _, cn := range need[b] {
+			sub.Items = append(sub.Items, sqlparse.SelectItem{Expr: expr.NewColumn(tr.Binding(), cn)})
 		}
 	}
 	if len(sub.Items) == 0 {
 		// Degenerate: no referenced columns (e.g. COUNT(*) only); expose the
-		// first column so the subquery stays valid.
-		first := o.rels[bits.TrailingZeros(mask)]
-		sub.Items = append(sub.Items, sqlparse.SelectItem{Expr: expr.NewColumn(first.ref.Binding(), first.def.Columns[0].Name)})
+		// first column (a placeholder when it is not known) so the subquery
+		// stays valid.
+		first := bits.TrailingZeros(mask)
+		name := "_"
+		if cols := columnsOf(first); len(cols) > 0 {
+			name = cols[0].Name
+		}
+		sub.Items = append(sub.Items, sqlparse.SelectItem{Expr: expr.NewColumn(sel.From[first].Binding(), name)})
 	}
 	// Canonical item order so equivalent subqueries offered by different
 	// sellers are union-compatible at the buyer.
@@ -527,7 +516,7 @@ func (o *optimizer) Subquery(mask uint) *sqlparse.Select {
 		return sub.Items[i].Expr.String() < sub.Items[j].Expr.String()
 	})
 	var conj []expr.Expr
-	for _, c := range expr.Conjuncts(o.sel.Where) {
+	for _, c := range expr.Conjuncts(sel.Where) {
 		all := true
 		for _, col := range expr.Columns(c) {
 			if col.Table == "" {
@@ -546,59 +535,17 @@ func (o *optimizer) Subquery(mask uint) *sqlparse.Select {
 	return sub
 }
 
-// SubqueryFor exposes subquery construction for a binding subset by name;
-// used by the buyer predicates analyser.
+// SubqueryFor exposes subquery construction for a binding subset by name,
+// without table definitions; used by the buyer predicates analyser.
 func SubqueryFor(sel *sqlparse.Select, bindings []string) *sqlparse.Select {
-	o := &optimizer{sel: sel}
-	for _, tr := range sel.From {
-		o.rels = append(o.rels, &baseRel{ref: tr, def: &catalog.TableDef{Name: tr.Name, Columns: []catalog.ColumnDef{{Name: "_"}}}})
-	}
-	o.collectNeededColumnsLoose()
+	noDefs := func(int) []catalog.ColumnDef { return nil }
 	var mask uint
-	for i, r := range o.rels {
+	for i, tr := range sel.From {
 		for _, b := range bindings {
-			if strings.EqualFold(r.ref.Binding(), b) {
+			if strings.EqualFold(tr.Binding(), b) {
 				mask |= 1 << i
 			}
 		}
 	}
-	return o.Subquery(mask)
-}
-
-// collectNeededColumnsLoose collects needed columns using only qualified
-// references (no table definitions available).
-func (o *optimizer) collectNeededColumnsLoose() {
-	o.needCols = map[string][]string{}
-	seen := map[string]map[string]bool{}
-	add := func(e expr.Expr) {
-		for _, c := range expr.Columns(e) {
-			if c.Table == "" {
-				continue
-			}
-			b := strings.ToLower(c.Table)
-			m := seen[b]
-			if m == nil {
-				m = map[string]bool{}
-				seen[b] = m
-			}
-			lc := strings.ToLower(c.Name)
-			if !m[lc] {
-				m[lc] = true
-				o.needCols[b] = append(o.needCols[b], c.Name)
-			}
-		}
-	}
-	for _, it := range o.sel.Items {
-		if !it.Star {
-			add(it.Expr)
-		}
-	}
-	add(o.sel.Where)
-	for _, g := range o.sel.GroupBy {
-		add(g)
-	}
-	add(o.sel.Having)
-	for _, ob := range o.sel.OrderBy {
-		add(ob.Expr)
-	}
+	return subquery(sel, mask, neededColumns(sel, noDefs), noDefs)
 }

@@ -366,3 +366,44 @@ func TestSubqueryFor(t *testing.T) {
 		t.Fatalf("subquery must keep join column: %s", sql)
 	}
 }
+
+// TestSubqueryColumnsWithAndWithoutDefinitions pins the one clause walk behind
+// every offer's subquery text: with table definitions a star names every
+// column and an unqualified column goes to the one relation exposing it (an
+// ambiguous one to none); without them only qualified references count, and a
+// relation nothing refers to gets the placeholder column.
+func TestSubqueryColumnsWithAndWithoutDefinitions(t *testing.T) {
+	sch := telcoSchema()
+	st := telcoStore(t, sch)
+	partial := func(sql string, binding string) string {
+		t.Helper()
+		res, err := Optimize(sqlparse.MustParseSelect(sql), sch, st, cost.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range res.Partials {
+			if len(p.Bindings) == 1 && p.Bindings[0] == binding {
+				return p.SQL.SQL()
+			}
+		}
+		t.Fatalf("no partial over %s", binding)
+		return ""
+	}
+	const unqualified = "SELECT charge, custid, office FROM customer c, invoiceline i WHERE c.custid = i.custid"
+	for _, c := range []struct{ name, got, want string }{
+		{"star, defined", partial("SELECT * FROM customer c, invoiceline i WHERE c.custid = i.custid", "c"),
+			"SELECT c.custid, c.custname, c.office FROM customer c"},
+		{"unqualified, defined: i", partial(unqualified, "i"),
+			"SELECT i.charge, i.custid FROM invoiceline i"},
+		{"unqualified, defined: c", partial(unqualified, "c"),
+			"SELECT c.custid, c.office FROM customer c"},
+		{"unqualified, undefined", SubqueryFor(sqlparse.MustParseSelect(unqualified), []string{"i"}).SQL(),
+			"SELECT i.custid FROM invoiceline i"},
+		{"star, undefined", SubqueryFor(sqlparse.MustParseSelect("SELECT * FROM customer c, invoiceline i"), []string{"c"}).SQL(),
+			"SELECT c._ FROM customer c"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s:\n got %s\nwant %s", c.name, c.got, c.want)
+		}
+	}
+}

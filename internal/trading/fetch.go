@@ -43,10 +43,7 @@ func (f *Fetch) Open(call func(ExecReq) (ExecResp, error), req ExecReq, chunk in
 	if err != nil {
 		return err
 	}
-	f.cols = make([]expr.ColumnID, len(resp.Cols))
-	for i, c := range resp.Cols {
-		f.cols[i] = expr.ColumnID{Table: c.Table, Name: c.Name}
-	}
+	f.cols = ColumnIDs(resp.Cols)
 	f.held = resp.Rows
 	return nil
 }

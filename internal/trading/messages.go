@@ -11,6 +11,7 @@ package trading
 
 import (
 	"qtrade/internal/cost"
+	"qtrade/internal/expr"
 	"qtrade/internal/obs"
 	"qtrade/internal/value"
 )
@@ -42,6 +43,16 @@ type ColSpec struct {
 	Table string
 	Name  string
 	Kind  value.Kind
+}
+
+// ColumnIDs is the executor's view of a declared output schema: every column
+// by table and name, its kind left behind.
+func ColumnIDs(cols []ColSpec) []expr.ColumnID {
+	ids := make([]expr.ColumnID, len(cols))
+	for i, c := range cols {
+		ids[i] = expr.ColumnID{Table: c.Table, Name: c.Name}
+	}
+	return ids
 }
 
 // Offer is a seller's bid: an offer to deliver the answer of SQL (typically
