@@ -23,7 +23,7 @@ import (
 	"qtrade/internal/localopt"
 	"qtrade/internal/node"
 	"qtrade/internal/plan"
-	"qtrade/internal/rewrite"
+	"qtrade/internal/qgraph"
 	"qtrade/internal/sqlparse"
 	"qtrade/internal/stats"
 	"qtrade/internal/trading"
@@ -123,14 +123,9 @@ type optimizer struct {
 	gv    *GlobalView
 	buyer string
 	sel   *sqlparse.Select
+	g     *qgraph.Graph // of sel
 	rels  []*rel
-	preds []sitePred
 	keep  int // 0 = full DP; >0 = IDP(2, keep)
-}
-
-type sitePred struct {
-	e    expr.Expr
-	mask uint
 }
 
 // Centralized runs the full-knowledge System-R style optimizer. keep=0 gives
@@ -202,13 +197,13 @@ func DataShipping(gv *GlobalView, buyerID, sql string) (*Plan, error) {
 		bestIdx := -1
 		connected := false
 		for i := range remaining {
-			conn := len(o.connecting(curMask, 1<<i)) > 0
+			conn := o.g.Connected(curMask, 1<<i)
 			if bestIdx < 0 || (conn && !connected) ||
 				(conn == connected && entries[i].rows < entries[bestIdx].rows) {
 				bestIdx, connected = i, conn
 			}
 		}
-		cur = o.joinEntries(cur, entries[bestIdx], o.connecting(curMask, 1<<bestIdx))
+		cur = o.joinEntries(cur, entries[bestIdx], o.g.Connecting(curMask, 1<<bestIdx))
 		curMask |= 1 << bestIdx
 		delete(remaining, bestIdx)
 	}
@@ -236,38 +231,16 @@ func (o *optimizer) resolve() error {
 	if len(o.sel.From) > 16 {
 		return fmt.Errorf("baseline: too many relations")
 	}
-	bindIdx := map[string]int{}
+	o.g = qgraph.New(o.sel)
 	for i, tr := range o.sel.From {
 		def, ok := o.gv.Schema.Table(tr.Name)
 		if !ok {
 			return fmt.Errorf("baseline: unknown table %q", tr.Name)
 		}
-		r := &rel{tr: tr, def: def,
+		r := &rel{tr: tr, def: def, localPred: o.g.LocalPred(i), relevant: o.g.Relevant(o.gv.Schema, i),
 			holder: map[string]string{}, rows: map[string]int64{},
 			bytes: map[string]float64{}, ndv: map[string]int64{}}
 		o.rels = append(o.rels, r)
-		bindIdx[strings.ToLower(tr.Binding())] = i
-	}
-	// Predicates per binding and join predicates.
-	for _, c := range expr.Conjuncts(o.sel.Where) {
-		var mask uint
-		for _, col := range expr.Columns(c) {
-			if i, ok := bindIdx[strings.ToLower(col.Table)]; ok {
-				mask |= 1 << i
-			}
-		}
-		if bits.OnesCount(mask) == 1 {
-			i := bits.TrailingZeros(mask)
-			o.rels[i].localPred = expr.And([]expr.Expr{o.rels[i].localPred, expr.Clone(c)})
-		} else if bits.OnesCount(mask) >= 2 {
-			o.preds = append(o.preds, sitePred{e: c, mask: mask})
-		}
-	}
-	for _, r := range o.rels {
-		r.relevant = rewrite.RelevantPartitions(o.gv.Schema, r.tr.Name, r.localPred)
-		if len(r.relevant) == 0 {
-			r.relevant = nil
-		}
 		for _, pid := range r.relevant {
 			holders := o.gv.Holders(r.tr.Name, pid)
 			if len(holders) == 0 {
@@ -318,25 +291,6 @@ func (o *optimizer) totalBytes(r *rel) float64 {
 		t += r.bytes[pid]
 	}
 	return t
-}
-
-func (o *optimizer) connecting(a, b uint) []expr.Expr {
-	var out []expr.Expr
-	for _, p := range o.preds {
-		if p.mask&a != 0 && p.mask&b != 0 && p.mask&^(a|b) == 0 {
-			out = append(out, expr.Clone(p.e))
-		}
-	}
-	return out
-}
-
-func (o *optimizer) connected(a, b uint) bool {
-	for _, p := range o.preds {
-		if p.mask&a != 0 && p.mask&b != 0 && p.mask&^(a|b) == 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // eligibleSites returns the non-buyer sites holding full relevant coverage
@@ -409,7 +363,7 @@ func (o *optimizer) siteEval(mask uint) siteEntry {
 	cur := uint(1) << relIdx[0]
 	for _, i := range relIdx[1:] {
 		r := o.rels[i]
-		preds := o.connecting(cur, 1<<i)
+		preds := o.g.Connecting(cur, 1<<i)
 		rRows := o.totalRows(r)
 		outRows := joinRows(rows, rRows, len(preds), o.joinNDV(cur, 1<<i, preds))
 		build, probe := rows, rRows
@@ -582,9 +536,9 @@ func (o *optimizer) run() (*buyerEntry, error) {
 	dp := joinorder.Plan[*buyerEntry]{
 		N:         n,
 		Seeds:     o.seeds,
-		Connected: o.connected,
+		Connected: o.g.Connected,
 		Join: func(a, b uint, l, r *buyerEntry) *buyerEntry {
-			return o.joinEntries(l, r, o.connecting(a, b))
+			return o.joinEntries(l, r, o.g.Connecting(a, b))
 		},
 		Keep: func(_ uint, cands []*buyerEntry) []*buyerEntry {
 			return joinorder.Cheapest(cands, (*buyerEntry).response)

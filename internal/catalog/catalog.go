@@ -243,11 +243,6 @@ func (p *Placement) Holders(f FragmentRef) []string {
 	return append([]string(nil), p.byFrag[f.Key()]...)
 }
 
-// NodeFragments returns the fragments a node holds.
-func (p *Placement) NodeFragments(node string) []FragmentRef {
-	return append([]FragmentRef(nil), p.byNode[node]...)
-}
-
 // Nodes returns all node ids mentioned by the placement, sorted.
 func (p *Placement) Nodes() []string {
 	out := make([]string, 0, len(p.byNode))

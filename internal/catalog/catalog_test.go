@@ -148,9 +148,6 @@ func TestPlacement(t *testing.T) {
 	if h := p.Holders(f1); len(h) != 2 {
 		t.Fatalf("holders: %v", h)
 	}
-	if got := p.NodeFragments("n2"); len(got) != 2 {
-		t.Fatalf("node fragments: %v", got)
-	}
 	if nodes := p.Nodes(); len(nodes) != 2 || nodes[0] != "n1" {
 		t.Fatalf("nodes: %v", nodes)
 	}

@@ -4,7 +4,7 @@ import (
 	"qtrade/internal/catalog"
 	"qtrade/internal/expr"
 	"qtrade/internal/localopt"
-	"qtrade/internal/rewrite"
+	"qtrade/internal/qgraph"
 	"qtrade/internal/sqlparse"
 )
 
@@ -52,15 +52,16 @@ func Analyse(sel *sqlparse.Select, sch *catalog.Schema, cands []Candidate, asked
 			add(localopt.SubqueryFor(sel, subset))
 		}
 	}
+	g := qgraph.New(sel)
 	for _, c := range cands {
 		for _, b := range c.UnionBindings {
-			tr := sel.FindFrom(b)
-			if tr == nil {
+			i, ok := g.Index(b)
+			if !ok {
 				continue
 			}
+			tr := sel.From[i]
 			base := localopt.SubqueryFor(sel, []string{tr.Binding()})
-			pred := expr.SingleBindingPred(sel.Where, b)
-			for _, pid := range rewrite.RelevantPartitions(sch, tr.Name, pred) {
+			for _, pid := range g.Relevant(sch, i) {
 				p, ok := sch.Partition(tr.Name, pid)
 				if !ok || p.Predicate == nil {
 					continue

@@ -262,6 +262,13 @@ func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
 	}
 	ob.begin(sql, sel.SQL())
 	defer ob.close()
+	res := &Result{SQL: sel.SQL(), BuyerID: cfg.ID, Workers: cfg.Workers,
+		FetchBatch: cfg.FetchBatchRows, faults: cfg.Faults, dir: cfg.Directory}
+	if gen.empty != nil {
+		// Known empty before B1: nothing is asked for and nothing bought.
+		res.Candidate = *gen.empty
+		return ob.done(res), nil
+	}
 
 	pool := map[string]trading.Offer{} // seller+sql+coverage -> cheapest offer
 	bestPrice := map[string]float64{}  // qid -> best price seen
@@ -358,8 +365,8 @@ func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
 		finalPool = append(finalPool, o)
 	}
 	sort.Slice(finalPool, func(i, j int) bool { return finalPool[i].OfferID < finalPool[j].OfferID })
-	return ob.done(&Result{SQL: sel.SQL(), Candidate: *best, Pool: finalPool, BuyerID: cfg.ID,
-		Workers: cfg.Workers, FetchBatch: cfg.FetchBatchRows, faults: cfg.Faults, dir: cfg.Directory}), nil
+	res.Candidate, res.Pool = *best, finalPool
+	return ob.done(res), nil
 }
 
 // ExecuteResult runs the winning plan: Remote leaves are fetched from their

@@ -22,7 +22,7 @@ import (
 	"qtrade/internal/expr"
 	"qtrade/internal/joinorder"
 	"qtrade/internal/plan"
-	"qtrade/internal/rewrite"
+	"qtrade/internal/qgraph"
 	"qtrade/internal/sqlparse"
 	"qtrade/internal/trading"
 )
@@ -124,21 +124,15 @@ type planGen struct {
 	mode        PlanGenMode
 	keep        int // IDP-M keep width
 	peerLatency func(string) float64
-	conjuncts   []expr.Expr // of the WHERE clause
+	q           *qgraph.Graph // of sel
 	bindings    []string
-	bindIdx     map[string]int
 	partBit     []map[string]uint // by binding index: partition id -> bit
 	fullMask    []uint            // by binding index: all relevant partitions
-	joinPred    []genJoinPred
 	hasAgg      bool
+	empty       *Candidate    // the whole answer, when the query provably has no rows
 	offers      []*offerInfo  // by OfferID
 	groups      []*offerGroup // by (mask, key)
 	cover       coverScratch
-}
-
-type genJoinPred struct {
-	e    expr.Expr
-	mask uint
 }
 
 // Generate builds candidate plans for sel from the offer pool. It returns
@@ -164,32 +158,67 @@ func GenerateWithLatency(sel *sqlparse.Select, sch *catalog.Schema, model *cost.
 	return g.run()
 }
 
-// newPlanGen analyses the query: its bindings, the partitions of each that
-// the single-binding predicates leave relevant, and its join predicates.
+// newPlanGen analyses the query: its graph, and the partitions of each
+// binding that its selections leave relevant.
 func newPlanGen(sel *sqlparse.Select, sch *catalog.Schema, model *cost.Model,
 	mode PlanGenMode, keep int, peerLatency func(string) float64) (*planGen, error) {
 	g := &planGen{sel: sel, sch: sch, model: model, mode: mode, keep: keep,
-		peerLatency: peerLatency, bindIdx: map[string]int{},
-		conjuncts: expr.Conjuncts(sel.Where)}
+		peerLatency: peerLatency, q: qgraph.New(sel)}
 	if g.keep <= 0 {
 		g.keep = idpKeep
 	}
 	g.hasAgg = sel.HasAggregates() || len(sel.GroupBy) > 0
-	for i, tr := range sel.From {
-		b := strings.ToLower(tr.Binding())
-		g.bindings = append(g.bindings, b)
-		g.bindIdx[b] = i
-	}
-	n := len(g.bindings)
+	n := len(sel.From)
 	if n == 0 {
 		return nil, fmt.Errorf("core: query has no relations")
 	}
 	if n > 16 {
 		return nil, fmt.Errorf("core: %d relations exceed plan generator limit", n)
 	}
-	g.computeRelevant()
-	g.classifyJoinPreds()
+	for i, tr := range sel.From {
+		g.bindings = append(g.bindings, strings.ToLower(tr.Binding()))
+		bitsOf := map[string]uint{}
+		var full uint
+		for k, id := range g.q.Relevant(sch, i) {
+			bitsOf[id] = 1 << k
+			full |= 1 << k
+		}
+		g.partBit = append(g.partBit, bitsOf)
+		g.fullMask = append(g.fullMask, full)
+	}
+	g.empty = g.emptyAnswer()
 	return g, nil
+}
+
+// emptyAnswer is the plan of a query the graph proves empty before anything
+// is asked: the query's own tail over no rows, with nothing to buy. Either a
+// relation's selections prune every partition of it, or what no partition
+// predicate was tested against folds to FALSE, as every seller's rewrite
+// would find: the conjuncts naming no relation, and the selections of a
+// relation with a fragment that has no predicate. Nil when rows may exist.
+func (g *planGen) emptyAnswer() *Candidate {
+	untested := g.q.Within(0)
+	for i, tr := range g.sel.From {
+		if slices.ContainsFunc(g.sch.Partitions(tr.Name), func(p *catalog.Partition) bool { return p.Predicate == nil }) {
+			untested = append(untested, g.q.Local[i]...)
+		}
+	}
+	if !slices.Contains(g.fullMask, 0) && !expr.IsFalse(expr.Simplify(expr.And(untested))) {
+		return nil
+	}
+	var cols []expr.ColumnID
+	for _, tr := range g.sel.From {
+		def, ok := g.sch.Table(tr.Name)
+		if !ok {
+			return nil
+		}
+		cols = append(cols, def.ColumnIDs(tr.Binding())...)
+	}
+	c, err := g.finishAssembly(&assembly{node: &plan.Empty{Cols: cols}, schema: cols})
+	if err != nil {
+		return nil
+	}
+	return c
 }
 
 // put adds o to the generator's pool, in place of the entry whose OfferID is
@@ -243,71 +272,19 @@ func insertByID(list []*offerInfo, info *offerInfo) []*offerInfo {
 	return slices.Insert(list, i, info)
 }
 
-// computeRelevant prunes each binding's partitions against the query's
-// single-binding predicates.
-func (g *planGen) computeRelevant() {
-	perBinding := map[string][]expr.Expr{}
-	for _, c := range g.conjuncts {
-		var owner string
-		single := true
-		for _, col := range expr.Columns(c) {
-			lt := strings.ToLower(col.Table)
-			if lt == "" {
-				single = false
-				break
-			}
-			if owner == "" {
-				owner = lt
-			} else if owner != lt {
-				single = false
-				break
-			}
-		}
-		if single && owner != "" {
-			perBinding[owner] = append(perBinding[owner], c)
-		}
-	}
-	for _, tr := range g.sel.From {
-		pred := expr.And(perBinding[strings.ToLower(tr.Binding())])
-		bitsOf := map[string]uint{}
-		var full uint
-		for i, id := range rewrite.RelevantPartitions(g.sch, tr.Name, pred) {
-			bitsOf[id] = 1 << i
-			full |= 1 << i
-		}
-		g.partBit = append(g.partBit, bitsOf)
-		g.fullMask = append(g.fullMask, full)
-	}
-}
-
-func (g *planGen) classifyJoinPreds() {
-	for _, c := range g.conjuncts {
-		var mask uint
-		for _, col := range expr.Columns(c) {
-			if idx, ok := g.bindIdx[strings.ToLower(col.Table)]; ok {
-				mask |= 1 << idx
-			}
-		}
-		if bits.OnesCount(mask) == 2 {
-			g.joinPred = append(g.joinPred, genJoinPred{e: c, mask: mask})
-		}
-	}
-}
-
 // decode validates an offer against the query and computes its coverage and
 // its group key: the offer's kind and schema signature, which offers must
 // share to be unioned.
 func (g *planGen) decode(o *trading.Offer) (*offerInfo, string) {
 	info := &offerInfo{o: *o, partMask: make([]uint, len(g.bindings))}
 	for _, b := range o.Bindings {
-		lb := strings.ToLower(b)
-		idx, ok := g.bindIdx[lb]
+		idx, ok := g.q.Index(b)
 		if !ok {
 			return nil, "" // not about this query's relations
 		}
 		info.mask |= 1 << idx
 		var m uint
-		for _, pid := range o.Parts[lb] {
+		for _, pid := range o.Parts[g.bindings[idx]] {
 			m |= g.partBit[idx][pid] // irrelevant partitions contribute 0
 		}
 		info.partMask[idx] = m
@@ -368,6 +345,9 @@ func (info *offerInfo) remote() *plan.Remote {
 // run builds the candidate plans of the current pool: a subset's entries are
 // single offers, unions of offers, and joins of solved smaller subsets.
 func (g *planGen) run() ([]Candidate, error) {
+	if g.empty != nil {
+		return []Candidate{*g.empty}, nil
+	}
 	n := len(g.bindings)
 	dp := joinorder.Plan[*assembly]{
 		N:        n,
@@ -375,8 +355,8 @@ func (g *planGen) run() ([]Candidate, error) {
 		Seeds: func(mask uint, out []*assembly) []*assembly {
 			return g.unionAssemblies(mask, false, g.directAssemblies(mask, out))
 		},
-		Connected: g.connected,
-		Join:      func(a, b uint, l, r *assembly) *assembly { return g.join(l, r, g.connecting(a, b)) },
+		Connected: g.q.Connected,
+		Join:      func(a, b uint, l, r *assembly) *assembly { return g.join(l, r, g.q.Connecting(a, b)) },
 		Keep:      g.prune,
 	}
 	if g.mode == GenIDP {
@@ -599,26 +579,6 @@ func (g *planGen) exactCover(b int, group []*offerInfo) *assembly {
 		offers:    offers,
 		unions:    []string{g.bindings[b]},
 	}
-}
-
-// connected reports whether a join predicate links the two subsets.
-func (g *planGen) connected(a, b uint) bool {
-	for _, jp := range g.joinPred {
-		if jp.mask&a != 0 && jp.mask&b != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-func (g *planGen) connecting(a, b uint) []expr.Expr {
-	var out []expr.Expr
-	for _, jp := range g.joinPred {
-		if jp.mask&a != 0 && jp.mask&b != 0 {
-			out = append(out, expr.Clone(jp.e))
-		}
-	}
-	return out
 }
 
 func (g *planGen) join(l, r *assembly, preds []expr.Expr) *assembly {

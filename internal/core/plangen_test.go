@@ -377,3 +377,45 @@ func describe(cands []Candidate) string {
 	}
 	return s
 }
+
+// TestGenerateEmptyAnswer: the generator knows a query has no rows without an
+// offer — a constant-false conjunct, selections that prune every partition,
+// selections that contradict on an unpartitioned relation — and answers with
+// the query's own tail over an Empty leaf; otherwise an empty pool is an error.
+func TestGenerateEmptyAnswer(t *testing.T) {
+	g := chainGen(t, 3, GenDP)
+	sch := g.sch.Clone()
+	sch.MustAddTable(&catalog.TableDef{Name: "whole", Columns: []catalog.ColumnDef{{Name: "pk", Kind: value.Int}}})
+	cases := []struct {
+		sql   string
+		empty bool
+	}{
+		{"SELECT r1.pk FROM r1, r2 WHERE r1.fk = r2.pk AND 1 = 0", true},
+		{"SELECT r1.pk FROM r1, r2 WHERE r1.fk = r2.pk AND r2.pk < 5 AND r2.pk > 25", true},
+		{"SELECT r1.pk FROM r1 WHERE r1.pk >= 30", true}, // beyond the last partition
+		{"SELECT COUNT(*) FROM r1, whole WHERE r1.fk = whole.pk AND whole.pk < 5 AND whole.pk > 25", true},
+		{"SELECT r1.pk FROM r1, whole WHERE r1.fk = whole.pk AND whole.pk < 5 AND 1 = 1", false},
+		{"SELECT r1.pk FROM r1, r2 WHERE r1.fk = r2.pk AND r1.pk < r2.pk", false},
+	}
+	for _, tc := range cases {
+		sel := sqlparse.MustParseSelect(tc.sql)
+		plan.Qualify(sel, sch)
+		cands, err := Generate(sel, sch, cost.Default(), GenDP, 0, nil)
+		if !tc.empty {
+			if err == nil {
+				t.Errorf("%s: a plan from no offers: %s", tc.sql, describe(cands))
+			}
+			continue
+		}
+		if err != nil || len(cands) != 1 || len(cands[0].Offers) != 0 {
+			t.Fatalf("%s: %v, %d candidates", tc.sql, err, len(cands))
+		}
+		leaf := cands[0].Root
+		for len(leaf.Children()) == 1 {
+			leaf = leaf.Children()[0]
+		}
+		if _, ok := leaf.(*plan.Empty); !ok {
+			t.Errorf("%s: leaf %T, want *plan.Empty:\n%s", tc.sql, leaf, plan.Explain(cands[0].Root))
+		}
+	}
+}

@@ -144,6 +144,8 @@ func (ex *Executor) build(n plan.Node) (Cursor, error) {
 		c = &unionCursor{t: t, inputs: inputs}
 	case *plan.Remote:
 		c = &remoteCursor{ex: ex, t: t}
+	case *plan.Empty:
+		c = emptyCursor{}
 	default:
 		return nil, fmt.Errorf("exec: unknown plan node %T", n)
 	}
@@ -844,6 +846,13 @@ func (c *unionCursor) Close() error {
 	}
 	return err
 }
+
+// emptyCursor is the Empty leaf: exhausted from the start.
+type emptyCursor struct{}
+
+func (emptyCursor) Open() error                { return nil }
+func (emptyCursor) Next() ([]value.Row, error) { return nil, nil }
+func (emptyCursor) Close() error               { return nil }
 
 // remoteCursor resolves a Remote leaf by pulling the purchased answer batch
 // by batch from the executor's FetchStream; an early Close releases the

@@ -197,6 +197,8 @@ func (ex *Executor) runNode(n plan.Node) ([]value.Row, error) {
 		return ex.runUnion(t)
 	case *plan.Remote:
 		return ex.runRemote(t)
+	case *plan.Empty:
+		return nil, nil
 	}
 	return nil, fmt.Errorf("exec: unknown plan node %T", n)
 }

@@ -82,6 +82,13 @@ func streamingPlans() map[string]func() plan.Node {
 				Names: []expr.ColumnID{{Name: "office"}}}}
 		},
 		"union": func() plan.Node { return &plan.Union{Inputs: []plan.Node{scan(), scan(), scan()}} },
+		"empty-agg": func() plan.Node { // a global aggregate over no rows is one row
+			return &plan.Aggregate{Input: &plan.Empty{Cols: custDef.ColumnIDs("c")},
+				Aggs: []plan.AggItem{{Agg: &expr.Agg{Fn: "COUNT", Star: true}, Name: expr.ColumnID{Name: "n"}}}}
+		},
+		"empty-union": func() plan.Node {
+			return &plan.Union{Inputs: []plan.Node{&plan.Empty{Cols: custDef.ColumnIDs("c")}, scan()}}
+		},
 		"sort-limit": func() plan.Node {
 			return &plan.Limit{Input: &plan.Sort{Input: scan(),
 				Keys: []plan.SortKey{{Expr: sqlparse.MustParseExpr("c.custname"), Desc: true}}}, N: 2}

@@ -10,7 +10,7 @@ import (
 	"qtrade/internal/baseline"
 	"qtrade/internal/cost"
 	"qtrade/internal/plan"
-	"qtrade/internal/rewrite"
+	"qtrade/internal/qgraph"
 	"qtrade/internal/sqlparse"
 	"qtrade/internal/workload"
 )
@@ -82,7 +82,7 @@ func TestEstimateGapIsTwoTerms(t *testing.T) {
 			case *plan.Remote:
 				cenSlowest = math.Max(cenSlowest, v.EstCost)
 				sel := sqlparse.MustParseSelect(v.SQL)
-				for _, p := range rewrite.RelevantPartitions(f.Schema, sel.From[0].Name, sel.Where) {
+				for _, p := range qgraph.New(sel).Relevant(f.Schema, 0) {
 					cenFrags = append(cenFrags, sel.From[0].Name+"/"+p)
 				}
 			}

@@ -425,29 +425,6 @@ func Or(list []Expr) Expr {
 	return out
 }
 
-// SingleBindingPred returns (cloned) the conjunction of where's conjuncts
-// that reference the given binding and nothing else; nil when there are none.
-// Only qualified references count, so callers qualify the query first.
-func SingleBindingPred(where Expr, binding string) Expr {
-	var conj []Expr
-	for _, c := range Conjuncts(where) {
-		only := true
-		any := false
-		for _, col := range Columns(c) {
-			if strings.EqualFold(col.Table, binding) {
-				any = true
-			} else {
-				only = false
-				break
-			}
-		}
-		if only && any {
-			conj = append(conj, Clone(c))
-		}
-	}
-	return And(conj)
-}
-
 // Qualify returns a copy of e whose bare columns carry the binding
 // qualifier: a partition predicate, stored over unqualified column names,
 // restated for one FROM entry of a query.

@@ -329,41 +329,7 @@ func TestRenameTables(t *testing.T) {
 	}
 }
 
-func TestConjunctsOnTables(t *testing.T) {
-	e := And([]Expr{
-		Eq(col("a", "x"), Int(1)),
-		Eq(col("a", "y"), col("b", "y")),
-		Eq(col("b", "z"), Int(2)),
-	})
-	local, rest := ConjunctsOnTables(e, map[string]bool{"a": true})
-	if len(local) != 1 || len(rest) != 2 {
-		t.Errorf("split: local=%d rest=%d", len(local), len(rest))
-	}
-}
-
 func TestSingleBindingPredAndQualify(t *testing.T) {
-	where := And([]Expr{
-		Eq(col("a", "x"), Int(1)),
-		Eq(col("a", "y"), col("b", "y")),
-		Eq(col("B", "z"), Int(2)),
-		Eq(Int(1), Int(1)),             // no column: belongs to no binding
-		Eq(NewColumn("", "w"), Int(3)), // bare column: not a's
-	})
-	if got := SingleBindingPred(where, "A"); got == nil || got.String() != "a.x = 1" {
-		t.Errorf("binding a: %v", got)
-	}
-	got := SingleBindingPred(where, "b")
-	if got == nil || got.String() != "B.z = 2" {
-		t.Errorf("binding b: %v", got)
-	}
-	got.(*Binary).L.(*Column).Name = "changed"
-	if !strings.Contains(where.String(), "B.z = 2") {
-		t.Error("SingleBindingPred must return a copy")
-	}
-	if SingleBindingPred(where, "c") != nil || SingleBindingPred(nil, "a") != nil {
-		t.Error("no conjunct on the binding must yield nil")
-	}
-
 	part := And([]Expr{Cmp(">", NewColumn("", "x"), Int(5)), Eq(col("t", "y"), Int(1))})
 	if q := Qualify(part, "r"); q.String() != "r.x > 5 AND t.y = 1" {
 		t.Errorf("qualify: %s", q)

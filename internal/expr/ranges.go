@@ -24,9 +24,6 @@ type Range struct {
 	Empty bool
 }
 
-// FullRange returns the unconstrained range.
-func FullRange() *Range { return &Range{} }
-
 // PointRange returns the range holding exactly v.
 func PointRange(v value.Value) *Range { return &Range{Set: []value.Value{v}} }
 

@@ -236,23 +236,3 @@ func lower(s string) string {
 	}
 	return string(b)
 }
-
-// ConjunctsOnTables partitions a predicate's conjuncts by which table set
-// they reference: those referencing only tables in keep, and the rest.
-func ConjunctsOnTables(e Expr, keep map[string]bool) (local, rest []Expr) {
-	for _, c := range Conjuncts(e) {
-		all := true
-		for _, col := range Columns(c) {
-			if !keep[lower(col.Table)] {
-				all = false
-				break
-			}
-		}
-		if all {
-			local = append(local, c)
-		} else {
-			rest = append(rest, c)
-		}
-	}
-	return local, rest
-}

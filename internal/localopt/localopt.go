@@ -19,6 +19,7 @@ import (
 	"qtrade/internal/expr"
 	"qtrade/internal/joinorder"
 	"qtrade/internal/plan"
+	"qtrade/internal/qgraph"
 	"qtrade/internal/sqlparse"
 	"qtrade/internal/stats"
 	"qtrade/internal/storage"
@@ -46,7 +47,7 @@ type Result struct {
 // node's local fragments. Every table referenced must have at least one
 // local fragment (run the rewrite package first on foreign queries).
 func Optimize(sel *sqlparse.Select, sch *catalog.Schema, store *storage.Store, m *cost.Model) (*Result, error) {
-	o := &optimizer{sel: sel, sch: sch, store: store, m: m}
+	o := &optimizer{sel: sel, sch: sch, store: store, m: m, g: qgraph.New(sel)}
 	return o.run()
 }
 
@@ -72,16 +73,9 @@ type optimizer struct {
 	store *storage.Store
 	m     *cost.Model
 
-	rels      []*baseRel
-	joinPreds []joinPred
-	extra     []expr.Expr // conjuncts spanning >2 relations (applied at top)
-	needCols  map[string][]string
-}
-
-type joinPred struct {
-	e    expr.Expr
-	mask uint // bindings referenced
-	equi bool
+	g        *qgraph.Graph // of sel
+	rels     []*baseRel
+	needCols map[string][]string
 }
 
 func (o *optimizer) run() (*Result, error) {
@@ -94,7 +88,6 @@ func (o *optimizer) run() (*Result, error) {
 	if err := o.buildBase(); err != nil {
 		return nil, err
 	}
-	o.classifyPredicates()
 	o.needCols = neededColumns(o.sel, o.columnsOf)
 
 	n := len(o.rels)
@@ -107,8 +100,8 @@ func (o *optimizer) run() (*Result, error) {
 			}
 			return out
 		},
-		Connected: o.connected,
-		Join:      func(a, b uint, l, r dpEntry) dpEntry { return o.joinEntry(l, r, o.connecting(a, b)) },
+		Connected: o.g.Connected,
+		Join:      func(a, b uint, l, r dpEntry) dpEntry { return o.joinEntry(l, r, o.g.Connecting(a, b)) },
 		// The modified DP: the optimal entry of every subset is retained.
 		Keep: func(_ uint, cands []dpEntry) []dpEntry {
 			return joinorder.Cheapest(cands, func(e dpEntry) float64 { return e.cost })
@@ -139,7 +132,7 @@ func (o *optimizer) run() (*Result, error) {
 // the node's local fragments with pushed-down single-relation predicates and
 // partition pruning.
 func (o *optimizer) buildBase() error {
-	for _, tr := range o.sel.From {
+	for i, tr := range o.sel.From {
 		def, ok := o.sch.Table(tr.Name)
 		if !ok {
 			return fmt.Errorf("localopt: unknown table %q", tr.Name)
@@ -148,19 +141,8 @@ func (o *optimizer) buildBase() error {
 		if len(frs) == 0 {
 			return fmt.Errorf("localopt: no local fragments of %q (rewrite foreign queries first)", tr.Name)
 		}
-		o.rels = append(o.rels, &baseRel{ref: tr, def: def})
-	}
-	// Single-relation conjuncts push into the base relation.
-	bindLower := make([]string, len(o.rels))
-	for i, r := range o.rels {
-		bindLower[i] = strings.ToLower(r.ref.Binding())
-	}
-	for _, c := range expr.Conjuncts(o.sel.Where) {
-		tabs := referencedBindings(c, bindLower)
-		if bits.OnesCount(uint(tabs)) == 1 {
-			idx := bits.TrailingZeros(uint(tabs))
-			o.rels[idx].localPrd = expr.And([]expr.Expr{o.rels[idx].localPrd, c})
-		}
+		// Single-relation conjuncts push into the base relation.
+		o.rels = append(o.rels, &baseRel{ref: tr, def: def, localPrd: o.g.LocalPred(i)})
 	}
 	for _, r := range o.rels {
 		if err := o.buildAccessPath(r); err != nil {
@@ -168,25 +150,6 @@ func (o *optimizer) buildBase() error {
 		}
 	}
 	return nil
-}
-
-// referencedBindings returns the bitmask of FROM bindings a conjunct
-// references. Unqualified columns resolve to the unique binding exposing the
-// column name when possible.
-func referencedBindings(e expr.Expr, bindings []string) uint {
-	var mask uint
-	for _, c := range expr.Columns(e) {
-		if c.Table == "" {
-			continue // resolved against full schema at bind time
-		}
-		lt := strings.ToLower(c.Table)
-		for i, b := range bindings {
-			if b == lt {
-				mask |= 1 << i
-			}
-		}
-	}
-	return mask
 }
 
 func (o *optimizer) buildAccessPath(r *baseRel) error {
@@ -203,14 +166,8 @@ func (o *optimizer) buildAccessPath(r *baseRel) error {
 		}
 		// Partition pruning: skip fragments whose defining predicate
 		// contradicts the pushed-down predicate.
-		if part, ok := o.sch.Partition(r.ref.Name, f.PartID); ok && part.Predicate != nil && r.localPrd != nil {
-			combined := expr.And([]expr.Expr{
-				expr.Unqualify(r.localPrd),
-				expr.Unqualify(part.Predicate),
-			})
-			if expr.Unsatisfiable(expr.Simplify(combined)) {
-				continue
-			}
+		if part, ok := o.sch.Partition(r.ref.Name, f.PartID); ok && qgraph.Prunes(r.localPrd, part) {
+			continue
 		}
 		sel := 1.0
 		if r.localPrd != nil {
@@ -244,64 +201,22 @@ func (o *optimizer) buildAccessPath(r *baseRel) error {
 	return nil
 }
 
-func (o *optimizer) classifyPredicates() {
-	bindLower := make([]string, len(o.rels))
-	for i, r := range o.rels {
-		bindLower[i] = strings.ToLower(r.ref.Binding())
-	}
-	for _, c := range expr.Conjuncts(o.sel.Where) {
-		mask := referencedBindings(c, bindLower)
-		n := bits.OnesCount(uint(mask))
-		switch {
-		case n <= 1:
-			// handled in buildBase (or constant; constants fold earlier)
-		case n == 2:
-			o.joinPreds = append(o.joinPreds, joinPred{e: c, mask: mask, equi: isEquiPred(c)})
-		default:
-			o.extra = append(o.extra, c)
-		}
-	}
-}
-
 func isEquiPred(e expr.Expr) bool {
 	b, ok := e.(*expr.Binary)
 	return ok && b.Op == "="
 }
 
-// connecting returns join predicates linking the two subsets.
-func (o *optimizer) connecting(a, b uint) []joinPred {
-	var out []joinPred
-	for _, jp := range o.joinPreds {
-		if jp.mask&a != 0 && jp.mask&b != 0 && jp.mask&^(a|b) == 0 {
-			out = append(out, jp)
-		}
-	}
-	return out
-}
-
-// connected reports whether connecting would return any (a join predicate
-// names exactly two relations, so one in each subset is all of it).
-func (o *optimizer) connected(a, b uint) bool {
-	for _, jp := range o.joinPreds {
-		if jp.mask&a != 0 && jp.mask&b != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 func (o *optimizer) columnsOf(i int) []catalog.ColumnDef { return o.rels[i].def.Columns }
 
-// joinEntry builds the DP entry for joining two solved subsets.
-func (o *optimizer) joinEntry(l, r dpEntry, preds []joinPred) dpEntry {
-	var on []expr.Expr
+// joinEntry builds the DP entry for joining two solved subsets on the edges
+// connecting them.
+func (o *optimizer) joinEntry(l, r dpEntry, on []expr.Expr) dpEntry {
 	hasEqui := false
 	rows := float64(l.rows) * float64(r.rows)
-	for _, jp := range preds {
-		on = append(on, expr.Clone(jp.e))
-		if jp.equi {
+	for _, e := range on {
+		if isEquiPred(e) {
 			hasEqui = true
-			rows /= float64(o.equiNDV(jp))
+			rows /= float64(o.equiNDV(e))
 		} else {
 			rows /= 3
 		}
@@ -331,19 +246,12 @@ func (o *optimizer) joinEntry(l, r dpEntry, preds []joinPred) dpEntry {
 
 // equiNDV estimates the distinct count of an equi-join key, using the larger
 // side per the containment assumption.
-func (o *optimizer) equiNDV(jp joinPred) int64 {
+func (o *optimizer) equiNDV(e expr.Expr) int64 {
 	var ndv int64 = 1
-	for _, c := range expr.Columns(jp.e) {
-		for i, r := range o.rels {
-			if jp.mask&(1<<i) == 0 {
-				continue
-			}
-			if c.Table != "" && !strings.EqualFold(c.Table, r.ref.Binding()) {
-				continue
-			}
-			if cs := r.st.Col(c.Name); cs != nil && cs.NDV > ndv {
-				ndv = cs.NDV
-			}
+	for _, c := range expr.Columns(e) {
+		i, _ := o.g.Index(c.Table) // an edge names FROM relations only
+		if cs := o.rels[i].st.Col(c.Name); cs != nil && cs.NDV > ndv {
+			ndv = cs.NDV
 		}
 	}
 	return ndv
@@ -415,7 +323,7 @@ func neededColumns(sel *sqlparse.Select, columnsOf func(i int) []catalog.ColumnD
 
 // finishPartial turns a DP entry into an offered partial result with its
 // subquery text. The full-relation entry additionally gets the query's
-// aggregation/ordering phase and the >2-relation residual conjuncts.
+// aggregation/ordering phase and the graph's residual conjuncts.
 func (o *optimizer) finishPartial(mask uint, entry dpEntry, full uint) (*Partial, error) {
 	p := &Partial{Cost: entry.cost, Rows: entry.rows}
 	var rowBytes float64
@@ -431,8 +339,8 @@ func (o *optimizer) finishPartial(mask uint, entry dpEntry, full uint) (*Partial
 	}
 	if mask == full {
 		node := entry.node
-		if len(o.extra) > 0 {
-			node = &plan.Filter{Input: node, Pred: expr.And(expr.CloneAll(o.extra))}
+		if len(o.g.Residual) > 0 {
+			node = &plan.Filter{Input: node, Pred: expr.And(expr.CloneAll(o.g.Residual))}
 			p.Cost += o.m.Filter(entry.rows)
 		}
 		finished, err := plan.FinalizeSelect(o.sel, node)
@@ -455,7 +363,7 @@ func (o *optimizer) finishPartial(mask uint, entry dpEntry, full uint) (*Partial
 		p.Bytes = float64(p.Rows) * math.Max(rowBytes, 8)
 		return p, nil
 	}
-	sub := subquery(o.sel, mask, o.needCols, o.columnsOf)
+	sub := subquery(o.g, mask, o.needCols, o.columnsOf)
 	p.SQL = sub
 	finished, err := plan.FinalizeSelect(sub, entry.node)
 	if err != nil {
@@ -485,17 +393,14 @@ func estimateGroups(rows int64, groupCols int) int64 {
 // needed columns of those relations, their FROM entries, and the WHERE
 // conjuncts referencing only them. This is the query text shipped in offers
 // and RFBs.
-func subquery(sel *sqlparse.Select, mask uint, need map[string][]string, columnsOf func(i int) []catalog.ColumnDef) *sqlparse.Select {
+func subquery(g *qgraph.Graph, mask uint, need map[string][]string, columnsOf func(i int) []catalog.ColumnDef) *sqlparse.Select {
 	sub := &sqlparse.Select{Limit: -1}
-	keep := map[string]bool{}
-	for i, tr := range sel.From {
+	for i, tr := range g.From {
 		if mask&(1<<i) == 0 {
 			continue
 		}
 		sub.From = append(sub.From, tr)
-		b := strings.ToLower(tr.Binding())
-		keep[b] = true
-		for _, cn := range need[b] {
+		for _, cn := range need[strings.ToLower(tr.Binding())] {
 			sub.Items = append(sub.Items, sqlparse.SelectItem{Expr: expr.NewColumn(tr.Binding(), cn)})
 		}
 	}
@@ -508,30 +413,14 @@ func subquery(sel *sqlparse.Select, mask uint, need map[string][]string, columns
 		if cols := columnsOf(first); len(cols) > 0 {
 			name = cols[0].Name
 		}
-		sub.Items = append(sub.Items, sqlparse.SelectItem{Expr: expr.NewColumn(sel.From[first].Binding(), name)})
+		sub.Items = append(sub.Items, sqlparse.SelectItem{Expr: expr.NewColumn(g.From[first].Binding(), name)})
 	}
 	// Canonical item order so equivalent subqueries offered by different
 	// sellers are union-compatible at the buyer.
 	sort.SliceStable(sub.Items, func(i, j int) bool {
 		return sub.Items[i].Expr.String() < sub.Items[j].Expr.String()
 	})
-	var conj []expr.Expr
-	for _, c := range expr.Conjuncts(sel.Where) {
-		all := true
-		for _, col := range expr.Columns(c) {
-			if col.Table == "" {
-				continue
-			}
-			if !keep[strings.ToLower(col.Table)] {
-				all = false
-				break
-			}
-		}
-		if all {
-			conj = append(conj, expr.Clone(c))
-		}
-	}
-	sub.Where = expr.And(conj)
+	sub.Where = expr.And(g.Within(mask))
 	return sub
 }
 
@@ -539,13 +428,6 @@ func subquery(sel *sqlparse.Select, mask uint, need map[string][]string, columns
 // without table definitions; used by the buyer predicates analyser.
 func SubqueryFor(sel *sqlparse.Select, bindings []string) *sqlparse.Select {
 	noDefs := func(int) []catalog.ColumnDef { return nil }
-	var mask uint
-	for i, tr := range sel.From {
-		for _, b := range bindings {
-			if strings.EqualFold(tr.Binding(), b) {
-				mask |= 1 << i
-			}
-		}
-	}
-	return subquery(sel, mask, neededColumns(sel, noDefs), noDefs)
+	g := qgraph.New(sel)
+	return subquery(g, g.Mask(bindings), neededColumns(sel, noDefs), noDefs)
 }

@@ -184,3 +184,33 @@ func TestSQLLogicBattery(t *testing.T) {
 		}
 	}
 }
+
+// TestConstantConjunctIsApplied: a conjunct that names no relation belongs to
+// no access path and to no join, so it must reach the plan's top filter — a
+// constant-false WHERE returns nothing (one zero row for a global aggregate)
+// and a constant-true one changes nothing.
+func TestConstantConjunctIsApplied(t *testing.T) {
+	n := fullNode(t)
+	cases := []struct {
+		q    string
+		want []string
+	}{
+		{"SELECT c.custname FROM customer c WHERE 1 = 0", []string{}},
+		{"SELECT c.custname FROM customer c WHERE c.custid < 3 AND 1 = 0", []string{}},
+		{"SELECT c.custname FROM customer c WHERE 2 < 1 AND c.custid < 3", []string{}},
+		{"SELECT c.custname, i.charge FROM customer c, invoiceline i WHERE c.custid = i.custid AND 1 = 0", []string{}},
+		{"SELECT COUNT(*) FROM customer c WHERE 1 = 0", []string{"0"}},
+		{"SELECT c.custname FROM customer c WHERE c.custid < 3 AND 1 = 1", []string{"alice", "bob"}},
+		{"SELECT COUNT(*) FROM customer c, invoiceline i WHERE c.custid = i.custid AND 1 = 1", []string{"5"}},
+	}
+	for _, tc := range cases {
+		resp, err := n.Execute(trading.ExecReq{SQL: tc.q})
+		if err != nil {
+			t.Errorf("%s\n  error: %v", tc.q, err)
+			continue
+		}
+		if got := render(resp); strings.Join(got, "|") != strings.Join(tc.want, "|") {
+			t.Errorf("%s\n  got  %v\n  want %v", tc.q, got, tc.want)
+		}
+	}
+}

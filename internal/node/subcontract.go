@@ -63,8 +63,7 @@ func (n *Node) subcontractDrafts(rfb trading.RFB, sel *sqlparse.Select, rw *rewr
 		if !isKept {
 			continue // fully foreign relations are the buyer's problem
 		}
-		bindingPred := expr.SingleBindingPred(sel.Where, tr.Binding())
-		relevant := rewrite.RelevantPartitions(n.cfg.Schema, tr.Name, bindingPred)
+		relevant := rw.Relevant[b]
 		missing := subtract(relevant, held)
 		if len(missing) == 0 {
 			continue

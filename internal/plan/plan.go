@@ -233,6 +233,16 @@ func (u *Union) Schema() []expr.ColumnID {
 func (u *Union) Children() []Node { return u.Inputs }
 func (u *Union) Describe() string { return fmt.Sprintf("UnionAll (%d inputs)", len(u.Inputs)) }
 
+// Empty yields no rows under the given schema: the FROM rows of a query whose
+// WHERE clause is known false before anything is read.
+type Empty struct {
+	Cols []expr.ColumnID
+}
+
+func (e *Empty) Schema() []expr.ColumnID { return e.Cols }
+func (e *Empty) Children() []Node        { return nil }
+func (e *Empty) Describe() string        { return "Empty" }
+
 // Remote is a purchased query-answer: the named seller node evaluates SQL
 // and ships the result. Cols is the result schema the buyer exposes to the
 // rest of the plan (qualified by Binding). The Est* fields carry the seller's

@@ -14,6 +14,7 @@ import (
 
 	"qtrade/internal/catalog"
 	"qtrade/internal/expr"
+	"qtrade/internal/qgraph"
 	"qtrade/internal/sqlparse"
 	"qtrade/internal/storage"
 )
@@ -29,8 +30,9 @@ var ErrContradiction = errors.New("rewrite: local partitions contradict the quer
 type Rewritten struct {
 	Sel *sqlparse.Select
 	// Parts maps each kept binding (lower-cased) to the partition ids the
-	// rewritten query covers.
-	Parts map[string][]string
+	// rewritten query covers; Relevant to those the query needs of it.
+	Parts    map[string][]string
+	Relevant map[string][]string
 	// Dropped lists the bindings of relations removed because the node holds
 	// no fragment of them.
 	Dropped []string
@@ -45,12 +47,14 @@ type Rewritten struct {
 
 // ForSeller rewrites a buyer query against the seller's schema and store.
 func ForSeller(sel *sqlparse.Select, sch *catalog.Schema, store *storage.Store) (*Rewritten, error) {
-	rw := &Rewritten{Parts: map[string][]string{}}
+	g := qgraph.New(sel)
+	rw := &Rewritten{Parts: map[string][]string{}, Relevant: map[string][]string{}}
 	var kept []sqlparse.TableRef
+	var keptMask uint
 	keptSet := map[string]bool{}
 	complete := true
 	anyHeld := false
-	for _, tr := range sel.From {
+	for i, tr := range sel.From {
 		held := store.PartIDs(tr.Name)
 		if len(held) > 0 {
 			anyHeld = true
@@ -59,20 +63,12 @@ func ForSeller(sel *sqlparse.Select, sch *catalog.Schema, store *storage.Store) 
 		// whose defining predicate contradicts the query's restriction on
 		// this relation contributes nothing (paper §3.4: restrict extents,
 		// then simplify).
-		bindingPred := expr.SingleBindingPred(sel.Where, tr.Binding())
+		local := expr.And(g.Local[i])
 		var usable []string
 		for _, pid := range held {
-			p, ok := sch.Partition(tr.Name, pid)
-			if !ok {
-				continue
+			if p, ok := sch.Partition(tr.Name, pid); ok && !qgraph.Prunes(local, p) {
+				usable = append(usable, pid)
 			}
-			if p.Predicate != nil && bindingPred != nil {
-				combined := expr.And([]expr.Expr{expr.Unqualify(bindingPred), expr.Unqualify(p.Predicate)})
-				if expr.Unsatisfiable(expr.Simplify(combined)) {
-					continue
-				}
-			}
-			usable = append(usable, pid)
 		}
 		if len(usable) == 0 {
 			rw.Dropped = append(rw.Dropped, tr.Binding())
@@ -80,10 +76,14 @@ func ForSeller(sel *sqlparse.Select, sch *catalog.Schema, store *storage.Store) 
 			continue
 		}
 		kept = append(kept, tr)
+		keptMask |= 1 << i
 		b := strings.ToLower(tr.Binding())
 		keptSet[b] = true
 		rw.Parts[b] = usable
-		if len(usable) < len(RelevantPartitions(sch, tr.Name, bindingPred)) {
+		// Asked of a kept relation only: most subqueries a seller prices are
+		// about relations it holds no usable fragment of.
+		rw.Relevant[b] = g.Relevant(sch, i)
+		if len(usable) < len(rw.Relevant[b]) {
 			complete = false
 		}
 	}
@@ -99,12 +99,7 @@ func ForSeller(sel *sqlparse.Select, sch *catalog.Schema, store *storage.Store) 
 
 	// WHERE: conjuncts referencing only kept relations, plus partition
 	// restrictions for partially held relations.
-	var conj []expr.Expr
-	for _, c := range expr.Conjuncts(sel.Where) {
-		if conjunctLocal(c, keptSet, sel.From, sch) {
-			conj = append(conj, expr.Clone(c))
-		}
-	}
+	conj := g.Within(keptMask)
 	queryPred := expr.And(expr.CloneAll(conj))
 	for _, tr := range kept {
 		b := strings.ToLower(tr.Binding())
@@ -179,24 +174,6 @@ func PartitionRestriction(sch *catalog.Schema, table, binding string, partIDs []
 		ors = append(ors, expr.Qualify(p.Predicate, binding))
 	}
 	return expr.Or(ors)
-}
-
-// RelevantPartitions returns the partition ids of a table that do not
-// contradict the given predicate (columns may be qualified by binding or
-// bare). Used by the buyer to know which fragments a query actually needs.
-func RelevantPartitions(sch *catalog.Schema, table string, pred expr.Expr) []string {
-	var out []string
-	for _, p := range sch.Partitions(table) {
-		if p.Predicate == nil || pred == nil {
-			out = append(out, p.ID)
-			continue
-		}
-		combined := expr.And([]expr.Expr{expr.Unqualify(pred), expr.Unqualify(p.Predicate)})
-		if !expr.Unsatisfiable(expr.Simplify(combined)) {
-			out = append(out, p.ID)
-		}
-	}
-	return out
 }
 
 // conjunctLocal reports whether a conjunct references only kept relations.

@@ -238,22 +238,6 @@ func TestPartitionRestrictionHelpers(t *testing.T) {
 	}
 }
 
-func TestRelevantPartitions(t *testing.T) {
-	sch := telcoSchema()
-	got := RelevantPartitions(sch, "customer", sqlparse.MustParseExpr("c.office IN ('Corfu', 'Myconos')"))
-	if len(got) != 2 || got[0] != "corfu" || got[1] != "myconos" {
-		t.Fatalf("relevant: %v", got)
-	}
-	all := RelevantPartitions(sch, "customer", nil)
-	if len(all) != 3 {
-		t.Fatalf("nil predicate keeps all: %v", all)
-	}
-	one := RelevantPartitions(sch, "customer", sqlparse.MustParseExpr("office = 'Athens'"))
-	if len(one) != 1 || one[0] != "athens" {
-		t.Fatalf("athens only: %v", one)
-	}
-}
-
 func TestMultiplePartitionsRestrictionIsDisjunction(t *testing.T) {
 	sch := telcoSchema()
 	st := storage.NewStore()

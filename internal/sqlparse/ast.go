@@ -188,15 +188,6 @@ func (s *Select) HasAggregates() bool {
 	return s.Having != nil && expr.HasAgg(s.Having)
 }
 
-// TableBindings returns the lower-cased set of FROM bindings (alias or name).
-func (s *Select) TableBindings() map[string]bool {
-	out := map[string]bool{}
-	for _, t := range s.From {
-		out[strings.ToLower(t.Binding())] = true
-	}
-	return out
-}
-
 // FindFrom returns the FROM entry whose binding matches name (case
 // insensitive), or nil.
 func (s *Select) FindFrom(name string) *TableRef {

@@ -196,10 +196,6 @@ func TestCloneIndependence(t *testing.T) {
 
 func TestTableBindingsAndFindFrom(t *testing.T) {
 	s := MustParseSelect("SELECT * FROM customer c, invoiceline")
-	b := s.TableBindings()
-	if !b["c"] || !b["invoiceline"] || len(b) != 2 {
-		t.Fatalf("bindings: %v", b)
-	}
 	if s.FindFrom("C") == nil || s.FindFrom("customer") != nil {
 		t.Fatal("FindFrom must match binding, not base name, case-insensitively")
 	}

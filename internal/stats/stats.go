@@ -459,14 +459,3 @@ func rangeSelectivity(cs *ColumnStats, r *expr.Range, rows int64) float64 {
 	}
 	return defaultRangeSel
 }
-
-// JoinRows estimates |L ⋈ R| on an equality predicate between columns with
-// the given NDVs, using the standard containment assumption.
-func JoinRows(lRows, lNDV, rRows, rNDV int64) int64 {
-	d := max(lNDV, rNDV, 1)
-	est := float64(lRows) * float64(rRows) / float64(d)
-	if est < 0 {
-		return 0
-	}
-	return int64(math.Ceil(est))
-}

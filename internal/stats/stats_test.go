@@ -242,15 +242,6 @@ func TestSynthetic(t *testing.T) {
 	}
 }
 
-func TestJoinRows(t *testing.T) {
-	if got := JoinRows(1000, 100, 500, 50); got != 5000 {
-		t.Fatalf("join rows: %d, want 5000", got)
-	}
-	if got := JoinRows(10, 0, 10, 0); got != 100 {
-		t.Fatalf("zero ndv guards: %d", got)
-	}
-}
-
 // Property: selectivity estimates stay within [0,1] for random predicates.
 func TestQuickSelectivityBounds(t *testing.T) {
 	ts := FromRows(tableDef(), uniformRows(500))

@@ -338,20 +338,6 @@ func HashRow(r Row) uint64 {
 	return h
 }
 
-// RowsEqualOn reports whether two rows agree (Identical) on the given
-// columns of each.
-func RowsEqualOn(a Row, ac []int, b Row, bc []int) bool {
-	if len(ac) != len(bc) {
-		return false
-	}
-	for i := range ac {
-		if !Identical(a[ac[i]], b[bc[i]]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Key renders a row as a canonical string key on the given columns; used for
 // grouping and distinct where hash collisions must be resolved exactly.
 func Key(r Row, cols []int) string {

@@ -193,20 +193,6 @@ func TestHashRowAndKey(t *testing.T) {
 	}
 }
 
-func TestRowsEqualOn(t *testing.T) {
-	a := Row{NewInt(1), NewStr("x")}
-	b := Row{NewStr("x"), NewInt(1)}
-	if !RowsEqualOn(a, []int{0, 1}, b, []int{1, 0}) {
-		t.Error("permuted columns should match")
-	}
-	if RowsEqualOn(a, []int{0}, b, []int{0, 1}) {
-		t.Error("length mismatch must be false")
-	}
-	if !RowsEqualOn(Row{NewNull()}, []int{0}, Row{NewNull()}, []int{0}) {
-		t.Error("NULLs must group together")
-	}
-}
-
 // Property: Compare is antisymmetric and Equal agrees with Compare==0 on
 // random int/float pairs.
 func TestQuickCompareAntisymmetric(t *testing.T) {

@@ -54,7 +54,55 @@ func TestFuzzChainFederations(t *testing.T) {
 			t.Fatalf("%s: answer differs: %d vs %d rows\nquery: %s",
 				label, len(got.Rows), len(truth.Rows), q)
 		}
+
+		// The predicate shapes the query graph has to get right, on the same
+		// federation, in every generator mode.
+		for _, q := range edgePredicateQueries {
+			if strings.Contains(q, "r3") && opts.Relations < 3 {
+				continue
+			}
+			truth, err := f.GroundTruth(q)
+			if err != nil {
+				t.Fatalf("%s: oracle: %s: %v", label, q, err)
+			}
+			for _, mode := range modes {
+				cfg.Mode = mode
+				res, err := f.Optimize(cfg, q)
+				if err != nil {
+					t.Fatalf("%s: %s: optimize %s: %v", label, mode, q, err)
+				}
+				got, err := f.Execute(res)
+				if err != nil {
+					t.Fatalf("%s: %s: execute %s: %v", label, mode, q, err)
+				}
+				if rowsKey(got.Rows) != rowsKey(truth.Rows) {
+					t.Fatalf("%s: %s: answer differs: %d vs %d rows\nquery: %s",
+						label, mode, len(got.Rows), len(truth.Rows), q)
+				}
+			}
+		}
 	}
+}
+
+// edgePredicateQueries are chain-schema queries whose WHERE clauses sit on the
+// edges of conjunct classification: relations named twice, by three relations
+// or by none, non-equi and disjunctive join predicates, no join predicate at
+// all, and clauses no row satisfies.
+var edgePredicateQueries = []string{
+	"SELECT a.pk, b.v FROM r1 a, r1 b WHERE a.fk = b.pk AND a.pk < 20",
+	"SELECT r1.pk, r3.v FROM r1, r2, r3 WHERE r1.fk = r2.pk AND r2.fk = r3.pk AND r1.pk + r2.pk < r3.pk + 40",
+	"SELECT r1.pk, r2.v FROM r1, r2 WHERE r1.fk = r2.pk AND (r1.pk < 10 OR r2.pk > 50)",
+	"SELECT r1.pk, r2.pk FROM r1, r2 WHERE r1.pk < r2.pk",
+	"SELECT r1.pk, r2.pk FROM r1, r2 WHERE r1.pk < 5 AND r2.pk >= 25",
+	"SELECT r1.pk, r2.v FROM r1, r2 WHERE r1.fk = r2.pk AND r1.pk < 30 AND r1.pk < 20",
+	"SELECT r1.pk, r2.v FROM r1, r2 WHERE r1.fk = r2.pk AND r1.pk < 20 AND 1 = 1",
+	"SELECT r1.pk FROM r1 WHERE 1 = 0",
+	"SELECT r1.pk FROM r1 WHERE r1.pk < 5 AND 1 = 0",
+	"SELECT r1.pk, r2.v FROM r1, r2 WHERE r1.fk = r2.pk AND 1 = 0",
+	"SELECT COUNT(*) FROM r1 WHERE 1 = 0",
+	"SELECT r1.pk, r2.v FROM r1, r2 WHERE r1.fk = r2.pk AND r1.pk < 10 AND r1.pk > 30",
+	"SELECT r1.pk, r2.v FROM r1, r2 WHERE r1.fk = r2.pk AND r1.pk < 10 AND r1.pk > 30 ORDER BY r2.v DESC LIMIT 5",
+	"SELECT COUNT(*), SUM(r2.v) FROM r1, r2 WHERE r1.fk = r2.pk AND r1.pk < 10 AND r1.pk > 30",
 }
 
 // TestFuzzTelcoQueries randomizes the telco workload and office subsets.

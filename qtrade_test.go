@@ -231,3 +231,52 @@ func TestPublicAPIViews(t *testing.T) {
 		t.Logf("view offer did not win (allowed), plan:\n%s", p.Explain())
 	}
 }
+
+// TestPublicAPIUnsatisfiableQuery: a query whose WHERE clause no row can
+// satisfy has an answer — the empty one, or one zero row for a global
+// aggregate — and trading must return it rather than fail for want of offers.
+// The buyer knows before its first RFB, so nothing is asked for or bought.
+func TestPublicAPIUnsatisfiableQuery(t *testing.T) {
+	fed := buildFed(t)
+	const join = "SELECT c.custname, i.charge FROM customer c, invoiceline i WHERE c.custid = i.custid AND "
+	cases := []struct {
+		q    string
+		rows int
+	}{
+		{join + "c.custid < 2 AND c.custid > 4", 0},        // contradicting ranges
+		{join + "c.office = 'Paris'", 0},                   // every partition pruned
+		{join + "i.charge > 1 AND 1 = 0", 0},               // constant false
+		{join + "2 < 1 ORDER BY i.charge DESC LIMIT 3", 0}, // with a tail
+		{"SELECT COUNT(*) FROM customer c WHERE 1 = 0", 1}, // global aggregate: one row, 0
+		{"SELECT COUNT(*) FROM customer c, invoiceline i WHERE c.custid = i.custid AND c.office = 'Paris'", 1},
+	}
+	for _, mode := range []string{"dp", "idp", "greedy"} {
+		for _, tc := range cases {
+			p, err := fed.Optimize("hq", tc.q, WithPlanGenerator(mode))
+			if err != nil {
+				t.Fatalf("%s: %s: %v", mode, tc.q, err)
+			}
+			if st := p.Stats(); st.RFBsSent != 0 || len(p.Purchases()) != 0 {
+				t.Fatalf("%s: %s: %d RFBs sent, %d offers bought, want none", mode, tc.q, st.RFBsSent, len(p.Purchases()))
+			}
+			res, err := p.Run()
+			if err != nil {
+				t.Fatalf("%s: %s: run: %v", mode, tc.q, err)
+			}
+			if len(res.Rows) != tc.rows || tc.rows == 1 && res.Rows[0][0] != int64(0) {
+				t.Fatalf("%s: %s: rows %v, want %d", mode, tc.q, res.Rows, tc.rows)
+			}
+			if _, err := fed.Query("hq", tc.q, WithPlanGenerator(mode)); err != nil {
+				t.Fatalf("%s: %s: query: %v", mode, tc.q, err)
+			}
+		}
+	}
+	// The traced and analysed paths take the same plan.
+	p, err := fed.Optimize("hq", cases[0].q, WithTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := p.ExplainAnalyze(); err != nil || !strings.Contains(out, "Empty") {
+		t.Fatalf("explain analyze: %v\n%s", err, out)
+	}
+}
