@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"qtrade/internal/expr"
 	"qtrade/internal/value"
@@ -60,7 +61,22 @@ func (t *TableDef) ColumnIDs(alias string) []expr.ColumnID {
 type Partition struct {
 	Table     string
 	ID        string
-	Predicate expr.Expr
+	Predicate expr.Expr // not changed once the partition is in use
+
+	analysed sync.Once
+	sel      *expr.Selection
+}
+
+// Selection is the defining predicate analysed for the partition test, once
+// per partition however many queries are tested against it; nil for a
+// whole-table partition.
+func (p *Partition) Selection() *expr.Selection {
+	p.analysed.Do(func() {
+		if p.Predicate != nil {
+			p.sel = expr.AnalyzeSelection(expr.Conjuncts(p.Predicate))
+		}
+	})
+	return p.sel
 }
 
 // Key returns the canonical fragment identity "table/id".

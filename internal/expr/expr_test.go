@@ -485,9 +485,9 @@ func TestQuickIntersectCommutative(t *testing.T) {
 
 func TestSplitColLitFlip(t *testing.T) {
 	// 5 < x must normalize to x > 5.
-	colKey, r, ok := rangeOfConjunct(Cmp("<", Int(5), col("t", "x")))
-	if !ok || colKey != "t.x" {
-		t.Fatalf("flip failed: %v %v", colKey, ok)
+	c, r, ok := rangeOfConjunct(Cmp("<", Int(5), col("t", "x")))
+	if !ok || ColKey(c) != "t.x" {
+		t.Fatalf("flip failed: %v %v", c, ok)
 	}
 	if r.Admits(value.NewInt(5)) || !r.Admits(value.NewInt(6)) {
 		t.Error("5 < x range wrong")
@@ -500,6 +500,11 @@ func TestRangeOfConjunctRejectsComplex(t *testing.T) {
 	}
 	if _, _, ok := rangeOfConjunct(&Between{X: col("t", "x"), Lo: Int(1), Hi: Int(2), Not: true}); ok {
 		t.Error("NOT BETWEEN is residual")
+	}
+	// NULL compares with nothing, so as a bound it would make a chain of
+	// Intersects depend on its order.
+	if _, _, ok := rangeOfConjunct(&Between{X: col("t", "x"), Lo: NewLit(value.NewNull()), Hi: Int(2)}); ok {
+		t.Error("BETWEEN with a NULL bound is residual")
 	}
 }
 

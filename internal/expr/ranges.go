@@ -1,6 +1,8 @@
 package expr
 
 import (
+	"strings"
+
 	"qtrade/internal/value"
 )
 
@@ -127,42 +129,33 @@ func dedupValues(list []value.Value) []value.Value {
 
 // Intersect returns the range satisfying both r and o.
 func Intersect(r, o *Range) *Range {
+	out := intersect(r, o)
+	return &out
+}
+
+// intersect is Intersect by value, so a caller that only asks whether the
+// result is empty allocates nothing for it.
+func intersect(r, o *Range) Range {
 	if r.Empty || o.Empty {
-		return &Range{Empty: true}
-	}
-	if r.Set != nil && o.Set != nil {
-		var keep []value.Value
-		for _, v := range r.Set {
-			if inList(o.Set, v) {
-				keep = append(keep, v)
-			}
-		}
-		out := &Range{Set: keep}
-		if len(keep) == 0 {
-			out.Empty = true
-			out.Set = []value.Value{}
-		}
-		return out
+		return Range{Empty: true}
 	}
 	if r.Set != nil || o.Set != nil {
-		fin, interval := r, o
-		if o.Set != nil {
-			fin, interval = o, r
+		fin, other := r, o
+		if r.Set == nil {
+			fin, other = o, r
 		}
 		var keep []value.Value
 		for _, v := range fin.Set {
-			if interval.Admits(v) {
+			if other.Admits(v) {
 				keep = append(keep, v)
 			}
 		}
-		out := &Range{Set: keep}
 		if len(keep) == 0 {
-			out.Empty = true
-			out.Set = []value.Value{}
+			return Range{Empty: true, Set: []value.Value{}}
 		}
-		return out
+		return Range{Set: keep}
 	}
-	out := &Range{
+	out := Range{
 		HasLo: r.HasLo, Lo: r.Lo, LoInc: r.LoInc,
 		HasHi: r.HasHi, Hi: r.Hi, HiInc: r.HiInc,
 		NotIn: append(append([]value.Value(nil), r.NotIn...), o.NotIn...),
@@ -240,75 +233,60 @@ func (r *Range) Contains(o *Range) bool {
 }
 
 // rangeOfConjunct recognizes a simple single-column predicate and returns the
-// column key and its range. ok=false means the predicate is not
-// range-expressible (it becomes a residual conjunct).
-func rangeOfConjunct(e Expr) (col string, r *Range, ok bool) {
+// column and its range. ok=false means the predicate is not range-expressible
+// (it becomes a residual conjunct): NULL is comparable with nothing, so a
+// NULL literal never bounds a range.
+func rangeOfConjunct(e Expr) (c *Column, r *Range, ok bool) {
 	switch t := e.(type) {
 	case *Binary:
 		c, lit, op, good := splitColLit(t)
 		if !good {
-			return "", nil, false
+			return nil, nil, false
 		}
 		switch op {
 		case "=":
-			return ColKey(c), PointRange(lit), true
+			return c, PointRange(lit), true
 		case "<>":
-			return ColKey(c), &Range{NotIn: []value.Value{lit}}, true
+			return c, &Range{NotIn: []value.Value{lit}}, true
 		case "<":
-			return ColKey(c), IntervalRange(false, value.Value{}, false, true, lit, false), true
+			return c, IntervalRange(false, value.Value{}, false, true, lit, false), true
 		case "<=":
-			return ColKey(c), IntervalRange(false, value.Value{}, false, true, lit, true), true
+			return c, IntervalRange(false, value.Value{}, false, true, lit, true), true
 		case ">":
-			return ColKey(c), IntervalRange(true, lit, false, false, value.Value{}, false), true
+			return c, IntervalRange(true, lit, false, false, value.Value{}, false), true
 		case ">=":
-			return ColKey(c), IntervalRange(true, lit, true, false, value.Value{}, false), true
+			return c, IntervalRange(true, lit, true, false, value.Value{}, false), true
 		}
-		return "", nil, false
+		return nil, nil, false
 	case *In:
-		if t.Not {
-			c, okc := t.X.(*Column)
-			if !okc {
-				return "", nil, false
-			}
-			var ex []value.Value
-			for _, item := range t.List {
-				l, okl := item.(*Lit)
-				if !okl || l.V.IsNull() {
-					return "", nil, false
-				}
-				ex = append(ex, l.V)
-			}
-			return ColKey(c), &Range{NotIn: ex}, true
-		}
 		c, okc := t.X.(*Column)
 		if !okc {
-			return "", nil, false
+			return nil, nil, false
 		}
 		var vs []value.Value
 		for _, item := range t.List {
 			l, okl := item.(*Lit)
-			if !okl {
-				return "", nil, false
+			if !okl || t.Not && l.V.IsNull() {
+				return nil, nil, false
 			}
-			if l.V.IsNull() {
-				continue
+			if !l.V.IsNull() {
+				vs = append(vs, l.V)
 			}
-			vs = append(vs, l.V)
 		}
-		return ColKey(c), SetRange(vs), true
-	case *Between:
 		if t.Not {
-			return "", nil, false
+			return c, &Range{NotIn: vs}, true
 		}
+		return c, SetRange(vs), true
+	case *Between:
 		c, okc := t.X.(*Column)
 		lo, okl := t.Lo.(*Lit)
 		hi, okh := t.Hi.(*Lit)
-		if !okc || !okl || !okh {
-			return "", nil, false
+		if t.Not || !okc || !okl || !okh || lo.V.IsNull() || hi.V.IsNull() {
+			return nil, nil, false
 		}
-		return ColKey(c), IntervalRange(true, lo.V, true, true, hi.V, true), true
+		return c, IntervalRange(true, lo.V, true, true, hi.V, true), true
 	}
-	return "", nil, false
+	return nil, nil, false
 }
 
 // splitColLit decomposes a comparison between a column and a literal in
@@ -336,11 +314,12 @@ func splitColLit(b *Binary) (c *Column, lit value.Value, op string, ok bool) {
 func AnalyzeConjuncts(conj []Expr) (ranges map[string]*Range, residual []Expr) {
 	ranges = map[string]*Range{}
 	for _, e := range conj {
-		col, r, ok := rangeOfConjunct(e)
+		c, r, ok := rangeOfConjunct(e)
 		if !ok {
 			residual = append(residual, e)
 			continue
 		}
+		col := ColKey(c)
 		if prev, exists := ranges[col]; exists {
 			ranges[col] = Intersect(prev, r)
 		} else {
@@ -348,6 +327,72 @@ func AnalyzeConjuncts(conj []Expr) (ranges map[string]*Range, residual []Expr) {
 		}
 	}
 	return ranges, residual
+}
+
+// Selection is a conjunction over the columns of one relation, analysed once
+// for the partition test: its simplified conjuncts as per-column ranges, by
+// bare lower-cased column name (qualifiers are ignored — every column is the
+// one relation's). A query's selections on a relation and a partition's
+// defining predicate are both Selections; Disjoint compares them.
+type Selection struct {
+	// False: the conjunction folds to FALSE or confines a column to nothing.
+	False  bool
+	ranges map[string]*Range
+}
+
+// AnalyzeSelection analyses the conjunction of conj. A conjunct that already
+// is a column compared with literals is read as it stands, sharing nothing
+// with the result but its literals' values; only the others are simplified,
+// which copies them. The expressions are not changed.
+func AnalyzeSelection(conj []Expr) *Selection {
+	s := &Selection{ranges: map[string]*Range{}}
+	var rest []Expr
+	for _, e := range conj {
+		if c, r, ok := rangeOfConjunct(e); ok {
+			s.confine(c, r)
+		} else {
+			rest = append(rest, e)
+		}
+	}
+	// Transform rebuilds every inner node and simplifyNode reads no qualifier,
+	// so neither Clone nor Unqualify is needed first.
+	for _, e := range Conjuncts(Transform(And(rest), simplifyNode)) {
+		if IsFalse(e) {
+			s.False = true
+		} else if c, r, ok := rangeOfConjunct(e); ok {
+			s.confine(c, r)
+		}
+	}
+	return s
+}
+
+func (s *Selection) confine(c *Column, r *Range) {
+	col := strings.ToLower(c.Name)
+	if prev := s.ranges[col]; prev != nil {
+		r = Intersect(prev, r)
+	}
+	s.ranges[col] = r
+	s.False = s.False || r.Empty
+}
+
+// Disjoint reports whether no row can satisfy both selections: one is false
+// on its own, or they confine a shared column to ranges that do not meet. It
+// is sound, not complete, exactly as Unsatisfiable of their conjunction is.
+func (s *Selection) Disjoint(o *Selection) bool {
+	if s.False || o.False {
+		return true
+	}
+	if len(o.ranges) < len(s.ranges) {
+		s, o = o, s
+	}
+	for col, r := range s.ranges {
+		if or := o.ranges[col]; or != nil {
+			if both := intersect(r, or); both.Empty {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Unsatisfiable reports whether the predicate is provably always false. It

@@ -188,8 +188,11 @@ func dedupAnd(e Expr) Expr {
 	if len(conj) <= 1 {
 		return e
 	}
+	// Each conjunct is printed once: its text is the duplicate key and the
+	// sort key.
 	seen := map[string]bool{}
 	var kept []Expr
+	var text []string
 	for _, c := range conj {
 		if b, ok := litBool(c); ok {
 			if !b {
@@ -201,13 +204,27 @@ func dedupAnd(e Expr) Expr {
 		if !seen[s] {
 			seen[s] = true
 			kept = append(kept, c)
+			text = append(text, s)
 		}
 	}
 	if len(kept) == 0 {
 		return TrueExpr()
 	}
-	sort.SliceStable(kept, func(i, j int) bool { return kept[i].String() < kept[j].String() })
+	sort.Stable(byText{kept, text})
 	return And(kept)
+}
+
+// byText orders expressions by their printed text, carried alongside.
+type byText struct {
+	es   []Expr
+	text []string
+}
+
+func (b byText) Len() int           { return len(b.es) }
+func (b byText) Less(i, j int) bool { return b.text[i] < b.text[j] }
+func (b byText) Swap(i, j int) {
+	b.es[i], b.es[j] = b.es[j], b.es[i]
+	b.text[i], b.text[j] = b.text[j], b.text[i]
 }
 
 // RenameTables rewrites every column qualifier through the mapping (old

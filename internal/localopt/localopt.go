@@ -23,6 +23,7 @@ import (
 	"qtrade/internal/sqlparse"
 	"qtrade/internal/stats"
 	"qtrade/internal/storage"
+	"qtrade/internal/trading"
 )
 
 // Partial is one optimal partial result: the best local plan answering the
@@ -34,6 +35,10 @@ type Partial struct {
 	Cost     float64 // estimated local execution cost (ms)
 	Rows     int64
 	Bytes    float64 // estimated result size
+	Text     string  // SQL printed, once: every offer of the partial quotes it
+	// Cols is the output schema of SQL as an offer declares it. The seller
+	// pricing the partial derives it once, with its views at hand.
+	Cols []trading.ColSpec
 }
 
 // Result is the optimizer output: the best full plan plus every optimal
@@ -144,17 +149,18 @@ func (o *optimizer) buildBase() error {
 		// Single-relation conjuncts push into the base relation.
 		o.rels = append(o.rels, &baseRel{ref: tr, def: def, localPrd: o.g.LocalPred(i)})
 	}
-	for _, r := range o.rels {
-		if err := o.buildAccessPath(r); err != nil {
+	for i, r := range o.rels {
+		if err := o.buildAccessPath(i, r); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (o *optimizer) buildAccessPath(r *baseRel) error {
+func (o *optimizer) buildAccessPath(i int, r *baseRel) error {
 	binding := r.ref.Binding()
 	// The local predicate with alias-stripped column names for selectivity.
+	bare := expr.Unqualify(r.localPrd)
 	var scans []plan.Node
 	var totalCost float64
 	var totalRows int64
@@ -166,12 +172,12 @@ func (o *optimizer) buildAccessPath(r *baseRel) error {
 		}
 		// Partition pruning: skip fragments whose defining predicate
 		// contradicts the pushed-down predicate.
-		if part, ok := o.sch.Partition(r.ref.Name, f.PartID); ok && qgraph.Prunes(r.localPrd, part) {
+		if part, ok := o.sch.Partition(r.ref.Name, f.PartID); ok && o.g.Prunes(i, part) {
 			continue
 		}
 		sel := 1.0
 		if r.localPrd != nil {
-			sel = stats.Selectivity(fs, expr.Unqualify(r.localPrd))
+			sel = stats.Selectivity(fs, bare)
 		}
 		scan := &plan.Scan{Def: r.def, Alias: binding, PartID: f.PartID}
 		if r.localPrd != nil {
@@ -361,10 +367,11 @@ func (o *optimizer) finishPartial(mask uint, entry dpEntry, full uint) (*Partial
 			p.Rows = o.sel.Limit
 		}
 		p.Bytes = float64(p.Rows) * math.Max(rowBytes, 8)
+		p.Text = p.SQL.SQL()
 		return p, nil
 	}
 	sub := subquery(o.g, mask, o.needCols, o.columnsOf)
-	p.SQL = sub
+	p.SQL, p.Text = sub, sub.SQL()
 	finished, err := plan.FinalizeSelect(sub, entry.node)
 	if err != nil {
 		return nil, err

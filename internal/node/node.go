@@ -74,11 +74,11 @@ type Config struct {
 	// gating them could deadlock two mutually subcontracting nodes that each
 	// hold their last admission slot while waiting on the other.
 	MaxInflightRFBs int
-	// PriceCacheSize caps the node's price cache: memoized rewrite + DP
-	// pricing results keyed by canonical query text and the store's
-	// data/stats/cost-model versions, so repeated negotiation iterations
-	// re-price only through the strategy module. 0 = 256 entries, negative
-	// disables the cache.
+	// PriceCacheSize caps the node's price cache: memoized parse + rewrite +
+	// DP pricing results keyed by the query text as received, valid for one
+	// generation of the store's data/stats/cost-model versions, so repeated
+	// negotiation iterations re-price only through the strategy module. 0 =
+	// 256 entries, negative disables the cache.
 	PriceCacheSize int
 	// LoadAwarePricing folds the node's live load — executions in flight
 	// plus admitted and queued Depth-0 RFBs, normalized by Workers — into
@@ -105,7 +105,7 @@ type standingOffer struct {
 // beyond maxStandingRFBs, or revoked with the rest of the book.
 type sellerNeg struct {
 	offers     map[string]*standingOffer // offerID -> the ask S3 may improve
-	flights    map[string]*flight        // query key -> its single-flight pricing
+	flights    map[flightKey]*flight     // requested query -> its single-flight pricing
 	assemblies map[string]*subcontract   // composite offerID -> how to deliver it
 }
 
@@ -118,7 +118,7 @@ type Node struct {
 	queued   atomic.Int64      // Depth-0 RFBs waiting on the admission gate
 	inflight atomic.Int64      // Depth-0 RFBs holding an admission slot
 	prices   *pricecache.Cache // nil when caching is disabled
-	costHash uint64            // fingerprint of cfg.Cost for cache keys
+	costHash uint64            // fingerprint of cfg.Cost for the cache's generation
 
 	mu       sync.Mutex
 	negs     map[string]*sellerNeg   // rfbID -> its record
@@ -131,6 +131,11 @@ type Node struct {
 	parked []*serverCursor // open streamed executions, least recently pulled first, see stream.go
 	curSeq atomic.Int64    // cursor id allocator
 }
+
+// flightKey names one requested query of an RFB. A struct of the two strings
+// the request already holds: a concatenated key would be a copy of the text
+// per pricing, kept for as long as the RFB's record.
+type flightKey struct{ qid, sql string }
 
 // flight is one single-flight pricing of a (RFB, query) pair: the first
 // caller computes offers, every concurrent or later caller for the same pair
@@ -150,7 +155,7 @@ const maxStandingRFBs = 128
 func (n *Node) negLocked(rfbID string) *sellerNeg {
 	neg := n.negs[rfbID]
 	if neg == nil {
-		neg = &sellerNeg{offers: map[string]*standingOffer{}, flights: map[string]*flight{}}
+		neg = &sellerNeg{offers: map[string]*standingOffer{}, flights: map[flightKey]*flight{}}
 		n.negs[rfbID] = neg
 		n.negOrder = append(n.negOrder, rfbID)
 		for len(n.negOrder) > maxStandingRFBs {
@@ -340,7 +345,7 @@ func (n *Node) RequestBids(rfb trading.RFB) (trading.BidReply, error) {
 // offers, and completed flights are kept until the RFB's record dies, so a
 // retried RFBID stays byte-identical without re-pricing.
 func (n *Node) offersForShared(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span, ob *nodeObs) []trading.Offer {
-	qkey := qr.QID + "\x00" + qr.SQL
+	qkey := flightKey{qr.QID, qr.SQL}
 	n.mu.Lock()
 	neg := n.negLocked(rfb.RFBID)
 	if f := neg.flights[qkey]; f != nil {
@@ -370,16 +375,12 @@ func (n *Node) offersFor(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span,
 // priceQuery is the seller's three steps for one requested query; the second
 // return reports whether the rewrite+DP valuation came from the price cache.
 func (n *Node) priceQuery(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span, ob *nodeObs) ([]trading.Offer, bool) {
-	sel, err := sqlparse.ParseSelect(qr.SQL)
-	if err != nil {
-		return nil, false
-	}
-	plan.Qualify(sel, n.cfg.Schema)
-	// S1: rewrite the query against the local fragments and plan it.
-	rw, res, cached, err := n.rewriteAndPlan(sel, sp, ob)
-	if err != nil {
+	// S1: read the query, rewrite it against the local fragments and plan it.
+	e, cached := n.rewriteAndPlan(qr.SQL, sp, ob)
+	if e.Err != nil {
 		return nil, cached
 	}
+	sel, rw, res := e.Sel, e.Rewritten, e.Result
 	// S2: every source drafts what the node can sell — the partial results
 	// the modified DP retained, matching views, complete extents assembled by
 	// subcontracting, a partial aggregate. S3: mint prices each draft.
@@ -423,58 +424,65 @@ func (n *Node) priceQuery(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span
 	return cands, cached
 }
 
-// rewriteAndPlan is step S1 and the modified DP behind S2: rewrite the query
-// against the local fragments, then plan it, keeping every optimal partial.
-// That walk is the expensive part of pricing, so it is memoized in the price
-// cache. The key carries the store's data epoch, stats version and the
-// cost-model hash, so any mutation since the entry was computed makes it
-// unreachable — a hit is never stale. Strategy pricing (S3) always runs
-// fresh: margins adapt between rounds.
-func (n *Node) rewriteAndPlan(sel *sqlparse.Select, sp *obs.Span, ob *nodeObs) (rw *rewrite.Rewritten, res *localopt.Result, cached bool, err error) {
-	var key pricecache.Key
+// rewriteAndPlan is step S1 and the modified DP behind S2: parse and qualify
+// the query as received, rewrite it against the local fragments, then plan
+// it, keeping every optimal partial. That walk is the expensive part of
+// pricing, so it is memoized in the price cache under the received text: a
+// hit reads nothing, not even the text. The cache holds one generation — the
+// store's data epoch and stats version and the cost-model hash — and empties
+// when they move, so a hit is never stale. The entry is shared with every
+// other pricing of the same text and is only read. Strategy pricing (S3)
+// always runs fresh: margins adapt between rounds.
+func (n *Node) rewriteAndPlan(sql string, sp *obs.Span, ob *nodeObs) (e pricecache.Entry, cached bool) {
+	var gen pricecache.Generation
 	if n.prices != nil {
-		key = pricecache.Key{
-			SQL:          sel.SQL(),
-			Epoch:        n.store.Epoch(),
-			StatsVersion: n.store.StatsVersion(),
-			CostHash:     n.costHash,
-		}
-		if e, ok := n.prices.Get(key); ok {
+		gen = pricecache.Generation{Epoch: n.store.Epoch(), StatsVersion: n.store.StatsVersion(), CostHash: n.costHash}
+		if e, ok := n.prices.Get(gen, sql); ok {
 			ob.cacheHits.Inc()
 			dpSp := sp.Child("dp-pricing")
 			dpSp.Set("cache", "hit")
 			endDP(dpSp, e.Result, e.Err)
-			return e.Rewritten, e.Result, true, e.Err
+			return e, true
 		}
 		ob.cacheMisses.Inc()
 	}
-	t0 := time.Now()
-	rwSp := sp.Child("rewrite")
-	rw, err = rewrite.ForSeller(sel, n.cfg.Schema, n.store)
-	if err != nil {
-		rwSp.Set("error", err)
+	if e.Sel, e.Err = sqlparse.ParseSelect(sql); e.Err == nil {
+		plan.Qualify(e.Sel, n.cfg.Schema)
+		t0 := time.Now()
+		rwSp := sp.Child("rewrite")
+		e.Rewritten, e.Err = rewrite.ForSeller(e.Sel, n.cfg.Schema, n.store)
+		if e.Err != nil {
+			rwSp.Set("error", e.Err)
+		}
+		rwSp.End()
+		rewriteMS := msSince(t0)
+		ob.rewriteMS.Observe(rewriteMS)
+		ob.ledger.ObservePhase(ledger.PhaseRewrite, rewriteMS)
 	}
-	rwSp.End()
-	rewriteMS := msSince(t0)
-	ob.rewriteMS.Observe(rewriteMS)
-	ob.ledger.ObservePhase(ledger.PhaseRewrite, rewriteMS)
-	if err == nil {
-		t0 = time.Now()
+	if e.Err == nil {
+		t0 := time.Now()
 		dpSp := sp.Child("dp-pricing")
 		if n.prices != nil {
 			dpSp.Set("cache", "miss")
 		}
-		res, err = localopt.Optimize(rw.Sel, n.cfg.Schema, n.store, n.cfg.Cost)
-		endDP(dpSp, res, err)
+		e.Result, e.Err = localopt.Optimize(e.Rewritten.Sel, n.cfg.Schema, n.store, n.cfg.Cost)
+		if e.Err == nil {
+			for _, p := range e.Result.Partials {
+				// Nil when the schema cannot be derived: mint drops the offer.
+				p.Cols, _ = OutputSpecs(p.SQL, n.cfg.Schema, n.store)
+			}
+		}
+		endDP(dpSp, e.Result, e.Err)
 		ob.dpMS.Observe(msSince(t0))
 	}
-	// A failure is as much a function of the key as a result is (nothing
-	// local, a contradicted predicate, an unplannable rewrite), so it is
-	// remembered too: a repeat RFB must not redo the rewrite to learn it.
+	// A failure is as much a function of the text and the generation as a
+	// result is (an unparsable text, nothing local, a contradicted predicate,
+	// an unplannable rewrite), so it is remembered too: a repeat RFB must not
+	// redo the work to learn it.
 	if n.prices != nil {
-		ob.cacheEvictions.Add(int64(n.prices.Put(key, pricecache.Entry{Rewritten: rw, Result: res, Err: err})))
+		ob.cacheEvictions.Add(int64(n.prices.Put(gen, sql, e)))
 	}
-	return rw, res, false, err
+	return e, false
 }
 
 // endDP closes a dp-pricing span with the partials the DP retained, or why
@@ -492,7 +500,8 @@ func endDP(dpSp *obs.Span, res *localopt.Result, err error) {
 // answer and, in the embedded offer, what that covers (Bindings, Parts,
 // Complete and the kind flags) and what it costs (Props). mint adds the
 // rest. A composite also fills OfferID and Cols itself — it reserves its id
-// in probe order and matches its subcontractors' columns before it is minted.
+// in probe order and matches its subcontractors' columns before it is minted
+// — and a partial result brings the Cols and SQL text its DP computed once.
 type draft struct {
 	trading.Offer
 	kind string           // offer-id kind: "o" partial, "v" view, "s" composite, "a" partial aggregate
@@ -538,7 +547,10 @@ func (m *minter) mint(d draft, counted *obs.Counter) {
 	if o.OfferID == "" {
 		o.OfferID = m.nextID(d.kind)
 	}
-	o.RFBID, o.QID, o.SellerID, o.SQL = m.rfbID, m.qid, n.cfg.ID, d.sel.SQL()
+	if o.SQL == "" {
+		o.SQL = d.sel.SQL()
+	}
+	o.RFBID, o.QID, o.SellerID = m.rfbID, m.qid, n.cfg.ID
 	o.Price = n.cfg.Strategy.Price(m.qid, trading.TruthScore(n.cfg.Weights, o.Props)+d.paid)
 	if d.sub != nil {
 		if m.subs == nil {
@@ -578,6 +590,8 @@ func (n *Node) partialDraft(sel *sqlparse.Select, rw *rewrite.Rewritten, p *loca
 		parts[lb] = rw.Parts[lb]
 	}
 	return draft{kind: "o", sel: p.SQL, Offer: trading.Offer{
+		SQL:      p.Text,
+		Cols:     p.Cols,
 		Bindings: p.Bindings,
 		Parts:    parts,
 		Complete: rw.Complete && len(p.Bindings) == len(sel.From),

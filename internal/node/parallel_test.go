@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,7 +16,7 @@ import (
 
 // telcoNodeCfg builds a myconos-style node with a configurable Config and a
 // larger data set, so pricing is nontrivial for the parallel/cache tests.
-func telcoNodeCfg(t *testing.T, edit func(*Config)) *Node {
+func telcoNodeCfg(t testing.TB, edit func(*Config)) *Node {
 	t.Helper()
 	sch := telcoSchema()
 	cfg := Config{ID: "myconos", Schema: sch}
@@ -358,5 +359,90 @@ func TestPriceCacheRemembersFailedRewrite(t *testing.T) {
 	}
 	if got := ask("rfb-n3"); len(got) == 0 || rewrites.Count() != 2 {
 		t.Fatalf("after creating the fragment: %d offers, %d rewrites; want some, 2", len(got), rewrites.Count())
+	}
+}
+
+// TestPriceCacheHitReadsNothing: the cache is asked with the text as it
+// arrived, so pricing a query a second time neither parses, qualifies, rewrites
+// nor prints anything — a map lookup, then S2/S3 over the shared entry — and
+// still mints the very same offers. Another formatting of the query is its
+// own entry with the same offers; a text that does not parse is remembered as
+// a failed rewrite is.
+func TestPriceCacheHitReadsNothing(t *testing.T) {
+	m := obs.NewMetrics()
+	n := telcoNodeCfg(t, func(c *Config) { c.Metrics = m })
+	ob := n.obsv.Load()
+	hits, misses := m.Counter("node.myconos.pricecache_hits"), m.Counter("node.myconos.pricecache_misses")
+	// No aggregate: a partial-aggregate offer is drafted anew on every pricing.
+	rfb := trading.RFB{RFBID: "rfb-h", BuyerID: "athens"}
+	qr := trading.QueryRequest{QID: "q0", SQL: `SELECT c.custname, i.charge
+		FROM customer c, invoiceline i
+		WHERE c.custid = i.custid AND c.custid < 10 AND i.charge > 2`}
+	price := func(sql string) ([]trading.Offer, bool) {
+		return n.priceQuery(rfb, trading.QueryRequest{QID: qr.QID, SQL: sql}, nil, ob)
+	}
+
+	first, cached := price(qr.SQL)
+	if cached || len(first) == 0 || hits.Value() != 0 || misses.Value() != 1 {
+		t.Fatalf("first pricing: %d offers, cached %v, %d hits, %d misses", len(first), cached, hits.Value(), misses.Value())
+	}
+	second, cached := price(qr.SQL)
+	if !cached || hits.Value() != 1 || !reflect.DeepEqual(first, second) {
+		t.Fatalf("second pricing: cached %v, %d hits, offers\n%+v\nwant\n%+v", cached, hits.Value(), second, first)
+	}
+	cold := telcoNodeCfg(t, func(c *Config) { c.PriceCacheSize = -1 })
+	miss := testing.AllocsPerRun(20, func() { cold.priceQuery(rfb, qr, nil, cold.obsv.Load()) })
+	hit := testing.AllocsPerRun(20, func() { price(qr.SQL) })
+	// Three offers, each a parts map, an id and a slot in the list, then the
+	// sort: 32 where a full pricing takes 622.
+	if hit > 60 || hit*10 > miss {
+		t.Fatalf("a hit allocates %.0f times (a miss %.0f): something is read again", hit, miss)
+	}
+
+	reformatted := strings.Join(strings.Fields(qr.SQL), " ")
+	h, ms := hits.Value(), misses.Value()
+	if got, cached := price(reformatted); cached || misses.Value() != ms+1 || !reflect.DeepEqual(first, got) {
+		t.Fatalf("another formatting: cached %v, %d new misses, offers\n%+v\nwant\n%+v", cached, misses.Value()-ms, got, first)
+	}
+	if got, cached := price(reformatted); !cached || hits.Value() != h+1 || !reflect.DeepEqual(first, got) {
+		t.Fatalf("another formatting, again: cached %v, %d new hits", cached, hits.Value()-h)
+	}
+
+	h, ms = hits.Value(), misses.Value()
+	if got, cached := price("SELECT FROM WHERE"); cached || len(got) != 0 || misses.Value() != ms+1 {
+		t.Fatalf("unparsable text: %d offers, cached %v, %d new misses", len(got), cached, misses.Value()-ms)
+	}
+	if got, cached := price("SELECT FROM WHERE"); !cached || len(got) != 0 || hits.Value() != h+1 {
+		t.Fatalf("unparsable text, again: %d offers, cached %v, %d new hits", len(got), cached, hits.Value()-h)
+	}
+}
+
+// BenchmarkPriceQuery is one requested query through S1–S3: answered from the
+// price cache, computed in full, and refused from a negative entry.
+func BenchmarkPriceQuery(b *testing.B) {
+	rfb := wideRFB("rfb-b", 1)
+	nothingLocal := trading.QueryRequest{QID: "q0", SQL: "SELECT c.custid, c.custname FROM customer c WHERE c.office = 'Corfu'"}
+	for _, bc := range []struct {
+		name   string
+		size   int
+		qr     trading.QueryRequest
+		offers bool
+	}{
+		{"hit", 0, rfb.Queries[0], true},
+		{"miss", -1, rfb.Queries[0], true},
+		{"negative", 0, nothingLocal, false},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			n := telcoNodeCfg(b, func(c *Config) { c.PriceCacheSize = bc.size })
+			ob := n.obsv.Load()
+			n.priceQuery(rfb, bc.qr, nil, ob)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if offers, _ := n.priceQuery(rfb, bc.qr, nil, ob); (len(offers) > 0) != bc.offers {
+					b.Fatalf("%d offers", len(offers))
+				}
+			}
+		})
 	}
 }

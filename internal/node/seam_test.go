@@ -13,8 +13,10 @@ import (
 // home: the non-test files call Strategy.Price exactly once (in mint), so no
 // offer source prices on its own. Delivery has one path: nothing re-enters
 // (*Node).Execute to run part of an answer — a purchased answer is one plan
-// tree on one cursor. And priceQuery stays short enough to read as
-// S1 → S2 → S3 on one screen.
+// tree on one cursor. A requested query is read in one place: only
+// rewriteAndPlan, behind its price-cache lookup, calls sqlparse.ParseSelect,
+// so nothing on the pricing path parses before the cache was asked. And
+// priceQuery stays short enough to read as S1 → S2 → S3 on one screen.
 func TestSellerIsS1toS3(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
@@ -24,10 +26,13 @@ func TestSellerIsS1toS3(t *testing.T) {
 		t.Fatal(err)
 	}
 	prices, priceQueryLines := 0, 0
+	parsers := map[string]int{} // sqlparse.ParseSelect call sites, by function
 	for _, file := range pkgs["node"].Files {
+		in := ""
 		ast.Inspect(file, func(x ast.Node) bool {
 			switch v := x.(type) {
 			case *ast.FuncDecl:
+				in = v.Name.Name
 				if v.Recv != nil && v.Name.Name == "priceQuery" {
 					priceQueryLines = fset.Position(v.End()).Line - fset.Position(v.Pos()).Line + 1
 				}
@@ -37,6 +42,8 @@ func TestSellerIsS1toS3(t *testing.T) {
 					return true
 				}
 				switch fn.Sel.Name {
+				case "ParseSelect":
+					parsers[in]++
 				case "Price":
 					if on, ok := fn.X.(*ast.SelectorExpr); ok && on.Sel.Name == "Strategy" {
 						prices++
@@ -54,6 +61,9 @@ func TestSellerIsS1toS3(t *testing.T) {
 	}
 	if prices != 1 {
 		t.Errorf("%d Strategy.Price call sites, want exactly 1: offers are priced in mint", prices)
+	}
+	if len(parsers) != 1 || parsers["rewriteAndPlan"] != 1 {
+		t.Errorf("sqlparse.ParseSelect called from %v, want once, in rewriteAndPlan: ask the price cache first", parsers)
 	}
 	if priceQueryLines == 0 || priceQueryLines > 70 {
 		t.Errorf("priceQuery is %d lines, want 1..70", priceQueryLines)

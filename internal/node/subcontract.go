@@ -148,8 +148,8 @@ func (n *Node) buildComposite(rfb trading.RFB, qid string, sel *sqlparse.Select,
 	if err != nil {
 		return draft{}, false
 	}
-	ownCols, err := OutputSpecs(own.SQL, n.cfg.Schema, n.store)
-	if err != nil {
+	ownCols := own.Cols
+	if ownCols == nil {
 		return draft{}, false
 	}
 	// Greedy cover of the missing partitions by cheapest compatible offers: an

@@ -5,14 +5,28 @@
 // restriction rewrite and the modified-DP partials of a query around can
 // answer the repeat RFB at strategy-pricing cost only.
 //
-// Entries are keyed by the canonical (qualified) SQL of the requested query
-// *and* the versions of everything the cached computation read: the store's
-// data epoch, its statistics version, and a hash of the node's cost-model
-// constants. Any store mutation bumps an epoch, which changes the key, which
-// makes every older entry unreachable — a stale price can never be returned,
-// it can only age out of the LRU. Offer prices themselves are NOT cached:
-// strategies are adaptive (competitive margins move between rounds), so the
-// seller re-prices the cached partials through its strategy on every hit.
+// An entry is keyed by the query text exactly as the RFB carried it, so a hit
+// is found before anything is parsed: two formattings of one query are two
+// entries, and the buyer, which prints every subquery the same way each
+// iteration, pays for that only once per formatting. Besides the rewrite and
+// the DP result an entry keeps the parsed, qualified query the offer sources
+// read, and a text that does not parse is remembered like a rewrite that
+// fails.
+//
+// Everything an entry was computed from besides the text — the store's data
+// epoch, its statistics version, the node's cost-model constants — is the
+// cache's one Generation, not part of each key. A lookup or a store under a
+// newer generation empties the cache first; one under an older generation
+// misses, or is dropped. A stale price can never be returned, and entries no
+// lookup can reach any more do not sit in the LRU holding parse trees. Offer
+// prices themselves are NOT cached: strategies are adaptive (competitive
+// margins move between rounds), so the seller re-prices the cached partials
+// through its strategy on every hit.
+//
+// Capacity stays a count of entries, positive and negative alike, 256 by
+// default. Counting only priced entries was measured on the chain_parts
+// workload: 256 real entries per node where a mostly-negative mix sat took
+// live heap from 29 to 40 MiB (+38 %). It waits for slimmer entries.
 package pricecache
 
 import (
@@ -24,26 +38,30 @@ import (
 	"qtrade/internal/cost"
 	"qtrade/internal/localopt"
 	"qtrade/internal/rewrite"
+	"qtrade/internal/sqlparse"
 )
 
-// Key identifies one priced query under one world state.
-type Key struct {
-	// SQL is the canonical text of the requested query after parsing and
-	// schema qualification (so formatting differences collapse).
-	SQL string
-	// Epoch and StatsVersion are the store counters at pricing time.
+// Generation is the world state entries are computed under: the store
+// counters at pricing time and a fingerprint of the cost-model constants.
+type Generation struct {
 	Epoch        int64
 	StatsVersion int64
-	// CostHash fingerprints the cost-model constants the DP priced under.
-	CostHash uint64
+	CostHash     uint64
 }
 
-// Entry is the cached computation: the seller rewrite of the query against
-// local fragments plus the modified-DP result holding every optimal partial.
-// Both are treated as immutable by all readers; concurrent pricing workers
-// share them without copying. A negative entry carries Err instead: the
-// rewrite or the DP failed, which under the same key it always will.
+// before orders generations by the store's counters, which only grow.
+func (g Generation) before(o Generation) bool {
+	return g.Epoch < o.Epoch || g.Epoch == o.Epoch && g.StatsVersion < o.StatsVersion
+}
+
+// Entry is the cached computation: the query as parsed and qualified, its
+// seller rewrite against local fragments, and the modified-DP result holding
+// every optimal partial. All are treated as immutable by all readers;
+// concurrent pricing workers share them without copying. A negative entry
+// carries Err instead: the parse, the rewrite or the DP failed, which for the
+// same text in the same generation it always will.
 type Entry struct {
+	Sel       *sqlparse.Select
 	Rewritten *rewrite.Rewritten
 	Result    *localopt.Result
 	Err       error
@@ -54,14 +72,15 @@ type Entry struct {
 type Cache struct {
 	mu    sync.Mutex
 	cap   int
+	gen   Generation // of every entry held
 	order *list.List // front = most recently used; values are *slot
-	byKey map[Key]*list.Element
+	byKey map[string]*list.Element
 
 	hits, misses, evictions int64
 }
 
 type slot struct {
-	key Key
+	sql string
 	e   Entry
 }
 
@@ -70,14 +89,30 @@ func New(capacity int) *Cache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Cache{cap: capacity, order: list.New(), byKey: map[Key]*list.Element{}}
+	return &Cache{cap: capacity, order: list.New(), byKey: map[string]*list.Element{}}
 }
 
-// Get returns the entry for k, marking it most recently used.
-func (c *Cache) Get(k Key) (Entry, bool) {
+// current reports whether g is the generation the cache holds, after moving
+// the cache on — and emptying it — when g is newer. Callers hold c.mu.
+func (c *Cache) current(g Generation) bool {
+	if g != c.gen && !g.before(c.gen) {
+		c.gen = g
+		c.order.Init()
+		clear(c.byKey)
+	}
+	return g == c.gen
+}
+
+// Get returns the entry for the query text sql under generation g, marking it
+// most recently used.
+func (c *Cache) Get(g Generation, sql string) (Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byKey[k]
+	if !c.current(g) {
+		c.misses++
+		return Entry{}, false
+	}
+	el, ok := c.byKey[sql]
 	if !ok {
 		c.misses++
 		return Entry{}, false
@@ -87,22 +122,26 @@ func (c *Cache) Get(k Key) (Entry, bool) {
 	return el.Value.(*slot).e, true
 }
 
-// Put stores e under k, evicting least-recently-used entries over capacity.
-// It returns how many entries were evicted.
-func (c *Cache) Put(k Key, e Entry) int {
+// Put stores e under sql, evicting least-recently-used entries over capacity,
+// and returns how many were evicted. An entry computed under a generation the
+// cache has moved past is dropped.
+func (c *Cache) Put(g Generation, sql string, e Entry) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byKey[k]; ok {
+	if !c.current(g) {
+		return 0
+	}
+	if el, ok := c.byKey[sql]; ok {
 		el.Value.(*slot).e = e
 		c.order.MoveToFront(el)
 		return 0
 	}
-	c.byKey[k] = c.order.PushFront(&slot{key: k, e: e})
+	c.byKey[sql] = c.order.PushFront(&slot{sql: sql, e: e})
 	evicted := 0
 	for c.order.Len() > c.cap {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
-		delete(c.byKey, oldest.Value.(*slot).key)
+		delete(c.byKey, oldest.Value.(*slot).sql)
 		evicted++
 	}
 	c.evictions += int64(evicted)
@@ -123,7 +162,7 @@ func (c *Cache) Stats() (hits, misses, evictions int64) {
 	return c.hits, c.misses, c.evictions
 }
 
-// HashModel fingerprints a cost model's constants for use in Key.CostHash.
+// HashModel fingerprints a cost model's constants for Generation.CostHash.
 // Nodes hold their model immutable after construction, so this is computed
 // once per node.
 func HashModel(m *cost.Model) uint64 {

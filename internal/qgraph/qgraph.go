@@ -5,6 +5,13 @@
 // predicates analyser, and the centralized baseline all read the same Graph,
 // so a conjunct is classified — and a partition pruned — by one rule.
 //
+// A selection is analysed once: the conjuncts a query places on a relation
+// become per-column ranges the first time a partition is tested against them
+// (expr.Selection, kept on the Graph), a partition's defining predicate the
+// first time it is tested at all (kept on the catalog.Partition), and the
+// partition test compares the two sets of ranges — nothing is copied, printed
+// or simplified per (relation, partition) pair.
+//
 // A Graph describes a qualified SELECT (plan.Qualify): a column belongs to the
 // FROM relation its qualifier names. A bare column, or one whose qualifier
 // names no FROM relation, belongs to none, and its conjunct is evaluated only
@@ -34,14 +41,16 @@ type Edge struct {
 // (Edges) and the selections placed on it (Local). Every conjunct is in
 // exactly one of Local, Edges and Residual, each in WHERE order. The
 // expressions are the SELECT's own: clone before handing one to a plan.
+// Prunes and Relevant fill the Graph's memo, so one goroutine asks them.
 type Graph struct {
 	From     []sqlparse.TableRef
 	Local    [][]expr.Expr // by FROM index: conjuncts naming that relation only
 	Edges    []Edge
 	Residual []expr.Expr // no relation, more than two, or a column of none
 
-	conj  []expr.Expr // every conjunct, in WHERE order
-	masks []uint      // relations conj[k] names, or foreign
+	conj  []expr.Expr       // every conjunct, in WHERE order
+	masks []uint            // relations conj[k] names, or foreign
+	sels  []*expr.Selection // Local[i] analysed, on first use
 }
 
 // New classifies the WHERE clause of sel, which must be qualified.
@@ -132,24 +141,29 @@ func (g *Graph) Within(set uint) []expr.Expr {
 	return out
 }
 
-// Prunes is the partition test: no row of p can satisfy pred, so a query
-// restricted by pred need not read p. Both sides are compared over bare
-// column names; a whole-table partition or a missing pred prunes nothing.
-func Prunes(pred expr.Expr, p *catalog.Partition) bool {
-	if pred == nil || p.Predicate == nil {
+// Prunes is the partition test: no row of p can satisfy relation i's
+// selections, so the query need not read p. Both sides are compared over bare
+// column names; a whole-table partition or a relation without selections
+// prunes nothing.
+func (g *Graph) Prunes(i int, p *catalog.Partition) bool {
+	if len(g.Local[i]) == 0 || p.Predicate == nil {
 		return false
 	}
-	both := expr.And([]expr.Expr{expr.Unqualify(pred), expr.Unqualify(p.Predicate)})
-	return expr.Unsatisfiable(expr.Simplify(both))
+	if g.sels == nil {
+		g.sels = make([]*expr.Selection, len(g.From))
+	}
+	if g.sels[i] == nil {
+		g.sels[i] = expr.AnalyzeSelection(g.Local[i])
+	}
+	return g.sels[i].Disjoint(p.Selection())
 }
 
 // Relevant lists, in definition order, the partitions of relation i that its
 // selections do not prune: the fragments the query actually needs.
 func (g *Graph) Relevant(sch *catalog.Schema, i int) []string {
-	pred := expr.And(g.Local[i]) // Prunes copies what it rewrites
 	var out []string
 	for _, p := range sch.Partitions(g.From[i].Name) {
-		if !Prunes(pred, p) {
+		if !g.Prunes(i, p) {
 			out = append(out, p.ID)
 		}
 	}

@@ -1,6 +1,8 @@
 package qgraph
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -195,8 +197,142 @@ func TestRelevantPartitions(t *testing.T) {
 		t.Fatalf("whole-table partition: %v", got)
 	}
 	athens, _ := sch.Partition("customer", "athens")
-	if Prunes(nil, athens) || !Prunes(sqlparse.MustParseExpr("x.office = 'Corfu'"), athens) {
-		t.Fatal("Prunes: a missing predicate prunes nothing; qualifiers are ignored")
+	if New(sqlparse.MustParseSelect("SELECT x.custid FROM customer x")).Prunes(0, athens) ||
+		!New(sqlparse.MustParseSelect("SELECT x.custid FROM customer x WHERE x.office = 'Corfu'")).Prunes(0, athens) {
+		t.Fatal("Prunes: a relation without selections prunes nothing; qualifiers are ignored")
+	}
+}
+
+// prunesReference is the partition test as it was before selections were
+// analysed once: the conjunction of both predicates over bare names, copied,
+// simplified and tested for a contradiction, per pair. Prunes must agree with
+// it on every pair.
+func prunesReference(pred expr.Expr, p *catalog.Partition) bool {
+	if pred == nil || p.Predicate == nil {
+		return false
+	}
+	both := expr.And([]expr.Expr{expr.Unqualify(pred), expr.Unqualify(p.Predicate)})
+	return expr.Unsatisfiable(expr.Simplify(both))
+}
+
+// randomSelection prints a conjunction of up to max conjuncts over the
+// columns pk, fk, v and office, each qualified by q: comparisons either way
+// round, IN / NOT IN lists, BETWEEN, negations, foldable arithmetic, literals
+// of every kind and NULL, and conjuncts that fold to a constant.
+func randomSelection(rng *rand.Rand, q string, max int) string {
+	col := func() string { return q + []string{"pk", "pk", "fk", "v", "office"}[rng.Intn(5)] }
+	lit := func() string {
+		switch rng.Intn(12) {
+		case 0:
+			return "NULL"
+		case 1:
+			return fmt.Sprintf("%d.5", rng.Intn(8))
+		case 2:
+			return fmt.Sprintf("'%c'", 'a'+rune(rng.Intn(3)))
+		case 3:
+			return fmt.Sprintf("%d + %d", rng.Intn(4), rng.Intn(4))
+		case 4:
+			return fmt.Sprintf("-(%d)", rng.Intn(3))
+		case 5:
+			return "TRUE"
+		}
+		return fmt.Sprint(rng.Intn(8))
+	}
+	list := func() string {
+		items := make([]string, 1+rng.Intn(3))
+		for i := range items {
+			items[i] = lit()
+		}
+		return strings.Join(items, ", ")
+	}
+	op := func() string { return []string{"=", "=", "<>", "<", "<=", ">", ">="}[rng.Intn(7)] }
+	var atom func(depth int) string
+	atom = func(depth int) string {
+		switch k := rng.Intn(16); {
+		case k < 5:
+			return col() + " " + op() + " " + lit()
+		case k < 7:
+			return lit() + " " + op() + " " + col()
+		case k == 7:
+			return col() + " IN (" + list() + ")"
+		case k == 8:
+			return col() + " NOT IN (" + list() + ")"
+		case k == 9:
+			return col() + " BETWEEN " + lit() + " AND " + lit()
+		case k == 10:
+			return col() + " NOT BETWEEN " + lit() + " AND " + lit()
+		case k == 11:
+			return col() + " IS NULL"
+		case k == 12 && depth < 2:
+			return "NOT (" + atom(depth+1) + ")"
+		case k == 13 && depth < 2:
+			return "NOT (" + atom(depth+1) + " AND " + atom(depth+1) + ")"
+		case k == 14 && depth < 2:
+			return "(" + atom(depth+1) + " OR " + []string{"FALSE", "TRUE", "1 = 0", atom(depth + 1)}[rng.Intn(4)] + ")"
+		}
+		// Folds to a constant, but names the relation: it stays a selection.
+		return "(" + col() + " < 0 AND " + []string{"1 = 0", "FALSE", "2 > 1", "NULL = 1"}[rng.Intn(4)] + ")"
+	}
+	conj := make([]string, 1+rng.Intn(max))
+	for i := range conj {
+		conj[i] = atom(0)
+	}
+	return strings.Join(conj, " AND ")
+}
+
+// TestPrunesMatchesReference: the range comparison decides every (selection,
+// partition) pair as simplifying their conjunction did.
+func TestPrunesMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	parts := []*catalog.Partition{{Table: "t", ID: "whole"}}
+	for k := 0; k < 60; k++ {
+		parts = append(parts, &catalog.Partition{Table: "t", ID: fmt.Sprint("p", k),
+			Predicate: sqlparse.MustParseExpr(randomSelection(rng, "", 3))})
+	}
+	pruned, kept := 0, 0
+	for k := 0; k < 400; k++ {
+		sql := "SELECT t.pk FROM t WHERE " + randomSelection(rng, "t.", 4)
+		g := New(sqlparse.MustParseSelect(sql))
+		pred := expr.And(g.Local[0])
+		for _, p := range parts {
+			got, want := g.Prunes(0, p), prunesReference(pred, p)
+			if got != want {
+				t.Fatalf("%s\nagainst partition %v: Prunes = %v, reference %v", sql, p.Predicate, got, want)
+			}
+			if got {
+				pruned++
+			} else {
+				kept++
+			}
+		}
+	}
+	if pruned < 1000 || kept < 1000 {
+		t.Fatalf("%d pairs pruned, %d kept: the generator exercises one outcome only", pruned, kept)
+	}
+}
+
+// BenchmarkPrunes is one relation of one query tested against its 14 range
+// partitions, as a seller's rewrite does it: the selections are analysed once,
+// the partitions were analysed by an earlier query.
+func BenchmarkPrunes(b *testing.B) {
+	var parts []*catalog.Partition
+	for k := 0; k < 14; k++ {
+		parts = append(parts, &catalog.Partition{Table: "r1", ID: fmt.Sprint("p", k),
+			Predicate: sqlparse.MustParseExpr(fmt.Sprintf("pk >= %d AND pk < %d", 16*k, 16*k+16))})
+	}
+	sel := sqlparse.MustParseSelect("SELECT r1.pk FROM r1, r2 WHERE r1.fk = r2.pk AND r1.pk >= 40 AND r1.pk < 100")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		g, n := New(sel), 0
+		for _, p := range parts {
+			if g.Prunes(0, p) {
+				n++
+			}
+		}
+		if n != 9 {
+			b.Fatalf("%d of 14 partitions pruned, want 9", n)
+		}
 	}
 }
 
@@ -205,7 +341,8 @@ const fuzzFrom = "SELECT r1.pk FROM r1, r2, r3, r1 a, r1 b, customer c, invoicel
 
 // FuzzGraph checks, on arbitrary WHERE clauses, that classification loses and
 // duplicates nothing, that the whole query can evaluate every conjunct that
-// names only FROM relations, and that pruning is sound: a pk value that
+// names only FROM relations, that the partition test decides as its reference
+// does, and that pruning is sound: a pk value that
 // satisfies a relation's selections and a partition's predicate puts that
 // partition among the relevant ones.
 func FuzzGraph(f *testing.F) {
@@ -247,6 +384,17 @@ func FuzzGraph(f *testing.F) {
 		}
 		if got := strs(g.Within(1<<len(sel.From) - 1)); !slices.Equal(got, inFrom) {
 			t.Fatalf("Within(all) = %q, want %q", got, inFrom)
+		}
+		// Every relation's selections against every other's, standing in for a
+		// partition predicate: the range comparison and the reference agree.
+		for i := range sel.From {
+			for j := range sel.From {
+				p := &catalog.Partition{Table: sel.From[i].Name, ID: "p", Predicate: expr.And(g.Local[j])}
+				if got, want := g.Prunes(i, p), prunesReference(expr.And(g.Local[i]), p); got != want {
+					t.Fatalf("selections %s against partition %s: Prunes = %v, reference %v",
+						expr.And(g.Local[i]), p.Predicate, got, want)
+				}
+			}
 		}
 		for i := range sel.From[:3] {
 			pred := g.LocalPred(i)

@@ -79,11 +79,14 @@ func TestQueryIsTakenApartHere(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if want := map[string]int{"qgraph.Prunes": 1}; !reflect.DeepEqual(unsatisfiable, want) {
-		t.Errorf("expr.Unsatisfiable called from %v, want %v: test a partition with qgraph.Prunes", unsatisfiable, want)
+	// The partition test compares ranges analysed once (expr.AnalyzeSelection);
+	// simplifying a conjunction to find a contradiction is its reference only.
+	if len(unsatisfiable) != 0 {
+		t.Errorf("expr.Unsatisfiable called from %v: test a partition with (*qgraph.Graph).Prunes", unsatisfiable)
 	}
 	want := map[string]int{
 		"qgraph.New":            1,
+		"catalog.Selection":     1, // a partition's defining predicate, analysed once
 		"exec.classifyJoinPred": 1, // an ON clause into hash keys and the rest
 		"stats.Selectivity":     1, // per-column ranges of any predicate
 		"views.MatchView":       2, // containment: view conjuncts against query conjuncts

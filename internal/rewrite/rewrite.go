@@ -63,10 +63,9 @@ func ForSeller(sel *sqlparse.Select, sch *catalog.Schema, store *storage.Store) 
 		// whose defining predicate contradicts the query's restriction on
 		// this relation contributes nothing (paper §3.4: restrict extents,
 		// then simplify).
-		local := expr.And(g.Local[i])
 		var usable []string
 		for _, pid := range held {
-			if p, ok := sch.Partition(tr.Name, pid); ok && !qgraph.Prunes(local, p) {
+			if p, ok := sch.Partition(tr.Name, pid); ok && !g.Prunes(i, p) {
 				usable = append(usable, pid)
 			}
 		}

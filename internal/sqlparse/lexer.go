@@ -18,15 +18,46 @@ const (
 	tokParam // unused placeholder, kept for symmetry
 )
 
-// token is one lexeme with its position for error messages.
+// token is one lexeme with its position for error messages. word is the
+// keyword or aggregate-function name an identifier spells, in upper case, and
+// empty for every other token: the parser compares it instead of folding the
+// text's case at each test.
 type token struct {
 	kind tokenKind
 	text string
+	word string
 	pos  int
 }
 
-// lexer tokenizes SQL text. Identifiers and keywords are case-insensitive;
-// keyword recognition happens in the parser via upper-cased text.
+// words maps every keyword and aggregate-function name to itself.
+var words = func() map[string]string {
+	m := map[string]string{}
+	for _, set := range []map[string]bool{keywords, aggFns} {
+		for w := range set {
+			m[w] = w
+		}
+	}
+	return m
+}()
+
+// wordOf classifies an identifier once, without allocating: the longest word
+// is DISTINCT.
+func wordOf(text string) string {
+	var buf [8]byte
+	if len(text) > len(buf) {
+		return ""
+	}
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	return words[string(buf[:len(text)])]
+}
+
+// lexer tokenizes SQL text. Identifiers and keywords are case-insensitive.
 type lexer struct {
 	src  string
 	pos  int
@@ -62,7 +93,8 @@ func (l *lexer) next() (token, error) {
 		for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
 			l.pos++
 		}
-		return token{kind: tokIdent, text: l.src[start:l.pos], pos: start}, nil
+		text := l.src[start:l.pos]
+		return token{kind: tokIdent, text: text, word: wordOf(text), pos: start}, nil
 	case c >= '0' && c <= '9' || c == '.' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9':
 		seenDot := false
 		for l.pos < len(l.src) {
@@ -118,7 +150,7 @@ func (l *lexer) next() (token, error) {
 		}
 		text := l.src[l.pos : l.pos+end]
 		l.pos += end + 1
-		return token{kind: tokIdent, text: text, pos: start}, nil
+		return token{kind: tokIdent, text: text, word: wordOf(text), pos: start}, nil
 	default:
 		two := ""
 		if l.pos+1 < len(l.src) {

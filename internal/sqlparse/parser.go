@@ -150,8 +150,7 @@ func truncate(s string) string {
 }
 
 func (p *parser) isKeyword(kw string) bool {
-	t := p.cur()
-	return t.kind == tokIdent && strings.EqualFold(t.text, kw)
+	return p.cur().word == kw
 }
 
 func (p *parser) acceptKeyword(kw string) bool {
@@ -338,7 +337,7 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 			return SelectItem{}, err
 		}
 		item.Alias = a
-	} else if t := p.cur(); t.kind == tokIdent && !keywords[strings.ToUpper(t.text)] {
+	} else if t := p.cur(); t.kind == tokIdent && !keywords[t.word] {
 		item.Alias = t.text
 		p.i++
 	}
@@ -346,7 +345,7 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 }
 
 func (p *parser) parseTableRef() (TableRef, error) {
-	if t := p.cur(); t.kind == tokIdent && keywords[strings.ToUpper(t.text)] {
+	if t := p.cur(); keywords[t.word] {
 		return TableRef{}, p.errf("expected table name, got keyword %q", t.text)
 	}
 	name, err := p.ident()
@@ -360,7 +359,7 @@ func (p *parser) parseTableRef() (TableRef, error) {
 			return TableRef{}, err
 		}
 		tr.Alias = a
-	} else if t := p.cur(); t.kind == tokIdent && !keywords[strings.ToUpper(t.text)] {
+	} else if t := p.cur(); t.kind == tokIdent && !keywords[t.word] {
 		tr.Alias = t.text
 		p.i++
 	}
@@ -435,7 +434,7 @@ func (p *parser) parseComparison() (expr.Expr, error) {
 				return nil, err
 			}
 			l = &expr.IsNull{X: l, Not: not}
-		case p.isKeyword("IN"), p.isKeyword("NOT") && strings.EqualFold(p.peek().text, "IN"):
+		case p.isKeyword("IN"), p.isKeyword("NOT") && p.peek().word == "IN":
 			not := p.acceptKeyword("NOT")
 			if err := p.expectKeyword("IN"); err != nil {
 				return nil, err
@@ -458,7 +457,7 @@ func (p *parser) parseComparison() (expr.Expr, error) {
 				return nil, err
 			}
 			l = &expr.In{X: l, List: list, Not: not}
-		case p.isKeyword("BETWEEN"), p.isKeyword("NOT") && strings.EqualFold(p.peek().text, "BETWEEN"):
+		case p.isKeyword("BETWEEN"), p.isKeyword("NOT") && p.peek().word == "BETWEEN":
 			not := p.acceptKeyword("NOT")
 			if err := p.expectKeyword("BETWEEN"); err != nil {
 				return nil, err
@@ -568,8 +567,7 @@ func (p *parser) parsePrimary() (expr.Expr, error) {
 		}
 		return nil, p.errf("unexpected %q", t.text)
 	case tokIdent:
-		upper := strings.ToUpper(t.text)
-		switch upper {
+		switch t.word {
 		case "NULL":
 			p.i++
 			return expr.NewLit(value.NewNull()), nil
@@ -580,8 +578,8 @@ func (p *parser) parsePrimary() (expr.Expr, error) {
 			p.i++
 			return expr.FalseExpr(), nil
 		}
-		if aggFns[upper] && p.peek().kind == tokOp && p.peek().text == "(" {
-			return p.parseAgg(upper)
+		if aggFns[t.word] && p.peek().kind == tokOp && p.peek().text == "(" {
+			return p.parseAgg(t.word)
 		}
 		p.i++
 		if p.acceptOp(".") {

@@ -208,6 +208,26 @@ func TestAliasWithoutAS(t *testing.T) {
 	}
 }
 
+// A word is classified once, when it is lexed: keywords and aggregate names
+// match in any case, and an identifier that merely starts like one, or is
+// longer than any of them, is an identifier.
+func TestKeywordsInAnyCase(t *testing.T) {
+	const upper = "SELECT DISTINCT t.selection AS distinctness, COUNT(*) AS n FROM t WHERE t.a NOT IN (1, 2) AND t.b NOT BETWEEN 1 AND 2 AND t.c IS NOT NULL GROUP BY t.selection ORDER BY n DESC LIMIT 3"
+	mixed := "sElEcT dIsTiNcT t.selection aS distinctness, cOuNt(*) n fRoM t wHeRe t.a nOt iN (1, 2) aNd t.b NoT bEtWeEn 1 anD 2 and t.c iS nOt nUlL gRoUp bY t.selection oRdEr By n dEsC lImIt 3"
+	if got := MustParseSelect(mixed).SQL(); got != MustParseSelect(upper).SQL() {
+		t.Fatalf("mixed case parsed to\n%s\nwant\n%s", got, MustParseSelect(upper).SQL())
+	}
+	for text, want := range map[string]string{"between": "BETWEEN", "Sum": "SUM", "distinct": "DISTINCT",
+		"distincts": "", "selec": "", "summ": "", "": "", "sélect": ""} {
+		if got := wordOf(text); got != want {
+			t.Errorf("wordOf(%q) = %q, want %q", text, got, want)
+		}
+	}
+	if _, err := ParseSelect("SELECT x FROM from"); err == nil {
+		t.Error("a keyword was accepted as a table name")
+	}
+}
+
 func TestNumbersAndLiterals(t *testing.T) {
 	e := MustParseExpr("x = 2.5")
 	lit := e.(*expr.Binary).R.(*expr.Lit)
