@@ -2,7 +2,6 @@ package core
 
 import (
 	"qtrade/internal/catalog"
-	"qtrade/internal/expr"
 	"qtrade/internal/localopt"
 	"qtrade/internal/qgraph"
 	"qtrade/internal/sqlparse"
@@ -44,15 +43,16 @@ func Analyse(sel *sqlparse.Select, sch *catalog.Schema, cands []Candidate, asked
 		out = append(out, sql)
 	}
 
+	g := qgraph.New(sel)
+	subquery := localopt.SubqueriesOf(sel, g)
 	for _, c := range cands {
 		for _, subset := range c.JoinSubsets {
 			if len(subset) < 2 || len(subset) >= len(sel.From) {
 				continue // singles are implied; the full set is the query itself
 			}
-			add(localopt.SubqueryFor(sel, subset))
+			add(subquery(subset))
 		}
 	}
-	g := qgraph.New(sel)
 	for _, c := range cands {
 		for _, b := range c.UnionBindings {
 			i, ok := g.Index(b)
@@ -60,16 +60,13 @@ func Analyse(sel *sqlparse.Select, sch *catalog.Schema, cands []Candidate, asked
 				continue
 			}
 			tr := sel.From[i]
-			base := localopt.SubqueryFor(sel, []string{tr.Binding()})
+			base := subquery([]string{tr.Binding()})
 			for _, pid := range g.Relevant(sch, i) {
 				p, ok := sch.Partition(tr.Name, pid)
 				if !ok || p.Predicate == nil {
 					continue
 				}
-				restricted := base.Clone()
-				restriction := expr.Qualify(p.Predicate, tr.Binding())
-				restricted.Where = expr.SimplifyPredicate(expr.And([]expr.Expr{restricted.Where, restriction}))
-				add(restricted)
+				add(localopt.RestrictTo(base, tr.Binding(), p))
 			}
 		}
 	}

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -185,20 +183,6 @@ type Result struct {
 
 var rfbSeq atomic.Int64
 
-// partsKey canonicalizes an offer's coverage for pool deduplication (the
-// same SQL may be offered with different coverage, e.g. a partial and its
-// subcontracted completion).
-func partsKey(o trading.Offer) string {
-	keys := make([]string, 0, len(o.Parts))
-	for b, ps := range o.Parts {
-		sorted := append([]string(nil), ps...)
-		sort.Strings(sorted)
-		keys = append(keys, b+"="+strings.Join(sorted, ","))
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, ";")
-}
-
 // withDefaults fills the unset knobs.
 func (cfg Config) withDefaults() Config {
 	if cfg.Cost == nil {
@@ -270,8 +254,7 @@ func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
 		return ob.done(res), nil
 	}
 
-	pool := map[string]trading.Offer{} // seller+sql+coverage -> cheapest offer
-	bestPrice := map[string]float64{}  // qid -> best price seen
+	bestPrice := map[string]float64{} // qid -> best price seen
 	queries := []trading.QueryRequest{{QID: "q0", SQL: sel.SQL()}}
 	asked := map[string]bool{sel.SQL(): true}
 	to := &sellers{comm: comm, self: cfg.ID, pol: cfg.Faults, dir: cfg.Directory}
@@ -298,22 +281,18 @@ func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
 		}
 		offers = append(offers, selfBids(cfg.Self, rfb, ob)...)
 		for _, o := range offers {
-			key := o.SellerID + "\x00" + o.SQL + "\x00" + partsKey(o)
-			if prev, ok := pool[key]; !ok || o.Price < prev.Price {
-				pool[key] = o
-				gen.put(prev.OfferID, o)
-			}
+			gen.take(o)
 			if b, ok := bestPrice[o.QID]; !ok || o.Price < b {
 				bestPrice[o.QID] = o.Price
 			}
 		}
-		ob.collected(offers, rounds, len(pool))
+		ob.collected(offers, rounds, len(gen.offers))
 
 		// B4: candidate plan generation from the standing pool (the generator
-		// keeps it in OfferID order, so equal-cost ties break reproducibly).
+		// owns it, in OfferID order, so equal-cost ties break reproducibly).
 		ph = ob.phase("plangen")
 		ph.sp.Set("mode", string(cfg.Mode))
-		ph.sp.Set("pool", len(pool))
+		ph.sp.Set("pool", len(gen.offers))
 		cands, err := gen.run()
 		ph.end()
 		if err != nil {
@@ -360,12 +339,7 @@ func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
 		to.award(o)
 	}
 	ph.end()
-	finalPool := make([]trading.Offer, 0, len(pool))
-	for _, o := range pool {
-		finalPool = append(finalPool, o)
-	}
-	sort.Slice(finalPool, func(i, j int) bool { return finalPool[i].OfferID < finalPool[j].OfferID })
-	res.Candidate, res.Pool = *best, finalPool
+	res.Candidate, res.Pool = *best, gen.standing()
 	return ob.done(res), nil
 }
 

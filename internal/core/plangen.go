@@ -84,10 +84,13 @@ func (a *assembly) paid() float64 {
 	return p
 }
 
-// offerInfo is a pool offer decoded against the buyer's query.
+// offerInfo is a pool entry: an offer decoded against the buyer's query. One
+// that does not decode still stands, counted and open to recovery's fallback,
+// with no mask and no group, so no plan is built from it.
 type offerInfo struct {
-	o    trading.Offer
-	mask uint // bindings the offer answers
+	o      trading.Offer
+	quoted float64 // o.Props.TotalTime as received; o's own includes the buyer's round trip to the seller
+	mask   uint    // bindings the offer answers
 	// partMask is the bitmask of relevant partitions covered, by binding
 	// index; short marks the offer's bindings it covers only in part.
 	partMask   []uint
@@ -114,9 +117,10 @@ type coverMemo struct {
 	a      *assembly
 }
 
-// planGen is the buyer plan generator of one negotiation. The query is
-// analysed once; put decodes and groups each pool entry once, and run builds
-// the candidates of the current pool, reusing what earlier runs solved.
+// planGen is the buyer plan generator of one negotiation and owns its offer
+// pool. The query is analysed once; take receives every offer, put decodes
+// and groups a pool entry once, and run builds the candidates of the current
+// pool, reusing what earlier runs solved.
 type planGen struct {
 	sel         *sqlparse.Select
 	sch         *catalog.Schema
@@ -129,9 +133,10 @@ type planGen struct {
 	partBit     []map[string]uint // by binding index: partition id -> bit
 	fullMask    []uint            // by binding index: all relevant partitions
 	hasAgg      bool
-	empty       *Candidate    // the whole answer, when the query provably has no rows
-	offers      []*offerInfo  // by OfferID
-	groups      []*offerGroup // by (mask, key)
+	empty       *Candidate            // the whole answer, when the query provably has no rows
+	pool        map[string]*offerInfo // seller, SQL and coverage -> the cheapest such offer received
+	offers      []*offerInfo          // the pool, by OfferID
+	groups      []*offerGroup         // by (mask, key)
 	cover       coverScratch
 }
 
@@ -153,7 +158,7 @@ func GenerateWithLatency(sel *sqlparse.Select, sch *catalog.Schema, model *cost.
 		return nil, err
 	}
 	for i := range offers {
-		g.put("", offers[i])
+		g.put(offers[i])
 	}
 	return g.run()
 }
@@ -163,7 +168,7 @@ func GenerateWithLatency(sel *sqlparse.Select, sch *catalog.Schema, model *cost.
 func newPlanGen(sel *sqlparse.Select, sch *catalog.Schema, model *cost.Model,
 	mode PlanGenMode, keep int, peerLatency func(string) float64) (*planGen, error) {
 	g := &planGen{sel: sel, sch: sch, model: model, mode: mode, keep: keep,
-		peerLatency: peerLatency, q: qgraph.New(sel)}
+		peerLatency: peerLatency, q: qgraph.New(sel), pool: map[string]*offerInfo{}}
 	if g.keep <= 0 {
 		g.keep = idpKeep
 	}
@@ -221,22 +226,44 @@ func (g *planGen) emptyAnswer() *Candidate {
 	return c
 }
 
-// put adds o to the generator's pool, in place of the entry whose OfferID is
-// prevID when that is set (a re-priced pool entry).
-func (g *planGen) put(prevID string, o trading.Offer) {
-	if prevID != "" {
-		g.drop(prevID)
+// partsKey canonicalizes an offer's coverage for pool deduplication (the
+// same SQL may be offered with different coverage, e.g. a partial and its
+// subcontracted completion).
+func partsKey(o trading.Offer) string {
+	keys := make([]string, 0, len(o.Parts))
+	for b, ps := range o.Parts {
+		sorted := append([]string(nil), ps...)
+		sort.Strings(sorted)
+		keys = append(keys, b+"="+strings.Join(sorted, ","))
 	}
+	sort.Strings(keys)
+	return strings.Join(keys, ";")
+}
+
+// take receives one offer of the negotiation (B3). Of the offers a seller
+// makes for the same SQL over the same coverage only the cheapest stands: a
+// cheaper one displaces the pool's entry, any other is ignored.
+func (g *planGen) take(o trading.Offer) {
+	key := o.SellerID + "\x00" + o.SQL + "\x00" + partsKey(o)
+	if prev := g.pool[key]; prev == nil || o.Price < prev.o.Price {
+		if prev != nil {
+			g.drop(prev)
+		}
+		g.pool[key] = g.put(o)
+	}
+}
+
+// put adds o to the pool as a new entry.
+func (g *planGen) put(o trading.Offer) *offerInfo {
+	quoted := o.Props.TotalTime
 	if g.peerLatency != nil {
 		o.Props.TotalTime += 2 * g.peerLatency(o.SellerID)
 	}
 	info, key := g.decode(&o)
-	if info == nil {
-		return
-	}
+	info.quoted = quoted
 	g.offers = insertByID(g.offers, info)
-	if info.whole {
-		return // bought alone, never combined
+	if info.mask == 0 || info.whole {
+		return info // not about this query, or bought alone: never combined
 	}
 	i, found := slices.BinarySearchFunc(g.groups, info, func(grp *offerGroup, info *offerInfo) int {
 		return cmp.Or(cmp.Compare(grp.mask, info.mask), strings.Compare(grp.key, key))
@@ -248,21 +275,27 @@ func (g *planGen) put(prevID string, o trading.Offer) {
 	info.group = g.groups[i]
 	info.group.offers = insertByID(info.group.offers, info)
 	clear(info.group.covers)
+	return info
 }
 
-// drop removes the pool entry with the given OfferID, if it was usable.
-func (g *planGen) drop(id string) {
-	i, found := slices.BinarySearchFunc(g.offers, id, func(info *offerInfo, id string) int {
-		return strings.Compare(info.o.OfferID, id)
-	})
-	if !found {
-		return
-	}
-	if grp := g.offers[i].group; grp != nil {
-		grp.offers = slices.DeleteFunc(grp.offers, func(info *offerInfo) bool { return info == g.offers[i] })
+// drop removes an entry from the pool.
+func (g *planGen) drop(info *offerInfo) {
+	gone := func(x *offerInfo) bool { return x == info }
+	if grp := info.group; grp != nil {
+		grp.offers = slices.DeleteFunc(grp.offers, gone)
 		clear(grp.covers)
 	}
-	g.offers = slices.Delete(g.offers, i, i+1)
+	g.offers = slices.DeleteFunc(g.offers, gone)
+}
+
+// standing lists the pool's offers as they were received, in OfferID order.
+func (g *planGen) standing() []trading.Offer {
+	out := make([]trading.Offer, len(g.offers))
+	for i, info := range g.offers {
+		out[i] = info.o
+		out[i].Props.TotalTime = info.quoted
+	}
+	return out
 }
 
 // insertByID keeps list ordered by OfferID (equal ids in arrival order), so
@@ -274,13 +307,13 @@ func insertByID(list []*offerInfo, info *offerInfo) []*offerInfo {
 
 // decode validates an offer against the query and computes its coverage and
 // its group key: the offer's kind and schema signature, which offers must
-// share to be unioned.
+// share to be unioned. One no plan can use comes back bare.
 func (g *planGen) decode(o *trading.Offer) (*offerInfo, string) {
 	info := &offerInfo{o: *o, partMask: make([]uint, len(g.bindings))}
 	for _, b := range o.Bindings {
 		idx, ok := g.q.Index(b)
 		if !ok {
-			return nil, "" // not about this query's relations
+			return &offerInfo{o: *o}, "" // not about this query's relations
 		}
 		info.mask |= 1 << idx
 		var m uint
@@ -313,7 +346,7 @@ func (g *planGen) decode(o *trading.Offer) (*offerInfo, string) {
 		// Partial aggregates are only meaningful for this query if it
 		// aggregates, and they combine exclusively with their own kind.
 		if !g.hasAgg {
-			return nil, ""
+			return &offerInfo{o: *o}, ""
 		}
 		info.partialAgg = true
 		return info, sig.String()
@@ -322,7 +355,7 @@ func (g *planGen) decode(o *trading.Offer) (*offerInfo, string) {
 	info.whole = coversAll && o.Complete && aggregated
 	if g.hasAgg && !o.Stripped && !info.whole {
 		// An aggregated partial answer cannot be recombined safely.
-		return nil, ""
+		return &offerInfo{o: *o}, ""
 	}
 	if !g.hasAgg && coversAll && o.Complete {
 		info.whole = true

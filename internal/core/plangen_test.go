@@ -347,7 +347,7 @@ func TestGenerateIncrementalMatchesFresh(t *testing.T) {
 			for _, p := range puts {
 				delete(pool, p.prev)
 				pool[p.o.OfferID] = p.o
-				inc.put(p.prev, p.o)
+				inc.take(p.o) // a re-priced entry shares its predecessor's pool key
 			}
 			list := make([]trading.Offer, 0, len(pool))
 			for _, o := range pool {

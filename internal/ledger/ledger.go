@@ -80,9 +80,10 @@ type Negotiation struct {
 // Rec is the buyer-side handle for one negotiation. A nil Rec (from a nil
 // or unset Ledger) is valid; every method is a no-op.
 type Rec struct {
-	l  *Ledger
-	mu sync.Mutex
-	n  Negotiation
+	l    *Ledger
+	mu   sync.Mutex
+	n    Negotiation
+	rfbs []string // the RFBIDs indexed under this record; guarded by l.mu
 }
 
 // Ledger is a bounded ring of negotiations plus the calibration aggregates
@@ -131,12 +132,19 @@ func (l *Ledger) insertLocked(r *Rec) {
 	if len(l.negs) > l.cap {
 		old := l.negs[0]
 		l.negs = l.negs[1:]
-		for id, rec := range l.byRFB {
-			if rec == old {
+		for _, id := range old.rfbs {
+			if l.byRFB[id] == old {
 				delete(l.byRFB, id)
 			}
 		}
 	}
+}
+
+// indexLocked files rfbID under r, which remembers it for its eviction.
+// Caller holds l.mu.
+func (l *Ledger) indexLocked(rfbID string, r *Rec) {
+	l.byRFB[rfbID] = r
+	r.rfbs = append(r.rfbs, rfbID)
 }
 
 // Begin opens a negotiation record for one buyer optimization. Nil-safe:
@@ -173,7 +181,7 @@ func (r *Rec) RFBIssued(rfbID string, iter, queries int) {
 	}
 	r.mu.Unlock()
 	r.l.mu.Lock()
-	r.l.byRFB[rfbID] = r
+	r.l.indexLocked(rfbID, r)
 	r.l.mu.Unlock()
 	r.append(Event{Kind: KindRFB, Iter: iter, Queries: queries})
 }
@@ -295,7 +303,7 @@ func (l *Ledger) recFor(rfbID, buyer string) *Rec {
 	r := &Rec{l: l}
 	r.n = Negotiation{ID: rfbID, Buyer: buyer, Start: time.Now()}
 	l.insertLocked(r)
-	l.byRFB[rfbID] = r
+	l.indexLocked(rfbID, r)
 	return r
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -86,6 +87,43 @@ func TestRingEviction(t *testing.T) {
 	// Negotiations(n) limits to the newest n.
 	if got := l.Negotiations(2); len(got) != 2 {
 		t.Fatalf("Negotiations(2) returned %d", len(got))
+	}
+}
+
+// A record remembers the RFB ids filed under it, and its eviction deletes
+// exactly those from the index: every iteration's id of the evicted
+// negotiation, a seller-opened record's one id, and nobody else's.
+func TestEvictionRemovesExactlyItsOwnIDs(t *testing.T) {
+	l := New(2)
+	a := l.Begin("hq", "a")
+	a.RFBIssued("a-1", 1, 1)
+	a.RFBIssued("a-2", 2, 1)
+	l.Priced("s-1", "far", "corfu", "q0", 1, false, 1) // seller-local record
+	b := l.Begin("hq", "b")                            // evicts a
+	b.RFBIssued("b-1", 1, 1)
+	index := func() string {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		ids := make([]string, 0, len(l.byRFB))
+		for id := range l.byRFB {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		return strings.Join(ids, " ")
+	}
+	if got := index(); got != "b-1 s-1" {
+		t.Fatalf("after evicting a the index holds %q, want %q", got, "b-1 s-1")
+	}
+	// An id filed again under a newer record is that record's: the older
+	// owner's eviction must leave it alone.
+	b.RFBIssued("s-1", 2, 1)
+	l.Begin("hq", "c") // evicts the seller-local record that first held s-1
+	if got := index(); got != "b-1 s-1" {
+		t.Fatalf("after evicting s-1's first owner the index holds %q, want %q", got, "b-1 s-1")
+	}
+	l.Begin("hq", "d") // evicts b
+	if got := index(); got != "" {
+		t.Fatalf("after evicting b the index holds %q, want it empty", got)
 	}
 }
 

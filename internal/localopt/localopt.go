@@ -432,9 +432,25 @@ func subquery(g *qgraph.Graph, mask uint, need map[string][]string, columnsOf fu
 }
 
 // SubqueryFor exposes subquery construction for a binding subset by name,
-// without table definitions; used by the buyer predicates analyser.
+// without table definitions.
 func SubqueryFor(sel *sqlparse.Select, bindings []string) *sqlparse.Select {
+	return SubqueriesOf(sel, qgraph.New(sel))(bindings)
+}
+
+// SubqueriesOf is SubqueryFor for many subsets of one query: the returned
+// function builds each over g, the graph of sel its caller already holds, and
+// one reading of the needed columns. Used by the buyer predicates analyser.
+func SubqueriesOf(sel *sqlparse.Select, g *qgraph.Graph) func(bindings []string) *sqlparse.Select {
 	noDefs := func(int) []catalog.ColumnDef { return nil }
-	g := qgraph.New(sel)
-	return subquery(g, g.Mask(bindings), neededColumns(sel, noDefs), noDefs)
+	need := neededColumns(sel, noDefs)
+	return func(bindings []string) *sqlparse.Select { return subquery(g, g.Mask(bindings), need, noDefs) }
+}
+
+// RestrictTo returns a copy of base, a subquery over the one relation bound
+// as binding, narrowed to that relation's partition p (which must have a
+// predicate): what is asked of whoever holds the fragment.
+func RestrictTo(base *sqlparse.Select, binding string, p *catalog.Partition) *sqlparse.Select {
+	q := base.Clone()
+	q.Where = expr.SimplifyPredicate(expr.And([]expr.Expr{q.Where, expr.Qualify(p.Predicate, binding)}))
+	return q
 }

@@ -80,9 +80,9 @@ func (n *Node) Leave(reason string) {
 	n.obsv.Load().ledger.Lifecycle(ledger.KindLeave, n.cfg.ID, reason)
 }
 
-// RevokeStandingOffers drops every RFB record the node holds — standing
-// offers, pricing flights and subcontract assemblies — returning how many
-// offers were revoked. Buyers holding awards against them see execution
+// RevokeStandingOffers drops every RFB record the node holds — the pricing
+// flights and the book entries they filed, assemblies included — returning
+// how many offers were revoked. Buyers holding awards against them see execution
 // failures and recover; buyers still negotiating simply stop hearing from
 // this seller.
 func (n *Node) RevokeStandingOffers() int {

@@ -95,18 +95,21 @@ type Config struct {
 	Metrics *obs.Metrics
 }
 
+// standingOffer is the book entry of one minted offer, written once by mint
+// and read from there to delivery; only ask ever changes, under n.mu.
 type standingOffer struct {
-	offer trading.Offer
-	truth float64
+	offer trading.Offer // as first quoted: what a repeated RFBID is answered with
+	truth float64       // the floor S3 improves down to: the truthful score plus what the node pays for inputs
+	ask   float64       // the standing price; starts at offer.Price, ImproveBids only lowers it
+	sub   *subcontract  // composite only: the assembly that delivers it
 }
 
 // sellerNeg is everything the seller holds for one RFB, in one record that
 // is opened on the RFB's first sight and dies whole: evicted as the oldest
 // beyond maxStandingRFBs, or revoked with the rest of the book.
 type sellerNeg struct {
-	offers     map[string]*standingOffer // offerID -> the ask S3 may improve
-	flights    map[flightKey]*flight     // requested query -> its single-flight pricing
-	assemblies map[string]*subcontract   // composite offerID -> how to deliver it
+	offers  map[string]*standingOffer // offerID -> its entry in a flight's book
+	flights map[flightKey]*flight     // requested query -> its single-flight pricing
 }
 
 // Node is one autonomous federation member. It implements netsim.Service.
@@ -138,11 +141,11 @@ type Node struct {
 type flightKey struct{ qid, sql string }
 
 // flight is one single-flight pricing of a (RFB, query) pair: the first
-// caller computes offers, every concurrent or later caller for the same pair
-// waits on done and shares them.
+// caller prices the query, every concurrent or later caller for the same pair
+// waits on done and shares the book: the entries of the offers it minted.
 type flight struct {
-	done   chan struct{}
-	offers []trading.Offer
+	done chan struct{}
+	book []standingOffer
 }
 
 // maxStandingRFBs bounds the per-node negotiation state: a long-lived seller
@@ -229,6 +232,18 @@ func (n *Node) tryAcquire() bool {
 
 func (n *Node) release() { <-n.pool }
 
+// acquireFor claims a pricing slot for a query of an RFB and reports whether
+// it got one. A buyer's RFB waits for it; a subcontract probe (depth > 0) is
+// priced without when none is free — its sender waits holding a slot of its
+// own pool, so two full nodes probing each other would wait forever.
+func (n *Node) acquireFor(depth int) bool {
+	if depth > 0 {
+		return n.tryAcquire()
+	}
+	n.acquire()
+	return true
+}
+
 // admitRFB claims an admission slot for a buyer-originated (Depth-0) RFB,
 // blocking — with the wait visible in the queue-depth gauge — when the node
 // already serves MaxInflightRFBs of them. The returned func releases the
@@ -301,12 +316,14 @@ func (n *Node) RequestBids(rfb trading.RFB) (trading.BidReply, error) {
 	ob.rfbs.Inc()
 	sp.Set("rfb", rfb.RFBID)
 	sp.Set("queries", len(rfb.Queries))
-	results := make([][]trading.Offer, len(rfb.Queries))
+	results := make([][]standingOffer, len(rfb.Queries))
 	if n.cfg.Workers == 1 || len(rfb.Queries) <= 1 {
 		for i, qr := range rfb.Queries {
-			n.acquire()
+			held := n.acquireFor(rfb.Depth)
 			results[i] = n.offersForShared(rfb, qr, sp, ob)
-			n.release()
+			if held {
+				n.release()
+			}
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -314,37 +331,35 @@ func (n *Node) RequestBids(rfb trading.RFB) (trading.BidReply, error) {
 			wg.Add(1)
 			go func(i int, qr trading.QueryRequest) {
 				defer wg.Done()
-				n.acquire()
-				defer n.release()
+				if n.acquireFor(rfb.Depth) {
+					defer n.release()
+				}
 				results[i] = n.offersForShared(rfb, qr, sp, ob)
 			}(i, qr)
 		}
 		wg.Wait()
 	}
 	var out []trading.Offer
-	for _, offers := range results {
-		if len(offers) == 0 {
+	for _, book := range results {
+		if len(book) == 0 {
 			ob.rewritesEmpty.Inc()
 		}
-		out = append(out, offers...)
+		for i := range book {
+			out = append(out, book[i].offer)
+		}
 	}
 	sp.Set("offers", len(out))
 	sp.End()
-	reply := trading.BidReply{Offers: out, Trace: ob.ship(sp, rfb.Trace)}
-	n.mu.Lock()
-	neg := n.negLocked(rfb.RFBID)
-	for i := range out {
-		neg.offers[out[i].OfferID] = &standingOffer{offer: out[i], truth: trading.TruthScore(n.cfg.Weights, out[i].Props)}
-	}
-	n.mu.Unlock()
-	return reply, nil
+	return trading.BidReply{Offers: out, Trace: ob.ship(sp, rfb.Trace)}, nil
 }
 
-// offersForShared single-flights offersFor per (RFBID, query): the first
-// caller prices, concurrent duplicates wait on the flight and share its
-// offers, and completed flights are kept until the RFB's record dies, so a
-// retried RFBID stays byte-identical without re-pricing.
-func (n *Node) offersForShared(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span, ob *nodeObs) []trading.Offer {
+// offersForShared single-flights the pricing of one (RFBID, query): the first
+// caller prices it, reports the pricing to the trading ledger and files the
+// book in the RFB's record — the one time an offer is filed. Concurrent
+// duplicates wait on the flight and share it, and completed flights are kept
+// until the record dies, so a retried RFBID is answered byte-identically
+// without re-pricing, whatever ImproveBids has done to the asks since.
+func (n *Node) offersForShared(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span, ob *nodeObs) []standingOffer {
 	qkey := flightKey{qr.QID, qr.SQL}
 	n.mu.Lock()
 	neg := n.negLocked(rfb.RFBID)
@@ -352,29 +367,28 @@ func (n *Node) offersForShared(rfb trading.RFB, qr trading.QueryRequest, sp *obs
 		n.mu.Unlock()
 		<-f.done
 		ob.pricingsCoalesced.Inc()
-		return f.offers
+		return f.book
 	}
 	f := &flight{done: make(chan struct{})}
 	neg.flights[qkey] = f
 	n.mu.Unlock()
-	f.offers = n.offersFor(rfb, qr, sp, ob)
-	close(f.done)
-	return f.offers
-}
-
-// offersFor prices one requested query and reports the pricing to the
-// trading ledger (offers produced, price-cache provenance, wall time). sp is
-// the node's request-bids span (nil untraced) and ob its loaded observer.
-func (n *Node) offersFor(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span, ob *nodeObs) []trading.Offer {
 	t0 := time.Now()
-	offers, cached := n.priceQuery(rfb, qr, sp, ob)
-	ob.ledger.Priced(rfb.RFBID, rfb.BuyerID, n.cfg.ID, qr.QID, len(offers), cached, msSince(t0))
-	return offers
+	book, cached := n.priceQuery(rfb, qr, sp, ob)
+	ob.ledger.Priced(rfb.RFBID, rfb.BuyerID, n.cfg.ID, qr.QID, len(book), cached, msSince(t0))
+	n.mu.Lock()
+	neg = n.negLocked(rfb.RFBID) // reopened if the record died while the query was priced
+	for i := range book {
+		neg.offers[book[i].offer.OfferID] = &book[i]
+	}
+	n.mu.Unlock()
+	f.book = book
+	close(f.done)
+	return book
 }
 
 // priceQuery is the seller's three steps for one requested query; the second
 // return reports whether the rewrite+DP valuation came from the price cache.
-func (n *Node) priceQuery(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span, ob *nodeObs) ([]trading.Offer, bool) {
+func (n *Node) priceQuery(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span, ob *nodeObs) ([]standingOffer, bool) {
 	// S1: read the query, rewrite it against the local fragments and plan it.
 	e, cached := n.rewriteAndPlan(qr.SQL, sp, ob)
 	if e.Err != nil {
@@ -409,19 +423,21 @@ func (n *Node) priceQuery(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span
 		}
 	}
 	// Cap by truthful value, cheapest first, keeping the widest coverage
-	// offers regardless (they are what the buyer most needs).
-	cands := m.offers
-	sort.SliceStable(cands, func(i, j int) bool {
-		if len(cands[i].Bindings) != len(cands[j].Bindings) {
-			return len(cands[i].Bindings) > len(cands[j].Bindings)
+	// offers regardless (they are what the buyer most needs); what the cap
+	// discards is forgotten, assembly and all.
+	book := m.book
+	sort.SliceStable(book, func(i, j int) bool {
+		a, b := &book[i].offer, &book[j].offer
+		if len(a.Bindings) != len(b.Bindings) {
+			return len(a.Bindings) > len(b.Bindings)
 		}
-		return cands[i].Props.TotalTime < cands[j].Props.TotalTime
+		return a.Props.TotalTime < b.Props.TotalTime
 	})
-	if len(cands) > n.cfg.MaxOffersPerQuery {
-		cands = cands[:n.cfg.MaxOffersPerQuery]
+	if len(book) > n.cfg.MaxOffersPerQuery {
+		clear(book[n.cfg.MaxOffersPerQuery:])
+		book = book[:n.cfg.MaxOffersPerQuery]
 	}
-	m.keepAssemblies(cands)
-	return cands, cached
+	return book, cached
 }
 
 // rewriteAndPlan is step S1 and the modified DP behind S2: parse and qualify
@@ -510,7 +526,7 @@ type draft struct {
 	sub  *subcontract     // composite only: the assembly that delivers it
 }
 
-// minter puts together every offer of one requested query. Ids are
+// minter puts together the book of one requested query. Ids are
 // deterministic and scoped to (node, RFB, query):
 // "<node>/<rfbID>/<qid>/<kind><seq>". They depend only on the query's own
 // pricing walk — never on cross-query scheduling — so parallel pricing emits
@@ -521,8 +537,7 @@ type minter struct {
 	rfbID, qid string
 	prefix     string
 	seq        int
-	offers     []trading.Offer
-	subs       map[string]*subcontract // assemblies of the composites minted, by offer id
+	book       []standingOffer
 }
 
 func (m *minter) nextID(kind string) string {
@@ -530,8 +545,9 @@ func (m *minter) nextID(kind string) string {
 	return fmt.Sprintf("%s/%s%d", m.prefix, kind, m.seq)
 }
 
-// mint turns a draft into a priced offer: output specs, identity, and step
-// S3 — the strategy names the price of the truthful valuation. A draft whose
+// mint turns a draft into a priced offer and writes its book entry: output
+// specs, identity, and step S3 — the strategy names the price of the truthful
+// valuation (plus, for a composite, what its inputs cost). A draft whose
 // output schema cannot be derived is dropped before it takes an id; counted
 // is the per-source instrument a minted offer ticks.
 func (m *minter) mint(d draft, counted *obs.Counter) {
@@ -551,35 +567,10 @@ func (m *minter) mint(d draft, counted *obs.Counter) {
 		o.SQL = d.sel.SQL()
 	}
 	o.RFBID, o.QID, o.SellerID = m.rfbID, m.qid, n.cfg.ID
-	o.Price = n.cfg.Strategy.Price(m.qid, trading.TruthScore(n.cfg.Weights, o.Props)+d.paid)
-	if d.sub != nil {
-		if m.subs == nil {
-			m.subs = map[string]*subcontract{}
-		}
-		m.subs[o.OfferID] = d.sub
-	}
-	m.offers = append(m.offers, o)
+	truth := trading.TruthScore(n.cfg.Weights, o.Props) + d.paid
+	o.Price = n.cfg.Strategy.Price(m.qid, truth)
+	m.book = append(m.book, standingOffer{offer: o, truth: truth, ask: o.Price, sub: d.sub})
 	counted.Inc()
-}
-
-// keepAssemblies files the assemblies of the composites that survived the
-// offer cap in the RFB's record, where Execute finds them and where they die
-// with the record.
-func (m *minter) keepAssemblies(kept []trading.Offer) {
-	if m.subs == nil {
-		return
-	}
-	m.n.mu.Lock()
-	defer m.n.mu.Unlock()
-	neg := m.n.negLocked(m.rfbID)
-	for i := range kept {
-		if sub := m.subs[kept[i].OfferID]; sub != nil {
-			if neg.assemblies == nil {
-				neg.assemblies = map[string]*subcontract{}
-			}
-			neg.assemblies[kept[i].OfferID] = sub
-		}
-	}
 }
 
 // partialDraft offers one partial result the modified DP retained.
@@ -752,12 +743,14 @@ func (n *Node) improveOffers(req trading.ImproveReq) []trading.Offer {
 		if t, hasTarget := req.Target[so.offer.QID]; hasTarget && t < competing {
 			competing = t
 		}
-		newPrice, changed := n.cfg.Strategy.Improve(so.offer.QID, so.offer.Price, so.truth, competing)
-		if !changed || newPrice >= so.offer.Price {
+		newPrice, changed := n.cfg.Strategy.Improve(so.offer.QID, so.ask, so.truth, competing)
+		if !changed || newPrice >= so.ask {
 			continue
 		}
-		so.offer.Price = newPrice
-		out = append(out, so.offer)
+		so.ask = newPrice
+		improved := so.offer
+		improved.Price = newPrice
+		out = append(out, improved)
 	}
 	return out
 }
@@ -825,13 +818,13 @@ func (n *Node) Execute(req trading.ExecReq) (trading.ExecResp, error) {
 	// carries est-vs-actual into the buyer's flight dossier. (The standing
 	// offer may be gone — evicted or another RFB's: then only actuals ship.)
 	t0 := time.Now()
-	rfbID, so, sub := n.purchased(req.OfferID)
+	so := n.purchased(req.OfferID)
 	if so != nil && sp != nil {
 		sp.Set("est_rows", so.offer.Props.Rows)
 		sp.Set("quoted_ms", so.offer.Props.TotalTime)
 	}
 	var resp trading.ExecResp
-	sc, err := n.openPurchased(req, rfbID, sub, sp)
+	sc, err := n.openPurchased(req, so, sp)
 	if err == nil {
 		resp, err = n.deliver(ob, sc, req, sp, t0)
 	}
@@ -864,17 +857,16 @@ func (n *Node) rfbOf(offerID string) string {
 }
 
 // purchased looks an offer id up in the record of the RFB it was minted
-// under: that RFB's id, the standing offer and, for a composite, its
-// assembly. Offer and assembly are nil once the record is gone, and for ids
+// under and returns its book entry: nil once the record is gone, and for ids
 // this node did not mint.
-func (n *Node) purchased(offerID string) (rfbID string, so *standingOffer, sub *subcontract) {
-	rfbID = n.rfbOf(offerID)
+func (n *Node) purchased(offerID string) *standingOffer {
+	rfbID := n.rfbOf(offerID)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if neg := n.negs[rfbID]; neg != nil {
-		so, sub = neg.offers[offerID], neg.assemblies[offerID]
+		return neg.offers[offerID]
 	}
-	return rfbID, so, sub
+	return nil
 }
 
 // viewPlan builds the execution plan of a compensation query over a local

@@ -378,7 +378,7 @@ func TestPriceCacheHitReadsNothing(t *testing.T) {
 	qr := trading.QueryRequest{QID: "q0", SQL: `SELECT c.custname, i.charge
 		FROM customer c, invoiceline i
 		WHERE c.custid = i.custid AND c.custid < 10 AND i.charge > 2`}
-	price := func(sql string) ([]trading.Offer, bool) {
+	price := func(sql string) ([]standingOffer, bool) {
 		return n.priceQuery(rfb, trading.QueryRequest{QID: qr.QID, SQL: sql}, nil, ob)
 	}
 

@@ -15,8 +15,12 @@ import (
 // (*Node).Execute to run part of an answer — a purchased answer is one plan
 // tree on one cursor. A requested query is read in one place: only
 // rewriteAndPlan, behind its price-cache lookup, calls sqlparse.ParseSelect,
-// so nothing on the pricing path parses before the cache was asked. And
-// priceQuery stays short enough to read as S1 → S2 → S3 on one screen.
+// so nothing on the pricing path parses before the cache was asked. An offer
+// is one book entry: mint alone writes a standingOffer (and alone asks for a
+// truthful score, so price and floor cannot differ), one function files
+// entries in an RFB's record, and no side map of assemblies travels beside
+// them. And priceQuery stays short enough to read as S1 → S2 → S3 on one
+// screen.
 func TestSellerIsS1toS3(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
@@ -27,6 +31,9 @@ func TestSellerIsS1toS3(t *testing.T) {
 	}
 	prices, priceQueryLines := 0, 0
 	parsers := map[string]int{} // sqlparse.ParseSelect call sites, by function
+	minters := map[string]int{} // standingOffer literals, by function
+	filers := map[string]int{}  // assignments into a record's offers, by function
+	truths := map[string]int{}  // trading.TruthScore call sites, by function
 	for _, file := range pkgs["node"].Files {
 		in := ""
 		ast.Inspect(file, func(x ast.Node) bool {
@@ -36,12 +43,29 @@ func TestSellerIsS1toS3(t *testing.T) {
 				if v.Recv != nil && v.Name.Name == "priceQuery" {
 					priceQueryLines = fset.Position(v.End()).Line - fset.Position(v.Pos()).Line + 1
 				}
+			case *ast.Ident:
+				if v.Name == "assemblies" || v.Name == "keepAssemblies" {
+					t.Errorf("%s: %s: a composite's assembly lives in its book entry (standingOffer.sub)",
+						fset.Position(v.Pos()), v.Name)
+				}
+			case *ast.CompositeLit:
+				if id, ok := v.Type.(*ast.Ident); ok && id.Name == "standingOffer" {
+					minters[in]++
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range v.Lhs {
+					if ix, ok := lhs.(*ast.IndexExpr); ok && lastIdent(ix.X) == "offers" {
+						filers[in]++
+					}
+				}
 			case *ast.CallExpr:
 				fn, ok := v.Fun.(*ast.SelectorExpr)
 				if !ok {
 					return true
 				}
 				switch fn.Sel.Name {
+				case "TruthScore":
+					truths[in]++
 				case "ParseSelect":
 					parsers[in]++
 				case "Price":
@@ -64,6 +88,15 @@ func TestSellerIsS1toS3(t *testing.T) {
 	}
 	if len(parsers) != 1 || parsers["rewriteAndPlan"] != 1 {
 		t.Errorf("sqlparse.ParseSelect called from %v, want once, in rewriteAndPlan: ask the price cache first", parsers)
+	}
+	if len(minters) != 1 || minters["mint"] != 1 {
+		t.Errorf("standingOffer literals in %v, want one, in mint: a book entry is written once", minters)
+	}
+	if len(truths) != 1 || truths["mint"] != 1 {
+		t.Errorf("trading.TruthScore called from %v, want once, in mint: the floor is the score the price was named for", truths)
+	}
+	if len(filers) != 1 || filers["offersForShared"] != 1 {
+		t.Errorf("a record's offers are assigned in %v, want once, in offersForShared: an offer is filed by the call that priced it", filers)
 	}
 	if priceQueryLines == 0 || priceQueryLines > 70 {
 		t.Errorf("priceQuery is %d lines, want 1..70", priceQueryLines)

@@ -74,18 +74,18 @@ func (sc *serverCursor) advance() ([]value.Row, bool, error) {
 // request's batch size (the default when unset). Whatever it is — plain, view,
 // UNION chain, composite — is a plan tree on the one executor, whose remote
 // hook resolves a composite's Remote leaves.
-func (n *Node) openPurchased(req trading.ExecReq, rfbID string, sub *subcontract, sp *obs.Span) (*serverCursor, error) {
+func (n *Node) openPurchased(req trading.ExecReq, so *standingOffer, sp *obs.Span) (*serverCursor, error) {
 	fetch := &subFetch{n: n, batch: req.BatchRows, sp: sp, ctx: req.Trace}
 	ex := &exec.Executor{Store: n.store, BatchSize: req.BatchRows, FetchStream: fetch.open}
 	var cur exec.Cursor
-	root, specs, err := n.purchasedPlan(req.SQL, sub)
+	root, specs, err := n.purchasedPlan(req.SQL, so)
 	if err == nil {
 		cur, err = ex.Open(root)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("node %s: %w", n.cfg.ID, err)
 	}
-	return &serverCursor{rfbID: rfbID, offerID: req.OfferID, sql: req.SQL, stream: req.Stream,
+	return &serverCursor{rfbID: n.rfbOf(req.OfferID), offerID: req.OfferID, sql: req.SQL, stream: req.Stream,
 		cur: cur, cols: specs, fetch: fetch}, nil
 }
 
@@ -94,9 +94,10 @@ func (n *Node) openPurchased(req trading.ExecReq, rfbID string, sub *subcontract
 // followed by one Remote leaf per purchased fragment. A UNION chain is the
 // union of its branches' plans (under a Distinct unless UNION ALL), refused
 // before a row ships when the branches differ in width.
-func (n *Node) purchasedPlan(sql string, sub *subcontract) (plan.Node, []trading.ColSpec, error) {
-	if sub != nil {
-		sql = sub.localSQL
+func (n *Node) purchasedPlan(sql string, so *standingOffer) (plan.Node, []trading.ColSpec, error) {
+	composite := so != nil && so.sub != nil
+	if composite {
+		sql = so.sub.localSQL
 	}
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
@@ -124,12 +125,12 @@ func (n *Node) purchasedPlan(sql string, sub *subcontract) (plan.Node, []trading
 		return root, specs, nil
 	}
 	root, specs, err := n.selectPlan(stmt.(*sqlparse.Select))
-	if err != nil || sub == nil {
+	if err != nil || !composite {
 		return root, specs, err
 	}
 	inputs := []plan.Node{root}
-	for _, r := range sub.remotes {
-		inputs = append(inputs, &plan.Remote{NodeID: r.peerID, SQL: r.sql, Cols: root.Schema()})
+	for _, r := range so.sub.remotes {
+		inputs = append(inputs, &plan.Remote{NodeID: r.peerID, SQL: r.sql, OfferID: r.offerID, Cols: root.Schema()})
 	}
 	return &plan.Union{Inputs: inputs}, specs, nil
 }

@@ -27,9 +27,12 @@ type subcontract struct {
 	remotes  []subRemote
 }
 
+// subRemote is one purchased fragment, fetched by the id of the offer its
+// subcontractor quoted so that the delivery is recorded against it.
 type subRemote struct {
-	peerID string
-	sql    string
+	peerID  string
+	offerID string
+	sql     string
 }
 
 // subcontractDrafts implements the §3.5 subcontracting procedure: for every
@@ -136,12 +139,9 @@ func (n *Node) buildComposite(rfb trading.RFB, qid string, sel *sqlparse.Select,
 		if !ok || p.Predicate == nil {
 			return draft{}, false // whole-table gaps cannot be delegated piecewise
 		}
-		q := base.Clone()
-		restriction := expr.Qualify(p.Predicate, tr.Binding())
-		q.Where = expr.SimplifyPredicate(expr.And([]expr.Expr{q.Where, restriction}))
 		subRFB.Queries = append(subRFB.Queries, trading.QueryRequest{
 			QID: fmt.Sprintf("sub%d", i),
-			SQL: q.SQL(),
+			SQL: localopt.RestrictTo(base, tr.Binding(), p).SQL(),
 		})
 	}
 	offers, _, err := trading.SealedBid{}.Collect(subRFB, trading.Sellers{Peers: peers, Policy: n.cfg.Faults}, sp)
@@ -198,14 +198,14 @@ func (n *Node) buildComposite(rfb trading.RFB, qid string, sel *sqlparse.Select,
 	props.Rows = own.Rows
 	props.Bytes = own.Bytes
 	remoteMax := 0.0
-	sc := &subcontract{localSQL: own.SQL.SQL()}
+	sc := &subcontract{localSQL: own.Text}
 	totalPurchased := 0.0
 	for _, o := range chosen {
 		remoteMax = math.Max(remoteMax, o.Props.TotalTime)
 		props.Rows += o.Props.Rows
 		props.Bytes += o.Props.Bytes
 		totalPurchased += o.Price
-		sc.remotes = append(sc.remotes, subRemote{peerID: o.SellerID, sql: o.SQL})
+		sc.remotes = append(sc.remotes, subRemote{peerID: o.SellerID, offerID: o.OfferID, sql: o.SQL})
 	}
 	props.TotalTime += remoteMax
 	props.FirstRow = n.cfg.Cost.StartupCost + 2*n.cfg.Cost.NetLatency
@@ -243,10 +243,10 @@ type deliverer interface {
 }
 
 // open implements exec.StreamFunc: the node acts as a buyer and fetches the
-// fragment with the one fetch client. The request is plain, so the
-// subcontractor's whole answer is the opening reply, handed to the Remote
-// leaf — which validates its shape — in batches of the serving request's size.
-func (f *subFetch) open(peerID, sql, _ string) (exec.RowStream, error) {
+// fragment it bought, by offer id, with the one fetch client. The request is
+// plain, so the subcontractor's whole answer is the opening reply, handed to
+// the Remote leaf — which validates its shape — in the serving request's batches.
+func (f *subFetch) open(peerID, sql, offerID string) (exec.RowStream, error) {
 	n := f.n
 	if f.peers == nil {
 		f.peers = n.cfg.SubcontractPeers()
@@ -281,7 +281,7 @@ func (f *subFetch) open(peerID, sql, _ string) (exec.RowStream, error) {
 		batch = exec.DefaultBatchSize
 	}
 	st := &trading.Fetch{}
-	if err := st.Open(call, trading.ExecReq{BuyerID: n.cfg.ID, SQL: sql}, batch); err != nil {
+	if err := st.Open(call, trading.ExecReq{BuyerID: n.cfg.ID, OfferID: offerID, SQL: sql}, batch); err != nil {
 		return nil, fmt.Errorf("node %s: subcontractor %s: %w", n.cfg.ID, peerID, err)
 	}
 	return st, nil

@@ -3,7 +3,9 @@ package node
 import (
 	"sort"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"qtrade/internal/netsim"
 	"qtrade/internal/trading"
@@ -237,12 +239,22 @@ func TestSubcontractAssembliesDieWithTheirOffers(t *testing.T) {
 	if len(corfu.negs) > maxStandingRFBs {
 		t.Fatalf("%d records held, bound is %d", len(corfu.negs), maxStandingRFBs)
 	}
+	// An assembly is a field of its offer's book entry, so whatever a record
+	// holds of one is reachable either as a standing offer or through a
+	// flight's book — where the cap must have cleared what it discarded.
 	held := 0
 	for rfbID, neg := range corfu.negs {
-		held += len(neg.assemblies)
-		for id := range neg.assemblies {
-			if neg.offers[id] == nil {
-				t.Fatalf("rfb %s holds the assembly of %s, which is not a standing offer", rfbID, id)
+		for _, so := range neg.offers {
+			if so.sub != nil {
+				held++
+			}
+		}
+		for _, f := range neg.flights {
+			all := f.book[:cap(f.book)]
+			for i := range all {
+				if so := &all[i]; so.sub != nil && neg.offers[so.offer.OfferID] != so {
+					t.Fatalf("rfb %s holds the assembly of %q, which is not a standing offer", rfbID, so.offer.OfferID)
+				}
 			}
 		}
 	}
@@ -258,12 +270,12 @@ func TestSubcontractAssembliesDieWithTheirOffers(t *testing.T) {
 func TestSubcontractAssemblyLivesInRecord(t *testing.T) {
 	_, corfu, _ := subFederation(t)
 	o := compositeOffer(t, corfu, "r-live")
-	if _, _, sub := corfu.purchased(o.OfferID); sub == nil {
-		t.Fatal("standing composite has no assembly")
+	if so := corfu.purchased(o.OfferID); so == nil || so.sub == nil {
+		t.Fatalf("standing composite has no assembly: %+v", so)
 	}
 	corfu.RevokeStandingOffers()
-	if _, so, sub := corfu.purchased(o.OfferID); so != nil || sub != nil {
-		t.Fatalf("revoked record still resolves: %v %v", so, sub)
+	if so := corfu.purchased(o.OfferID); so != nil {
+		t.Fatalf("revoked record still resolves: %+v", so)
 	}
 }
 
@@ -298,5 +310,40 @@ func TestSubcontractProbesMintDistinctOfferIDs(t *testing.T) {
 	}
 	if flights != 2 || len(bySQL) != 2 {
 		t.Fatalf("myconos priced %d probes and holds %d standing offers, want 2 and 2: %v", flights, len(bySQL), bySQL)
+	}
+}
+
+// Two nodes that subcontract from each other, both with every pricing slot
+// taken by a buyer's query, probe each other at the same moment: each probe
+// must be priced although its receiver's pool is full, or both buyers wait
+// forever.
+func TestMutualSubcontractingDoesNotDeadlock(t *testing.T) {
+	net, corfu, myc := subFederationCfg(t, func(c *Config) { c.Workers = 1 })
+	myc.pool = make(chan struct{}, 1)
+	myc.cfg.SubcontractPeers = func() map[string]trading.Peer {
+		return map[string]trading.Peer{"corfu": net.Peer("myconos", "corfu")}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		for _, n := range []*Node{corfu, myc} {
+			wg.Add(1)
+			go func(n *Node) {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					o := compositeOffer(t, n, "r-mutual"+itoa(i))
+					if !o.Complete {
+						t.Errorf("%s: composite is not complete: %+v", n.ID(), o)
+					}
+				}
+			}(n)
+		}
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("two nodes probing each other never finished pricing")
 	}
 }

@@ -7,19 +7,25 @@ import (
 	"testing"
 
 	"qtrade/internal/core"
+	"qtrade/internal/node"
+	"qtrade/internal/trading"
 )
 
 // TestFuzzChainFederations cross-checks the full QT pipeline against the
 // single-node oracle over randomized federations: random relation counts,
 // partitioning, replication, node counts, plan generator modes and filter
-// selectivities. Any divergence between the distributed answer and the
-// oracle is a correctness bug somewhere in the trading stack.
+// selectivities, under every negotiation protocol (with sellers whose asks
+// move between rounds) and with subcontracting on and off. Any divergence
+// between the distributed answer and the oracle is a correctness bug
+// somewhere in the trading stack.
 func TestFuzzChainFederations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzz in short mode")
 	}
 	rng := rand.New(rand.NewSource(20260705))
 	modes := []core.PlanGenMode{core.GenDP, core.GenIDP, core.GenGreedy}
+	protocols := []trading.Protocol{trading.SealedBid{}, trading.IterativeBid{MaxRounds: 3}, trading.Bargain{MaxRounds: 3}}
+	covered := map[string]bool{}
 	trials := 30
 	for i := 0; i < trials; i++ {
 		opts := ChainOptions{
@@ -32,16 +38,30 @@ func TestFuzzChainFederations(t *testing.T) {
 		}
 		selFrac := []float64{1, 0.5, 0.25}[rng.Intn(3)]
 		mode := modes[rng.Intn(len(modes))]
-		label := fmt.Sprintf("trial %d: %+v selFrac=%.2f mode=%s", i, opts, selFrac, mode)
+		// The protocol and subcontracting are drawn by turns, not from rng: the
+		// thirty federations stay the ones they were, and every pairing comes up.
+		protocol, subcontract := protocols[i%3], i/3%2 == 1
+		label := fmt.Sprintf("trial %d: %+v selFrac=%.2f mode=%s protocol=%s subcontract=%v",
+			i, opts, selFrac, mode, protocol.Name(), subcontract)
 
-		f := NewChain(opts)
+		var f *Federation
+		if i%3 != 0 {
+			opts.Strategy = func() trading.SellerStrategy { return trading.NewCompetitive() }
+		}
+		if subcontract {
+			opts.Configure = func(c *node.Config) {
+				id := c.ID
+				c.SubcontractPeers = func() map[string]trading.Peer { return f.Net.Peers(id) }
+			}
+		}
+		f = NewChain(opts)
 		q := ChainQuery(opts, selFrac)
 		truth, err := f.GroundTruth(q)
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", label, err)
 		}
 		cfg := f.BuyerConfig()
-		cfg.Mode = mode
+		cfg.Mode, cfg.Protocol = mode, protocol
 		res, err := f.Optimize(cfg, q)
 		if err != nil {
 			t.Fatalf("%s: optimize: %v", label, err)
@@ -79,8 +99,12 @@ func TestFuzzChainFederations(t *testing.T) {
 					t.Fatalf("%s: %s: answer differs: %d vs %d rows\nquery: %s",
 						label, mode, len(got.Rows), len(truth.Rows), q)
 				}
+				covered[fmt.Sprintf("%s %s %v", mode, protocol.Name(), subcontract)] = true
 			}
 		}
+	}
+	if len(covered) != 3*3*2 {
+		t.Fatalf("%d of the 18 mode × protocol × subcontracting pairings ran: %v", len(covered), covered)
 	}
 }
 
