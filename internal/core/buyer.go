@@ -257,6 +257,7 @@ func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
 	bestPrice := map[string]float64{} // qid -> best price seen
 	queries := []trading.QueryRequest{{QID: "q0", SQL: sel.SQL()}}
 	asked := map[string]bool{sel.SQL(): true}
+	analyse := newAnalyser(sel, cfg.Schema)
 	to := &sellers{comm: comm, self: cfg.ID, pol: cfg.Faults, dir: cfg.Directory}
 	view := to.round(&cfg, &ob.empty)
 	var best *Candidate
@@ -315,7 +316,7 @@ func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
 		// B5/B6: the predicates analyser proposes the next round's queries
 		// from the top candidates.
 		ph = ob.phase("analyse")
-		newSQLs := Analyse(sel, cfg.Schema, cands[:min(3, len(cands))], asked, maxNewQueries)
+		newSQLs := analyse.next(cands[:min(3, len(cands))], asked, maxNewQueries)
 		ph.sp.Set("new_queries", len(newSQLs))
 		ph.end()
 		ob.iterationEnd()

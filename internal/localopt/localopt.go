@@ -23,7 +23,6 @@ import (
 	"qtrade/internal/sqlparse"
 	"qtrade/internal/stats"
 	"qtrade/internal/storage"
-	"qtrade/internal/trading"
 )
 
 // Partial is one optimal partial result: the best local plan answering the
@@ -35,10 +34,6 @@ type Partial struct {
 	Cost     float64 // estimated local execution cost (ms)
 	Rows     int64
 	Bytes    float64 // estimated result size
-	Text     string  // SQL printed, once: every offer of the partial quotes it
-	// Cols is the output schema of SQL as an offer declares it. The seller
-	// pricing the partial derives it once, with its views at hand.
-	Cols []trading.ColSpec
 }
 
 // Result is the optimizer output: the best full plan plus every optimal
@@ -46,6 +41,11 @@ type Partial struct {
 type Result struct {
 	Best     *Partial
 	Partials []*Partial
+	// Joined is what Best.Plan finalises: the cheapest join tree over all the
+	// relations, under the residual filter, before the query's own tail. Another
+	// tail over the same FROM and WHERE (a partial aggregate) is planned by
+	// finalising this tree, with no second DP.
+	Joined plan.Node
 }
 
 // Optimize runs the modified DP over the query's FROM relations using the
@@ -121,13 +121,13 @@ func (o *optimizer) run() (*Result, error) {
 		if len(best) == 0 {
 			return nil, fmt.Errorf("localopt: no plan for relation subset %b", mask)
 		}
-		p, err := o.finishPartial(mask, best[0], full)
+		p, input, err := o.finishPartial(mask, best[0], full)
 		if err != nil {
 			return nil, err
 		}
 		res.Partials = append(res.Partials, p)
 		if mask == full {
-			res.Best = p
+			res.Best, res.Joined = p, input
 		}
 	}
 	return res, nil
@@ -328,9 +328,10 @@ func neededColumns(sel *sqlparse.Select, columnsOf func(i int) []catalog.ColumnD
 }
 
 // finishPartial turns a DP entry into an offered partial result with its
-// subquery text. The full-relation entry additionally gets the query's
-// aggregation/ordering phase and the graph's residual conjuncts.
-func (o *optimizer) finishPartial(mask uint, entry dpEntry, full uint) (*Partial, error) {
+// subquery, and returns beside it the tree that subquery's tail was put on.
+// The full-relation entry additionally gets the query's aggregation/ordering
+// phase and the graph's residual conjuncts.
+func (o *optimizer) finishPartial(mask uint, entry dpEntry, full uint) (*Partial, plan.Node, error) {
 	p := &Partial{Cost: entry.cost, Rows: entry.rows}
 	var rowBytes float64
 	for i, r := range o.rels {
@@ -343,17 +344,12 @@ func (o *optimizer) finishPartial(mask uint, entry dpEntry, full uint) (*Partial
 			rowBytes += r.st.RowBytes * float64(used) / float64(total)
 		}
 	}
+	node := entry.node
 	if mask == full {
-		node := entry.node
 		if len(o.g.Residual) > 0 {
 			node = &plan.Filter{Input: node, Pred: expr.And(expr.CloneAll(o.g.Residual))}
 			p.Cost += o.m.Filter(entry.rows)
 		}
-		finished, err := plan.FinalizeSelect(o.sel, node)
-		if err != nil {
-			return nil, err
-		}
-		p.Plan = finished
 		p.SQL = o.sel.Clone()
 		if o.sel.HasAggregates() || len(o.sel.GroupBy) > 0 {
 			groups := estimateGroups(entry.rows, len(o.sel.GroupBy))
@@ -366,19 +362,15 @@ func (o *optimizer) finishPartial(mask uint, entry dpEntry, full uint) (*Partial
 		if o.sel.Limit >= 0 && p.Rows > o.sel.Limit {
 			p.Rows = o.sel.Limit
 		}
-		p.Bytes = float64(p.Rows) * math.Max(rowBytes, 8)
-		p.Text = p.SQL.SQL()
-		return p, nil
+	} else {
+		p.SQL = subquery(o.g, mask, o.needCols, o.columnsOf)
 	}
-	sub := subquery(o.g, mask, o.needCols, o.columnsOf)
-	p.SQL, p.Text = sub, sub.SQL()
-	finished, err := plan.FinalizeSelect(sub, entry.node)
-	if err != nil {
-		return nil, err
-	}
-	p.Plan = finished
 	p.Bytes = float64(p.Rows) * math.Max(rowBytes, 8)
-	return p, nil
+	var err error
+	if p.Plan, err = plan.FinalizeSelect(p.SQL, node); err != nil {
+		return nil, nil, err
+	}
+	return p, node, nil
 }
 
 // estimateGroups guesses the output cardinality of an aggregation.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"qtrade/internal/ledger"
+	"qtrade/internal/obs"
 	"qtrade/internal/trading"
 )
 
@@ -116,7 +117,8 @@ func TestCompositeNeverImprovesBelowItsInputs(t *testing.T) {
 
 // A subcontracting seller buys by offer id: the fragment's delivery lands on
 // the standing offer its subcontractor quoted, so the subcontractor's ledger
-// records it as served under the negotiation it was priced in.
+// records it as served under the negotiation it was priced in — and on both
+// hops the plan that runs is the plan that was priced.
 func TestSubcontractorServesTheOfferItQuoted(t *testing.T) {
 	_, corfu, myc := subFederation(t)
 	led := ledger.New(8)
@@ -130,8 +132,28 @@ func TestSubcontractorServesTheOfferItQuoted(t *testing.T) {
 	if quoted.offer.SQL != bought.sql || quoted.offer.SellerID != bought.peerID {
 		t.Fatalf("assembly buys %+v, myconos quoted %+v", bought, quoted.offer)
 	}
-	if _, err := corfu.Execute(trading.ExecReq{BuyerID: "buyer", OfferID: so.offer.OfferID, SQL: so.offer.SQL}); err != nil {
+	resp, err := corfu.Execute(trading.ExecReq{BuyerID: "buyer", OfferID: so.offer.OfferID, SQL: so.offer.SQL,
+		Trace: obs.TraceContext{TraceID: "t-buy", Sampled: true}})
+	if err != nil {
 		t.Fatal(err)
+	}
+	ran := map[string]string{} // node -> the plan attribute of its execute span
+	var walk func(p *obs.SpanPayload)
+	walk = func(p *obs.SpanPayload) {
+		if p.Name == "execute" {
+			for _, a := range p.Attrs {
+				if a.Key == "plan" {
+					ran[p.Source] = a.Val
+				}
+			}
+		}
+		for _, c := range p.Children {
+			walk(c)
+		}
+	}
+	walk(resp.Trace)
+	if want := map[string]string{"corfu": "priced", "myconos": "priced"}; !reflect.DeepEqual(ran, want) {
+		t.Fatalf("execute spans ran %v, want %v", ran, want)
 	}
 	var served []ledger.Event
 	for _, neg := range led.Negotiations(0) {

@@ -15,6 +15,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -75,10 +76,11 @@ type Config struct {
 	// hold their last admission slot while waiting on the other.
 	MaxInflightRFBs int
 	// PriceCacheSize caps the node's price cache: memoized parse + rewrite +
-	// DP pricing results keyed by the query text as received, valid for one
-	// generation of the store's data/stats/cost-model versions, so repeated
-	// negotiation iterations re-price only through the strategy module. 0 =
-	// 256 entries, negative disables the cache.
+	// DP pricing results and the offers drafted from them, keyed by the query
+	// text as received, valid for one generation of the store's
+	// data/stats/cost-model versions, so repeated negotiation iterations
+	// re-price only through the strategy module. 0 = 256 entries, negative
+	// disables the cache.
 	PriceCacheSize int
 	// LoadAwarePricing folds the node's live load — executions in flight
 	// plus admitted and queued Depth-0 RFBs, normalized by Workers — into
@@ -102,6 +104,12 @@ type standingOffer struct {
 	truth float64       // the floor S3 improves down to: the truthful score plus what the node pays for inputs
 	ask   float64       // the standing price; starts at offer.Price, ImproveBids only lowers it
 	sub   *subcontract  // composite only: the assembly that delivers it
+	// plan is the tree offer.Props was costed from, shared with the price-cache
+	// entry it was drafted in and every other offer of that draft, so it is only
+	// ever read. A purchase opens it as long as the node is still in gen, the
+	// generation it was priced under; after that the text is planned again.
+	plan plan.Node
+	gen  pricecache.Generation
 }
 
 // sellerNeg is everything the seller holds for one RFB, in one record that
@@ -386,41 +394,45 @@ func (n *Node) offersForShared(rfb trading.RFB, qr trading.QueryRequest, sp *obs
 	return book
 }
 
+// generation is the state of the world a price is a function of, besides the
+// query text.
+func (n *Node) generation() pricecache.Generation {
+	return pricecache.Generation{Epoch: n.store.Epoch(), StatsVersion: n.store.StatsVersion(), CostHash: n.costHash}
+}
+
 // priceQuery is the seller's three steps for one requested query; the second
-// return reports whether the rewrite+DP valuation came from the price cache.
+// return reports whether S1 and S2 came from the price cache.
 func (n *Node) priceQuery(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span, ob *nodeObs) ([]standingOffer, bool) {
 	// S1: read the query, rewrite it against the local fragments and plan it.
-	e, cached := n.rewriteAndPlan(qr.SQL, sp, ob)
+	// S2: draft what the node can sell of it — the partial results the modified
+	// DP retained, matching views, a partial aggregate. All of that is the
+	// price-cache entry of the text, so a hit arrives here with nothing read.
+	gen := n.generation()
+	e, cached := n.rewriteAndPlan(gen, qr.SQL, sp, ob)
 	if e.Err != nil {
 		return nil, cached
 	}
-	sel, rw, res := e.Sel, e.Rewritten, e.Result
-	// S2: every source drafts what the node can sell — the partial results
-	// the modified DP retained, matching views, complete extents assembled by
-	// subcontracting, a partial aggregate. S3: mint prices each draft.
-	m := &minter{n: n, rfbID: rfb.RFBID, qid: qr.QID, prefix: n.cfg.ID + "/" + rfb.RFBID + "/" + qr.QID}
-	hasAgg := sel.HasAggregates() || len(sel.GroupBy) > 0
-	for _, p := range res.Partials {
-		m.mint(n.partialDraft(sel, rw, p, hasAgg), ob.offersPriced)
-	}
-	if !n.cfg.DisableViews {
-		for _, match := range views.BestMatches(sel, n.store) {
-			if d, ok := n.viewDraft(sel, match); ok {
-				m.mint(d, ob.offersView)
-			}
+	// S3: mint prices each draft, and between the entry's own drafts those of the
+	// one source that depends on the RFB: complete extents assembled by
+	// subcontracting, from what the peers reply now.
+	m := &minter{n: n, rfbID: rfb.RFBID, qid: qr.QID, gen: gen, prefix: n.cfg.ID + "/" + rfb.RFBID + "/" + qr.QID + "/",
+		book: make([]standingOffer, 0, len(e.Drafts)+1)}
+	for i := range e.Drafts {
+		if d := &e.Drafts[i]; d.FromView {
+			m.mint(d, 0, nil, ob.offersView)
+		} else {
+			m.mint(d, 0, nil, ob.offersPriced)
 		}
 	}
 	if n.cfg.SubcontractPeers != nil && rfb.Depth == 0 {
 		scSp := sp.Child("subcontract")
-		for _, d := range n.subcontractDrafts(rfb, sel, rw, res.Partials, scSp, m) {
-			m.mint(d, ob.offersSubcontract)
+		for _, c := range n.subcontractDrafts(rfb, e, scSp, m) {
+			m.mint(&c.Draft, c.paid, c.sub, ob.offersSubcontract)
 		}
 		scSp.End()
 	}
-	if hasAgg && rw.Stripped && len(rw.Dropped) == 0 && !n.cfg.DisableAggPush {
-		if d, ok := n.partialAggDraft(sel, rw, res); ok {
-			m.mint(d, ob.offersPartialAgg)
-		}
+	if e.PartialAgg != nil {
+		m.mint(e.PartialAgg, 0, nil, ob.offersPartialAgg)
 	}
 	// Cap by truthful value, cheapest first, keeping the widest coverage
 	// offers regardless (they are what the buyer most needs); what the cap
@@ -440,24 +452,23 @@ func (n *Node) priceQuery(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span
 	return book, cached
 }
 
-// rewriteAndPlan is step S1 and the modified DP behind S2: parse and qualify
-// the query as received, rewrite it against the local fragments, then plan
-// it, keeping every optimal partial. That walk is the expensive part of
-// pricing, so it is memoized in the price cache under the received text: a
-// hit reads nothing, not even the text. The cache holds one generation — the
-// store's data epoch and stats version and the cost-model hash — and empties
-// when they move, so a hit is never stale. The entry is shared with every
-// other pricing of the same text and is only read. Strategy pricing (S3)
-// always runs fresh: margins adapt between rounds.
-func (n *Node) rewriteAndPlan(sql string, sp *obs.Span, ob *nodeObs) (e pricecache.Entry, cached bool) {
-	var gen pricecache.Generation
+// rewriteAndPlan is step S1, the modified DP behind S2 and S2's drafts: parse
+// and qualify the query as received, rewrite it against the local fragments,
+// plan it keeping every optimal partial, and draft every offer that follows
+// from that alone. That walk is the expensive part of pricing, so it is
+// memoized in the price cache under the received text: a hit reads nothing, not
+// even the text. The cache holds one generation — the store's data epoch and
+// stats version and the cost-model hash — and empties when they move, so a hit
+// is never stale. The entry is shared with every other pricing of the same
+// text, the offers minted from it and their executions, and is only read.
+// Strategy pricing (S3) always runs fresh: margins adapt between rounds.
+func (n *Node) rewriteAndPlan(gen pricecache.Generation, sql string, sp *obs.Span, ob *nodeObs) (e pricecache.Entry, cached bool) {
 	if n.prices != nil {
-		gen = pricecache.Generation{Epoch: n.store.Epoch(), StatsVersion: n.store.StatsVersion(), CostHash: n.costHash}
 		if e, ok := n.prices.Get(gen, sql); ok {
 			ob.cacheHits.Inc()
 			dpSp := sp.Child("dp-pricing")
 			dpSp.Set("cache", "hit")
-			endDP(dpSp, e.Result, e.Err)
+			endDP(dpSp, e.Drafts, e.Err)
 			return e, true
 		}
 		ob.cacheMisses.Inc()
@@ -481,14 +492,11 @@ func (n *Node) rewriteAndPlan(sql string, sp *obs.Span, ob *nodeObs) (e pricecac
 		if n.prices != nil {
 			dpSp.Set("cache", "miss")
 		}
-		e.Result, e.Err = localopt.Optimize(e.Rewritten.Sel, n.cfg.Schema, n.store, n.cfg.Cost)
-		if e.Err == nil {
-			for _, p := range e.Result.Partials {
-				// Nil when the schema cannot be derived: mint drops the offer.
-				p.Cols, _ = OutputSpecs(p.SQL, n.cfg.Schema, n.store)
-			}
+		var res *localopt.Result
+		if res, e.Err = localopt.Optimize(e.Rewritten.Sel, n.cfg.Schema, n.store, n.cfg.Cost); e.Err == nil {
+			n.draftOffers(&e, res)
 		}
-		endDP(dpSp, e.Result, e.Err)
+		endDP(dpSp, e.Drafts, e.Err)
 		ob.dpMS.Observe(msSince(t0))
 	}
 	// A failure is as much a function of the text and the generation as a
@@ -501,29 +509,56 @@ func (n *Node) rewriteAndPlan(sql string, sp *obs.Span, ob *nodeObs) (e pricecac
 	return e, false
 }
 
-// endDP closes a dp-pricing span with the partials the DP retained, or why
-// it failed.
-func endDP(dpSp *obs.Span, res *localopt.Result, err error) {
+// draftOffers runs S2's deterministic sources over a planned query and leaves
+// their drafts in its entry, in the order they are minted in.
+func (n *Node) draftOffers(e *pricecache.Entry, res *localopt.Result) {
+	sel, rw := e.Sel, e.Rewritten
+	hasAgg := sel.HasAggregates() || len(sel.GroupBy) > 0
+	e.Drafts = make([]pricecache.Draft, 0, len(res.Partials))
+	for _, p := range res.Partials {
+		if d, ok := n.partialDraft(sel, rw, p, hasAgg); ok {
+			e.Drafts = append(e.Drafts, d)
+		}
+	}
+	if !n.cfg.DisableViews {
+		for _, match := range views.BestMatches(sel, n.store) {
+			if d, ok := n.viewDraft(sel, match); ok {
+				e.Drafts = append(e.Drafts, d)
+			}
+		}
+	}
+	if hasAgg && rw.Stripped && len(rw.Dropped) == 0 && !n.cfg.DisableAggPush {
+		if d, ok := n.partialAggDraft(sel, rw, res); ok {
+			e.PartialAgg = &d
+		}
+	}
+}
+
+// endDP closes a dp-pricing span with the partials the DP retained — each is a
+// draft now — or why it failed.
+func endDP(dpSp *obs.Span, drafts []pricecache.Draft, err error) {
 	if err != nil {
 		dpSp.Set("error", err)
-	} else {
-		dpSp.Set("partials", len(res.Partials))
+	} else if dpSp != nil {
+		partials := 0
+		for i := range drafts {
+			if drafts[i].Kind == "o" {
+				partials++
+			}
+		}
+		dpSp.Set("partials", partials)
 	}
 	dpSp.End()
 }
 
-// draft is what one S2 source contributes to an offer: the subquery it would
-// answer and, in the embedded offer, what that covers (Bindings, Parts,
-// Complete and the kind flags) and what it costs (Props). mint adds the
-// rest. A composite also fills OfferID and Cols itself — it reserves its id
-// in probe order and matches its subcontractors' columns before it is minted
-// — and a partial result brings the Cols and SQL text its DP computed once.
-type draft struct {
-	trading.Offer
-	kind string           // offer-id kind: "o" partial, "v" view, "s" composite, "a" partial aggregate
-	sel  *sqlparse.Select // the subquery offered
-	paid float64          // what the node itself pays for purchased inputs, on top of the truthful score
-	sub  *subcontract     // composite only: the assembly that delivers it
+// compositeDraft is the draft of the one S2 source that is not a function of the
+// text and the generation: a complete extent assembled by subcontracting. It
+// fills OfferID itself — ids are reserved in probe order — and brings what mint
+// adds to the floor and to the book entry.
+type compositeDraft struct {
+	pricecache.Draft
+	paid float64      // what the node itself pays for purchased inputs, on top of the truthful score
+	sub  *subcontract // the assembly that delivers it
 }
 
 // minter puts together the book of one requested query. Ids are
@@ -535,70 +570,67 @@ type draft struct {
 type minter struct {
 	n          *Node
 	rfbID, qid string
-	prefix     string
+	gen        pricecache.Generation // the drafts' own
+	prefix     string                // of every id, up to the kind
 	seq        int
 	book       []standingOffer
 }
 
 func (m *minter) nextID(kind string) string {
 	m.seq++
-	return fmt.Sprintf("%s/%s%d", m.prefix, kind, m.seq)
+	return m.prefix + kind + strconv.Itoa(m.seq)
 }
 
-// mint turns a draft into a priced offer and writes its book entry: output
-// specs, identity, and step S3 — the strategy names the price of the truthful
-// valuation (plus, for a composite, what its inputs cost). A draft whose
-// output schema cannot be derived is dropped before it takes an id; counted
-// is the per-source instrument a minted offer ticks.
-func (m *minter) mint(d draft, counted *obs.Counter) {
+// mint turns a draft into a priced offer and writes its book entry: identity,
+// and step S3 — the strategy names the price of the truthful valuation (plus
+// paid, what a composite's inputs cost). The draft is shared and stays as it
+// is; counted is the per-source instrument a minted offer ticks.
+func (m *minter) mint(d *pricecache.Draft, paid float64, sub *subcontract, counted *obs.Counter) {
 	n := m.n
 	o := d.Offer
-	if o.Cols == nil {
-		cols, err := OutputSpecs(d.sel, n.cfg.Schema, n.store)
-		if err != nil {
-			return
-		}
-		o.Cols = cols
-	}
 	if o.OfferID == "" {
-		o.OfferID = m.nextID(d.kind)
-	}
-	if o.SQL == "" {
-		o.SQL = d.sel.SQL()
+		o.OfferID = m.nextID(d.Kind)
 	}
 	o.RFBID, o.QID, o.SellerID = m.rfbID, m.qid, n.cfg.ID
-	truth := trading.TruthScore(n.cfg.Weights, o.Props) + d.paid
+	truth := trading.TruthScore(n.cfg.Weights, o.Props) + paid
 	o.Price = n.cfg.Strategy.Price(m.qid, truth)
-	m.book = append(m.book, standingOffer{offer: o, truth: truth, ask: o.Price, sub: d.sub})
+	m.book = append(m.book, standingOffer{offer: o, truth: truth, ask: o.Price, sub: sub, plan: d.Plan, gen: m.gen})
 	counted.Inc()
 }
 
-// partialDraft offers one partial result the modified DP retained.
-func (n *Node) partialDraft(sel *sqlparse.Select, rw *rewrite.Rewritten, p *localopt.Partial, origHasAgg bool) draft {
+// partialDraft offers one partial result the modified DP retained. One whose
+// output schema cannot be derived is not offered.
+func (n *Node) partialDraft(sel *sqlparse.Select, rw *rewrite.Rewritten, p *localopt.Partial, origHasAgg bool) (pricecache.Draft, bool) {
+	cols, err := OutputSpecs(p.SQL, n.cfg.Schema, n.store)
+	if err != nil {
+		return pricecache.Draft{}, false
+	}
 	parts := map[string][]string{}
 	for _, b := range p.Bindings {
 		lb := strings.ToLower(b)
 		parts[lb] = rw.Parts[lb]
 	}
-	return draft{kind: "o", sel: p.SQL, Offer: trading.Offer{
-		SQL:      p.Text,
-		Cols:     p.Cols,
+	return pricecache.Draft{Kind: "o", Plan: p.Plan, Offer: trading.Offer{
+		SQL:      p.SQL.SQL(),
+		Cols:     cols,
 		Bindings: p.Bindings,
 		Parts:    parts,
 		Complete: rw.Complete && len(p.Bindings) == len(sel.From),
 		Stripped: origHasAgg && !(p.SQL.HasAggregates() || len(p.SQL.GroupBy) > 0),
 		Props:    n.valuation(p.Cost, p.Rows, p.Bytes, n.coverage(p.SQL, p.Bindings, parts)),
-	}}
+	}}, true
 }
 
 // partialAggDraft offers per-fragment partial aggregates for a stripped
 // aggregation query whose aggregates decompose (aggregate pushdown): the
 // buyer merges group totals from disjoint fragments instead of
 // re-aggregating raw rows, cutting the shipped volume to one row per group.
-func (n *Node) partialAggDraft(sel *sqlparse.Select, rw *rewrite.Rewritten, res *localopt.Result) (draft, bool) {
+// It runs on the join tree the DP chose for the stripped query, under its own
+// aggregating tail.
+func (n *Node) partialAggDraft(sel *sqlparse.Select, rw *rewrite.Rewritten, res *localopt.Result) (pricecache.Draft, bool) {
 	d, ok := plan.DecomposeAggregates(sel)
 	if !ok || res.Best == nil {
-		return draft{}, false
+		return pricecache.Draft{}, false
 	}
 	psel := &sqlparse.Select{Limit: -1, From: sel.From, Items: d.PartialItems()}
 	if rw.Sel.Where != nil {
@@ -606,6 +638,14 @@ func (n *Node) partialAggDraft(sel *sqlparse.Select, rw *rewrite.Rewritten, res 
 	}
 	for _, g := range sel.GroupBy {
 		psel.GroupBy = append(psel.GroupBy, expr.Clone(g))
+	}
+	cols, err := OutputSpecs(psel, n.cfg.Schema, n.store)
+	if err != nil {
+		return pricecache.Draft{}, false
+	}
+	root, err := plan.FinalizeSelect(psel, res.Joined)
+	if err != nil {
+		return pricecache.Draft{}, false
 	}
 	full := res.Best
 	groups := full.Rows/2 + 1
@@ -615,7 +655,9 @@ func (n *Node) partialAggDraft(sel *sqlparse.Select, rw *rewrite.Rewritten, res 
 	execCost := full.Cost + n.cfg.Cost.Aggregate(full.Rows, groups)
 	bytes := float64(groups) * float64(8*len(psel.Items)) // one value per partial item
 	bindings := fromBindings(sel)
-	return draft{kind: "a", sel: psel, Offer: trading.Offer{
+	return pricecache.Draft{Kind: "a", Plan: root, Offer: trading.Offer{
+		SQL:        psel.SQL(),
+		Cols:       cols,
 		Bindings:   bindings,
 		Parts:      rw.Parts,
 		Complete:   rw.Complete,
@@ -626,10 +668,18 @@ func (n *Node) partialAggDraft(sel *sqlparse.Select, rw *rewrite.Rewritten, res 
 
 // viewDraft is the seller predicates analyser (§3.5): offer a matching
 // materialized view at the (small) cost of scanning and shipping it.
-func (n *Node) viewDraft(sel *sqlparse.Select, m *views.Match) (draft, bool) {
+func (n *Node) viewDraft(sel *sqlparse.Select, m *views.Match) (pricecache.Draft, bool) {
 	v := n.store.View(m.View.Name)
 	if v == nil || v.Stats == nil {
-		return draft{}, false
+		return pricecache.Draft{}, false
+	}
+	cols, err := OutputSpecs(m.Comp, n.cfg.Schema, n.store)
+	if err != nil {
+		return pricecache.Draft{}, false
+	}
+	root, err := n.viewPlan(m.Comp)
+	if err != nil {
+		return pricecache.Draft{}, false
 	}
 	rows := v.Stats.Rows
 	bytes := float64(rows) * math.Max(v.Stats.RowBytes, 8)
@@ -641,7 +691,9 @@ func (n *Node) viewDraft(sel *sqlparse.Select, m *views.Match) (draft, bool) {
 	for _, tr := range sel.From {
 		parts[strings.ToLower(tr.Binding())] = n.cfg.Schema.PartitionIDs(tr.Name)
 	}
-	return draft{kind: "v", sel: m.Comp, Offer: trading.Offer{
+	return pricecache.Draft{Kind: "v", Plan: root, Offer: trading.Offer{
+		SQL:      m.Comp.SQL(),
+		Cols:     cols,
 		Bindings: fromBindings(sel),
 		Parts:    parts,
 		Complete: true,
@@ -818,13 +870,16 @@ func (n *Node) Execute(req trading.ExecReq) (trading.ExecResp, error) {
 	// carries est-vs-actual into the buyer's flight dossier. (The standing
 	// offer may be gone — evicted or another RFB's: then only actuals ship.)
 	t0 := time.Now()
-	so := n.purchased(req.OfferID)
+	so, err := n.purchase(req)
 	if so != nil && sp != nil {
 		sp.Set("est_rows", so.offer.Props.Rows)
 		sp.Set("quoted_ms", so.offer.Props.TotalTime)
 	}
 	var resp trading.ExecResp
-	sc, err := n.openPurchased(req, so, sp)
+	var sc *serverCursor
+	if err == nil {
+		sc, err = n.openPurchased(ob, req, so, sp)
+	}
 	if err == nil {
 		resp, err = n.deliver(ob, sc, req, sp, t0)
 	}
@@ -867,6 +922,38 @@ func (n *Node) purchased(offerID string) *standingOffer {
 		return neg.offers[offerID]
 	}
 	return nil
+}
+
+// purchase finds what a request buys: nothing for an offer id the book does
+// not hold (the request's text is then all there is), the id's entry when the
+// request carries the text that entry was quoted for, and otherwise an error —
+// an offer is good for the query it quoted and no other. A buyer process that
+// restarts numbers its RFBs from one again, so a record can have minted one id
+// twice, for two texts: the id answers to the entry filed last, and the other
+// still stands in the book of the flight that priced it, where id and text
+// together find it.
+func (n *Node) purchase(req trading.ExecReq) (*standingOffer, error) {
+	so := n.purchased(req.OfferID)
+	if so == nil || so.offer.SQL == req.SQL {
+		return so, nil
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if neg := n.negs[n.rfbOf(req.OfferID)]; neg != nil {
+		for _, f := range neg.flights {
+			select {
+			case <-f.done: // priced: its book is there to read
+			default:
+				continue
+			}
+			for i := range f.book {
+				if o := &f.book[i].offer; o.OfferID == req.OfferID && o.SQL == req.SQL {
+					return &f.book[i], nil
+				}
+			}
+		}
+	}
+	return nil, fmt.Errorf("node %s: offer %s was quoted for another query than the one requested under it", n.cfg.ID, req.OfferID)
 }
 
 // viewPlan builds the execution plan of a compensation query over a local

@@ -31,6 +31,8 @@ type nodeObs struct {
 	offersWon         *obs.Counter // awards received
 	rewritesEmpty     *obs.Counter // queries the node could not bid on
 	execs             *obs.Counter // purchased answers executed
+	execsPriced       *obs.Counter // ... on the plan their offer was priced with
+	execsText         *obs.Counter // ... planned from the request's text
 
 	cacheHits         *obs.Counter // price-cache hits (rewrite+DP skipped)
 	cacheMisses       *obs.Counter // price-cache misses (full pricing ran)
@@ -69,6 +71,19 @@ func (o *nodeObs) ship(sp *obs.Span, tc obs.TraceContext) *obs.SpanPayload {
 	return p
 }
 
+// ran records which plan an execution opens: the one its offer was priced
+// with, or one planned from the request's text. On the execute span it tells a
+// reader of quoted_ms whether the quote is about the plan that ran.
+func (o *nodeObs) ran(sp *obs.Span, priced bool) {
+	if priced {
+		o.execsPriced.Inc()
+		sp.Set("plan", "priced")
+	} else {
+		o.execsText.Inc()
+		sp.Set("plan", "text")
+	}
+}
+
 // swapObs installs a copy of the current observer with edit applied. The
 // setters may race each other and in-flight calls: a call keeps the observer
 // it loaded, and no setter undoes another's field.
@@ -98,6 +113,8 @@ func (n *Node) SetObs(tr *obs.Tracer, m *obs.Metrics) {
 		offersWon:         m.Counter(p + "offers_won"),
 		rewritesEmpty:     m.Counter(p + "rewrites_empty"),
 		execs:             m.Counter(p + "execs"),
+		execsPriced:       m.Counter(p + "execs_priced"),
+		execsText:         m.Counter(p + "execs_text"),
 		cacheHits:         m.Counter(p + "pricecache_hits"),
 		cacheMisses:       m.Counter(p + "pricecache_misses"),
 		cacheEvictions:    m.Counter(p + "pricecache_evictions"),

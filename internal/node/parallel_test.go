@@ -363,17 +363,16 @@ func TestPriceCacheRemembersFailedRewrite(t *testing.T) {
 }
 
 // TestPriceCacheHitReadsNothing: the cache is asked with the text as it
-// arrived, so pricing a query a second time neither parses, qualifies, rewrites
-// nor prints anything — a map lookup, then S2/S3 over the shared entry — and
-// still mints the very same offers. Another formatting of the query is its
-// own entry with the same offers; a text that does not parse is remembered as
-// a failed rewrite is.
+// arrived, so pricing a query a second time neither parses, qualifies, rewrites,
+// drafts nor prints anything — a map lookup, then S3 over the entry's drafts —
+// and still mints the very same offers, on the very same plans. Another
+// formatting of the query is its own entry with the same offers; a text that
+// does not parse is remembered as a failed rewrite is.
 func TestPriceCacheHitReadsNothing(t *testing.T) {
 	m := obs.NewMetrics()
 	n := telcoNodeCfg(t, func(c *Config) { c.Metrics = m })
 	ob := n.obsv.Load()
 	hits, misses := m.Counter("node.myconos.pricecache_hits"), m.Counter("node.myconos.pricecache_misses")
-	// No aggregate: a partial-aggregate offer is drafted anew on every pricing.
 	rfb := trading.RFB{RFBID: "rfb-h", BuyerID: "athens"}
 	qr := trading.QueryRequest{QID: "q0", SQL: `SELECT c.custname, i.charge
 		FROM customer c, invoiceline i
@@ -390,13 +389,21 @@ func TestPriceCacheHitReadsNothing(t *testing.T) {
 	if !cached || hits.Value() != 1 || !reflect.DeepEqual(first, second) {
 		t.Fatalf("second pricing: cached %v, %d hits, offers\n%+v\nwant\n%+v", cached, hits.Value(), second, first)
 	}
+	// A hit is mint and nothing else: per offer an id, and for the lot the book
+	// and the sort — 9 allocations for these three offers, and 10 for the four of
+	// an aggregate query (the fourth its partial aggregate), where a full pricing
+	// takes over 600.
 	cold := telcoNodeCfg(t, func(c *Config) { c.PriceCacheSize = -1 })
-	miss := testing.AllocsPerRun(20, func() { cold.priceQuery(rfb, qr, nil, cold.obsv.Load()) })
-	hit := testing.AllocsPerRun(20, func() { price(qr.SQL) })
-	// Three offers, each a parts map, an id and a slot in the list, then the
-	// sort: 32 where a full pricing takes 622.
-	if hit > 60 || hit*10 > miss {
-		t.Fatalf("a hit allocates %.0f times (a miss %.0f): something is read again", hit, miss)
+	for _, sql := range []string{qr.SQL, wideRFB("", 1).Queries[0].SQL} {
+		minted, _ := price(sql)
+		miss := testing.AllocsPerRun(20, func() {
+			cold.priceQuery(rfb, trading.QueryRequest{QID: qr.QID, SQL: sql}, nil, cold.obsv.Load())
+		})
+		hit := testing.AllocsPerRun(20, func() { price(sql) })
+		if budget := float64(4*len(minted) + 8); len(minted) < 3 || hit > budget || hit*10 > miss {
+			t.Fatalf("a hit minting %d offers allocates %.0f times (budget %.0f, a miss %.0f): something is read or drafted again",
+				len(minted), hit, budget, miss)
+		}
 	}
 
 	reformatted := strings.Join(strings.Fields(qr.SQL), " ")

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -15,12 +16,17 @@ import (
 // (*Node).Execute to run part of an answer — a purchased answer is one plan
 // tree on one cursor. A requested query is read in one place: only
 // rewriteAndPlan, behind its price-cache lookup, calls sqlparse.ParseSelect,
-// so nothing on the pricing path parses before the cache was asked. An offer
-// is one book entry: mint alone writes a standingOffer (and alone asks for a
-// truthful score, so price and floor cannot differ), one function files
-// entries in an RFB's record, and no side map of assemblies travels beside
-// them. And priceQuery stays short enough to read as S1 → S2 → S3 on one
-// screen.
+// so nothing on the pricing path parses before the cache was asked — and S2's
+// deterministic sources draft there too, past the lookup, so a hit drafts
+// nothing and mint derives nothing. An offer is one book entry: mint alone
+// writes a standingOffer (and alone asks for a truthful score, so price and
+// floor cannot differ), one function files entries in an RFB's record, and no
+// side map of assemblies travels beside them. A purchase has two ways to a
+// plan and the priced one is a field read: the local optimizer runs for
+// pricing and in the text path only, a request's text is parsed in the text
+// path only, and the branch of purchasedPlan that serves the priced plan calls
+// nothing but the generation check that guards it. And priceQuery stays short
+// enough to read as S1 → S2 → S3 on one screen.
 func TestSellerIsS1toS3(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
@@ -30,10 +36,10 @@ func TestSellerIsS1toS3(t *testing.T) {
 		t.Fatal(err)
 	}
 	prices, priceQueryLines := 0, 0
-	parsers := map[string]int{} // sqlparse.ParseSelect call sites, by function
-	minters := map[string]int{} // standingOffer literals, by function
-	filers := map[string]int{}  // assignments into a record's offers, by function
-	truths := map[string]int{}  // trading.TruthScore call sites, by function
+	calls := map[string]map[string]int{} // callee name -> calling function -> call sites
+	at := map[string]token.Pos{}         // callee name -> its last call site
+	minters := map[string]int{}          // standingOffer literals, by function
+	filers := map[string]int{}           // assignments into a record's offers, by function
 	for _, file := range pkgs["node"].Files {
 		in := ""
 		ast.Inspect(file, func(x ast.Node) bool {
@@ -42,6 +48,9 @@ func TestSellerIsS1toS3(t *testing.T) {
 				in = v.Name.Name
 				if v.Recv != nil && v.Name.Name == "priceQuery" {
 					priceQueryLines = fset.Position(v.End()).Line - fset.Position(v.Pos()).Line + 1
+				}
+				if v.Name.Name == "purchasedPlan" {
+					checkPricedBranch(t, fset, v)
 				}
 			case *ast.Ident:
 				if v.Name == "assemblies" || v.Name == "keepAssemblies" {
@@ -59,15 +68,17 @@ func TestSellerIsS1toS3(t *testing.T) {
 					}
 				}
 			case *ast.CallExpr:
+				callee := lastIdent(v.Fun)
+				if calls[callee] == nil {
+					calls[callee] = map[string]int{}
+				}
+				calls[callee][in]++
+				at[callee] = v.Pos()
 				fn, ok := v.Fun.(*ast.SelectorExpr)
 				if !ok {
 					return true
 				}
 				switch fn.Sel.Name {
-				case "TruthScore":
-					truths[in]++
-				case "ParseSelect":
-					parsers[in]++
 				case "Price":
 					if on, ok := fn.X.(*ast.SelectorExpr); ok && on.Sel.Name == "Strategy" {
 						prices++
@@ -86,20 +97,87 @@ func TestSellerIsS1toS3(t *testing.T) {
 	if prices != 1 {
 		t.Errorf("%d Strategy.Price call sites, want exactly 1: offers are priced in mint", prices)
 	}
-	if len(parsers) != 1 || parsers["rewriteAndPlan"] != 1 {
-		t.Errorf("sqlparse.ParseSelect called from %v, want once, in rewriteAndPlan: ask the price cache first", parsers)
+	// calledOnlyFrom holds a callee to one call site in each listed function.
+	calledOnlyFrom := func(callee, why string, funcs ...string) {
+		t.Helper()
+		want := map[string]int{}
+		for _, f := range funcs {
+			want[f] = 1
+		}
+		if !reflect.DeepEqual(calls[callee], want) {
+			t.Errorf("%s called from %v, want once in each of %v: %s", callee, calls[callee], funcs, why)
+		}
+	}
+	calledOnlyFrom("ParseSelect", "ask the price cache first", "rewriteAndPlan")
+	calledOnlyFrom("TruthScore", "the floor is the score the price was named for", "mint")
+	calledOnlyFrom("Optimize", "a purchase of a priced offer opens the plan it was priced with", "rewriteAndPlan", "selectPlan")
+	calledOnlyFrom("Parse", "only the text path reads a request's text", "textPlan")
+	calledOnlyFrom("textPlan", "there is one text path, and one way into it", "purchasedPlan")
+	for _, source := range []string{"partialDraft", "viewDraft", "partialAggDraft"} {
+		calledOnlyFrom(source, "S2's deterministic sources draft once per price-cache entry", "draftOffers")
+	}
+	calledOnlyFrom("draftOffers", "drafts are built where the entry is, on a miss", "rewriteAndPlan")
+	if at["draftOffers"] < at["ParseSelect"] {
+		t.Errorf("%s: drafting precedes the parse, so it is not confined to the miss branch", fset.Position(at["draftOffers"]))
+	}
+	for _, f := range []string{"mint", "purchasedPlan", "priceQuery"} {
+		if calls["OutputSpecs"][f] != 0 {
+			t.Errorf("OutputSpecs called from %s: an offer's columns are its draft's", f)
+		}
 	}
 	if len(minters) != 1 || minters["mint"] != 1 {
 		t.Errorf("standingOffer literals in %v, want one, in mint: a book entry is written once", minters)
-	}
-	if len(truths) != 1 || truths["mint"] != 1 {
-		t.Errorf("trading.TruthScore called from %v, want once, in mint: the floor is the score the price was named for", truths)
 	}
 	if len(filers) != 1 || filers["offersForShared"] != 1 {
 		t.Errorf("a record's offers are assigned in %v, want once, in offersForShared: an offer is filed by the call that priced it", filers)
 	}
 	if priceQueryLines == 0 || priceQueryLines > 70 {
 		t.Errorf("priceQuery is %d lines, want 1..70", priceQueryLines)
+	}
+}
+
+// checkPricedBranch holds the priced way through purchasedPlan to a field
+// read: the switch case guarded by the generation check calls nothing, and
+// outside its cases the function calls nothing that parses, qualifies, plans
+// or derives columns — what does, it reaches through textPlan.
+func checkPricedBranch(t *testing.T, fset *token.FileSet, fd *ast.FuncDecl) {
+	t.Helper()
+	found := false
+	ast.Inspect(fd, func(x ast.Node) bool {
+		switch v := x.(type) {
+		case *ast.CaseClause:
+			guarded := false
+			for _, cond := range v.List {
+				ast.Inspect(cond, func(y ast.Node) bool {
+					if c, ok := y.(*ast.CallExpr); ok && lastIdent(c.Fun) == "generation" {
+						guarded = true
+					}
+					return true
+				})
+			}
+			if !guarded {
+				return true
+			}
+			found = true
+			for _, st := range v.Body {
+				ast.Inspect(st, func(y ast.Node) bool {
+					if c, ok := y.(*ast.CallExpr); ok {
+						t.Errorf("%s: the priced branch of purchasedPlan calls %s; it hands out what the book entry holds",
+							fset.Position(c.Pos()), lastIdent(c.Fun))
+					}
+					return true
+				})
+			}
+		case *ast.CallExpr:
+			switch name := lastIdent(v.Fun); name {
+			case "Parse", "ParseSelect", "Qualify", "Optimize", "OutputSpecs", "selectPlan":
+				t.Errorf("%s: purchasedPlan calls %s itself; planning from text is textPlan's", fset.Position(v.Pos()), name)
+			}
+		}
+		return true
+	})
+	if !found {
+		t.Errorf("%s: purchasedPlan has no case guarded by the generation check", fset.Position(fd.Pos()))
 	}
 }
 

@@ -74,12 +74,13 @@ func (sc *serverCursor) advance() ([]value.Row, bool, error) {
 // request's batch size (the default when unset). Whatever it is — plain, view,
 // UNION chain, composite — is a plan tree on the one executor, whose remote
 // hook resolves a composite's Remote leaves.
-func (n *Node) openPurchased(req trading.ExecReq, so *standingOffer, sp *obs.Span) (*serverCursor, error) {
+func (n *Node) openPurchased(ob *nodeObs, req trading.ExecReq, so *standingOffer, sp *obs.Span) (*serverCursor, error) {
 	fetch := &subFetch{n: n, batch: req.BatchRows, sp: sp, ctx: req.Trace}
 	ex := &exec.Executor{Store: n.store, BatchSize: req.BatchRows, FetchStream: fetch.open}
 	var cur exec.Cursor
-	root, specs, err := n.purchasedPlan(req.SQL, so)
+	root, specs, priced, err := n.purchasedPlan(req, so)
 	if err == nil {
+		ob.ran(sp, priced)
 		cur, err = ex.Open(root)
 	}
 	if err != nil {
@@ -89,16 +90,40 @@ func (n *Node) openPurchased(req trading.ExecReq, so *standingOffer, sp *obs.Spa
 		cur: cur, cols: specs, fetch: fetch}, nil
 }
 
-// purchasedPlan is the one place a purchased ExecReq is parsed and planned.
-// A composite offer's answer is its assembly: the node's own subquery
-// followed by one Remote leaf per purchased fragment. A UNION chain is the
-// union of its branches' plans (under a Distinct unless UNION ALL), refused
-// before a row ships when the branches differ in width.
-func (n *Node) purchasedPlan(sql string, so *standingOffer) (plan.Node, []trading.ColSpec, error) {
-	composite := so != nil && so.sub != nil
-	if composite {
-		sql = so.sub.localSQL
+// purchasedPlan turns a purchased ExecReq into the plan tree that answers it
+// and the columns it ships under, and reports which of two ways it took. A
+// request naming an offer still in the book, priced under the generation the
+// node is still in, gets the plan the offer was costed from and the columns it
+// declared: nothing is parsed or planned, and what was quoted is what runs.
+// Anything else — no standing offer (an ad hoc query, the baseline runner, a
+// record since evicted) or one priced before the store last moved — is planned
+// from its text. Either way a composite's answer is its assembly around the
+// node's own part. (Execute has checked that the request carries the text the
+// offer was quoted for: see purchase.)
+func (n *Node) purchasedPlan(req trading.ExecReq, so *standingOffer) (root plan.Node, cols []trading.ColSpec, priced bool, err error) {
+	text := req.SQL
+	switch {
+	case so == nil:
+	case so.gen == n.generation():
+		root, cols, priced = so.plan, so.offer.Cols, true
+	case so.sub != nil:
+		text = so.sub.localSQL
 	}
+	if !priced {
+		if root, cols, err = n.textPlan(text); err != nil {
+			return nil, nil, false, err
+		}
+	}
+	if so != nil && so.sub != nil {
+		root = so.sub.assembly(root)
+	}
+	return root, cols, priced, nil
+}
+
+// textPlan is the one place the text of an ExecReq is parsed and planned. A
+// UNION chain is the union of its branches' plans (under a Distinct unless
+// UNION ALL), refused before a row ships when the branches differ in width.
+func (n *Node) textPlan(sql string) (plan.Node, []trading.ColSpec, error) {
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, nil, err
@@ -124,15 +149,7 @@ func (n *Node) purchasedPlan(sql string, so *standingOffer) (plan.Node, []tradin
 		}
 		return root, specs, nil
 	}
-	root, specs, err := n.selectPlan(stmt.(*sqlparse.Select))
-	if err != nil || !composite {
-		return root, specs, err
-	}
-	inputs := []plan.Node{root}
-	for _, r := range so.sub.remotes {
-		inputs = append(inputs, &plan.Remote{NodeID: r.peerID, SQL: r.sql, OfferID: r.offerID, Cols: root.Schema()})
-	}
-	return &plan.Union{Inputs: inputs}, specs, nil
+	return n.selectPlan(stmt.(*sqlparse.Select))
 }
 
 // selectPlan plans one SELECT block — a compensation query over a local

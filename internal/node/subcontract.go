@@ -14,6 +14,8 @@ import (
 	"qtrade/internal/expr"
 	"qtrade/internal/localopt"
 	"qtrade/internal/obs"
+	"qtrade/internal/plan"
+	"qtrade/internal/pricecache"
 	"qtrade/internal/rewrite"
 	"qtrade/internal/sqlparse"
 	"qtrade/internal/trading"
@@ -21,10 +23,23 @@ import (
 
 // subcontract records how a composite offer is assembled at execution time:
 // the node's own restricted subquery plus purchased fragments from third
-// nodes.
+// nodes. The own part runs on the book entry's plan; localSQL is its text, for
+// the day that plan has gone stale.
 type subcontract struct {
 	localSQL string
 	remotes  []subRemote
+}
+
+// assembly is the plan that delivers the composite: the node's own part
+// followed by one Remote leaf per purchased fragment.
+func (sc *subcontract) assembly(local plan.Node) plan.Node {
+	inputs := make([]plan.Node, 1, 1+len(sc.remotes))
+	inputs[0] = local
+	cols := local.Schema()
+	for _, r := range sc.remotes {
+		inputs = append(inputs, &plan.Remote{NodeID: r.peerID, SQL: r.sql, OfferID: r.offerID, Cols: cols})
+	}
+	return &plan.Union{Inputs: inputs}
 }
 
 // subRemote is one purchased fragment, fetched by the id of the offer its
@@ -48,17 +63,18 @@ type subRemote struct {
 // output is byte-identical no matter how the probes were scheduled.
 //
 // sp is the parent span for the nested negotiation (nil when tracing is off).
-func (n *Node) subcontractDrafts(rfb trading.RFB, sel *sqlparse.Select, rw *rewrite.Rewritten, partials []*localopt.Partial, sp *obs.Span, ids *minter) []draft {
+func (n *Node) subcontractDrafts(rfb trading.RFB, e pricecache.Entry, sp *obs.Span, ids *minter) []compositeDraft {
 	peers := n.cfg.SubcontractPeers()
 	if len(peers) == 0 {
 		return nil
 	}
 	type probe struct {
 		tr                      sqlparse.TableRef
-		own                     *localopt.Partial
+		own                     *pricecache.Draft
 		held, missing, relevant []string
 		offerID                 string
 	}
+	sel, rw := e.Sel, e.Rewritten
 	var probes []probe
 	for _, tr := range sel.From {
 		b := strings.ToLower(tr.Binding())
@@ -72,10 +88,10 @@ func (n *Node) subcontractDrafts(rfb trading.RFB, sel *sqlparse.Select, rw *rewr
 			continue
 		}
 		// The node's own 1-way partial for this binding.
-		var own *localopt.Partial
-		for _, p := range partials {
-			if len(p.Bindings) == 1 && strings.EqualFold(p.Bindings[0], tr.Binding()) {
-				own = p
+		var own *pricecache.Draft
+		for i := range e.Drafts {
+			if d := &e.Drafts[i]; d.Kind == "o" && len(d.Bindings) == 1 && strings.EqualFold(d.Bindings[0], tr.Binding()) {
+				own = d
 			}
 		}
 		if own == nil {
@@ -84,7 +100,7 @@ func (n *Node) subcontractDrafts(rfb trading.RFB, sel *sqlparse.Select, rw *rewr
 		probes = append(probes, probe{tr: tr, own: own, held: held,
 			missing: missing, relevant: relevant, offerID: ids.nextID("s")})
 	}
-	results := make([]*draft, len(probes))
+	results := make([]*compositeDraft, len(probes))
 	var wg sync.WaitGroup
 	for i, pr := range probes {
 		run := func(i int, pr probe) {
@@ -105,7 +121,7 @@ func (n *Node) subcontractDrafts(rfb trading.RFB, sel *sqlparse.Select, rw *rewr
 		}
 	}
 	wg.Wait()
-	var out []draft
+	var out []compositeDraft
 	for _, r := range results {
 		if r != nil {
 			out = append(out, *r)
@@ -117,8 +133,8 @@ func (n *Node) subcontractDrafts(rfb trading.RFB, sel *sqlparse.Select, rw *rewr
 // buildComposite negotiates the missing partitions and drafts the composite
 // offer with the assembly that delivers it.
 func (n *Node) buildComposite(rfb trading.RFB, qid string, sel *sqlparse.Select,
-	tr sqlparse.TableRef, own *localopt.Partial, held, missing, relevant []string,
-	peers map[string]trading.Peer, sp *obs.Span, offerID string) (draft, bool) {
+	tr sqlparse.TableRef, own *pricecache.Draft, held, missing, relevant []string,
+	peers map[string]trading.Peer, sp *obs.Span, offerID string) (compositeDraft, bool) {
 
 	base := localopt.SubqueryFor(sel, []string{tr.Binding()})
 	// The nested negotiation inherits the buyer's trace context, so a sampled
@@ -137,7 +153,7 @@ func (n *Node) buildComposite(rfb trading.RFB, qid string, sel *sqlparse.Select,
 	for i, pid := range missing {
 		p, ok := n.cfg.Schema.Partition(tr.Name, pid)
 		if !ok || p.Predicate == nil {
-			return draft{}, false // whole-table gaps cannot be delegated piecewise
+			return compositeDraft{}, false // whole-table gaps cannot be delegated piecewise
 		}
 		subRFB.Queries = append(subRFB.Queries, trading.QueryRequest{
 			QID: fmt.Sprintf("sub%d", i),
@@ -146,12 +162,9 @@ func (n *Node) buildComposite(rfb trading.RFB, qid string, sel *sqlparse.Select,
 	}
 	offers, _, err := trading.SealedBid{}.Collect(subRFB, trading.Sellers{Peers: peers, Policy: n.cfg.Faults}, sp)
 	if err != nil {
-		return draft{}, false
+		return compositeDraft{}, false
 	}
 	ownCols := own.Cols
-	if ownCols == nil {
-		return draft{}, false
-	}
 	// Greedy cover of the missing partitions by cheapest compatible offers: an
 	// offer is taken when every partition it brings is still needed, so it lies
 	// inside the gap and is disjoint from what was already chosen.
@@ -176,7 +189,7 @@ func (n *Node) buildComposite(rfb trading.RFB, qid string, sel *sqlparse.Select,
 		}
 	}
 	if len(need) > 0 {
-		return draft{}, false
+		return compositeDraft{}, false
 	}
 
 	// Assemble the composite offer. Its buyer-facing SQL describes the full
@@ -194,11 +207,11 @@ func (n *Node) buildComposite(rfb trading.RFB, qid string, sel *sqlparse.Select,
 		compositeSQL.Where = expr.SimplifyPredicate(expr.And([]expr.Expr{compositeSQL.Where, restriction}))
 	}
 	props := cost.Valuation{Freshness: 1, Completeness: 1}
-	props.TotalTime = own.Cost + n.cfg.Cost.Transfer(own.Bytes)
-	props.Rows = own.Rows
-	props.Bytes = own.Bytes
+	props.TotalTime = own.Props.TotalTime
+	props.Rows = own.Props.Rows
+	props.Bytes = own.Props.Bytes
 	remoteMax := 0.0
-	sc := &subcontract{localSQL: own.Text}
+	sc := &subcontract{localSQL: own.SQL}
 	totalPurchased := 0.0
 	for _, o := range chosen {
 		remoteMax = math.Max(remoteMax, o.Props.TotalTime)
@@ -212,15 +225,16 @@ func (n *Node) buildComposite(rfb trading.RFB, qid string, sel *sqlparse.Select,
 	if props.TotalTime > 0 {
 		props.RowsPerSec = float64(props.Rows) / (props.TotalTime / 1000)
 	}
-	return draft{kind: "s", sel: compositeSQL, paid: totalPurchased, sub: sc, Offer: trading.Offer{
+	return compositeDraft{paid: totalPurchased, sub: sc, Draft: pricecache.Draft{Kind: "s", Plan: own.Plan, Offer: trading.Offer{
 		OfferID:  offerID,
+		SQL:      compositeSQL.SQL(),
 		Bindings: []string{tr.Binding()},
 		Parts:    map[string][]string{strings.ToLower(tr.Binding()): covered},
 		Complete: len(subtract(relevant, covered)) == 0,
 		Stripped: sel.HasAggregates() || len(sel.GroupBy) > 0,
 		Cols:     ownCols,
 		Props:    props,
-	}}, true
+	}}}, true
 }
 
 // subFetch is the executor's remote hook on the seller: it resolves the

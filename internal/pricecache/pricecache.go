@@ -1,32 +1,49 @@
-// Package pricecache memoizes the expensive half of seller-side bid
-// pricing. The QT buyer re-issues largely overlapping query sets across
-// negotiation iterations (every iteration's RFB repeats the still-open
-// queries of the previous one), so a seller that keeps the partition
-// restriction rewrite and the modified-DP partials of a query around can
-// answer the repeat RFB at strategy-pricing cost only.
+// Package pricecache memoizes everything about seller-side bid pricing that
+// is a function of the query text and the state of the node. The QT buyer
+// re-issues largely overlapping query sets across negotiation iterations
+// (every iteration's RFB repeats the still-open queries of the previous one),
+// so a seller that keeps what it worked out for a query around answers the
+// repeat RFB at strategy-pricing cost only.
 //
 // An entry is keyed by the query text exactly as the RFB carried it, so a hit
 // is found before anything is parsed: two formattings of one query are two
 // entries, and the buyer, which prints every subquery the same way each
-// iteration, pays for that only once per formatting. Besides the rewrite and
-// the DP result an entry keeps the parsed, qualified query the offer sources
-// read, and a text that does not parse is remembered like a rewrite that
+// iteration, pays for that only once per formatting. An entry holds the
+// parsed, qualified query and its rewrite against the local fragments — what
+// the one per-RFB offer source, subcontracting, still reads — and the drafts:
+// one ready-made offer per optimal partial the modified DP retained, per
+// matching view, and for the partial aggregate, each with its printed SQL,
+// output columns, coverage, valuation and the physical plan that valuation was
+// costed from. A text that does not parse is remembered like a rewrite that
 // fails.
+//
+// Drafts are safe to share because nothing downstream writes them. Minting
+// copies the offer by value and stamps the copy; Bindings, Parts and Cols are
+// read by the buyer and never changed; and the executor binds a clone of every
+// predicate, projection and key it evaluates, keeps its actuals in a side
+// table keyed by node, and stamps no estimate on a seller's plan — so one plan
+// tree serves the entry, every book entry minted from it and any number of
+// concurrent executions (node.TestPricedPlanIsSharedReadOnly runs that under
+// the race detector). A book entry points at its draft's plan and nothing
+// more, so what outlives a purged entry is the plans of offers still standing.
 //
 // Everything an entry was computed from besides the text — the store's data
 // epoch, its statistics version, the node's cost-model constants — is the
 // cache's one Generation, not part of each key. A lookup or a store under a
 // newer generation empties the cache first; one under an older generation
 // misses, or is dropped. A stale price can never be returned, and entries no
-// lookup can reach any more do not sit in the LRU holding parse trees. Offer
+// lookup can reach any more do not sit in the LRU holding parse trees. The
+// seller stamps the same Generation on the offers it mints from an entry: a
+// purchase opens the draft's plan only while the node is still in it. Offer
 // prices themselves are NOT cached: strategies are adaptive (competitive
-// margins move between rounds), so the seller re-prices the cached partials
-// through its strategy on every hit.
+// margins move between rounds), so the seller re-prices the drafts through its
+// strategy on every hit, and a subcontracted composite depends on what peers
+// reply to the RFB at hand, so it is drafted per RFB.
 //
 // Capacity stays a count of entries, positive and negative alike, 256 by
 // default. Counting only priced entries was measured on the chain_parts
 // workload: 256 real entries per node where a mostly-negative mix sat took
-// live heap from 29 to 40 MiB (+38 %). It waits for slimmer entries.
+// live heap from 29 to 40 MiB (+38 %).
 package pricecache
 
 import (
@@ -36,9 +53,10 @@ import (
 	"sync"
 
 	"qtrade/internal/cost"
-	"qtrade/internal/localopt"
+	"qtrade/internal/plan"
 	"qtrade/internal/rewrite"
 	"qtrade/internal/sqlparse"
+	"qtrade/internal/trading"
 )
 
 // Generation is the world state entries are computed under: the store
@@ -54,17 +72,35 @@ func (g Generation) before(o Generation) bool {
 	return g.Epoch < o.Epoch || g.Epoch == o.Epoch && g.StatsVersion < o.StatsVersion
 }
 
-// Entry is the cached computation: the query as parsed and qualified, its
-// seller rewrite against local fragments, and the modified-DP result holding
-// every optimal partial. All are treated as immutable by all readers;
-// concurrent pricing workers share them without copying. A negative entry
-// carries Err instead: the parse, the rewrite or the DP failed, which for the
-// same text in the same generation it always will.
+// Draft is one offer the node can make for an entry's text, complete but for
+// what belongs to a single RFB: the embedded offer carries the subquery as
+// printed SQL, its output columns, what it covers (Bindings, Parts, Complete,
+// the kind flags) and what it costs (Props); minting adds the ids and asks the
+// strategy for the price. Plan is the physical plan Props was costed from, and
+// the one a purchase of the offer opens.
+type Draft struct {
+	trading.Offer
+	Kind string // offer-id kind: "o" partial, "v" view, "s" composite, "a" partial aggregate
+	Plan plan.Node
+}
+
+// Entry is everything the seller knows about a query text under one
+// generation: the query as parsed and qualified, its seller rewrite against
+// local fragments, and the ready-made drafts of every offer whose content is a
+// function of the text and the generation alone — in minting order, one per
+// optimal partial the modified DP retained, then one per matching view, and
+// apart from them the partial aggregate, which is minted after whatever the
+// RFB at hand adds (subcontracted composites). All of it, plan trees included,
+// is immutable to every reader: pricing workers, book entries and executions
+// share it without copying. A negative entry carries Err instead: the parse,
+// the rewrite or the DP failed, which for the same text in the same generation
+// it always will.
 type Entry struct {
-	Sel       *sqlparse.Select
-	Rewritten *rewrite.Rewritten
-	Result    *localopt.Result
-	Err       error
+	Sel        *sqlparse.Select
+	Rewritten  *rewrite.Rewritten
+	Drafts     []Draft
+	PartialAgg *Draft // nil when the query has none to offer
+	Err        error
 }
 
 // Cache is a mutex-guarded LRU of priced queries. The zero value is not

@@ -5,14 +5,13 @@ import (
 	"testing"
 
 	"qtrade/internal/cost"
-	"qtrade/internal/localopt"
 )
 
 func gen(epoch, statsV int64) Generation {
 	return Generation{Epoch: epoch, StatsVersion: statsV, CostHash: 42}
 }
 
-func entry() Entry { return Entry{Result: &localopt.Result{}} }
+func entry() Entry { return Entry{PartialAgg: &Draft{}} }
 
 func TestGetPutAndStats(t *testing.T) {
 	c := New(4)
@@ -23,7 +22,7 @@ func TestGetPutAndStats(t *testing.T) {
 	e := entry()
 	c.Put(g, k, e)
 	got, ok := c.Get(g, k)
-	if !ok || got.Result != e.Result {
+	if !ok || got.PartialAgg != e.PartialAgg {
 		t.Fatal("stored entry not returned")
 	}
 	hits, misses, evictions := c.Stats()
@@ -61,7 +60,7 @@ func TestNewerGenerationEmpties(t *testing.T) {
 		}
 		c.Put(gen(1, 1), "q", entry())
 		c.Put(gen(1, 1), "late", entry())
-		if got, ok := c.Get(newer, "q"); !ok || got.Result != fresh.Result || c.Len() != 1 {
+		if got, ok := c.Get(newer, "q"); !ok || got.PartialAgg != fresh.PartialAgg || c.Len() != 1 {
 			t.Fatalf("a late Put of the older generation was kept: hit %v, %d entries", ok, c.Len())
 		}
 	}
@@ -107,7 +106,7 @@ func TestPutExistingUpdates(t *testing.T) {
 		t.Fatalf("update evicted %d entries", ev)
 	}
 	got, _ := c.Get(g, k)
-	if got.Result != e2.Result {
+	if got.PartialAgg != e2.PartialAgg {
 		t.Fatal("update did not replace entry")
 	}
 }

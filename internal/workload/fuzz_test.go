@@ -26,6 +26,7 @@ func TestFuzzChainFederations(t *testing.T) {
 	modes := []core.PlanGenMode{core.GenDP, core.GenIDP, core.GenGreedy}
 	protocols := []trading.Protocol{trading.SealedBid{}, trading.IterativeBid{MaxRounds: 3}, trading.Bargain{MaxRounds: 3}}
 	covered := map[string]bool{}
+	pricedKinds := map[string]int{} // offers whose priced plan was checked against their text, see pricedPlans
 	trials := 30
 	for i := 0; i < trials; i++ {
 		opts := ChainOptions{
@@ -102,9 +103,24 @@ func TestFuzzChainFederations(t *testing.T) {
 				covered[fmt.Sprintf("%s %s %v", mode, protocol.Name(), subcontract)] = true
 			}
 		}
+
+		// What every node of the same federation would sell of the same queries
+		// runs as its text does.
+		queries := []string{q}
+		for _, q := range edgePredicateQueries {
+			if !strings.Contains(q, "r3") || opts.Relations >= 3 {
+				queries = append(queries, q)
+			}
+		}
+		pricedPlans(t, fmt.Sprintf("trial%d", i), f, queries, pricedKinds)
 	}
 	if len(covered) != 3*3*2 {
 		t.Fatalf("%d of the 18 mode × protocol × subcontracting pairings ran: %v", len(covered), covered)
+	}
+	for _, kind := range []string{"o1", "o2", "o3", "o4", "s1"} {
+		if pricedKinds[kind] == 0 {
+			t.Errorf("no %q offer had its priced plan checked against its text: %v", kind, pricedKinds)
+		}
 	}
 }
 
