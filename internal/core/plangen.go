@@ -700,7 +700,14 @@ func (g *planGen) wholePlanCandidates() []Candidate {
 		if len(g.sel.OrderBy) > 0 {
 			keys := make([]plan.SortKey, 0, len(g.sel.OrderBy))
 			for _, ob := range g.sel.OrderBy {
-				keys = append(keys, plan.SortKey{Expr: sortKeyForOutput(ob.Expr, info.schema), Desc: ob.Desc})
+				key := sortKeyForOutput(ob.Expr, info.schema)
+				if expr.HasAgg(key) || !bindable(key, info.schema) {
+					break // a key the offer's columns cannot express
+				}
+				keys = append(keys, plan.SortKey{Expr: key, Desc: ob.Desc})
+			}
+			if len(keys) < len(g.sel.OrderBy) {
+				continue
 			}
 			node = &plan.Sort{Input: node, Keys: keys}
 			local += g.model.Sort(info.o.Props.Rows)

@@ -347,6 +347,68 @@ func Transform(e Expr, fn func(Expr) Expr) Expr {
 	return fn(e)
 }
 
+// Step is what a substitution does at one node of an expression tree.
+type Step uint8
+
+const (
+	// Descend keeps the node and substitutes inside its operands; a leaf is
+	// copied as it is.
+	Descend Step = iota
+	// Replace puts the expression the function returned in the node's place,
+	// as it is; nothing under the node is visited.
+	Replace
+	// Refuse abandons the whole substitution.
+	Refuse
+)
+
+// Substitute rewrites a copy of e top-down, the one way an expression is
+// mapped onto another namespace (the outputs of an aggregation, the columns of
+// a materialized view): fn sees each node before its operands and replaces
+// it, descends into it, or refuses the rewrite, and then Substitute reports
+// false. e itself is never written.
+func Substitute(e Expr, fn func(Expr) (Expr, Step)) (Expr, bool) {
+	if e == nil {
+		return nil, true
+	}
+	switch r, step := fn(e); step {
+	case Replace:
+		return r, true
+	case Refuse:
+		return nil, false
+	}
+	sub := func(x Expr, ok *bool) Expr {
+		if !*ok {
+			return nil
+		}
+		out, good := Substitute(x, fn)
+		*ok = good
+		return out
+	}
+	ok := true
+	var out Expr
+	switch t := e.(type) {
+	case *Binary:
+		out = &Binary{Op: t.Op, L: sub(t.L, &ok), R: sub(t.R, &ok)}
+	case *Unary:
+		out = &Unary{Op: t.Op, X: sub(t.X, &ok)}
+	case *In:
+		in := &In{X: sub(t.X, &ok), List: make([]Expr, len(t.List)), Not: t.Not}
+		for i, x := range t.List {
+			in.List[i] = sub(x, &ok)
+		}
+		out = in
+	case *Between:
+		out = &Between{X: sub(t.X, &ok), Lo: sub(t.Lo, &ok), Hi: sub(t.Hi, &ok), Not: t.Not}
+	case *IsNull:
+		out = &IsNull{X: sub(t.X, &ok), Not: t.Not}
+	case *Agg:
+		out = &Agg{Fn: t.Fn, Arg: sub(t.Arg, &ok), Star: t.Star, Distinct: t.Distinct}
+	default:
+		out = Clone(e)
+	}
+	return out, ok
+}
+
 // Columns returns every column reference in the tree, in visit order.
 func Columns(e Expr) []*Column {
 	var out []*Column

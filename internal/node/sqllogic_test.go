@@ -95,6 +95,7 @@ func TestSQLLogicBattery(t *testing.T) {
 		q    string
 		want []string // sorted canonical rows; nil means only assert row count
 		rows int
+		err  string // the query is refused at plan time with this message
 	}{
 		// Projection and filters.
 		{q: "SELECT c.custname FROM customer c WHERE c.office = 'Corfu'",
@@ -135,6 +136,14 @@ func TestSQLLogicBattery(t *testing.T) {
 			want: []string{"Corfu 2", "Myconos 2"}},
 		{q: "SELECT i.custid, COUNT(DISTINCT i.invid) FROM invoiceline i GROUP BY i.custid HAVING COUNT(*) > 1",
 			want: []string{"1 1"}},
+		// ORDER BY an aggregate or a group expression the select list
+		// leaves out; a column that is neither is refused before anything runs.
+		{q: "SELECT c.office FROM customer c, invoiceline i WHERE c.custid = i.custid GROUP BY c.office ORDER BY COUNT(*) DESC, c.office",
+			want: []string{"Corfu", "Myconos"}},
+		{q: "SELECT c.office, SUM(i.charge) FROM customer c, invoiceline i WHERE c.custid = i.custid GROUP BY c.office ORDER BY i.charge",
+			err: "plan: ORDER BY column i.charge must appear in GROUP BY or inside an aggregate"},
+		{q: "SELECT c.custid FROM customer c HAVING c.custid > 5",
+			err: "plan: HAVING c.custid > 5 needs GROUP BY or an aggregate"},
 		{q: "SELECT SUM(i.charge) FROM invoiceline i WHERE i.charge > 1000",
 			want: []string{"∅"}},
 		{q: "SELECT COUNT(*) FROM invoiceline i WHERE i.charge > 1000", want: []string{"0"}},
@@ -166,6 +175,12 @@ func TestSQLLogicBattery(t *testing.T) {
 	}
 	for _, tc := range cases {
 		resp, err := n.Execute(trading.ExecReq{SQL: tc.q})
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("%s\n  error: %v, want %q", tc.q, err, tc.err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Errorf("%s\n  error: %v", tc.q, err)
 			continue

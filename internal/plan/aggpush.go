@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"fmt"
 	"strconv"
 
 	"qtrade/internal/expr"
@@ -33,7 +32,7 @@ type AggDecomposition struct {
 	// disables pushdown).
 	GroupCols []*expr.Column
 	// Aggs are the distinct aggregate calls of the query, in first-seen
-	// order; aggKey(Aggs[i]) == canonical string.
+	// order over its select list, HAVING and ORDER BY.
 	Aggs []*expr.Agg
 	// Partials are the flattened seller-side aggregates.
 	Partials []PartialAggSpec
@@ -56,33 +55,17 @@ func DecomposeAggregates(sel *sqlparse.Select) (*AggDecomposition, bool) {
 		}
 		d.GroupCols = append(d.GroupCols, c)
 	}
-	seen := map[string]bool{}
-	collect := func(e expr.Expr) {
-		expr.Walk(e, func(n expr.Expr) bool {
-			a, isAgg := n.(*expr.Agg)
-			if !isAgg {
-				return true
-			}
-			if !seen[a.String()] {
-				seen[a.String()] = true
-				d.Aggs = append(d.Aggs, expr.Clone(a).(*expr.Agg))
-			}
-			return false
-		})
-	}
 	for _, it := range sel.Items {
 		if it.Star {
 			return nil, false
 		}
-		collect(it.Expr)
 	}
-	if sel.Having != nil {
-		collect(sel.Having)
-	}
-	for _, a := range d.Aggs {
+	calls, _ := aggCalls(sel)
+	for _, a := range calls {
 		if a.Distinct {
 			return nil, false
 		}
+		d.Aggs = append(d.Aggs, expr.Clone(a).(*expr.Agg))
 		idx := len(d.Partials)
 		name := func(i int) string { return "_pa" + strconv.Itoa(i) }
 		switch a.Fn {
@@ -147,120 +130,10 @@ func (d *AggDecomposition) finalExpr(aggIdx int) expr.Expr {
 	}
 }
 
-// BuildMergePlan assembles the buyer-side plan over an input producing
-// [group columns..., partial aggregates...] rows from disjoint fragments:
-// merge-aggregate, HAVING, final projection, ORDER BY and LIMIT.
+// BuildMergePlan lowers the query's tail over an input producing [group
+// columns..., partial aggregates...] rows from disjoint fragments: the tail
+// FinalizeSelect lowers, over the merge of the partials instead of a raw
+// aggregation.
 func (d *AggDecomposition) BuildMergePlan(sel *sqlparse.Select, input Node) (Node, error) {
-	agg := &Aggregate{Input: input}
-	for _, c := range d.GroupCols {
-		agg.GroupBy = append(agg.GroupBy, expr.NewColumn(c.Table, c.Name))
-		agg.GroupNames = append(agg.GroupNames, expr.ColumnID{Table: c.Table, Name: c.Name})
-	}
-	for i, p := range d.Partials {
-		agg.Aggs = append(agg.Aggs, AggItem{
-			Agg:  &expr.Agg{Fn: p.Merge, Arg: expr.NewColumn("", p.Name)},
-			Name: expr.ColumnID{Name: mergedName(i)},
-		})
-	}
-
-	// Rewrite an expression: aggregates become merged-column expressions,
-	// group columns pass through.
-	byAgg := map[string]int{}
-	for i, a := range d.Aggs {
-		byAgg[a.String()] = i
-	}
-	var replace func(e expr.Expr) (expr.Expr, error)
-	replace = func(e expr.Expr) (expr.Expr, error) {
-		if e == nil {
-			return nil, nil
-		}
-		if a, ok := e.(*expr.Agg); ok {
-			idx, known := byAgg[a.String()]
-			if !known {
-				return nil, fmt.Errorf("plan: aggregate %s not decomposed", a)
-			}
-			return d.finalExpr(idx), nil
-		}
-		switch t := e.(type) {
-		case *expr.Binary:
-			l, err := replace(t.L)
-			if err != nil {
-				return nil, err
-			}
-			r, err := replace(t.R)
-			if err != nil {
-				return nil, err
-			}
-			return &expr.Binary{Op: t.Op, L: l, R: r}, nil
-		case *expr.Unary:
-			x, err := replace(t.X)
-			if err != nil {
-				return nil, err
-			}
-			return &expr.Unary{Op: t.Op, X: x}, nil
-		case *expr.In:
-			x, err := replace(t.X)
-			if err != nil {
-				return nil, err
-			}
-			list := make([]expr.Expr, len(t.List))
-			for i, item := range t.List {
-				li, err := replace(item)
-				if err != nil {
-					return nil, err
-				}
-				list[i] = li
-			}
-			return &expr.In{X: x, List: list, Not: t.Not}, nil
-		case *expr.Between:
-			x, errx := replace(t.X)
-			lo, errl := replace(t.Lo)
-			hi, errh := replace(t.Hi)
-			if errx != nil || errl != nil || errh != nil {
-				return nil, fmt.Errorf("plan: between rewrite failed")
-			}
-			return &expr.Between{X: x, Lo: lo, Hi: hi, Not: t.Not}, nil
-		case *expr.IsNull:
-			x, err := replace(t.X)
-			if err != nil {
-				return nil, err
-			}
-			return &expr.IsNull{X: x, Not: t.Not}, nil
-		}
-		return expr.Clone(e), nil
-	}
-
-	var node Node = agg
-	if sel.Having != nil {
-		h, err := replace(sel.Having)
-		if err != nil {
-			return nil, err
-		}
-		node = &Filter{Input: node, Pred: h}
-	}
-	var exprs []expr.Expr
-	var names []expr.ColumnID
-	for i, it := range sel.Items {
-		e, err := replace(it.Expr)
-		if err != nil {
-			return nil, err
-		}
-		exprs = append(exprs, e)
-		names = append(names, outputName(sqlparse.SelectItem{Expr: it.Expr, Alias: it.Alias}, i))
-	}
-	node = &Project{Input: node, Exprs: exprs, Names: names}
-	if len(sel.OrderBy) > 0 {
-		var keys []SortKey
-		for _, o := range sel.OrderBy {
-			if !refsAvailable(o.Expr, names) {
-				return nil, fmt.Errorf("plan: ORDER BY %s not available after aggregate pushdown", o.Expr)
-			}
-			keys = append(keys, SortKey{Expr: expr.Clone(o.Expr), Desc: o.Desc})
-		}
-		node = &Sort{Input: node, Keys: keys}
-	}
-	if sel.Limit >= 0 {
-		node = &Limit{Input: node, N: sel.Limit}
-	}
-	return node, nil
+	return lowerTail(sel, input, d)
 }

@@ -128,3 +128,33 @@ func TestDecomposePartialItemsNaming(t *testing.T) {
 		t.Fatalf("merges: %+v", d.Partials)
 	}
 }
+
+// TestBuildMergePlanIsTheTail: the merge plan lowers DISTINCT and an ORDER BY
+// aggregate the select list leaves out, as FinalizeSelect does.
+func TestBuildMergePlanIsTheTail(t *testing.T) {
+	sel := sqlparse.MustParseSelect(`SELECT DISTINCT c.office FROM customer c, invoiceline i
+		WHERE c.custid = i.custid GROUP BY c.office ORDER BY SUM(i.charge) DESC`)
+	d, ok := DecomposeAggregates(sel)
+	if !ok || len(d.Partials) != 1 || d.Partials[0].Agg.String() != "SUM(i.charge)" {
+		t.Fatalf("the ORDER BY aggregate must be decomposed: %+v", d)
+	}
+	if _, err := d.BuildMergePlan(sel, mergeInput()); err == nil {
+		t.Fatal("DISTINCT with an unselected ORDER BY key must be refused")
+	}
+	sel.Distinct = false
+	root, err := d.BuildMergePlan(sel, mergeInput())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := Explain(root); !strings.Contains(out, "Sort _ord0 DESC") || !strings.Contains(out, "Project c.office, _m0") {
+		t.Fatalf("merge plan:\n%s", out)
+	}
+	sel = sqlparse.MustParseSelect(`SELECT DISTINCT COUNT(*) AS n FROM customer c, invoiceline i
+		WHERE c.custid = i.custid GROUP BY c.office`)
+	if d, ok = DecomposeAggregates(sel); !ok {
+		t.Fatal("must decompose")
+	}
+	if root, err = d.BuildMergePlan(sel, mergeInput()); err != nil || !strings.HasPrefix(Explain(root), "Distinct\n") {
+		t.Fatalf("DISTINCT must survive the merge: %v\n%s", err, Explain(root))
+	}
+}

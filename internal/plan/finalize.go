@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"qtrade/internal/catalog"
@@ -9,49 +10,93 @@ import (
 	"qtrade/internal/sqlparse"
 )
 
-// FinalizeSelect lowers the post-join phase of a SELECT block onto an input
-// operator that already produces the joined, filtered FROM rows: aggregation
-// with HAVING, projection, DISTINCT, ORDER BY and LIMIT. It is shared by the
+// FinalizeSelect lowers the tail of a SELECT block — aggregation, HAVING,
+// projection, DISTINCT, ORDER BY and LIMIT — onto an input operator that
+// already produces the joined, filtered FROM rows. It is shared by the
 // sellers' local optimizer, the centralized baseline and the buyer plan
-// generator, which differ only in how they build the input join tree.
+// generator, which differ only in how they build the input join tree, and
+// BuildMergePlan is the same lowering over a merge of partial aggregates.
 func FinalizeSelect(sel *sqlparse.Select, input Node) (Node, error) {
+	return lowerTail(sel, input, nil)
+}
+
+// lowerTail is the one lowering of a SELECT's tail. A grouped query reads an
+// aggregation stage (raw aggregation of the input rows, or the merge of the
+// partial aggregates merge describes), and its select list, HAVING and ORDER
+// BY keys are mapped onto that stage by the same substitution. Then HAVING,
+// the projection with any ORDER BY key it does not already expose riding
+// along hidden, DISTINCT, ORDER BY, LIMIT, and the hidden keys stripped.
+func lowerTail(sel *sqlparse.Select, input Node, merge *AggDecomposition) (Node, error) {
 	items, err := expandStars(sel, input.Schema())
 	if err != nil {
 		return nil, err
 	}
 	node := input
-	if sel.HasAggregates() || len(sel.GroupBy) > 0 {
-		node, items, err = buildAggregate(sel, node, items)
+	var stage *aggStage
+	if merge != nil || sel.HasAggregates() || len(sel.GroupBy) > 0 {
+		st := aggregateStage(sel, input, merge)
+		stage, node = &st, st.agg
+	}
+	// below maps an expression of the query onto the rows the projection
+	// reads.
+	below := func(e expr.Expr, clause string) (expr.Expr, error) {
+		if stage != nil {
+			return stage.put(e, clause)
+		}
+		if expr.HasAgg(e) {
+			return nil, fmt.Errorf("plan: aggregate in %s %s of a query without GROUP BY or aggregates", clause, e)
+		}
+		return expr.Clone(e), nil
+	}
+	if sel.Having != nil {
+		if stage == nil {
+			return nil, fmt.Errorf("plan: HAVING %s needs GROUP BY or an aggregate", sel.Having)
+		}
+		pred, err := below(sel.Having, "HAVING")
 		if err != nil {
 			return nil, err
 		}
+		node = &Filter{Input: node, Pred: pred}
 	}
 	exprs := make([]expr.Expr, len(items))
 	names := make([]expr.ColumnID, len(items))
 	for i, it := range items {
-		exprs[i] = it.Expr
+		if exprs[i], err = below(it.Expr, "select"); err != nil {
+			return nil, err
+		}
 		names[i] = outputName(it, i)
 	}
-	// ORDER BY may reference columns that are not projected (standard SQL);
-	// such keys ride along as hidden projection columns and are stripped
-	// after the sort.
+	visible := len(items)
+	// ORDER BY may name an output alias or a projected column; any other key
+	// (standard SQL) is computed below the projection, sorted by the output
+	// of the same expression when one is selected and otherwise carried as a
+	// hidden column, stripped after the sort.
 	keys := make([]SortKey, len(sel.OrderBy))
-	hidden := 0
 	for i, o := range sel.OrderBy {
-		key := expr.Clone(o.Expr)
-		if !refsAvailable(key, names) && refsAvailable(key, node.Schema()) {
-			if sel.Distinct {
-				return nil, fmt.Errorf("plan: for SELECT DISTINCT, ORDER BY expressions must appear in the select list (%s)", key)
-			}
-			name := expr.ColumnID{Name: fmt.Sprintf("_ord%d", i)}
-			exprs = append(exprs, key)
-			names = append(names, name)
-			key = expr.NewColumn("", name.Name)
-			hidden++
+		keys[i].Desc = o.Desc
+		if !expr.HasAgg(o.Expr) && refsAvailable(o.Expr, names) {
+			keys[i].Expr = expr.Clone(o.Expr)
+			continue
 		}
-		keys[i] = SortKey{Expr: key, Desc: o.Desc}
+		key, err := below(o.Expr, "ORDER BY")
+		if err == nil && stage == nil && !refsAvailable(key, input.Schema()) {
+			err = fmt.Errorf("plan: ORDER BY %s is not a column of the query", o.Expr)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if j := slices.IndexFunc(exprs[:visible], func(e expr.Expr) bool { return expr.Equal(e, key) }); j >= 0 {
+			keys[i].Expr = expr.NewColumn(names[j].Table, names[j].Name)
+			continue
+		}
+		if sel.Distinct {
+			return nil, fmt.Errorf("plan: for SELECT DISTINCT, ORDER BY expressions must appear in the select list (%s)", o.Expr)
+		}
+		name := expr.ColumnID{Name: "_ord" + strconv.Itoa(i)}
+		exprs = append(exprs, key)
+		names = append(names, name)
+		keys[i].Expr = expr.NewColumn("", name.Name)
 	}
-	visible := len(names) - hidden
 	node = &Project{Input: node, Exprs: exprs, Names: names}
 	if sel.Distinct {
 		node = &Distinct{Input: node}
@@ -62,17 +107,138 @@ func FinalizeSelect(sel *sqlparse.Select, input Node) (Node, error) {
 	if sel.Limit >= 0 {
 		node = &Limit{Input: node, N: sel.Limit}
 	}
-	if hidden > 0 {
-		// Strip the hidden sort columns.
-		stripExprs := make([]expr.Expr, visible)
-		stripNames := make([]expr.ColumnID, visible)
-		for i := 0; i < visible; i++ {
-			stripExprs[i] = expr.NewColumn(names[i].Table, names[i].Name)
-			stripNames[i] = names[i]
+	if len(names) > visible {
+		strip := make([]expr.Expr, visible)
+		for i, n := range names[:visible] {
+			strip[i] = expr.NewColumn(n.Table, n.Name)
 		}
-		node = &Project{Input: node, Exprs: stripExprs, Names: stripNames}
+		node = &Project{Input: node, Exprs: strip, Names: slices.Clip(names[:visible])}
 	}
 	return node, nil
+}
+
+// aggStage is the aggregation a grouped tail reads from, and what the query's
+// group expressions and aggregate calls are above it.
+type aggStage struct {
+	agg    *Aggregate
+	groups []expr.Expr       // the query's group expressions; group i is agg.GroupNames[i]
+	calls  []string          // the query's aggregate calls, printed
+	merge  *AggDecomposition // nil for a raw aggregation
+}
+
+// aggregateStage builds the aggregation under a grouped tail. Over the FROM
+// rows it computes the query's own aggregate calls per group; over partial
+// aggregates shipped from disjoint fragments (merge) it computes their
+// combining aggregates, and each of the query's calls is an expression over
+// those.
+func aggregateStage(sel *sqlparse.Select, input Node, merge *AggDecomposition) aggStage {
+	s := aggStage{agg: &Aggregate{Input: input, GroupBy: expr.CloneAll(sel.GroupBy)}, groups: sel.GroupBy, merge: merge}
+	s.agg.GroupNames = make([]expr.ColumnID, len(sel.GroupBy))
+	for i, g := range sel.GroupBy {
+		s.agg.GroupNames[i] = expr.ColumnID{Name: "_g" + strconv.Itoa(i)}
+		if c, ok := g.(*expr.Column); ok {
+			s.agg.GroupNames[i] = expr.ColumnID{Table: c.Table, Name: c.Name}
+		}
+	}
+	if merge == nil {
+		var calls []*expr.Agg
+		calls, s.calls = aggCalls(sel)
+		for i, a := range calls {
+			s.agg.Aggs = append(s.agg.Aggs, AggItem{Agg: expr.Clone(a).(*expr.Agg), Name: expr.ColumnID{Name: "_agg" + strconv.Itoa(i)}})
+		}
+		return s
+	}
+	for i, p := range merge.Partials {
+		s.agg.Aggs = append(s.agg.Aggs, AggItem{
+			Agg:  &expr.Agg{Fn: p.Merge, Arg: expr.NewColumn("", p.Name)},
+			Name: expr.ColumnID{Name: mergedName(i)},
+		})
+	}
+	for _, a := range merge.Aggs {
+		s.calls = append(s.calls, a.String())
+	}
+	return s
+}
+
+// call is what the query's aggregate call i is above the stage.
+func (s *aggStage) call(i int) expr.Expr {
+	if s.merge != nil {
+		return s.merge.finalExpr(i)
+	}
+	return expr.NewColumn("", s.agg.Aggs[i].Name.Name)
+}
+
+// put maps an expression of the query onto the stage's output: a group
+// expression or an aggregate call becomes what the stage computes for it, and
+// any other column must be one of the stage's outputs already — a column that
+// is neither grouped nor aggregated has no one value per group.
+func (s *aggStage) put(e expr.Expr, clause string) (expr.Expr, error) {
+	var bad expr.Expr
+	out, ok := expr.Substitute(e, func(x expr.Expr) (expr.Expr, expr.Step) {
+		if i := s.group(x); i >= 0 {
+			id := s.agg.GroupNames[i]
+			return expr.NewColumn(id.Table, id.Name), expr.Replace
+		}
+		switch t := x.(type) {
+		case *expr.Agg:
+			if i := slices.Index(s.calls, t.String()); i >= 0 {
+				return s.call(i), expr.Replace
+			}
+		case *expr.Column:
+			if refsAvailable(t, s.agg.Schema()) {
+				return expr.Clone(t), expr.Replace
+			}
+		default:
+			return nil, expr.Descend
+		}
+		bad = x
+		return nil, expr.Refuse
+	})
+	if !ok {
+		return nil, fmt.Errorf("plan: %s column %s must appear in GROUP BY or inside an aggregate", clause, bad)
+	}
+	return out, nil
+}
+
+// group is the index of the group expression x is, or -1.
+func (s *aggStage) group(x expr.Expr) int {
+	for i, g := range s.groups {
+		if gc, ok := g.(*expr.Column); ok {
+			if xc, ok := x.(*expr.Column); ok && xc.Table == gc.Table && xc.Name == gc.Name {
+				return i
+			}
+		} else if expr.Equal(g, x) {
+			return i
+		}
+	}
+	return -1
+}
+
+// aggCalls is the one collection of a query's aggregate calls: the distinct
+// calls of its select list, HAVING and ORDER BY in first-seen order, and
+// their printed forms. The raw aggregation computes them; aggregate pushdown
+// decomposes them.
+func aggCalls(sel *sqlparse.Select) (calls []*expr.Agg, texts []string) {
+	collect := func(e expr.Expr) {
+		expr.Walk(e, func(n expr.Expr) bool {
+			a, ok := n.(*expr.Agg)
+			if !ok {
+				return true
+			}
+			if text := a.String(); !slices.Contains(texts, text) {
+				calls, texts = append(calls, a), append(texts, text)
+			}
+			return false
+		})
+	}
+	for _, it := range sel.Items {
+		collect(it.Expr)
+	}
+	collect(sel.Having)
+	for _, o := range sel.OrderBy {
+		collect(o.Expr)
+	}
+	return calls, texts
 }
 
 // Qualify resolves every unqualified column reference of a SELECT against
@@ -160,10 +326,13 @@ func outputName(it sqlparse.SelectItem, i int) expr.ColumnID {
 // expandStars replaces `*` items with explicit column references over the
 // input schema.
 func expandStars(sel *sqlparse.Select, schema []expr.ColumnID) ([]sqlparse.SelectItem, error) {
+	if len(sel.Items) > 0 && !slices.ContainsFunc(sel.Items, func(it sqlparse.SelectItem) bool { return it.Star }) {
+		return sel.Items, nil
+	}
 	var out []sqlparse.SelectItem
 	for _, it := range sel.Items {
 		if !it.Star {
-			out = append(out, sqlparse.SelectItem{Expr: expr.Clone(it.Expr), Alias: it.Alias})
+			out = append(out, it)
 			continue
 		}
 		if len(schema) == 0 {
@@ -177,123 +346,6 @@ func expandStars(sel *sqlparse.Select, schema []expr.ColumnID) ([]sqlparse.Selec
 		return nil, fmt.Errorf("plan: empty select list")
 	}
 	return out, nil
-}
-
-// buildAggregate inserts an Aggregate (and HAVING filter) below the final
-// projection and rewrites select items so aggregate calls and group
-// expressions become references to the aggregate's output columns.
-func buildAggregate(sel *sqlparse.Select, input Node, items []sqlparse.SelectItem) (Node, []sqlparse.SelectItem, error) {
-	// Collect distinct aggregate calls from items and HAVING.
-	var aggs []*expr.Agg
-	seen := map[string]int{}
-	collect := func(e expr.Expr) {
-		expr.Walk(e, func(n expr.Expr) bool {
-			if a, ok := n.(*expr.Agg); ok {
-				if _, dup := seen[a.String()]; !dup {
-					seen[a.String()] = len(aggs)
-					aggs = append(aggs, a)
-				}
-				return false
-			}
-			return true
-		})
-	}
-	for _, it := range items {
-		collect(it.Expr)
-	}
-	if sel.Having != nil {
-		collect(sel.Having)
-	}
-
-	agg := &Aggregate{Input: input}
-	groupIDs := make([]expr.ColumnID, len(sel.GroupBy))
-	for i, g := range sel.GroupBy {
-		agg.GroupBy = append(agg.GroupBy, expr.Clone(g))
-		if c, ok := g.(*expr.Column); ok {
-			groupIDs[i] = expr.ColumnID{Table: c.Table, Name: c.Name}
-		} else {
-			groupIDs[i] = expr.ColumnID{Name: "_g" + strconv.Itoa(i)}
-		}
-	}
-	agg.GroupNames = groupIDs
-	aggIDs := make([]expr.ColumnID, len(aggs))
-	for i, a := range aggs {
-		aggIDs[i] = expr.ColumnID{Name: "_agg" + strconv.Itoa(i)}
-		agg.Aggs = append(agg.Aggs, AggItem{Agg: expr.Clone(a).(*expr.Agg), Name: aggIDs[i]})
-	}
-
-	// replace rewrites aggregate calls and group expressions into column
-	// references over the aggregate output, top-down so group expressions do
-	// not match inside already-replaced aggregates.
-	var replace func(e expr.Expr) expr.Expr
-	replace = func(e expr.Expr) expr.Expr {
-		if e == nil {
-			return nil
-		}
-		if a, ok := e.(*expr.Agg); ok {
-			idx, known := seen[a.String()]
-			if !known {
-				return expr.Clone(e)
-			}
-			return &expr.Column{Table: aggIDs[idx].Table, Name: aggIDs[idx].Name, Index: -1}
-		}
-		for i, g := range sel.GroupBy {
-			if expr.Equal(e, g) {
-				return &expr.Column{Table: groupIDs[i].Table, Name: groupIDs[i].Name, Index: -1}
-			}
-		}
-		switch t := e.(type) {
-		case *expr.Binary:
-			return &expr.Binary{Op: t.Op, L: replace(t.L), R: replace(t.R)}
-		case *expr.Unary:
-			return &expr.Unary{Op: t.Op, X: replace(t.X)}
-		case *expr.In:
-			list := make([]expr.Expr, len(t.List))
-			for i, x := range t.List {
-				list[i] = replace(x)
-			}
-			return &expr.In{X: replace(t.X), List: list, Not: t.Not}
-		case *expr.Between:
-			return &expr.Between{X: replace(t.X), Lo: replace(t.Lo), Hi: replace(t.Hi), Not: t.Not}
-		case *expr.IsNull:
-			return &expr.IsNull{X: replace(t.X), Not: t.Not}
-		}
-		return expr.Clone(e)
-	}
-
-	outSchema := agg.Schema()
-	validate := func(e expr.Expr, what string) error {
-		for _, c := range expr.Columns(e) {
-			ok := false
-			for _, s := range outSchema {
-				if expr.ColKey(c) == s.Key() || (c.Table == "" && equalFold(c.Name, s.Name)) {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				return fmt.Errorf("plan: %s column %s must appear in GROUP BY or inside an aggregate", what, c)
-			}
-		}
-		return nil
-	}
-
-	newItems := make([]sqlparse.SelectItem, len(items))
-	for i, it := range items {
-		newItems[i] = sqlparse.SelectItem{Expr: replace(it.Expr), Alias: it.Alias}
-		if err := validate(newItems[i].Expr, "select"); err != nil {
-			return nil, nil, err
-		}
-	}
-	var node Node = agg
-	if sel.Having != nil {
-		h := replace(sel.Having)
-		if err := validate(h, "HAVING"); err != nil {
-			return nil, nil, err
-		}
-		node = &Filter{Input: node, Pred: h}
-	}
-	return node, newItems, nil
 }
 
 func equalFold(a, b string) bool {

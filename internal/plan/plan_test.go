@@ -192,3 +192,39 @@ func TestFinalizeGroupByExpression(t *testing.T) {
 		t.Fatalf("schema: %+v", got)
 	}
 }
+
+func TestFinalizeOrderByAggregateNotSelected(t *testing.T) {
+	// The key is aggregated by the same stage as the select list and rides
+	// along hidden; one that is also selected is sorted by its output column.
+	sel := sqlparse.MustParseSelect("SELECT c.office FROM customer c GROUP BY c.office ORDER BY COUNT(*) DESC, c.office")
+	p, err := FinalizeSelect(sel, &Scan{Def: custDef, Alias: "c", PartID: "p0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := Explain(p)
+	for _, want := range []string{"Sort _ord0 DESC, c.office", "Project c.office, _agg0", "Aggregate [c.office] COUNT(*)"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("missing %q:\n%s", want, out)
+		}
+	}
+	sel = sqlparse.MustParseSelect("SELECT DISTINCT c.office, COUNT(*) AS n FROM customer c GROUP BY c.office ORDER BY COUNT(*)")
+	if p, err = FinalizeSelect(sel, &Scan{Def: custDef, Alias: "c", PartID: "p0"}); err != nil {
+		t.Fatal(err)
+	}
+	if out := Explain(p); !strings.Contains(out, "Sort n\n") || strings.Contains(out, "_ord") {
+		t.Fatalf("a selected aggregate sorts by its output:\n%s", out)
+	}
+}
+
+func TestFinalizeRefusesWhatHasNoValue(t *testing.T) {
+	for _, q := range []string{
+		"SELECT c.custid FROM customer c HAVING c.custid > 5",                 // HAVING without grouping
+		"SELECT c.office FROM customer c GROUP BY c.office ORDER BY c.custid", // neither grouped nor aggregated
+		"SELECT c.office FROM customer c ORDER BY COUNT(*)",                   // an aggregate without grouping
+		"SELECT c.office FROM customer c ORDER BY c.nosuch",
+	} {
+		if p, err := FinalizeSelect(sqlparse.MustParseSelect(q), &Scan{Def: custDef, Alias: "c", PartID: "p0"}); err == nil {
+			t.Errorf("%s: planned\n%s", q, Explain(p))
+		}
+	}
+}

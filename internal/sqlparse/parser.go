@@ -354,6 +354,10 @@ func (p *parser) parseTableRef() (TableRef, error) {
 	}
 	tr := TableRef{Name: name}
 	if p.acceptKeyword("AS") {
+		// The alias prints bare, so it may not be a keyword either.
+		if t := p.cur(); keywords[t.word] {
+			return TableRef{}, p.errf("expected alias, got keyword %q", t.text)
+		}
 		a, err := p.ident()
 		if err != nil {
 			return TableRef{}, err
@@ -525,7 +529,8 @@ func (p *parser) parseUnary() (expr.Expr, error) {
 			case value.Int:
 				return expr.NewLit(value.NewInt(-lit.V.I)), nil
 			case value.Float:
-				return expr.NewLit(value.NewFloat(-lit.V.F)), nil
+				// 0 - f, not -f: -0.0 would print as -0 and read back as 0.
+				return expr.NewLit(value.NewFloat(0 - lit.V.F)), nil
 			}
 		}
 		return &expr.Unary{Op: "-", X: x}, nil

@@ -157,17 +157,20 @@ func TestLexerQuotedIdentAndEscapes(t *testing.T) {
 	}
 }
 
+// roundTripQueries are the hand-written print → parse cases; FuzzPrintParse
+// starts from them too.
+var roundTripQueries = []string{
+	"SELECT * FROM customer",
+	"SELECT c.office, SUM(i.charge) AS total FROM customer c, invoiceline i WHERE c.custid = i.custid GROUP BY c.office",
+	"SELECT DISTINCT x AS y FROM a, b WHERE a.k = b.k ORDER BY x DESC LIMIT 5",
+	"SELECT x FROM a UNION ALL SELECT x FROM b",
+	"SELECT x FROM a UNION SELECT x FROM b",
+	"SELECT x FROM a WHERE x BETWEEN 1 AND 2 AND y IN (1, 2) AND z IS NOT NULL",
+	"SELECT x FROM a HAVING COUNT(*) > 1",
+}
+
 func TestRoundTripSQL(t *testing.T) {
-	queries := []string{
-		"SELECT * FROM customer",
-		"SELECT c.office, SUM(i.charge) AS total FROM customer c, invoiceline i WHERE c.custid = i.custid GROUP BY c.office",
-		"SELECT DISTINCT x AS y FROM a, b WHERE a.k = b.k ORDER BY x DESC LIMIT 5",
-		"SELECT x FROM a UNION ALL SELECT x FROM b",
-		"SELECT x FROM a UNION SELECT x FROM b",
-		"SELECT x FROM a WHERE x BETWEEN 1 AND 2 AND y IN (1, 2) AND z IS NOT NULL",
-		"SELECT x FROM a HAVING COUNT(*) > 1",
-	}
-	for _, q := range queries {
+	for _, q := range roundTripQueries {
 		s1 := MustParse(q)
 		sql1 := s1.SQL()
 		s2, err := Parse(sql1)
@@ -244,10 +247,9 @@ func TestNumbersAndLiterals(t *testing.T) {
 	}
 }
 
-// randomSelect builds a random valid query and checks print->parse->print
-// stability (property test for the printer/parser pair).
-func TestQuickRoundTripRandomQueries(t *testing.T) {
-	r := rand.New(rand.NewSource(99))
+// randomQuery builds a random valid query: up to three of the tables, a
+// column of each, and up to two WHERE conjuncts.
+func randomQuery(r *rand.Rand) string {
 	tables := []string{"customer", "invoiceline", "orders"}
 	cols := []string{"a", "b", "c"}
 	randExpr := func() string {
@@ -264,30 +266,37 @@ func TestQuickRoundTripRandomQueries(t *testing.T) {
 			return c + " IS NOT NULL"
 		}
 	}
-	for i := 0; i < 200; i++ {
-		var sb strings.Builder
-		sb.WriteString("SELECT ")
-		n := 1 + r.Intn(3)
-		for j := 0; j < n; j++ {
-			if j > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(tables[j%3][:1] + "." + cols[r.Intn(3)])
+	var sb strings.Builder
+	sb.WriteString("SELECT ")
+	n := 1 + r.Intn(3)
+	for j := 0; j < n; j++ {
+		if j > 0 {
+			sb.WriteString(", ")
 		}
-		sb.WriteString(" FROM ")
-		for j := 0; j < n; j++ {
-			if j > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(tables[j%3] + " " + tables[j%3][:1])
+		sb.WriteString(tables[j%3][:1] + "." + cols[r.Intn(3)])
+	}
+	sb.WriteString(" FROM ")
+	for j := 0; j < n; j++ {
+		if j > 0 {
+			sb.WriteString(", ")
 		}
+		sb.WriteString(tables[j%3] + " " + tables[j%3][:1])
+	}
+	if r.Intn(2) == 0 {
+		sb.WriteString(" WHERE " + randExpr())
 		if r.Intn(2) == 0 {
-			sb.WriteString(" WHERE " + randExpr())
-			if r.Intn(2) == 0 {
-				sb.WriteString(" AND " + randExpr())
-			}
+			sb.WriteString(" AND " + randExpr())
 		}
-		q := sb.String()
+	}
+	return sb.String()
+}
+
+// TestQuickRoundTripRandomQueries checks print->parse->print stability over
+// random queries (property test for the printer/parser pair).
+func TestQuickRoundTripRandomQueries(t *testing.T) {
+	r := rand.New(rand.NewSource(99))
+	for i := 0; i < 200; i++ {
+		q := randomQuery(r)
 		s1, err := Parse(q)
 		if err != nil {
 			t.Fatalf("parse %q: %v", q, err)

@@ -5,6 +5,14 @@
 // (possibly coarser) grouping — the node can offer the view's contents at a
 // much lower value than recomputing the query. The matcher is conservative:
 // it only reports a match it can compensate exactly.
+//
+// A compensation is built in two steps. The matcher of the match kind (SPJ
+// over an SPJ view, aggregation over an SPJ view, rollup of an aggregated
+// view) writes its FROM, WHERE, GROUP BY, select list and a re-aggregating
+// HAVING; MatchView then attaches the query's tail — DISTINCT, ORDER BY and
+// LIMIT — in one place for every kind, its keys mapped like the items. Every
+// expression crosses into the view's namespace through one substitution,
+// outputMap.of.
 package views
 
 import (
@@ -59,20 +67,62 @@ func MatchView(q *sqlparse.Select, view *storage.MaterializedView) (*Match, bool
 		}
 	}
 
-	out := newOutputMap(vsel, view)
+	out := newOutputMap(vsel, view, rename)
+	sel := &sqlparse.Select{From: []sqlparse.TableRef{{Name: view.Name}}}
+	for _, c := range comp {
+		w, ok := out.mapExpr(c)
+		if !ok {
+			return nil, false
+		}
+		sel.Where = expr.And([]expr.Expr{sel.Where, w})
+	}
 	qAgg := q.HasAggregates() || len(q.GroupBy) > 0
 	vAgg := vsel.HasAggregates() || len(vsel.GroupBy) > 0
-
+	m := &Match{View: view, Comp: sel}
 	switch {
-	case !qAgg && !vAgg:
-		return matchSPJ(q, view, rename, comp, out)
+	case !qAgg && !vAgg: // select-project-join over an SPJ view
+		ok = items(q, sel, out, true)
 	case qAgg && !vAgg:
-		return matchAggOverSPJ(q, view, rename, comp, out)
+		ok, m.ReAggregated = matchAggOverSPJ(q, sel, out), true
 	case qAgg && vAgg:
-		return matchRollup(q, vsel, view, rename, comp, out)
+		m.ReAggregated, ok = matchRollup(q, vsel, sel, out)
 	default: // view aggregated, query not: detail is lost
 		return nil, false
 	}
+	if !ok || !attachTail(q, sel, out) {
+		return nil, false
+	}
+	return m, true
+}
+
+// attachTail gives the compensation the query's DISTINCT, ORDER BY and LIMIT.
+// An ORDER BY key naming one of the query's output aliases stays that alias;
+// any other key is mapped as the items were, and one the view cannot
+// express means no match.
+func attachTail(q, sel *sqlparse.Select, out *outputMap) bool {
+	sel.Distinct, sel.Limit = q.Distinct, q.Limit
+	for _, ob := range q.OrderBy {
+		key, ok := outputAlias(q, ob.Expr)
+		if !ok {
+			if key, ok = out.of(ob.Expr); !ok {
+				return false
+			}
+		}
+		sel.OrderBy = append(sel.OrderBy, sqlparse.OrderItem{Expr: key, Desc: ob.Desc})
+	}
+	return true
+}
+
+// outputAlias returns a bare column naming one of q's output aliases.
+func outputAlias(q *sqlparse.Select, e expr.Expr) (expr.Expr, bool) {
+	if c, ok := e.(*expr.Column); ok && c.Table == "" {
+		for _, it := range q.Items {
+			if it.Alias != "" && strings.EqualFold(it.Alias, c.Name) {
+				return expr.NewColumn("", it.Alias), true
+			}
+		}
+	}
+	return nil, false
 }
 
 // BestMatches returns the matches of all stored views against q.
@@ -114,16 +164,26 @@ func alignFrom(q, v *sqlparse.Select) (map[string]string, bool) {
 	return rename, true
 }
 
+// aggMode is how a query's aggregate calls read a view.
+type aggMode uint8
+
+const (
+	overRows aggMode = iota // the view keeps detail rows: aggregate them
+	stored                  // same grouping: each call is a stored aggregate
+	rolledUp                // coarser grouping: roll the stored aggregates up
+)
+
 // outputMap resolves view-namespace expressions to view output column names.
 type outputMap struct {
-	viewName string
 	// byExpr maps the canonical string of a view select item's expression to
 	// the output column name.
 	byExpr map[string]string
+	rename map[string]string // query bindings onto the view's
+	aggs   aggMode
 }
 
-func newOutputMap(vsel *sqlparse.Select, view *storage.MaterializedView) *outputMap {
-	m := &outputMap{viewName: view.Name, byExpr: map[string]string{}}
+func newOutputMap(vsel *sqlparse.Select, view *storage.MaterializedView, rename map[string]string) *outputMap {
+	m := &outputMap{byExpr: map[string]string{}, rename: rename}
 	for i, it := range vsel.Items {
 		if it.Star || it.Expr == nil {
 			continue
@@ -144,269 +204,141 @@ func newOutputMap(vsel *sqlparse.Select, view *storage.MaterializedView) *output
 	return m
 }
 
-// rewrite maps a view-namespace expression onto view output columns; ok is
-// false when some subexpression is not available in the view output.
-func (m *outputMap) rewrite(e expr.Expr) (expr.Expr, bool) {
-	if e == nil {
-		return nil, true
-	}
-	if name, hit := m.byExpr[e.String()]; hit {
-		return expr.NewColumn("", name), true
-	}
-	switch t := e.(type) {
-	case *expr.Lit:
-		return expr.Clone(e), true
-	case *expr.Binary:
-		l, okl := m.rewrite(t.L)
-		r, okr := m.rewrite(t.R)
-		if !okl || !okr {
-			return nil, false
-		}
-		return &expr.Binary{Op: t.Op, L: l, R: r}, true
-	case *expr.Unary:
-		x, ok := m.rewrite(t.X)
-		if !ok {
-			return nil, false
-		}
-		return &expr.Unary{Op: t.Op, X: x}, true
-	case *expr.In:
-		x, ok := m.rewrite(t.X)
-		if !ok {
-			return nil, false
-		}
-		list := make([]expr.Expr, len(t.List))
-		for i, item := range t.List {
-			li, ok := m.rewrite(item)
-			if !ok {
-				return nil, false
-			}
-			list[i] = li
-		}
-		return &expr.In{X: x, List: list, Not: t.Not}, true
-	case *expr.Between:
-		x, okx := m.rewrite(t.X)
-		lo, okl := m.rewrite(t.Lo)
-		hi, okh := m.rewrite(t.Hi)
-		if !okx || !okl || !okh {
-			return nil, false
-		}
-		return &expr.Between{X: x, Lo: lo, Hi: hi, Not: t.Not}, true
-	case *expr.IsNull:
-		x, ok := m.rewrite(t.X)
-		if !ok {
-			return nil, false
-		}
-		return &expr.IsNull{X: x, Not: t.Not}, true
-	}
-	return nil, false
+// of maps an expression of the query onto the view's output.
+func (m *outputMap) of(e expr.Expr) (expr.Expr, bool) {
+	return m.mapExpr(expr.RenameTables(e, m.rename))
 }
 
-// matchSPJ compensates a select-project-join query from an SPJ view.
-func matchSPJ(q *sqlparse.Select, view *storage.MaterializedView, rename map[string]string, comp []expr.Expr, out *outputMap) (*Match, bool) {
-	sel := &sqlparse.Select{Limit: q.Limit, Distinct: q.Distinct,
-		From: []sqlparse.TableRef{{Name: view.Name}}}
+// mapExpr maps a view-namespace expression onto view output columns; ok is
+// false when some part of it is not available in the view output. An
+// aggregate call reads the view as m.aggs says; any other expression the
+// view outputs is read as that column.
+func (m *outputMap) mapExpr(e expr.Expr) (expr.Expr, bool) {
+	return expr.Substitute(e, func(x expr.Expr) (expr.Expr, expr.Step) {
+		if a, ok := x.(*expr.Agg); ok {
+			return m.agg(a)
+		}
+		if expr.HasAgg(x) {
+			return nil, expr.Descend
+		}
+		if name, hit := m.byExpr[x.String()]; hit {
+			return expr.NewColumn("", name), expr.Replace
+		}
+		if _, ok := x.(*expr.Column); ok {
+			return nil, expr.Refuse
+		}
+		return nil, expr.Descend
+	})
+}
+
+// agg maps one aggregate call: over detail rows its argument is mapped; from
+// an aggregated view it is the stored value (same grouping), or that value
+// rolled up — SUM(x) -> SUM(sum_x), COUNT(*) -> SUM(cnt), MIN/MAX -> MIN/MAX
+// of the stored extreme.
+func (m *outputMap) agg(a *expr.Agg) (expr.Expr, expr.Step) {
+	if m.aggs == overRows {
+		return nil, expr.Descend
+	}
+	name, hit := m.byExpr[a.String()]
+	if !hit {
+		return nil, expr.Refuse
+	}
+	col := expr.NewColumn("", name)
+	switch {
+	case m.aggs == stored:
+		return col, expr.Replace
+	case (a.Fn == "SUM" || a.Fn == "COUNT") && !a.Distinct: // DISTINCT aggregates do not roll up
+		return &expr.Agg{Fn: "SUM", Arg: col}, expr.Replace
+	case a.Fn == "MIN" || a.Fn == "MAX":
+		return &expr.Agg{Fn: a.Fn, Arg: col}, expr.Replace
+	}
+	return nil, expr.Refuse // AVG does not roll up without SUM+COUNT
+}
+
+// items maps the query's select list onto the view; named gives an
+// unaliased column item its column name as alias.
+func items(q, sel *sqlparse.Select, out *outputMap, named bool) bool {
 	for _, it := range q.Items {
 		if it.Star {
-			return nil, false
+			return false
 		}
-		e, ok := out.rewrite(expr.RenameTables(it.Expr, rename))
+		e, ok := out.of(it.Expr)
 		if !ok {
-			return nil, false
+			return false
 		}
 		alias := it.Alias
-		if alias == "" {
-			if c, okc := it.Expr.(*expr.Column); okc {
-				alias = c.Name
-			}
+		if c, isCol := it.Expr.(*expr.Column); isCol && alias == "" && named {
+			alias = c.Name
 		}
 		sel.Items = append(sel.Items, sqlparse.SelectItem{Expr: e, Alias: alias})
 	}
-	w, ok := rewriteAll(out, comp)
-	if !ok {
-		return nil, false
-	}
-	sel.Where = w
-	for _, ob := range q.OrderBy {
-		e, ok := out.rewrite(expr.RenameTables(ob.Expr, rename))
-		if !ok {
-			return nil, false
-		}
-		sel.OrderBy = append(sel.OrderBy, sqlparse.OrderItem{Expr: e, Desc: ob.Desc})
-	}
-	return &Match{View: view, Comp: sel}, true
+	return true
 }
 
 // matchAggOverSPJ aggregates an SPJ view into the query's groups.
-func matchAggOverSPJ(q *sqlparse.Select, view *storage.MaterializedView, rename map[string]string, comp []expr.Expr, out *outputMap) (*Match, bool) {
-	sel := &sqlparse.Select{Limit: q.Limit, From: []sqlparse.TableRef{{Name: view.Name}}}
-	for _, it := range q.Items {
-		if it.Star {
-			return nil, false
-		}
-		e, ok := rewriteWithAggs(out, expr.RenameTables(it.Expr, rename))
-		if !ok {
-			return nil, false
-		}
-		sel.Items = append(sel.Items, sqlparse.SelectItem{Expr: e, Alias: it.Alias})
-	}
-	w, ok := rewriteAll(out, comp)
-	if !ok {
-		return nil, false
-	}
-	sel.Where = w
+func matchAggOverSPJ(q, sel *sqlparse.Select, out *outputMap) bool {
 	for _, g := range q.GroupBy {
-		e, ok := out.rewrite(expr.RenameTables(g, rename))
+		e, ok := out.of(g)
 		if !ok {
-			return nil, false
+			return false
 		}
 		sel.GroupBy = append(sel.GroupBy, e)
 	}
+	if !items(q, sel, out, false) {
+		return false
+	}
 	if q.Having != nil {
-		h, ok := rewriteWithAggs(out, expr.RenameTables(q.Having, rename))
+		h, ok := out.of(q.Having)
 		if !ok {
-			return nil, false
+			return false
 		}
 		sel.Having = h
 	}
-	return &Match{View: view, Comp: sel, ReAggregated: true}, true
-}
-
-// rewriteWithAggs rewrites an expression that may contain aggregates whose
-// arguments must map to view output columns.
-func rewriteWithAggs(out *outputMap, e expr.Expr) (expr.Expr, bool) {
-	switch t := e.(type) {
-	case *expr.Agg:
-		if t.Star {
-			return &expr.Agg{Fn: t.Fn, Star: true}, true
-		}
-		arg, ok := out.rewrite(t.Arg)
-		if !ok {
-			return nil, false
-		}
-		return &expr.Agg{Fn: t.Fn, Arg: arg, Distinct: t.Distinct}, true
-	case *expr.Binary:
-		l, okl := rewriteWithAggs(out, t.L)
-		r, okr := rewriteWithAggs(out, t.R)
-		if !okl || !okr {
-			return nil, false
-		}
-		return &expr.Binary{Op: t.Op, L: l, R: r}, true
-	case *expr.Unary:
-		x, ok := rewriteWithAggs(out, t.X)
-		if !ok {
-			return nil, false
-		}
-		return &expr.Unary{Op: t.Op, X: x}, true
-	}
-	return out.rewrite(e)
+	return true
 }
 
 // matchRollup compensates an aggregate query from an aggregated view whose
-// grouping is at least as fine as the query's.
-func matchRollup(q, vsel *sqlparse.Select, view *storage.MaterializedView, rename map[string]string, comp []expr.Expr, out *outputMap) (*Match, bool) {
+// grouping is at least as fine as the query's. With the same grouping the
+// view's rows are the query's groups: nothing is re-aggregated and HAVING
+// filters them as a WHERE conjunct over the stored aggregates.
+func matchRollup(q, vsel, sel *sqlparse.Select, out *outputMap) (reAgg, ok bool) {
 	// Every query group expression must be one of the view's group
 	// expressions and be available in the view output.
 	vGroups := map[string]bool{}
 	for _, g := range vsel.GroupBy {
 		vGroups[g.String()] = true
 	}
-	var qGroupsOut []expr.Expr
+	var groups []expr.Expr
 	for _, g := range q.GroupBy {
-		rg := expr.RenameTables(g, rename)
+		rg := expr.RenameTables(g, out.rename)
 		if !vGroups[rg.String()] {
-			return nil, false
+			return false, false
 		}
-		e, ok := out.rewrite(rg)
+		e, ok := out.mapExpr(rg)
 		if !ok {
-			return nil, false
+			return false, false
 		}
-		qGroupsOut = append(qGroupsOut, e)
+		groups = append(groups, e)
 	}
 	exact := len(q.GroupBy) == len(vsel.GroupBy)
-	// Compensation predicates may only touch group columns (finer detail is
-	// gone).
-	w, ok := rewriteAll(out, comp)
-	if !ok {
-		return nil, false
+	out.aggs = rolledUp
+	if exact {
+		out.aggs, groups = stored, nil
 	}
-
-	sel := &sqlparse.Select{Limit: q.Limit, From: []sqlparse.TableRef{{Name: view.Name}}, Where: w}
-	sel.GroupBy = qGroupsOut
-	reAgg := !exact
-
-	for _, it := range q.Items {
-		if it.Star {
-			return nil, false
-		}
-		e, ok := deriveAgg(out, expr.RenameTables(it.Expr, rename), exact)
-		if !ok {
-			return nil, false
-		}
-		sel.Items = append(sel.Items, sqlparse.SelectItem{Expr: e, Alias: it.Alias})
+	sel.GroupBy = groups
+	if !items(q, sel, out, false) {
+		return false, false
 	}
 	if q.Having != nil {
-		h, ok := deriveAgg(out, expr.RenameTables(q.Having, rename), exact)
+		h, ok := out.of(q.Having)
 		if !ok {
-			return nil, false
+			return false, false
 		}
-		sel.Having = h
-	}
-	if exact {
-		// Same grouping: no re-aggregation, plain projection of view rows.
-		sel.GroupBy = nil
-	}
-	return &Match{View: view, Comp: sel, ReAggregated: reAgg}, true
-}
-
-// deriveAgg maps a (possibly aggregate) query expression onto an aggregated
-// view: SUM(x) -> SUM(sum_x), COUNT(*) -> SUM(cnt), MIN/MAX -> MIN/MAX of
-// the stored extreme. With exact grouping the stored value is used directly.
-func deriveAgg(out *outputMap, e expr.Expr, exact bool) (expr.Expr, bool) {
-	switch t := e.(type) {
-	case *expr.Agg:
-		stored, hit := out.byExpr[t.String()]
-		if !hit {
-			return nil, false
-		}
-		col := expr.NewColumn("", stored)
 		if exact {
-			return col, true
+			sel.Where = expr.And([]expr.Expr{sel.Where, h})
+		} else {
+			sel.Having = h
 		}
-		switch t.Fn {
-		case "SUM", "COUNT":
-			if t.Distinct {
-				return nil, false // DISTINCT aggregates do not roll up
-			}
-			return &expr.Agg{Fn: "SUM", Arg: col}, true
-		case "MIN", "MAX":
-			return &expr.Agg{Fn: t.Fn, Arg: col}, true
-		}
-		return nil, false // AVG does not roll up without SUM+COUNT
-	case *expr.Binary:
-		l, okl := deriveAgg(out, t.L, exact)
-		r, okr := deriveAgg(out, t.R, exact)
-		if !okl || !okr {
-			return nil, false
-		}
-		return &expr.Binary{Op: t.Op, L: l, R: r}, true
-	case *expr.Unary:
-		x, ok := deriveAgg(out, t.X, exact)
-		if !ok {
-			return nil, false
-		}
-		return &expr.Unary{Op: t.Op, X: x}, true
 	}
-	return out.rewrite(e)
-}
-
-func rewriteAll(out *outputMap, conj []expr.Expr) (expr.Expr, bool) {
-	var mapped []expr.Expr
-	for _, c := range conj {
-		e, ok := out.rewrite(c)
-		if !ok {
-			return nil, false
-		}
-		mapped = append(mapped, e)
-	}
-	return expr.And(mapped), true
+	return !exact, true
 }

@@ -333,3 +333,48 @@ func TestUnparseableViewIgnored(t *testing.T) {
 		t.Fatal("broken view definition must not match")
 	}
 }
+
+// TestCompensationCarriesTheTail: every match kind's compensation keeps the
+// query's DISTINCT, ORDER BY and LIMIT — an ORDER BY key mapped like an item,
+// an output alias kept as it is — and an exact rollup's HAVING filters the
+// stored aggregates in WHERE.
+func TestCompensationCarriesTheTail(t *testing.T) {
+	st := storage.NewStore()
+	for _, v := range []*storage.MaterializedView{aggView(), spjView()} {
+		if err := st.AddView(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		kind, q, view, comp string
+		rows                int
+	}{
+		{"SPJ", "SELECT DISTINCT i.custid FROM invoiceline i WHERE i.charge > 8 ORDER BY i.custid DESC LIMIT 1", "bigcharges",
+			"SELECT DISTINCT custid AS custid FROM bigcharges WHERE charge > 8 ORDER BY custid DESC LIMIT 1", 1},
+		{"aggregation over SPJ", "SELECT DISTINCT COUNT(*) AS n FROM invoiceline i WHERE i.charge > 5 GROUP BY i.custid ORDER BY n LIMIT 2", "bigcharges",
+			"SELECT DISTINCT COUNT(*) AS n FROM bigcharges GROUP BY custid ORDER BY n LIMIT 2", 1},
+		{"rollup", `SELECT DISTINCT c.office, SUM(i.charge) AS total FROM customer c, invoiceline i WHERE c.custid = i.custid
+			GROUP BY c.office ORDER BY SUM(i.charge) DESC, c.office LIMIT 1`, "officecusttotals",
+			"SELECT DISTINCT office, SUM(total) AS total FROM officecusttotals GROUP BY office ORDER BY SUM(total) DESC, office LIMIT 1", 1},
+		{"exact rollup", `SELECT DISTINCT c.office FROM customer c, invoiceline i WHERE c.custid = i.custid
+			GROUP BY c.office, c.custid HAVING SUM(i.charge) > 10 ORDER BY c.office LIMIT 5`, "officecusttotals",
+			"SELECT DISTINCT office FROM officecusttotals WHERE total > 10 ORDER BY office LIMIT 5", 2},
+	}
+	for _, tc := range cases {
+		m, ok := MatchView(sqlparse.MustParseSelect(tc.q), st.View(tc.view))
+		if !ok {
+			t.Fatalf("%s: no match", tc.kind)
+		}
+		if got := m.Comp.SQL(); got != tc.comp {
+			t.Errorf("%s: compensation\n got %s\nwant %s", tc.kind, got, tc.comp)
+		}
+		if rows := runComp(t, st, m); len(rows) != tc.rows {
+			t.Errorf("%s: %d rows, want %d: %v", tc.kind, len(rows), tc.rows, rows)
+		}
+	}
+	// An ORDER BY key the view cannot express means no match.
+	q := sqlparse.MustParseSelect("SELECT i.invid FROM invoiceline i WHERE i.charge > 8 ORDER BY i.linenum")
+	if m, ok := MatchView(q, st.View("bigcharges")); ok {
+		t.Fatalf("unmappable ORDER BY key matched: %s", m.Comp.SQL())
+	}
+}
