@@ -88,6 +88,8 @@ func main() {
 			os.Exit(1)
 		}
 		cfg.SubcontractPeers = dialer.peers
+		// The one bound on a subcontract call; the dialer bounds only the dial.
+		cfg.Faults = &trading.FaultPolicy{CallTimeout: subcontractTimeout, Metrics: metrics}
 	}
 	n := node.New(cfg)
 	copyStore(src, n)
@@ -194,6 +196,9 @@ func (s slowService) Execute(req trading.ExecReq) (trading.ExecResp, error) {
 	return s.Service.Execute(req)
 }
 
+// subcontractTimeout bounds dialing a subcontract peer and each call to it.
+const subcontractTimeout = 5 * time.Second
+
 // peerDialer lazily dials subcontract peers by id so a federation of qtnode
 // processes can start in any order: a peer is connected on first use, and
 // an unreachable peer simply stays out of the subcontracting pool.
@@ -225,7 +230,7 @@ func (d *peerDialer) peer(id string) (*netsim.RPCPeer, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown subcontract peer %q", id)
 	}
-	p, err := netsim.DialPeerTimeout(addr, id, 5*time.Second)
+	p, err := netsim.DialPeerTimeout(addr, id, subcontractTimeout)
 	if err != nil {
 		return nil, err
 	}

@@ -245,7 +245,7 @@ func main() {
 	customers := flag.Int("customers", 50, "customers per office")
 	offices := flag.String("offices", "Corfu,Myconos,Athens", "federation offices")
 	connect := flag.String("connect", "", "comma-separated id=addr pairs of qtnode servers; empty = in-process simulation")
-	callTimeout := flag.Duration("call-timeout", 0, "remote mode: bound on dialing and on every RPC to a qtnode (0 = none)")
+	callTimeout := flag.Duration("call-timeout", 0, "remote mode: bound on dialing a qtnode and, through the buyer's fault policy, on every call to it (0 = none)")
 	logLevel := flag.String("log-level", "warn", "log verbosity: debug, info, warn or error")
 	obsAddr := flag.String("obs-addr", "", "HTTP address serving /metrics, /metrics/history, /debug/pprof/*, /debug/queries, /trace/last, /ledger and /calibration (empty = no exposition)")
 	traceKeep := flag.Int("trace-keep", 0, "how many sampled traces /trace/last retains (0 = default capacity)")
@@ -409,8 +409,9 @@ func sortedPairs(net *netsim.Network) []pairLine {
 }
 
 // runRemote drives a federation of qtnode processes over net/rpc. With a
-// positive callTimeout both dialing and every RPC are bounded, so a hung or
-// unreachable qtnode fails fast instead of stalling the shell.
+// positive callTimeout the dial is bounded and every call runs under a fault
+// policy with that CallTimeout, so a hung or unreachable qtnode fails fast
+// instead of stalling the shell.
 func runRemote(offices, connect string, callTimeout time.Duration, obsAddr string, traceKeep int, histWindow time.Duration) {
 	sch := workload.TelcoSchema(strings.Split(offices, ","))
 	peers := map[string]trading.Peer{}
@@ -448,6 +449,10 @@ func runRemote(offices, connect string, callTimeout time.Duration, obsAddr strin
 	s := &session{metrics: obs.NewMetrics(), ledg: ledger.New(0),
 		flight: flight.NewRecorder(0), keep: traceKeep, window: histWindow,
 		attach: func(*obs.Tracer) {}}
+	cfg := core.Config{ID: "qtsql", Schema: sch}
+	if callTimeout > 0 {
+		cfg.Faults = &trading.FaultPolicy{CallTimeout: callTimeout, Metrics: s.metrics}
+	}
 	s.serveObs(obsAddr)
 	fmt.Println(`type SQL, "EXPLAIN [ANALYZE] <sql>", "\trace on", "\metrics", "\ledger", "\calibration", "\slow [n]" or "\quit"`)
 	sc := bufio.NewScanner(os.Stdin)
@@ -471,7 +476,7 @@ func runRemote(offices, connect string, callTimeout time.Duration, obsAddr strin
 			fmt.Printf("unknown command %s\n", line)
 			continue
 		}
-		s.query(core.Config{ID: "qtsql", Schema: sch}, comm, nil, line)
+		s.query(cfg, comm, nil, line)
 	}
 }
 

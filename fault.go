@@ -137,18 +137,16 @@ func (f *Federation) EnableFaultTolerance(ft FaultTolerance) {
 		RoundTimeout: ft.RoundTimeout,
 		MaxRetries:   ft.MaxRetries,
 		Backoff:      ft.Backoff,
-		Breakers: trading.NewBreakerSet(trading.BreakerConfig{
-			Threshold: ft.BreakerThreshold,
-			Cooldown:  ft.BreakerCooldown,
-		}, f.metrics),
-		Metrics: f.metrics,
+		// The breakers live in the peer directory's records, so its health
+		// gate skips a peer with an open breaker as early as a draining one,
+		// and RemoveNode drops a peer's breaker with the rest of its record.
+		Directory: f.dir,
+		Breaker:   trading.BreakerConfig{Threshold: ft.BreakerThreshold, Cooldown: ft.BreakerCooldown},
+		Metrics:   f.metrics,
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.faults = pol
-	// The peer directory folds circuit state into its health gate, so a
-	// peer with an open breaker is skipped as early as a draining one.
-	f.dir.Breakers = pol.Breakers
 	for _, n := range f.nodes {
 		n.inner.SetFaultPolicy(pol)
 	}

@@ -375,7 +375,7 @@ func TestOptimizeLeavesPeerMapAlone(t *testing.T) {
 	comm := &PeerComm{PeerMap: peers}
 	cfg := athensCfg(f)
 	cfg.Faults = testPolicy(nil)
-	cfg.Directory = trading.NewDirectory(cfg.Faults.Breakers)
+	cfg.Directory = cfg.Faults.Directory
 	q := "SELECT i.invid, i.charge FROM invoiceline i WHERE i.charge > 4"
 	for i := 0; i < 200; i++ {
 		c := cfg

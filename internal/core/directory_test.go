@@ -23,7 +23,7 @@ func TestDirectoryGatesFanout(t *testing.T) {
 	cfg := athensCfg(f)
 	cfg.Metrics = obs.NewMetrics()
 	cfg.Faults = testPolicy(cfg.Metrics)
-	cfg.Directory = trading.NewDirectory(cfg.Faults.Breakers)
+	cfg.Directory = cfg.Faults.Directory
 	cfg.Protocol = trading.IterativeBid{MaxRounds: 2}
 
 	// Healthy federation: both island sellers answer, the directory records

@@ -21,10 +21,9 @@ func testPolicy(m *obs.Metrics) *trading.FaultPolicy {
 		RoundTimeout: 400 * time.Millisecond,
 		MaxRetries:   2,
 		Backoff:      time.Millisecond,
-		Breakers: trading.NewBreakerSet(trading.BreakerConfig{
-			Threshold: 3, Cooldown: 20 * time.Millisecond,
-		}, m),
-		Metrics: m,
+		Directory:    trading.NewDirectory(),
+		Breaker:      trading.BreakerConfig{Threshold: 3, Cooldown: 20 * time.Millisecond},
+		Metrics:      m,
 	}
 }
 

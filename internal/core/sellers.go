@@ -76,7 +76,8 @@ func (s *sellers) award(o trading.Offer) {
 		return
 	}
 	aw := trading.Award{RFBID: o.RFBID, OfferID: o.OfferID, BuyerID: s.self}
-	s.report(o.SellerID, s.pol.Call(o.SellerID, func() error { return s.comm.Award(o.SellerID, aw) }))
+	_, err := trading.GuardCall(s.pol, o.SellerID, func() (struct{}, error) { return struct{}{}, s.comm.Award(o.SellerID, aw) })
+	s.report(o.SellerID, err)
 }
 
 // fetch is one delivery exchange: an opening fetch, a continuation or a

@@ -147,7 +147,7 @@ func (c drainOnDeliver) Fetch(to string, req trading.ExecReq) (trading.ExecResp,
 func TestSellersFetchFeedsDirectory(t *testing.T) {
 	f := buildFederation(t, nil)
 	cfg := athensCfg(f)
-	cfg.Directory = trading.NewDirectory(nil)
+	cfg.Directory = trading.NewDirectory()
 	comm := &NetComm{Net: f.net, SelfID: "athens"}
 	q := "SELECT i.invid, i.charge FROM invoiceline i WHERE i.charge > 4"
 	res, err := Optimize(cfg, comm, q)

@@ -45,10 +45,9 @@ func F12Chaos(queries int, seed int64) *Table {
 			RoundTimeout: 30 * time.Millisecond,
 			MaxRetries:   4,
 			Backoff:      time.Millisecond,
-			Breakers: trading.NewBreakerSet(trading.BreakerConfig{
-				Threshold: 5, Cooldown: 40 * time.Millisecond,
-			}, m),
-			Metrics: m,
+			Directory:    trading.NewDirectory(),
+			Breaker:      trading.BreakerConfig{Threshold: 5, Cooldown: 40 * time.Millisecond},
+			Metrics:      m,
 		}
 		// The fault counters need a fresh registry per drop rate, so this
 		// experiment keeps its own metrics and only borrows the shared tracer.

@@ -27,9 +27,10 @@ import (
 // (n1..nN; the buyer n0 holds its round-robin share too), every fragment
 // replicated twice so any single seller's exit leaves full coverage, and
 // load-aware pricing on so busy or draining sellers price themselves out of
-// new work. It returns the federation plus the shared fault policy and peer
-// directory the buyer-side churn machinery runs under.
-func f17Fed(sellers int, seed int64) (*workload.Federation, workload.ChainOptions, *trading.FaultPolicy, *trading.Directory) {
+// new work. It returns the federation plus the shared fault policy the
+// buyer-side churn machinery runs under; its Directory is the buyer's peer
+// directory, so one record per peer holds the drain mark and the breaker.
+func f17Fed(sellers int, seed int64) (*workload.Federation, workload.ChainOptions, *trading.FaultPolicy) {
 	if sellers < 4 {
 		panic("f17Fed: need at least 4 sellers so the crash and drain victims never co-hold a fragment")
 	}
@@ -53,11 +54,9 @@ func f17Fed(sellers int, seed int64) (*workload.Federation, workload.ChainOption
 		CallTimeout: 2 * time.Second,
 		MaxRetries:  2,
 		Backoff:     time.Millisecond,
-		Breakers: trading.NewBreakerSet(trading.BreakerConfig{
-			Threshold: 3, Cooldown: 250 * time.Millisecond,
-		}, nil),
+		Directory:   trading.NewDirectory(),
+		Breaker:     trading.BreakerConfig{Threshold: 3, Cooldown: 250 * time.Millisecond},
 	}
-	dir := trading.NewDirectory(pol.Breakers)
 	for _, n := range f.Nodes {
 		for _, table := range n.Store().Tables() {
 			if _, err := n.Store().TableStats(table); err != nil {
@@ -65,7 +64,7 @@ func f17Fed(sellers int, seed int64) (*workload.Federation, workload.ChainOption
 			}
 		}
 	}
-	return f, opts, pol, dir
+	return f, opts, pol
 }
 
 // f17Run drives clients closed-loop goroutines through the recovery
@@ -77,7 +76,7 @@ func f17Fed(sellers int, seed int64) (*workload.Federation, workload.ChainOption
 // access during the run happens on the controller goroutine — the workers
 // only touch state captured here, so a concurrent JoinReplica cannot race
 // them.
-func f17Run(f *workload.Federation, opts workload.ChainOptions, pol *trading.FaultPolicy, dir *trading.Directory,
+func f17Run(f *workload.Federation, opts workload.ChainOptions, pol *trading.FaultPolicy,
 	clients, queriesPerClient int, during func(done *atomic.Int64)) (qps, p50, p95 float64, failed int64) {
 	buyer := f.Nodes[f.Buyer]
 	comm := f.Comm()
@@ -96,7 +95,7 @@ func f17Run(f *workload.Federation, opts workload.ChainOptions, pol *trading.Fau
 			lat[c] = make([]float64, 0, queriesPerClient)
 			for q := 0; q < queriesPerClient; q++ {
 				sql := workload.ChainQuery(opts, 0.25+0.03*float64((c*queriesPerClient+q)%16))
-				cfg := core.Config{ID: f.Buyer, Schema: f.Schema, Self: buyer, Faults: pol, Directory: dir}
+				cfg := core.Config{ID: f.Buyer, Schema: f.Schema, Self: buyer, Faults: pol, Directory: pol.Directory}
 				q0 := time.Now()
 				_, _, _, err := core.OptimizeAndExecute(cfg, comm, &exec.Executor{Store: buyer.Store()}, sql, 3)
 				if err != nil {
@@ -135,7 +134,8 @@ func F17Churn(sellers, clients, queriesPerClient int, seed int64) *Table {
 			sellers, clients, queriesPerClient),
 		Header: []string{"phase", "qps", "p50_ms", "p95_ms", "failed", "members", "draining", "crashed"},
 	}
-	f, opts, pol, dir := f17Fed(sellers, seed)
+	f, opts, pol := f17Fed(sellers, seed)
+	dir := pol.Directory
 	crashID, drainID := "n2", "n4"
 	joinID := fmt.Sprintf("n%d", sellers+1)
 
@@ -156,7 +156,7 @@ func F17Churn(sellers, clients, queriesPerClient int, seed int64) *Table {
 		t.Rows = append(t.Rows, []string{phase, f2(qps), f2(p50), f2(p95), d(failed), d(members), d(draining), d(crashed)})
 	}
 
-	qps, p50, p95, failed := f17Run(f, opts, pol, dir, clients, queriesPerClient, nil)
+	qps, p50, p95, failed := f17Run(f, opts, pol, clients, queriesPerClient, nil)
 	record("steady", qps, p50, p95, failed)
 
 	total := int64(clients * queriesPerClient)
@@ -178,10 +178,10 @@ func F17Churn(sellers, clients, queriesPerClient int, seed int64) *Table {
 		wait(3 * total / 4)
 		f.Net.CrashNode(crashID)
 	}
-	qps, p50, p95, failed = f17Run(f, opts, pol, dir, clients, queriesPerClient, churn)
+	qps, p50, p95, failed = f17Run(f, opts, pol, clients, queriesPerClient, churn)
 	record("churn", qps, p50, p95, failed)
 
-	qps, p50, p95, failed = f17Run(f, opts, pol, dir, clients, queriesPerClient, nil)
+	qps, p50, p95, failed = f17Run(f, opts, pol, clients, queriesPerClient, nil)
 	record("recovered", qps, p50, p95, failed)
 	return t
 }

@@ -2,7 +2,8 @@ package netsim
 
 import (
 	"errors"
-	"sync/atomic"
+	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -242,38 +243,45 @@ func TestUnregister(t *testing.T) {
 	}
 }
 
+// TestRPCCallTimeout: an RPCPeer starts no timer of its own. A call to a
+// blackholed server is bounded by the fault policy it runs under and fails
+// as a transient ErrCallTimeout; a fast call under the same policy succeeds.
 func TestRPCCallTimeout(t *testing.T) {
-	svc := &slowService{echoService: echoService{id: "slow"}}
-	svc.delay.Store(int64(200 * time.Millisecond))
-	ln, err := ServeRPC("127.0.0.1:0", "Node", svc)
+	hole, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	peer, err := DialPeerTimeout(ln.Addr().String(), "Node", 20*time.Millisecond)
+	defer hole.Close()
+	go func() { // accept and read everything, answer nothing
+		for {
+			conn, err := hole.Accept()
+			if err != nil {
+				return
+			}
+			go io.Copy(io.Discard, conn)
+		}
+	}()
+	peer, err := DialPeerTimeout(hole.Addr().String(), "Node", 20*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer peer.Close()
-	_, err = peer.RequestBids(rfb())
+	pol := &trading.FaultPolicy{CallTimeout: 20 * time.Millisecond}
+	_, err = trading.GuardCall(pol, "Node", func() (trading.BidReply, error) { return peer.RequestBids(rfb()) })
 	if !errors.Is(err, trading.ErrCallTimeout) || !trading.IsTransient(err) {
 		t.Fatalf("want transient ErrCallTimeout, got %v", err)
 	}
-	// A fast call under the same timeout succeeds. The first call's server
-	// goroutine may still be sleeping, so the delay must be atomic.
-	svc.delay.Store(0)
-	if _, err := peer.RequestBids(rfb()); err != nil {
+	ln, err := ServeRPC("127.0.0.1:0", "Node", &echoService{id: "fast"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	fast, err := DialPeer(ln.Addr().String(), "Node")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fast.Close()
+	if _, err := trading.GuardCall(pol, "Node", func() (trading.BidReply, error) { return fast.RequestBids(rfb()) }); err != nil {
 		t.Fatalf("fast call: %v", err)
 	}
-}
-
-// slowService delays every RequestBids by delay (nanoseconds).
-type slowService struct {
-	echoService
-	delay atomic.Int64
-}
-
-func (s *slowService) RequestBids(r trading.RFB) (trading.BidReply, error) {
-	time.Sleep(time.Duration(s.delay.Load()))
-	return s.echoService.RequestBids(r)
 }

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"fmt"
 	"math"
 	"net"
 	"net/rpc"
@@ -82,15 +81,13 @@ func ServeRPC(addr string, name string, svc Service) (net.Listener, error) {
 	return ln, nil
 }
 
-// RPCPeer is a trading.Peer speaking net/rpc to a remote node.
+// RPCPeer is a trading.Peer speaking net/rpc to a remote node. Its calls
+// are unbounded, exactly net/rpc's native behaviour: a caller bounds a call
+// by running it under a trading.FaultPolicy with a CallTimeout, the one
+// timer on a seller call.
 type RPCPeer struct {
-	Name string // registered service name on the remote side
-	// CallTimeout, when positive, bounds every call; a call that exceeds it
-	// fails with a transient trading.ErrCallTimeout (the in-flight RPC is
-	// abandoned, its late reply discarded). Zero keeps calls unbounded — a
-	// hung server then hangs the caller, exactly net/rpc's native behaviour.
-	CallTimeout time.Duration
-	client      *rpc.Client
+	Name   string // registered service name on the remote side
+	client *rpc.Client
 }
 
 // DialPeer connects to a node served by ServeRPC.
@@ -102,31 +99,20 @@ func DialPeer(addr, name string) (*RPCPeer, error) {
 	return &RPCPeer{Name: name, client: c}, nil
 }
 
-// DialPeerTimeout is DialPeer with a bound on connection establishment; the
-// returned peer also applies timeout to every call. An unreachable or
-// blackholed server then fails the dial within timeout instead of hanging.
+// DialPeerTimeout is DialPeer with a bound on connection establishment: an
+// unreachable or blackholed server fails the dial within timeout instead of
+// hanging. It bounds only the dial.
 func DialPeerTimeout(addr, name string, timeout time.Duration) (*RPCPeer, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, err
 	}
-	return &RPCPeer{Name: name, CallTimeout: timeout, client: rpc.NewClient(conn)}, nil
+	return &RPCPeer{Name: name, client: rpc.NewClient(conn)}, nil
 }
 
-// call performs one RPC under the peer's CallTimeout.
+// call performs one RPC.
 func (p *RPCPeer) call(method string, args, reply any) error {
-	if p.CallTimeout <= 0 {
-		return p.client.Call(p.Name+"."+method, args, reply)
-	}
-	c := p.client.Go(p.Name+"."+method, args, reply, make(chan *rpc.Call, 1))
-	t := time.NewTimer(p.CallTimeout)
-	defer t.Stop()
-	select {
-	case done := <-c.Done:
-		return done.Error
-	case <-t.C:
-		return trading.MarkTransient(fmt.Errorf("netsim: rpc %s.%s: %w", p.Name, method, trading.ErrCallTimeout))
-	}
+	return p.client.Call(p.Name+"."+method, args, reply)
 }
 
 // RequestBids implements trading.Peer.

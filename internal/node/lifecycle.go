@@ -146,7 +146,8 @@ type Health struct {
 }
 
 // Health reports the node's live lifecycle and admission state plus the
-// per-peer breaker summary of its fault policy (when one is attached).
+// per-peer breaker summary of its fault policy's directory (when one is
+// attached).
 func (n *Node) Health() Health {
 	st := n.State()
 	n.mu.Lock()
@@ -162,7 +163,15 @@ func (n *Node) Health() Health {
 		StandingRFBs: standing,
 	}
 	if pol := n.cfg.Faults; pol != nil {
-		h.Breakers = pol.Breakers.States()
+		for _, p := range pol.Directory.Snapshot() {
+			if p.Breaker == "" {
+				continue
+			}
+			if h.Breakers == nil {
+				h.Breakers = map[string]string{}
+			}
+			h.Breakers[p.ID] = p.Breaker
+		}
 	}
 	return h
 }

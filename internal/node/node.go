@@ -59,8 +59,8 @@ type Config struct {
 	SubcontractPeers func() map[string]trading.Peer
 	// Faults, when set, guards the nested subcontract negotiation with the
 	// policy's timeouts, retries and per-peer breakers. Share one policy
-	// (and its BreakerSet) with the buyer so failures seen on either side
-	// open the same breaker.
+	// (and so the directory its breakers live in) with the buyer so failures
+	// seen on either side open the same breaker.
 	Faults *trading.FaultPolicy
 	// Workers bounds how many of an RFB's queries this node prices
 	// concurrently (0 = runtime.GOMAXPROCS(0), 1 = strictly serial). The

@@ -4,17 +4,19 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"qtrade/internal/obs"
 )
 
-// This file is the federation's membership view: a per-peer lifecycle state
-// machine plus a directory that resolves which peers a negotiation should
-// even talk to. The lifecycle mirrors the node side (a node announces it is
-// draining by rejecting new RFBs with ErrDraining); the directory is the
-// buyer-side cache of those announcements, folded together with breaker
-// state and last-seen time into one health-gated peer view. Autonomy cuts
-// both ways: nodes join and leave on their own schedule, and buyers must
-// keep trading through the churn without hanging on peers that told them
-// "not now".
+// This file is the federation's membership view and the only place a
+// seller's health is kept: one record per peer holding its lifecycle mark,
+// its last successful contact and its circuit breaker. The lifecycle mirrors
+// the node side (a node announces it is draining by rejecting new RFBs with
+// ErrDraining); the breaker is written by the fault policy's calls
+// (GuardCall); the directory folds both into the health gate a buyer applies
+// before spending a round-trip. Autonomy cuts both ways: nodes join and leave
+// on their own schedule, and buyers must keep trading through the churn
+// without hanging on peers that told them "not now".
 
 // NodeState is a federation member's lifecycle position.
 type NodeState int
@@ -40,6 +42,158 @@ func (s NodeState) String() string {
 	}
 }
 
+// BreakerState is a circuit breaker's position.
+type BreakerState int
+
+// The breaker states. The numeric values double as the gauge encoding
+// exposed through metrics ("fault.breaker.<peer>"): 0 closed, 1 half-open,
+// 2 open.
+const (
+	BreakerClosed BreakerState = iota
+	BreakerHalfOpen
+	BreakerOpen
+)
+
+func (s BreakerState) String() string {
+	switch s {
+	case BreakerOpen:
+		return "open"
+	case BreakerHalfOpen:
+		return "half-open"
+	default:
+		return "closed"
+	}
+}
+
+// BreakerConfig parameterizes one circuit breaker.
+type BreakerConfig struct {
+	// Threshold is the number of consecutive failures that opens the
+	// breaker (0 = 5).
+	Threshold int
+	// Cooldown is how long an open breaker rejects calls before allowing
+	// half-open probes (0 = 500ms).
+	Cooldown time.Duration
+	// HalfOpenProbes is the number of consecutive successful probes that
+	// close a half-open breaker (0 = 1).
+	HalfOpenProbes int
+}
+
+func (c BreakerConfig) withDefaults() BreakerConfig {
+	if c.Threshold <= 0 {
+		c.Threshold = 5
+	}
+	if c.Cooldown <= 0 {
+		c.Cooldown = 500 * time.Millisecond
+	}
+	if c.HalfOpenProbes <= 0 {
+		c.HalfOpenProbes = 1
+	}
+	return c
+}
+
+// Breaker is a per-peer circuit breaker: closed while the peer behaves, open
+// after Threshold consecutive failures (rejecting calls without touching the
+// network), half-open after Cooldown to let probe calls test the peer again.
+// A nil breaker is closed for good.
+type Breaker struct {
+	cfg BreakerConfig
+	now func() time.Time // the one injectable clock; nil = time.Now
+
+	state *obs.Gauge   // last state transition, 0/1/2 (nil-safe)
+	opens *obs.Counter // closed→open transitions (nil-safe)
+
+	mu        sync.Mutex
+	st        BreakerState
+	failures  int // consecutive failures while closed
+	successes int // consecutive probe successes while half-open
+	openedAt  time.Time
+}
+
+// NewBreaker returns a closed breaker.
+func NewBreaker(cfg BreakerConfig) *Breaker {
+	return &Breaker{cfg: cfg.withDefaults()}
+}
+
+func (b *Breaker) clock() time.Time {
+	if b.now != nil {
+		return b.now()
+	}
+	return time.Now()
+}
+
+// position returns the breaker's state, moving open→half-open once the
+// cooldown has elapsed; callers hold b.mu.
+func (b *Breaker) position() BreakerState {
+	if b.st == BreakerOpen && b.clock().Sub(b.openedAt) >= b.cfg.Cooldown {
+		b.st = BreakerHalfOpen
+		b.successes = 0
+		b.state.Set(float64(BreakerHalfOpen))
+	}
+	return b.st
+}
+
+// Allow reports whether a call may proceed.
+func (b *Breaker) Allow() bool { return b.State() != BreakerOpen }
+
+// State returns the breaker's position.
+func (b *Breaker) State() BreakerState {
+	if b == nil {
+		return BreakerClosed
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.position()
+}
+
+// OnSuccess records a successful call.
+func (b *Breaker) OnSuccess() {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	switch b.st {
+	case BreakerHalfOpen:
+		b.successes++
+		if b.successes >= b.cfg.HalfOpenProbes {
+			b.st = BreakerClosed
+			b.failures = 0
+			b.state.Set(float64(BreakerClosed))
+		}
+	default:
+		b.failures = 0
+	}
+}
+
+// OnFailure records a failed call, opening the breaker when the consecutive
+// failure threshold is reached (or immediately from half-open: a failed
+// probe means the peer is still sick).
+func (b *Breaker) OnFailure() {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	switch b.st {
+	case BreakerHalfOpen:
+		b.open()
+	case BreakerClosed:
+		b.failures++
+		if b.failures >= b.cfg.Threshold {
+			b.open()
+		}
+	}
+}
+
+// open transitions to the open state; callers hold b.mu.
+func (b *Breaker) open() {
+	b.st = BreakerOpen
+	b.openedAt = b.clock()
+	b.failures = 0
+	b.state.Set(float64(BreakerOpen))
+	b.opens.Inc()
+}
+
 // PeerHealth is one directory entry's exported view.
 type PeerHealth struct {
 	ID       string    `json:"id"`
@@ -48,40 +202,31 @@ type PeerHealth struct {
 	LastSeen time.Time `json:"last_seen,omitempty"`
 }
 
+// dirEntry is a peer's one health record.
 type dirEntry struct {
-	state NodeState
-	seen  time.Time
+	state   NodeState
+	seen    time.Time
+	breaker *Breaker // made by the first guarded call; nil = closed
 }
 
-// Directory tracks every known peer's lifecycle state and last successful
-// contact, and — combined with the breaker registry — answers the question a
-// buyer asks at the top of every negotiation: which peers are worth sending
-// an RFB to right now? All methods are safe for concurrent use and nil-safe,
-// so an ungated federation (nil directory) behaves exactly as before.
+// Directory tracks every known peer's lifecycle state, last successful
+// contact and circuit breaker, and answers the question a buyer asks at the
+// top of every negotiation: which peers are worth sending an RFB to right
+// now? A fault policy whose Directory is this one keeps its breakers here,
+// so whoever reads the directory reads them too. All methods are safe for
+// concurrent use and nil-safe, so an ungated federation (nil directory)
+// behaves exactly as before.
 type Directory struct {
-	// Breakers, when set, folds circuit state into Eligible and Snapshot:
-	// a peer with an open breaker is as unreachable as a draining one.
-	Breakers *BreakerSet
-
-	now func() time.Time // injectable clock for tests; nil = time.Now
-
 	mu    sync.RWMutex
 	peers map[string]*dirEntry
 }
 
-// NewDirectory returns an empty directory sharing the given breaker registry
-// (which may be nil).
-func NewDirectory(breakers *BreakerSet) *Directory {
-	return &Directory{Breakers: breakers, peers: map[string]*dirEntry{}}
+// NewDirectory returns an empty directory.
+func NewDirectory() *Directory {
+	return &Directory{peers: map[string]*dirEntry{}}
 }
 
-func (d *Directory) clock() time.Time {
-	if d.now != nil {
-		return d.now()
-	}
-	return time.Now()
-}
-
+// entry returns id's record, creating it Active; callers hold d.mu.
 func (d *Directory) entry(id string) *dirEntry {
 	e := d.peers[id]
 	if e == nil {
@@ -89,6 +234,26 @@ func (d *Directory) entry(id string) *dirEntry {
 		d.peers[id] = e
 	}
 	return e
+}
+
+// breaker returns id's circuit breaker, made on first use under p's
+// thresholds and reporting to p's metrics as the gauge
+// "fault.breaker.<peer>" (0 closed, 1 half-open, 2 open) and the counter
+// "fault.breaker_opens". A nil directory hands out nil breakers, which allow
+// everything.
+func (d *Directory) breaker(id string, p *FaultPolicy) *Breaker {
+	if d == nil {
+		return nil
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	e := d.entry(id)
+	if e.breaker == nil {
+		e.breaker = NewBreaker(p.Breaker)
+		e.breaker.state = p.Metrics.Gauge("fault.breaker." + id)
+		e.breaker.opens = p.Metrics.Counter("fault.breaker_opens")
+	}
+	return e.breaker
 }
 
 // MarkState records a peer's lifecycle state (e.g. on AddNode, on a drain
@@ -112,19 +277,24 @@ func (d *Directory) Seen(id string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	e := d.entry(id)
-	e.seen = d.clock()
+	e.seen = time.Now()
 	if e.state == StateDraining {
 		e.state = StateActive
 	}
 }
 
-// Forget drops a peer from the directory entirely (RemoveNode). Nil-safe.
+// Forget drops a peer's record — lifecycle mark, last contact and breaker —
+// entirely (RemoveNode), so a node rejoining under the same id starts as a
+// stranger with a closed breaker. Nil-safe.
 func (d *Directory) Forget(id string) {
 	if d == nil {
 		return
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if e := d.peers[id]; e != nil && e.breaker != nil {
+		e.breaker.state.Set(float64(BreakerClosed))
+	}
 	delete(d.peers, id)
 }
 
@@ -144,26 +314,22 @@ func (d *Directory) State(id string) NodeState {
 }
 
 // Eligible reports whether a negotiation should fan out to the peer: its
-// lifecycle state is Active and its breaker (if tracked) is not open. This
-// is the health gate buyers apply before spending a round-trip. Nil-safe: a
-// nil directory gates nothing.
+// lifecycle state is Active and its breaker is not open. This is the health
+// gate buyers apply before spending a round-trip. Nil-safe: a nil directory
+// gates nothing.
 func (d *Directory) Eligible(id string) bool {
 	if d == nil {
 		return true
 	}
-	if d.State(id) != StateActive {
-		return false
-	}
-	if d.Breakers != nil {
-		if b := d.Breakers.For(id); b.State() == BreakerOpen {
-			return false
-		}
-	}
-	return true
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	e := d.peers[id]
+	return e == nil || e.state == StateActive && e.breaker.State() != BreakerOpen
 }
 
 // Snapshot returns every tracked peer's health, sorted by id, for /healthz
-// and operator tooling. Nil-safe.
+// and operator tooling. Breaker is empty for a peer no guarded call has
+// reached. Nil-safe.
 func (d *Directory) Snapshot() []PeerHealth {
 	if d == nil {
 		return nil
@@ -171,15 +337,13 @@ func (d *Directory) Snapshot() []PeerHealth {
 	d.mu.RLock()
 	out := make([]PeerHealth, 0, len(d.peers))
 	for id, e := range d.peers {
-		out = append(out, PeerHealth{ID: id, State: e.state.String(), LastSeen: e.seen})
+		h := PeerHealth{ID: id, State: e.state.String(), LastSeen: e.seen}
+		if e.breaker != nil {
+			h.Breaker = e.breaker.State().String()
+		}
+		out = append(out, h)
 	}
 	d.mu.RUnlock()
-	if d.Breakers != nil {
-		states := d.Breakers.States()
-		for i := range out {
-			out[i].Breaker = states[out[i].ID]
-		}
-	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

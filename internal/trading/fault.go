@@ -11,10 +11,12 @@ import (
 )
 
 // This file is the buyer-side fault-tolerance vocabulary: transient-error
-// classification, per-peer circuit breakers, and the FaultPolicy that guards
-// a seller call with a timeout, bounded retry-with-backoff, and a breaker
-// check. The policy wraps nothing: whoever makes a call runs it under the
-// policy (gather for RFB and improve rounds, GuardCall and Call elsewhere).
+// classification and the FaultPolicy that guards a seller call with a
+// timeout, bounded retry-with-backoff, and a check of the peer's circuit
+// breaker (kept in the peer's directory record, directory.go). The policy
+// wraps nothing: whoever makes a call runs it under the policy (gather for
+// RFB and improve rounds, GuardCall elsewhere), and callWithTimeout is the
+// only timer on a seller call.
 // Autonomy means sellers may be slow, flaky or gone; the policy turns each of
 // those into a bounded, observable failure instead of a hung negotiation.
 // Everything here is strictly opt-in: a nil *FaultPolicy reproduces the
@@ -92,223 +94,6 @@ func IsTransient(err error) bool {
 	return errors.As(err, &t) && t.Transient()
 }
 
-// BreakerState is a circuit breaker's position.
-type BreakerState int
-
-// The breaker states. The numeric values double as the gauge encoding
-// exposed through metrics ("fault.breaker.<peer>"): 0 closed, 1 half-open,
-// 2 open.
-const (
-	BreakerClosed BreakerState = iota
-	BreakerHalfOpen
-	BreakerOpen
-)
-
-func (s BreakerState) String() string {
-	switch s {
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
-
-// BreakerConfig parameterizes one circuit breaker.
-type BreakerConfig struct {
-	// Threshold is the number of consecutive failures that opens the
-	// breaker (0 = 5).
-	Threshold int
-	// Cooldown is how long an open breaker rejects calls before allowing
-	// half-open probes (0 = 500ms).
-	Cooldown time.Duration
-	// HalfOpenProbes is the number of consecutive successful probes that
-	// close a half-open breaker (0 = 1).
-	HalfOpenProbes int
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Threshold <= 0 {
-		c.Threshold = 5
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 500 * time.Millisecond
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 1
-	}
-	return c
-}
-
-// Breaker is a per-peer circuit breaker: closed while the peer behaves, open
-// after Threshold consecutive failures (rejecting calls without touching the
-// network), half-open after Cooldown to let probe calls test the peer again.
-type Breaker struct {
-	cfg BreakerConfig
-	now func() time.Time // injectable clock for tests; nil = time.Now
-
-	state *obs.Gauge   // last state transition, 0/1/2 (nil-safe)
-	opens *obs.Counter // closed→open transitions (nil-safe)
-
-	mu        sync.Mutex
-	st        BreakerState
-	failures  int // consecutive failures while closed
-	successes int // consecutive probe successes while half-open
-	openedAt  time.Time
-}
-
-// NewBreaker returns a closed breaker.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults()}
-}
-
-func (b *Breaker) clock() time.Time {
-	if b.now != nil {
-		return b.now()
-	}
-	return time.Now()
-}
-
-// Allow reports whether a call may proceed, transitioning open→half-open
-// when the cooldown has elapsed.
-func (b *Breaker) Allow() bool {
-	if b == nil {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.st == BreakerOpen && b.clock().Sub(b.openedAt) >= b.cfg.Cooldown {
-		b.st = BreakerHalfOpen
-		b.successes = 0
-		b.state.Set(float64(BreakerHalfOpen))
-	}
-	return b.st != BreakerOpen
-}
-
-// OnSuccess records a successful call.
-func (b *Breaker) OnSuccess() {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.st {
-	case BreakerHalfOpen:
-		b.successes++
-		if b.successes >= b.cfg.HalfOpenProbes {
-			b.st = BreakerClosed
-			b.failures = 0
-			b.state.Set(float64(BreakerClosed))
-		}
-	default:
-		b.failures = 0
-	}
-}
-
-// OnFailure records a failed call, opening the breaker when the consecutive
-// failure threshold is reached (or immediately from half-open: a failed
-// probe means the peer is still sick).
-func (b *Breaker) OnFailure() {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.st {
-	case BreakerHalfOpen:
-		b.open()
-	case BreakerClosed:
-		b.failures++
-		if b.failures >= b.cfg.Threshold {
-			b.open()
-		}
-	}
-}
-
-// open transitions to the open state; callers hold b.mu.
-func (b *Breaker) open() {
-	b.st = BreakerOpen
-	b.openedAt = b.clock()
-	b.failures = 0
-	b.state.Set(float64(BreakerOpen))
-	b.opens.Inc()
-}
-
-// State returns the breaker's position (transitioning open→half-open when
-// the cooldown has elapsed, like Allow).
-func (b *Breaker) State() BreakerState {
-	if b == nil {
-		return BreakerClosed
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.st == BreakerOpen && b.clock().Sub(b.openedAt) >= b.cfg.Cooldown {
-		b.st = BreakerHalfOpen
-		b.successes = 0
-		b.state.Set(float64(BreakerHalfOpen))
-	}
-	return b.st
-}
-
-// BreakerSet is the per-peer breaker registry shared by everything that
-// talks to sellers — the buyer loop, subcontracting sellers and the RPC
-// transport — so repeated failures seen anywhere open the peer's one shared
-// breaker.
-type BreakerSet struct {
-	cfg     BreakerConfig
-	metrics *obs.Metrics
-
-	mu       sync.Mutex
-	breakers map[string]*Breaker
-}
-
-// NewBreakerSet returns an empty registry. metrics may be nil; when set,
-// each peer's breaker exports its state as the gauge "fault.breaker.<peer>"
-// (0 closed, 1 half-open, 2 open) and open transitions count into
-// "fault.breaker_opens".
-func NewBreakerSet(cfg BreakerConfig, metrics *obs.Metrics) *BreakerSet {
-	return &BreakerSet{cfg: cfg.withDefaults(), metrics: metrics, breakers: map[string]*Breaker{}}
-}
-
-// For returns the breaker for one peer, creating it on first use. Nil-safe:
-// a nil set hands out nil breakers (which allow everything).
-func (s *BreakerSet) For(id string) *Breaker {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b := s.breakers[id]
-	if b == nil {
-		b = NewBreaker(s.cfg)
-		b.state = s.metrics.Gauge("fault.breaker." + id)
-		b.opens = s.metrics.Counter("fault.breaker_opens")
-		s.breakers[id] = b
-	}
-	return b
-}
-
-// States reports every registered peer breaker's position ("closed",
-// "half-open", "open") keyed by peer id, for health exposition. Nil-safe: a
-// nil set reports nothing.
-func (s *BreakerSet) States() map[string]string {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	snap := make(map[string]*Breaker, len(s.breakers))
-	for id, b := range s.breakers {
-		snap[id] = b
-	}
-	s.mu.Unlock()
-	out := make(map[string]string, len(snap))
-	for id, b := range snap {
-		out[id] = b.State().String()
-	}
-	return out
-}
-
 // FaultPolicy bounds every guarded peer call: a per-call timeout, bounded
 // retry-with-backoff for transient errors, a per-peer circuit breaker check,
 // and a per-round deadline for the negotiation fan-out (stragglers are cut
@@ -325,11 +110,17 @@ type FaultPolicy struct {
 	MaxRetries int
 	// Backoff is the first retry's delay, doubling per retry (0 = 2ms).
 	Backoff time.Duration
-	// Breakers, when set, short-circuits calls to peers that keep failing.
-	Breakers *BreakerSet
+	// Directory, when set, is the table whose peer records hold the circuit
+	// breakers that short-circuit calls to peers that keep failing (nil = no
+	// breakers).
+	Directory *Directory
+	// Breaker sets the thresholds of the breakers the policy makes in
+	// Directory (zero fields take the defaults).
+	Breaker BreakerConfig
 	// Metrics, when set, receives the policy counters: fault.call_timeouts,
 	// fault.retries, fault.stragglers, fault.breaker_rejects,
-	// fault.rounds_deadline_cut, fault.drain_rejects.
+	// fault.rounds_deadline_cut, fault.drain_rejects — and the breakers'
+	// fault.breaker.<peer> gauges and fault.breaker_opens.
 	Metrics *obs.Metrics
 
 	once sync.Once
@@ -378,7 +169,7 @@ func GuardCall[T any](p *FaultPolicy, id string, fn func() (T, error)) (T, error
 	if p == nil {
 		return fn()
 	}
-	br := p.Breakers.For(id)
+	br := p.Directory.breaker(id, p)
 	var err error
 	for attempt := 0; ; attempt++ {
 		if !br.Allow() {
@@ -436,16 +227,4 @@ func callWithTimeout[T any](p *FaultPolicy, id string, fn func() (T, error)) (T,
 		var zero T
 		return zero, MarkTransient(fmt.Errorf("trading: peer %s: %w", id, ErrCallTimeout))
 	}
-}
-
-// Call guards a plain error-returning exchange (award notifications) with
-// the same breaker/timeout/retry engine as peer calls. Nil-safe. fn must not
-// write captured variables: a timed-out call's goroutine keeps running and
-// would race the caller — use GuardCall for exchanges that return a value.
-func (p *FaultPolicy) Call(id string, fn func() error) error {
-	if p == nil {
-		return fn()
-	}
-	_, err := GuardCall(p, id, func() (struct{}, error) { return struct{}{}, fn() })
-	return err
 }

@@ -86,11 +86,13 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 }
 
-func TestBreakerSetMetrics(t *testing.T) {
+// A policy's breakers live in its directory's records and report to the
+// policy's metrics.
+func TestBreakerMetrics(t *testing.T) {
 	m := obs.NewMetrics()
-	set := NewBreakerSet(BreakerConfig{Threshold: 1, Cooldown: time.Hour}, m)
-	b := set.For("n1")
-	if set.For("n1") != b {
+	pol := &FaultPolicy{Directory: NewDirectory(), Breaker: BreakerConfig{Threshold: 1, Cooldown: time.Hour}, Metrics: m}
+	b := pol.Directory.breaker("n1", pol)
+	if pol.Directory.breaker("n1", pol) != b {
 		t.Fatal("same peer must share one breaker")
 	}
 	b.OnFailure()
@@ -133,7 +135,7 @@ func TestGuardRetriesTransientErrors(t *testing.T) {
 func TestGuardDoesNotRetryHardErrors(t *testing.T) {
 	pol := &FaultPolicy{MaxRetries: 3, Backoff: time.Microsecond}
 	calls := 0
-	err := pol.Call("x", func() error { calls++; return errors.New("hard") })
+	_, err := GuardCall(pol, "x", func() (struct{}, error) { calls++; return struct{}{}, errors.New("hard") })
 	if err == nil || calls != 1 {
 		t.Fatalf("hard error retried: calls=%d err=%v", calls, err)
 	}
@@ -142,9 +144,9 @@ func TestGuardDoesNotRetryHardErrors(t *testing.T) {
 func TestGuardCallTimeout(t *testing.T) {
 	m := obs.NewMetrics()
 	pol := &FaultPolicy{CallTimeout: 5 * time.Millisecond, Metrics: m}
-	err := pol.Call("slow", func() error {
+	_, err := GuardCall(pol, "slow", func() (struct{}, error) {
 		time.Sleep(200 * time.Millisecond)
-		return nil
+		return struct{}{}, nil
 	})
 	if !errors.Is(err, ErrCallTimeout) || !IsTransient(err) {
 		t.Fatalf("want transient ErrCallTimeout, got %v", err)
@@ -157,21 +159,26 @@ func TestGuardCallTimeout(t *testing.T) {
 func TestGuardBreakerOpensAndRejects(t *testing.T) {
 	m := obs.NewMetrics()
 	pol := &FaultPolicy{
-		Breakers: NewBreakerSet(BreakerConfig{Threshold: 2, Cooldown: time.Hour}, m),
-		Metrics:  m,
+		Directory: NewDirectory(),
+		Breaker:   BreakerConfig{Threshold: 2, Cooldown: time.Hour},
+		Metrics:   m,
 	}
-	fail := func() error { return errors.New("down") }
-	_ = pol.Call("n1", fail)
-	_ = pol.Call("n1", fail)
-	err := pol.Call("n1", fail)
+	fail := func() (struct{}, error) { return struct{}{}, errors.New("down") }
+	_, _ = GuardCall(pol, "n1", fail)
+	_, _ = GuardCall(pol, "n1", fail)
+	_, err := GuardCall(pol, "n1", fail)
 	if !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("want ErrBreakerOpen, got %v", err)
 	}
 	if got := m.Counter("fault.breaker_rejects").Value(); got != 1 {
 		t.Fatalf("rejects: %d", got)
 	}
+	// The open breaker is n1's directory record: it gates the fan-out too.
+	if pol.Directory.Eligible("n1") {
+		t.Fatal("the policy's open breaker must gate the peer in its directory")
+	}
 	// Other peers are unaffected.
-	if err := pol.Call("n2", func() error { return nil }); err != nil {
+	if _, err := GuardCall(pol, "n2", func() (struct{}, error) { return struct{}{}, nil }); err != nil {
 		t.Fatalf("independent peer: %v", err)
 	}
 }
@@ -281,7 +288,7 @@ func TestNilPolicyIsUnguarded(t *testing.T) {
 	if _, err := GuardCall(pol, "x", func() (BidReply, error) { return peer.RequestBids(RFB{}) }); err != nil || peer.calls.Load() != 1 {
 		t.Fatalf("nil policy must call the peer directly, once: %d calls, %v", peer.calls.Load(), err)
 	}
-	if err := pol.Call("x", func() error { return nil }); err != nil {
+	if _, err := GuardCall(pol, "x", func() (struct{}, error) { return struct{}{}, nil }); err != nil {
 		t.Fatal(err)
 	}
 	// gather with a nil policy waits for every peer (no deadline).

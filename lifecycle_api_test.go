@@ -126,6 +126,52 @@ func TestPublicLifecycleRemoveAndRejoin(t *testing.T) {
 	}
 }
 
+// TestRejoinedNodeStartsWithAClosedBreaker: a peer's breaker lives in its
+// directory entry, so RemoveNode drops it with the entry and a node that
+// rejoins under the same id is not skipped for its predecessor's failures.
+func TestRejoinedNodeStartsWithAClosedBreaker(t *testing.T) {
+	fed := buildFed(t)
+	fed.EnableFaultTolerance(FaultTolerance{BreakerThreshold: 1, BreakerCooldown: time.Hour})
+	athensQuery := `SELECT c.custname FROM customer c WHERE c.office = 'Athens'`
+
+	// One failed call opens athens's breaker.
+	fed.CrashNode("athens")
+	if _, err := fed.Query("hq", athensQuery); err == nil {
+		t.Fatal("a crashed node's partition must be unreachable")
+	}
+	if v := metricValue(t, fed.MetricsSnapshot(), "fault.breaker.athens"); v != 2 {
+		t.Fatalf("the failed call must open athens's breaker: fault.breaker.athens = %d", v)
+	}
+
+	if err := fed.RemoveNode("athens"); err != nil {
+		t.Fatal(err)
+	}
+	fed.RestartNode("athens")
+	n := fed.MustAddNode("athens")
+	n.MustCreateFragment("customer", "athens")
+	n.MustInsert("customer", "athens", Row(4, "dave", "Athens"))
+
+	res, err := fed.Query("hq", athensQuery)
+	if err != nil || len(res.Rows) != 1 {
+		t.Fatalf("the rejoined node must serve: %v, %+v", err, res)
+	}
+	for _, p := range fed.PeerDirectory() {
+		if p.ID == "athens" && p.Breaker == "open" {
+			t.Fatalf("the rejoined node inherited its predecessor's breaker: %+v", p)
+		}
+	}
+	h, err := fed.NodeHealth("hq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := h.Breakers["athens"]; st == "open" {
+		t.Fatalf("hq reports a stale athens:%s breaker: %v", st, h.Breakers)
+	}
+	if v := metricValue(t, fed.MetricsSnapshot(), "fault.breaker.athens"); v != 0 {
+		t.Fatalf("fault.breaker.athens = %d after the rejoin, want 0 (closed)", v)
+	}
+}
+
 // TestLedgerRecordsMembershipEvents pins the audit half of the lifecycle:
 // joins, drains, undrains and leaves land as membership events in the
 // federation ledger and in its JSONL export next to the negotiations.

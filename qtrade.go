@@ -229,7 +229,7 @@ func NewFederation(s *Schema, opts ...FederationOption) *Federation {
 		net:     netsim.New(),
 		nodes:   map[string]*Node{},
 		metrics: obs.NewMetrics(),
-		dir:     trading.NewDirectory(nil),
+		dir:     trading.NewDirectory(),
 	}
 	for _, o := range opts {
 		o(f)
