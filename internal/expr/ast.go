@@ -114,7 +114,17 @@ func (c *Column) String() string {
 	return c.Name
 }
 
-func (l *Lit) String() string { return l.V.String() }
+// String prints the literal as SQL that reads back as the same kind: a float
+// with no fraction keeps one (2.0, not 2), or a seller reading the text would
+// do integer arithmetic with it. Displayed values (value.String) are left as
+// they are.
+func (l *Lit) String() string {
+	s := l.V.String()
+	if l.V.K == value.Float && !strings.ContainsAny(s, ".eIN") { // N, I: NaN, ±Inf
+		s += ".0"
+	}
+	return s
+}
 
 // precedence for parenthesization when printing.
 func precedence(op string) int {

@@ -13,8 +13,10 @@ func floatBits(f float64) uint64     { return math.Float64bits(f) }
 func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
 
 // RPCService adapts a Service to the net/rpc calling convention so a node can
-// be served over TCP (see cmd/qtnode). Answers are gob-encoded; value.Value
-// has exported fields, so rows ship without custom codecs.
+// be served over TCP (see cmd/qtnode). Messages are gob-encoded by net/rpc,
+// except the rows of an answer and the offers of a bid reply, which gob
+// carries in the trading codec (trading.Rows, trading.Offers): a node of this
+// build and one of an older build no longer share that wire format.
 type RPCService struct {
 	Svc Service
 }

@@ -117,6 +117,10 @@ func TestSQLLogicBattery(t *testing.T) {
 			want: []string{"31"}},
 		{q: "SELECT c.custname FROM customer c WHERE c.custid % 2 = 0",
 			want: []string{"bob"}},
+		// A float literal makes integer-column arithmetic float; under trading
+		// the text is printed and read again (workload.TestSQLLogicUnderTrading).
+		{q: "SELECT c.custid * 1.0 / 4 FROM customer c WHERE c.custid < 3",
+			want: []string{"0.25", "0.5"}},
 		// Joins.
 		{q: "SELECT c.custname, i.charge FROM customer c, invoiceline i WHERE c.custid = i.custid AND i.charge > 9",
 			want: []string{"alice 10", "carol 20"}},

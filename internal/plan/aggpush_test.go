@@ -60,7 +60,7 @@ func TestBuildMergePlanAvgDivision(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := Explain(root)
-	if !strings.Contains(out, "_m0 * 1 / _m1") {
+	if !strings.Contains(out, "_m0 * 1.0 / _m1") {
 		t.Fatalf("AVG must merge as SUM/COUNT division:\n%s", out)
 	}
 }

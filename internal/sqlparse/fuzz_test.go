@@ -5,12 +5,17 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"qtrade/internal/expr"
+	"qtrade/internal/value"
 )
 
 // FuzzPrintParse: what the printer writes, the parser reads back as the same
 // statement. Compensations and partial queries cross the wire as printed SQL,
 // so a text that parses must print to a text that parses again to the same
 // tree — parse → print → parse is a fixpoint — and prints the same twice.
+// The first print already keeps every literal's kind and value: a seller
+// reads the text once, so a 2.0 printed as 2 computes integer arithmetic.
 // Double-quoted names are left out: the printer writes every name bare
 // (TestLexerQuotedIdentAndEscapes pins it), so one that needs its quotes does
 // not survive the trip.
@@ -46,6 +51,9 @@ func FuzzPrintParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%q prints as %q, which does not parse: %v", sql, text, err)
 		}
+		if a, b := literals(s1), literals(s2); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%q prints as %q: literals %s read back as %s", sql, text, kinded(a), kinded(b))
+		}
 		if again := s2.SQL(); again != text {
 			t.Fatalf("%q prints as %q, then as %q", sql, text, again)
 		}
@@ -53,4 +61,46 @@ func FuzzPrintParse(f *testing.F) {
 			t.Fatalf("%q: parsing %q twice gives two trees", sql, text)
 		}
 	})
+}
+
+// literals lists a statement's literals in print order.
+func literals(st Stmt) []value.Value {
+	var out []value.Value
+	collect := func(e expr.Expr) {
+		expr.Walk(e, func(x expr.Expr) bool {
+			if l, ok := x.(*expr.Lit); ok {
+				out = append(out, l.V)
+			}
+			return true
+		})
+	}
+	var sels []*Select
+	switch st := st.(type) {
+	case *Select:
+		sels = []*Select{st}
+	case *Union:
+		sels = st.Inputs
+	}
+	for _, s := range sels {
+		for _, it := range s.Items {
+			collect(it.Expr)
+		}
+		collect(s.Where)
+		for _, g := range s.GroupBy {
+			collect(g)
+		}
+		collect(s.Having)
+		for _, o := range s.OrderBy {
+			collect(o.Expr)
+		}
+	}
+	return out
+}
+
+func kinded(vs []value.Value) string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = v.K.String() + " " + v.String()
+	}
+	return strings.Join(out, ", ")
 }

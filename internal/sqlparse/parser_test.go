@@ -100,7 +100,7 @@ func TestParseExpressions(t *testing.T) {
 		{"(1 + 2) * 3", "(1 + 2) * 3"},
 		{"-x + 1", "-(x) + 1"},
 		{"-5", "-5"},
-		{"1.5e2", "150"},
+		{"1.5e2", "150.0"},
 		{"x <> 'it''s'", "x <> 'it''s'"},
 		{"x != 3", "x <> 3"},
 		{"SUM(x) > 10", "SUM(x) > 10"},

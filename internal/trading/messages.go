@@ -113,7 +113,7 @@ func (r *RFB) WireSize() int {
 // finished span subtree for the exchange (nil otherwise). With a nil Trace
 // the wire size is exactly the pre-envelope framing + offers.
 type BidReply struct {
-	Offers []Offer
+	Offers Offers
 	Trace  *obs.SpanPayload
 }
 
@@ -168,8 +168,10 @@ func (a *Award) WireSize() int { return 24 + len(a.RFBID) + len(a.OfferID) + len
 // plus a continuation token; the request is then repeated with Cursor set and
 // Seq incremented per batch until More goes false, or with CloseCursor to
 // abandon the rest. A seller re-delivers the batch it already sent for a
-// repeated Seq instead of advancing, so a retry is safe. Zero values gob-encode
-// as the pre-streaming message did, so mixed-version federations interoperate.
+// repeated Seq instead of advancing, so a retry is safe. The request itself is
+// plain gob, but the answer's rows and a bid reply's offers cross the wire in
+// the trading codec (codec.go), which a node of an older build does not read:
+// federations of mixed builds do not interoperate.
 type ExecReq struct {
 	BuyerID string
 	OfferID string
@@ -208,7 +210,7 @@ func (e *ExecReq) WireSize() int {
 // time so far, so the final batch carries the total.
 type ExecResp struct {
 	Cols   []ColSpec
-	Rows   []value.Row
+	Rows   Rows
 	ExecMS float64
 	// Cursor is the continuation token of a streamed answer; More reports
 	// whether batches remain beyond this one. An exhausted-or-unstreamed
