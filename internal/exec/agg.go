@@ -105,14 +105,6 @@ func (s *aggState) result() value.Value {
 	return value.NewNull()
 }
 
-func (ex *Executor) runAggregate(t *plan.Aggregate) ([]value.Row, error) {
-	in, err := ex.run(t.Input)
-	if err != nil {
-		return nil, err
-	}
-	return aggregateRows(t, in)
-}
-
 // keyIndex numbers the distinct keys it is shown in first-appearance order,
 // finding a key by its value.HashRow and then field-wise value.SameKey — the
 // grouping equivalence, with no key string built per row. Keys whose hashes
@@ -144,9 +136,8 @@ func (x *keyIndex) add(h uint64, key value.Row) {
 	x.heads[h] = int32(len(x.keys))
 }
 
-// aggregateRows evaluates the aggregate over fully materialized input rows,
-// emitting groups in first-seen order. Shared by the streaming cursor
-// (aggregation is a blocking operator) and the materializing reference path.
+// aggregateRows evaluates the aggregate cursor's fully drained input,
+// emitting groups in first-seen order (aggregation is a blocking operator).
 func aggregateRows(t *plan.Aggregate, in []value.Row) ([]value.Row, error) {
 	inSchema := t.Input.Schema()
 	groupExprs := make([]expr.Expr, len(t.GroupBy))

@@ -400,10 +400,9 @@ func (c *projectCursor) Close() error {
 
 // joinCursor builds a hash table over the (fully drained) right input at
 // Open, then streams the left input through it: probe output appears as soon
-// as the first left batch arrives. Output order matches the materializing
-// path exactly — left row order crossed with right insertion order per
-// bucket. Without equi-join keys it degrades to nested loops over the
-// materialized right side.
+// as the first left batch arrives. Output order is left row order crossed
+// with right insertion order per bucket — a nested loop's order. Without
+// equi-join keys it degrades to nested loops over the drained right side.
 //
 // The table is three flat pieces indexed by build-row number instead of a
 // heap object per entry: heads maps a key hash to the first row of its
@@ -721,8 +720,8 @@ func (c *limitCursor) Close() error {
 	return c.closeChild()
 }
 
-// distinctCursor streams rows through a first-seen filter, preserving the
-// materializing path's first-occurrence order.
+// distinctCursor streams rows through a first-seen filter, keeping each
+// row's first occurrence in input order.
 type distinctCursor struct {
 	ex     *Executor
 	in     Cursor
@@ -909,7 +908,7 @@ func (c *remoteCursor) Close() error {
 }
 
 // statsCursor records one operator's actuals — wall time across
-// Open/Next/Close (inclusive of children, like the materializing path),
+// Open/Next/Close (inclusive of children, whose work a parent's pull runs),
 // rows produced, and rows consumed (the sum of its children's rows-out,
 // final by the time the children's own recorders have closed).
 type statsCursor struct {

@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -36,12 +38,43 @@ func ints(vs ...int64) value.Row {
 	return r
 }
 
-// The flat join table against the materializing oracle on the shapes its
-// layout could get wrong: long chains of one key interleaved with others
-// (chain order), NULL keys (unlinked rows), a rejecting residual, a
-// multi-column key across Int/Float, and an empty build side — output rows
-// and their order identical at batch 1, 7 and 256.
-func TestJoinMatchesMaterializedEdges(t *testing.T) {
+// nestedLoop is the join the flat table must agree with: every left row in
+// order against every right row in insertion order, kept when each equi-key
+// pair (left column, right column) is value.Equal — so a NULL key matches
+// nothing — and the residual, bound to the joined row, evaluates true.
+func nestedLoop(t *testing.T, l, r []value.Row, keys [][2]int, residual expr.Expr) []value.Row {
+	var out []value.Row
+	for _, lr := range l {
+	pairs:
+		for _, rr := range r {
+			for _, k := range keys {
+				if !value.Equal(lr[k[0]], rr[k[1]]) {
+					continue pairs
+				}
+			}
+			row := append(append(value.Row{}, lr...), rr...)
+			if residual != nil {
+				v, err := expr.Eval(residual, row)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !v.Truth() {
+					continue
+				}
+			}
+			out = append(out, row)
+		}
+	}
+	return out
+}
+
+// The flat join table against a nested loop on the shapes its layout could
+// get wrong: long chains of one key interleaved with others (chain order),
+// NULL keys (unlinked rows), a rejecting residual, a multi-column key across
+// Int/Float/Str, an empty build side, and integers against the floats equal
+// to them (value.HashRow must agree with value.Equal) — output rows and their
+// order identical at batch 1, 7 and 256.
+func TestJoinMatchesNestedLoop(t *testing.T) {
 	null := value.NewNull()
 	var dupBuild, dupProbe []value.Row
 	for i := int64(0); i < 600; i++ {
@@ -54,40 +87,61 @@ func TestJoinMatchesMaterializedEdges(t *testing.T) {
 	for i := int64(0); i < 40; i++ {
 		dupProbe = append(dupProbe, ints(i%4, i, i%7))
 	}
+	a, c := [2]int{0, 0}, [2]int{2, 2}
 	cases := []struct {
-		name string
-		on   string
-		l, r []value.Row
+		name     string
+		keys     [][2]int // columns a, b, c are 0, 1, 2 on either side
+		residual string
+		l, r     []value.Row
 	}{
-		{"duplicates-interleaved", "l.a = r.a", dupProbe, dupBuild},
-		{"null-keys", "l.a = r.a",
+		{"duplicates-interleaved", [][2]int{a}, "", dupProbe, dupBuild},
+		{"null-keys", [][2]int{a}, "",
 			[]value.Row{{null, value.NewInt(1), null}, ints(1, 2, 3), {null, null, null}, ints(2, 0, 0)},
 			[]value.Row{ints(1, 10, 0), {null, value.NewInt(11), null}, ints(2, 12, 0), {null, null, null}, ints(1, 13, 0)}},
-		{"residual-rejects", "l.a = r.a AND l.b < r.b", dupProbe, dupBuild},
-		{"multi-column-key", "l.a = r.a AND r.c = l.c",
+		{"residual-rejects", [][2]int{a}, "l.b < r.b", dupProbe, dupBuild},
+		{"multi-column-key", [][2]int{a, c}, "",
 			[]value.Row{ints(1, 0, 2), {value.NewFloat(1), value.NewInt(1), value.NewFloat(2)}, ints(1, 2, 3), {value.NewStr("x"), null, value.NewStr("y")}},
 			[]value.Row{ints(1, 10, 2), ints(1, 11, 3), {value.NewFloat(1), value.NewInt(12), value.NewFloat(2)}, {value.NewStr("x"), null, value.NewStr("y")}, ints(2, 13, 2)}},
-		{"empty-build", "l.a = r.a", dupProbe, nil},
+		{"empty-build", [][2]int{a}, "", dupProbe, nil},
+		{"float-vs-int", [][2]int{a}, "",
+			[]value.Row{ints(1, 0, 0), ints(0, 1, 0), ints(2, 2, 0), {value.NewFloat(1), value.NewInt(3), null}},
+			[]value.Row{{value.NewFloat(1), value.NewInt(10), null}, {value.NewFloat(math.Copysign(0, -1)), value.NewInt(11), null},
+				{value.NewFloat(2.5), value.NewInt(12), null}, ints(1, 13, 0)}},
 	}
 	for _, tc := range cases {
 		tables := map[string][]value.Row{"l": tc.l, "r": tc.r}
-		mk := func() plan.Node {
-			return &plan.Join{L: memLeaf("l", "a", "b", "c"), R: memLeaf("r", "a", "b", "c"), On: sqlparse.MustParseExpr(tc.on)}
+		// The ON clause spells every second key right side first, so both
+		// orientations reach the key classifier.
+		var on []string
+		for i, k := range tc.keys {
+			l, r := "l."+string(rune('a'+k[0])), "r."+string(rune('a'+k[1]))
+			if i%2 == 1 {
+				l, r = r, l
+			}
+			on = append(on, l+" = "+r)
 		}
-		want, err := memExec(0, tables).RunMaterialized(mk())
-		if err != nil {
-			t.Fatalf("%s: materialized: %v", tc.name, err)
+		var residual expr.Expr
+		if tc.residual != "" {
+			on = append(on, tc.residual)
+			residual = sqlparse.MustParseExpr(tc.residual)
 		}
-		if tc.name != "empty-build" && len(want.Rows) == 0 {
-			t.Fatalf("%s: oracle answer is empty, the case tests nothing", tc.name)
+		join := &plan.Join{L: memLeaf("l", "a", "b", "c"), R: memLeaf("r", "a", "b", "c"), On: sqlparse.MustParseExpr(strings.Join(on, " AND "))}
+		if residual != nil {
+			if err := expr.Bind(residual, join.Schema()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := nestedLoop(t, tc.l, tc.r, tc.keys, residual)
+		if tc.name != "empty-build" && len(want) == 0 {
+			t.Fatalf("%s: the nested loop's answer is empty, the case tests nothing", tc.name)
 		}
 		for _, batch := range []int{1, 7, 256} {
-			got, err := memExec(batch, tables).Run(mk())
+			got, err := memExec(batch, tables).Run(join)
 			if err != nil {
 				t.Fatalf("%s batch %d: %v", tc.name, batch, err)
 			}
-			if len(got.Rows) != len(want.Rows) || (len(want.Rows) > 0 && !reflect.DeepEqual(got.Rows, want.Rows)) {
-				t.Fatalf("%s batch %d: cursor %v != materialized %v", tc.name, batch, got.Rows, want.Rows)
+			if len(got.Rows) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got.Rows, want)) {
+				t.Fatalf("%s batch %d: cursor %v != nested loop %v", tc.name, batch, got.Rows, want)
 			}
 		}
 	}
@@ -129,25 +183,23 @@ func TestJoinRejectedRowReusesSlabSlot(t *testing.T) {
 func TestGroupByDistinctAtInt64Boundary(t *testing.T) {
 	hi, lo := value.NewFloat(1<<63), value.NewFloat(-(1 << 63))
 	tables := map[string][]value.Row{"t": {{hi}, {lo}, {hi}, {value.NewInt(-(1 << 63))}}}
-	for _, run := range []func(*Executor, plan.Node) (*Result, error){(*Executor).Run, (*Executor).RunMaterialized} {
-		agg, err := run(memExec(0, tables), &plan.Aggregate{Input: memLeaf("t", "f"),
-			GroupBy:    []expr.Expr{sqlparse.MustParseExpr("t.f")},
-			GroupNames: []expr.ColumnID{{Table: "t", Name: "f"}},
-			Aggs:       []plan.AggItem{{Agg: &expr.Agg{Fn: "COUNT", Star: true}, Name: expr.ColumnID{Name: "n"}}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := []value.Row{{hi, value.NewInt(2)}, {lo, value.NewInt(2)}}
-		if !reflect.DeepEqual(agg.Rows, want) {
-			t.Fatalf("GROUP BY: got %v, want %v", agg.Rows, want)
-		}
-		dis, err := run(memExec(0, tables), &plan.Distinct{Input: memLeaf("t", "f")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := []value.Row{{hi}, {lo}}; !reflect.DeepEqual(dis.Rows, want) {
-			t.Fatalf("DISTINCT: got %v, want %v", dis.Rows, want)
-		}
+	agg, err := memExec(0, tables).Run(&plan.Aggregate{Input: memLeaf("t", "f"),
+		GroupBy:    []expr.Expr{sqlparse.MustParseExpr("t.f")},
+		GroupNames: []expr.ColumnID{{Table: "t", Name: "f"}},
+		Aggs:       []plan.AggItem{{Agg: &expr.Agg{Fn: "COUNT", Star: true}, Name: expr.ColumnID{Name: "n"}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []value.Row{{hi, value.NewInt(2)}, {lo, value.NewInt(2)}}
+	if !reflect.DeepEqual(agg.Rows, want) {
+		t.Fatalf("GROUP BY: got %v, want %v", agg.Rows, want)
+	}
+	dis, err := memExec(0, tables).Run(&plan.Distinct{Input: memLeaf("t", "f")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []value.Row{{hi}, {lo}}; !reflect.DeepEqual(dis.Rows, want) {
+		t.Fatalf("DISTINCT: got %v, want %v", dis.Rows, want)
 	}
 }
 

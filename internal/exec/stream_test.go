@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -96,51 +98,90 @@ func streamingPlans() map[string]func() plan.Node {
 	}
 }
 
-// The streamed pipeline must produce byte-identical rows, in identical
-// order, to the materializing reference path — at every batch size,
-// including degenerate batch 1.
-func TestStreamingMatchesMaterialized(t *testing.T) {
+// frozenAnswers is where the corpus's answers are kept: computed once by the
+// recursive materializing evaluator this package used to carry, before it was
+// deleted, and never regenerated since.
+const frozenAnswers = "testdata/streaming_plans.golden"
+
+// formatAnswer prints one plan's answer as the frozen file holds it: a
+// "== name" line, then one line per row with each value after its kind, so
+// 1 and 1.0, and NULL and the empty string, print differently.
+func formatAnswer(sb *strings.Builder, name string, rows []value.Row) {
+	fmt.Fprintf(sb, "== %s\n", name)
+	for _, r := range rows {
+		for i, v := range r {
+			if i > 0 {
+				sb.WriteString(" | ")
+			}
+			if v.IsNull() {
+				sb.WriteString("NULL")
+				continue
+			}
+			sb.WriteString(v.K.String() + " " + v.String())
+		}
+		sb.WriteByte('\n')
+	}
+}
+
+// The streamed pipeline must print byte-identical rows, in identical order,
+// to the frozen answers — at every batch size, including degenerate batch 1.
+// Every corpus plan has a section and every section a plan, so the two
+// cannot drift apart.
+func TestStreamingMatchesFrozenAnswers(t *testing.T) {
+	data, err := os.ReadFile(frozenAnswers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozen := map[string]string{}
+	var name string
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		if n, ok := strings.CutPrefix(line, "== "); ok {
+			name = strings.TrimSuffix(n, "\n")
+		}
+		frozen[name] += line
+	}
 	s := telcoStore(t)
-	for name, mk := range streamingPlans() {
+	plans := streamingPlans()
+	for name := range frozen {
+		if plans[name] == nil {
+			t.Errorf("%s: frozen section %q names no corpus plan", frozenAnswers, name)
+		}
+	}
+	for name, mk := range plans {
+		want, ok := frozen[name]
+		if !ok {
+			t.Errorf("%s: no frozen answer for plan %q", frozenAnswers, name)
+			continue
+		}
 		for _, batch := range []int{1, 2, 3, DefaultBatchSize} {
-			n := mk()
-			stream := &Executor{Store: s, BatchSize: batch}
-			got, err := stream.Run(n)
+			got, err := (&Executor{Store: s, BatchSize: batch}).Run(mk())
 			if err != nil {
-				t.Fatalf("%s batch %d: streaming: %v", name, batch, err)
+				t.Fatalf("%s batch %d: %v", name, batch, err)
 			}
-			ref := &Executor{Store: s}
-			want, err := ref.RunMaterialized(mk())
-			if err != nil {
-				t.Fatalf("%s: materialized: %v", name, err)
-			}
-			if !reflect.DeepEqual(got.Rows, want.Rows) && !(len(got.Rows) == 0 && len(want.Rows) == 0) {
-				t.Fatalf("%s batch %d: streaming %v != materialized %v", name, batch, got.Rows, want.Rows)
+			var sb strings.Builder
+			formatAnswer(&sb, name, got.Rows)
+			if sb.String() != want {
+				t.Errorf("%s batch %d:\n got %s\nwant %s", name, batch, sb.String(), want)
 			}
 		}
 	}
 }
 
 // Incomparable sort keys (same unknown kind on both sides, e.g. rows
-// corrupted in transit) must fail the sort in both paths — the regression
-// for the dead sortErr variable and the dropped value.Compare error.
+// corrupted in transit) must fail the sort — the regression for the dead
+// sortErr variable and the dropped value.Compare error.
 func TestSortErrorPropagates(t *testing.T) {
 	bad := value.Value{K: value.Kind(99)}
 	fetch := func(string, string, string) (RowStream, error) {
 		return NewRows([]expr.ColumnID{{Name: "x"}}, []value.Row{{bad}, {bad}}, 0), nil
 	}
-	mk := func() plan.Node {
-		return &plan.Sort{
-			Input: &plan.Remote{NodeID: "corfu", SQL: "SELECT x FROM t", Cols: []expr.ColumnID{{Name: "x"}}},
-			Keys:  []plan.SortKey{{Expr: sqlparse.MustParseExpr("x")}},
-		}
+	sorted := &plan.Sort{
+		Input: &plan.Remote{NodeID: "corfu", SQL: "SELECT x FROM t", Cols: []expr.ColumnID{{Name: "x"}}},
+		Keys:  []plan.SortKey{{Expr: sqlparse.MustParseExpr("x")}},
 	}
 	ex := &Executor{FetchStream: fetch}
-	if _, err := ex.Run(mk()); err == nil || !strings.Contains(err.Error(), "not comparable") {
+	if _, err := ex.Run(sorted); err == nil || !strings.Contains(err.Error(), "not comparable") {
 		t.Fatalf("streaming sort must surface comparison error, got %v", err)
-	}
-	if _, err := ex.RunMaterialized(mk()); err == nil || !strings.Contains(err.Error(), "not comparable") {
-		t.Fatalf("materialized sort must surface comparison error, got %v", err)
 	}
 }
 
@@ -154,9 +195,6 @@ func TestRemoteEmptyAnswerColsValidated(t *testing.T) {
 	}}
 	if _, err := ex.Run(r); err == nil || !strings.Contains(err.Error(), "columns") {
 		t.Fatalf("streaming: empty mis-shaped answer must error, got %v", err)
-	}
-	if _, err := ex.RunMaterialized(r); err == nil || !strings.Contains(err.Error(), "columns") {
-		t.Fatalf("materialized: empty mis-shaped answer must error, got %v", err)
 	}
 	st := &fakeStream{cols: []expr.ColumnID{{Name: "a"}, {Name: "b"}}}
 	exs := &Executor{FetchStream: func(string, string, string) (RowStream, error) { return st, nil }}
@@ -199,10 +237,7 @@ func TestUnionSchemaDriftCaught(t *testing.T) {
 	if _, err := exEmpty.Run(un); err == nil || !strings.Contains(err.Error(), "schema declares") {
 		t.Fatalf("streaming: union drift past empty input must error, got %v", err)
 	}
-	if _, err := exEmpty.RunMaterialized(un); err == nil || !strings.Contains(err.Error(), "schema declares") {
-		t.Fatalf("materialized: union drift past empty input must error, got %v", err)
-	}
-	// Sanity: a well-shaped union still works on both paths.
+	// Sanity: a well-shaped union still works.
 	ok := &plan.Union{Inputs: []plan.Node{
 		&plan.Scan{Def: custDef, Alias: "c", PartID: "p0"},
 		&plan.Scan{Def: custDef, Alias: "c", PartID: "p0"},
@@ -274,9 +309,9 @@ func TestLimitReleasesUpstreamStream(t *testing.T) {
 	}
 }
 
-// DESC ordering with NULL keys through the streaming sort matches the
-// materializing comparator exactly (NULLs first ascending, therefore last
-// descending), at a batch size small enough to split the input.
+// DESC ordering with NULL keys through the streaming sort puts NULLs last
+// (they come first ascending), at a batch size small enough to split the
+// input.
 func TestStreamingSortDescNulls(t *testing.T) {
 	s := storage.NewStore()
 	mustCreate(t, s, custDef, "p0")
@@ -289,14 +324,11 @@ func TestStreamingSortDescNulls(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	mk := func() plan.Node {
-		return &plan.Sort{
-			Input: &plan.Scan{Def: custDef, Alias: "c", PartID: "p0"},
-			Keys:  []plan.SortKey{{Expr: sqlparse.MustParseExpr("c.custid"), Desc: true}},
-		}
-	}
 	ex := &Executor{Store: s, BatchSize: 2}
-	got, err := ex.Run(mk())
+	got, err := ex.Run(&plan.Sort{
+		Input: &plan.Scan{Def: custDef, Alias: "c", PartID: "p0"},
+		Keys:  []plan.SortKey{{Expr: sqlparse.MustParseExpr("c.custid"), Desc: true}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,10 +339,6 @@ func TestStreamingSortDescNulls(t *testing.T) {
 	// NULL ties keep input order (stable sort): n1 before n2.
 	if got.Rows[3][1].S != "n1" || got.Rows[4][1].S != "n2" {
 		t.Fatalf("stability among null keys: %v", got.Rows)
-	}
-	want, err := (&Executor{Store: s}).RunMaterialized(mk())
-	if err != nil || !reflect.DeepEqual(got.Rows, want.Rows) {
-		t.Fatalf("streaming %v != materialized %v (%v)", got.Rows, want.Rows, err)
 	}
 }
 

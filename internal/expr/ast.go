@@ -109,9 +109,50 @@ func Cmp(op string, l, r Expr) *Binary { return &Binary{Op: op, L: l, R: r} }
 
 func (c *Column) String() string {
 	if c.Table != "" {
-		return c.Table + "." + c.Name
+		return QuoteName(c.Table) + "." + QuoteName(c.Name)
 	}
-	return c.Name
+	return QuoteName(c.Name)
+}
+
+// Keywords are the words SQL text reserves, in upper case. The parser reads
+// none of them as a bare name, so the printer quotes a name that spells one.
+var Keywords = map[string]bool{
+	"SELECT": true, "DISTINCT": true, "FROM": true, "WHERE": true, "GROUP": true,
+	"BY": true, "HAVING": true, "ORDER": true, "LIMIT": true, "UNION": true,
+	"ALL": true, "AS": true, "AND": true, "OR": true, "NOT": true, "IN": true,
+	"BETWEEN": true, "IS": true, "NULL": true, "JOIN": true, "INNER": true,
+	"ON": true, "TRUE": true, "FALSE": true, "ASC": true, "DESC": true,
+}
+
+// QuoteName prints a table, alias or column name so the parser reads it back
+// as itself: bare when it is [A-Za-z_][A-Za-z0-9_]* and no keyword in any
+// case, double-quoted otherwise.
+func QuoteName(name string) string {
+	if bareName(name) {
+		return name
+	}
+	return `"` + name + `"`
+}
+
+func bareName(name string) bool {
+	if name == "" || '0' <= name[0] && name[0] <= '9' {
+		return false
+	}
+	var upper [8]byte // the longest keyword is DISTINCT or BETWEEN
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		switch {
+		case 'a' <= c && c <= 'z':
+			c -= 'a' - 'A'
+		case 'A' <= c && c <= 'Z', '0' <= c && c <= '9', c == '_':
+		default:
+			return false
+		}
+		if i < len(upper) {
+			upper[i] = c
+		}
+	}
+	return len(name) > len(upper) || !Keywords[string(upper[:len(name)])]
 }
 
 // String prints the literal as SQL that reads back as the same kind: a float

@@ -89,7 +89,7 @@ func (s *Select) SQL() string {
 		sb.WriteString(it.Expr.String())
 		if it.Alias != "" {
 			sb.WriteString(" AS ")
-			sb.WriteString(it.Alias)
+			sb.WriteString(expr.QuoteName(it.Alias))
 		}
 	}
 	sb.WriteString(" FROM ")
@@ -97,10 +97,10 @@ func (s *Select) SQL() string {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		sb.WriteString(t.Name)
+		sb.WriteString(expr.QuoteName(t.Name))
 		if t.Alias != "" && !strings.EqualFold(t.Alias, t.Name) {
 			sb.WriteString(" ")
-			sb.WriteString(t.Alias)
+			sb.WriteString(expr.QuoteName(t.Alias))
 		}
 	}
 	if s.Where != nil {

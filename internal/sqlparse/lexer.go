@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+
+	"qtrade/internal/expr"
 )
 
 // tokenKind classifies lexer tokens.
@@ -32,7 +34,7 @@ type token struct {
 // words maps every keyword and aggregate-function name to itself.
 var words = func() map[string]string {
 	m := map[string]string{}
-	for _, set := range []map[string]bool{keywords, aggFns} {
+	for _, set := range []map[string]bool{expr.Keywords, aggFns} {
 		for w := range set {
 			m[w] = w
 		}
@@ -142,7 +144,7 @@ func (l *lexer) next() (token, error) {
 			l.pos++
 		}
 	case c == '"':
-		// Double-quoted identifier.
+		// Double-quoted identifier: a name, never a keyword or function.
 		l.pos++
 		end := strings.IndexByte(l.src[l.pos:], '"')
 		if end < 0 {
@@ -150,7 +152,7 @@ func (l *lexer) next() (token, error) {
 		}
 		text := l.src[l.pos : l.pos+end]
 		l.pos += end + 1
-		return token{kind: tokIdent, text: text, word: wordOf(text), pos: start}, nil
+		return token{kind: tokIdent, text: text, pos: start}, nil
 	default:
 		two := ""
 		if l.pos+1 < len(l.src) {

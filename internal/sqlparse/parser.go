@@ -9,15 +9,6 @@ import (
 	"qtrade/internal/value"
 )
 
-// keywords that cannot be used as bare aliases.
-var keywords = map[string]bool{
-	"SELECT": true, "DISTINCT": true, "FROM": true, "WHERE": true, "GROUP": true,
-	"BY": true, "HAVING": true, "ORDER": true, "LIMIT": true, "UNION": true,
-	"ALL": true, "AS": true, "AND": true, "OR": true, "NOT": true, "IN": true,
-	"BETWEEN": true, "IS": true, "NULL": true, "JOIN": true, "INNER": true,
-	"ON": true, "TRUE": true, "FALSE": true, "ASC": true, "DESC": true,
-}
-
 // aggregate function names.
 var aggFns = map[string]bool{"SUM": true, "COUNT": true, "AVG": true, "MIN": true, "MAX": true}
 
@@ -337,7 +328,7 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 			return SelectItem{}, err
 		}
 		item.Alias = a
-	} else if t := p.cur(); t.kind == tokIdent && !keywords[t.word] {
+	} else if t := p.cur(); t.kind == tokIdent && !expr.Keywords[t.word] {
 		item.Alias = t.text
 		p.i++
 	}
@@ -345,7 +336,7 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 }
 
 func (p *parser) parseTableRef() (TableRef, error) {
-	if t := p.cur(); keywords[t.word] {
+	if t := p.cur(); expr.Keywords[t.word] {
 		return TableRef{}, p.errf("expected table name, got keyword %q", t.text)
 	}
 	name, err := p.ident()
@@ -354,8 +345,8 @@ func (p *parser) parseTableRef() (TableRef, error) {
 	}
 	tr := TableRef{Name: name}
 	if p.acceptKeyword("AS") {
-		// The alias prints bare, so it may not be a keyword either.
-		if t := p.cur(); keywords[t.word] {
+		// A bare keyword is no alias here either; a quoted one is.
+		if t := p.cur(); expr.Keywords[t.word] {
 			return TableRef{}, p.errf("expected alias, got keyword %q", t.text)
 		}
 		a, err := p.ident()
@@ -363,7 +354,7 @@ func (p *parser) parseTableRef() (TableRef, error) {
 			return TableRef{}, err
 		}
 		tr.Alias = a
-	} else if t := p.cur(); t.kind == tokIdent && !keywords[t.word] {
+	} else if t := p.cur(); t.kind == tokIdent && !expr.Keywords[t.word] {
 		tr.Alias = t.text
 		p.i++
 	}

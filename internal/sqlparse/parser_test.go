@@ -148,8 +148,19 @@ func TestParseErrors(t *testing.T) {
 
 func TestLexerQuotedIdentAndEscapes(t *testing.T) {
 	s := MustParseSelect(`SELECT "Weird Name" FROM t WHERE x = 'o''clock'`)
-	if s.Items[0].Expr.String() != "Weird Name" {
-		t.Errorf("quoted ident: %s", s.Items[0].Expr)
+	if c := s.Items[0].Expr.(*expr.Column); c.Name != "Weird Name" || c.String() != `"Weird Name"` {
+		t.Errorf("quoted ident: name %q prints as %s", c.Name, c)
+	}
+	// A name that needs its quotes keeps them through a round trip, and so
+	// does one that spells a keyword; a plain name prints bare.
+	for _, q := range []string{
+		`SELECT "Weird Name" FROM t WHERE x = 'o''clock'`,
+		`SELECT "order"."select" AS "from", x AS "1x" FROM "order", "Two Words" w`,
+		`SELECT t.custid AS n FROM customer t`,
+	} {
+		if text := MustParse(q).SQL(); text != q {
+			t.Errorf("%s prints as %s", q, text)
+		}
 	}
 	lit := s.Where.(*expr.Binary).R.(*expr.Lit)
 	if lit.V.S != "o'clock" {

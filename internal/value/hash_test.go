@@ -1,6 +1,7 @@
 package value
 
 import (
+	"encoding/binary"
 	"hash"
 	"hash/fnv"
 	"math"
@@ -115,7 +116,27 @@ func TestInt64BoundaryFloatsAreDistinctKeys(t *testing.T) {
 // groups hash equally.
 func TestSameKeyAgreesWithKey(t *testing.T) {
 	r := rand.New(rand.NewSource(18))
-	randRow := func(n int) Row {
+	equal := 0
+	for trial := 0; trial < 20000; trial++ {
+		a, b := randKeyRows(r)
+		if keyAgreement(t, a, b) {
+			equal++
+		}
+	}
+	if equal < 500 {
+		t.Fatalf("only %d equal pairs in 20000: the property was barely exercised", equal)
+	}
+	if SameKey(Row{NewInt(1)}, Row{NewInt(1), NewInt(1)}) {
+		t.Error("rows of different widths are different keys")
+	}
+}
+
+// randKeyRows draws two rows of one width from small integers, halves and
+// keyValues; a quarter of the pairs share a prefix, so multi-column rows
+// agree often enough.
+func randKeyRows(r *rand.Rand) (a, b Row) {
+	n := 1 + r.Intn(3)
+	randRow := func() Row {
 		row := make(Row, n)
 		for i := range row {
 			switch r.Intn(4) {
@@ -129,29 +150,106 @@ func TestSameKeyAgreesWithKey(t *testing.T) {
 		}
 		return row
 	}
-	equal := 0
-	for trial := 0; trial < 20000; trial++ {
-		n := 1 + r.Intn(3)
-		a, b := randRow(n), randRow(n)
-		if r.Intn(4) == 0 {
-			copy(b, a[:r.Intn(n+1)]) // share a prefix, so multi-column rows agree often enough
+	a, b = randRow(), randRow()
+	if r.Intn(4) == 0 {
+		copy(b, a[:r.Intn(n+1)])
+	}
+	return a, b
+}
+
+// keyAgreement fails t unless SameKey is Key's equality on a and b and rows
+// it groups hash equally; it reports whether they group.
+func keyAgreement(t *testing.T, a, b Row) bool {
+	t.Helper()
+	cols := make([]int, len(a))
+	for i := range cols {
+		cols[i] = i
+	}
+	same := SameKey(a, b)
+	if keyEq := Key(a, cols) == Key(b, cols); same != keyEq {
+		t.Fatalf("SameKey(%v, %v) = %v, Key equality = %v", a, b, same, keyEq)
+	}
+	if same && HashRow(a) != HashRow(b) {
+		t.Fatalf("%v and %v share a key but not a hash", a, b)
+	}
+	return same
+}
+
+// encodeKeyRows writes two rows of one width as decodeKeyRows reads them: a
+// width byte, then per value a kind byte and its payload — 8 little-endian
+// bytes of an Int or of a Float's bits (so NaN payloads, -0.0 and ±2^63 are
+// all spelled directly), a length-prefixed Str, one byte of a Bool.
+func encodeKeyRows(a, b Row) []byte {
+	out := []byte{byte(len(a) - 1)}
+	for _, v := range append(append(Row{}, a...), b...) {
+		out = append(out, byte(v.K))
+		switch v.K {
+		case Int:
+			out = binary.LittleEndian.AppendUint64(out, uint64(v.I))
+		case Float:
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v.F))
+		case Str:
+			out = append(append(out, byte(len(v.S))), v.S...)
+		case Bool:
+			var bit byte
+			if v.B {
+				bit = 1
+			}
+			out = append(out, bit)
 		}
-		cols := []int{0, 1, 2}[:n]
-		want := Key(a, cols) == Key(b, cols)
-		if got := SameKey(a, b); got != want {
-			t.Fatalf("SameKey(%v, %v) = %v, Key equality = %v", a, b, got, want)
-		}
-		if want {
-			equal++
-			if HashRow(a) != HashRow(b) {
-				t.Fatalf("%v and %v share a key but not a hash", a, b)
+	}
+	return out
+}
+
+// decodeKeyRows reads any bytes as two rows of one to three values: a
+// missing byte reads as zero and a kind byte is taken modulo the five kinds.
+func decodeKeyRows(data []byte) (a, b Row) {
+	next := func(n int) []byte {
+		buf := make([]byte, n)
+		data = data[copy(buf, data):]
+		return buf
+	}
+	n := 1 + int(next(1)[0])%3
+	row := func() Row {
+		r := make(Row, n)
+		for i := range r {
+			switch Kind(next(1)[0] % 5) {
+			case Int:
+				r[i] = NewInt(int64(binary.LittleEndian.Uint64(next(8))))
+			case Float:
+				r[i] = NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(next(8))))
+			case Str:
+				r[i] = NewStr(string(next(int(next(1)[0]))))
+			case Bool:
+				r[i] = NewBool(next(1)[0]&1 == 1)
 			}
 		}
+		return r
 	}
-	if equal < 500 {
-		t.Fatalf("only %d equal pairs in 20000: the property was barely exercised", equal)
+	return row(), row()
+}
+
+// FuzzKeyAgreement: the aggregate and DISTINCT cursors group by HashRow then
+// SameKey, with no second implementation beside them, so SameKey must be the
+// equivalence Key's strings induce and rows it groups must hash equally — for
+// every kind, every float bit pattern and NULL.
+func FuzzKeyAgreement(f *testing.F) {
+	r := rand.New(rand.NewSource(18))
+	for i := 0; i < 64; i++ {
+		f.Add(encodeKeyRows(randKeyRows(r)))
 	}
-	if SameKey(Row{NewInt(1)}, Row{NewInt(1), NewInt(1)}) {
-		t.Error("rows of different widths are different keys")
+	nan := NewFloat(math.Float64frombits(0xfff8000000000001))
+	for _, pair := range [][2]Row{
+		{{NewFloat(1 << 63)}, {NewFloat(-(1 << 63))}},
+		{{NewFloat(-(1 << 63))}, {NewInt(math.MinInt64)}},
+		{{nan, NewNull()}, {NewFloat(math.NaN()), NewNull()}},
+		{{NewFloat(math.Copysign(0, -1))}, {NewInt(0)}},
+		{{NewStr(""), NewBool(true)}, {NewNull(), NewBool(true)}},
+	} {
+		f.Add(encodeKeyRows(pair[0], pair[1]))
 	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, b := decodeKeyRows(data)
+		keyAgreement(t, a, b)
+	})
 }
