@@ -2,10 +2,10 @@ package qtrade
 
 // Public surface for the query flight recorder and the windowed metrics
 // history: per-query dossiers unifying trace spans, ledger events and
-// per-operator actuals; a sampler rolling the metrics registry into
-// fixed-width windows; and a watchdog comparing each fresh window against a
-// trailing baseline. All three are opt-in; absent, the hot path pays only
-// nil checks.
+// per-operator actuals, each filed on its negotiation's ledger record; a
+// sampler rolling the metrics registry into fixed-width windows; and a
+// watchdog comparing each fresh window against a trailing baseline. All
+// three are opt-in; absent, the hot path pays only nil checks.
 
 import (
 	"time"
@@ -15,17 +15,17 @@ import (
 	"qtrade/internal/obs"
 )
 
-// WithFlightRecorder attaches a query flight recorder retaining the last
-// capacity dossiers (flight.DefaultCapacity when capacity <= 0) plus a
-// worst-K outlier set captured by trigger rules — latency SLO breach, any
-// recovery event, quoted-vs-measured cost outlier, est/actual cardinality
-// blowout. Every completed Query/QueryWithRecovery/Plan.Run admits one
-// dossier. A federation without a ledger gets a default-capacity one
-// automatically, so dossiers always carry their negotiation's event chain.
+// WithFlightRecorder attaches a query flight recorder: every completed
+// Query/QueryWithRecovery/Plan.Run files one dossier on its negotiation's
+// ledger record, and trigger rules — latency SLO breach, any recovery event,
+// quoted-vs-measured cost outlier, est/actual cardinality blowout — keep the
+// worstK worst flagged queries (flight.DefaultWorstK when worstK <= 0) past
+// the ledger ring's eviction. A federation without a ledger gets a
+// default-capacity one automatically: the ledger is where dossiers live.
 // Tune the rules through FlightRecorder().SetTriggers.
-func WithFlightRecorder(capacity int) FederationOption {
+func WithFlightRecorder(worstK int) FederationOption {
 	return func(f *Federation) {
-		f.flight = flight.NewRecorder(capacity)
+		f.flight = flight.NewRecorder(worstK)
 	}
 }
 
@@ -65,22 +65,23 @@ func WithMetricsHistory(window time.Duration, keep int) FederationOption {
 func (f *Federation) FlightRecorder() *flight.Recorder { return f.flight }
 
 // SlowQueries returns up to n retained dossiers, slowest first — the
-// outlier set merged with the recent ring. Nil without a recorder.
-func (f *Federation) SlowQueries(n int) []*flight.Dossier { return f.flight.Slow(n) }
+// outlier set merged with the ledger's recent records. Nil without a
+// recorder.
+func (f *Federation) SlowQueries(n int) []*ledger.Dossier { return f.flight.Slow(n) }
 
 // MetricsHistory returns the windowed metrics history (an http.Handler
 // serving the retained windows as JSON), or nil without WithMetricsHistory.
 func (f *Federation) MetricsHistory() *obs.History { return f.history }
 
 // Watchdog returns the anomaly watchdog attached by WithMetricsHistory, or
-// nil. Its Anomalies method lists recent findings; the same events land in
-// the ledger's anomaly stream.
+// nil. Its findings land in the ledger's anomaly stream
+// (Ledger().Anomalies()).
 func (f *Federation) Watchdog() *flight.Watchdog { return f.watchdog }
 
 // finishObsSetup wires the cross-option observability dependencies once all
 // FederationOptions ran, so option order never matters: the flight recorder
-// gets a ledger to snapshot, and the history gets its watchdog before the
-// sampler starts.
+// gets a ledger to file dossiers on, and the history gets its watchdog
+// before the sampler starts.
 func (f *Federation) finishObsSetup() {
 	if f.flight != nil && f.ledger == nil {
 		f.ledger = ledger.New(0)

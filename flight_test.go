@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"qtrade/internal/flight"
+	"qtrade/internal/ledger"
 )
 
 // TestWithFlightRecorderEndToEnd drives real queries through the public API
@@ -63,7 +64,7 @@ func TestWithFlightRecorderEndToEnd(t *testing.T) {
 	if rr.Code != 200 {
 		t.Fatalf("detail status %d: %s", rr.Code, rr.Body.String())
 	}
-	var got flight.Dossier
+	var got ledger.Dossier
 	if err := json.Unmarshal(rr.Body.Bytes(), &got); err != nil {
 		t.Fatalf("detail not JSON: %v", err)
 	}
@@ -76,6 +77,33 @@ func TestWithFlightRecorderEndToEnd(t *testing.T) {
 	fed.FlightRecorder().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/queries", nil))
 	if rr.Code != 200 || !strings.Contains(rr.Body.String(), d.ID) {
 		t.Fatalf("list status %d missing %s", rr.Code, d.ID)
+	}
+}
+
+// TestEmptyQueriesHaveNames: a query proven empty before B1 sends no RFB,
+// yet its negotiation still gets a name of its own, so each such query's
+// dossier is served by id and listed by SlowQueries.
+func TestEmptyQueriesHaveNames(t *testing.T) {
+	fed := buildLedgerFed(t, []FederationOption{WithFlightRecorder(8)})
+	for _, sql := range []string{
+		"SELECT COUNT(*) AS n FROM customer c WHERE 1 = 0",
+		"SELECT c.custname FROM customer c WHERE c.office = 'Nowhere'",
+	} {
+		if _, err := fed.Query("hq", sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	ds := fed.SlowQueries(10)
+	if len(ds) != 2 || ds[0].ID == "" || ds[1].ID == "" || ds[0].ID == ds[1].ID {
+		t.Fatalf("two empty queries must give two named dossiers: %v", ds)
+	}
+	for _, d := range ds {
+		rr := httptest.NewRecorder()
+		fed.FlightRecorder().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/queries/"+d.ID, nil))
+		var got ledger.Dossier
+		if rr.Code != 200 || json.Unmarshal(rr.Body.Bytes(), &got) != nil || got.ID != d.ID || got.Ledger.ID != d.ID {
+			t.Fatalf("/debug/queries/%s: %d %s", d.ID, rr.Code, rr.Body.String())
+		}
 	}
 }
 
@@ -234,9 +262,10 @@ func TestWithMetricsHistoryEndToEnd(t *testing.T) {
 	if len(payload.Windows) != 2 {
 		t.Fatalf("served windows: %d", len(payload.Windows))
 	}
-	// A healthy run may or may not surface anomalies; the accessor just has
-	// to be callable while the sampler runs.
-	_ = fed.Watchdog().Anomalies()
+	// A healthy run may or may not surface anomalies; the ledger's stream,
+	// where the watchdog records them, just has to be readable while the
+	// sampler runs.
+	_ = fed.Ledger().Anomalies()
 }
 
 // TestFlightDisabledByDefault pins the off switch: a plain federation has a

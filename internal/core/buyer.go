@@ -98,12 +98,12 @@ type Config struct {
 	// behind every purchase — and feeds the per-seller quoted-vs-actual
 	// calibration. Nil (the default) adds zero allocations.
 	Ledger *ledger.Ledger
-	// Flight, when set, assembles one flight dossier per completed
-	// execution of this buyer's queries — grafted trace spans, the ledger
-	// event chain, per-operator est-vs-actual rows, quoted-vs-measured cost
-	// — and admits it to the recorder (outliers are kept by its trigger
-	// rules). Executions automatically collect exec.RunStats when set. Nil
-	// (the default) skips dossier assembly entirely.
+	// Flight assembles one flight dossier per completed execution — grafted
+	// trace spans, per-operator est-vs-actual rows (executions then collect
+	// exec.RunStats), quoted-vs-measured cost — and files it on the
+	// negotiation's ledger record, keeping outliers by its trigger rules. It
+	// records nothing without Ledger: the record is where the dossier lives.
+	// Nil (the default) skips dossier assembly entirely.
 	Flight *flight.Recorder
 	// Workers bounds the buyer's own fan-out: the per-round RFB/improve
 	// dispatch of any protocol (trading.Sellers.Workers) and the
@@ -182,6 +182,11 @@ type Result struct {
 }
 
 var rfbSeq atomic.Int64
+
+// nextRFBID names a buyer's next RFB, or a negotiation that sends none.
+func nextRFBID(buyer string) string {
+	return fmt.Sprintf("%s-rfb%d", buyer, rfbSeq.Add(1))
+}
 
 // withDefaults fills the unset knobs.
 func (cfg Config) withDefaults() Config {
@@ -269,7 +274,7 @@ func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
 		}
 		// B2/B3 + S1–S3: the nested negotiation, then the buyer's own bids.
 		rfb := trading.RFB{
-			RFBID:   fmt.Sprintf("%s-rfb%d", cfg.ID, rfbSeq.Add(1)),
+			RFBID:   nextRFBID(cfg.ID),
 			BuyerID: cfg.ID,
 			Trace:   ob.tctx,
 			Queries: queries,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"qtrade/internal/flight"
 	"qtrade/internal/ledger"
 	"qtrade/internal/obs"
+	"qtrade/internal/plan"
 	"qtrade/internal/trading"
 )
 
@@ -51,14 +53,14 @@ func TestFlightDossierEndToEnd(t *testing.T) {
 
 	res := optimizeAndRunTraced(t, f, cfg, paperQuery)
 
-	if n := rec.Len(); n != 1 {
+	if n := len(rec.Recent(0)); n != 1 {
 		t.Fatalf("dossiers: %d", n)
 	}
 	d := rec.Recent(1)[0]
 	if d.ID == "" || d.ID != led.Negotiations(0)[0].ID {
 		t.Fatalf("dossier id must match the ledger negotiation: %q", d.ID)
 	}
-	if got := rec.Get(d.ID); got != d {
+	if got := rec.Get(d.ID); got == nil || got.ID != d.ID || got.WallMS != d.WallMS {
 		t.Fatal("Get by id")
 	}
 	if d.Buyer != "athens" || d.SQL == "" || d.Start.IsZero() {
@@ -179,12 +181,12 @@ func TestFlightDossierStreamed(t *testing.T) {
 		}
 		rows += int64(len(b))
 	}
-	if rec.Len() != 0 {
+	if len(rec.Recent(0)) != 0 {
 		t.Fatal("dossier must not exist before Close")
 	}
 	cur.Close()
-	if rec.Len() != 1 {
-		t.Fatalf("dossiers after close: %d", rec.Len())
+	if len(rec.Recent(0)) != 1 {
+		t.Fatalf("dossiers after close: %d", len(rec.Recent(0)))
 	}
 	d := rec.Recent(1)[0]
 	if d.Rows != rows || rows == 0 {
@@ -227,8 +229,8 @@ func TestFlightRecoveryDossier(t *testing.T) {
 	}
 	// Two Optimize calls ran (the probe above and the one inside
 	// OptimizeAndExecute) but only the latter executed — executions admit.
-	if rec.Len() != 1 {
-		t.Fatalf("dossiers: %d (re-runs must replace, not append)", rec.Len())
+	if len(rec.Recent(0)) != 1 {
+		t.Fatalf("dossiers: %d (re-runs must replace, not append)", len(rec.Recent(0)))
 	}
 	d := rec.Recent(1)[0]
 	if d.Err != "" {
@@ -268,8 +270,8 @@ func TestFlightTailSampledDossier(t *testing.T) {
 	cfg.Sampling = &obs.Sampling{Mode: obs.SampleNever, TailSlower: time.Nanosecond}
 
 	optimizeAndRunTraced(t, f, cfg, paperQuery)
-	if rec.Len() != 1 {
-		t.Fatalf("dossiers: %d", rec.Len())
+	if len(rec.Recent(0)) != 1 {
+		t.Fatalf("dossiers: %d", len(rec.Recent(0)))
 	}
 	d := rec.Recent(1)[0]
 	if len(d.Spans) != 2 {
@@ -298,8 +300,8 @@ func TestFlightTailSampledDossier(t *testing.T) {
 	cfg2, rec2 := flightCfg(f2)
 	cfg2.Sampling = &obs.Sampling{Mode: obs.SampleNever}
 	optimizeAndRunTraced(t, f2, cfg2, paperQuery)
-	if rec2.Len() != 1 {
-		t.Fatalf("never-sampled dossiers: %d", rec2.Len())
+	if len(rec2.Recent(0)) != 1 {
+		t.Fatalf("never-sampled dossiers: %d", len(rec2.Recent(0)))
 	}
 	d2 := rec2.Recent(1)[0]
 	if d2.Rows == 0 || len(d2.Operators) == 0 {
@@ -330,13 +332,42 @@ func TestFlightDisabled(t *testing.T) {
 // TestFlightCardBlowoutTrigger: a seller whose estimate is badly stale must
 // produce a card_blowout-flagged dossier via the per-operator error.
 func TestFlightCardBlowoutTrigger(t *testing.T) {
-	d := &flight.Dossier{
-		Operators: []flight.OpStat{{Op: "Remote", EstRows: 1, Rows: 100, Executed: true, ErrRatio: 50.5}},
+	d := &ledger.Dossier{
+		Operators: []ledger.OpStat{{Op: "Remote", EstRows: 1, Rows: 100, Executed: true, ErrRatio: 50.5}},
 		CardError: 50.5,
 	}
 	got := flight.Triggers{}.Evaluate(d)
 	if !hasTrigger(got, flight.TrigCardError) {
 		t.Fatalf("card blowout: %v", got)
+	}
+}
+
+// TestAdmitCopiesNoEvents: finishing an execution and admitting its dossier
+// reads the negotiation's running sums and files the dossier on its record,
+// so the bytes it allocates do not grow with the record's event chain.
+func TestAdmitCopiesNoEvents(t *testing.T) {
+	allocated := func(events int) uint64 {
+		least := ^uint64(0)
+		for try := 0; try < 3; try++ {
+			lr := ledger.New(0).Begin("athens", "SELECT 1")
+			lr.RFBIssued("athens-rfb-copy", 1, 1)
+			for i := 1; i < events; i++ {
+				lr.Fetch("corfu", "o1", "SELECT 1", 1, 1, 1, 1, 64, "")
+			}
+			res := &Result{SQL: "SELECT 1", BuyerID: "athens", LedgerRec: lr,
+				Candidate: Candidate{Root: &plan.Empty{}},
+				flight:    &flightCapture{rec: flight.NewRecorder(0), id: "athens-rfb-copy"}}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			finalizeFlight(res, nil, nil, 1, 1, nil)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	if small, large := allocated(10), allocated(1000); large > small {
+		t.Fatalf("admitting a dossier allocated %d bytes for a 1000-event record, %d for a 10-event one: the event chain is copied", large, small)
 	}
 }
 

@@ -162,23 +162,27 @@ func (o *negObs) awarded(of trading.Offer) {
 }
 
 // done closes the negotiation's books and stamps what execution needs onto
-// the Result: the Stats, the trace context, the ledger record and the flight
-// capture.
+// the Result: the Stats, the trace context, the ledger record and — when
+// there is a record to file the dossier on — the flight capture.
 func (o *negObs) done(res *Result) *Result {
 	o.stats.EmptyBidResponses = int(o.empty.Load())
 	o.stats.WallTime = time.Since(o.start)
-	wall := ms(o.stats.WallTime)
-	o.optimizeMS.Observe(wall)
+	o.optimizeMS.Observe(ms(o.stats.WallTime))
 	if !o.cfg.Sampling.Keep(o.head, o.stats.WallTime) {
 		// Tail sampling: the negotiation was fast and head sampling said no —
 		// drop the collected trace instead of retaining it.
 		o.root.End()
 		o.cfg.Tracer.DropRoot(o.root)
 	}
+	if o.negID == "" && o.rec != nil {
+		// Proven empty before B1: no RFB named the negotiation, so its record
+		// takes a name from the same sequence, filed like one.
+		o.negID = nextRFBID(o.cfg.ID)
+		o.rec.Name(o.negID)
+	}
 	res.Stats, res.TraceCtx, res.LedgerRec = o.stats, o.tctx, o.rec
-	if o.cfg.Flight != nil {
-		res.flight = &flightCapture{rec: o.cfg.Flight, id: o.negID, start: o.start,
-			optimizeMS: wall, optSpan: o.root}
+	if o.cfg.Flight != nil && o.rec != nil {
+		res.flight = &flightCapture{rec: o.cfg.Flight, id: o.negID, start: o.start, optSpan: o.root}
 	}
 	return res
 }

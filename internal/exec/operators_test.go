@@ -71,9 +71,10 @@ func nestedLoop(t *testing.T, l, r []value.Row, keys [][2]int, residual expr.Exp
 // The flat join table against a nested loop on the shapes its layout could
 // get wrong: long chains of one key interleaved with others (chain order),
 // NULL keys (unlinked rows), a rejecting residual, a multi-column key across
-// Int/Float/Str, an empty build side, and integers against the floats equal
-// to them (value.HashRow must agree with value.Equal) — output rows and their
-// order identical at batch 1, 7 and 256.
+// Int/Float/Str, an empty build side, integers against the floats equal to
+// them and against one past 2^53 that is not, and NaN against a number
+// (value.HashRow must agree with value.Equal) — output rows and their order
+// identical at batch 1, 7 and 256.
 func TestJoinMatchesNestedLoop(t *testing.T) {
 	null := value.NewNull()
 	var dupBuild, dupProbe []value.Row
@@ -107,6 +108,15 @@ func TestJoinMatchesNestedLoop(t *testing.T) {
 			[]value.Row{ints(1, 0, 0), ints(0, 1, 0), ints(2, 2, 0), {value.NewFloat(1), value.NewInt(3), null}},
 			[]value.Row{{value.NewFloat(1), value.NewInt(10), null}, {value.NewFloat(math.Copysign(0, -1)), value.NewInt(11), null},
 				{value.NewFloat(2.5), value.NewInt(12), null}, ints(1, 13, 0)}},
+		// Past 2^53 a float no longer holds every integer: 2^53+1 is not the
+		// float 2^53 it rounds to, while 2^53 is.
+		{"int-past-2^53-vs-float", [][2]int{a}, "",
+			[]value.Row{ints(1<<53+1, 0, 0), ints(1<<53, 1, 0)},
+			[]value.Row{{value.NewFloat(1 << 53), value.NewInt(10), null}}},
+		// NaN equals no number.
+		{"nan-vs-float", [][2]int{a}, "",
+			[]value.Row{{value.NewFloat(math.NaN()), value.NewInt(0), null}, {value.NewFloat(1), value.NewInt(1), null}},
+			[]value.Row{{value.NewFloat(1), value.NewInt(10), null}}},
 	}
 	for _, tc := range cases {
 		tables := map[string][]value.Row{"l": tc.l, "r": tc.r}

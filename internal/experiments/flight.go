@@ -85,7 +85,7 @@ func f19Triggers(rec *flight.Recorder, n int) string {
 
 // F19Flight runs the flight-recorder experiment: queriesPerPhase queries per
 // phase, windows closed deterministically at phase boundaries (one batch =
-// one metrics window), anomalies counted from the watchdog.
+// one metrics window), anomalies counted from the ledger's anomaly stream.
 func F19Flight(queriesPerPhase int, seed int64) *Table {
 	t := &Table{
 		ID: "F19",
@@ -106,8 +106,8 @@ func F19Flight(queriesPerPhase int, seed int64) *Table {
 	// close at phase boundaries via Sample, so each phase is one window.
 	f := workload.NewChain(opts)
 	metrics := obs.NewMetrics()
-	led := ledger.New(0)
-	rec := flight.NewRecorder(8 * queriesPerPhase)
+	led := ledger.New(8 * queriesPerPhase) // every recorded query's dossier stays in the ring
+	rec := flight.NewRecorder(0)
 	// The in-process simulation executes far cheaper than the cost model
 	// quotes, so the default quoted-vs-measured band would flag every steady
 	// query as a (low) cost outlier and drown the phase signal. Widen the
@@ -145,8 +145,8 @@ func F19Flight(queriesPerPhase int, seed int64) *Table {
 	// host puts the second window's p95 past 3× the first's. The other
 	// rules count events, not wall-clock, and must stay silent here.
 	steadyAnoms := 0
-	for _, a := range wd.Anomalies() {
-		if a.Kind != flight.AnomalyP95 {
+	for _, a := range led.Anomalies() {
+		if a.Reason != flight.AnomalyP95 {
 			steadyAnoms++
 		}
 	}
@@ -163,11 +163,11 @@ func F19Flight(queriesPerPhase int, seed int64) *Table {
 	trig.SlowMS = 2*steadyPerQuery + 10
 	rec.SetTriggers(trig)
 	f.Net.SetFaultPlan(&netsim.FaultPlan{Seed: seed, SlowNodeMS: map[string]float64{"n1": 25}})
-	prevAnoms := len(wd.Anomalies())
+	prevAnoms := len(led.Anomalies())
 	prevAdmitted, prevFlagged := rec.Stats()
 	slowWall := f19Run(f, opts, queriesPerPhase, metrics, led, rec)
 	hist.Sample()
-	phase("slow_seller", slowWall, -1, prevAdmitted, prevFlagged, len(wd.Anomalies())-prevAnoms)
+	phase("slow_seller", slowWall, -1, prevAdmitted, prevFlagged, len(led.Anomalies())-prevAnoms)
 
 	// Stale statistics: every replica of r2 claims a single row while the
 	// fragments hold dozens, so sellers quote tiny cardinalities and the
@@ -190,10 +190,10 @@ func F19Flight(queriesPerPhase int, seed int64) *Table {
 			}
 		}
 	}
-	prevAnoms = len(wd.Anomalies())
+	prevAnoms = len(led.Anomalies())
 	prevAdmitted, prevFlagged = rec.Stats()
 	staleWall := f19Run(f, opts, queriesPerPhase, metrics, led, rec)
 	hist.Sample()
-	phase("stale_stats", staleWall, -1, prevAdmitted, prevFlagged, len(wd.Anomalies())-prevAnoms)
+	phase("stale_stats", staleWall, -1, prevAdmitted, prevFlagged, len(led.Anomalies())-prevAnoms)
 	return t
 }

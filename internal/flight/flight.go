@@ -1,30 +1,26 @@
-// Package flight is the query flight recorder: one bounded structure per
-// completed negotiation — the dossier — unifying the evidence that today
-// lives on three disconnected surfaces (trace ring, trading ledger,
-// executor RunStats). A dossier carries the grafted span tree, the
-// negotiation's ledger event chain, per-operator est-vs-actual rows,
-// quoted-vs-measured cost, wire bytes, and recovery reasons, so "why was
-// that query slow" is answered by one GET instead of a three-way join by
-// hand.
+// Package flight is the query flight recorder. A query's dossier
+// (ledger.Dossier: the grafted span tree, per-operator est-vs-actual rows,
+// quoted-vs-measured cost, wire bytes, recovery reasons, and the event chain
+// of the record it is filed on) is its ledger record's outcome, so "why was
+// that query slow" is answered by one GET instead of a three-way join.
 //
-// The recorder retains a ring of recent dossiers plus a worst-K outlier set
-// auto-captured by trigger rules (latency SLO breach, any recovery event,
-// quoted-vs-measured cost outlier, est/actual cardinality blowout). Like
-// the ledger and the tracer, a nil *Recorder is a valid off switch: every
-// method is a pure nil check (pinned by TestDisabledRecorderZeroAlloc), and
-// internal/core skips dossier assembly entirely when Config.Flight is nil.
+// The recorder keeps no dossiers: only its trigger rules (latency SLO
+// breach, any recovery, cost-ratio outlier, cardinality blowout), a worst-K
+// set of flagged records and its counters; /debug/queries, \slow and
+// SlowQueries are views over the ledger. A nil *Recorder is a valid off
+// switch (pinned by TestDisabledRecorderZeroAlloc), and internal/core skips
+// dossier assembly when Config.Flight or Config.Ledger is nil.
 package flight
 
 import (
+	"slices"
 	"sort"
 	"sync"
-	"time"
 
 	"qtrade/internal/ledger"
-	"qtrade/internal/obs"
 )
 
-// Trigger names, as they appear in Dossier.Triggers and /debug/queries.
+// Trigger names, as they appear in ledger.Dossier.Triggers and /debug/queries.
 const (
 	TrigSlow        = "slow_slo"     // wall time reached the latency SLO
 	TrigRecovery    = "recovery"     // execution needed a recovery substitution
@@ -58,7 +54,7 @@ const (
 
 // Evaluate returns the trigger names d trips, in declaration order. Pure —
 // the trigger-edge tests drive it directly.
-func (t Triggers) Evaluate(d *Dossier) []string {
+func (t Triggers) Evaluate(d *ledger.Dossier) []string {
 	var out []string
 	if t.SlowMS > 0 && d.WallMS >= t.SlowMS {
 		out = append(out, TrigSlow)
@@ -83,85 +79,29 @@ func (t Triggers) Evaluate(d *Dossier) []string {
 	return out
 }
 
-// OpStat is one operator's est-vs-actual row in a dossier, in the plan's
-// pre-order (Depth indents like EXPLAIN).
-type OpStat struct {
-	Op       string  `json:"op"`
-	Depth    int     `json:"depth"`
-	EstRows  int64   `json:"est_rows"`            // -1 when the generator had no estimate
-	Rows     int64   `json:"actual_rows"`         // rows produced
-	RowsIn   int64   `json:"rows_in,omitempty"`   // rows consumed from children
-	Calls    int     `json:"calls,omitempty"`     // cursor invocations
-	TimeMS   float64 `json:"time_ms"`             // self+children elapsed
-	Executed bool    `json:"executed"`            // false: purchased but pruned / never pulled
-	ErrRatio float64 `json:"err_ratio,omitempty"` // max(est/actual, actual/est), smoothed by +1
-}
+// DefaultWorstK sizes a NewRecorder outlier set when k <= 0.
+const DefaultWorstK = 16
 
-// Recovery is one execution-time substitution the dossier's query survived.
-type Recovery struct {
-	Failed     string `json:"failed"`     // seller that did not deliver
-	Substitute string `json:"substitute"` // seller whose standing offer patched the plan
-	OfferID    string `json:"offer"`
-	Reason     string `json:"reason,omitempty"` // crash/drain/timeout/…
-}
-
-// Dossier is one completed query's unified flight record.
-type Dossier struct {
-	ID    string    `json:"id"` // negotiation id (first RFB id)
-	Buyer string    `json:"buyer"`
-	SQL   string    `json:"sql"`
-	Start time.Time `json:"start"`
-
-	WallMS     float64 `json:"wall_ms"`     // optimize + execute
-	OptimizeMS float64 `json:"optimize_ms"` // B1–B8 negotiation wall
-	ExecMS     float64 `json:"exec_ms"`     // winning-plan execution wall
-
-	QuotedMS    float64 `json:"quoted_ms"`            // Σ purchased offers' quoted cost
-	QuotedPrice float64 `json:"quoted_price"`         // Σ purchased offers' asking prices
-	FetchMS     float64 `json:"fetch_ms,omitempty"`   // Σ buyer-measured delivery walls
-	CostRatio   float64 `json:"cost_ratio,omitempty"` // measured / quoted (>1 sellers underquoted)
-
-	Rows      int64  `json:"rows"`
-	WireBytes int64  `json:"wire_bytes"`
-	Err       string `json:"err,omitempty"`
-
-	CardError  float64    `json:"max_card_error,omitempty"` // worst OpStat.ErrRatio
-	Recoveries []Recovery `json:"recoveries,omitempty"`
-	Triggers   []string   `json:"triggers,omitempty"` // why the outlier set kept it
-
-	Operators []OpStat           `json:"operators,omitempty"`
-	Ledger    ledger.Negotiation `json:"ledger"`
-	Spans     []*obs.SpanPayload `json:"spans,omitempty"`
-}
-
-// DefaultCapacity and DefaultWorstK shape a NewRecorder ring when the
-// capacity argument is <= 0.
-const (
-	DefaultCapacity = 64
-	DefaultWorstK   = 16
-)
-
-// Recorder retains recent dossiers plus the worst-K trigger-flagged
-// outliers. Safe for concurrent use; a nil *Recorder no-ops everywhere.
+// Recorder is the capture policy over a ledger (see Admit). Safe for
+// concurrent use; a nil *Recorder no-ops everywhere.
 type Recorder struct {
 	mu       sync.Mutex
-	capacity int
 	worstK   int
 	trig     Triggers
-	recent   []*Dossier // newest last
-	outliers []*Dossier // worst (highest WallMS) first
+	led      *ledger.Ledger // the ledger the admitted records belong to
+	outliers []*ledger.Rec  // worst (highest WallMS) first
 	admitted int64
 	flagged  int64
 }
 
-// NewRecorder returns a recorder retaining the last capacity dossiers
-// (DefaultCapacity when capacity <= 0) plus DefaultWorstK outliers, with
-// default triggers (no latency SLO until SetTriggers arms one).
-func NewRecorder(capacity int) *Recorder {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
+// NewRecorder returns a recorder keeping the k worst outliers
+// (DefaultWorstK when k <= 0), with default triggers (no latency SLO until
+// SetTriggers arms one).
+func NewRecorder(k int) *Recorder {
+	if k <= 0 {
+		k = DefaultWorstK
 	}
-	return &Recorder{capacity: capacity, worstK: DefaultWorstK}
+	return &Recorder{worstK: k}
 }
 
 // SetTriggers replaces the outlier-capture rules (applies to dossiers
@@ -185,147 +125,98 @@ func (r *Recorder) Triggers() Triggers {
 	return r.trig
 }
 
-// SetWorstK resizes the outlier set (k < 1 restores the default). Nil-safe.
-func (r *Recorder) SetWorstK(k int) {
-	if r == nil {
-		return
-	}
-	if k < 1 {
-		k = DefaultWorstK
-	}
-	r.mu.Lock()
-	r.worstK = k
-	if len(r.outliers) > k {
-		r.outliers = r.outliers[:k]
-	}
-	r.mu.Unlock()
-}
-
-// dropID removes any retained dossier with the given id. Caller holds r.mu.
-// Re-admission under one id happens when recovery re-executes the same
-// negotiation's plan: the final state replaces the partial one.
-func (r *Recorder) dropID(id string) {
-	for i := 0; i < len(r.recent); i++ {
-		if r.recent[i].ID == id {
-			r.recent = append(r.recent[:i], r.recent[i+1:]...)
-			i--
-		}
-	}
-	for i := 0; i < len(r.outliers); i++ {
-		if r.outliers[i].ID == id {
-			r.outliers = append(r.outliers[:i], r.outliers[i+1:]...)
-			i--
-		}
-	}
-}
-
-// Admit evaluates the triggers on d, stamps d.Triggers, and retains it: in
-// the recent ring always, and in the worst-K outlier set when a trigger
-// fired. A dossier with an already-retained ID replaces the older capture.
-// The recorder owns d after Admit. Nil-safe on both sides.
-func (r *Recorder) Admit(d *Dossier) {
-	if r == nil || d == nil {
+// Admit stamps d with the triggers it trips and files it on rec, replacing an
+// earlier execution's (a recovery re-run); a flagged record joins the worst-K
+// set, which outlives the ledger ring. rec owns d after Admit. Without a
+// record (no ledger) nothing is kept. Nil-safe.
+func (r *Recorder) Admit(rec *ledger.Rec, d *ledger.Dossier) {
+	if r == nil || rec == nil || d == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	d.Triggers = r.trig.Evaluate(d)
-	if d.ID != "" {
-		r.dropID(d.ID)
-	}
+	rec.Finish(d)
+	r.led = rec.Ledger()
 	r.admitted++
-	r.recent = append(r.recent, d)
-	if len(r.recent) > r.capacity {
-		r.recent = r.recent[1:]
-	}
+	r.outliers = slices.DeleteFunc(r.outliers, func(o *ledger.Rec) bool { return o == rec })
 	if len(d.Triggers) == 0 {
 		return
 	}
 	r.flagged++
-	at := sort.Search(len(r.outliers), func(i int) bool { return r.outliers[i].WallMS < d.WallMS })
-	r.outliers = append(r.outliers, nil)
-	copy(r.outliers[at+1:], r.outliers[at:])
-	r.outliers[at] = d
+	at := sort.Search(len(r.outliers), func(i int) bool { return r.outliers[i].Outcome().WallMS < d.WallMS })
+	r.outliers = slices.Insert(r.outliers, at, rec)
 	if len(r.outliers) > r.worstK {
 		r.outliers = r.outliers[:r.worstK]
 	}
 }
 
-// Recent returns up to n retained dossiers, newest first (all when n <= 0).
-// Dossiers are shared snapshots: treat them as read-only.
-func (r *Recorder) Recent(n int) []*Dossier {
-	if r == nil {
-		return nil
-	}
+// view reads the ledger and a copy of the outlier set.
+func (r *Recorder) view() (*ledger.Ledger, []*ledger.Rec) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	k := len(r.recent)
-	if n > 0 && n < k {
-		k = n
-	}
-	out := make([]*Dossier, 0, k)
-	for i := 0; i < k; i++ {
-		out = append(out, r.recent[len(r.recent)-1-i])
+	return r.led, append([]*ledger.Rec(nil), r.outliers...)
+}
+
+// dossiers reads each record's dossier, its ledger chain filled in.
+func dossiers(recs []*ledger.Rec) []*ledger.Dossier {
+	out := make([]*ledger.Dossier, len(recs))
+	for i, rec := range recs {
+		out[i] = rec.Dossier()
 	}
 	return out
 }
 
+// Recent returns the dossiers of up to n of the ledger's newest records that
+// carry one, newest first (all the ring holds when n <= 0).
+func (r *Recorder) Recent(n int) []*ledger.Dossier {
+	if r == nil {
+		return nil
+	}
+	led, _ := r.view()
+	return dossiers(led.Finished(n))
+}
+
 // Outliers returns the worst-K trigger-flagged dossiers, worst first.
-func (r *Recorder) Outliers() []*Dossier {
+func (r *Recorder) Outliers() []*ledger.Dossier {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]*Dossier(nil), r.outliers...)
+	_, outs := r.view()
+	return dossiers(outs)
 }
 
-// Slow merges the outlier set and the recent ring (outliers win ties),
-// dedupes by ID, and returns up to n dossiers sorted slowest first — the
-// qtsql \slow and Federation.SlowQueries view.
-func (r *Recorder) Slow(n int) []*Dossier {
+// Slow merges the outlier set and the ledger's records carrying a dossier
+// (outliers win ties), each record once, and returns up to n dossiers sorted
+// slowest first — the qtsql \slow and Federation.SlowQueries view.
+func (r *Recorder) Slow(n int) []*ledger.Dossier {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	seen := make(map[string]bool, len(r.outliers)+len(r.recent))
-	merged := make([]*Dossier, 0, len(r.outliers)+len(r.recent))
-	for _, d := range r.outliers {
-		if !seen[d.ID] {
-			seen[d.ID] = true
-			merged = append(merged, d)
+	led, recs := r.view()
+	outs := len(recs)
+	for _, rec := range led.Finished(0) {
+		if !slices.Contains(recs[:outs], rec) {
+			recs = append(recs, rec)
 		}
 	}
-	for _, d := range r.recent {
-		if !seen[d.ID] {
-			seen[d.ID] = true
-			merged = append(merged, d)
-		}
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Outcome().WallMS > recs[j].Outcome().WallMS })
+	if n > 0 && n < len(recs) {
+		recs = recs[:n]
 	}
-	r.mu.Unlock()
-	sort.SliceStable(merged, func(i, j int) bool { return merged[i].WallMS > merged[j].WallMS })
-	if n > 0 && n < len(merged) {
-		merged = merged[:n]
-	}
-	return merged
+	return dossiers(recs)
 }
 
-// Get returns the retained dossier with the given id (nil when evicted or
-// never captured).
-func (r *Recorder) Get(id string) *Dossier {
+// Get returns the dossier of the negotiation named id: through the ledger's
+// id index, then the outlier set (nil when evicted or never captured).
+func (r *Recorder) Get(id string) *ledger.Dossier {
 	if r == nil || id == "" {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := len(r.recent) - 1; i >= 0; i-- {
-		if r.recent[i].ID == id {
-			return r.recent[i]
-		}
-	}
-	for _, d := range r.outliers {
-		if d.ID == id {
-			return d
+	led, outs := r.view()
+	for _, rec := range append([]*ledger.Rec{led.Lookup(id)}, outs...) {
+		if d := rec.Outcome(); d != nil && d.ID == id {
+			return rec.Dossier()
 		}
 	}
 	return nil
@@ -340,14 +231,4 @@ func (r *Recorder) Stats() (admitted, flagged int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.admitted, r.flagged
-}
-
-// Len reports how many dossiers the recent ring currently holds.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.recent)
 }

@@ -5,14 +5,24 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"qtrade/internal/ledger"
 	"qtrade/internal/obs"
 )
 
-func d(id string, wall float64) *Dossier {
-	return &Dossier{ID: id, Buyer: "hq", SQL: "SELECT 1", WallMS: wall}
+func d(id string, wall float64) *ledger.Dossier {
+	return &ledger.Dossier{ID: id, Buyer: "hq", SQL: "SELECT 1", WallMS: wall}
+}
+
+// admit opens a negotiation named id on l and admits a dossier of the given
+// wall for it, as an execution's finalizer does.
+func admit(r *Recorder, l *ledger.Ledger, id string, wall float64) *ledger.Rec {
+	rec := l.Begin("hq", "SELECT 1")
+	rec.RFBIssued(id, 1, 1)
+	r.Admit(rec, d(id, wall))
+	return rec
 }
 
 // TestDisabledRecorderZeroAlloc pins the off switch: a nil *Recorder must
@@ -20,8 +30,9 @@ func d(id string, wall float64) *Dossier {
 func TestDisabledRecorderZeroAlloc(t *testing.T) {
 	var r *Recorder
 	doss := d("q1", 5)
+	rec := ledger.New(1).Begin("hq", "SELECT 1")
 	allocs := testing.AllocsPerRun(100, func() {
-		r.Admit(doss)
+		r.Admit(rec, doss)
 		r.SetTriggers(Triggers{SlowMS: 1})
 		_ = r.Triggers()
 		_ = r.Recent(4)
@@ -29,7 +40,6 @@ func TestDisabledRecorderZeroAlloc(t *testing.T) {
 		_ = r.Slow(4)
 		_ = r.Get("q1")
 		_, _ = r.Stats()
-		_ = r.Len()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled recorder must not allocate, got %.1f allocs/op", allocs)
@@ -41,83 +51,88 @@ func TestTriggerEdges(t *testing.T) {
 	trig := Triggers{SlowMS: 100}
 
 	// Exactly at the SLO counts as a breach.
-	if got := trig.Evaluate(&Dossier{WallMS: 100}); len(got) != 1 || got[0] != TrigSlow {
+	if got := trig.Evaluate(&ledger.Dossier{WallMS: 100}); len(got) != 1 || got[0] != TrigSlow {
 		t.Fatalf("exactly-at-SLO must trip slow_slo: %v", got)
 	}
-	if got := trig.Evaluate(&Dossier{WallMS: 99.999}); len(got) != 0 {
+	if got := trig.Evaluate(&ledger.Dossier{WallMS: 99.999}); len(got) != 0 {
 		t.Fatalf("below SLO must not trip: %v", got)
 	}
 	// SlowMS == 0 disables the latency rule entirely.
-	if got := (Triggers{}).Evaluate(&Dossier{WallMS: 1e9}); len(got) != 0 {
+	if got := (Triggers{}).Evaluate(&ledger.Dossier{WallMS: 1e9}); len(got) != 0 {
 		t.Fatalf("disabled SLO tripped: %v", got)
 	}
 
 	// A recovery-then-success query still carries its recovery list and is
 	// captured even though it finished fine and fast.
-	rec := &Dossier{WallMS: 1, Recoveries: []Recovery{{Failed: "n2", Substitute: "n3", Reason: "crash"}}}
+	rec := &ledger.Dossier{WallMS: 1, Recoveries: []ledger.Recovery{{Failed: "n2", Substitute: "n3", Reason: "crash"}}}
 	if got := trig.Evaluate(rec); len(got) != 1 || got[0] != TrigRecovery {
 		t.Fatalf("recovery-then-success must trip recovery: %v", got)
 	}
 
 	// Cost ratio trips on both sides of the default 4× band.
-	if got := (Triggers{}).Evaluate(&Dossier{CostRatio: 4}); len(got) != 1 || got[0] != TrigCostOutlier {
+	if got := (Triggers{}).Evaluate(&ledger.Dossier{CostRatio: 4}); len(got) != 1 || got[0] != TrigCostOutlier {
 		t.Fatalf("4x underquote must trip: %v", got)
 	}
-	if got := (Triggers{}).Evaluate(&Dossier{CostRatio: 0.25}); len(got) != 1 || got[0] != TrigCostOutlier {
+	if got := (Triggers{}).Evaluate(&ledger.Dossier{CostRatio: 0.25}); len(got) != 1 || got[0] != TrigCostOutlier {
 		t.Fatalf("4x overquote must trip: %v", got)
 	}
-	if got := (Triggers{}).Evaluate(&Dossier{CostRatio: 3.9}); len(got) != 0 {
+	if got := (Triggers{}).Evaluate(&ledger.Dossier{CostRatio: 3.9}); len(got) != 0 {
 		t.Fatalf("in-band ratio tripped: %v", got)
 	}
-	if got := (Triggers{}).Evaluate(&Dossier{CostRatio: 0}); len(got) != 0 {
+	if got := (Triggers{}).Evaluate(&ledger.Dossier{CostRatio: 0}); len(got) != 0 {
 		t.Fatalf("unknown ratio (no quotes) tripped: %v", got)
 	}
 
 	// Cardinality blowout at the default 8× threshold.
-	if got := (Triggers{}).Evaluate(&Dossier{CardError: 8}); len(got) != 1 || got[0] != TrigCardError {
+	if got := (Triggers{}).Evaluate(&ledger.Dossier{CardError: 8}); len(got) != 1 || got[0] != TrigCardError {
 		t.Fatalf("8x card error must trip: %v", got)
 	}
-	if got := (Triggers{CardErrorFactor: 100}).Evaluate(&Dossier{CardError: 8}); len(got) != 0 {
+	if got := (Triggers{CardErrorFactor: 100}).Evaluate(&ledger.Dossier{CardError: 8}); len(got) != 0 {
 		t.Fatalf("raised threshold still tripped: %v", got)
 	}
 
 	// Multiple rules can fire at once; order is stable.
-	multi := trig.Evaluate(&Dossier{WallMS: 500, CostRatio: 10, CardError: 20,
-		Recoveries: []Recovery{{Failed: "n2"}}})
+	multi := trig.Evaluate(&ledger.Dossier{WallMS: 500, CostRatio: 10, CardError: 20,
+		Recoveries: []ledger.Recovery{{Failed: "n2"}}})
 	want := []string{TrigSlow, TrigRecovery, TrigCostOutlier, TrigCardError}
 	if fmt.Sprint(multi) != fmt.Sprint(want) {
 		t.Fatalf("multi-trigger: got %v want %v", multi, want)
 	}
 }
 
-// TestRecorderRetention pins the ring bound, the worst-K ordering, and the
-// replace-by-ID semantics recovery re-execution depends on.
+// TestRecorderRetention pins that recent dossiers are the ledger ring's, the
+// worst-K ordering, an outlier outliving its ring eviction, and the
+// replace-in-place semantics recovery re-execution depends on.
 func TestRecorderRetention(t *testing.T) {
-	r := NewRecorder(4)
+	l := ledger.New(4)
+	r := NewRecorder(2)
 	r.SetTriggers(Triggers{SlowMS: 100})
-	r.SetWorstK(2)
 
 	for i := 0; i < 8; i++ {
-		r.Admit(d(fmt.Sprintf("q%d", i), float64(10*i))) // q0..q7, walls 0..70
-	}
-	if r.Len() != 4 {
-		t.Fatalf("ring must hold capacity: %d", r.Len())
+		admit(r, l, fmt.Sprintf("q%d", i), float64(10*i)) // q0..q7, walls 0..70
 	}
 	recent := r.Recent(0)
 	if len(recent) != 4 || recent[0].ID != "q7" || recent[3].ID != "q4" {
-		t.Fatalf("recent order: %v", ids(recent))
+		t.Fatalf("recent must follow the ledger ring: %v", ids(recent))
 	}
 	if got := r.Recent(2); len(got) != 2 || got[0].ID != "q7" {
 		t.Fatalf("recent limit: %v", ids(got))
+	}
+	// A negotiation that never executed takes a ring slot but lists nothing,
+	// and nothing is kept for an execution without a record.
+	l.Begin("hq", "SELECT 2").RFBIssued("unexecuted", 1, 1)
+	r.Admit(nil, d("orphan", 500))
+	if got := r.Recent(0); len(got) != 3 || got[0].ID != "q7" || got[2].ID != "q5" {
+		t.Fatalf("recent after an unexecuted negotiation: %v", ids(got))
 	}
 	if len(r.Outliers()) != 0 {
 		t.Fatal("nothing breached the SLO yet")
 	}
 
 	// Three breaches into a worst-2 set: the mildest one falls out.
-	r.Admit(d("s1", 150))
-	r.Admit(d("s2", 400))
-	r.Admit(d("s3", 250))
+	admit(r, l, "s1", 150)
+	s2 := admit(r, l, "s2", 400)
+	admit(r, l, "s3", 250)
 	out := r.Outliers()
 	if len(out) != 2 || out[0].ID != "s2" || out[1].ID != "s3" {
 		t.Fatalf("worst-K: %v", ids(out))
@@ -126,46 +141,58 @@ func TestRecorderRetention(t *testing.T) {
 		t.Fatalf("admitted dossier must be stamped with its triggers: %v", out[0].Triggers)
 	}
 
-	// The ring evicted s1 (capacity 4: s3,s2,s1,q7 → wait, it holds the
-	// last 4 admitted: q7 was pushed out). Outlier retention is independent
-	// of the ring, so an evicted-from-ring outlier stays addressable.
-	for i := 0; i < 8; i++ {
-		r.Admit(d(fmt.Sprintf("f%d", i), 1))
+	// The ring rotates past every breach; the outliers stay addressable, a
+	// breach the outlier set dropped does not.
+	for i := 0; i < 4; i++ {
+		admit(r, l, fmt.Sprintf("f%d", i), 1)
 	}
-	if got := r.Get("s2"); got == nil || got.WallMS != 400 {
-		t.Fatal("outlier must survive ring eviction")
+	if got := r.Get("s2"); got == nil || got.WallMS != 400 || len(got.Ledger.Events) != 1 {
+		t.Fatalf("outlier must survive ring eviction with its ledger chain: %+v", got)
+	}
+	if r.Get("s1") != nil {
+		t.Fatal("s1 was evicted from the ring and dropped from the outliers")
 	}
 
-	// Re-admitting an ID (recovery re-executed the plan) replaces, never
-	// duplicates.
-	r.Admit(d("s2", 600))
-	if got := r.Get("s2"); got.WallMS != 600 {
-		t.Fatalf("replace-by-ID: %v", got.WallMS)
+	// Re-admitting a negotiation (recovery re-executed the plan) replaces its
+	// dossier, never duplicates it: in the outliers, and in the recent list.
+	r.Admit(s2, d("s2", 300))
+	if got := r.Get("s2"); got.WallMS != 300 {
+		t.Fatalf("replace in place: %v", got.WallMS)
 	}
-	n := 0
-	for _, x := range append(r.Recent(0), r.Outliers()...) {
-		if x.ID == "s2" {
-			n++
+	if out := r.Outliers(); len(out) != 2 || out[0].ID != "s2" || out[1].ID != "s3" {
+		t.Fatalf("re-admitted outlier: %v", ids(out))
+	}
+	f3 := l.Lookup("f3")
+	r.Admit(f3, d("f3", 600))
+	r.Admit(f3, d("f3", 700))
+	in := func(ds []*ledger.Dossier) (n int) {
+		for _, x := range ds {
+			if x.ID == "f3" {
+				n++
+			}
 		}
+		return n
 	}
-	if n != 2 { // once in ring, once in outliers — never twice in either
-		t.Fatalf("s2 retained %d times", n)
+	if in(r.Recent(0)) != 1 || in(r.Outliers()) != 1 || r.Outliers()[0].WallMS != 700 {
+		t.Fatalf("re-admitted f3: recent %v outliers %v", ids(r.Recent(0)), ids(r.Outliers()))
 	}
 
 	admitted, flagged := r.Stats()
-	if admitted != 20 || flagged != 4 {
+	if admitted != 18 || flagged != 6 {
 		t.Fatalf("stats: admitted=%d flagged=%d", admitted, flagged)
 	}
 }
 
-// TestRecorderSlow pins the merged slowest-first view behind qtsql \slow.
+// TestRecorderSlow pins the merged slowest-first view behind qtsql \slow:
+// the outlier set and the ledger's records, each record once.
 func TestRecorderSlow(t *testing.T) {
-	r := NewRecorder(3)
+	l := ledger.New(3)
+	r := NewRecorder(0)
 	r.SetTriggers(Triggers{SlowMS: 100})
-	r.Admit(d("a", 150)) // outlier, will fall out of the ring
-	r.Admit(d("b", 20))
-	r.Admit(d("c", 90))
-	r.Admit(d("e", 50)) // evicts a from the ring
+	admit(r, l, "a", 150) // outlier, will fall out of the ring
+	admit(r, l, "b", 20)
+	admit(r, l, "c", 90)
+	admit(r, l, "e", 50) // evicts a from the ring
 	slow := r.Slow(0)
 	if len(slow) != 4 || slow[0].ID != "a" || slow[1].ID != "c" || slow[2].ID != "e" || slow[3].ID != "b" {
 		t.Fatalf("slow view: %v", ids(slow))
@@ -173,9 +200,55 @@ func TestRecorderSlow(t *testing.T) {
 	if got := r.Slow(2); len(got) != 2 || got[0].ID != "a" || got[1].ID != "c" {
 		t.Fatalf("slow limit: %v", ids(got))
 	}
+	// A flagged record still in the ring is listed once.
+	admit(r, l, "g", 200)
+	if got := r.Slow(0); len(got) != 4 || got[0].ID != "g" || got[1].ID != "a" {
+		t.Fatalf("slow view with a ring outlier: %v", ids(got))
+	}
 }
 
-func ids(ds []*Dossier) []string {
+// TestRecorderConcurrentAdmitAndRead: executions finishing on many
+// goroutines admit into one recorder over one ledger while the views read
+// it; run under -race. The outlier set stays worst-first and bounded.
+func TestRecorderConcurrentAdmitAndRead(t *testing.T) {
+	l := ledger.New(16)
+	r := NewRecorder(4)
+	r.SetTriggers(Triggers{SlowMS: 50})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				id := fmt.Sprintf("g%d-q%d", g, i)
+				rec := admit(r, l, id, float64(i*2))
+				r.Admit(rec, d(id, float64(i*3))) // a recovery re-run
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			for _, x := range r.Slow(5) {
+				_ = r.Get(x.ID)
+			}
+			_ = r.Recent(3)
+			r.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/debug/queries", nil))
+		}
+	}()
+	wg.Wait()
+	<-done
+	if admitted, _ := r.Stats(); admitted != 800 {
+		t.Fatalf("admitted %d, want 800", admitted)
+	}
+	out := r.Outliers()
+	if len(out) != 4 || out[0].WallMS != 147 || out[3].WallMS != 147 {
+		t.Fatalf("outliers: %v", ids(out))
+	}
+}
+
+func ids(ds []*ledger.Dossier) []string {
 	out := make([]string, len(ds))
 	for i, x := range ds {
 		out[i] = x.ID
@@ -185,22 +258,21 @@ func ids(ds []*Dossier) []string {
 
 // TestRecorderHTTP drives both endpoints through real requests.
 func TestRecorderHTTP(t *testing.T) {
-	r := NewRecorder(8)
+	r := NewRecorder(0)
 	r.SetTriggers(Triggers{SlowMS: 100})
 	l := ledger.New(4)
 	rec := l.Begin("hq", "SELECT x FROM t")
 	rec.RFBIssued("hq-rfb1", 1, 2)
-	full := &Dossier{
+	full := &ledger.Dossier{
 		ID: "hq-rfb1", Buyer: "hq", SQL: "SELECT x FROM t", WallMS: 250,
 		OptimizeMS: 50, ExecMS: 200, QuotedMS: 40, CostRatio: 5,
 		Rows: 10, WireBytes: 1234,
-		Recoveries: []Recovery{{Failed: "n2", Substitute: "n3", OfferID: "o9", Reason: "crash"}},
-		Operators:  []OpStat{{Op: "Join", EstRows: 10, Rows: 80, ErrRatio: 7.36, Executed: true}},
-		Ledger:     rec.Snapshot(),
+		Recoveries: []ledger.Recovery{{Failed: "n2", Substitute: "n3", OfferID: "o9", Reason: "crash"}},
+		Operators:  []ledger.OpStat{{Op: "Join", EstRows: 10, Rows: 80, ErrRatio: 7.36, Executed: true}},
 		Spans:      []*obs.SpanPayload{{Source: "hq", Name: "optimize"}},
 	}
-	r.Admit(full)
-	r.Admit(d("hq-rfb2", 5))
+	r.Admit(rec, full)
+	admit(r, l, "hq-rfb2", 5)
 
 	// List view.
 	w := httptest.NewRecorder()
@@ -212,7 +284,7 @@ func TestRecorderHTTP(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &p); err != nil {
 		t.Fatal(err)
 	}
-	if p.Admitted != 2 || p.Flagged != 1 || len(p.Recent) != 2 || len(p.Outliers) != 1 {
+	if p.Capacity != 4 || p.WorstK != DefaultWorstK || p.Admitted != 2 || p.Flagged != 1 || len(p.Recent) != 2 || len(p.Outliers) != 1 {
 		t.Fatalf("payload: %+v", p)
 	}
 	if p.Outliers[0].ID != "hq-rfb1" || p.Outliers[0].Recoveries != 1 || len(p.Outliers[0].Triggers) == 0 {

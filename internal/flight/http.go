@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
+
+	"qtrade/internal/ledger"
+	"qtrade/internal/obs"
 )
 
 // dossierSummary is the list-view row at /debug/queries: everything needed
@@ -26,7 +28,7 @@ type dossierSummary struct {
 	Triggers   []string `json:"triggers,omitempty"`
 }
 
-func summarize(d *Dossier) dossierSummary {
+func summarize(d *ledger.Dossier) dossierSummary {
 	return dossierSummary{
 		ID: d.ID, Buyer: d.Buyer, SQL: d.SQL,
 		WallMS: d.WallMS, ExecMS: d.ExecMS, QuotedMS: d.QuotedMS,
@@ -46,8 +48,9 @@ type recorderPayload struct {
 }
 
 // ServeHTTP serves the recorder on both /debug/queries (summaries of the
-// recent ring and the worst-K outliers; ?n=k limits the recent list) and
-// /debug/queries/{id} (one full dossier: spans, ledger events, operators).
+// ledger's recent dossiers and the worst-K outliers; ?n=k limits the recent
+// list; capacity is the ledger ring's) and /debug/queries/{id} (one full
+// dossier: spans, ledger events, operators).
 // A nil recorder answers 404 so a disabled federation stays mountable.
 func (r *Recorder) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	if r == nil {
@@ -61,44 +64,37 @@ func (r *Recorder) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		path = path[i+len("/debug/queries"):]
 	}
 	id := strings.TrimPrefix(path, "/")
+	var body any
 	if id != "" {
 		d := r.Get(id)
 		if d == nil {
 			http.Error(w, fmt.Sprintf("no dossier %q (evicted or never captured)", id), http.StatusNotFound)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		enc.Encode(d)
-		return
-	}
-	n := 0
-	if raw := req.URL.Query().Get("n"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v < 1 {
-			http.Error(w, "bad n", http.StatusBadRequest)
+		body = d
+	} else {
+		n, ok := obs.CountParam(w, req, 0)
+		if !ok {
 			return
 		}
-		n = v
-	}
-	r.mu.Lock()
-	capacity, worstK := r.capacity, r.worstK
-	r.mu.Unlock()
-	admitted, flagged := r.Stats()
-	p := recorderPayload{
-		Capacity: capacity, WorstK: worstK,
-		Admitted: admitted, Flagged: flagged,
-		Recent: make([]dossierSummary, 0, 8), Outliers: make([]dossierSummary, 0, 8),
-	}
-	for _, d := range r.Recent(n) {
-		p.Recent = append(p.Recent, summarize(d))
-	}
-	for _, d := range r.Outliers() {
-		p.Outliers = append(p.Outliers, summarize(d))
+		led, outs := r.view()
+		admitted, flagged := r.Stats()
+		p := recorderPayload{
+			Capacity: led.Capacity(), WorstK: r.worstK,
+			Admitted: admitted, Flagged: flagged,
+			Recent: make([]dossierSummary, 0, 8), Outliers: make([]dossierSummary, 0, 8),
+		}
+		// Summaries leave the ledger chain out: no record's events are copied.
+		for _, rec := range led.Finished(n) {
+			p.Recent = append(p.Recent, summarize(rec.Outcome()))
+		}
+		for _, rec := range outs {
+			p.Outliers = append(p.Outliers, summarize(rec.Outcome()))
+		}
+		body = p
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	enc.Encode(p)
+	enc.Encode(body)
 }

@@ -71,12 +71,10 @@ func (c WatchdogConfig) withDefaults() WatchdogConfig {
 	return c
 }
 
-// watchdogLogCap bounds the in-memory anomaly log.
-const watchdogLogCap = 64
-
 // Watchdog compares each freshly closed metrics window against trailing
 // EWMA baselines and emits typed anomaly events into the trading ledger
-// plus watchdog.* instruments. Attach it to a History (or call Observe
+// plus watchdog.* instruments; it keeps no log of its own — the ledger's
+// anomaly stream is the record. Attach it to a History (or call Observe
 // directly from tests and experiments). A nil *Watchdog no-ops.
 type Watchdog struct {
 	cfg   WatchdogConfig
@@ -92,7 +90,6 @@ type Watchdog struct {
 	recRate   map[string]float64 // recovery counter name → EWMA delta/window
 	hitRate   map[string]float64 // cache prefix → EWMA hit rate
 	calWarned map[string]bool    // seller → already flagged (rising edge only)
-	log       []Anomaly          // newest last, bounded at watchdogLogCap
 }
 
 // NewWatchdog builds a watchdog reporting into ledg and m (either may be
@@ -132,16 +129,6 @@ func (w *Watchdog) Attach(h *obs.History) {
 	h.OnWindow(func(win *obs.Window) { w.Observe(win) })
 }
 
-// Anomalies returns the bounded in-memory log, oldest first.
-func (w *Watchdog) Anomalies() []Anomaly {
-	if w == nil {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]Anomaly(nil), w.log...)
-}
-
 // Observe judges one freshly closed window against the trailing baselines,
 // updates the baselines, and returns the findings (also pushed into the
 // ledger anomaly stream and the watchdog.* instruments). The first sighting
@@ -156,39 +143,38 @@ func (w *Watchdog) Observe(win *obs.Window) []Anomaly {
 		found = append(found, Anomaly{Kind: kind, Metric: metric, Value: value, Baseline: baseline, Window: win.Seq})
 	}
 
-	alpha := w.cfg.BaselineAlpha
+	// judge compares v with the trailing baseline m[key]: the first sighting
+	// seeds it silently; a regression is flagged and not folded in, so a
+	// sustained one keeps flagging instead of becoming normal; anything else
+	// moves the baseline by the EWMA weight.
+	judge := func(m map[string]float64, key, kind, metric string, v float64, regressed func(base float64) bool) {
+		switch base, seen := m[key]; {
+		case !seen:
+			m[key] = v
+		case regressed(base):
+			flag(kind, metric, v, base)
+		default:
+			m[key] = (1-w.cfg.BaselineAlpha)*base + w.cfg.BaselineAlpha*v
+		}
+	}
+
 	for i := range win.Hists {
 		hw := &win.Hists[i]
 		// Under-sampled windows are too noisy to judge — and too noisy to
 		// learn a baseline from, so they are skipped entirely.
-		if hw.Count < w.cfg.MinSamples || !strings.HasSuffix(hw.Name, "_ms") {
-			continue
-		}
-		base, seen := w.p95[hw.Name]
-		if seen && base > 0 && hw.P95 >= w.cfg.P95Factor*base {
-			flag(AnomalyP95, hw.Name, hw.P95, base)
-			// Do not fold the regressed window into the baseline: a
-			// sustained regression should keep flagging, not become normal.
-		} else if !seen {
-			w.p95[hw.Name] = hw.P95
-		} else {
-			w.p95[hw.Name] = (1-alpha)*base + alpha*hw.P95
+		if hw.Count >= w.cfg.MinSamples && strings.HasSuffix(hw.Name, "_ms") {
+			judge(w.p95, hw.Name, AnomalyP95, hw.Name, hw.P95, func(base float64) bool {
+				return base > 0 && hw.P95 >= w.cfg.P95Factor*base
+			})
 		}
 	}
 
 	for i := range win.Counters {
 		cw := &win.Counters[i]
-		if !strings.Contains(cw.Name, "recovery_fallbacks") {
-			continue
-		}
-		base, seen := w.recRate[cw.Name]
-		delta := float64(cw.Delta)
-		if seen && delta >= 1 && delta > w.cfg.RecoveryFactor*base {
-			flag(AnomalyRecovery, cw.Name, delta, base)
-		} else if !seen {
-			w.recRate[cw.Name] = delta
-		} else {
-			w.recRate[cw.Name] = (1-alpha)*base + alpha*delta
+		if delta := float64(cw.Delta); strings.Contains(cw.Name, "recovery_fallbacks") {
+			judge(w.recRate, cw.Name, AnomalyRecovery, cw.Name, delta, func(base float64) bool {
+				return delta >= 1 && delta > w.cfg.RecoveryFactor*base
+			})
 		}
 	}
 
@@ -199,21 +185,11 @@ func (w *Watchdog) Observe(win *obs.Window) []Anomaly {
 		}
 		prefix := strings.TrimSuffix(cw.Name, "hits")
 		misses, ok := win.CounterDelta(prefix + "misses")
-		if !ok {
-			continue
-		}
-		total := cw.Delta + misses
-		if total < w.cfg.MinSamples {
-			continue
-		}
-		rate := float64(cw.Delta) / float64(total)
-		base, seen := w.hitRate[prefix]
-		if seen && base-rate >= w.cfg.HitRateDrop {
-			flag(AnomalyHitRate, prefix+"hit_rate", rate, base)
-		} else if !seen {
-			w.hitRate[prefix] = rate
-		} else {
-			w.hitRate[prefix] = (1-alpha)*base + alpha*rate
+		if total := cw.Delta + misses; ok && total >= w.cfg.MinSamples {
+			rate := float64(cw.Delta) / float64(total)
+			judge(w.hitRate, prefix, AnomalyHitRate, prefix+"hit_rate", rate, func(base float64) bool {
+				return base-rate >= w.cfg.HitRateDrop
+			})
 		}
 	}
 
@@ -227,12 +203,6 @@ func (w *Watchdog) Observe(win *obs.Window) []Anomaly {
 		}
 	}
 
-	for _, a := range found {
-		w.log = append(w.log, a)
-	}
-	if over := len(w.log) - watchdogLogCap; over > 0 {
-		w.log = append(w.log[:0], w.log[over:]...)
-	}
 	w.mu.Unlock()
 
 	w.windowGauge.Set(float64(len(found)))

@@ -77,8 +77,8 @@ func TestWatchdogP95Regression(t *testing.T) {
 	if m.Gauge("watchdog.window_anomalies").Value() != 0 {
 		t.Fatal("clean window must zero the gauge")
 	}
-	if len(w.Anomalies()) != 2 {
-		t.Fatalf("log: %v", w.Anomalies())
+	if got := l.Anomalies(); len(got) != 2 {
+		t.Fatalf("ledger anomaly stream: %v", got)
 	}
 }
 
@@ -177,28 +177,30 @@ func TestWatchdogAttach(t *testing.T) {
 	h.Sample()
 	lat.Observe(500)
 	h.Sample()
-	if got := w.Anomalies(); len(got) != 1 || got[0].Kind != AnomalyP95 {
+	if got := l.Anomalies(); len(got) != 1 || got[0].Reason != AnomalyP95 {
 		t.Fatalf("attached watchdog: %+v", got)
-	}
-	if len(l.Anomalies()) != 1 {
-		t.Fatal("ledger did not receive the anomaly")
 	}
 }
 
-// TestWatchdogLogBounded + nil-safety.
+// TestWatchdogBoundsAndNil: the watchdog keeps nothing of its own — a
+// sustained regression's findings are bounded by the ledger's side stream —
+// and every entry point is nil-safe.
 func TestWatchdogBoundsAndNil(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{MinSamples: 1}, nil, nil)
+	l := ledger.New(8)
+	w := NewWatchdog(WatchdogConfig{MinSamples: 1}, l, nil)
 	name := "buyer.hq.wall_ms"
 	w.Observe(win(0, func(x *obs.Window) { x.Hists = append(x.Hists, histWin(name, 1, 1)) }))
-	for i := 1; i < watchdogLogCap+20; i++ {
-		w.Observe(win(int64(i), func(x *obs.Window) { x.Hists = append(x.Hists, histWin(name, 1, 1e6)) }))
+	for i := 1; i < 30; i++ {
+		if got := w.Observe(win(int64(i), func(x *obs.Window) { x.Hists = append(x.Hists, histWin(name, 1, 1e6)) })); len(got) != 1 {
+			t.Fatalf("window %d: %v", i, got)
+		}
 	}
-	if got := len(w.Anomalies()); got != watchdogLogCap {
-		t.Fatalf("log must stay bounded: %d", got)
+	if got := l.Anomalies(); len(got) != 8 || got[7].Window != 29 {
+		t.Fatalf("the ledger's anomaly stream must stay bounded at its capacity: %d", len(got))
 	}
 
 	var nilW *Watchdog
-	if nilW.Observe(win(0, nil)) != nil || nilW.Anomalies() != nil {
+	if nilW.Observe(win(0, nil)) != nil {
 		t.Fatal("nil watchdog must no-op")
 	}
 	nilW.Attach(nil)

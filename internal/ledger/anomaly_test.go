@@ -6,8 +6,8 @@ import (
 )
 
 // TestAnomalyStream pins the watchdog's ledger surface: typed anomaly
-// events retained in a bounded stream, exported as a synthetic "anomalies"
-// object in the JSONL feed.
+// events retained in the bounded side stream, exported as a synthetic
+// "anomalies" object in the JSONL feed.
 func TestAnomalyStream(t *testing.T) {
 	l := New(4)
 	l.Anomaly("p95_regression", "buyer.hq.wall_ms", 12.5, 3.1, 7)
@@ -47,8 +47,8 @@ func TestAnomalyStream(t *testing.T) {
 	}
 }
 
-// TestRecSnapshot checks the deep copy the flight recorder consumes: later
-// events must not leak into an already-taken snapshot.
+// TestRecSnapshot checks the deep copy a dossier's "ledger" is read from:
+// later events must not leak into an already-taken snapshot.
 func TestRecSnapshot(t *testing.T) {
 	l := New(4)
 	r := l.Begin("hq", "SELECT 1")
@@ -68,5 +68,29 @@ func TestRecSnapshot(t *testing.T) {
 	var nilRec *Rec
 	if s := nilRec.Snapshot(); s.ID != "" || s.Events != nil {
 		t.Fatal("nil rec snapshot must be empty")
+	}
+}
+
+// The side stream is one bounded stream for both kinds of events outside a
+// negotiation; each view filters it, and the JSONL export keeps its two
+// synthetic objects.
+func TestSideStreamIsShared(t *testing.T) {
+	l := New(3)
+	l.Lifecycle(KindJoin, "n1", "")
+	l.Anomaly("p95_regression", "buyer.hq.wall_ms", 9, 3, 1)
+	l.Lifecycle(KindDrain, "n1", "operator")
+	if life, anoms := l.LifecycleEvents(), l.Anomalies(); len(life) != 2 || len(anoms) != 1 || anoms[0].Seq <= life[0].Seq {
+		t.Fatalf("lifecycle %+v anomalies %+v", life, anoms)
+	}
+	l.Anomaly("recovery_spike", "buyer.hq.recovery_fallbacks", 4, 0, 2) // evicts the join
+	if life := l.LifecycleEvents(); len(life) != 1 || life[0].Kind != KindDrain {
+		t.Fatalf("the stream holds 3 events whatever their kind: %+v", life)
+	}
+	var b strings.Builder
+	if err := l.WriteJSONL(&b, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); !strings.Contains(got, `"id":"lifecycle"`) || !strings.Contains(got, `"id":"anomalies"`) {
+		t.Fatalf("JSONL export:\n%s", got)
 	}
 }

@@ -3,7 +3,8 @@ package ledger
 import (
 	"encoding/json"
 	"net/http"
-	"strconv"
+
+	"qtrade/internal/obs"
 )
 
 // ServeHTTP serves the retained negotiations as JSONL (one negotiation per
@@ -15,14 +16,9 @@ func (l *Ledger) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	n := 0
-	if s := r.URL.Query().Get("n"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 1 {
-			http.Error(w, "bad n", http.StatusBadRequest)
-			return
-		}
-		n = v
+	n, ok := obs.CountParam(w, r, 0)
+	if !ok {
+		return
 	}
 	if l.Len() == 0 {
 		http.Error(w, "no negotiations recorded yet", http.StatusNotFound)

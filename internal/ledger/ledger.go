@@ -7,6 +7,11 @@
 // wall time the buyer actually measured fetching the purchased answer, which
 // is the signal load-aware pricing and seller-trust heuristics need.
 //
+// A record is the one place a process keeps its query's evidence: a finished
+// execution files its flight dossier there as the outcome (dossier.go), and
+// the flight recorder's views read it back. Events outside any negotiation
+// (membership, watchdog anomalies) share one bounded side stream.
+//
 // Everything is nil-safe: a nil *Ledger hands out nil *Rec handles and every
 // recording method on either is a no-op, so disabled instrumentation
 // compiles down to a nil check and adds zero allocations on the negotiation
@@ -84,6 +89,12 @@ type Rec struct {
 	mu   sync.Mutex
 	n    Negotiation
 	rfbs []string // the RFBIDs indexed under this record; guarded by l.mu
+
+	// Guarded by mu: the dossier Finish filed, and append's running sums.
+	dossier    *Dossier
+	fetchMS    float64
+	wireBytes  int64
+	recoveries []Recovery
 }
 
 // Ledger is a bounded ring of negotiations plus the calibration aggregates
@@ -95,8 +106,7 @@ type Ledger struct {
 	seq   int64
 	negs  []*Rec          // ring, oldest first
 	byRFB map[string]*Rec // every RFBID seen → owning record
-	life  []Event         // membership events (join/drain/undrain/leave), oldest first
-	anoms []Event         // watchdog anomaly events, oldest first
+	side  []Event         // events outside any negotiation (membership, anomalies), oldest first
 	cal   calibrator
 }
 
@@ -166,6 +176,13 @@ func (r *Rec) append(e Event) {
 	e.At = time.Now()
 	r.mu.Lock()
 	r.n.Events = append(r.n.Events, e)
+	switch e.Kind { // the running sums a dossier reads (Delivery)
+	case KindFetch:
+		r.fetchMS += e.WallMS
+		r.wireBytes += e.Bytes
+	case KindRecovery:
+		r.recoveries = append(r.recoveries, Recovery{Failed: e.Err, Substitute: e.Seller, OfferID: e.OfferID, Reason: e.Reason})
+	}
 	r.mu.Unlock()
 }
 
@@ -175,15 +192,24 @@ func (r *Rec) RFBIssued(rfbID string, iter, queries int) {
 	if r == nil {
 		return
 	}
+	r.Name(rfbID)
+	r.append(Event{Kind: KindRFB, Iter: iter, Queries: queries})
+}
+
+// Name files id under the record, so events and lookups for it land here; the
+// first id filed names the negotiation (one that sends no RFB, too).
+func (r *Rec) Name(id string) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	if r.n.ID == "" {
-		r.n.ID = rfbID
+		r.n.ID = id
 	}
 	r.mu.Unlock()
 	r.l.mu.Lock()
-	r.l.indexLocked(rfbID, r)
+	r.l.indexLocked(id, r)
 	r.l.mu.Unlock()
-	r.append(Event{Kind: KindRFB, Iter: iter, Queries: queries})
 }
 
 // Bid records one received offer and counts it toward the seller's
@@ -278,9 +304,8 @@ func (r *Rec) ObservePhase(p Phase, ms float64) {
 	r.l.cal.phase(p, ms)
 }
 
-// Snapshot returns a deep copy of the negotiation recorded so far — the
-// flight recorder folds it into a query dossier at execution end without
-// holding any ledger locks afterwards. Nil-safe (empty Negotiation).
+// Snapshot returns a deep copy of the negotiation recorded so far — what a
+// dossier's "ledger" shows when it is read. Nil-safe (empty Negotiation).
 func (r *Rec) Snapshot() Negotiation {
 	if r == nil {
 		return Negotiation{}
@@ -344,63 +369,59 @@ func (l *Ledger) ObservePhase(p Phase, ms float64) {
 
 // Lifecycle records a federation membership event (join, drain, undrain,
 // leave) for the named node, outside any negotiation. reason carries
-// operator context ("sigterm", "operator", …) and may be empty. The stream
-// is bounded by the same capacity as the negotiation ring. Nil-safe.
+// operator context ("sigterm", "operator", …) and may be empty. Nil-safe.
 func (l *Ledger) Lifecycle(kind, node, reason string) {
-	if l == nil {
-		return
-	}
-	e := Event{Kind: kind, Seller: node, Reason: reason, At: time.Now()}
-	e.Seq = l.nextSeq()
-	l.mu.Lock()
-	l.life = append(l.life, e)
-	if len(l.life) > l.cap {
-		l.life = l.life[1:]
-	}
-	l.mu.Unlock()
+	l.outside(Event{Kind: kind, Seller: node, Reason: reason})
 }
 
 // Anomaly records one watchdog finding, outside any negotiation: reason
 // names the anomaly type ("p95_regression", "recovery_spike",
 // "pricecache_hitrate_drop", "calibration_drift"), metric the instrument
 // that tripped it, value/baseline the compared magnitudes, and windowSeq the
-// metrics-history window that was judged. Bounded by the ring capacity.
-// Nil-safe.
+// metrics-history window that was judged. Nil-safe.
 func (l *Ledger) Anomaly(reason, metric string, value, baseline float64, windowSeq int64) {
+	l.outside(Event{Kind: KindAnomaly, Reason: reason, QID: metric,
+		WallMS: value, QuotedMS: baseline, Window: windowSeq})
+}
+
+// outside appends e to the side stream, which is bounded by the same
+// capacity as the negotiation ring. Nil-safe.
+func (l *Ledger) outside(e Event) {
 	if l == nil {
 		return
 	}
-	e := Event{Kind: KindAnomaly, Reason: reason, QID: metric,
-		WallMS: value, QuotedMS: baseline, Window: windowSeq, At: time.Now()}
+	e.At = time.Now()
 	e.Seq = l.nextSeq()
 	l.mu.Lock()
-	l.anoms = append(l.anoms, e)
-	if len(l.anoms) > l.cap {
-		l.anoms = l.anoms[1:]
+	l.side = append(l.side, e)
+	if len(l.side) > l.cap {
+		l.side = l.side[1:]
 	}
 	l.mu.Unlock()
 }
 
 // Anomalies returns copies of the retained watchdog events, oldest first.
 // Nil-safe.
-func (l *Ledger) Anomalies() []Event {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]Event(nil), l.anoms...)
-}
+func (l *Ledger) Anomalies() []Event { return l.sideEvents(true) }
 
 // LifecycleEvents returns copies of the retained membership events, oldest
 // first. Nil-safe.
-func (l *Ledger) LifecycleEvents() []Event {
+func (l *Ledger) LifecycleEvents() []Event { return l.sideEvents(false) }
+
+// sideEvents filters the side stream: the anomalies, or everything else.
+func (l *Ledger) sideEvents(anomalies bool) []Event {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]Event(nil), l.life...)
+	var out []Event
+	for _, e := range l.side {
+		if (e.Kind == KindAnomaly) == anomalies {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // Len reports how many negotiations the ring currently retains.
@@ -428,11 +449,7 @@ func (l *Ledger) Negotiations(n int) []Negotiation {
 	}
 	out := make([]Negotiation, 0, len(recs))
 	for _, r := range recs {
-		r.mu.Lock()
-		neg := r.n
-		neg.Events = append([]Event(nil), r.n.Events...)
-		r.mu.Unlock()
-		out = append(out, neg)
+		out = append(out, r.Snapshot())
 	}
 	return out
 }

@@ -428,3 +428,60 @@ func TestRecoveryEventAndNilRec(t *testing.T) {
 		t.Fatalf("recovery event: %+v", got)
 	}
 }
+
+// A record holds its execution's dossier: filed by Finish, replaced by a
+// re-run, read with the negotiation's events filled in, and found by the
+// negotiation's name; the fetch and recovery sums it reads are kept as the
+// events arrive.
+func TestRecordHoldsItsDossier(t *testing.T) {
+	l := New(2)
+	r := oneNegotiation(l)
+	r.RFBIssued("hq-rfb2", 2, 1)
+	r.Fetch("corfu", "o2", "SELECT 2", 4, 6, 5, 2, 30, "")
+	r.Recovery("corfu", "myconos", "o2", "crash")
+	fetchMS, bytes, recs := r.Delivery()
+	if fetchMS != 22 || bytes != 150 || len(recs) != 1 || recs[0] != (Recovery{Failed: "corfu", Substitute: "myconos", OfferID: "o2", Reason: "crash"}) {
+		t.Fatalf("delivery sums: %v ms, %d bytes, %+v", fetchMS, bytes, recs)
+	}
+	if r.Dossier() != nil || len(l.Finished(0)) != 0 {
+		t.Fatal("no dossier before Finish")
+	}
+	r.Finish(&Dossier{ID: "hq-rfb1", WallMS: 5})
+	r.Finish(&Dossier{ID: "hq-rfb1", WallMS: 7}) // a recovery re-run replaces it
+	d := r.Dossier()
+	if d.WallMS != 7 || d.Ledger.ID != "hq-rfb1" || len(d.Ledger.Events) != 13 {
+		t.Fatalf("dossier read: wall %v, ledger %s with %d events", d.WallMS, d.Ledger.ID, len(d.Ledger.Events))
+	}
+	if r.Outcome().Ledger.Events != nil {
+		t.Fatal("the filed dossier keeps no copy of the events")
+	}
+	if l.Lookup("hq-rfb1") != r || l.Lookup("hq-rfb2") != r || l.Lookup("nope") != nil {
+		t.Fatal("Lookup finds a record by any id filed under it")
+	}
+	if r.Ledger() != l || l.Capacity() != 2 {
+		t.Fatal("record's ledger and ring capacity")
+	}
+
+	// A negotiation that sends no RFB is named once and indexed like one.
+	e := l.Begin("hq", "SELECT 3")
+	e.Name("hq-rfb3")
+	e.Finish(&Dossier{ID: "hq-rfb3"})
+	l.Begin("hq", "SELECT 4") // evicts r: newest first, finished only
+	if got := l.Finished(0); len(got) != 1 || got[0] != e || l.Lookup("hq-rfb3") != e || l.Lookup("hq-rfb1") != nil {
+		t.Fatalf("finished after eviction: %d records", len(got))
+	}
+	if got := l.Finished(1); len(got) != 1 {
+		t.Fatalf("Finished(1): %d", len(got))
+	}
+
+	var nilL *Ledger
+	var nilR *Rec
+	nilR.Name("x")
+	nilR.Finish(&Dossier{})
+	if nilL.Finished(0) != nil || nilL.Lookup("x") != nil || nilL.Capacity() != 0 || nilR.Dossier() != nil || nilR.Ledger() != nil {
+		t.Fatal("nil ledger and record must no-op")
+	}
+	if ms, b, rs := nilR.Delivery(); ms != 0 || b != 0 || rs != nil {
+		t.Fatal("nil record delivery")
+	}
+}

@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -352,14 +351,9 @@ func (h *History) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "metrics history disabled", http.StatusNotFound)
 		return
 	}
-	n := 0
-	if s := r.URL.Query().Get("n"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 1 {
-			http.Error(w, "bad n", http.StatusBadRequest)
-			return
-		}
-		n = v
+	n, ok := CountParam(w, r, 0)
+	if !ok {
+		return
 	}
 	windows := h.Windows(n)
 	if len(windows) == 0 {

@@ -214,14 +214,9 @@ func (l *TraceLog) Recent(n int) []*SpanPayload {
 // default, the last k (newest first) with ?n=k. 404 when none has been
 // recorded yet.
 func (l *TraceLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	n := 1
-	if s := r.URL.Query().Get("n"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 1 {
-			http.Error(w, "bad n", http.StatusBadRequest)
-			return
-		}
-		n = v
+	n, ok := CountParam(w, r, 1)
+	if !ok {
+		return
 	}
 	ps := l.Recent(n)
 	if len(ps) == 0 {
@@ -232,6 +227,21 @@ func (l *TraceLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	for _, p := range ps {
 		_ = WritePayloadJSONL(w, p)
 	}
+}
+
+// CountParam reads a list endpoint's ?n=k limit, def when absent. Anything
+// but a positive integer is answered 400 "bad n", with ok false.
+func CountParam(w http.ResponseWriter, r *http.Request, def int) (n int, ok bool) {
+	s := r.URL.Query().Get("n")
+	if s == "" {
+		return def, true
+	}
+	n, err := strconv.Atoi(s)
+	if err != nil || n < 1 {
+		http.Error(w, "bad n", http.StatusBadRequest)
+		return 0, false
+	}
+	return n, true
 }
 
 // Endpoint mounts one extra handler on the exposition mux — how packages

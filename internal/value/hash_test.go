@@ -157,8 +157,10 @@ func randKeyRows(r *rand.Rand) (a, b Row) {
 	return a, b
 }
 
-// keyAgreement fails t unless SameKey is Key's equality on a and b and rows
-// it groups hash equally; it reports whether they group.
+// keyAgreement fails t unless SameKey is Key's equality on a and b, rows it
+// groups hash equally, and rows the hash join matches (Equal column by
+// column) hash equally and — with no NULL in either — are exactly the rows
+// SameKey groups; it reports whether they group.
 func keyAgreement(t *testing.T, a, b Row) bool {
 	t.Helper()
 	cols := make([]int, len(a))
@@ -171,6 +173,17 @@ func keyAgreement(t *testing.T, a, b Row) bool {
 	}
 	if same && HashRow(a) != HashRow(b) {
 		t.Fatalf("%v and %v share a key but not a hash", a, b)
+	}
+	equal, nulls := true, false
+	for i := range a {
+		equal = equal && Equal(a[i], b[i])
+		nulls = nulls || a[i].IsNull() || b[i].IsNull()
+	}
+	if equal && HashRow(a) != HashRow(b) {
+		t.Fatalf("%v and %v are Equal but hash apart: the hash join would drop the match", a, b)
+	}
+	if !nulls && equal != same {
+		t.Fatalf("Equal(%v, %v) = %v, SameKey = %v", a, b, equal, same)
 	}
 	return same
 }
@@ -232,7 +245,9 @@ func decodeKeyRows(data []byte) (a, b Row) {
 // FuzzKeyAgreement: the aggregate and DISTINCT cursors group by HashRow then
 // SameKey, with no second implementation beside them, so SameKey must be the
 // equivalence Key's strings induce and rows it groups must hash equally — for
-// every kind, every float bit pattern and NULL.
+// every kind, every float bit pattern and NULL. The hash join buckets by
+// HashRow and matches by Equal, so Equal rows must hash equally too, and on
+// non-NULL values Equal must be SameKey.
 func FuzzKeyAgreement(f *testing.F) {
 	r := rand.New(rand.NewSource(18))
 	for i := 0; i < 64; i++ {
@@ -245,6 +260,8 @@ func FuzzKeyAgreement(f *testing.F) {
 		{{nan, NewNull()}, {NewFloat(math.NaN()), NewNull()}},
 		{{NewFloat(math.Copysign(0, -1))}, {NewInt(0)}},
 		{{NewStr(""), NewBool(true)}, {NewNull(), NewBool(true)}},
+		{{NewInt(1<<53 + 1)}, {NewFloat(1 << 53)}},
+		{{NewFloat(math.NaN())}, {NewFloat(1)}},
 	} {
 		f.Add(encodeKeyRows(pair[0], pair[1]))
 	}

@@ -129,7 +129,11 @@ func numericKinds(a, b Value) bool {
 }
 
 // Compare orders two non-NULL values. It returns -1, 0 or +1. Mixed
-// Int/Float compare numerically; otherwise values of different kinds order by
+// Int/Float compare exactly, as the numbers they denote (SQLite's rule: 2^53+1
+// is above the float 2^53 it rounds to); NaN equals only NaN and orders above
+// every other number (PostgreSQL's rule). So Equal is transitive and agrees
+// with SameKey on non-NULL values, which the hash join relies on: it buckets
+// by HashRow and matches by Equal. Values of other different kinds order by
 // kind (a stable, arbitrary cross-type order so sorting is total). Comparing
 // anything with NULL returns 0 with ok=false.
 func Compare(a, b Value) (cmp int, ok bool) {
@@ -137,7 +141,10 @@ func Compare(a, b Value) (cmp int, ok bool) {
 		return 0, false
 	}
 	if numericKinds(a, b) && a.K != b.K {
-		return cmpFloat(a.AsFloat(), b.AsFloat()), true
+		if a.K == Int {
+			return cmpIntFloat(a.I, b.F), true
+		}
+		return -cmpIntFloat(b.I, a.F), true
 	}
 	if a.K != b.K {
 		return cmpInt(int64(a.K), int64(b.K)), true
@@ -178,8 +185,29 @@ func cmpFloat(a, b float64) int {
 		return -1
 	case a > b:
 		return 1
+	case a == b:
+		return 0
+	case a != a && b != b:
+		return 0
+	case a != a:
+		return 1
 	}
-	return 0
+	return -1
+}
+
+// cmpIntFloat compares i with f exactly. float64 holds every integer up to
+// 2^53, so a smaller i converts without rounding; past it, an f in int64
+// range is integral or too small to reach i, and its truncation decides.
+func cmpIntFloat(i int64, f float64) int {
+	switch {
+	case -1<<53 <= i && i <= 1<<53:
+		return cmpFloat(float64(i), f)
+	case f != f || f >= 1<<63:
+		return -1
+	case f < -1<<63:
+		return 1
+	}
+	return cmpInt(i, int64(f))
 }
 
 // Equal reports SQL equality of two values; NULL equals nothing (not even

@@ -2,6 +2,7 @@ package value
 
 import (
 	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -39,6 +40,25 @@ func TestCompareNumericMixed(t *testing.T) {
 	c, ok = Compare(NewFloat(3.5), NewInt(3))
 	if !ok || c != 1 {
 		t.Errorf("3.5 vs 3: got (%d,%v)", c, ok)
+	}
+	// Exact at any magnitude, as the real numbers both denote; NaN is above
+	// every number.
+	ints := []int64{0, 1, -1, 1<<53 - 1, 1 << 53, 1<<53 + 1, -(1<<53 + 1), math.MaxInt64, math.MinInt64}
+	floats := []float64{0, 0.5, -0.5, 1 << 53, 1<<53 + 2, -(1 << 53), 1 << 62, 1 << 63, -(1 << 63), 1e300,
+		math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, i := range ints {
+		for _, f := range floats {
+			want := -1
+			if f == f {
+				want = new(big.Float).SetInt64(i).Cmp(new(big.Float).SetFloat64(f))
+			}
+			if c, _ := Compare(NewInt(i), NewFloat(f)); c != want {
+				t.Errorf("%d vs %v: got %d, want %d", i, f, c, want)
+			}
+			if c, _ := Compare(NewFloat(f), NewInt(i)); c != -want {
+				t.Errorf("%v vs %d: got %d, want %d", f, i, c, -want)
+			}
+		}
 	}
 }
 
