@@ -48,6 +48,17 @@ func streamingPlans() map[string]func() plan.Node {
 	join := func() plan.Node {
 		return &plan.Join{L: scan(), R: inv(), On: sqlparse.MustParseExpr("c.custid = i.custid")}
 	}
+	project := func(in plan.Node, exprs ...string) plan.Node { // names its columns x0, x1, …
+		p := &plan.Project{Input: in}
+		for i, e := range exprs {
+			p.Exprs = append(p.Exprs, sqlparse.MustParseExpr(e))
+			p.Names = append(p.Names, expr.ColumnID{Name: fmt.Sprintf("x%d", i)})
+		}
+		return p
+	}
+	filter := func(in plan.Node, pred string) plan.Node {
+		return &plan.Filter{Input: in, Pred: sqlparse.MustParseExpr(pred)}
+	}
 	return map[string]func() plan.Node{
 		"scan":   scan,
 		"filter": func() plan.Node { return &plan.Filter{Input: scan(), Pred: sqlparse.MustParseExpr("c.custid > 2")} },
@@ -95,12 +106,47 @@ func streamingPlans() map[string]func() plan.Node {
 			return &plan.Limit{Input: &plan.Sort{Input: scan(),
 				Keys: []plan.SortKey{{Expr: sqlparse.MustParseExpr("c.custname"), Desc: true}}}, N: 2}
 		},
+		// The shapes the executor assembles around a join: a filter folded
+		// into it, a projection it hands its rows to, and the parents that
+		// keep them.
+		"project-filter-join": func() plan.Node {
+			return project(filter(join(), "i.charge > 6"), "c.custname", "i.charge * 2")
+		},
+		"project-join-residual": func() plan.Node { // linenum 1's chain is five rows long
+			return project(&plan.Join{L: inv(), R: &plan.Scan{Def: invDef, Alias: "j", PartID: "p0"},
+				On: sqlparse.MustParseExpr("i.linenum = j.linenum AND i.invid < j.invid")},
+				"i.invid", "j.invid", "i.charge + j.charge")
+		},
+		"project-filter-nullkey-join": func() plan.Node { // x / 0 is NULL: customer 3's key, on both sides
+			return project(filter(&plan.Join{L: scan(), R: inv(),
+				On: sqlparse.MustParseExpr("c.custid / (c.custid - 3) = i.custid / (i.custid - 3)")}, "i.charge < 50"),
+				"c.custname", "i.invid")
+		},
+		"project-filter-cross-join": func() plan.Node {
+			return project(filter(&plan.Join{L: scan(), R: &plan.Scan{Def: custDef, Alias: "d", PartID: "p0"}},
+				"c.custid < d.custid AND d.office <> 'Athens'"), "c.custname", "d.custname")
+		},
+		"sort-project-join": func() plan.Node {
+			return &plan.Sort{Input: project(join(), "c.custname", "i.charge"),
+				Keys: []plan.SortKey{{Expr: sqlparse.MustParseExpr("x1"), Desc: true}}}
+		},
+		"distinct-project-join": func() plan.Node { return &plan.Distinct{Input: project(join(), "c.office")} },
+		"agg-filter-join": func() plan.Node {
+			return &plan.Aggregate{Input: filter(join(), "i.charge > 6"),
+				GroupBy:    []expr.Expr{sqlparse.MustParseExpr("c.office")},
+				GroupNames: []expr.ColumnID{{Table: "c", Name: "office"}},
+				Aggs: []plan.AggItem{
+					{Agg: &expr.Agg{Fn: "SUM", Arg: sqlparse.MustParseExpr("i.charge")}, Name: expr.ColumnID{Name: "total"}},
+					{Agg: &expr.Agg{Fn: "COUNT", Star: true}, Name: expr.ColumnID{Name: "n"}}}}
+		},
 	}
 }
 
 // frozenAnswers is where the corpus's answers are kept: computed once by the
 // recursive materializing evaluator this package used to carry, before it was
-// deleted, and never regenerated since.
+// deleted, and never regenerated since. The join shapes were added later,
+// their answers computed by the cursors before the executor learned to fold a
+// filter into a join and to reuse a join's rows under a projection.
 const frozenAnswers = "testdata/streaming_plans.golden"
 
 // formatAnswer prints one plan's answer as the frozen file holds it: a
