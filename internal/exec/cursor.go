@@ -2,6 +2,9 @@ package exec
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"time"
 
 	"qtrade/internal/expr"
@@ -20,12 +23,14 @@ const DefaultBatchSize = 256
 // returns the next batch, where a nil or empty batch means exhausted; Close
 // releases resources. A batch is valid only until the following Next call —
 // consumers that retain rows across calls must copy the slice (the row
-// values themselves are never reused). Operators that build rows (project,
-// join) carve them out of a slab shared by the rows around them, so a
-// retained row pins its whole slab, about a batch of rows. Close is
-// idempotent, safe to call before exhaustion (early close releases upstream
-// work, e.g. seller-side cursors), and safe on a cursor whose Open failed or
-// never ran.
+// values themselves are never reused, with one exception: a join whose
+// parent is a projection writes each batch over the last, so its rows live
+// until the next pull — the projection copies every value it keeps first).
+// Operators that build rows (project, join) carve them out of a slab shared
+// by the rows around them, so a retained row pins its whole slab, about a
+// batch of rows. Close is idempotent, safe to call before exhaustion (early
+// close releases upstream work, e.g. seller-side cursors), and safe on a
+// cursor whose Open failed or never ran.
 type Cursor interface {
 	Open() error
 	Next() ([]value.Row, error)
@@ -62,7 +67,7 @@ func (ex *Executor) batch() int {
 // exhaustion releases upstream resources — scans stop, remote fetches send
 // their cursor-close — without draining the remaining rows.
 func (ex *Executor) Open(n plan.Node) (Cursor, error) {
-	c, err := ex.build(n)
+	c, err := ex.build(n, false)
 	if err != nil {
 		return nil, err
 	}
@@ -74,8 +79,12 @@ func (ex *Executor) Open(n plan.Node) (Cursor, error) {
 }
 
 // build constructs the (unopened) cursor tree for a plan, wrapping every
-// operator in a stats recorder when Stats is attached.
-func (ex *Executor) build(n plan.Node) (Cursor, error) {
+// operator in a stats recorder when Stats is attached. reuse is true under a
+// projection, which copies every value it keeps before it pulls again: a
+// join there writes each batch over the last. A filter directly over a join
+// becomes the join's residual, and the two plan nodes keep their own
+// actuals: the join's rows out are the rows it joined, before the filter.
+func (ex *Executor) build(n plan.Node, reuse bool) (Cursor, error) {
 	var c Cursor
 	switch t := n.(type) {
 	case *plan.Scan:
@@ -83,29 +92,37 @@ func (ex *Executor) build(n plan.Node) (Cursor, error) {
 	case *plan.ViewScan:
 		c = &viewScanCursor{ex: ex, t: t}
 	case *plan.Filter:
-		in, err := ex.build(t.Input)
+		if j, ok := t.Input.(*plan.Join); ok {
+			jc, err := ex.buildJoin(j, reuse)
+			if err != nil {
+				return nil, err
+			}
+			jc.filter = t.Pred
+			c = jc
+			if ex.Stats != nil {
+				c = &statsCursor{inner: jc, stats: ex.Stats, node: j, rowsOutAt: &jc.joined}
+			}
+			break
+		}
+		in, err := ex.build(t.Input, false)
 		if err != nil {
 			return nil, err
 		}
 		c = &filterCursor{ex: ex, t: t, in: in}
 	case *plan.Project:
-		in, err := ex.build(t.Input)
+		in, err := ex.build(t.Input, true)
 		if err != nil {
 			return nil, err
 		}
 		c = &projectCursor{ex: ex, t: t, in: in}
 	case *plan.Join:
-		l, err := ex.build(t.L)
+		jc, err := ex.buildJoin(t, reuse)
 		if err != nil {
 			return nil, err
 		}
-		r, err := ex.build(t.R)
-		if err != nil {
-			return nil, err
-		}
-		c = &joinCursor{ex: ex, t: t, l: l, r: r}
+		c = jc
 	case *plan.Aggregate:
-		in, err := ex.build(t.Input)
+		in, err := ex.build(t.Input, false)
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +130,7 @@ func (ex *Executor) build(n plan.Node) (Cursor, error) {
 			return aggregateRows(t, rows)
 		}}
 	case *plan.Sort:
-		in, err := ex.build(t.Input)
+		in, err := ex.build(t.Input, false)
 		if err != nil {
 			return nil, err
 		}
@@ -121,13 +138,13 @@ func (ex *Executor) build(n plan.Node) (Cursor, error) {
 			return sortRows(t, rows)
 		}}
 	case *plan.Limit:
-		in, err := ex.build(t.Input)
+		in, err := ex.build(t.Input, false)
 		if err != nil {
 			return nil, err
 		}
 		c = &limitCursor{t: t, in: in}
 	case *plan.Distinct:
-		in, err := ex.build(t.Input)
+		in, err := ex.build(t.Input, false)
 		if err != nil {
 			return nil, err
 		}
@@ -135,7 +152,7 @@ func (ex *Executor) build(n plan.Node) (Cursor, error) {
 	case *plan.Union:
 		inputs := make([]Cursor, len(t.Inputs))
 		for i, child := range t.Inputs {
-			cc, err := ex.build(child)
+			cc, err := ex.build(child, false)
 			if err != nil {
 				return nil, err
 			}
@@ -155,12 +172,28 @@ func (ex *Executor) build(n plan.Node) (Cursor, error) {
 	return c, nil
 }
 
+// buildJoin builds a join's inputs and the join cursor over them.
+func (ex *Executor) buildJoin(t *plan.Join, reuse bool) (*joinCursor, error) {
+	l, err := ex.build(t.L, false)
+	if err != nil {
+		return nil, err
+	}
+	r, err := ex.build(t.R, false)
+	if err != nil {
+		return nil, err
+	}
+	return &joinCursor{ex: ex, t: t, l: l, r: r, reuse: reuse}, nil
+}
+
 // Drain pulls an opened cursor to exhaustion, materializing its rows, and
 // closes it (also when a pull fails). Blocking operators (sort, aggregate,
 // join build side) use it on their inputs, and so does everything that wants
-// a whole answer from a pipeline.
+// a whole answer from a pipeline. Each batch is copied once as it arrives (it
+// is valid only until the next pull), and the copies are concatenated once,
+// at the exact size; a single batch is its own copy.
 func Drain(c Cursor) ([]value.Row, error) {
-	var rows []value.Row
+	chunks := make([][]value.Row, 0, 8) // on the stack until a ninth batch
+	total := 0
 	for {
 		b, err := c.Next()
 		if err != nil {
@@ -170,7 +203,19 @@ func Drain(c Cursor) ([]value.Row, error) {
 		if len(b) == 0 {
 			break
 		}
-		rows = append(rows, b...)
+		chunks = append(chunks, slices.Clone(b))
+		total += len(b)
+	}
+	var rows []value.Row
+	switch len(chunks) {
+	case 0:
+	case 1:
+		rows = chunks[0]
+	default:
+		rows = make([]value.Row, 0, total)
+		for _, b := range chunks {
+			rows = append(rows, b...)
+		}
 	}
 	return rows, c.Close()
 }
@@ -404,12 +449,13 @@ func (c *projectCursor) Close() error {
 // with right insertion order per bucket — a nested loop's order. Without
 // equi-join keys it degrades to nested loops over the drained right side.
 //
-// The table is three flat pieces indexed by build-row number instead of a
-// heap object per entry: heads maps a key hash to the first row of its
-// chain, next links each row to the following one with the same hash, and
-// keys holds every row's key values side by side. Rows are linked last to
-// first, each pushed at the head of its chain, so a chain reads in build
-// order.
+// The table is three flat slices indexed by build-row number instead of a
+// heap object per entry: heads maps a bucket (the low bits of a key hash) to
+// the first row of its chain, next links each row to the following one in
+// its bucket, and hashes holds each row's full key hash. Rows are linked last
+// to first, each pushed at the head of its chain, so a chain reads in build
+// order. No key is kept: a row whose hash matches has its key evaluated
+// again from the row.
 type joinCursor struct {
 	ex       *Executor
 	t        *plan.Join
@@ -417,12 +463,16 @@ type joinCursor struct {
 	lKeys    []expr.Expr
 	rKeys    []expr.Expr
 	residual expr.Expr
-	rRows    []value.Row      // build side; all of it is the nested-loop fallback
-	heads    map[uint64]int32 // key hash -> 1 + first build row of the chain
-	next     []int32          // build row -> 1 + next row of its chain, 0 at the end
-	keys     []value.Value    // build row i's key at [i*len(rKeys) : (i+1)*len(rKeys)]
-	probe    value.Row        // probe-side key scratch, reused for every left row
-	slab     []value.Value    // unused tail is where the next output row goes
+	filter   expr.Expr     // a Filter folded into the join: its predicate, bound at Open
+	joined   int64         // rows that passed the ON clause, before the filter
+	reuse    bool          // the parent copies what it keeps: each batch goes over the last
+	rRows    []value.Row   // build side; all of it is the nested-loop fallback
+	heads    []int32       // bucket (hash & (len-1)) -> 1 + first build row of its chain
+	next     []int32       // build row -> 1 + next row of its chain, 0 at the end
+	hashes   []uint64      // build row -> its key's hash
+	probe    value.Row     // probe-side key scratch, reused for every left row
+	key      value.Row     // build-side key scratch, reused for every hash match
+	slab     []value.Value // unused tail is where the next output row goes
 	buf      []value.Row
 	idx      int
 	out      []value.Row
@@ -436,6 +486,9 @@ func (c *joinCursor) Open() error {
 	if err != nil {
 		return err
 	}
+	if c.filter, err = bindClone(c.filter, c.t.Schema()); err != nil {
+		return err
+	}
 	if err := c.r.Open(); err != nil {
 		return err
 	}
@@ -444,25 +497,44 @@ func (c *joinCursor) Open() error {
 		return err
 	}
 	if nk := len(c.rKeys); nk > 0 {
-		c.heads = make(map[uint64]int32, len(c.rRows))
+		buckets, err := tableSize(len(c.rRows))
+		if err != nil {
+			return err
+		}
+		c.heads = make([]int32, buckets)
 		c.next = make([]int32, len(c.rRows))
-		c.keys = make([]value.Value, len(c.rRows)*nk)
-		c.probe = make(value.Row, nk)
+		c.hashes = make([]uint64, len(c.rRows))
+		scratch := make(value.Row, 2*nk)
+		c.probe, c.key = scratch[:nk:nk], scratch[nk:]
+		mask := uint64(buckets - 1)
 		for i := len(c.rRows) - 1; i >= 0; i-- {
-			key := value.Row(c.keys[i*nk : (i+1)*nk])
-			null, err := evalKeyInto(key, c.rKeys, c.rRows[i])
+			null, err := evalKeyInto(c.key, c.rKeys, c.rRows[i])
 			if err != nil {
 				return err
 			}
 			if null {
 				continue // NULL keys never match: the row joins no chain
 			}
-			h := value.HashRow(key)
-			c.next[i] = c.heads[h]
-			c.heads[h] = int32(i + 1)
+			h := value.HashRow(c.key)
+			c.hashes[i] = h
+			c.next[i] = c.heads[h&mask]
+			c.heads[h&mask] = int32(i + 1)
 		}
 	}
 	return c.l.Open()
+}
+
+// tableSize is the bucket count for a build side of n rows: the least power
+// of two not below n. Rows are numbered in int32, so a longer build side is
+// an error rather than a wrap.
+func tableSize(n int) (int, error) {
+	if n > math.MaxInt32 {
+		return 0, fmt.Errorf("exec: join build side of %d rows exceeds %d", n, math.MaxInt32)
+	}
+	if n <= 1 {
+		return 1, nil
+	}
+	return 1 << bits.Len(uint(n-1)), nil
 }
 
 // evalKeyInto evaluates the key expressions over row into dst, stopping at
@@ -481,29 +553,42 @@ func evalKeyInto(dst value.Row, keys []expr.Expr, row value.Row) (null bool, err
 	return false, nil
 }
 
-// emit carves lr ++ rr out of the slab; a row the residual rejects gives its
-// slot back. A full slab is replaced, never regrown (rows already handed out
-// keep theirs), by one sized for the left rows still to probe in this input
-// batch — or, inside a long match chain, for as many rows as the batch holds.
+// emit carves lr ++ rr out of the slab; a row the residual or the folded
+// filter rejects gives its slot back. A full slab is replaced, never regrown
+// (rows already handed out keep theirs), by one sized for the left rows still
+// to probe in this input batch — or, inside a long match chain, for as many
+// rows as the batch holds; under reuse, for at least twice the old one, which
+// it then stands in for at every later batch.
 func (c *joinCursor) emit(lr, rr value.Row) error {
 	n, w := len(c.slab), len(lr)+len(rr)
 	if cap(c.slab)-n < w {
-		n, c.slab = 0, make([]value.Value, 0, w*max(len(c.buf)-c.idx+1, len(c.out)))
+		rows := max(len(c.buf)-c.idx+1, len(c.out))
+		if c.reuse {
+			rows = max(rows, 2*cap(c.slab)/w)
+		}
+		n, c.slab = 0, make([]value.Value, 0, w*rows)
 	}
 	c.slab = append(append(c.slab, lr...), rr...)
 	row := value.Row(c.slab[n : n+w : n+w])
-	if c.residual != nil {
-		ok, err := expr.EvalBool(c.residual, row)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			c.slab = c.slab[:n]
-			return nil
-		}
+	if ok, err := holds(c.residual, row); !ok || err != nil {
+		c.slab = c.slab[:n]
+		return err
+	}
+	c.joined++
+	if ok, err := holds(c.filter, row); !ok || err != nil {
+		c.slab = c.slab[:n]
+		return err
 	}
 	c.out = append(c.out, row)
 	return nil
+}
+
+// holds reports whether row satisfies pred; a nil pred holds everywhere.
+func holds(pred expr.Expr, row value.Row) (bool, error) {
+	if pred == nil {
+		return true, nil
+	}
+	return expr.EvalBool(pred, row)
 }
 
 func (c *joinCursor) Next() ([]value.Row, error) {
@@ -512,6 +597,9 @@ func (c *joinCursor) Next() ([]value.Row, error) {
 	}
 	limit := c.ex.batch()
 	c.out = c.out[:0]
+	if c.reuse {
+		c.slab = c.slab[:0] // the parent is done with the last batch
+	}
 	// A single left row can emit many matches, so a batch may overrun the
 	// limit by one row's matches; it stays bounded by max bucket size.
 	for len(c.out) < limit {
@@ -544,13 +632,19 @@ func (c *joinCursor) Next() ([]value.Row, error) {
 		if null {
 			continue
 		}
-		nk := len(c.probe)
-		for e := c.heads[value.HashRow(c.probe)]; e != 0; e = c.next[e-1] {
-			i := int(e - 1)
-			if !keysEqual(c.probe, c.keys[i*nk:(i+1)*nk]) {
+		h := value.HashRow(c.probe)
+		for e := c.heads[h&uint64(len(c.heads)-1)]; e != 0; e = c.next[e-1] {
+			if c.hashes[e-1] != h {
 				continue
 			}
-			if err := c.emit(lr, c.rRows[i]); err != nil {
+			rr := c.rRows[e-1]
+			if _, err := evalKeyInto(c.key, c.rKeys, rr); err != nil {
+				return nil, err
+			}
+			if !keysEqual(c.probe, c.key) {
+				continue
+			}
+			if err := c.emit(lr, rr); err != nil {
 				return nil, err
 			}
 		}
@@ -912,12 +1006,13 @@ func (c *remoteCursor) Close() error {
 // rows produced, and rows consumed (the sum of its children's rows-out,
 // final by the time the children's own recorders have closed).
 type statsCursor struct {
-	inner    Cursor
-	stats    *RunStats
-	node     plan.Node
-	elapsed  time.Duration
-	rowsOut  int64
-	recorded bool
+	inner     Cursor
+	stats     *RunStats
+	node      plan.Node
+	rowsOutAt *int64 // when set, the rows out are read here at Close, not counted off the batches
+	elapsed   time.Duration
+	rowsOut   int64
+	recorded  bool
 }
 
 func (c *statsCursor) Open() error {
@@ -947,6 +1042,10 @@ func (c *statsCursor) Close() error {
 	for _, child := range c.node.Children() {
 		in += c.stats.rowsOut(child)
 	}
-	c.stats.record(c.node, in, c.rowsOut, c.elapsed)
+	out := c.rowsOut
+	if c.rowsOutAt != nil {
+		out = *c.rowsOutAt
+	}
+	c.stats.record(c.node, in, out, c.elapsed)
 	return err
 }

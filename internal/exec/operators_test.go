@@ -3,6 +3,8 @@ package exec
 import (
 	"math"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -157,17 +159,37 @@ func TestJoinMatchesNestedLoop(t *testing.T) {
 	}
 }
 
+// The join table has the least power of two of buckets not below the build
+// side's rows, and a build side too long to number in int32 is an error,
+// not a wrap.
+func TestJoinTableSize(t *testing.T) {
+	for n, want := range map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 10000: 16384, 16384: 16384, math.MaxInt32: 1 << 31} {
+		if got, err := tableSize(n); err != nil || got != want {
+			t.Errorf("tableSize(%d) = %d, %v; want %d", n, got, err, want)
+		}
+	}
+	if got, err := tableSize(math.MaxInt32 + 1); err == nil {
+		t.Errorf("tableSize(MaxInt32+1) = %d, want an error", got)
+	}
+}
+
 // A row the residual rejects gives its slab slot back: the rows of a batch
-// sit back to back in memory, with no rejected row between them.
+// sit back to back in memory, with no rejected row between them. Under a
+// projection, which copies every value it keeps before it pulls again, the
+// join writes its second batch where its first began; under a sort, which
+// keeps every row, a row once handed out is never written again.
 func TestJoinRejectedRowReusesSlabSlot(t *testing.T) {
 	var l, r []value.Row
 	for i := int64(0); i < 30; i++ {
 		l = append(l, ints(i, i%3))
 		r = append(r, ints(i, 0))
 	}
-	ex := memExec(0, map[string][]value.Row{"l": l, "r": r})
-	c, err := ex.Open(&plan.Join{L: memLeaf("l", "a", "b"), R: memLeaf("r", "a", "b"),
-		On: sqlparse.MustParseExpr("l.a = r.a AND l.b = r.b")})
+	tables := map[string][]value.Row{"l": l, "r": r}
+	join := func() *plan.Join {
+		return &plan.Join{L: memLeaf("l", "a", "b"), R: memLeaf("r", "a", "b"),
+			On: sqlparse.MustParseExpr("l.a = r.a AND l.b = r.b")}
+	}
+	c, err := memExec(0, tables).Open(join())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,6 +205,41 @@ func TestJoinRejectedRowReusesSlabSlot(t *testing.T) {
 		}
 		if cap(b[i]) != len(b[i]) {
 			t.Fatalf("row %d has spare capacity %d: appending to it would overwrite its neighbour", i, cap(b[i])-len(b[i]))
+		}
+	}
+
+	// pulled opens parent over the join at batch 4 and pulls the join itself
+	// twice, returning each batch's rows (the batch slice is reused).
+	pulled := func(parent func(plan.Node) plan.Node, joinOf func(Cursor) Cursor) (first, second []value.Row) {
+		c, err := memExec(4, tables).Open(parent(join()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		jc := joinOf(c)
+		for _, dst := range []*[]value.Row{&first, &second} {
+			b, err := jc.Next()
+			if err != nil || len(b) != 4 {
+				t.Fatalf("want a batch of 4 rows, got %d (%v)", len(b), err)
+			}
+			*dst = slices.Clone(b)
+		}
+		return first, second
+	}
+	project := func(in plan.Node) plan.Node {
+		return &plan.Project{Input: in, Exprs: []expr.Expr{sqlparse.MustParseExpr("l.a")}, Names: []expr.ColumnID{{Name: "a"}}}
+	}
+	first, second := pulled(project, func(c Cursor) Cursor { return c.(*projectCursor).in })
+	if &second[0][0] != &first[0][0] {
+		t.Errorf("under a projection the join's second batch starts at %p, its first at %p: want one slab, rewound", &second[0][0], &first[0][0])
+	}
+	sorted := func(in plan.Node) plan.Node {
+		return &plan.Sort{Input: in, Keys: []plan.SortKey{{Expr: sqlparse.MustParseExpr("l.a")}}}
+	}
+	first, _ = pulled(sorted, func(c Cursor) Cursor { return c.(*blockingCursor).in })
+	for i, row := range first {
+		if want := append(ints(int64(3*i), 0), ints(int64(3*i), 0)...); !reflect.DeepEqual(row, want) {
+			t.Errorf("under a sort, first batch row %d reads %v after the second pull, want %v", i, row, want)
 		}
 	}
 }
@@ -252,6 +309,15 @@ func operatorCases() []operatorCase {
 			return &plan.Distinct{Input: &plan.Project{Input: memLeaf("g", "k", "f"),
 				Exprs: []expr.Expr{sqlparse.MustParseExpr("g.k")}, Names: []expr.ColumnID{{Name: "k"}}}}
 		}, ex},
+		// The buyer's side of chain_scan: a compensating filter and the
+		// projection to the query's columns over the join of two purchases.
+		{"project-filter-join", 2 * n, func() plan.Node {
+			return &plan.Project{
+				Input: &plan.Filter{Input: &plan.Join{L: memLeaf("l", "k", "s"), R: memLeaf("r", "k", "f"),
+					On: sqlparse.MustParseExpr("l.k = r.k")}, Pred: sqlparse.MustParseExpr("l.k >= 500")},
+				Exprs: []expr.Expr{sqlparse.MustParseExpr("l.k"), sqlparse.MustParseExpr("r.f")},
+				Names: []expr.ColumnID{{Name: "k"}, {Name: "f"}}}
+		}, ex},
 	}
 }
 
@@ -284,6 +350,36 @@ func TestOperatorsAllocsPerRow(t *testing.T) {
 			t.Errorf("%s: %.0f allocations over %d input rows = %.3f per row, budget 0.1", oc.name, allocs, oc.inputs, perRow)
 		} else {
 			t.Logf("%s: %.0f allocations, %.4f per input row", oc.name, allocs, perRow)
+		}
+	}
+}
+
+// The bytes each operator allocates per input row, the drained output
+// included, stay within about 20 % of what they measure on amd64 (join 141,
+// project 137, aggregate 58, distinct 47, project-filter-join 103). Before
+// the 40-byte value, the join table without a copy of every key, the
+// exact-size drain and the join writing in place under a projection they
+// were 249, 219, 119, 57 and 301.
+func TestOperatorsBytesPerRow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation sizes")
+	}
+	budget := map[string]float64{"join": 170, "project": 165, "aggregate": 70, "distinct": 56, "project-filter-join": 123}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, oc := range operatorCases() {
+		oc.run(t) // warm up
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			oc.run(t)
+		}
+		runtime.ReadMemStats(&after)
+		perRow := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(oc.inputs)
+		if perRow > budget[oc.name] {
+			t.Errorf("%s: %.1f bytes per input row, budget %.0f", oc.name, perRow, budget[oc.name])
+		} else {
+			t.Logf("%s: %.1f bytes per input row", oc.name, perRow)
 		}
 	}
 }

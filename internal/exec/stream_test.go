@@ -420,6 +420,88 @@ func TestStreamingRunStats(t *testing.T) {
 	}
 }
 
+// A filter folded into the join under it, and a join that reuses its rows
+// under a projection, leave every plan node's actuals as they were when each
+// node ran as a cursor of its own: the join reports the rows it joined, the
+// filter the rows it kept. EXPLAIN ANALYZE and the flight dossier print
+// these. The expected lines are the actuals before the fold.
+func TestFoldKeepsEveryNodesActuals(t *testing.T) {
+	want := map[string]string{
+		"project-filter-join": `
+Project c.custname, i.charge * 2: calls 1, rows 4 in, 4 out
+  Filter i.charge > 6: calls 1, rows 6 in, 4 out
+    Join on c.custid = i.custid: calls 1, rows 11 in, 6 out
+      Scan customer/p0 as c: calls 1, rows 0 in, 5 out
+      Scan invoiceline/p0 as i: calls 1, rows 0 in, 6 out
+`,
+		"project-join-residual": `
+Project i.invid, j.invid, i.charge + j.charge: calls 1, rows 10 in, 10 out
+  Join on i.linenum = j.linenum AND i.invid < j.invid: calls 1, rows 12 in, 10 out
+    Scan invoiceline/p0 as i: calls 1, rows 0 in, 6 out
+    Scan invoiceline/p0 as j: calls 1, rows 0 in, 6 out
+`,
+		"project-filter-nullkey-join": `
+Project c.custname, i.invid: calls 1, rows 4 in, 4 out
+  Filter i.charge < 50: calls 1, rows 5 in, 4 out
+    Join on c.custid / (c.custid - 3) = i.custid / (i.custid - 3): calls 1, rows 11 in, 5 out
+      Scan customer/p0 as c: calls 1, rows 0 in, 5 out
+      Scan invoiceline/p0 as i: calls 1, rows 0 in, 6 out
+`,
+		"project-filter-cross-join": `
+Project c.custname, d.custname: calls 1, rows 7 in, 7 out
+  Filter c.custid < d.custid AND d.office <> 'Athens': calls 1, rows 25 in, 7 out
+    CrossJoin: calls 1, rows 10 in, 25 out
+      Scan customer/p0 as c: calls 1, rows 0 in, 5 out
+      Scan customer/p0 as d: calls 1, rows 0 in, 5 out
+`,
+		"sort-project-join": `
+Sort x1 DESC: calls 1, rows 6 in, 6 out
+  Project c.custname, i.charge: calls 1, rows 6 in, 6 out
+    Join on c.custid = i.custid: calls 1, rows 11 in, 6 out
+      Scan customer/p0 as c: calls 1, rows 0 in, 5 out
+      Scan invoiceline/p0 as i: calls 1, rows 0 in, 6 out
+`,
+		"distinct-project-join": `
+Distinct: calls 1, rows 6 in, 3 out
+  Project c.office: calls 1, rows 6 in, 6 out
+    Join on c.custid = i.custid: calls 1, rows 11 in, 6 out
+      Scan customer/p0 as c: calls 1, rows 0 in, 5 out
+      Scan invoiceline/p0 as i: calls 1, rows 0 in, 6 out
+`,
+		"agg-filter-join": `
+Aggregate [c.office] SUM(i.charge), COUNT(*): calls 1, rows 4 in, 3 out
+  Filter i.charge > 6: calls 1, rows 6 in, 4 out
+    Join on c.custid = i.custid: calls 1, rows 11 in, 6 out
+      Scan customer/p0 as c: calls 1, rows 0 in, 5 out
+      Scan invoiceline/p0 as i: calls 1, rows 0 in, 6 out
+`,
+	}
+	s := telcoStore(t)
+	plans := streamingPlans()
+	for name, text := range want {
+		for _, batch := range []int{1, 2, 3, DefaultBatchSize} {
+			root, stats := plans[name](), NewRunStats()
+			if _, err := (&Executor{Store: s, Stats: stats, BatchSize: batch}).Run(root); err != nil {
+				t.Fatalf("%s batch %d: %v", name, batch, err)
+			}
+			var sb strings.Builder
+			var walk func(n plan.Node, depth int)
+			walk = func(n plan.Node, depth int) {
+				op, _ := stats.Get(n)
+				fmt.Fprintf(&sb, "%s%s: calls %d, rows %d in, %d out\n",
+					strings.Repeat("  ", depth), n.Describe(), op.Calls, op.RowsIn, op.RowsOut)
+				for _, child := range n.Children() {
+					walk(child, depth+1)
+				}
+			}
+			walk(root, 0)
+			if got := sb.String(); got != text[1:] {
+				t.Errorf("%s batch %d: actuals\n%swant\n%s", name, batch, got, text[1:])
+			}
+		}
+	}
+}
+
 // Executor.Open surfaces the first row before the stream is drained, and an
 // early Close releases the remote stream.
 func TestOpenFirstRowEarlyClose(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -18,6 +19,14 @@ func TestKindString(t *testing.T) {
 	}
 	if got := Kind(99).String(); got != "Kind(99)" {
 		t.Errorf("unknown kind = %q", got)
+	}
+}
+
+// Every row slab the executor carves is len(row) Values: the field order
+// that packs K and B into one word is worth a sixth of those bytes.
+func TestValueIs40Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 40 {
+		t.Fatalf("a Value is %d bytes, want 40", got)
 	}
 }
 
