@@ -159,53 +159,6 @@ func BenchmarkExpF12Chaos(b *testing.B) {
 	}
 }
 
-// BenchmarkExpF13Parallel regenerates F13: seller-side parallel bid pricing
-// with the negotiation-scoped price cache. The reported metric is the
-// wall-clock speedup of the 6-query RFB at 8 workers over the serial path.
-func BenchmarkExpF13Parallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab := experiments.F13ParallelPricing([]int{2, 6}, []int{1, 2, 4, 8}, 2, int64(i))
-		lastRowMetric(b, tab, 3, "speedup_6q_8w")
-		discard(tab)
-	}
-}
-
-// BenchmarkExpF14TraceOverhead regenerates F14: distributed-tracing cost
-// under Never / Ratio(0.1) / Always sampling. The reported metric is the
-// Always-policy overhead percent over the Never baseline at the widest
-// chain (the Ratio(0.1) production default sits between the two).
-func BenchmarkExpF14TraceOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab := experiments.F14TraceOverhead([]int{3, 5}, 4, int64(i))
-		lastRowMetric(b, tab, 3, "always_overhead_pct")
-		discard(tab)
-	}
-}
-
-// BenchmarkExpF15Throughput regenerates F15: multi-client throughput under
-// the concurrent buyer. Two metrics are reported: the single-client fan-out
-// speedup at the widest federation (phase A's workers=0 row vs serial) and
-// the qps multiple reached by the widest closed-loop client sweep (the last
-// row's x_vs_base).
-func BenchmarkExpF15Throughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab := experiments.F15Throughput([]int{4, 8}, []int{1, 2, 4}, 4, int64(i))
-		// Phase A rows come first: sellers x {workers=1, workers=0}. The
-		// widest fan-out row is the last phase-A row.
-		fanout := tab.Rows[3]
-		if fanout[0] != "8" || fanout[2] != "0" {
-			b.Fatalf("unexpected F15 row layout: %v", tab.Rows)
-		}
-		v, err := strconv.ParseFloat(fanout[7], 64)
-		if err != nil {
-			b.Fatalf("F15 fanout speedup %q: %v", fanout[7], err)
-		}
-		b.ReportMetric(v, "fanout_x_at_8s")
-		lastRowMetric(b, tab, 7, "qps_x_at_4c")
-		discard(tab)
-	}
-}
-
 // BenchmarkExpF16Calibration regenerates F16: per-seller quoted-vs-measured
 // cost calibration from the trading ledger. Reported metric: the largest
 // per-seller mean measured/quoted ratio in the slow-seller variant — the
@@ -255,20 +208,6 @@ func BenchmarkExpF17Churn(b *testing.B) {
 		}
 		b.ReportMetric(failed, "failed_queries")
 		lastRowMetric(b, tab, 1, "recovered_qps")
-		discard(tab)
-	}
-}
-
-// BenchmarkExpF18Streaming regenerates F18: first-row latency and peak
-// buyer-side buffering of streamed vs materialized delivery as the result
-// grows.
-func BenchmarkExpF18Streaming(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab := experiments.F18Streaming([]int{400, 3200}, int64(i))
-		lastRowMetric(b, tab, 1, "stream_first_ms")
-		lastRowMetric(b, tab, 4, "mat_total_ms")
-		lastRowMetric(b, tab, 5, "stream_peak_kb")
-		lastRowMetric(b, tab, 6, "mat_peak_kb")
 		discard(tab)
 	}
 }

@@ -7,29 +7,19 @@
 //	qtbench -full                # all experiments, paper scale (minutes)
 //	qtbench -exp F3 -exp T1      # a subset
 //	qtbench -seed 7
-//	qtbench -exp F3 -trace f3.json -metrics  # Chrome trace + metrics dump
-//	qtbench -exp F15 -clients 1,2,4,8        # throughput at a custom client sweep
-//	qtbench -exp T1 -ledger                  # calibration report after the run
 //
-// -trace writes a Chrome trace_event file of every optimization the selected
-// experiments ran (load it in chrome://tracing or https://ui.perfetto.dev);
-// -metrics prints the buyer/seller metrics snapshot after the run;
-// -clients overrides the closed-loop client counts the F15 throughput
-// experiment sweeps; -ledger audits every negotiation in a trading ledger
-// and prints the per-seller calibration report when done (F16 keeps its own
-// per-variant ledgers, so its negotiations print in its table instead).
+// Timings beyond these tables belong to the benchmark under bench/.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"qtrade/internal/experiments"
-	"qtrade/internal/ledger"
-	"qtrade/internal/obs"
 )
 
 type expFlags []string
@@ -47,90 +37,67 @@ func (e *expFlags) Set(v string) error {
 	return nil
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it prints the selected tables to stdout and returns
+// the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("qtbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var exps expFlags
-	full := flag.Bool("full", false, "run at paper scale (minutes of runtime)")
-	seed := flag.Int64("seed", 1, "workload seed")
-	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON of the run to this file")
-	metricsDump := flag.Bool("metrics", false, "print the metrics snapshot after the run")
-	clients := flag.String("clients", "", "comma-separated closed-loop client counts for F15 (e.g. 1,2,4,8)")
-	ledgerDump := flag.Bool("ledger", false, "audit every negotiation in a trading ledger and print the calibration report after the run")
-	flag.Var(&exps, "exp", "experiment id to run (repeatable or comma-separated): T1, T2, F1..F19; default all")
-	flag.Parse()
-
-	if *clients != "" {
-		var counts []int
-		for _, part := range strings.Split(*clients, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n <= 0 {
-				fmt.Fprintf(os.Stderr, "qtbench: -clients wants positive ints, got %q\n", part)
-				os.Exit(1)
-			}
-			counts = append(counts, n)
+	full := fs.Bool("full", false, "run at paper scale (minutes of runtime)")
+	seed := fs.Int64("seed", 1, "workload seed")
+	fs.Var(&exps, "exp", "experiment id to run (repeatable or comma-separated); default all")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		experiments.SetF15Clients(counts)
+		return 2
 	}
-
-	var tracer *obs.Tracer
-	var metrics *obs.Metrics
-	if *tracePath != "" {
-		tracer = obs.NewTracer()
-	}
-	if *metricsDump || *tracePath != "" {
-		metrics = obs.NewMetrics()
-	}
-	if tracer != nil || metrics != nil {
-		experiments.SetObs(tracer, metrics)
-	}
-	var led *ledger.Ledger
-	if *ledgerDump {
-		led = ledger.New(0)
-		experiments.SetLedger(led)
-	}
-
-	var specs []experiments.Spec
+	specs := experiments.QuickSpecs(*seed)
 	if *full {
 		specs = experiments.FullSpecs(*seed)
-	} else {
-		specs = experiments.QuickSpecs(*seed)
+	}
+	specs, err := selectSpecs(specs, exps)
+	if err != nil {
+		fmt.Fprintf(stderr, "qtbench: %v\n", err)
+		return 1
+	}
+	for _, s := range specs {
+		s.Run().Fprint(stdout)
+	}
+	return 0
+}
+
+// selectSpecs keeps the specs that ids name, in suite order; no ids keeps
+// them all. Every id must name an experiment: the error names each one that
+// does not and lists the ids there are.
+func selectSpecs(specs []experiments.Spec, ids []string) ([]experiments.Spec, error) {
+	if len(ids) == 0 {
+		return specs, nil
 	}
 	want := map[string]bool{}
-	for _, e := range exps {
-		want[e] = true
+	for _, id := range ids {
+		want[id] = true
 	}
-	ran := 0
-	for _, s := range specs {
-		if len(want) > 0 && !want[s.ID] {
-			continue
+	var out []experiments.Spec
+	have := make([]string, len(specs))
+	for i, s := range specs {
+		have[i] = s.ID
+		if want[s.ID] {
+			out = append(out, s)
+			delete(want, s.ID)
 		}
-		s.Run().Fprint(os.Stdout)
-		ran++
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "qtbench: no experiment matched %v (have T1, T2, F1..F19)\n", exps)
-		os.Exit(1)
+	if len(want) == 0 {
+		return out, nil
 	}
-
-	if tracer != nil {
-		w, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "qtbench: %v\n", err)
-			os.Exit(1)
+	var unknown []string
+	for _, id := range ids {
+		if want[id] {
+			unknown = append(unknown, id)
+			delete(want, id)
 		}
-		err = tracer.WriteChromeTrace(w)
-		if cerr := w.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "qtbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "qtbench: wrote Chrome trace to %s\n", *tracePath)
 	}
-	if *metricsDump {
-		fmt.Print(metrics.Snapshot())
-	}
-	if led != nil {
-		fmt.Printf("-- trading ledger: %d negotiations audited --\n%s", led.Len(), led.Calibration().Text())
-	}
+	return nil, fmt.Errorf("unknown experiment %s (have %s)", strings.Join(unknown, ", "), strings.Join(have, ", "))
 }

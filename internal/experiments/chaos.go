@@ -49,9 +49,8 @@ func F12Chaos(queries int, seed int64) *Table {
 			Breaker:      trading.BreakerConfig{Threshold: 5, Cooldown: 40 * time.Millisecond},
 			Metrics:      m,
 		}
-		// The fault counters need a fresh registry per drop rate, so this
-		// experiment keeps its own metrics and only borrows the shared tracer.
-		f.SetObs(obsTracer, m)
+		// The fault counters need a fresh registry per drop rate.
+		f.SetObs(nil, m)
 		f.Net.Reset()
 		ok, reopts := 0, 0
 		var valueSum float64
@@ -60,7 +59,6 @@ func F12Chaos(queries int, seed int64) *Table {
 			// the buyer holds itself: the slow seller is never load-bearing.
 			q := workload.StarQuery(opts, 0.25+0.02*float64(i%10))
 			cfg := f.BuyerConfig()
-			cfg.Tracer = obsTracer
 			cfg.Metrics = m
 			cfg.Faults = pol
 			// A query whose negotiation itself is killed by bad luck (every

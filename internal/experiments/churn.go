@@ -121,6 +121,14 @@ func f17Run(f *workload.Federation, opts workload.ChainOptions, pol *trading.Fau
 	return float64(len(all)) / wall, f15Pct(all, 0.50), f15Pct(all, 0.95), fails.Load()
 }
 
+// f15Pct reads the p-th percentile (0..1) of an ascending-sorted sample.
+func f15Pct(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	return sorted[int(p*float64(len(sorted)-1))]
+}
+
 // F17Churn runs the elastic-churn experiment: steady state, then a churn
 // window where a replacement for the crash victim joins at 25% progress,
 // one seller drains at 50%, and the crash victim dies at 75%, then a

@@ -17,9 +17,7 @@ import (
 	"qtrade/internal/core"
 	"qtrade/internal/cost"
 	"qtrade/internal/exec"
-	"qtrade/internal/ledger"
 	"qtrade/internal/node"
-	"qtrade/internal/obs"
 	"qtrade/internal/plan"
 	"qtrade/internal/storage"
 	"qtrade/internal/trading"
@@ -82,45 +80,10 @@ func chainFed(opts workload.ChainOptions) (*workload.Federation, workload.ChainO
 	return workload.NewChain(opts), opts
 }
 
-// obsTracer/obsMetrics, when set via SetObs, are injected into every
-// optimization the drivers run — buyer config and seller nodes alike — so
-// cmd/qtbench can export a trace or metrics snapshot of an experiment run.
-var (
-	obsTracer  *obs.Tracer
-	obsMetrics *obs.Metrics
-)
-
-// SetObs registers a tracer and metrics registry for all subsequent
-// experiment optimizations; nil, nil detaches.
-func SetObs(tr *obs.Tracer, m *obs.Metrics) { obsTracer, obsMetrics = tr, m }
-
-// expLedger, when set via SetLedger, audits every experiment negotiation so
-// cmd/qtbench -ledger can print a calibration report after a run.
-var expLedger *ledger.Ledger
-
-// SetLedger registers a trading ledger for all subsequent experiment
-// optimizations; nil detaches.
-func SetLedger(l *ledger.Ledger) { expLedger = l }
-
-// instrument injects the registered observability into one optimization.
-func instrument(f *workload.Federation, cfg *core.Config) {
-	if expLedger != nil {
-		cfg.Ledger = expLedger
-		f.SetLedger(expLedger)
-	}
-	if obsTracer == nil && obsMetrics == nil {
-		return
-	}
-	cfg.Tracer = obsTracer
-	cfg.Metrics = obsMetrics
-	f.SetObs(obsTracer, obsMetrics)
-}
-
 // optimizeQT runs one QT optimization and returns the result plus the
 // network message/byte counters it consumed.
 func optimizeQT(f *workload.Federation, cfg core.Config, q string) (*core.Result, int64, int64, error) {
 	f.Net.Reset()
-	instrument(f, &cfg)
 	res, err := f.Optimize(cfg, q)
 	if err != nil {
 		return nil, 0, 0, err
@@ -328,7 +291,6 @@ func F3Convergence(joins, nodes int, seed int64) *Table {
 	cfg.OnIteration = func(iter int, best float64, pool int) {
 		t.Rows = append(t.Rows, []string{d(int64(iter)), f2(best), d(int64(pool))})
 	}
-	instrument(f, &cfg)
 	if _, err := f.Optimize(cfg, q); err != nil {
 		t.Rows = append(t.Rows, []string{"error", err.Error(), ""})
 	}
@@ -411,9 +373,7 @@ func F6Strategies(rounds int, seed int64) *Table {
 		step = 1
 	}
 	for r := 1; r <= rounds; r++ {
-		cfg := f.BuyerConfig()
-		instrument(f, &cfg)
-		res, err := f.Optimize(cfg, q)
+		res, err := f.Optimize(f.BuyerConfig(), q)
 		if err != nil {
 			break
 		}
@@ -667,15 +627,9 @@ func addViewToNode(f *workload.Federation, nodeID, name, sql string, truth tradi
 	})
 }
 
-// Quick returns every experiment at CI-friendly scale.
-func Quick(seed int64) []*Table { return runSpecs(QuickSpecs(seed)) }
-
-// Full returns every experiment at paper scale (minutes of runtime).
-func Full(seed int64) []*Table { return runSpecs(FullSpecs(seed)) }
-
 // Spec is one runnable experiment: its table id plus a thunk that builds the
 // federation and produces the table. Drivers only run when Run is called, so
-// callers can filter by ID without paying for (or tracing) the rest.
+// callers can filter by ID without paying for the rest.
 type Spec struct {
 	ID  string
 	Run func() *Table
@@ -698,12 +652,8 @@ func QuickSpecs(seed int64) []Spec {
 		{"F10", func() *Table { return F10Subcontract(seed) }},
 		{"F11", func() *Table { return F11AggPushdown(seed) }},
 		{"F12", func() *Table { return F12Chaos(4, seed) }},
-		{"F13", func() *Table { return F13ParallelPricing([]int{2, 6}, []int{1, 2, 4, 8}, 2, seed) }},
-		{"F14", func() *Table { return F14TraceOverhead([]int{3, 5}, 4, seed) }},
-		{"F15", func() *Table { return F15Throughput([]int{4, 8}, f15Clients, 4, seed) }},
 		{"F16", func() *Table { return F16Calibration(6, seed) }},
 		{"F17", func() *Table { return F17Churn(4, 3, 6, seed) }},
-		{"F18", func() *Table { return F18Streaming([]int{400, 3200}, seed) }},
 		{"F19", func() *Table { return F19Flight(8, seed) }},
 	}
 }
@@ -725,20 +675,8 @@ func FullSpecs(seed int64) []Spec {
 		{"F10", func() *Table { return F10Subcontract(seed) }},
 		{"F11", func() *Table { return F11AggPushdown(seed) }},
 		{"F12", func() *Table { return F12Chaos(20, seed) }},
-		{"F13", func() *Table { return F13ParallelPricing([]int{2, 6, 12}, []int{1, 2, 4, 8}, 5, seed) }},
-		{"F14", func() *Table { return F14TraceOverhead([]int{3, 5, 7}, 40, seed) }},
-		{"F15", func() *Table { return F15Throughput([]int{8, 16}, f15Clients, 12, seed) }},
 		{"F16", func() *Table { return F16Calibration(20, seed) }},
 		{"F17", func() *Table { return F17Churn(8, 4, 12, seed) }},
-		{"F18", func() *Table { return F18Streaming([]int{400, 1600, 6400, 25600}, seed) }},
 		{"F19", func() *Table { return F19Flight(24, seed) }},
 	}
-}
-
-func runSpecs(specs []Spec) []*Table {
-	out := make([]*Table, len(specs))
-	for i, s := range specs {
-		out[i] = s.Run()
-	}
-	return out
 }

@@ -166,16 +166,16 @@ func TestQuickSuiteAndPrint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick suite in short mode")
 	}
-	tables := Quick(1)
-	if len(tables) != 21 {
-		t.Fatalf("tables: %d", len(tables))
+	specs := QuickSpecs(1)
+	if len(specs) != 17 {
+		t.Fatalf("tables: %d", len(specs))
 	}
 	var buf bytes.Buffer
-	for _, tab := range tables {
-		tab.Fprint(&buf)
+	for _, s := range specs {
+		s.Run().Fprint(&buf)
 	}
 	out := buf.String()
-	for _, id := range []string{"T1", "T2", "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "F10", "F11", "F12", "F13", "F14", "F15", "F16", "F17", "F18", "F19"} {
+	for _, id := range []string{"T1", "T2", "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "F10", "F11", "F12", "F16", "F17", "F19"} {
 		if !strings.Contains(out, "== "+id+":") {
 			t.Fatalf("missing table %s in output", id)
 		}

@@ -1,16 +1,15 @@
 package experiments
 
 // F19: the query flight recorder and anomaly watchdog under fault injection.
-// A chain federation runs the same query mix through four phases: a baseline
-// with no observability attached, a recorded steady state (flight recorder +
-// ledger + windowed metrics history + watchdog — the overhead column is the
-// recorder's steady-state cost against the baseline), a phase where one
-// seller turns slow mid-run, and a phase where a relation's statistics go
-// stale (the estimates claim one row while the data holds hundreds). The
-// acceptance bar: every query lands as exactly one dossier, the slow phase's
-// queries are flagged by the latency SLO trigger and its metrics window by
-// the watchdog's p95 rule, and the stale-stats phase's dossiers are flagged
-// as cardinality blowouts.
+// A chain federation with flight recorder, ledger, windowed metrics history
+// and watchdog attached runs the same query mix through three phases: a
+// steady state, a phase where one seller turns slow mid-run, and a phase
+// where a relation's statistics go stale (the estimates claim one row while
+// the data holds hundreds). The acceptance bar: every query lands as exactly
+// one dossier, the slow phase's queries are flagged by the latency SLO
+// trigger and its metrics window by the watchdog's p95 rule, and the
+// stale-stats phase's dossiers are flagged as cardinality blowouts. The
+// recorder's wall-clock cost is no column: at this scale it is host noise.
 
 import (
 	"fmt"
@@ -28,18 +27,8 @@ import (
 	"qtrade/internal/workload"
 )
 
-// f19Opts is the shared federation shape: 3-relation chain, every fragment
-// replicated twice over four nodes (buyer n0 included).
-func f19Opts(seed int64) workload.ChainOptions {
-	return workload.ChainOptions{
-		Relations: 3, RowsPerRel: 120, Parts: 2, Nodes: 4, Replicas: 2,
-		Seed: seed, SkipOracleData: true,
-	}
-}
-
-// f19Run executes one batch of chain queries end to end and returns the
-// batch's wall time in ms. Observability (metrics, ledger, recorder) rides
-// cfg; nil values keep the batch unobserved.
+// f19Run executes one batch of chain queries end to end, observed by
+// metrics, ledger and recorder, and returns the batch's wall time in ms.
 func f19Run(f *workload.Federation, opts workload.ChainOptions, queries int,
 	metrics *obs.Metrics, led *ledger.Ledger, rec *flight.Recorder) float64 {
 	buyer := f.Nodes[f.Buyer]
@@ -91,19 +80,13 @@ func F19Flight(queriesPerPhase int, seed int64) *Table {
 		ID: "F19",
 		Title: fmt.Sprintf("flight recorder + watchdog: %d queries/phase, slow seller and stale stats mid-run",
 			queriesPerPhase),
-		Header: []string{"phase", "queries", "wall_ms", "dossiers", "flagged", "triggers", "anomalies", "overhead_pct"},
+		Header: []string{"phase", "queries", "wall_ms", "dossiers", "flagged", "triggers", "anomalies"},
 	}
-	opts := f19Opts(seed)
-
-	// Baseline: identical federation and query mix, nothing attached. Two
-	// batches to match the recorded steady state's sample count.
-	base := workload.NewChain(opts)
-	baseWall := f19Run(base, opts, 2*queriesPerPhase, nil, nil, nil)
-	t.Rows = append(t.Rows, []string{"baseline", d(int64(2 * queriesPerPhase)),
-		f2(baseWall), "0", "0", "-", "0", "-"})
-
-	// Recorded federation: recorder + ledger + history + watchdog. Windows
-	// close at phase boundaries via Sample, so each phase is one window.
+	// A 3-relation chain, every fragment replicated twice over four nodes
+	// (buyer n0 included), with recorder + ledger + history + watchdog.
+	// Windows close at phase boundaries via Sample: each phase is one window.
+	opts := workload.ChainOptions{Relations: 3, RowsPerRel: 120, Parts: 2, Nodes: 4, Replicas: 2,
+		Seed: seed, SkipOracleData: true}
 	f := workload.NewChain(opts)
 	metrics := obs.NewMetrics()
 	led := ledger.New(8 * queriesPerPhase) // every recorded query's dossier stays in the ring
@@ -120,26 +103,19 @@ func F19Flight(queriesPerPhase int, seed int64) *Table {
 	wd := flight.NewWatchdog(flight.WatchdogConfig{}, led, metrics)
 	wd.Attach(hist)
 
-	phase := func(name string, wall, overhead float64, prevAdmitted, prevFlagged int64, anomalies int) {
+	phase := func(name string, queries int, wall float64, prevAdmitted, prevFlagged int64, anomalies int) {
 		admitted, flagged := rec.Stats()
-		over := "-"
-		if overhead >= 0 {
-			over = f2(overhead)
-		}
-		t.Rows = append(t.Rows, []string{name, d(int64(queriesPerPhase)), f2(wall),
+		t.Rows = append(t.Rows, []string{name, d(int64(queries)), f2(wall),
 			d(admitted - prevAdmitted), d(flagged - prevFlagged),
-			f19Triggers(rec, queriesPerPhase), d(int64(anomalies)), over})
+			f19Triggers(rec, queries), d(int64(anomalies))})
 	}
 
 	// Steady state: two batches, two windows — the first seeds the watchdog
-	// baselines, the second confirms them. Overhead compares against the
-	// baseline run of the same 2×queriesPerPhase batch.
+	// baselines, the second confirms them.
 	steadyWall := f19Run(f, opts, queriesPerPhase, metrics, led, rec)
 	hist.Sample()
 	steadyWall += f19Run(f, opts, queriesPerPhase, metrics, led, rec)
 	hist.Sample()
-	admitted, flagged := rec.Stats()
-	overhead := 100 * (steadyWall - baseWall) / baseWall
 	// The steady verdict leaves out p95_regression: its two windows hold a
 	// few sub-millisecond queries each, so one scheduler or GC pause on the
 	// host puts the second window's p95 past 3× the first's. The other
@@ -150,9 +126,7 @@ func F19Flight(queriesPerPhase int, seed int64) *Table {
 			steadyAnoms++
 		}
 	}
-	t.Rows = append(t.Rows, []string{"steady", d(int64(2 * queriesPerPhase)), f2(steadyWall),
-		d(admitted), d(flagged), f19Triggers(rec, 2*queriesPerPhase),
-		d(int64(steadyAnoms)), f2(overhead)})
+	phase("steady", 2*queriesPerPhase, steadyWall, 0, 0, steadyAnoms)
 
 	// Slow seller: n1 answers every call 25ms late. The SLO trigger is armed
 	// between the steady per-query wall and the straggler's, so exactly the
@@ -167,7 +141,7 @@ func F19Flight(queriesPerPhase int, seed int64) *Table {
 	prevAdmitted, prevFlagged := rec.Stats()
 	slowWall := f19Run(f, opts, queriesPerPhase, metrics, led, rec)
 	hist.Sample()
-	phase("slow_seller", slowWall, -1, prevAdmitted, prevFlagged, len(led.Anomalies())-prevAnoms)
+	phase("slow_seller", queriesPerPhase, slowWall, prevAdmitted, prevFlagged, len(led.Anomalies())-prevAnoms)
 
 	// Stale statistics: every replica of r2 claims a single row while the
 	// fragments hold dozens, so sellers quote tiny cardinalities and the
@@ -194,6 +168,6 @@ func F19Flight(queriesPerPhase int, seed int64) *Table {
 	prevAdmitted, prevFlagged = rec.Stats()
 	staleWall := f19Run(f, opts, queriesPerPhase, metrics, led, rec)
 	hist.Sample()
-	phase("stale_stats", staleWall, -1, prevAdmitted, prevFlagged, len(led.Anomalies())-prevAnoms)
+	phase("stale_stats", queriesPerPhase, staleWall, prevAdmitted, prevFlagged, len(led.Anomalies())-prevAnoms)
 	return t
 }

@@ -244,7 +244,7 @@ func (l *Ledger) Calibration() Report {
 }
 
 // Text renders the report as aligned tables for terminal display (qtsql
-// \calibration, qtbench -ledger).
+// \calibration).
 func (r Report) Text() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "negotiations retained: %d\n", r.Negotiations)

@@ -204,6 +204,73 @@ func (s *countingStrategy) count() int {
 	return s.calls
 }
 
+// peakStrategy prices truthfully and records the most Price calls in flight
+// at once. With meet set, a call waits until a second one is in flight
+// beside it; after one timeout nobody waits any more.
+type peakStrategy struct {
+	mu             sync.Mutex
+	inflight, peak int
+	meet           bool
+	met            chan struct{} // closed once two calls are in flight
+	timedOut       bool
+}
+
+func (s *peakStrategy) Price(_ string, truth float64) float64 {
+	s.mu.Lock()
+	s.inflight++
+	s.peak = max(s.peak, s.inflight)
+	if s.inflight == 2 && s.meet {
+		s.meet = false
+		close(s.met)
+	}
+	wait := s.meet
+	s.mu.Unlock()
+	if wait {
+		select {
+		case <-s.met:
+		case <-time.After(10 * time.Second):
+			s.mu.Lock()
+			s.timedOut, s.meet = true, false
+			s.mu.Unlock()
+		}
+	}
+	s.mu.Lock()
+	s.inflight--
+	s.mu.Unlock()
+	return truth
+}
+
+func (s *peakStrategy) Improve(_ string, current, _, _ float64) (float64, bool) {
+	return current, false
+}
+
+func (s *peakStrategy) Observe(string, bool) {}
+
+// TestParallelPricingOverlapsQueries: an RFB's queries are priced side by
+// side on the worker pool, and one at a time with one worker. A pricing
+// that blocks until a second one starts proves the overlap without a clock.
+func TestParallelPricingOverlapsQueries(t *testing.T) {
+	for _, tc := range []struct {
+		workers int
+		meet    bool
+	}{{4, true}, {1, false}} {
+		strat := &peakStrategy{meet: tc.meet, met: make(chan struct{})}
+		n := telcoNodeCfg(t, func(c *Config) { c.Workers = tc.workers; c.Strategy = strat })
+		offers, err := bidOffers(n.RequestBids(wideRFB("rfb-peak", 4)))
+		if err != nil || len(offers) == 0 {
+			t.Fatalf("workers=%d: %d offers, %v", tc.workers, len(offers), err)
+		}
+		switch {
+		case strat.timedOut:
+			t.Fatalf("workers=%d: no second pricing started while the first waited", tc.workers)
+		case tc.workers > 1 && strat.peak < 2:
+			t.Fatalf("workers=%d: at most %d pricings in flight, want >= 2", tc.workers, strat.peak)
+		case tc.workers == 1 && strat.peak != 1:
+			t.Fatalf("workers=1: %d pricings in flight at once, want 1", strat.peak)
+		}
+	}
+}
+
 // TestRequestBidsIdempotentRepeat pins that re-sending an already-answered
 // RFBID returns the same offers without re-pricing.
 func TestRequestBidsIdempotentRepeat(t *testing.T) {

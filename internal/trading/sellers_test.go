@@ -55,6 +55,74 @@ func TestSellersCalledOnlyFromGather(t *testing.T) {
 	}
 }
 
+// meeting is a barrier the fake sellers of one round share: a call waits
+// until size calls are in flight together, so a fan-out narrower than size
+// times out instead of passing (and after one timeout nobody waits any
+// more), and peak records the widest it got.
+type meeting struct {
+	mu             sync.Mutex
+	size, arrived  int
+	release        chan struct{}
+	inflight, peak int
+	timedOut       bool
+}
+
+// meetingPeer is one seller at the meeting; it answers with one offer.
+type meetingPeer struct {
+	id string
+	m  *meeting
+}
+
+func (p meetingPeer) RequestBids(RFB) (BidReply, error) {
+	m := p.m
+	m.mu.Lock()
+	m.inflight++
+	m.peak = max(m.peak, m.inflight)
+	release := m.release
+	if m.arrived++; m.arrived == m.size || m.timedOut {
+		close(release)
+		m.arrived, m.release = 0, make(chan struct{})
+	}
+	m.mu.Unlock()
+	select {
+	case <-release:
+	case <-time.After(10 * time.Second):
+		m.mu.Lock()
+		m.timedOut = true
+		m.mu.Unlock()
+	}
+	m.mu.Lock()
+	m.inflight--
+	m.mu.Unlock()
+	return BidReply{Offers: []Offer{{SellerID: p.id, OfferID: p.id + "/o"}}}, nil
+}
+
+func (meetingPeer) ImproveBids(ImproveReq) (BidReply, error) { return BidReply{}, nil }
+
+// TestBuyerFanoutOverlapsSellerCalls: a round's RFBs are in flight together,
+// as many at once as Workers allows — four sellers meet at 0, pairs at 2,
+// one at a time at 1. The barrier proves the overlap without a clock: too
+// narrow a fan-out never fills it.
+func TestBuyerFanoutOverlapsSellerCalls(t *testing.T) {
+	for _, tc := range []struct{ workers, peak int }{{0, 4}, {2, 2}, {1, 1}} {
+		m := &meeting{size: tc.peak, release: make(chan struct{})}
+		peers := map[string]Peer{}
+		for _, id := range []string{"s1", "s2", "s3", "s4"} {
+			peers[id] = meetingPeer{id, m}
+		}
+		offers, _, err := SealedBid{}.Collect(RFB{RFBID: "r"}, Sellers{Peers: peers, Workers: tc.workers}, nil)
+		if err != nil || len(offers) != 4 {
+			t.Fatalf("workers=%d: %d offers, %v", tc.workers, len(offers), err)
+		}
+		if m.timedOut {
+			t.Fatalf("workers=%d: %d calls never met in flight", tc.workers, tc.peak)
+		}
+		if m.peak != tc.peak {
+			t.Fatalf("workers=%d: %d seller calls in flight at most, want %d", tc.workers, m.peak, tc.peak)
+		}
+	}
+}
+
 // hardPeer always fails with a non-transient error.
 type hardPeer struct{}
 
