@@ -51,7 +51,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "data seed (must match across the federation)")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
 	obsAddr := flag.String("obs-addr", "", "HTTP address serving /metrics (Prometheus text), /metrics/history, /healthz, /debug/pprof/*, /trace/last, /ledger and /calibration (empty = no exposition)")
-	traceKeep := flag.Int("trace-keep", 0, "how many sampled traces /trace/last retains (0 = default capacity)")
 	historyWindow := flag.Duration("history-window", 0, "width of one /metrics/history rollup window (0 = default)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long a SIGINT/SIGTERM drain waits for in-flight work before revoking standing offers and exiting")
 	peersFlag := flag.String("peers", "", "subcontract peers as id=addr,... — enables §3.5 Depth-1 subcontracting over net/rpc (peers are dialed lazily)")
@@ -98,25 +97,23 @@ func main() {
 		n = node.New(cfg)
 		copyTable(src, n, "customer")
 	}
-	traceLog := obs.NewTraceLogN(*traceKeep)
+	traceLog := obs.NewTraceLogN(0)
 	n.SetTraceLog(traceLog)
 	led := ledger.New(0)
 	n.SetLedger(led)
 
 	if *obsAddr != "" {
-		// Windowed metrics history + anomaly watchdog: the sampler rolls the
-		// registry into fixed-width windows served at /metrics/history, and
-		// the watchdog compares each fresh window against trailing baselines,
-		// recording anomalies into the ledger and watchdog.* gauges.
-		hist := obs.NewHistory(metrics, *historyWindow, 0)
-		wd := flight.NewWatchdog(flight.WatchdogConfig{}, led, metrics)
-		wd.Attach(hist)
-		hist.Start()
+		// Anomaly watchdog: it rolls the registry into fixed-width windows
+		// served at /metrics/history and compares each fresh window against
+		// trailing baselines, recording anomalies into the ledger and
+		// watchdog.* gauges.
+		wd := flight.NewWatchdog(led, metrics, *historyWindow)
+		wd.Start()
 		go func() {
 			h := obs.Handler(metrics, traceLog,
 				obs.Endpoint{Path: "/ledger", Handler: led},
 				obs.Endpoint{Path: "/calibration", Handler: led.CalibrationHandler()},
-				obs.Endpoint{Path: "/metrics/history", Handler: hist},
+				obs.Endpoint{Path: "/metrics/history", Handler: wd.History()},
 				obs.HealthEndpoint(func() any { return n.Health() }))
 			if err := http.ListenAndServe(*obsAddr, h); err != nil {
 				slog.Error("obs server failed", "addr", *obsAddr, "err", err)

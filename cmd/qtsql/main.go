@@ -58,7 +58,6 @@ type session struct {
 	tracing bool
 	last    *obs.Tracer   // spans of the most recent traced query
 	tlog    *obs.TraceLog // feeds /trace/last when -obs-addr is set
-	keep    int           // /trace/last ring capacity (-trace-keep)
 	window  time.Duration // /metrics/history rollup window (-history-window)
 
 	// attach/detach point tracing at the federation's seller nodes
@@ -222,16 +221,14 @@ func (s *session) serveObs(addr string) {
 	if addr == "" {
 		return
 	}
-	s.tlog = obs.NewTraceLogN(s.keep)
-	hist := obs.NewHistory(s.metrics, s.window, 0)
-	wd := flight.NewWatchdog(flight.WatchdogConfig{}, s.ledg, s.metrics)
-	wd.Attach(hist)
-	hist.Start()
+	s.tlog = obs.NewTraceLogN(0)
+	wd := flight.NewWatchdog(s.ledg, s.metrics, s.window)
+	wd.Start()
 	go func() {
 		h := obs.Handler(s.metrics, s.tlog,
 			obs.Endpoint{Path: "/ledger", Handler: s.ledg},
 			obs.Endpoint{Path: "/calibration", Handler: s.ledg.CalibrationHandler()},
-			obs.Endpoint{Path: "/metrics/history", Handler: hist},
+			obs.Endpoint{Path: "/metrics/history", Handler: wd.History()},
 			obs.Endpoint{Path: "/debug/queries", Handler: s.flight},
 			obs.Endpoint{Path: "/debug/queries/", Handler: s.flight})
 		if err := http.ListenAndServe(addr, h); err != nil {
@@ -248,14 +245,13 @@ func main() {
 	callTimeout := flag.Duration("call-timeout", 0, "remote mode: bound on dialing a qtnode and, through the buyer's fault policy, on every call to it (0 = none)")
 	logLevel := flag.String("log-level", "warn", "log verbosity: debug, info, warn or error")
 	obsAddr := flag.String("obs-addr", "", "HTTP address serving /metrics, /metrics/history, /debug/pprof/*, /debug/queries, /trace/last, /ledger and /calibration (empty = no exposition)")
-	traceKeep := flag.Int("trace-keep", 0, "how many sampled traces /trace/last retains (0 = default capacity)")
 	histWindow := flag.Duration("history-window", 0, "rollup window for /metrics/history (0 = default 5s)")
 	flag.Parse()
 
 	setupLogging(*logLevel)
 
 	if *connect != "" {
-		runRemote(*offices, *connect, *callTimeout, *obsAddr, *traceKeep, *histWindow)
+		runRemote(*offices, *connect, *callTimeout, *obsAddr, *histWindow)
 		return
 	}
 
@@ -265,7 +261,7 @@ func main() {
 		Seed:               1,
 	})
 	s := &session{metrics: obs.NewMetrics(), ledg: ledger.New(0),
-		flight: flight.NewRecorder(0), keep: *traceKeep, window: *histWindow}
+		flight: flight.NewRecorder(0), window: *histWindow}
 	s.attach = func(tr *obs.Tracer) { f.SetObs(tr, s.metrics) }
 	s.attach(nil) // metrics-only steady state
 	f.SetLedger(s.ledg)
@@ -412,7 +408,7 @@ func sortedPairs(net *netsim.Network) []pairLine {
 // positive callTimeout the dial is bounded and every call runs under a fault
 // policy with that CallTimeout, so a hung or unreachable qtnode fails fast
 // instead of stalling the shell.
-func runRemote(offices, connect string, callTimeout time.Duration, obsAddr string, traceKeep int, histWindow time.Duration) {
+func runRemote(offices, connect string, callTimeout time.Duration, obsAddr string, histWindow time.Duration) {
 	sch := workload.TelcoSchema(strings.Split(offices, ","))
 	peers := map[string]trading.Peer{}
 	rpcPeers := map[string]*netsim.RPCPeer{}
@@ -447,7 +443,7 @@ func runRemote(offices, connect string, callTimeout time.Duration, obsAddr strin
 		},
 	}
 	s := &session{metrics: obs.NewMetrics(), ledg: ledger.New(0),
-		flight: flight.NewRecorder(0), keep: traceKeep, window: histWindow,
+		flight: flight.NewRecorder(0), window: histWindow,
 		attach: func(*obs.Tracer) {}}
 	cfg := core.Config{ID: "qtsql", Schema: sch}
 	if callTimeout > 0 {

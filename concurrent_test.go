@@ -101,8 +101,12 @@ func TestConcurrentQueries(t *testing.T) {
 			fail := func(format string, args ...any) {
 				errCh <- fmt.Errorf("client %d (buyer %s): %s", ci, buyer, fmt.Sprintf(format, args...))
 			}
-			// Each client samples half its negotiations, from its own stream.
-			sampling := WithTraceSampling(SampleRatio(0.5).Seeded(int64(ci)))
+			// Even clients trace their negotiations, odd ones do not.
+			var opts []OptimizeOption
+			traced := ci%2 == 0
+			if traced {
+				opts = append(opts, WithTrace())
+			}
 			for it := 0; it < iterations; it++ {
 				q := concurrentQueries[(ci+it)%len(concurrentQueries)]
 				if it%2 == 1 {
@@ -117,7 +121,7 @@ func TestConcurrentQueries(t *testing.T) {
 					}
 					continue
 				}
-				p, err := fed.Optimize(buyer, q, sampling)
+				p, err := fed.Optimize(buyer, q, opts...)
 				if err != nil {
 					fail("Optimize: %v", err)
 					return
@@ -150,12 +154,16 @@ func TestConcurrentQueries(t *testing.T) {
 				if got := canonResult(res); got != want[q] {
 					fail("answer differs:\ngot  %s\nwant %s", got, want[q])
 				}
-				// No trace bleed: every RFB recorded in this client's trace
-				// is one this buyer issued (sub-RFBs keep the prefix).
+				// No trace bleed: an untraced client's plan holds no spans,
+				// and every RFB recorded in a traced client's trace is one
+				// this buyer issued (sub-RFBs keep the prefix).
 				var jsonl strings.Builder
 				if err := p.Trace().WriteJSONL(&jsonl); err != nil {
 					fail("trace export: %v", err)
 					return
+				}
+				if traced == (jsonl.Len() == 0) {
+					fail("traced %v, yet the plan holds %d bytes of spans", traced, jsonl.Len())
 				}
 				for _, m := range rfbAttr.FindAllStringSubmatch(jsonl.String(), -1) {
 					if !strings.HasPrefix(m[1], buyer+"-rfb") {

@@ -25,7 +25,7 @@ import (
 // Tune the rules through FlightRecorder().SetTriggers.
 func WithFlightRecorder(worstK int) FederationOption {
 	return func(f *Federation) {
-		f.flight = flight.NewRecorder(worstK)
+		f.wantFlight, f.worstK = true, worstK
 	}
 }
 
@@ -34,28 +34,22 @@ func WithFlightRecorder(worstK int) FederationOption {
 // set. Implies WithFlightRecorder's defaults when used alone.
 func WithSlowQuerySLO(slo time.Duration) FederationOption {
 	return func(f *Federation) {
-		if f.flight == nil {
-			f.flight = flight.NewRecorder(0)
-		}
-		t := f.flight.Triggers()
-		t.SlowMS = float64(slo.Nanoseconds()) / 1e6
-		f.flight.SetTriggers(t)
+		f.wantFlight, f.slo = true, slo
 	}
 }
 
 // WithMetricsHistory attaches the windowed metrics history: a sampler
 // goroutine rolls every registered counter, gauge and histogram into
-// fixed-width window deltas (obs.DefaultHistoryWindow / DefaultHistoryKeep
-// when zero), retained in a ring and served as JSON by the handler at
-// MetricsHistory(). An anomaly watchdog rides along, comparing each fresh
-// window against trailing baselines — p95 regressions, recovery spikes,
-// price-cache hit-rate drops, calibration drift — and emitting typed
+// window-wide deltas (obs.DefaultHistoryWindow when window <= 0), the last
+// obs.DefaultHistoryKeep of them served as JSON by the handler at
+// MetricsHistory(). The anomaly watchdog runs the sampler and judges each
+// fresh window against trailing baselines — p95 regressions, recovery
+// spikes, price-cache hit-rate drops, calibration drift — emitting typed
 // anomaly events into the trading ledger (when one is attached) plus
-// watchdog.* instruments. Stop the sampler with MetricsHistory().Stop().
-func WithMetricsHistory(window time.Duration, keep int) FederationOption {
+// watchdog.* instruments. Stop the sampler with Watchdog().Stop().
+func WithMetricsHistory(window time.Duration) FederationOption {
 	return func(f *Federation) {
-		f.historyWindow, f.historyKeep = window, keep
-		f.wantHistory = true
+		f.wantHistory, f.historyWindow = true, window
 	}
 }
 
@@ -71,25 +65,27 @@ func (f *Federation) SlowQueries(n int) []*ledger.Dossier { return f.flight.Slow
 
 // MetricsHistory returns the windowed metrics history (an http.Handler
 // serving the retained windows as JSON), or nil without WithMetricsHistory.
-func (f *Federation) MetricsHistory() *obs.History { return f.history }
+func (f *Federation) MetricsHistory() *obs.History { return f.watchdog.History() }
 
 // Watchdog returns the anomaly watchdog attached by WithMetricsHistory, or
 // nil. Its findings land in the ledger's anomaly stream
 // (Ledger().Anomalies()).
 func (f *Federation) Watchdog() *flight.Watchdog { return f.watchdog }
 
-// finishObsSetup wires the cross-option observability dependencies once all
-// FederationOptions ran, so option order never matters: the flight recorder
-// gets a ledger to file dossiers on, and the history gets its watchdog
-// before the sampler starts.
+// finishObsSetup builds the observability sinks once all FederationOptions
+// ran, from the values they recorded, so option order never matters: the
+// flight recorder is built once with its SLO armed and gets a ledger to file
+// dossiers on, and the watchdog starts sampling with that ledger attached.
 func (f *Federation) finishObsSetup() {
-	if f.flight != nil && f.ledger == nil {
-		f.ledger = ledger.New(0)
+	if f.wantFlight {
+		f.flight = flight.NewRecorder(f.worstK)
+		f.flight.SetTriggers(flight.Triggers{SlowMS: float64(f.slo.Nanoseconds()) / 1e6})
+		if f.ledger == nil {
+			f.ledger = ledger.New(0)
+		}
 	}
 	if f.wantHistory {
-		f.history = obs.NewHistory(f.metrics, f.historyWindow, f.historyKeep)
-		f.watchdog = flight.NewWatchdog(flight.WatchdogConfig{}, f.ledger, f.metrics)
-		f.watchdog.Attach(f.history)
-		f.history.Start()
+		f.watchdog = flight.NewWatchdog(f.ledger, f.metrics, f.historyWindow)
+		f.watchdog.Start()
 	}
 }

@@ -114,9 +114,9 @@ func TestWithSlowQuerySLO(t *testing.T) {
 	if _, err := fed.Query("hq", totalsQuery); err != nil {
 		t.Fatal(err)
 	}
-	out := fed.FlightRecorder().Outliers()
+	out := fed.SlowQueries(0)
 	if len(out) != 1 {
-		t.Fatalf("outliers: %d", len(out))
+		t.Fatalf("dossiers: %d", len(out))
 	}
 	found := false
 	for _, tr := range out[0].Triggers {
@@ -224,15 +224,15 @@ func TestQueryWithRecoveryDossier(t *testing.T) {
 // and checks windows accumulate, serve over HTTP, and feed the watchdog.
 func TestWithMetricsHistoryEndToEnd(t *testing.T) {
 	fed := buildLedgerFed(t, []FederationOption{
-		WithLedger(64), WithMetricsHistory(10*time.Millisecond, 16)})
+		WithLedger(64), WithMetricsHistory(10 * time.Millisecond)})
 	h := fed.MetricsHistory()
 	if h == nil {
 		t.Fatal("WithMetricsHistory did not attach a history")
 	}
-	defer h.Stop()
 	if fed.Watchdog() == nil {
 		t.Fatal("WithMetricsHistory did not attach a watchdog")
 	}
+	defer fed.Watchdog().Stop()
 
 	if _, err := fed.Query("hq", totalsQuery); err != nil {
 		t.Fatal(err)

@@ -82,14 +82,10 @@ type Config struct {
 	// Tracer, when set, records one span tree for this optimization:
 	// iterations → negotiation rounds → per-seller RFBs (with the sellers'
 	// own pricing subtrees grafted under them when sampled), plus plan
-	// generation and the predicates analyser. Nil (the default) costs
+	// generation and the predicates analyser. A traced optimization always
+	// ships a sampled trace context to its sellers. Nil (the default) costs
 	// nothing.
 	Tracer *obs.Tracer
-	// Sampling decides which optimizations carry a distributed trace context
-	// across the federation. Nil means obs.SampleAlways. Ignored without a
-	// Tracer. Share one *Sampling across optimizations: it owns the seeded
-	// rng for obs.SampleRatio.
-	Sampling *obs.Sampling
 	// Metrics, when set, receives buyer-side counters/histograms under
 	// "buyer.<id>.". Nil costs nothing.
 	Metrics *obs.Metrics
@@ -157,8 +153,8 @@ type Result struct {
 	Candidate Candidate
 	Stats     Stats
 	Pool      []trading.Offer
-	// BuyerID and TraceCtx carry the optimization's identity and sampling
-	// decision into execution, so ExecuteResultTraced extends the same
+	// BuyerID and TraceCtx carry the optimization's identity and trace
+	// context into execution, so ExecuteResultTraced extends the same
 	// federation-wide trace across the purchased-answer fetches.
 	BuyerID  string
 	TraceCtx obs.TraceContext
@@ -359,7 +355,7 @@ func ExecuteResult(comm Comm, localExec *exec.Executor, res *Result) (*exec.Resu
 // ExecuteResultTraced is ExecuteResult recording the execution on tr: a root
 // execute span with one fetch child per remote leaf, under which a sampled
 // seller's execution subtree (including its subcontract fetches) is grafted.
-// The sampling decision is the one minted at optimization time
+// The trace context is the one minted at optimization time
 // (res.TraceCtx), so one negotiation stays one trace end to end. A nil
 // tracer is exactly ExecuteResult.
 func ExecuteResultTraced(comm Comm, localExec *exec.Executor, res *Result, tr *obs.Tracer) (*exec.Result, error) {

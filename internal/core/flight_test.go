@@ -3,7 +3,6 @@ package core
 import (
 	"runtime"
 	"testing"
-	"time"
 
 	"qtrade/internal/exec"
 	"qtrade/internal/flight"
@@ -246,8 +245,8 @@ func TestFlightRecoveryDossier(t *testing.T) {
 	if !hasTrigger(d.Triggers, flight.TrigRecovery) {
 		t.Fatalf("recovery dossier must be flagged: %v", d.Triggers)
 	}
-	if len(rec.Outliers()) != 1 {
-		t.Fatal("flagged dossier must land in the outlier set")
+	if slow := rec.Slow(0); len(slow) != 1 || slow[0].ID != d.ID {
+		t.Fatalf("the flagged dossier must be listed once: %d dossiers", len(slow))
 	}
 }
 
@@ -258,55 +257,6 @@ func hasTrigger(ts []string, want string) bool {
 		}
 	}
 	return false
-}
-
-// TestFlightTailSampledDossier: with head sampling off and tail sampling on
-// (obs.Sampling.TailSlower), a tail-kept slow query's dossier must still be
-// complete — including the grafted seller subtrees, because collection runs
-// regardless of the head decision.
-func TestFlightTailSampledDossier(t *testing.T) {
-	f := buildFederation(t, nil)
-	cfg, rec := flightCfg(f)
-	cfg.Sampling = &obs.Sampling{Mode: obs.SampleNever, TailSlower: time.Nanosecond}
-
-	optimizeAndRunTraced(t, f, cfg, paperQuery)
-	if len(rec.Recent(0)) != 1 {
-		t.Fatalf("dossiers: %d", len(rec.Recent(0)))
-	}
-	d := rec.Recent(1)[0]
-	if len(d.Spans) != 2 {
-		t.Fatalf("tail-kept dossier must carry both span trees: %v", spanNames(d.Spans))
-	}
-	foundRemote := false
-	var find func(p *obs.SpanPayload)
-	find = func(p *obs.SpanPayload) {
-		if p.Source != "" && p.Source != "athens" {
-			foundRemote = true
-		}
-		for _, c := range p.Children {
-			find(c)
-		}
-	}
-	for _, p := range d.Spans {
-		find(p)
-	}
-	if !foundRemote {
-		t.Fatal("tail-kept dossier lost the seller subtrees")
-	}
-
-	// Head-sampling NEVER with no tail keeps execution untraced: the
-	// dossier still assembles, with the optimize span but no remote graft.
-	f2 := buildFederation(t, nil)
-	cfg2, rec2 := flightCfg(f2)
-	cfg2.Sampling = &obs.Sampling{Mode: obs.SampleNever}
-	optimizeAndRunTraced(t, f2, cfg2, paperQuery)
-	if len(rec2.Recent(0)) != 1 {
-		t.Fatalf("never-sampled dossiers: %d", len(rec2.Recent(0)))
-	}
-	d2 := rec2.Recent(1)[0]
-	if d2.Rows == 0 || len(d2.Operators) == 0 {
-		t.Fatalf("never-sampled dossier incomplete: %+v", d2)
-	}
 }
 
 // TestFlightDisabled: without a recorder nothing is captured and no RunStats

@@ -30,8 +30,7 @@ type negObs struct {
 
 	root *obs.Span        // "optimize"; nil without a tracer
 	cur  *obs.Span        // what phases hang off: the open iteration, else root
-	head bool             // head-sampling decision; true without a tracer
-	tctx obs.TraceContext // stamped on every RFB; zero unless collecting
+	tctx obs.TraceContext // stamped on every RFB; zero without a tracer
 	rec  *ledger.Rec      // nil without a ledger
 
 	negID   string    // first RFB id: the negotiation's name in ledger and dossier
@@ -46,7 +45,7 @@ type negObs struct {
 // newNegObs starts the negotiation's clock. Nothing is recorded until begin:
 // a query that does not parse leaves no trace in any sink.
 func newNegObs(cfg *Config) *negObs {
-	return &negObs{cfg: cfg, start: time.Now(), head: true}
+	return &negObs{cfg: cfg, start: time.Now()}
 }
 
 // begin opens every sink for a query that parsed: sql is the text as given
@@ -67,20 +66,13 @@ func (o *negObs) begin(sql, canonical string) {
 	o.root = cfg.Tracer.Start(cfg.ID, "optimize")
 	o.root.Set("sql", sql)
 	o.cur = o.root
-	// Head sampling decides up front whether this negotiation ships trace data
-	// across the federation; tail sampling (Sampling.TailSlower) keeps
-	// collection on regardless and done drops the finished trace if the
-	// negotiation turned out fast. Without a tracer there is nothing to graft
-	// onto, so no context is minted and the wire stays trace-free.
+	// A traced negotiation ships trace data across the federation. Without a
+	// tracer there is nothing to graft onto, so no context is minted: the zero
+	// TraceContext gob-encodes (and accounts) byte-identically to a federation
+	// without tracing.
 	if cfg.Tracer != nil {
-		o.head = cfg.Sampling.SampleHead()
-		if cfg.Sampling.Collect(o.head) {
-			// Mint the context only when collecting: an unsampled negotiation
-			// keeps the zero TraceContext, so its messages gob-encode (and
-			// account) byte-identically to a federation without tracing.
-			o.tctx = obs.TraceContext{TraceID: obs.NewTraceID(cfg.ID), Sampled: true}
-			o.root.Set("trace_id", o.tctx.TraceID)
-		}
+		o.tctx = obs.TraceContext{TraceID: obs.NewTraceID(cfg.ID), Sampled: true}
+		o.root.Set("trace_id", o.tctx.TraceID)
 	}
 }
 
@@ -168,12 +160,6 @@ func (o *negObs) done(res *Result) *Result {
 	o.stats.EmptyBidResponses = int(o.empty.Load())
 	o.stats.WallTime = time.Since(o.start)
 	o.optimizeMS.Observe(ms(o.stats.WallTime))
-	if !o.cfg.Sampling.Keep(o.head, o.stats.WallTime) {
-		// Tail sampling: the negotiation was fast and head sampling said no —
-		// drop the collected trace instead of retaining it.
-		o.root.End()
-		o.cfg.Tracer.DropRoot(o.root)
-	}
 	if o.negID == "" && o.rec != nil {
 		// Proven empty before B1: no RFB named the negotiation, so its record
 		// takes a name from the same sequence, filed like one.

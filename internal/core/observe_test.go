@@ -35,7 +35,7 @@ func TestOptimizeIsTheLoop(t *testing.T) {
 	if lines := fset.Position(fn.End()).Line - fset.Position(fn.Pos()).Line + 1; lines > 130 {
 		t.Errorf("Optimize is %d lines, want at most 130", lines)
 	}
-	sinks := map[string]bool{"Tracer": true, "Sampling": true, "Metrics": true, "Ledger": true, "Flight": true}
+	sinks := map[string]bool{"Tracer": true, "Metrics": true, "Ledger": true, "Flight": true}
 	clock := map[string]bool{"Now": true, "Since": true}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)

@@ -84,7 +84,7 @@ func F19Flight(queriesPerPhase int, seed int64) *Table {
 	}
 	// A 3-relation chain, every fragment replicated twice over four nodes
 	// (buyer n0 included), with recorder + ledger + history + watchdog.
-	// Windows close at phase boundaries via Sample: each phase is one window.
+	// Windows close at phase boundaries via wd.Sample: each phase is one window.
 	opts := workload.ChainOptions{Relations: 3, RowsPerRel: 120, Parts: 2, Nodes: 4, Replicas: 2,
 		Seed: seed, SkipOracleData: true}
 	f := workload.NewChain(opts)
@@ -99,9 +99,7 @@ func F19Flight(queriesPerPhase int, seed int64) *Table {
 	trig0 := rec.Triggers()
 	trig0.CostRatioFactor = 1e6
 	rec.SetTriggers(trig0)
-	hist := obs.NewHistory(metrics, time.Second, 16)
-	wd := flight.NewWatchdog(flight.WatchdogConfig{}, led, metrics)
-	wd.Attach(hist)
+	wd := flight.NewWatchdog(led, metrics, time.Second)
 
 	phase := func(name string, queries int, wall float64, prevAdmitted, prevFlagged int64, anomalies int) {
 		admitted, flagged := rec.Stats()
@@ -113,9 +111,9 @@ func F19Flight(queriesPerPhase int, seed int64) *Table {
 	// Steady state: two batches, two windows — the first seeds the watchdog
 	// baselines, the second confirms them.
 	steadyWall := f19Run(f, opts, queriesPerPhase, metrics, led, rec)
-	hist.Sample()
+	wd.Sample()
 	steadyWall += f19Run(f, opts, queriesPerPhase, metrics, led, rec)
-	hist.Sample()
+	wd.Sample()
 	// The steady verdict leaves out p95_regression: its two windows hold a
 	// few sub-millisecond queries each, so one scheduler or GC pause on the
 	// host puts the second window's p95 past 3× the first's. The other
@@ -140,7 +138,7 @@ func F19Flight(queriesPerPhase int, seed int64) *Table {
 	prevAnoms := len(led.Anomalies())
 	prevAdmitted, prevFlagged := rec.Stats()
 	slowWall := f19Run(f, opts, queriesPerPhase, metrics, led, rec)
-	hist.Sample()
+	wd.Sample()
 	phase("slow_seller", queriesPerPhase, slowWall, prevAdmitted, prevFlagged, len(led.Anomalies())-prevAnoms)
 
 	// Stale statistics: every replica of r2 claims a single row while the
@@ -167,7 +165,7 @@ func F19Flight(queriesPerPhase int, seed int64) *Table {
 	prevAnoms = len(led.Anomalies())
 	prevAdmitted, prevFlagged = rec.Stats()
 	staleWall := f19Run(f, opts, queriesPerPhase, metrics, led, rec)
-	hist.Sample()
+	wd.Sample()
 	phase("stale_stats", queriesPerPhase, staleWall, prevAdmitted, prevFlagged, len(led.Anomalies())-prevAnoms)
 	return t
 }

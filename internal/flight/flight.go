@@ -177,15 +177,6 @@ func (r *Recorder) Recent(n int) []*ledger.Dossier {
 	return dossiers(led.Finished(n))
 }
 
-// Outliers returns the worst-K trigger-flagged dossiers, worst first.
-func (r *Recorder) Outliers() []*ledger.Dossier {
-	if r == nil {
-		return nil
-	}
-	_, outs := r.view()
-	return dossiers(outs)
-}
-
 // Slow merges the outlier set and the ledger's records carrying a dossier
 // (outliers win ties), each record once, and returns up to n dossiers sorted
 // slowest first — the qtsql \slow and Federation.SlowQueries view.

@@ -25,6 +25,12 @@ func admit(r *Recorder, l *ledger.Ledger, id string, wall float64) *ledger.Rec {
 	return rec
 }
 
+// outliers reads the worst-K set's dossiers, worst first.
+func outliers(r *Recorder) []*ledger.Dossier {
+	_, outs := r.view()
+	return dossiers(outs)
+}
+
 // TestDisabledRecorderZeroAlloc pins the off switch: a nil *Recorder must
 // be free on the hot path, exactly like the nil ledger and tracer.
 func TestDisabledRecorderZeroAlloc(t *testing.T) {
@@ -36,7 +42,6 @@ func TestDisabledRecorderZeroAlloc(t *testing.T) {
 		r.SetTriggers(Triggers{SlowMS: 1})
 		_ = r.Triggers()
 		_ = r.Recent(4)
-		_ = r.Outliers()
 		_ = r.Slow(4)
 		_ = r.Get("q1")
 		_, _ = r.Stats()
@@ -125,7 +130,7 @@ func TestRecorderRetention(t *testing.T) {
 	if got := r.Recent(0); len(got) != 3 || got[0].ID != "q7" || got[2].ID != "q5" {
 		t.Fatalf("recent after an unexecuted negotiation: %v", ids(got))
 	}
-	if len(r.Outliers()) != 0 {
+	if len(outliers(r)) != 0 {
 		t.Fatal("nothing breached the SLO yet")
 	}
 
@@ -133,7 +138,7 @@ func TestRecorderRetention(t *testing.T) {
 	admit(r, l, "s1", 150)
 	s2 := admit(r, l, "s2", 400)
 	admit(r, l, "s3", 250)
-	out := r.Outliers()
+	out := outliers(r)
 	if len(out) != 2 || out[0].ID != "s2" || out[1].ID != "s3" {
 		t.Fatalf("worst-K: %v", ids(out))
 	}
@@ -159,7 +164,7 @@ func TestRecorderRetention(t *testing.T) {
 	if got := r.Get("s2"); got.WallMS != 300 {
 		t.Fatalf("replace in place: %v", got.WallMS)
 	}
-	if out := r.Outliers(); len(out) != 2 || out[0].ID != "s2" || out[1].ID != "s3" {
+	if out := outliers(r); len(out) != 2 || out[0].ID != "s2" || out[1].ID != "s3" {
 		t.Fatalf("re-admitted outlier: %v", ids(out))
 	}
 	f3 := l.Lookup("f3")
@@ -173,8 +178,8 @@ func TestRecorderRetention(t *testing.T) {
 		}
 		return n
 	}
-	if in(r.Recent(0)) != 1 || in(r.Outliers()) != 1 || r.Outliers()[0].WallMS != 700 {
-		t.Fatalf("re-admitted f3: recent %v outliers %v", ids(r.Recent(0)), ids(r.Outliers()))
+	if in(r.Recent(0)) != 1 || in(outliers(r)) != 1 || outliers(r)[0].WallMS != 700 {
+		t.Fatalf("re-admitted f3: recent %v outliers %v", ids(r.Recent(0)), ids(outliers(r)))
 	}
 
 	admitted, flagged := r.Stats()
@@ -242,7 +247,7 @@ func TestRecorderConcurrentAdmitAndRead(t *testing.T) {
 	if admitted, _ := r.Stats(); admitted != 800 {
 		t.Fatalf("admitted %d, want 800", admitted)
 	}
-	out := r.Outliers()
+	out := outliers(r)
 	if len(out) != 4 || out[0].WallMS != 147 || out[3].WallMS != 147 {
 		t.Fatalf("outliers: %v", ids(out))
 	}

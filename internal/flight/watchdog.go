@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"time"
 
 	"qtrade/internal/ledger"
 	"qtrade/internal/obs"
@@ -27,78 +28,65 @@ type Anomaly struct {
 	Window   int64   `json:"window"`
 }
 
-// WatchdogConfig tunes the anomaly rules; zero values take the defaults.
-type WatchdogConfig struct {
-	// P95Factor flags a histogram window whose p95 is >= factor × the
-	// trailing EWMA baseline. Default 3.
-	P95Factor float64
-	// MinSamples gates the p95 and hit-rate rules: windows with fewer
-	// observations are too noisy to judge. Default 5.
-	MinSamples int64
-	// RecoveryFactor flags a window whose recovery-counter delta is both
-	// >= 1 and > factor × the trailing baseline rate. Default 3.
-	RecoveryFactor float64
-	// HitRateDrop flags a window whose price-cache hit rate fell by at
-	// least this much (absolute) below the trailing baseline. Default 0.25.
-	HitRateDrop float64
-	// CalibrationErr flags a seller whose |EWMA quote error| reaches this
-	// threshold (1.0 = quotes off by 100%). Default 1.0.
-	CalibrationErr float64
-	// BaselineAlpha is the EWMA weight of the newest window when updating
-	// baselines. Default 0.3.
-	BaselineAlpha float64
-}
+// The anomaly rules' thresholds.
+const (
+	// p95Factor flags a histogram window whose p95 is >= this × the trailing
+	// EWMA baseline.
+	p95Factor = 3
+	// minSamples gates the p95 and hit-rate rules: windows with fewer
+	// observations are too noisy to judge.
+	minSamples = 5
+	// recoveryFactor flags a window whose recovery-counter delta is both >= 1
+	// and > this × the trailing baseline rate.
+	recoveryFactor = 3
+	// hitRateDrop flags a window whose price-cache hit rate fell by at least
+	// this much (absolute) below the trailing baseline.
+	hitRateDrop = 0.25
+	// calibrationErr flags a seller whose |EWMA quote error| in the ledger's
+	// calibration report reaches this (1.0 = quotes off by 100%).
+	calibrationErr = 1.0
+	// baselineAlpha is the EWMA weight of the newest window when updating
+	// baselines.
+	baselineAlpha = 0.3
+)
 
-func (c WatchdogConfig) withDefaults() WatchdogConfig {
-	if c.P95Factor <= 0 {
-		c.P95Factor = 3
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 5
-	}
-	if c.RecoveryFactor <= 0 {
-		c.RecoveryFactor = 3
-	}
-	if c.HitRateDrop <= 0 {
-		c.HitRateDrop = 0.25
-	}
-	if c.CalibrationErr <= 0 {
-		c.CalibrationErr = 1
-	}
-	if c.BaselineAlpha <= 0 || c.BaselineAlpha > 1 {
-		c.BaselineAlpha = 0.3
-	}
-	return c
-}
-
-// Watchdog compares each freshly closed metrics window against trailing
-// EWMA baselines and emits typed anomaly events into the trading ledger
-// plus watchdog.* instruments; it keeps no log of its own — the ledger's
-// anomaly stream is the record. Attach it to a History (or call Observe
-// directly from tests and experiments). A nil *Watchdog no-ops.
+// Watchdog owns the windowed metrics history: each Sample closes one window
+// and compares it against trailing EWMA baselines, emitting typed anomaly
+// events into the trading ledger plus watchdog.* instruments; it keeps no
+// log of its own — the ledger's anomaly stream is the record. Start runs the
+// sampler on a ticker; experiments and tests call Sample to close windows
+// deterministically. A nil *Watchdog no-ops.
 type Watchdog struct {
-	cfg   WatchdogConfig
-	ledg  *ledger.Ledger
-	calib func() ledger.Report
+	ledg   *ledger.Ledger
+	hist   *obs.History
+	window time.Duration
 
 	anomalies   *obs.Counter // watchdog.anomalies: total findings ever
 	windowGauge *obs.Gauge   // watchdog.window_anomalies: findings in the newest window
 	lastWindow  *obs.Gauge   // watchdog.last_anomaly_window: seq of the last offending window
 
-	mu        sync.Mutex
+	mu        sync.Mutex         // held through Sample: windows are judged in order
 	p95       map[string]float64 // histogram name → EWMA p95 baseline
 	recRate   map[string]float64 // recovery counter name → EWMA delta/window
 	hitRate   map[string]float64 // cache prefix → EWMA hit rate
 	calWarned map[string]bool    // seller → already flagged (rising edge only)
+
+	startOnce, stopOnce sync.Once
+	stop, done          chan struct{}
 }
 
-// NewWatchdog builds a watchdog reporting into ledg and m (either may be
-// nil — the corresponding sink just stays quiet).
-func NewWatchdog(cfg WatchdogConfig, ledg *ledger.Ledger, m *obs.Metrics) *Watchdog {
+// NewWatchdog builds a watchdog sampling m into windows of the given width
+// (obs.DefaultHistoryWindow when window <= 0) and reporting into ledg and m
+// (either may be nil — the corresponding sink just stays quiet). Nothing is
+// sampled until Start or Sample.
+func NewWatchdog(ledg *ledger.Ledger, m *obs.Metrics, window time.Duration) *Watchdog {
+	if window <= 0 {
+		window = obs.DefaultHistoryWindow
+	}
 	return &Watchdog{
-		cfg:         cfg.withDefaults(),
 		ledg:        ledg,
-		calib:       func() ledger.Report { return ledg.Calibration() },
+		hist:        obs.NewHistory(m, window),
+		window:      window,
 		anomalies:   m.Counter("watchdog.anomalies"),
 		windowGauge: m.Gauge("watchdog.window_anomalies"),
 		lastWindow:  m.Gauge("watchdog.last_anomaly_window"),
@@ -106,38 +94,70 @@ func NewWatchdog(cfg WatchdogConfig, ledg *ledger.Ledger, m *obs.Metrics) *Watch
 		recRate:     make(map[string]float64),
 		hitRate:     make(map[string]float64),
 		calWarned:   make(map[string]bool),
+		stop:        make(chan struct{}),
+		done:        make(chan struct{}),
 	}
 }
 
-// SetCalibrationSource overrides where calibration drift is read from
-// (default: the ledger's own report). Nil-safe.
-func (w *Watchdog) SetCalibrationSource(fn func() ledger.Report) {
-	if w == nil || fn == nil {
-		return
+// History returns the windows the watchdog sampled (an http.Handler serving
+// them at /metrics/history); nil for a nil watchdog.
+func (w *Watchdog) History() *obs.History {
+	if w == nil {
+		return nil
 	}
-	w.mu.Lock()
-	w.calib = fn
-	w.mu.Unlock()
+	return w.hist
 }
 
-// Attach registers the watchdog as h's OnWindow hook. Observe never calls
-// back into the history, so running under its lock is safe.
-func (w *Watchdog) Attach(h *obs.History) {
+// Start launches the sampler goroutine, calling Sample every window until
+// Stop. Idempotent; no-op on nil.
+func (w *Watchdog) Start() {
 	if w == nil {
 		return
 	}
-	h.OnWindow(func(win *obs.Window) { w.Observe(win) })
+	w.startOnce.Do(func() {
+		go func() {
+			defer close(w.done)
+			tick := time.NewTicker(w.window)
+			defer tick.Stop()
+			for {
+				select {
+				case <-tick.C:
+					w.Sample()
+				case <-w.stop:
+					return
+				}
+			}
+		}()
+	})
 }
 
-// Observe judges one freshly closed window against the trailing baselines,
-// updates the baselines, and returns the findings (also pushed into the
-// ledger anomaly stream and the watchdog.* instruments). The first sighting
-// of any metric seeds its baseline silently. Nil-safe on both sides.
-func (w *Watchdog) Observe(win *obs.Window) []Anomaly {
-	if w == nil || win == nil {
+// Stop halts the sampler goroutine (if Start ran) and waits for it to exit.
+// Safe to call more than once, on a watchdog that never started, and on nil.
+func (w *Watchdog) Stop() {
+	if w == nil {
+		return
+	}
+	w.stopOnce.Do(func() { close(w.stop) })
+	w.startOnce.Do(func() { close(w.done) }) // never started: unblock the wait
+	<-w.done
+}
+
+// Sample closes one metrics window now and judges it (see observe),
+// returning the findings. Nil-safe.
+func (w *Watchdog) Sample() []Anomaly {
+	if w == nil {
 		return nil
 	}
 	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.observe(w.hist.Sample())
+}
+
+// observe judges one freshly closed window against the trailing baselines,
+// updates the baselines, and returns the findings (also pushed into the
+// ledger anomaly stream and the watchdog.* instruments). The first sighting
+// of any metric seeds its baseline silently. Callers hold w.mu.
+func (w *Watchdog) observe(win *obs.Window) []Anomaly {
 	var found []Anomaly
 	flag := func(kind, metric string, value, baseline float64) {
 		found = append(found, Anomaly{Kind: kind, Metric: metric, Value: value, Baseline: baseline, Window: win.Seq})
@@ -154,7 +174,7 @@ func (w *Watchdog) Observe(win *obs.Window) []Anomaly {
 		case regressed(base):
 			flag(kind, metric, v, base)
 		default:
-			m[key] = (1-w.cfg.BaselineAlpha)*base + w.cfg.BaselineAlpha*v
+			m[key] = (1-baselineAlpha)*base + baselineAlpha*v
 		}
 	}
 
@@ -162,9 +182,9 @@ func (w *Watchdog) Observe(win *obs.Window) []Anomaly {
 		hw := &win.Hists[i]
 		// Under-sampled windows are too noisy to judge — and too noisy to
 		// learn a baseline from, so they are skipped entirely.
-		if hw.Count >= w.cfg.MinSamples && strings.HasSuffix(hw.Name, "_ms") {
+		if hw.Count >= minSamples && strings.HasSuffix(hw.Name, "_ms") {
 			judge(w.p95, hw.Name, AnomalyP95, hw.Name, hw.P95, func(base float64) bool {
-				return base > 0 && hw.P95 >= w.cfg.P95Factor*base
+				return base > 0 && hw.P95 >= p95Factor*base
 			})
 		}
 	}
@@ -173,7 +193,7 @@ func (w *Watchdog) Observe(win *obs.Window) []Anomaly {
 		cw := &win.Counters[i]
 		if delta := float64(cw.Delta); strings.Contains(cw.Name, "recovery_fallbacks") {
 			judge(w.recRate, cw.Name, AnomalyRecovery, cw.Name, delta, func(base float64) bool {
-				return delta >= 1 && delta > w.cfg.RecoveryFactor*base
+				return delta >= 1 && delta > recoveryFactor*base
 			})
 		}
 	}
@@ -185,25 +205,21 @@ func (w *Watchdog) Observe(win *obs.Window) []Anomaly {
 		}
 		prefix := strings.TrimSuffix(cw.Name, "hits")
 		misses, ok := win.CounterDelta(prefix + "misses")
-		if total := cw.Delta + misses; ok && total >= w.cfg.MinSamples {
+		if total := cw.Delta + misses; ok && total >= minSamples {
 			rate := float64(cw.Delta) / float64(total)
 			judge(w.hitRate, prefix, AnomalyHitRate, prefix+"hit_rate", rate, func(base float64) bool {
-				return base-rate >= w.cfg.HitRateDrop
+				return base-rate >= hitRateDrop
 			})
 		}
 	}
 
-	if w.calib != nil {
-		for _, s := range w.calib().Sellers {
-			over := math.Abs(s.EWMAErr) >= w.cfg.CalibrationErr
-			if over && !w.calWarned[s.Seller] {
-				flag(AnomalyCalibration, "seller."+s.Seller+".ewma_err", s.EWMAErr, w.cfg.CalibrationErr)
-			}
-			w.calWarned[s.Seller] = over // rising edge: re-arm once back in band
+	for _, s := range w.ledg.Calibration().Sellers {
+		over := math.Abs(s.EWMAErr) >= calibrationErr
+		if over && !w.calWarned[s.Seller] {
+			flag(AnomalyCalibration, "seller."+s.Seller+".ewma_err", s.EWMAErr, calibrationErr)
 		}
+		w.calWarned[s.Seller] = over // rising edge: re-arm once back in band
 	}
-
-	w.mu.Unlock()
 
 	w.windowGauge.Set(float64(len(found)))
 	for _, a := range found {

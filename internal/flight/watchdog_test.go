@@ -2,18 +2,27 @@ package flight
 
 import (
 	"testing"
+	"time"
 
 	"qtrade/internal/ledger"
 	"qtrade/internal/obs"
 )
 
-// win builds a synthetic metrics window for driving Observe directly.
+// win builds a synthetic metrics window for driving the rules directly.
 func win(seq int64, mutate func(*obs.Window)) *obs.Window {
 	w := &obs.Window{Seq: seq}
 	if mutate != nil {
 		mutate(w)
 	}
 	return w
+}
+
+// judge runs the rules over one synthetic window, as Sample does over the
+// window it just closed.
+func judge(w *Watchdog, win *obs.Window) []Anomaly {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.observe(win)
 }
 
 func histWin(name string, count int64, p95 float64) obs.HistWindow {
@@ -26,25 +35,25 @@ func histWin(name string, count int64, p95 float64) obs.HistWindow {
 func TestWatchdogP95Regression(t *testing.T) {
 	l := ledger.New(8)
 	m := obs.NewMetrics()
-	w := NewWatchdog(WatchdogConfig{}, l, m)
+	w := NewWatchdog(l, m, 0)
 
 	seed := win(0, func(x *obs.Window) { x.Hists = append(x.Hists, histWin("buyer.hq.optimize_ms", 10, 5)) })
-	if got := w.Observe(seed); len(got) != 0 {
+	if got := judge(w, seed); len(got) != 0 {
 		t.Fatalf("first sighting must seed silently: %v", got)
 	}
 	steady := win(1, func(x *obs.Window) { x.Hists = append(x.Hists, histWin("buyer.hq.optimize_ms", 10, 6)) })
-	if got := w.Observe(steady); len(got) != 0 {
+	if got := judge(w, steady); len(got) != 0 {
 		t.Fatalf("in-band window flagged: %v", got)
 	}
 
 	// Too few samples: noisy, must not flag even at 10x.
 	noisy := win(2, func(x *obs.Window) { x.Hists = append(x.Hists, histWin("buyer.hq.optimize_ms", 2, 60)) })
-	if got := w.Observe(noisy); len(got) != 0 {
+	if got := judge(w, noisy); len(got) != 0 {
 		t.Fatalf("under-sampled window flagged: %v", got)
 	}
 
 	bad := win(3, func(x *obs.Window) { x.Hists = append(x.Hists, histWin("buyer.hq.optimize_ms", 10, 60)) })
-	got := w.Observe(bad)
+	got := judge(w, bad)
 	if len(got) != 1 || got[0].Kind != AnomalyP95 || got[0].Metric != "buyer.hq.optimize_ms" || got[0].Window != 3 {
 		t.Fatalf("p95 regression: %+v", got)
 	}
@@ -67,13 +76,13 @@ func TestWatchdogP95Regression(t *testing.T) {
 	// A regressed window must NOT be folded into the baseline: the same
 	// regression next window still flags.
 	bad2 := win(4, func(x *obs.Window) { x.Hists = append(x.Hists, histWin("buyer.hq.optimize_ms", 10, 60)) })
-	if got := w.Observe(bad2); len(got) != 1 {
+	if got := judge(w, bad2); len(got) != 1 {
 		t.Fatalf("sustained regression must keep flagging: %v", got)
 	}
 
 	// A clean window resets the gauge and eases the baseline back.
 	clean := win(5, func(x *obs.Window) { x.Hists = append(x.Hists, histWin("buyer.hq.optimize_ms", 10, 6)) })
-	w.Observe(clean)
+	judge(w, clean)
 	if m.Gauge("watchdog.window_anomalies").Value() != 0 {
 		t.Fatal("clean window must zero the gauge")
 	}
@@ -85,17 +94,17 @@ func TestWatchdogP95Regression(t *testing.T) {
 // TestWatchdogRecoverySpike: recovery fallbacks are near-zero in steady
 // state, so a burst of them in one window is an anomaly.
 func TestWatchdogRecoverySpike(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{}, nil, nil)
+	w := NewWatchdog(nil, nil, 0)
 	cnt := func(seq, delta int64) *obs.Window {
 		return win(seq, func(x *obs.Window) {
 			x.Counters = append(x.Counters, obs.CounterWindow{Name: "buyer.hq.recovery_fallbacks", Delta: delta})
 		})
 	}
-	w.Observe(cnt(0, 0)) // seed: steady state has no recoveries
-	if got := w.Observe(cnt(1, 0)); len(got) != 0 {
+	judge(w, cnt(0, 0)) // seed: steady state has no recoveries
+	if got := judge(w, cnt(1, 0)); len(got) != 0 {
 		t.Fatalf("quiet window flagged: %v", got)
 	}
-	got := w.Observe(cnt(2, 3))
+	got := judge(w, cnt(2, 3))
 	if len(got) != 1 || got[0].Kind != AnomalyRecovery || got[0].Value != 3 {
 		t.Fatalf("spike: %+v", got)
 	}
@@ -103,14 +112,14 @@ func TestWatchdogRecoverySpike(t *testing.T) {
 	other := win(3, func(x *obs.Window) {
 		x.Counters = append(x.Counters, obs.CounterWindow{Name: "buyer.hq.optimizations", Delta: 99})
 	})
-	if got := w.Observe(other); len(got) != 0 {
+	if got := judge(w, other); len(got) != 0 {
 		t.Fatalf("unrelated counter flagged: %v", got)
 	}
 }
 
 // TestWatchdogHitRateDrop: a seller's price cache going cold mid-run.
 func TestWatchdogHitRateDrop(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{}, nil, nil)
+	w := NewWatchdog(nil, nil, 0)
 	cache := func(seq, hits, misses int64) *obs.Window {
 		return win(seq, func(x *obs.Window) {
 			x.Counters = append(x.Counters,
@@ -118,11 +127,11 @@ func TestWatchdogHitRateDrop(t *testing.T) {
 				obs.CounterWindow{Name: "node.n1.pricecache_misses", Delta: misses})
 		})
 	}
-	w.Observe(cache(0, 9, 1)) // seed at 90%
-	if got := w.Observe(cache(1, 8, 2)); len(got) != 0 {
+	judge(w, cache(0, 9, 1)) // seed at 90%
+	if got := judge(w, cache(1, 8, 2)); len(got) != 0 {
 		t.Fatalf("mild dip flagged: %v", got)
 	}
-	got := w.Observe(cache(2, 1, 9))
+	got := judge(w, cache(2, 1, 9))
 	if len(got) != 1 || got[0].Kind != AnomalyHitRate || got[0].Metric != "node.n1.pricecache_hit_rate" {
 		t.Fatalf("drop: %+v", got)
 	}
@@ -130,55 +139,105 @@ func TestWatchdogHitRateDrop(t *testing.T) {
 		t.Fatalf("rate: %+v", got[0])
 	}
 	// Too few lookups to judge.
-	if got := w.Observe(cache(3, 0, 2)); len(got) != 0 {
+	if got := judge(w, cache(3, 0, 2)); len(got) != 0 {
 		t.Fatalf("under-sampled cache window flagged: %v", got)
 	}
 }
 
-// TestWatchdogCalibrationDrift: EWMA quote error leaving the band flags
-// once (rising edge), re-arms after the seller comes back in band.
+// TestWatchdogCalibrationDrift: a seller's EWMA quote error in a real
+// ledger's calibration report leaving the band flags once (rising edge), and
+// re-arms after the seller comes back in band.
 func TestWatchdogCalibrationDrift(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{CalibrationErr: 0.5}, nil, nil)
-	err := 0.0
-	w.SetCalibrationSource(func() ledger.Report {
-		return ledger.Report{Sellers: []ledger.SellerReport{{Seller: "n1", EWMAErr: err}}}
-	})
-	if got := w.Observe(win(0, nil)); len(got) != 0 {
+	l := ledger.New(8)
+	w := NewWatchdog(l, nil, 0)
+	rec := l.Begin("hq", "SELECT 1")
+	rec.RFBIssued("hq-rfb1", 1, 1)
+	// fetch records one delivery of n1's, quoted at 10 ms and run in wall.
+	fetch := func(wall float64) { rec.Fetch("n1", "o1", "SELECT 1", 10, wall, wall, 1, 8, "") }
+	ewma := func() float64 { return l.Calibration().Sellers[0].EWMAErr }
+
+	fetch(10) // a perfect quote
+	if got := judge(w, win(0, nil)); len(got) != 0 {
 		t.Fatalf("in-band: %v", got)
 	}
-	err = -0.8 // overquoting by 80%: |err| over the band
-	got := w.Observe(win(1, nil))
-	if len(got) != 1 || got[0].Kind != AnomalyCalibration || got[0].Metric != "seller.n1.ewma_err" || got[0].Value != -0.8 {
+	fetch(110) // 11x its quote: the EWMA error jumps past 100%
+	got := judge(w, win(1, nil))
+	if len(got) != 1 || got[0].Kind != AnomalyCalibration || got[0].Metric != "seller.n1.ewma_err" ||
+		got[0].Value != ewma() || got[0].Value < 1 || got[0].Baseline != 1 {
 		t.Fatalf("drift: %+v", got)
 	}
-	if got := w.Observe(win(2, nil)); len(got) != 0 {
+	if got := judge(w, win(2, nil)); len(got) != 0 {
 		t.Fatalf("still-over must not re-flag: %v", got)
 	}
-	err = 0.1
-	w.Observe(win(3, nil)) // back in band: re-arms
-	err = 0.9
-	if got := w.Observe(win(4, nil)); len(got) != 1 {
+	for ewma() >= 1 {
+		fetch(10)
+	}
+	judge(w, win(3, nil)) // back in band: re-arms
+	fetch(110)
+	if got := judge(w, win(4, nil)); len(got) != 1 {
 		t.Fatalf("re-armed drift must flag again: %v", got)
+	}
+	if got := l.Anomalies(); len(got) != 2 || got[1].Reason != AnomalyCalibration || got[1].Window != 4 {
+		t.Fatalf("ledger anomaly stream: %+v", got)
 	}
 }
 
-// TestWatchdogAttach wires a real History + registry end to end.
+// TestWatchdogAttach: a watchdog attached to a real registry and ledger
+// samples its own history, and the windows it judged are the ones it serves.
 func TestWatchdogAttach(t *testing.T) {
 	m := obs.NewMetrics()
 	l := ledger.New(4)
-	h := obs.NewHistory(m, 0, 8)
-	w := NewWatchdog(WatchdogConfig{MinSamples: 1}, l, m)
-	w.Attach(h)
-
+	w := NewWatchdog(l, m, 0)
 	lat := m.Histogram("buyer.hq.wall_ms")
-	lat.Observe(5)
-	h.Sample() // seeds the baseline
-	lat.Observe(5)
-	h.Sample()
-	lat.Observe(500)
-	h.Sample()
-	if got := l.Anomalies(); len(got) != 1 || got[0].Reason != AnomalyP95 {
+	window := func(v float64) {
+		for i := 0; i < minSamples; i++ {
+			lat.Observe(v)
+		}
+		w.Sample()
+	}
+	window(5) // seeds the baseline
+	window(5)
+	window(500)
+	if got := l.Anomalies(); len(got) != 1 || got[0].Reason != AnomalyP95 || got[0].Window != 2 {
 		t.Fatalf("attached watchdog: %+v", got)
+	}
+	wins := w.History().Windows(0)
+	if len(wins) != 3 || wins[0].Seq != 2 || wins[0].Hists[0].Count != minSamples {
+		t.Fatalf("served windows: %+v", wins)
+	}
+}
+
+// TestWatchdogStartStop runs the real sampler goroutine briefly.
+func TestWatchdogStartStop(t *testing.T) {
+	m := obs.NewMetrics()
+	m.Counter("x").Inc()
+	w := NewWatchdog(nil, m, 5*time.Millisecond)
+	taken := func() int { return len(w.History().Windows(0)) }
+	w.Start()
+	w.Start() // idempotent
+	deadline := time.Now().Add(2 * time.Second)
+	for taken() < 2 && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	w.Stop()
+	w.Stop() // idempotent
+	n := taken()
+	if n < 2 {
+		t.Fatalf("sampler closed %d windows, want >= 2", n)
+	}
+	time.Sleep(15 * time.Millisecond)
+	if taken() != n {
+		t.Fatal("sampler kept running after Stop")
+	}
+
+	// Stop without Start must not hang.
+	w2 := NewWatchdog(nil, m, time.Hour)
+	done := make(chan struct{})
+	go func() { w2.Stop(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("Stop without Start hung")
 	}
 }
 
@@ -187,11 +246,11 @@ func TestWatchdogAttach(t *testing.T) {
 // and every entry point is nil-safe.
 func TestWatchdogBoundsAndNil(t *testing.T) {
 	l := ledger.New(8)
-	w := NewWatchdog(WatchdogConfig{MinSamples: 1}, l, nil)
+	w := NewWatchdog(l, nil, 0)
 	name := "buyer.hq.wall_ms"
-	w.Observe(win(0, func(x *obs.Window) { x.Hists = append(x.Hists, histWin(name, 1, 1)) }))
+	judge(w, win(0, func(x *obs.Window) { x.Hists = append(x.Hists, histWin(name, minSamples, 1)) }))
 	for i := 1; i < 30; i++ {
-		if got := w.Observe(win(int64(i), func(x *obs.Window) { x.Hists = append(x.Hists, histWin(name, 1, 1e6)) })); len(got) != 1 {
+		if got := judge(w, win(int64(i), func(x *obs.Window) { x.Hists = append(x.Hists, histWin(name, minSamples, 1e6)) })); len(got) != 1 {
 			t.Fatalf("window %d: %v", i, got)
 		}
 	}
@@ -200,12 +259,9 @@ func TestWatchdogBoundsAndNil(t *testing.T) {
 	}
 
 	var nilW *Watchdog
-	if nilW.Observe(win(0, nil)) != nil {
+	if nilW.Sample() != nil || nilW.History() != nil {
 		t.Fatal("nil watchdog must no-op")
 	}
-	nilW.Attach(nil)
-	nilW.SetCalibrationSource(func() ledger.Report { return ledger.Report{} })
-	if got := w.Observe(nil); got != nil {
-		t.Fatal("nil window must no-op")
-	}
+	nilW.Start()
+	nilW.Stop()
 }

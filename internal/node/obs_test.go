@@ -35,7 +35,7 @@ func serve(t *testing.T, n *Node, rfbID string) []trading.Offer {
 // order, and a node with everything detached still answers.
 func TestObserverSettersAreIndependent(t *testing.T) {
 	n := myconosNode(t, nil)
-	led, tl, m := ledger.New(8), obs.NewTraceLog(), obs.NewMetrics()
+	led, tl, m := ledger.New(8), obs.NewTraceLogN(0), obs.NewMetrics()
 	rfbs := m.Counter("node.myconos.rfbs")
 
 	n.SetLedger(led)
@@ -73,7 +73,7 @@ func TestObserverSettersAreIndependent(t *testing.T) {
 // call loaded, it runs to completion on it.
 func TestObserverSettersRaceServing(t *testing.T) {
 	n := myconosNode(t, nil)
-	led, tl, tr, m := ledger.New(8), obs.NewTraceLog(), obs.NewTracer(), obs.NewMetrics()
+	led, tl, tr, m := ledger.New(8), obs.NewTraceLogN(0), obs.NewTracer(), obs.NewMetrics()
 	stop := make(chan struct{})
 	var setters, servers sync.WaitGroup
 	flip := func(attach, detach func()) {

@@ -13,7 +13,7 @@ import (
 // (the /trace/last source for live exposition).
 func TestExecuteSampledRecordsTraceLog(t *testing.T) {
 	n := myconosNode(t, nil)
-	tl := obs.NewTraceLog()
+	tl := obs.NewTraceLogN(0)
 	n.SetTraceLog(tl)
 	offers, err := bidOffers(n.RequestBids(paperRFB()))
 	if err != nil {
@@ -28,12 +28,12 @@ func TestExecuteSampledRecordsTraceLog(t *testing.T) {
 	if resp.Trace == nil {
 		t.Fatal("sampled execute shipped no trace subtree")
 	}
-	last, _ := tl.Last()
-	if last == nil {
+	last := tl.Recent(1)
+	if len(last) == 0 {
 		t.Fatal("sampled execute did not record into the trace log")
 	}
-	if last.Name != resp.Trace.Name {
-		t.Fatalf("trace log holds %q, response shipped %q", last.Name, resp.Trace.Name)
+	if last[0].Name != resp.Trace.Name {
+		t.Fatalf("trace log holds %q, response shipped %q", last[0].Name, resp.Trace.Name)
 	}
 	// Detach: later executions must leave the retained subtree untouched.
 	n.SetTraceLog(nil)

@@ -1,23 +1,20 @@
 package obs
 
-// Windowed metrics history: a sampler that periodically snapshots every
-// registered instrument into fixed-width window rollups — counter deltas,
-// gauge last-values, and per-window histogram deltas with interpolated
-// quantiles — retained in a ring of the last N windows and served as JSON at
-// /metrics/history. The cumulative registry answers "how much, ever"; the
+// Windowed metrics history: a sampler that snapshots every registered
+// instrument into fixed-width window rollups — counter deltas, gauge
+// last-values, and per-window histogram deltas with interpolated quantiles —
+// retained in a ring of the last DefaultHistoryKeep windows and served as JSON
+// at /metrics/history. The cumulative registry answers "how much, ever"; the
 // history answers "what changed in the last few seconds", which is what the
-// anomaly watchdog needs to compare the newest window against a trailing
-// baseline.
+// anomaly watchdog (internal/flight, the one owner of a History) compares
+// against a trailing baseline.
 //
-// Sampling is allocation-free once the instrument set is stable: per-slot
-// entry slices are reused across laps of the ring, tracker state lives in a
-// flat slice, and histogram bucket deltas are computed into a stack array.
-// Only registry growth (new instruments) re-allocates the tracker table.
+// Each Sample builds a fresh window from the cumulative values the previous
+// one saw; a closed window is never written again, so readers share it.
 
 import (
 	"encoding/json"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 )
@@ -68,270 +65,109 @@ func (w *Window) CounterDelta(name string) (int64, bool) {
 	return 0, false
 }
 
-// GaugeValue returns the named gauge's value at the window's close.
-func (w *Window) GaugeValue(name string) (float64, bool) {
-	for i := range w.Gauges {
-		if w.Gauges[i].Name == name {
-			return w.Gauges[i].Value, true
-		}
-	}
-	return 0, false
+// cumulative is one instrument's cumulative state at the previous sample: a
+// counter's total in count, a histogram's count, sum and bucket counts.
+type cumulative struct {
+	count   int64
+	sum     float64
+	buckets [histBuckets]int64
 }
 
-// Hist returns the named histogram's windowed delta.
-func (w *Window) Hist(name string) (HistWindow, bool) {
-	for i := range w.Hists {
-		if w.Hists[i].Name == name {
-			return w.Hists[i], true
-		}
-	}
-	return HistWindow{}, false
-}
-
-// tracker carries one instrument's previous cumulative state between samples.
-type tracker struct {
-	name        string
-	c           *Counter
-	g           *Gauge
-	h           *Histogram
-	prevC       int64
-	prevHCount  int64
-	prevHSum    float64
-	prevBuckets [histBuckets]int64
-}
-
-// History samples a Metrics registry into a ring of fixed-width windows.
-// Construct with NewHistory, then either Start a sampler goroutine or call
-// Sample manually (experiments and tests drive windows deterministically
-// that way). A nil *History is a no-op everywhere, mirroring the rest of the
-// obs layer's off switches.
+// History samples a Metrics registry into a ring of fixed-width windows, one
+// per Sample call; the watchdog that owns it runs the ticker. A nil *History
+// is a no-op everywhere, mirroring the rest of the obs layer's off switches.
 type History struct {
 	m      *Metrics
 	window time.Duration
 
-	mu       sync.Mutex
-	trk      []tracker
-	ring     []Window // slot storage reused every lap
-	seq      int64    // windows sampled so far
-	lastMS   int64    // close time of the previous window
-	onWindow func(*Window)
-
-	startOnce sync.Once
-	stopOnce  sync.Once
-	stop      chan struct{}
-	done      chan struct{}
+	mu     sync.Mutex
+	prev   map[string]cumulative // by instrument name
+	ring   []*Window             // oldest first, at most DefaultHistoryKeep
+	seq    int64                 // windows sampled so far
+	lastMS int64                 // close time of the previous window
 }
 
-// DefaultHistoryWindow and DefaultHistoryKeep shape a NewHistory ring when
-// the caller passes zero values: 5-second windows, the last 24 retained
-// (two minutes of history).
+// DefaultHistoryWindow is the window width when none is given; the ring keeps
+// the last DefaultHistoryKeep windows (two minutes of history at the default).
 const (
 	DefaultHistoryWindow = 5 * time.Second
 	DefaultHistoryKeep   = 24
 )
 
-// NewHistory builds a history over m with the given window width and ring
-// capacity (zero values take the defaults). The sampler does not run until
-// Start; Sample can always be called directly.
-func NewHistory(m *Metrics, window time.Duration, keep int) *History {
-	if window <= 0 {
-		window = DefaultHistoryWindow
-	}
-	if keep < 1 {
-		keep = DefaultHistoryKeep
-	}
-	return &History{
-		m:      m,
-		window: window,
-		ring:   make([]Window, keep),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
+// NewHistory builds a history over m whose windows are window wide.
+func NewHistory(m *Metrics, window time.Duration) *History {
+	return &History{m: m, window: window, prev: make(map[string]cumulative)}
 }
 
-// Window reports the configured window width (0 for nil).
-func (h *History) Window() time.Duration {
+// Sample closes one window now, holding every instrument's activity since
+// the previous sample, and returns it.
+func (h *History) Sample() *Window {
 	if h == nil {
-		return 0
-	}
-	return h.window
-}
-
-// OnWindow registers fn to run synchronously after each sample with the
-// freshly closed window — the watchdog's attachment point. fn runs under the
-// history lock and must not retain the *Window (its storage is reused) nor
-// call back into this History.
-func (h *History) OnWindow(fn func(*Window)) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.onWindow = fn
-	h.mu.Unlock()
-}
-
-// refreshTrackers rebuilds the tracker table from the registry, keeping
-// accumulated prev state for instruments that survive. Callers hold h.mu.
-func (h *History) refreshTrackers() {
-	old := make(map[string]*tracker, len(h.trk))
-	for i := range h.trk {
-		old[h.trk[i].name] = &h.trk[i]
-	}
-	var next []tracker
-	h.m.Each(func(name string, instrument any) {
-		t := tracker{name: name}
-		if prev, ok := old[name]; ok {
-			t = *prev
-		}
-		switch inst := instrument.(type) {
-		case *Counter:
-			t.c = inst
-		case *Gauge:
-			t.g = inst
-		case *Histogram:
-			t.h = inst
-		default:
-			return
-		}
-		next = append(next, t)
-	})
-	sort.Slice(next, func(i, j int) bool { return next[i].name < next[j].name })
-	h.trk = next
-}
-
-// Sample closes one window now: every instrument's activity since the
-// previous sample is rolled into the next ring slot, and the OnWindow hook
-// (if any) runs with the result. Allocation-free when the instrument set has
-// not grown since the last call.
-func (h *History) Sample() {
-	if h == nil {
-		return
+		return nil
 	}
 	now := time.Now().UnixMilli()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.m.Size() != len(h.trk) {
-		h.refreshTrackers()
-	}
-	w := &h.ring[h.seq%int64(len(h.ring))]
-	w.Seq = h.seq
-	w.StartMS = h.lastMS
+	w := &Window{Seq: h.seq, StartMS: h.lastMS, EndMS: now}
 	if w.StartMS == 0 {
 		w.StartMS = now - h.window.Milliseconds()
 	}
-	w.EndMS = now
-	w.Counters = w.Counters[:0]
-	w.Gauges = w.Gauges[:0]
-	w.Hists = w.Hists[:0]
-	for i := range h.trk {
-		t := &h.trk[i]
-		switch {
-		case t.c != nil:
-			total := t.c.Value()
-			w.Counters = append(w.Counters, CounterWindow{Name: t.name, Delta: total - t.prevC, Total: total})
-			t.prevC = total
-		case t.g != nil:
-			w.Gauges = append(w.Gauges, GaugeWindow{Name: t.name, Value: t.g.Value()})
-		case t.h != nil:
-			count := t.h.Count()
-			sum := t.h.Sum()
-			hw := HistWindow{Name: t.name, Count: count - t.prevHCount, Sum: sum - t.prevHSum}
+	h.m.Each(func(name string, instrument any) {
+		prev := h.prev[name]
+		switch inst := instrument.(type) {
+		case *Counter:
+			total := inst.Value()
+			w.Counters = append(w.Counters, CounterWindow{Name: name, Delta: total - prev.count, Total: total})
+			prev.count = total
+			h.prev[name] = prev
+		case *Gauge:
+			w.Gauges = append(w.Gauges, GaugeWindow{Name: name, Value: inst.Value()})
+		case *Histogram:
+			count, sum := inst.Count(), inst.Sum()
+			hw := HistWindow{Name: name, Count: count - prev.count, Sum: sum - prev.sum}
 			if hw.Count > 0 {
 				var delta [histBuckets]int64
-				for b := 0; b < histBuckets; b++ {
-					cur := t.h.buckets[b].Load()
-					delta[b] = cur - t.prevBuckets[b]
-					t.prevBuckets[b] = cur
+				for b := range delta {
+					cur := inst.buckets[b].Load()
+					delta[b] = cur - prev.buckets[b]
+					prev.buckets[b] = cur
 				}
 				// Clamp to the cumulative max: a window's values cannot
 				// exceed the all-time extreme, and the clamp keeps
 				// one-observation windows exact at the top bucket.
-				hw.P50 = quantileFromBuckets(&delta, hw.Count, 0.50, 0, t.h.Max())
-				hw.P95 = quantileFromBuckets(&delta, hw.Count, 0.95, 0, t.h.Max())
-				hw.P99 = quantileFromBuckets(&delta, hw.Count, 0.99, 0, t.h.Max())
+				hw.P50 = quantileFromBuckets(&delta, hw.Count, 0.50, 0, inst.Max())
+				hw.P95 = quantileFromBuckets(&delta, hw.Count, 0.95, 0, inst.Max())
+				hw.P99 = quantileFromBuckets(&delta, hw.Count, 0.99, 0, inst.Max())
 			}
-			t.prevHCount, t.prevHSum = count, sum
+			prev.count, prev.sum = count, sum
+			h.prev[name] = prev
 			w.Hists = append(w.Hists, hw)
 		}
+	})
+	h.ring = append(h.ring, w)
+	if len(h.ring) > DefaultHistoryKeep {
+		h.ring = h.ring[len(h.ring)-DefaultHistoryKeep:]
 	}
 	h.seq++
 	h.lastMS = now
-	if h.onWindow != nil {
-		h.onWindow(w)
-	}
+	return w
 }
 
-// Start launches the sampler goroutine, closing a window every window width
-// until Stop. Idempotent; no-op on nil.
-func (h *History) Start() {
-	if h == nil {
-		return
-	}
-	h.startOnce.Do(func() {
-		go func() {
-			defer close(h.done)
-			tick := time.NewTicker(h.window)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					h.Sample()
-				case <-h.stop:
-					return
-				}
-			}
-		}()
-	})
-}
-
-// Stop halts the sampler goroutine (if Start ran) and waits for it to exit.
-// Safe to call multiple times and on a history that never started.
-func (h *History) Stop() {
-	if h == nil {
-		return
-	}
-	h.stopOnce.Do(func() { close(h.stop) })
-	h.startOnce.Do(func() { close(h.done) }) // never started: unblock the wait
-	<-h.done
-}
-
-// Len reports how many windows have been closed so far (0 for nil).
-func (h *History) Len() int {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := int(h.seq)
-	if n > len(h.ring) {
-		n = len(h.ring)
-	}
-	return n
-}
-
-// Windows returns deep copies of up to n retained windows, newest first
-// (all retained when n <= 0). The copies are safe to hold across samples.
+// Windows returns up to n retained windows, newest first (all retained when
+// n <= 0).
 func (h *History) Windows(n int) []Window {
 	if h == nil {
 		return nil
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	k := int(h.seq)
-	if k > len(h.ring) {
-		k = len(h.ring)
-	}
+	k := len(h.ring)
 	if n > 0 && n < k {
 		k = n
 	}
-	out := make([]Window, 0, k)
-	for i := 0; i < k; i++ {
-		slot := &h.ring[(h.seq-1-int64(i))%int64(len(h.ring))]
-		cp := *slot
-		cp.Counters = append([]CounterWindow(nil), slot.Counters...)
-		cp.Gauges = append([]GaugeWindow(nil), slot.Gauges...)
-		cp.Hists = append([]HistWindow(nil), slot.Hists...)
-		out = append(out, cp)
+	out := make([]Window, k)
+	for i := range out {
+		out[i] = *h.ring[len(h.ring)-1-i]
 	}
 	return out
 }
@@ -363,7 +199,7 @@ func (h *History) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mu.Lock()
 	payload := historyPayload{
 		WindowMS: h.window.Milliseconds(),
-		Keep:     len(h.ring),
+		Keep:     DefaultHistoryKeep,
 		Taken:    h.seq,
 		Windows:  windows,
 	}

@@ -18,7 +18,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // promName sanitizes an instrument name into a valid Prometheus metric name:
@@ -119,8 +118,8 @@ func (m *Metrics) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	_ = m.WritePrometheus(w)
 }
 
-// traceLogKeep is how many recent sampled traces a TraceLog retains by
-// default (NewTraceLog); NewTraceLogN overrides it per log.
+// traceLogKeep is how many recent sampled traces a TraceLog retains when
+// NewTraceLogN is given no capacity.
 const traceLogKeep = 8
 
 // TraceLog retains a small ring of the most recently sampled negotiations'
@@ -130,32 +129,17 @@ const traceLogKeep = 8
 // Tracer.WriteJSONL.
 type TraceLog struct {
 	mu     sync.Mutex
-	keep   int            // ring capacity (0 means traceLogKeep)
+	keep   int            // ring capacity
 	recent []*SpanPayload // newest last, at most keep
-	at     time.Time      // when the newest was recorded
 }
-
-// NewTraceLog returns an empty trace log retaining traceLogKeep traces.
-func NewTraceLog() *TraceLog { return &TraceLog{} }
 
 // NewTraceLogN returns an empty trace log retaining the last n traces
-// (n < 1 falls back to the default capacity).
+// (traceLogKeep when n < 1).
 func NewTraceLogN(n int) *TraceLog {
 	if n < 1 {
-		n = 0
+		n = traceLogKeep
 	}
 	return &TraceLog{keep: n}
-}
-
-// Keep reports the ring capacity (0 for nil).
-func (l *TraceLog) Keep() int {
-	if l == nil {
-		return 0
-	}
-	if l.keep > 0 {
-		return l.keep
-	}
-	return traceLogKeep
 }
 
 // Record stores p as the most recent trace, evicting the oldest once the
@@ -165,30 +149,11 @@ func (l *TraceLog) Record(p *SpanPayload) {
 		return
 	}
 	l.mu.Lock()
-	keep := l.keep
-	if keep < 1 {
-		keep = traceLogKeep
-	}
 	l.recent = append(l.recent, p)
-	if len(l.recent) > keep {
-		l.recent = l.recent[len(l.recent)-keep:]
+	if len(l.recent) > l.keep {
+		l.recent = l.recent[len(l.recent)-l.keep:]
 	}
-	l.at = time.Now()
 	l.mu.Unlock()
-}
-
-// Last returns the most recent recorded payload and when it was recorded
-// (nil when nothing has been sampled yet).
-func (l *TraceLog) Last() (*SpanPayload, time.Time) {
-	if l == nil {
-		return nil, time.Time{}
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.recent) == 0 {
-		return nil, time.Time{}
-	}
-	return l.recent[len(l.recent)-1], l.at
 }
 
 // Recent returns up to n retained payloads, newest first (all retained when

@@ -130,7 +130,7 @@ func TestPromNameSanitization(t *testing.T) {
 func TestHandlerEndpoints(t *testing.T) {
 	m := NewMetrics()
 	m.Counter("node.n1.rfbs").Inc()
-	tl := NewTraceLog()
+	tl := NewTraceLogN(0)
 	srv := httptest.NewServer(Handler(m, tl))
 	defer srv.Close()
 
@@ -189,12 +189,9 @@ func TestHandlerEndpoints(t *testing.T) {
 // TestTraceLogRing pins the last-8 retention and the /trace/last?n=k view:
 // newest first, n unset = single most recent, bad n = 400.
 func TestTraceLogRing(t *testing.T) {
-	tl := NewTraceLog()
+	tl := NewTraceLogN(0)
 	for i := 0; i < 12; i++ {
 		tl.Record(&SpanPayload{Name: "t" + strconv.Itoa(i)})
-	}
-	if p, _ := tl.Last(); p == nil || p.Name != "t11" {
-		t.Fatalf("Last: %+v", p)
 	}
 	rec := tl.Recent(0)
 	if len(rec) != 8 || rec[0].Name != "t11" || rec[7].Name != "t4" {
@@ -284,19 +281,18 @@ func TestHandlerExtraEndpoints(t *testing.T) {
 func TestTraceLogNilSafety(t *testing.T) {
 	var tl *TraceLog
 	tl.Record(&SpanPayload{Name: "x"})
-	if p, _ := tl.Last(); p != nil {
+	if tl.Recent(0) != nil {
 		t.Fatal("nil trace log must stay empty")
 	}
-	live := NewTraceLog()
+	live := NewTraceLogN(0)
 	live.Record(nil)
-	if p, _ := live.Last(); p != nil {
+	if len(live.Recent(0)) != 0 {
 		t.Fatal("nil payload must not be recorded")
 	}
 	live.Record(&SpanPayload{Name: "a"})
 	live.Record(&SpanPayload{Name: "b"})
-	p, at := live.Last()
-	if p == nil || p.Name != "b" || at.IsZero() {
-		t.Fatalf("last: %+v %v", p, at)
+	if got := live.Recent(0); len(got) != 2 || got[0].Name != "b" {
+		t.Fatalf("recent: %+v", got)
 	}
 }
 

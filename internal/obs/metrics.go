@@ -17,16 +17,6 @@ import (
 type Metrics struct {
 	m    sync.Map // name -> *Counter | *Gauge | *Histogram
 	help sync.Map // name -> string, emitted as # HELP by WritePrometheus
-	size atomic.Int64
-}
-
-// Size returns the number of registered instruments (0 for nil). The history
-// sampler polls it to notice registry growth without walking the map.
-func (m *Metrics) Size() int {
-	if m == nil {
-		return 0
-	}
-	return int(m.size.Load())
 }
 
 // SetHelp registers one-line help text for the named instrument;
@@ -65,10 +55,7 @@ func (m *Metrics) Counter(name string) *Counter {
 		c, _ := v.(*Counter)
 		return c
 	}
-	v, loaded := m.m.LoadOrStore(name, &Counter{})
-	if !loaded {
-		m.size.Add(1)
-	}
+	v, _ := m.m.LoadOrStore(name, &Counter{})
 	c, _ := v.(*Counter)
 	return c
 }
@@ -82,10 +69,7 @@ func (m *Metrics) Gauge(name string) *Gauge {
 		g, _ := v.(*Gauge)
 		return g
 	}
-	v, loaded := m.m.LoadOrStore(name, &Gauge{})
-	if !loaded {
-		m.size.Add(1)
-	}
+	v, _ := m.m.LoadOrStore(name, &Gauge{})
 	g, _ := v.(*Gauge)
 	return g
 }
@@ -100,10 +84,7 @@ func (m *Metrics) Histogram(name string) *Histogram {
 		h, _ := v.(*Histogram)
 		return h
 	}
-	v, loaded := m.m.LoadOrStore(name, &Histogram{})
-	if !loaded {
-		m.size.Add(1)
-	}
+	v, _ := m.m.LoadOrStore(name, &Histogram{})
 	h, _ := v.(*Histogram)
 	return h
 }

@@ -61,23 +61,6 @@ func (t *Tracer) Start(source, name string) *Span {
 	return s
 }
 
-// DropRoot removes a root span (and its whole subtree) from the tracer, so
-// tail sampling can discard negotiations that turned out fast enough not to
-// keep. No-op when s is not a root of t.
-func (t *Tracer) DropRoot(s *Span) {
-	if t == nil || s == nil {
-		return
-	}
-	t.mu.Lock()
-	for i, r := range t.roots {
-		if r == s {
-			t.roots = append(t.roots[:i], t.roots[i+1:]...)
-			break
-		}
-	}
-	t.mu.Unlock()
-}
-
 // Roots returns a snapshot of the recorded root spans in creation order.
 func (t *Tracer) Roots() []*Span {
 	if t == nil {

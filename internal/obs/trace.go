@@ -27,8 +27,9 @@ type TraceContext struct {
 	TraceID string
 	// Parent is the buyer-side span ID the reply's subtree grafts under.
 	Parent uint64
-	// Sampled is the head-sampling decision: when false, sellers must not
-	// record or ship any trace data for this exchange.
+	// Sampled says the buyer is tracing this negotiation (every traced
+	// buyer sets it): when false, sellers must not record or ship any trace
+	// data for this exchange.
 	Sampled bool
 }
 

@@ -168,79 +168,6 @@ func TestGraftUnfinishedPayload(t *testing.T) {
 	}
 }
 
-func TestDropRoot(t *testing.T) {
-	tr := NewTracer()
-	a := tr.Start("hq", "optimize")
-	b := tr.Start("hq", "execute")
-	a.End()
-	b.End()
-	tr.DropRoot(a)
-	roots := tr.Roots()
-	if len(roots) != 1 || roots[0] != b {
-		t.Fatalf("DropRoot must remove exactly the given root: %v", roots)
-	}
-	tr.DropRoot(a) // absent: no-op
-	var nilTr *Tracer
-	nilTr.DropRoot(b) // nil-safe
-}
-
-func TestSamplingModes(t *testing.T) {
-	if !(*Sampling)(nil).SampleHead() || !(*Sampling)(nil).Collect(false) || !(*Sampling)(nil).Keep(false, 0) {
-		t.Fatal("nil sampling must behave as SampleAlways")
-	}
-	always := &Sampling{Mode: SampleAlways}
-	if !always.SampleHead() || !always.Collect(true) {
-		t.Fatal("SampleAlways must sample")
-	}
-	never := &Sampling{Mode: SampleNever}
-	if never.SampleHead() || never.Collect(false) || never.Keep(false, time.Hour) {
-		t.Fatal("SampleNever must not sample, collect or keep")
-	}
-}
-
-func TestSamplingRatioSeededDeterministic(t *testing.T) {
-	draw := func() []bool {
-		s := &Sampling{Mode: SampleRatio, Ratio: 0.3, Seed: 42}
-		out := make([]bool, 200)
-		for i := range out {
-			out[i] = s.SampleHead()
-		}
-		return out
-	}
-	a, b := draw(), draw()
-	hits := 0
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("seeded ratio sampling must be reproducible")
-		}
-		if a[i] {
-			hits++
-		}
-	}
-	if hits == 0 || hits == len(a) {
-		t.Fatalf("ratio 0.3 over %d draws sampled %d — not a mix", len(a), hits)
-	}
-}
-
-func TestSamplingTailKeep(t *testing.T) {
-	s := &Sampling{Mode: SampleNever, TailSlower: 50 * time.Millisecond}
-	if s.SampleHead() {
-		t.Fatal("head must say no")
-	}
-	if !s.Collect(false) {
-		t.Fatal("tail sampling must force wire collection")
-	}
-	if s.Keep(false, 10*time.Millisecond) {
-		t.Fatal("fast negotiation must be dropped")
-	}
-	if !s.Keep(false, 60*time.Millisecond) {
-		t.Fatal("slow negotiation must be tail-kept")
-	}
-	if !s.Keep(true, 0) {
-		t.Fatal("head-sampled negotiation must always be kept")
-	}
-}
-
 // TestSpanConcurrentHammer drives one span with concurrent Child/Set/End and
 // concurrent exporters (WriteJSONL, WriteChromeTrace, Payload, RenderText) —
 // the -race regression test for the tracing hot path.

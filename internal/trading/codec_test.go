@@ -321,7 +321,7 @@ func TestWireCodecLivesHere(t *testing.T) {
 	}
 }
 
-// batchRows is the default fetch batch (qtrade.WithFetchBatch).
+// batchRows is the default fetch batch (exec.DefaultBatchSize).
 const batchRows = 256
 
 // telcoBatch is a full answer batch shaped like the telco query's: an int

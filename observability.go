@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"time"
 
 	"qtrade/internal/core"
 	"qtrade/internal/exec"
@@ -26,49 +25,6 @@ import (
 // tree even when the sellers are separate processes (see netsim.RPCPeer).
 func WithTrace() OptimizeOption {
 	return func(c *core.Config) { c.Tracer = obs.NewTracer() }
-}
-
-// Sampling is a trace sampling policy for WithTraceSampling. The zero value
-// samples every negotiation.
-type Sampling struct {
-	mode       obs.SampleMode
-	ratio      float64
-	seed       int64
-	tailSlower time.Duration
-}
-
-// SampleAlways traces every negotiation (the WithTrace default).
-func SampleAlways() Sampling { return Sampling{mode: obs.SampleAlways} }
-
-// SampleNever traces nothing: no buyer spans are retained and no trace
-// context ships on the wire, so offers are byte-identical to an untraced run.
-func SampleNever() Sampling { return Sampling{mode: obs.SampleNever} }
-
-// SampleRatio traces a pseudo-random fraction p (0..1) of negotiations.
-func SampleRatio(p float64) Sampling { return Sampling{mode: obs.SampleRatio, ratio: p} }
-
-// Seeded pins the ratio sampler's random stream for reproducible runs.
-func (s Sampling) Seeded(seed int64) Sampling { s.seed = seed; return s }
-
-// KeepSlower adds tail sampling: negotiations slower than d are kept even
-// when the head decision said no. Spans are then always collected on the
-// wire (the decision to keep can only be made once the wall time is known),
-// so combine with SampleRatio when wire overhead matters.
-func (s Sampling) KeepSlower(d time.Duration) Sampling { s.tailSlower = d; return s }
-
-// WithTraceSampling is WithTrace under a sampling policy: the head decision
-// is taken once per optimization and propagated federation-wide in the trace
-// context, so sellers skip payload collection entirely for unsampled
-// negotiations. Plan.Trace() renders empty when the negotiation was not
-// kept. The policy (and its random stream) lives in the returned option —
-// store the option and reuse it across queries so SampleRatio converges on
-// the requested fraction.
-func WithTraceSampling(s Sampling) OptimizeOption {
-	pol := &obs.Sampling{Mode: s.mode, Ratio: s.ratio, Seed: s.seed, TailSlower: s.tailSlower}
-	return func(c *core.Config) {
-		c.Tracer = obs.NewTracer()
-		c.Sampling = pol
-	}
 }
 
 // Trace is the recorded span forest of one traced optimization (and, if the
@@ -108,7 +64,7 @@ func (t *Trace) Text() string {
 func (p *Plan) Trace() *Trace { return &Trace{tr: p.tracer} }
 
 // execTracer is where executing the plan records: the plan's tracer when its
-// negotiation was sampled, nowhere otherwise — one negotiation is one trace
+// negotiation was traced, nowhere otherwise — one negotiation is one trace
 // end to end, or none.
 func (p *Plan) execTracer() *obs.Tracer {
 	if p.res.TraceCtx.Sampled {

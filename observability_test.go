@@ -12,7 +12,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"qtrade/internal/obs"
 )
@@ -133,10 +132,10 @@ func TestTraceSpanTreeShape(t *testing.T) {
 	}
 }
 
-// TestSampleNeverWireBytesIdentical pins the acceptance bound: with sampling
-// off, the bytes on the wire are byte-identical to a federation that never
-// heard of tracing — the trace context and payload envelope must cost zero
-// when unsampled.
+// TestSampleNeverWireBytesIdentical pins the wire cost of tracing: a traced
+// negotiation sends exactly the messages an untraced one does, and pays bytes
+// only for its piggybacked span payloads — an untraced message carries the
+// zero trace context, which costs nothing.
 func TestSampleNeverWireBytesIdentical(t *testing.T) {
 	run := func(opts ...OptimizeOption) (int64, int64) {
 		fed := buildBenchFed()
@@ -150,76 +149,36 @@ func TestSampleNeverWireBytesIdentical(t *testing.T) {
 		return fed.NetworkStats()
 	}
 	plainMsgs, plainBytes := run()
-	neverMsgs, neverBytes := run(WithTraceSampling(SampleNever()))
-	if neverBytes != plainBytes {
-		// RFB ids come from a process-wide sequence, so a run whose ids gain
-		// a digit ships more bytes than the run before it. The next pair's
-		// ids share one width.
-		plainMsgs, plainBytes = run()
-		neverMsgs, neverBytes = run(WithTraceSampling(SampleNever()))
+	tracedMsgs, tracedBytes := run(WithTrace())
+	if tracedMsgs != plainMsgs {
+		t.Fatalf("tracing must not add messages: %d vs %d", tracedMsgs, plainMsgs)
 	}
-	if neverMsgs != plainMsgs || neverBytes != plainBytes {
-		t.Fatalf("SampleNever must be wire-identical to tracing off:\nplain %d msgs %d bytes\nnever %d msgs %d bytes",
-			plainMsgs, plainBytes, neverMsgs, neverBytes)
-	}
-	// A sampled negotiation pays for its piggybacked span payloads.
-	alwaysMsgs, alwaysBytes := run(WithTrace())
-	if alwaysMsgs != plainMsgs {
-		t.Fatalf("tracing must not add messages: %d vs %d", alwaysMsgs, plainMsgs)
-	}
-	if alwaysBytes <= plainBytes {
-		t.Fatalf("sampled run must account trace payload bytes: %d vs %d", alwaysBytes, plainBytes)
+	if tracedBytes <= plainBytes {
+		t.Fatalf("traced run must account trace payload bytes: %d vs %d", tracedBytes, plainBytes)
 	}
 }
 
-// TestTraceSamplingPolicies drives the public sampling API end to end.
+// TestTraceSamplingPolicies pins the one trace policy end to end: an
+// untraced optimization retains no spans and ships no trace context, and
+// every traced one ships it and keeps the federation-wide tree.
 func TestTraceSamplingPolicies(t *testing.T) {
 	fed := buildBenchFed()
 
-	p, err := fed.Optimize("hq", benchTotalsQuery, WithTraceSampling(SampleNever()))
+	p, err := fed.Optimize("hq", benchTotalsQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Trace().Text() != "" {
-		t.Fatalf("SampleNever must retain nothing:\n%s", p.Trace().Text())
+	if p.Trace().Text() != "" || p.res.TraceCtx.Sampled {
+		t.Fatalf("an untraced optimization must retain and ship nothing:\n%s", p.Trace().Text())
 	}
-
-	p, err = fed.Optimize("hq", benchTotalsQuery, WithTraceSampling(SampleAlways()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if txt := p.Trace().Text(); !strings.Contains(txt, "dp-pricing") || !strings.Contains(txt, "remote=true") {
-		t.Fatalf("SampleAlways must keep the federation-wide tree:\n%s", txt)
-	}
-
-	// Ratio 0 behaves as never, ratio 1 as always; the seeded stream is the
-	// policy's, so reusing one option across queries is safe.
-	opt := WithTraceSampling(SampleRatio(0).Seeded(7))
 	for i := 0; i < 3; i++ {
-		p, err = fed.Optimize("hq", benchTotalsQuery, opt)
+		p, err = fed.Optimize("hq", benchTotalsQuery, WithTrace())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Trace().Text() != "" {
-			t.Fatal("ratio 0 must never sample")
+		if txt := p.Trace().Text(); !p.res.TraceCtx.Sampled || !strings.Contains(txt, "dp-pricing") || !strings.Contains(txt, "remote=true") {
+			t.Fatalf("a traced optimization must keep the federation-wide tree:\n%s", txt)
 		}
-	}
-	p, err = fed.Optimize("hq", benchTotalsQuery, WithTraceSampling(SampleRatio(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Trace().Text() == "" {
-		t.Fatal("ratio 1 must always sample")
-	}
-
-	// Tail sampling: head says never, but any negotiation slower than 0 is
-	// kept — the keep-the-outliers path.
-	p, err = fed.Optimize("hq", benchTotalsQuery, WithTraceSampling(SampleRatio(0).KeepSlower(time.Nanosecond)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if txt := p.Trace().Text(); !strings.Contains(txt, "optimize") {
-		t.Fatalf("tail sampling must keep the slow negotiation:\n%s", txt)
 	}
 }
 
@@ -415,7 +374,7 @@ func TestNetworkStatsByPeerMatchesAggregate(t *testing.T) {
 // repeating an optimization re-requests the same seller queries, so the
 // second run must record cache hits.
 func TestMetricsSnapshotPriceCache(t *testing.T) {
-	fed := buildFed(t, WithWorkers(4), WithPriceCache(128))
+	fed := buildFed(t)
 	for i := 0; i < 2; i++ {
 		if _, err := fed.Optimize("hq", totalsQuery); err != nil {
 			t.Fatal(err)

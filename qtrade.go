@@ -163,33 +163,6 @@ func WithoutViewOffers() NodeOption {
 	return func(c *node.Config) { c.DisableViews = true }
 }
 
-// WithWorkers bounds how many of an RFB's queries the node prices
-// concurrently (0 = one per CPU, 1 = strictly serial). Any worker count
-// produces byte-identical offers; it only changes wall-clock time.
-func WithWorkers(n int) NodeOption {
-	return func(c *node.Config) { c.Workers = n }
-}
-
-// WithMaxInflightRFBs bounds how many buyer-originated RFBs the node serves
-// concurrently; arrivals beyond the bound queue until a pricing slot frees,
-// so a node overwhelmed by concurrent negotiations degrades into queuing
-// rather than collapse. 0 keeps the default (2× the node's pricing workers);
-// negative removes the bound. Queue pressure is visible in
-// Federation.MetricsSnapshot as node.<id>.rfb_queue_depth /
-// node.<id>.rfbs_queued / node.<id>.rfbs_inflight.
-func WithMaxInflightRFBs(n int) NodeOption {
-	return func(c *node.Config) { c.MaxInflightRFBs = n }
-}
-
-// WithPriceCache sizes the node's price cache, which memoizes the rewrite +
-// DP half of bid pricing across negotiation iterations (entries are keyed by
-// the store's data/stats versions, so they can never go stale). size 0 keeps
-// the default (256 entries); negative disables caching. Hit/miss/eviction
-// counts appear in Federation.MetricsSnapshot as node.<id>.pricecache_*.
-func WithPriceCache(size int) NodeOption {
-	return func(c *node.Config) { c.PriceCacheSize = size }
-}
-
 // WithLoadAwarePricing folds the node's live load — executions in flight
 // plus admitted and queued RFBs, normalized by its pricing workers — into
 // every asked price, plus a large surcharge while draining. Overloaded or
@@ -214,12 +187,14 @@ type Federation struct {
 	dir     *trading.Directory // health-gated peer view; immutable after creation
 
 	flight   *flight.Recorder // nil unless WithFlightRecorder; immutable after creation
-	history  *obs.History     // nil unless WithMetricsHistory; immutable after creation
-	watchdog *flight.Watchdog // rides history; immutable after creation
+	watchdog *flight.Watchdog // nil unless WithMetricsHistory; owns the history; immutable after creation
 
-	wantHistory   bool // set by WithMetricsHistory, resolved by finishObsSetup
+	// What the observability options asked for, built by finishObsSetup.
+	wantFlight    bool // WithFlightRecorder or WithSlowQuerySLO
+	worstK        int
+	slo           time.Duration
+	wantHistory   bool
 	historyWindow time.Duration
-	historyKeep   int
 }
 
 // NewFederation creates an empty federation over the schema.
@@ -398,25 +373,6 @@ func WithProtocol(name string) OptimizeOption {
 // WithMaxIterations bounds the trading loop.
 func WithMaxIterations(n int) OptimizeOption {
 	return func(c *core.Config) { c.MaxIterations = n }
-}
-
-// WithBuyerWorkers bounds the buyer's own fan-out: how many sellers a
-// negotiation round contacts concurrently, and how many purchased answers
-// execution fetches concurrently. 0 (the default) contacts every seller at
-// once; 1 is strictly serial in deterministic order. Any setting produces a
-// byte-identical offer pool and plan — only wall-clock time changes.
-func WithBuyerWorkers(n int) OptimizeOption {
-	return func(c *core.Config) { c.Workers = n }
-}
-
-// WithFetchBatch sets the row-batch granularity of execution-time fetches:
-// purchased answers stream from sellers in bounded batches instead of
-// shipping whole, n rows per exchange; n <= 0 (the default) uses the
-// executor's default batch size, and an n larger than an answer ships that
-// answer in one exchange. Results are byte-identical at any setting — only
-// first-row latency, peak memory, and message granularity change.
-func WithFetchBatch(n int) OptimizeOption {
-	return func(c *core.Config) { c.FetchBatchRows = n }
 }
 
 // Plan is an optimized distributed execution plan.
