@@ -54,7 +54,15 @@ func (s *aggState) add(v value.Value) error {
 	case "SUM", "AVG":
 		switch v.K {
 		case value.Int:
-			s.sumInt += v.I
+			// An integer sum that overflows carries on as a DOUBLE, by Arith's rule.
+			sum, _ := value.Arith("+", value.NewInt(s.sumInt), v) // two integers: no error
+			if sum.K == value.Int {
+				s.sumInt = sum.I
+			} else {
+				s.sawFloat = true
+				s.sumFloat += sum.F
+				s.sumInt = 0
+			}
 		case value.Float:
 			s.sawFloat = true
 			s.sumFloat += v.F
@@ -140,24 +148,18 @@ func (x *keyIndex) add(h uint64, key value.Row) {
 // emitting groups in first-seen order (aggregation is a blocking operator).
 func aggregateRows(t *plan.Aggregate, in []value.Row) ([]value.Row, error) {
 	inSchema := t.Input.Schema()
-	groupExprs := make([]expr.Expr, len(t.GroupBy))
-	for i, g := range t.GroupBy {
-		b, err := bindClone(g, inSchema)
-		if err != nil {
-			return nil, err
-		}
-		groupExprs[i] = b
+	groupExprs, err := compileAll(t.GroupBy, inSchema)
+	if err != nil {
+		return nil, err
 	}
-	argExprs := make([]expr.Expr, len(t.Aggs))
+	argExprs := make([]*expr.Program, len(t.Aggs))
 	for i, it := range t.Aggs {
 		if it.Agg.Star {
 			continue
 		}
-		b, err := bindClone(it.Agg.Arg, inSchema)
-		if err != nil {
+		if argExprs[i], err = expr.Compile(it.Agg.Arg, inSchema); err != nil {
 			return nil, err
 		}
-		argExprs[i] = b
 	}
 
 	var groups keyIndex
@@ -173,7 +175,7 @@ func aggregateRows(t *plan.Aggregate, in []value.Row) ([]value.Row, error) {
 	key := make(value.Row, len(groupExprs)) // scratch: cloned when it founds a group
 	for _, r := range in {
 		for i, g := range groupExprs {
-			v, err := expr.Eval(g, r)
+			v, err := g.Eval(r)
 			if err != nil {
 				return nil, err
 			}
@@ -189,7 +191,7 @@ func aggregateRows(t *plan.Aggregate, in []value.Row) ([]value.Row, error) {
 			var v value.Value
 			if !st.star {
 				var err error
-				v, err = expr.Eval(argExprs[i], r)
+				v, err = argExprs[i].Eval(r)
 				if err != nil {
 					return nil, err
 				}

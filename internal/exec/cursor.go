@@ -19,7 +19,7 @@ const DefaultBatchSize = 256
 
 // Cursor is a pulled row-batch iterator over one plan subtree: the Volcano
 // model at batch rather than row granularity. Open prepares the operator
-// (binding expressions, building hash tables, opening remote fetches); Next
+// (compiling expressions, building hash tables, opening remote fetches); Next
 // returns the next batch, where a nil or empty batch means exhausted; Close
 // releases resources. A batch is valid only until the following Next call —
 // consumers that retain rows across calls must copy the slice (the row
@@ -97,7 +97,7 @@ func (ex *Executor) build(n plan.Node, reuse bool) (Cursor, error) {
 			if err != nil {
 				return nil, err
 			}
-			jc.filter = t.Pred
+			jc.folded = t.Pred
 			c = jc
 			if ex.Stats != nil {
 				c = &statsCursor{inner: jc, stats: ex.Stats, node: j, rowsOutAt: &jc.joined}
@@ -223,11 +223,12 @@ func Drain(c Cursor) ([]value.Row, error) {
 // scanCursor pulls one bounded batch per Next from a stored fragment,
 // resuming at a raw row offset: the scan callback finally returns false at
 // batch boundaries, so a LIMIT (or an abandoned stream) stops the scan
-// instead of filtering a fully built slice.
+// instead of filtering a fully built slice. The cursor tests its compiled
+// predicate itself; the store only hands it rows.
 type scanCursor struct {
 	ex     *Executor
 	t      *plan.Scan
-	pred   expr.Expr
+	pred   *expr.Program
 	pos    int
 	out    []value.Row
 	done   bool
@@ -238,12 +239,9 @@ func (c *scanCursor) Open() error {
 	if c.ex.Store == nil {
 		return fmt.Errorf("exec: no local store for scan of %s", c.t.Def.Name)
 	}
-	pred, err := bindClone(c.t.Pred, c.t.Schema())
-	if err != nil {
-		return err
-	}
-	c.pred = pred
-	return nil
+	var err error
+	c.pred, err = expr.Compile(c.t.Pred, c.t.Schema())
+	return err
 }
 
 func (c *scanCursor) Next() ([]value.Row, error) {
@@ -252,10 +250,21 @@ func (c *scanCursor) Next() ([]value.Row, error) {
 	}
 	limit := c.ex.batch()
 	c.out = c.out[:0]
-	next, err := c.ex.Store.ScanFrom(c.t.Def.Name, c.t.PartID, c.pred, c.pos, func(r value.Row) bool {
-		c.out = append(c.out, r)
+	var predErr error
+	next, err := c.ex.Store.ScanFrom(c.t.Def.Name, c.t.PartID, nil, c.pos, func(r value.Row) bool {
+		ok, err := c.pred.Holds(r)
+		if err != nil {
+			predErr = err
+			return false
+		}
+		if ok {
+			c.out = append(c.out, r)
+		}
 		return len(c.out) < limit
 	})
+	if err == nil {
+		err = predErr
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +285,7 @@ type viewScanCursor struct {
 	ex     *Executor
 	t      *plan.ViewScan
 	rows   []value.Row
-	pred   expr.Expr
+	pred   *expr.Program
 	pos    int
 	out    []value.Row
 	closed bool
@@ -290,7 +299,7 @@ func (c *viewScanCursor) Open() error {
 	if v == nil {
 		return fmt.Errorf("exec: unknown view %s", c.t.Name)
 	}
-	pred, err := bindClone(c.t.Pred, c.t.Schema())
+	pred, err := expr.Compile(c.t.Pred, c.t.Schema())
 	if err != nil {
 		return err
 	}
@@ -307,16 +316,13 @@ func (c *viewScanCursor) Next() ([]value.Row, error) {
 	for c.pos < len(c.rows) && len(c.out) < limit {
 		r := c.rows[c.pos]
 		c.pos++
-		if c.pred != nil {
-			ok, err := expr.EvalBool(c.pred, r)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
+		ok, err := c.pred.Holds(r)
+		if err != nil {
+			return nil, err
 		}
-		c.out = append(c.out, r)
+		if ok {
+			c.out = append(c.out, r)
+		}
 	}
 	return c.out, nil
 }
@@ -331,7 +337,7 @@ type filterCursor struct {
 	ex     *Executor
 	t      *plan.Filter
 	in     Cursor
-	pred   expr.Expr
+	pred   *expr.Program
 	buf    []value.Row
 	idx    int
 	out    []value.Row
@@ -340,11 +346,10 @@ type filterCursor struct {
 }
 
 func (c *filterCursor) Open() error {
-	pred, err := bindClone(c.t.Pred, c.t.Input.Schema())
-	if err != nil {
+	var err error
+	if c.pred, err = expr.Compile(c.t.Pred, c.t.Input.Schema()); err != nil {
 		return err
 	}
-	c.pred = pred
 	return c.in.Open()
 }
 
@@ -369,7 +374,7 @@ func (c *filterCursor) Next() ([]value.Row, error) {
 		}
 		r := c.buf[c.idx]
 		c.idx++
-		ok, err := expr.EvalBool(c.pred, r)
+		ok, err := c.pred.Holds(r)
 		if err != nil {
 			return nil, err
 		}
@@ -394,19 +399,15 @@ type projectCursor struct {
 	ex     *Executor
 	t      *plan.Project
 	in     Cursor
-	bound  []expr.Expr
+	exprs  []*expr.Program
 	out    []value.Row
 	closed bool
 }
 
 func (c *projectCursor) Open() error {
-	c.bound = make([]expr.Expr, len(c.t.Exprs))
-	for i, e := range c.t.Exprs {
-		b, err := bindClone(e, c.t.Input.Schema())
-		if err != nil {
-			return err
-		}
-		c.bound[i] = b
+	var err error
+	if c.exprs, err = compileAll(c.t.Exprs, c.t.Input.Schema()); err != nil {
+		return err
 	}
 	return c.in.Open()
 }
@@ -420,11 +421,11 @@ func (c *projectCursor) Next() ([]value.Row, error) {
 		return nil, err
 	}
 	c.out = c.out[:0]
-	slab := make([]value.Value, 0, len(b)*len(c.bound))
+	slab := make([]value.Value, 0, len(b)*len(c.exprs))
 	for _, r := range b {
 		n := len(slab)
-		for _, e := range c.bound {
-			v, err := expr.Eval(e, r)
+		for _, e := range c.exprs {
+			v, err := e.Eval(r)
 			if err != nil {
 				return nil, err
 			}
@@ -460,10 +461,11 @@ type joinCursor struct {
 	ex       *Executor
 	t        *plan.Join
 	l, r     Cursor
-	lKeys    []expr.Expr
-	rKeys    []expr.Expr
-	residual expr.Expr
-	filter   expr.Expr     // a Filter folded into the join: its predicate, bound at Open
+	lKeys    []*expr.Program
+	rKeys    []*expr.Program
+	residual *expr.Program
+	folded   expr.Expr     // the predicate of a Filter folded into the join
+	filter   *expr.Program // folded, compiled at Open
 	joined   int64         // rows that passed the ON clause, before the filter
 	reuse    bool          // the parent copies what it keeps: each batch goes over the last
 	rRows    []value.Row   // build side; all of it is the nested-loop fallback
@@ -486,7 +488,7 @@ func (c *joinCursor) Open() error {
 	if err != nil {
 		return err
 	}
-	if c.filter, err = bindClone(c.filter, c.t.Schema()); err != nil {
+	if c.filter, err = expr.Compile(c.folded, c.t.Schema()); err != nil {
 		return err
 	}
 	if err := c.r.Open(); err != nil {
@@ -539,9 +541,9 @@ func tableSize(n int) (int, error) {
 
 // evalKeyInto evaluates the key expressions over row into dst, stopping at
 // the first NULL (null = true: the key matches nothing).
-func evalKeyInto(dst value.Row, keys []expr.Expr, row value.Row) (null bool, err error) {
+func evalKeyInto(dst value.Row, keys []*expr.Program, row value.Row) (null bool, err error) {
 	for i, k := range keys {
-		v, err := expr.Eval(k, row)
+		v, err := k.Eval(row)
 		if err != nil {
 			return false, err
 		}
@@ -570,25 +572,17 @@ func (c *joinCursor) emit(lr, rr value.Row) error {
 	}
 	c.slab = append(append(c.slab, lr...), rr...)
 	row := value.Row(c.slab[n : n+w : n+w])
-	if ok, err := holds(c.residual, row); !ok || err != nil {
+	if ok, err := c.residual.Holds(row); !ok || err != nil {
 		c.slab = c.slab[:n]
 		return err
 	}
 	c.joined++
-	if ok, err := holds(c.filter, row); !ok || err != nil {
+	if ok, err := c.filter.Holds(row); !ok || err != nil {
 		c.slab = c.slab[:n]
 		return err
 	}
 	c.out = append(c.out, row)
 	return nil
-}
-
-// holds reports whether row satisfies pred; a nil pred holds everywhere.
-func holds(pred expr.Expr, row value.Row) (bool, error) {
-	if pred == nil {
-		return true, nil
-	}
-	return expr.EvalBool(pred, row)
 }
 
 func (c *joinCursor) Next() ([]value.Row, error) {

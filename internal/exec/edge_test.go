@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"testing"
 
 	"qtrade/internal/expr"
@@ -68,6 +69,25 @@ func TestMixedIntFloatAggregation(t *testing.T) {
 	}
 	if res.Rows[0][1].K != value.Float || res.Rows[0][1].F != 4.0 {
 		t.Fatalf("float sum: %v", res.Rows[0][1])
+	}
+}
+
+// An integer SUM that overflows int64 carries on as a DOUBLE, by
+// value.Arith's rule, instead of wrapping to a negative total.
+func TestIntSumOverflowIsDouble(t *testing.T) {
+	s := storage.NewStore()
+	mustCreate(t, s, invDef, "p0")
+	for i, id := range []int64{math.MaxInt64, 1, 1} {
+		if err := s.Insert("invoiceline", "p0", value.Row{value.NewInt(id), value.NewInt(int64(i)), value.NewInt(1), value.NewFloat(0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := runPlan(t, s, &plan.Aggregate{
+		Input: &plan.Scan{Def: invDef, Alias: "i", PartID: "p0"},
+		Aggs:  []plan.AggItem{{Agg: &expr.Agg{Fn: "SUM", Arg: sqlparse.MustParseExpr("i.invid")}, Name: expr.ColumnID{Name: "s"}}},
+	})
+	if got, want := res.Rows[0][0], value.NewFloat(math.MaxInt64+2.0); got != want {
+		t.Fatalf("SUM past MaxInt64 = %s %v, want %s %v", got.K, got, want.K, want)
 	}
 }
 

@@ -117,47 +117,50 @@ func (ex *Executor) Run(n plan.Node) (*Result, error) {
 	return &Result{Cols: n.Schema(), Rows: rows}, nil
 }
 
-// bindClone clones an expression and binds it against a schema.
-func bindClone(e expr.Expr, schema []expr.ColumnID) (expr.Expr, error) {
-	if e == nil {
-		return nil, nil
+// compileAll compiles every expression of a list against one schema.
+func compileAll(es []expr.Expr, schema []expr.ColumnID) ([]*expr.Program, error) {
+	out := make([]*expr.Program, len(es))
+	for i, e := range es {
+		p, err := expr.Compile(e, schema)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = p
 	}
-	c := expr.Clone(e)
-	if err := expr.Bind(c, schema); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return out, nil
 }
 
 // classifyJoinPred splits the ON conjuncts into equi-join key pairs (left
 // expression over L schema, right expression over R schema) and residual
-// predicates over the concatenated schema.
-func classifyJoinPred(on expr.Expr, lSchema, rSchema []expr.ColumnID) (lKeys, rKeys []expr.Expr, residual expr.Expr, err error) {
-	both := append(append([]expr.ColumnID{}, lSchema...), rSchema...)
+// predicates over the concatenated schema, each compiled against its schema.
+func classifyJoinPred(on expr.Expr, lSchema, rSchema []expr.ColumnID) (lKeys, rKeys []*expr.Program, residual *expr.Program, err error) {
 	var rest []expr.Expr
 	for _, c := range expr.Conjuncts(on) {
-		b, isBin := c.(*expr.Binary)
-		if isBin && b.Op == "=" {
-			lOnly, errL := bindClone(b.L, lSchema)
-			rOnly, errR := bindClone(b.R, rSchema)
-			if errL == nil && errR == nil {
-				lKeys = append(lKeys, lOnly)
-				rKeys = append(rKeys, rOnly)
+		if b, ok := c.(*expr.Binary); ok && b.Op == "=" {
+			// Either side of the equation may be the left input's.
+			if l, r, ok := keyPair(b.L, b.R, lSchema, rSchema); ok {
+				lKeys, rKeys = append(lKeys, l), append(rKeys, r)
 				continue
 			}
-			// Swapped sides: L expr over R schema, R expr over L schema.
-			lSwap, errLS := bindClone(b.R, lSchema)
-			rSwap, errRS := bindClone(b.L, rSchema)
-			if errLS == nil && errRS == nil {
-				lKeys = append(lKeys, lSwap)
-				rKeys = append(rKeys, rSwap)
+			if l, r, ok := keyPair(b.R, b.L, lSchema, rSchema); ok {
+				lKeys, rKeys = append(lKeys, l), append(rKeys, r)
 				continue
 			}
 		}
 		rest = append(rest, c)
 	}
-	residual, err = bindClone(expr.And(rest), both)
+	if len(rest) > 0 {
+		both := append(append([]expr.ColumnID{}, lSchema...), rSchema...)
+		residual, err = expr.Compile(expr.And(rest), both)
+	}
 	return lKeys, rKeys, residual, err
+}
+
+// keyPair compiles l over the left input and r over the right, if both bind.
+func keyPair(l, r expr.Expr, lSchema, rSchema []expr.ColumnID) (*expr.Program, *expr.Program, bool) {
+	lp, errL := expr.Compile(l, lSchema)
+	rp, errR := expr.Compile(r, rSchema)
+	return lp, rp, errL == nil && errR == nil
 }
 
 func keysEqual(a, b value.Row) bool {
@@ -174,13 +177,14 @@ func keysEqual(a, b value.Row) bool {
 // propagate out: an incomparable pair silently treated as equal would make
 // the comparator inconsistent and the output order undefined.
 func sortRows(t *plan.Sort, in []value.Row) ([]value.Row, error) {
-	keys := make([]expr.Expr, len(t.Keys))
+	schema := t.Input.Schema()
+	keys := make([]*expr.Program, len(t.Keys))
 	for i, k := range t.Keys {
-		b, err := bindClone(k.Expr, t.Input.Schema())
+		p, err := expr.Compile(k.Expr, schema)
 		if err != nil {
 			return nil, err
 		}
-		keys[i] = b
+		keys[i] = p
 	}
 	type sortable struct {
 		row  value.Row
@@ -190,7 +194,7 @@ func sortRows(t *plan.Sort, in []value.Row) ([]value.Row, error) {
 	for i, r := range in {
 		kv := make(value.Row, len(keys))
 		for j, k := range keys {
-			v, err := expr.Eval(k, r)
+			v, err := k.Eval(r)
 			if err != nil {
 				return nil, err
 			}

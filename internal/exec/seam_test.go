@@ -75,6 +75,42 @@ func TestOneExecutor(t *testing.T) {
 	}
 }
 
+// One evaluator: every expression the cursors evaluate row by row runs a
+// program expr.Compile built when the cursor opened. No non-test file of the
+// package walks an expression tree (expr.Eval, expr.EvalBool), binds one in
+// place (expr.Bind) or copies one (expr.Clone), so a plan — a seller's priced
+// plan among them — is only ever read, and bindClone is gone.
+func TestOneEvaluator(t *testing.T) {
+	fset := token.NewFileSet()
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	banned := map[string]bool{"Eval": true, "EvalBool": true, "Bind": true, "Clone": true}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(file, func(x ast.Node) bool {
+			switch x := x.(type) {
+			case *ast.SelectorExpr:
+				if pkg, ok := x.X.(*ast.Ident); ok && pkg.Name == "expr" && banned[x.Sel.Name] {
+					t.Errorf("%s: expr.%s: evaluate a compiled program (expr.Compile) instead", fset.Position(x.Pos()), x.Sel.Name)
+				}
+			case *ast.FuncDecl:
+				if x.Name.Name == "bindClone" {
+					t.Errorf("%s: bindClone is back: compile the plan's expression, do not copy it", fset.Position(x.Pos()))
+				}
+			}
+			return true
+		})
+	}
+}
+
 // switchesOnPlan reports whether body holds a type switch with a plan.* case.
 func switchesOnPlan(body *ast.BlockStmt) bool {
 	found := false

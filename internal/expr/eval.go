@@ -29,31 +29,39 @@ func Bind(e Expr, schema []ColumnID) error {
 		if !ok || err != nil {
 			return err == nil
 		}
-		idx := -1
-		for i, s := range schema {
-			if !strings.EqualFold(c.Name, s.Name) {
-				continue
-			}
-			if c.Table != "" && !strings.EqualFold(c.Table, s.Table) {
-				continue
-			}
-			if idx >= 0 && c.Table == "" {
-				err = fmt.Errorf("expr: ambiguous column %q", c.Name)
-				return false
-			}
-			idx = i
-			if c.Table != "" {
-				break
-			}
-		}
-		if idx < 0 {
-			err = fmt.Errorf("expr: unknown column %s", c)
+		idx, rerr := resolve(c, schema)
+		if rerr != nil {
+			err = rerr
 			return false
 		}
 		c.Index = idx
 		return true
 	})
 	return err
+}
+
+// resolve finds c's position in schema, the one rule Bind and Compile share.
+func resolve(c *Column, schema []ColumnID) (int, error) {
+	idx := -1
+	for i, s := range schema {
+		if !strings.EqualFold(c.Name, s.Name) {
+			continue
+		}
+		if c.Table != "" && !strings.EqualFold(c.Table, s.Table) {
+			continue
+		}
+		if idx >= 0 && c.Table == "" {
+			return -1, fmt.Errorf("expr: ambiguous column %q", c.Name)
+		}
+		idx = i
+		if c.Table != "" {
+			break
+		}
+	}
+	if idx < 0 {
+		return -1, fmt.Errorf("expr: unknown column %s", c)
+	}
+	return idx, nil
 }
 
 // MustBind binds and panics on failure; for tests and static plans.
@@ -64,8 +72,10 @@ func MustBind(e Expr, schema []ColumnID) Expr {
 	return e
 }
 
-// Eval evaluates a bound expression against a row. Aggregate nodes cannot be
-// evaluated here (the executor's aggregation operator handles them) and
+// Eval evaluates a bound expression against a row by walking its tree. It is
+// the reference Compile's programs are held to, and what Simplify folds
+// constants with; the executor runs compiled programs. Aggregate nodes cannot
+// be evaluated here (the executor's aggregation operator handles them) and
 // return an error.
 func Eval(e Expr, row value.Row) (value.Value, error) {
 	switch t := e.(type) {
@@ -73,7 +83,7 @@ func Eval(e Expr, row value.Row) (value.Value, error) {
 		return t.V, nil
 	case *Column:
 		if t.Index < 0 || t.Index >= len(row) {
-			return value.Value{}, fmt.Errorf("expr: unbound column %s (index %d, row width %d)", t, t.Index, len(row))
+			return value.Value{}, unbound(t, t.Index, row)
 		}
 		return row[t.Index], nil
 	case *Binary:
@@ -90,17 +100,9 @@ func Eval(e Expr, row value.Row) (value.Value, error) {
 			}
 			return value.NewBool(!x.Truth()), nil
 		case "-":
-			switch x.K {
-			case value.Int:
-				return value.NewInt(-x.I), nil
-			case value.Float:
-				return value.NewFloat(-x.F), nil
-			case value.Null:
-				return value.NewNull(), nil
-			}
-			return value.Value{}, fmt.Errorf("expr: cannot negate %s", x.K)
+			return value.Neg(x)
 		}
-		return value.Value{}, fmt.Errorf("expr: unknown unary op %q", t.Op)
+		return value.Value{}, unknownOp("unary", t.Op)
 	case *In:
 		return evalIn(t, row)
 	case *Between:
@@ -137,10 +139,24 @@ func Eval(e Expr, row value.Row) (value.Value, error) {
 		}
 		return value.NewBool(res), nil
 	case *Agg:
-		return value.Value{}, fmt.Errorf("expr: aggregate %s evaluated outside aggregation operator", t.Fn)
+		return value.Value{}, aggOutside(t)
 	}
-	return value.Value{}, fmt.Errorf("expr: cannot evaluate %T", e)
+	return value.Value{}, cannotEval(e)
 }
+
+// The errors both evaluators report, worded once.
+
+func unbound(c *Column, idx int, row value.Row) error {
+	return fmt.Errorf("expr: unbound column %s (index %d, row width %d)", c, idx, len(row))
+}
+
+func unknownOp(kind, op string) error { return fmt.Errorf("expr: unknown %s op %q", kind, op) }
+
+func aggOutside(a *Agg) error {
+	return fmt.Errorf("expr: aggregate %s evaluated outside aggregation operator", a.Fn)
+}
+
+func cannotEval(e Expr) error { return fmt.Errorf("expr: cannot evaluate %T", e) }
 
 func evalBinary(b *Binary, row value.Row) (value.Value, error) {
 	switch b.Op {
@@ -216,7 +232,7 @@ func evalBinary(b *Binary, row value.Row) (value.Value, error) {
 		}
 		return value.NewBool(res), nil
 	}
-	return value.Value{}, fmt.Errorf("expr: unknown binary op %q", b.Op)
+	return value.Value{}, unknownOp("binary", b.Op)
 }
 
 func evalIn(t *In, row value.Row) (value.Value, error) {

@@ -2,6 +2,7 @@ package sqlparse
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -511,6 +512,12 @@ func (p *parser) parseMultiplicative() (expr.Expr, error) {
 
 func (p *parser) parseUnary() (expr.Expr, error) {
 	if p.acceptOp("-") {
+		// The smallest integer prints as -9223372036854775808, whose digits
+		// alone int64 cannot hold: the minus belongs to the literal.
+		if t := p.cur(); t.kind == tokNumber && t.text == "9223372036854775808" {
+			p.i++
+			return expr.NewLit(value.NewInt(math.MinInt64)), nil
+		}
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -518,7 +525,8 @@ func (p *parser) parseUnary() (expr.Expr, error) {
 		if lit, ok := x.(*expr.Lit); ok {
 			switch lit.V.K {
 			case value.Int:
-				return expr.NewLit(value.NewInt(-lit.V.I)), nil
+				neg, _ := value.Neg(lit.V) // an integer always negates
+				return expr.NewLit(neg), nil
 			case value.Float:
 				// 0 - f, not -f: -0.0 would print as -0 and read back as 0.
 				return expr.NewLit(value.NewFloat(0 - lit.V.F)), nil

@@ -292,9 +292,12 @@ func fnvUint64(h, u uint64) uint64 {
 	return h
 }
 
-// Arith applies the arithmetic operator op ("+", "-", "*", "/") to two
+// Arith applies the arithmetic operator op ("+", "-", "*", "/", "%") to two
 // values. NULL operands yield NULL. Division by zero yields NULL (SQL would
-// raise; NULL keeps the engine total and is asserted in tests).
+// raise; NULL keeps the engine total and is asserted in tests). For the same
+// reason integer arithmetic whose result int64 cannot hold — MinInt64 / -1
+// included — yields the DOUBLE computed from the two operands instead of
+// wrapping (SQLite's rule).
 func Arith(op string, a, b Value) (Value, error) {
 	if a.IsNull() || b.IsNull() {
 		return NewNull(), nil
@@ -306,23 +309,36 @@ func Arith(op string, a, b Value) (Value, error) {
 		return Value{}, fmt.Errorf("value: cannot apply %q to %s and %s", op, a.K, b.K)
 	}
 	if a.K == Int && b.K == Int {
+		x, y := a.I, b.I
 		switch op {
 		case "+":
-			return NewInt(a.I + b.I), nil
+			if s := x + y; (x^s)&(y^s) >= 0 {
+				return NewInt(s), nil
+			}
+			return NewFloat(float64(x) + float64(y)), nil
 		case "-":
-			return NewInt(a.I - b.I), nil
+			if d := x - y; (x^y)&(x^d) >= 0 {
+				return NewInt(d), nil
+			}
+			return NewFloat(float64(x) - float64(y)), nil
 		case "*":
-			return NewInt(a.I * b.I), nil
+			if p := x * y; x == 0 || p/x == y && !(x == -1 && y == math.MinInt64) {
+				return NewInt(p), nil
+			}
+			return NewFloat(float64(x) * float64(y)), nil
 		case "/":
-			if b.I == 0 {
+			if y == 0 {
 				return NewNull(), nil
 			}
-			return NewInt(a.I / b.I), nil
+			if x == math.MinInt64 && y == -1 {
+				return NewFloat(-float64(x)), nil
+			}
+			return NewInt(x / y), nil
 		case "%":
-			if b.I == 0 {
+			if y == 0 {
 				return NewNull(), nil
 			}
-			return NewInt(a.I % b.I), nil
+			return NewInt(x % y), nil // MinInt64 % -1 is 0: no overflow
 		}
 		return Value{}, fmt.Errorf("value: unknown operator %q", op)
 	}
@@ -346,6 +362,23 @@ func Arith(op string, a, b Value) (Value, error) {
 		return NewFloat(math.Mod(x, y)), nil
 	}
 	return Value{}, fmt.Errorf("value: unknown operator %q", op)
+}
+
+// Neg is unary minus, by Arith's rules: NULL stays NULL, and -MinInt64, which
+// int64 cannot hold, is the DOUBLE 2^63.
+func Neg(v Value) (Value, error) {
+	switch v.K {
+	case Int:
+		if v.I == math.MinInt64 {
+			return NewFloat(-float64(v.I)), nil
+		}
+		return NewInt(-v.I), nil
+	case Float:
+		return NewFloat(-v.F), nil
+	case Null:
+		return NewNull(), nil
+	}
+	return Value{}, fmt.Errorf("value: cannot negate %s", v.K)
 }
 
 // Row is a tuple of values.

@@ -190,6 +190,86 @@ func TestArithStringConcat(t *testing.T) {
 	}
 }
 
+// Integer arithmetic whose result int64 cannot hold gives the DOUBLE
+// computed from the operands (SQLite's rule) instead of wrapping, and so does
+// unary minus; a result that fits stays an integer.
+func TestIntOverflowIsDouble(t *testing.T) {
+	const maxI, minI = math.MaxInt64, math.MinInt64
+	two63 := NewFloat(1 << 63)
+	cases := []struct {
+		op   string
+		a, b int64
+		want Value
+	}{
+		{"+", maxI, 1, two63},
+		{"+", minI, -1, NewFloat(-(1 << 63))},
+		{"+", maxI, minI, NewInt(-1)},
+		{"-", minI, 1, NewFloat(-(1 << 63))},
+		{"-", 0, minI, two63},
+		{"-", -1, maxI, NewInt(minI)},
+		{"*", maxI, 2, NewFloat(2 * (1 << 63))},
+		{"*", minI, -1, two63},
+		{"*", -1, minI, two63},
+		{"*", 3037000499, 3037000499, NewInt(9223372030926249001)},
+		{"*", 3037000500, 3037000500, NewFloat(3037000500.0 * 3037000500.0)},
+		{"/", minI, -1, two63},
+		{"/", minI, 1, NewInt(minI)},
+		{"%", minI, -1, NewInt(0)},
+	}
+	for _, c := range cases {
+		got, err := Arith(c.op, NewInt(c.a), NewInt(c.b))
+		if err != nil || got != c.want {
+			t.Errorf("%d %s %d = %s %v (%v), want %s %v", c.a, c.op, c.b, got.K, got, err, c.want.K, c.want)
+		}
+	}
+	for _, c := range []struct{ in, want Value }{
+		{NewInt(minI), two63},
+		{NewInt(maxI), NewInt(-maxI)},
+		{NewFloat(1.5), NewFloat(-1.5)},
+		{NewNull(), NewNull()},
+	} {
+		if got, err := Neg(c.in); err != nil || got != c.want {
+			t.Errorf("-(%s %v) = %s %v (%v), want %s %v", c.in.K, c.in, got.K, got, err, c.want.K, c.want)
+		}
+	}
+	if _, err := Neg(NewStr("x")); err == nil {
+		t.Error("negating a string must error")
+	}
+}
+
+// Property: over any two int64s, +, - and * give the exact result when it
+// fits in int64 and the DOUBLE of the operands' float arithmetic otherwise.
+func TestQuickIntArithExactOrDouble(t *testing.T) {
+	ops := map[string]func(x, y *big.Int) *big.Int{
+		"+": new(big.Int).Add, "-": new(big.Int).Sub, "*": new(big.Int).Mul,
+	}
+	floats := map[string]func(x, y float64) float64{
+		"+": func(x, y float64) float64 { return x + y },
+		"-": func(x, y float64) float64 { return x - y },
+		"*": func(x, y float64) float64 { return x * y },
+	}
+	f := func(a, b int64) bool {
+		for op, exact := range ops {
+			got, err := Arith(op, NewInt(a), NewInt(b))
+			want := exact(big.NewInt(a), big.NewInt(b))
+			if err != nil {
+				return false
+			}
+			if want.IsInt64() {
+				if got != NewInt(want.Int64()) {
+					return false
+				}
+			} else if got != NewFloat(floats[op](float64(a), float64(b))) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestHashIdenticalValuesHashEqual(t *testing.T) {
 	if Hash(NewInt(1)) != Hash(NewFloat(1.0)) {
 		t.Error("1 and 1.0 must hash equal (they compare equal)")

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -132,6 +133,37 @@ func TestChainFederationEndToEnd(t *testing.T) {
 	}
 	if len(truth.Rows) == 0 {
 		t.Fatal("degenerate workload: truth empty")
+	}
+}
+
+// Integer arithmetic past int64 gives a DOUBLE, under trading as in the
+// oracle: r1.pk + MaxInt64 is an INTEGER for pk 0 and the DOUBLE 2^63 for pk
+// 1 and 2, where it used to wrap to the most negative integers.
+func TestIntOverflowUnderTradingIsDouble(t *testing.T) {
+	f := NewChain(ChainOptions{Relations: 1, RowsPerRel: 20, Parts: 2, Nodes: 3, Seed: 5})
+	q := "SELECT r1.pk + 9223372036854775807 FROM r1 WHERE r1.pk < 3"
+	truth, err := f.GroundTruth(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Optimize(f.BuyerConfig(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := f.Execute(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"DOUBLE 9.223372036854776e+18", "DOUBLE 9.223372036854776e+18", "INTEGER 9223372036854775807"}
+	for name, rows := range map[string][]value.Row{"trading": got.Rows, "oracle": truth.Rows} {
+		var kinded []string
+		for _, r := range rows {
+			kinded = append(kinded, r[0].K.String()+" "+r[0].String())
+		}
+		sort.Strings(kinded)
+		if !reflect.DeepEqual(kinded, want) {
+			t.Errorf("%s answers %v, want %v", name, kinded, want)
+		}
 	}
 }
 
