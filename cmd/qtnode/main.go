@@ -248,20 +248,11 @@ func (d *peerDialer) peers() map[string]trading.Peer {
 	return out
 }
 
-// setupLogging installs a text slog handler at the requested level.
+// setupLogging installs a text slog handler at the named level (slog's
+// names, any case); an empty or unknown name keeps the command's default.
 func setupLogging(level string) {
-	var lv slog.Level
-	switch strings.ToLower(level) {
-	case "debug":
-		lv = slog.LevelDebug
-	case "warn":
-		lv = slog.LevelWarn
-	case "error":
-		lv = slog.LevelError
-	case "info", "":
-		lv = slog.LevelInfo
-	default:
-		lv = slog.LevelInfo
+	lv := slog.LevelInfo
+	if level != "" && lv.UnmarshalText([]byte(level)) != nil {
 		fmt.Fprintf(os.Stderr, "qtnode: unknown -log-level %q, using info\n", level)
 	}
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lv})))

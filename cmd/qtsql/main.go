@@ -59,10 +59,6 @@ type session struct {
 	last    *obs.Tracer   // spans of the most recent traced query
 	tlog    *obs.TraceLog // feeds /trace/last when -obs-addr is set
 	window  time.Duration // /metrics/history rollup window (-history-window)
-
-	// attach/detach point tracing at the federation's seller nodes
-	// (no-ops in remote mode, where sellers live in other processes).
-	attach func(tr *obs.Tracer)
 }
 
 // command handles one backslash command; returns false if it wasn't one.
@@ -144,8 +140,10 @@ func (s *session) command(line string) bool {
 	return true
 }
 
-// trace parses the EXPLAIN / EXPLAIN ANALYZE prefixes and, when tracing is
-// on, returns a fresh tracer attached to the federation for this query.
+// begin parses the EXPLAIN / EXPLAIN ANALYZE prefixes and, when tracing is
+// on, returns a fresh tracer for this query. The sellers need no tracer of
+// their own: a traced query ships a sampled context on every RFB and fetch,
+// and each seller's subtree comes back in its reply.
 func (s *session) begin(line string) (sql string, explainOnly, analyze bool, tr *obs.Tracer) {
 	sql = line
 	upper := strings.ToUpper(line)
@@ -160,17 +158,15 @@ func (s *session) begin(line string) (sql string, explainOnly, analyze bool, tr 
 	if s.tracing {
 		tr = obs.NewTracer()
 		s.last = tr
-		s.attach(tr)
 	}
 	return sql, explainOnly, analyze, tr
 }
 
-// end detaches the per-query tracer and prints its span tree.
+// end prints the per-query tracer's span tree.
 func (s *session) end(tr *obs.Tracer) {
 	if tr == nil {
 		return
 	}
-	s.attach(nil)
 	if roots := tr.Roots(); len(roots) > 0 {
 		s.tlog.Record(roots[0].Payload())
 	}
@@ -262,8 +258,7 @@ func main() {
 	})
 	s := &session{metrics: obs.NewMetrics(), ledg: ledger.New(0),
 		flight: flight.NewRecorder(0), window: *histWindow}
-	s.attach = func(tr *obs.Tracer) { f.SetObs(tr, s.metrics) }
-	s.attach(nil) // metrics-only steady state
+	f.SetObs(nil, s.metrics)
 	f.SetLedger(s.ledg)
 	s.serveObs(*obsAddr)
 	slog.Info("federation ready", "offices", *offices, "customers", *customers)
@@ -370,20 +365,11 @@ func main() {
 	}
 }
 
-// setupLogging installs a text slog handler at the requested level.
+// setupLogging installs a text slog handler at the named level (slog's
+// names, any case); an empty or unknown name keeps the command's default.
 func setupLogging(level string) {
-	var lv slog.Level
-	switch strings.ToLower(level) {
-	case "debug":
-		lv = slog.LevelDebug
-	case "info":
-		lv = slog.LevelInfo
-	case "error":
-		lv = slog.LevelError
-	case "warn", "":
-		lv = slog.LevelWarn
-	default:
-		lv = slog.LevelWarn
+	lv := slog.LevelWarn
+	if level != "" && lv.UnmarshalText([]byte(level)) != nil {
 		fmt.Fprintf(os.Stderr, "qtsql: unknown -log-level %q, using warn\n", level)
 	}
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lv})))
@@ -443,8 +429,7 @@ func runRemote(offices, connect string, callTimeout time.Duration, obsAddr strin
 		},
 	}
 	s := &session{metrics: obs.NewMetrics(), ledg: ledger.New(0),
-		flight: flight.NewRecorder(0), window: histWindow,
-		attach: func(*obs.Tracer) {}}
+		flight: flight.NewRecorder(0), window: histWindow}
 	cfg := core.Config{ID: "qtsql", Schema: sch}
 	if callTimeout > 0 {
 		cfg.Faults = &trading.FaultPolicy{CallTimeout: callTimeout, Metrics: s.metrics}

@@ -101,14 +101,6 @@ type Config struct {
 	// records nothing without Ledger: the record is where the dossier lives.
 	// Nil (the default) skips dossier assembly entirely.
 	Flight *flight.Recorder
-	// Workers bounds the buyer's own fan-out: the per-round RFB/improve
-	// dispatch of any protocol (trading.Sellers.Workers) and the
-	// execution-time opening of remote plan leaves. 0 (the default) means one
-	// in-flight call per seller — the full fan-out; 1 means strictly serial in
-	// deterministic order; n > 1 caps the in-flight calls at n. Whatever the
-	// setting, the assembled offer pool and the chosen plan are byte-identical
-	// (replies are collected positionally and re-sorted).
-	Workers int
 	// FetchBatchRows sets the row-batch granularity of execution-time
 	// fetches: purchased answers stream in batches of n rows, n <= 0 (the
 	// default) meaning exec.DefaultBatchSize. A batch larger than the answer
@@ -158,9 +150,6 @@ type Result struct {
 	// federation-wide trace across the purchased-answer fetches.
 	BuyerID  string
 	TraceCtx obs.TraceContext
-	// Workers carries Config.Workers into execution so the remote-leaf
-	// prefetch honours the same fan-out bound as the negotiation.
-	Workers int
 	// FetchBatch carries Config.FetchBatchRows into execution.
 	FetchBatch int
 	// LedgerRec is this negotiation's open trading-ledger record (nil when
@@ -247,8 +236,8 @@ func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
 	}
 	ob.begin(sql, sel.SQL())
 	defer ob.close()
-	res := &Result{SQL: sel.SQL(), BuyerID: cfg.ID, Workers: cfg.Workers,
-		FetchBatch: cfg.FetchBatchRows, faults: cfg.Faults, dir: cfg.Directory}
+	res := &Result{SQL: sel.SQL(), BuyerID: cfg.ID, FetchBatch: cfg.FetchBatchRows,
+		faults: cfg.Faults, dir: cfg.Directory}
 	if gen.empty != nil {
 		// Known empty before B1: nothing is asked for and nothing bought.
 		res.Candidate = *gen.empty
@@ -390,11 +379,10 @@ func drainResult(cur exec.Cursor, cols []expr.ColumnID) (*exec.Result, error) {
 // buildPlanExecutor assembles the executor that runs h's plan: every Remote
 // leaf is a stream opened at res.FetchBatch rows per exchange (the default
 // batch when unset; a batch larger than the answer ships it whole in the
-// opening exchange). When the plan buys from more than one remote leaf and
-// res.Workers allows it, the leaves are opened concurrently (see
-// prefetchStreams). The returned cleanup releases prefetched streams the
-// plan walk never consumed (e.g. after a failure in another leaf) and must
-// be called once execution is done.
+// opening exchange). When the plan buys from more than one remote leaf, the
+// leaves are opened concurrently (see prefetchStreams). The returned cleanup
+// releases prefetched streams the plan walk never consumed (e.g. after a
+// failure in another leaf) and must be called once execution is done.
 func buildPlanExecutor(h *streamHandle, localExec *exec.Executor) (*exec.Executor, func()) {
 	res := h.res
 	ex := &exec.Executor{BatchSize: res.FetchBatch}
@@ -416,8 +404,8 @@ func buildPlanExecutor(h *streamHandle, localExec *exec.Executor) (*exec.Executo
 	ex.FetchStream = openOne
 	cleanup := func() {}
 	// plan.Remotes walks the tree in the same pre-order the executor fetches.
-	if remotes := plan.Remotes(res.Candidate.Root); len(remotes) > 1 && res.Workers != 1 {
-		ex.FetchStream, cleanup = prefetchStreams(remotes, res.Workers, openOne)
+	if remotes := plan.Remotes(res.Candidate.Root); len(remotes) > 1 {
+		ex.FetchStream, cleanup = prefetchStreams(remotes, openOne)
 	}
 	return ex, cleanup
 }

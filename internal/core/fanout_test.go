@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"qtrade/internal/exec"
+	"qtrade/internal/netsim"
+	"qtrade/internal/plan"
 	"qtrade/internal/trading"
 )
 
@@ -59,97 +61,77 @@ func canonPool(t *testing.T, offers []trading.Offer) string {
 	return strings.Join(lines, "\n")
 }
 
-// runFanout optimizes and executes the paper query with the given buyer
-// worker bound and returns the canonical pool, the canonical purchased
-// offers, the plan explanation and the result rows.
-func runFanout(t *testing.T, workers int, protocol trading.Protocol) (pool, bought, explain string, rows []string) {
+// runFanout optimizes and executes the paper query with every call to slow
+// delayed, so the other seller answers each round first, and returns the
+// canonical pool, the canonical purchased offers, the plan explanation and
+// the result rows.
+func runFanout(t *testing.T, slow string, protocol trading.Protocol) (pool, bought, explain string, rows []string) {
 	t.Helper()
 	f := buildFederation(t, nil)
+	f.net.SetFaultPlan(&netsim.FaultPlan{SlowNodeMS: map[string]float64{slow: 5}})
 	cfg := athensCfg(f)
-	cfg.Workers = workers
 	cfg.Protocol = protocol
 	res, got := optimizeAndRun(t, f, cfg, paperQuery)
-	if res.Workers != workers {
-		t.Fatalf("Result.Workers = %d, want %d", res.Workers, workers)
-	}
 	return canonPool(t, res.Pool), canonPool(t, res.Candidate.Offers), ExplainResult(res), got
 }
 
-// TestBuyerFanoutMatchesSerial pins the tentpole invariant: the buyer's
-// bounded parallel fan-out (RFB rounds, improve rounds, and execution-time
-// prefetch of remote leaves) assembles an offer pool, plan choice and answer
-// byte-identical to the strictly serial path, for every protocol and worker
-// bound, including under GOMAXPROCS=1.
-func TestBuyerFanoutMatchesSerial(t *testing.T) {
+// TestBuyerFanoutIsOrderFree pins what the buyer's fan-out (RFB rounds,
+// improve rounds, and execution-time prefetch of remote leaves) promises: the
+// offer pool, plan choice and answer are byte-identical whichever seller
+// answers first — corfu ahead of myconos or the other way round — for every
+// protocol, including under GOMAXPROCS=1.
+func TestBuyerFanoutIsOrderFree(t *testing.T) {
 	protocols := map[string]func() trading.Protocol{
 		"sealed":    func() trading.Protocol { return trading.SealedBid{} },
 		"iterative": func() trading.Protocol { return trading.IterativeBid{MaxRounds: 3} },
 		"bargain":   func() trading.Protocol { return trading.Bargain{MaxRounds: 3} },
 	}
+	check := func(t *testing.T, mk func() trading.Protocol) {
+		pool, bought, explain, rows := runFanout(t, "myconos", mk())
+		pool2, bought2, explain2, rows2 := runFanout(t, "corfu", mk())
+		if pool2 != pool {
+			t.Errorf("pool depends on reply order:\n--- corfu first ---\n%s\n--- myconos first ---\n%s", pool, pool2)
+		}
+		if bought2 != bought {
+			t.Errorf("purchased offers depend on reply order:\ncorfu first   %s\nmyconos first %s", bought, bought2)
+		}
+		if explain2 != explain {
+			t.Errorf("plan depends on reply order:\n--- corfu first ---\n%s\n--- myconos first ---\n%s", explain, explain2)
+		}
+		if strings.Join(rows2, "|") != strings.Join(rows, "|") {
+			t.Errorf("answer depends on reply order:\ncorfu first   %v\nmyconos first %v", rows, rows2)
+		}
+	}
 	for name, mk := range protocols {
-		t.Run(name, func(t *testing.T) {
-			basePool, baseBought, baseExplain, baseRows := runFanout(t, 1, mk())
-			for _, workers := range []int{0, 2, 8} {
-				pool, bought, explain, rows := runFanout(t, workers, mk())
-				if pool != basePool {
-					t.Errorf("workers=%d pool differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
-						workers, basePool, pool)
-				}
-				if bought != baseBought {
-					t.Errorf("workers=%d purchased offers differ:\nserial   %s\nparallel %s",
-						workers, baseBought, bought)
-				}
-				if explain != baseExplain {
-					t.Errorf("workers=%d plan differs:\n--- serial ---\n%s\n--- parallel ---\n%s",
-						workers, baseExplain, explain)
-				}
-				if strings.Join(rows, "|") != strings.Join(baseRows, "|") {
-					t.Errorf("workers=%d answer differs:\ngot  %v\nwant %v", workers, rows, baseRows)
-				}
-			}
-		})
+		t.Run(name, func(t *testing.T) { check(t, mk) })
 	}
 	t.Run("gomaxprocs-1", func(t *testing.T) {
-		prev := runtime.GOMAXPROCS(1)
-		defer runtime.GOMAXPROCS(prev)
-		basePool, _, _, baseRows := runFanout(t, 1, trading.IterativeBid{MaxRounds: 3})
-		pool, _, _, rows := runFanout(t, 0, trading.IterativeBid{MaxRounds: 3})
-		if pool != basePool {
-			t.Errorf("GOMAXPROCS=1 pool differs:\n--- serial ---\n%s\n--- parallel ---\n%s", basePool, pool)
-		}
-		if strings.Join(rows, "|") != strings.Join(baseRows, "|") {
-			t.Errorf("GOMAXPROCS=1 answer differs:\ngot  %v\nwant %v", rows, baseRows)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		for name, mk := range protocols {
+			t.Run(name, func(t *testing.T) { check(t, mk) })
 		}
 	})
 }
 
 // TestPrefetchServesEachLeafOnce pins the execution-time prefetch contract:
-// a multi-leaf plan performs exactly one fetch per remote leaf (message
-// accounting identical to the serial walk), whatever the worker bound.
+// a multi-leaf plan performs exactly one fetch per remote leaf — an opening
+// fetch and its release, two messages — however the leaves' opens overlap.
 func TestPrefetchServesEachLeafOnce(t *testing.T) {
-	var serial int64 = -1
-	for _, workers := range []int{1, 0, 2} {
-		f := buildFederation(t, nil)
-		cfg := athensCfg(f)
-		cfg.Workers = workers
-		comm := &NetComm{Net: f.net, SelfID: "athens"}
-		res, err := Optimize(cfg, comm, paperQuery)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.net.Reset()
-		ex := &exec.Executor{Store: f.athens.Store()}
-		if _, err := ExecuteResult(comm, ex, res); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		msgs, _ := f.net.Stats()
-		if serial == -1 {
-			serial = msgs // the workers=1 walk is the accounting baseline
-			continue
-		}
-		if msgs != serial {
-			t.Fatalf("workers=%d: %d execution messages, serial walk sent %d",
-				workers, msgs, serial)
-		}
+	f := buildFederation(t, nil)
+	comm := &NetComm{Net: f.net, SelfID: "athens"}
+	res, err := Optimize(athensCfg(f), comm, paperQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := len(plan.Remotes(res.Candidate.Root))
+	if leaves < 2 {
+		t.Fatalf("%d remote leaves; the prefetch needs more than one:\n%s", leaves, ExplainResult(res))
+	}
+	f.net.Reset()
+	if _, err := ExecuteResult(comm, &exec.Executor{Store: f.athens.Store()}, res); err != nil {
+		t.Fatal(err)
+	}
+	if msgs, _ := f.net.Stats(); msgs != int64(2*leaves) {
+		t.Fatalf("%d execution messages for %d remote leaves, want %d", msgs, leaves, 2*leaves)
 	}
 }

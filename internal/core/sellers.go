@@ -44,7 +44,7 @@ func (s *sellers) round(cfg *Config, empty *atomic.Int64) trading.Sellers {
 			peers[id] = p
 		}
 	}
-	return trading.Sellers{Peers: peers, Policy: s.pol, Workers: cfg.Workers,
+	return trading.Sellers{Peers: peers, Policy: s.pol,
 		Observe: func(id, call string, offers int, err error) {
 			// Only a draining node's refusal of an RFB is authoritative, so
 			// only an answered RFB undrains: a draining seller still serves

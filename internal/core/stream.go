@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"qtrade/internal/exec"
@@ -118,19 +117,17 @@ func (r *Result) quotedMS(offerID string) float64 {
 	return 0
 }
 
-// prefetchStreams opens every remote leaf's stream concurrently — at most
-// `workers` opens in flight (0 = one per leaf) — so the sellers all start
-// executing and their first batches ship in parallel; the executor's
-// sequential walk then consumes the streams on demand. Streams are keyed by
-// (seller, SQL, offer) and queued FIFO, so a plan that buys the same offer
-// twice still performs (and accounts) one fetch per leaf, and every walk step
-// surfaces exactly the error of its own leaf's open — message accounting and
-// error attribution are those of the serial walk. The returned StreamFunc is
-// only called from the executor's single goroutine, so the queue map needs no
-// lock. The returned release func closes streams the walk never took (a
-// failure elsewhere in the plan): their sellers' parked cursors are freed
-// instead of leaking until eviction.
-func prefetchStreams(remotes []*plan.Remote, workers int,
+// prefetchStreams opens every remote leaf's stream at once, one goroutine per
+// leaf, so the sellers all start executing and their first batches ship in
+// parallel; the executor's sequential walk then consumes the streams on
+// demand. Streams are keyed by (seller, SQL, offer) and queued FIFO, so a
+// plan that buys the same offer twice still performs (and accounts) one fetch
+// per leaf, and every walk step surfaces exactly the error of its own leaf's
+// open. The returned StreamFunc is only called from the executor's single
+// goroutine, so the queue map needs no lock. The returned release func closes
+// streams the walk never took (a failure elsewhere in the plan): their
+// sellers' parked cursors are freed instead of leaking until eviction.
+func prefetchStreams(remotes []*plan.Remote,
 	openOne func(nodeID, sql, offerID string) (exec.RowStream, error)) (exec.StreamFunc, func()) {
 
 	type opened struct {
@@ -139,24 +136,13 @@ func prefetchStreams(remotes []*plan.Remote, workers int,
 		taken bool
 	}
 	results := make([]opened, len(remotes))
-	if workers <= 0 || workers > len(remotes) {
-		workers = len(remotes)
-	}
-	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for i, r := range remotes {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(remotes) {
-					return
-				}
-				r := remotes[i]
-				st, err := openOne(r.NodeID, r.SQL, r.OfferID)
-				results[i] = opened{st: st, err: err}
-			}
+			st, err := openOne(r.NodeID, r.SQL, r.OfferID)
+			results[i] = opened{st: st, err: err}
 		}()
 	}
 	wg.Wait()

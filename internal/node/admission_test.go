@@ -45,7 +45,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestAdmissionGateBoundsInflightRFBs pins the backpressure contract: with
-// MaxInflightRFBs=1 a second buyer-originated RFB queues (visible in the
+// one admission slot a second buyer-originated RFB queues (visible in the
 // rfbs_queued counter and rfb_queue_depth gauge) instead of pricing
 // concurrently, while a Depth-1 subcontract probe bypasses the gate — the
 // deadlock-freedom rule for mutually subcontracting nodes.
@@ -53,11 +53,11 @@ func TestAdmissionGateBoundsInflightRFBs(t *testing.T) {
 	strat := &gatedStrategy{entered: make(chan string, 8), gate: make(chan struct{})}
 	m := obs.NewMetrics()
 	n := telcoNodeCfg(t, func(c *Config) {
-		c.Workers = 4
-		c.MaxInflightRFBs = 1
 		c.Metrics = m
 		c.Strategy = strat
 	})
+	n.pool = make(chan struct{}, 4)
+	n.admit = make(chan struct{}, 1)
 	done := make(chan error, 3)
 	send := func(rfbID string, depth int) {
 		rfb := wideRFB(rfbID, 1)
@@ -98,32 +98,5 @@ func TestAdmissionGateBoundsInflightRFBs(t *testing.T) {
 	}
 	if g := m.Gauge("node.myconos.rfbs_inflight").Value(); g != 0 {
 		t.Fatalf("rfbs_inflight = %v after drain, want 0", g)
-	}
-}
-
-// TestAdmissionGateDisabled pins that a negative MaxInflightRFBs removes the
-// bound: two Depth-0 RFBs price concurrently.
-func TestAdmissionGateDisabled(t *testing.T) {
-	strat := &gatedStrategy{entered: make(chan string, 8), gate: make(chan struct{})}
-	n := telcoNodeCfg(t, func(c *Config) {
-		c.Workers = 4
-		c.MaxInflightRFBs = -1
-		c.Strategy = strat
-	})
-	done := make(chan error, 2)
-	for _, id := range []string{"rfb-open-a", "rfb-open-b"} {
-		rfb := wideRFB(id, 1)
-		go func() {
-			_, err := n.RequestBids(rfb)
-			done <- err
-		}()
-	}
-	<-strat.entered
-	<-strat.entered // both price concurrently: no gate in the way
-	close(strat.gate)
-	for i := 0; i < 2; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
 	}
 }

@@ -122,11 +122,11 @@ func (n *Node) Quiesce(timeout time.Duration) bool {
 
 // loadFactor is the live load signal LoadAwarePricing folds into asked
 // prices: executions in flight plus admitted and queued Depth-0 RFBs,
-// normalized by the pricing worker count, plus a large surcharge while
+// normalized by the pricing pool's size, plus a large surcharge while
 // draining so a departing seller prices itself out of even the subcontract
 // probes it still answers.
 func (n *Node) loadFactor() float64 {
-	f := float64(n.active.Load()+n.inflight.Load()+n.queued.Load()) / float64(n.cfg.Workers)
+	f := float64(n.active.Load()+n.inflight.Load()+n.queued.Load()) / float64(cap(n.pool))
 	if n.State() != trading.StateActive {
 		f += 4
 	}

@@ -203,7 +203,8 @@ func TestQuiesceTracksInflightWork(t *testing.T) {
 // folds into margins carries a flat surcharge whenever the node is not
 // Active, on top of the queue-depth term.
 func TestLoadFactorDrainSurcharge(t *testing.T) {
-	n := New(Config{ID: "n", Schema: telcoSchema(), Workers: 1})
+	n := New(Config{ID: "n", Schema: telcoSchema()})
+	n.pool = make(chan struct{}, 1)
 	if f := n.loadFactor(); f != 0 {
 		t.Fatalf("idle active load factor: %f", f)
 	}

@@ -62,19 +62,6 @@ type Config struct {
 	// (and so the directory its breakers live in) with the buyer so failures
 	// seen on either side open the same breaker.
 	Faults *trading.FaultPolicy
-	// Workers bounds how many of an RFB's queries this node prices
-	// concurrently (0 = runtime.GOMAXPROCS(0), 1 = strictly serial). The
-	// bound is node-wide — concurrent RFBs share it — and subcontract
-	// probing joins the same pool rather than spawning its own.
-	Workers int
-	// MaxInflightRFBs bounds how many buyer-originated (Depth-0) RFBs the
-	// node admits concurrently; arrivals beyond the bound queue until a slot
-	// frees, so overload degrades into waiting rather than an unbounded
-	// pile-up of pricing work. 0 = 2×Workers; negative = unbounded (the
-	// pre-gate behaviour). Depth>0 subcontract probes bypass the gate —
-	// gating them could deadlock two mutually subcontracting nodes that each
-	// hold their last admission slot while waiting on the other.
-	MaxInflightRFBs int
 	// PriceCacheSize caps the node's price cache: memoized parse + rewrite +
 	// DP pricing results and the offers drafted from them, keyed by the query
 	// text as received, valid for one generation of the store's
@@ -83,17 +70,15 @@ type Config struct {
 	// disables the cache.
 	PriceCacheSize int
 	// LoadAwarePricing folds the node's live load — executions in flight
-	// plus admitted and queued Depth-0 RFBs, normalized by Workers — into
-	// every asked price (and a large surcharge while draining), so
+	// plus admitted and queued Depth-0 RFBs, normalized by the pricing pool's
+	// size — into every asked price (and a large surcharge while draining), so
 	// overloaded or departing sellers price themselves out of new work
 	// instead of winning bids they will serve slowly. This is the
 	// QT-native answer to load balancing: back-pressure through the market
 	// rather than a scheduler.
 	LoadAwarePricing bool
-	// Tracer and Metrics attach observability at construction time; both may
-	// stay nil (the default) for zero-overhead operation, and either can be
-	// swapped later with Node.SetObs.
-	Tracer  *obs.Tracer
+	// Metrics attaches a registry at construction time; nil (the default)
+	// costs nothing, and Node.SetObs swaps it later.
 	Metrics *obs.Metrics
 }
 
@@ -124,8 +109,8 @@ type sellerNeg struct {
 type Node struct {
 	cfg      Config
 	store    *storage.Store
-	pool     chan struct{}     // pricing-worker semaphore, cap = cfg.Workers
-	admit    chan struct{}     // Depth-0 RFB admission gate, cap = cfg.MaxInflightRFBs (nil = unbounded)
+	pool     chan struct{}     // pricing-slot semaphore, cap = GOMAXPROCS at New
+	admit    chan struct{}     // Depth-0 RFB admission gate, cap = 2 × cap(pool)
 	queued   atomic.Int64      // Depth-0 RFBs waiting on the admission gate
 	inflight atomic.Int64      // Depth-0 RFBs holding an admission slot
 	prices   *pricecache.Cache // nil when caching is disabled
@@ -191,24 +176,22 @@ func New(cfg Config) *Node {
 	if cfg.MaxOffersPerQuery <= 0 {
 		cfg.MaxOffersPerQuery = 24
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.MaxInflightRFBs == 0 {
-		cfg.MaxInflightRFBs = 2 * cfg.Workers
-	}
 	if cfg.PriceCacheSize == 0 {
 		cfg.PriceCacheSize = 256
 	}
+	// The node sizes its own concurrency from the machine (S1–S2: an
+	// autonomous seller decides how much pricing work it takes on): one
+	// pricing slot per usable CPU, and twice that many buyer RFBs admitted,
+	// so overload degrades into waiting rather than an unbounded pile-up of
+	// pricing work.
+	procs := runtime.GOMAXPROCS(0)
 	n := &Node{
 		cfg:      cfg,
 		store:    storage.NewStore(),
-		pool:     make(chan struct{}, cfg.Workers),
+		pool:     make(chan struct{}, procs),
+		admit:    make(chan struct{}, 2*procs),
 		costHash: pricecache.HashModel(cfg.Cost),
 		negs:     map[string]*sellerNeg{},
-	}
-	if cfg.MaxInflightRFBs > 0 {
-		n.admit = make(chan struct{}, cfg.MaxInflightRFBs)
 	}
 	if cfg.PriceCacheSize > 0 {
 		n.prices = pricecache.New(cfg.PriceCacheSize)
@@ -217,7 +200,7 @@ func New(cfg Config) *Node {
 		n.cfg.Strategy = &trading.LoadAware{Inner: n.cfg.Strategy, Load: n.loadFactor}
 	}
 	n.obsv.Store(&nodeObs{})
-	n.SetObs(cfg.Tracer, cfg.Metrics)
+	n.SetObs(nil, cfg.Metrics)
 	return n
 }
 
@@ -254,9 +237,10 @@ func (n *Node) acquireFor(depth int) bool {
 
 // admitRFB claims an admission slot for a buyer-originated (Depth-0) RFB,
 // blocking — with the wait visible in the queue-depth gauge — when the node
-// already serves MaxInflightRFBs of them. The returned func releases the
-// slot. Only Depth-0 RFBs pass through here; subcontract probes bypass the
-// gate entirely (see Config.MaxInflightRFBs).
+// already serves cap(n.admit) of them. The returned func releases the slot.
+// Only Depth-0 RFBs pass through here: subcontract probes bypass the gate,
+// since gating them could deadlock two mutually subcontracting nodes that
+// each hold their last admission slot while waiting on the other.
 func (n *Node) admitRFB(ob *nodeObs) func() {
 	select {
 	case n.admit <- struct{}{}:
@@ -296,10 +280,10 @@ func (n *Node) Load() float64 { return float64(n.active.Load()) }
 // every optimal partial result, add view-based offers, and price everything
 // through the strategy module.
 //
-// The per-query pricing fans out across the node's worker pool; offer order
-// and offer ids are deterministic regardless of scheduling, so any worker
-// count produces byte-identical output. The call is also idempotent: each
-// (RFBID, query) is priced at most once while the RFB's state is alive, so a
+// The per-query pricing fans out across the node's pricing pool; offer order
+// and offer ids are deterministic regardless of scheduling, so any pool size
+// produces byte-identical output. The call is also idempotent: each (RFBID,
+// query) is priced at most once while the RFB's state is alive, so a
 // fault-layer retry racing an abandoned slow first attempt coalesces with it
 // and a repeated RFBID returns the same offers.
 // When the RFB carries a sampled trace context, the node records its work
@@ -316,7 +300,7 @@ func (n *Node) RequestBids(rfb trading.RFB) (trading.BidReply, error) {
 		return trading.BidReply{}, err
 	}
 	ob := n.obsv.Load()
-	if n.admit != nil && rfb.Depth == 0 {
+	if rfb.Depth == 0 {
 		release := n.admitRFB(ob)
 		defer release()
 	}
@@ -325,13 +309,12 @@ func (n *Node) RequestBids(rfb trading.RFB) (trading.BidReply, error) {
 	sp.Set("rfb", rfb.RFBID)
 	sp.Set("queries", len(rfb.Queries))
 	results := make([][]standingOffer, len(rfb.Queries))
-	if n.cfg.Workers == 1 || len(rfb.Queries) <= 1 {
-		for i, qr := range rfb.Queries {
-			held := n.acquireFor(rfb.Depth)
-			results[i] = n.offersForShared(rfb, qr, sp, ob)
-			if held {
-				n.release()
-			}
+	if len(rfb.Queries) == 1 {
+		// One query has nothing to overlap: it is priced on this goroutine.
+		held := n.acquireFor(rfb.Depth)
+		results[0] = n.offersForShared(rfb, rfb.Queries[0], sp, ob)
+		if held {
+			n.release()
 		}
 	} else {
 		var wg sync.WaitGroup

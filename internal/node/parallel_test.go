@@ -62,12 +62,14 @@ func wideRFB(rfbID string, width int) trading.RFB {
 	return rfb
 }
 
-// TestParallelMatchesSerial pins that worker count and caching change only
-// wall-clock time: offers (ids, prices, props, order) must be byte-identical
-// between the serial/no-cache path and the parallel/cached path.
+// TestParallelMatchesSerial pins that the pricing pool's size and caching
+// change only wall-clock time: offers (ids, prices, props, order) must be
+// byte-identical between a one-slot pool without a cache and wider pools
+// with one.
 func TestParallelMatchesSerial(t *testing.T) {
 	rfb := wideRFB("rfb-par", 6)
-	serial := telcoNodeCfg(t, func(c *Config) { c.Workers = 1; c.PriceCacheSize = -1 })
+	serial := telcoNodeCfg(t, func(c *Config) { c.PriceCacheSize = -1 })
+	serial.pool = make(chan struct{}, 1)
 	want, err := bidOffers(serial.RequestBids(rfb))
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +78,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 		t.Fatal("serial node offered nothing")
 	}
 	for _, workers := range []int{2, 8} {
-		par := telcoNodeCfg(t, func(c *Config) { c.Workers = workers })
+		par := telcoNodeCfg(t, nil)
+		par.pool = make(chan struct{}, workers)
 		got, err := bidOffers(par.RequestBids(rfb))
 		if err != nil {
 			t.Fatal(err)
@@ -247,7 +250,7 @@ func (s *peakStrategy) Improve(_ string, current, _, _ float64) (float64, bool) 
 func (s *peakStrategy) Observe(string, bool) {}
 
 // TestParallelPricingOverlapsQueries: an RFB's queries are priced side by
-// side on the worker pool, and one at a time with one worker. A pricing
+// side on the pricing pool, and one at a time with a one-slot pool. A pricing
 // that blocks until a second one starts proves the overlap without a clock.
 func TestParallelPricingOverlapsQueries(t *testing.T) {
 	for _, tc := range []struct {
@@ -255,7 +258,8 @@ func TestParallelPricingOverlapsQueries(t *testing.T) {
 		meet    bool
 	}{{4, true}, {1, false}} {
 		strat := &peakStrategy{meet: tc.meet, met: make(chan struct{})}
-		n := telcoNodeCfg(t, func(c *Config) { c.Workers = tc.workers; c.Strategy = strat })
+		n := telcoNodeCfg(t, func(c *Config) { c.Strategy = strat })
+		n.pool = make(chan struct{}, tc.workers)
 		offers, err := bidOffers(n.RequestBids(wideRFB("rfb-peak", 4)))
 		if err != nil || len(offers) == 0 {
 			t.Fatalf("workers=%d: %d offers, %v", tc.workers, len(offers), err)

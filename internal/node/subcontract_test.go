@@ -318,7 +318,8 @@ func TestSubcontractProbesMintDistinctOfferIDs(t *testing.T) {
 // must be priced although its receiver's pool is full, or both buyers wait
 // forever.
 func TestMutualSubcontractingDoesNotDeadlock(t *testing.T) {
-	net, corfu, myc := subFederationCfg(t, func(c *Config) { c.Workers = 1 })
+	net, corfu, myc := subFederationCfg(t, nil)
+	corfu.pool = make(chan struct{}, 1)
 	myc.pool = make(chan struct{}, 1)
 	myc.cfg.SubcontractPeers = func() map[string]trading.Peer {
 		return map[string]trading.Peer{"corfu": net.Peer("myconos", "corfu")}

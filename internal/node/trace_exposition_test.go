@@ -62,7 +62,8 @@ func TestImproveBidsLifecycleAndTrace(t *testing.T) {
 // TestTryAcquireBounds: nested pricing work wins a free slot or is told to
 // run inline on its parent's — never blocks.
 func TestTryAcquireBounds(t *testing.T) {
-	n := New(Config{ID: "x", Schema: telcoSchema(), Workers: 1})
+	n := New(Config{ID: "x", Schema: telcoSchema()})
+	n.pool = make(chan struct{}, 1)
 	if !n.tryAcquire() {
 		t.Fatal("tryAcquire failed on an idle pool")
 	}

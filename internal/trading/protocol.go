@@ -2,7 +2,6 @@ package trading
 
 import (
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"qtrade/internal/obs"
@@ -28,47 +27,42 @@ type Protocol interface {
 }
 
 // Sellers is how a negotiation reaches its sellers: who they are and how each
-// of them is called. The zero Policy, Workers and Observe are the unguarded
-// full fan-out nobody listens to.
+// of them is called. The zero Policy and Observe are the unguarded fan-out
+// nobody listens to.
 type Sellers struct {
 	Peers map[string]Peer
 	// Policy guards every call (breaker, per-call timeout, bounded retry) and
 	// cuts each round at its RoundTimeout. Nil guards nothing and waits for
 	// every peer.
 	Policy *FaultPolicy
-	// Workers bounds the calls in flight per round: 0 (or anything >=
-	// len(Peers)) is one per peer, 1 is strictly serial in sorted peer-id
-	// order.
-	Workers int
 	// Observe, when set, hears how each call ended: the peer, the kind of call
 	// ("rfb" or "improve"), the offers the reply carried and the error. It is
 	// told the final outcome, after the policy's retries, never an attempt. It
-	// runs on the round's worker goroutines, possibly after a deadline-cut
+	// runs on the round's per-peer goroutines, possibly after a deadline-cut
 	// round has returned.
 	Observe func(id, call string, offers int, err error)
 }
 
-// gather sends one request to every peer and merges the replies. Each worker
-// claims the next peer in sorted-id order and then guards, calls, observes:
-// the call runs under to.Policy, and to.Observe hears the one outcome the
-// guard settled on — the reply of the attempt that succeeded, or the error
-// that ended the retries. Observing attempts instead would let one flaky call
+// gather sends one request to every peer at once (B2: one goroutine per
+// peer) and merges the replies. Each goroutine guards, calls, observes: the
+// call runs under to.Policy, and to.Observe hears the one outcome the guard
+// settled on — the reply of the attempt that succeeded, or the error that
+// ended the retries. Observing attempts instead would let one flaky call
 // count as several empty replies, or undrain a peer on an attempt the policy
 // went on to time out. Nothing else in the package calls a Peer.
 //
-// Replies are collected positionally into a per-peer slot table, so the
-// merged pool is byte-identical whatever the interleaving — the serial path
-// (Workers 1) and the full fan-out produce the same offers in the same order
-// (pinned by core's TestBuyerFanoutMatchesSerial). Failing peers are skipped:
-// autonomy means remote nodes may decline or die, and the negotiation must
-// survive that.
+// Replies are collected positionally into a per-peer slot table in sorted-id
+// order, so the merged pool is byte-identical whatever order the replies
+// arrive in (pinned by core's TestBuyerFanoutIsOrderFree). Failing peers are
+// skipped: autonomy means remote nodes may decline or die, and the
+// negotiation must survive that.
 //
 // When the policy sets a RoundTimeout the round is cut at that deadline — the
-// offers that already arrived are used, peers still in flight OR not yet
-// dispatched are counted as stragglers (late replies are discarded through
-// the buffered channel) and their spans annotated deadline_exceeded while
-// still open (export renders them unfinished=true). With a nil policy (or no
-// RoundTimeout) gather waits for every peer.
+// offers that already arrived are used, peers still in flight are counted as
+// stragglers (late replies are discarded through the buffered channel) and
+// their spans annotated deadline_exceeded while still open (export renders
+// them unfinished=true). With a nil policy (or no RoundTimeout) gather waits
+// for every peer.
 //
 // Per-seller spans are created before the goroutines launch so the deadline
 // branch can annotate stragglers; each call gets the span's ID as the remote
@@ -94,36 +88,25 @@ func gather(label string, to Sellers, round *obs.Span, call func(p Peer, parent 
 			spans[i] = round.Child(label + " " + id)
 		}
 	}
-	workers := to.Workers
-	if workers <= 0 || workers > len(ids) {
-		workers = len(ids)
-	}
 	ch := make(chan reply, len(ids))
-	var next atomic.Int64 // index of the next undispatched peer
-	for w := 0; w < workers; w++ {
+	for i, id := range ids {
 		go func() {
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ids) {
-					return
-				}
-				id, ss := ids[i], spans[i]
-				sentAt := time.Now()
-				rep, err := GuardCall(to.Policy, id, func() (BidReply, error) { return call(to.Peers[id], ss.ID()) })
-				if to.Observe != nil {
-					to.Observe(id, label, len(rep.Offers), err)
-				}
-				if err != nil {
-					ss.Set("error", err)
-					ss.End()
-					ch <- reply{idx: i, ok: false}
-					continue
-				}
-				ss.Set("offers", len(rep.Offers))
-				ss.Graft(rep.Trace, sentAt, time.Now())
-				ss.End()
-				ch <- reply{idx: i, offers: rep.Offers, ok: true}
+			ss := spans[i]
+			sentAt := time.Now()
+			rep, err := GuardCall(to.Policy, id, func() (BidReply, error) { return call(to.Peers[id], ss.ID()) })
+			if to.Observe != nil {
+				to.Observe(id, label, len(rep.Offers), err)
 			}
+			if err != nil {
+				ss.Set("error", err)
+				ss.End()
+				ch <- reply{idx: i, ok: false}
+				return
+			}
+			ss.Set("offers", len(rep.Offers))
+			ss.Graft(rep.Trace, sentAt, time.Now())
+			ss.End()
+			ch <- reply{idx: i, offers: rep.Offers, ok: true}
 		}()
 	}
 	pol := to.Policy
@@ -148,7 +131,6 @@ func gather(label string, to Sellers, round *obs.Span, call func(p Peer, parent 
 				slots[r.idx] = r.offers
 			}
 		case <-deadline:
-			next.Store(int64(len(ids))) // stop dispatching peers the round no longer wants
 			stragglers := len(ids) - received
 			pol.obs().stragglers.Add(int64(stragglers))
 			pol.obs().roundCuts.Inc()

@@ -99,27 +99,24 @@ func (p meetingPeer) RequestBids(RFB) (BidReply, error) {
 
 func (meetingPeer) ImproveBids(ImproveReq) (BidReply, error) { return BidReply{}, nil }
 
-// TestBuyerFanoutOverlapsSellerCalls: a round's RFBs are in flight together,
-// as many at once as Workers allows — four sellers meet at 0, pairs at 2,
-// one at a time at 1. The barrier proves the overlap without a clock: too
-// narrow a fan-out never fills it.
+// TestBuyerFanoutOverlapsSellerCalls: a round's RFBs are in flight together —
+// all four sellers meet at the barrier. The barrier proves the overlap
+// without a clock: a narrower fan-out never fills it.
 func TestBuyerFanoutOverlapsSellerCalls(t *testing.T) {
-	for _, tc := range []struct{ workers, peak int }{{0, 4}, {2, 2}, {1, 1}} {
-		m := &meeting{size: tc.peak, release: make(chan struct{})}
-		peers := map[string]Peer{}
-		for _, id := range []string{"s1", "s2", "s3", "s4"} {
-			peers[id] = meetingPeer{id, m}
-		}
-		offers, _, err := SealedBid{}.Collect(RFB{RFBID: "r"}, Sellers{Peers: peers, Workers: tc.workers}, nil)
-		if err != nil || len(offers) != 4 {
-			t.Fatalf("workers=%d: %d offers, %v", tc.workers, len(offers), err)
-		}
-		if m.timedOut {
-			t.Fatalf("workers=%d: %d calls never met in flight", tc.workers, tc.peak)
-		}
-		if m.peak != tc.peak {
-			t.Fatalf("workers=%d: %d seller calls in flight at most, want %d", tc.workers, m.peak, tc.peak)
-		}
+	m := &meeting{size: 4, release: make(chan struct{})}
+	peers := map[string]Peer{}
+	for _, id := range []string{"s1", "s2", "s3", "s4"} {
+		peers[id] = meetingPeer{id, m}
+	}
+	offers, _, err := SealedBid{}.Collect(RFB{RFBID: "r"}, Sellers{Peers: peers}, nil)
+	if err != nil || len(offers) != 4 {
+		t.Fatalf("%d offers, %v", len(offers), err)
+	}
+	if m.timedOut {
+		t.Fatal("4 calls never met in flight")
+	}
+	if m.peak != 4 {
+		t.Fatalf("%d seller calls in flight at most, want 4", m.peak)
 	}
 }
 
@@ -142,9 +139,8 @@ func TestSellersObserveFinalOutcome(t *testing.T) {
 	var mu sync.Mutex
 	heard := map[string][]outcome{}
 	to := Sellers{
-		Peers:   map[string]Peer{"f": flaky, "h": hardPeer{}},
-		Policy:  pol,
-		Workers: 1,
+		Peers:  map[string]Peer{"f": flaky, "h": hardPeer{}},
+		Policy: pol,
 		Observe: func(id, call string, offers int, err error) {
 			mu.Lock()
 			defer mu.Unlock()

@@ -164,7 +164,7 @@ func WithoutViewOffers() NodeOption {
 }
 
 // WithLoadAwarePricing folds the node's live load — executions in flight
-// plus admitted and queued RFBs, normalized by its pricing workers — into
+// plus admitted and queued RFBs, normalized by its pricing pool — into
 // every asked price, plus a large surcharge while draining. Overloaded or
 // departing sellers price themselves out of new work, so load balances
 // through the market itself instead of an external scheduler.
