@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -119,14 +120,17 @@ const (
 
 // Stats reports what one optimization cost.
 type Stats struct {
-	Iterations     int
+	Iterations int
+	// RFBsSent counts the RFBs that went out to peers: one per peer per
+	// iteration in which it owed an answer to some query of Q.
 	RFBsSent       int
 	OffersReceived int
 	PoolSize       int
 	ProtocolRounds int
-	QueriesAsked   int
-	Improvements   int
-	WallTime       time.Duration
+	// QueriesAsked is |Q| as asked: the distinct queries the negotiation sent.
+	QueriesAsked int
+	Improvements int
+	WallTime     time.Duration
 
 	// Seller-side telemetry, aggregated from the offers the negotiation saw
 	// (so the F7/F10 experiments can report it without re-instrumenting).
@@ -196,22 +200,27 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// selfBids asks the buyer's own node for offers on the round's RFB: they join
-// the pool at zero network cost, so a query is outsourced only when a remote
-// offer beats local execution. A failing or absent local seller bids nothing.
-func selfBids(self LocalSeller, rfb trading.RFB, ob *negObs) []trading.Offer {
-	if self == nil {
+// selfBids asks the buyer's own node for offers on the queries of the
+// round's RFB it has not answered yet: they join the pool at zero network
+// cost, so a query is outsourced only when a remote offer beats local
+// execution. Like a peer's, its answers stand for the whole negotiation and
+// are recorded in answered; a failing local seller bids nothing and is asked
+// again next iteration, an absent one or one that owes nothing is not asked.
+func selfBids(cfg *Config, rfb trading.RFB, answered trading.Answered, ob *negObs) []trading.Offer {
+	if cfg.Self == nil || !answered.Owes(cfg.ID, rfb.Queries) {
 		return nil
 	}
+	rfb.Queries = answered.Owed(cfg.ID, rfb.Queries)
 	ph := ob.phase("self-bids")
 	defer ph.end()
 	if rfb.Trace.Sampled {
 		rfb.Trace.Parent = ph.sp.ID()
 	}
-	rep, err := self.RequestBids(rfb)
+	rep, err := cfg.Self.RequestBids(rfb)
 	if err != nil {
 		return nil
 	}
+	answered.Record(cfg.ID, rfb.Queries)
 	ph.sp.Set("offers", len(rep.Offers))
 	ph.sp.Graft(rep.Trace, ph.t0, time.Now())
 	return rep.Offers
@@ -253,7 +262,10 @@ func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
 	var best *Candidate
 	for iter := 1; iter <= cfg.MaxIterations; iter++ {
 		ob.iteration(iter)
-		// B1: strategic value estimates for the queries in Q.
+		// B1: strategic value estimates for the queries in Q, written into a
+		// fresh copy: a straggler cut from the last round may still be reading
+		// the RFB that carried the previous one.
+		queries = slices.Clone(queries)
 		for i := range queries {
 			queries[i].EstValue = cfg.Strategy.Estimate(queries[i].QID, bestPrice[queries[i].QID])
 		}
@@ -264,13 +276,13 @@ func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
 			Trace:   ob.tctx,
 			Queries: queries,
 		}
-		ph := ob.rfbIssued(rfb, len(view.Peers))
+		ph := ob.rfbIssued(rfb, view.Owing(queries))
 		offers, rounds, err := cfg.Protocol.Collect(rfb, view, ph.sp)
 		ph.end()
 		if err != nil {
 			return nil, fmt.Errorf("core: negotiation failed: %w", err)
 		}
-		offers = append(offers, selfBids(cfg.Self, rfb, ob)...)
+		offers = append(offers, selfBids(&cfg, rfb, view.Answered, ob)...)
 		for _, o := range offers {
 			gen.take(o)
 			if b, ok := bestPrice[o.QID]; !ok || o.Price < b {
@@ -310,8 +322,9 @@ func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
 		ph.sp.Set("new_queries", len(newSQLs))
 		ph.end()
 		ob.iterationEnd()
-		// B7: terminate when neither the plan nor Q changed.
-		if !improved && len(newSQLs) == 0 {
+		// B7: terminate when neither the plan nor Q changed — or when Q did not
+		// change and no seller owes an answer, so the pool cannot change.
+		if len(newSQLs) == 0 && (!improved || !owed(&cfg, view, queries)) {
 			break
 		}
 		for _, s := range newSQLs {
@@ -332,6 +345,12 @@ func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
 	ph.end()
 	res.Candidate, res.Pool = *best, gen.standing()
 	return ob.done(res), nil
+}
+
+// owed reports whether a seller of the negotiation — a peer of view, or the
+// buyer's own node when it bids — has some query of q still to answer.
+func owed(cfg *Config, view trading.Sellers, q []trading.QueryRequest) bool {
+	return view.Owing(q) > 0 || cfg.Self != nil && view.Answered.Owes(cfg.ID, q)
 }
 
 // ExecuteResult runs the winning plan: Remote leaves are fetched from their

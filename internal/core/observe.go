@@ -95,8 +95,9 @@ func (o *negObs) iterationEnd() {
 	o.cur = o.root
 }
 
-// rfbIssued records the RFB going out to peers sellers (B2) and opens the
-// nested negotiation it starts as the "negotiate" phase.
+// rfbIssued records the iteration's RFB (B2) — Q as it stands, each of the
+// peers it goes to asked only what it owes of it — and opens the nested
+// negotiation it starts as the "negotiate" phase.
 func (o *negObs) rfbIssued(rfb trading.RFB, peers int) phase {
 	if o.negID == "" {
 		o.negID = rfb.RFBID

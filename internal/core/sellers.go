@@ -31,7 +31,8 @@ func reach(comm Comm, res *Result) *sellers {
 	return &sellers{comm: comm, self: res.BuyerID, pol: res.faults, dir: res.dir}
 }
 
-// round builds the negotiation's own seller view. comm.Peers may hand out a
+// round builds the negotiation's own seller view, with an empty record of
+// what each seller has answered. comm.Peers may hand out a
 // map the caller keeps (PeerComm.PeerMap), so the exclusions are applied to a
 // copy. The health gate spends no RFB round-trip on a peer known to be
 // draining or left, or whose breaker is open; the directory is an exclusion
@@ -44,7 +45,7 @@ func (s *sellers) round(cfg *Config, empty *atomic.Int64) trading.Sellers {
 			peers[id] = p
 		}
 	}
-	return trading.Sellers{Peers: peers, Policy: s.pol,
+	return trading.Sellers{Peers: peers, Policy: s.pol, Answered: trading.Answered{},
 		Observe: func(id, call string, offers int, err error) {
 			// Only a draining node's refusal of an RFB is authoritative, so
 			// only an answered RFB undrains: a draining seller still serves

@@ -65,8 +65,8 @@ type Config struct {
 	// PriceCacheSize caps the node's price cache: memoized parse + rewrite +
 	// DP pricing results and the offers drafted from them, keyed by the query
 	// text as received, valid for one generation of the store's
-	// data/stats/cost-model versions, so repeated negotiation iterations
-	// re-price only through the strategy module. 0 = 256 entries, negative
+	// data/stats/cost-model versions, so a query asked again in a later
+	// negotiation is re-priced only through the strategy module. 0 = 256 entries, negative
 	// disables the cache.
 	PriceCacheSize int
 	// LoadAwarePricing folds the node's live load — executions in flight
@@ -484,8 +484,8 @@ func (n *Node) rewriteAndPlan(gen pricecache.Generation, sql string, sp *obs.Spa
 	}
 	// A failure is as much a function of the text and the generation as a
 	// result is (an unparsable text, nothing local, a contradicted predicate,
-	// an unplannable rewrite), so it is remembered too: a repeat RFB must not
-	// redo the work to learn it.
+	// an unplannable rewrite), so it is remembered too: a later RFB asking the
+	// same text must not redo the work to learn it.
 	if n.prices != nil {
 		ob.cacheEvictions.Add(int64(n.prices.Put(gen, sql, e)))
 	}

@@ -1,14 +1,15 @@
 // Package pricecache memoizes everything about seller-side bid pricing that
-// is a function of the query text and the state of the node. The QT buyer
-// re-issues largely overlapping query sets across negotiation iterations
-// (every iteration's RFB repeats the still-open queries of the previous one),
-// so a seller that keeps what it worked out for a query around answers the
-// repeat RFB at strategy-pricing cost only.
+// is a function of the query text and the state of the node. One negotiation
+// asks a seller each query once, but negotiations repeat: a buyer asking the
+// same query again asks the same subqueries too, since its predicates
+// analyser derives them the same way every time, so a seller that keeps what
+// it worked out for a query around answers the repeat at strategy-pricing
+// cost only.
 //
 // An entry is keyed by the query text exactly as the RFB carried it, so a hit
 // is found before anything is parsed: two formattings of one query are two
 // entries, and the buyer, which prints every subquery the same way each
-// iteration, pays for that only once per formatting. An entry holds the
+// negotiation, pays for that only once per formatting. An entry holds the
 // parsed, qualified query and its rewrite against the local fragments — what
 // the one per-RFB offer source, subcontracting, still reads — and the drafts:
 // one ready-made offer per optimal partial the modified DP retained, per

@@ -202,7 +202,7 @@ func TestRoundDeadlineCutsStragglers(t *testing.T) {
 		"fast":  &flakyPeer{},
 		"stall": stall,
 	}
-	offers, rounds, err := SealedBid{}.Collect(RFB{RFBID: "r"}, Sellers{Peers: peers, Policy: pol}, nil)
+	offers, rounds, err := SealedBid{}.Collect(rfb1(), Sellers{Peers: peers, Policy: pol}, nil)
 	if err != nil || rounds != 1 {
 		t.Fatalf("collect: %v %d", err, rounds)
 	}
@@ -231,7 +231,7 @@ func TestStragglerSpanAnnotated(t *testing.T) {
 	}
 	tr := obs.NewTracer()
 	round := tr.Start("buyer", "round")
-	offers, _, err := SealedBid{}.Collect(RFB{RFBID: "r"}, Sellers{Peers: peers, Policy: pol}, round)
+	offers, _, err := SealedBid{}.Collect(rfb1(), Sellers{Peers: peers, Policy: pol}, round)
 	round.End()
 	if err != nil || len(offers) != 1 {
 		t.Fatalf("collect: %v %v", offers, err)
@@ -292,7 +292,7 @@ func TestNilPolicyIsUnguarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	// gather with a nil policy waits for every peer (no deadline).
-	offers := fanOut(RFB{}, Sellers{Peers: map[string]Peer{"a": &flakyPeer{}}}, nil)
+	offers, _ := fanOut(rfb1(), Sellers{Peers: map[string]Peer{"a": &flakyPeer{}}}, nil)
 	if len(offers) != 1 {
 		t.Fatalf("offers: %v", offers)
 	}

@@ -41,21 +41,93 @@ type Sellers struct {
 	// runs on the round's per-peer goroutines, possibly after a deadline-cut
 	// round has returned.
 	Observe func(id, call string, offers int, err error)
+	// Answered is what each peer has answered so far in this negotiation; an
+	// RFB asks a peer only the rest. Nil is a negotiation with nothing
+	// answered yet that keeps no record: every peer is asked all of Q.
+	Answered Answered
 }
 
-// gather sends one request to every peer at once (B2: one goroutine per
-// peer) and merges the replies. Each goroutine guards, calls, observes: the
-// call runs under to.Policy, and to.Observe hears the one outcome the guard
-// settled on — the reply of the attempt that succeeded, or the error that
-// ended the retries. Observing attempts instead would let one flaky call
-// count as several empty replies, or undrain a peer on an attempt the policy
-// went on to time out. Nothing else in the package calls a Peer.
+// Answered is one negotiation's record of the queries each seller has
+// answered, by seller id and then query id (a QID names one text for the
+// whole negotiation). A seller's offers stand until the negotiation ends, so
+// the buyer asks it each query of Q once (B5–B7). A query counts as answered
+// only once the seller's reply was merged into its round: a seller whose call
+// failed after the policy's retries, was skipped, or was cut by the round's
+// deadline is asked its whole backlog again in the next iteration. The record
+// is written by the goroutine that merges the round, never by the per-peer
+// calls.
+type Answered map[string]map[string]bool
+
+// Owed returns the queries of q that seller id has not answered yet, in q's
+// order: what the next RFB to it carries. It is q itself while the seller has
+// answered nothing.
+func (a Answered) Owed(id string, q []QueryRequest) []QueryRequest {
+	done := a[id]
+	if len(done) == 0 {
+		return q
+	}
+	var owed []QueryRequest
+	for _, qr := range q {
+		if !done[qr.QID] {
+			owed = append(owed, qr)
+		}
+	}
+	return owed
+}
+
+// Owes reports whether seller id has some query of q still to answer.
+func (a Answered) Owes(id string, q []QueryRequest) bool {
+	done := a[id]
+	for _, qr := range q {
+		if !done[qr.QID] {
+			return true
+		}
+	}
+	return false
+}
+
+// Record notes that seller id's reply to q was merged. A nil record keeps
+// nothing.
+func (a Answered) Record(id string, q []QueryRequest) {
+	if a == nil {
+		return
+	}
+	done := a[id]
+	if done == nil {
+		done = make(map[string]bool, len(q))
+		a[id] = done
+	}
+	for _, qr := range q {
+		done[qr.QID] = true
+	}
+}
+
+// Owing counts the peers of to that owe an answer to some query of q: the
+// peers the next RFB of q goes to.
+func (to Sellers) Owing(q []QueryRequest) int {
+	n := 0
+	for id := range to.Peers {
+		if to.Answered.Owes(id, q) {
+			n++
+		}
+	}
+	return n
+}
+
+// gather sends one request to each of the peers ids names at once (B2: one
+// goroutine per peer) and merges the replies; merged[i] reports whether the
+// reply of ids[i] made it into the round. Each goroutine guards, calls,
+// observes: the call runs under to.Policy, and to.Observe hears the one
+// outcome the guard settled on — the reply of the attempt that succeeded, or
+// the error that ended the retries. Observing attempts instead would let one
+// flaky call count as several empty replies, or undrain a peer on an attempt
+// the policy went on to time out. Nothing else in the package calls a Peer.
 //
-// Replies are collected positionally into a per-peer slot table in sorted-id
-// order, so the merged pool is byte-identical whatever order the replies
-// arrive in (pinned by core's TestBuyerFanoutIsOrderFree). Failing peers are
-// skipped: autonomy means remote nodes may decline or die, and the
-// negotiation must survive that.
+// Replies are collected positionally into a per-peer slot table in the order
+// of ids, which fanOut sorts, so the merged pool is byte-identical whatever
+// order the replies arrive in (pinned by core's TestBuyerFanoutIsOrderFree).
+// Failing peers are skipped: autonomy means remote nodes may decline or die,
+// and the negotiation must survive that.
 //
 // When the policy sets a RoundTimeout the round is cut at that deadline — the
 // offers that already arrived are used, peers still in flight are counted as
@@ -70,13 +142,7 @@ type Sellers struct {
 // span. The guard returns at most one reply (abandoned timed-out attempts are
 // discarded before they surface), so a retried call can never graft a
 // duplicate subtree.
-func gather(label string, to Sellers, round *obs.Span, call func(p Peer, parent uint64) (BidReply, error)) []Offer {
-	ids := make([]string, 0, len(to.Peers))
-	for id := range to.Peers {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
+func gather(label string, ids []string, to Sellers, round *obs.Span, call func(i int, p Peer, parent uint64) (BidReply, error)) (offers []Offer, merged []bool) {
 	type reply struct {
 		idx    int
 		offers []Offer
@@ -93,7 +159,7 @@ func gather(label string, to Sellers, round *obs.Span, call func(p Peer, parent 
 		go func() {
 			ss := spans[i]
 			sentAt := time.Now()
-			rep, err := GuardCall(to.Policy, id, func() (BidReply, error) { return call(to.Peers[id], ss.ID()) })
+			rep, err := GuardCall(to.Policy, id, func() (BidReply, error) { return call(i, to.Peers[id], ss.ID()) })
 			if to.Observe != nil {
 				to.Observe(id, label, len(rep.Offers), err)
 			}
@@ -117,6 +183,7 @@ func gather(label string, to Sellers, round *obs.Span, call func(p Peer, parent 
 		deadline = t.C
 	}
 	slots := make([][]Offer, len(ids))
+	merged = make([]bool, len(ids))
 	pending := make([]bool, len(ids))
 	for i := range pending {
 		pending[i] = true
@@ -128,7 +195,7 @@ func gather(label string, to Sellers, round *obs.Span, call func(p Peer, parent 
 			received++
 			pending[r.idx] = false
 			if r.ok {
-				slots[r.idx] = r.offers
+				slots[r.idx], merged[r.idx] = r.offers, true
 			}
 		case <-deadline:
 			stragglers := len(ids) - received
@@ -143,32 +210,56 @@ func gather(label string, to Sellers, round *obs.Span, call func(p Peer, parent 
 			received = len(ids)
 		}
 	}
-	var all []Offer
-	for _, offers := range slots {
-		all = append(all, offers...)
+	for _, o := range slots {
+		offers = append(offers, o...)
 	}
-	sortOffers(all)
-	return all
+	sortOffers(offers)
+	return offers, merged
 }
 
-func fanOut(rfb RFB, to Sellers, round *obs.Span) []Offer {
-	return gather("rfb", to, round, func(p Peer, parent uint64) (BidReply, error) {
+// fanOut sends the RFB's queries to the peers that owe an answer to some of
+// them, each peer only its own backlog, and records what each merged reply
+// answered. A peer that owes nothing gets no message. It returns the offers
+// and the peers it asked, in id order.
+func fanOut(rfb RFB, to Sellers, round *obs.Span) ([]Offer, []string) {
+	ids := make([]string, 0, len(to.Peers))
+	for id := range to.Peers {
+		if to.Answered.Owes(id, rfb.Queries) {
+			ids = append(ids, id)
+		}
+	}
+	sort.Strings(ids)
+	asks := make([][]QueryRequest, len(ids))
+	for i, id := range ids {
+		asks[i] = to.Answered.Owed(id, rfb.Queries)
+	}
+	offers, merged := gather("rfb", ids, to, round, func(i int, p Peer, parent uint64) (BidReply, error) {
 		r := rfb
+		r.Queries = asks[i]
 		if r.Trace.Sampled {
 			r.Trace.Parent = parent
 		}
 		return p.RequestBids(r)
 	})
+	for i, ok := range merged {
+		if ok {
+			to.Answered.Record(ids[i], asks[i])
+		}
+	}
+	return offers, ids
 }
 
-func improveRound(req ImproveReq, to Sellers, round *obs.Span) []Offer {
-	return gather("improve", to, round, func(p Peer, parent uint64) (BidReply, error) {
+// improveRound sends req to the peers ids names: those the round's RFB went
+// to, the only ones holding offers under its id.
+func improveRound(req ImproveReq, ids []string, to Sellers, round *obs.Span) []Offer {
+	offers, _ := gather("improve", ids, to, round, func(_ int, p Peer, parent uint64) (BidReply, error) {
 		r := req
 		if r.Trace.Sampled {
 			r.Trace.Parent = parent
 		}
 		return p.ImproveBids(r)
 	})
+	return offers
 }
 
 // roundSpan opens the span for one protocol round; a no-op when sp is nil.
@@ -241,17 +332,21 @@ func (SealedBid) Collect(rfb RFB, to Sellers, sp *obs.Span) ([]Offer, int, error
 }
 
 // collectRounds is the round loop every protocol shares: one sealed RFB
-// round, then improvement rounds — each announcing the best standing price
-// per query and, when counter is set, the buyer's counter-offer below it — up
-// to maxRounds (below 1 = 3) or until no price moves.
+// round to the peers that owe an answer, then improvement rounds among them —
+// each announcing the best standing price per query and, when counter is set,
+// the buyer's counter-offer below it — up to maxRounds (below 1 = 3) or until
+// no price moves. With no peer to ask nothing is sent and no round is used.
 func collectRounds(rfb RFB, to Sellers, sp *obs.Span, maxRounds int,
 	counter func(qid string, best float64) float64) ([]Offer, int, error) {
 
 	if maxRounds < 1 {
 		maxRounds = 3
 	}
+	if to.Owing(rfb.Queries) == 0 {
+		return nil, 0, nil
+	}
 	round := roundSpan(sp, 1)
-	offers := fanOut(rfb, to, round)
+	offers, asked := fanOut(rfb, to, round)
 	round.End()
 	used := 1
 	for used < maxRounds && len(offers) > 0 {
@@ -263,7 +358,7 @@ func collectRounds(rfb RFB, to Sellers, sp *obs.Span, maxRounds int,
 			}
 		}
 		round = roundSpan(sp, used+1)
-		improved := improveRound(req, to, round)
+		improved := improveRound(req, asked, to, round)
 		round.End()
 		var changed bool
 		offers, changed = mergeImproved(offers, improved)

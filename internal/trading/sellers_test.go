@@ -108,7 +108,7 @@ func TestBuyerFanoutOverlapsSellerCalls(t *testing.T) {
 	for _, id := range []string{"s1", "s2", "s3", "s4"} {
 		peers[id] = meetingPeer{id, m}
 	}
-	offers, _, err := SealedBid{}.Collect(RFB{RFBID: "r"}, Sellers{Peers: peers}, nil)
+	offers, _, err := SealedBid{}.Collect(rfb1(), Sellers{Peers: peers}, nil)
 	if err != nil || len(offers) != 4 {
 		t.Fatalf("%d offers, %v", len(offers), err)
 	}
@@ -147,7 +147,7 @@ func TestSellersObserveFinalOutcome(t *testing.T) {
 			heard[id] = append(heard[id], outcome{call, offers, err != nil})
 		},
 	}
-	offers, rounds, err := IterativeBid{MaxRounds: 2}.Collect(RFB{RFBID: "r"}, to, nil)
+	offers, rounds, err := IterativeBid{MaxRounds: 2}.Collect(rfb1(), to, nil)
 	if err != nil || rounds != 2 || len(offers) != 1 {
 		t.Fatalf("collect: %v offers, %d rounds, %v", offers, rounds, err)
 	}
