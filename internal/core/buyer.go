@@ -398,10 +398,10 @@ func drainResult(cur exec.Cursor, cols []expr.ColumnID) (*exec.Result, error) {
 // buildPlanExecutor assembles the executor that runs h's plan: every Remote
 // leaf is a stream opened at res.FetchBatch rows per exchange (the default
 // batch when unset; a batch larger than the answer ships it whole in the
-// opening exchange). When the plan buys from more than one remote leaf, the
-// leaves are opened concurrently (see prefetchStreams). The returned cleanup
-// releases prefetched streams the plan walk never consumed (e.g. after a
-// failure in another leaf) and must be called once execution is done.
+// opening exchange), opened and read ahead on its own goroutine (see
+// prefetchStreams). The returned cleanup stops every read-ahead and releases
+// the streams the plan walk never consumed (e.g. after a failure in another
+// leaf); it must be called once execution is done.
 func buildPlanExecutor(h *streamHandle, localExec *exec.Executor) (*exec.Executor, func()) {
 	res := h.res
 	ex := &exec.Executor{BatchSize: res.FetchBatch}
@@ -417,15 +417,9 @@ func buildPlanExecutor(h *streamHandle, localExec *exec.Executor) (*exec.Executo
 		// recorder being on opts the execution in automatically.
 		ex.Stats = exec.NewRunStats()
 	}
-	openOne := func(nodeID, sql, offerID string) (exec.RowStream, error) {
-		return openRemoteStream(h, nodeID, sql, offerID, ex.BatchSize)
-	}
-	ex.FetchStream = openOne
-	cleanup := func() {}
 	// plan.Remotes walks the tree in the same pre-order the executor fetches.
-	if remotes := plan.Remotes(res.Candidate.Root); len(remotes) > 1 {
-		ex.FetchStream, cleanup = prefetchStreams(remotes, openOne)
-	}
+	fetch, cleanup := prefetchStreams(h, plan.Remotes(res.Candidate.Root), ex.BatchSize)
+	ex.FetchStream = fetch
 	return ex, cleanup
 }
 

@@ -16,31 +16,88 @@ import (
 // trading.Fetch; remoteStream adds what is the buyer's: every exchange goes
 // through the execution's sellers handle (the negotiation's fault policy, the
 // failure attribution that drives standing-offer substitution), is recorded as
-// a fetch span with the seller's subtree grafted under it, and the delivery
-// lands in the ledger once. It is the only way rows reach the buyer: a caller
-// that wants the whole answer drains the same stream (ExecuteResult).
+// a fetch span with the seller's subtree grafted under it, the answer is read
+// ahead of the executor on the leaf's own goroutine, and the delivery lands in
+// the ledger once. It is the only way rows reach the buyer: a caller that
+// wants the whole answer drains the same stream (ExecuteResult).
 
 // remoteStream is one purchased answer being fetched. It is the exec.RowStream
-// the executor's Remote cursor pulls and closes.
+// the executor's Remote cursor pulls and closes. Its read-ahead goroutine
+// (readAhead) owns the Fetch until it exits; the executor takes batches from
+// the FIFO between them, so each leaf's batches and its error reach the
+// executor in the seller's order.
 type remoteStream struct {
 	trading.Fetch
 	run     *streamHandle // the execution this fetch belongs to
 	nodeID  string
 	sql     string
 	offerID string
-	logged  bool // the ledger's fetch event is written
+	window  int64 // batches read ahead or in flight beyond what the executor took
+	logged  bool  // the ledger's fetch event is written
+
+	mu      sync.Mutex
+	moved   sync.Cond // the read-ahead or the executor moved
+	opened  bool      // the opening reply (or its failure) is in
+	openErr error     // the opening fetch's failure
+	ahead   []fetched // read and not yet taken: ahead[head:]
+	head    int
+	inline  [2]fetched // ahead's first array: a one-batch answer and its end
+	err     error      // the read-ahead's failure, opening or continuation
+	stop    bool       // Close asked the read-ahead to stop
+	exited  bool       // readAhead returned: the Fetch is the caller's again
 }
 
-// openRemoteStream issues the opening fetch: Stream set, so the reply is the
-// first batch plus a continuation token when more remains.
-func openRemoteStream(run *streamHandle, nodeID, sql, offerID string, batch int) (exec.RowStream, error) {
-	s := &remoteStream{run: run, nodeID: nodeID, sql: sql, offerID: offerID}
-	req := trading.ExecReq{SQL: sql, OfferID: offerID, Stream: true, BatchRows: batch}
-	if err := s.Open(s.exchange, req, 0); err != nil {
-		s.finish(err)
-		return nil, err
+// fetched is one batch read ahead, or the end of the answer: an empty batch
+// or an error.
+type fetched struct {
+	rows []value.Row
+	err  error
+}
+
+// readAhead is the leaf's goroutine. It issues the opening fetch (Stream set,
+// so the reply is the first batch plus a continuation token when more
+// remains) and then keeps pulling continuations while the executor has fewer
+// than window batches of this leaf read or in flight, so the seller computes
+// its next batch while the buyer works on the last. It stops at the end of
+// the answer, at a failure, or when Close asks it to.
+func (s *remoteStream) readAhead(batch int) {
+	req := trading.ExecReq{SQL: s.sql, OfferID: s.offerID, Stream: true, BatchRows: batch}
+	err := s.Open(s.exchange, req, 0)
+	s.mu.Lock()
+	s.opened, s.openErr, s.err = true, err, err
+	for err == nil {
+		for !s.stop && int64(len(s.ahead)-s.head) >= s.window {
+			s.moved.Wait()
+		}
+		if s.stop {
+			break
+		}
+		s.mu.Unlock()
+		var b []value.Row
+		b, err = s.Fetch.Next()
+		s.mu.Lock()
+		s.ahead = append(s.ahead, fetched{rows: b, err: err})
+		s.moved.Broadcast()
+		if err != nil {
+			s.err = err
+		}
+		if len(b) == 0 {
+			break
+		}
 	}
-	return s, nil
+	s.exited = true
+	s.moved.Broadcast()
+	s.mu.Unlock()
+}
+
+// opening waits for the leaf's opening reply and returns its failure.
+func (s *remoteStream) opening() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for !s.opened {
+		s.moved.Wait()
+	}
+	return s.openErr
 }
 
 // exchange is the call the fetch makes for each round trip. An opening fetch
@@ -74,17 +131,44 @@ func (s *remoteStream) exchange(req trading.ExecReq) (trading.ExecResp, error) {
 	return resp, err
 }
 
+// Next takes the leaf's next batch in the seller's order, waiting for the
+// read-ahead when it has none in hand; nil once the answer is exhausted,
+// failed or closed.
 func (s *remoteStream) Next() ([]value.Row, error) {
-	b, err := s.Fetch.Next()
-	if err != nil || len(b) == 0 {
-		s.finish(err)
+	s.mu.Lock()
+	for s.head == len(s.ahead) && !s.exited {
+		s.moved.Wait()
 	}
-	return b, err
+	if s.head == len(s.ahead) {
+		s.mu.Unlock()
+		return nil, nil
+	}
+	f := s.ahead[s.head]
+	s.ahead[s.head] = fetched{}
+	if s.head++; s.head == len(s.ahead) {
+		s.ahead, s.head = s.ahead[:0], 0 // drained: the FIFO's array is reused
+	}
+	s.moved.Broadcast()
+	s.mu.Unlock()
+	if f.err != nil || len(f.rows) == 0 {
+		s.finish(f.err)
+	}
+	return f.rows, f.err
 }
 
+// Close stops the read-ahead, waits for its in-flight exchange, and then
+// releases the seller's cursor if the answer is unfinished. It is idempotent.
 func (s *remoteStream) Close() error {
+	s.mu.Lock()
+	s.stop = true
+	s.moved.Broadcast()
+	for !s.exited {
+		s.moved.Wait()
+	}
+	s.ahead, s.head = nil, 0
+	s.mu.Unlock()
 	s.Fetch.Close()
-	s.finish(nil)
+	s.finish(s.err)
 	return nil
 }
 
@@ -117,57 +201,56 @@ func (r *Result) quotedMS(offerID string) float64 {
 	return 0
 }
 
-// prefetchStreams opens every remote leaf's stream at once, one goroutine per
-// leaf, so the sellers all start executing and their first batches ship in
-// parallel; the executor's sequential walk then consumes the streams on
-// demand. Streams are keyed by (seller, SQL, offer) and queued FIFO, so a
+// prefetchStreams starts every remote leaf at once, one goroutine per leaf
+// that opens it and reads its answer ahead (remoteStream.readAhead), so the
+// sellers all start executing, and keep executing, while the executor's
+// sequential walk consumes the streams on demand. A leaf reads at most
+// ⌈EstRows / batch⌉ batches (at least one) ahead of the executor: the window
+// covers the answer that was bought, and nothing is allocated from the quote
+// up front. Streams are keyed by (seller, SQL, offer) and queued FIFO, so a
 // plan that buys the same offer twice still performs (and accounts) one fetch
-// per leaf, and every walk step surfaces exactly the error of its own leaf's
-// open. The returned StreamFunc is only called from the executor's single
-// goroutine, so the queue map needs no lock. The returned release func closes
-// streams the walk never took (a failure elsewhere in the plan): their
-// sellers' parked cursors are freed instead of leaking until eviction.
-func prefetchStreams(remotes []*plan.Remote,
-	openOne func(nodeID, sql, offerID string) (exec.RowStream, error)) (exec.StreamFunc, func()) {
-
-	type opened struct {
-		st    exec.RowStream
-		err   error
-		taken bool
+// per leaf, and every walk step waits for, and surfaces exactly the error of,
+// its own leaf's open. The returned StreamFunc is only called from the
+// executor's single goroutine, so the queue map needs no lock. The returned
+// release func closes every leaf — an idempotent Close for those the walk
+// took and closed — so no read-ahead outlives the execution and no seller is
+// left holding a cursor for a leaf the walk never reached (a failure
+// elsewhere in the plan).
+func prefetchStreams(h *streamHandle, remotes []*plan.Remote, batch int) (exec.StreamFunc, func()) {
+	streams := make([]*remoteStream, 0, len(remotes))
+	start := func(nodeID, sql, offerID string, estRows int64) *remoteStream {
+		s := &remoteStream{run: h, nodeID: nodeID, sql: sql, offerID: offerID,
+			window: max(1, estRows/int64(batch))}
+		if estRows > s.window*int64(batch) {
+			s.window++
+		}
+		s.moved.L, s.ahead = &s.mu, s.inline[:0]
+		streams = append(streams, s)
+		go s.readAhead(batch)
+		return s
 	}
-	results := make([]opened, len(remotes))
-	var wg sync.WaitGroup
-	for i, r := range remotes {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st, err := openOne(r.NodeID, r.SQL, r.OfferID)
-			results[i] = opened{st: st, err: err}
-		}()
-	}
-	wg.Wait()
-
-	queues := make(map[string][]*opened, len(remotes))
-	for i, r := range remotes {
+	queues := make(map[string][]*remoteStream, len(remotes))
+	for _, r := range remotes {
 		k := r.NodeID + "\x00" + r.SQL + "\x00" + r.OfferID
-		queues[k] = append(queues[k], &results[i])
+		queues[k] = append(queues[k], start(r.NodeID, r.SQL, r.OfferID, r.EstRows))
 	}
 	fn := func(nodeID, sql, offerID string) (exec.RowStream, error) {
 		k := nodeID + "\x00" + sql + "\x00" + offerID
 		q := queues[k]
 		if len(q) == 0 {
-			// A leaf the pre-walk did not see (defensive): open it directly.
-			return openOne(nodeID, sql, offerID)
+			// A leaf the pre-walk did not see (defensive): start it now.
+			q = []*remoteStream{start(nodeID, sql, offerID, 0)}
 		}
 		queues[k] = q[1:]
-		q[0].taken = true
-		return q[0].st, q[0].err
+		if err := q[0].opening(); err != nil {
+			q[0].finish(err)
+			return nil, err
+		}
+		return q[0], nil
 	}
 	release := func() {
-		for i := range results {
-			if o := &results[i]; !o.taken && o.st != nil {
-				o.st.Close()
-			}
+		for _, s := range streams {
+			s.Close()
 		}
 	}
 	return fn, release
