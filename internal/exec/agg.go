@@ -14,17 +14,16 @@ type aggState struct {
 	distinct bool
 	star     bool
 
-	count    int64
+	count    int64 // values added (rows, for COUNT(*))
 	sumInt   int64
 	sumFloat float64
 	sawFloat bool
-	sawAny   bool
-	min, max value.Value
+	best     value.Value     // MIN's least or MAX's greatest value so far
 	seen     map[string]bool // for DISTINCT
 }
 
-func newAggState(it plan.AggItem) *aggState {
-	s := &aggState{fn: it.Agg.Fn, distinct: it.Agg.Distinct, star: it.Agg.Star}
+func newAggState(it plan.AggItem) aggState {
+	s := aggState{fn: it.Agg.Fn, distinct: it.Agg.Distinct, star: it.Agg.Star}
 	if s.distinct {
 		s.seen = map[string]bool{}
 	}
@@ -46,7 +45,6 @@ func (s *aggState) add(v value.Value) error {
 		}
 		s.seen[k] = true
 	}
-	s.sawAny = true
 	s.count++
 	switch s.fn {
 	case "COUNT":
@@ -70,18 +68,11 @@ func (s *aggState) add(v value.Value) error {
 			return fmt.Errorf("exec: %s over non-numeric value %s", s.fn, v)
 		}
 		return nil
-	case "MIN":
-		if s.min.IsNull() {
-			s.min = v
-		} else if c, ok := value.Compare(v, s.min); ok && c < 0 {
-			s.min = v
-		}
-		return nil
-	case "MAX":
-		if s.max.IsNull() {
-			s.max = v
-		} else if c, ok := value.Compare(v, s.max); ok && c > 0 {
-			s.max = v
+	case "MIN", "MAX":
+		if s.best.IsNull() {
+			s.best = v
+		} else if c, ok := value.Compare(v, s.best); ok && (s.fn == "MIN" && c < 0 || s.fn == "MAX" && c > 0) {
+			s.best = v
 		}
 		return nil
 	}
@@ -93,7 +84,7 @@ func (s *aggState) result() value.Value {
 	case "COUNT":
 		return value.NewInt(s.count)
 	case "SUM":
-		if !s.sawAny {
+		if s.count == 0 {
 			return value.NewNull()
 		}
 		if s.sawFloat {
@@ -101,14 +92,12 @@ func (s *aggState) result() value.Value {
 		}
 		return value.NewInt(s.sumInt)
 	case "AVG":
-		if !s.sawAny || s.count == 0 {
+		if s.count == 0 {
 			return value.NewNull()
 		}
 		return value.NewFloat((s.sumFloat + float64(s.sumInt)) / float64(s.count))
-	case "MIN":
-		return s.min
-	case "MAX":
-		return s.max
+	case "MIN", "MAX":
+		return s.best
 	}
 	return value.NewNull()
 }
@@ -144,75 +133,128 @@ func (x *keyIndex) add(h uint64, key value.Row) {
 	x.heads[h] = int32(len(x.keys))
 }
 
-// aggregateRows evaluates the aggregate cursor's fully drained input,
-// emitting groups in first-seen order (aggregation is a blocking operator).
-func aggregateRows(t *plan.Aggregate, in []value.Row) ([]value.Row, error) {
-	inSchema := t.Input.Schema()
-	groupExprs, err := compileAll(t.GroupBy, inSchema)
-	if err != nil {
-		return nil, err
+// aggCursor folds its input into groups as it pulls it: each row's group key
+// is evaluated into a scratch row and looked up in a keyIndex, only a key
+// that founds a group is copied, and the row is added to that group's
+// states. No input row outlives its fold, so a join beneath writes each batch
+// over the last. The first Next pulls the input to its end and closes it
+// then (or as soon as a pull or a fold fails), and the groups are re-emitted
+// in first-seen order in bounded batches.
+type aggCursor struct {
+	ex     *Executor
+	t      *plan.Aggregate
+	in     Cursor
+	group  []*expr.Program // group key expressions
+	args   []*expr.Program // aggregate arguments, nil for COUNT(*)
+	res    *Rows
+	closed bool
+}
+
+func (c *aggCursor) Open() error {
+	schema := c.t.Input.Schema()
+	var err error
+	if c.group, err = compileAll(c.t.GroupBy, schema); err != nil {
+		return err
 	}
-	argExprs := make([]*expr.Program, len(t.Aggs))
-	for i, it := range t.Aggs {
+	c.args = make([]*expr.Program, len(c.t.Aggs))
+	for i, it := range c.t.Aggs {
 		if it.Agg.Star {
 			continue
 		}
-		if argExprs[i], err = expr.Compile(it.Agg.Arg, inSchema); err != nil {
+		if c.args[i], err = expr.Compile(it.Agg.Arg, schema); err != nil {
+			return err
+		}
+	}
+	return c.in.Open()
+}
+
+func (c *aggCursor) Next() ([]value.Row, error) {
+	if c.closed {
+		return nil, nil
+	}
+	if c.res == nil {
+		out, err := c.fold()
+		if err2 := c.in.Close(); err == nil {
+			err = err2
+		}
+		if err != nil {
 			return nil, err
 		}
+		c.res = NewRows(nil, out, c.ex.batch())
 	}
+	return c.res.Next()
+}
 
+// fold pulls the input to exhaustion, adding every row to its group's
+// states, and returns one row per group (its key, then each aggregate's
+// result) in first-seen order, carved out of one slab. A global aggregate
+// over no rows still yields one row.
+func (c *aggCursor) fold() ([]value.Row, error) {
+	n := len(c.t.Aggs)
 	var groups keyIndex
-	var states [][]*aggState // group number -> one state per aggregate
+	var states []aggState // group g's are states[g*n : (g+1)*n]
 	newGroup := func(h uint64, key value.Row) {
 		groups.add(h, key)
-		st := make([]*aggState, len(t.Aggs))
-		for i, it := range t.Aggs {
-			st[i] = newAggState(it)
+		for _, it := range c.t.Aggs {
+			states = append(states, newAggState(it))
 		}
-		states = append(states, st)
 	}
-	key := make(value.Row, len(groupExprs)) // scratch: cloned when it founds a group
-	for _, r := range in {
-		for i, g := range groupExprs {
-			v, err := g.Eval(r)
-			if err != nil {
-				return nil, err
-			}
-			key[i] = v
+	key := make(value.Row, len(c.group)) // scratch: cloned when it founds a group
+	for {
+		b, err := c.in.Next()
+		if err != nil {
+			return nil, err
 		}
-		h := value.HashRow(key)
-		g := groups.find(h, key)
-		if g < 0 {
-			g = len(states)
-			newGroup(h, key.Clone())
+		if len(b) == 0 {
+			break
 		}
-		for i, st := range states[g] {
-			var v value.Value
-			if !st.star {
-				var err error
-				v, err = argExprs[i].Eval(r)
-				if err != nil {
+		for _, r := range b {
+			for i, g := range c.group {
+				if key[i], err = g.Eval(r); err != nil {
 					return nil, err
 				}
 			}
-			if err := st.add(v); err != nil {
-				return nil, err
+			h := value.HashRow(key)
+			g := groups.find(h, key)
+			if g < 0 {
+				g = len(groups.keys)
+				newGroup(h, key.Clone())
+			}
+			st := states[g*n : (g+1)*n]
+			for i, arg := range c.args {
+				var v value.Value
+				if arg != nil {
+					if v, err = arg.Eval(r); err != nil {
+						return nil, err
+					}
+				}
+				if err := st[i].add(v); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
-	// Global aggregation over zero rows still yields one row.
-	if len(states) == 0 && len(t.GroupBy) == 0 {
+	if len(groups.keys) == 0 && len(c.group) == 0 {
 		newGroup(value.HashRow(nil), nil)
 	}
-	out := make([]value.Row, len(states))
-	for g, st := range states {
-		row := make(value.Row, 0, len(groups.keys[g])+len(st))
-		row = append(row, groups.keys[g]...)
-		for _, s := range st {
-			row = append(row, s.result())
+	width := len(c.group) + n
+	slab := make([]value.Value, 0, len(groups.keys)*width)
+	out := make([]value.Row, len(groups.keys))
+	for g, k := range groups.keys {
+		start := len(slab)
+		slab = append(slab, k...)
+		for i := range n {
+			slab = append(slab, states[g*n+i].result())
 		}
-		out[g] = row
+		out[g] = slab[start:len(slab):len(slab)]
 	}
 	return out, nil
+}
+
+func (c *aggCursor) Close() error {
+	if c.closed {
+		return nil
+	}
+	c.closed = true
+	return c.in.Close()
 }

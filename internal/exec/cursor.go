@@ -24,8 +24,9 @@ const DefaultBatchSize = 256
 // releases resources. A batch is valid only until the following Next call —
 // consumers that retain rows across calls must copy the slice (the row
 // values themselves are never reused, with one exception: a join whose
-// parent is a projection writes each batch over the last, so its rows live
-// until the next pull — the projection copies every value it keeps first).
+// parent is a projection or an aggregate writes each batch over the last, so
+// its rows live until the next pull — the projection copies every value it
+// keeps first, the aggregate folds each row into its group's states).
 // Operators that build rows (project, join) carve them out of a slab shared
 // by the rows around them, so a retained row pins its whole slab, about a
 // batch of rows. Close is idempotent, safe to call before exhaustion (early
@@ -80,8 +81,9 @@ func (ex *Executor) Open(n plan.Node) (Cursor, error) {
 
 // build constructs the (unopened) cursor tree for a plan, wrapping every
 // operator in a stats recorder when Stats is attached. reuse is true under a
-// projection, which copies every value it keeps before it pulls again: a
-// join there writes each batch over the last. A filter directly over a join
+// projection, which copies every value it keeps before it pulls again, and
+// under an aggregate, which folds every row before it pulls again: a join
+// there writes each batch over the last. A filter directly over a join
 // becomes the join's residual, and the two plan nodes keep their own
 // actuals: the join's rows out are the rows it joined, before the filter.
 func (ex *Executor) build(n plan.Node, reuse bool) (Cursor, error) {
@@ -122,21 +124,17 @@ func (ex *Executor) build(n plan.Node, reuse bool) (Cursor, error) {
 		}
 		c = jc
 	case *plan.Aggregate:
-		in, err := ex.build(t.Input, false)
+		in, err := ex.build(t.Input, true)
 		if err != nil {
 			return nil, err
 		}
-		c = &blockingCursor{ex: ex, in: in, compute: func(rows []value.Row) ([]value.Row, error) {
-			return aggregateRows(t, rows)
-		}}
+		c = &aggCursor{ex: ex, t: t, in: in}
 	case *plan.Sort:
 		in, err := ex.build(t.Input, false)
 		if err != nil {
 			return nil, err
 		}
-		c = &blockingCursor{ex: ex, in: in, compute: func(rows []value.Row) ([]value.Row, error) {
-			return sortRows(t, rows)
-		}}
+		c = &sortCursor{ex: ex, t: t, in: in}
 	case *plan.Limit:
 		in, err := ex.build(t.Input, false)
 		if err != nil {
@@ -186,11 +184,11 @@ func (ex *Executor) buildJoin(t *plan.Join, reuse bool) (*joinCursor, error) {
 }
 
 // Drain pulls an opened cursor to exhaustion, materializing its rows, and
-// closes it (also when a pull fails). Blocking operators (sort, aggregate,
-// join build side) use it on their inputs, and so does everything that wants
-// a whole answer from a pipeline. Each batch is copied once as it arrives (it
-// is valid only until the next pull), and the copies are concatenated once,
-// at the exact size; a single batch is its own copy.
+// closes it (also when a pull fails). The operators that keep every input row
+// (sort, join build side) use it on their inputs, and so does everything
+// that wants a whole answer from a pipeline. Each batch is copied once as it
+// arrives (it is valid only until the next pull), and the copies are
+// concatenated once, at the exact size; a single batch is its own copy.
 func Drain(c Cursor) ([]value.Row, error) {
 	chunks := make([][]value.Row, 0, 8) // on the stack until a ninth batch
 	total := 0
@@ -658,21 +656,20 @@ func (c *joinCursor) Close() error {
 	return err
 }
 
-// blockingCursor implements sort and aggregate: both must see every input
-// row before emitting the first output row, so the input is drained (and
-// closed) on the first Next and the computed result re-emitted in bounded
-// batches.
-type blockingCursor struct {
-	ex      *Executor
-	in      Cursor
-	compute func([]value.Row) ([]value.Row, error)
-	res     *Rows
-	closed  bool
+// sortCursor must see every input row before emitting the first, and keeps
+// them all: the input is drained (and closed) on the first Next and the
+// sorted rows re-emitted in bounded batches.
+type sortCursor struct {
+	ex     *Executor
+	t      *plan.Sort
+	in     Cursor
+	res    *Rows
+	closed bool
 }
 
-func (c *blockingCursor) Open() error { return c.in.Open() }
+func (c *sortCursor) Open() error { return c.in.Open() }
 
-func (c *blockingCursor) Next() ([]value.Row, error) {
+func (c *sortCursor) Next() ([]value.Row, error) {
 	if c.closed {
 		return nil, nil
 	}
@@ -681,7 +678,7 @@ func (c *blockingCursor) Next() ([]value.Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, err := c.compute(rows)
+		out, err := sortRows(c.t, rows)
 		if err != nil {
 			return nil, err
 		}
@@ -690,7 +687,7 @@ func (c *blockingCursor) Next() ([]value.Row, error) {
 	return c.res.Next()
 }
 
-func (c *blockingCursor) Close() error {
+func (c *sortCursor) Close() error {
 	if c.closed {
 		return nil
 	}
@@ -700,7 +697,7 @@ func (c *blockingCursor) Close() error {
 
 // Rows serves an already materialized answer in bounded batches. It is both
 // a Cursor (Open is a no-op) and a RowStream (Cols is the declared schema,
-// empty when unknown): blocking operators re-emit their output through it,
+// empty when unknown): sort and aggregate re-emit their output through it,
 // sellers chunk the answers that have no cursor pipeline of their own, and a
 // caller holding a whole reply hands it to a Remote leaf as a stream.
 type Rows struct {

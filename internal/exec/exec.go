@@ -3,12 +3,12 @@
 // is pulled row-batch iteration: every operator is an Open/Next/Close cursor
 // over bounded batches, so the first row surfaces as soon as the pipeline
 // below it produces one, LIMIT stops upstream work instead of truncating a
-// fully built slice, and peak memory is set by the blocking operators (sort,
-// aggregate, join build side) rather than the result size. The cursors are
-// the only executor: Run drains one, Open hands it out. No execution ever
-// happens during optimization — the trading algorithm prices offers purely
-// from optimizer estimates, and only a finished winning plan reaches this
-// package.
+// fully built slice, and peak memory is set by what the blocking operators
+// keep (a sort's rows, an aggregate's groups, a join's build side) rather
+// than the result size. The cursors are the only executor: Run drains one,
+// Open hands it out. No execution ever happens during optimization — the
+// trading algorithm prices offers purely from optimizer estimates, and only
+// a finished winning plan reaches this package.
 package exec
 
 import (

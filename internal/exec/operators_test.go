@@ -177,9 +177,10 @@ func TestJoinTableSize(t *testing.T) {
 
 // A row the residual rejects gives its slab slot back: the rows of a batch
 // sit back to back in memory, with no rejected row between them. Under a
-// projection, which copies every value it keeps before it pulls again, the
-// join writes its second batch where its first began; under a sort, which
-// keeps every row, a row once handed out is never written again.
+// projection, which copies every value it keeps before it pulls again, and
+// under an aggregate, which folds every row before it pulls again, the join
+// writes its second batch where its first began; under a sort, which keeps
+// every row, a row once handed out is never written again.
 func TestJoinRejectedRowReusesSlabSlot(t *testing.T) {
 	var l, r []value.Row
 	for i := int64(0); i < 30; i++ {
@@ -235,10 +236,19 @@ func TestJoinRejectedRowReusesSlabSlot(t *testing.T) {
 	if &second[0][0] != &first[0][0] {
 		t.Errorf("under a projection the join's second batch starts at %p, its first at %p: want one slab, rewound", &second[0][0], &first[0][0])
 	}
+	aggregate := func(in plan.Node) plan.Node {
+		return &plan.Aggregate{Input: in, GroupBy: []expr.Expr{sqlparse.MustParseExpr("l.b")},
+			GroupNames: []expr.ColumnID{{Table: "l", Name: "b"}},
+			Aggs:       []plan.AggItem{{Agg: &expr.Agg{Fn: "COUNT", Star: true}, Name: expr.ColumnID{Name: "n"}}}}
+	}
+	first, second = pulled(aggregate, func(c Cursor) Cursor { return c.(*aggCursor).in })
+	if &second[0][0] != &first[0][0] {
+		t.Errorf("under an aggregate the join's second batch starts at %p, its first at %p: want one slab, rewound", &second[0][0], &first[0][0])
+	}
 	sorted := func(in plan.Node) plan.Node {
 		return &plan.Sort{Input: in, Keys: []plan.SortKey{{Expr: sqlparse.MustParseExpr("l.a")}}}
 	}
-	first, _ = pulled(sorted, func(c Cursor) Cursor { return c.(*blockingCursor).in })
+	first, _ = pulled(sorted, func(c Cursor) Cursor { return c.(*sortCursor).in })
 	for i, row := range first {
 		if want := append(ints(int64(3*i), 0), ints(int64(3*i), 0)...); !reflect.DeepEqual(row, want) {
 			t.Errorf("under a sort, first batch row %d reads %v after the second pull, want %v", i, row, want)
@@ -289,7 +299,17 @@ func operatorCases() []operatorCase {
 		r[i] = value.Row{value.NewInt(n - 1 - i), value.NewFloat(float64(i))}
 		g[i] = value.Row{value.NewInt(i % 100), value.NewFloat(float64(i))}
 	}
-	ex := memExec(0, map[string][]value.Row{"l": l, "r": r, "g": g})
+	// telco_repeat's buyer side: 2400 invoice lines probing 800 customers
+	// spread over four offices.
+	offices := []string{"Athens", "Corfu", "Heraklion", "Myconos"}
+	inv, cust := make([]value.Row, 2400), make([]value.Row, 800)
+	for i := range cust {
+		cust[i] = value.Row{value.NewInt(int64(i)), value.NewStr(offices[i%len(offices)])}
+	}
+	for i := range inv {
+		inv[i] = value.Row{value.NewInt(int64(i * 7 % len(cust))), value.NewFloat(float64(1 + i%50))}
+	}
+	ex := memExec(0, map[string][]value.Row{"l": l, "r": r, "g": g, "i": inv, "c": cust})
 	// The sellers' side of chain_scan reads a stored fragment, which memLeaf
 	// never reaches: a real store behind the scan cursor.
 	scanDef := &catalog.TableDef{Name: "r1", Columns: []catalog.ColumnDef{
@@ -332,6 +352,17 @@ func operatorCases() []operatorCase {
 					On: sqlparse.MustParseExpr("l.k = r.k")}, Pred: sqlparse.MustParseExpr("l.k >= 500")},
 				Exprs: []expr.Expr{sqlparse.MustParseExpr("l.k"), sqlparse.MustParseExpr("r.f")},
 				Names: []expr.ColumnID{{Name: "k"}, {Name: "f"}}}
+		}, ex},
+		// The buyer's side of telco_repeat: the query's office filter folded
+		// into the join of two purchases, summed per office.
+		{"aggregate-filter-join", len(inv) + len(cust), func() plan.Node {
+			return &plan.Aggregate{
+				Input: &plan.Filter{Input: &plan.Join{L: memLeaf("i", "custid", "charge"), R: memLeaf("c", "custid", "office"),
+					On: sqlparse.MustParseExpr("i.custid = c.custid")},
+					Pred: sqlparse.MustParseExpr("c.office IN ('Athens', 'Corfu', 'Heraklion', 'Myconos')")},
+				GroupBy:    []expr.Expr{sqlparse.MustParseExpr("c.office")},
+				GroupNames: []expr.ColumnID{{Table: "c", Name: "office"}},
+				Aggs:       []plan.AggItem{{Agg: &expr.Agg{Fn: "SUM", Arg: sqlparse.MustParseExpr("i.charge")}, Name: expr.ColumnID{Name: "total"}}}}
 		}, ex},
 		// The sellers' side of chain_scan: the partition bounds and the
 		// buyer's predicate over the scan, the query's columns over that.
@@ -380,16 +411,17 @@ func TestOperatorsAllocsPerRow(t *testing.T) {
 
 // The bytes each operator allocates per input row, the drained output
 // included, stay within about 20 % of what they measure on amd64 (join 141,
-// project 137, aggregate 58, distinct 47, project-filter-join 103,
-// scan-filter 132). Before the 40-byte value, the join table without a copy
-// of every key, the exact-size drain and the join writing in place under a
-// projection the first five were 249, 219, 119, 57 and 301; scan-filter
-// read 132 with its predicate walked as a tree too.
+// project 137, aggregate 10, distinct 47, project-filter-join 103,
+// aggregate-filter-join 37, scan-filter 132). Before the 40-byte value, the
+// join table without a copy of every key, the exact-size drain and the join
+// writing in place under a projection the first five were 249, 219, 119, 57
+// and 301; scan-filter read 132 with its predicate walked as a tree too. The
+// two aggregates read 58 and 185 while the aggregate drained its input.
 func TestOperatorsBytesPerRow(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates allocation sizes")
 	}
-	budget := map[string]float64{"join": 170, "project": 165, "aggregate": 70, "distinct": 56, "project-filter-join": 123, "scan-filter": 158}
+	budget := map[string]float64{"join": 170, "project": 165, "aggregate": 13, "distinct": 56, "project-filter-join": 123, "aggregate-filter-join": 45, "scan-filter": 158}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, oc := range operatorCases() {
 		oc.run(t) // warm up

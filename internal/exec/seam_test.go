@@ -111,6 +111,50 @@ func TestOneEvaluator(t *testing.T) {
 	}
 }
 
+// The aggregate folds as it pulls: in the package's non-test files Drain is
+// called only where every input row is kept — the join's build side, the
+// sort — and by Run, which hands a caller the whole answer.
+func TestAggregateFoldsAsItPulls(t *testing.T) {
+	fset := token.NewFileSet()
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{"(*joinCursor).Open": true, "(*sortCursor).Next": true, "(*Executor).Run": true}
+	got := map[string]bool{}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(x ast.Node) bool {
+				if call, ok := x.(*ast.CallExpr); ok {
+					if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "Drain" {
+						got[funcName(fn)] = true
+						if !want[funcName(fn)] {
+							t.Errorf("%s: %s drains its input: only the join's build side, the sort and Run keep every row", fset.Position(call.Pos()), funcName(fn))
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	for name := range want {
+		if !got[name] {
+			t.Errorf("%s no longer calls Drain: the seam names a caller that is gone", name)
+		}
+	}
+}
+
 // switchesOnPlan reports whether body holds a type switch with a plan.* case.
 func switchesOnPlan(body *ast.BlockStmt) bool {
 	found := false

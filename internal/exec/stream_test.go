@@ -18,6 +18,7 @@ import (
 type fakeStream struct {
 	cols    []expr.ColumnID
 	batches [][]value.Row
+	err     error // returned once the batches run out, in place of the end
 	i       int
 	nexts   int
 	closed  bool
@@ -28,7 +29,7 @@ func (f *fakeStream) Cols() []expr.ColumnID { return f.cols }
 func (f *fakeStream) Next() ([]value.Row, error) {
 	f.nexts++
 	if f.i >= len(f.batches) {
-		return nil, nil
+		return nil, f.err
 	}
 	b := f.batches[f.i]
 	f.i++
