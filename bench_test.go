@@ -149,88 +149,6 @@ func BenchmarkExpF11AggPushdown(b *testing.B) {
 	}
 }
 
-// BenchmarkExpF12Chaos regenerates F12: fault-tolerant trading under a
-// seeded chaos plan with a permanently slow seller.
-func BenchmarkExpF12Chaos(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab := experiments.F12Chaos(2, int64(i))
-		lastRowMetric(b, tab, 9, "msgs_at_30pct_drop")
-		discard(tab)
-	}
-}
-
-// BenchmarkExpF16Calibration regenerates F16: per-seller quoted-vs-measured
-// cost calibration from the trading ledger. Reported metric: the largest
-// per-seller mean measured/quoted ratio in the slow-seller variant — the
-// signal that flags a seller whose quotes no longer predict reality.
-func BenchmarkExpF16Calibration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab := experiments.F16Calibration(3, 11)
-		worst := 0.0
-		for _, r := range tab.Rows {
-			if r[0] != "slow-n2" {
-				continue
-			}
-			v, err := strconv.ParseFloat(r[6], 64)
-			if err != nil {
-				b.Fatalf("F16 ratio %q: %v", r[6], err)
-			}
-			if v > worst {
-				worst = v
-			}
-		}
-		if worst == 0 {
-			b.Fatalf("F16 slow variant recorded no ratios: %v", tab.Rows)
-		}
-		b.ReportMetric(worst, "slow_ratio_max")
-		discard(tab)
-	}
-}
-
-// BenchmarkExpF17Churn regenerates F17: closed-loop load through a churn
-// window where a replacement seller joins, one seller drains and one
-// crashes mid-run. Reported metrics: recovered-phase qps (column 1 of the
-// last row) and total failed queries across all phases, which must be zero
-// — churn that loses queries is a correctness bug, not a slow run.
-func BenchmarkExpF17Churn(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab := experiments.F17Churn(4, 3, 6, int64(i))
-		failed := 0.0
-		for _, r := range tab.Rows {
-			v, err := strconv.ParseFloat(r[4], 64)
-			if err != nil {
-				b.Fatalf("F17 failed count %q: %v", r[4], err)
-			}
-			failed += v
-		}
-		if failed != 0 {
-			b.Fatalf("F17 lost %v queries to churn: %v", failed, tab.Rows)
-		}
-		b.ReportMetric(failed, "failed_queries")
-		lastRowMetric(b, tab, 1, "recovered_qps")
-		discard(tab)
-	}
-}
-
-// BenchmarkExpF19Flight regenerates F19: the query flight recorder and
-// anomaly watchdog under a mid-run slow seller and a stale-statistics
-// cardinality blowout. Beyond timing it asserts the recorder's hard
-// guarantee — every query of the injected-fault phases lands as a flagged
-// dossier — so the benchmark fails the build if capture ever goes silent.
-func BenchmarkExpF19Flight(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab := experiments.F19Flight(4, int64(i))
-		last := tab.Rows[len(tab.Rows)-1] // stale_stats
-		if last[3] != last[1] || last[4] != last[1] {
-			b.Fatalf("F19 stale_stats: %s queries, %s dossiers, %s flagged — want all equal",
-				last[1], last[3], last[4])
-		}
-		lastRowMetric(b, tab, 2, "stale_wall_ms")
-		lastRowMetric(b, tab, 4, "flagged")
-		discard(tab)
-	}
-}
-
 // BenchmarkOptimizeTelco measures one end-to-end QT optimization of the
 // paper's motivating query on the three-office federation.
 func BenchmarkOptimizeTelco(b *testing.B) {

@@ -9,7 +9,8 @@ import (
 // TestPublicAPIFaultTolerance drives the chaos + fault-tolerance surface end
 // to end: a federation with a seeded drop plan and a shared fault policy
 // keeps answering correctly, and the snapshot exposes both the policy
-// counters and the injected-fault tallies.
+// counters and the injected-fault tallies. A permanently slow seller is cut
+// off by call timeouts and then its breaker.
 func TestPublicAPIFaultTolerance(t *testing.T) {
 	fed := buildFed(t)
 	fed.EnableFaultTolerance(FaultTolerance{
@@ -53,6 +54,33 @@ func TestPublicAPIFaultTolerance(t *testing.T) {
 	}
 	if strings.Contains(fed.MetricsSnapshot(), "net.chaos.") {
 		t.Fatal("snapshot keeps chaos lines after plan removal")
+	}
+
+	// A seller slower than the call timeout, holding nothing the query
+	// needs, costs timed-out and retried calls until its breaker opens, and
+	// no query fails or changes its answer.
+	fed = buildFed(t)
+	fed.EnableFaultTolerance(FaultTolerance{
+		CallTimeout:      50 * time.Millisecond,
+		MaxRetries:       1,
+		Backoff:          time.Millisecond,
+		BreakerThreshold: 2,
+		BreakerCooldown:  time.Minute,
+	})
+	fed.SetFaultPlan(&FaultPlan{SlowNodeMS: map[string]float64{"athens": 300}})
+	for i := 0; i < 3; i++ {
+		res, err := fed.QueryWithRecovery("hq", totalsQuery, 2)
+		if err != nil {
+			t.Fatalf("query %d beside a slow seller: %v", i, err)
+		}
+		if len(res.Rows) != 2 || res.Rows[0][1].(float64) != 22 || res.Rows[1][1].(float64) != 22 {
+			t.Fatalf("wrong answer beside a slow seller: %v", res.Rows)
+		}
+	}
+	for _, c := range []string{"fault.call_timeouts", "fault.retries", "fault.breaker_opens"} {
+		if n := fed.metrics.Counter(c).Value(); n == 0 {
+			t.Fatalf("%s = 0 with athens slower than the call timeout:\n%s", c, fed.MetricsSnapshot())
+		}
 	}
 }
 

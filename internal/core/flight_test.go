@@ -7,9 +7,12 @@ import (
 	"qtrade/internal/exec"
 	"qtrade/internal/flight"
 	"qtrade/internal/ledger"
+	"qtrade/internal/node"
 	"qtrade/internal/obs"
 	"qtrade/internal/plan"
+	"qtrade/internal/stats"
 	"qtrade/internal/trading"
+	"qtrade/internal/value"
 )
 
 // flightCfg is athensCfg with the full observability stack and a flight
@@ -280,7 +283,9 @@ func TestFlightDisabled(t *testing.T) {
 }
 
 // TestFlightCardBlowoutTrigger: a seller whose estimate is badly stale must
-// produce a card_blowout-flagged dossier via the per-operator error.
+// produce a card_blowout-flagged dossier via the per-operator error — both
+// for a synthetic dossier and end to end, where the same query over fresh
+// statistics trips no trigger at all.
 func TestFlightCardBlowoutTrigger(t *testing.T) {
 	d := &ledger.Dossier{
 		Operators: []ledger.OpStat{{Op: "Remote", EstRows: 1, Rows: 100, Executed: true, ErrRatio: 50.5}},
@@ -289,6 +294,48 @@ func TestFlightCardBlowoutTrigger(t *testing.T) {
 	got := flight.Triggers{}.Evaluate(d)
 	if !hasTrigger(got, flight.TrigCardError) {
 		t.Fatalf("card blowout: %v", got)
+	}
+
+	// End to end: both invoiceline replicas grow to 66 rows.
+	f := buildFederation(t, nil)
+	replicas := []*node.Node{f.corfu, f.myc}
+	for _, n := range replicas {
+		for i := 0; i < 60; i++ {
+			row := value.Row{value.NewInt(int64(200 + i)), value.NewInt(1), value.NewInt(1), value.NewFloat(1)}
+			if err := n.Store().Insert("invoiceline", "p0", row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cfg, rec := flightCfg(f)
+	// In process, execution runs far below its quote: widen the cost band
+	// so that only the cardinality rule can fire.
+	rec.SetTriggers(flight.Triggers{CostRatioFactor: 1e6})
+	q := "SELECT i.invid, i.charge FROM invoiceline i"
+	optimizeAndRunTraced(t, f, cfg, q)
+	if fresh := rec.Recent(1)[0]; len(fresh.Triggers) != 0 {
+		t.Fatalf("fresh statistics tripped %v (card error %.1f)", fresh.Triggers, fresh.CardError)
+	}
+	// Stale: every replica's statistics claim the fragment's first row only.
+	inv, _ := f.sch.Table("invoiceline")
+	for _, n := range replicas {
+		var first []value.Row
+		if err := n.Store().Scan("invoiceline", "p0", nil, func(r value.Row) bool {
+			first = append(first, r)
+			return false
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Store().SetFragmentStats("invoiceline", "p0", stats.FromRows(inv, first)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	optimizeAndRunTraced(t, f, cfg, q)
+	if stale := rec.Recent(1)[0]; !hasTrigger(stale.Triggers, flight.TrigCardError) {
+		t.Fatalf("stale statistics tripped %v (card error %.1f), want %s", stale.Triggers, stale.CardError, flight.TrigCardError)
+	}
+	if admitted, flagged := rec.Stats(); admitted != 2 || flagged != 1 {
+		t.Fatalf("admitted %d dossiers, flagged %d: want one per query, only the stale one flagged", admitted, flagged)
 	}
 }
 

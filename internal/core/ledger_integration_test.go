@@ -7,6 +7,7 @@ import (
 
 	"qtrade/internal/exec"
 	"qtrade/internal/ledger"
+	"qtrade/internal/netsim"
 	"qtrade/internal/obs"
 	"qtrade/internal/trading"
 )
@@ -87,6 +88,37 @@ func TestLedgerAuditsNegotiationEndToEnd(t *testing.T) {
 	}
 	if execs == 0 {
 		t.Fatalf("no measured execution reached calibration: %+v", rep.Sellers)
+	}
+}
+
+// TestLedgerCalibrationSeparatesASlowSeller: a seller made slow by a per-call
+// delay the cost model knows nothing of must stand out in the calibration
+// report — its mean measured/quoted ratio at least twice what the same
+// seller shows undisturbed.
+func TestLedgerCalibrationSeparatesASlowSeller(t *testing.T) {
+	meanRatio := func(slow map[string]float64) float64 {
+		f := buildFederation(t, nil)
+		f.net.SetFaultPlan(&netsim.FaultPlan{SlowNodeMS: slow})
+		led := ledger.New(8)
+		f.corfu.SetLedger(led)
+		f.myc.SetLedger(led)
+		cfg := athensCfg(f)
+		cfg.Ledger = led
+		for i := 0; i < 4; i++ {
+			optimizeAndRun(t, f, cfg, paperQuery)
+		}
+		for _, s := range led.Calibration().Sellers {
+			if s.Seller == "corfu" && s.Execs > 0 {
+				return s.MeanRatio
+			}
+		}
+		t.Fatalf("corfu has no measured execution: %+v", led.Calibration().Sellers)
+		return 0
+	}
+	base := meanRatio(nil)
+	slow := meanRatio(map[string]float64{"corfu": 10})
+	if base <= 0 || slow < 2*base {
+		t.Fatalf("slow seller not separated: corfu's mean ratio %.2f undisturbed, %.2f slowed", base, slow)
 	}
 }
 

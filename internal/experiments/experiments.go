@@ -651,10 +651,6 @@ func QuickSpecs(seed int64) []Spec {
 		{"F9", func() *Table { return F9Replication([]int{1, 2}, seed) }},
 		{"F10", func() *Table { return F10Subcontract(seed) }},
 		{"F11", func() *Table { return F11AggPushdown(seed) }},
-		{"F12", func() *Table { return F12Chaos(4, seed) }},
-		{"F16", func() *Table { return F16Calibration(6, seed) }},
-		{"F17", func() *Table { return F17Churn(4, 3, 6, seed) }},
-		{"F19", func() *Table { return F19Flight(8, seed) }},
 	}
 }
 
@@ -674,9 +670,5 @@ func FullSpecs(seed int64) []Spec {
 		{"F9", func() *Table { return F9Replication([]int{1, 2, 3, 4}, seed) }},
 		{"F10", func() *Table { return F10Subcontract(seed) }},
 		{"F11", func() *Table { return F11AggPushdown(seed) }},
-		{"F12", func() *Table { return F12Chaos(20, seed) }},
-		{"F16", func() *Table { return F16Calibration(20, seed) }},
-		{"F17", func() *Table { return F17Churn(8, 4, 12, seed) }},
-		{"F19", func() *Table { return F19Flight(24, seed) }},
 	}
 }

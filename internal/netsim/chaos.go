@@ -230,17 +230,6 @@ func (n *Network) RestartNode(id string) {
 	cs.mu.Unlock()
 }
 
-// Crashed reports whether a node is currently crashed.
-func (n *Network) Crashed(id string) bool {
-	cs := n.chaos.Load()
-	if cs == nil {
-		return false
-	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.crashed[id]
-}
-
 // chaosHash mixes the seed, both endpoints and the per-node call sequence
 // into one 64-bit value; per-fault decisions re-mix it with distinct salts.
 func chaosHash(seed int64, from, to string, seq uint64) uint64 {

@@ -193,9 +193,6 @@ func TestRuntimeCrashRestart(t *testing.T) {
 	n.Register("a", &echoService{id: "a"})
 	// No fault plan installed: CrashNode must bootstrap the injector.
 	n.CrashNode("a")
-	if !n.Crashed("a") {
-		t.Fatal("node must report crashed")
-	}
 	if _, err := n.Peer("buyer", "a").RequestBids(rfb()); err == nil {
 		t.Fatal("crashed node must reject")
 	} else if !errors.Is(err, trading.ErrPeerCrashed) {
@@ -205,9 +202,6 @@ func TestRuntimeCrashRestart(t *testing.T) {
 		t.Fatalf("chaos stats: %+v", st)
 	}
 	n.RestartNode("a")
-	if n.Crashed("a") {
-		t.Fatal("restarted node must not report crashed")
-	}
 	if _, err := n.Peer("buyer", "a").RequestBids(rfb()); err != nil {
 		t.Fatalf("restarted node must serve again: %v", err)
 	}

@@ -394,54 +394,6 @@ func NewChain(opts ChainOptions) *Federation {
 	return f
 }
 
-// JoinReplica builds a new node mirroring every fragment sourceID holds and
-// registers it on the network — a runtime elastic join. The node prices and
-// serves from the moment Register returns; the churn experiments use it to
-// grow capacity mid-run and verify throughput recovery. Configure (optional)
-// adjusts the node's configuration before construction.
-//
-// The Nodes map is written without synchronization: callers running
-// concurrent load must sequence all joins through one controller goroutine
-// and keep workers off the map (capture the buyer node and Comm up front).
-func (f *Federation) JoinReplica(id, sourceID string, configure func(*node.Config)) (*node.Node, error) {
-	src, ok := f.Nodes[sourceID]
-	if !ok {
-		return nil, fmt.Errorf("workload: unknown source node %q", sourceID)
-	}
-	if _, dup := f.Nodes[id]; dup {
-		return nil, fmt.Errorf("workload: node %q already in federation", id)
-	}
-	cfg := node.Config{ID: id, Schema: f.Schema}
-	if configure != nil {
-		configure(&cfg)
-	}
-	n := node.New(cfg)
-	for _, table := range src.Store().Tables() {
-		def, ok := f.Schema.Table(table)
-		if !ok {
-			continue
-		}
-		for _, pid := range src.Store().PartIDs(table) {
-			if _, err := n.Store().CreateFragment(def, pid); err != nil {
-				return nil, err
-			}
-			var rows []value.Row
-			if err := src.Store().Scan(table, pid, nil, func(r value.Row) bool {
-				rows = append(rows, r)
-				return true
-			}); err != nil {
-				return nil, err
-			}
-			if err := n.Store().Insert(table, pid, rows...); err != nil {
-				return nil, err
-			}
-		}
-	}
-	f.Nodes[id] = n
-	f.Net.Register(id, n)
-	return n, nil
-}
-
 // ChainQuery builds the K-way chain join with an optional range filter on
 // r1 (selFrac in (0,1]; 1 or 0 means no filter).
 func ChainQuery(opts ChainOptions, selFrac float64) string {

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"qtrade/internal/value"
 )
 
 // TestPublicLifecycleDrainUndrain walks the reversible half of the lifecycle
@@ -215,9 +217,11 @@ func TestLedgerRecordsMembershipEvents(t *testing.T) {
 
 // TestConcurrentQueriesUnderChurn is the churn hammer: clients keep buying
 // answers whose data is replicated outside the churn victim while another
-// goroutine drains, undrains, crashes and restarts that victim. Every query
-// must return the chaos-free ground truth — churn may change who sells, never
-// what is answered.
+// goroutine first joins a new seller holding a replica of everything the
+// queries read, then drains, undrains, crashes and restarts that victim.
+// Every query must return the chaos-free ground truth — churn may change who
+// sells, never what is answered. Each client runs half its queries before the
+// join and half after it, so the join lands under load.
 func TestConcurrentQueriesUnderChurn(t *testing.T) {
 	fed, _ := buildConcurrentFed()
 
@@ -239,6 +243,44 @@ func TestConcurrentQueriesUnderChurn(t *testing.T) {
 		want[q] = canonResult(res)
 	}
 
+	// The joiner's replicas: the customer partitions the queries read and
+	// invoiceline, copied out of the federation before the run.
+	replicas := map[[2]string]string{
+		{"customer", "myconos"}: `SELECT custid, custname, office FROM customer WHERE office = 'Myconos'`,
+		{"customer", "athens"}:  `SELECT custid, custname, office FROM customer WHERE office = 'Athens'`,
+		{"invoiceline", "p0"}:   `SELECT invid, linenum, custid, charge FROM invoiceline`,
+	}
+	rows := make(map[[2]string][][]value.Value, len(replicas))
+	for frag, q := range replicas {
+		res, err := fed.Query("hq", q)
+		if err != nil || len(res.Rows) == 0 {
+			t.Fatalf("copying %v: %d rows, %v", frag, len(res.Rows), err)
+		}
+		for _, r := range res.Rows {
+			rows[frag] = append(rows[frag], Row(r...))
+		}
+	}
+	// join adds the seller through the public API. It stays crashed until its
+	// replicas hold every row: a buyer that reached it earlier would be sold
+	// the empty fragment's answer.
+	join := func(id string) error {
+		fed.CrashNode(id)
+		defer fed.RestartNode(id)
+		n, err := fed.AddNode(id)
+		if err != nil {
+			return err
+		}
+		for frag, rs := range rows {
+			if err := n.CreateFragment(frag[0], frag[1]); err != nil {
+				return err
+			}
+			if err := n.Insert(frag[0], frag[1], rs...); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
 	fed.EnableFaultTolerance(FaultTolerance{
 		CallTimeout:      2 * time.Second,
 		MaxRetries:       6,
@@ -246,10 +288,22 @@ func TestConcurrentQueriesUnderChurn(t *testing.T) {
 	})
 
 	stop := make(chan struct{})
+	answered := make(chan struct{}) // closed at the first right answer
+	var firstAnswer sync.Once
+	joined := make(chan struct{})
 	var churn sync.WaitGroup
 	churn.Add(1)
 	go func() {
 		defer churn.Done()
+		select {
+		case <-answered:
+		case <-stop:
+			return
+		}
+		if err := join("paros"); err != nil {
+			t.Errorf("seller join mid-run: %v", err)
+		}
+		close(joined)
 		for {
 			select {
 			case <-stop:
@@ -277,6 +331,9 @@ func TestConcurrentQueriesUnderChurn(t *testing.T) {
 		go func(ci int, buyer string) {
 			defer wg.Done()
 			for it := 0; it < iterations; it++ {
+				if it == iterations/2 {
+					<-joined
+				}
 				q := queries[(ci+it)%len(queries)]
 				res, err := fed.QueryWithRecovery(buyer, q, 4)
 				if err != nil {
@@ -288,6 +345,7 @@ func TestConcurrentQueriesUnderChurn(t *testing.T) {
 						buyer, q, got, want[q])
 					return
 				}
+				firstAnswer.Do(func() { close(answered) })
 			}
 		}(ci, buyer)
 	}
@@ -300,7 +358,10 @@ func TestConcurrentQueriesUnderChurn(t *testing.T) {
 	}
 
 	// The churn loop must actually have churned, and the federation must end
-	// in a legal, queryable state.
+	// in a legal, queryable state with the joiner an active member.
+	if st := fed.NodeStates()["paros"]; st != "active" {
+		t.Fatalf("joined seller paros is %q, want active", st)
+	}
 	fed.RestartNode("corfu")
 	if st := fed.NodeStates()["corfu"]; st == "draining" {
 		_ = fed.UndrainNode("corfu")

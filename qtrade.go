@@ -628,7 +628,7 @@ func (f *Federation) PeerDirectory() []trading.PeerHealth { return f.dir.Snapsho
 // CrashNode kills a node abruptly mid-whatever-it-was-doing: every call to
 // it fails with a transient crashed error until RestartNode. Unlike
 // SetNodeDown the failure is typed (recovery ledger events classify it
-// "crash") and tallied in ChaosStats — the churn primitive behind F17.
+// "crash") and tallied in ChaosStats.
 func (f *Federation) CrashNode(id string) { f.net.CrashNode(id) }
 
 // RestartNode revives a crashed node; peers can reach it again immediately.
