@@ -79,7 +79,7 @@ func main() {
 		strat = trading.NewCompetitive()
 	}
 	metrics := obs.NewMetrics()
-	cfg := node.Config{ID: *id, Schema: fed.Schema, Strategy: strat, Metrics: metrics}
+	cfg := node.Config{ID: *id, Schema: fed.Schema, Strategy: strat}
 	if *peersFlag != "" {
 		dialer, err := newPeerDialer(*peersFlag)
 		if err != nil {
@@ -97,6 +97,7 @@ func main() {
 		n = node.New(cfg)
 		copyTable(src, n, "customer")
 	}
+	n.SetObs(nil, metrics)
 	traceLog := obs.NewTraceLogN(0)
 	n.SetTraceLog(traceLog)
 	led := ledger.New(0)

@@ -213,9 +213,7 @@ func selfBids(cfg *Config, rfb trading.RFB, answered trading.Answered, ob *negOb
 	rfb.Queries = answered.Owed(cfg.ID, rfb.Queries)
 	ph := ob.phase("self-bids")
 	defer ph.end()
-	if rfb.Trace.Sampled {
-		rfb.Trace.Parent = ph.sp.ID()
-	}
+	rfb.Trace = rfb.Trace.Under(ph.sp.ID())
 	rep, err := cfg.Self.RequestBids(rfb)
 	if err != nil {
 		return nil

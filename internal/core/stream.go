@@ -114,8 +114,7 @@ func (s *remoteStream) exchange(req trading.ExecReq) (trading.ExecResp, error) {
 	}
 	fs := s.run.root.Child(name + s.nodeID)
 	if s.run.traced() {
-		req.Trace = s.run.res.TraceCtx
-		req.Trace.Parent = fs.ID()
+		req.Trace = s.run.res.TraceCtx.Under(fs.ID())
 	}
 	sentAt := time.Now()
 	resp, err := s.run.to.fetch(s.nodeID, req)

@@ -52,10 +52,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestAdmissionGateBoundsInflightRFBs(t *testing.T) {
 	strat := &gatedStrategy{entered: make(chan string, 8), gate: make(chan struct{})}
 	m := obs.NewMetrics()
-	n := telcoNodeCfg(t, func(c *Config) {
-		c.Metrics = m
-		c.Strategy = strat
-	})
+	n := telcoNodeCfg(t, func(c *Config) { c.Strategy = strat })
+	n.SetObs(nil, m)
 	n.pool = make(chan struct{}, 4)
 	n.admit = make(chan struct{}, 1)
 	done := make(chan error, 3)

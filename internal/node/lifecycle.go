@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"qtrade/internal/ledger"
 	"qtrade/internal/trading"
 )
 
@@ -52,7 +51,7 @@ func (n *Node) drainErr(op string) error {
 // node is a no-op.
 func (n *Node) Drain(reason string) {
 	if n.state.CompareAndSwap(int32(trading.StateActive), int32(trading.StateDraining)) {
-		n.obsv.Load().ledger.Lifecycle(ledger.KindDrain, n.cfg.ID, reason)
+		n.observer().transition(trading.StateDraining, reason)
 	}
 }
 
@@ -61,7 +60,7 @@ func (n *Node) Drain(reason string) {
 // rejoining is a fresh AddNode).
 func (n *Node) Undrain() bool {
 	if n.state.CompareAndSwap(int32(trading.StateDraining), int32(trading.StateActive)) {
-		n.obsv.Load().ledger.Lifecycle(ledger.KindUndrain, n.cfg.ID, "")
+		n.observer().transition(trading.StateActive, "")
 		return true
 	}
 	return false
@@ -77,7 +76,7 @@ func (n *Node) Leave(reason string) {
 		return
 	}
 	n.RevokeStandingOffers()
-	n.obsv.Load().ledger.Lifecycle(ledger.KindLeave, n.cfg.ID, reason)
+	n.observer().transition(trading.StateLeft, reason)
 }
 
 // RevokeStandingOffers drops every RFB record the node holds — the pricing

@@ -24,9 +24,7 @@ import (
 	"qtrade/internal/catalog"
 	"qtrade/internal/cost"
 	"qtrade/internal/expr"
-	"qtrade/internal/ledger"
 	"qtrade/internal/localopt"
-	"qtrade/internal/obs"
 	"qtrade/internal/plan"
 	"qtrade/internal/pricecache"
 	"qtrade/internal/rewrite"
@@ -77,9 +75,6 @@ type Config struct {
 	// QT-native answer to load balancing: back-pressure through the market
 	// rather than a scheduler.
 	LoadAwarePricing bool
-	// Metrics attaches a registry at construction time; nil (the default)
-	// costs nothing, and Node.SetObs swaps it later.
-	Metrics *obs.Metrics
 }
 
 // standingOffer is the book entry of one minted offer, written once by mint
@@ -199,8 +194,7 @@ func New(cfg Config) *Node {
 	if cfg.LoadAwarePricing {
 		n.cfg.Strategy = &trading.LoadAware{Inner: n.cfg.Strategy, Load: n.loadFactor}
 	}
-	n.obsv.Store(&nodeObs{})
-	n.SetObs(nil, cfg.Metrics)
+	n.SetObs(nil, nil)
 	return n
 }
 
@@ -241,18 +235,19 @@ func (n *Node) acquireFor(depth int) bool {
 // Only Depth-0 RFBs pass through here: subcontract probes bypass the gate,
 // since gating them could deadlock two mutually subcontracting nodes that
 // each hold their last admission slot while waiting on the other.
-func (n *Node) admitRFB(ob *nodeObs) func() {
+func (n *Node) admitRFB() func() {
+	ob := n.observer()
 	select {
 	case n.admit <- struct{}{}:
 	default:
-		ob.rfbsQueued.Inc()
-		ob.rfbQueueDepth.Set(float64(n.queued.Add(1)))
+		ob.rfbQueued()
+		ob.rfbsWaiting(n.queued.Add(1))
 		n.admit <- struct{}{}
-		ob.rfbQueueDepth.Set(float64(n.queued.Add(-1)))
+		ob.rfbsWaiting(n.queued.Add(-1))
 	}
-	ob.rfbsInflight.Set(float64(n.inflight.Add(1)))
+	ob.rfbsHolding(n.inflight.Add(1))
 	return func() {
-		ob.rfbsInflight.Set(float64(n.inflight.Add(-1)))
+		ob.rfbsHolding(n.inflight.Add(-1))
 		<-n.admit
 	}
 }
@@ -286,10 +281,6 @@ func (n *Node) Load() float64 { return float64(n.active.Load()) }
 // query) is priced at most once while the RFB's state is alive, so a
 // fault-layer retry racing an abandoned slow first attempt coalesces with it
 // and a repeated RFBID returns the same offers.
-// When the RFB carries a sampled trace context, the node records its work
-// into a detached span tree and ships the finished subtree back in the
-// reply (nodeObs.span/ship): the buyer grafts it under its own RequestBids
-// span.
 func (n *Node) RequestBids(rfb trading.RFB) (trading.BidReply, error) {
 	// Lifecycle gate, checked before the admission gate so a draining node
 	// rejects immediately instead of queueing work it will not do: Draining
@@ -299,20 +290,15 @@ func (n *Node) RequestBids(rfb trading.RFB) (trading.BidReply, error) {
 	if err := n.gateRFB(rfb.Depth); err != nil {
 		return trading.BidReply{}, err
 	}
-	ob := n.obsv.Load()
 	if rfb.Depth == 0 {
-		release := n.admitRFB(ob)
-		defer release()
+		defer n.admitRFB()()
 	}
-	sp := ob.span(n.cfg.ID, "request-bids", rfb.Trace)
-	ob.rfbs.Inc()
-	sp.Set("rfb", rfb.RFBID)
-	sp.Set("queries", len(rfb.Queries))
+	x := n.observer().rfbReceived(rfb)
 	results := make([][]standingOffer, len(rfb.Queries))
 	if len(rfb.Queries) == 1 {
 		// One query has nothing to overlap: it is priced on this goroutine.
 		held := n.acquireFor(rfb.Depth)
-		results[0] = n.offersForShared(rfb, rfb.Queries[0], sp, ob)
+		results[0] = n.offersForShared(rfb, rfb.Queries[0], x)
 		if held {
 			n.release()
 		}
@@ -325,7 +311,7 @@ func (n *Node) RequestBids(rfb trading.RFB) (trading.BidReply, error) {
 				if n.acquireFor(rfb.Depth) {
 					defer n.release()
 				}
-				results[i] = n.offersForShared(rfb, qr, sp, ob)
+				results[i] = n.offersForShared(rfb, qr, x)
 			}(i, qr)
 		}
 		wg.Wait()
@@ -333,15 +319,13 @@ func (n *Node) RequestBids(rfb trading.RFB) (trading.BidReply, error) {
 	var out []trading.Offer
 	for _, book := range results {
 		if len(book) == 0 {
-			ob.rewritesEmpty.Inc()
+			x.unsold()
 		}
 		for i := range book {
 			out = append(out, book[i].offer)
 		}
 	}
-	sp.Set("offers", len(out))
-	sp.End()
-	return trading.BidReply{Offers: out, Trace: ob.ship(sp, rfb.Trace)}, nil
+	return trading.BidReply{Offers: out, Trace: x.ship("offers", len(out), 0)}, nil
 }
 
 // offersForShared single-flights the pricing of one (RFBID, query): the first
@@ -350,22 +334,22 @@ func (n *Node) RequestBids(rfb trading.RFB) (trading.BidReply, error) {
 // duplicates wait on the flight and share it, and completed flights are kept
 // until the record dies, so a retried RFBID is answered byte-identically
 // without re-pricing, whatever ImproveBids has done to the asks since.
-func (n *Node) offersForShared(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span, ob *nodeObs) []standingOffer {
+func (n *Node) offersForShared(rfb trading.RFB, qr trading.QueryRequest, x step) []standingOffer {
 	qkey := flightKey{qr.QID, qr.SQL}
 	n.mu.Lock()
 	neg := n.negLocked(rfb.RFBID)
 	if f := neg.flights[qkey]; f != nil {
 		n.mu.Unlock()
 		<-f.done
-		ob.pricingsCoalesced.Inc()
+		x.coalesced()
 		return f.book
 	}
 	f := &flight{done: make(chan struct{})}
 	neg.flights[qkey] = f
 	n.mu.Unlock()
 	t0 := time.Now()
-	book, cached := n.priceQuery(rfb, qr, sp, ob)
-	ob.ledger.Priced(rfb.RFBID, rfb.BuyerID, n.cfg.ID, qr.QID, len(book), cached, msSince(t0))
+	book, cached := n.priceQuery(rfb, qr, x)
+	x.priced(rfb, qr.QID, len(book), cached, t0)
 	n.mu.Lock()
 	neg = n.negLocked(rfb.RFBID) // reopened if the record died while the query was priced
 	for i := range book {
@@ -385,37 +369,33 @@ func (n *Node) generation() pricecache.Generation {
 
 // priceQuery is the seller's three steps for one requested query; the second
 // return reports whether S1 and S2 came from the price cache.
-func (n *Node) priceQuery(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span, ob *nodeObs) ([]standingOffer, bool) {
+func (n *Node) priceQuery(rfb trading.RFB, qr trading.QueryRequest, x step) ([]standingOffer, bool) {
 	// S1: read the query, rewrite it against the local fragments and plan it.
 	// S2: draft what the node can sell of it — the partial results the modified
 	// DP retained, matching views, a partial aggregate. All of that is the
 	// price-cache entry of the text, so a hit arrives here with nothing read.
 	gen := n.generation()
-	e, cached := n.rewriteAndPlan(gen, qr.SQL, sp, ob)
+	e, cached := n.rewriteAndPlan(gen, qr.SQL, x)
 	if e.Err != nil {
 		return nil, cached
 	}
 	// S3: mint prices each draft, and between the entry's own drafts those of the
 	// one source that depends on the RFB: complete extents assembled by
 	// subcontracting, from what the peers reply now.
-	m := &minter{n: n, rfbID: rfb.RFBID, qid: qr.QID, gen: gen, prefix: n.cfg.ID + "/" + rfb.RFBID + "/" + qr.QID + "/",
+	m := &minter{n: n, ob: x.nodeObs, rfbID: rfb.RFBID, qid: qr.QID, gen: gen, prefix: n.cfg.ID + "/" + rfb.RFBID + "/" + qr.QID + "/",
 		book: make([]standingOffer, 0, len(e.Drafts)+1)}
 	for i := range e.Drafts {
-		if d := &e.Drafts[i]; d.FromView {
-			m.mint(d, 0, nil, ob.offersView)
-		} else {
-			m.mint(d, 0, nil, ob.offersPriced)
-		}
+		m.mint(&e.Drafts[i], 0, nil)
 	}
 	if n.cfg.SubcontractPeers != nil && rfb.Depth == 0 {
-		scSp := sp.Child("subcontract")
-		for _, c := range n.subcontractDrafts(rfb, e, scSp, m) {
-			m.mint(&c.Draft, c.paid, c.sub, ob.offersSubcontract)
+		ph := x.phase("subcontract")
+		for _, c := range n.subcontractDrafts(rfb, e, ph, m) {
+			m.mint(&c.Draft, c.paid, c.sub)
 		}
-		scSp.End()
+		ph.end(nil)
 	}
 	if e.PartialAgg != nil {
-		m.mint(e.PartialAgg, 0, nil, ob.offersPartialAgg)
+		m.mint(e.PartialAgg, 0, nil)
 	}
 	// Cap by truthful value, cheapest first, keeping the widest coverage
 	// offers regardless (they are what the buyer most needs); what the cap
@@ -445,49 +425,34 @@ func (n *Node) priceQuery(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span
 // is never stale. The entry is shared with every other pricing of the same
 // text, the offers minted from it and their executions, and is only read.
 // Strategy pricing (S3) always runs fresh: margins adapt between rounds.
-func (n *Node) rewriteAndPlan(gen pricecache.Generation, sql string, sp *obs.Span, ob *nodeObs) (e pricecache.Entry, cached bool) {
+func (n *Node) rewriteAndPlan(gen pricecache.Generation, sql string, x step) (e pricecache.Entry, cached bool) {
 	if n.prices != nil {
 		if e, ok := n.prices.Get(gen, sql); ok {
-			ob.cacheHits.Inc()
-			dpSp := sp.Child("dp-pricing")
-			dpSp.Set("cache", "hit")
-			endDP(dpSp, e.Drafts, e.Err)
+			x.cacheHit(&e)
 			return e, true
 		}
-		ob.cacheMisses.Inc()
+		x.cacheMiss()
 	}
 	if e.Sel, e.Err = sqlparse.ParseSelect(sql); e.Err == nil {
 		plan.Qualify(e.Sel, n.cfg.Schema)
-		t0 := time.Now()
-		rwSp := sp.Child("rewrite")
+		ph := x.phase("rewrite")
 		e.Rewritten, e.Err = rewrite.ForSeller(e.Sel, n.cfg.Schema, n.store)
-		if e.Err != nil {
-			rwSp.Set("error", e.Err)
-		}
-		rwSp.End()
-		rewriteMS := msSince(t0)
-		ob.rewriteMS.Observe(rewriteMS)
-		ob.ledger.ObservePhase(ledger.PhaseRewrite, rewriteMS)
+		ph.end(&e)
 	}
 	if e.Err == nil {
-		t0 := time.Now()
-		dpSp := sp.Child("dp-pricing")
-		if n.prices != nil {
-			dpSp.Set("cache", "miss")
-		}
+		ph := x.dpPricing(n.prices != nil)
 		var res *localopt.Result
 		if res, e.Err = localopt.Optimize(e.Rewritten.Sel, n.cfg.Schema, n.store, n.cfg.Cost); e.Err == nil {
 			n.draftOffers(&e, res)
 		}
-		endDP(dpSp, e.Drafts, e.Err)
-		ob.dpMS.Observe(msSince(t0))
+		ph.end(&e)
 	}
 	// A failure is as much a function of the text and the generation as a
 	// result is (an unparsable text, nothing local, a contradicted predicate,
 	// an unplannable rewrite), so it is remembered too: a later RFB asking the
 	// same text must not redo the work to learn it.
 	if n.prices != nil {
-		ob.cacheEvictions.Add(int64(n.prices.Put(gen, sql, e)))
+		x.cacheEvicted(n.prices.Put(gen, sql, e))
 	}
 	return e, false
 }
@@ -517,23 +482,6 @@ func (n *Node) draftOffers(e *pricecache.Entry, res *localopt.Result) {
 	}
 }
 
-// endDP closes a dp-pricing span with the partials the DP retained — each is a
-// draft now — or why it failed.
-func endDP(dpSp *obs.Span, drafts []pricecache.Draft, err error) {
-	if err != nil {
-		dpSp.Set("error", err)
-	} else if dpSp != nil {
-		partials := 0
-		for i := range drafts {
-			if drafts[i].Kind == "o" {
-				partials++
-			}
-		}
-		dpSp.Set("partials", partials)
-	}
-	dpSp.End()
-}
-
 // compositeDraft is the draft of the one S2 source that is not a function of the
 // text and the generation: a complete extent assembled by subcontracting. It
 // fills OfferID itself — ids are reserved in probe order — and brings what mint
@@ -552,6 +500,7 @@ type compositeDraft struct {
 // exactly the ids the first attempt minted.
 type minter struct {
 	n          *Node
+	ob         *nodeObs // counts what is minted
 	rfbID, qid string
 	gen        pricecache.Generation // the drafts' own
 	prefix     string                // of every id, up to the kind
@@ -567,8 +516,8 @@ func (m *minter) nextID(kind string) string {
 // mint turns a draft into a priced offer and writes its book entry: identity,
 // and step S3 — the strategy names the price of the truthful valuation (plus
 // paid, what a composite's inputs cost). The draft is shared and stays as it
-// is; counted is the per-source instrument a minted offer ticks.
-func (m *minter) mint(d *pricecache.Draft, paid float64, sub *subcontract, counted *obs.Counter) {
+// is.
+func (m *minter) mint(d *pricecache.Draft, paid float64, sub *subcontract) {
 	n := m.n
 	o := d.Offer
 	if o.OfferID == "" {
@@ -578,7 +527,7 @@ func (m *minter) mint(d *pricecache.Draft, paid float64, sub *subcontract, count
 	truth := trading.TruthScore(n.cfg.Weights, o.Props) + paid
 	o.Price = n.cfg.Strategy.Price(m.qid, truth)
 	m.book = append(m.book, standingOffer{offer: o, truth: truth, ask: o.Price, sub: sub, plan: d.Plan, gen: m.gen})
-	counted.Inc()
+	m.ob.minted(d.Kind)
 }
 
 // partialDraft offers one partial result the modified DP retained. One whose
@@ -732,8 +681,7 @@ func (n *Node) valuation(execCost float64, rows int64, bytes float64, coverage f
 
 // ImproveBids implements the seller side of iterative bidding and bargaining
 // (step S3): the strategy may undercut the best competing price or meet a
-// bargaining target. A sampled request ships a small improve-bids span back
-// so every protocol round is visible in the buyer's trace.
+// bargaining target.
 func (n *Node) ImproveBids(req trading.ImproveReq) (trading.BidReply, error) {
 	switch n.State() {
 	case trading.StateLeft:
@@ -744,15 +692,9 @@ func (n *Node) ImproveBids(req trading.ImproveReq) (trading.BidReply, error) {
 		// (winning more work would delay the drain).
 		return trading.BidReply{}, nil
 	}
-	var sp *obs.Span
-	if req.Trace.Sampled {
-		sp = obs.NewTracer().Start(n.cfg.ID, "improve-bids")
-		sp.Set("rfb", req.RFBID)
-	}
+	x := n.observer().improveReceived(req)
 	out := n.improveOffers(req)
-	sp.Set("offers", len(out))
-	sp.End()
-	return trading.BidReply{Offers: out, Trace: sp.Payload()}, nil
+	return trading.BidReply{Offers: out, Trace: x.ship("offers", len(out), 0)}, nil
 }
 
 func (n *Node) improveOffers(req trading.ImproveReq) []trading.Offer {
@@ -807,7 +749,7 @@ func (n *Node) Award(aw trading.Award) error {
 	if !ok {
 		return fmt.Errorf("node %s: unknown offer %q", n.cfg.ID, aw.OfferID)
 	}
-	n.obsv.Load().offersWon.Inc()
+	n.observer().won()
 	n.cfg.Strategy.Observe(winner.offer.QID, true)
 	for id, so := range m {
 		if id != aw.OfferID && so.offer.QID == winner.offer.QID {
@@ -824,8 +766,7 @@ func (n *Node) Award(aw trading.Award) error {
 // find what was purchased → open → deliver: an opening request (plain or
 // Stream) opens the plan tree purchasedPlan builds, a continuation or release
 // (req.Cursor) finds the cursor an earlier opening parked, and either way
-// deliver (stream.go) ships the rows and, for a sampled request, the node's
-// span subtree of the exchange.
+// deliver (stream.go) ships the rows.
 func (n *Node) Execute(req trading.ExecReq) (trading.ExecResp, error) {
 	// Draining nodes still deliver: every purchased answer is in-flight work
 	// the drain must finish. Only a node that has Left refuses, and the
@@ -835,7 +776,6 @@ func (n *Node) Execute(req trading.ExecReq) (trading.ExecResp, error) {
 	}
 	n.active.Add(1)
 	defer n.active.Add(-1)
-	ob := n.obsv.Load()
 	if req.Cursor != "" {
 		sc, err := n.parkedCursor(req.Cursor)
 		if err != nil {
@@ -843,35 +783,20 @@ func (n *Node) Execute(req trading.ExecReq) (trading.ExecResp, error) {
 		}
 		sc.mu.Lock()
 		defer sc.mu.Unlock()
-		return n.deliver(ob, sc, req, nil, time.Now())
+		return n.deliver(sc, req, step{}, time.Now())
 	}
-	sp := ob.span(n.cfg.ID, "execute", req.Trace)
-	sp.Set("sql", req.SQL)
-	ob.execs.Inc()
-	// The wall time since t0 is the seller's actual cost behind the quote it
-	// bid with; the quote goes on the span next to it, so a grafted subtree
-	// carries est-vs-actual into the buyer's flight dossier. (The standing
-	// offer may be gone — evicted or another RFB's: then only actuals ship.)
-	t0 := time.Now()
+	t0 := time.Now() // the delivery's wall time, the actual behind the quote, starts here
+
 	so, err := n.purchase(req)
-	if so != nil && sp != nil {
-		sp.Set("est_rows", so.offer.Props.Rows)
-		sp.Set("quoted_ms", so.offer.Props.TotalTime)
-	}
-	var resp trading.ExecResp
-	var sc *serverCursor
+	x := n.observer().purchaseReceived(req, so)
 	if err == nil {
-		sc, err = n.openPurchased(ob, req, so, sp)
+		var sc *serverCursor
+		if sc, err = n.openPurchased(req, so, x); err == nil {
+			return n.deliver(sc, req, x, t0)
+		}
 	}
-	if err == nil {
-		resp, err = n.deliver(ob, sc, req, sp, t0)
-	}
-	if err != nil {
-		sp.Set("error", err)
-		sp.End()
-	}
-	ob.execMS.Observe(msSince(t0))
-	return resp, err
+	x.fail(err)
+	return trading.ExecResp{}, err
 }
 
 // rfbOf extracts the RFBID embedded in an offer id this node minted
@@ -964,18 +889,8 @@ func OutputSpecs(sel *sqlparse.Select, sch *catalog.Schema, store *storage.Store
 	for i, it := range sel.Items {
 		if it.Star {
 			for _, tr := range sel.From {
-				if def, ok := sch.Table(tr.Name); ok {
-					for _, cd := range def.Columns {
-						out = append(out, trading.ColSpec{Table: tr.Binding(), Name: cd.Name, Kind: cd.Kind})
-					}
-					continue
-				}
-				if store != nil {
-					if v := store.View(tr.Name); v != nil {
-						for _, cd := range v.Columns {
-							out = append(out, trading.ColSpec{Table: tr.Binding(), Name: cd.Name, Kind: cd.Kind})
-						}
-					}
+				for _, cd := range columnsOf(tr.Name, sch, store) {
+					out = append(out, trading.ColSpec{Table: tr.Binding(), Name: cd.Name, Kind: cd.Kind})
 				}
 			}
 			continue
@@ -997,6 +912,20 @@ func OutputSpecs(sel *sqlparse.Select, sch *catalog.Schema, store *storage.Store
 	return out, nil
 }
 
+// columnsOf lists the columns of a FROM entry: a base table's, else a local
+// view's.
+func columnsOf(name string, sch *catalog.Schema, store *storage.Store) []catalog.ColumnDef {
+	if def, ok := sch.Table(name); ok {
+		return def.Columns
+	}
+	if store != nil {
+		if v := store.View(name); v != nil {
+			return v.Columns
+		}
+	}
+	return nil
+}
+
 // buildKindResolver returns a function inferring the value kind of an
 // expression under the query's FROM bindings.
 func buildKindResolver(sel *sqlparse.Select, sch *catalog.Schema, store *storage.Store) func(expr.Expr) value.Kind {
@@ -1005,18 +934,9 @@ func buildKindResolver(sel *sqlparse.Select, sch *catalog.Schema, store *storage
 			if c.Table != "" && !strings.EqualFold(c.Table, tr.Binding()) {
 				continue
 			}
-			if def, ok := sch.Table(tr.Name); ok {
-				if idx := def.ColumnIndex(c.Name); idx >= 0 {
-					return def.Columns[idx].Kind
-				}
-			}
-			if store != nil {
-				if v := store.View(tr.Name); v != nil {
-					for _, cd := range v.Columns {
-						if strings.EqualFold(cd.Name, c.Name) {
-							return cd.Kind
-						}
-					}
+			for _, cd := range columnsOf(tr.Name, sch, store) {
+				if strings.EqualFold(cd.Name, c.Name) {
+					return cd.Kind
 				}
 			}
 		}

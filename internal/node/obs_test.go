@@ -135,3 +135,134 @@ func TestObserverSettersRaceServing(t *testing.T) {
 		t.Fatalf("%d cursors left parked", n.OpenCursors())
 	}
 }
+
+// agreeQuery joins ten customers to their invoices: a 2-way partial of ten
+// rows to stream.
+const agreeQuery = `SELECT c.custid, c.custname, i.charge FROM customer c, invoiceline i
+	WHERE c.custid = i.custid AND c.custid < 10`
+
+// buyStreamed purchases offer o and pulls the answer in 1-row batches under
+// trace context tc, returning every reply's shipped subtree and how many
+// exchanges the delivery took.
+func buyStreamed(t *testing.T, n *Node, o trading.Offer, tc obs.TraceContext) ([]*obs.SpanPayload, int) {
+	t.Helper()
+	resp, err := n.Execute(trading.ExecReq{BuyerID: "athens", OfferID: o.OfferID, SQL: o.SQL, Stream: true, BatchRows: 1, Trace: tc})
+	shipped, exchanges := []*obs.SpanPayload{resp.Trace}, 1
+	for seq := int64(1); err == nil && resp.More; seq++ {
+		resp, err = n.Execute(trading.ExecReq{OfferID: o.OfferID, Cursor: resp.Cursor, Seq: seq, Trace: tc})
+		shipped, exchanges = append(shipped, resp.Trace), exchanges+1
+	}
+	if err != nil {
+		t.Fatalf("streaming %s: %v", o.OfferID, err)
+	}
+	return shipped, exchanges
+}
+
+// joinOffer is the 2-way partial among offers.
+func joinOffer(t *testing.T, offers []trading.Offer) trading.Offer {
+	t.Helper()
+	for _, o := range offers {
+		if len(o.Bindings) == 2 && !o.PartialAgg && !o.FromView {
+			return o
+		}
+	}
+	t.Fatalf("no 2-way partial among %d offers", len(offers))
+	return trading.Offer{}
+}
+
+// TestExecMSIsPerDelivery: node.<id>.exec_ms times a whole delivery, however
+// many exchanges it takes, as the Served event does — one sample, from the
+// opening to the last batch, whose value is the Served wall. (It used to be
+// observed after the opening batch, so slow continuations never showed.)
+func TestExecMSIsPerDelivery(t *testing.T) {
+	n := telcoNodeCfg(t, nil)
+	m, led := obs.NewMetrics(), ledger.New(0)
+	n.SetObs(nil, m)
+	n.SetLedger(led)
+	offers, err := bidOffers(n.RequestBids(trading.RFB{RFBID: "rfb-ms", BuyerID: "athens",
+		Queries: []trading.QueryRequest{{QID: "q0", SQL: agreeQuery}}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, exchanges := buyStreamed(t, n, joinOffer(t, offers), obs.TraceContext{}); exchanges < 3 {
+		t.Fatalf("the answer took %d exchanges, want several", exchanges)
+	}
+	h, served := m.Histogram("node.myconos.exec_ms"), servedEvents(led)
+	if len(served) != 1 || h.Count() != 1 || h.Sum() != served[0].WallMS {
+		t.Fatalf("exec_ms holds %d samples summing to %v; %d Served events %+v", h.Count(), h.Sum(), len(served), served)
+	}
+}
+
+// TestSellerSinksAgree is the seller's counterpart of core.TestSinksAgree:
+// one sampled RFB whose two queries share a text (a price-cache miss, then a
+// hit) and one purchased answer streamed over several batches, with metrics,
+// ledger and trace log attached, tell the same story in every sink — they
+// are all fed from the one observer.
+func TestSellerSinksAgree(t *testing.T) {
+	n := telcoNodeCfg(t, nil)
+	n.pool = make(chan struct{}, 1) // the two queries are priced one after the other
+	m, led, tl := obs.NewMetrics(), ledger.New(0), obs.NewTraceLogN(0)
+	n.SetObs(nil, m)
+	n.SetLedger(led)
+	n.SetTraceLog(tl)
+
+	rfb := trading.RFB{RFBID: "rfb-agree", BuyerID: "athens", Trace: sampled,
+		Queries: []trading.QueryRequest{{QID: "q0", SQL: agreeQuery}, {QID: "q1", SQL: agreeQuery}}}
+	reply, err := n.RequestBids(rfb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped, exchanges := buyStreamed(t, n, joinOffer(t, reply.Offers), sampled)
+	if exchanges < 3 {
+		t.Fatalf("the answer took %d exchanges, want several", exchanges)
+	}
+	spans := map[string]int{}
+	var count func(p *obs.SpanPayload)
+	count = func(p *obs.SpanPayload) {
+		spans[p.Name]++
+		for _, c := range p.Children {
+			count(c)
+		}
+	}
+	for _, p := range append(shipped, reply.Trace) {
+		count(p)
+	}
+	counter := func(name string) int { return int(m.Counter("node.myconos." + name).Value()) }
+
+	if counter("rfbs") != 1 || spans["request-bids"] != 1 {
+		t.Errorf("rfbs %d, request-bids spans %d", counter("rfbs"), spans["request-bids"])
+	}
+	if hits, misses := counter("pricecache_hits"), counter("pricecache_misses"); hits != 1 || misses != 1 || spans["dp-pricing"] != hits+misses {
+		t.Errorf("price cache: %d hits + %d misses, %d dp-pricing spans", hits, misses, spans["dp-pricing"])
+	}
+	if rw := m.Histogram("node.myconos.rewrite_ms").Count(); rw != 1 || spans["rewrite"] != int(rw) {
+		t.Errorf("rewrite_ms holds %d samples, %d rewrite spans", rw, spans["rewrite"])
+	}
+	priced := 0
+	for _, neg := range led.Negotiations(0) {
+		for _, e := range neg.Events {
+			if e.Kind == ledger.KindPriced {
+				priced++
+			}
+		}
+	}
+	if priced != len(rfb.Queries) {
+		t.Errorf("%d Priced events for %d priced queries", priced, len(rfb.Queries))
+	}
+	served := servedEvents(led)
+	if counter("execs") != 1 || spans["execute"] != 1 || len(served) != 1 || spans["fetch-batch"] != exchanges-1 {
+		t.Fatalf("execs %d, execute spans %d, Served events %d, fetch-batch spans %d for %d exchanges",
+			counter("execs"), spans["execute"], len(served), spans["fetch-batch"], exchanges)
+	}
+	if h := m.Histogram("node.myconos.exec_ms"); h.Count() != 1 || h.Sum() != served[0].WallMS {
+		t.Errorf("exec_ms holds %d samples summing to %v, the Served wall is %v", h.Count(), h.Sum(), served[0].WallMS)
+	}
+	// The trace log keeps the subtrees that open a negotiation or a delivery.
+	var logged []string
+	for _, p := range tl.Recent(0) {
+		logged = append(logged, p.Name)
+	}
+	if fmt.Sprint(logged) != "[request-bids execute]" && fmt.Sprint(logged) != "[execute request-bids]" {
+		t.Errorf("trace log holds %v, want the request-bids and execute subtrees", logged)
+	}
+}

@@ -96,7 +96,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 // iteration, and the second iteration must hit.
 func TestPriceCacheHitsAcrossIterations(t *testing.T) {
 	m := obs.NewMetrics()
-	n := telcoNodeCfg(t, func(c *Config) { c.Metrics = m })
+	n := telcoNodeCfg(t, nil)
+	n.SetObs(nil, m)
 	first, err := bidOffers(n.RequestBids(wideRFB("rfb-i1", 3)))
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +131,8 @@ func TestPriceCacheHitsAcrossIterations(t *testing.T) {
 // statistics, matching a cold node holding the same final data.
 func TestPriceCacheInvalidatedByMutation(t *testing.T) {
 	m := obs.NewMetrics()
-	n := telcoNodeCfg(t, func(c *Config) { c.Metrics = m })
+	n := telcoNodeCfg(t, nil)
+	n.SetObs(nil, m)
 	stale, err := bidOffers(n.RequestBids(wideRFB("rfb-m1", 2)))
 	if err != nil {
 		t.Fatal(err)
@@ -280,10 +282,8 @@ func TestParallelPricingOverlapsQueries(t *testing.T) {
 func TestRequestBidsIdempotentRepeat(t *testing.T) {
 	m := obs.NewMetrics()
 	strat := &countingStrategy{}
-	n := telcoNodeCfg(t, func(c *Config) {
-		c.Metrics = m
-		c.Strategy = strat
-	})
+	n := telcoNodeCfg(t, func(c *Config) { c.Strategy = strat })
+	n.SetObs(nil, m)
 	rfb := wideRFB("rfb-idem", 3)
 	first, err := bidOffers(n.RequestBids(rfb))
 	if err != nil {
@@ -320,10 +320,8 @@ func TestRetryCoalescesWithAbandonedAttempt(t *testing.T) {
 
 	m := obs.NewMetrics()
 	strat := &countingStrategy{started: make(chan struct{}), gate: make(chan struct{})}
-	n := telcoNodeCfg(t, func(c *Config) {
-		c.Metrics = m
-		c.Strategy = strat
-	})
+	n := telcoNodeCfg(t, func(c *Config) { c.Strategy = strat })
+	n.SetObs(nil, m)
 	type res struct {
 		offers []trading.Offer
 		err    error
@@ -385,7 +383,8 @@ func TestEndNegotiationDropsFlightState(t *testing.T) {
 func TestPriceCacheRemembersFailedRewrite(t *testing.T) {
 	m := obs.NewMetrics()
 	led := ledger.New(8)
-	n := telcoNodeCfg(t, func(c *Config) { c.Metrics = m })
+	n := telcoNodeCfg(t, nil)
+	n.SetObs(nil, m)
 	n.SetLedger(led)
 	ask := func(rfbID string) []trading.Offer {
 		t.Helper()
@@ -441,15 +440,16 @@ func TestPriceCacheRemembersFailedRewrite(t *testing.T) {
 // does not parse is remembered as a failed rewrite is.
 func TestPriceCacheHitReadsNothing(t *testing.T) {
 	m := obs.NewMetrics()
-	n := telcoNodeCfg(t, func(c *Config) { c.Metrics = m })
-	ob := n.obsv.Load()
+	n := telcoNodeCfg(t, nil)
+	n.SetObs(nil, m)
+	x := step{nodeObs: n.observer()} // an unsampled request's
 	hits, misses := m.Counter("node.myconos.pricecache_hits"), m.Counter("node.myconos.pricecache_misses")
 	rfb := trading.RFB{RFBID: "rfb-h", BuyerID: "athens"}
 	qr := trading.QueryRequest{QID: "q0", SQL: `SELECT c.custname, i.charge
 		FROM customer c, invoiceline i
 		WHERE c.custid = i.custid AND c.custid < 10 AND i.charge > 2`}
 	price := func(sql string) ([]standingOffer, bool) {
-		return n.priceQuery(rfb, trading.QueryRequest{QID: qr.QID, SQL: sql}, nil, ob)
+		return n.priceQuery(rfb, trading.QueryRequest{QID: qr.QID, SQL: sql}, x)
 	}
 
 	first, cached := price(qr.SQL)
@@ -468,7 +468,7 @@ func TestPriceCacheHitReadsNothing(t *testing.T) {
 	for _, sql := range []string{qr.SQL, wideRFB("", 1).Queries[0].SQL} {
 		minted, _ := price(sql)
 		miss := testing.AllocsPerRun(20, func() {
-			cold.priceQuery(rfb, trading.QueryRequest{QID: qr.QID, SQL: sql}, nil, cold.obsv.Load())
+			cold.priceQuery(rfb, trading.QueryRequest{QID: qr.QID, SQL: sql}, step{nodeObs: cold.observer()})
 		})
 		hit := testing.AllocsPerRun(20, func() { price(sql) })
 		if budget := float64(4*len(minted) + 8); len(minted) < 3 || hit > budget || hit*10 > miss {
@@ -512,12 +512,12 @@ func BenchmarkPriceQuery(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			n := telcoNodeCfg(b, func(c *Config) { c.PriceCacheSize = bc.size })
-			ob := n.obsv.Load()
-			n.priceQuery(rfb, bc.qr, nil, ob)
+			x := step{nodeObs: n.observer()}
+			n.priceQuery(rfb, bc.qr, x)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for range b.N {
-				if offers, _ := n.priceQuery(rfb, bc.qr, nil, ob); (len(offers) > 0) != bc.offers {
+				if offers, _ := n.priceQuery(rfb, bc.qr, x); (len(offers) > 0) != bc.offers {
 					b.Fatalf("%d offers", len(offers))
 				}
 			}

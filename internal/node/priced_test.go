@@ -42,7 +42,8 @@ func jointOffer(t *testing.T, offers []trading.Offer) trading.Offer {
 func TestPurchaseOpensThePricedPlanWithinItsGeneration(t *testing.T) {
 	m := obs.NewMetrics()
 	led := ledger.New(2 * maxStandingRFBs)
-	n := telcoNodeCfg(t, func(c *Config) { c.Metrics = m })
+	n := telcoNodeCfg(t, nil)
+	n.SetObs(nil, m)
 	n.SetLedger(led)
 	quote := func(rfbID string) trading.Offer {
 		t.Helper()
@@ -165,7 +166,8 @@ func TestExecuteRefusesAnotherTextUnderAStandingOffer(t *testing.T) {
 // offer that was quoted, and each side gets its own plan and columns.
 func TestReusedRFBIDServesEachQuoteItsOwnText(t *testing.T) {
 	m := obs.NewMetrics()
-	n := telcoNodeCfg(t, func(c *Config) { c.Metrics = m })
+	n := telcoNodeCfg(t, nil)
+	n.SetObs(nil, m)
 	ask := func(sql string) trading.Offer {
 		t.Helper()
 		offers, err := bidOffers(n.RequestBids(trading.RFB{RFBID: "qtsql-rfb1", BuyerID: "athens",
@@ -206,7 +208,8 @@ func TestReusedRFBIDServesEachQuoteItsOwnText(t *testing.T) {
 // -race fails on any write, and every answer is the same.
 func TestPricedPlanIsSharedReadOnly(t *testing.T) {
 	m := obs.NewMetrics()
-	n := telcoNodeCfg(t, func(c *Config) { c.Metrics = m })
+	n := telcoNodeCfg(t, nil)
+	n.SetObs(nil, m)
 	rfb := wideRFB("r-shared", 1)
 	offers, err := bidOffers(n.RequestBids(rfb))
 	if err != nil || len(offers) < 4 {

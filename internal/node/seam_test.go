@@ -5,7 +5,9 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -185,8 +187,9 @@ func checkPricedBranch(t *testing.T, fset *token.FileSet, fd *ast.FuncDecl) {
 // non-test files pull a purchased answer's cursor (serverCursor.advance) at
 // one call site, in deliver — so the opening batch, every continuation and a
 // plain request's whole answer are the same exchange, and More, Cursor and
-// the cumulative ExecMS are set in one place — and report a delivery to the
-// ledger at one call site, in finishCursor, where every delivery ends.
+// the cumulative ExecMS are set in one place — and report a delivery at one
+// call site, in finishCursor, where every delivery ends, to the observer's
+// delivered, the one place the ledger's Served event is written.
 func TestDeliverIsTheOnlyExchange(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
@@ -195,7 +198,7 @@ func TestDeliverIsTheOnlyExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	home := map[string]string{"advance": "deliver", "Served": "finishCursor"}
+	home := map[string]string{"advance": "deliver", "delivered": "finishCursor", "Served": "delivered"}
 	calls := map[string]int{}
 	for _, file := range pkgs["node"].Files {
 		for _, d := range file.Decls {
@@ -221,8 +224,9 @@ func TestDeliverIsTheOnlyExchange(t *testing.T) {
 			})
 		}
 	}
-	if calls["advance"] != 1 || calls["Served"] != 1 {
-		t.Errorf("%d advance and %d ledger.Served call sites, want exactly one of each", calls["advance"], calls["Served"])
+	if calls["advance"] != 1 || calls["delivered"] != 1 || calls["Served"] != 1 {
+		t.Errorf("%d advance, %d delivered and %d ledger.Served call sites, want exactly one of each",
+			calls["advance"], calls["delivered"], calls["Served"])
 	}
 }
 
@@ -256,5 +260,122 @@ func TestRFBOfOfferID(t *testing.T) {
 		if got := n.rfbOf(id); got != want {
 			t.Errorf("rfbOf(%q) = %q, want %q", id, got, want)
 		}
+	}
+}
+
+// TestSellerObservesThroughOneSeam holds the seller's observation to one
+// file, as core.TestOptimizeIsTheLoop holds the buyer's to observe.go: among
+// node's non-test files only obs.go imports obs or ledger, loads the observer
+// pointer (n.obsv) or selects a field of its types that holds a sink — a
+// span, an instrument, the tracer, the trace log or the ledger — so the serving
+// paths only tell the observer what happened. And a trace context names its
+// parent span in one place: no non-test file outside internal/obs assigns a
+// Parent, anywhere in the repository — requests are stamped with
+// TraceContext.Under.
+func TestSellerObservesThroughOneSeam(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sinkPkg := func(e ast.Expr) bool { // a type of package obs or ledger, behind any pointer or map
+		for {
+			switch v := e.(type) {
+			case *ast.StarExpr:
+				e = v.X
+			case *ast.MapType:
+				e = v.Value
+			case *ast.SelectorExpr:
+				pkg, ok := v.X.(*ast.Ident)
+				return ok && (pkg.Name == "obs" || pkg.Name == "ledger")
+			default:
+				return false
+			}
+		}
+	}
+	sinks := map[string]bool{} // fields declared in obs.go that hold a sink
+	for name, file := range pkgs["node"].Files {
+		if filepath.Base(name) != "obs.go" {
+			continue
+		}
+		ast.Inspect(file, func(x ast.Node) bool {
+			if st, ok := x.(*ast.StructType); ok {
+				for _, f := range st.Fields.List {
+					for _, id := range f.Names {
+						if sinkPkg(f.Type) {
+							sinks[id.Name] = true
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, want := range []string{"tracer", "ledger", "traceLog", "rfbs", "execMS"} {
+		if !sinks[want] {
+			t.Fatalf("obs.go declares no sink field %q; found %v", want, sinks)
+		}
+	}
+	for name, file := range pkgs["node"].Files {
+		if filepath.Base(name) == "obs.go" {
+			continue
+		}
+		for _, imp := range file.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "qtrade/internal/obs" || p == "qtrade/internal/ledger" {
+				t.Errorf("%s imports %s: the seller reports through nodeObs (obs.go)", fset.Position(imp.Pos()), p)
+			}
+		}
+		ast.Inspect(file, func(x ast.Node) bool {
+			if sel, ok := x.(*ast.SelectorExpr); ok && (sel.Sel.Name == "obsv" || sinks[sel.Sel.Name]) {
+				t.Errorf("%s: .%s outside obs.go: tell the observer what happened instead", fset.Position(sel.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
+	}
+
+	root := filepath.Join("..", "..")
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == filepath.Join(root, "internal", "obs") || d.Name() == "testdata" || (d.Name() != ".." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(file, func(x ast.Node) bool {
+			switch v := x.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range v.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "Parent" {
+						t.Errorf("%s: assigns a trace context's Parent; stamp the request with TraceContext.Under", fset.Position(sel.Pos()))
+					}
+				}
+			case *ast.CompositeLit:
+				if lastIdent(v.Type) != "TraceContext" {
+					return true
+				}
+				for _, el := range v.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok && lastIdent(kv.Key) == "Parent" {
+						t.Errorf("%s: a TraceContext literal names its Parent; use TraceContext.Under", fset.Position(kv.Pos()))
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

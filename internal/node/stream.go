@@ -8,7 +8,6 @@ import (
 
 	"qtrade/internal/exec"
 	"qtrade/internal/localopt"
-	"qtrade/internal/obs"
 	"qtrade/internal/plan"
 	"qtrade/internal/sqlparse"
 	"qtrade/internal/trading"
@@ -74,13 +73,13 @@ func (sc *serverCursor) advance() ([]value.Row, bool, error) {
 // request's batch size (the default when unset). Whatever it is — plain, view,
 // UNION chain, composite — is a plan tree on the one executor, whose remote
 // hook resolves a composite's Remote leaves.
-func (n *Node) openPurchased(ob *nodeObs, req trading.ExecReq, so *standingOffer, sp *obs.Span) (*serverCursor, error) {
-	fetch := &subFetch{n: n, batch: req.BatchRows, sp: sp, ctx: req.Trace}
+func (n *Node) openPurchased(req trading.ExecReq, so *standingOffer, x step) (*serverCursor, error) {
+	fetch := &subFetch{n: n, batch: req.BatchRows, x: x}
 	ex := &exec.Executor{Store: n.store, BatchSize: req.BatchRows, FetchStream: fetch.open}
 	var cur exec.Cursor
 	root, specs, priced, err := n.purchasedPlan(req, so)
 	if err == nil {
-		ob.ran(sp, priced)
+		x.ran(priced)
 		cur, err = ex.Open(root)
 	}
 	if err != nil {
@@ -186,10 +185,8 @@ func (n *Node) selectPlan(sel *sqlparse.Select) (plan.Node, []trading.ColSpec, e
 func (n *Node) parkedCursor(id string) (*serverCursor, error) {
 	n.curMu.Lock()
 	defer n.curMu.Unlock()
-	for _, sc := range n.parked {
-		if sc.id == id {
-			return sc, nil
-		}
+	if i := slices.IndexFunc(n.parked, func(sc *serverCursor) bool { return sc.id == id }); i >= 0 {
+		return n.parked[i], nil
 	}
 	return nil, fmt.Errorf("node %s: unknown cursor %s", n.cfg.ID, id)
 }
@@ -198,15 +195,13 @@ func (n *Node) parkedCursor(id string) (*serverCursor, error) {
 // opening batch, every continuation (ExecReq.Cursor/Seq), a release
 // (CloseCursor) — and the whole answer of a plain request, which is the same
 // pull repeated to exhaustion. Continuations are idempotent per Seq, so the
-// buyer's fault policy can retry a lost batch without skipping rows. sp is
-// the opening's execute span; a sampled continuation records into a
-// fetch-batch span of its own. Every response carries the wall time summed
-// since the opening's t0, so the final batch carries the total the buyer's
-// ledger records as the actual behind the seller's quote; the seller's own
-// Served event fires once, when the delivery ends. Callers hold sc.mu, or
+// buyer's fault policy can retry a lost batch without skipping rows. x is the
+// opening's exchange; a continuation opens its own once it pulls. Every
+// response carries the wall time summed since the opening's t0: the final
+// batch the actual behind the seller's quote. Callers hold sc.mu, or
 // own a cursor not yet parked — parked last, once the response is final: the
 // buyer cannot continue before it has seen it, so nothing races the parking.
-func (n *Node) deliver(ob *nodeObs, sc *serverCursor, req trading.ExecReq, sp *obs.Span, t0 time.Time) (trading.ExecResp, error) {
+func (n *Node) deliver(sc *serverCursor, req trading.ExecReq, x step, t0 time.Time) (trading.ExecResp, error) {
 	opening := req.Cursor == ""
 	if !opening {
 		switch {
@@ -227,20 +222,19 @@ func (n *Node) deliver(ob *nodeObs, sc *serverCursor, req trading.ExecReq, sp *o
 			return trading.ExecResp{}, fmt.Errorf("node %s: cursor %s out of sync (at %d, asked %d)",
 				n.cfg.ID, req.Cursor, sc.seq, req.Seq)
 		}
-		if req.Trace.Sampled {
-			sp = obs.NewTracer().Start(n.cfg.ID, "fetch-batch")
-			sp.Set("cursor", sc.id)
-			sp.Set("seq", req.Seq)
-		}
+		x = n.observer().batchRequested(sc.id, req)
 	}
-	sc.fetch.sp, sc.fetch.ctx = sp, req.Trace
+	sc.fetch.x = x
 	resp := trading.ExecResp{Cols: sc.cols}
 	sc.cols = nil
 	for {
 		rows, more, err := sc.advance()
-		if err != nil { // a failed exchange ships no subtree
+		if err != nil {
+			sc.wall += msSince(t0)
 			n.finishCursor(sc, false)
-			return trading.ExecResp{}, fmt.Errorf("node %s: %w", n.cfg.ID, err)
+			err = fmt.Errorf("node %s: %w", n.cfg.ID, err)
+			x.fail(err)
+			return trading.ExecResp{}, err
 		}
 		if resp.Rows == nil {
 			resp.Rows = rows // the lookahead copy is ours to hand out
@@ -261,18 +255,7 @@ func (n *Node) deliver(ob *nodeObs, sc *serverCursor, req trading.ExecReq, sp *o
 	resp.ExecMS = sc.wall
 	sc.rows += int64(len(resp.Rows))
 	sc.bytes += int64(resp.WireSize())
-	if sp != nil { // attributes box their values: not on the unrecorded path
-		sp.Set("rows", len(resp.Rows))
-		if opening {
-			sp.Set("exec_ms", sc.wall)
-		}
-		sp.End()
-	}
-	if opening {
-		resp.Trace = ob.ship(sp, req.Trace)
-	} else {
-		resp.Trace = sp.Payload()
-	}
+	resp.Trace = x.ship("rows", len(resp.Rows), sc.wall)
 	sc.seq, sc.last = req.Seq, resp
 	if resp.More {
 		n.park(sc, opening)
@@ -317,10 +300,8 @@ func (n *Node) unpark(sc *serverCursor) bool {
 
 // finishCursor is the one end of a delivery — completion, early close,
 // protocol violation, a failed pull and eviction all end here: close the
-// pipeline and, if it was parked, unregister it. Callers hold sc.mu. When
-// served is true the completed (possibly partial) delivery of a purchased
-// answer lands in the seller's ledger next to its pricing events; ad hoc
-// executions carry no offer id and stay quiet.
+// pipeline, unregister it if parked, and report the delivery, as served
+// (possibly partially) when served is true. Callers hold sc.mu.
 func (n *Node) finishCursor(sc *serverCursor, served bool) {
 	if sc.finished {
 		return
@@ -332,9 +313,7 @@ func (n *Node) finishCursor(sc *serverCursor, served bool) {
 		n.unpark(sc)
 		n.curMu.Unlock()
 	}
-	if served && sc.offerID != "" {
-		n.obsv.Load().ledger.Served(sc.rfbID, n.cfg.ID, sc.offerID, sc.sql, sc.wall, sc.rows, sc.bytes)
-	}
+	n.observer().delivered(sc, served)
 }
 
 // OpenCursors reports how many streamed executions are currently parked,

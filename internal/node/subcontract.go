@@ -7,13 +7,11 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"qtrade/internal/cost"
 	"qtrade/internal/exec"
 	"qtrade/internal/expr"
 	"qtrade/internal/localopt"
-	"qtrade/internal/obs"
 	"qtrade/internal/plan"
 	"qtrade/internal/pricecache"
 	"qtrade/internal/rewrite"
@@ -62,8 +60,8 @@ type subRemote struct {
 // up front in relation order and results are collected positionally, so the
 // output is byte-identical no matter how the probes were scheduled.
 //
-// sp is the parent span for the nested negotiation (nil when tracing is off).
-func (n *Node) subcontractDrafts(rfb trading.RFB, e pricecache.Entry, sp *obs.Span, ids *minter) []compositeDraft {
+// The nested negotiations run under ph, the subcontract step.
+func (n *Node) subcontractDrafts(rfb trading.RFB, e pricecache.Entry, ph step, ids *minter) []compositeDraft {
 	peers := n.cfg.SubcontractPeers()
 	if len(peers) == 0 {
 		return nil
@@ -105,7 +103,7 @@ func (n *Node) subcontractDrafts(rfb trading.RFB, e pricecache.Entry, sp *obs.Sp
 	for i, pr := range probes {
 		run := func(i int, pr probe) {
 			if d, ok := n.buildComposite(rfb, ids.qid, sel, pr.tr, pr.own,
-				pr.held, pr.missing, pr.relevant, peers, sp, pr.offerID); ok {
+				pr.held, pr.missing, pr.relevant, peers, ph, pr.offerID); ok {
 				results[i] = &d
 			}
 		}
@@ -134,7 +132,7 @@ func (n *Node) subcontractDrafts(rfb trading.RFB, e pricecache.Entry, sp *obs.Sp
 // offer with the assembly that delivers it.
 func (n *Node) buildComposite(rfb trading.RFB, qid string, sel *sqlparse.Select,
 	tr sqlparse.TableRef, own *pricecache.Draft, held, missing, relevant []string,
-	peers map[string]trading.Peer, sp *obs.Span, offerID string) (compositeDraft, bool) {
+	peers map[string]trading.Peer, ph step, offerID string) (compositeDraft, bool) {
 
 	base := localopt.SubqueryFor(sel, []string{tr.Binding()})
 	// The nested negotiation inherits the buyer's trace context, so a sampled
@@ -160,7 +158,7 @@ func (n *Node) buildComposite(rfb trading.RFB, qid string, sel *sqlparse.Select,
 			SQL: localopt.RestrictTo(base, tr.Binding(), p).SQL(),
 		})
 	}
-	offers, _, err := trading.SealedBid{}.Collect(subRFB, trading.Sellers{Peers: peers, Policy: n.cfg.Faults}, sp)
+	offers, _, err := ph.negotiate(trading.SealedBid{}, subRFB, trading.Sellers{Peers: peers, Policy: n.cfg.Faults})
 	if err != nil {
 		return compositeDraft{}, false
 	}
@@ -206,10 +204,7 @@ func (n *Node) buildComposite(rfb trading.RFB, qid string, sel *sqlparse.Select,
 	if restriction != nil && !expr.Implies(compositeSQL.Where, restriction) {
 		compositeSQL.Where = expr.SimplifyPredicate(expr.And([]expr.Expr{compositeSQL.Where, restriction}))
 	}
-	props := cost.Valuation{Freshness: 1, Completeness: 1}
-	props.TotalTime = own.Props.TotalTime
-	props.Rows = own.Props.Rows
-	props.Bytes = own.Props.Bytes
+	props := cost.Valuation{Freshness: 1, Completeness: 1, TotalTime: own.Props.TotalTime, Rows: own.Props.Rows, Bytes: own.Props.Bytes}
 	remoteMax := 0.0
 	sc := &subcontract{localSQL: own.SQL}
 	totalPurchased := 0.0
@@ -239,15 +234,13 @@ func (n *Node) buildComposite(rfb trading.RFB, qid string, sel *sqlparse.Select,
 
 // subFetch is the executor's remote hook on the seller: it resolves the
 // Remote leaves of a composite's plan by fetching each purchased fragment
-// from its subcontractor. sp and ctx belong to the exchange currently pulling
-// the pipeline — the execute span at open, a sampled continuation's
-// fetch-batch span later — so a fetch is recorded, and its subcontractor's
-// execution subtree grafted, under the exchange that caused it.
+// from its subcontractor. x is the exchange currently pulling the pipeline —
+// the opening Execute, a continuation later — so a fetch is recorded, and its
+// subcontractor's execution subtree grafted, under the exchange that caused it.
 type subFetch struct {
 	n     *Node
 	batch int
-	sp    *obs.Span
-	ctx   obs.TraceContext
+	x     step
 	peers map[string]trading.Peer // resolved once per composite, on the first fetch
 }
 
@@ -269,27 +262,9 @@ func (f *subFetch) open(peerID, sql, offerID string) (exec.RowStream, error) {
 	if !ok {
 		return nil, fmt.Errorf("node %s: subcontractor %s: no execution channel", n.cfg.ID, peerID)
 	}
-	// One exchange, recorded under whichever exchange of the composite's own
-	// delivery is pulling the pipeline, and guarded so a subcontractor that
-	// died after winning cannot hang it (nil policy = direct call).
-	call := func(req trading.ExecReq) (trading.ExecResp, error) {
-		fs := f.sp.Child("fetch " + peerID)
-		defer fs.End()
-		if f.ctx.Sampled {
-			req.Trace = f.ctx
-			req.Trace.Parent = fs.ID()
-		}
-		sentAt := time.Now()
-		resp, err := trading.GuardCall(n.cfg.Faults, peerID, func() (trading.ExecResp, error) {
-			return peer.Execute(req)
-		})
-		if err != nil {
-			fs.Set("error", err)
-			return resp, err
-		}
-		fs.Graft(resp.Trace, sentAt, time.Now())
-		return resp, nil
-	}
+	// One exchange, recorded under the exchange pulling the composite, guarded
+	// so a subcontractor that died after winning cannot hang it.
+	call := func(req trading.ExecReq) (trading.ExecResp, error) { return f.x.fetch(peerID, peer, n.cfg.Faults, req) }
 	batch := f.batch
 	if batch <= 0 {
 		batch = exec.DefaultBatchSize
@@ -301,16 +276,8 @@ func (f *subFetch) open(peerID, sql, offerID string) (exec.RowStream, error) {
 	return st, nil
 }
 
-func colsMatch(a []trading.ColSpec, b []trading.ColSpec) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !strings.EqualFold(a[i].Name, b[i].Name) {
-			return false
-		}
-	}
-	return true
+func colsMatch(a, b []trading.ColSpec) bool {
+	return slices.EqualFunc(a, b, func(x, y trading.ColSpec) bool { return strings.EqualFold(x.Name, y.Name) })
 }
 
 func subtract(all, remove []string) []string {

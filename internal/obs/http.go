@@ -16,7 +16,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -57,15 +56,10 @@ func promFloat(v float64) string {
 	}
 }
 
-// promHelpEscape escapes help text for a # HELP line (backslash and
-// newline, per the text exposition format).
-var promHelpEscape = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-
 // WritePrometheus writes every registered instrument in Prometheus text
 // exposition format (version 0.0.4), sorted by name. Counters and gauges
 // are single samples; histograms expose cumulative _bucket{le="..."} series
-// over the registry's exponential bounds plus _sum and _count. Instruments
-// with registered help text (SetHelp) get a # HELP line ahead of # TYPE.
+// over the registry's exponential bounds plus _sum and _count.
 func (m *Metrics) WritePrometheus(w io.Writer) error {
 	if m == nil {
 		return nil
@@ -73,9 +67,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	m.Each(func(name string, instrument any) {
 		pn := promName(name)
-		if h := m.Help(name); h != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", pn, promHelpEscape.Replace(h))
-		}
 		switch inst := instrument.(type) {
 		case *Counter:
 			fmt.Fprintf(bw, "# TYPE %s counter\n%s %d\n", pn, pn, inst.Value())

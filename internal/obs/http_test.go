@@ -12,13 +12,11 @@ import (
 )
 
 // TestPrometheusGolden pins the exact exposition text for counters and
-// gauges, including name sanitization and optional # HELP lines — the
-// format third-party scrapers parse, so any change here is a breaking
-// change. Instruments without registered help text get no # HELP line.
+// gauges, including name sanitization — the format third-party scrapers
+// parse, so any change here is a breaking change.
 func TestPrometheusGolden(t *testing.T) {
 	m := NewMetrics()
 	m.Counter("node.n1.rfbs").Add(7)
-	m.SetHelp("node.n1.rfbs", "RFBs served by this seller")
 	m.Gauge("fault.breaker.n1-open").Set(1)
 	m.Counter("buyer.hq.iterations").Add(3)
 
@@ -31,31 +29,12 @@ func TestPrometheusGolden(t *testing.T) {
 		"buyer_hq_iterations 3",
 		"# TYPE fault_breaker_n1_open gauge",
 		"fault_breaker_n1_open 1",
-		"# HELP node_n1_rfbs RFBs served by this seller",
 		"# TYPE node_n1_rfbs counter",
 		"node_n1_rfbs 7",
 		"",
 	}, "\n")
 	if b.String() != want {
 		t.Fatalf("prometheus text drifted:\n--- got ---\n%s--- want ---\n%s", b.String(), want)
-	}
-}
-
-// TestPrometheusHelpEscaping pins the # HELP escaping rules (backslash and
-// newline) and the nil-registry no-op.
-func TestPrometheusHelpEscaping(t *testing.T) {
-	m := NewMetrics()
-	m.Counter("a.b").Inc()
-	m.SetHelp("a.b", "line one\nwith \\ backslash")
-	var b strings.Builder
-	_ = m.WritePrometheus(&b)
-	if !strings.Contains(b.String(), `# HELP a_b line one\nwith \\ backslash`) {
-		t.Fatalf("help escaping:\n%s", b.String())
-	}
-	var nilM *Metrics
-	nilM.SetHelp("x", "y") // must not panic
-	if nilM.Help("x") != "" {
-		t.Fatal("nil registry returned help")
 	}
 }
 

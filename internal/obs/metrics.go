@@ -15,30 +15,7 @@ import (
 // should resolve handles once and reuse them on hot paths. A nil *Metrics
 // registry hands out nil handles whose update methods are no-ops.
 type Metrics struct {
-	m    sync.Map // name -> *Counter | *Gauge | *Histogram
-	help sync.Map // name -> string, emitted as # HELP by WritePrometheus
-}
-
-// SetHelp registers one-line help text for the named instrument;
-// WritePrometheus emits it as a "# HELP" line ahead of the "# TYPE" line.
-// Registration is optional and independent of instrument creation. No-op on
-// a nil registry or empty help.
-func (m *Metrics) SetHelp(name, help string) {
-	if m == nil || help == "" {
-		return
-	}
-	m.help.Store(name, help)
-}
-
-// Help returns the help text registered for name ("" when none).
-func (m *Metrics) Help(name string) string {
-	if m == nil {
-		return ""
-	}
-	if v, ok := m.help.Load(name); ok {
-		return v.(string)
-	}
-	return ""
+	m sync.Map // name -> *Counter | *Gauge | *Histogram
 }
 
 // NewMetrics returns an empty registry.

@@ -103,27 +103,10 @@ func (s *Span) ID() uint64 {
 // Child opens a sub-span. Nil-safe: a nil parent returns a nil child, so an
 // entire call tree short-circuits to no-ops when tracing is off.
 func (s *Span) Child(name string) *Span {
-	return s.child(s.sourceOf(), name)
-}
-
-// ChildOn opens a sub-span attributed to a different source (track) — used
-// when control flow crosses a node boundary in-process.
-func (s *Span) ChildOn(source, name string) *Span {
-	return s.child(source, name)
-}
-
-func (s *Span) sourceOf() string {
-	if s == nil {
-		return ""
-	}
-	return s.source
-}
-
-func (s *Span) child(source, name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{tracer: s.tracer, source: source, name: name, id: spanSeq.Add(1), start: time.Now()}
+	c := &Span{tracer: s.tracer, source: s.source, name: name, id: spanSeq.Add(1), start: time.Now()}
 	s.mu.Lock()
 	s.children = append(s.children, c)
 	s.mu.Unlock()

@@ -15,8 +15,9 @@ func TestSpanTreeShape(t *testing.T) {
 	root.Set("sql", "SELECT 1")
 	it1 := root.Child("iteration 1")
 	neg := it1.Child("negotiate")
-	neg.ChildOn("s1", "seller s1").End()
-	neg.ChildOn("s2", "seller s2").End()
+	now := time.Now()
+	neg.Graft(shipped("s1", "seller s1"), now, now)
+	neg.Graft(shipped("s2", "seller s2"), now, now)
 	neg.End()
 	it1.Child("plangen").End()
 	it1.End()
@@ -46,6 +47,14 @@ func TestSpanTreeShape(t *testing.T) {
 	if r.Duration() <= 0 {
 		t.Fatalf("duration = %v", r.Duration())
 	}
+}
+
+// shipped is the subtree a seller ships back: one finished span recorded on
+// the seller's own tracer. Grafting it is how a second source gets into a tree.
+func shipped(source, name string) *SpanPayload {
+	sp := NewTracer().Start(source, name)
+	sp.End()
+	return sp.Payload()
 }
 
 func names(spans []*Span) []string {
@@ -118,7 +127,8 @@ func TestChromeTraceValidity(t *testing.T) {
 	root := tr.Start("buyer", "optimize")
 	root.Set("sql", "SELECT 1")
 	it := root.Child("iteration 1")
-	it.ChildOn("seller-a", "pricing").End()
+	now := time.Now()
+	it.Graft(shipped("seller-a", "pricing"), now, now)
 	it.End()
 	root.End()
 

@@ -33,6 +33,16 @@ type TraceContext struct {
 	Sampled bool
 }
 
+// Under is the context of a request sent from the span whose ID is parent: a
+// sampled context names that span as the parent its reply's subtree grafts
+// under; any other is returned as it is.
+func (c TraceContext) Under(parent uint64) TraceContext {
+	if c.Sampled {
+		c.Parent = parent
+	}
+	return c
+}
+
 // WireSize is the accounted on-wire cost of the context: zero when
 // unsampled (the decision rides in a single flag bit already accounted in
 // the message framing), id + parent id + flag when sampled.

@@ -236,9 +236,7 @@ func fanOut(rfb RFB, to Sellers, round *obs.Span) ([]Offer, []string) {
 	offers, merged := gather("rfb", ids, to, round, func(i int, p Peer, parent uint64) (BidReply, error) {
 		r := rfb
 		r.Queries = asks[i]
-		if r.Trace.Sampled {
-			r.Trace.Parent = parent
-		}
+		r.Trace = r.Trace.Under(parent)
 		return p.RequestBids(r)
 	})
 	for i, ok := range merged {
@@ -254,9 +252,7 @@ func fanOut(rfb RFB, to Sellers, round *obs.Span) ([]Offer, []string) {
 func improveRound(req ImproveReq, ids []string, to Sellers, round *obs.Span) []Offer {
 	offers, _ := gather("improve", ids, to, round, func(_ int, p Peer, parent uint64) (BidReply, error) {
 		r := req
-		if r.Trace.Sampled {
-			r.Trace.Parent = parent
-		}
+		r.Trace = r.Trace.Under(parent)
 		return p.ImproveBids(r)
 	})
 	return offers

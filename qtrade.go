@@ -229,11 +229,12 @@ func (f *Federation) AddNode(id string, opts ...NodeOption) (*Node, error) {
 	if _, dup := f.nodes[id]; dup {
 		return nil, fmt.Errorf("qtrade: duplicate node %q", id)
 	}
-	cfg := node.Config{ID: id, Schema: f.schema.sch, Metrics: f.metrics, Faults: f.faults}
+	cfg := node.Config{ID: id, Schema: f.schema.sch, Faults: f.faults}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	n := &Node{inner: node.New(cfg), fed: f}
+	n.inner.SetObs(nil, f.metrics)
 	n.inner.SetLedger(f.ledger)
 	f.nodes[id] = n
 	f.net.Register(id, n.inner)
