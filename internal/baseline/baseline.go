@@ -437,10 +437,7 @@ func (o *optimizer) leafAtBuyer(mask uint) *buyerEntry {
 			fetchSel.Where = expr.SimplifyPredicate(expr.And([]expr.Expr{fetchSel.Where, restriction}))
 		}
 		if holder == o.buyer {
-			scan := &plan.Scan{Def: r.def, Alias: r.tr.Binding(), PartID: pid}
-			if r.localPred != nil {
-				scan.Pred = expr.Clone(r.localPred)
-			}
+			scan := &plan.Scan{Def: r.def, Alias: r.tr.Binding(), PartID: pid, Pred: r.localPred}
 			// Project to the subquery's columns for union compatibility.
 			inputs = append(inputs, projectTo(scan, fetchSel))
 			e.localCost += o.gv.Model.Scan(r.rows[pid])
@@ -478,7 +475,7 @@ func projectTo(input plan.Node, sub *sqlparse.Select) plan.Node {
 	var exprs []expr.Expr
 	var names []expr.ColumnID
 	for _, it := range sub.Items {
-		exprs = append(exprs, expr.Clone(it.Expr))
+		exprs = append(exprs, it.Expr)
 		if c, ok := it.Expr.(*expr.Column); ok {
 			names = append(names, expr.ColumnID{Table: c.Table, Name: c.Name})
 		} else {
@@ -584,11 +581,7 @@ func (o *optimizer) finish(e *buyerEntry) (plan.Node, error) {
 	if node == nil {
 		return nil, fmt.Errorf("baseline: empty plan")
 	}
-	var applicable []expr.Expr
-	for _, c := range expr.Conjuncts(o.sel.Where) {
-		applicable = append(applicable, expr.Clone(c))
-	}
-	if pred := expr.And(applicable); pred != nil {
+	if pred := expr.And(expr.Conjuncts(o.sel.Where)); pred != nil {
 		node = &plan.Filter{Input: node, Pred: pred}
 	}
 	return plan.FinalizeSelect(o.sel, node)

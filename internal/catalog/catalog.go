@@ -199,7 +199,8 @@ func (s *Schema) PartitionIDs(table string) []string {
 	return out
 }
 
-// Clone returns a deep copy of the schema (partition predicates are cloned).
+// Clone returns a copy of the schema: its own tables and partitions, sharing
+// the partitions' predicates (an expression is never written).
 func (s *Schema) Clone() *Schema {
 	out := NewSchema()
 	for _, t := range s.tables {
@@ -209,11 +210,7 @@ func (s *Schema) Clone() *Schema {
 	for k, ps := range s.partitions {
 		cp := make([]*Partition, len(ps))
 		for i, p := range ps {
-			np := &Partition{Table: p.Table, ID: p.ID}
-			if p.Predicate != nil {
-				np.Predicate = expr.Clone(p.Predicate)
-			}
-			cp[i] = np
+			cp[i] = &Partition{Table: p.Table, ID: p.ID, Predicate: p.Predicate}
 		}
 		out.partitions[k] = cp
 	}

@@ -664,7 +664,7 @@ func (g *planGen) finishAssembly(a *assembly) (*Candidate, error) {
 	var applicable []expr.Expr
 	for _, c := range expr.Conjuncts(g.sel.Where) {
 		if bindable(c, a.schema) {
-			applicable = append(applicable, expr.Clone(c))
+			applicable = append(applicable, c)
 		}
 	}
 	if pred := expr.And(applicable); pred != nil {
@@ -754,7 +754,7 @@ func sortKeyForOutput(e expr.Expr, schema []expr.ColumnID) expr.Expr {
 			}
 		}
 	}
-	return expr.Clone(e)
+	return e
 }
 
 // bindable reports whether every column of e is available in the schema.

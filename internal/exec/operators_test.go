@@ -141,7 +141,8 @@ func TestJoinMatchesNestedLoop(t *testing.T) {
 		}
 		join := &plan.Join{L: memLeaf("l", "a", "b", "c"), R: memLeaf("r", "a", "b", "c"), On: sqlparse.MustParseExpr(strings.Join(on, " AND "))}
 		if residual != nil {
-			if err := expr.Bind(residual, join.Schema()); err != nil {
+			var err error
+			if residual, err = expr.Bind(residual, join.Schema()); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -77,16 +77,16 @@ func TestOneExecutor(t *testing.T) {
 
 // One evaluator: every expression the cursors evaluate row by row runs a
 // program expr.Compile built when the cursor opened. No non-test file of the
-// package walks an expression tree (expr.Eval, expr.EvalBool), binds one in
-// place (expr.Bind) or copies one (expr.Clone), so a plan — a seller's priced
-// plan among them — is only ever read, and bindClone is gone.
+// package walks an expression tree (expr.Eval, expr.EvalBool) or binds one
+// (expr.Bind), so a plan — a seller's priced plan among them — is only ever
+// read, and bindClone is gone.
 func TestOneEvaluator(t *testing.T) {
 	fset := token.NewFileSet()
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	banned := map[string]bool{"Eval": true, "EvalBool": true, "Bind": true, "Clone": true}
+	banned := map[string]bool{"Eval": true, "EvalBool": true, "Bind": true}
 	for _, path := range files {
 		if strings.HasSuffix(path, "_test.go") {
 			continue

@@ -7,20 +7,25 @@ package expr
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"qtrade/internal/value"
 )
 
-// Expr is a scalar expression tree node. Implementations are immutable once
-// built except for Column index resolution performed by Bind.
+// Expr is a scalar expression tree node. It is immutable: no node is written
+// after it is built, so any tree may be shared — by queries, rewrites, plans,
+// offers and the goroutines that read them — and nothing copies one to
+// protect itself. A rewrite builds new nodes only where it changes something
+// (Transform, Substitute); TestNodesAreNeverWritten holds the rule.
 type Expr interface {
 	fmt.Stringer
 	node()
 }
 
 // Column references a column, optionally qualified by a table or alias name.
-// Index is the position in the input row; it is -1 until resolved by Bind.
+// Index is the position in the input row; it is -1 except on the copy Bind
+// returns.
 type Column struct {
 	Table string
 	Name  string
@@ -293,50 +298,6 @@ func (a *Agg) String() string {
 	return a.Fn + "(" + d + a.Arg.String() + ")"
 }
 
-// CloneAll deep-copies every expression of a list.
-func CloneAll(es []Expr) []Expr {
-	out := make([]Expr, len(es))
-	for i, e := range es {
-		out[i] = Clone(e)
-	}
-	return out
-}
-
-// Clone deep-copies an expression tree.
-func Clone(e Expr) Expr {
-	switch t := e.(type) {
-	case nil:
-		return nil
-	case *Column:
-		c := *t
-		return &c
-	case *Lit:
-		l := *t
-		return &l
-	case *Binary:
-		return &Binary{Op: t.Op, L: Clone(t.L), R: Clone(t.R)}
-	case *Unary:
-		return &Unary{Op: t.Op, X: Clone(t.X)}
-	case *In:
-		list := make([]Expr, len(t.List))
-		for i, x := range t.List {
-			list[i] = Clone(x)
-		}
-		return &In{X: Clone(t.X), List: list, Not: t.Not}
-	case *Between:
-		return &Between{X: Clone(t.X), Lo: Clone(t.Lo), Hi: Clone(t.Hi), Not: t.Not}
-	case *IsNull:
-		return &IsNull{X: Clone(t.X), Not: t.Not}
-	case *Agg:
-		var arg Expr
-		if t.Arg != nil {
-			arg = Clone(t.Arg)
-		}
-		return &Agg{Fn: t.Fn, Arg: arg, Star: t.Star, Distinct: t.Distinct}
-	}
-	panic(fmt.Sprintf("expr: unknown node %T", e))
-}
-
 // Walk calls fn for every node in the tree, parents before children. If fn
 // returns false the node's children are skipped.
 func Walk(e Expr, fn func(Expr) bool) {
@@ -368,32 +329,47 @@ func Walk(e Expr, fn func(Expr) bool) {
 }
 
 // Transform rebuilds the tree bottom-up, replacing each node with fn(node).
-// fn receives a node whose children have already been transformed.
+// fn receives a node whose children have already been transformed. It is
+// copy-on-write: a node none of whose operands changed is handed to fn as it
+// is, so an fn that returns its input everywhere gets e itself back, and a
+// rewrite of one leaf shares every subtree it did not touch.
 func Transform(e Expr, fn func(Expr) Expr) Expr {
-	if e == nil {
-		return nil
-	}
 	switch t := e.(type) {
+	case nil:
+		return nil
 	case *Binary:
-		e = &Binary{Op: t.Op, L: Transform(t.L, fn), R: Transform(t.R, fn)}
+		if l, r := Transform(t.L, fn), Transform(t.R, fn); l != t.L || r != t.R {
+			e = &Binary{Op: t.Op, L: l, R: r}
+		}
 	case *Unary:
-		e = &Unary{Op: t.Op, X: Transform(t.X, fn)}
+		if x := Transform(t.X, fn); x != t.X {
+			e = &Unary{Op: t.Op, X: x}
+		}
 	case *In:
-		list := make([]Expr, len(t.List))
-		for i, x := range t.List {
-			list[i] = Transform(x, fn)
+		x, list, copied := Transform(t.X, fn), t.List, false
+		for i, item := range t.List {
+			if n := Transform(item, fn); n != item {
+				if !copied {
+					list, copied = slices.Clone(t.List), true
+				}
+				list[i] = n
+			}
 		}
-		e = &In{X: Transform(t.X, fn), List: list, Not: t.Not}
+		if x != t.X || copied {
+			e = &In{X: x, List: list, Not: t.Not}
+		}
 	case *Between:
-		e = &Between{X: Transform(t.X, fn), Lo: Transform(t.Lo, fn), Hi: Transform(t.Hi, fn), Not: t.Not}
-	case *IsNull:
-		e = &IsNull{X: Transform(t.X, fn), Not: t.Not}
-	case *Agg:
-		var arg Expr
-		if t.Arg != nil {
-			arg = Transform(t.Arg, fn)
+		if x, lo, hi := Transform(t.X, fn), Transform(t.Lo, fn), Transform(t.Hi, fn); x != t.X || lo != t.Lo || hi != t.Hi {
+			e = &Between{X: x, Lo: lo, Hi: hi, Not: t.Not}
 		}
-		e = &Agg{Fn: t.Fn, Arg: arg, Star: t.Star, Distinct: t.Distinct}
+	case *IsNull:
+		if x := Transform(t.X, fn); x != t.X {
+			e = &IsNull{X: x, Not: t.Not}
+		}
+	case *Agg:
+		if arg := Transform(t.Arg, fn); arg != t.Arg {
+			e = &Agg{Fn: t.Fn, Arg: arg, Star: t.Star, Distinct: t.Distinct}
+		}
 	}
 	return fn(e)
 }
@@ -403,7 +379,7 @@ type Step uint8
 
 const (
 	// Descend keeps the node and substitutes inside its operands; a leaf is
-	// copied as it is.
+	// kept as it is.
 	Descend Step = iota
 	// Replace puts the expression the function returned in the node's place,
 	// as it is; nothing under the node is visited.
@@ -412,7 +388,7 @@ const (
 	Refuse
 )
 
-// Substitute rewrites a copy of e top-down, the one way an expression is
+// Substitute rewrites e top-down into a new tree, the one way an expression is
 // mapped onto another namespace (the outputs of an aggregation, the columns of
 // a materialized view): fn sees each node before its operands and replaces
 // it, descends into it, or refuses the rewrite, and then Substitute reports
@@ -443,11 +419,11 @@ func Substitute(e Expr, fn func(Expr) (Expr, Step)) (Expr, bool) {
 	case *Unary:
 		out = &Unary{Op: t.Op, X: sub(t.X, &ok)}
 	case *In:
-		in := &In{X: sub(t.X, &ok), List: make([]Expr, len(t.List)), Not: t.Not}
-		for i, x := range t.List {
-			in.List[i] = sub(x, &ok)
+		x, list := sub(t.X, &ok), make([]Expr, len(t.List))
+		for i, item := range t.List {
+			list[i] = sub(item, &ok)
 		}
-		out = in
+		out = &In{X: x, List: list, Not: t.Not}
 	case *Between:
 		out = &Between{X: sub(t.X, &ok), Lo: sub(t.Lo, &ok), Hi: sub(t.Hi, &ok), Not: t.Not}
 	case *IsNull:
@@ -455,7 +431,7 @@ func Substitute(e Expr, fn func(Expr) (Expr, Step)) (Expr, bool) {
 	case *Agg:
 		out = &Agg{Fn: t.Fn, Arg: sub(t.Arg, &ok), Star: t.Star, Distinct: t.Distinct}
 	default:
-		out = Clone(e)
+		out = e
 	}
 	return out, ok
 }
@@ -495,15 +471,20 @@ func Tables(e Expr) map[string]bool {
 	return out
 }
 
-// Conjuncts flattens nested ANDs into a list. A nil expression yields nil.
+// Conjuncts flattens nested ANDs into a list, left to right. A nil
+// expression yields nil.
 func Conjuncts(e Expr) []Expr {
+	return appendConjuncts(nil, e)
+}
+
+func appendConjuncts(dst []Expr, e Expr) []Expr {
 	if e == nil {
-		return nil
+		return dst
 	}
 	if b, ok := e.(*Binary); ok && b.Op == "AND" {
-		return append(Conjuncts(b.L), Conjuncts(b.R)...)
+		return appendConjuncts(appendConjuncts(dst, b.L), b.R)
 	}
-	return []Expr{e}
+	return append(dst, e)
 }
 
 // And rebuilds a conjunction from a list; nil for an empty list.
@@ -538,23 +519,31 @@ func Or(list []Expr) Expr {
 	return out
 }
 
-// Qualify returns a copy of e whose bare columns carry the binding
-// qualifier: a partition predicate, stored over unqualified column names,
-// restated for one FROM entry of a query.
+// Qualify returns e with its bare columns qualified by binding: a partition
+// predicate, stored over unqualified column names, restated for one FROM
+// entry of a query.
 func Qualify(e Expr, binding string) Expr {
-	return Transform(Clone(e), func(n Expr) Expr {
+	return QualifyBy(e, func(string) string { return binding })
+}
+
+// QualifyBy returns e with each bare column qualified by owner(name); a column
+// whose owner is "" stays bare.
+func QualifyBy(e Expr, owner func(name string) string) Expr {
+	return Transform(e, func(n Expr) Expr {
 		if c, ok := n.(*Column); ok && c.Table == "" {
-			return &Column{Table: binding, Name: c.Name, Index: -1}
+			if b := owner(c.Name); b != "" {
+				return &Column{Table: b, Name: c.Name, Index: -1}
+			}
 		}
 		return n
 	})
 }
 
-// Unqualify returns a copy of e whose columns are bare names, so it can be
+// Unqualify returns e with every column a bare name, so it can be
 // combined with partition predicates and evaluated against single-table
 // schemas and statistics.
 func Unqualify(e Expr) Expr {
-	return Transform(Clone(e), func(n Expr) Expr {
+	return Transform(e, func(n Expr) Expr {
 		if c, ok := n.(*Column); ok && c.Table != "" {
 			return &Column{Name: c.Name, Index: -1}
 		}

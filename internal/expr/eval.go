@@ -19,25 +19,28 @@ func (c ColumnID) Key() string {
 	return strings.ToLower(c.Table) + "." + strings.ToLower(c.Name)
 }
 
-// Bind resolves every column reference in e against schema, setting
-// Column.Index to the row position. Unqualified names match any table;
-// ambiguous unqualified names are an error. Bind mutates e in place.
-func Bind(e Expr, schema []ColumnID) error {
+// Bind returns e with every column reference resolved against schema: a
+// copy whose columns carry their row position in Column.Index, sharing every
+// subtree without a column. Unqualified names match any table; ambiguous
+// unqualified names are an error. e itself is not written.
+func Bind(e Expr, schema []ColumnID) (Expr, error) {
 	var err error
-	Walk(e, func(n Expr) bool {
+	out := Transform(e, func(n Expr) Expr {
 		c, ok := n.(*Column)
 		if !ok || err != nil {
-			return err == nil
+			return n
 		}
 		idx, rerr := resolve(c, schema)
 		if rerr != nil {
 			err = rerr
-			return false
+			return n
 		}
-		c.Index = idx
-		return true
+		return &Column{Table: c.Table, Name: c.Name, Index: idx}
 	})
-	return err
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // resolve finds c's position in schema, the one rule Bind and Compile share.
@@ -64,12 +67,13 @@ func resolve(c *Column, schema []ColumnID) (int, error) {
 	return idx, nil
 }
 
-// MustBind binds and panics on failure; for tests and static plans.
+// MustBind is Bind that panics on failure; for tests and static plans.
 func MustBind(e Expr, schema []ColumnID) Expr {
-	if err := Bind(e, schema); err != nil {
+	out, err := Bind(e, schema)
+	if err != nil {
 		panic(err)
 	}
-	return e
+	return out
 }
 
 // Eval evaluates a bound expression against a row by walking its tree. It is

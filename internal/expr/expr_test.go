@@ -17,35 +17,39 @@ func schema2() []ColumnID {
 
 func bind(t *testing.T, e Expr) Expr {
 	t.Helper()
-	if err := Bind(e, schema2()); err != nil {
+	out, err := Bind(e, schema2())
+	if err != nil {
 		t.Fatalf("bind %s: %v", e, err)
 	}
-	return e
+	return out
 }
 
 func TestBindQualifiedAndUnqualified(t *testing.T) {
-	e := bind(t, Eq(col("c", "id"), col("", "charge")))
-	b := e.(*Binary)
+	orig := Eq(col("c", "id"), col("", "charge"))
+	b := bind(t, orig).(*Binary)
 	if b.L.(*Column).Index != 0 || b.R.(*Column).Index != 2 {
 		t.Errorf("indices: %d %d", b.L.(*Column).Index, b.R.(*Column).Index)
+	}
+	if orig.L.(*Column).Index != -1 || orig.R.(*Column).Index != -1 {
+		t.Error("Bind wrote the tree it was given")
 	}
 }
 
 func TestBindUnknownColumn(t *testing.T) {
-	if err := Bind(col("c", "nope"), schema2()); err == nil {
+	if _, err := Bind(col("c", "nope"), schema2()); err == nil {
 		t.Error("expected unknown column error")
 	}
-	if err := Bind(col("x", "id"), schema2()); err == nil {
+	if _, err := Bind(col("x", "id"), schema2()); err == nil {
 		t.Error("expected unknown qualifier error")
 	}
 }
 
 func TestBindAmbiguous(t *testing.T) {
 	schema := []ColumnID{{Table: "a", Name: "x"}, {Table: "b", Name: "x"}}
-	if err := Bind(col("", "x"), schema); err == nil {
+	if _, err := Bind(col("", "x"), schema); err == nil {
 		t.Error("expected ambiguity error")
 	}
-	if err := Bind(col("b", "x"), schema); err != nil {
+	if _, err := Bind(col("b", "x"), schema); err != nil {
 		t.Errorf("qualified must disambiguate: %v", err)
 	}
 }
@@ -71,8 +75,7 @@ func TestEvalComparisons(t *testing.T) {
 		{&IsNull{X: col("c", "id"), Not: true}, true},
 	}
 	for _, c := range cases {
-		bind(t, c.e)
-		got, err := EvalBool(c.e, row)
+		got, err := EvalBool(bind(t, c.e), row)
 		if err != nil {
 			t.Fatalf("%s: %v", c.e, err)
 		}
@@ -144,12 +147,37 @@ func TestStringRendering(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	e := Eq(col("c", "id"), Int(1))
-	c := Clone(e).(*Binary)
-	c.L.(*Column).Name = "changed"
-	if e.L.(*Column).Name != "id" {
-		t.Error("Clone must not alias columns")
+// Expressions are shared, never copied: Transform hands back the tree it was
+// given when fn changes nothing, and a rewrite of one leaf rebuilds only the
+// path to it, sharing every subtree it did not touch.
+func TestTransformShares(t *testing.T) {
+	left := Eq(col("c", "id"), Int(1))
+	in := &In{X: col("i", "charge"), List: []Expr{Int(1), Int(2)}}
+	between := &Between{X: col("c", "office"), Lo: Str("a"), Hi: Str("m")}
+	e := And([]Expr{left, in, between}).(*Binary)
+	if got := Transform(e, func(n Expr) Expr { return n }); got != Expr(e) {
+		t.Fatal("the identity Transform copied the tree")
+	}
+	if got, ok := Substitute(left.L, func(Expr) (Expr, Step) { return nil, Descend }); !ok || got != left.L {
+		t.Fatal("Substitute copied an untouched leaf")
+	}
+	before := e.String()
+	renamed := RenameTables(e, map[string]string{"i": "inv"}).(*Binary)
+	if e.String() != before {
+		t.Fatalf("RenameTables wrote its input: %s", e)
+	}
+	if want := "c.id = 1 AND inv.charge IN (1, 2) AND c.office BETWEEN 'a' AND 'm'"; renamed.String() != want {
+		t.Fatalf("renamed %s, want %s", renamed, want)
+	}
+	inner := renamed.L.(*Binary)
+	got := inner.R.(*In)
+	switch {
+	case renamed == e || inner == e.L || got == in:
+		t.Error("the path to the renamed leaf was not rebuilt")
+	case renamed.R != Expr(between) || inner.L != Expr(left):
+		t.Error("a subtree without the renamed leaf was copied")
+	case &got.List[0] != &in.List[0]:
+		t.Error("an unchanged IN list was copied")
 	}
 }
 
@@ -212,7 +240,7 @@ func TestSimplifyContradiction(t *testing.T) {
 
 func TestSimplifyDedup(t *testing.T) {
 	p := Eq(col("t", "x"), Int(1))
-	e := And([]Expr{p, Clone(p), Eq(col("t", "y"), Int(2))})
+	e := And([]Expr{p, Eq(col("t", "x"), Int(1)), Eq(col("t", "y"), Int(2))})
 	got := Simplify(e)
 	if len(Conjuncts(got)) != 2 {
 		t.Errorf("dedup failed: %s", got)
@@ -401,14 +429,13 @@ func TestQuickSimplifyPreservesSemantics(t *testing.T) {
 			if r.Intn(10) == 0 {
 				row[0] = value.NewNull()
 			}
-			p2, s2 := Clone(p), Clone(s)
-			if err := Bind(p2, schema); err != nil {
+			p2, err := Bind(p, schema)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if s2 != nil {
-				if err := Bind(s2, schema); err != nil {
-					t.Fatal(err)
-				}
+			s2, err := Bind(s, schema)
+			if err != nil {
+				t.Fatal(err)
 			}
 			want, err1 := EvalBool(p2, row)
 			got, err2 := EvalBool(s2, row)
@@ -438,9 +465,7 @@ func TestQuickImpliesSound(t *testing.T) {
 		for x := int64(-2); x < 14; x++ {
 			for _, s := range []string{"a", "b", "c", "d"} {
 				row := value.Row{value.NewInt(x), value.NewStr(s)}
-				p2, q2 := Clone(p), Clone(q)
-				MustBind(p2, schema)
-				MustBind(q2, schema)
+				p2, q2 := MustBind(p, schema), MustBind(q, schema)
 				pv, _ := EvalBool(p2, row)
 				qv, _ := EvalBool(q2, row)
 				if pv && !qv {

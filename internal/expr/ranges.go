@@ -29,9 +29,10 @@ type Range struct {
 // PointRange returns the range holding exactly v.
 func PointRange(v value.Value) *Range { return &Range{Set: []value.Value{v}} }
 
-// SetRange returns the finite range over the given values.
+// SetRange returns the finite range over the given values; no value is the
+// empty range.
 func SetRange(vs []value.Value) *Range {
-	out := &Range{Set: append([]value.Value(nil), vs...)}
+	out := &Range{Set: append(make([]value.Value, 0, len(vs)), vs...)}
 	out.normalize()
 	return out
 }
@@ -269,7 +270,7 @@ func rangeOfConjunct(e Expr) (c *Column, r *Range, ok bool) {
 			if !okl || t.Not && l.V.IsNull() {
 				return nil, nil, false
 			}
-			if !l.V.IsNull() {
+			if !l.V.IsNull() { // a NULL item matches no value
 				vs = append(vs, l.V)
 			}
 		}
@@ -342,8 +343,8 @@ type Selection struct {
 
 // AnalyzeSelection analyses the conjunction of conj. A conjunct that already
 // is a column compared with literals is read as it stands, sharing nothing
-// with the result but its literals' values; only the others are simplified,
-// which copies them. The expressions are not changed.
+// with the result but its literals' values; only the others are simplified.
+// The expressions are not changed.
 func AnalyzeSelection(conj []Expr) *Selection {
 	s := &Selection{ranges: map[string]*Range{}}
 	var rest []Expr
@@ -354,8 +355,7 @@ func AnalyzeSelection(conj []Expr) *Selection {
 			rest = append(rest, e)
 		}
 	}
-	// Transform rebuilds every inner node and simplifyNode reads no qualifier,
-	// so neither Clone nor Unqualify is needed first.
+	// simplifyNode reads no qualifier, so Unqualify is not needed first.
 	for _, e := range Conjuncts(Transform(And(rest), simplifyNode)) {
 		if IsFalse(e) {
 			s.False = true

@@ -15,7 +15,7 @@ func Simplify(e Expr) Expr {
 	if e == nil {
 		return nil
 	}
-	out := Transform(Clone(e), simplifyNode)
+	out := Transform(e, simplifyNode)
 	out = dedupAnd(out)
 	if Unsatisfiable(out) {
 		return FalseExpr()
@@ -46,6 +46,11 @@ func IsTrue(e Expr) bool {
 	}
 	l, ok := e.(*Lit)
 	return ok && l.V.K == value.Bool && l.V.B
+}
+
+func isNullLit(e Expr) bool {
+	l, ok := e.(*Lit)
+	return ok && l.V.IsNull()
 }
 
 func isConst(e Expr) bool {
@@ -136,8 +141,10 @@ func simplifyNode(e Expr) Expr {
 		}
 		return t
 	case *In:
-		// Single-element IN collapses to a comparison.
-		if len(t.List) == 1 {
+		// Single-element IN collapses to a comparison — but not IN (NULL),
+		// which the range analysis reads as admitting nothing, as it reads
+		// no comparison with NULL.
+		if len(t.List) == 1 && !isNullLit(t.List[0]) {
 			op := "="
 			if t.Not {
 				op = "<>"
@@ -231,10 +238,7 @@ func (b byText) Swap(i, j int) {
 // lower-cased name -> new name). Unmapped qualifiers are untouched. Used when
 // rewriting queries between alias namespaces during trading.
 func RenameTables(e Expr, mapping map[string]string) Expr {
-	if e == nil {
-		return nil
-	}
-	return Transform(Clone(e), func(n Expr) Expr {
+	return Transform(e, func(n Expr) Expr {
 		if c, ok := n.(*Column); ok {
 			if nn, has := mapping[lower(c.Table)]; has {
 				return &Column{Table: nn, Name: c.Name, Index: c.Index}

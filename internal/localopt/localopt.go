@@ -179,11 +179,7 @@ func (o *optimizer) buildAccessPath(i int, r *baseRel) error {
 		if r.localPrd != nil {
 			sel = stats.Selectivity(fs, bare)
 		}
-		scan := &plan.Scan{Def: r.def, Alias: binding, PartID: f.PartID}
-		if r.localPrd != nil {
-			scan.Pred = expr.Clone(r.localPrd)
-		}
-		scans = append(scans, scan)
+		scans = append(scans, &plan.Scan{Def: r.def, Alias: binding, PartID: f.PartID, Pred: r.localPrd})
 		totalCost += o.m.Scan(fs.Rows)
 		rows := int64(math.Ceil(float64(fs.Rows) * sel))
 		totalRows += rows
@@ -347,7 +343,7 @@ func (o *optimizer) finishPartial(mask uint, entry dpEntry, full uint) (*Partial
 	node := entry.node
 	if mask == full {
 		if len(o.g.Residual) > 0 {
-			node = &plan.Filter{Input: node, Pred: expr.And(expr.CloneAll(o.g.Residual))}
+			node = &plan.Filter{Input: node, Pred: expr.And(o.g.Residual)}
 			p.Cost += o.m.Filter(entry.rows)
 		}
 		p.SQL = o.sel.Clone()

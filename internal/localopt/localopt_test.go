@@ -8,7 +8,6 @@ import (
 	"qtrade/internal/catalog"
 	"qtrade/internal/cost"
 	"qtrade/internal/exec"
-	"qtrade/internal/expr"
 	"qtrade/internal/plan"
 	"qtrade/internal/sqlparse"
 	"qtrade/internal/storage"
@@ -113,7 +112,7 @@ func naivePlan(t *testing.T, sel *sqlparse.Select, sch *catalog.Schema, st *stor
 		}
 	}
 	if sel.Where != nil {
-		node = &plan.Filter{Input: node, Pred: expr.Clone(sel.Where)}
+		node = &plan.Filter{Input: node, Pred: sel.Where}
 	}
 	p, err := plan.FinalizeSelect(sel, node)
 	if err != nil {

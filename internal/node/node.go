@@ -564,13 +564,7 @@ func (n *Node) partialAggDraft(sel *sqlparse.Select, rw *rewrite.Rewritten, res 
 	if !ok || res.Best == nil {
 		return pricecache.Draft{}, false
 	}
-	psel := &sqlparse.Select{Limit: -1, From: sel.From, Items: d.PartialItems()}
-	if rw.Sel.Where != nil {
-		psel.Where = expr.Clone(rw.Sel.Where)
-	}
-	for _, g := range sel.GroupBy {
-		psel.GroupBy = append(psel.GroupBy, expr.Clone(g))
-	}
+	psel := &sqlparse.Select{Limit: -1, From: sel.From, Items: d.PartialItems(), Where: rw.Sel.Where, GroupBy: sel.GroupBy}
 	cols, err := OutputSpecs(psel, n.cfg.Schema, n.store)
 	if err != nil {
 		return pricecache.Draft{}, false
@@ -875,7 +869,7 @@ func (n *Node) viewPlan(sel *sqlparse.Select) (plan.Node, error) {
 	}
 	var root plan.Node = &plan.ViewScan{Name: v.Name, Cols: cols}
 	if sel.Where != nil {
-		root = &plan.Filter{Input: root, Pred: expr.Clone(sel.Where)}
+		root = &plan.Filter{Input: root, Pred: sel.Where}
 	}
 	return plan.FinalizeSelect(sel, root)
 }

@@ -65,29 +65,26 @@ func DecomposeAggregates(sel *sqlparse.Select) (*AggDecomposition, bool) {
 		if a.Distinct {
 			return nil, false
 		}
-		d.Aggs = append(d.Aggs, expr.Clone(a).(*expr.Agg))
+		d.Aggs = append(d.Aggs, a)
 		idx := len(d.Partials)
 		name := func(i int) string { return "_pa" + strconv.Itoa(i) }
 		switch a.Fn {
 		case "SUM":
 			d.Partials = append(d.Partials, PartialAggSpec{
-				Agg: &expr.Agg{Fn: "SUM", Arg: expr.Clone(a.Arg)}, Name: name(idx), Merge: "SUM"})
+				Agg: &expr.Agg{Fn: "SUM", Arg: a.Arg}, Name: name(idx), Merge: "SUM"})
 			d.PartsOf = append(d.PartsOf, []int{idx})
 		case "COUNT":
-			p := &expr.Agg{Fn: "COUNT", Star: a.Star}
-			if !a.Star {
-				p.Arg = expr.Clone(a.Arg)
-			}
-			d.Partials = append(d.Partials, PartialAggSpec{Agg: p, Name: name(idx), Merge: "SUM"})
+			d.Partials = append(d.Partials, PartialAggSpec{
+				Agg: &expr.Agg{Fn: "COUNT", Arg: a.Arg, Star: a.Star}, Name: name(idx), Merge: "SUM"})
 			d.PartsOf = append(d.PartsOf, []int{idx})
 		case "MIN", "MAX":
 			d.Partials = append(d.Partials, PartialAggSpec{
-				Agg: &expr.Agg{Fn: a.Fn, Arg: expr.Clone(a.Arg)}, Name: name(idx), Merge: a.Fn})
+				Agg: &expr.Agg{Fn: a.Fn, Arg: a.Arg}, Name: name(idx), Merge: a.Fn})
 			d.PartsOf = append(d.PartsOf, []int{idx})
 		case "AVG":
 			d.Partials = append(d.Partials,
-				PartialAggSpec{Agg: &expr.Agg{Fn: "SUM", Arg: expr.Clone(a.Arg)}, Name: name(idx), Merge: "SUM"},
-				PartialAggSpec{Agg: &expr.Agg{Fn: "COUNT", Arg: expr.Clone(a.Arg)}, Name: name(idx + 1), Merge: "SUM"})
+				PartialAggSpec{Agg: &expr.Agg{Fn: "SUM", Arg: a.Arg}, Name: name(idx), Merge: "SUM"},
+				PartialAggSpec{Agg: &expr.Agg{Fn: "COUNT", Arg: a.Arg}, Name: name(idx + 1), Merge: "SUM"})
 			d.PartsOf = append(d.PartsOf, []int{idx, idx + 1})
 		default:
 			return nil, false
@@ -104,7 +101,7 @@ func (d *AggDecomposition) PartialItems() []sqlparse.SelectItem {
 		items = append(items, sqlparse.SelectItem{Expr: expr.NewColumn(c.Table, c.Name)})
 	}
 	for _, p := range d.Partials {
-		items = append(items, sqlparse.SelectItem{Expr: expr.Clone(p.Agg), Alias: p.Name})
+		items = append(items, sqlparse.SelectItem{Expr: p.Agg, Alias: p.Name})
 	}
 	return items
 }

@@ -46,7 +46,7 @@ func lowerTail(sel *sqlparse.Select, input Node, merge *AggDecomposition) (Node,
 		if expr.HasAgg(e) {
 			return nil, fmt.Errorf("plan: aggregate in %s %s of a query without GROUP BY or aggregates", clause, e)
 		}
-		return expr.Clone(e), nil
+		return e, nil
 	}
 	if sel.Having != nil {
 		if stage == nil {
@@ -75,7 +75,7 @@ func lowerTail(sel *sqlparse.Select, input Node, merge *AggDecomposition) (Node,
 	for i, o := range sel.OrderBy {
 		keys[i].Desc = o.Desc
 		if !expr.HasAgg(o.Expr) && refsAvailable(o.Expr, names) {
-			keys[i].Expr = expr.Clone(o.Expr)
+			keys[i].Expr = o.Expr
 			continue
 		}
 		key, err := below(o.Expr, "ORDER BY")
@@ -132,7 +132,7 @@ type aggStage struct {
 // combining aggregates, and each of the query's calls is an expression over
 // those.
 func aggregateStage(sel *sqlparse.Select, input Node, merge *AggDecomposition) aggStage {
-	s := aggStage{agg: &Aggregate{Input: input, GroupBy: expr.CloneAll(sel.GroupBy)}, groups: sel.GroupBy, merge: merge}
+	s := aggStage{agg: &Aggregate{Input: input, GroupBy: sel.GroupBy}, groups: sel.GroupBy, merge: merge}
 	s.agg.GroupNames = make([]expr.ColumnID, len(sel.GroupBy))
 	for i, g := range sel.GroupBy {
 		s.agg.GroupNames[i] = expr.ColumnID{Name: "_g" + strconv.Itoa(i)}
@@ -144,7 +144,7 @@ func aggregateStage(sel *sqlparse.Select, input Node, merge *AggDecomposition) a
 		var calls []*expr.Agg
 		calls, s.calls = aggCalls(sel)
 		for i, a := range calls {
-			s.agg.Aggs = append(s.agg.Aggs, AggItem{Agg: expr.Clone(a).(*expr.Agg), Name: expr.ColumnID{Name: "_agg" + strconv.Itoa(i)}})
+			s.agg.Aggs = append(s.agg.Aggs, AggItem{Agg: a, Name: expr.ColumnID{Name: "_agg" + strconv.Itoa(i)}})
 		}
 		return s
 	}
@@ -186,7 +186,7 @@ func (s *aggStage) put(e expr.Expr, clause string) (expr.Expr, error) {
 			}
 		case *expr.Column:
 			if refsAvailable(t, s.agg.Schema()) {
-				return expr.Clone(t), expr.Replace
+				return t, expr.Replace
 			}
 		default:
 			return nil, expr.Descend
@@ -247,7 +247,8 @@ func aggCalls(sel *sqlparse.Select) (calls []*expr.Agg, texts []string) {
 // analysis). Ambiguous or unknown names are left untouched — binding will
 // reject them later with a precise error. Qualifying right after parsing
 // lets every downstream component (partition pruning, rewriting, offer
-// matching) reason about column identity reliably.
+// matching) reason about column identity reliably. The qualified trees are
+// assigned to sel's own fields; no node sel held is written.
 func Qualify(sel *sqlparse.Select, sch *catalog.Schema) {
 	owner := func(name string) string {
 		found := ""
@@ -267,28 +268,16 @@ func Qualify(sel *sqlparse.Select, sch *catalog.Schema) {
 		}
 		return ""
 	}
-	fix := func(e expr.Expr) {
-		expr.Walk(e, func(x expr.Expr) bool {
-			if c, ok := x.(*expr.Column); ok && c.Table == "" {
-				if b := owner(c.Name); b != "" {
-					c.Table = b
-				}
-			}
-			return true
-		})
+	for i := range sel.Items {
+		sel.Items[i].Expr = expr.QualifyBy(sel.Items[i].Expr, owner)
 	}
-	for _, it := range sel.Items {
-		if it.Expr != nil {
-			fix(it.Expr)
-		}
+	sel.Where = expr.QualifyBy(sel.Where, owner)
+	for i, g := range sel.GroupBy {
+		sel.GroupBy[i] = expr.QualifyBy(g, owner)
 	}
-	fix(sel.Where)
-	for _, g := range sel.GroupBy {
-		fix(g)
-	}
-	fix(sel.Having)
-	for _, o := range sel.OrderBy {
-		fix(o.Expr)
+	sel.Having = expr.QualifyBy(sel.Having, owner)
+	for i := range sel.OrderBy {
+		sel.OrderBy[i].Expr = expr.QualifyBy(sel.OrderBy[i].Expr, owner)
 	}
 }
 

@@ -20,8 +20,9 @@
 //
 // Drafts are safe to share because nothing downstream writes them. Minting
 // copies the offer by value and stamps the copy; Bindings, Parts and Cols are
-// read by the buyer and never changed; and the executor binds a clone of every
-// predicate, projection and key it evaluates, keeps its actuals in a side
+// read by the buyer and never changed; no expression is written after it is
+// built; and the executor compiles every predicate, projection and key it
+// evaluates into a program of its own, keeps its actuals in a side
 // table keyed by node, and stamps no estimate on a seller's plan — so one plan
 // tree serves the entry, every book entry minted from it and any number of
 // concurrent executions (node.TestPricedPlanIsSharedReadOnly runs that under

@@ -40,7 +40,8 @@ type Edge struct {
 // Graph is the WHERE clause of one SELECT, split into the join skeleton
 // (Edges) and the selections placed on it (Local). Every conjunct is in
 // exactly one of Local, Edges and Residual, each in WHERE order. The
-// expressions are the SELECT's own: clone before handing one to a plan.
+// expressions are the SELECT's own, shared with every plan built from them
+// (an expression is never written).
 // Prunes and Relevant fill the Graph's memo, so one goroutine asks them.
 type Graph struct {
 	From     []sqlparse.TableRef
@@ -103,9 +104,9 @@ func (g *Graph) Mask(bindings []string) uint {
 	return mask
 }
 
-// LocalPred is a copy of the conjunction of relation i's selections; nil when
-// it has none.
-func (g *Graph) LocalPred(i int) expr.Expr { return expr.And(expr.CloneAll(g.Local[i])) }
+// LocalPred is the conjunction of relation i's selections, over the query's
+// own conjuncts; nil when it has none.
+func (g *Graph) LocalPred(i int) expr.Expr { return expr.And(g.Local[i]) }
 
 // Connected reports whether an edge joins a relation of a to one of b.
 func (g *Graph) Connected(a, b uint) bool {
@@ -117,25 +118,26 @@ func (g *Graph) Connected(a, b uint) bool {
 	return false
 }
 
-// Connecting returns copies of the edges joining the disjoint sets a and b.
+// Connecting returns the predicates of the edges joining the disjoint sets a
+// and b.
 func (g *Graph) Connecting(a, b uint) []expr.Expr {
 	var out []expr.Expr
 	for _, e := range g.Edges {
 		if e.Mask&a != 0 && e.Mask&b != 0 {
-			out = append(out, expr.Clone(e.Pred))
+			out = append(out, e.Pred)
 		}
 	}
 	return out
 }
 
-// Within returns copies of the conjuncts a subquery over the relations of set
-// can evaluate, in WHERE order: those naming only relations of set (a
-// constant names none, so it is within every set).
+// Within returns the conjuncts a subquery over the relations of set can
+// evaluate, in WHERE order: those naming only relations of set (a constant
+// names none, so it is within every set).
 func (g *Graph) Within(set uint) []expr.Expr {
 	var out []expr.Expr
 	for k, c := range g.conj {
 		if g.masks[k]&^set == 0 {
-			out = append(out, expr.Clone(c))
+			out = append(out, c)
 		}
 	}
 	return out

@@ -9,6 +9,7 @@ package rewrite
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"strings"
 
@@ -99,7 +100,7 @@ func ForSeller(sel *sqlparse.Select, sch *catalog.Schema, store *storage.Store) 
 	// WHERE: conjuncts referencing only kept relations, plus partition
 	// restrictions for partially held relations.
 	conj := g.Within(keptMask)
-	queryPred := expr.And(expr.CloneAll(conj))
+	queryPred := expr.And(conj)
 	for _, tr := range kept {
 		b := strings.ToLower(tr.Binding())
 		if len(rw.Parts[b]) == len(sch.PartitionIDs(tr.Name)) {
@@ -140,16 +141,10 @@ func ForSeller(sel *sqlparse.Select, sch *catalog.Schema, store *storage.Store) 
 	rw.Stripped = hasAgg && !passThrough
 
 	if passThrough {
-		for _, g := range sel.GroupBy {
-			out.GroupBy = append(out.GroupBy, expr.Clone(g))
-		}
-		if sel.Having != nil {
-			out.Having = expr.Clone(sel.Having)
-		}
+		out.GroupBy = slices.Clone(sel.GroupBy)
+		out.Having = sel.Having
 		out.Distinct = sel.Distinct
-		for _, ob := range sel.OrderBy {
-			out.OrderBy = append(out.OrderBy, sqlparse.OrderItem{Expr: expr.Clone(ob.Expr), Desc: ob.Desc})
-		}
+		out.OrderBy = slices.Clone(sel.OrderBy)
 		out.Limit = sel.Limit
 	}
 
@@ -220,15 +215,7 @@ func localItems(sel *sqlparse.Select, rewrittenWhere expr.Expr, keptSet map[stri
 	if passThrough {
 		// The node can answer the query verbatim; items pass through
 		// unchanged so the answer's schema matches the query's exactly.
-		var items []sqlparse.SelectItem
-		for _, it := range sel.Items {
-			ni := sqlparse.SelectItem{Alias: it.Alias, Star: it.Star}
-			if it.Expr != nil {
-				ni.Expr = expr.Clone(it.Expr)
-			}
-			items = append(items, ni)
-		}
-		return items, true
+		return slices.Clone(sel.Items), true
 	}
 	seen := map[string]bool{}
 	var items []sqlparse.SelectItem

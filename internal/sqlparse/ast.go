@@ -7,6 +7,7 @@
 package sqlparse
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -152,30 +153,16 @@ func (u *Union) SQL() string {
 	return strings.Join(parts, sep)
 }
 
-// Clone deep-copies the select block.
+// Clone copies the select block's own slices — items, FROM, GROUP BY, ORDER
+// BY — so a caller may set or append to them; the expressions in them are
+// shared, since no expression is written after it is built.
 func (s *Select) Clone() *Select {
-	out := &Select{Distinct: s.Distinct, Limit: s.Limit}
-	for _, it := range s.Items {
-		ni := SelectItem{Alias: it.Alias, Star: it.Star}
-		if it.Expr != nil {
-			ni.Expr = expr.Clone(it.Expr)
-		}
-		out.Items = append(out.Items, ni)
-	}
-	out.From = append(out.From, s.From...)
-	if s.Where != nil {
-		out.Where = expr.Clone(s.Where)
-	}
-	for _, g := range s.GroupBy {
-		out.GroupBy = append(out.GroupBy, expr.Clone(g))
-	}
-	if s.Having != nil {
-		out.Having = expr.Clone(s.Having)
-	}
-	for _, o := range s.OrderBy {
-		out.OrderBy = append(out.OrderBy, OrderItem{Expr: expr.Clone(o.Expr), Desc: o.Desc})
-	}
-	return out
+	out := *s
+	out.Items = slices.Clone(s.Items)
+	out.From = slices.Clone(s.From)
+	out.GroupBy = slices.Clone(s.GroupBy)
+	out.OrderBy = slices.Clone(s.OrderBy)
+	return &out
 }
 
 // HasAggregates reports whether any select item or HAVING uses an aggregate.

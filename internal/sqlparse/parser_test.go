@@ -197,11 +197,18 @@ func TestRoundTripSQL(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	s := MustParseSelect("SELECT x FROM a WHERE x = 1 GROUP BY x HAVING COUNT(*) > 1 ORDER BY x")
+	before := s.SQL()
 	c := s.Clone()
-	c.Where.(*expr.Binary).Op = ">"
+	if c.Where != s.Where {
+		t.Error("Clone copied an expression: expressions are shared")
+	}
+	c.Where = expr.Cmp(">", c.Where.(*expr.Binary).L, c.Where.(*expr.Binary).R)
 	c.From[0].Name = "zzz"
-	if s.Where.(*expr.Binary).Op != "=" || s.From[0].Name != "a" {
-		t.Fatal("Clone must be deep for exprs and from list")
+	c.GroupBy = append(c.GroupBy, expr.NewColumn("", "y"))
+	c.OrderBy[0].Desc = true
+	c.Items[0].Alias = "w"
+	if got := s.SQL(); got != before {
+		t.Fatalf("writing the clone's own fields changed the original: %s", got)
 	}
 	if c.SQL() == s.SQL() {
 		t.Fatal("clone should have diverged")

@@ -91,12 +91,12 @@ func TestQuickExprReparseSemantics(t *testing.T) {
 				value.NewStr([]string{"x", "y"}[r.Intn(2)]),
 				value.NewInt(int64(r.Intn(5))),
 			}
-			e1 := expr.Clone(e)
-			e2 := expr.Clone(reparsed)
-			if err := expr.Bind(e1, schema); err != nil {
+			e1, err := expr.Bind(e, schema)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := expr.Bind(e2, schema); err != nil {
+			e2, err := expr.Bind(reparsed, schema)
+			if err != nil {
 				t.Fatal(err)
 			}
 			v1, err1 := expr.Eval(e1, row)

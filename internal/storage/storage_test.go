@@ -76,8 +76,7 @@ func TestScanWithPredicate(t *testing.T) {
 	if err := s.Insert("customer", "p0", row(1, "Corfu"), row(2, "Myconos"), row(3, "Corfu")); err != nil {
 		t.Fatal(err)
 	}
-	pred := sqlparse.MustParseExpr("office = 'Corfu'")
-	expr.MustBind(pred, def.ColumnIDs(""))
+	pred := expr.MustBind(sqlparse.MustParseExpr("office = 'Corfu'"), def.ColumnIDs(""))
 	n := 0
 	if err := s.Scan("customer", "p0", pred, func(value.Row) bool { n++; return true }); err != nil {
 		t.Fatal(err)
@@ -291,8 +290,8 @@ func TestScanFromResume(t *testing.T) {
 	}
 	// Positions count predicate-rejected rows too: resuming after the first
 	// match of a filtered scan must not skip or repeat matches.
-	pred := sqlparse.MustParseExpr("office = 'A'")
-	if err := expr.Bind(pred, []expr.ColumnID{{Name: "custid"}, {Name: "office"}}); err != nil {
+	pred, err := expr.Bind(sqlparse.MustParseExpr("office = 'A'"), []expr.ColumnID{{Name: "custid"}, {Name: "office"}})
+	if err != nil {
 		t.Fatal(err)
 	}
 	var ids []int64

@@ -63,7 +63,7 @@ func runComp(t *testing.T, st *storage.Store, m *Match) []string {
 	}
 	var node plan.Node = &plan.ViewScan{Name: v.Name, Cols: cols}
 	if m.Comp.Where != nil {
-		node = &plan.Filter{Input: node, Pred: expr.Clone(m.Comp.Where)}
+		node = &plan.Filter{Input: node, Pred: m.Comp.Where}
 	}
 	p, err := plan.FinalizeSelect(m.Comp, node)
 	if err != nil {
@@ -219,6 +219,23 @@ func TestSPJCompensationRuns(t *testing.T) {
 	rows := runComp(t, st, m)
 	if len(rows) != 2 {
 		t.Fatalf("compensated rows: %v", rows)
+	}
+}
+
+// An IN list of NULLs admits no value: the view's predicate does not imply
+// it, so the compensation keeps it and returns nothing, as the query does.
+func TestAllNullInListIsCompensated(t *testing.T) {
+	st := storage.NewStore()
+	if err := st.AddView(spjView()); err != nil {
+		t.Fatal(err)
+	}
+	q := sqlparse.MustParseSelect("SELECT i.invid, i.charge FROM invoiceline i WHERE i.charge > 5 AND i.charge IN (NULL, NULL)")
+	m, ok := MatchView(q, st.View("bigcharges"))
+	if !ok {
+		t.Fatal("must match")
+	}
+	if rows := runComp(t, st, m); len(rows) != 0 {
+		t.Fatalf("%s returns %v, want no rows", m.Comp.SQL(), rows)
 	}
 }
 

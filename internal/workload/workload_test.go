@@ -75,8 +75,7 @@ func TestTelcoPartitionsCoverAndAreDisjoint(t *testing.T) {
 			if err := n.Store().Scan("customer", part, nil, func(r value.Row) bool {
 				matches := 0
 				for _, p := range parts {
-					pred := expr.Clone(p.Predicate)
-					expr.MustBind(pred, def.ColumnIDs(""))
+					pred := expr.MustBind(p.Predicate, def.ColumnIDs(""))
 					ok, err := expr.EvalBool(pred, r)
 					if err != nil {
 						t.Fatal(err)
