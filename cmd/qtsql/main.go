@@ -18,7 +18,7 @@
 // flags), and with -obs-addr the full dossiers are served at
 // /debug/queries and /debug/queries/{id}. In simulation mode
 // the federation can be perturbed interactively: \down <node> and
-// \up <node> toggle node failures, \drain <node> and \undrain <node> walk a
+// \up <node> crash and restart a node, \drain <node> and \undrain <node> walk a
 // node through the elastic lifecycle (a draining node refuses new
 // negotiations but finishes in-flight work; \nodes shows each node's
 // lifecycle state and queue depths), and \chaos <seed> <rate> installs a
@@ -299,10 +299,11 @@ func main() {
 				fmt.Printf("unknown node %q\n", id)
 				continue
 			}
-			f.Net.SetDown(id, down)
 			if down {
-				fmt.Printf("%s is down (peers now get hard errors; \\up %s to restore)\n", id, id)
+				f.Net.CrashNode(id)
+				fmt.Printf("%s is down (peers now get transient crash errors; \\up %s to restore)\n", id, id)
 			} else {
+				f.Net.RestartNode(id)
 				fmt.Printf("%s is back up\n", id)
 			}
 			continue

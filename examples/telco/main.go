@@ -93,7 +93,7 @@ func main() {
 	printResult(res2)
 
 	fmt.Println("\n== corfu node fails; query restricted to Myconos still works ==")
-	fed.SetNodeDown("corfu", true)
+	fed.CrashNode("corfu")
 	res3, err := fed.Query("hq", `
 		SELECT c.office, SUM(i.charge) AS total
 		FROM customer c, invoiceline i

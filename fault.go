@@ -8,92 +8,24 @@ import (
 )
 
 // Link names one directed sender→receiver network link.
-type Link struct {
-	From string
-	To   string
-}
+type Link = netsim.Pair
 
-// FaultPlan describes the chaos to inject into the simulated network. Every
-// decision is derived deterministically from Seed and the per-node call
-// sequence, so a fixed plan over a fixed workload replays the same faults.
-// The zero plan injects nothing; an installed zero plan leaves message and
-// byte accounting byte-identical to a fault-free federation.
-type FaultPlan struct {
-	// Seed drives every probabilistic decision.
-	Seed int64
-	// DropProb is the probability a request is lost in transit on any link.
-	// Lost requests are charged as one message and surface to the caller as
-	// a transient (retryable) error.
-	DropProb float64
-	// LinkDropProb overrides DropProb for specific directed links.
-	LinkDropProb map[Link]float64
-	// ErrorProb is the probability a delivered request is answered with an
-	// error reply instead of a result (transient).
-	ErrorProb float64
-	// JitterMS adds a uniform [0, JitterMS) wall-clock delay to every
-	// delivered call.
-	JitterMS float64
-	// SlowNodeMS adds a fixed wall-clock delay to every call to the named
-	// node — a permanently slow (straggling) seller.
-	SlowNodeMS map[string]float64
-	// FlapPeriod makes the named node intermittently unreachable: calls are
-	// rejected while floor(seq/period) is odd, where seq counts the calls
-	// addressed to that node.
-	FlapPeriod map[string]int
-	// CrashAfterAward permanently crashes the named node right after it
-	// accepts its next Award — the seller dies between winning the
-	// negotiation and delivering.
-	CrashAfterAward map[string]bool
-}
+// FaultPlan describes the chaos to inject into the simulated network (see
+// netsim.FaultPlan for its fields).
+type FaultPlan = netsim.FaultPlan
+
+// ChaosStats counts the faults the installed plan has injected.
+type ChaosStats = netsim.ChaosStats
 
 // SetFaultPlan installs (or, with nil, removes) a chaos plan on the
 // federation's network. Fault tallies restart from zero on every install;
 // read them with ChaosStats or see them as "net.chaos.*" lines in
-// MetricsSnapshot.
-func (f *Federation) SetFaultPlan(p *FaultPlan) {
-	if p == nil {
-		f.net.SetFaultPlan(nil)
-		return
-	}
-	np := &netsim.FaultPlan{
-		Seed:            p.Seed,
-		DropProb:        p.DropProb,
-		ErrorProb:       p.ErrorProb,
-		JitterMS:        p.JitterMS,
-		SlowNodeMS:      p.SlowNodeMS,
-		FlapPeriod:      p.FlapPeriod,
-		CrashAfterAward: p.CrashAfterAward,
-	}
-	if len(p.LinkDropProb) > 0 {
-		np.LinkDropProb = make(map[netsim.Pair]float64, len(p.LinkDropProb))
-		for l, prob := range p.LinkDropProb {
-			np.LinkDropProb[netsim.Pair{From: l.From, To: l.To}] = prob
-		}
-	}
-	f.net.SetFaultPlan(np)
-}
-
-// ChaosStats counts the faults the installed plan has injected.
-type ChaosStats struct {
-	Drops          int64 // requests lost in transit
-	InjectedErrors int64 // error replies
-	SlowCalls      int64 // calls delayed by SlowNodeMS or jitter
-	FlapRejects    int64 // calls rejected by a flapping node
-	Crashes        int64 // crash-after-award transitions
-}
+// MetricsSnapshot. Nodes crashed by CrashNode stay crashed either way.
+func (f *Federation) SetFaultPlan(p *FaultPlan) { f.net.SetFaultPlan(p) }
 
 // ChaosStats returns the fault tallies since the current plan was installed
 // (all zero when no plan is active).
-func (f *Federation) ChaosStats() ChaosStats {
-	s := f.net.ChaosStats()
-	return ChaosStats{
-		Drops:          s.Drops,
-		InjectedErrors: s.InjectedErrors,
-		SlowCalls:      s.SlowCalls,
-		FlapRejects:    s.FlapRejects,
-		Crashes:        s.Crashes,
-	}
-}
+func (f *Federation) ChaosStats() ChaosStats { return f.net.ChaosStats() }
 
 // FaultTolerance configures how the federation's buyers and subcontracting
 // sellers defend against slow, flaky or dead peers.

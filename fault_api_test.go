@@ -158,3 +158,47 @@ func TestPublicAPIFaultPolicyGuardsRun(t *testing.T) {
 		t.Fatalf("fault.call_timeouts = %d, want >= 1", n)
 	}
 }
+
+const corfuQuery = `SELECT c.custname FROM customer c WHERE c.office = 'Corfu'`
+
+// TestPublicAPIFaultCrashedNodeRejoinsReachable: a crash mark belongs to the
+// member, so a crashed node that leaves and joins again under the same id
+// serves without a RestartNode.
+func TestPublicAPIFaultCrashedNodeRejoinsReachable(t *testing.T) {
+	fed := buildFed(t)
+	fed.CrashNode("corfu")
+	if _, err := fed.Query("hq", corfuQuery); err == nil {
+		t.Fatal("a crashed node's partition must be unreachable")
+	}
+	if err := fed.RemoveNode("corfu"); err != nil {
+		t.Fatal(err)
+	}
+	n := fed.MustAddNode("corfu")
+	n.MustCreateFragment("customer", "corfu")
+	n.MustInsert("customer", "corfu", Row(1, "alice", "Corfu"))
+	n.MustInsert("customer", "corfu", Row(2, "bob", "Corfu"))
+	res, err := fed.Query("hq", corfuQuery)
+	if err != nil || len(res.Rows) != 2 {
+		t.Fatalf("the rejoined node must serve: %v, %+v", err, res)
+	}
+}
+
+// TestPublicAPIFaultCrashOutlivesFaultPlan: installing or removing a fault
+// plan revives no crashed node; only RestartNode does.
+func TestPublicAPIFaultCrashOutlivesFaultPlan(t *testing.T) {
+	fed := buildFed(t)
+	fed.CrashNode("corfu")
+	for _, plan := range []*FaultPlan{{Seed: 1}, nil} {
+		fed.SetFaultPlan(plan)
+		if _, err := fed.Query("hq", corfuQuery); err == nil {
+			t.Fatalf("SetFaultPlan(%+v) revived a crashed node", plan)
+		}
+	}
+	if s := fed.ChaosStats(); s.Crashes != 0 {
+		t.Fatalf("a CrashNode is not a fault the plan injected: %+v", s)
+	}
+	fed.RestartNode("corfu")
+	if res, err := fed.Query("hq", corfuQuery); err != nil || len(res.Rows) != 2 {
+		t.Fatalf("the restarted node must serve: %v, %+v", err, res)
+	}
+}

@@ -22,19 +22,11 @@ import (
 // worstK worst flagged queries (flight.DefaultWorstK when worstK <= 0) past
 // the ledger ring's eviction. A federation without a ledger gets a
 // default-capacity one automatically: the ledger is where dossiers live.
-// Tune the rules through FlightRecorder().SetTriggers.
+// Tune the rules, the latency SLO among them, through
+// FlightRecorder().SetTriggers.
 func WithFlightRecorder(worstK int) FederationOption {
 	return func(f *Federation) {
 		f.wantFlight, f.worstK = true, worstK
-	}
-}
-
-// WithSlowQuerySLO arms the recorder's latency trigger: any query whose
-// wall time (optimize + execute) reaches slo is captured into the outlier
-// set. Implies WithFlightRecorder's defaults when used alone.
-func WithSlowQuerySLO(slo time.Duration) FederationOption {
-	return func(f *Federation) {
-		f.wantFlight, f.slo = true, slo
 	}
 }
 
@@ -74,12 +66,11 @@ func (f *Federation) Watchdog() *flight.Watchdog { return f.watchdog }
 
 // finishObsSetup builds the observability sinks once all FederationOptions
 // ran, from the values they recorded, so option order never matters: the
-// flight recorder is built once with its SLO armed and gets a ledger to file
-// dossiers on, and the watchdog starts sampling with that ledger attached.
+// flight recorder gets a ledger to file dossiers on, and the watchdog starts
+// sampling with that ledger attached.
 func (f *Federation) finishObsSetup() {
 	if f.wantFlight {
 		f.flight = flight.NewRecorder(f.worstK)
-		f.flight.SetTriggers(flight.Triggers{SlowMS: float64(f.slo.Nanoseconds()) / 1e6})
 		if f.ledger == nil {
 			f.ledger = ledger.New(0)
 		}

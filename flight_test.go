@@ -107,10 +107,12 @@ func TestEmptyQueriesHaveNames(t *testing.T) {
 	}
 }
 
-// TestWithSlowQuerySLO pins that a query breaching the public SLO option is
-// flagged into the outlier set with the slow trigger.
+// TestWithSlowQuerySLO pins that a query breaching a latency SLO armed
+// through the recorder's triggers is flagged into the outlier set with the
+// slow trigger.
 func TestWithSlowQuerySLO(t *testing.T) {
-	fed := buildLedgerFed(t, []FederationOption{WithSlowQuerySLO(time.Nanosecond)})
+	fed := buildLedgerFed(t, []FederationOption{WithFlightRecorder(0)})
+	fed.FlightRecorder().SetTriggers(flight.Triggers{SlowMS: float64(time.Nanosecond) / float64(time.Millisecond)})
 	if _, err := fed.Query("hq", totalsQuery); err != nil {
 		t.Fatal(err)
 	}

@@ -288,7 +288,7 @@ func TestNoPlanPossibleAborts(t *testing.T) {
 func TestDownSellerIsTolerated(t *testing.T) {
 	f := buildFederation(t, nil)
 	// Corfu goes down: the query restricted to Myconos must still work.
-	f.net.SetDown("corfu", true)
+	f.net.CrashNode("corfu")
 	q := "SELECT c.custname FROM customer c WHERE c.office = 'Myconos'"
 	want := oracle(t, f.sch, q)
 	_, got := optimizeAndRun(t, f, athensCfg(f), q)

@@ -27,11 +27,12 @@ func testPolicy(m *obs.Metrics) *trading.FaultPolicy {
 	}
 }
 
-// TestConcurrentFlapDuringNegotiation hammers SetDown on a remote seller
-// while negotiations are in flight. The buyer must neither hang nor race
-// (run under -race): down-node errors are hard failures, the round deadline
-// cuts stragglers, and a query answerable from the buyer's own partition
-// keeps succeeding throughout.
+// TestConcurrentFlapDuringNegotiation crashes and restarts a remote seller
+// over and over while negotiations are in flight. The buyer must neither
+// hang nor race (run under -race): crash errors are retried as transient
+// within the policy's budget, the round deadline cuts stragglers, and a
+// query answerable from the buyer's own partition keeps succeeding
+// throughout.
 func TestConcurrentFlapDuringNegotiation(t *testing.T) {
 	f := buildFederation(t, nil)
 	q := "SELECT c.custname FROM customer c WHERE c.office = 'Athens'"
@@ -46,15 +47,14 @@ func TestConcurrentFlapDuringNegotiation(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		down := false
 		for {
 			select {
 			case <-stop:
-				f.net.SetDown("corfu", false)
 				return
 			default:
-				down = !down
-				f.net.SetDown("corfu", down)
+				f.net.CrashNode("corfu")
+				time.Sleep(100 * time.Microsecond)
+				f.net.RestartNode("corfu")
 				time.Sleep(100 * time.Microsecond)
 			}
 		}

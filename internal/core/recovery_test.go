@@ -51,7 +51,7 @@ func TestRecoveryAfterSellerCrash(t *testing.T) {
 	}
 	winner := res.Candidate.Offers[0].SellerID
 	crash := &crashOnDeliver{Comm: comm, victim: winner,
-		onCrash: func() { f.net.SetDown(winner, true) }}
+		onCrash: func() { f.net.CrashNode(winner) }}
 
 	out, finalRes, retries, err := OptimizeAndExecute(cfg, crash, &exec.Executor{Store: f.athens.Store()}, q, 2)
 	if err != nil {
@@ -96,7 +96,7 @@ func TestRecoveryExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = res
-	f.net.SetDown("corfu", true)
+	f.net.CrashNode("corfu")
 	_, _, _, err = OptimizeAndExecute(athensCfg(f), comm, &exec.Executor{Store: f.athens.Store()}, q, 2)
 	if err == nil {
 		t.Fatal("unanswerable recovery must fail")

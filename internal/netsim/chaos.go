@@ -17,43 +17,47 @@ import (
 	"qtrade/internal/trading"
 )
 
-// FaultPlan describes the faults to inject, all derived deterministically
-// from Seed and the per-link call sequence: the same plan over the same
-// call pattern makes the same decisions.
+// FaultPlan describes the chaos to inject into the network. Every decision
+// is derived deterministically from Seed and the per-node call sequence, so
+// a fixed plan over a fixed workload replays the same faults. The zero plan
+// injects nothing; an installed zero plan leaves message and byte accounting
+// byte-identical to a fault-free network.
 type FaultPlan struct {
 	// Seed drives every probabilistic decision.
 	Seed int64
-	// DropProb is the probability a request is lost in transit on any link
-	// (charged as one lost message; surfaces as a transient error).
+	// DropProb is the probability a request is lost in transit on any link.
+	// Lost requests are charged as one message and surface to the caller as
+	// a transient (retryable) error.
 	DropProb float64
 	// LinkDropProb overrides DropProb for specific directed links.
 	LinkDropProb map[Pair]float64
 	// ErrorProb is the probability a delivered request is answered with an
 	// error reply instead of a result (transient; charged request + error).
 	ErrorProb float64
-	// JitterMS adds a uniform [0, JitterMS) real sleep to every delivered
-	// call.
+	// JitterMS adds a uniform [0, JitterMS) wall-clock delay to every
+	// delivered call.
 	JitterMS float64
-	// SlowNodeMS adds a fixed real sleep to every call *to* the named node —
-	// a permanently slow (straggling) seller.
+	// SlowNodeMS adds a fixed wall-clock delay to every call to the named
+	// node — a permanently slow (straggling) seller.
 	SlowNodeMS map[string]float64
 	// FlapPeriod makes the named node intermittently unreachable: calls are
 	// rejected while floor(seq/period) is odd, where seq counts the calls
 	// addressed to that node. Period 4 means: 4 calls served, 4 rejected, …
 	FlapPeriod map[string]int
-	// CrashAfterAward permanently crashes the named node right after it
-	// accepts its next Award — the seller dies between winning the
-	// negotiation and delivering, the hazard execution-time recovery targets.
+	// CrashAfterAward crashes the named node right after it accepts its
+	// next Award — the seller dies between winning the negotiation and
+	// delivering, the hazard execution-time recovery targets. It stays
+	// crashed until RestartNode.
 	CrashAfterAward map[string]bool
 }
 
-// ChaosStats counts the faults injected since the plan was installed.
+// ChaosStats counts the faults the installed plan has injected.
 type ChaosStats struct {
 	Drops          int64 // requests lost in transit
 	InjectedErrors int64 // error replies
 	SlowCalls      int64 // calls delayed by SlowNodeMS or jitter
 	FlapRejects    int64 // calls rejected by a flapping node
-	Crashes        int64 // crash-after-award transitions
+	Crashes        int64 // awards accepted by a CrashAfterAward node, each crashing it
 }
 
 // chaosState is the live injector: the immutable plan plus mutable
@@ -63,7 +67,6 @@ type chaosState struct {
 
 	mu      sync.Mutex
 	nodeSeq map[string]uint64
-	crashed map[string]bool
 
 	drops       atomic.Int64
 	errors      atomic.Int64
@@ -73,21 +76,22 @@ type chaosState struct {
 }
 
 // SetFaultPlan installs (or, with nil, removes) the network's chaos plan.
-// Counters restart from zero on every install.
+// Counters restart from zero on every install. Crashed nodes stay crashed:
+// the crash mark belongs to the network, not to the plan.
 func (n *Network) SetFaultPlan(p *FaultPlan) {
 	if p == nil {
 		n.chaos.Store(nil)
 		return
 	}
-	cs := &chaosState{plan: *p, nodeSeq: map[string]uint64{}, crashed: map[string]bool{}}
-	n.chaos.Store(cs)
+	n.chaos.Store(&chaosState{plan: *p, nodeSeq: map[string]uint64{}})
 }
 
 // FaultPlanActive reports whether a chaos plan is installed.
 func (n *Network) FaultPlanActive() bool { return n.chaos.Load() != nil }
 
-// ChaosStats returns the fault tallies of the installed plan (zero when no
-// plan is active).
+// ChaosStats returns the fault tallies since the current plan was installed
+// (all zero when no plan is active). A CrashNode is not a plan's fault and
+// is not tallied.
 func (n *Network) ChaosStats() ChaosStats {
 	cs := n.chaos.Load()
 	if cs == nil {
@@ -121,15 +125,6 @@ func (n *Network) chaosBefore(from, to string, reqBytes int) error {
 		return nil
 	}
 	cs.mu.Lock()
-	if cs.crashed[to] {
-		cs.mu.Unlock()
-		n.accountLost(from, to, reqBytes)
-		// Transient and typed: a crashed seller is gone, but the failure
-		// is recoverable at the federation level (an equivalent standing
-		// offer or a replan absorbs it), and recovery audit trails want to
-		// know it was a crash rather than a generic fetch error.
-		return trading.MarkTransient(fmt.Errorf("netsim: node %q crashed: %w", to, trading.ErrPeerCrashed))
-	}
 	seq := cs.nodeSeq[to]
 	cs.nodeSeq[to] = seq + 1
 	cs.mu.Unlock()
@@ -180,54 +175,9 @@ func (n *Network) chaosAfterAward(to string) {
 	if cs == nil || !cs.plan.CrashAfterAward[to] {
 		return
 	}
-	cs.mu.Lock()
-	if !cs.crashed[to] {
-		cs.crashed[to] = true
+	if n.CrashNode(to) {
 		cs.crashes.Add(1)
 	}
-	cs.mu.Unlock()
-}
-
-// chaosRuntime returns the live injector, installing an empty plan first if
-// none is active, so runtime churn primitives (CrashNode/RestartNode) work
-// on an otherwise fault-free network. The install is racy only against a
-// concurrent SetFaultPlan, which replaces runtime state by design.
-func (n *Network) chaosRuntime() *chaosState {
-	cs := n.chaos.Load()
-	if cs == nil {
-		cs = &chaosState{nodeSeq: map[string]uint64{}, crashed: map[string]bool{}}
-		if !n.chaos.CompareAndSwap(nil, cs) {
-			cs = n.chaos.Load()
-		}
-	}
-	return cs
-}
-
-// CrashNode kills a node immediately: every subsequent call to it fails with
-// a transient crashed error until RestartNode. Unlike SetDown this routes
-// through the chaos injector, so the failure is typed, tallied and
-// indistinguishable from a crash-after-award — the churn primitive
-// experiments use to kill a seller mid-negotiation.
-func (n *Network) CrashNode(id string) {
-	cs := n.chaosRuntime()
-	cs.mu.Lock()
-	if !cs.crashed[id] {
-		cs.crashed[id] = true
-		cs.crashes.Add(1)
-	}
-	cs.mu.Unlock()
-}
-
-// RestartNode revives a crashed node: calls reach it again (its service was
-// never unregistered — a restart is the same process image coming back).
-func (n *Network) RestartNode(id string) {
-	cs := n.chaos.Load()
-	if cs == nil {
-		return
-	}
-	cs.mu.Lock()
-	delete(cs.crashed, id)
-	cs.mu.Unlock()
 }
 
 // chaosHash mixes the seed, both endpoints and the per-node call sequence

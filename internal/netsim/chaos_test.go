@@ -186,30 +186,43 @@ func TestChaosCrashAfterAward(t *testing.T) {
 	if st := n.ChaosStats(); st.Crashes != 1 {
 		t.Fatalf("chaos stats: %+v", st)
 	}
+	// A second award accepted before the first one's crash landed kills
+	// the same node: one crash, tallied once.
+	n.chaosAfterAward("a")
+	if st := n.ChaosStats(); st.Crashes != 1 {
+		t.Fatalf("a node crashed twice over must tally one crash: %+v", st)
+	}
 }
 
 func TestRuntimeCrashRestart(t *testing.T) {
 	n := New()
 	n.Register("a", &echoService{id: "a"})
-	// No fault plan installed: CrashNode must bootstrap the injector.
+	// No fault plan installed: the crash mark is the network's own.
 	n.CrashNode("a")
 	if _, err := n.Peer("buyer", "a").RequestBids(rfb()); err == nil {
 		t.Fatal("crashed node must reject")
-	} else if !errors.Is(err, trading.ErrPeerCrashed) {
-		t.Fatalf("want typed crash error, got %v", err)
+	} else if !errors.Is(err, trading.ErrPeerCrashed) || !trading.IsTransient(err) {
+		t.Fatalf("want a transient typed crash error, got %v", err)
 	}
-	if st := n.ChaosStats(); st.Crashes != 1 {
+	if n.FaultPlanActive() {
+		t.Fatal("CrashNode must not install a fault plan")
+	}
+	// Installing and removing a plan leave the crash standing, and a
+	// CrashNode is not a fault the plan injected.
+	n.SetFaultPlan(&FaultPlan{Seed: 1})
+	if _, err := n.Peer("buyer", "a").RequestBids(rfb()); !errors.Is(err, trading.ErrPeerCrashed) {
+		t.Fatalf("a new plan revived a crashed node: %v", err)
+	}
+	if st := n.ChaosStats(); st.Crashes != 0 {
 		t.Fatalf("chaos stats: %+v", st)
+	}
+	n.SetFaultPlan(nil)
+	if _, err := n.Peer("buyer", "a").RequestBids(rfb()); !errors.Is(err, trading.ErrPeerCrashed) {
+		t.Fatalf("removing the plan revived a crashed node: %v", err)
 	}
 	n.RestartNode("a")
 	if _, err := n.Peer("buyer", "a").RequestBids(rfb()); err != nil {
 		t.Fatalf("restarted node must serve again: %v", err)
-	}
-	// Crashing twice tallies once per actual transition.
-	n.CrashNode("a")
-	n.CrashNode("a")
-	if st := n.ChaosStats(); st.Crashes != 2 {
-		t.Fatalf("chaos stats after re-crash: %+v", st)
 	}
 }
 
@@ -228,12 +241,23 @@ func TestUnregister(t *testing.T) {
 		t.Fatal("calls to an unregistered node must fail")
 	}
 	// Re-registration under the same id starts reachable even if the node
-	// was marked down before it left.
-	n.SetDown("b", true)
+	// crashed before it left.
+	n.CrashNode("b")
 	n.Unregister("b")
 	n.Register("b", &echoService{id: "b"})
 	if _, err := n.Peer("a", "b").RequestBids(rfb()); err != nil {
 		t.Fatalf("re-registered node must serve: %v", err)
+	}
+	// A joiner staged crashed before it registers stays unreachable until
+	// RestartNode, so no buyer reaches it while its data is loaded.
+	n.CrashNode("c")
+	n.Register("c", &echoService{id: "c"})
+	if _, err := n.Peer("a", "c").RequestBids(rfb()); !errors.Is(err, trading.ErrPeerCrashed) {
+		t.Fatalf("a joiner staged crashed must not serve: %v", err)
+	}
+	n.RestartNode("c")
+	if _, err := n.Peer("a", "c").RequestBids(rfb()); err != nil {
+		t.Fatalf("a restarted joiner must serve: %v", err)
 	}
 }
 

@@ -33,7 +33,9 @@ type Network struct {
 
 	mu    sync.RWMutex
 	nodes map[string]Service
-	down  map[string]bool
+	// crashed marks the nodes that answer nothing until RestartNode: the one
+	// record of an unreachable node, read by dispatch alone.
+	crashed map[string]bool
 
 	messages  atomic.Int64
 	bytes     atomic.Int64
@@ -68,7 +70,7 @@ type pairCounters struct {
 
 // New returns an empty network with 1 ms simulated latency.
 func New() *Network {
-	return &Network{LatencyMS: 1, nodes: map[string]Service{}, down: map[string]bool{}, pairs: map[Pair]*pairCounters{}}
+	return &Network{LatencyMS: 1, nodes: map[string]Service{}, crashed: map[string]bool{}, pairs: map[Pair]*pairCounters{}}
 }
 
 // Register attaches a node's service under its id, replacing any previous
@@ -81,13 +83,37 @@ func (n *Network) Register(id string, svc Service) {
 
 // Unregister detaches a node from the bus (a member that left the
 // federation). Subsequent calls to it fail as unknown, and it disappears
-// from Peers fan-outs. Any lingering down-marking is cleared so a later
-// re-registration under the same id starts reachable.
+// from Peers fan-outs. A crash mark goes with it, so a later registration
+// under the same id starts reachable.
 func (n *Network) Unregister(id string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	delete(n.nodes, id)
-	delete(n.down, id)
+	delete(n.crashed, id)
+}
+
+// CrashNode kills a node immediately: every subsequent call to it fails
+// with a transient error wrapping trading.ErrPeerCrashed until RestartNode
+// or Unregister. Installing or removing a fault plan leaves the mark as it
+// is. The id need not be registered yet, so a joiner can be staged crashed
+// before Register and revived once its data is in. It reports whether the
+// node was reachable until now.
+func (n *Network) CrashNode(id string) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.crashed[id] {
+		return false
+	}
+	n.crashed[id] = true
+	return true
+}
+
+// RestartNode revives a crashed node: calls reach it again (its service was
+// never unregistered — a restart is the same process image coming back).
+func (n *Network) RestartNode(id string) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	delete(n.crashed, id)
 }
 
 // NodeIDs lists registered nodes, sorted.
@@ -100,13 +126,6 @@ func (n *Network) NodeIDs() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// SetDown marks a node unreachable (fault injection for robustness tests).
-func (n *Network) SetDown(id string, down bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.down[id] = down
 }
 
 // Stats returns the total messages and bytes since the last Reset.
@@ -149,20 +168,24 @@ func (n *Network) Reset() {
 }
 
 // dispatch resolves the receiver of one call and runs the fault injector.
-// An unknown node costs nothing (there is no route to send on); a down,
-// crashed or flapping node and a dropped request charge the request on the
-// from→to link — it crossed the wire even though nothing answered.
+// An unknown node costs nothing (there is no route to send on); a crashed
+// or flapping node and a dropped request charge the request on the from→to
+// link — it crossed the wire even though nothing answered.
 func (n *Network) dispatch(from, to string, reqBytes int) (Service, error) {
 	n.mu.RLock()
 	svc, ok := n.nodes[to]
-	down := n.down[to]
+	crashed := n.crashed[to]
 	n.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("netsim: unknown node %q", to)
 	}
-	if down {
+	if crashed {
 		n.accountLost(from, to, reqBytes)
-		return nil, fmt.Errorf("netsim: node %q is down", to)
+		// Transient and typed: a crashed seller is gone, but the failure is
+		// recoverable at the federation level (an equivalent standing offer
+		// or a replan absorbs it), and recovery audit trails want to know it
+		// was a crash rather than a generic fetch error.
+		return nil, trading.MarkTransient(fmt.Errorf("netsim: node %q crashed: %w", to, trading.ErrPeerCrashed))
 	}
 	if err := n.chaosBefore(from, to, reqBytes); err != nil {
 		return nil, err

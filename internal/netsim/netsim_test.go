@@ -88,22 +88,22 @@ func TestUnknownAndDownNodes(t *testing.T) {
 	if _, err := n.Peer("x", "ghost").RequestBids(rfb()); err == nil {
 		t.Fatal("unknown node must error")
 	}
-	n.SetDown("a", true)
+	n.CrashNode("a")
 	if _, err := n.Peer("x", "a").RequestBids(rfb()); err == nil {
-		t.Fatal("down node must error")
+		t.Fatal("crashed node must error")
 	}
-	n.SetDown("a", false)
+	n.RestartNode("a")
 	if _, err := n.Peer("x", "a").RequestBids(rfb()); err != nil {
 		t.Fatalf("revived node: %v", err)
 	}
-	// A call to a down node still cost its request: one message, charged on
-	// the x→a link only (nothing came back).
+	// A call to a crashed node still cost its request: one message, charged
+	// on the x→a link only (nothing came back).
 	n.Reset()
-	n.SetDown("a", true)
+	n.CrashNode("a")
 	req := rfb()
 	_, _ = n.Peer("x", "a").RequestBids(req)
 	if m, b := n.Stats(); m != 1 || b != int64(req.WireSize()) {
-		t.Fatalf("down call must charge the lost request: %d msgs %d bytes", m, b)
+		t.Fatalf("crashed call must charge the lost request: %d msgs %d bytes", m, b)
 	}
 	by := n.StatsByPair()
 	if st := by[Pair{From: "x", To: "a"}]; st.Messages != 1 {

@@ -437,7 +437,7 @@ func TestStreamSubcontractChunked(t *testing.T) {
 		t.Fatalf("abandoned composite cursor still parked: %d", corfu.OpenCursors())
 	}
 
-	net.SetDown("myconos", true)
+	net.CrashNode("myconos")
 	// A batch wider than corfu's own rows: the opening exchange already needs
 	// the purchased fragment.
 	stream.BatchRows = 64

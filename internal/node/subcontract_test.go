@@ -162,7 +162,7 @@ func TestSubcontractDepthLimit(t *testing.T) {
 
 func TestSubcontractUnavailablePeerNoComposite(t *testing.T) {
 	net, corfu, _ := subFederation(t)
-	net.SetDown("myconos", true)
+	net.CrashNode("myconos")
 	rfb := trading.RFB{RFBID: "r4", BuyerID: "buyer",
 		Queries: []trading.QueryRequest{{QID: "q0", SQL: bothOfficesQuery}}}
 	offers, err := bidOffers(corfu.RequestBids(rfb))

@@ -16,8 +16,7 @@ const (
 	tokIdent
 	tokNumber
 	tokString
-	tokOp    // punctuation and operators
-	tokParam // unused placeholder, kept for symmetry
+	tokOp // punctuation and operators
 )
 
 // token is one lexeme with its position for error messages. word is the

@@ -72,8 +72,10 @@ func FailureReason(err error) string {
 }
 
 // transientErr wraps an error that is worth retrying (dropped message,
-// timeout, flapping node). Hard failures — unknown nodes, crashed sellers,
-// malformed queries — stay non-transient so retries are not wasted on them.
+// timeout, flapping node, crashed seller: a crash is recoverable at the
+// federation level, by a restart, a standing offer or a replan). Hard
+// failures — unknown nodes, malformed queries — stay non-transient so
+// retries are not wasted on them.
 type transientErr struct{ err error }
 
 func (e *transientErr) Error() string   { return e.err.Error() }

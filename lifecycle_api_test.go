@@ -148,7 +148,6 @@ func TestRejoinedNodeStartsWithAClosedBreaker(t *testing.T) {
 	if err := fed.RemoveNode("athens"); err != nil {
 		t.Fatal(err)
 	}
-	fed.RestartNode("athens")
 	n := fed.MustAddNode("athens")
 	n.MustCreateFragment("customer", "athens")
 	n.MustInsert("customer", "athens", Row(4, "dave", "Athens"))

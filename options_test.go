@@ -1,11 +1,9 @@
 package qtrade
 
 import (
-	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"net/http/httptest"
 	"reflect"
 	"strconv"
 	"strings"
@@ -55,7 +53,6 @@ func TestEveryOptionReachesItsConfigField(t *testing.T) {
 
 		{"WithLedger", fed(WithLedger(4)).Ledger() != nil},
 		{"WithFlightRecorder", fed(WithFlightRecorder(4)).FlightRecorder() != nil},
-		{"WithSlowQuerySLO", fed(WithSlowQuerySLO(40*time.Millisecond)).FlightRecorder().Triggers().SlowMS == 40},
 		{"WithMetricsHistory", fed(WithMetricsHistory(time.Hour)).MetricsHistory() != nil},
 	} {
 		if !tc.holds {
@@ -115,27 +112,6 @@ func TestRootOptionsAreTheTable(t *testing.T) {
 	for name := range rows {
 		if !declared[name] {
 			t.Errorf("a row of TestEveryOptionReachesItsConfigField names %s, which the package does not declare", name)
-		}
-	}
-}
-
-// TestSlowQuerySLOInEitherOptionOrder: WithSlowQuerySLO and WithFlightRecorder
-// build one recorder with both settings, whichever comes first.
-func TestSlowQuerySLOInEitherOptionOrder(t *testing.T) {
-	slo, recorder := WithSlowQuerySLO(40*time.Millisecond), WithFlightRecorder(4)
-	for i, order := range [][]FederationOption{{slo, recorder}, {recorder, slo}} {
-		f := NewFederation(NewSchema(), order...)
-		rr := httptest.NewRecorder()
-		f.FlightRecorder().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/queries", nil))
-		var list struct {
-			WorstK int `json:"worst_k"`
-		}
-		if err := json.Unmarshal(rr.Body.Bytes(), &list); err != nil {
-			t.Fatal(err)
-		}
-		if got := f.FlightRecorder().Triggers().SlowMS; got != 40 || list.WorstK != 4 {
-			t.Errorf("SLO option first %v: SlowMS %v, worst_k %d; want 40 and 4",
-				i == 0, got, list.WorstK)
 		}
 	}
 }

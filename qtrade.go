@@ -190,9 +190,8 @@ type Federation struct {
 	watchdog *flight.Watchdog // nil unless WithMetricsHistory; owns the history; immutable after creation
 
 	// What the observability options asked for, built by finishObsSetup.
-	wantFlight    bool // WithFlightRecorder or WithSlowQuerySLO
+	wantFlight    bool
 	worstK        int
-	slo           time.Duration
 	wantHistory   bool
 	historyWindow time.Duration
 }
@@ -627,9 +626,10 @@ func (f *Federation) NodeHealth(id string) (node.Health, error) {
 func (f *Federation) PeerDirectory() []trading.PeerHealth { return f.dir.Snapshot() }
 
 // CrashNode kills a node abruptly mid-whatever-it-was-doing: every call to
-// it fails with a transient crashed error until RestartNode. Unlike
-// SetNodeDown the failure is typed (recovery ledger events classify it
-// "crash") and tallied in ChaosStats.
+// it fails with a transient crashed error until RestartNode; a node removed
+// and added again starts reachable. An id crashed before AddNode stages a
+// joiner that no buyer reaches until RestartNode. The failure is typed:
+// recovery ledger events classify it "crash".
 func (f *Federation) CrashNode(id string) { f.net.CrashNode(id) }
 
 // RestartNode revives a crashed node; peers can reach it again immediately.
@@ -641,9 +641,6 @@ func (f *Federation) NetworkStats() (messages, bytes int64) { return f.net.Stats
 
 // ResetNetworkStats zeroes the counters.
 func (f *Federation) ResetNetworkStats() { f.net.Reset() }
-
-// SetNodeDown simulates a node failure (it stops answering peers).
-func (f *Federation) SetNodeDown(id string, down bool) { f.net.SetDown(id, down) }
 
 // CostModel exposes the default cost constants for advanced tuning.
 func CostModel() *cost.Model { return cost.Default() }

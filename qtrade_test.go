@@ -133,7 +133,7 @@ func TestPublicAPINetworkStats(t *testing.T) {
 
 func TestPublicAPINodeDown(t *testing.T) {
 	fed := buildFed(t)
-	fed.SetNodeDown("corfu", true)
+	fed.CrashNode("corfu")
 	res, err := fed.Query("hq",
 		"SELECT c.custname FROM customer c WHERE c.office = 'Myconos'")
 	if err != nil || len(res.Rows) != 2 {
