@@ -46,17 +46,12 @@ type Config struct {
 	Mode PlanGenMode
 	// MaxIterations bounds the trading loop; 0 = 5.
 	MaxIterations int
-	// Strategy produces the buyer's value estimates (B1); nil = anchored.
-	Strategy trading.BuyerStrategy
 	// Self contributes the buyer's own offers at zero network cost.
 	Self LocalSeller
 	// OnIteration, when set, observes each trading iteration: the iteration
 	// number, the best candidate value so far and the offer pool size (used
 	// by the convergence experiment).
 	OnIteration func(iter int, bestValue float64, poolSize int)
-	// ExcludeSellers drops the named peers from the negotiation (used by
-	// execution-time recovery to re-optimize around a failed seller).
-	ExcludeSellers map[string]bool
 	// Directory, when set, health-gates the peer view resolved for this
 	// negotiation: peers recorded as draining or left — or whose circuit
 	// breaker is open — are skipped before any RFB is sent, and call
@@ -194,9 +189,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.MaxIterations <= 0 {
 		cfg.MaxIterations = 5
 	}
-	if cfg.Strategy == nil {
-		cfg.Strategy = trading.AnchoredBuyer{}
-	}
 	return cfg
 }
 
@@ -230,6 +222,12 @@ func selfBids(cfg *Config, rfb trading.RFB, answered trading.Answered, ob *negOb
 // the purchased answers and produce rows. What the loop does is reported to
 // one negObs (observe.go); no sink is fed from here.
 func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
+	return optimize(cfg, comm, sql, nil)
+}
+
+// optimize is Optimize with the named sellers left out of the negotiation:
+// execution-time recovery re-optimizes around the sellers that failed.
+func optimize(cfg Config, comm Comm, sql string, exclude map[string]bool) (*Result, error) {
 	cfg = cfg.withDefaults()
 	ob := newNegObs(&cfg)
 	sel, err := sqlparse.ParseSelect(sql)
@@ -256,16 +254,17 @@ func Optimize(cfg Config, comm Comm, sql string) (*Result, error) {
 	asked := map[string]bool{sel.SQL(): true}
 	analyse := newAnalyser(sel, cfg.Schema)
 	to := &sellers{comm: comm, self: cfg.ID, pol: cfg.Faults, dir: cfg.Directory}
-	view := to.round(&cfg, &ob.empty)
+	view := to.round(exclude, &ob.empty)
 	var best *Candidate
 	for iter := 1; iter <= cfg.MaxIterations; iter++ {
 		ob.iteration(iter)
-		// B1: strategic value estimates for the queries in Q, written into a
-		// fresh copy: a straggler cut from the last round may still be reading
-		// the RFB that carried the previous one.
+		// B1: strategic value estimates for the queries in Q — the anchored
+		// share of the best price seen, 0 before any — written into a fresh
+		// copy: a straggler cut from the last round may still be reading the
+		// RFB that carried the previous one.
 		queries = slices.Clone(queries)
 		for i := range queries {
-			queries[i].EstValue = cfg.Strategy.Estimate(queries[i].QID, bestPrice[queries[i].QID])
+			queries[i].EstValue = max(bestPrice[queries[i].QID], 0) * trading.AnchoredDiscount
 		}
 		// B2/B3 + S1–S3: the nested negotiation, then the buyer's own bids.
 		rfb := trading.RFB{

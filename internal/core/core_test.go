@@ -378,11 +378,11 @@ func TestOptimizeLeavesPeerMapAlone(t *testing.T) {
 	cfg.Directory = cfg.Faults.Directory
 	q := "SELECT i.invid, i.charge FROM invoiceline i WHERE i.charge > 4"
 	for i := 0; i < 200; i++ {
-		c := cfg
+		var exclude map[string]bool
 		if i == 100 {
-			c.ExcludeSellers = map[string]bool{"corfu": true}
+			exclude = map[string]bool{"corfu": true}
 		}
-		res, err := Optimize(c, comm, q)
+		res, err := optimize(cfg, comm, q, exclude)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}

@@ -140,17 +140,10 @@ type planGen struct {
 	cover       coverScratch
 }
 
-// Generate builds candidate plans for sel from the offer pool. It returns
-// candidates sorted by response time. See GenerateWithLatency for
-// heterogeneous-network buyers.
-func Generate(sel *sqlparse.Select, sch *catalog.Schema, model *cost.Model,
-	mode PlanGenMode, keep int, offers []trading.Offer) ([]Candidate, error) {
-	return GenerateWithLatency(sel, sch, model, mode, keep, offers, nil)
-}
-
-// GenerateWithLatency is Generate with a buyer-side latency correction: each
-// offer's delivery estimate is increased by the round trip to its seller
-// before plans are costed.
+// GenerateWithLatency builds candidate plans for sel from the offer pool,
+// sorted by response time. peerLatency, when set, is the buyer-side latency
+// correction of heterogeneous networks: each offer's delivery estimate is
+// increased by the round trip to its seller before plans are costed.
 func GenerateWithLatency(sel *sqlparse.Select, sch *catalog.Schema, model *cost.Model,
 	mode PlanGenMode, keep int, offers []trading.Offer, peerLatency func(string) float64) ([]Candidate, error) {
 	g, err := newPlanGen(sel, sch, model, mode, keep, peerLatency)
@@ -164,9 +157,16 @@ func GenerateWithLatency(sel *sqlparse.Select, sch *catalog.Schema, model *cost.
 }
 
 // newPlanGen analyses the query: its graph, and the partitions of each
-// binding that its selections leave relevant.
+// binding that its selections leave relevant. An empty mode is GenDP.
 func newPlanGen(sel *sqlparse.Select, sch *catalog.Schema, model *cost.Model,
 	mode PlanGenMode, keep int, peerLatency func(string) float64) (*planGen, error) {
+	switch mode {
+	case "":
+		mode = GenDP
+	case GenDP, GenIDP, GenGreedy:
+	default:
+		return nil, fmt.Errorf("core: unknown plan generator %q (want %q, %q or %q)", mode, GenDP, GenIDP, GenGreedy)
+	}
 	g := &planGen{sel: sel, sch: sch, model: model, mode: mode, keep: keep,
 		peerLatency: peerLatency, q: qgraph.New(sel), pool: map[string]*offerInfo{}}
 	if g.keep <= 0 {

@@ -35,7 +35,7 @@ func BenchmarkGenerate(b *testing.B) {
 			b.Run(fmt.Sprintf("parts=%d/%s", parts, mode), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					cands, err := core.Generate(sel, f.Schema, cost.Default(), mode, 0, res.Pool)
+					cands, err := core.GenerateWithLatency(sel, f.Schema, cost.Default(), mode, 0, res.Pool, nil)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"qtrade/internal/catalog"
@@ -354,7 +355,7 @@ func TestGenerateIncrementalMatchesFresh(t *testing.T) {
 				list = append(list, o)
 			}
 			sort.Slice(list, func(i, j int) bool { return list[i].OfferID < list[j].OfferID })
-			want, wantErr := Generate(inc.sel, inc.sch, inc.model, mode, 0, list)
+			want, wantErr := GenerateWithLatency(inc.sel, inc.sch, inc.model, mode, 0, list, nil)
 			got, gotErr := inc.run()
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("trial %d iter %d (%s): incremental err %v, fresh err %v", trial, iter, mode, gotErr, wantErr)
@@ -400,7 +401,7 @@ func TestGenerateEmptyAnswer(t *testing.T) {
 	for _, tc := range cases {
 		sel := sqlparse.MustParseSelect(tc.sql)
 		plan.Qualify(sel, sch)
-		cands, err := Generate(sel, sch, cost.Default(), GenDP, 0, nil)
+		cands, err := GenerateWithLatency(sel, sch, cost.Default(), GenDP, 0, nil, nil)
 		if !tc.empty {
 			if err == nil {
 				t.Errorf("%s: a plan from no offers: %s", tc.sql, describe(cands))
@@ -417,5 +418,26 @@ func TestGenerateEmptyAnswer(t *testing.T) {
 		if _, ok := leaf.(*plan.Empty); !ok {
 			t.Errorf("%s: leaf %T, want *plan.Empty:\n%s", tc.sql, leaf, plan.Explain(cands[0].Root))
 		}
+	}
+}
+
+// An unknown plan generator is an error naming it, from Optimize and from
+// GenerateWithLatency alike, never a run of full DP; an empty mode is GenDP.
+func TestUnknownPlanGenerator(t *testing.T) {
+	f := buildFederation(t, nil)
+	comm := &NetComm{Net: f.net, SelfID: "athens"}
+	cfg := athensCfg(f)
+	cfg.Mode = "gredy"
+	if _, err := Optimize(cfg, comm, paperQuery); err == nil || !strings.Contains(err.Error(), `"gredy"`) {
+		t.Errorf("Optimize: %v, want an error naming the mode", err)
+	}
+	sel := sqlparse.MustParseSelect(paperQuery)
+	plan.Qualify(sel, f.sch)
+	if _, err := GenerateWithLatency(sel, f.sch, cost.Default(), "gredy", 0, nil, nil); err == nil || !strings.Contains(err.Error(), `"gredy"`) {
+		t.Errorf("GenerateWithLatency: %v, want an error naming the mode", err)
+	}
+	cfg.Mode = ""
+	if _, err := Optimize(cfg, comm, paperQuery); err != nil {
+		t.Errorf("empty mode: %v", err)
 	}
 }

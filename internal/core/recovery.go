@@ -21,15 +21,10 @@ func OptimizeAndExecute(cfg Config, comm Comm, localExec *exec.Executor, sql str
 		maxRetries = 0
 	}
 	excluded := map[string]bool{}
-	for k, v := range cfg.ExcludeSellers {
-		excluded[k] = v
-	}
 	fallbacks := cfg.Metrics.Counter("buyer." + cfg.ID + ".recovery_fallbacks")
 	var lastErr error
 	for attempt := 0; attempt <= maxRetries; attempt++ {
-		attemptCfg := cfg
-		attemptCfg.ExcludeSellers = excluded
-		res, err := Optimize(attemptCfg, comm, sql)
+		res, err := optimize(cfg, comm, sql, excluded)
 		if err != nil {
 			return nil, nil, attempt, err
 		}

@@ -32,16 +32,17 @@ func reach(comm Comm, res *Result) *sellers {
 }
 
 // round builds the negotiation's own seller view, with an empty record of
-// what each seller has answered. comm.Peers may hand out a
-// map the caller keeps (PeerComm.PeerMap), so the exclusions are applied to a
-// copy. The health gate spends no RFB round-trip on a peer known to be
-// draining or left, or whose breaker is open; the directory is an exclusion
-// list, unknown peers pass. empty counts RFB replies that carried no offers.
-func (s *sellers) round(cfg *Config, empty *atomic.Int64) trading.Sellers {
+// what each seller has answered, leaving out the sellers exclude names.
+// comm.Peers may hand out a map the caller keeps (PeerComm.PeerMap), so the
+// exclusions are applied to a copy. The health gate spends no RFB round-trip
+// on a peer known to be draining or left, or whose breaker is open; the
+// directory is an exclusion list, unknown peers pass. empty counts RFB
+// replies that carried no offers.
+func (s *sellers) round(exclude map[string]bool, empty *atomic.Int64) trading.Sellers {
 	all := s.comm.Peers()
 	peers := make(map[string]trading.Peer, len(all))
 	for id, p := range all {
-		if !cfg.ExcludeSellers[id] && s.dir.Eligible(id) {
+		if !exclude[id] && s.dir.Eligible(id) {
 			peers[id] = p
 		}
 	}

@@ -2,16 +2,12 @@ package expr
 
 import (
 	"go/ast"
-	"go/build"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"io/fs"
 	"path/filepath"
-	"sort"
-	"strings"
 	"testing"
+
+	"qtrade/internal/modsrc"
 )
 
 // An expression is an immutable value: no node is written after it is built,
@@ -26,41 +22,11 @@ func TestNodesAreNeverWritten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fset := token.NewFileSet()
-	mod := &moduleChecker{fset: fset, root: root, std: importer.Default(),
-		files: map[string][]*ast.File{}, checked: map[string]*types.Package{}, info: map[string]*types.Info{}}
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		dir, name := filepath.Split(path)
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
-			return err
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		pkg := mod.importPath(filepath.Dir(path))
-		mod.files[pkg] = append(mod.files[pkg], file)
-		return nil
-	})
+	mod, err := modsrc.Load(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	self, err := mod.Import("qtrade/internal/expr")
-	if err != nil {
-		t.Fatal(err)
-	}
+	self, fset := mod.Pkgs["qtrade/internal/expr"], mod.Fset
 	nodes, fields := map[types.Object]bool{}, map[*types.Var]string{}
 	for _, name := range []string{"Column", "Lit", "Binary", "Unary", "In", "Between", "IsNull", "Agg"} {
 		node := self.Scope().Lookup(name)
@@ -70,16 +36,8 @@ func TestNodesAreNeverWritten(t *testing.T) {
 			fields[st.Field(i)] = name + "." + st.Field(i).Name()
 		}
 	}
-	paths := make([]string, 0, len(mod.files))
-	for p := range mod.files {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		if _, err := mod.Import(p); err != nil {
-			t.Fatal(err)
-		}
-		info := mod.info[p]
+	for _, p := range mod.Paths {
+		info := mod.Info[p]
 		// field names the node field x selects, "" when it selects none.
 		field := func(x ast.Expr) string {
 			if sel, ok := ast.Unparen(x).(*ast.SelectorExpr); ok {
@@ -105,7 +63,7 @@ func TestNodesAreNeverWritten(t *testing.T) {
 			}
 			return ""
 		}
-		for _, file := range mod.files[p] {
+		for _, file := range mod.Files[p] {
 			ast.Inspect(file, func(x ast.Node) bool {
 				var targets []ast.Expr
 				verb := "writes"
@@ -138,43 +96,4 @@ func TestNodesAreNeverWritten(t *testing.T) {
 			})
 		}
 	}
-}
-
-// moduleChecker type-checks the module's packages from their parsed non-test
-// files, importing the standard library from its export data.
-type moduleChecker struct {
-	fset    *token.FileSet
-	root    string
-	std     types.Importer
-	files   map[string][]*ast.File // import path -> non-test files
-	checked map[string]*types.Package
-	info    map[string]*types.Info
-}
-
-// importPath is the import path of the package in dir: bench/ is its own
-// module, qtrade/bench, which imports the root module as qtrade.
-func (m *moduleChecker) importPath(dir string) string {
-	rel, _ := filepath.Rel(m.root, dir)
-	if rel == "." {
-		return "qtrade"
-	}
-	return "qtrade/" + filepath.ToSlash(rel)
-}
-
-func (m *moduleChecker) Import(path string) (*types.Package, error) {
-	if pkg := m.checked[path]; pkg != nil {
-		return pkg, nil
-	}
-	files, ok := m.files[path]
-	if !ok {
-		return m.std.Import(path)
-	}
-	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
-	conf := types.Config{Importer: m}
-	pkg, err := conf.Check(path, m.fset, files, info)
-	if err != nil {
-		return nil, err
-	}
-	m.checked[path], m.info[path] = pkg, info
-	return pkg, nil
 }

@@ -28,28 +28,25 @@ const (
 	TrigCardError   = "card_blowout" // an operator's est/actual rows error blew past the threshold
 )
 
-// Triggers are the outlier-capture rules. The zero value means defaults for
-// the ratio rules and a disabled latency SLO.
+// Triggers are the outlier-capture rules. Besides the latency SLO they
+// hold, every dossier is judged by three fixed rules: any recovery, a
+// quoted-vs-measured cost ratio at or beyond CostRatioFactor either way, and
+// a cardinality error at or beyond CardErrorFactor. The zero value disables
+// the latency SLO.
 type Triggers struct {
 	// SlowMS is the latency SLO in milliseconds: a dossier whose WallMS is
 	// greater than OR EQUAL to it trips TrigSlow (exactly-at-SLO breaches).
 	// 0 disables the rule.
 	SlowMS float64
-	// CostRatioFactor flags quoted-vs-measured outliers: a dossier whose
-	// CostRatio is >= factor or <= 1/factor trips TrigCostOutlier.
-	// 0 means DefaultCostRatioFactor.
-	CostRatioFactor float64
-	// CardErrorFactor flags cardinality misestimates: a dossier whose
-	// CardError (the worst per-operator est-vs-actual rows ratio) is >= the
-	// factor trips TrigCardError. 0 means DefaultCardErrorFactor.
-	CardErrorFactor float64
 }
 
-// Default trigger factors: a seller off by 4× on cost or a planner off by
-// 8× on cardinality is worth keeping.
+// The trigger factors: a seller off by 4× on cost (a dossier whose CostRatio
+// is >= 4 or <= 1/4 trips TrigCostOutlier) or a planner off by 8× on
+// cardinality (a dossier whose CardError, the worst per-operator
+// est-vs-actual rows ratio, is >= 8 trips TrigCardError) is worth keeping.
 const (
-	DefaultCostRatioFactor = 4.0
-	DefaultCardErrorFactor = 8.0
+	CostRatioFactor = 4.0
+	CardErrorFactor = 8.0
 )
 
 // Evaluate returns the trigger names d trips, in declaration order. Pure —
@@ -62,18 +59,10 @@ func (t Triggers) Evaluate(d *ledger.Dossier) []string {
 	if len(d.Recoveries) > 0 {
 		out = append(out, TrigRecovery)
 	}
-	cf := t.CostRatioFactor
-	if cf <= 0 {
-		cf = DefaultCostRatioFactor
-	}
-	if d.CostRatio > 0 && (d.CostRatio >= cf || d.CostRatio <= 1/cf) {
+	if d.CostRatio > 0 && (d.CostRatio >= CostRatioFactor || d.CostRatio <= 1/CostRatioFactor) {
 		out = append(out, TrigCostOutlier)
 	}
-	ef := t.CardErrorFactor
-	if ef <= 0 {
-		ef = DefaultCardErrorFactor
-	}
-	if d.CardError >= ef {
+	if d.CardError >= CardErrorFactor {
 		out = append(out, TrigCardError)
 	}
 	return out

@@ -74,7 +74,7 @@ func TestTriggerEdges(t *testing.T) {
 		t.Fatalf("recovery-then-success must trip recovery: %v", got)
 	}
 
-	// Cost ratio trips on both sides of the default 4× band.
+	// Cost ratio trips on both sides of the fixed 4× band.
 	if got := (Triggers{}).Evaluate(&ledger.Dossier{CostRatio: 4}); len(got) != 1 || got[0] != TrigCostOutlier {
 		t.Fatalf("4x underquote must trip: %v", got)
 	}
@@ -88,12 +88,12 @@ func TestTriggerEdges(t *testing.T) {
 		t.Fatalf("unknown ratio (no quotes) tripped: %v", got)
 	}
 
-	// Cardinality blowout at the default 8× threshold.
+	// Cardinality blowout at the fixed 8× threshold.
 	if got := (Triggers{}).Evaluate(&ledger.Dossier{CardError: 8}); len(got) != 1 || got[0] != TrigCardError {
 		t.Fatalf("8x card error must trip: %v", got)
 	}
-	if got := (Triggers{CardErrorFactor: 100}).Evaluate(&ledger.Dossier{CardError: 8}); len(got) != 0 {
-		t.Fatalf("raised threshold still tripped: %v", got)
+	if got := (Triggers{}).Evaluate(&ledger.Dossier{CardError: 7.9}); len(got) != 0 {
+		t.Fatalf("card error below 8x tripped: %v", got)
 	}
 
 	// Multiple rules can fire at once; order is stable.

@@ -34,7 +34,7 @@ func TestRepeatedRFBKeepsImprovedAsk(t *testing.T) {
 	if err != nil || len(first.Offers) == 0 {
 		t.Fatalf("%d offers, %v", len(first.Offers), err)
 	}
-	req := trading.ImproveReq{RFBID: "rfb1", BestPrice: map[string]float64{"q0": first.Offers[0].Price * 0.99}}
+	req := trading.ImproveReq{RFBID: "rfb1", Prices: trading.QueryPrices{{QID: "q0", Best: first.Offers[0].Price * 0.99}}}
 	improved, err := bidOffers(n.ImproveBids(req))
 	if err != nil || len(improved) == 0 {
 		t.Fatalf("seller must undercut: %d offers, %v", len(improved), err)
@@ -86,21 +86,21 @@ func TestCompositeNeverImprovesBelowItsInputs(t *testing.T) {
 	strat := trading.NewCompetitive()
 	_, corfu, myc := subFederationCfg(t, func(c *Config) { c.Strategy = strat })
 	probe, paid := bookedComposite(t, corfu, myc, "r-floor")
-	own := trading.TruthScore(corfu.Weights(), probe.offer.Props)
+	own := corfu.Weights().Score(probe.offer.Props)
 	if paid <= 0 || math.Abs(probe.truth-(own+paid)) > 1e-9 {
 		t.Fatalf("composite floor %v, want its own score %v plus the %v it pays", probe.truth, own, paid)
 	}
-	floor := (own + paid) * (1 + strat.MinMargin)
+	floor := (own + paid) * (1 + trading.MinMargin)
 	for i, competing := range []float64{
-		paid / 2,                    // under the purchased inputs' price
-		own * (1 + strat.MinMargin), // what the seller's own work alone would allow
-		(own + paid/2) * (1 + strat.MinMargin),
+		paid / 2,                      // under the purchased inputs' price
+		own * (1 + trading.MinMargin), // what the seller's own work alone would allow
+		(own + paid/2) * (1 + trading.MinMargin),
 		floor * 1.01, // just above the floor: the undercut is clamped to it
 		probe.offer.Price * 0.99,
 	} {
 		so, _ := bookedComposite(t, corfu, myc, "r-floor"+itoa(i))
 		improved, err := bidOffers(corfu.ImproveBids(trading.ImproveReq{
-			RFBID: so.offer.RFBID, BestPrice: map[string]float64{"q0": competing}}))
+			RFBID: so.offer.RFBID, Prices: trading.QueryPrices{{QID: "q0", Best: competing}}}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func TestBookUnderConcurrentRetriesAndRevocation(t *testing.T) {
 	spawn(func(i int) {
 		cut := 1 - float64(i+1)/(2*rounds) // the competition gets cheaper every round
 		improved, err := bidOffers(corfu.ImproveBids(trading.ImproveReq{RFBID: rfb.RFBID,
-			BestPrice: map[string]float64{"q0": composite.Price * cut, "q1": composite.Price * cut}}))
+			Prices: trading.QueryPrices{{QID: "q0", Best: composite.Price * cut}, {QID: "q1", Best: composite.Price * cut}}}))
 		if err != nil {
 			t.Errorf("improve: %v", err)
 		}

@@ -53,7 +53,7 @@ func TestDrainMidRoundStopsCompeting(t *testing.T) {
 		t.Fatal(err)
 	}
 	undercut := trading.ImproveReq{RFBID: "rfb1",
-		BestPrice: map[string]float64{"q0": offers[0].Price * 0.99}}
+		Prices: trading.QueryPrices{{QID: "q0", Best: offers[0].Price * 0.99}}}
 
 	n.Drain("operator")
 	improved, err := bidOffers(n.ImproveBids(undercut))

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -524,7 +525,7 @@ func (m *minter) mint(d *pricecache.Draft, paid float64, sub *subcontract) {
 		o.OfferID = m.nextID(d.Kind)
 	}
 	o.RFBID, o.QID, o.SellerID = m.rfbID, m.qid, n.cfg.ID
-	truth := trading.TruthScore(n.cfg.Weights, o.Props) + paid
+	truth := n.cfg.Weights.Score(o.Props) + paid
 	o.Price = n.cfg.Strategy.Price(m.qid, truth)
 	m.book = append(m.book, standingOffer{offer: o, truth: truth, ask: o.Price, sub: sub, plan: d.Plan, gen: m.gen})
 	m.ob.minted(d.Kind)
@@ -707,11 +708,12 @@ func (n *Node) improveOffers(req trading.ImproveReq) []trading.Offer {
 	sort.Strings(ids)
 	for _, id := range ids {
 		so := m[id]
-		competing, ok := req.BestPrice[so.offer.QID]
-		if !ok {
+		i := slices.IndexFunc(req.Prices, func(p trading.QueryPrice) bool { return p.QID == so.offer.QID })
+		if i < 0 {
 			continue
 		}
-		if t, hasTarget := req.Target[so.offer.QID]; hasTarget && t < competing {
+		competing := req.Prices[i].Best
+		if t := req.Prices[i].Target; req.Bargain && t < competing {
 			competing = t
 		}
 		newPrice, changed := n.cfg.Strategy.Improve(so.offer.QID, so.ask, so.truth, competing)

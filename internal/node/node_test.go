@@ -149,8 +149,8 @@ func TestCompetitivePricingAndImprove(t *testing.T) {
 	}
 	// A cheaper competitor forces an undercut.
 	improved, err := bidOffers(n.ImproveBids(trading.ImproveReq{
-		RFBID:     "rfb1",
-		BestPrice: map[string]float64{"q0": o.Price * 0.99},
+		RFBID:  "rfb1",
+		Prices: trading.QueryPrices{{QID: "q0", Best: o.Price * 0.99}},
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestCompetitivePricingAndImprove(t *testing.T) {
 		}
 	}
 	// Unknown RFB: nothing to improve.
-	none, err := bidOffers(n.ImproveBids(trading.ImproveReq{RFBID: "ghost", BestPrice: map[string]float64{"q0": 1}}))
+	none, err := bidOffers(n.ImproveBids(trading.ImproveReq{RFBID: "ghost", Prices: trading.QueryPrices{{QID: "q0", Best: 1}}}))
 	if err != nil || len(none) != 0 {
 		t.Fatal("unknown rfb must be empty")
 	}
@@ -185,7 +185,7 @@ func TestAwardFeedsStrategy(t *testing.T) {
 		t.Fatal("unknown offer award must error")
 	}
 	n.RevokeStandingOffers()
-	if _, err := n.ImproveBids(trading.ImproveReq{RFBID: "rfb1", BestPrice: map[string]float64{"q0": 0.01}}); err != nil {
+	if _, err := n.ImproveBids(trading.ImproveReq{RFBID: "rfb1", Prices: trading.QueryPrices{{QID: "q0", Best: 0.01}}}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -111,7 +111,7 @@ func TestSellerIsS1toS3(t *testing.T) {
 		}
 	}
 	calledOnlyFrom("ParseSelect", "ask the price cache first", "rewriteAndPlan")
-	calledOnlyFrom("TruthScore", "the floor is the score the price was named for", "mint")
+	calledOnlyFrom("Score", "the floor is the score the price was named for", "mint")
 	calledOnlyFrom("Optimize", "a purchase of a priced offer opens the plan it was priced with", "rewriteAndPlan", "selectPlan")
 	calledOnlyFrom("Parse", "only the text path reads a request's text", "textPlan")
 	calledOnlyFrom("textPlan", "there is one text path, and one way into it", "purchasedPlan")

@@ -45,8 +45,8 @@ func TestExecuteSampledRecordsTraceLog(t *testing.T) {
 func TestImproveBidsLifecycleAndTrace(t *testing.T) {
 	n := myconosNode(t, nil)
 	reply, err := n.ImproveBids(trading.ImproveReq{RFBID: "ghost",
-		BestPrice: map[string]float64{"q0": 1},
-		Trace:     obs.TraceContext{TraceID: "t2", Sampled: true}})
+		Prices: trading.QueryPrices{{QID: "q0", Best: 1}},
+		Trace:  obs.TraceContext{TraceID: "t2", Sampled: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func TestStandingStateEviction(t *testing.T) {
 		t.Fatalf("standing state grew unbounded: %d", size)
 	}
 	// The oldest RFB is gone; improving it is a silent no-op.
-	offers, err := bidOffers(n.ImproveBids(trading.ImproveReq{RFBID: "0", BestPrice: map[string]float64{"q0": 0.001}}))
+	offers, err := bidOffers(n.ImproveBids(trading.ImproveReq{RFBID: "0", Prices: trading.QueryPrices{{QID: "q0", Best: 0.001}}}))
 	if err != nil || len(offers) != 0 {
 		t.Fatalf("evicted rfb must be forgotten: %v %v", offers, err)
 	}

@@ -12,9 +12,13 @@ import (
 
 // The trading codec: the two bulk payloads of the wire — the rows of a
 // shipped answer (ExecResp.Rows) and the offers of a bid reply
-// (BidReply.Offers) — encode themselves in the format below, carried as one
+// (BidReply.Offers) — and the prices of an improvement request
+// (ImproveReq.Prices) encode themselves in the format below, carried as one
 // opaque field inside net/rpc's gob envelope. Every other message, and every
-// other field of these two, is plain gob.
+// other field of these three, is plain gob. The prices are here not for their
+// size but for their count: gob sizes a map from the count it is sent before
+// it reads one entry, so a map-typed request field lets a forged count ask a
+// seller for gigabytes.
 //
 //	rows:   version, uvarint rows, uvarint values (the sum of the widths),
 //	        then per row: uvarint width, then per value: kind byte, payload
@@ -29,20 +33,22 @@ import (
 //	        Stripped 2, FromView 4, PartialAgg 8); uvarint n + n Cols (Table,
 //	        Name, kind byte); the Props fields in declaration order (Rows a
 //	        zigzag varint, the rest floats); Price
+//	prices: version, uvarint entries, then per entry: QID, Best, Target
 //
 // A string is a uvarint length and its bytes. A value ships its kind's payload
 // only. Decoding allocates per message, not per row or per offer: one slice
 // of row headers over one value slab (every row a full-capped sub-slice), and
 // one slab each for offers' bindings, part ids and columns; every string
-// slices one copy of the message, so nothing aliases gob's buffer. Zero rows,
-// and empty Bindings, Cols or part-id lists, decode as nil, as gob decodes
-// them; a nil Parts stays nil and an empty one empty, as under gob. Every
+// slices one copy of the message, so nothing aliases gob's buffer. Zero rows
+// or prices, and empty Bindings, Cols or part-id lists, decode as nil, as gob
+// decodes them; a nil Parts stays nil and an empty one empty, as under gob. Every
 // count is checked against the bytes left before anything is allocated, and a
 // truncated message, an unknown version or kind, or trailing bytes is an
 // error, never a panic.
 //
 // A node of this build and one of an older build, which shipped these fields
-// as plain gob, do not understand each other's answers or bids.
+// as plain gob, do not understand each other's answers, bids or improvement
+// requests.
 const codecVersion = 1
 
 // Rows is a batch of answer rows, the executor's []value.Row; it crosses the
@@ -51,6 +57,10 @@ type Rows []value.Row
 
 // Offers is a bid reply's offers; it crosses the wire in the trading codec.
 type Offers []Offer
+
+// QueryPrices is an improvement request's entries; it crosses the wire in the
+// trading codec.
+type QueryPrices []QueryPrice
 
 // minOfferBytes is the shortest encoding of one offer: five empty strings,
 // three zero counts (bindings, parts, columns), the flags byte, and nine
@@ -265,6 +275,42 @@ func (offs *Offers) GobDecode(data []byte) error {
 		return err
 	}
 	*offs = offers
+	return nil
+}
+
+// GobEncode writes the prices in the trading codec.
+func (ps QueryPrices) GobEncode() ([]byte, error) {
+	size := 1 + uvarintLen(uint64(len(ps)))
+	for _, p := range ps {
+		size += strLen(p.QID) + floatLen(p.Best) + floatLen(p.Target)
+	}
+	b := make([]byte, 0, size)
+	b = append(b, codecVersion)
+	b = binary.AppendUvarint(b, uint64(len(ps)))
+	for _, p := range ps {
+		b = appendStr(b, p.QID)
+		b = binary.AppendUvarint(b, floatWire(p.Best))
+		b = binary.AppendUvarint(b, floatWire(p.Target))
+	}
+	return b, nil
+}
+
+// GobDecode reads prices in the trading codec. An entry takes at least three
+// bytes (an empty QID and two one-byte floats).
+func (ps *QueryPrices) GobDecode(data []byte) error {
+	r := reader{data: data}
+	r.version()
+	var prices QueryPrices
+	if n := r.count(3); n > 0 {
+		prices = make(QueryPrices, n)
+	}
+	for i := range prices {
+		prices[i] = QueryPrice{QID: r.string(), Best: r.float(), Target: r.float()}
+	}
+	if err := r.end(); err != nil {
+		return err
+	}
+	*ps = prices
 	return nil
 }
 

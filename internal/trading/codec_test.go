@@ -316,8 +316,8 @@ func TestWireCodecLivesHere(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if found != 4 {
-		t.Errorf("%d codec methods found, want Rows' and Offers' GobEncode and GobDecode", found)
+	if found != 6 {
+		t.Errorf("%d codec methods found, want Rows', Offers' and QueryPrices' GobEncode and GobDecode", found)
 	}
 }
 

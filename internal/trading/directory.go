@@ -73,9 +73,6 @@ type BreakerConfig struct {
 	// Cooldown is how long an open breaker rejects calls before allowing
 	// half-open probes (0 = 500ms).
 	Cooldown time.Duration
-	// HalfOpenProbes is the number of consecutive successful probes that
-	// close a half-open breaker (0 = 1).
-	HalfOpenProbes int
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -85,15 +82,13 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Cooldown <= 0 {
 		c.Cooldown = 500 * time.Millisecond
 	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 1
-	}
 	return c
 }
 
 // Breaker is a per-peer circuit breaker: closed while the peer behaves, open
 // after Threshold consecutive failures (rejecting calls without touching the
-// network), half-open after Cooldown to let probe calls test the peer again.
+// network), half-open after Cooldown to let probe calls test the peer again;
+// the first probe that succeeds closes it.
 // A nil breaker is closed for good.
 type Breaker struct {
 	cfg BreakerConfig
@@ -102,11 +97,10 @@ type Breaker struct {
 	state *obs.Gauge   // last state transition, 0/1/2 (nil-safe)
 	opens *obs.Counter // closed→open transitions (nil-safe)
 
-	mu        sync.Mutex
-	st        BreakerState
-	failures  int // consecutive failures while closed
-	successes int // consecutive probe successes while half-open
-	openedAt  time.Time
+	mu       sync.Mutex
+	st       BreakerState
+	failures int // consecutive failures while closed
+	openedAt time.Time
 }
 
 // NewBreaker returns a closed breaker.
@@ -126,7 +120,6 @@ func (b *Breaker) clock() time.Time {
 func (b *Breaker) position() BreakerState {
 	if b.st == BreakerOpen && b.clock().Sub(b.openedAt) >= b.cfg.Cooldown {
 		b.st = BreakerHalfOpen
-		b.successes = 0
 		b.state.Set(float64(BreakerHalfOpen))
 	}
 	return b.st
@@ -152,17 +145,11 @@ func (b *Breaker) OnSuccess() {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.st {
-	case BreakerHalfOpen:
-		b.successes++
-		if b.successes >= b.cfg.HalfOpenProbes {
-			b.st = BreakerClosed
-			b.failures = 0
-			b.state.Set(float64(BreakerClosed))
-		}
-	default:
-		b.failures = 0
+	if b.st == BreakerHalfOpen {
+		b.st = BreakerClosed
+		b.state.Set(float64(BreakerClosed))
 	}
+	b.failures = 0
 }
 
 // OnFailure records a failed call, opening the breaker when the consecutive

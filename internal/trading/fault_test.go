@@ -40,7 +40,7 @@ func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 func TestBreakerStateMachine(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
-	b := NewBreaker(BreakerConfig{Threshold: 3, Cooldown: time.Second, HalfOpenProbes: 2})
+	b := NewBreaker(BreakerConfig{Threshold: 3, Cooldown: time.Second})
 	b.now = clk.now
 
 	for i := 0; i < 2; i++ {
@@ -76,13 +76,15 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 	clk.advance(time.Second)
 	b.Allow()
-	b.OnSuccess()
-	if st := b.State(); st != BreakerHalfOpen {
-		t.Fatalf("one of two probes: %v", st)
-	}
-	b.OnSuccess()
+	b.OnSuccess() // the first successful probe closes it
 	if st := b.State(); st != BreakerClosed {
-		t.Fatalf("probes done: %v", st)
+		t.Fatalf("successful probe: %v", st)
+	}
+	for i := 0; i < 2; i++ {
+		b.OnFailure()
+	}
+	if st := b.State(); st != BreakerClosed {
+		t.Fatalf("a closed breaker counts failures afresh: %v", st)
 	}
 }
 

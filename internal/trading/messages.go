@@ -134,17 +134,27 @@ type ImproveReq struct {
 	BuyerID string
 	// Trace is the buyer's distributed-tracing context (see RFB.Trace).
 	Trace obs.TraceContext
-	// BestPrice maps QID to the best price seen so far.
-	BestPrice map[string]float64
-	// Target maps QID to the buyer's counter-offer price; nil outside
-	// bargaining.
-	Target map[string]float64
+	// Bargain reports that each entry of Prices carries the buyer's
+	// counter-offer.
+	Bargain bool
+	// Prices has one entry per query with standing offers, in QID order.
+	Prices QueryPrices
+}
+
+// QueryPrice is one query's entry of an improvement request.
+type QueryPrice struct {
+	QID    string
+	Best   float64 // the best standing price
+	Target float64 // the buyer's counter-offer, when bargaining
 }
 
 // WireSize estimates the network size of an improvement request.
 func (r *ImproveReq) WireSize() int {
 	n := 32 + len(r.RFBID) + len(r.BuyerID) + r.Trace.WireSize()
-	n += 24 * (len(r.BestPrice) + len(r.Target))
+	n += 24 * len(r.Prices)
+	if r.Bargain {
+		n += 24 * len(r.Prices)
+	}
 	return n
 }
 
@@ -169,9 +179,10 @@ func (a *Award) WireSize() int { return 24 + len(a.RFBID) + len(a.OfferID) + len
 // Seq incremented per batch until More goes false, or with CloseCursor to
 // abandon the rest. A seller re-delivers the batch it already sent for a
 // repeated Seq instead of advancing, so a retry is safe. The request itself is
-// plain gob, but the answer's rows and a bid reply's offers cross the wire in
-// the trading codec (codec.go), which a node of an older build does not read:
-// federations of mixed builds do not interoperate.
+// plain gob, but the answer's rows, a bid reply's offers and an improvement
+// request's prices cross the wire in the trading codec (codec.go), which a
+// node of an older build does not read: federations of mixed builds do not
+// interoperate.
 type ExecReq struct {
 	BuyerID string
 	OfferID string

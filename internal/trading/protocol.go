@@ -304,15 +304,26 @@ func mergeImproved(standing []Offer, improved []Offer) ([]Offer, bool) {
 	return standing, changed
 }
 
-// bestPrices computes the best standing price per query id.
-func bestPrices(offers []Offer) map[string]float64 {
+// bestPrices lists the best standing price of each query with offers, in QID
+// order. When bargaining, each entry also carries the buyer's counter-offer:
+// the anchored share of that price.
+func bestPrices(offers []Offer, bargain bool) QueryPrices {
 	best := map[string]float64{}
 	for _, o := range offers {
 		if b, ok := best[o.QID]; !ok || o.Price < b {
 			best[o.QID] = o.Price
 		}
 	}
-	return best
+	ps := make(QueryPrices, 0, len(best))
+	for qid, b := range best {
+		p := QueryPrice{QID: qid, Best: b}
+		if bargain {
+			p.Target = b * AnchoredDiscount
+		}
+		ps = append(ps, p)
+	}
+	sort.Slice(ps, func(i, j int) bool { return ps[i].QID < ps[j].QID })
+	return ps
 }
 
 // SealedBid is the paper's default bidding protocol: one RFB round, sellers
@@ -324,16 +335,15 @@ func (SealedBid) Name() string { return "sealed-bid" }
 
 // Collect implements Protocol.
 func (SealedBid) Collect(rfb RFB, to Sellers, sp *obs.Span) ([]Offer, int, error) {
-	return collectRounds(rfb, to, sp, 1, nil)
+	return collectRounds(rfb, to, sp, 1, false)
 }
 
 // collectRounds is the round loop every protocol shares: one sealed RFB
 // round to the peers that owe an answer, then improvement rounds among them —
-// each announcing the best standing price per query and, when counter is set,
-// the buyer's counter-offer below it — up to maxRounds (below 1 = 3) or until
-// no price moves. With no peer to ask nothing is sent and no round is used.
-func collectRounds(rfb RFB, to Sellers, sp *obs.Span, maxRounds int,
-	counter func(qid string, best float64) float64) ([]Offer, int, error) {
+// each announcing the best standing price per query and, when bargaining, the
+// buyer's counter-offer below it — up to maxRounds (below 1 = 3) or until no
+// price moves. With no peer to ask nothing is sent and no round is used.
+func collectRounds(rfb RFB, to Sellers, sp *obs.Span, maxRounds int, bargain bool) ([]Offer, int, error) {
 
 	if maxRounds < 1 {
 		maxRounds = 3
@@ -346,13 +356,8 @@ func collectRounds(rfb RFB, to Sellers, sp *obs.Span, maxRounds int,
 	round.End()
 	used := 1
 	for used < maxRounds && len(offers) > 0 {
-		req := ImproveReq{RFBID: rfb.RFBID, BuyerID: rfb.BuyerID, Trace: rfb.Trace, BestPrice: bestPrices(offers)}
-		if counter != nil {
-			req.Target = make(map[string]float64, len(req.BestPrice))
-			for qid, b := range req.BestPrice {
-				req.Target[qid] = counter(qid, b)
-			}
-		}
+		req := ImproveReq{RFBID: rfb.RFBID, BuyerID: rfb.BuyerID, Trace: rfb.Trace,
+			Bargain: bargain, Prices: bestPrices(offers, bargain)}
 		round = roundSpan(sp, used+1)
 		improved := improveRound(req, asked, to, round)
 		round.End()
@@ -378,14 +383,14 @@ func (p IterativeBid) Name() string { return "iterative-bid" }
 
 // Collect implements Protocol.
 func (p IterativeBid) Collect(rfb RFB, to Sellers, sp *obs.Span) ([]Offer, int, error) {
-	return collectRounds(rfb, to, sp, p.MaxRounds, nil)
+	return collectRounds(rfb, to, sp, p.MaxRounds, false)
 }
 
 // Bargain has the buyer counter-offer a target price below the best standing
-// offer each round; sellers that can meet it (per their strategy) undercut.
+// offer each round (AnchoredDiscount of it); sellers that can meet it (per
+// their strategy) undercut.
 type Bargain struct {
 	MaxRounds int
-	Buyer     BuyerStrategy
 }
 
 // Name implements Protocol.
@@ -393,9 +398,5 @@ func (p Bargain) Name() string { return "bargain" }
 
 // Collect implements Protocol.
 func (p Bargain) Collect(rfb RFB, to Sellers, sp *obs.Span) ([]Offer, int, error) {
-	buyer := p.Buyer
-	if buyer == nil {
-		buyer = AnchoredBuyer{}
-	}
-	return collectRounds(rfb, to, sp, p.MaxRounds, buyer.CounterOffer)
+	return collectRounds(rfb, to, sp, p.MaxRounds, true)
 }

@@ -1,10 +1,6 @@
 package trading
 
-import (
-	"sync"
-
-	"qtrade/internal/cost"
-)
+import "sync"
 
 // SellerStrategy decides the asked price of an offer from its true valuation
 // and reacts to competition, per the strategy-module role of Figure 1.
@@ -44,43 +40,35 @@ func (Cooperative) Observe(string, bool) {}
 // wins, and undercuts competitors in improvement rounds while the margin
 // stays above MinMargin. This is the classic adaptive markup used in
 // automated trading (cf. the competitive equilibria literature the paper
-// cites).
+// cites). NewCompetitive makes one.
 type Competitive struct {
-	InitMargin float64 // e.g. 0.3
-	MinMargin  float64 // e.g. 0.02
-	MaxMargin  float64 // e.g. 1.0
-	Decay      float64 // multiplicative margin decay on loss, e.g. 0.8
-	Growth     float64 // multiplicative margin growth on win, e.g. 1.05
-
 	mu     sync.Mutex
 	margin float64
-	inited bool
 }
 
-// NewCompetitive returns a Competitive strategy with the standard constants.
-func NewCompetitive() *Competitive {
-	return &Competitive{InitMargin: 0.3, MinMargin: 0.02, MaxMargin: 1.0, Decay: 0.8, Growth: 1.05}
-}
+// The competitive margin: it starts at initMargin, shrinks by marginDecay
+// after a loss and grows by marginGrowth after a win, and stays within
+// [MinMargin, MaxMargin].
+const (
+	initMargin   = 0.3
+	MinMargin    = 0.02
+	MaxMargin    = 1.0
+	marginDecay  = 0.8
+	marginGrowth = 1.05
+)
 
-func (c *Competitive) currentMargin() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.inited {
-		c.margin = c.InitMargin
-		c.inited = true
-	}
-	return c.margin
-}
+// NewCompetitive returns a Competitive strategy at its starting margin.
+func NewCompetitive() *Competitive { return &Competitive{margin: initMargin} }
 
 // Price implements SellerStrategy.
 func (c *Competitive) Price(_ string, truth float64) float64 {
-	return truth * (1 + c.currentMargin())
+	return truth * (1 + c.Margin())
 }
 
 // Improve implements SellerStrategy: undercut the best competing price while
 // staying above the minimum margin.
 func (c *Competitive) Improve(_ string, current, truth, competing float64) (float64, bool) {
-	floor := truth * (1 + c.MinMargin)
+	floor := truth * (1 + MinMargin)
 	if competing <= 0 || competing <= floor || current <= competing {
 		return current, false
 	}
@@ -98,31 +86,25 @@ func (c *Competitive) Improve(_ string, current, truth, competing float64) (floa
 func (c *Competitive) Observe(_ string, won bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.inited {
-		c.margin = c.InitMargin
-		c.inited = true
-	}
 	if won {
-		c.margin *= c.Growth
-		if c.margin > c.MaxMargin {
-			c.margin = c.MaxMargin
-		}
+		c.margin = min(c.margin*marginGrowth, MaxMargin)
 	} else {
-		c.margin *= c.Decay
-		if c.margin < c.MinMargin {
-			c.margin = c.MinMargin
-		}
+		c.margin = max(c.margin*marginDecay, MinMargin)
 	}
 }
 
 // Margin reports the current adaptive margin (for experiments).
-func (c *Competitive) Margin() float64 { return c.currentMargin() }
+func (c *Competitive) Margin() float64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.margin
+}
 
 // LoadAware wraps another strategy and scales prices by the node's current
 // load factor, so busy sellers price themselves out of further work.
 type LoadAware struct {
 	Inner SellerStrategy
-	Load  func() float64 // current load in [0, ∞); 0 = idle
+	Load  func() float64 // required: current load in [0, ∞), 0 = idle; a negative reading counts as idle
 }
 
 // Price implements SellerStrategy.
@@ -138,54 +120,10 @@ func (l *LoadAware) Improve(qid string, current, truth, competing float64) (floa
 // Observe implements SellerStrategy.
 func (l *LoadAware) Observe(qid string, won bool) { l.Inner.Observe(qid, won) }
 
-func (l *LoadAware) load() float64 {
-	if l.Load == nil {
-		return 0
-	}
-	f := l.Load()
-	if f < 0 {
-		return 0
-	}
-	return f
-}
+func (l *LoadAware) load() float64 { return max(l.Load(), 0) }
 
-// BuyerStrategy produces the buyer's strategic value estimates for the
-// queries it asks for (step B1) and its bargaining counter-offers.
-type BuyerStrategy interface {
-	// Estimate returns the value to attach to a query request, given the
-	// best price seen for it so far (0 when never offered).
-	Estimate(qid string, bestSeen float64) float64
-	// CounterOffer returns the bargaining target given the best standing
-	// price.
-	CounterOffer(qid string, best float64) float64
-}
-
-// AnchoredBuyer estimates query values by anchoring on the best price seen
-// and discounting it, pressuring sellers downward round over round.
-type AnchoredBuyer struct {
-	Discount float64 // e.g. 0.9
-}
-
-// Estimate implements BuyerStrategy.
-func (b AnchoredBuyer) Estimate(_ string, bestSeen float64) float64 {
-	if bestSeen <= 0 {
-		return 0
-	}
-	return bestSeen * b.disc()
-}
-
-// CounterOffer implements BuyerStrategy.
-func (b AnchoredBuyer) CounterOffer(_ string, best float64) float64 {
-	return best * b.disc()
-}
-
-func (b AnchoredBuyer) disc() float64 {
-	if b.Discount <= 0 || b.Discount >= 1 {
-		return 0.9
-	}
-	return b.Discount
-}
-
-// TruthScore computes the truthful valuation of an offer's properties under
-// the federation weights; the seller strategies mark up from this value.
-func TruthScore(w cost.Weights, v cost.Valuation) float64 { return w.Score(v) }
+// AnchoredDiscount is the buyer's one strategy: it anchors on the best price
+// seen for a query and asks for this share of it, as the value estimate of B1
+// and as the bargaining counter-offer, pressuring sellers downward round over
+// round.
+const AnchoredDiscount = 0.9

@@ -350,7 +350,7 @@ func (n *Node) ID() string { return n.inner.ID() }
 type OptimizeOption func(*core.Config)
 
 // WithPlanGenerator selects the buyer plan generator: "dp" (default), "idp"
-// (IDP-M(2,5)) or "greedy".
+// (IDP-M(2,5)) or "greedy"; any other name fails the query.
 func WithPlanGenerator(mode string) OptimizeOption {
 	return func(c *core.Config) { c.Mode = core.PlanGenMode(mode) }
 }

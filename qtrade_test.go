@@ -1,6 +1,7 @@
 package qtrade
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -116,6 +117,21 @@ func TestPublicAPIOptions(t *testing.T) {
 		if err != nil || len(res.Rows) != 2 {
 			t.Fatalf("protocol %s: %v %v", proto, res, err)
 		}
+	}
+}
+
+// A plan generator the buyer does not know fails the query, naming it,
+// instead of running full DP.
+func TestUnknownPlanGeneratorFails(t *testing.T) {
+	fed := buildFed(t)
+	for _, mode := range []string{"gredy", "DP"} {
+		_, err := fed.Query("hq", totalsQuery, WithPlanGenerator(mode))
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(mode)) {
+			t.Errorf("mode %q: got %v, want an error naming it", mode, err)
+		}
+	}
+	if _, err := fed.Query("hq", totalsQuery, WithPlanGenerator("")); err != nil {
+		t.Errorf("empty mode: %v, want dp", err)
 	}
 }
 
