@@ -61,12 +61,13 @@ type Config struct {
 	// (and so the directory its breakers live in) with the buyer so failures
 	// seen on either side open the same breaker.
 	Faults *trading.FaultPolicy
-	// PriceCacheSize caps the node's price cache: memoized parse + rewrite +
-	// DP pricing results and the offers drafted from them, keyed by the query
-	// text as received, valid for one generation of the store's
-	// data/stats/cost-model versions, so a query asked again in a later
-	// negotiation is re-priced only through the strategy module. 0 = 256 entries, negative
-	// disables the cache.
+	// PriceCacheSize caps the node's price cache: the offers drafted from
+	// memoized parse + rewrite + DP pricing results, keyed by the query text
+	// as received, valid for one generation of the store's data/stats/
+	// cost-model versions, so a query asked again in a later negotiation is
+	// re-priced only through the strategy module. It counts priced texts;
+	// failed ones are kept apart, four times as many. 0 = 256 priced
+	// entries, negative disables the cache.
 	PriceCacheSize int
 	// LoadAwarePricing folds the node's live load — executions in flight
 	// plus admitted and queued Depth-0 RFBs, normalized by the pricing pool's
@@ -419,13 +420,15 @@ func (n *Node) priceQuery(rfb trading.RFB, qr trading.QueryRequest, x step) ([]s
 // rewriteAndPlan is step S1, the modified DP behind S2 and S2's drafts: parse
 // and qualify the query as received, rewrite it against the local fragments,
 // plan it keeping every optimal partial, and draft every offer that follows
-// from that alone. That walk is the expensive part of pricing, so it is
+// from that alone — on a node that subcontracts, with the gaps its composites
+// are assembled from. That walk is the expensive part of pricing, so it is
 // memoized in the price cache under the received text: a hit reads nothing, not
 // even the text. The cache holds one generation — the store's data epoch and
 // stats version and the cost-model hash — and empties when they move, so a hit
 // is never stale. The entry is shared with every other pricing of the same
-// text, the offers minted from it and their executions, and is only read.
-// Strategy pricing (S3) always runs fresh: margins adapt between rounds.
+// text, the offers minted from it and their executions, and is only read; the
+// parsed query and its rewrite die with the miss. Strategy pricing (S3) always
+// runs fresh: margins adapt between rounds.
 func (n *Node) rewriteAndPlan(gen pricecache.Generation, sql string, x step) (e pricecache.Entry, cached bool) {
 	if n.prices != nil {
 		if e, ok := n.prices.Get(gen, sql); ok {
@@ -434,17 +437,22 @@ func (n *Node) rewriteAndPlan(gen pricecache.Generation, sql string, x step) (e 
 		}
 		x.cacheMiss()
 	}
-	if e.Sel, e.Err = sqlparse.ParseSelect(sql); e.Err == nil {
-		plan.Qualify(e.Sel, n.cfg.Schema)
+	var rw *rewrite.Rewritten
+	sel, err := sqlparse.ParseSelect(sql)
+	if e.Err = err; err == nil {
+		plan.Qualify(sel, n.cfg.Schema)
 		ph := x.phase("rewrite")
-		e.Rewritten, e.Err = rewrite.ForSeller(e.Sel, n.cfg.Schema, n.store)
+		rw, e.Err = rewrite.ForSeller(sel, n.cfg.Schema, n.store)
 		ph.end(&e)
 	}
 	if e.Err == nil {
 		ph := x.dpPricing(n.prices != nil)
 		var res *localopt.Result
-		if res, e.Err = localopt.Optimize(e.Rewritten.Sel, n.cfg.Schema, n.store, n.cfg.Cost); e.Err == nil {
-			n.draftOffers(&e, res)
+		if res, e.Err = localopt.Optimize(rw.Sel, n.cfg.Schema, n.store, n.cfg.Cost); e.Err == nil {
+			n.draftOffers(&e, sel, rw, res)
+			if n.cfg.SubcontractPeers != nil {
+				e.Gaps = gaps(sel, rw)
+			}
 		}
 		ph.end(&e)
 	}
@@ -460,8 +468,7 @@ func (n *Node) rewriteAndPlan(gen pricecache.Generation, sql string, x step) (e 
 
 // draftOffers runs S2's deterministic sources over a planned query and leaves
 // their drafts in its entry, in the order they are minted in.
-func (n *Node) draftOffers(e *pricecache.Entry, res *localopt.Result) {
-	sel, rw := e.Sel, e.Rewritten
+func (n *Node) draftOffers(e *pricecache.Entry, sel *sqlparse.Select, rw *rewrite.Rewritten, res *localopt.Result) {
 	hasAgg := sel.HasAggregates() || len(sel.GroupBy) > 0
 	e.Drafts = make([]pricecache.Draft, 0, len(res.Partials))
 	for _, p := range res.Partials {

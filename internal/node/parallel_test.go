@@ -496,7 +496,9 @@ func TestPriceCacheHitReadsNothing(t *testing.T) {
 }
 
 // BenchmarkPriceQuery is one requested query through S1–S3: answered from the
-// price cache, computed in full, and refused from a negative entry.
+// price cache, computed in full, and refused from a negative entry — also
+// after the priced LRU was filled to its capacity, which must not have
+// evicted it.
 func BenchmarkPriceQuery(b *testing.B) {
 	rfb := wideRFB("rfb-b", 1)
 	nothingLocal := trading.QueryRequest{QID: "q0", SQL: "SELECT c.custid, c.custname FROM customer c WHERE c.office = 'Corfu'"}
@@ -505,20 +507,34 @@ func BenchmarkPriceQuery(b *testing.B) {
 		size   int
 		qr     trading.QueryRequest
 		offers bool
+		fill   bool // price 256 other texts after the first pricing
 	}{
-		{"hit", 0, rfb.Queries[0], true},
-		{"miss", -1, rfb.Queries[0], true},
-		{"negative", 0, nothingLocal, false},
+		{"hit", 0, rfb.Queries[0], true, false},
+		{"miss", -1, rfb.Queries[0], true, false},
+		{"negative", 0, nothingLocal, false, false},
+		{"negative-full", 0, nothingLocal, false, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			n := telcoNodeCfg(b, func(c *Config) { c.PriceCacheSize = bc.size })
 			x := step{nodeObs: n.observer()}
 			n.priceQuery(rfb, bc.qr, x)
+			if bc.fill {
+				for i := range 256 {
+					sql := fmt.Sprintf("SELECT c.custname FROM customer c WHERE c.custid < %d", i+1)
+					if offers, _ := n.priceQuery(rfb, trading.QueryRequest{QID: "q0", SQL: sql}, x); len(offers) == 0 {
+						b.Fatalf("%s: no offers", sql)
+					}
+				}
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for range b.N {
-				if offers, _ := n.priceQuery(rfb, bc.qr, x); (len(offers) > 0) != bc.offers {
+				offers, cached := n.priceQuery(rfb, bc.qr, x)
+				if (len(offers) > 0) != bc.offers {
 					b.Fatalf("%d offers", len(offers))
+				}
+				if cached != (bc.size >= 0) {
+					b.Fatalf("answered from the price cache: %v, want %v", cached, bc.size >= 0)
 				}
 			}
 		})

@@ -67,43 +67,30 @@ func (n *Node) subcontractDrafts(rfb trading.RFB, e pricecache.Entry, ph step, i
 		return nil
 	}
 	type probe struct {
-		tr                      sqlparse.TableRef
-		own                     *pricecache.Draft
-		held, missing, relevant []string
-		offerID                 string
+		gap     *pricecache.Gap
+		own     *pricecache.Draft
+		offerID string
 	}
-	sel, rw := e.Sel, e.Rewritten
 	var probes []probe
-	for _, tr := range sel.From {
-		b := strings.ToLower(tr.Binding())
-		held, isKept := rw.Parts[b]
-		if !isKept {
-			continue // fully foreign relations are the buyer's problem
-		}
-		relevant := rw.Relevant[b]
-		missing := subtract(relevant, held)
-		if len(missing) == 0 {
-			continue
-		}
+	for k := range e.Gaps {
+		g := &e.Gaps[k]
 		// The node's own 1-way partial for this binding.
 		var own *pricecache.Draft
 		for i := range e.Drafts {
-			if d := &e.Drafts[i]; d.Kind == "o" && len(d.Bindings) == 1 && strings.EqualFold(d.Bindings[0], tr.Binding()) {
+			if d := &e.Drafts[i]; d.Kind == "o" && len(d.Bindings) == 1 && strings.EqualFold(d.Bindings[0], g.Binding) {
 				own = d
 			}
 		}
 		if own == nil {
 			continue
 		}
-		probes = append(probes, probe{tr: tr, own: own, held: held,
-			missing: missing, relevant: relevant, offerID: ids.nextID("s")})
+		probes = append(probes, probe{gap: g, own: own, offerID: ids.nextID("s")})
 	}
 	results := make([]*compositeDraft, len(probes))
 	var wg sync.WaitGroup
 	for i, pr := range probes {
 		run := func(i int, pr probe) {
-			if d, ok := n.buildComposite(rfb, ids.qid, sel, pr.tr, pr.own,
-				pr.held, pr.missing, pr.relevant, peers, ph, pr.offerID); ok {
+			if d, ok := n.buildComposite(rfb, ids.qid, pr.gap, pr.own, peers, ph, pr.offerID); ok {
 				results[i] = &d
 			}
 		}
@@ -128,13 +115,35 @@ func (n *Node) subcontractDrafts(rfb trading.RFB, e pricecache.Entry, ph step, i
 	return out
 }
 
+// gaps summarizes, for the price-cache entry of sel, every relation the node
+// holds only part of: what subcontractDrafts reads on every later RFB for the
+// text, so that no hit parses it again. Fully foreign relations are the
+// buyer's problem, and a relation held whole has nothing to buy.
+func gaps(sel *sqlparse.Select, rw *rewrite.Rewritten) []pricecache.Gap {
+	var out []pricecache.Gap
+	agg := sel.HasAggregates() || len(sel.GroupBy) > 0
+	for _, tr := range sel.From {
+		b := strings.ToLower(tr.Binding())
+		held, isKept := rw.Parts[b]
+		if !isKept {
+			continue
+		}
+		relevant := rw.Relevant[b]
+		missing := subtract(relevant, held)
+		if len(missing) == 0 {
+			continue
+		}
+		out = append(out, pricecache.Gap{Table: tr.Name, Binding: tr.Binding(), Agg: agg,
+			Sub: localopt.SubqueryFor(sel, []string{tr.Binding()}), Held: held, Missing: missing, Relevant: relevant})
+	}
+	return out
+}
+
 // buildComposite negotiates the missing partitions and drafts the composite
 // offer with the assembly that delivers it.
-func (n *Node) buildComposite(rfb trading.RFB, qid string, sel *sqlparse.Select,
-	tr sqlparse.TableRef, own *pricecache.Draft, held, missing, relevant []string,
+func (n *Node) buildComposite(rfb trading.RFB, qid string, g *pricecache.Gap, own *pricecache.Draft,
 	peers map[string]trading.Peer, ph step, offerID string) (compositeDraft, bool) {
 
-	base := localopt.SubqueryFor(sel, []string{tr.Binding()})
 	// The nested negotiation inherits the buyer's trace context, so a sampled
 	// Depth-1 subcontract ships its own sellers' subtrees back up the chain:
 	// they graft under this node's subcontract span, which in turn rides home
@@ -143,19 +152,19 @@ func (n *Node) buildComposite(rfb trading.RFB, qid string, sel *sqlparse.Select,
 	// binding it probes for: two probes under one parent RFB must not make a
 	// subcontractor mint the same offer id for different SQL.
 	subRFB := trading.RFB{
-		RFBID:   rfb.RFBID + "/sub/" + n.cfg.ID + "/" + qid + "/" + tr.Binding(),
+		RFBID:   rfb.RFBID + "/sub/" + n.cfg.ID + "/" + qid + "/" + g.Binding,
 		BuyerID: n.cfg.ID,
 		Depth:   rfb.Depth + 1,
 		Trace:   rfb.Trace,
 	}
-	for i, pid := range missing {
-		p, ok := n.cfg.Schema.Partition(tr.Name, pid)
+	for i, pid := range g.Missing {
+		p, ok := n.cfg.Schema.Partition(g.Table, pid)
 		if !ok || p.Predicate == nil {
 			return compositeDraft{}, false // whole-table gaps cannot be delegated piecewise
 		}
 		subRFB.Queries = append(subRFB.Queries, trading.QueryRequest{
 			QID: fmt.Sprintf("sub%d", i),
-			SQL: localopt.RestrictTo(base, tr.Binding(), p).SQL(),
+			SQL: localopt.RestrictTo(g.Sub, g.Binding, p).SQL(),
 		})
 	}
 	offers, _, err := ph.negotiate(trading.SealedBid{}, subRFB, trading.Sellers{Peers: peers, Policy: n.cfg.Faults})
@@ -167,13 +176,13 @@ func (n *Node) buildComposite(rfb trading.RFB, qid string, sel *sqlparse.Select,
 	// offer is taken when every partition it brings is still needed, so it lies
 	// inside the gap and is disjoint from what was already chosen.
 	need := map[string]bool{}
-	for _, pid := range missing {
+	for _, pid := range g.Missing {
 		need[pid] = true
 	}
 	sort.SliceStable(offers, func(i, j int) bool { return offers[i].Price < offers[j].Price })
 	var chosen []trading.Offer
 	for _, o := range offers {
-		parts := o.Parts[strings.ToLower(tr.Binding())]
+		parts := o.Parts[strings.ToLower(g.Binding)]
 		if len(parts) == 0 || !colsMatch(ownCols, o.Cols) ||
 			slices.ContainsFunc(parts, func(pid string) bool { return !need[pid] }) {
 			continue
@@ -193,14 +202,14 @@ func (n *Node) buildComposite(rfb trading.RFB, qid string, sel *sqlparse.Select,
 	// Assemble the composite offer. Its buyer-facing SQL describes the full
 	// covered extent (the union the node will deliver), projected onto the
 	// same columns as the local partial so the shipped schema matches.
-	covered := append(append([]string{}, held...), missing...)
+	covered := append(append([]string{}, g.Held...), g.Missing...)
 	sort.Strings(covered)
-	compositeSQL := base.Clone()
+	compositeSQL := g.Sub.Clone()
 	compositeSQL.Items = nil
 	for _, c := range ownCols {
 		compositeSQL.Items = append(compositeSQL.Items, sqlparse.SelectItem{Expr: expr.NewColumn(c.Table, c.Name)})
 	}
-	restriction := rewrite.PartitionRestriction(n.cfg.Schema, tr.Name, tr.Binding(), covered)
+	restriction := rewrite.PartitionRestriction(n.cfg.Schema, g.Table, g.Binding, covered)
 	if restriction != nil && !expr.Implies(compositeSQL.Where, restriction) {
 		compositeSQL.Where = expr.SimplifyPredicate(expr.And([]expr.Expr{compositeSQL.Where, restriction}))
 	}
@@ -223,10 +232,10 @@ func (n *Node) buildComposite(rfb trading.RFB, qid string, sel *sqlparse.Select,
 	return compositeDraft{paid: totalPurchased, sub: sc, Draft: pricecache.Draft{Kind: "s", Plan: own.Plan, Offer: trading.Offer{
 		OfferID:  offerID,
 		SQL:      compositeSQL.SQL(),
-		Bindings: []string{tr.Binding()},
-		Parts:    map[string][]string{strings.ToLower(tr.Binding()): covered},
-		Complete: len(subtract(relevant, covered)) == 0,
-		Stripped: sel.HasAggregates() || len(sel.GroupBy) > 0,
+		Bindings: []string{g.Binding},
+		Parts:    map[string][]string{strings.ToLower(g.Binding): covered},
+		Complete: len(subtract(g.Relevant, covered)) == 0,
+		Stripped: g.Agg,
 		Cols:     ownCols,
 		Props:    props,
 	}}}, true

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"qtrade/internal/netsim"
+	"qtrade/internal/obs"
 	"qtrade/internal/trading"
 	"qtrade/internal/value"
 )
@@ -346,5 +348,78 @@ func TestMutualSubcontractingDoesNotDeadlock(t *testing.T) {
 	case <-done:
 	case <-time.After(20 * time.Second):
 		t.Fatal("two nodes probing each other never finished pricing")
+	}
+}
+
+// TestSubcontractHitDraftsWhatTheMissDid: a price-cache entry keeps no parsed
+// query and no rewrite, only the gaps subcontracting reads — per partially
+// held relation its one-relation subquery, held, missing and relevant
+// partitions and whether the query aggregates. Asked the same texts again, a
+// subcontracting node answers from the cache and drafts the very composites,
+// assemblies included, that it drafted on the miss from the parse and the
+// rewrite.
+func TestSubcontractHitDraftsWhatTheMissDid(t *testing.T) {
+	_, corfu, _ := subFederation(t)
+	m := obs.NewMetrics()
+	corfu.SetObs(nil, m)
+	queries := []trading.QueryRequest{
+		{QID: "q0", SQL: bothOfficesQuery},
+		{QID: "q1", SQL: "SELECT cu.office, COUNT(*) AS n FROM customer cu WHERE cu.office IN ('Corfu', 'Myconos') GROUP BY cu.office"},
+	}
+	type composite struct {
+		offer   trading.Offer
+		local   string
+		remotes []string
+	}
+	ask := func(rfbID string) []composite {
+		t.Helper()
+		offers, err := bidOffers(corfu.RequestBids(trading.RFB{RFBID: rfbID, BuyerID: "buyer", Queries: queries}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []composite
+		for _, o := range offers {
+			so := corfu.purchased(o.OfferID)
+			if so == nil || so.sub == nil {
+				continue
+			}
+			c := composite{offer: o, local: so.sub.localSQL}
+			for _, r := range so.sub.remotes {
+				c.remotes = append(c.remotes, r.peerID+": "+r.sql)
+			}
+			c.offer.OfferID, c.offer.RFBID = "", ""
+			out = append(out, c)
+		}
+		return out
+	}
+	miss := ask("r-miss")
+	hit := ask("r-hit")
+	if h := m.Counter("node.corfu.pricecache_hits").Value(); h != int64(len(queries)) {
+		t.Fatalf("second RFB hit the price cache %d times, want %d", h, len(queries))
+	}
+	stripped := 0
+	for _, c := range miss {
+		if c.offer.Stripped {
+			stripped++
+		}
+	}
+	if len(miss) != len(queries) || stripped != 1 {
+		t.Fatalf("the miss drafted %d composites (%d stripped), want one per query, the aggregate's stripped", len(miss), stripped)
+	}
+	if !reflect.DeepEqual(miss, hit) {
+		t.Fatalf("composites differ between the miss and the hit:\nmiss: %+v\nhit:  %+v", miss, hit)
+	}
+	// What subcontracting drafted while it read the parsed query and the
+	// rewrite itself, composite SQL and the one purchased fragment's.
+	want := [][2]string{
+		{"SELECT c.custname, c.office FROM customer c WHERE (c.office = 'Corfu' OR c.office = 'Myconos') AND c.office IN ('Corfu', 'Myconos')",
+			"myconos: SELECT c.custname, c.office FROM customer c WHERE c.office = 'Myconos' AND c.office IN ('Corfu', 'Myconos')"},
+		{"SELECT cu.office FROM customer cu WHERE (cu.office = 'Corfu' OR cu.office = 'Myconos') AND cu.office IN ('Corfu', 'Myconos')",
+			"myconos: SELECT cu.office FROM customer cu WHERE cu.office = 'Myconos' AND cu.office IN ('Corfu', 'Myconos')"},
+	}
+	for i, c := range hit {
+		if got := [2]string{c.offer.SQL, strings.Join(c.remotes, "; ")}; got != want[i] {
+			t.Errorf("composite %d drafts %q, want %q", i, got, want[i])
+		}
 	}
 }

@@ -1,0 +1,58 @@
+package node_test
+
+import (
+	"fmt"
+	"testing"
+
+	"qtrade/internal/obs"
+	"qtrade/internal/workload"
+)
+
+// TestPriceCacheHoldsTheWorkingSet: on the chain_parts shape — 3 relations of
+// 14 partitions over 8 nodes, so each node holds 1–2 partitions of each —
+// a node is asked hundreds of texts over a 40-query list, most of which it
+// fails to price (its partitions contradict the query predicate). At the
+// default capacity the failures have an LRU of their own, so a second pass
+// over the list prices nothing: no node misses again or evicts, and every
+// text it is asked is a hit.
+func TestPriceCacheHoldsTheWorkingSet(t *testing.T) {
+	opts := workload.ChainOptions{Relations: 3, RowsPerRel: 1120, Parts: 14, Nodes: 8, Replicas: 1, SkipOracleData: true}
+	f := workload.NewChain(opts)
+	m := obs.NewMetrics()
+	f.SetObs(nil, m)
+	base := workload.ChainQuery(opts, 1)
+	pass := func() {
+		t.Helper()
+		for x := 1081; x <= 1120; x++ {
+			if _, err := f.Optimize(f.BuyerConfig(), fmt.Sprintf("%s AND r1.pk < %d", base, x)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	type counts struct{ hits, misses, evictions int64 }
+	read := func() map[string]counts {
+		out := map[string]counts{}
+		for id := range f.Nodes {
+			c := func(name string) int64 { return m.Counter("node." + id + ".pricecache_" + name).Value() }
+			out[id] = counts{c("hits"), c("misses"), c("evictions")}
+		}
+		return out
+	}
+	pass()
+	first := read()
+	pass()
+	second := read()
+	widest := int64(0)
+	for id, a := range first {
+		b := second[id]
+		asked := a.hits + a.misses
+		widest = max(widest, a.misses)
+		if b.misses != a.misses || b.evictions != 0 || b.hits-a.hits != asked {
+			t.Errorf("%s: second pass %d new misses, %d evictions, %d hits of %d texts asked; want 0, 0, %d",
+				id, b.misses-a.misses, b.evictions, b.hits-a.hits, asked, asked)
+		}
+	}
+	if widest <= 256 {
+		t.Fatalf("the widest working set is %d texts: it fits the priced capacity alone and shows nothing", widest)
+	}
+}

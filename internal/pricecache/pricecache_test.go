@@ -1,6 +1,7 @@
 package pricecache
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -94,6 +95,105 @@ func TestLRUEviction(t *testing.T) {
 	}
 	if c.Len() != 2 {
 		t.Fatalf("len = %d, want 2", c.Len())
+	}
+}
+
+// TestFailedTextsKeptApart: a failed text is stored as its error in an LRU of
+// its own, failedPerPriced times the priced capacity, so neither kind ever
+// evicts the other; a hit on a failed text returns the error it failed with;
+// Len, hits, misses and evictions count both.
+func TestFailedTextsKeptApart(t *testing.T) {
+	c := New(2)
+	g := gen(1, 1)
+	priced := []string{"p0", "p1"}
+	for _, k := range priced {
+		c.Put(g, k, entry())
+	}
+	failed := map[string]error{}
+	for i := range failedPerPriced * 2 {
+		k := fmt.Sprintf("f%d", i)
+		failed[k] = fmt.Errorf("%s: local partitions contradict the query predicate", k)
+		if ev := c.Put(g, k, Entry{Err: failed[k]}); ev != 0 {
+			t.Fatalf("failed text %s evicted %d entries below its own bound", k, ev)
+		}
+	}
+	if c.Len() != 10 {
+		t.Fatalf("len = %d, want 2 priced + 8 failed", c.Len())
+	}
+	for _, k := range priced {
+		if e, ok := c.Get(g, k); !ok || e.Err != nil || e.PartialAgg == nil {
+			t.Fatalf("priced %s lost to failures: hit %v, %+v", k, ok, e)
+		}
+	}
+	for k, err := range failed {
+		if e, ok := c.Get(g, k); !ok || !errors.Is(e.Err, err) || e.Drafts != nil || e.PartialAgg != nil {
+			t.Fatalf("failed %s: hit %v, entry %+v, want its error alone", k, ok, e)
+		}
+	}
+	// Over each bound, each LRU evicts its own.
+	if ev := c.Put(g, "f-more", Entry{Err: errors.New("nothing local")}); ev != 1 {
+		t.Fatalf("a failure over the failed bound evicted %d, want 1", ev)
+	}
+	if ev := c.Put(g, "p-more", entry()); ev != 1 {
+		t.Fatalf("a priced entry over the priced bound evicted %d, want 1", ev)
+	}
+	held := 0
+	for k := range failed {
+		if _, ok := c.Get(g, k); ok {
+			held++
+		}
+	}
+	if held != 7 || c.Len() != 10 {
+		t.Fatalf("%d of the first failures held, %d entries; want 7 (one evicted by a failure), 10", held, c.Len())
+	}
+	if _, ok := c.Get(g, "zz"); ok {
+		t.Fatal("hit on a text never stored")
+	}
+	// Hits: 2 + 8 in the first reads, 7 of the failures again; misses: the
+	// evicted failure and "zz"; evictions: one of each kind.
+	if hits, misses, evictions := c.Stats(); hits != 17 || misses != 2 || evictions != 2 {
+		t.Fatalf("stats = %d/%d/%d, want 17/2/2", hits, misses, evictions)
+	}
+}
+
+// TestFailedLRUEviction: the failed LRU forgets its least recently used
+// error first.
+func TestFailedLRUEviction(t *testing.T) {
+	c := New(1)
+	g := gen(1, 1)
+	for i := range failedPerPriced {
+		c.Put(g, fmt.Sprintf("f%d", i), Entry{Err: errors.New("nothing local")})
+	}
+	c.Get(g, "f0") // touch f0 so f1 is now the LRU victim
+	if ev := c.Put(g, "f-new", Entry{Err: errors.New("nothing local")}); ev != 1 {
+		t.Fatalf("evicted %d, want 1", ev)
+	}
+	for k, want := range map[string]bool{"f0": true, "f1": false, "f2": true, "f3": true, "f-new": true} {
+		if _, ok := c.Get(g, k); ok != want {
+			t.Fatalf("%s held %v, want %v", k, ok, want)
+		}
+	}
+}
+
+// TestNewerGenerationEmptiesBoth: a newer generation empties the failed LRU
+// with the priced one, and a late Put of an older generation is dropped from
+// either.
+func TestNewerGenerationEmptiesBoth(t *testing.T) {
+	c := New(4)
+	old, newer := gen(1, 1), gen(2, 1)
+	c.Put(old, "p", entry())
+	c.Put(old, "f", Entry{Err: errors.New("nothing local")})
+	if _, ok := c.Get(newer, "f"); ok || c.Len() != 0 {
+		t.Fatalf("after a lookup under a newer generation: hit %v, %d entries; want a miss, 0", ok, c.Len())
+	}
+	c.Put(newer, "f", Entry{Err: errors.New("contradiction")})
+	c.Put(old, "late-p", entry())
+	c.Put(old, "late-f", Entry{Err: errors.New("nothing local")})
+	if c.Len() != 1 {
+		t.Fatalf("%d entries, want the newer generation's one: a late Put was kept", c.Len())
+	}
+	if e, ok := c.Get(newer, "f"); !ok || e.Err.Error() != "contradiction" {
+		t.Fatalf("newer failure: hit %v, %v", ok, e.Err)
 	}
 }
 

@@ -355,19 +355,36 @@ func WithPlanGenerator(mode string) OptimizeOption {
 	return func(c *core.Config) { c.Mode = core.PlanGenMode(mode) }
 }
 
-// WithProtocol selects the negotiation protocol: "sealed" (default),
-// "iterative" or "bargain".
+// WithProtocol selects the negotiation protocol: "sealed" (default, also
+// the empty name), "iterative" or "bargain"; any other name fails the query.
 func WithProtocol(name string) OptimizeOption {
 	return func(c *core.Config) {
 		switch name {
+		case "", "sealed":
+			c.Protocol = trading.SealedBid{}
 		case "iterative":
 			c.Protocol = trading.IterativeBid{MaxRounds: 3}
 		case "bargain":
 			c.Protocol = trading.Bargain{MaxRounds: 3}
 		default:
-			c.Protocol = trading.SealedBid{}
+			c.Protocol = unknownProtocol(name)
 		}
 	}
+}
+
+// unknownProtocol is a protocol name WithProtocol does not know. buyerConfig
+// fails the query with it before anything is asked; it is a Protocol only so
+// that an option can hand it over.
+type unknownProtocol string
+
+func (p unknownProtocol) Error() string {
+	return fmt.Sprintf("qtrade: unknown protocol %q (want \"sealed\", \"iterative\" or \"bargain\")", string(p))
+}
+
+func (p unknownProtocol) Name() string { return string(p) }
+
+func (p unknownProtocol) Collect(trading.RFB, trading.Sellers, *obs.Span) ([]trading.Offer, int, error) {
+	return nil, 0, p
 }
 
 // WithMaxIterations bounds the trading loop.
@@ -397,6 +414,9 @@ func (f *Federation) buyerConfig(buyer string, opts []OptimizeOption) (core.Conf
 		Faults: faults, Ledger: f.ledger, Directory: f.dir, Flight: f.flight}
 	for _, o := range opts {
 		o(&cfg)
+	}
+	if p, ok := cfg.Protocol.(unknownProtocol); ok {
+		return core.Config{}, nil, p
 	}
 	return cfg, bn, nil
 }

@@ -135,6 +135,29 @@ func TestUnknownPlanGeneratorFails(t *testing.T) {
 	}
 }
 
+// TestUnknownProtocolFails: a protocol name WithProtocol does not know fails
+// the query with an error naming it, before any seller is asked, rather than
+// running sealed bidding in its place — also a query known empty, which
+// trades nothing; the empty name is sealed bidding.
+func TestUnknownProtocolFails(t *testing.T) {
+	fed := buildFed(t)
+	for _, name := range []string{"itertive", "Sealed"} {
+		for _, sql := range []string{totalsQuery, "SELECT COUNT(*) FROM customer WHERE 1 = 0"} {
+			fed.ResetNetworkStats()
+			_, err := fed.Query("hq", sql, WithProtocol(name))
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(name)) {
+				t.Errorf("protocol %q, %s: got %v, want an error naming it", name, sql, err)
+			}
+			if msgs, _ := fed.NetworkStats(); msgs != 0 {
+				t.Errorf("protocol %q: %d messages sent, want none", name, msgs)
+			}
+		}
+	}
+	if _, err := fed.Query("hq", totalsQuery, WithProtocol("")); err != nil {
+		t.Errorf("empty protocol: %v, want sealed bidding", err)
+	}
+}
+
 func TestPublicAPINetworkStats(t *testing.T) {
 	fed := buildFed(t)
 	fed.ResetNetworkStats()
