@@ -51,7 +51,7 @@ func (g *planGen) partialAggCandidates() []Candidate {
 			ResponseTime:  a.remoteMax + local,
 			TotalWork:     a.remoteSum + local,
 			Rows:          groups,
-			Offers:        a.offers,
+			Offers:        a.offered(),
 			UnionBindings: dedupStrings(a.unions),
 		})
 	}

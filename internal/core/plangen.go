@@ -16,6 +16,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"qtrade/internal/catalog"
 	"qtrade/internal/cost"
@@ -66,7 +67,7 @@ type assembly struct {
 	localCost float64
 	rows      int64
 	bytes     float64
-	offers    []trading.Offer
+	offers    []*offerInfo
 	unions    []string
 	joins     [][]string
 }
@@ -78,10 +79,23 @@ func (a *assembly) work() float64     { return a.remoteSum + a.localCost }
 // so the buyer never pays more for an equally fast plan.
 func (a *assembly) paid() float64 {
 	var p float64
-	for _, o := range a.offers {
-		p += o.Price
+	for _, info := range a.offers {
+		p += info.o.Price
 	}
 	return p
+}
+
+// offered lists the assembly's offers in the same order, as a Candidate
+// carries them.
+func (a *assembly) offered() []trading.Offer {
+	if len(a.offers) == 0 {
+		return nil
+	}
+	out := make([]trading.Offer, len(a.offers))
+	for i, info := range a.offers {
+		out[i] = info.o
+	}
+	return out
 }
 
 // offerInfo is a pool entry: an offer decoded against the buyer's query. One
@@ -137,7 +151,6 @@ type planGen struct {
 	pool        map[string]*offerInfo // seller, SQL and coverage -> the cheapest such offer received
 	offers      []*offerInfo          // the pool, by OfferID
 	groups      []*offerGroup         // by (mask, key)
-	cover       coverScratch
 }
 
 // GenerateWithLatency builds candidate plans for sel from the offer pool,
@@ -459,7 +472,7 @@ func (info *offerInfo) direct() *assembly {
 		remoteSum: info.o.Props.TotalTime,
 		rows:      info.o.Props.Rows,
 		bytes:     info.o.Props.Bytes,
-		offers:    []trading.Offer{info.o},
+		offers:    []*offerInfo{info},
 	}
 }
 
@@ -489,28 +502,47 @@ func (g *planGen) unionAssemblies(mask uint, partialAgg bool, out []*assembly) [
 	return out
 }
 
-// maxCoverAtoms caps the exact-cover table at 2^20 states (40 MiB); a group
-// that splits a binding's partitions more finely gets no union assembly.
+// maxCoverAtoms caps the exact-cover table at 2^20 states, 20 B each (20
+// MiB); a group that splits a binding's partitions more finely gets no union
+// assembly.
 const maxCoverAtoms = 20
 
-// coverState is the best known way to cover one set of atoms.
-type coverState struct {
-	max, sum float64
-	rows     int64
-	bytes    float64
-	link     int32 // last offer of the chain; 0 = not reached (or nothing to cover)
-}
+// maxPooledStates bounds the table a pooled scratch keeps: one grown past it
+// is dropped after its call rather than held for the next.
+const maxPooledStates = 1 << 16
+
+// coverVal is the cost of the best known way to cover one set of atoms: the
+// max and the sum of its offers' remote times.
+type coverVal struct{ max, sum float64 }
 
 // coverLink is one offer of a chain; chains share their tails.
 type coverLink struct{ offer, prev int32 }
 
-// coverScratch holds exactCover's buffers, reused by every call of one
-// negotiation.
+// coverScratch holds the buffers of one exactCover call. Calls take one from
+// coverPool and return it with every table entry unreached again, so no two
+// calls share one and no call clears a whole table.
 type coverScratch struct {
-	usable []*offerInfo
-	atoms  []uint // partition mask of each atom
-	table  []coverState
-	links  []coverLink
+	usable  []*offerInfo
+	atoms   []uint     // partition mask of each atom
+	link    []int32    // by state: last link of its chain; 0 = not reached (or nothing to cover)
+	val     []coverVal // by state; read only where reached (state 0, never written, costs nothing)
+	reached []uint32   // reached states in the order first reached, 0 first
+	links   []coverLink
+}
+
+var coverPool = sync.Pool{New: func() any { return new(coverScratch) }}
+
+// release unmarks the states the call reached, lets go of its offers and
+// pools the scratch unless its table outgrew maxPooledStates.
+func (sc *coverScratch) release() {
+	for _, s := range sc.reached {
+		sc.link[s] = 0
+	}
+	clear(sc.usable)
+	sc.usable, sc.atoms, sc.reached, sc.links = sc.usable[:0], sc.atoms[:0], sc.reached[:0], sc.links[:0]
+	if len(sc.link) <= maxPooledStates {
+		coverPool.Put(sc)
+	}
 }
 
 // exactCover finds a low-cost set of offers whose partition masks for binding
@@ -519,13 +551,16 @@ type coverScratch struct {
 // order; only its offers that are full in every other binding take part.
 //
 // Partitions contained in exactly the same offers are merged into atoms, and
-// the search is a subset DP over one flat table indexed by covered-atom mask.
-// Offers are applied in order and an entry is replaced only by a strictly
-// better one, so ties go to the chain found first.
+// the search is a subset DP over a flat table indexed by covered-atom mask.
+// Offers are applied in order, each extending only the states reached before
+// its round; an entry is replaced only by a strictly better one, so ties go
+// to the chain found first. Within a round every target s|am is written at
+// most once and read from states without am only, so the order in which the
+// round visits the reached states cannot change the table.
 func (g *planGen) exactCover(b int, group []*offerInfo) *assembly {
 	target := g.fullMask[b]
-	sc := &g.cover
-	sc.usable = sc.usable[:0]
+	sc := coverPool.Get().(*coverScratch)
+	defer sc.release()
 	var covered uint
 	for _, info := range group {
 		pm := info.partMask[b]
@@ -538,7 +573,7 @@ func (g *planGen) exactCover(b int, group []*offerInfo) *assembly {
 	if len(sc.usable) < 2 || covered != target {
 		return nil // a lone offer is directAssemblies' business; a gap has no cover
 	}
-	sc.atoms = append(sc.atoms[:0], target)
+	sc.atoms = append(sc.atoms, target)
 	for _, info := range sc.usable {
 		pm := info.partMask[b]
 		for i, n := 0, len(sc.atoms); i < n; i++ {
@@ -552,65 +587,69 @@ func (g *planGen) exactCover(b int, group []*offerInfo) *assembly {
 		return nil
 	}
 	size := 1 << len(sc.atoms)
-	if cap(sc.table) < size {
-		sc.table = make([]coverState, size)
+	if len(sc.link) < size {
+		sc.link, sc.val = make([]int32, size), make([]coverVal, size)
 	}
-	table := sc.table[:size]
-	clear(table)
-	links := append(sc.links[:0], coverLink{})
+	link, val := sc.link, sc.val
+	reached := append(sc.reached, 0)
+	links := append(sc.links, coverLink{})
 	for i, info := range sc.usable {
-		var am int
+		var am uint32
 		for j, atom := range sc.atoms {
 			if atom&info.partMask[b] != 0 {
 				am |= 1 << j
 			}
 		}
 		t := info.o.Props.TotalTime
-		// Every state disjoint from the offer, reached before this round
-		// (states the round writes contain the offer, so are never read).
-		free := (size - 1) &^ am
-		for s := free; ; s = (s - 1) & free {
-			from := &table[s]
-			if s == 0 || from.link != 0 {
-				cand := coverState{max: max(from.max, t), sum: from.sum + t,
-					rows: from.rows + info.o.Props.Rows, bytes: from.bytes + info.o.Props.Bytes}
-				to := &table[s|am]
-				if to.link == 0 || cand.max < to.max || cand.max == to.max && cand.sum < to.sum {
-					links = append(links, coverLink{offer: int32(i), prev: from.link})
-					cand.link = int32(len(links) - 1)
-					*to = cand
-				}
+		// Only the states reached before this round: range reads reached's
+		// length once, and the states the round reaches contain am.
+		for _, s := range reached {
+			if s&am != 0 {
+				continue
 			}
-			if s == 0 {
-				break
+			cand := coverVal{max: max(val[s].max, t), sum: val[s].sum + t}
+			to := s | am
+			if link[to] == 0 {
+				reached = append(reached, to)
+			} else if !(cand.max < val[to].max || cand.max == val[to].max && cand.sum < val[to].sum) {
+				continue
 			}
+			links = append(links, coverLink{offer: int32(i), prev: link[s]})
+			link[to], val[to] = int32(len(links)-1), cand
 		}
 	}
-	sc.links = links
-	win := table[size-1]
-	if win.link == 0 || links[win.link].prev == 0 {
+	sc.reached, sc.links = reached, links
+	win := link[size-1]
+	if win == 0 || links[win].prev == 0 {
 		return nil // no cover, or one offer covers alone
 	}
 	n := 0
-	for l := win.link; l != 0; l = links[l].prev {
+	for l := win; l != 0; l = links[l].prev {
 		n++
 	}
-	inputs := make([]plan.Node, n)
-	offers := make([]trading.Offer, n)
-	for l := win.link; l != 0; l = links[l].prev {
+	offers := make([]*offerInfo, n)
+	for l := win; l != 0; l = links[l].prev {
 		n--
-		info := sc.usable[links[l].offer]
-		inputs[n], offers[n] = info.remote(), info.o
+		offers[n] = sc.usable[links[l].offer]
+	}
+	// Rows and bytes summed first offer first, as the chain was built.
+	inputs := make([]plan.Node, len(offers))
+	var rows int64
+	var bytes float64
+	for i, info := range offers {
+		inputs[i] = info.remote()
+		rows += info.o.Props.Rows
+		bytes += info.o.Props.Bytes
 	}
 	return &assembly{
-		node:      &plan.Union{Card: plan.Card{Est: win.rows}, Inputs: inputs},
-		schema:    sc.usable[links[win.link].offer].schema,
-		remoteMax: win.max,
-		remoteSum: win.sum,
-		rows:      win.rows,
-		bytes:     win.bytes,
+		node:      &plan.Union{Card: plan.Card{Est: rows}, Inputs: inputs},
+		schema:    offers[0].schema,
+		remoteMax: val[size-1].max,
+		remoteSum: val[size-1].sum,
+		rows:      rows,
+		bytes:     bytes,
 		offers:    offers,
-		unions:    []string{g.bindings[b]},
+		unions:    g.bindings[b : b+1 : b+1], // capped: an append copies
 	}
 }
 
@@ -630,7 +669,7 @@ func (g *planGen) join(l, r *assembly, preds []expr.Expr) *assembly {
 		localCost: l.localCost + r.localCost + joinCost,
 		rows:      outRows,
 		bytes:     l.bytes + r.bytes,
-		offers:    append(append([]trading.Offer{}, l.offers...), r.offers...),
+		offers:    slices.Concat(l.offers, r.offers),
 		unions:    append(append([]string{}, l.unions...), r.unions...),
 		joins:     append(append([][]string{}, append(l.joins, lBind)...), append(r.joins, rBind)...),
 	}
@@ -639,8 +678,8 @@ func (g *planGen) join(l, r *assembly, preds []expr.Expr) *assembly {
 func (g *planGen) bindingNames(a *assembly) []string {
 	seen := map[string]bool{}
 	var out []string
-	for _, o := range a.offers {
-		for _, b := range o.Bindings {
+	for _, info := range a.offers {
+		for _, b := range info.o.Bindings {
 			lb := strings.ToLower(b)
 			if !seen[lb] {
 				seen[lb] = true
@@ -681,7 +720,7 @@ func (g *planGen) finishAssembly(a *assembly) (*Candidate, error) {
 		ResponseTime:  a.remoteMax + local,
 		TotalWork:     a.remoteSum + local,
 		Rows:          rows,
-		Offers:        a.offers,
+		Offers:        a.offered(),
 		UnionBindings: dedupStrings(a.unions),
 		JoinSubsets:   a.joins,
 	}, nil

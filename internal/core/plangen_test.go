@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"qtrade/internal/catalog"
@@ -73,10 +74,10 @@ func exactCoverReference(g *planGen, b int, group []*offerInfo) *assembly {
 		return nil // single-offer covers are handled by directAssemblies
 	}
 	inputs := make([]plan.Node, len(win.used))
-	var offers []trading.Offer
+	var offers []*offerInfo
 	for i, info := range win.used {
 		inputs[i] = info.remote()
-		offers = append(offers, info.o)
+		offers = append(offers, info)
 	}
 	return &assembly{
 		node:      &plan.Union{Card: plan.Card{Est: win.rows}, Inputs: inputs},
@@ -94,7 +95,8 @@ func exactCoverReference(g *planGen, b int, group []*offerInfo) *assembly {
 // singleton and coarse offers in shuffled OfferID order, overlapping at will,
 // with times from a small set so equal-cost ties are common. Some offers
 // carry partitions outside the target, and some targets have a partition no
-// offer holds.
+// offer holds. Up to 16 partitions, a third of the groups are shaped like
+// chain_parts' instead.
 func randomCoverGroup(rng *rand.Rand, nParts int, target uint) []*offerInfo {
 	var group []*offerInfo
 	add := func(pm uint) {
@@ -107,7 +109,28 @@ func randomCoverGroup(rng *rand.Rand, nParts int, target uint) []*offerInfo {
 			schema:   []expr.ColumnID{{Table: "r", Name: "pk"}},
 		})
 	}
-	if nParts > 20 {
+	if nParts <= 16 && rng.Intn(3) == 0 {
+		// chain_parts: partitions placed round-robin on 8 sellers with 1 or
+		// 2 replicas, each seller offering all it holds, and per-partition
+		// restrictions (the analyser's) from some of each partition's holders.
+		replicas, first := 1+rng.Intn(2), rng.Intn(8)
+		held := make([]uint, 8)
+		for p := 0; p < nParts; p++ {
+			for r := 0; r < replicas; r++ {
+				held[(first+p+r)%8] |= 1 << p
+			}
+		}
+		for _, pm := range held {
+			if pm != 0 {
+				add(pm)
+			}
+		}
+		for p := 0; p < nParts; p++ {
+			for r := rng.Intn(replicas + 1); r > 0; r-- {
+				add(1 << p)
+			}
+		}
+	} else if nParts > 20 {
 		// Many partitions, few coarse offers: a split into runs, a second split
 		// at other cut points, and the odd whole-extent offer.
 		for split := 0; split < 2; split++ {
@@ -172,8 +195,9 @@ func TestExactCoverMatchesReference(t *testing.T) {
 }
 
 // TestExactCoverAtomCap pins the one stated limit: a group that splits the
-// binding into more than maxCoverAtoms atoms gets no union assembly and no
-// table, while the same shape at the cap is solved.
+// binding into more than maxCoverAtoms atoms gets no union assembly and,
+// once a pooled scratch is warm, allocates nothing, while the same shape at
+// the cap is solved.
 func TestExactCoverAtomCap(t *testing.T) {
 	singletons := func(n int) (*planGen, []*offerInfo) {
 		g := &planGen{bindings: []string{"r"}, fullMask: []uint{uint(1)<<n - 1}}
@@ -190,8 +214,10 @@ func TestExactCoverAtomCap(t *testing.T) {
 	if a := g.exactCover(0, group); a != nil {
 		t.Fatalf("above the cap: got a union of %d offers, want none", len(a.offers))
 	}
-	if g.cover.table != nil {
-		t.Fatalf("above the cap: allocated a table of %d states", len(g.cover.table))
+	if !raceEnabled { // the race detector drops pooled scratches at random
+		if n := testing.AllocsPerRun(100, func() { g.exactCover(0, group) }); n != 0 {
+			t.Fatalf("above the cap: %v allocations per call, want 0", n)
+		}
 	}
 	// Coarse offers over the same partitions stay under the cap.
 	group = append(group[:0],
@@ -200,15 +226,140 @@ func TestExactCoverAtomCap(t *testing.T) {
 	if a := g.exactCover(0, group); a == nil || len(a.offers) != 2 {
 		t.Fatalf("two coarse offers over %d partitions: got %+v, want a union of 2", maxCoverAtoms+1, a)
 	}
-	if len(g.cover.table) != 4 {
-		t.Fatalf("two atoms: table of %d states, want 4", len(g.cover.table))
-	}
 	if testing.Short() {
 		return
 	}
 	g, group = singletons(maxCoverAtoms)
 	if a := g.exactCover(0, group); a == nil || len(a.offers) != maxCoverAtoms {
 		t.Fatalf("at the cap: got %+v, want a union of %d offers", a, maxCoverAtoms)
+	}
+}
+
+// FuzzExactCover decodes bytes into a cover problem and holds exactCover to
+// the reference. The first byte picks 1 to 16 partitions; every 4 bytes after
+// it are one offer: a 16-bit partition mask (bits past the target are
+// partitions the query does not need), a time from {1..4} sharing its byte
+// with a fractional byte count, so the sums of a chain differ by order, and
+// a row count.
+func FuzzExactCover(f *testing.F) {
+	f.Add([]byte{3, 0x03, 0, 0, 1, 0x0c, 0, 1, 2, 0x0f, 0, 2, 3})
+	f.Add([]byte{13, 0x03, 0x01, 0x05, 7, 0x0c, 0x02, 0x12, 9, 0xf0, 0x00, 0x23, 1,
+		0x00, 0x3c, 0x31, 4, 0x01, 0x00, 0x40, 2, 0x02, 0x00, 0x51, 3, 0xff, 0x3f, 0x62, 5})
+	f.Add([]byte{15, 0xff, 0x00, 0x11, 1, 0x00, 0xff, 0x22, 2, 0x0f, 0x0f, 0x33, 3, 0xf0, 0xf0, 0x44, 4,
+		0x01, 0x01, 0x55, 5, 0xfe, 0xfe, 0x66, 6})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		nParts := 1 + int(data[0]%16)
+		target := uint(1)<<nParts - 1
+		g := &planGen{bindings: []string{"r"}, fullMask: []uint{target}}
+		var group []*offerInfo
+		for rest := data[1:]; len(rest) >= 4 && len(group) < 24; rest = rest[4:] {
+			group = append(group, &offerInfo{
+				o: trading.Offer{OfferID: fmt.Sprintf("o%03d", len(group)), Props: cost.Valuation{
+					TotalTime: float64(1 + rest[2]%4), Bytes: float64(rest[2]>>2) * 0.1, Rows: int64(rest[3])}},
+				partMask: []uint{uint(rest[0]) | uint(rest[1])<<8},
+				schema:   []expr.ColumnID{{Table: "r", Name: "pk"}},
+			})
+		}
+		want := exactCoverReference(g, 0, group)
+		if got := g.exactCover(0, group); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d partitions, %d offers:\n got %+v\nwant %+v", nParts, len(group), got, want)
+		}
+	})
+}
+
+// TestExactCoverConcurrent: calls running at once each take their own
+// pooled scratch, so every one of them still matches the reference.
+func TestExactCoverConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			g := &planGen{bindings: []string{"r"}}
+			for trial := 0; trial < 200; trial++ {
+				nParts := 1 + rng.Intn(16)
+				target := uint(1)<<nParts - 1
+				g.fullMask = []uint{target}
+				group := randomCoverGroup(rng, nParts, target)
+				want := exactCoverReference(g, 0, group) // sorts group by OfferID
+				if got := g.exactCover(0, group); !reflect.DeepEqual(got, want) {
+					t.Errorf("worker %d trial %d (%d partitions, %d offers):\n got %+v\nwant %+v",
+						seed, trial, nParts, len(group), got, want)
+					return
+				}
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+}
+
+// chainPartsGroup is the cover problem chain_parts poses along one relation:
+// 14 partitions placed round-robin on 8 sellers, each seller offering all it
+// holds, and a single-partition offer from each of the first atoms-8
+// sellers, which splits its {p, p+8} in two: 8 to 14 atoms.
+func chainPartsGroup(atoms int) (*planGen, []*offerInfo) {
+	const parts, sellers = 14, 8
+	g := &planGen{bindings: []string{"r"}, fullMask: []uint{uint(1)<<parts - 1}}
+	var group []*offerInfo
+	add := func(seller int, pm uint) {
+		id := len(group)
+		group = append(group, &offerInfo{
+			o: trading.Offer{OfferID: fmt.Sprintf("o%03d", id), SellerID: fmt.Sprintf("n%d", seller),
+				Props: cost.Valuation{TotalTime: float64(1 + id*7%4), Rows: int64(80 + id), Bytes: float64(2400+37*id) / 3}},
+			partMask: []uint{pm},
+			schema:   []expr.ColumnID{{Table: "r", Name: "pk"}},
+		})
+	}
+	for s := 0; s < sellers; s++ {
+		var pm uint
+		for p := s; p < parts; p += sellers {
+			pm |= 1 << p
+		}
+		add(s, pm)
+	}
+	for p := 0; p < atoms-sellers; p++ {
+		add(p, 1<<p) // splits seller p's {p, p+8}
+	}
+	return g, group
+}
+
+// TestExactCoverAllocatesOnlyItsResult: once its scratch is pooled, a call
+// allocates the assembly it returns and nothing else: the assembly, its
+// Union, the Union's inputs and their Remote nodes, and its offers.
+func TestExactCoverAllocatesOnlyItsResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratches at random")
+	}
+	g, group := chainPartsGroup(14)
+	a := g.exactCover(0, group)
+	if a == nil {
+		t.Fatal("no cover")
+	}
+	want := float64(4 + len(a.offers))
+	if n := testing.AllocsPerRun(100, func() { g.exactCover(0, group) }); n != want {
+		t.Fatalf("%v allocations per call, want %v for a union of %d offers", n, want, len(a.offers))
+	}
+}
+
+var benchAssembly *assembly
+
+// BenchmarkExactCover times one warm exact cover of chain_parts' shape (12
+// to 14 atoms over 12 to 14 offers).
+func BenchmarkExactCover(b *testing.B) {
+	for _, atoms := range []int{12, 13, 14} {
+		g, group := chainPartsGroup(atoms)
+		b.Run(fmt.Sprintf("atoms=%d", atoms), func(b *testing.B) {
+			benchAssembly = g.exactCover(0, group)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchAssembly = g.exactCover(0, group)
+			}
+		})
 	}
 }
 
