@@ -12,10 +12,11 @@
 // \trace save <file>, \metrics, \ledger, \calibration, \slow, \stats,
 // \nodes, \quit. Every negotiation is audited in a trading ledger: \ledger
 // dumps the retained records as JSONL and \calibration prints the
-// per-seller quoted-vs-measured cost report. Every executed query also
-// lands in a flight recorder: \slow [n] lists the slowest retained
-// dossiers (wall time, rows, quoted-vs-measured cost ratio and any trigger
-// flags), and with -obs-addr the full dossiers are served at
+// per-seller quoted-vs-measured cost report (sellers only: where the time
+// went is \metrics, one _ms histogram per buyer and seller phase). Every
+// executed query also lands in a flight recorder: \slow [n] lists the
+// slowest retained dossiers (wall time, rows, quoted-vs-measured cost ratio
+// and any trigger flags), and with -obs-addr the full dossiers are served at
 // /debug/queries and /debug/queries/{id}. In simulation mode
 // the federation can be perturbed interactively: \down <node> and
 // \up <node> crash and restart a node, \drain <node> and \undrain <node> walk a

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -158,6 +157,9 @@ type Result struct {
 	// flight carries the negotiation's identity into the execution
 	// finalizers that assemble its dossier (nil when Config.Flight unset).
 	flight *flightCapture
+	// executeMS and fetchMS are the buyer.<id>.* histograms each execution
+	// and each purchased answer's delivery observe (nil without metrics).
+	executeMS, fetchMS *obs.Histogram
 	// faults and dir carry Config.Faults and Config.Directory into execution:
 	// every entry point, whatever Comm it is handed, fetches, continues and
 	// releases cursors under the policy the RFB was sent under (see reach).
@@ -203,7 +205,7 @@ func selfBids(cfg *Config, rfb trading.RFB, answered trading.Answered, ob *negOb
 		return nil
 	}
 	rfb.Queries = answered.Owed(cfg.ID, rfb.Queries)
-	ph := ob.phase("self-bids")
+	ph := ob.phase(phSelfBids)
 	defer ph.end()
 	rfb.Trace = rfb.Trace.Under(ph.sp.ID())
 	rep, err := cfg.Self.RequestBids(rfb)
@@ -249,7 +251,6 @@ func optimize(cfg Config, comm Comm, sql string, exclude map[string]bool) (*Resu
 		return ob.done(res), nil
 	}
 
-	bestPrice := map[string]float64{} // qid -> best price seen
 	queries := []trading.QueryRequest{{QID: "q0", SQL: sel.SQL()}}
 	asked := map[string]bool{sel.SQL(): true}
 	analyse := newAnalyser(sel, cfg.Schema)
@@ -258,14 +259,7 @@ func optimize(cfg Config, comm Comm, sql string, exclude map[string]bool) (*Resu
 	var best *Candidate
 	for iter := 1; iter <= cfg.MaxIterations; iter++ {
 		ob.iteration(iter)
-		// B1: strategic value estimates for the queries in Q — the anchored
-		// share of the best price seen, 0 before any — written into a fresh
-		// copy: a straggler cut from the last round may still be reading the
-		// RFB that carried the previous one.
-		queries = slices.Clone(queries)
-		for i := range queries {
-			queries[i].EstValue = max(bestPrice[queries[i].QID], 0) * trading.AnchoredDiscount
-		}
+		// B1's value estimates are not sent: no seller strategy reads one.
 		// B2/B3 + S1–S3: the nested negotiation, then the buyer's own bids.
 		rfb := trading.RFB{
 			RFBID:   nextRFBID(cfg.ID),
@@ -282,15 +276,12 @@ func optimize(cfg Config, comm Comm, sql string, exclude map[string]bool) (*Resu
 		offers = append(offers, selfBids(&cfg, rfb, view.Answered, ob)...)
 		for _, o := range offers {
 			gen.take(o)
-			if b, ok := bestPrice[o.QID]; !ok || o.Price < b {
-				bestPrice[o.QID] = o.Price
-			}
 		}
 		ob.collected(offers, rounds, len(gen.offers))
 
 		// B4: candidate plan generation from the standing pool (the generator
 		// owns it, in OfferID order, so equal-cost ties break reproducibly).
-		ph = ob.phase("plangen")
+		ph = ob.phase(phPlangen)
 		ph.sp.Set("mode", string(cfg.Mode))
 		ph.sp.Set("pool", len(gen.offers))
 		cands, err := gen.run()
@@ -314,7 +305,7 @@ func optimize(cfg Config, comm Comm, sql string, exclude map[string]bool) (*Resu
 
 		// B5/B6: the predicates analyser proposes the next round's queries
 		// from the top candidates.
-		ph = ob.phase("analyse")
+		ph = ob.phase(phAnalyse)
 		newSQLs := analyse.next(cands[:min(3, len(cands))], asked, maxNewQueries)
 		ph.sp.Set("new_queries", len(newSQLs))
 		ph.end()
@@ -333,7 +324,7 @@ func optimize(cfg Config, comm Comm, sql string, exclude map[string]bool) (*Resu
 	}
 
 	// B8: award the winning offers.
-	ph := ob.phase("award")
+	ph := ob.phase(phAward)
 	ph.sp.Set("offers", len(best.Offers))
 	for _, o := range best.Offers {
 		ob.awarded(o)

@@ -16,8 +16,25 @@ import (
 // instruments, ledger events, the Stats handed back on the Result and the
 // flight capture that execution finalizes. Every sink is nil-safe, so nothing
 // here branches on which of them is switched on, and one clock read per
-// boundary feeds every sink that wants that duration. A per-phase budget
-// (ROADMAP item 6) lands in phase.end, not in Optimize.
+// boundary feeds every sink that wants that duration. Each phase's duration
+// is kept once, by its histogram in the metrics registry (buyerPhases).
+
+// The phases Optimize opens, in the order an iteration runs them.
+const (
+	phNegotiate = iota // B2/B3: the nested negotiation, from the RFB out to its offers in
+	phSelfBids         // the buyer's own node bidding on what it owes
+	phPlangen          // B4
+	phAnalyse          // B5/B6
+	phAward            // B8
+	numPhases
+)
+
+// buyerPhases names each phase's span and the buyer.<id>.* histogram that
+// keeps its durations.
+var buyerPhases = [numPhases]struct{ span, hist string }{
+	{"negotiate", "negotiate_ms"}, {"self-bids", "self_bids_ms"}, {"plangen", "plangen_ms"},
+	{"analyse", "analyse_ms"}, {"award", "award_ms"},
+}
 
 // negObs observes one negotiation. It is used from Optimize's goroutine only,
 // except for empty, which the round's call observer (sellers.round) bumps
@@ -37,9 +54,11 @@ type negObs struct {
 	iter    int       // current iteration, 1-based
 	roundT0 time.Time // when the current RFB went out: the ledger's round wall starts here
 
-	rfbsSent, offersRecv  *obs.Counter
-	poolSize              *obs.Gauge
-	optimizeMS, plangenMS *obs.Histogram
+	rfbsSent, offersRecv *obs.Counter
+	poolSize             *obs.Gauge
+	phaseMS              [numPhases]*obs.Histogram
+	optimizeMS           *obs.Histogram // the whole negotiation
+	executeMS, fetchMS   *obs.Histogram // stamped on the Result: a whole execution, one purchased answer
 }
 
 // newNegObs starts the negotiation's clock. Nothing is recorded until begin:
@@ -59,8 +78,12 @@ func (o *negObs) begin(sql, canonical string) {
 		o.rfbsSent = m.Counter(p + "rfbs_sent")
 		o.offersRecv = m.Counter(p + "offers_received")
 		o.poolSize = m.Gauge(p + "pool_size")
+		for i, ph := range buyerPhases {
+			o.phaseMS[i] = m.Histogram(p + ph.hist)
+		}
 		o.optimizeMS = m.Histogram(p + "optimize_ms")
-		o.plangenMS = m.Histogram(p + "plangen_ms")
+		o.executeMS = m.Histogram(p + "execute_ms")
+		o.fetchMS = m.Histogram(p + "fetch_ms")
 	}
 	o.rec = cfg.Ledger.Begin(cfg.ID, canonical)
 	o.root = cfg.Tracer.Start(cfg.ID, "optimize")
@@ -106,7 +129,7 @@ func (o *negObs) rfbIssued(rfb trading.RFB, peers int) phase {
 	o.stats.QueriesAsked = len(rfb.Queries)
 	o.rfbsSent.Add(int64(peers))
 	o.rec.RFBIssued(rfb.RFBID, o.iter, len(rfb.Queries))
-	ph := o.phase("negotiate")
+	ph := o.phase(phNegotiate)
 	ph.sp.Set("peers", peers)
 	o.roundT0 = ph.t0
 	return ph
@@ -155,8 +178,9 @@ func (o *negObs) awarded(of trading.Offer) {
 }
 
 // done closes the negotiation's books and stamps what execution needs onto
-// the Result: the Stats, the trace context, the ledger record and — when
-// there is a record to file the dossier on — the flight capture.
+// the Result: the Stats, the trace context, the ledger record, the execute_ms
+// and fetch_ms histograms and — when there is a record to file the dossier
+// on — the flight capture.
 func (o *negObs) done(res *Result) *Result {
 	o.stats.EmptyBidResponses = int(o.empty.Load())
 	o.stats.WallTime = time.Since(o.start)
@@ -168,6 +192,7 @@ func (o *negObs) done(res *Result) *Result {
 		o.rec.Name(o.negID)
 	}
 	res.Stats, res.TraceCtx, res.LedgerRec = o.stats, o.tctx, o.rec
+	res.executeMS, res.fetchMS = o.executeMS, o.fetchMS
 	if o.cfg.Flight != nil && o.rec != nil {
 		res.flight = &flightCapture{rec: o.cfg.Flight, id: o.negID, start: o.start, optSpan: o.root}
 	}
@@ -176,28 +201,22 @@ func (o *negObs) done(res *Result) *Result {
 
 // phase is one timed step of the loop: a child span of the open iteration
 // (of the root outside one) plus the clock read that end turns into the
-// step's duration for the sinks that keep one.
+// step's duration for its histogram.
 type phase struct {
-	o    *negObs
-	name string
-	sp   *obs.Span
-	t0   time.Time
+	o  *negObs
+	id int // into buyerPhases
+	sp *obs.Span
+	t0 time.Time
 }
 
-// phase opens the step called name: "negotiate" (through rfbIssued),
-// "self-bids", "plangen", "analyse" or "award".
-func (o *negObs) phase(name string) phase {
-	return phase{o: o, name: name, sp: o.cur.Child(name), t0: time.Now()}
+// phase opens step id of buyerPhases (phNegotiate through rfbIssued).
+func (o *negObs) phase(id int) phase {
+	return phase{o: o, id: id, sp: o.cur.Child(buyerPhases[id].span), t0: time.Now()}
 }
 
 func (p phase) end() {
 	p.sp.End()
-	switch d := ms(time.Since(p.t0)); p.name {
-	case "plangen":
-		p.o.plangenMS.Observe(d)
-	case "award":
-		p.o.rec.ObservePhase(ledger.PhaseAward, d)
-	}
+	p.o.phaseMS[p.id].Observe(ms(time.Since(p.t0)))
 }
 
 // ms converts a duration to the milliseconds histograms and the ledger keep.

@@ -5,9 +5,12 @@ import (
 	"go/parser"
 	"go/token"
 	"strconv"
+	"strings"
 	"testing"
 
 	"qtrade/internal/ledger"
+	"qtrade/internal/netsim"
+	"qtrade/internal/node"
 	"qtrade/internal/obs"
 	"qtrade/internal/plan"
 	"qtrade/internal/trading"
@@ -177,5 +180,83 @@ func TestSinksAgree(t *testing.T) {
 	if d := rec.Recent(1)[0]; h.Count() != 1 || d.OptimizeMS != h.Sum() || d.ID != res.LedgerRec.Snapshot().ID {
 		t.Errorf("dossier %s OptimizeMS %v; optimize_ms holds %d samples summing to %v; ledger id %s",
 			d.ID, d.OptimizeMS, h.Count(), h.Sum(), res.LedgerRec.Snapshot().ID)
+	}
+}
+
+// TestEveryPhaseHasOneHistogram: a duration is kept once, by the metrics
+// registry. One negotiation of the paper's query plus its execution, on a
+// federation whose buyer bids on its own queries and one of whose sellers
+// subcontracts, with one registry and one tracer on buyer and sellers: every
+// phase histogram holds one sample per span of its phase, on the node that
+// opened it, and none is empty.
+func TestEveryPhaseHasOneHistogram(t *testing.T) {
+	sch := telcoSchema()
+	net := netsim.New()
+	athens := buildNode(t, sch, "athens", []string{"athens"}, true, nil)
+	myc := buildNode(t, sch, "myconos", []string{"myconos"}, true, nil)
+	corfu := node.New(node.Config{ID: "corfu", Schema: sch, SubcontractPeers: func() map[string]trading.Peer {
+		return map[string]trading.Peer{"myconos": net.Peer("corfu", "myconos")}
+	}})
+	cust, _ := sch.Table("customer")
+	mustFrag(t, corfu, cust, "corfu")
+	mustIns(t, corfu, "customer", "corfu", custRows["corfu"]...)
+	inv, _ := sch.Table("invoiceline")
+	mustFrag(t, corfu, inv, "p0")
+	mustIns(t, corfu, "invoiceline", "p0", invRows...)
+	m, tr := obs.NewMetrics(), obs.NewTracer()
+	nodes := map[string]*node.Node{"athens": athens, "corfu": corfu, "myconos": myc}
+	for id, n := range nodes {
+		n.SetObs(tr, m)
+		net.Register(id, n)
+	}
+	cfg := Config{ID: "athens", Schema: sch, Self: athens, Tracer: tr, Metrics: m}
+	f := &federation{sch: sch, net: net, athens: athens, corfu: corfu, myc: myc}
+	optimizeAndRunTraced(t, f, cfg, paperQuery)
+
+	// spans counts by node and name every span of the run, grafted or not:
+	// the sellers share the buyer's tracer, so each subtree is recorded once.
+	type key struct{ node, name string }
+	spans := map[key]int{}
+	var walk func(sp *obs.Span, root bool)
+	walk = func(sp *obs.Span, root bool) {
+		name := sp.Name()
+		switch {
+		case root && name == "execute":
+			name = "<execution>" // the buyer's; a seller's execute is an exchange under a fetch
+		case strings.HasPrefix(name, "fetch ") && sp.Source() == "athens":
+			name = "<fetch>" // one purchased answer's opening exchange
+		case name == "rewrite" || name == "dp-pricing" && hasAttr(sp, "cache", "hit"):
+			spans[key{sp.Source(), "<priced>"}]++ // a query priced: its rewrite ran, or the cache held it
+		}
+		if name != "dp-pricing" || !hasAttr(sp, "cache", "hit") { // a hit ran no DP
+			spans[key{sp.Source(), name}]++
+		}
+		for _, c := range sp.Children() {
+			walk(c, false)
+		}
+	}
+	for _, r := range tr.Roots() {
+		walk(r, true)
+	}
+	check := func(hist string, k key) {
+		t.Helper()
+		if c := m.Histogram(hist).Count(); c == 0 || c != int64(spans[k]) {
+			t.Errorf("%s holds %d samples, %d %q spans on %s", hist, c, spans[k], k.name, k.node)
+		}
+	}
+	for _, ph := range buyerPhases {
+		check("buyer.athens."+ph.hist, key{"athens", ph.span})
+	}
+	check("buyer.athens.optimize_ms", key{"athens", "optimize"})
+	check("buyer.athens.execute_ms", key{"athens", "<execution>"})
+	check("buyer.athens.fetch_ms", key{"athens", "<fetch>"})
+	for id := range nodes {
+		for span, hist := range map[string]string{"rewrite": "rewrite_ms", "dp-pricing": "dp_ms", "subcontract": "subcontract_ms"} {
+			if span == "subcontract" && id != "corfu" {
+				continue // only corfu subcontracts
+			}
+			check("node."+id+"."+hist, key{id, span})
+		}
+		check("node."+id+".price_ms", key{id, "<priced>"})
 	}
 }

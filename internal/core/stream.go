@@ -172,12 +172,14 @@ func (s *remoteStream) Close() error {
 }
 
 // finish records the fetch's single ledger event — one per leaf, with the
-// actuals accumulated across every batch, next to the cost the offer quoted.
+// actuals accumulated across every batch, next to the cost the offer quoted —
+// and its wall time in fetch_ms.
 func (s *remoteStream) finish(err error) {
 	if s.logged {
 		return
 	}
 	s.logged = true
+	s.run.res.fetchMS.Observe(s.WallMS)
 	rec, quoted := s.run.res.LedgerRec, s.run.res.quotedMS(s.offerID)
 	if err != nil {
 		rec.Fetch(s.nodeID, s.offerID, s.sql, quoted, s.WallMS, 0, 0, 0, err.Error())
@@ -303,7 +305,8 @@ func openResult(to *sellers, localExec *exec.Executor, res *Result, root *obs.Sp
 // share — the sellers handle, the negotiation's Result (trace context, ledger
 // record, quotes) and the run's root span — and the finalizer every execution
 // ends in. At Close leftover prefetched streams are released, the ledger's
-// execute record is completed with the rows actually pulled, and the flight
+// execute record is completed with the rows actually pulled, execute_ms
+// keeps the execution's wall time, and the flight
 // dossier (if a recorder is on) is assembled from whatever the cursor's
 // consumer pulled. The execute span is the caller's to end unless endRoot is
 // set.
@@ -356,6 +359,7 @@ func (h *streamHandle) Close() error {
 		msg = h.err.Error()
 	}
 	h.res.LedgerRec.ExecFinished(wall, h.rows, msg)
+	h.res.executeMS.Observe(wall)
 	if h.endRoot {
 		h.root.End()
 	}

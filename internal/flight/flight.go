@@ -5,14 +5,16 @@
 // that query slow" is answered by one GET instead of a three-way join.
 //
 // The recorder keeps no dossiers: only its trigger rules (latency SLO
-// breach, any recovery, cost-ratio outlier, cardinality blowout), a worst-K
-// set of flagged records and its counters; /debug/queries, \slow and
+// breach, any recovery, cost-ratio outlier, cardinality blowout, the last two
+// judged against the federation's running norm), a worst-K set of flagged
+// records and its counters; /debug/queries, \slow and
 // SlowQueries are views over the ledger. A nil *Recorder is a valid off
 // switch (pinned by TestDisabledRecorderZeroAlloc), and internal/core skips
 // dossier assembly when Config.Flight or Config.Ledger is nil.
 package flight
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -24,15 +26,15 @@ import (
 const (
 	TrigSlow        = "slow_slo"     // wall time reached the latency SLO
 	TrigRecovery    = "recovery"     // execution needed a recovery substitution
-	TrigCostOutlier = "cost_outlier" // measured/quoted cost ratio outside band
+	TrigCostOutlier = "cost_outlier" // measured/quoted cost ratio outside the band around its norm
 	TrigCardError   = "card_blowout" // an operator's est/actual rows error blew past the threshold
 )
 
 // Triggers are the outlier-capture rules. Besides the latency SLO they
 // hold, every dossier is judged by three fixed rules: any recovery, a
-// quoted-vs-measured cost ratio at or beyond CostRatioFactor either way, and
-// a cardinality error at or beyond CardErrorFactor. The zero value disables
-// the latency SLO.
+// quoted-vs-measured cost ratio CostRatioFactor or more off its norm either
+// way, and a cardinality error CardErrorFactor or more above its norm (see
+// Norm). The zero value disables the latency SLO.
 type Triggers struct {
 	// SlowMS is the latency SLO in milliseconds: a dossier whose WallMS is
 	// greater than OR EQUAL to it trips TrigSlow (exactly-at-SLO breaches).
@@ -40,18 +42,36 @@ type Triggers struct {
 	SlowMS float64
 }
 
-// The trigger factors: a seller off by 4× on cost (a dossier whose CostRatio
-// is >= 4 or <= 1/4 trips TrigCostOutlier) or a planner off by 8× on
-// cardinality (a dossier whose CardError, the worst per-operator
-// est-vs-actual rows ratio, is >= 8 trips TrigCardError) is worth keeping.
+// The trigger factors: a query whose seller is off on cost by 4× more than
+// usual (a CostRatio >= 4 or <= 1/4 times its norm trips TrigCostOutlier) or
+// whose planner is off on cardinality by 8× more than usual (a CardError, the
+// worst per-operator est-vs-actual rows ratio, >= 8 times its norm trips
+// TrigCardError) is worth keeping.
 const (
 	CostRatioFactor = 4.0
 	CardErrorFactor = 8.0
 )
 
-// Evaluate returns the trigger names d trips, in declaration order. Pure —
-// the trigger-edge tests drive it directly.
-func (t Triggers) Evaluate(d *ledger.Dossier) []string {
+// Norm is where the federation's quotes and estimates usually land: a running
+// norm of log CostRatio and of log CardError over the dossiers judged against
+// it, each kept by the watchdog's rule (baseline: the first value seeds it, a
+// query that trips is not folded in). Judging against the norm rather than a
+// perfect model matters because the cost model is uniformly off: in process,
+// execution runs 10–70× below its quote, so a fixed band flags every query.
+// The zero Norm has seen nothing.
+type Norm struct{ cost, card baseline }
+
+// logSlack keeps a ratio exactly at a factor of its norm on the tripping side
+// of the band once both are logarithms.
+const logSlack = 1e-9
+
+// Evaluate returns the trigger names d trips, in declaration order, judging
+// its cost ratio and cardinality error against n and folding them into it. A
+// nil n is a perfect model (both ratios 1) that does not move.
+func (t Triggers) Evaluate(d *ledger.Dossier, n *Norm) []string {
+	if n == nil {
+		n = &Norm{cost: baseline{seen: true}, card: baseline{seen: true}}
+	}
 	var out []string
 	if t.SlowMS > 0 && d.WallMS >= t.SlowMS {
 		out = append(out, TrigSlow)
@@ -59,10 +79,14 @@ func (t Triggers) Evaluate(d *ledger.Dossier) []string {
 	if len(d.Recoveries) > 0 {
 		out = append(out, TrigRecovery)
 	}
-	if d.CostRatio > 0 && (d.CostRatio >= CostRatioFactor || d.CostRatio <= 1/CostRatioFactor) {
+	if v := math.Log(d.CostRatio); d.CostRatio > 0 && n.cost.judge(v, func(base float64) bool {
+		return math.Abs(v-base) >= math.Log(CostRatioFactor)-logSlack
+	}) {
 		out = append(out, TrigCostOutlier)
 	}
-	if d.CardError >= CardErrorFactor {
+	if v := math.Log(d.CardError); d.CardError > 0 && n.card.judge(v, func(base float64) bool {
+		return v-base >= math.Log(CardErrorFactor)-logSlack
+	}) {
 		out = append(out, TrigCardError)
 	}
 	return out
@@ -77,6 +101,7 @@ type Recorder struct {
 	mu       sync.Mutex
 	worstK   int
 	trig     Triggers
+	norm     Norm           // of every dossier admitted
 	led      *ledger.Ledger // the ledger the admitted records belong to
 	outliers []*ledger.Rec  // worst (highest WallMS) first
 	admitted int64
@@ -114,17 +139,17 @@ func (r *Recorder) Triggers() Triggers {
 	return r.trig
 }
 
-// Admit stamps d with the triggers it trips and files it on rec, replacing an
-// earlier execution's (a recovery re-run); a flagged record joins the worst-K
-// set, which outlives the ledger ring. rec owns d after Admit. Without a
-// record (no ledger) nothing is kept. Nil-safe.
+// Admit stamps d with the triggers it trips against the recorder's norm and
+// files it on rec, replacing an earlier execution's (a recovery re-run); a
+// flagged record joins the worst-K set, which outlives the ledger ring. rec
+// owns d after Admit. Without a record (no ledger) nothing is kept. Nil-safe.
 func (r *Recorder) Admit(rec *ledger.Rec, d *ledger.Dossier) {
 	if r == nil || rec == nil || d == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	d.Triggers = r.trig.Evaluate(d)
+	d.Triggers = r.trig.Evaluate(d, &r.norm)
 	rec.Finish(d)
 	r.led = rec.Ledger()
 	r.admitted++

@@ -3,6 +3,7 @@ package flight
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -51,54 +52,90 @@ func TestDisabledRecorderZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestTriggerEdges pins the rule boundaries the outlier set depends on.
+// TestTriggerEdges pins the rule boundaries the outlier set depends on: the
+// SLO and recovery rules, and the estimate rules against an explicit norm.
 func TestTriggerEdges(t *testing.T) {
 	trig := Triggers{SlowMS: 100}
 
 	// Exactly at the SLO counts as a breach.
-	if got := trig.Evaluate(&ledger.Dossier{WallMS: 100}); len(got) != 1 || got[0] != TrigSlow {
+	if got := trig.Evaluate(&ledger.Dossier{WallMS: 100}, nil); len(got) != 1 || got[0] != TrigSlow {
 		t.Fatalf("exactly-at-SLO must trip slow_slo: %v", got)
 	}
-	if got := trig.Evaluate(&ledger.Dossier{WallMS: 99.999}); len(got) != 0 {
+	if got := trig.Evaluate(&ledger.Dossier{WallMS: 99.999}, nil); len(got) != 0 {
 		t.Fatalf("below SLO must not trip: %v", got)
 	}
 	// SlowMS == 0 disables the latency rule entirely.
-	if got := (Triggers{}).Evaluate(&ledger.Dossier{WallMS: 1e9}); len(got) != 0 {
+	if got := (Triggers{}).Evaluate(&ledger.Dossier{WallMS: 1e9}, nil); len(got) != 0 {
 		t.Fatalf("disabled SLO tripped: %v", got)
 	}
 
 	// A recovery-then-success query still carries its recovery list and is
 	// captured even though it finished fine and fast.
 	rec := &ledger.Dossier{WallMS: 1, Recoveries: []ledger.Recovery{{Failed: "n2", Substitute: "n3", Reason: "crash"}}}
-	if got := trig.Evaluate(rec); len(got) != 1 || got[0] != TrigRecovery {
+	if got := trig.Evaluate(rec, nil); len(got) != 1 || got[0] != TrigRecovery {
 		t.Fatalf("recovery-then-success must trip recovery: %v", got)
 	}
 
-	// Cost ratio trips on both sides of the fixed 4× band.
-	if got := (Triggers{}).Evaluate(&ledger.Dossier{CostRatio: 4}); len(got) != 1 || got[0] != TrigCostOutlier {
-		t.Fatalf("4x underquote must trip: %v", got)
+	// The estimate rules judge against a norm: a federation whose queries run
+	// at 1/16 of their quote with estimates 2× off.
+	at := func(costRatio, cardError float64) *Norm {
+		return &Norm{cost: baseline{v: math.Log(costRatio), seen: true}, card: baseline{v: math.Log(cardError), seen: true}}
 	}
-	if got := (Triggers{}).Evaluate(&ledger.Dossier{CostRatio: 0.25}); len(got) != 1 || got[0] != TrigCostOutlier {
-		t.Fatalf("4x overquote must trip: %v", got)
+	eval := func(d *ledger.Dossier) []string { return (Triggers{}).Evaluate(d, at(1.0/16, 2)) }
+	for _, tc := range []struct {
+		name string
+		d    ledger.Dossier
+		want string
+	}{
+		{"4x above the cost norm", ledger.Dossier{CostRatio: 0.25}, TrigCostOutlier},
+		{"4x below the cost norm", ledger.Dossier{CostRatio: 1.0 / 64}, TrigCostOutlier},
+		{"3.9x above the cost norm", ledger.Dossier{CostRatio: 3.9 / 16}, ""},
+		{"a perfect quote in a federation that quotes 16x high", ledger.Dossier{CostRatio: 1}, TrigCostOutlier},
+		{"the usual cost ratio", ledger.Dossier{CostRatio: 1.0 / 16}, ""},
+		{"unknown ratio (no quotes)", ledger.Dossier{CostRatio: 0}, ""},
+		{"8x above the card norm", ledger.Dossier{CardError: 16}, TrigCardError},
+		{"7.9x above the card norm", ledger.Dossier{CardError: 15.8}, ""},
+		{"a card error 8x on a perfect model, 4x on the norm", ledger.Dossier{CardError: 8}, ""},
+	} {
+		got := eval(&tc.d)
+		if want := []string{tc.want}; (tc.want == "" && len(got) != 0) || (tc.want != "" && fmt.Sprint(got) != fmt.Sprint(want)) {
+			t.Errorf("%s: tripped %v, want %q", tc.name, got, tc.want)
+		}
 	}
-	if got := (Triggers{}).Evaluate(&ledger.Dossier{CostRatio: 3.9}); len(got) != 0 {
-		t.Fatalf("in-band ratio tripped: %v", got)
+	// A nil norm is a perfect model: the fixed 4× and 8× bands.
+	for _, d := range []ledger.Dossier{{CostRatio: 4}, {CostRatio: 0.25}, {CardError: 8}} {
+		if got := (Triggers{}).Evaluate(&d, nil); len(got) != 1 {
+			t.Errorf("%+v against a perfect model tripped %v", d, got)
+		}
 	}
-	if got := (Triggers{}).Evaluate(&ledger.Dossier{CostRatio: 0}); len(got) != 0 {
-		t.Fatalf("unknown ratio (no quotes) tripped: %v", got)
+	if got := (Triggers{}).Evaluate(&ledger.Dossier{CostRatio: 3.9, CardError: 7.9}, nil); len(got) != 0 {
+		t.Errorf("in band of a perfect model tripped %v", got)
 	}
 
-	// Cardinality blowout at the fixed 8× threshold.
-	if got := (Triggers{}).Evaluate(&ledger.Dossier{CardError: 8}); len(got) != 1 || got[0] != TrigCardError {
-		t.Fatalf("8x card error must trip: %v", got)
-	}
-	if got := (Triggers{}).Evaluate(&ledger.Dossier{CardError: 7.9}); len(got) != 0 {
-		t.Fatalf("card error below 8x tripped: %v", got)
+	// The norm follows the watchdog's rule: the first value seeds it without
+	// tripping, an in-band value moves it by baselineAlpha, and a trip is not
+	// folded in, so a sustained regression keeps tripping.
+	var n Norm
+	for i, tc := range []struct {
+		ratio float64
+		trips bool
+		norm  float64 // log CostRatio after the dossier
+	}{
+		{1.0 / 32, false, math.Log(1.0 / 32)},
+		{1.0 / 16, false, 0.7*math.Log(1.0/32) + 0.3*math.Log(1.0/16)},
+		{1, true, 0.7*math.Log(1.0/32) + 0.3*math.Log(1.0/16)},
+		{1, true, 0.7*math.Log(1.0/32) + 0.3*math.Log(1.0/16)},
+	} {
+		got := (Triggers{}).Evaluate(&ledger.Dossier{CostRatio: tc.ratio}, &n)
+		if (len(got) == 1) != tc.trips || math.Abs(n.cost.v-tc.norm) > 1e-12 || n.card.seen {
+			t.Errorf("dossier %d (ratio %v): tripped %v, norm %v (card seen %v), want trip %v norm %v",
+				i, tc.ratio, got, n.cost.v, n.card.seen, tc.trips, tc.norm)
+		}
 	}
 
 	// Multiple rules can fire at once; order is stable.
 	multi := trig.Evaluate(&ledger.Dossier{WallMS: 500, CostRatio: 10, CardError: 20,
-		Recoveries: []ledger.Recovery{{Failed: "n2"}}})
+		Recoveries: []ledger.Recovery{{Failed: "n2"}}}, nil)
 	want := []string{TrigSlow, TrigRecovery, TrigCostOutlier, TrigCardError}
 	if fmt.Sprint(multi) != fmt.Sprint(want) {
 		t.Fatalf("multi-trigger: got %v want %v", multi, want)

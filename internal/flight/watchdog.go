@@ -45,8 +45,8 @@ const (
 	// calibrationErr flags a seller whose |EWMA quote error| in the ledger's
 	// calibration report reaches this (1.0 = quotes off by 100%).
 	calibrationErr = 1.0
-	// baselineAlpha is the EWMA weight of the newest window when updating
-	// baselines.
+	// baselineAlpha is the EWMA weight of the newest value (a window's, a
+	// dossier's) when updating a baseline.
 	baselineAlpha = 0.3
 )
 
@@ -65,11 +65,11 @@ type Watchdog struct {
 	windowGauge *obs.Gauge   // watchdog.window_anomalies: findings in the newest window
 	lastWindow  *obs.Gauge   // watchdog.last_anomaly_window: seq of the last offending window
 
-	mu        sync.Mutex         // held through Sample: windows are judged in order
-	p95       map[string]float64 // histogram name → EWMA p95 baseline
-	recRate   map[string]float64 // recovery counter name → EWMA delta/window
-	hitRate   map[string]float64 // cache prefix → EWMA hit rate
-	calWarned map[string]bool    // seller → already flagged (rising edge only)
+	mu        sync.Mutex           // held through Sample: windows are judged in order
+	p95       map[string]*baseline // histogram name → p95
+	recRate   map[string]*baseline // recovery counter name → delta/window
+	hitRate   map[string]*baseline // cache prefix → hit rate
+	calWarned map[string]bool      // seller → already flagged (rising edge only)
 
 	startOnce, stopOnce sync.Once
 	stop, done          chan struct{}
@@ -90,9 +90,9 @@ func NewWatchdog(ledg *ledger.Ledger, m *obs.Metrics, window time.Duration) *Wat
 		anomalies:   m.Counter("watchdog.anomalies"),
 		windowGauge: m.Gauge("watchdog.window_anomalies"),
 		lastWindow:  m.Gauge("watchdog.last_anomaly_window"),
-		p95:         make(map[string]float64),
-		recRate:     make(map[string]float64),
-		hitRate:     make(map[string]float64),
+		p95:         make(map[string]*baseline),
+		recRate:     make(map[string]*baseline),
+		hitRate:     make(map[string]*baseline),
 		calWarned:   make(map[string]bool),
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
@@ -163,18 +163,15 @@ func (w *Watchdog) observe(win *obs.Window) []Anomaly {
 		found = append(found, Anomaly{Kind: kind, Metric: metric, Value: value, Baseline: baseline, Window: win.Seq})
 	}
 
-	// judge compares v with the trailing baseline m[key]: the first sighting
-	// seeds it silently; a regression is flagged and not folded in, so a
-	// sustained one keeps flagging instead of becoming normal; anything else
-	// moves the baseline by the EWMA weight.
-	judge := func(m map[string]float64, key, kind, metric string, v float64, regressed func(base float64) bool) {
-		switch base, seen := m[key]; {
-		case !seen:
-			m[key] = v
-		case regressed(base):
-			flag(kind, metric, v, base)
-		default:
-			m[key] = (1-baselineAlpha)*base + baselineAlpha*v
+	// judge compares v with the trailing baseline m[key], flagging a regression.
+	judge := func(m map[string]*baseline, key, kind, metric string, v float64, regressed func(base float64) bool) {
+		b := m[key]
+		if b == nil {
+			b = &baseline{}
+			m[key] = b
+		}
+		if b.judge(v, regressed) {
+			flag(kind, metric, v, b.v)
 		}
 	}
 
@@ -228,4 +225,28 @@ func (w *Watchdog) observe(win *obs.Window) []Anomaly {
 		w.ledg.Anomaly(a.Kind, a.Metric, a.Value, a.Baseline, a.Window)
 	}
 	return found
+}
+
+// baseline is a trailing EWMA norm, the one rule both the watchdog's windows
+// and the recorder's estimate triggers are judged by: the first value seeds it
+// silently; a value that regressed against it is flagged and not folded in,
+// so a sustained regression keeps flagging instead of becoming normal;
+// anything else moves it by baselineAlpha.
+type baseline struct {
+	v    float64
+	seen bool
+}
+
+// judge reports whether v regressed against the baseline, folding it in when
+// it did not.
+func (b *baseline) judge(v float64, regressed func(base float64) bool) bool {
+	switch {
+	case !b.seen:
+		b.v, b.seen = v, true
+	case regressed(b.v):
+		return true
+	default:
+		b.v = (1-baselineAlpha)*b.v + baselineAlpha*v
+	}
+	return false
 }

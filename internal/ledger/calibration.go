@@ -7,33 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-
-	"qtrade/internal/obs"
 )
-
-// Phase indexes the per-phase latency breakdown: where one negotiation's
-// wall time goes, from query rewriting through answer fetch.
-type Phase int
-
-const (
-	PhaseRewrite Phase = iota // seller: rewrite RFB query over local views
-	PhasePricing              // seller: DP cost model pass over one query
-	PhaseRounds               // buyer: one trading-protocol collection
-	PhaseAward                // buyer: B8 award round-trips
-	PhaseExecute              // buyer: winning plan execution end-to-end
-	PhaseFetch                // buyer: one purchased answer delivery
-	numPhases
-)
-
-var phaseNames = [numPhases]string{"rewrite", "pricing", "rounds", "award", "execute", "fetch"}
-
-// String returns the phase's report name ("rewrite", "pricing", ...).
-func (p Phase) String() string {
-	if p < 0 || p >= numPhases {
-		return "unknown"
-	}
-	return phaseNames[p]
-}
 
 // ratioBounds are the quoted-vs-actual ratio histogram's bucket upper
 // bounds; the last bucket is open (+Inf). A perfectly calibrated seller
@@ -58,13 +32,12 @@ type sellerCal struct {
 	ewmaSet           bool
 }
 
-// calibrator aggregates quote accuracy per seller plus the global per-phase
-// latency histograms. Unlike the negotiation ring it is unbounded: it keeps
-// one entry per seller for the lifetime of the ledger.
+// calibrator aggregates quote accuracy per seller. Unlike the negotiation
+// ring it is unbounded: it keeps one entry per seller for the lifetime of the
+// ledger.
 type calibrator struct {
 	mu      sync.Mutex
 	sellers map[string]*sellerCal
-	phases  [numPhases]obs.Histogram
 }
 
 func (c *calibrator) init() { c.sellers = map[string]*sellerCal{} }
@@ -118,13 +91,6 @@ func (c *calibrator) observe(seller string, quotedMS, actualMS float64) {
 	c.mu.Unlock()
 }
 
-func (c *calibrator) phase(p Phase, ms float64) {
-	if p < 0 || p >= numPhases {
-		return
-	}
-	c.phases[p].Observe(ms)
-}
-
 // RatioBucket is one bucket of a seller's quoted-vs-actual distribution.
 // LE is the bucket's upper bound rendered as text ("+Inf" on the last
 // bucket) because JSON has no infinity literal.
@@ -151,22 +117,12 @@ type SellerReport struct {
 	RatioHist []RatioBucket `json:"ratio_hist,omitempty"`
 }
 
-// PhaseReport summarizes one phase's latency distribution in milliseconds.
-type PhaseReport struct {
-	Phase  string  `json:"phase"`
-	Count  int64   `json:"count"`
-	MeanMS float64 `json:"mean_ms"`
-	P50MS  float64 `json:"p50_ms"`
-	P95MS  float64 `json:"p95_ms"`
-	MaxMS  float64 `json:"max_ms"`
-}
-
 // Report is the ledger's calibration roll-up: how well each seller's quotes
-// track measured reality, and where negotiation wall time goes by phase.
+// track measured reality. Where the time went is the metrics registry's: each
+// phase's _ms histogram on /metrics.
 type Report struct {
 	Negotiations int            `json:"negotiations"` // retained in the ring
 	Sellers      []SellerReport `json:"sellers"`
-	Phases       []PhaseReport  `json:"phases"`
 }
 
 // quantile approximates the q-quantile of a bucketed ratio distribution as
@@ -192,9 +148,8 @@ func (s *sellerCal) quantile(q float64) float64 {
 	return s.ratioMax
 }
 
-// Calibration builds the current calibration report. Sellers sort by name;
-// phases appear in pipeline order, empty phases omitted. Safe to call while
-// negotiations are in flight.
+// Calibration builds the current calibration report, sellers sorted by name.
+// Safe to call while negotiations are in flight.
 func (l *Ledger) Calibration() Report {
 	if l == nil {
 		return Report{}
@@ -230,20 +185,10 @@ func (l *Ledger) Calibration() Report {
 		rep.Sellers = append(rep.Sellers, sr)
 	}
 	c.mu.Unlock()
-	for p := Phase(0); p < numPhases; p++ {
-		h := &c.phases[p]
-		if h.Count() == 0 {
-			continue
-		}
-		rep.Phases = append(rep.Phases, PhaseReport{
-			Phase: p.String(), Count: h.Count(), MeanMS: h.Mean(),
-			P50MS: h.Quantile(0.50), P95MS: h.Quantile(0.95), MaxMS: h.Max(),
-		})
-	}
 	return rep
 }
 
-// Text renders the report as aligned tables for terminal display (qtsql
+// Text renders the report as an aligned table for terminal display (qtsql
 // \calibration).
 func (r Report) Text() string {
 	var b strings.Builder
@@ -256,15 +201,6 @@ func (r Report) Text() string {
 			fmt.Fprintf(&b, "  %-10s %6d %6d %8.2f %6d %10.2f %10.2f %10.2f %+8.0f%%\n",
 				s.Seller, s.Bids, s.Wins, s.WinRate, s.Execs,
 				s.MeanRatio, s.P50Ratio, s.P95Ratio, 100*s.EWMAErr)
-		}
-	}
-	if len(r.Phases) > 0 {
-		b.WriteString("\nphase latency (ms):\n")
-		fmt.Fprintf(&b, "  %-8s %7s %9s %9s %9s %9s\n",
-			"phase", "count", "mean", "p50", "p95", "max")
-		for _, p := range r.Phases {
-			fmt.Fprintf(&b, "  %-8s %7d %9.3f %9.3f %9.3f %9.3f\n",
-				p.Phase, p.Count, p.MeanMS, p.P50MS, p.P95MS, p.MaxMS)
 		}
 	}
 	return b.String()

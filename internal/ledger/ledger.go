@@ -2,10 +2,12 @@
 // negotiation's economic life — RFB issued, bids received (with the seller's
 // quoted cost, asking price and price-cache provenance), round outcomes,
 // awards, execution with measured actuals, and recovery substitutions. The
-// span tracer (internal/obs) answers "where did the time go"; the ledger
-// answers "did the money match": it ties each seller's quoted cost to the
-// wall time the buyer actually measured fetching the purchased answer, which
-// is the signal load-aware pricing and seller-trust heuristics need.
+// metrics registry and the span tracer (internal/obs) answer "where did the
+// time go": every phase's durations are one _ms histogram on /metrics. The
+// ledger keeps events, not latency distributions, and answers "did the money
+// match": it ties each seller's quoted cost to the wall time the buyer
+// actually measured fetching the purchased answer, which is the signal
+// load-aware pricing and seller-trust heuristics need.
 //
 // A record is the one place a process keeps its query's evidence: a finished
 // execution files its flight dossier there as the outcome (dossier.go), and
@@ -225,14 +227,13 @@ func (r *Rec) Bid(iter int, seller, qid, offerID string, quotedMS, price float64
 
 // Round records the outcome of one trading-protocol collection: how many
 // protocol rounds ran, how many offers came back, the pool size after
-// dedup, and the collection's wall time (observed into PhaseRounds).
+// dedup, and the collection's wall time.
 func (r *Rec) Round(iter, rounds, offers, pool int, wallMS float64) {
 	if r == nil {
 		return
 	}
 	r.append(Event{Kind: KindRound, Iter: iter, Rounds: rounds,
 		Offers: offers, Pool: pool, WallMS: wallMS})
-	r.l.cal.phase(PhaseRounds, wallMS)
 }
 
 // Award records one B8 purchase and counts the seller's win.
@@ -263,7 +264,6 @@ func (r *Rec) ExecFinished(wallMS float64, rows int64, errStr string) {
 		return
 	}
 	r.append(Event{Kind: KindExec, WallMS: wallMS, Rows: rows, Err: errStr})
-	r.l.cal.phase(PhaseExecute, wallMS)
 }
 
 // Fetch records one purchased answer's delivery with the buyer-measured
@@ -277,7 +277,6 @@ func (r *Rec) Fetch(seller, offerID, sql string, quotedMS, wallMS, sellerMS floa
 	r.append(Event{Kind: KindFetch, Seller: seller, OfferID: offerID, SQL: sql,
 		QuotedMS: quotedMS, WallMS: wallMS, SellerMS: sellerMS,
 		Rows: rows, Bytes: bytes, Err: errStr})
-	r.l.cal.phase(PhaseFetch, wallMS)
 	if errStr == "" && quotedMS > 0 {
 		r.l.cal.observe(seller, quotedMS, wallMS)
 	}
@@ -293,15 +292,6 @@ func (r *Rec) Recovery(failedSeller, subSeller, offerID, reason string) {
 	}
 	r.append(Event{Kind: KindRecovery, Seller: subSeller, Err: failedSeller,
 		OfferID: offerID, Reason: reason})
-}
-
-// ObservePhase feeds one buyer-side phase latency sample (award loop,
-// plangen, …) into the calibration breakdown without adding an event.
-func (r *Rec) ObservePhase(p Phase, ms float64) {
-	if r == nil {
-		return
-	}
-	r.l.cal.phase(p, ms)
 }
 
 // Snapshot returns a deep copy of the negotiation recorded so far — what a
@@ -334,7 +324,7 @@ func (l *Ledger) recFor(rfbID, buyer string) *Rec {
 
 // Priced records the seller side of one RFB query: how many offers the
 // cost model produced, whether the valuation came from the price cache,
-// and the pricing wall time (observed into PhasePricing).
+// and the pricing wall time.
 func (l *Ledger) Priced(rfbID, buyer, seller, qid string, offers int, cacheHit bool, wallMS float64) {
 	if l == nil {
 		return
@@ -342,7 +332,6 @@ func (l *Ledger) Priced(rfbID, buyer, seller, qid string, offers int, cacheHit b
 	r := l.recFor(rfbID, buyer)
 	r.append(Event{Kind: KindPriced, Seller: seller, QID: qid,
 		Offers: offers, CacheHit: cacheHit, WallMS: wallMS})
-	l.cal.phase(PhasePricing, wallMS)
 }
 
 // Served records the seller side of one purchased answer's execution.
@@ -356,15 +345,6 @@ func (l *Ledger) Served(rfbID, seller, offerID, sql string, wallMS float64, rows
 	r := l.recFor(rfbID, "")
 	r.append(Event{Kind: KindServed, Seller: seller, OfferID: offerID,
 		SQL: sql, WallMS: wallMS, Rows: rows, Bytes: bytes})
-}
-
-// ObservePhase feeds one phase latency sample directly (seller-side rewrite
-// and pricing, where no Rec handle exists).
-func (l *Ledger) ObservePhase(p Phase, ms float64) {
-	if l == nil {
-		return
-	}
-	l.cal.phase(p, ms)
 }
 
 // Lifecycle records a federation membership event (join, drain, undrain,

@@ -176,21 +176,10 @@ func TestCalibrationReport(t *testing.T) {
 	if slow.P95Ratio < 4 {
 		t.Errorf("slow p95 ratio %v < 4", slow.P95Ratio)
 	}
-	// Phase breakdown: fetch observed 3 times, award 0 (never ObservePhase'd).
-	var fetch *PhaseReport
-	for i := range rep.Phases {
-		if rep.Phases[i].Phase == "fetch" {
-			fetch = &rep.Phases[i]
-		}
-		if rep.Phases[i].Phase == "award" {
-			t.Errorf("empty phase rendered: %+v", rep.Phases[i])
-		}
-	}
-	if fetch == nil || fetch.Count != 3 {
-		t.Fatalf("fetch phase missing or wrong: %+v", rep.Phases)
-	}
-	if txt := rep.Text(); !strings.Contains(txt, "slow") || !strings.Contains(txt, "phase latency") {
-		t.Errorf("Text rendering incomplete:\n%s", txt)
+	// Where the time went is the metrics registry's (core.TestEveryPhaseHasOneHistogram):
+	// the report lists sellers only.
+	if txt := rep.Text(); !strings.Contains(txt, "slow") || strings.Contains(txt, "phase") {
+		t.Errorf("Text must render the sellers and no phase table:\n%s", txt)
 	}
 }
 
@@ -300,10 +289,8 @@ func TestDisabledLedgerZeroAlloc(t *testing.T) {
 		r.Fetch("s", "o", "sql", 1, 1, 1, 1, 1, "")
 		r.ExecFinished(1, 1, "")
 		r.Recovery("a", "b", "o", "crash")
-		r.ObservePhase(PhaseAward, 1)
 		l.Priced("rfb", "hq", "s", "q0", 1, false, 1)
 		l.Served("rfb", "s", "o", "sql", 1, 1, 1)
-		l.ObservePhase(PhaseRewrite, 1)
 		l.Anomaly("p95_regression", "buyer.hq.wall_ms", 2, 1, 0)
 		if l.Len() != 0 {
 			t.Fatal("nil ledger has length")
@@ -409,7 +396,6 @@ func TestLifecycleEvents(t *testing.T) {
 func TestRecoveryEventAndNilRec(t *testing.T) {
 	var r *Rec
 	r.Recovery("corfu", "myconos", "o1", "crash") // must not panic
-	r.ObservePhase(PhaseFetch, 1)
 
 	l := New(0)
 	rec := oneNegotiation(l)

@@ -23,7 +23,7 @@ type Module struct {
 	Paths []string                  // import paths, sorted
 	Files map[string][]*ast.File    // by import path
 	Pkgs  map[string]*types.Package // by import path
-	Info  map[string]*types.Info    // by import path: Types, Uses and Selections
+	Info  map[string]*types.Info    // by import path: Types, Defs, Uses and Selections
 	std   types.Importer            // the standard library, from its export data
 	root  string                    // the module's directory
 }
@@ -94,8 +94,8 @@ func (m *Module) Import(path string) (*types.Package, error) {
 	if !ok {
 		return m.std.Import(path)
 	}
-	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{}}
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Defs: map[*ast.Ident]types.Object{},
+		Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
 	conf := types.Config{Importer: m}
 	pkg, err := conf.Check(path, m.Fset, files, info)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"qtrade/internal/ledger"
+	"qtrade/internal/obs"
 	"qtrade/internal/trading"
 )
 
@@ -13,8 +14,9 @@ import (
 // the ExecResp; detaching stops recording.
 func TestSellerLedgerAudit(t *testing.T) {
 	n := myconosNode(t, nil)
-	led := ledger.New(4)
+	led, m := ledger.New(4), obs.NewMetrics()
 	n.SetLedger(led)
+	n.SetObs(nil, m)
 
 	offers, err := bidOffers(n.RequestBids(paperRFB()))
 	if err != nil {
@@ -59,13 +61,11 @@ func TestSellerLedgerAudit(t *testing.T) {
 	if served.Bytes <= 0 || served.WallMS < 0 {
 		t.Fatalf("served actuals: %+v", served)
 	}
-	rep := led.Calibration()
-	phases := map[string]bool{}
-	for _, p := range rep.Phases {
-		phases[p.Phase] = true
-	}
-	if !phases[ledger.PhaseRewrite.String()] || !phases[ledger.PhasePricing.String()] {
-		t.Fatalf("phase breakdown missing rewrite/pricing: %+v", rep.Phases)
+	// The pricing's durations are the registry's, one histogram per phase.
+	for _, h := range []string{"rewrite_ms", "dp_ms", "price_ms"} {
+		if c := m.Histogram("node.myconos." + h).Count(); c != 1 {
+			t.Fatalf("%s holds %d samples for one priced query", h, c)
+		}
 	}
 
 	// A second identical RFB prices from the cache; the event must say so.

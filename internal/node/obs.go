@@ -20,14 +20,20 @@ type nodeObs struct {
 	ledger   *ledger.Ledger // seller-side pricing, serving and membership events
 	traceLog *obs.TraceLog  // the most recent subtrees shipped, for /trace/last
 
-	rfbs, rewritesEmpty, offersWon         *obs.Counter            // RFBs received, queries bid nothing on, awards
-	offersBy                               map[string]*obs.Counter // offers minted, by the kind of their draft
-	execs, execsPriced, execsText          *obs.Counter            // purchases opened: all, on the priced plan, from the text
-	cacheHits, cacheMisses, cacheEvictions *obs.Counter            // the price cache's
-	pricingsCoalesced, rfbsQueued          *obs.Counter            // single-flighted pricings, Depth-0 RFBs that waited
-	rfbQueueDepth, rfbsInflight            *obs.Gauge              // Depth-0 RFBs waiting for, and holding, admission
-	rewriteMS, dpMS, execMS                *obs.Histogram          // exec_ms per delivery, opening to end
+	rfbs, rewritesEmpty, offersWon         *obs.Counter              // RFBs received, queries bid nothing on, awards
+	offersBy                               map[string]*obs.Counter   // offers minted, by the kind of their draft
+	execs, execsPriced, execsText          *obs.Counter              // purchases opened: all, on the priced plan, from the text
+	cacheHits, cacheMisses, cacheEvictions *obs.Counter              // the price cache's
+	pricingsCoalesced, rfbsQueued          *obs.Counter              // single-flighted pricings, Depth-0 RFBs that waited
+	rfbQueueDepth, rfbsInflight            *obs.Gauge                // Depth-0 RFBs waiting for, and holding, admission
+	phaseMS                                map[string]*obs.Histogram // by phase, from sellerPhases
+	priceMS, execMS                        *obs.Histogram            // one query's whole pricing; a delivery, opening to end
 }
+
+// sellerPhases are the phases a pricing opens under its exchange, each with
+// the node.<id>.* histogram that keeps its durations (a cache hit's
+// dp-pricing ran no DP and keeps none).
+var sellerPhases = map[string]string{"rewrite": "rewrite_ms", "dp-pricing": "dp_ms", "subcontract": "subcontract_ms"}
 
 // observer is what a call reports to, from start to end.
 func (n *Node) observer() *nodeObs { return n.obsv.Load() }
@@ -171,13 +177,8 @@ func (p step) end(e *pricecache.Entry) {
 		p.sp.Set("partials", partials)
 	}
 	p.sp.End()
-	switch {
-	case p.name == "rewrite":
-		d := msSince(p.t0)
-		p.rewriteMS.Observe(d)
-		p.ledger.ObservePhase(ledger.PhaseRewrite, d)
-	case p.name == "dp-pricing" && !p.t0.IsZero():
-		p.dpMS.Observe(msSince(p.t0))
+	if !p.t0.IsZero() {
+		p.phaseMS[p.name].Observe(msSince(p.t0))
 	}
 }
 
@@ -204,7 +205,9 @@ func (x step) fetch(peerID string, peer deliverer, pol *trading.FaultPolicy, req
 // priced reports a query priced since t0: its offers, and whether S1 and S2
 // came from the price cache.
 func (o *nodeObs) priced(rfb trading.RFB, qid string, offers int, cached bool, t0 time.Time) {
-	o.ledger.Priced(rfb.RFBID, rfb.BuyerID, o.id, qid, offers, cached, msSince(t0))
+	d := msSince(t0)
+	o.priceMS.Observe(d)
+	o.ledger.Priced(rfb.RFBID, rfb.BuyerID, o.id, qid, offers, cached, d)
 }
 
 func (o *nodeObs) cacheMiss()          { o.cacheMisses.Inc() }
@@ -263,7 +266,10 @@ func (n *Node) SetObs(tr *obs.Tracer, m *obs.Metrics) {
 		cacheHits: c("pricecache_hits"), cacheMisses: c("pricecache_misses"), cacheEvictions: c("pricecache_evictions"),
 		pricingsCoalesced: c("pricings_coalesced"), rfbsQueued: c("rfbs_queued"),
 		rfbQueueDepth: m.Gauge(p + "rfb_queue_depth"), rfbsInflight: m.Gauge(p + "rfbs_inflight"),
-		rewriteMS: m.Histogram(p + "rewrite_ms"), dpMS: m.Histogram(p + "dp_ms"), execMS: m.Histogram(p + "exec_ms"),
+		phaseMS: map[string]*obs.Histogram{}, priceMS: m.Histogram(p + "price_ms"), execMS: m.Histogram(p + "exec_ms"),
+	}
+	for name, hist := range sellerPhases {
+		inst.phaseMS[name] = m.Histogram(p + hist)
 	}
 	n.swapObs(func(o *nodeObs) {
 		inst.ledger, inst.traceLog = o.ledger, o.traceLog

@@ -17,11 +17,10 @@ import (
 )
 
 // QueryRequest is one entry of the buyer's set Q: a query (as SQL text) the
-// buyer would like to purchase, with the buyer's strategic value estimate.
+// buyer would like to purchase.
 type QueryRequest struct {
-	QID      string
-	SQL      string
-	EstValue float64 // buyer's current estimate of the query's value (0 = unknown)
+	QID string
+	SQL string
 }
 
 // RFB is a request for bids (step B2 of the algorithm). Depth counts

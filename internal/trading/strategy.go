@@ -123,7 +123,6 @@ func (l *LoadAware) Observe(qid string, won bool) { l.Inner.Observe(qid, won) }
 func (l *LoadAware) load() float64 { return max(l.Load(), 0) }
 
 // AnchoredDiscount is the buyer's one strategy: it anchors on the best price
-// seen for a query and asks for this share of it, as the value estimate of B1
-// and as the bargaining counter-offer, pressuring sellers downward round over
-// round.
+// seen for a query and asks for this share of it as the bargaining
+// counter-offer, pressuring sellers downward round over round.
 const AnchoredDiscount = 0.9

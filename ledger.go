@@ -33,9 +33,9 @@ func WithLedger(capacity int) FederationOption {
 func (f *Federation) Ledger() *ledger.Ledger { return f.ledger }
 
 // CalibrationReport aggregates the ledger's economic telemetry: per-seller
-// quoted-vs-measured cost ratios, win rates and EWMA quote error, plus the
-// per-phase latency breakdown of the trading pipeline. Returns a zero Report
-// when the federation has no ledger.
+// quoted-vs-measured cost ratios, win rates and EWMA quote error. Where the
+// time went is the metrics registry's, one _ms histogram per phase. Returns a
+// zero Report when the federation has no ledger.
 func (f *Federation) CalibrationReport() ledger.Report {
 	if f.ledger == nil {
 		return ledger.Report{}
