@@ -735,26 +735,40 @@ func (g *planGen) wholePlanCandidates() []Candidate {
 			continue
 		}
 		var node plan.Node = info.remote()
-		local := 0.0
+		local, rows := 0.0, info.o.Props.Rows
 		if len(g.sel.OrderBy) > 0 {
-			keys := make([]plan.SortKey, 0, len(g.sel.OrderBy))
-			for _, ob := range g.sel.OrderBy {
-				key := sortKeyForOutput(ob.Expr, info.schema)
-				if expr.HasAgg(key) || !bindable(key, info.schema) {
-					break // a key the offer's columns cannot express
-				}
-				keys = append(keys, plan.SortKey{Expr: key, Desc: ob.Desc})
-			}
-			if len(keys) < len(g.sel.OrderBy) {
+			local += g.model.Sort(rows)
+		}
+		if g.sel.Limit >= 0 {
+			rows = min(rows, g.sel.Limit)
+		}
+		if !g.hasAgg && !listsSelect(g.sel, info.schema) {
+			// Rows whose columns are not the select list (a column repeated,
+			// or one the seller added for its WHERE): the query's own tail
+			// projects them.
+			root, err := plan.FinalizeSelect(g.sel, node)
+			if err != nil {
 				continue
 			}
-			node = &plan.Sort{Input: node, Keys: keys}
-			local += g.model.Sort(info.o.Props.Rows)
-		}
-		rows := info.o.Props.Rows
-		if g.sel.Limit >= 0 {
-			node = &plan.Limit{Input: node, N: g.sel.Limit}
-			rows = min(rows, g.sel.Limit)
+			node = root
+		} else {
+			if len(g.sel.OrderBy) > 0 {
+				keys := make([]plan.SortKey, 0, len(g.sel.OrderBy))
+				for _, ob := range g.sel.OrderBy {
+					key := sortKeyForOutput(ob.Expr, info.schema)
+					if expr.HasAgg(key) || !bindable(key, info.schema) {
+						break // a key the offer's columns cannot express
+					}
+					keys = append(keys, plan.SortKey{Expr: key, Desc: ob.Desc})
+				}
+				if len(keys) < len(g.sel.OrderBy) {
+					continue
+				}
+				node = &plan.Sort{Input: node, Keys: keys}
+			}
+			if g.sel.Limit >= 0 {
+				node = &plan.Limit{Input: node, N: g.sel.Limit}
+			}
 		}
 		noteSpine(node, nil, rows)
 		out = append(out, Candidate{
@@ -766,6 +780,29 @@ func (g *planGen) wholePlanCandidates() []Candidate {
 		})
 	}
 	return out
+}
+
+// listsSelect reports whether schema is what sel's select list outputs: a
+// star, or per item either the plain column it names or an output the seller
+// computed or renamed — base columns carry their binding, outputs do not.
+func listsSelect(sel *sqlparse.Select, schema []expr.ColumnID) bool {
+	if len(sel.Items) == 1 && sel.Items[0].Star {
+		return true
+	}
+	if len(sel.Items) != len(schema) {
+		return false
+	}
+	for i, it := range sel.Items {
+		c, isCol := it.Expr.(*expr.Column)
+		switch s := schema[i]; {
+		case it.Star:
+			return false
+		case s.Table == "":
+		case !isCol || !strings.EqualFold(c.Name, s.Name) || !strings.EqualFold(c.Table, s.Table):
+			return false
+		}
+	}
+	return true
 }
 
 // noteSpine stamps the final row estimate on the single-input operators
