@@ -2,28 +2,31 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"qtrade/internal/catalog"
+	"qtrade/internal/cost"
+	"qtrade/internal/ledger"
 	"qtrade/internal/localopt"
 	"qtrade/internal/qgraph"
 	"qtrade/internal/sqlparse"
+	"qtrade/internal/trading"
 	"qtrade/internal/value"
 )
 
-// analyseReference is the analyser as it was before it kept anything: every
-// call rebuilds the graph, every subquery and every restricted clone, and
-// walks all candidates whether or not maxNew texts are out. The kept analyser
-// must return the same texts in the same order and leave asked the same.
+// analyseReference is the analyser's proposals as they were before it kept
+// anything: every call rebuilds the graph, every subquery and every
+// restricted clone, and walks all candidates whether or not maxNew texts are
+// out (maxNew <= 0: no bound). The kept analyser must propose the same texts
+// in the same order and, marking them, leave asked the same.
 func analyseReference(sel *sqlparse.Select, sch *catalog.Schema, cands []Candidate, asked map[string]bool, maxNew int) []string {
-	if maxNew <= 0 {
-		maxNew = maxNewQueries
-	}
 	var out []string
 	add := func(sub *sqlparse.Select) {
-		if len(out) >= maxNew {
+		if maxNew > 0 && len(out) >= maxNew {
 			return
 		}
 		sql := sub.SQL()
@@ -113,7 +116,15 @@ func TestAnalyserMatchesReference(t *testing.T) {
 				}
 			}
 			maxNew := []int{0, 1, 3, 12, 40}[rng.Intn(5)]
-			got := an.next(cands, askedGot, maxNew)
+			var got []string
+			for _, p := range an.propose(cands) {
+				if maxNew > 0 && len(got) == maxNew {
+					break
+				}
+				if sql, isNew := an.ask(p, askedGot); isNew {
+					got = append(got, sql)
+				}
+			}
 			want := analyseReference(sel, sch, cands, askedWant, maxNew)
 			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(askedGot, askedWant) {
 				t.Fatalf("seed %d iteration %d (maxNew %d, candidates %+v):\n got %q\nwant %q", seed, iter, maxNew, cands, got, want)
@@ -127,10 +138,10 @@ func TestAnalyserMatchesReference(t *testing.T) {
 
 var benchQueries []string
 
-// BenchmarkAnalyse is the predicates analyser over one negotiation of the
-// chain_parts shape: 3 relations × 14 partitions, 5 iterations whose top three
-// candidates union every relation and join two pairs, 12 new queries at most
-// per iteration.
+// BenchmarkAnalyse is the predicates analyser's proposals over one
+// negotiation of the chain_parts shape: 3 relations × 14 partitions, 5
+// iterations whose top three candidates union every relation and join two
+// pairs, 12 of the proposals asked per iteration.
 func BenchmarkAnalyse(b *testing.B) {
 	sch := chainSchema(3, 14, 80)
 	sel := sqlparse.MustParseSelect(chain3)
@@ -141,7 +152,90 @@ func BenchmarkAnalyse(b *testing.B) {
 		an := newAnalyser(sel, sch)
 		asked := map[string]bool{sel.SQL(): true}
 		for iter := 0; iter < 5; iter++ {
-			benchQueries = an.next(cands, asked, maxNewQueries)
+			benchQueries = benchQueries[:0]
+			for _, p := range an.propose(cands) {
+				if len(benchQueries) == 12 {
+					break
+				}
+				if sql, isNew := an.ask(p, asked); isNew {
+					benchQueries = append(benchQueries, sql)
+				}
+			}
+		}
+	}
+}
+
+// TestPredictedOffersAreNeverBought: the offers the analyser predicts live
+// only inside its pricing run. Over a negotiation in which they decide what
+// is asked, every offer the Result keeps standing, every award and every
+// fetch names an offer a seller made: one the ledger recorded as a bid.
+func TestPredictedOffersAreNeverBought(t *testing.T) {
+	f := splitFederation(t)
+	cfg, _ := flightCfg(f)
+	res := optimizeAndRunTraced(t, f, cfg, splitQuery)
+	if res.Stats.Iterations < 2 || res.Stats.QueriesAsked < 2 {
+		t.Fatalf("the analyser asked nothing: %+v", res.Stats)
+	}
+	bids := map[string]bool{}
+	var named []string
+	for _, e := range res.LedgerRec.Snapshot().Events {
+		switch e.Kind {
+		case ledger.KindBid:
+			bids[e.OfferID] = true
+		case ledger.KindAward, ledger.KindFetch:
+			named = append(named, e.Kind+" "+e.OfferID)
+		}
+	}
+	for _, o := range res.Pool {
+		named = append(named, "standing "+o.OfferID)
+	}
+	for _, o := range res.Candidate.Offers {
+		named = append(named, "bought "+o.OfferID)
+	}
+	for _, n := range named {
+		id := n[strings.IndexByte(n, ' ')+1:]
+		if !bids[id] || strings.HasPrefix(id, predictedID) {
+			t.Errorf("%s: no seller made this offer", n)
+		}
+	}
+}
+
+// TestRestrictionIsPricedByShare: a partition restriction is predicted as
+// the offer it narrows, its time beyond the first row and its rows and bytes
+// scaled by the share of the offer's partitions it keeps; the time to the
+// first row and the buyer's latency correction are not scaled.
+func TestRestrictionIsPricedByShare(t *testing.T) {
+	sch := chainSchema(1, 4, 100)
+	sel := sqlparse.MustParseSelect("SELECT r1.pk FROM r1")
+	gen, err := newPlanGen(sel, sch, cost.Default(), GenDP, 0, func(string) float64 { return 0.25 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen.take(trading.Offer{OfferID: "o1", SellerID: "s", SQL: "SELECT r1.pk FROM r1 WHERE r1.pk < 200",
+		Bindings: []string{"r1"}, Parts: map[string][]string{"r1": {"p0", "p1"}},
+		Cols: []trading.ColSpec{{Table: "r1", Name: "pk"}}, Price: 11.5,
+		Props: cost.Valuation{TotalTime: 11.5, FirstRow: 1.5, Rows: 200, Bytes: 1600}})
+	an := newAnalyser(sel, sch)
+	props := an.propose([]Candidate{{UnionBindings: []string{"r1"}}})
+	if len(props) != 4 {
+		t.Fatalf("%d restrictions proposed, want one per partition", len(props))
+	}
+	held := holdings(gen)
+	for k, p := range props {
+		preds := an.predict(gen, held, p)
+		if k >= 2 { // p2 and p3: the offer does not cover them
+			if len(preds) != 0 {
+				t.Fatalf("p%d: predicted from an offer that does not hold it: %+v", k, preds)
+			}
+			continue
+		}
+		if len(preds) != 1 {
+			t.Fatalf("p%d: %d predictions, want 1", k, len(preds))
+		}
+		o := preds[0]
+		// 1.5 to the first row, half of the other 10, and 0.5 of round trip.
+		if o.Props.TotalTime != 7 || o.Props.Rows != 100 || o.Props.Bytes != 800 || math.Abs(o.Price-6.5) > 1e-9 || o.SellerID != "s" {
+			t.Errorf("p%d: predicted %+v", k, o)
 		}
 	}
 }

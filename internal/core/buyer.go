@@ -105,12 +105,8 @@ type Config struct {
 	FetchBatchRows int
 }
 
-// The loop's two fixed bounds: the M of IDP-M(2, M), and how many new queries
-// the predicates analyser may propose per iteration.
-const (
-	idpKeep       = 5
-	maxNewQueries = 12
-)
+// idpKeep is the M of IDP-M(2, M).
+const idpKeep = 5
 
 // Stats reports what one optimization cost.
 type Stats struct {
@@ -293,6 +289,7 @@ func optimize(cfg Config, comm Comm, sql string, exclude map[string]bool) (*Resu
 				return nil, fmt.Errorf("core: no distributed plan possible: %w", err)
 			}
 			ob.iterationEnd()
+			ob.stopped(0)
 			break
 		}
 		ph.sp.Set("candidates", len(cands))
@@ -303,16 +300,19 @@ func optimize(cfg Config, comm Comm, sql string, exclude map[string]bool) (*Resu
 		}
 		ob.planned(improved, ValueOf(cfg.Weight, best))
 
-		// B5/B6: the predicates analyser proposes the next round's queries
-		// from the top candidates.
+		// B5/B6: the predicates analyser prices what the top candidates call
+		// for and proposes the queries the predicted best plan buys.
 		ph = ob.phase(phAnalyse)
-		newSQLs := analyse.next(cands[:min(3, len(cands))], asked, maxNewQueries)
+		newSQLs, priced := analyse.next(gen, cands[:min(3, len(cands))], best, cfg.Weight, asked)
+		ph.sp.Set("priced", priced)
 		ph.sp.Set("new_queries", len(newSQLs))
 		ph.end()
 		ob.iterationEnd()
 		// B7: terminate when neither the plan nor Q changed — or when Q did not
-		// change and no seller owes an answer, so the pool cannot change.
+		// change and no seller owes an answer, so the pool cannot change. Q does
+		// not change when the predicted best does not beat the plan.
 		if len(newSQLs) == 0 && (!improved || !owed(&cfg, view, queries)) {
+			ob.stopped(priced)
 			break
 		}
 		for _, s := range newSQLs {

@@ -52,6 +52,7 @@ type negObs struct {
 
 	negID   string    // first RFB id: the negotiation's name in ledger and dossier
 	iter    int       // current iteration, 1-based
+	stop    string    // why the loop ended: stopUnchanged, stopPredicted or stopBound
 	roundT0 time.Time // when the current RFB went out: the ledger's round wall starts here
 
 	rfbsSent, offersRecv *obs.Counter
@@ -172,6 +173,24 @@ func (o *negObs) planned(improved bool, bestValue float64) {
 	}
 }
 
+// Why the trading loop stopped, as the optimize span's and the ledger
+// record's "stop" attribute reads.
+const (
+	stopUnchanged = "unchanged" // B7, the paper's rule: neither the plan nor Q changed
+	stopPredicted = "predicted" // B7's added clause: the plan priced from predicted offers does not beat the plan
+	stopBound     = "bound"     // MaxIterations
+)
+
+// stopped records that B7 ended the loop after the analyser priced that many
+// proposals: by the paper's rule when there were none to price, else because
+// the plan they predicted did not beat the standing one.
+func (o *negObs) stopped(priced int) {
+	o.stop = stopUnchanged
+	if priced > 0 {
+		o.stop = stopPredicted
+	}
+}
+
 // awarded records one purchase (B8).
 func (o *negObs) awarded(of trading.Offer) {
 	o.rec.Award(of.SellerID, of.QID, of.OfferID, of.Props.TotalTime, of.Price)
@@ -182,6 +201,13 @@ func (o *negObs) awarded(of trading.Offer) {
 // and fetch_ms histograms and — when there is a record to file the dossier
 // on — the flight capture.
 func (o *negObs) done(res *Result) *Result {
+	if o.stop == "" && o.iter > 0 {
+		o.stop = stopBound // the loop ran out of iterations
+	}
+	if o.stop != "" {
+		o.root.Set("stop", o.stop)
+		o.rec.Stopped(o.stop)
+	}
 	o.stats.EmptyBidResponses = int(o.empty.Load())
 	o.stats.WallTime = time.Since(o.start)
 	o.optimizeMS.Observe(ms(o.stats.WallTime))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -14,6 +15,7 @@ import (
 	"qtrade/internal/obs"
 	"qtrade/internal/plan"
 	"qtrade/internal/trading"
+	"qtrade/internal/value"
 )
 
 // TestOptimizeIsTheLoop holds the observation seam by construction: the body
@@ -69,30 +71,78 @@ func (s *sentRFBs) RequestBids(rfb trading.RFB) (trading.BidReply, error) {
 	return s.inner.RequestBids(rfb)
 }
 
+// splitFederation is a buyer, athens, holding nothing, and two sellers of
+// one relation r1 (four partitions of 500 rows): corfu holds p0 and p1,
+// myconos p2 and p3. Each seller's first offer covers two partitions, so the
+// analyser predicts that asking for them one by one pays, and it does:
+// splitQuery negotiates over two iterations and improves in the second.
+func splitFederation(t *testing.T) *federation {
+	t.Helper()
+	sch := chainSchema(1, 4, 500)
+	def, _ := sch.Table("r1")
+	f := &federation{sch: sch, net: netsim.New()}
+	seller := func(id string, parts ...int) *node.Node {
+		n := node.New(node.Config{ID: id, Schema: sch})
+		for _, p := range parts {
+			pid := fmt.Sprintf("p%d", p)
+			if _, err := n.Store().CreateFragment(def, pid); err != nil {
+				t.Fatal(err)
+			}
+			for k := p * 500; k < (p+1)*500; k++ {
+				row := value.Row{value.NewInt(int64(k)), value.NewInt(int64(k % 7)), value.NewFloat(float64(k) / 10)}
+				if err := n.Store().Insert("r1", pid, row); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		f.net.Register(id, n)
+		return n
+	}
+	f.athens, f.corfu, f.myc = seller("athens"), seller("corfu", 0, 1), seller("myconos", 2, 3)
+	return f
+}
+
+const splitQuery = "SELECT r1.pk, r1.v FROM r1"
+
 // TestQueriesAskedIsWhatWasSent pins Stats.QueriesAsked to the number of
 // distinct queries the negotiation sent — the sum of the widths of the RFBs
-// the buyer's own node was sent — on both exits of the loop: B7 (neither the
-// plan nor Q changed) and the iteration bound, where the analyser's last
-// proposals are never sent.
+// the buyer's own node was sent — on every exit of the loop, each named by
+// the "stop" attribute of the optimize span and the ledger record: B7 by the
+// paper's rule (neither the plan nor Q changed: nothing left to propose), B7
+// by its predicted clause (the proposals priced, none beat the plan) and the
+// iteration bound, where the analyser's last proposals are never sent.
 func TestQueriesAskedIsWhatWasSent(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
+		fed     func(*testing.T) *federation
+		sql     string
 		maxIter int
-		bounded bool
-	}{{"B7", 0, false}, {"MaxIterations", 1, true}} {
+		stop    string
+	}{
+		{"B7", splitFederation, splitQuery, 0, stopUnchanged},
+		{"B7-predicted", func(t *testing.T) *federation { return buildFederation(t, nil) }, paperQuery, 0, stopPredicted},
+		{"MaxIterations", splitFederation, splitQuery, 1, stopBound},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			f := buildFederation(t, nil)
+			f := tc.fed(t)
 			cfg := athensCfg(f)
 			sent := &sentRFBs{inner: f.athens}
 			cfg.Self = sent
 			cfg.MaxIterations = tc.maxIter
-			res, err := Optimize(cfg, &NetComm{Net: f.net, SelfID: "athens"}, paperQuery)
+			cfg.Tracer, cfg.Ledger = obs.NewTracer(), ledger.New(4)
+			res, err := Optimize(cfg, &NetComm{Net: f.net, SelfID: "athens"}, tc.sql)
 			if err != nil {
 				t.Fatal(err)
 			}
 			st := res.Stats
-			if hitBound := st.Iterations == cfg.withDefaults().MaxIterations; hitBound != tc.bounded {
+			if hitBound := st.Iterations == cfg.withDefaults().MaxIterations; hitBound != (tc.stop == stopBound) {
 				t.Fatalf("negotiation ran %d iterations: wrong exit for this case", st.Iterations)
+			}
+			if got := res.LedgerRec.Snapshot().Stop; got != tc.stop {
+				t.Errorf("ledger record: stop=%q, want %q", got, tc.stop)
+			}
+			if roots := cfg.Tracer.Roots(); len(roots) != 1 || !hasAttr(roots[0], "stop", tc.stop) {
+				t.Errorf("optimize span does not read stop=%s", tc.stop)
 			}
 			total := 0
 			for _, w := range sent.queries {
@@ -109,9 +159,9 @@ func TestQueriesAskedIsWhatWasSent(t *testing.T) {
 // every sink on and checks that spans, instruments, ledger events, Stats and
 // the dossier tell the same story: they are all fed from the one observer.
 func TestSinksAgree(t *testing.T) {
-	f := buildFederation(t, nil)
+	f := splitFederation(t)
 	cfg, rec := flightCfg(f)
-	res := optimizeAndRunTraced(t, f, cfg, paperQuery)
+	res := optimizeAndRunTraced(t, f, cfg, splitQuery)
 	st := res.Stats
 	if st.Iterations < 2 {
 		t.Fatalf("want a multi-iteration negotiation, got %d", st.Iterations)

@@ -147,10 +147,11 @@ type planGen struct {
 	partBit     []map[string]uint // by binding index: partition id -> bit
 	fullMask    []uint            // by binding index: all relevant partitions
 	hasAgg      bool
-	empty       *Candidate            // the whole answer, when the query provably has no rows
-	pool        map[string]*offerInfo // seller, SQL and coverage -> the cheapest such offer received
-	offers      []*offerInfo          // the pool, by OfferID
-	groups      []*offerGroup         // by (mask, key)
+	empty       *Candidate                // the whole answer, when the query provably has no rows
+	pool        map[string]*offerInfo     // seller, SQL and coverage -> the cheapest such offer received
+	offers      []*offerInfo              // the pool, by OfferID
+	groups      []*offerGroup             // by (mask, key)
+	table       joinorder.Plan[*assembly] // what the last run solved, by binding subset
 }
 
 // GenerateWithLatency builds candidate plans for sel from the offer pool,
@@ -272,6 +273,12 @@ func (g *planGen) put(o trading.Offer) *offerInfo {
 	if g.peerLatency != nil {
 		o.Props.TotalTime += 2 * g.peerLatency(o.SellerID)
 	}
+	return g.add(o, quoted)
+}
+
+// add adds o, its total time already corrected for the buyer's latency to
+// its seller, to the pool as a new entry.
+func (g *planGen) add(o trading.Offer, quoted float64) *offerInfo {
 	info, key := g.decode(&o)
 	info.quoted = quoted
 	g.offers = insertByID(g.offers, info)
@@ -291,14 +298,33 @@ func (g *planGen) put(o trading.Offer) *offerInfo {
 	return info
 }
 
-// drop removes an entry from the pool.
+// drop removes an entry from the pool, and its group when it was the last.
 func (g *planGen) drop(info *offerInfo) {
 	gone := func(x *offerInfo) bool { return x == info }
 	if grp := info.group; grp != nil {
 		grp.offers = slices.DeleteFunc(grp.offers, gone)
 		clear(grp.covers)
+		if len(grp.offers) == 0 {
+			g.groups = slices.DeleteFunc(g.groups, func(x *offerGroup) bool { return x == grp })
+		}
 	}
 	g.offers = slices.DeleteFunc(g.offers, gone)
+}
+
+// try builds the candidates of the pool plus offers no seller made — the
+// predicates analyser's predictions, already corrected for latency — and
+// leaves the pool as it was: none of them can be bought, standing or awarded.
+func (g *planGen) try(predicted []trading.Offer) ([]Candidate, error) {
+	infos := make([]*offerInfo, len(predicted))
+	for i, o := range predicted {
+		infos[i] = g.add(o, o.Props.TotalTime)
+	}
+	defer func() {
+		for _, info := range infos {
+			g.drop(info)
+		}
+	}()
+	return g.run()
 }
 
 // standing lists the pool's offers as they were received, in OfferID order.
@@ -413,6 +439,7 @@ func (g *planGen) run() ([]Candidate, error) {
 	} else {
 		dp.Solve(1, n)
 	}
+	g.table = dp
 
 	var out []Candidate
 	for _, a := range dp.At(uint(1)<<n - 1) {

@@ -81,6 +81,7 @@ type Negotiation struct {
 	SQL     string    `json:"sql,omitempty"`
 	Start   time.Time `json:"start"`
 	Awarded bool      `json:"awarded"`
+	Stop    string    `json:"stop,omitempty"` // why the buyer's trading loop ended (unchanged, predicted, bound)
 	Events  []Event   `json:"events"`
 }
 
@@ -212,6 +213,16 @@ func (r *Rec) Name(id string) {
 	r.l.mu.Lock()
 	r.l.indexLocked(id, r)
 	r.l.mu.Unlock()
+}
+
+// Stopped records why the buyer's trading loop ended.
+func (r *Rec) Stopped(reason string) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.n.Stop = reason
+	r.mu.Unlock()
 }
 
 // Bid records one received offer and counts it toward the seller's

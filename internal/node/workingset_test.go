@@ -4,28 +4,45 @@ import (
 	"fmt"
 	"testing"
 
+	"qtrade/internal/core"
 	"qtrade/internal/obs"
+	"qtrade/internal/plan"
+	"qtrade/internal/sqlparse"
+	"qtrade/internal/trading"
 	"qtrade/internal/workload"
 )
 
 // TestPriceCacheHoldsTheWorkingSet: on the chain_parts shape — 3 relations of
 // 14 partitions over 8 nodes, so each node holds 1–2 partitions of each —
-// a node is asked hundreds of texts over a 40-query list, most of which it
-// fails to price (its partitions contradict the query predicate). At the
-// default capacity the failures have an LRU of their own, so a second pass
-// over the list prices nothing: no node misses again or evicts, and every
-// text it is asked is a hit.
+// a node is asked hundreds of texts over a 40-query list (each query, its
+// join subquery and every partition restriction of each relation: all a
+// negotiation over it can ask), most of which it fails to price (its
+// partitions contradict the query predicate). At the default capacity the
+// failures have an LRU of their own, so a second pass over the list prices
+// nothing: no node misses again or evicts, and every text it is asked is a
+// hit.
 func TestPriceCacheHoldsTheWorkingSet(t *testing.T) {
 	opts := workload.ChainOptions{Relations: 3, RowsPerRel: 1120, Parts: 14, Nodes: 8, Replicas: 1, SkipOracleData: true}
 	f := workload.NewChain(opts)
 	m := obs.NewMetrics()
 	f.SetObs(nil, m)
 	base := workload.ChainQuery(opts, 1)
+	every := []core.Candidate{{JoinSubsets: [][]string{{"r1", "r2"}}, UnionBindings: []string{"r1", "r2", "r3"}}}
+	rfbs := 0
 	pass := func() {
 		t.Helper()
 		for x := 1081; x <= 1120; x++ {
-			if _, err := f.Optimize(f.BuyerConfig(), fmt.Sprintf("%s AND r1.pk < %d", base, x)); err != nil {
-				t.Fatal(err)
+			sel := sqlparse.MustParseSelect(fmt.Sprintf("%s AND r1.pk < %d", base, x))
+			plan.Qualify(sel, f.Schema)
+			rfbs++
+			rfb := trading.RFB{RFBID: fmt.Sprintf("ws%d", rfbs), BuyerID: f.Buyer, Queries: []trading.QueryRequest{{QID: "q0", SQL: sel.SQL()}}}
+			for i, sql := range core.Analyse(sel, f.Schema, every, map[string]bool{sel.SQL(): true}, 0) {
+				rfb.Queries = append(rfb.Queries, trading.QueryRequest{QID: fmt.Sprintf("q%d", i+1), SQL: sql})
+			}
+			for _, n := range f.Nodes {
+				if _, err := n.RequestBids(rfb); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}

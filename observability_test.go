@@ -8,6 +8,7 @@ package qtrade
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strconv"
 	"strings"
 	"sync"
@@ -44,9 +45,33 @@ func tracerOf(t *testing.T, p *Plan) *obs.Tracer {
 	return p.tracer
 }
 
+// buildSplitFed is a buyer, hq, and two sellers of one relation r (four
+// partitions of 500 rows): corfu holds p0 and p1, myconos p2 and p3. Each
+// seller's first offer covers two partitions, so the buyer asks for them one
+// by one in a second iteration.
+func buildSplitFed() *Federation {
+	sch := NewSchema()
+	sch.MustTable("r", Col("pk", Int), Col("v", Float))
+	sch.MustPartition("r", Part("p0", "pk < 500"), Part("p1", "pk >= 500 AND pk < 1000"),
+		Part("p2", "pk >= 1000 AND pk < 1500"), Part("p3", "pk >= 1500"))
+	fed := NewFederation(sch)
+	for id, parts := range map[string][]int{"corfu": {0, 1}, "myconos": {2, 3}} {
+		n := fed.MustAddNode(id)
+		for _, p := range parts {
+			pid := fmt.Sprintf("p%d", p)
+			n.MustCreateFragment("r", pid)
+			for k := p * 500; k < (p+1)*500; k++ {
+				n.MustInsert("r", pid, Row(k, float64(k)/10))
+			}
+		}
+	}
+	fed.MustAddNode("hq")
+	return fed
+}
+
 func TestTraceSpanTreeShape(t *testing.T) {
-	fed := buildBenchFed()
-	p, err := fed.Optimize("hq", benchTotalsQuery, WithTrace())
+	fed := buildSplitFed()
+	p, err := fed.Optimize("hq", "SELECT r.pk, r.v FROM r", WithTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
