@@ -142,7 +142,7 @@ func (a *analyser) next(gen *planGen, cands []Candidate, best *Candidate, w cost
 	of := map[string]int{} // predicted offer id -> its proposal
 	for k, p := range props {
 		for _, o := range a.predict(gen, held, p) {
-			o.OfferID = fmt.Sprintf("%s%d.%d", predictedID, k, len(preds))
+			o.OfferID = fmt.Sprintf("%s%d", predictedID, len(preds))
 			of[o.OfferID] = k
 			preds = append(preds, o)
 		}
@@ -175,12 +175,12 @@ func (a *analyser) next(gen *planGen, cands []Candidate, best *Candidate, w cost
 // seller's ids, so a received offer wins every tie with a predicted one.
 const predictedID = "~predicted-"
 
-// predict prices proposal p from the pool, as offers no seller made: ids and
-// texts are the caller's to give. A partition restriction is the offer it
-// narrows — each pool offer of the relation alone that covers the partition
-// among others — its time past the first row scaled by the share of that
-// offer's partitions it keeps; the time to the first row and the buyer's
-// latency correction are not scaled. The buyer holds no row counts, so the
+// predict prices proposal p from the pool, as offers no seller made: the
+// caller gives them ids, and they carry no text, since none is ever asked
+// for. A partition restriction is the offer it narrows — each pool offer of
+// the relation alone that covers the partition among others — its time past
+// the first row scaled by the share of that offer's partitions it keeps; the
+// time to the first row and the buyer's latency correction are not scaled. The buyer holds no row counts, so the
 // share is by partition count, and the rows are what the pool's offers of
 // one partition of the relation carry (the most of them), or the share of
 // the narrowed offer's where there are none. A join subquery is its subset's

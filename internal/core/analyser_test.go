@@ -238,4 +238,14 @@ func TestRestrictionIsPricedByShare(t *testing.T) {
 			t.Errorf("p%d: predicted %+v", k, o)
 		}
 	}
+	// Where the pool holds offers of one partition of the relation, their
+	// rows are what a partition carries: the most of them, bytes in step.
+	for id, rows := range map[string]int64{"p2": 60, "p3": 40} {
+		gen.take(trading.Offer{OfferID: "o-" + id, SellerID: "t", SQL: "SELECT r1.pk FROM r1 WHERE " + id,
+			Bindings: []string{"r1"}, Parts: map[string][]string{"r1": {id}},
+			Cols: []trading.ColSpec{{Table: "r1", Name: "pk"}}, Props: cost.Valuation{TotalTime: 2, FirstRow: 1.5, Rows: rows}})
+	}
+	if o := an.predict(gen, holdings(gen), props[0]); len(o) != 1 || o[0].Props.TotalTime != 7 || o[0].Props.Rows != 60 || o[0].Props.Bytes != 480 {
+		t.Errorf("p0 beside offers of one partition: predicted %+v", o)
+	}
 }

@@ -128,8 +128,8 @@ func TestGeneratedQueriesMatchTheOracle(t *testing.T) {
 				continue
 			}
 			wrong := func(s GenQuery) bool { err := tr.mismatch(s.SQL()); return err != nil && err != errRefused }
-			min := Shrink(q, wrong)
-			t.Fatalf("trial %d: %s\nquery:   %s\n%v\nshrunk:  %s\n%v", trial, tr.label, q.SQL(), err, min.SQL(), tr.mismatch(min.SQL()))
+			shrunk := Shrink(q, wrong)
+			t.Fatalf("trial %d: %s\nquery:   %s\n%v\nshrunk:  %s\n%v", trial, tr.label, q.SQL(), err, shrunk.SQL(), tr.mismatch(shrunk.SQL()))
 		}
 	}
 	t.Logf("%d trials, %d generated queries (%d refused) in %v", trial, queries, refused, time.Since(start).Round(time.Millisecond))
