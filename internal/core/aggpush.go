@@ -47,12 +47,12 @@ func (g *planGen) partialAggCandidates() []Candidate {
 		}
 		noteSpine(root, a.node, groups)
 		out = append(out, Candidate{
-			Root:          root,
-			ResponseTime:  a.remoteMax + local,
-			TotalWork:     a.remoteSum + local,
-			Rows:          groups,
-			Offers:        a.offered(),
-			UnionBindings: dedupStrings(a.unions),
+			Root:         root,
+			ResponseTime: a.remoteMax + local,
+			TotalWork:    a.remoteSum + local,
+			Rows:         groups,
+			Offers:       a.offered(),
+			Unions:       a.unions,
 		})
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].ResponseTime < out[j].ResponseTime })

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
+	"strings"
 
 	"qtrade/internal/catalog"
 	"qtrade/internal/cost"
@@ -20,12 +22,12 @@ import (
 //
 // Two families of queries are derived:
 //
-//   - join subqueries: for every binding subset a candidate joined locally,
+//   - join subqueries: for every relation subset a candidate joined locally,
 //     the corresponding subquery, so sellers can bid on the join itself (a
 //     seller co-located with both sides evaluates it far cheaper than the
 //     buyer can join two shipped answers);
 //
-//   - partition-restricted subqueries: for every binding whose extent a
+//   - partition-restricted subqueries: for every relation whose extent a
 //     candidate assembled by unioning several offers, one subquery per
 //     relevant partition (the paper's redundancy-elimination example:
 //     restricting overlapping offered extents so cheaper, non-redundant
@@ -40,7 +42,8 @@ type analyser struct {
 	sel      *sqlparse.Select
 	sch      *catalog.Schema
 	g        *qgraph.Graph
-	subquery func(bindings []string) *sqlparse.Select
+	subquery func(mask uint) *sqlparse.Select
+	byName   []int         // FROM positions in binding-name order, the order unioned relations are restricted in
 	joins    map[uint]bool // join subqueries asked, by relation subset
 	rels     []*restricted // by FROM position; nil until a candidate unions the relation
 }
@@ -63,7 +66,13 @@ type proposal struct {
 
 func newAnalyser(sel *sqlparse.Select, sch *catalog.Schema) *analyser {
 	g := qgraph.New(sel)
-	return &analyser{sel: sel, sch: sch, g: g, subquery: localopt.SubqueriesOf(sel, g),
+	byName := make([]int, len(sel.From))
+	for i := range byName {
+		byName[i] = i
+	}
+	name := func(i int) string { return strings.ToLower(sel.From[i].Binding()) }
+	slices.SortStableFunc(byName, func(i, j int) int { return strings.Compare(name(i), name(j)) })
+	return &analyser{sel: sel, sch: sch, g: g, subquery: localopt.SubqueriesOf(sel, g), byName: byName,
 		joins: map[uint]bool{}, rels: make([]*restricted, len(sel.From))}
 }
 
@@ -79,20 +88,21 @@ func (a *analyser) propose(cands []Candidate) []proposal {
 			out = append(out, p)
 		}
 	}
+	n := len(a.sel.From)
 	for _, c := range cands {
-		for _, subset := range c.JoinSubsets {
-			if len(subset) < 2 || len(subset) >= len(a.sel.From) {
+		for _, mask := range c.Joins {
+			mask &= 1<<n - 1 // bits beyond the FROM list name no relation
+			if k := bits.OnesCount(mask); k < 2 || k == n {
 				continue // singles are implied; the full set is the query itself
 			}
-			if mask := a.g.Mask(subset); !a.joins[mask] {
+			if !a.joins[mask] {
 				add(proposal{mask: mask, rel: -1})
 			}
 		}
 	}
 	for _, c := range cands {
-		for _, b := range c.UnionBindings {
-			i, ok := a.g.Index(b)
-			if !ok {
+		for _, i := range a.byName {
+			if c.Unions&(1<<i) == 0 {
 				continue
 			}
 			r := a.restrictedTo(i)
@@ -111,13 +121,7 @@ func (a *analyser) propose(cands []Candidate) []proposal {
 func (a *analyser) ask(p proposal, asked map[string]bool) (sql string, isNew bool) {
 	if p.rel < 0 {
 		a.joins[p.mask] = true
-		var subset []string
-		for i, tr := range a.sel.From {
-			if p.mask&(1<<i) != 0 {
-				subset = append(subset, tr.Binding())
-			}
-		}
-		sql = a.subquery(subset).SQL()
+		sql = a.subquery(p.mask).SQL()
 	} else {
 		r := a.rels[p.rel]
 		r.asked[p.k] = true
@@ -138,13 +142,13 @@ func (a *analyser) ask(p proposal, asked map[string]bool) (sql string, isNew boo
 func (a *analyser) next(gen *planGen, cands []Candidate, best *Candidate, w cost.Weights, asked map[string]bool) (out []string, priced int) {
 	props := a.propose(cands)
 	held := holdings(gen)
-	var preds []trading.Offer
+	var preds []*offerInfo
 	of := map[string]int{} // predicted offer id -> its proposal
 	for k, p := range props {
-		for _, o := range a.predict(gen, held, p) {
-			o.OfferID = fmt.Sprintf("%s%d", predictedID, len(preds))
-			of[o.OfferID] = k
-			preds = append(preds, o)
+		for _, info := range a.predict(gen, held, p) {
+			info.o.OfferID = fmt.Sprintf("%s%d", predictedID, len(preds))
+			of[info.o.OfferID] = k
+			preds = append(preds, info)
 		}
 	}
 	if len(preds) == 0 {
@@ -175,23 +179,24 @@ func (a *analyser) next(gen *planGen, cands []Candidate, best *Candidate, w cost
 // seller's ids, so a received offer wins every tie with a predicted one.
 const predictedID = "~predicted-"
 
-// predict prices proposal p from the pool, as offers no seller made: the
-// caller gives them ids, and they carry no text, since none is ever asked
-// for. A partition restriction is the offer it narrows — each pool offer of
-// the relation alone that covers the partition among others — its time past
-// the first row scaled by the share of that offer's partitions it keeps; the
-// time to the first row and the buyer's latency correction are not scaled. The buyer holds no row counts, so the
-// share is by partition count, and the rows are what the pool's offers of
-// one partition of the relation carry (the most of them), or the share of
-// the narrowed offer's where there are none. A join subquery is its subset's
+// predict prices proposal p from the pool, as decoded entries no seller
+// offered: the caller gives them ids, and they carry no text, since none is
+// ever asked for. A partition restriction is the entry it narrows — each pool
+// entry of the relation alone that covers the partition among others — its
+// time past the first row scaled by the share of that entry's partitions it
+// keeps; the time to the first row and the buyer's latency correction are not
+// scaled. The buyer holds no row counts, so the share is by partition count,
+// and the rows are what the pool's offers of one partition of the relation
+// carry (the most of them), or the share of the narrowed entry's where there
+// are none. A join subquery is its subset's
 // best standing assembly less the buyer's local join and the transfer of its
 // inputs, the most a co-located seller could save, and never below the time
 // to the first row of the offers it replaces; it is predicted only where a
 // seller is co-located: one whose offers show it holding every relevant
 // partition of all the subset's relations but one, and some of that one.
-func (a *analyser) predict(gen *planGen, held map[string][]uint, p proposal) []trading.Offer {
+func (a *analyser) predict(gen *planGen, held map[string][]uint, p proposal) []*offerInfo {
 	if p.rel < 0 {
-		return a.predictJoin(gen, held, p.mask)
+		return predictJoin(gen, held, p.mask)
 	}
 	part := a.rels[p.rel].parts[p.k]
 	bit, mask := gen.partBit[p.rel][part.ID], uint(1)<<p.rel
@@ -201,7 +206,7 @@ func (a *analyser) predict(gen *planGen, held map[string][]uint, p proposal) []t
 			single = max(single, info.o.Props.Rows)
 		}
 	}
-	var out []trading.Offer
+	var out []*offerInfo
 	for _, info := range gen.offers {
 		if info.mask != mask || info.group == nil || info.partialAgg {
 			continue
@@ -211,10 +216,8 @@ func (a *analyser) predict(gen *planGen, held map[string][]uint, p proposal) []t
 			continue
 		}
 		share := 1 / float64(bits.OnesCount(pm))
-		o := info.o
+		o := trading.Offer{SellerID: info.o.SellerID, Props: info.o.Props, Price: info.o.Price}
 		quoted := o.Props.FirstRow + math.Max(info.quoted-o.Props.FirstRow, 0)*share
-		o.SQL, o.Complete = "", false
-		o.Parts = map[string][]string{gen.bindings[p.rel]: {part.ID}}
 		o.Props.TotalTime += quoted - info.quoted // the latency correction stays
 		rows := int64(math.Ceil(float64(o.Props.Rows) * share))
 		if single >= 0 {
@@ -227,16 +230,22 @@ func (a *analyser) predict(gen *planGen, held map[string][]uint, p proposal) []t
 		if info.quoted > 0 {
 			o.Price *= quoted / info.quoted
 		}
-		out = append(out, o)
+		partMask := make([]uint, len(gen.bindings))
+		partMask[p.rel] = bit
+		// Short of the partitions the narrowed entry had besides this one.
+		out = append(out, &offerInfo{o: o, quoted: o.Props.TotalTime, mask: mask,
+			partMask: partMask, short: mask, schema: info.schema})
 	}
 	return out
 }
 
 // predictJoin prices the join subquery of the relation subset mask (see
-// predict).
-func (a *analyser) predictJoin(gen *planGen, held map[string][]uint, mask uint) []trading.Offer {
+// predict). An aggregate query plans only from answers stripped of its
+// aggregation, and a join subquery has none to strip, so none is predicted
+// for one.
+func predictJoin(gen *planGen, held map[string][]uint, mask uint) []*offerInfo {
 	as := gen.table.At(mask)
-	if len(as) == 0 || as[0].localCost == 0 || !colocated(gen, held, mask) {
+	if gen.hasAgg || len(as) == 0 || as[0].localCost == 0 || !colocated(gen, held, mask) {
 		return nil
 	}
 	best := as[0]
@@ -244,24 +253,18 @@ func (a *analyser) predictJoin(gen *planGen, held map[string][]uint, mask uint) 
 	for _, info := range best.offers {
 		floor = math.Min(floor, info.o.Props.FirstRow+info.o.Props.TotalTime-info.quoted)
 	}
-	o := trading.Offer{Parts: map[string][]string{}}
-	for i, b := range gen.bindings {
-		if mask&(1<<i) == 0 {
-			continue
-		}
-		o.Bindings = append(o.Bindings, a.sel.From[i].Binding())
-		for pid := range gen.partBit[i] {
-			o.Parts[b] = append(o.Parts[b], pid)
-		}
-	}
-	for _, c := range best.schema {
-		o.Cols = append(o.Cols, trading.ColSpec{Table: c.Table, Name: c.Name})
-	}
+	var o trading.Offer
 	o.Props.TotalTime = math.Max(best.remoteMax-gen.model.Transfer(best.bytes), floor)
 	o.Props.FirstRow, o.Props.Rows, o.Props.Bytes = floor, best.rows, best.bytes
 	o.Props.Freshness, o.Props.Completeness = 1, 1
 	o.Price = o.Props.TotalTime
-	return []trading.Offer{o}
+	partMask := make([]uint, len(gen.bindings))
+	for i := range partMask {
+		if mask&(1<<i) != 0 {
+			partMask[i] = gen.fullMask[i]
+		}
+	}
+	return []*offerInfo{{o: o, quoted: o.Props.TotalTime, mask: mask, partMask: partMask, schema: best.schema}}
 }
 
 // holdings is what the pool shows each seller to hold: by seller, by
@@ -310,7 +313,7 @@ func colocated(gen *planGen, held map[string][]uint, mask uint) bool {
 func (a *analyser) restrictedTo(i int) *restricted {
 	if a.rels[i] == nil {
 		tr := a.sel.From[i]
-		r := &restricted{base: a.subquery([]string{tr.Binding()})}
+		r := &restricted{base: a.subquery(1 << i)}
 		for _, pid := range a.g.Relevant(a.sch, i) {
 			if p, ok := a.sch.Partition(tr.Name, pid); ok && p.Predicate != nil {
 				r.parts = append(r.parts, p)

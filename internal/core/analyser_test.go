@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -21,8 +23,10 @@ import (
 // analyseReference is the analyser's proposals as they were before it kept
 // anything: every call rebuilds the graph, every subquery and every
 // restricted clone, and walks all candidates whether or not maxNew texts are
-// out (maxNew <= 0: no bound). The kept analyser must propose the same texts
-// in the same order and, marking them, leave asked the same.
+// out (maxNew <= 0: no bound); a candidate's unioned relations are taken by
+// binding name, in name order, as candidates once named them. The kept
+// analyser must propose the same texts in the same order and, marking them,
+// leave asked the same.
 func analyseReference(sel *sqlparse.Select, sch *catalog.Schema, cands []Candidate, asked map[string]bool, maxNew int) []string {
 	var out []string
 	add := func(sub *sqlparse.Select) {
@@ -38,22 +42,27 @@ func analyseReference(sel *sqlparse.Select, sch *catalog.Schema, cands []Candida
 	}
 	g := qgraph.New(sel)
 	subquery := localopt.SubqueriesOf(sel, g)
+	known := uint(1)<<len(sel.From) - 1
 	for _, c := range cands {
-		for _, subset := range c.JoinSubsets {
-			if len(subset) < 2 || len(subset) >= len(sel.From) {
+		for _, subset := range c.Joins {
+			if k := bits.OnesCount(subset & known); k < 2 || k >= len(sel.From) {
 				continue
 			}
-			add(subquery(subset))
+			add(subquery(subset & known))
 		}
 	}
 	for _, c := range cands {
-		for _, b := range c.UnionBindings {
-			i, ok := g.Index(b)
-			if !ok {
-				continue
+		var names []string
+		for i, tr := range sel.From {
+			if c.Unions&(1<<i) != 0 {
+				names = append(names, strings.ToLower(tr.Binding()))
 			}
+		}
+		sort.Strings(names)
+		for _, b := range names {
+			i, _ := g.Index(b)
 			tr := sel.From[i]
-			base := subquery([]string{tr.Binding()})
+			base := subquery(1 << i)
 			for _, pid := range g.Relevant(sch, i) {
 				p, ok := sch.Partition(tr.Name, pid)
 				if !ok || p.Predicate == nil {
@@ -89,13 +98,14 @@ func chainSchema(rels, parts, width int) *catalog.Schema {
 const chain3 = "SELECT r1.pk, r3.v FROM r1, r2, r3 WHERE r1.fk = r2.pk AND r2.fk = r3.pk AND r1.pk < 1100 AND r3.pk >= 160"
 
 // TestAnalyserMatchesReference: over the iterations of a negotiation — random
-// candidates naming join subsets and unioned bindings (some unknown, some
-// repeated), changing maxNew, one growing asked map — the analyser that keeps
-// its texts returns what rebuilding everything returns, text for text, and
-// marks the same queries asked.
+// candidates naming join subsets and unioned relations (some bits repeated,
+// some beyond the FROM list), changing maxNew, one growing asked map — the
+// analyser that keeps its texts returns what rebuilding everything returns,
+// text for text, and marks the same queries asked.
 func TestAnalyserMatchesReference(t *testing.T) {
 	sch := chainSchema(3, 14, 80)
-	bindings := []string{"r1", "r2", "r3", "R2", "ghost"}
+	// r1, r2, r3, r2 again, and a relation the query does not have.
+	bindings := []uint{1, 2, 4, 2, 8}
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		sel := sqlparse.MustParseSelect(chain3)
@@ -105,14 +115,14 @@ func TestAnalyserMatchesReference(t *testing.T) {
 			cands := make([]Candidate, rng.Intn(4))
 			for i := range cands {
 				for k := rng.Intn(3); k > 0; k-- {
-					subset := []string{bindings[rng.Intn(3)], bindings[rng.Intn(len(bindings))]}
+					subset := bindings[rng.Intn(3)] | bindings[rng.Intn(len(bindings))]
 					if rng.Intn(4) == 0 {
-						subset = append(subset, bindings[rng.Intn(3)])
+						subset |= bindings[rng.Intn(3)]
 					}
-					cands[i].JoinSubsets = append(cands[i].JoinSubsets, subset)
+					cands[i].Joins = append(cands[i].Joins, subset)
 				}
 				for k := rng.Intn(3); k > 0; k-- {
-					cands[i].UnionBindings = append(cands[i].UnionBindings, bindings[rng.Intn(len(bindings))])
+					cands[i].Unions |= bindings[rng.Intn(len(bindings))]
 				}
 			}
 			maxNew := []int{0, 1, 3, 12, 40}[rng.Intn(5)]
@@ -145,7 +155,7 @@ var benchQueries []string
 func BenchmarkAnalyse(b *testing.B) {
 	sch := chainSchema(3, 14, 80)
 	sel := sqlparse.MustParseSelect(chain3)
-	cand := Candidate{JoinSubsets: [][]string{{"r1", "r2"}, {"r2", "r3"}}, UnionBindings: []string{"r1", "r2", "r3"}}
+	cand := Candidate{Joins: []uint{0b011, 0b110}, Unions: 0b111}
 	cands := []Candidate{cand, cand, cand}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -216,7 +226,7 @@ func TestRestrictionIsPricedByShare(t *testing.T) {
 		Cols: []trading.ColSpec{{Table: "r1", Name: "pk"}}, Price: 11.5,
 		Props: cost.Valuation{TotalTime: 11.5, FirstRow: 1.5, Rows: 200, Bytes: 1600}})
 	an := newAnalyser(sel, sch)
-	props := an.propose([]Candidate{{UnionBindings: []string{"r1"}}})
+	props := an.propose([]Candidate{{Unions: 1}})
 	if len(props) != 4 {
 		t.Fatalf("%d restrictions proposed, want one per partition", len(props))
 	}
@@ -232,7 +242,7 @@ func TestRestrictionIsPricedByShare(t *testing.T) {
 		if len(preds) != 1 {
 			t.Fatalf("p%d: %d predictions, want 1", k, len(preds))
 		}
-		o := preds[0]
+		o := preds[0].o
 		// 1.5 to the first row, half of the other 10, and 0.5 of round trip.
 		if o.Props.TotalTime != 7 || o.Props.Rows != 100 || o.Props.Bytes != 800 || math.Abs(o.Price-6.5) > 1e-9 || o.SellerID != "s" {
 			t.Errorf("p%d: predicted %+v", k, o)
@@ -245,7 +255,7 @@ func TestRestrictionIsPricedByShare(t *testing.T) {
 			Bindings: []string{"r1"}, Parts: map[string][]string{"r1": {id}},
 			Cols: []trading.ColSpec{{Table: "r1", Name: "pk"}}, Props: cost.Valuation{TotalTime: 2, FirstRow: 1.5, Rows: rows}})
 	}
-	if o := an.predict(gen, holdings(gen), props[0]); len(o) != 1 || o[0].Props.TotalTime != 7 || o[0].Props.Rows != 60 || o[0].Props.Bytes != 480 {
+	if o := an.predict(gen, holdings(gen), props[0]); len(o) != 1 || o[0].o.Props.TotalTime != 7 || o[0].o.Props.Rows != 60 || o[0].o.Props.Bytes != 480 {
 		t.Errorf("p0 beside offers of one partition: predicted %+v", o)
 	}
 }

@@ -316,8 +316,8 @@ func TestAnalyseGeneratesPartitionQueries(t *testing.T) {
 	sel := sqlparse.MustParseSelect(paperQuery)
 	sch := telcoSchema()
 	cands := []Candidate{{
-		UnionBindings: []string{"c"},
-		JoinSubsets:   [][]string{{"c", "i"}},
+		Unions: 0b01,         // c
+		Joins:  []uint{0b11}, // c and i
 	}}
 	asked := map[string]bool{}
 	// The full query's binding set {c,i} equals the whole FROM, so only
@@ -342,7 +342,7 @@ func TestAnalyseJoinSubsets(t *testing.T) {
 	sel := sqlparse.MustParseSelect(`SELECT c.custname, i.charge, c2.custname
 		FROM customer c, invoiceline i, customer c2
 		WHERE c.custid = i.custid AND i.custid = c2.custid`)
-	cands := []Candidate{{JoinSubsets: [][]string{{"c", "i"}}}}
+	cands := []Candidate{{Joins: []uint{0b011}}} // c and i
 	got := Analyse(sel, sch, cands, map[string]bool{}, 10)
 	if len(got) != 1 || !strings.Contains(got[0], "customer c") {
 		t.Fatalf("join subquery: %v", got)

@@ -20,14 +20,13 @@ func substituteOffers(res *Result, failed map[string]error) (map[string]trading.
 		if failed[o.SellerID] == nil {
 			continue
 		}
-		want := partsKey(o)
 		var best *trading.Offer
 		for j := range res.Pool {
 			c := &res.Pool[j]
 			if c.SellerID == o.SellerID || failed[c.SellerID] != nil {
 				continue
 			}
-			if c.SQL != o.SQL || partsKey(*c) != want {
+			if c.SQL != o.SQL || !sameCoverage(c.Parts, o.Parts) {
 				continue
 			}
 			if best == nil || c.Price < best.Price ||

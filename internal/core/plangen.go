@@ -11,6 +11,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"math/bits"
 	"slices"
@@ -50,12 +51,12 @@ type Candidate struct {
 	TotalWork    float64
 	Rows         int64
 	Offers       []trading.Offer
-	// UnionBindings lists bindings whose extent was assembled by unioning
-	// several offers (input to the predicates analyser).
-	UnionBindings []string
-	// JoinSubsets lists the binding subsets joined locally (input to the
-	// predicates analyser).
-	JoinSubsets [][]string
+	// Unions is the set of relations, by FROM position, whose extent was
+	// assembled by unioning several offers; Joins lists the relation subsets
+	// joined locally, each input of every join. Both are the predicates
+	// analyser's input.
+	Unions uint
+	Joins  []uint
 }
 
 // assembly is a way to produce the full relevant extent of a binding subset.
@@ -68,8 +69,8 @@ type assembly struct {
 	rows      int64
 	bytes     float64
 	offers    []*offerInfo
-	unions    []string
-	joins     [][]string
+	unions    uint   // see Candidate.Unions
+	joins     []uint // see Candidate.Joins
 }
 
 func (a *assembly) response() float64 { return a.remoteMax + a.localCost }
@@ -148,7 +149,7 @@ type planGen struct {
 	fullMask    []uint            // by binding index: all relevant partitions
 	hasAgg      bool
 	empty       *Candidate                // the whole answer, when the query provably has no rows
-	pool        map[string]*offerInfo     // seller, SQL and coverage -> the cheapest such offer received
+	pool        map[poolKey][]*offerInfo  // seller and SQL -> the cheapest offer received per coverage
 	offers      []*offerInfo              // the pool, by OfferID
 	groups      []*offerGroup             // by (mask, key)
 	table       joinorder.Plan[*assembly] // what the last run solved, by binding subset
@@ -182,7 +183,7 @@ func newPlanGen(sel *sqlparse.Select, sch *catalog.Schema, model *cost.Model,
 		return nil, fmt.Errorf("core: unknown plan generator %q (want %q, %q or %q)", mode, GenDP, GenIDP, GenGreedy)
 	}
 	g := &planGen{sel: sel, sch: sch, model: model, mode: mode, keep: keep,
-		peerLatency: peerLatency, q: qgraph.New(sel), pool: map[string]*offerInfo{}}
+		peerLatency: peerLatency, q: qgraph.New(sel), pool: map[poolKey][]*offerInfo{}}
 	if g.keep <= 0 {
 		g.keep = idpKeep
 	}
@@ -240,51 +241,55 @@ func (g *planGen) emptyAnswer() *Candidate {
 	return c
 }
 
-// partsKey canonicalizes an offer's coverage for pool deduplication (the
-// same SQL may be offered with different coverage, e.g. a partial and its
-// subcontracted completion).
-func partsKey(o trading.Offer) string {
-	keys := make([]string, 0, len(o.Parts))
-	for b, ps := range o.Parts {
-		sorted := append([]string(nil), ps...)
-		sort.Strings(sorted)
-		keys = append(keys, b+"="+strings.Join(sorted, ","))
+// poolKey is what pool entries that may stand for one another share: their
+// seller and their SQL text.
+type poolKey struct{ seller, sql string }
+
+// sameCoverage reports whether two offers' Parts cover the same partitions
+// of the same relations, whatever order their sellers listed them in.
+func sameCoverage(a, b map[string][]string) bool {
+	within := func(x, y []string) bool {
+		return !slices.ContainsFunc(x, func(p string) bool { return !slices.Contains(y, p) })
 	}
-	sort.Strings(keys)
-	return strings.Join(keys, ";")
+	return maps.EqualFunc(a, b, func(x, y []string) bool { return within(x, y) && within(y, x) })
 }
 
 // take receives one offer of the negotiation (B3). Of the offers a seller
 // makes for the same SQL over the same coverage only the cheapest stands: a
 // cheaper one displaces the pool's entry, any other is ignored.
 func (g *planGen) take(o trading.Offer) {
-	key := o.SellerID + "\x00" + o.SQL + "\x00" + partsKey(o)
-	if prev := g.pool[key]; prev == nil || o.Price < prev.o.Price {
-		if prev != nil {
-			g.drop(prev)
-		}
-		g.pool[key] = g.put(o)
+	key := poolKey{o.SellerID, o.SQL}
+	same := g.pool[key]
+	i := slices.IndexFunc(same, func(e *offerInfo) bool { return sameCoverage(e.o.Parts, o.Parts) })
+	switch {
+	case i < 0:
+		g.pool[key] = append(same, g.put(o))
+	case o.Price < same[i].o.Price:
+		g.drop(same[i])
+		same[i] = g.put(o)
 	}
 }
 
-// put adds o to the pool as a new entry.
+// put decodes o and adds it to the pool as a new entry.
 func (g *planGen) put(o trading.Offer) *offerInfo {
 	quoted := o.Props.TotalTime
 	if g.peerLatency != nil {
 		o.Props.TotalTime += 2 * g.peerLatency(o.SellerID)
 	}
-	return g.add(o, quoted)
+	info := g.decode(&o)
+	info.quoted = quoted
+	return g.add(info)
 }
 
-// add adds o, its total time already corrected for the buyer's latency to
-// its seller, to the pool as a new entry.
-func (g *planGen) add(o trading.Offer, quoted float64) *offerInfo {
-	info, key := g.decode(&o)
-	info.quoted = quoted
+// add adds a decoded entry to the pool and, unless it is bought alone or not
+// about this query, to the group of the offers it may be unioned with: same
+// relations, same kind and output schema.
+func (g *planGen) add(info *offerInfo) *offerInfo {
 	g.offers = insertByID(g.offers, info)
 	if info.mask == 0 || info.whole {
 		return info // not about this query, or bought alone: never combined
 	}
+	key := info.signature()
 	i, found := slices.BinarySearchFunc(g.groups, info, func(grp *offerGroup, info *offerInfo) int {
 		return cmp.Or(cmp.Compare(grp.mask, info.mask), strings.Compare(grp.key, key))
 	})
@@ -311,16 +316,15 @@ func (g *planGen) drop(info *offerInfo) {
 	g.offers = slices.DeleteFunc(g.offers, gone)
 }
 
-// try builds the candidates of the pool plus offers no seller made — the
+// try builds the candidates of the pool plus entries no seller offered — the
 // predicates analyser's predictions, already corrected for latency — and
 // leaves the pool as it was: none of them can be bought, standing or awarded.
-func (g *planGen) try(predicted []trading.Offer) ([]Candidate, error) {
-	infos := make([]*offerInfo, len(predicted))
-	for i, o := range predicted {
-		infos[i] = g.add(o, o.Props.TotalTime)
+func (g *planGen) try(predicted []*offerInfo) ([]Candidate, error) {
+	for _, info := range predicted {
+		g.add(info)
 	}
 	defer func() {
-		for _, info := range infos {
+		for _, info := range predicted {
 			g.drop(info)
 		}
 	}()
@@ -344,15 +348,14 @@ func insertByID(list []*offerInfo, info *offerInfo) []*offerInfo {
 	return slices.Insert(list, i, info)
 }
 
-// decode validates an offer against the query and computes its coverage and
-// its group key: the offer's kind and schema signature, which offers must
-// share to be unioned. One no plan can use comes back bare.
-func (g *planGen) decode(o *trading.Offer) (*offerInfo, string) {
+// decode validates an offer against the query and computes its coverage.
+// One no plan can use comes back bare.
+func (g *planGen) decode(o *trading.Offer) *offerInfo {
 	info := &offerInfo{o: *o, partMask: make([]uint, len(g.bindings))}
 	for _, b := range o.Bindings {
 		idx, ok := g.q.Index(b)
 		if !ok {
-			return &offerInfo{o: *o}, "" // not about this query's relations
+			return &offerInfo{o: *o} // not about this query's relations
 		}
 		info.mask |= 1 << idx
 		var m uint
@@ -365,16 +368,8 @@ func (g *planGen) decode(o *trading.Offer) (*offerInfo, string) {
 		}
 	}
 	info.schema = make([]expr.ColumnID, len(o.Cols))
-	var sig strings.Builder
-	if o.PartialAgg {
-		sig.WriteString("partial|")
-	}
 	for i, c := range o.Cols {
 		info.schema[i] = expr.ColumnID{Table: c.Table, Name: c.Name}
-		sig.WriteString(strings.ToLower(c.Table))
-		sig.WriteByte('.')
-		sig.WriteString(strings.ToLower(c.Name))
-		sig.WriteByte('|')
 	}
 	// whole-query candidacy is verified against the buyer's own relevant
 	// partition sets — the seller's Complete flag was computed for the query
@@ -385,21 +380,37 @@ func (g *planGen) decode(o *trading.Offer) (*offerInfo, string) {
 		// Partial aggregates are only meaningful for this query if it
 		// aggregates, and they combine exclusively with their own kind.
 		if !g.hasAgg {
-			return &offerInfo{o: *o}, ""
+			return &offerInfo{o: *o}
 		}
 		info.partialAgg = true
-		return info, sig.String()
+		return info
 	}
 	aggregated := g.hasAgg && !o.Stripped
 	info.whole = coversAll && o.Complete && aggregated
 	if g.hasAgg && !o.Stripped && !info.whole {
 		// An aggregated partial answer cannot be recombined safely.
-		return &offerInfo{o: *o}, ""
+		return &offerInfo{o: *o}
 	}
 	if !g.hasAgg && coversAll && o.Complete {
 		info.whole = true
 	}
-	return info, sig.String()
+	return info
+}
+
+// signature is the entry's group key: its kind and output schema, which
+// offers must share to be unioned.
+func (info *offerInfo) signature() string {
+	var sig strings.Builder
+	if info.partialAgg {
+		sig.WriteString("partial|")
+	}
+	for _, c := range info.schema {
+		sig.WriteString(strings.ToLower(c.Table))
+		sig.WriteByte('.')
+		sig.WriteString(strings.ToLower(c.Name))
+		sig.WriteByte('|')
+	}
+	return sig.String()
 }
 
 // remote builds the Remote plan node of an offer.
@@ -428,7 +439,7 @@ func (g *planGen) run() ([]Candidate, error) {
 			return g.unionAssemblies(mask, false, g.directAssemblies(mask, out))
 		},
 		Connected: g.q.Connected,
-		Join:      func(a, b uint, l, r *assembly) *assembly { return g.join(l, r, g.q.Connecting(a, b)) },
+		Join:      g.join,
 		Keep:      g.prune,
 	}
 	if g.mode == GenIDP {
@@ -676,18 +687,20 @@ func (g *planGen) exactCover(b int, group []*offerInfo) *assembly {
 		rows:      rows,
 		bytes:     bytes,
 		offers:    offers,
-		unions:    g.bindings[b : b+1 : b+1], // capped: an append copies
+		unions:    1 << b,
 	}
 }
 
-func (g *planGen) join(l, r *assembly, preds []expr.Expr) *assembly {
+// join is the assembly that joins l, an assembly of relation subset a, with
+// r, one of the disjoint subset b, at the buyer.
+func (g *planGen) join(a, b uint, l, r *assembly) *assembly {
+	preds := g.q.Connecting(a, b)
 	// Offers do not ship per-column NDVs, so the estimate is the model's.
 	outRows, joinCost := g.model.BuyerJoin(l.rows, r.rows, len(preds))
 	left, right := l.node, r.node
 	if l.rows < r.rows {
 		left, right = r.node, l.node
 	}
-	lBind, rBind := g.bindingNames(l), g.bindingNames(r)
 	return &assembly{
 		node:      &plan.Join{Card: plan.Card{Est: outRows}, L: left, R: right, On: expr.And(preds)},
 		schema:    append(append([]expr.ColumnID{}, l.schema...), r.schema...),
@@ -697,25 +710,9 @@ func (g *planGen) join(l, r *assembly, preds []expr.Expr) *assembly {
 		rows:      outRows,
 		bytes:     l.bytes + r.bytes,
 		offers:    slices.Concat(l.offers, r.offers),
-		unions:    append(append([]string{}, l.unions...), r.unions...),
-		joins:     append(append([][]string{}, append(l.joins, lBind)...), append(r.joins, rBind)...),
+		unions:    l.unions | r.unions,
+		joins:     slices.Concat(l.joins, []uint{a}, r.joins, []uint{b}),
 	}
-}
-
-func (g *planGen) bindingNames(a *assembly) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, info := range a.offers {
-		for _, b := range info.o.Bindings {
-			lb := strings.ToLower(b)
-			if !seen[lb] {
-				seen[lb] = true
-				out = append(out, lb)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // finishAssembly applies the original query's full predicate as a safety
@@ -743,13 +740,13 @@ func (g *planGen) finishAssembly(a *assembly) (*Candidate, error) {
 	local, rows := g.model.BuyerTail(a.localCost, a.rows, g.hasAgg, len(g.sel.OrderBy) > 0)
 	noteSpine(root, node, rows)
 	return &Candidate{
-		Root:          root,
-		ResponseTime:  a.remoteMax + local,
-		TotalWork:     a.remoteSum + local,
-		Rows:          rows,
-		Offers:        a.offered(),
-		UnionBindings: dedupStrings(a.unions),
-		JoinSubsets:   a.joins,
+		Root:         root,
+		ResponseTime: a.remoteMax + local,
+		TotalWork:    a.remoteSum + local,
+		Rows:         rows,
+		Offers:       a.offered(),
+		Unions:       a.unions,
+		Joins:        a.joins,
 	}, nil
 }
 
@@ -878,19 +875,6 @@ func bindable(e expr.Expr, schema []expr.ColumnID) bool {
 		}
 	}
 	return true
-}
-
-func dedupStrings(in []string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range in {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // EstimateValuation turns a candidate into the multidimensional valuation the

@@ -87,7 +87,7 @@ func exactCoverReference(g *planGen, b int, group []*offerInfo) *assembly {
 		rows:      win.rows,
 		bytes:     win.bytes,
 		offers:    offers,
-		unions:    []string{g.bindings[b]},
+		unions:    1 << b,
 	}
 }
 

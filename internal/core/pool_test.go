@@ -18,9 +18,9 @@ import (
 
 // TestOptimizeKeepsNoPool holds the buyer's pool seam by construction: the
 // plan generator owns the offer pool, so Optimize declares no offer map of
-// its own, hands the generator every received offer at one call site, and the
-// pool key (partsKey) is computed only where the pool lives and where
-// recovery looks for an equivalent standing offer.
+// its own and hands the generator every received offer at one call site, and
+// no file prints an offer's coverage as a key (partsKey is the tests'
+// reference): the pool and recovery compare coverage as sets.
 func TestOptimizeKeepsNoPool(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
@@ -30,7 +30,7 @@ func TestOptimizeKeepsNoPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	intake := map[string]int{} // planGen.take call sites, by file
-	keyed := map[string]int{}  // partsKey call sites, by file
+	keyed := map[string]int{}  // partsKey call sites outside the tests, by file
 	for path, file := range pkgs["core"].Files {
 		ast.Inspect(file, func(x ast.Node) bool {
 			switch v := x.(type) {
@@ -64,10 +64,22 @@ func TestOptimizeKeepsNoPool(t *testing.T) {
 		t.Errorf("the generator takes offers at %v, want one call site, in buyer.go", intake)
 	}
 	for path := range keyed {
-		if path != "plangen.go" && path != "fallback.go" {
-			t.Errorf("%s computes a pool key; only the generator's pool and the recovery fallback may", path)
-		}
+		t.Errorf("%s computes a pool key; the pool and recovery compare coverage as sets", path)
 	}
+}
+
+// partsKey canonicalizes an offer's coverage as the pool once keyed it: two
+// offers of one seller and one SQL text stand for one another exactly when
+// their keys are equal. The tests replay the pool rule with it.
+func partsKey(o trading.Offer) string {
+	keys := make([]string, 0, len(o.Parts))
+	for b, ps := range o.Parts {
+		sorted := append([]string(nil), ps...)
+		sort.Strings(sorted)
+		keys = append(keys, b+"="+strings.Join(sorted, ","))
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, ";")
 }
 
 // scriptedSeller is a LocalSeller answering the i-th RFB with the i-th batch

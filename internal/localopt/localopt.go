@@ -422,16 +422,18 @@ func subquery(g *qgraph.Graph, mask uint, need map[string][]string, columnsOf fu
 // SubqueryFor exposes subquery construction for a binding subset by name,
 // without table definitions.
 func SubqueryFor(sel *sqlparse.Select, bindings []string) *sqlparse.Select {
-	return SubqueriesOf(sel, qgraph.New(sel))(bindings)
+	g := qgraph.New(sel)
+	return SubqueriesOf(sel, g)(g.Mask(bindings))
 }
 
-// SubqueriesOf is SubqueryFor for many subsets of one query: the returned
-// function builds each over g, the graph of sel its caller already holds, and
-// one reading of the needed columns. Used by the buyer predicates analyser.
-func SubqueriesOf(sel *sqlparse.Select, g *qgraph.Graph) func(bindings []string) *sqlparse.Select {
+// SubqueriesOf is SubqueryFor for many subsets of one query, each named by
+// its relation set (bit i for FROM position i): the returned function builds
+// each over g, the graph of sel its caller already holds, and one reading of
+// the needed columns. Used by the buyer predicates analyser.
+func SubqueriesOf(sel *sqlparse.Select, g *qgraph.Graph) func(mask uint) *sqlparse.Select {
 	noDefs := func(int) []catalog.ColumnDef { return nil }
 	need := neededColumns(sel, noDefs)
-	return func(bindings []string) *sqlparse.Select { return subquery(g, g.Mask(bindings), need, noDefs) }
+	return func(mask uint) *sqlparse.Select { return subquery(g, mask, need, noDefs) }
 }
 
 // RestrictTo returns a copy of base, a subquery over the one relation bound

@@ -27,7 +27,7 @@ func TestPriceCacheHoldsTheWorkingSet(t *testing.T) {
 	m := obs.NewMetrics()
 	f.SetObs(nil, m)
 	base := workload.ChainQuery(opts, 1)
-	every := []core.Candidate{{JoinSubsets: [][]string{{"r1", "r2"}}, UnionBindings: []string{"r1", "r2", "r3"}}}
+	every := []core.Candidate{{Joins: []uint{0b011}, Unions: 0b111}} // r1 ⋈ r2; every relation unioned
 	rfbs := 0
 	pass := func() {
 		t.Helper()
