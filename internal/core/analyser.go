@@ -138,7 +138,8 @@ func (a *analyser) ask(p proposal, asked map[string]bool) (sql string, isNew boo
 // been asked with an offer predicted from gen's pool, runs the generator on
 // the pool plus those predictions, and returns the queries the predicted best
 // plan buys, marking them asked — none when that plan does not beat the
-// standing best by value under w. priced counts the queries proposed.
+// standing best by value under w (a nil best is beaten by any plan). priced
+// counts the queries proposed.
 func (a *analyser) next(gen *planGen, cands []Candidate, best *Candidate, w cost.Weights, asked map[string]bool) (out []string, priced int) {
 	props := a.propose(cands)
 	held := holdings(gen)
@@ -155,7 +156,7 @@ func (a *analyser) next(gen *planGen, cands []Candidate, best *Candidate, w cost
 		return nil, len(props)
 	}
 	pcands, err := gen.try(preds)
-	if err != nil || !(ValueOf(w, &pcands[0]) < ValueOf(w, best)*(1-1e-9)) {
+	if err != nil || best != nil && !(ValueOf(w, &pcands[0]) < ValueOf(w, best)*(1-1e-9)) {
 		return nil, len(props)
 	}
 	used := make([]bool, len(props))

@@ -282,23 +282,25 @@ func optimize(cfg Config, comm Comm, sql string, exclude map[string]bool) (*Resu
 		ph.sp.Set("pool", len(gen.offers))
 		cands, err := gen.run()
 		ph.end()
-		if err != nil {
-			if iter == 1 {
-				// The paper: abort when the first iteration yields no
-				// candidate plan at all.
-				return nil, fmt.Errorf("core: no distributed plan possible: %w", err)
-			}
+		if err != nil && best != nil {
 			ob.iterationEnd()
 			ob.stopped(0)
 			break
 		}
-		ph.sp.Set("candidates", len(cands))
-		improved := best == nil || ValueOf(cfg.Weight, &cands[0]) < ValueOf(cfg.Weight, best)*(1-1e-9)
-		if improved {
-			b := cands[0]
-			best = &b
+		improved := false
+		if err == nil {
+			ph.sp.Set("candidates", len(cands))
+			improved = best == nil || ValueOf(cfg.Weight, &cands[0]) < ValueOf(cfg.Weight, best)*(1-1e-9)
+			if improved {
+				b := cands[0]
+				best = &b
+			}
+			ob.planned(improved, ValueOf(cfg.Weight, best))
+		} else {
+			// No plan yet (every offer overlaps another): the analyser
+			// proposes from one candidate that unions every relation.
+			cands = []Candidate{{Unions: 1<<len(sel.From) - 1}}
 		}
-		ob.planned(improved, ValueOf(cfg.Weight, best))
 
 		// B5/B6: the predicates analyser prices what the top candidates call
 		// for and proposes the queries the predicted best plan buys.
@@ -308,6 +310,11 @@ func optimize(cfg Config, comm Comm, sql string, exclude map[string]bool) (*Resu
 		ph.sp.Set("new_queries", len(newSQLs))
 		ph.end()
 		ob.iterationEnd()
+		if best == nil && len(newSQLs) == 0 {
+			// The paper: abort when no candidate plan can be built, here
+			// not even from what the analyser would ask.
+			return nil, fmt.Errorf("core: no distributed plan possible: %w", err)
+		}
 		// B7: terminate when neither the plan nor Q changed — or when Q did not
 		// change and no seller owes an answer, so the pool cannot change. Q does
 		// not change when the predicted best does not beat the plan.
@@ -320,7 +327,7 @@ func optimize(cfg Config, comm Comm, sql string, exclude map[string]bool) (*Resu
 		}
 	}
 	if best == nil {
-		return nil, fmt.Errorf("core: optimization produced no plan")
+		return nil, fmt.Errorf("core: no distributed plan possible in %d iterations", cfg.MaxIterations)
 	}
 
 	// B8: award the winning offers.

@@ -68,6 +68,84 @@ func TestOptimizeKeepsNoPool(t *testing.T) {
 	}
 }
 
+// TestSubsetsAreMasks holds the buyer's relation sets to one form: once an
+// offer is decoded, relation subsets and partition coverage are bitmasks by
+// FROM position. It fails on a []string or [][]string field of Candidate or
+// assembly, on a call of a Mask method (turning binding names back into a
+// relation set), and on a function that reads an offer's Parts and sorts or
+// joins strings (printing coverage as a key).
+func TestSubsetsAreMasks(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	isStrings := func(e ast.Expr) bool {
+		for {
+			arr, ok := e.(*ast.ArrayType)
+			if !ok {
+				id, ok := e.(*ast.Ident)
+				return ok && id.Name == "string"
+			}
+			e = arr.Elt
+		}
+	}
+	isCall := func(fun ast.Expr, pkg, name string) bool {
+		sel, ok := fun.(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != name {
+			return false
+		}
+		id, ok := sel.X.(*ast.Ident)
+		return ok && id.Name == pkg
+	}
+	for _, file := range pkgs["core"].Files {
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok || ts.Name.Name != "Candidate" && ts.Name.Name != "assembly" {
+						continue
+					}
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					for _, f := range st.Fields.List {
+						if _, isArr := f.Type.(*ast.ArrayType); isArr && isStrings(f.Type) {
+							t.Errorf("%s: %s keeps a relation set as strings", fset.Position(f.Pos()), ts.Name.Name)
+						}
+					}
+				}
+			case *ast.FuncDecl:
+				if d.Body == nil {
+					continue
+				}
+				readsParts, printed := false, token.NoPos
+				ast.Inspect(d.Body, func(x ast.Node) bool {
+					switch v := x.(type) {
+					case *ast.SelectorExpr:
+						readsParts = readsParts || v.Sel.Name == "Parts"
+					case *ast.CallExpr:
+						if sel, ok := v.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Mask" {
+							t.Errorf("%s: %s maps binding names to a relation set", fset.Position(v.Pos()), d.Name.Name)
+						}
+						if isCall(v.Fun, "sort", "Strings") || isCall(v.Fun, "strings", "Join") {
+							printed = v.Pos()
+						}
+					}
+					return true
+				})
+				if readsParts && printed.IsValid() {
+					t.Errorf("%s: %s prints an offer's coverage", fset.Position(printed), d.Name.Name)
+				}
+			}
+		}
+	}
+}
+
 // partsKey canonicalizes an offer's coverage as the pool once keyed it: two
 // offers of one seller and one SQL text stand for one another exactly when
 // their keys are equal. The tests replay the pool rule with it.

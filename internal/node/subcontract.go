@@ -157,6 +157,15 @@ func (n *Node) buildComposite(rfb trading.RFB, qid string, g *pricecache.Gap, ow
 		Depth:   rfb.Depth + 1,
 		Trace:   rfb.Trace,
 	}
+	// Every part of the composite ships the columns of the node's own part,
+	// which may add the columns of its partition restriction to the
+	// relation's subquery: each missing partition is asked for those.
+	ownCols := own.Cols
+	projected := g.Sub.Clone()
+	projected.Items = nil
+	for _, c := range ownCols {
+		projected.Items = append(projected.Items, sqlparse.SelectItem{Expr: expr.NewColumn(c.Table, c.Name)})
+	}
 	for i, pid := range g.Missing {
 		p, ok := n.cfg.Schema.Partition(g.Table, pid)
 		if !ok || p.Predicate == nil {
@@ -164,14 +173,13 @@ func (n *Node) buildComposite(rfb trading.RFB, qid string, g *pricecache.Gap, ow
 		}
 		subRFB.Queries = append(subRFB.Queries, trading.QueryRequest{
 			QID: fmt.Sprintf("sub%d", i),
-			SQL: localopt.RestrictTo(g.Sub, g.Binding, p).SQL(),
+			SQL: localopt.RestrictTo(projected, g.Binding, p).SQL(),
 		})
 	}
 	offers, _, err := ph.negotiate(trading.SealedBid{}, subRFB, trading.Sellers{Peers: peers, Policy: n.cfg.Faults})
 	if err != nil {
 		return compositeDraft{}, false
 	}
-	ownCols := own.Cols
 	// Greedy cover of the missing partitions by cheapest compatible offers: an
 	// offer is taken when every partition it brings is still needed, so it lies
 	// inside the gap and is disjoint from what was already chosen.
@@ -204,14 +212,9 @@ func (n *Node) buildComposite(rfb trading.RFB, qid string, g *pricecache.Gap, ow
 	// same columns as the local partial so the shipped schema matches.
 	covered := append(append([]string{}, g.Held...), g.Missing...)
 	sort.Strings(covered)
-	compositeSQL := g.Sub.Clone()
-	compositeSQL.Items = nil
-	for _, c := range ownCols {
-		compositeSQL.Items = append(compositeSQL.Items, sqlparse.SelectItem{Expr: expr.NewColumn(c.Table, c.Name)})
-	}
 	restriction := rewrite.PartitionRestriction(n.cfg.Schema, g.Table, g.Binding, covered)
-	if restriction != nil && !expr.Implies(compositeSQL.Where, restriction) {
-		compositeSQL.Where = expr.SimplifyPredicate(expr.And([]expr.Expr{compositeSQL.Where, restriction}))
+	if restriction != nil && !expr.Implies(projected.Where, restriction) {
+		projected.Where = expr.SimplifyPredicate(expr.And([]expr.Expr{projected.Where, restriction}))
 	}
 	props := cost.Valuation{Freshness: 1, Completeness: 1, TotalTime: own.Props.TotalTime, Rows: own.Props.Rows, Bytes: own.Props.Bytes}
 	remoteMax := 0.0
@@ -231,7 +234,7 @@ func (n *Node) buildComposite(rfb trading.RFB, qid string, g *pricecache.Gap, ow
 	}
 	return compositeDraft{paid: totalPurchased, sub: sc, Draft: pricecache.Draft{Kind: "s", Plan: own.Plan, Offer: trading.Offer{
 		OfferID:  offerID,
-		SQL:      compositeSQL.SQL(),
+		SQL:      projected.SQL(),
 		Bindings: []string{g.Binding},
 		Parts:    map[string][]string{strings.ToLower(g.Binding): covered},
 		Complete: len(subtract(g.Relevant, covered)) == 0,
