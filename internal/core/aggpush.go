@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"qtrade/internal/plan"
 )
@@ -55,6 +55,6 @@ func (g *planGen) partialAggCandidates() []Candidate {
 			Unions:       a.unions,
 		})
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].ResponseTime < out[j].ResponseTime })
+	slices.SortStableFunc(out, byResponse)
 	return out
 }

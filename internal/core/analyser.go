@@ -1,10 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"slices"
+	"strconv"
 	"strings"
 
 	"qtrade/internal/catalog"
@@ -51,7 +51,7 @@ type analyser struct {
 // restricted is one relation's per-partition subqueries, in the order of the
 // partitions its selections leave relevant.
 type restricted struct {
-	base  *sqlparse.Select     // the subquery over the relation alone
+	base  *sqlparse.Select     // the subquery over the relation alone; nil until one is asked
 	parts []*catalog.Partition // the relevant partitions that have a predicate
 	asked []bool               // by parts index
 }
@@ -125,6 +125,9 @@ func (a *analyser) ask(p proposal, asked map[string]bool) (sql string, isNew boo
 	} else {
 		r := a.rels[p.rel]
 		r.asked[p.k] = true
+		if r.base == nil {
+			r.base = a.subquery(1 << p.rel)
+		}
 		sql = localopt.RestrictTo(r.base, a.sel.From[p.rel].Binding(), r.parts[p.k]).SQL()
 	}
 	if asked[sql] {
@@ -147,7 +150,7 @@ func (a *analyser) next(gen *planGen, cands []Candidate, best *Candidate, w cost
 	of := map[string]int{} // predicted offer id -> its proposal
 	for k, p := range props {
 		for _, info := range a.predict(gen, held, p) {
-			info.o.OfferID = fmt.Sprintf("%s%d", predictedID, len(preds))
+			info.o.OfferID = predictedID + strconv.Itoa(len(preds))
 			of[info.o.OfferID] = k
 			preds = append(preds, info)
 		}
@@ -309,12 +312,12 @@ func colocated(gen *planGen, held map[string][]uint, mask uint) bool {
 	return false
 }
 
-// restrictedTo opens relation i's record: its base subquery and the
-// partitions worth asking for one by one.
+// restrictedTo opens relation i's record: the partitions worth asking for one
+// by one.
 func (a *analyser) restrictedTo(i int) *restricted {
 	if a.rels[i] == nil {
 		tr := a.sel.From[i]
-		r := &restricted{base: a.subquery(1 << i)}
+		r := &restricted{}
 		for _, pid := range a.g.Relevant(a.sch, i) {
 			if p, ok := a.sch.Partition(tr.Name, pid); ok && p.Predicate != nil {
 				r.parts = append(r.parts, p)

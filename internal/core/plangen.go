@@ -462,25 +462,27 @@ func (g *planGen) run() ([]Candidate, error) {
 	}
 	out = append(out, g.wholePlanCandidates()...)
 	out = append(out, g.partialAggCandidates()...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].ResponseTime < out[j].ResponseTime })
+	slices.SortStableFunc(out, byResponse)
 	if len(out) == 0 {
 		return nil, fmt.Errorf("core: no candidate plan can be built from %d offers", len(g.offers))
 	}
 	return out, nil
 }
 
+// byResponse orders candidates fastest first.
+func byResponse(a, b Candidate) int { return cmp.Compare(a.ResponseTime, b.ResponseTime) }
+
 // prune keeps the best assemblies per subset: 1 for DP and greedy, keep for
 // 2-way subsets in IDP before the global IDP cut.
 func (g *planGen) prune(mask uint, cands []*assembly) []*assembly {
-	sort.SliceStable(cands, func(i, j int) bool {
-		ri, rj := cands[i].response(), cands[j].response()
-		if ri != rj {
-			return ri < rj
+	slices.SortStableFunc(cands, func(a, b *assembly) int {
+		if c := cmp.Compare(a.response(), b.response()); c != 0 {
+			return c
 		}
-		if wi, wj := cands[i].work(), cands[j].work(); wi != wj {
-			return wi < wj
+		if c := cmp.Compare(a.work(), b.work()); c != 0 {
+			return c
 		}
-		return cands[i].paid() < cands[j].paid()
+		return cmp.Compare(a.paid(), b.paid())
 	})
 	width := 1
 	if g.mode == GenIDP && bits.OnesCount(mask) == 2 {
@@ -562,6 +564,8 @@ type coverLink struct{ offer, prev int32 }
 type coverScratch struct {
 	usable  []*offerInfo
 	atoms   []uint     // partition mask of each atom
+	ams     []uint32   // atom mask of each usable offer
+	later   []uint32   // by usable offer: the union of the atom masks after it
 	link    []int32    // by state: last link of its chain; 0 = not reached (or nothing to cover)
 	val     []coverVal // by state; read only where reached (state 0, never written, costs nothing)
 	reached []uint32   // reached states in the order first reached, 0 first
@@ -577,7 +581,8 @@ func (sc *coverScratch) release() {
 		sc.link[s] = 0
 	}
 	clear(sc.usable)
-	sc.usable, sc.atoms, sc.reached, sc.links = sc.usable[:0], sc.atoms[:0], sc.reached[:0], sc.links[:0]
+	sc.usable, sc.atoms, sc.ams, sc.later = sc.usable[:0], sc.atoms[:0], sc.ams[:0], sc.later[:0]
+	sc.reached, sc.links = sc.reached[:0], sc.links[:0]
 	if len(sc.link) <= maxPooledStates {
 		coverPool.Put(sc)
 	}
@@ -595,6 +600,13 @@ func (sc *coverScratch) release() {
 // to the chain found first. Within a round every target s|am is written at
 // most once and read from states without am only, so the order in which the
 // round visits the reached states cannot change the table.
+//
+// A state lacking an atom that no offer from this round on holds cannot reach
+// the full cover: the round drops it from the walk and unmarks it. This is
+// exact: the full cover is written only from states that pass the test, and
+// the offers to come only shrink, so a dropped state is never written again
+// (what a kept state extends to passes too). Predicted offers sort last, so
+// the cut is deepest on the analyser's covers.
 func (g *planGen) exactCover(b int, group []*offerInfo) *assembly {
 	target := g.fullMask[b]
 	sc := coverPool.Get().(*coverScratch)
@@ -628,20 +640,32 @@ func (g *planGen) exactCover(b int, group []*offerInfo) *assembly {
 	if len(sc.link) < size {
 		sc.link, sc.val = make([]int32, size), make([]coverVal, size)
 	}
+	sc.ams = append(sc.ams, make([]uint32, len(sc.usable))...)
+	sc.later = append(sc.later, make([]uint32, len(sc.usable))...)
+	for i, after := len(sc.usable)-1, uint32(0); i >= 0; i-- {
+		for j, atom := range sc.atoms {
+			if atom&sc.usable[i].partMask[b] != 0 {
+				sc.ams[i] |= 1 << j
+			}
+		}
+		sc.later[i], after = after, after|sc.ams[i]
+	}
+	full := uint32(size - 1)
 	link, val := sc.link, sc.val
 	reached := append(sc.reached, 0)
 	links := append(sc.links, coverLink{})
-	for i, info := range sc.usable {
-		var am uint32
-		for j, atom := range sc.atoms {
-			if atom&info.partMask[b] != 0 {
-				am |= 1 << j
+	for i, am := range sc.ams {
+		t, later := sc.usable[i].o.Props.TotalTime, sc.later[i]
+		// Only the states reached before this round, less those that cannot
+		// be completed; the states the round reaches contain am.
+		n, kept := len(reached), 0
+		for _, s := range reached[:n] {
+			if full&^s&^(later|am) != 0 {
+				link[s] = 0
+				continue
 			}
-		}
-		t := info.o.Props.TotalTime
-		// Only the states reached before this round: range reads reached's
-		// length once, and the states the round reaches contain am.
-		for _, s := range reached {
+			reached[kept] = s
+			kept++
 			if s&am != 0 {
 				continue
 			}
@@ -655,6 +679,7 @@ func (g *planGen) exactCover(b int, group []*offerInfo) *assembly {
 			links = append(links, coverLink{offer: int32(i), prev: link[s]})
 			link[to], val[to] = int32(len(links)-1), cand
 		}
+		reached = append(reached[:kept], reached[n:]...)
 	}
 	sc.reached, sc.links = reached, links
 	win := link[size-1]

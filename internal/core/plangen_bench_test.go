@@ -45,3 +45,31 @@ func BenchmarkGenerate(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAnalyseNext times the predicates analyser's priced pass (B5/B6)
+// over the pool of one chain_parts-shaped negotiation: 3 relations × 14
+// partitions on 8 sellers, one replica each. The pass proposes one
+// restriction per partition of every unioned relation, predicts their
+// offers and runs the plan generator over the pool plus those predictions,
+// whose exact covers are most of its time.
+func BenchmarkAnalyseNext(b *testing.B) {
+	opts := workload.ChainOptions{Relations: 3, RowsPerRel: 1120, Parts: 14, Nodes: 8, Replicas: 1,
+		Seed: 7, SkipOracleData: true}
+	f := workload.NewChain(opts)
+	res, err := f.Optimize(f.BuyerConfig(), workload.ChainQuery(opts, 1)+" AND r1.pk < 1100")
+	if err != nil {
+		b.Fatal(err)
+	}
+	next, err := core.PricedAnalysis(f.BuyerConfig(), res.SQL, res.Pool)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, priced := next(); priced == 0 {
+		b.Fatal("the analyser priced nothing")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		next()
+	}
+}

@@ -5,7 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -247,6 +249,21 @@ func FuzzExactCover(f *testing.F) {
 		0x00, 0x3c, 0x31, 4, 0x01, 0x00, 0x40, 2, 0x02, 0x00, 0x51, 3, 0xff, 0x3f, 0x62, 5})
 	f.Add([]byte{15, 0xff, 0x00, 0x11, 1, 0x00, 0xff, 0x22, 2, 0x0f, 0x0f, 0x33, 3, 0xf0, 0xf0, 0x44, 4,
 		0x01, 0x01, 0x55, 5, 0xfe, 0xfe, 0x66, 6})
+	// chain_parts' predicted cover (see chainPartsPredicted): 8 sellers'
+	// offers over 14 partitions, then a one-partition prediction of each of
+	// the 12 partitions a seller holds among others.
+	predicted := []byte{13}
+	for s := 0; s < 8; s++ {
+		pm := uint16(1)<<s | uint16(1)<<(s+8)&0x3fff
+		predicted = append(predicted, byte(pm), byte(pm>>8), byte(s*7%4+4*s), byte(80+s))
+	}
+	for p := 0; p < 14; p++ {
+		if p%8 < 6 {
+			pm := uint16(1) << p
+			predicted = append(predicted, byte(pm), byte(pm>>8), byte(p%3+4*p), byte(40+p))
+		}
+	}
+	f.Add(predicted)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
@@ -327,6 +344,96 @@ func chainPartsGroup(atoms int) (*planGen, []*offerInfo) {
 	return g, group
 }
 
+// predictedLayout draws a group laid out as planGen.try lays out the covers
+// the analyser prices: nParts partitions placed round-robin on 3 to 8
+// sellers with the given replicas, each seller offering all it holds, then a
+// one-partition prediction of a partition from each holder that holds it
+// among others, with ids that sort after every seller's. Times come from a
+// small set, so equal-cost ties are common. The group is in OfferID order.
+func predictedLayout(rng *rand.Rand, nParts, replicas int) []*offerInfo {
+	sellers := max(3+rng.Intn(6), replicas)
+	var group []*offerInfo
+	add := func(id, seller string, pm uint, t float64) {
+		group = append(group, &offerInfo{
+			o: trading.Offer{OfferID: id, SellerID: seller, Props: cost.Valuation{TotalTime: t,
+				Rows: int64(rng.Intn(50)), Bytes: float64(rng.Intn(900))}},
+			partMask: []uint{pm},
+			schema:   []expr.ColumnID{{Table: "r", Name: "pk"}},
+		})
+	}
+	held, first := make([]uint, sellers), rng.Intn(sellers)
+	for p := 0; p < nParts; p++ {
+		for r := 0; r < replicas; r++ {
+			held[(first+p+r)%sellers] |= 1 << p
+		}
+	}
+	for s, pm := range held {
+		if pm != 0 {
+			add(fmt.Sprintf("r%d-o%d", rng.Intn(3), s), fmt.Sprintf("n%d", s), pm, float64(2+rng.Intn(4)))
+		}
+	}
+	sellerOffers := len(group)
+	for p := 0; p < nParts; p++ {
+		for _, info := range group[:sellerOffers] {
+			if pm := info.partMask[0]; pm&(1<<p) != 0 && pm != 1<<p {
+				add(predictedID+strconv.Itoa(len(group)-sellerOffers), info.o.SellerID, 1<<p, float64(1+rng.Intn(3)))
+			}
+		}
+	}
+	slices.SortStableFunc(group, func(a, b *offerInfo) int { return strings.Compare(a.o.OfferID, b.o.OfferID) })
+	return group
+}
+
+// TestExactCoverPredictedLayoutMatchesReference: the analyser's covers put
+// the sellers' offers first and the predictions last, where the walk drops
+// the most states; every such cover still matches the reference.
+func TestExactCoverPredictedLayoutMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	g := &planGen{bindings: []string{"r"}}
+	solved := 0
+	for trial := 0; trial < 40; trial++ {
+		nParts, replicas := 4+rng.Intn(13), 1+rng.Intn(3)
+		g.fullMask = []uint{uint(1)<<nParts - 1}
+		group := predictedLayout(rng, nParts, replicas)
+		want := exactCoverReference(g, 0, group)
+		if got := g.exactCover(0, group); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (%d partitions, %d replicas, %d offers):\n got %+v\nwant %+v",
+				trial, nParts, replicas, len(group), got, want)
+		}
+		if want != nil && slices.ContainsFunc(want.offers, func(info *offerInfo) bool {
+			return strings.HasPrefix(info.o.OfferID, predictedID)
+		}) {
+			solved++
+		}
+	}
+	if solved < 20 {
+		t.Fatalf("only %d of 40 covers bought a prediction; the layout is too sparse", solved)
+	}
+}
+
+// chainPartsPredicted is the cover the analyser prices on chain_parts along
+// one relation: chainPartsGroup(8)'s sellers' offers, then a one-partition
+// prediction of each partition a seller holds among others (12), sorting
+// after them: 20 offers over 14 atoms.
+func chainPartsPredicted() (*planGen, []*offerInfo) {
+	g, group := chainPartsGroup(8)
+	for p := 0; p < 14; p++ {
+		if p%8 >= 6 {
+			continue // sellers 6 and 7 hold one partition each
+		}
+		seller := group[p%8]
+		group = append(group, &offerInfo{
+			o: trading.Offer{OfferID: predictedID + strconv.Itoa(len(group)-8), SellerID: seller.o.SellerID,
+				Props: cost.Valuation{TotalTime: seller.o.Props.TotalTime / 2, Rows: seller.o.Props.Rows / 2,
+					Bytes: seller.o.Props.Bytes / 2}},
+			partMask: []uint{1 << p},
+			schema:   seller.schema,
+		})
+	}
+	slices.SortStableFunc(group, func(a, b *offerInfo) int { return strings.Compare(a.o.OfferID, b.o.OfferID) })
+	return g, group
+}
+
 // TestExactCoverAllocatesOnlyItsResult: once its scratch is pooled, a call
 // allocates the assembly it returns and nothing else: the assembly, its
 // Union, the Union's inputs and their Remote nodes, and its offers.
@@ -348,11 +455,11 @@ func TestExactCoverAllocatesOnlyItsResult(t *testing.T) {
 var benchAssembly *assembly
 
 // BenchmarkExactCover times one warm exact cover of chain_parts' shape (12
-// to 14 atoms over 12 to 14 offers).
+// to 14 atoms over 12 to 14 offers), and the one the analyser prices there
+// (predicted: 14 atoms over 20 offers, the last 12 predictions).
 func BenchmarkExactCover(b *testing.B) {
-	for _, atoms := range []int{12, 13, 14} {
-		g, group := chainPartsGroup(atoms)
-		b.Run(fmt.Sprintf("atoms=%d", atoms), func(b *testing.B) {
+	run := func(name string, g *planGen, group []*offerInfo) {
+		b.Run(name, func(b *testing.B) {
 			benchAssembly = g.exactCover(0, group)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -361,6 +468,12 @@ func BenchmarkExactCover(b *testing.B) {
 			}
 		})
 	}
+	for _, atoms := range []int{12, 13, 14} {
+		g, group := chainPartsGroup(atoms)
+		run(fmt.Sprintf("atoms=%d", atoms), g, group)
+	}
+	g, group := chainPartsPredicted()
+	run("predicted", g, group)
 }
 
 // poolPut is one entry put into a negotiation's pool, naming the OfferID it
