@@ -126,6 +126,8 @@ type optimizer struct {
 	g     *qgraph.Graph // of sel
 	rels  []*rel
 	keep  int // 0 = full DP; >0 = IDP(2, keep)
+	// subquery is the text shipped for a relation subset.
+	subquery func(mask uint) *sqlparse.Select
 }
 
 // Centralized runs the full-knowledge System-R style optimizer. keep=0 gives
@@ -136,7 +138,9 @@ func Centralized(gv *GlobalView, buyerID, sql string, keep int) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan.Qualify(sel, gv.Schema)
+	if err := plan.Qualify(sel, gv.Schema); err != nil {
+		return nil, err
+	}
 	o := &optimizer{gv: gv, buyer: buyerID, sel: sel, keep: keep}
 	if err := o.resolve(); err != nil {
 		return nil, err
@@ -169,7 +173,9 @@ func DataShipping(gv *GlobalView, buyerID, sql string) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan.Qualify(sel, gv.Schema)
+	if err := plan.Qualify(sel, gv.Schema); err != nil {
+		return nil, err
+	}
 	o := &optimizer{gv: gv, buyer: buyerID, sel: sel}
 	if err := o.resolve(); err != nil {
 		return nil, err
@@ -232,6 +238,7 @@ func (o *optimizer) resolve() error {
 		return fmt.Errorf("baseline: too many relations")
 	}
 	o.g = qgraph.New(o.sel)
+	o.subquery = localopt.Subqueries(o.sel, o.g, o.gv.Schema)
 	for i, tr := range o.sel.From {
 		def, ok := o.gv.Schema.Table(tr.Name)
 		if !ok {
@@ -425,16 +432,14 @@ func (o *optimizer) joinNDV(a, b uint, preds []expr.Expr) int64 {
 func (o *optimizer) leafAtBuyer(mask uint) *buyerEntry {
 	i := bits.TrailingZeros(mask)
 	r := o.rels[i]
-	sub := localopt.SubqueryFor(o.sel, []string{r.tr.Binding()})
+	sub := o.subquery(mask)
 	e := &buyerEntry{}
 	var inputs []plan.Node
 	for _, pid := range r.relevant {
 		holder := r.holder[pid]
-		part, _ := o.gv.Schema.Partition(r.tr.Name, pid)
-		fetchSel := sub.Clone()
-		if part != nil && part.Predicate != nil && len(r.relevant) > 1 {
-			restriction := expr.Qualify(part.Predicate, r.tr.Binding())
-			fetchSel.Where = expr.SimplifyPredicate(expr.And([]expr.Expr{fetchSel.Where, restriction}))
+		fetchSel := sub
+		if part, _ := o.gv.Schema.Partition(r.tr.Name, pid); part != nil && part.Predicate != nil && len(r.relevant) > 1 {
+			fetchSel = localopt.RestrictTo(sub, r.tr.Binding(), part)
 		}
 		if holder == o.buyer {
 			scan := &plan.Scan{Def: r.def, Alias: r.tr.Binding(), PartID: pid, Pred: r.localPred}
@@ -487,13 +492,7 @@ func projectTo(input plan.Node, sub *sqlparse.Select) plan.Node {
 
 // remoteSubset turns a ship-nothing site evaluation into a Remote node.
 func (o *optimizer) remoteSubset(mask uint, site string, se siteEntry) (*buyerEntry, error) {
-	var bindings []string
-	for i, r := range o.rels {
-		if mask&(1<<i) != 0 {
-			bindings = append(bindings, r.tr.Binding())
-		}
-	}
-	sub := localopt.SubqueryFor(o.sel, bindings)
+	sub := o.subquery(mask)
 	cols, err := node.OutputSpecs(sub, o.gv.Schema, nil)
 	if err != nil {
 		return nil, err

@@ -72,7 +72,7 @@ func newAnalyser(sel *sqlparse.Select, sch *catalog.Schema) *analyser {
 	}
 	name := func(i int) string { return strings.ToLower(sel.From[i].Binding()) }
 	slices.SortStableFunc(byName, func(i, j int) int { return strings.Compare(name(i), name(j)) })
-	return &analyser{sel: sel, sch: sch, g: g, subquery: localopt.SubqueriesOf(sel, g), byName: byName,
+	return &analyser{sel: sel, sch: sch, g: g, subquery: localopt.Subqueries(sel, g, sch), byName: byName,
 		joins: map[uint]bool{}, rels: make([]*restricted, len(sel.From))}
 }
 

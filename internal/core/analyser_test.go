@@ -14,16 +14,17 @@ import (
 	"qtrade/internal/cost"
 	"qtrade/internal/ledger"
 	"qtrade/internal/localopt"
+	"qtrade/internal/plan"
 	"qtrade/internal/qgraph"
 	"qtrade/internal/sqlparse"
 	"qtrade/internal/trading"
 	"qtrade/internal/value"
 )
 
-// analyseReference is the analyser's proposals as they were before it kept
-// anything: every call rebuilds the graph, every subquery and every
-// restricted clone, and walks all candidates whether or not maxNew texts are
-// out (maxNew <= 0: no bound); a candidate's unioned relations are taken by
+// analyseReference is the analyser's proposals over sel, qualified, as they
+// were before it kept anything: every call rebuilds the graph, every subquery
+// and every restricted clone, and walks all candidates whether or not maxNew
+// texts are out (maxNew <= 0: no bound); a candidate's unioned relations are taken by
 // binding name, in name order, as candidates once named them. The kept
 // analyser must propose the same texts in the same order and, marking them,
 // leave asked the same.
@@ -41,7 +42,7 @@ func analyseReference(sel *sqlparse.Select, sch *catalog.Schema, cands []Candida
 		out = append(out, sql)
 	}
 	g := qgraph.New(sel)
-	subquery := localopt.SubqueriesOf(sel, g)
+	subquery := localopt.Subqueries(sel, g, sch)
 	known := uint(1)<<len(sel.From) - 1
 	for _, c := range cands {
 		for _, subset := range c.Joins {
@@ -109,6 +110,9 @@ func TestAnalyserMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		sel := sqlparse.MustParseSelect(chain3)
+		if err := plan.Qualify(sel, sch); err != nil {
+			t.Fatal(err)
+		}
 		an := newAnalyser(sel, sch)
 		askedGot, askedWant := map[string]bool{sel.SQL(): true}, map[string]bool{sel.SQL(): true}
 		for iter := 0; iter < 6; iter++ {

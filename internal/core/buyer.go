@@ -232,7 +232,9 @@ func optimize(cfg Config, comm Comm, sql string, exclude map[string]bool) (*Resu
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	plan.Qualify(sel, cfg.Schema)
+	if err := plan.Qualify(sel, cfg.Schema); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	gen, err := newPlanGen(sel, cfg.Schema, cfg.Cost, cfg.Mode, idpKeep, cfg.PeerLatency)
 	if err != nil {
 		return nil, fmt.Errorf("core: no distributed plan possible: %w", err)

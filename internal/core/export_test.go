@@ -22,7 +22,9 @@ func PricedAnalysis(cfg Config, sql string, pool []trading.Offer) (func() (asked
 	if err != nil {
 		return nil, err
 	}
-	plan.Qualify(sel, cfg.Schema)
+	if err := plan.Qualify(sel, cfg.Schema); err != nil {
+		return nil, err
+	}
 	gen, err := newPlanGen(sel, cfg.Schema, cfg.Cost, cfg.Mode, idpKeep, cfg.PeerLatency)
 	if err != nil {
 		return nil, err

@@ -49,8 +49,9 @@ type Result struct {
 }
 
 // Optimize runs the modified DP over the query's FROM relations using the
-// node's local fragments. Every table referenced must have at least one
-// local fragment (run the rewrite package first on foreign queries).
+// node's local fragments. sel is qualified (plan.Qualify): a column belongs to
+// the relation its qualifier names. Every table referenced must have at least
+// one local fragment (run the rewrite package first on foreign queries).
 func Optimize(sel *sqlparse.Select, sch *catalog.Schema, store *storage.Store, m *cost.Model) (*Result, error) {
 	o := &optimizer{sel: sel, sch: sch, store: store, m: m, g: qgraph.New(sel)}
 	return o.run()
@@ -93,7 +94,7 @@ func (o *optimizer) run() (*Result, error) {
 	if err := o.buildBase(); err != nil {
 		return nil, err
 	}
-	o.needCols = neededColumns(o.sel, o.columnsOf)
+	o.needCols = neededColumns(o.sel, o.sch)
 
 	n := len(o.rels)
 	dp := joinorder.Plan[dpEntry]{
@@ -208,8 +209,6 @@ func isEquiPred(e expr.Expr) bool {
 	return ok && b.Op == "="
 }
 
-func (o *optimizer) columnsOf(i int) []catalog.ColumnDef { return o.rels[i].def.Columns }
-
 // joinEntry builds the DP entry for joining two solved subsets on the edges
 // connecting them.
 func (o *optimizer) joinEntry(l, r dpEntry, on []expr.Expr) dpEntry {
@@ -261,10 +260,9 @@ func (o *optimizer) equiNDV(e expr.Expr) int64 {
 
 // neededColumns records, per lower-cased binding, the columns of that relation
 // referenced anywhere in sel, in first-reference order; partial-result offers
-// project onto them. columnsOf lists the columns of FROM entry i, or nothing
-// when its definition is not at hand: then only qualified references can be
-// told apart and a star adds nothing.
-func neededColumns(sel *sqlparse.Select, columnsOf func(i int) []catalog.ColumnDef) map[string][]string {
+// project onto them. sel is qualified, so a bare column belongs to no relation,
+// and a star names every column sch defines for each FROM relation.
+func neededColumns(sel *sqlparse.Select, sch *catalog.Schema) map[string][]string {
 	need := map[string][]string{}
 	seen := map[string]map[string]bool{}
 	add := func(binding, name string) {
@@ -283,28 +281,13 @@ func neededColumns(sel *sqlparse.Select, columnsOf func(i int) []catalog.ColumnD
 		for _, c := range expr.Columns(e) {
 			if c.Table != "" {
 				add(c.Table, c.Name)
-				continue
-			}
-			// An unqualified column belongs to the one relation exposing it.
-			owner, matches := "", 0
-			for i, tr := range sel.From {
-				for _, cd := range columnsOf(i) {
-					if strings.EqualFold(cd.Name, c.Name) {
-						owner = tr.Binding()
-						matches++
-						break
-					}
-				}
-			}
-			if matches == 1 {
-				add(owner, c.Name)
 			}
 		}
 	}
 	for _, it := range sel.Items {
 		if it.Star {
-			for i, tr := range sel.From {
-				for _, cd := range columnsOf(i) {
+			for _, tr := range sel.From {
+				for _, cd := range columnsOf(sch, tr.Name) {
 					add(tr.Binding(), cd.Name)
 				}
 			}
@@ -321,6 +304,15 @@ func neededColumns(sel *sqlparse.Select, columnsOf func(i int) []catalog.ColumnD
 		addCols(ob.Expr)
 	}
 	return need
+}
+
+// columnsOf lists the columns sch defines for table, none when it does not
+// know the table.
+func columnsOf(sch *catalog.Schema, table string) []catalog.ColumnDef {
+	if def, ok := sch.Table(table); ok {
+		return def.Columns
+	}
+	return nil
 }
 
 // finishPartial turns a DP entry into an offered partial result with its
@@ -359,7 +351,7 @@ func (o *optimizer) finishPartial(mask uint, entry dpEntry, full uint) (*Partial
 			p.Rows = o.sel.Limit
 		}
 	} else {
-		p.SQL = subquery(o.g, mask, o.needCols, o.columnsOf)
+		p.SQL = subquery(o.g, mask, o.needCols, o.sch)
 	}
 	p.Bytes = float64(p.Rows) * math.Max(rowBytes, 8)
 	var err error
@@ -388,7 +380,7 @@ func estimateGroups(rows int64, groupCols int) int64 {
 // needed columns of those relations, their FROM entries, and the WHERE
 // conjuncts referencing only them. This is the query text shipped in offers
 // and RFBs.
-func subquery(g *qgraph.Graph, mask uint, need map[string][]string, columnsOf func(i int) []catalog.ColumnDef) *sqlparse.Select {
+func subquery(g *qgraph.Graph, mask uint, need map[string][]string, sch *catalog.Schema) *sqlparse.Select {
 	sub := &sqlparse.Select{Limit: -1}
 	for i, tr := range g.From {
 		if mask&(1<<i) == 0 {
@@ -400,15 +392,12 @@ func subquery(g *qgraph.Graph, mask uint, need map[string][]string, columnsOf fu
 		}
 	}
 	if len(sub.Items) == 0 {
-		// Degenerate: no referenced columns (e.g. COUNT(*) only); expose the
-		// first column (a placeholder when it is not known) so the subquery
-		// stays valid.
-		first := bits.TrailingZeros(mask)
-		name := "_"
-		if cols := columnsOf(first); len(cols) > 0 {
-			name = cols[0].Name
+		// Degenerate: no referenced columns (e.g. COUNT(*) only); the first
+		// relation's first column keeps the subquery valid.
+		first := g.From[bits.TrailingZeros(mask)]
+		if cols := columnsOf(sch, first.Name); len(cols) > 0 {
+			sub.Items = append(sub.Items, sqlparse.SelectItem{Expr: expr.NewColumn(first.Binding(), cols[0].Name)})
 		}
-		sub.Items = append(sub.Items, sqlparse.SelectItem{Expr: expr.NewColumn(g.From[first].Binding(), name)})
 	}
 	// Canonical item order so equivalent subqueries offered by different
 	// sellers are union-compatible at the buyer.
@@ -419,21 +408,16 @@ func subquery(g *qgraph.Graph, mask uint, need map[string][]string, columnsOf fu
 	return sub
 }
 
-// SubqueryFor exposes subquery construction for a binding subset by name,
-// without table definitions.
-func SubqueryFor(sel *sqlparse.Select, bindings []string) *sqlparse.Select {
-	g := qgraph.New(sel)
-	return SubqueriesOf(sel, g)(g.Mask(bindings))
-}
-
-// SubqueriesOf is SubqueryFor for many subsets of one query, each named by
-// its relation set (bit i for FROM position i): the returned function builds
-// each over g, the graph of sel its caller already holds, and one reading of
-// the needed columns. Used by the buyer predicates analyser.
-func SubqueriesOf(sel *sqlparse.Select, g *qgraph.Graph) func(mask uint) *sqlparse.Select {
-	noDefs := func(int) []catalog.ColumnDef { return nil }
-	need := neededColumns(sel, noDefs)
-	return func(mask uint) *sqlparse.Select { return subquery(g, mask, need, noDefs) }
+// Subqueries is the one subquery builder over a query's relation subsets,
+// each named by its relation set (bit i for FROM position i): sel is
+// qualified, g is its graph, which the caller already holds, and each subset
+// gets the text the modified DP gives its partial — the columns sel needs of
+// it, a star expanded from sch, its first catalog column when it needs none.
+// The buyer predicates analyser, subcontracting's gaps and the baselines ship
+// what it builds.
+func Subqueries(sel *sqlparse.Select, g *qgraph.Graph, sch *catalog.Schema) func(mask uint) *sqlparse.Select {
+	need := neededColumns(sel, sch)
+	return func(mask uint) *sqlparse.Select { return subquery(g, mask, need, sch) }
 }
 
 // RestrictTo returns a copy of base, a subquery over the one relation bound

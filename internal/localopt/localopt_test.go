@@ -1,6 +1,8 @@
 package localopt
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"qtrade/internal/cost"
 	"qtrade/internal/exec"
 	"qtrade/internal/plan"
+	"qtrade/internal/qgraph"
 	"qtrade/internal/sqlparse"
 	"qtrade/internal/storage"
 	"qtrade/internal/value"
@@ -350,59 +353,47 @@ func TestCheaperPlanPreferred(t *testing.T) {
 	}
 }
 
-func TestSubqueryFor(t *testing.T) {
-	sel := sqlparse.MustParseSelect(
-		"SELECT c.custname, i.charge FROM customer c, invoiceline i WHERE c.custid = i.custid AND c.office = 'X'")
-	sub := SubqueryFor(sel, []string{"c"})
-	sql := sub.SQL()
-	if strings.Contains(sql, "invoiceline") {
-		t.Fatalf("subquery must drop i: %s", sql)
-	}
-	if !strings.Contains(sql, "office = 'X'") {
-		t.Fatalf("subquery must keep local predicate: %s", sql)
-	}
-	if !strings.Contains(strings.ToLower(sql), "c.custid") {
-		t.Fatalf("subquery must keep join column: %s", sql)
-	}
-}
-
-// TestSubqueryColumnsWithAndWithoutDefinitions pins the one clause walk behind
-// every offer's subquery text: with table definitions a star names every
-// column and an unqualified column goes to the one relation exposing it (an
-// ambiguous one to none); without them only qualified references count, and a
-// relation nothing refers to gets the placeholder column.
-func TestSubqueryColumnsWithAndWithoutDefinitions(t *testing.T) {
+// TestSubqueryColumns pins the one clause walk behind every subquery text,
+// over a qualified query: a star names every column the catalog defines, an
+// unqualified column goes to the one relation exposing it (plan.Qualify), a
+// relation nothing refers to ships its first catalog column, and a subset
+// keeps its own conjuncts and the columns of the ones it is joined by. The
+// seller's partial over a subset and the text Subqueries builds for it are
+// the same.
+func TestSubqueryColumns(t *testing.T) {
 	sch := telcoSchema()
 	st := telcoStore(t, sch)
-	partial := func(sql string, binding string) string {
-		t.Helper()
-		res, err := Optimize(sqlparse.MustParseSelect(sql), sch, st, cost.Default())
+	const unqualified = "SELECT charge, office FROM customer c, invoiceline i WHERE c.custid = i.custid"
+	for _, c := range []struct {
+		name, sql string
+		mask      uint
+		want      string
+	}{
+		{"star", "SELECT * FROM customer c, invoiceline i WHERE c.custid = i.custid", 1,
+			"SELECT c.custid, c.custname, c.office FROM customer c"},
+		{"unqualified: i", unqualified, 2, "SELECT i.charge, i.custid FROM invoiceline i"},
+		{"unqualified: c", unqualified, 1, "SELECT c.custid, c.office FROM customer c"},
+		{"no column", "SELECT COUNT(*) AS n FROM customer c, invoiceline i", 2,
+			"SELECT i.invid FROM invoiceline i"},
+		{"local and join conjuncts", "SELECT c.custname, i.charge FROM customer c, invoiceline i WHERE c.custid = i.custid AND c.office = 'Corfu'", 1,
+			"SELECT c.custid, c.custname, c.office FROM customer c WHERE c.office = 'Corfu'"},
+	} {
+		sel := sqlparse.MustParseSelect(c.sql)
+		if err := plan.Qualify(sel, sch); err != nil {
+			t.Fatal(err)
+		}
+		if got := Subqueries(sel, qgraph.New(sel), sch)(c.mask).SQL(); got != c.want {
+			t.Errorf("%s:\n got %s\nwant %s", c.name, got, c.want)
+		}
+		res, err := Optimize(sel, sch, st, cost.Default())
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range res.Partials {
-			if len(p.Bindings) == 1 && p.Bindings[0] == binding {
-				return p.SQL.SQL()
-			}
-		}
-		t.Fatalf("no partial over %s", binding)
-		return ""
-	}
-	const unqualified = "SELECT charge, custid, office FROM customer c, invoiceline i WHERE c.custid = i.custid"
-	for _, c := range []struct{ name, got, want string }{
-		{"star, defined", partial("SELECT * FROM customer c, invoiceline i WHERE c.custid = i.custid", "c"),
-			"SELECT c.custid, c.custname, c.office FROM customer c"},
-		{"unqualified, defined: i", partial(unqualified, "i"),
-			"SELECT i.charge, i.custid FROM invoiceline i"},
-		{"unqualified, defined: c", partial(unqualified, "c"),
-			"SELECT c.custid, c.office FROM customer c"},
-		{"unqualified, undefined", SubqueryFor(sqlparse.MustParseSelect(unqualified), []string{"i"}).SQL(),
-			"SELECT i.custid FROM invoiceline i"},
-		{"star, undefined", SubqueryFor(sqlparse.MustParseSelect("SELECT * FROM customer c, invoiceline i"), []string{"c"}).SQL(),
-			"SELECT c._ FROM customer c"},
-	} {
-		if c.got != c.want {
-			t.Errorf("%s:\n got %s\nwant %s", c.name, c.got, c.want)
+		i := slices.IndexFunc(res.Partials, func(p *Partial) bool {
+			return len(p.Bindings) == 1 && p.Bindings[0] == sel.From[bits.TrailingZeros(c.mask)].Binding()
+		})
+		if got := res.Partials[i].SQL.SQL(); got != c.want {
+			t.Errorf("%s, the seller's partial:\n got %s\nwant %s", c.name, got, c.want)
 		}
 	}
 }

@@ -440,7 +440,9 @@ func (n *Node) rewriteAndPlan(gen pricecache.Generation, sql string, x step) (e 
 	var rw *rewrite.Rewritten
 	sel, err := sqlparse.ParseSelect(sql)
 	if e.Err = err; err == nil {
-		plan.Qualify(sel, n.cfg.Schema)
+		e.Err = plan.Qualify(sel, n.cfg.Schema)
+	}
+	if e.Err == nil {
 		ph := x.phase("rewrite")
 		rw, e.Err = rewrite.ForSeller(sel, n.cfg.Schema, n.store)
 		ph.end(&e)
@@ -451,7 +453,7 @@ func (n *Node) rewriteAndPlan(gen pricecache.Generation, sql string, x step) (e 
 		if res, e.Err = localopt.Optimize(rw.Sel, n.cfg.Schema, n.store, n.cfg.Cost); e.Err == nil {
 			n.draftOffers(&e, sel, rw, res)
 			if n.cfg.SubcontractPeers != nil {
-				e.Gaps = gaps(sel, rw)
+				e.Gaps = n.gaps(sel, rw)
 			}
 		}
 		ph.end(&e)
@@ -472,7 +474,7 @@ func (n *Node) draftOffers(e *pricecache.Entry, sel *sqlparse.Select, rw *rewrit
 	hasAgg := sel.HasAggregates() || len(sel.GroupBy) > 0
 	e.Drafts = make([]pricecache.Draft, 0, len(res.Partials))
 	for _, p := range res.Partials {
-		if d, ok := n.partialDraft(sel, rw, p, hasAgg); ok {
+		if d, ok := n.partialDraft(sel, rw, p); ok {
 			e.Drafts = append(e.Drafts, d)
 		}
 	}
@@ -539,8 +541,11 @@ func (m *minter) mint(d *pricecache.Draft, paid float64, sub *subcontract) {
 }
 
 // partialDraft offers one partial result the modified DP retained. One whose
-// output schema cannot be derived is not offered.
-func (n *Node) partialDraft(sel *sqlparse.Select, rw *rewrite.Rewritten, p *localopt.Partial, origHasAgg bool) (pricecache.Draft, bool) {
+// output schema cannot be derived is not offered. Its rows are unaggregated
+// (Stripped) when its own SQL has no aggregate and no GROUP BY, whatever the
+// query it answers: a restriction the buyer asked of an aggregate query is
+// plain rows the buyer aggregates.
+func (n *Node) partialDraft(sel *sqlparse.Select, rw *rewrite.Rewritten, p *localopt.Partial) (pricecache.Draft, bool) {
 	cols, err := OutputSpecs(p.SQL, n.cfg.Schema, n.store)
 	if err != nil {
 		return pricecache.Draft{}, false
@@ -556,7 +561,7 @@ func (n *Node) partialDraft(sel *sqlparse.Select, rw *rewrite.Rewritten, p *loca
 		Bindings: p.Bindings,
 		Parts:    parts,
 		Complete: rw.Complete && len(p.Bindings) == len(sel.From),
-		Stripped: origHasAgg && !(p.SQL.HasAggregates() || len(p.SQL.GroupBy) > 0),
+		Stripped: !p.SQL.HasAggregates() && len(p.SQL.GroupBy) == 0,
 		Props:    n.valuation(p.Cost, p.Rows, p.Bytes, n.coverage(p.SQL, p.Bindings, parts)),
 	}}, true
 }

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"qtrade/internal/ledger"
 	"qtrade/internal/obs"
+	"qtrade/internal/plan"
 	"qtrade/internal/trading"
 	"qtrade/internal/value"
 )
@@ -429,6 +431,48 @@ func TestPriceCacheRemembersFailedRewrite(t *testing.T) {
 	}
 	if got := ask("rfb-n3"); len(got) == 0 || rewrites.Count() != 2 {
 		t.Fatalf("after creating the fragment: %d offers, %d rewrites; want some, 2", len(got), rewrites.Count())
+	}
+}
+
+// TestSellerRefusesUnknownColumns: S1 refuses a query naming a column the
+// node's catalog lacks — a qualifier naming no FROM relation, a qualified
+// column missing from its table, a bare name that is no select-list alias
+// (unknown or ambiguous) — before any rewrite, and remembers the refusal as a
+// failed text. A select-list alias is a name, and a relation the catalog
+// does not know is left to the rewrite, which finds nothing local.
+func TestSellerRefusesUnknownColumns(t *testing.T) {
+	for _, c := range []struct {
+		sql    string
+		refuse bool
+	}{
+		{"SELECT c.custnme FROM customer c", true},
+		{"SELECT c.custname FROM customer c WHERE c.ofice = 'Myconos'", true},
+		{"SELECT x.custname FROM customer c", true},
+		{"SELECT customer.custname FROM customer c", true},
+		{"SELECT custnme FROM customer c", true},
+		{"SELECT c.custname FROM customer c ORDER BY nme", true},
+		{"SELECT c.custname, i.charge FROM customer c, invoiceline i WHERE custid = 3", true},
+		{"SELECT c.custname AS nm FROM customer c ORDER BY nm", false},
+		{"SELECT custname FROM customer c WHERE office = 'Myconos'", false},
+		{"SELECT g.x, y FROM ghost g", false},
+	} {
+		m := obs.NewMetrics()
+		n := telcoNodeCfg(t, nil)
+		n.SetObs(nil, m)
+		rfb := trading.RFB{RFBID: "r", BuyerID: "athens", Queries: []trading.QueryRequest{{QID: "q0", SQL: c.sql}}}
+		offers, err := bidOffers(n.RequestBids(rfb))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, ok := n.prices.Get(n.generation(), c.sql)
+		if !ok {
+			t.Fatalf("%s: no price-cache entry", c.sql)
+		}
+		refused := errors.Is(e.Err, plan.ErrUnknownColumn)
+		rewrites := m.Histogram("node.myconos.rewrite_ms").Count()
+		if refused != c.refuse || refused && (len(offers) > 0 || rewrites > 0) {
+			t.Errorf("%s: refused %v (%v) with %d offers after %d rewrites, want refused %v", c.sql, refused, e.Err, len(offers), rewrites, c.refuse)
+		}
 	}
 }
 

@@ -155,7 +155,9 @@ func (n *Node) textPlan(sql string) (plan.Node, []trading.ColSpec, error) {
 // materialized view, or a query over local fragments through the local
 // optimizer — and derives the column specs its answer ships under.
 func (n *Node) selectPlan(sel *sqlparse.Select) (plan.Node, []trading.ColSpec, error) {
-	plan.Qualify(sel, n.cfg.Schema)
+	if err := plan.Qualify(sel, n.cfg.Schema); err != nil {
+		return nil, nil, err
+	}
 	var root plan.Node
 	if len(sel.From) == 1 && n.store.View(sel.From[0].Name) != nil {
 		var err error

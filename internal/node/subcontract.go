@@ -14,6 +14,7 @@ import (
 	"qtrade/internal/localopt"
 	"qtrade/internal/plan"
 	"qtrade/internal/pricecache"
+	"qtrade/internal/qgraph"
 	"qtrade/internal/rewrite"
 	"qtrade/internal/sqlparse"
 	"qtrade/internal/trading"
@@ -119,10 +120,11 @@ func (n *Node) subcontractDrafts(rfb trading.RFB, e pricecache.Entry, ph step, i
 // holds only part of: what subcontractDrafts reads on every later RFB for the
 // text, so that no hit parses it again. Fully foreign relations are the
 // buyer's problem, and a relation held whole has nothing to buy.
-func gaps(sel *sqlparse.Select, rw *rewrite.Rewritten) []pricecache.Gap {
+func (n *Node) gaps(sel *sqlparse.Select, rw *rewrite.Rewritten) []pricecache.Gap {
 	var out []pricecache.Gap
+	var subquery func(mask uint) *sqlparse.Select
 	agg := sel.HasAggregates() || len(sel.GroupBy) > 0
-	for _, tr := range sel.From {
+	for i, tr := range sel.From {
 		b := strings.ToLower(tr.Binding())
 		held, isKept := rw.Parts[b]
 		if !isKept {
@@ -133,8 +135,11 @@ func gaps(sel *sqlparse.Select, rw *rewrite.Rewritten) []pricecache.Gap {
 		if len(missing) == 0 {
 			continue
 		}
+		if subquery == nil {
+			subquery = localopt.Subqueries(sel, qgraph.New(sel), n.cfg.Schema)
+		}
 		out = append(out, pricecache.Gap{Table: tr.Name, Binding: tr.Binding(), Agg: agg,
-			Sub: localopt.SubqueryFor(sel, []string{tr.Binding()}), Held: held, Missing: missing, Relevant: relevant})
+			Sub: subquery(1 << i), Held: held, Missing: missing, Relevant: relevant})
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -241,25 +242,35 @@ func aggCalls(sel *sqlparse.Select) (calls []*expr.Agg, texts []string) {
 	return calls, texts
 }
 
-// Qualify resolves every unqualified column reference of a SELECT against
-// the schema's table definitions: a column exposed by exactly one FROM
-// relation gets that relation's binding as its qualifier (standard semantic
-// analysis). Ambiguous or unknown names are left untouched — binding will
-// reject them later with a precise error. Qualifying right after parsing
-// lets every downstream component (partition pruning, rewriting, offer
-// matching) reason about column identity reliably. The qualified trees are
+// ErrUnknownColumn is Qualify's refusal of a query naming a column its catalog
+// lacks.
+var ErrUnknownColumn = errors.New("plan: unknown column")
+
+// Qualify is the one place a column is resolved to its relation: every
+// unqualified column reference of a SELECT that exactly one FROM relation
+// exposes gets that relation's binding as its qualifier (standard semantic
+// analysis), and everything downstream — the query graph, the seller's
+// rewrite and modified DP, the buyer's subqueries — reads a column by its
+// qualifier alone, a bare one belonging to no relation. The qualified trees are
 // assigned to sel's own fields; no node sel held is written.
-func Qualify(sel *sqlparse.Select, sch *catalog.Schema) {
+//
+// It then refuses, with ErrUnknownColumn, a query with a qualifier that names
+// no FROM relation, a qualified column missing from its table, or a bare name
+// left (unknown or ambiguous) that is no select-list alias. A relation the
+// catalog does not know is not checked, and while one is in FROM neither is a
+// bare name.
+func Qualify(sel *sqlparse.Select, sch *catalog.Schema) error {
+	defs := make([]*catalog.TableDef, len(sel.From))
+	allKnown := true
+	for i, tr := range sel.From {
+		defs[i], _ = sch.Table(tr.Name)
+		allKnown = allKnown && defs[i] != nil
+	}
 	owner := func(name string) string {
-		found := ""
-		n := 0
-		for _, tr := range sel.From {
-			def, ok := sch.Table(tr.Name)
-			if !ok {
-				continue
-			}
-			if def.ColumnIndex(name) >= 0 {
-				found = tr.Binding()
+		found, n := "", 0
+		for i, def := range defs {
+			if def != nil && def.ColumnIndex(name) >= 0 {
+				found = sel.From[i].Binding()
 				n++
 			}
 		}
@@ -268,17 +279,39 @@ func Qualify(sel *sqlparse.Select, sch *catalog.Schema) {
 		}
 		return ""
 	}
+	var bad *expr.Column
+	known := func(c *expr.Column) bool {
+		if c.Table == "" {
+			return !allKnown || slices.ContainsFunc(sel.Items, func(it sqlparse.SelectItem) bool { return equalFold(it.Alias, c.Name) })
+		}
+		i := slices.IndexFunc(sel.From, func(tr sqlparse.TableRef) bool { return equalFold(tr.Binding(), c.Table) })
+		return i >= 0 && (defs[i] == nil || defs[i].ColumnIndex(c.Name) >= 0)
+	}
+	qualify := func(e expr.Expr) expr.Expr {
+		e = expr.QualifyBy(e, owner)
+		expr.Walk(e, func(n expr.Expr) bool {
+			if c, ok := n.(*expr.Column); ok && bad == nil && !known(c) {
+				bad = c
+			}
+			return bad == nil
+		})
+		return e
+	}
 	for i := range sel.Items {
-		sel.Items[i].Expr = expr.QualifyBy(sel.Items[i].Expr, owner)
+		sel.Items[i].Expr = qualify(sel.Items[i].Expr)
 	}
-	sel.Where = expr.QualifyBy(sel.Where, owner)
+	sel.Where = qualify(sel.Where)
 	for i, g := range sel.GroupBy {
-		sel.GroupBy[i] = expr.QualifyBy(g, owner)
+		sel.GroupBy[i] = qualify(g)
 	}
-	sel.Having = expr.QualifyBy(sel.Having, owner)
+	sel.Having = qualify(sel.Having)
 	for i := range sel.OrderBy {
-		sel.OrderBy[i].Expr = expr.QualifyBy(sel.OrderBy[i].Expr, owner)
+		sel.OrderBy[i].Expr = qualify(sel.OrderBy[i].Expr)
 	}
+	if bad != nil {
+		return fmt.Errorf("%w %s", ErrUnknownColumn, bad)
+	}
+	return nil
 }
 
 // refsAvailable reports whether every column of e resolves in the schema.

@@ -4,11 +4,14 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"qtrade/internal/modsrc"
 )
 
 // TestTailIsLoweredHere holds the seam over the module's non-test code: a
@@ -16,7 +19,7 @@ import (
 // pushdown merge and every view compensation — over one aggregation stage,
 // whose calls are gathered by one collector; and outside the expression
 // package and the parser no expression node is built by hand, the AVG merge
-// expression and the rewriter's locality probe apart.
+// expression apart.
 func TestTailIsLoweredHere(t *testing.T) {
 	literals := map[string]map[string]int{} // literal type -> "pkg.function" -> count
 	collectors := map[string]int{}          // functions gathering *expr.Agg under expr.Walk
@@ -71,8 +74,7 @@ func TestTailIsLoweredHere(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The expression package and the parser build expression nodes; no one
-	// else does, but for the AVG merge's (SUM * 1.0) / COUNT and the
-	// rewriter's locality probe.
+	// else does, but for the AVG merge's (SUM * 1.0) / COUNT.
 	for typ, sites := range literals {
 		if strings.HasPrefix(typ, "expr.") {
 			for site := range sites {
@@ -87,7 +89,7 @@ func TestTailIsLoweredHere(t *testing.T) {
 		"plan.Distinct":  {"plan.lowerTail": 1, "node.textPlan": 1},            // UNION's duplicate elimination
 		"plan.Sort":      {"plan.lowerTail": 1, "core.wholePlanCandidates": 1}, // the buyer's re-sort of a whole offer
 		"plan.Limit":     {"plan.lowerTail": 1, "core.wholePlanCandidates": 1},
-		"expr.Binary":    {"plan.finalExpr": 2, "rewrite.localItems": 1},
+		"expr.Binary":    {"plan.finalExpr": 2},
 		"expr.Unary":     {},
 		"expr.In":        {},
 		"expr.Between":   {},
@@ -134,4 +136,62 @@ func assertsAgg(call *ast.CallExpr) bool {
 		})
 	}
 	return found
+}
+
+// TestColumnsAreResolvedHere holds the seam over the module's non-test code,
+// bench/ included: a column is resolved to its relation by plan.Qualify alone,
+// so outside the catalog nothing else asks a table definition for a column by
+// name, and everything downstream reads a column by its qualifier. A subquery
+// over a relation subset is built with the catalog, by localopt.Subqueries:
+// the catalog-less builders and their placeholder column "_" are gone.
+func TestColumnsAreResolvedHere(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := modsrc.Load(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scope := func(path string) *types.Scope { return mod.Pkgs[path].Scope() }
+	def := scope("qtrade/internal/catalog").Lookup("TableDef").Type()
+	columnIndex, _, _ := types.LookupFieldOrMethod(def, true, nil, "ColumnIndex")
+	newColumn := scope("qtrade/internal/expr").Lookup("NewColumn")
+	column := scope("qtrade/internal/expr").Lookup("Column").Type()
+	resolvers := map[string]bool{} // "pkg.function"s calling ColumnIndex
+	for _, p := range mod.Paths {
+		info := mod.Info[p]
+		for _, file := range mod.Files[p] {
+			for _, decl := range file.Decls {
+				site := mod.Pkgs[p].Name() + "."
+				if fn, ok := decl.(*ast.FuncDecl); ok {
+					site += fn.Name.Name
+					if fn.Recv == nil && (fn.Name.Name == "SubqueryFor" || fn.Name.Name == "SubqueriesOf") {
+						t.Errorf("%s is back: build subqueries with localopt.Subqueries, which has the catalog", site)
+					}
+				}
+				buildsColumn, placeholder := false, false
+				ast.Inspect(decl, func(x ast.Node) bool {
+					switch n := x.(type) {
+					case *ast.SelectorExpr:
+						if s := info.Selections[n]; s != nil && s.Obj() == columnIndex && p != "qtrade/internal/catalog" {
+							resolvers[site] = true
+						}
+						buildsColumn = buildsColumn || info.Uses[n.Sel] == newColumn
+					case *ast.CompositeLit:
+						buildsColumn = buildsColumn || types.Identical(info.TypeOf(n), column)
+					case *ast.BasicLit:
+						placeholder = placeholder || n.Kind == token.STRING && n.Value == `"_"`
+					}
+					return true
+				})
+				if buildsColumn && placeholder {
+					t.Errorf("%s builds a column and holds the placeholder name \"_\": a subquery ships a column its catalog defines", site)
+				}
+			}
+		}
+	}
+	if want := map[string]bool{"plan.Qualify": true}; !reflect.DeepEqual(resolvers, want) {
+		t.Errorf("columns resolved by name in %v, want %v: qualify the query with plan.Qualify and read the qualifier", resolvers, want)
+	}
 }

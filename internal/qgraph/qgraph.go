@@ -92,18 +92,6 @@ func (g *Graph) Index(binding string) (int, bool) {
 	return 0, false
 }
 
-// Mask is the relation set of the given bindings; names of no FROM relation
-// add nothing.
-func (g *Graph) Mask(bindings []string) uint {
-	var mask uint
-	for _, b := range bindings {
-		if i, ok := g.Index(b); ok {
-			mask |= 1 << i
-		}
-	}
-	return mask
-}
-
 // LocalPred is the conjunction of relation i's selections, over the query's
 // own conjuncts; nil when it has none.
 func (g *Graph) LocalPred(i int) expr.Expr { return expr.And(g.Local[i]) }

@@ -125,7 +125,13 @@ func TestGraphWithin(t *testing.T) {
 		{[]string{"r1", "r2", "r3"}, []string{"r3.v > 2", "r1.fk = r2.pk", "1 = 1", "r1.pk < 9", "r2.fk = r3.pk", "r1.v + r2.v > r3.v"}},
 	}
 	for _, tc := range cases {
-		if got := strs(g.Within(g.Mask(tc.set))); !slices.Equal(got, tc.want) {
+		var set uint
+		for _, b := range tc.set {
+			if i, ok := g.Index(b); ok {
+				set |= 1 << i
+			}
+		}
+		if got := strs(g.Within(set)); !slices.Equal(got, tc.want) {
 			t.Errorf("Within(%v) = %q, want %q", tc.set, got, tc.want)
 		}
 	}

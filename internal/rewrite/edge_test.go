@@ -4,15 +4,21 @@ import (
 	"strings"
 	"testing"
 
+	"qtrade/internal/plan"
 	"qtrade/internal/sqlparse"
 	"qtrade/internal/storage"
 )
 
+// TestUnqualifiedColumnsResolve: a bare column the query names, qualified by
+// plan.Qualify as every caller does before the rewrite, survives it.
 func TestUnqualifiedColumnsResolve(t *testing.T) {
 	sch := telcoSchema()
 	st := myconosStore(t, sch)
 	sel := sqlparse.MustParseSelect(
 		"SELECT custname FROM customer c WHERE office = 'Myconos'")
+	if err := plan.Qualify(sel, sch); err != nil {
+		t.Fatal(err)
+	}
 	rw, err := ForSeller(sel, sch, st)
 	if err != nil {
 		t.Fatal(err)

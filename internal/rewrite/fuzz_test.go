@@ -12,6 +12,7 @@ import (
 
 	"qtrade/internal/catalog"
 	"qtrade/internal/expr"
+	"qtrade/internal/plan"
 	"qtrade/internal/sqlparse"
 	"qtrade/internal/storage"
 	"qtrade/internal/value"
@@ -25,12 +26,17 @@ import (
 // partitioning are decoded from the fuzz bytes; the table is every pair of a
 // small domain built around the literals, so the check is brute force. The
 // rewritten query is read back from its printed text, as a seller ships it,
-// and covers only partitions its seller holds.
+// and covers only partitions its seller holds. A column is decoded qualified,
+// bare or misspelled; the query is qualified first, as every seller does, so
+// a bare column is t's and a query naming a misspelled one is refused there.
 func FuzzForSeller(f *testing.F) {
 	f.Add([]byte{2, 1, 3, 0, 1, 2, 0, kSelCmp, 0, 4, 2})                         // x < 1, 3 | x < 3 over p0 p1 on two sellers
 	f.Add([]byte{3, 0, 2, 4, 0, 1, 2, 1, kSelIn, 0, 3, 1, 6, 7})                 // x IN (0, NULL, 1.5)
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 2, kSelBetween, 1, 5, 0, kSelConst, 1, 2, 3}) // no predicate: one whole-table fragment
 	f.Add([]byte{4, 0, 1, 2, 3, 0, 1, 2, 0, 1, kSelOr, kSelCmp, 0, 2, 1, kSelNull, 1, 1})
+	f.Add([]byte{1, 0, 0, 1, 1, kSelCmp, 2, 2, 3}) // x < 2, bare
+	f.Add([]byte{1, 0, 0, 1, 1, kSelCmp, 2, 5, 3}) // z < 2: no such column
+	f.Add([]byte{1, 0, 0, 1, 1, kSelCmp, 2, 4, 3}) // t.z < 2: no such column
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
 		seed := make([]byte, 8+rng.Intn(24))
@@ -56,6 +62,12 @@ func FuzzForSeller(f *testing.F) {
 		sel, err := sqlparse.ParseSelect(text)
 		if err != nil {
 			t.Fatalf("%s does not parse: %v", text, err)
+		}
+		misspelled := slices.ContainsFunc(expr.Columns(sel.Where), func(c *expr.Column) bool { return c.Name == "z" })
+		if err := plan.Qualify(sel, sch); misspelled != errors.Is(err, plan.ErrUnknownColumn) {
+			t.Fatalf("%s: qualified with %v", text, err)
+		} else if misspelled {
+			return
 		}
 		cols := []expr.ColumnID{{Table: "t", Name: "x"}, {Table: "t", Name: "y"}}
 		want := keep(t, sel.Where, cols, selRows(func(int) bool { return true }, bounds))
@@ -208,7 +220,12 @@ func (d *selDecoder) conjunction() expr.Expr {
 	return expr.And(list)
 }
 
-func (d *selDecoder) col() expr.Expr { return expr.NewColumn("t", []string{"x", "y"}[d.byte()%2]) }
+// selCols are the columns a decoded predicate names: t's, bare and
+// misspelled.
+var selCols = []*expr.Column{expr.NewColumn("t", "x"), expr.NewColumn("t", "y"), expr.NewColumn("", "x"),
+	expr.NewColumn("", "y"), expr.NewColumn("t", "z"), expr.NewColumn("", "z")}
+
+func (d *selDecoder) col() expr.Expr { return selCols[d.byte()%len(selCols)] }
 func (d *selDecoder) lit() expr.Expr { return expr.NewLit(selLits[d.byte()%len(selLits)]) }
 
 // conjunct reads one conjunct; NOT and OR nest at most twice.

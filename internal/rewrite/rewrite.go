@@ -46,7 +46,9 @@ type Rewritten struct {
 	Stripped bool
 }
 
-// ForSeller rewrites a buyer query against the seller's schema and store.
+// ForSeller rewrites a buyer query against the seller's schema and store. sel
+// is qualified (plan.Qualify): a column belongs to the relation its qualifier
+// names, and a bare one to none.
 func ForSeller(sel *sqlparse.Select, sch *catalog.Schema, store *storage.Store) (*Rewritten, error) {
 	g := qgraph.New(sel)
 	rw := &Rewritten{Parts: map[string][]string{}, Relevant: map[string][]string{}}
@@ -129,23 +131,18 @@ func ForSeller(sel *sqlparse.Select, sch *catalog.Schema, store *storage.Store) 
 	// rewrite paths expose the same columns and stay union-compatible at
 	// the buyer). A node covering every relevant partition of every query
 	// relation passes the query through verbatim instead — it can answer it
-	// as-is, aggregation, ordering and all.
-	hasAgg := sel.HasAggregates() || len(sel.GroupBy) > 0
+	// as-is, aggregation, ordering and all, under the query's own schema.
 	passThrough := rw.Complete && len(rw.Dropped) == 0
-	items, _ := localItems(sel, out.Where, keptSet, kept, sch, passThrough)
-	if len(items) == 0 {
-		// Fall back to every local column referenced anywhere in the query.
-		items = fallbackItems(sel, kept, sch)
-	}
-	out.Items = items
-	rw.Stripped = hasAgg && !passThrough
-
+	rw.Stripped = (sel.HasAggregates() || len(sel.GroupBy) > 0) && !passThrough
 	if passThrough {
+		out.Items = slices.Clone(sel.Items)
 		out.GroupBy = slices.Clone(sel.GroupBy)
 		out.Having = sel.Having
 		out.Distinct = sel.Distinct
 		out.OrderBy = slices.Clone(sel.OrderBy)
 		out.Limit = sel.Limit
+	} else {
+		out.Items = localItems(sel, out.Where, keptSet, kept, sch)
 	}
 
 	rw.Sel = out
@@ -170,64 +167,15 @@ func PartitionRestriction(sch *catalog.Schema, table, binding string, partIDs []
 	return expr.Or(ors)
 }
 
-// conjunctLocal reports whether a conjunct references only kept relations.
-// Unqualified columns must resolve to exactly one relation of the *whole*
-// query (resolving against kept relations only would silently change the
-// meaning of an ambiguous reference), and that relation must be kept.
-func conjunctLocal(c expr.Expr, keptSet map[string]bool, all []sqlparse.TableRef, sch *catalog.Schema) bool {
-	for _, col := range expr.Columns(c) {
-		if col.Table != "" {
-			if !keptSet[strings.ToLower(col.Table)] {
-				return false
-			}
-			continue
-		}
-		owner, n := ownerOf(col.Name, all, sch)
-		if n != 1 || !keptSet[owner] {
-			return false
-		}
-	}
-	return true
-}
-
-// ownerOf finds which binding of the relation list exposes an unqualified
-// column name, and how many expose it (n != 1 means unresolvable).
-func ownerOf(name string, rels []sqlparse.TableRef, sch *catalog.Schema) (string, int) {
-	owner := ""
-	n := 0
-	for _, tr := range rels {
-		def, ok := sch.Table(tr.Name)
-		if !ok {
-			continue
-		}
-		if def.ColumnIndex(name) >= 0 {
-			owner = strings.ToLower(tr.Binding())
-			n++
-		}
-	}
-	return owner, n
-}
-
-// localItems computes the rewritten select list. keepAgg is true when the
-// node may answer the aggregation itself (complete extents, no dropped
-// relations); the bool result reports whether aggregation was kept.
-func localItems(sel *sqlparse.Select, rewrittenWhere expr.Expr, keptSet map[string]bool, kept []sqlparse.TableRef, sch *catalog.Schema, passThrough bool) ([]sqlparse.SelectItem, bool) {
-	if passThrough {
-		// The node can answer the query verbatim; items pass through
-		// unchanged so the answer's schema matches the query's exactly.
-		return slices.Clone(sel.Items), true
-	}
+// localItems computes the select list of a query the node cannot answer
+// verbatim: the columns of kept relations the buyer needs to finish it. A
+// column is kept when its qualifier names a kept relation; a bare one
+// belongs to none.
+func localItems(sel *sqlparse.Select, rewrittenWhere expr.Expr, keptSet map[string]bool, kept []sqlparse.TableRef, sch *catalog.Schema) []sqlparse.SelectItem {
 	seen := map[string]bool{}
 	var items []sqlparse.SelectItem
 	addCol := func(c *expr.Column) {
 		binding := strings.ToLower(c.Table)
-		if binding == "" {
-			owner, n := ownerOf(c.Name, sel.From, sch)
-			if n != 1 {
-				return
-			}
-			binding = owner
-		}
 		if !keptSet[binding] {
 			return
 		}
@@ -238,7 +186,11 @@ func localItems(sel *sqlparse.Select, rewrittenWhere expr.Expr, keptSet map[stri
 		seen[key] = true
 		items = append(items, sqlparse.SelectItem{Expr: expr.NewColumn(c.Table, c.Name)})
 	}
-	local := func(e expr.Expr) bool { return conjunctLocal(e, keptSet, sel.From, sch) }
+	addCols := func(e expr.Expr) {
+		for _, c := range expr.Columns(e) {
+			addCol(c)
+		}
+	}
 	for _, it := range sel.Items {
 		if it.Star {
 			for _, tr := range kept {
@@ -254,89 +206,37 @@ func localItems(sel *sqlparse.Select, rewrittenWhere expr.Expr, keptSet map[stri
 		}
 		// Aggregates are stripped to their argument columns; plain items
 		// keep their local columns.
-		for _, c := range expr.Columns(it.Expr) {
-			if local(&expr.Binary{Op: "=", L: c, R: expr.Int(0)}) {
+		addCols(it.Expr)
+	}
+	// Group-by and having columns the buyer needs to re-aggregate.
+	for _, g := range sel.GroupBy {
+		addCols(g)
+	}
+	addCols(sel.Having)
+	// Join columns from conjuncts that span kept and dropped relations.
+	for _, cj := range expr.Conjuncts(sel.Where) {
+		cols := expr.Columns(cj)
+		if slices.ContainsFunc(cols, func(c *expr.Column) bool { return !keptSet[strings.ToLower(c.Table)] }) {
+			for _, c := range cols {
 				addCol(c)
 			}
 		}
 	}
-	// Group-by and having columns the buyer needs to re-aggregate.
-	for _, g := range sel.GroupBy {
-		for _, c := range expr.Columns(g) {
-			addCol(c)
-		}
-	}
-	for _, c := range expr.Columns(sel.Having) {
-		addCol(c)
-	}
-	// Join columns from conjuncts that span kept and dropped relations.
-	for _, cj := range expr.Conjuncts(sel.Where) {
-		if local(cj) {
-			continue
-		}
-		for _, c := range expr.Columns(cj) {
-			addCol(c)
-		}
-	}
 	// Every column of the rewritten WHERE (local conjuncts and partition
 	// restrictions), for cross-seller union compatibility.
-	for _, c := range expr.Columns(rewrittenWhere) {
-		addCol(c)
-	}
+	addCols(rewrittenWhere)
 	for _, ob := range sel.OrderBy {
-		for _, c := range expr.Columns(ob.Expr) {
-			addCol(c)
-		}
-	}
-	sort.SliceStable(items, func(i, j int) bool { return items[i].Expr.String() < items[j].Expr.String() })
-	return items, false
-}
-
-// fallbackItems exposes every locally owned column referenced anywhere in
-// the query; used when no regular item survived the rewrite.
-func fallbackItems(sel *sqlparse.Select, kept []sqlparse.TableRef, sch *catalog.Schema) []sqlparse.SelectItem {
-	seen := map[string]bool{}
-	var items []sqlparse.SelectItem
-	collect := func(e expr.Expr) {
-		for _, c := range expr.Columns(e) {
-			binding := strings.ToLower(c.Table)
-			if binding == "" {
-				owner, n := ownerOf(c.Name, sel.From, sch)
-				if n != 1 {
-					continue
-				}
-				binding = owner
-			}
-			found := false
-			for _, tr := range kept {
-				if strings.EqualFold(tr.Binding(), binding) {
-					found = true
-				}
-			}
-			if !found {
-				continue
-			}
-			key := binding + "." + strings.ToLower(c.Name)
-			if !seen[key] {
-				seen[key] = true
-				items = append(items, sqlparse.SelectItem{Expr: expr.NewColumn(c.Table, c.Name)})
-			}
-		}
-	}
-	for _, it := range sel.Items {
-		if !it.Star {
-			collect(it.Expr)
-		}
-	}
-	collect(sel.Where)
-	for _, g := range sel.GroupBy {
-		collect(g)
+		addCols(ob.Expr)
 	}
 	if len(items) == 0 {
-		// Last resort: the first column of the first kept relation.
-		if def, ok := sch.Table(kept[0].Name); ok {
+		// Nothing the buyer needs survived: every kept column the query's
+		// WHERE names, else the first column of the first kept relation.
+		addCols(sel.Where)
+		if def, ok := sch.Table(kept[0].Name); ok && len(items) == 0 {
 			items = append(items, sqlparse.SelectItem{Expr: expr.NewColumn(kept[0].Binding(), def.Columns[0].Name)})
 		}
+		return items
 	}
+	sort.SliceStable(items, func(i, j int) bool { return items[i].Expr.String() < items[j].Expr.String() })
 	return items
 }

@@ -68,8 +68,9 @@ type Offer struct {
 	Bindings []string
 	Parts    map[string][]string
 	// Complete reports full coverage of every partition of every covered
-	// relation; Stripped reports that aggregation was removed and the buyer
-	// must re-aggregate; FromView marks offers derived from materialized
+	// relation; Stripped reports, for an aggregate query, that the rows are
+	// unaggregated (the offer's SQL has no aggregate and no GROUP BY) and the
+	// buyer aggregates them; FromView marks offers derived from materialized
 	// views (§3.5); PartialAgg marks per-fragment partial aggregates the
 	// buyer merges (SUM of SUMs) instead of re-aggregating raw rows.
 	Complete   bool
