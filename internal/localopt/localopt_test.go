@@ -353,31 +353,21 @@ func TestCheaperPlanPreferred(t *testing.T) {
 	}
 }
 
-// TestSubqueryColumns pins the one clause walk behind every subquery text,
-// over a qualified query: a star names every column the catalog defines, an
-// unqualified column goes to the one relation exposing it (plan.Qualify), a
-// relation nothing refers to ships its first catalog column, and a subset
-// keeps its own conjuncts and the columns of the ones it is joined by. The
-// seller's partial over a subset and the text Subqueries builds for it are
-// the same.
-func TestSubqueryColumns(t *testing.T) {
+// subqueryCase is one subset of a query and the text its subquery must have.
+type subqueryCase struct {
+	name, sql string
+	mask      uint
+	want      string
+}
+
+// checkSubqueries qualifies each case's query and checks that the text
+// Subqueries builds for the subset and the seller's partial over it are both
+// the case's text: every subquery text comes from the one clause walk.
+func checkSubqueries(t *testing.T, cases []subqueryCase) {
+	t.Helper()
 	sch := telcoSchema()
 	st := telcoStore(t, sch)
-	const unqualified = "SELECT charge, office FROM customer c, invoiceline i WHERE c.custid = i.custid"
-	for _, c := range []struct {
-		name, sql string
-		mask      uint
-		want      string
-	}{
-		{"star", "SELECT * FROM customer c, invoiceline i WHERE c.custid = i.custid", 1,
-			"SELECT c.custid, c.custname, c.office FROM customer c"},
-		{"unqualified: i", unqualified, 2, "SELECT i.charge, i.custid FROM invoiceline i"},
-		{"unqualified: c", unqualified, 1, "SELECT c.custid, c.office FROM customer c"},
-		{"no column", "SELECT COUNT(*) AS n FROM customer c, invoiceline i", 2,
-			"SELECT i.invid FROM invoiceline i"},
-		{"local and join conjuncts", "SELECT c.custname, i.charge FROM customer c, invoiceline i WHERE c.custid = i.custid AND c.office = 'Corfu'", 1,
-			"SELECT c.custid, c.custname, c.office FROM customer c WHERE c.office = 'Corfu'"},
-	} {
+	for _, c := range cases {
 		sel := sqlparse.MustParseSelect(c.sql)
 		if err := plan.Qualify(sel, sch); err != nil {
 			t.Fatal(err)
@@ -396,4 +386,32 @@ func TestSubqueryColumns(t *testing.T) {
 			t.Errorf("%s, the seller's partial:\n got %s\nwant %s", c.name, got, c.want)
 		}
 	}
+}
+
+// TestSubqueryColumnsWithAndWithoutDefinitions pins where a subquery's
+// columns come from, over a qualified query: from the catalog's definitions
+// where the query names none (a star names every column the catalog
+// defines; a relation nothing refers to ships its first catalog column), and
+// from the query where it does (an unqualified column goes to the one
+// relation exposing it, as plan.Qualify decided).
+func TestSubqueryColumnsWithAndWithoutDefinitions(t *testing.T) {
+	const unqualified = "SELECT charge, office FROM customer c, invoiceline i WHERE c.custid = i.custid"
+	checkSubqueries(t, []subqueryCase{
+		{"star", "SELECT * FROM customer c, invoiceline i WHERE c.custid = i.custid", 1,
+			"SELECT c.custid, c.custname, c.office FROM customer c"},
+		{"unqualified: i", unqualified, 2, "SELECT i.charge, i.custid FROM invoiceline i"},
+		{"unqualified: c", unqualified, 1, "SELECT c.custid, c.office FROM customer c"},
+		{"no column", "SELECT COUNT(*) AS n FROM customer c, invoiceline i", 2,
+			"SELECT i.invid FROM invoiceline i"},
+	})
+}
+
+// TestSubqueryFor pins the subquery of a subset of a join: it keeps its own
+// conjuncts and the columns of the ones it is joined by, and drops the
+// relation outside it.
+func TestSubqueryFor(t *testing.T) {
+	checkSubqueries(t, []subqueryCase{
+		{"local and join conjuncts", "SELECT c.custname, i.charge FROM customer c, invoiceline i WHERE c.custid = i.custid AND c.office = 'Corfu'", 1,
+			"SELECT c.custid, c.custname, c.office FROM customer c WHERE c.office = 'Corfu'"},
+	})
 }
