@@ -589,7 +589,7 @@ func (o *optimizer) finish(e *buyerEntry) (plan.Node, error) {
 // tailCost prices the aggregation/sort tail and returns (cost, output rows).
 func (o *optimizer) tailCost(e *buyerEntry) (float64, int64) {
 	local, rows := o.gv.Model.BuyerTail(0, e.rows,
-		o.sel.HasAggregates() || len(o.sel.GroupBy) > 0, len(o.sel.OrderBy) > 0)
+		o.sel.Aggregates(), len(o.sel.OrderBy) > 0)
 	if o.sel.Limit >= 0 && rows > o.sel.Limit {
 		rows = o.sel.Limit
 	}

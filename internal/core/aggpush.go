@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 
+	"qtrade/internal/cost"
 	"qtrade/internal/plan"
 )
 
@@ -37,9 +38,9 @@ func (g *planGen) partialAggCandidates() []Candidate {
 		if err != nil {
 			continue
 		}
-		groups := a.rows/2 + 1
-		if len(g.sel.GroupBy) == 0 {
-			groups = 1
+		groups := int64(1)
+		if len(g.sel.GroupBy) > 0 {
+			groups = cost.Groups(a.rows)
 		}
 		local := a.localCost + g.model.Aggregate(a.rows, groups)
 		if len(g.sel.OrderBy) > 0 {

@@ -159,7 +159,7 @@ func (a *analyser) next(gen *planGen, cands []Candidate, best *Candidate, w cost
 		return nil, len(props)
 	}
 	pcands, err := gen.try(preds)
-	if err != nil || best != nil && !(ValueOf(w, &pcands[0]) < ValueOf(w, best)*(1-1e-9)) {
+	if err != nil || !beats(w, &pcands[0], best) {
 		return nil, len(props)
 	}
 	used := make([]bool, len(props))

@@ -292,7 +292,7 @@ func optimize(cfg Config, comm Comm, sql string, exclude map[string]bool) (*Resu
 		improved := false
 		if err == nil {
 			ph.sp.Set("candidates", len(cands))
-			improved = best == nil || ValueOf(cfg.Weight, &cands[0]) < ValueOf(cfg.Weight, best)*(1-1e-9)
+			improved = beats(cfg.Weight, &cands[0], best)
 			if improved {
 				b := cands[0]
 				best = &b

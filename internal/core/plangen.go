@@ -113,6 +113,7 @@ type offerInfo struct {
 	schema     []expr.ColumnID
 	whole      bool // complete aggregated (or view) answer to the full query
 	partialAgg bool // per-fragment partial aggregates (merged, not unioned raw)
+	dropped    bool // being taken out of the pool by drop
 	group      *offerGroup
 }
 
@@ -187,7 +188,7 @@ func newPlanGen(sel *sqlparse.Select, sch *catalog.Schema, model *cost.Model,
 	if g.keep <= 0 {
 		g.keep = idpKeep
 	}
-	g.hasAgg = sel.HasAggregates() || len(sel.GroupBy) > 0
+	g.hasAgg = sel.Aggregates()
 	n := len(sel.From)
 	if n == 0 {
 		return nil, fmt.Errorf("core: query has no relations")
@@ -303,17 +304,32 @@ func (g *planGen) add(info *offerInfo) *offerInfo {
 	return info
 }
 
-// drop removes an entry from the pool, and its group when it was the last.
-func (g *planGen) drop(info *offerInfo) {
-	gone := func(x *offerInfo) bool { return x == info }
-	if grp := info.group; grp != nil {
-		grp.offers = slices.DeleteFunc(grp.offers, gone)
-		clear(grp.covers)
-		if len(grp.offers) == 0 {
-			g.groups = slices.DeleteFunc(g.groups, func(x *offerGroup) bool { return x == grp })
+// drop takes entries out of the pool, keeping every list's order: one pass
+// over each group they were in (forgetting its covers), one over the groups
+// when some are left empty, and one over the pool. The group pass unlinks
+// each dropped entry it meets, so no group is passed over twice.
+func (g *planGen) drop(infos ...*offerInfo) {
+	for _, info := range infos {
+		info.dropped = true
+	}
+	unlink := func(x *offerInfo) bool {
+		if x.dropped {
+			x.group = nil
+		}
+		return x.dropped
+	}
+	emptied := false
+	for _, info := range infos {
+		if grp := info.group; grp != nil {
+			clear(grp.covers)
+			grp.offers = slices.DeleteFunc(grp.offers, unlink)
+			emptied = emptied || len(grp.offers) == 0
 		}
 	}
-	g.offers = slices.DeleteFunc(g.offers, gone)
+	if emptied {
+		g.groups = slices.DeleteFunc(g.groups, func(grp *offerGroup) bool { return len(grp.offers) == 0 })
+	}
+	g.offers = slices.DeleteFunc(g.offers, func(x *offerInfo) bool { return x.dropped })
 }
 
 // try builds the candidates of the pool plus entries no seller offered — the
@@ -323,11 +339,7 @@ func (g *planGen) try(predicted []*offerInfo) ([]Candidate, error) {
 	for _, info := range predicted {
 		g.add(info)
 	}
-	defer func() {
-		for _, info := range predicted {
-			g.drop(info)
-		}
-	}()
+	defer g.drop(predicted...)
 	return g.run()
 }
 
@@ -929,4 +941,10 @@ func EstimateValuation(c *Candidate) cost.Valuation {
 // ValueOf ranks a candidate under the federation weights; lower is better.
 func ValueOf(w cost.Weights, c *Candidate) float64 {
 	return w.Score(EstimateValuation(c))
+}
+
+// beats reports whether plan c is better than best by more than rounding;
+// any plan beats no plan (a nil best).
+func beats(w cost.Weights, c, best *Candidate) bool {
+	return best == nil || ValueOf(w, c) < ValueOf(w, best)*(1-1e-9)
 }

@@ -632,6 +632,53 @@ func TestGenerateIncrementalMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestTryLeavesThePoolAsItWas: predictions that join standing groups or found
+// new ones are planned with and taken out again. The pool, its groups and each
+// group's offers are then the same entries in the same order — a received id
+// that sorts after the predicted ones included — and the next run plans as
+// the run before them did.
+func TestTryLeavesThePoolAsItWas(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 100; trial++ {
+		parts := 2 + rng.Intn(4)
+		g := chainGen(t, parts, GenDP)
+		script := randomPoolScript(rng, parts)
+		for _, p := range script[0] {
+			g.take(p.o)
+		}
+		late := script[0][rng.Intn(len(script[0]))].o
+		late.OfferID, late.SQL = "~zz", "SELECT late"
+		g.take(late)
+		want, wantErr := g.run()
+		offers, groups := slices.Clone(g.offers), slices.Clone(g.groups)
+		members := map[*offerGroup][]*offerInfo{}
+		for _, grp := range g.groups {
+			members[grp] = slices.Clone(grp.offers)
+		}
+		var preds []*offerInfo
+		for _, p := range script[1] { // r1, r2, r3 and the pairs no group holds yet
+			if rng.Intn(2) == 0 {
+				o := p.o
+				o.OfferID = predictedID + strconv.Itoa(len(preds))
+				preds = append(preds, g.decode(&o))
+			}
+		}
+		g.try(preds)
+		if !slices.Equal(g.offers, offers) || !slices.Equal(g.groups, groups) {
+			t.Fatalf("trial %d: try left %d offers in %d groups, want %d in %d", trial, len(g.offers), len(g.groups), len(offers), len(groups))
+		}
+		for _, grp := range g.groups {
+			if !slices.Equal(grp.offers, members[grp]) {
+				t.Fatalf("trial %d: try left a group of %d offers, want %d", trial, len(grp.offers), len(members[grp]))
+			}
+		}
+		got, gotErr := g.run()
+		if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: after try run gives %s (%v), want %s (%v)", trial, describe(got), gotErr, describe(want), wantErr)
+		}
+	}
+}
+
 func describe(cands []Candidate) string {
 	s := ""
 	for _, c := range cands {

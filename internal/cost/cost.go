@@ -90,14 +90,19 @@ func (m *Model) BuyerJoin(l, r int64, npreds int) (rows int64, cost float64) {
 	return rows, m.HashJoin(min(l, r), max(l, r), rows)
 }
 
+// Groups guesses how many groups an aggregation of rows yields: rows/2+1.
+// The seller's local optimizer prices its own aggregates under a square-root
+// rule (localopt.estimateGroups) instead.
+func Groups(rows int64) int64 { return rows/2 + 1 }
+
 // BuyerTail adds to local, a buyer's processing cost so far, what it runs over
-// its joined rows — the compensation filter, an aggregation into rows/2+1
+// its joined rows — the compensation filter, an aggregation into Groups(rows)
 // groups when the query aggregates, a sort when it orders — and returns the
 // sum and the rows that come out.
 func (m *Model) BuyerTail(local float64, rows int64, aggregates, ordered bool) (float64, int64) {
 	local += m.Filter(rows)
 	if aggregates {
-		groups := rows/2 + 1
+		groups := Groups(rows)
 		local += m.Aggregate(rows, groups)
 		rows = groups
 	}

@@ -339,7 +339,7 @@ func (o *optimizer) finishPartial(mask uint, entry dpEntry, full uint) (*Partial
 			p.Cost += o.m.Filter(entry.rows)
 		}
 		p.SQL = o.sel.Clone()
-		if o.sel.HasAggregates() || len(o.sel.GroupBy) > 0 {
+		if o.sel.Aggregates() {
 			groups := estimateGroups(entry.rows, len(o.sel.GroupBy))
 			p.Cost += o.m.Aggregate(entry.rows, groups)
 			p.Rows = groups

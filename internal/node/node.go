@@ -471,7 +471,6 @@ func (n *Node) rewriteAndPlan(gen pricecache.Generation, sql string, x step) (e 
 // draftOffers runs S2's deterministic sources over a planned query and leaves
 // their drafts in its entry, in the order they are minted in.
 func (n *Node) draftOffers(e *pricecache.Entry, sel *sqlparse.Select, rw *rewrite.Rewritten, res *localopt.Result) {
-	hasAgg := sel.HasAggregates() || len(sel.GroupBy) > 0
 	e.Drafts = make([]pricecache.Draft, 0, len(res.Partials))
 	for _, p := range res.Partials {
 		if d, ok := n.partialDraft(sel, rw, p); ok {
@@ -485,7 +484,7 @@ func (n *Node) draftOffers(e *pricecache.Entry, sel *sqlparse.Select, rw *rewrit
 			}
 		}
 	}
-	if hasAgg && rw.Stripped && len(rw.Dropped) == 0 && !n.cfg.DisableAggPush {
+	if sel.Aggregates() && rw.Stripped && len(rw.Dropped) == 0 && !n.cfg.DisableAggPush {
 		if d, ok := n.partialAggDraft(sel, rw, res); ok {
 			e.PartialAgg = &d
 		}
@@ -561,7 +560,7 @@ func (n *Node) partialDraft(sel *sqlparse.Select, rw *rewrite.Rewritten, p *loca
 		Bindings: p.Bindings,
 		Parts:    parts,
 		Complete: rw.Complete && len(p.Bindings) == len(sel.From),
-		Stripped: !p.SQL.HasAggregates() && len(p.SQL.GroupBy) == 0,
+		Stripped: !p.SQL.Aggregates(),
 		Props:    n.valuation(p.Cost, p.Rows, p.Bytes, n.coverage(p.SQL, p.Bindings, parts)),
 	}}, true
 }
@@ -587,9 +586,9 @@ func (n *Node) partialAggDraft(sel *sqlparse.Select, rw *rewrite.Rewritten, res 
 		return pricecache.Draft{}, false
 	}
 	full := res.Best
-	groups := full.Rows/2 + 1
-	if len(sel.GroupBy) == 0 {
-		groups = 1
+	groups := int64(1)
+	if len(sel.GroupBy) > 0 {
+		groups = cost.Groups(full.Rows)
 	}
 	execCost := full.Cost + n.cfg.Cost.Aggregate(full.Rows, groups)
 	bytes := float64(groups) * float64(8*len(psel.Items)) // one value per partial item
@@ -624,7 +623,7 @@ func (n *Node) viewDraft(sel *sqlparse.Select, m *views.Match) (pricecache.Draft
 	bytes := float64(rows) * math.Max(v.Stats.RowBytes, 8)
 	execCost := n.cfg.Cost.Scan(rows)
 	if m.ReAggregated {
-		execCost += n.cfg.Cost.Aggregate(rows, rows/2+1)
+		execCost += n.cfg.Cost.Aggregate(rows, cost.Groups(rows))
 	}
 	parts := map[string][]string{}
 	for _, tr := range sel.From {
@@ -767,10 +766,10 @@ func (n *Node) Award(aw trading.Award) error {
 	return nil
 }
 
-// Execute delivers a purchased answer, or its next batch. The SQL is a
-// (rewritten) query over local fragments, a compensation query over a local
-// materialized view, a UNION chain of those, or — when OfferID names a
-// composite — the extent a subcontract assembly delivers. It reads gate →
+// Execute delivers a purchased answer, or its next batch. The SQL is one
+// SELECT: a (rewritten) query over local fragments, a compensation query over
+// a local materialized view, or — when OfferID names a composite — the extent
+// a subcontract assembly delivers. It reads gate →
 // find what was purchased → open → deliver: an opening request (plain or
 // Stream) opens the plan tree purchasedPlan builds, a continuation or release
 // (req.Cursor) finds the cursor an earlier opening parked, and either way

@@ -120,7 +120,7 @@ func TestRequestBidsPaperExample(t *testing.T) {
 	}
 	// Every offered SQL must re-parse.
 	for _, o := range offers {
-		if _, err := sqlparse.Parse(o.SQL); err != nil {
+		if _, err := sqlparse.ParseSelect(o.SQL); err != nil {
 			t.Fatalf("offer SQL unparseable: %q: %v", o.SQL, err)
 		}
 	}

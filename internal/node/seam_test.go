@@ -16,9 +16,9 @@ import (
 // home: the non-test files call Strategy.Price exactly once (in mint), so no
 // offer source prices on its own. Delivery has one path: nothing re-enters
 // (*Node).Execute to run part of an answer — a purchased answer is one plan
-// tree on one cursor. A requested query is read in one place: only
-// rewriteAndPlan, behind its price-cache lookup, calls sqlparse.ParseSelect,
-// so nothing on the pricing path parses before the cache was asked — and S2's
+// tree on one cursor. A requested query is read in one place: on the pricing
+// path only rewriteAndPlan, behind its price-cache lookup, calls
+// sqlparse.ParseSelect, so nothing parses before the cache was asked — and S2's
 // deterministic sources draft there too, past the lookup, so a hit drafts
 // nothing and mint derives nothing. An offer is one book entry: mint alone
 // writes a standingOffer (and alone asks for a truthful score, so price and
@@ -39,7 +39,7 @@ func TestSellerIsS1toS3(t *testing.T) {
 	}
 	prices, priceQueryLines := 0, 0
 	calls := map[string]map[string]int{} // callee name -> calling function -> call sites
-	at := map[string]token.Pos{}         // callee name -> its last call site
+	at := map[string]token.Pos{}         // callee name -> its last call site in rewriteAndPlan
 	minters := map[string]int{}          // standingOffer literals, by function
 	filers := map[string]int{}           // assignments into a record's offers, by function
 	for _, file := range pkgs["node"].Files {
@@ -75,7 +75,9 @@ func TestSellerIsS1toS3(t *testing.T) {
 					calls[callee] = map[string]int{}
 				}
 				calls[callee][in]++
-				at[callee] = v.Pos()
+				if in == "rewriteAndPlan" {
+					at[callee] = v.Pos()
+				}
 				fn, ok := v.Fun.(*ast.SelectorExpr)
 				if !ok {
 					return true
@@ -110,10 +112,9 @@ func TestSellerIsS1toS3(t *testing.T) {
 			t.Errorf("%s called from %v, want once in each of %v: %s", callee, calls[callee], funcs, why)
 		}
 	}
-	calledOnlyFrom("ParseSelect", "ask the price cache first", "rewriteAndPlan")
+	calledOnlyFrom("ParseSelect", "ask the price cache first; only the text path reads a request's text", "rewriteAndPlan", "textPlan")
 	calledOnlyFrom("Score", "the floor is the score the price was named for", "mint")
-	calledOnlyFrom("Optimize", "a purchase of a priced offer opens the plan it was priced with", "rewriteAndPlan", "selectPlan")
-	calledOnlyFrom("Parse", "only the text path reads a request's text", "textPlan")
+	calledOnlyFrom("Optimize", "a purchase of a priced offer opens the plan it was priced with", "rewriteAndPlan", "textPlan")
 	calledOnlyFrom("textPlan", "there is one text path, and one way into it", "purchasedPlan")
 	for _, source := range []string{"partialDraft", "viewDraft", "partialAggDraft"} {
 		calledOnlyFrom(source, "S2's deterministic sources draft once per price-cache entry", "draftOffers")
@@ -172,7 +173,7 @@ func checkPricedBranch(t *testing.T, fset *token.FileSet, fd *ast.FuncDecl) {
 			}
 		case *ast.CallExpr:
 			switch name := lastIdent(v.Fun); name {
-			case "Parse", "ParseSelect", "Qualify", "Optimize", "OutputSpecs", "selectPlan":
+			case "ParseSelect", "Qualify", "Optimize", "OutputSpecs":
 				t.Errorf("%s: purchasedPlan calls %s itself; planning from text is textPlan's", fset.Position(v.Pos()), name)
 			}
 		}

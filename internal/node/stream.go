@@ -71,8 +71,8 @@ func (sc *serverCursor) advance() ([]value.Row, bool, error) {
 
 // openPurchased opens the cursor pipeline of what was purchased at the
 // request's batch size (the default when unset). Whatever it is — plain, view,
-// UNION chain, composite — is a plan tree on the one executor, whose remote
-// hook resolves a composite's Remote leaves.
+// composite — is a plan tree on the one executor, whose remote hook resolves a
+// composite's Remote leaves.
 func (n *Node) openPurchased(req trading.ExecReq, so *standingOffer, x step) (*serverCursor, error) {
 	fetch := &subFetch{n: n, batch: req.BatchRows, x: x}
 	ex := &exec.Executor{Store: n.store, BatchSize: req.BatchRows, FetchStream: fetch.open}
@@ -119,48 +119,20 @@ func (n *Node) purchasedPlan(req trading.ExecReq, so *standingOffer) (root plan.
 	return root, cols, priced, nil
 }
 
-// textPlan is the one place the text of an ExecReq is parsed and planned. A
-// UNION chain is the union of its branches' plans (under a Distinct unless
-// UNION ALL), refused before a row ships when the branches differ in width.
+// textPlan is the one place the text of an ExecReq is parsed and planned: a
+// compensation query over a local materialized view, or a query over local
+// fragments through the local optimizer. It also derives the column specs the
+// answer ships under. The text is one SELECT; a UNION is refused at parse.
 func (n *Node) textPlan(sql string) (plan.Node, []trading.ColSpec, error) {
-	stmt, err := sqlparse.Parse(sql)
+	sel, err := sqlparse.ParseSelect(sql)
 	if err != nil {
 		return nil, nil, err
 	}
-	if u, ok := stmt.(*sqlparse.Union); ok {
-		var specs []trading.ColSpec
-		inputs := make([]plan.Node, len(u.Inputs))
-		for i, sel := range u.Inputs {
-			branch, bs, err := n.selectPlan(sel)
-			if err != nil {
-				return nil, nil, err
-			}
-			if i == 0 {
-				specs = bs
-			} else if len(bs) != len(specs) {
-				return nil, nil, fmt.Errorf("union branches have different widths (%d vs %d)", len(bs), len(specs))
-			}
-			inputs[i] = branch
-		}
-		var root plan.Node = &plan.Union{Inputs: inputs}
-		if !u.All {
-			root = &plan.Distinct{Input: root}
-		}
-		return root, specs, nil
-	}
-	return n.selectPlan(stmt.(*sqlparse.Select))
-}
-
-// selectPlan plans one SELECT block — a compensation query over a local
-// materialized view, or a query over local fragments through the local
-// optimizer — and derives the column specs its answer ships under.
-func (n *Node) selectPlan(sel *sqlparse.Select) (plan.Node, []trading.ColSpec, error) {
 	if err := plan.Qualify(sel, n.cfg.Schema); err != nil {
 		return nil, nil, err
 	}
 	var root plan.Node
 	if len(sel.From) == 1 && n.store.View(sel.From[0].Name) != nil {
-		var err error
 		if root, err = n.viewPlan(sel); err != nil {
 			return nil, nil, err
 		}

@@ -341,60 +341,6 @@ func TestStreamServedLedgerOnce(t *testing.T) {
 	}
 }
 
-// A UNION chain is a plan.Union over its branches' plans and streams like any
-// other pipeline. Reassembled from 1-row batches, the answer must equal the
-// one-shot union, and abandoning it mid-transfer must reclaim the parked
-// cursor like any other.
-func TestStreamUnionChunked(t *testing.T) {
-	n := fullNode(t)
-	q := `
-		SELECT c.custname FROM customer c WHERE c.office = 'Corfu'
-		UNION ALL
-		SELECT c.custname FROM customer c WHERE c.office = 'Corfu'`
-	want, err := n.Execute(trading.ExecReq{SQL: q})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := streamAll(t, n, q, 1)
-	if !reflect.DeepEqual(got.Rows, want.Rows) || !reflect.DeepEqual(got.Cols, want.Cols) {
-		t.Fatalf("streamed union differs:\n  streamed %v\n  one-shot %v", got.Rows, want.Rows)
-	}
-	open, err := n.Execute(trading.ExecReq{SQL: q, Stream: true, BatchRows: 1})
-	if err != nil || !open.More {
-		t.Fatalf("open: %+v %v", open, err)
-	}
-	if _, err := n.Execute(trading.ExecReq{Cursor: open.Cursor, CloseCursor: true}); err != nil {
-		t.Fatal(err)
-	}
-	if n.OpenCursors() != 0 {
-		t.Fatalf("abandoned union cursor still parked: %d", n.OpenCursors())
-	}
-}
-
-// The DISTINCT twin: a plain UNION is the same plan under a Distinct, so it
-// streams batch by batch too and de-duplicates across branches and batches.
-func TestStreamUnionDistinctChunked(t *testing.T) {
-	n := fullNode(t)
-	q := `
-		SELECT c.office FROM customer c WHERE c.custid < 3
-		UNION
-		SELECT c.office FROM customer c`
-	want, err := n.Execute(trading.ExecReq{SQL: q})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Rows) != 2 {
-		t.Fatalf("one-shot union: %v", want.Rows)
-	}
-	got := streamAll(t, n, q, 1)
-	if !reflect.DeepEqual(got.Rows, want.Rows) || !reflect.DeepEqual(got.Cols, want.Cols) {
-		t.Fatalf("streamed union differs:\n  streamed %v\n  one-shot %v", got.Rows, want.Rows)
-	}
-	if n.OpenCursors() != 0 {
-		t.Fatalf("drained union left %d cursors parked", n.OpenCursors())
-	}
-}
-
 // A composite answer is a plan too — the node's own rows, then one Remote
 // leaf per subcontractor — so it streams like any other: reassembled from
 // 1-row batches it equals the one-shot answer, an early close frees the

@@ -123,7 +123,7 @@ func (n *Node) subcontractDrafts(rfb trading.RFB, e pricecache.Entry, ph step, i
 func (n *Node) gaps(sel *sqlparse.Select, rw *rewrite.Rewritten) []pricecache.Gap {
 	var out []pricecache.Gap
 	var subquery func(mask uint) *sqlparse.Select
-	agg := sel.HasAggregates() || len(sel.GroupBy) > 0
+	agg := sel.Aggregates()
 	for i, tr := range sel.From {
 		b := strings.ToLower(tr.Binding())
 		held, isKept := rw.Parts[b]

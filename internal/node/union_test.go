@@ -1,47 +1,32 @@
 package node
 
 import (
+	"strings"
 	"testing"
 
+	"qtrade/internal/ledger"
 	"qtrade/internal/trading"
 )
 
-func TestExecuteUnionAll(t *testing.T) {
-	n := fullNode(t)
-	resp, err := n.Execute(trading.ExecReq{SQL: `
-		SELECT c.custname FROM customer c WHERE c.office = 'Corfu'
-		UNION ALL
-		SELECT c.custname FROM customer c WHERE c.office = 'Corfu'`})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Rows) != 4 {
-		t.Fatalf("union all rows: %d", len(resp.Rows))
-	}
-}
-
-func TestExecuteUnionDistinct(t *testing.T) {
-	n := fullNode(t)
-	resp, err := n.Execute(trading.ExecReq{SQL: `
-		SELECT c.office FROM customer c WHERE c.custid < 3
-		UNION
-		SELECT c.office FROM customer c`})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Rows) != 2 {
-		t.Fatalf("union distinct rows: %v", resp.Rows)
-	}
-}
-
-func TestExecuteUnionWidthMismatch(t *testing.T) {
-	n := fullNode(t)
-	_, err := n.Execute(trading.ExecReq{SQL: `
-		SELECT c.office FROM customer c
-		UNION ALL
-		SELECT c.office, c.custid FROM customer c`})
-	if err == nil {
-		t.Fatal("mismatched union widths must error")
+// A seller is sent one SELECT: the buyer unions offers in its own plan. A
+// UNION text, plain or streamed, is refused at its first UNION before
+// anything opens, so it parks no cursor and files no Served event.
+func TestExecuteRefusesAUnionText(t *testing.T) {
+	for _, op := range []string{"UNION", "UNION ALL"} {
+		for _, stream := range []bool{false, true} {
+			n := fullNode(t)
+			led := ledger.New(4)
+			n.SetLedger(led)
+			_, err := n.Execute(trading.ExecReq{OfferID: "rfb7.oracle.1", Stream: stream, BatchRows: 1,
+				SQL: "SELECT c.custname FROM customer c " + op + " SELECT c.custname FROM customer c"})
+			if err == nil || !strings.Contains(err.Error(), `"UNION"`) {
+				t.Errorf("%s (stream %v): Execute = %v, want a refusal naming UNION", op, stream, err)
+			}
+			if n.OpenCursors() != 0 || len(servedEvents(led)) != 0 {
+				t.Errorf("%s (stream %v): %d cursors parked, %d Served events, want none",
+					op, stream, n.OpenCursors(), len(servedEvents(led)))
+			}
+		}
 	}
 }
 

@@ -44,7 +44,7 @@ type AggDecomposition struct {
 // DecomposeAggregates analyzes an aggregation query for pushdown; ok=false
 // when any aggregate or grouping construct does not decompose.
 func DecomposeAggregates(sel *sqlparse.Select) (*AggDecomposition, bool) {
-	if !sel.HasAggregates() && len(sel.GroupBy) == 0 {
+	if !sel.Aggregates() {
 		return nil, false
 	}
 	d := &AggDecomposition{}

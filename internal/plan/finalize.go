@@ -34,7 +34,7 @@ func lowerTail(sel *sqlparse.Select, input Node, merge *AggDecomposition) (Node,
 	}
 	node := input
 	var stage *aggStage
-	if merge != nil || sel.HasAggregates() || len(sel.GroupBy) > 0 {
+	if merge != nil || sel.Aggregates() {
 		st := aggregateStage(sel, input, merge)
 		stage, node = &st, st.agg
 	}

@@ -216,9 +216,9 @@ func (d *Distinct) Schema() []expr.ColumnID { return d.Input.Schema() }
 func (d *Distinct) Children() []Node        { return []Node{d.Input} }
 func (d *Distinct) Describe() string        { return "Distinct" }
 
-// Union concatenates inputs (schemas must be union-compatible by position).
-// When All is false a Distinct must be applied by the builder; Union itself
-// always behaves as UNION ALL.
+// Union concatenates inputs (schemas must be union-compatible by position),
+// as UNION ALL does: it rebuilds a partitioned relation from its parts —
+// local fragments, the buyer's purchased offers, a composite's extent.
 type Union struct {
 	Card
 	Inputs []Node

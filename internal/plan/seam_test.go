@@ -86,7 +86,7 @@ func TestTailIsLoweredHere(t *testing.T) {
 	}
 	want := map[string]map[string]int{
 		"plan.Aggregate": {"plan.aggregateStage": 1},
-		"plan.Distinct":  {"plan.lowerTail": 1, "node.textPlan": 1},            // UNION's duplicate elimination
+		"plan.Distinct":  {"plan.lowerTail": 1},
 		"plan.Sort":      {"plan.lowerTail": 1, "core.wholePlanCandidates": 1}, // the buyer's re-sort of a whole offer
 		"plan.Limit":     {"plan.lowerTail": 1, "core.wholePlanCandidates": 1},
 		"expr.Binary":    {"plan.finalExpr": 2},

@@ -27,7 +27,7 @@ func TestUnqualifiedColumnsResolve(t *testing.T) {
 	if !strings.Contains(sql, "custname") {
 		t.Fatalf("unqualified item lost: %s", sql)
 	}
-	if _, err := sqlparse.Parse(sql); err != nil {
+	if _, err := sqlparse.ParseSelect(sql); err != nil {
 		t.Fatalf("unparseable rewrite: %q: %v", sql, err)
 	}
 }

@@ -133,7 +133,7 @@ func ForSeller(sel *sqlparse.Select, sch *catalog.Schema, store *storage.Store) 
 	// relation passes the query through verbatim instead — it can answer it
 	// as-is, aggregation, ordering and all, under the query's own schema.
 	passThrough := rw.Complete && len(rw.Dropped) == 0
-	rw.Stripped = (sel.HasAggregates() || len(sel.GroupBy) > 0) && !passThrough
+	rw.Stripped = sel.Aggregates() && !passThrough
 	if passThrough {
 		out.Items = slices.Clone(sel.Items)
 		out.GroupBy = slices.Clone(sel.GroupBy)

@@ -271,7 +271,7 @@ func TestRewrittenQueryReParses(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		if _, err := sqlparse.Parse(rw.Sel.SQL()); err != nil {
+		if _, err := sqlparse.ParseSelect(rw.Sel.SQL()); err != nil {
 			t.Fatalf("rewritten SQL unparseable: %q: %v", rw.Sel.SQL(), err)
 		}
 	}

@@ -1,9 +1,10 @@
 // Package sqlparse implements the SQL subset used by the query trading
-// engine: select-project-join blocks with aggregation, grouping, ordering and
-// UNION [ALL], i.e. the query class the paper optimizes. It provides a lexer,
-// a recursive-descent parser producing expr-based ASTs, and an SQL printer so
-// queries can be shipped between nodes as text (the trading messages carry
-// SQL, exactly as in the paper's examples).
+// engine: one select-project-join block per text, with aggregation, grouping,
+// ordering and LIMIT, i.e. the query class the paper trades. A union of
+// partitions is the buyer's plan operator (plan.Union), never a text. It
+// provides a lexer, a recursive-descent parser producing expr-based ASTs, and
+// an SQL printer so queries can be shipped between nodes as text (the trading
+// messages carry SQL, exactly as in the paper's examples).
 package sqlparse
 
 import (
@@ -13,13 +14,6 @@ import (
 
 	"qtrade/internal/expr"
 )
-
-// Stmt is a parsed query: either *Select or *Union.
-type Stmt interface {
-	// SQL renders the statement back to parseable SQL text.
-	SQL() string
-	stmt()
-}
 
 // SelectItem is one projection of a SELECT list. Star marks a bare `*`.
 type SelectItem struct {
@@ -62,15 +56,6 @@ type Select struct {
 	OrderBy  []OrderItem
 	Limit    int64
 }
-
-// Union is a UNION or UNION ALL chain of SELECT blocks.
-type Union struct {
-	Inputs []*Select
-	All    bool
-}
-
-func (*Select) stmt() {}
-func (*Union) stmt()  {}
 
 // SQL renders the select block.
 func (s *Select) SQL() string {
@@ -140,19 +125,6 @@ func (s *Select) SQL() string {
 	return sb.String()
 }
 
-// SQL renders the union chain.
-func (u *Union) SQL() string {
-	sep := " UNION "
-	if u.All {
-		sep = " UNION ALL "
-	}
-	parts := make([]string, len(u.Inputs))
-	for i, s := range u.Inputs {
-		parts[i] = s.SQL()
-	}
-	return strings.Join(parts, sep)
-}
-
 // Clone copies the select block's own slices — items, FROM, GROUP BY, ORDER
 // BY — so a caller may set or append to them; the expressions in them are
 // shared, since no expression is written after it is built.
@@ -165,8 +137,12 @@ func (s *Select) Clone() *Select {
 	return &out
 }
 
-// HasAggregates reports whether any select item or HAVING uses an aggregate.
-func (s *Select) HasAggregates() bool {
+// Aggregates reports whether the block aggregates: it has a GROUP BY, or an
+// aggregate call in a select item or HAVING.
+func (s *Select) Aggregates() bool {
+	if len(s.GroupBy) > 0 {
+		return true
+	}
 	for _, it := range s.Items {
 		if it.Expr != nil && expr.HasAgg(it.Expr) {
 			return true

@@ -48,12 +48,12 @@ func FuzzPrintParse(f *testing.F) {
 		f.Add(q)
 	}
 	f.Fuzz(func(t *testing.T, sql string) {
-		s1, err := Parse(sql)
+		s1, err := ParseSelect(sql)
 		if err != nil {
 			return
 		}
 		text := s1.SQL()
-		s2, err := Parse(text)
+		s2, err := ParseSelect(text)
 		if err != nil {
 			t.Fatalf("%q prints as %q, which does not parse: %v", sql, text, err)
 		}
@@ -63,7 +63,7 @@ func FuzzPrintParse(f *testing.F) {
 		if again := s2.SQL(); again != text {
 			t.Fatalf("%q prints as %q, then as %q", sql, text, again)
 		}
-		if s3 := MustParse(text); !reflect.DeepEqual(s2, s3) {
+		if s3 := MustParseSelect(text); !reflect.DeepEqual(s2, s3) {
 			t.Fatalf("%q: parsing %q twice gives two trees", sql, text)
 		}
 		// What Simplify folds ships as SQL as well, so it prints as a text
@@ -82,40 +82,31 @@ func FuzzPrintParse(f *testing.F) {
 }
 
 // exprs lists a statement's expressions in print order.
-func exprs(st Stmt) []expr.Expr {
+func exprs(s *Select) []expr.Expr {
 	var out []expr.Expr
 	add := func(e expr.Expr) {
 		if e != nil { // SELECT *, no WHERE, no HAVING
 			out = append(out, e)
 		}
 	}
-	var sels []*Select
-	switch st := st.(type) {
-	case *Select:
-		sels = []*Select{st}
-	case *Union:
-		sels = st.Inputs
+	for _, it := range s.Items {
+		add(it.Expr)
 	}
-	for _, s := range sels {
-		for _, it := range s.Items {
-			add(it.Expr)
-		}
-		add(s.Where)
-		for _, g := range s.GroupBy {
-			add(g)
-		}
-		add(s.Having)
-		for _, o := range s.OrderBy {
-			add(o.Expr)
-		}
+	add(s.Where)
+	for _, g := range s.GroupBy {
+		add(g)
+	}
+	add(s.Having)
+	for _, o := range s.OrderBy {
+		add(o.Expr)
 	}
 	return out
 }
 
 // literals lists a statement's literals in print order.
-func literals(st Stmt) []value.Value {
+func literals(s *Select) []value.Value {
 	var out []value.Value
-	for _, e := range exprs(st) {
+	for _, e := range exprs(s) {
 		expr.Walk(e, func(x expr.Expr) bool {
 			if l, ok := x.(*expr.Lit); ok {
 				out = append(out, l.V)

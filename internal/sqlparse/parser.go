@@ -20,70 +20,21 @@ type parser struct {
 	src  string
 }
 
-// Parse parses a full statement (SELECT or UNION chain).
-func Parse(src string) (Stmt, error) {
+// ParseSelect parses one SELECT block and requires the end of the input.
+func ParseSelect(src string) (*Select, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks, src: src}
-	first, err := p.parseSelect()
+	sel, err := p.parseSelect()
 	if err != nil {
 		return nil, err
-	}
-	var inputs []*Select
-	all := false
-	sawAll := false
-	for p.isKeyword("UNION") {
-		p.i++
-		if p.isKeyword("ALL") {
-			p.i++
-			if len(inputs) > 0 && !all && sawAll {
-				return nil, p.errf("mixed UNION and UNION ALL are not supported")
-			}
-			all = true
-		} else if sawAll && all {
-			return nil, p.errf("mixed UNION and UNION ALL are not supported")
-		}
-		sawAll = true
-		if len(inputs) == 0 {
-			inputs = append(inputs, first)
-		}
-		next, err := p.parseSelect()
-		if err != nil {
-			return nil, err
-		}
-		inputs = append(inputs, next)
 	}
 	if err := p.expectEOF(); err != nil {
 		return nil, err
 	}
-	if len(inputs) > 0 {
-		return &Union{Inputs: inputs, All: all}, nil
-	}
-	return first, nil
-}
-
-// ParseSelect parses a statement and requires it to be a single SELECT.
-func ParseSelect(src string) (*Select, error) {
-	s, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := s.(*Select)
-	if !ok {
-		return nil, fmt.Errorf("sqlparse: expected a single SELECT, got a UNION")
-	}
 	return sel, nil
-}
-
-// MustParse parses or panics; for tests and fixed internal queries.
-func MustParse(src string) Stmt {
-	s, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // MustParseSelect parses a single SELECT or panics.

@@ -35,7 +35,7 @@ func TestParsePaperQuery(t *testing.T) {
 	if len(s.From) != 2 || s.From[0].Binding() != "c" || s.From[1].Binding() != "i" {
 		t.Fatalf("from: %+v", s.From)
 	}
-	if !s.HasAggregates() {
+	if !s.Aggregates() {
 		t.Fatal("must detect aggregate")
 	}
 	if len(s.GroupBy) != 1 || s.GroupBy[0].String() != "c.office" {
@@ -61,17 +61,17 @@ func TestParseJoinSyntaxNormalized(t *testing.T) {
 	}
 }
 
-func TestParseUnion(t *testing.T) {
-	u := MustParse("SELECT x FROM a UNION ALL SELECT x FROM b UNION ALL SELECT x FROM c").(*Union)
-	if len(u.Inputs) != 3 || !u.All {
-		t.Fatalf("union: %d all=%v", len(u.Inputs), u.All)
-	}
-	d := MustParse("SELECT x FROM a UNION SELECT x FROM b").(*Union)
-	if d.All {
-		t.Fatal("UNION without ALL must be distinct")
-	}
-	if _, err := Parse("SELECT x FROM a UNION SELECT x FROM b UNION ALL SELECT x FROM c"); err == nil {
-		t.Fatal("mixed UNION/UNION ALL must error")
+// A text holds one SELECT: a union of partitions is the buyer's plan
+// operator, so both chain forms are refused at their first UNION.
+func TestParseSelectRefusesAUnionChain(t *testing.T) {
+	for _, q := range []string{
+		"SELECT x FROM a UNION ALL SELECT x FROM b",
+		"SELECT x FROM a UNION SELECT x FROM b",
+	} {
+		_, err := ParseSelect(q)
+		if err == nil || !strings.Contains(err.Error(), `unexpected trailing input "UNION"`) {
+			t.Errorf("ParseSelect(%q) = %v, want it refused at UNION", q, err)
+		}
 	}
 }
 
@@ -140,8 +140,8 @@ func TestParseErrors(t *testing.T) {
 		"SELECT x FROM a WHERE x IS 5",
 	}
 	for _, q := range bad {
-		if _, err := Parse(q); err == nil {
-			t.Errorf("Parse(%q) must fail", q)
+		if _, err := ParseSelect(q); err == nil {
+			t.Errorf("ParseSelect(%q) must fail", q)
 		}
 	}
 }
@@ -158,7 +158,7 @@ func TestLexerQuotedIdentAndEscapes(t *testing.T) {
 		`SELECT "order"."select" AS "from", x AS "1x" FROM "order", "Two Words" w`,
 		`SELECT t.custid AS n FROM customer t`,
 	} {
-		if text := MustParse(q).SQL(); text != q {
+		if text := MustParseSelect(q).SQL(); text != q {
 			t.Errorf("%s prints as %s", q, text)
 		}
 	}
@@ -174,17 +174,19 @@ var roundTripQueries = []string{
 	"SELECT * FROM customer",
 	"SELECT c.office, SUM(i.charge) AS total FROM customer c, invoiceline i WHERE c.custid = i.custid GROUP BY c.office",
 	"SELECT DISTINCT x AS y FROM a, b WHERE a.k = b.k ORDER BY x DESC LIMIT 5",
-	"SELECT x FROM a UNION ALL SELECT x FROM b",
-	"SELECT x FROM a UNION SELECT x FROM b",
+	// Names that spell UNION or ALL keep their quotes: bare, the parser
+	// reads them as keywords.
+	`SELECT "union" FROM "all"`,
+	`SELECT "union".x AS "all" FROM t "union"`,
 	"SELECT x FROM a WHERE x BETWEEN 1 AND 2 AND y IN (1, 2) AND z IS NOT NULL",
 	"SELECT x FROM a HAVING COUNT(*) > 1",
 }
 
 func TestRoundTripSQL(t *testing.T) {
 	for _, q := range roundTripQueries {
-		s1 := MustParse(q)
+		s1 := MustParseSelect(q)
 		sql1 := s1.SQL()
-		s2, err := Parse(sql1)
+		s2, err := ParseSelect(sql1)
 		if err != nil {
 			t.Errorf("re-parse of %q failed: %v", sql1, err)
 			continue
@@ -315,11 +317,11 @@ func TestQuickRoundTripRandomQueries(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for i := 0; i < 200; i++ {
 		q := randomQuery(r)
-		s1, err := Parse(q)
+		s1, err := ParseSelect(q)
 		if err != nil {
 			t.Fatalf("parse %q: %v", q, err)
 		}
-		s2, err := Parse(s1.SQL())
+		s2, err := ParseSelect(s1.SQL())
 		if err != nil {
 			t.Fatalf("re-parse %q: %v", s1.SQL(), err)
 		}

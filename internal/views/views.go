@@ -76,8 +76,8 @@ func MatchView(q *sqlparse.Select, view *storage.MaterializedView) (*Match, bool
 		}
 		sel.Where = expr.And([]expr.Expr{sel.Where, w})
 	}
-	qAgg := q.HasAggregates() || len(q.GroupBy) > 0
-	vAgg := vsel.HasAggregates() || len(vsel.GroupBy) > 0
+	qAgg := q.Aggregates()
+	vAgg := vsel.Aggregates()
 	m := &Match{View: view, Comp: sel}
 	switch {
 	case !qAgg && !vAgg: // select-project-join over an SPJ view
