@@ -23,15 +23,15 @@ const DefaultBatchSize = 256
 // returns the next batch, where a nil or empty batch means exhausted; Close
 // releases resources. A batch is valid only until the following Next call —
 // consumers that retain rows across calls must copy the slice (the row
-// values themselves are never reused, with one exception: a join whose
-// parent is a projection or an aggregate writes each batch over the last, so
-// its rows live until the next pull — the projection copies every value it
-// keeps first, the aggregate folds each row into its group's states).
-// Operators that build rows (project, join) carve them out of a slab shared
-// by the rows around them, so a retained row pins its whole slab, about a
-// batch of rows. Close is idempotent, safe to call before exhaustion (early
-// close releases upstream work, e.g. seller-side cursors), and safe on a
-// cursor whose Open failed or never ran.
+// values themselves are never reused, with one exception: a join under an
+// aggregate writes each batch over the last, so its rows live until the next
+// pull — the aggregate folds each row into its group's states first). A
+// projection over a join is no cursor of its own: the join writes the
+// projection's rows. Operators that build rows (project, join) carve them
+// out of a slab shared by the rows around them, so a retained row pins its
+// whole slab, about a batch of rows. Close is idempotent, safe to call
+// before exhaustion (early close releases upstream work, e.g. seller-side
+// cursors), and safe on a cursor whose Open failed or never ran.
 type Cursor interface {
 	Open() error
 	Next() ([]value.Row, error)
@@ -80,12 +80,12 @@ func (ex *Executor) Open(n plan.Node) (Cursor, error) {
 }
 
 // build constructs the (unopened) cursor tree for a plan, wrapping every
-// operator in a stats recorder when Stats is attached. reuse is true under a
-// projection, which copies every value it keeps before it pulls again, and
-// under an aggregate, which folds every row before it pulls again: a join
-// there writes each batch over the last. A filter directly over a join
-// becomes the join's residual, and the two plan nodes keep their own
-// actuals: the join's rows out are the rows it joined, before the filter.
+// operator in a stats recorder when Stats is attached. reuse is true under an
+// aggregate, which folds every row before it pulls again: a join there writes
+// each batch over the last. A join produces what its parent keeps: a filter
+// directly over it is tested as it joins, and a projection directly over it,
+// or over such a filter, is the join's output list. Every plan node keeps its
+// own actuals: the join's rows out are the rows it joined, before the filter.
 func (ex *Executor) build(n plan.Node, reuse bool) (Cursor, error) {
 	var c Cursor
 	switch t := n.(type) {
@@ -95,15 +95,11 @@ func (ex *Executor) build(n plan.Node, reuse bool) (Cursor, error) {
 		c = &viewScanCursor{ex: ex, t: t}
 	case *plan.Filter:
 		if j, ok := t.Input.(*plan.Join); ok {
-			jc, err := ex.buildJoin(j, reuse)
+			jc, err := ex.buildJoin(j, t, nil, reuse)
 			if err != nil {
 				return nil, err
 			}
-			jc.folded = t.Pred
 			c = jc
-			if ex.Stats != nil {
-				c = &statsCursor{inner: jc, stats: ex.Stats, node: j, rowsOutAt: &jc.joined}
-			}
 			break
 		}
 		in, err := ex.build(t.Input, false)
@@ -112,17 +108,25 @@ func (ex *Executor) build(n plan.Node, reuse bool) (Cursor, error) {
 		}
 		c = &filterCursor{ex: ex, t: t, in: in}
 	case *plan.Project:
-		in, err := ex.build(t.Input, true)
+		below, f := t.Input, (*plan.Filter)(nil)
+		if x, ok := below.(*plan.Filter); ok {
+			below, f = x.Input, x
+		}
+		if j, ok := below.(*plan.Join); ok {
+			jc, err := ex.buildJoin(j, f, t, false)
+			if err != nil {
+				return nil, err
+			}
+			c = jc
+			break
+		}
+		in, err := ex.build(t.Input, false)
 		if err != nil {
 			return nil, err
 		}
 		c = &projectCursor{ex: ex, t: t, in: in}
 	case *plan.Join:
-		jc, err := ex.buildJoin(t, reuse)
-		if err != nil {
-			return nil, err
-		}
-		c = jc
+		return ex.buildJoin(t, nil, nil, reuse)
 	case *plan.Aggregate:
 		in, err := ex.build(t.Input, true)
 		if err != nil {
@@ -170,8 +174,12 @@ func (ex *Executor) build(n plan.Node, reuse bool) (Cursor, error) {
 	return c, nil
 }
 
-// buildJoin builds a join's inputs and the join cursor over them.
-func (ex *Executor) buildJoin(t *plan.Join, reuse bool) (*joinCursor, error) {
+// buildJoin builds a join's inputs and the join cursor over them, which
+// tests f's predicate when f is a filter over the join and produces p's list
+// when p is a projection over the join or over f. It records the join's
+// actuals, and the filter's when p is its parent; the caller records the
+// top node's.
+func (ex *Executor) buildJoin(t *plan.Join, f *plan.Filter, p *plan.Project, reuse bool) (Cursor, error) {
 	l, err := ex.build(t.L, false)
 	if err != nil {
 		return nil, err
@@ -180,7 +188,21 @@ func (ex *Executor) buildJoin(t *plan.Join, reuse bool) (*joinCursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &joinCursor{ex: ex, t: t, l: l, r: r, reuse: reuse}, nil
+	jc := &joinCursor{ex: ex, t: t, l: l, r: r, reuse: reuse}
+	if f != nil {
+		jc.folded = f.Pred
+	}
+	if p != nil {
+		jc.exprs = p.Exprs
+	}
+	if ex.Stats == nil {
+		return jc, nil
+	}
+	var c Cursor = &statsCursor{inner: jc, stats: ex.Stats, node: t, rowsOutAt: &jc.joined}
+	if f != nil && p != nil {
+		c = &statsCursor{inner: c, stats: ex.Stats, node: f}
+	}
+	return c, nil
 }
 
 // Drain pulls an opened cursor to exhaustion, materializing its rows, and
@@ -453,41 +475,183 @@ func (c *projectCursor) Close() error {
 // the first row of its chain, next links each row to the following one in
 // its bucket, and hashes holds each row's full key hash. Rows are linked last
 // to first, each pushed at the head of its chain, so a chain reads in build
-// order. No key is kept: a row whose hash matches has its key evaluated
-// again from the row.
+// order. No key is kept: a side whose every key is a column reads its keys in
+// place, from the row; a side with a computed key evaluates it again at each
+// hash match.
+//
+// The cursor produces what its parent keeps. Every conjunct it tests — the
+// ON's other than the keys, then a folded filter's that no ON repeats — runs
+// on the rows of the side it names, in order, and only one naming both sides
+// has the pair written out, into one reused scratch row. Only a pair that
+// passes them all takes a slot of a slab, so a rejected pair leaves no gap.
+// Its row is lr ++ rr, or the output list of a projection over the join — a
+// bare column picked from its side, a computed one evaluated on the rows it
+// names — written with the batch's others into a fresh slab of the exact
+// size once the batch is complete.
 type joinCursor struct {
-	ex       *Executor
-	t        *plan.Join
-	l, r     Cursor
-	lKeys    []*expr.Program
-	rKeys    []*expr.Program
-	residual *expr.Program
-	folded   expr.Expr     // the predicate of a Filter folded into the join
-	filter   *expr.Program // folded, compiled at Open
-	joined   int64         // rows that passed the ON clause, before the filter
-	reuse    bool          // the parent copies what it keeps: each batch goes over the last
-	rRows    []value.Row   // build side; all of it is the nested-loop fallback
-	heads    []int32       // bucket (hash & (len-1)) -> 1 + first build row of its chain
-	next     []int32       // build row -> 1 + next row of its chain, 0 at the end
-	hashes   []uint64      // build row -> its key's hash
-	probe    value.Row     // probe-side key scratch, reused for every left row
-	key      value.Row     // build-side key scratch, reused for every hash match
-	slab     []value.Value // unused tail is where the next output row goes
-	buf      []value.Row
-	idx      int
-	out      []value.Row
-	done     bool
-	closed   bool
+	ex           *Executor
+	t            *plan.Join
+	l, r         Cursor
+	folded       expr.Expr   // the predicate of a Filter over the join
+	exprs        []expr.Expr // the list of a Project over the join or the filter; nil is lr ++ rr
+	lKeys, rKeys joinKeys
+	on, where    []sided        // the ON's non-key conjuncts, folded's that no ON repeats
+	outs         []sided        // exprs, placed
+	joined       int64          // rows that passed the ON clause, before the filter
+	reuse        bool           // the parent folds each row before it pulls again: one slab for every batch
+	rRows        []value.Row    // build side; all of it is the nested-loop fallback
+	heads        []int32        // bucket (hash & (len-1)) -> 1 + first build row of its chain
+	next         []int32        // build row -> 1 + next row of its chain, 0 at the end
+	hashes       []uint64       // build row -> its key's hash
+	pair         value.Row      // lr ++ rr scratch, for what names both sides
+	paired       bool           // pair holds the pair under test
+	pairs        [][2]value.Row // the batch's pairs, when exprs writes their rows
+	slab         []value.Value  // unused tail is where the next row lr ++ rr goes
+	buf          []value.Row
+	idx          int
+	out          []value.Row
+	done         bool
+	closed       bool
+}
+
+// Sides of a join an expression reads, and what joinSchemas holds by them.
+const (
+	onLeft  = iota // the left input's row
+	onRight        // the right input's row
+	onPair         // the pair, lr ++ rr
+)
+
+// joinSchemas are the schemas of a join's left rows, right rows and pairs;
+// the pair's is built the first time an expression names both sides.
+type joinSchemas struct {
+	j *plan.Join
+	s [3][]expr.ColumnID
+}
+
+func newJoinSchemas(j *plan.Join) *joinSchemas {
+	return &joinSchemas{j: j, s: [3][]expr.ColumnID{onLeft: j.L.Schema(), onRight: j.R.Schema()}}
+}
+
+func (sch *joinSchemas) of(side int) []expr.ColumnID {
+	if side == onPair && sch.s[onPair] == nil {
+		sch.s[onPair] = sch.j.Schema()
+	}
+	return sch.s[side]
+}
+
+// sided is an expression compiled against the rows of the side it names.
+type sided struct {
+	p    *expr.Program
+	side int
+}
+
+// side names the rows e reads: the left input's when each of its columns is
+// a qualified column of the left input, the right's when each is one of the
+// right, the pair's otherwise — so an unqualified column resolves, or fails
+// to, as it does over the join. qualified reports that every column of e is
+// a qualified column of one input.
+func (sch *joinSchemas) side(e expr.Expr) (side int, qualified bool) {
+	left, right, other := false, false, false
+	expr.Walk(e, func(n expr.Expr) bool {
+		col, ok := n.(*expr.Column)
+		switch {
+		case !ok:
+		case col.Table != "" && expr.Index(col, sch.s[onLeft]) >= 0:
+			left = true
+		case col.Table != "" && expr.Index(col, sch.s[onRight]) >= 0:
+			right = true
+		default:
+			other = true
+		}
+		return !other
+	})
+	switch {
+	case other || left && right:
+		return onPair, !other
+	case right:
+		return onRight, true
+	}
+	return onLeft, true
+}
+
+// place compiles e against the rows of the side it names.
+func (sch *joinSchemas) place(e expr.Expr) (sided, error) {
+	side, _ := sch.side(e)
+	p, err := expr.Compile(e, sch.of(side))
+	return sided{p: p, side: side}, err
+}
+
+// joinKeys are one side's equi-join keys. When every key is a column, cols
+// holds their row positions and a key is read in place; otherwise the keys
+// are evaluated into key, a scratch row.
+type joinKeys struct {
+	progs []*expr.Program
+	cols  []int
+	key   value.Row
+}
+
+// newJoinKeys reads each side's keys in place when every key of the side is
+// a column; one allocation holds both sides' columns.
+func newJoinKeys(l, r []*expr.Program) (lk, rk joinKeys) {
+	cols := make([]int, len(l)+len(r))
+	side := func(progs []*expr.Program, cols []int) joinKeys {
+		for i, p := range progs {
+			col, ok := p.Column()
+			if !ok {
+				return joinKeys{progs: progs, key: make(value.Row, len(progs))}
+			}
+			cols[i] = col
+		}
+		return joinKeys{progs: progs, cols: cols}
+	}
+	return side(l, cols[:len(l)]), side(r, cols[len(l):])
+}
+
+// hash reads row's key and hashes it as value.HashRow hashes the key's row.
+// null reports a NULL part: the key matches nothing. A row too short for a
+// key column fails as its program does, with the unbound-column error.
+func (k *joinKeys) hash(row value.Row) (h uint64, null bool, err error) {
+	if k.cols == nil {
+		if null, err := evalKeyInto(k.key, k.progs, row); null || err != nil {
+			return 0, null, err
+		}
+		return value.HashRow(k.key), false, nil
+	}
+	for i, col := range k.cols {
+		if col >= len(row) {
+			_, err := k.progs[i].Eval(row)
+			return 0, false, err
+		}
+		if row[col].IsNull() {
+			return 0, true, nil
+		}
+	}
+	return value.HashRowAt(row, k.cols), false, nil
+}
+
+// at is part i of the key last read from row.
+func (k *joinKeys) at(row value.Row, i int) value.Value {
+	if k.cols != nil {
+		return row[k.cols[i]]
+	}
+	return k.key[i]
 }
 
 func (c *joinCursor) Open() error {
-	var err error
-	c.lKeys, c.rKeys, c.residual, err = classifyJoinPred(c.t.On, c.t.L.Schema(), c.t.R.Schema())
+	sch := newJoinSchemas(c.t)
+	lKeys, rKeys, on, where, err := classifyJoinPred(c.t, c.folded, sch)
 	if err != nil {
 		return err
 	}
-	if c.filter, err = expr.Compile(c.folded, c.t.Schema()); err != nil {
-		return err
+	c.lKeys, c.rKeys = newJoinKeys(lKeys, rKeys)
+	c.on, c.where = on, where
+	if c.exprs != nil {
+		c.outs = make([]sided, len(c.exprs))
+		for i, e := range c.exprs {
+			if c.outs[i], err = sch.place(e); err != nil {
+				return err
+			}
+		}
 	}
 	if err := c.r.Open(); err != nil {
 		return err
@@ -496,7 +660,7 @@ func (c *joinCursor) Open() error {
 	if err != nil {
 		return err
 	}
-	if nk := len(c.rKeys); nk > 0 {
+	if len(rKeys) > 0 {
 		buckets, err := tableSize(len(c.rRows))
 		if err != nil {
 			return err
@@ -504,18 +668,15 @@ func (c *joinCursor) Open() error {
 		c.heads = make([]int32, buckets)
 		c.next = make([]int32, len(c.rRows))
 		c.hashes = make([]uint64, len(c.rRows))
-		scratch := make(value.Row, 2*nk)
-		c.probe, c.key = scratch[:nk:nk], scratch[nk:]
 		mask := uint64(buckets - 1)
 		for i := len(c.rRows) - 1; i >= 0; i-- {
-			null, err := evalKeyInto(c.key, c.rKeys, c.rRows[i])
+			h, null, err := c.rKeys.hash(c.rRows[i])
 			if err != nil {
 				return err
 			}
 			if null {
 				continue // NULL keys never match: the row joins no chain
 			}
-			h := value.HashRow(c.key)
 			c.hashes[i] = h
 			c.next[i] = c.heads[h&mask]
 			c.heads[h&mask] = int32(i + 1)
@@ -553,13 +714,87 @@ func evalKeyInto(dst value.Row, keys []*expr.Program, row value.Row) (null bool,
 	return false, nil
 }
 
-// emit carves lr ++ rr out of the slab; a row the residual or the folded
-// filter rejects gives its slot back. A full slab is replaced, never regrown
-// (rows already handed out keep theirs), by one sized for the left rows still
-// to probe in this input batch — or, inside a long match chain, for as many
-// rows as the batch holds; under reuse, for at least twice the old one, which
-// it then stands in for at every later batch.
-func (c *joinCursor) emit(lr, rr value.Row) error {
+// sameKey reports whether build row rr's key equals the probe key last read
+// from lr; their hashes are equal.
+func (c *joinCursor) sameKey(lr, rr value.Row) (bool, error) {
+	if c.rKeys.cols == nil {
+		if _, err := evalKeyInto(c.rKeys.key, c.rKeys.progs, rr); err != nil {
+			return false, err
+		}
+	}
+	for i := range c.rKeys.progs {
+		if !value.Equal(c.lKeys.at(lr, i), c.rKeys.at(rr, i)) {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
+// row is what an expression on side reads of the pair (lr, rr): the pair is
+// written out the first time something names both sides.
+func (c *joinCursor) row(side int, lr, rr value.Row) value.Row {
+	switch side {
+	case onLeft:
+		return lr
+	case onRight:
+		return rr
+	}
+	if !c.paired {
+		c.pair = append(append(c.pair[:0], lr...), rr...)
+		c.paired = true
+	}
+	return c.pair
+}
+
+// holds tests conds on the pair in order under AND's three-valued rule, as
+// their compiled conjunction would: the first FALSE rejects the pair, a NULL
+// rejects it once the rest have run, and an error surfaces where the
+// conjunction raises it.
+func (c *joinCursor) holds(conds []sided, lr, rr value.Row) (bool, error) {
+	unknown := false
+	for _, s := range conds {
+		v, err := s.p.Eval(c.row(s.side, lr, rr))
+		switch {
+		case err != nil:
+			return false, err
+		case v.IsNull():
+			unknown = true
+		case !v.Truth():
+			return false, nil
+		}
+	}
+	return !unknown, nil
+}
+
+// accept keeps the pair when it passes the ON's non-key conjuncts and then
+// the folded filter's: its row lr ++ rr is written at once, a projection's
+// row once the batch is complete.
+func (c *joinCursor) accept(lr, rr value.Row) error {
+	c.paired = false
+	if ok, err := c.holds(c.on, lr, rr); !ok || err != nil {
+		return err
+	}
+	c.joined++
+	if ok, err := c.holds(c.where, lr, rr); !ok || err != nil {
+		return err
+	}
+	if c.exprs == nil {
+		c.emit(lr, rr)
+		return nil
+	}
+	if c.pairs == nil {
+		c.pairs = make([][2]value.Row, 0, len(c.buf))
+	}
+	c.pairs = append(c.pairs, [2]value.Row{lr, rr})
+	return nil
+}
+
+// emit carves lr ++ rr out of the slab. A full slab is replaced, never
+// regrown (rows already handed out keep theirs), by one sized for the left
+// rows still to probe in this input batch — or, inside a long match chain,
+// for as many rows as the batch holds; under reuse, for at least twice the
+// old one, which it then stands in for at every later batch.
+func (c *joinCursor) emit(lr, rr value.Row) {
 	n, w := len(c.slab), len(lr)+len(rr)
 	if cap(c.slab)-n < w {
 		rows := max(len(c.buf)-c.idx+1, len(c.out))
@@ -569,18 +804,28 @@ func (c *joinCursor) emit(lr, rr value.Row) error {
 		n, c.slab = 0, make([]value.Value, 0, w*rows)
 	}
 	c.slab = append(append(c.slab, lr...), rr...)
-	row := value.Row(c.slab[n : n+w : n+w])
-	if ok, err := c.residual.Holds(row); !ok || err != nil {
-		c.slab = c.slab[:n]
-		return err
+	c.out = append(c.out, c.slab[n:n+w:n+w])
+}
+
+// project writes the output rows of the batch's pairs into one fresh slab of
+// the exact size, as a projection over the batch would: only once the batch
+// is complete, so a pair's condition that fails comes before an output that
+// fails on an earlier pair of the same batch.
+func (c *joinCursor) project() ([]value.Row, error) {
+	slab := make([]value.Value, 0, len(c.pairs)*len(c.outs))
+	for _, p := range c.pairs {
+		c.paired = false
+		n := len(slab)
+		for _, s := range c.outs {
+			v, err := s.p.Eval(c.row(s.side, p[0], p[1]))
+			if err != nil {
+				return nil, err
+			}
+			slab = append(slab, v)
+		}
+		c.out = append(c.out, slab[n:len(slab):len(slab)])
 	}
-	c.joined++
-	if ok, err := c.filter.Holds(row); !ok || err != nil {
-		c.slab = c.slab[:n]
-		return err
-	}
-	c.out = append(c.out, row)
-	return nil
+	return c.out, nil
 }
 
 func (c *joinCursor) Next() ([]value.Row, error) {
@@ -588,13 +833,13 @@ func (c *joinCursor) Next() ([]value.Row, error) {
 		return nil, nil
 	}
 	limit := c.ex.batch()
-	c.out = c.out[:0]
+	c.out, c.pairs = c.out[:0], c.pairs[:0]
 	if c.reuse {
 		c.slab = c.slab[:0] // the parent is done with the last batch
 	}
 	// A single left row can emit many matches, so a batch may overrun the
 	// limit by one row's matches; it stays bounded by max bucket size.
-	for len(c.out) < limit {
+	for len(c.out)+len(c.pairs) < limit {
 		if c.idx >= len(c.buf) {
 			b, err := c.l.Next()
 			if err != nil {
@@ -611,35 +856,37 @@ func (c *joinCursor) Next() ([]value.Row, error) {
 		c.idx++
 		if c.heads == nil {
 			for _, rr := range c.rRows {
-				if err := c.emit(lr, rr); err != nil {
+				if err := c.accept(lr, rr); err != nil {
 					return nil, err
 				}
 			}
 			continue
 		}
-		null, err := evalKeyInto(c.probe, c.lKeys, lr)
+		h, null, err := c.lKeys.hash(lr)
 		if err != nil {
 			return nil, err
 		}
 		if null {
 			continue
 		}
-		h := value.HashRow(c.probe)
 		for e := c.heads[h&uint64(len(c.heads)-1)]; e != 0; e = c.next[e-1] {
 			if c.hashes[e-1] != h {
 				continue
 			}
 			rr := c.rRows[e-1]
-			if _, err := evalKeyInto(c.key, c.rKeys, rr); err != nil {
-				return nil, err
-			}
-			if !keysEqual(c.probe, c.key) {
+			if same, err := c.sameKey(lr, rr); !same || err != nil {
+				if err != nil {
+					return nil, err
+				}
 				continue
 			}
-			if err := c.emit(lr, rr); err != nil {
+			if err := c.accept(lr, rr); err != nil {
 				return nil, err
 			}
 		}
+	}
+	if c.exprs != nil {
+		return c.project()
 	}
 	return c.out, nil
 }

@@ -130,46 +130,88 @@ func compileAll(es []expr.Expr, schema []expr.ColumnID) ([]*expr.Program, error)
 	return out, nil
 }
 
-// classifyJoinPred splits the ON conjuncts into equi-join key pairs (left
-// expression over L schema, right expression over R schema) and residual
-// predicates over the concatenated schema, each compiled against its schema.
-func classifyJoinPred(on expr.Expr, lSchema, rSchema []expr.ColumnID) (lKeys, rKeys []*expr.Program, residual *expr.Program, err error) {
-	var rest []expr.Expr
-	for _, c := range expr.Conjuncts(on) {
-		if b, ok := c.(*expr.Binary); ok && b.Op == "=" {
-			// Either side of the equation may be the left input's.
-			if l, r, ok := keyPair(b.L, b.R, lSchema, rSchema); ok {
-				lKeys, rKeys = append(lKeys, l), append(rKeys, r)
-				continue
-			}
-			if l, r, ok := keyPair(b.R, b.L, lSchema, rSchema); ok {
-				lKeys, rKeys = append(lKeys, l), append(rKeys, r)
-				continue
-			}
+// classifyJoinPred splits what a join cursor tests into what it runs. An
+// equality conjunct of the ON with one side over each input is a key pair
+// (compiled over the left input and over the right); every other conjunct of
+// the ON, and then each conjunct of folded — the predicate of a filter over
+// the join — is placed on the side it names. A conjunct of folded is dropped
+// when it repeats one of the ON or of the ON of a join reached from this one
+// through join children only: every pair the join emits satisfies it, so
+// testing it again could change no row and raise no error.
+func classifyJoinPred(j *plan.Join, folded expr.Expr, sch *joinSchemas) (lKeys, rKeys []*expr.Program, on, where []sided, err error) {
+	// The ON, the ONs below it, and the filter, each split once.
+	preds := append(make([]expr.Expr, 0, 8), j.On)
+	for below := []plan.Node{j.L, j.R}; len(below) > 0; below = below[1:] {
+		if k, ok := below[0].(*plan.Join); ok {
+			preds = append(preds, k.On)
+			below = append(below, k.L, k.R)
 		}
-		rest = append(rest, c)
 	}
-	if len(rest) > 0 {
-		both := append(append([]expr.ColumnID{}, lSchema...), rSchema...)
-		residual, err = expr.Compile(expr.And(rest), both)
+	preds = append(preds, folded)
+	ons := make([]expr.Expr, 0, 8) // every conjunct of the ONs, for the filter's to repeat
+	for i, pred := range preds {
+		for _, c := range expr.Conjuncts(pred) {
+			switch {
+			case i == len(preds)-1:
+				// A repeat whose columns are all qualified resolves over the
+				// pair as the ON's did over its inputs.
+				if _, qualified := sch.side(c); qualified && implied(c, ons) {
+					continue
+				}
+				s, err := sch.place(c)
+				if err != nil {
+					return nil, nil, nil, nil, err
+				}
+				where = append(where, s)
+				continue
+			case i > 0:
+				ons = append(ons, c)
+				continue
+			}
+			ons = append(ons, c)
+			if b, ok := c.(*expr.Binary); ok && b.Op == "=" {
+				// Either side of the equation may be the left input's.
+				if l, r, ok := keyPair(b.L, b.R, sch); ok {
+					lKeys, rKeys = append(lKeys, l), append(rKeys, r)
+					continue
+				}
+				if l, r, ok := keyPair(b.R, b.L, sch); ok {
+					lKeys, rKeys = append(lKeys, l), append(rKeys, r)
+					continue
+				}
+			}
+			s, err := sch.place(c)
+			if err != nil {
+				return nil, nil, nil, nil, err
+			}
+			on = append(on, s)
+		}
 	}
-	return lKeys, rKeys, residual, err
+	return lKeys, rKeys, on, where, nil
 }
 
 // keyPair compiles l over the left input and r over the right, if both bind.
-func keyPair(l, r expr.Expr, lSchema, rSchema []expr.ColumnID) (*expr.Program, *expr.Program, bool) {
-	lp, errL := expr.Compile(l, lSchema)
-	rp, errR := expr.Compile(r, rSchema)
+func keyPair(l, r expr.Expr, sch *joinSchemas) (*expr.Program, *expr.Program, bool) {
+	lp, errL := expr.Compile(l, sch.of(onLeft))
+	rp, errR := expr.Compile(r, sch.of(onRight))
 	return lp, rp, errL == nil && errR == nil
 }
 
-func keysEqual(a, b value.Row) bool {
-	for i := range a {
-		if !value.Equal(a[i], b[i]) {
-			return false
+// implied reports whether c is one of the conjuncts ons: the same node, or
+// an equal one (expr.Equal) of the same operator. A conjunct of another
+// shape is taken for a repeat only when it is the same node, so no pair that
+// cannot repeat is printed to be compared.
+func implied(c expr.Expr, ons []expr.Expr) bool {
+	b, _ := c.(*expr.Binary)
+	for _, o := range ons {
+		if o == c {
+			return true
+		}
+		if ob, ok := o.(*expr.Binary); ok && b != nil && ob.Op == b.Op && expr.Equal(ob, b) {
+			return true
 		}
 	}
-	return true
+	return false
 }
 
 // sortRows stably orders the sort cursor's fully drained input by the sort

@@ -132,6 +132,27 @@ func streamingPlans() map[string]func() plan.Node {
 				Keys: []plan.SortKey{{Expr: sqlparse.MustParseExpr("x1"), Desc: true}}}
 		},
 		"distinct-project-join": func() plan.Node { return &plan.Distinct{Input: project(join(), "c.office")} },
+		// The buyer's shapes of the bus workloads: chain_scan's projection
+		// over its compensating filter, which repeats the ON, over the join
+		// of two purchases; telco's aggregate over an IN on the build side;
+		// and chain_parts' join of a join under a filter repeating both ONs.
+		"project-filter-join-chain": func() plan.Node {
+			return project(filter(join(), "c.custid = i.custid AND c.custid >= 2"), "c.custid", "i.charge")
+		},
+		"agg-filter-build-in": func() plan.Node {
+			return &plan.Aggregate{Input: filter(&plan.Join{L: inv(), R: scan(), On: sqlparse.MustParseExpr("i.custid = c.custid")},
+				"c.office IN ('Corfu', 'Myconos')"),
+				GroupBy:    []expr.Expr{sqlparse.MustParseExpr("c.office")},
+				GroupNames: []expr.ColumnID{{Table: "c", Name: "office"}},
+				Aggs: []plan.AggItem{
+					{Agg: &expr.Agg{Fn: "SUM", Arg: sqlparse.MustParseExpr("i.charge")}, Name: expr.ColumnID{Name: "total"}},
+					{Agg: &expr.Agg{Fn: "COUNT", Star: true}, Name: expr.ColumnID{Name: "n"}}}}
+		},
+		"project-filter-join-join": func() plan.Node {
+			return project(filter(&plan.Join{L: join(), R: &plan.Scan{Def: custDef, Alias: "d", PartID: "p0"},
+				On: sqlparse.MustParseExpr("i.custid = d.custid")}, "c.custid = i.custid AND i.custid = d.custid AND i.charge > 3"),
+				"c.custname", "d.office", "i.charge")
+		},
 		"agg-filter-join": func() plan.Node {
 			return &plan.Aggregate{Input: filter(join(), "i.charge > 6"),
 				GroupBy:    []expr.Expr{sqlparse.MustParseExpr("c.office")},
@@ -147,7 +168,9 @@ func streamingPlans() map[string]func() plan.Node {
 // recursive materializing evaluator this package used to carry, before it was
 // deleted, and never regenerated since. The join shapes were added later,
 // their answers computed by the cursors before the executor learned to fold a
-// filter into a join and to reuse a join's rows under a projection.
+// filter into a join and to reuse a join's rows under a projection; the bus
+// workloads' shapes last, by the cursors before a join produced its parent's
+// rows.
 const frozenAnswers = "testdata/streaming_plans.golden"
 
 // formatAnswer prints one plan's answer as the frozen file holds it: a
@@ -421,11 +444,14 @@ func TestStreamingRunStats(t *testing.T) {
 	}
 }
 
-// A filter folded into the join under it, and a join that reuses its rows
-// under a projection, leave every plan node's actuals as they were when each
-// node ran as a cursor of its own: the join reports the rows it joined, the
-// filter the rows it kept. EXPLAIN ANALYZE and the flight dossier print
-// these. The expected lines are the actuals before the fold.
+// A filter folded into the join under it, and a projection over either that
+// the join writes the rows of, leave every plan node's actuals as they were
+// when each node ran as a cursor of its own: the join reports the rows it
+// joined, the filter the rows it kept, the projection the rows it wrote.
+// EXPLAIN ANALYZE and the flight dossier print these. The expected lines are
+// the actuals before the fold; the bus workloads' shapes (chain_scan's,
+// telco's with the filter on the build side, chain_parts' join of a join),
+// the actuals before the join took over the projection.
 func TestFoldKeepsEveryNodesActuals(t *testing.T) {
 	want := map[string]string{
 		"project-filter-join": `
@@ -468,6 +494,29 @@ Distinct: calls 1, rows 6 in, 3 out
     Join on c.custid = i.custid: calls 1, rows 11 in, 6 out
       Scan customer/p0 as c: calls 1, rows 0 in, 5 out
       Scan invoiceline/p0 as i: calls 1, rows 0 in, 6 out
+`,
+		"project-filter-join-chain": `
+Project c.custid, i.charge: calls 1, rows 4 in, 4 out
+  Filter c.custid = i.custid AND c.custid >= 2: calls 1, rows 6 in, 4 out
+    Join on c.custid = i.custid: calls 1, rows 11 in, 6 out
+      Scan customer/p0 as c: calls 1, rows 0 in, 5 out
+      Scan invoiceline/p0 as i: calls 1, rows 0 in, 6 out
+`,
+		"agg-filter-build-in": `
+Aggregate [c.office] SUM(i.charge), COUNT(*): calls 1, rows 5 in, 2 out
+  Filter c.office IN ('Corfu', 'Myconos'): calls 1, rows 6 in, 5 out
+    Join on i.custid = c.custid: calls 1, rows 11 in, 6 out
+      Scan invoiceline/p0 as i: calls 1, rows 0 in, 6 out
+      Scan customer/p0 as c: calls 1, rows 0 in, 5 out
+`,
+		"project-filter-join-join": `
+Project c.custname, d.office, i.charge: calls 1, rows 5 in, 5 out
+  Filter c.custid = i.custid AND i.custid = d.custid AND i.charge > 3: calls 1, rows 6 in, 5 out
+    Join on i.custid = d.custid: calls 1, rows 11 in, 6 out
+      Join on c.custid = i.custid: calls 1, rows 11 in, 6 out
+        Scan customer/p0 as c: calls 1, rows 0 in, 5 out
+        Scan invoiceline/p0 as i: calls 1, rows 0 in, 6 out
+      Scan customer/p0 as d: calls 1, rows 0 in, 5 out
 `,
 		"agg-filter-join": `
 Aggregate [c.office] SUM(i.charge), COUNT(*): calls 1, rows 4 in, 3 out

@@ -102,6 +102,15 @@ func (p *Program) Eval(row value.Row) (value.Value, error) {
 	return t.value(), nil
 }
 
+// Column returns the row position the program reads when its expression is
+// a bare column, so a caller may read that value in place.
+func (p *Program) Column() (int, bool) {
+	if p.bare == nil {
+		return 0, false
+	}
+	return p.col, true
+}
+
 // Holds evaluates the program as a WHERE clause, where NULL is false; a nil
 // program holds on every row.
 func (p *Program) Holds(row value.Row) (bool, error) {

@@ -45,26 +45,38 @@ func Bind(e Expr, schema []ColumnID) (Expr, error) {
 
 // resolve finds c's position in schema, the one rule Bind and Compile share.
 func resolve(c *Column, schema []ColumnID) (int, error) {
+	if idx := Index(c, schema); idx >= 0 {
+		return idx, nil
+	}
+	for _, s := range schema {
+		if strings.EqualFold(c.Name, s.Name) && c.Table == "" {
+			return -1, fmt.Errorf("expr: ambiguous column %q", c.Name)
+		}
+	}
+	return -1, fmt.Errorf("expr: unknown column %s", c)
+}
+
+// Index returns the position Compile reads c at in schema, or -1 when c does
+// not resolve there: no column of schema is c, or c is unqualified and two
+// are. It builds no error, so a caller may ask it of schemas that lack c.
+func Index(c *Column, schema []ColumnID) int {
 	idx := -1
 	for i, s := range schema {
 		if !strings.EqualFold(c.Name, s.Name) {
 			continue
 		}
-		if c.Table != "" && !strings.EqualFold(c.Table, s.Table) {
+		if c.Table != "" {
+			if strings.EqualFold(c.Table, s.Table) {
+				return i
+			}
 			continue
 		}
-		if idx >= 0 && c.Table == "" {
-			return -1, fmt.Errorf("expr: ambiguous column %q", c.Name)
+		if idx >= 0 {
+			return -1
 		}
 		idx = i
-		if c.Table != "" {
-			break
-		}
 	}
-	if idx < 0 {
-		return -1, fmt.Errorf("expr: unknown column %s", c)
-	}
-	return idx, nil
+	return idx
 }
 
 // MustBind is Bind that panics on failure; for tests and static plans.

@@ -167,6 +167,15 @@ func keyAgreement(t *testing.T, a, b Row) bool {
 	for i := range cols {
 		cols[i] = i
 	}
+	// Read in place from a wider row, a key hashes as its projected copy: a
+	// hash join may hash one side's key columns and the other's evaluated key.
+	wide, at := append(append(Row{}, b...), a...), make([]int, len(a))
+	for i := range at {
+		at[i] = len(b) + i
+	}
+	if HashRowAt(wide, at) != HashRow(a) {
+		t.Fatalf("HashRowAt(%v, %v) differs from HashRow(%v)", wide, at, a)
+	}
 	same := SameKey(a, b)
 	if keyEq := Key(a, cols) == Key(b, cols); same != keyEq {
 		t.Fatalf("SameKey(%v, %v) = %v, Key equality = %v", a, b, same, keyEq)

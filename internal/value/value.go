@@ -215,6 +215,9 @@ func cmpIntFloat(i int64, f float64) int {
 // Equal reports SQL equality of two values; NULL equals nothing (not even
 // NULL).
 func Equal(a, b Value) bool {
+	if a.K == Int && b.K == Int {
+		return a.I == b.I // the usual join key, decided before Compare's kind tests
+	}
 	c, ok := Compare(a, b)
 	return ok && c == 0
 }
@@ -397,6 +400,16 @@ func HashRow(r Row) uint64 {
 	h := uint64(fnvOffset64)
 	for _, v := range r {
 		h = fnvUint64(h, Hash(v))
+	}
+	return h
+}
+
+// HashRowAt is HashRow of the row r's columns cols, read in place: the hash
+// of a join key whose every part is a column.
+func HashRowAt(r Row, cols []int) uint64 {
+	h := uint64(fnvOffset64)
+	for _, c := range cols {
+		h = fnvUint64(h, Hash(r[c]))
 	}
 	return h
 }
