@@ -484,10 +484,11 @@ func (c *projectCursor) Close() error {
 // on the rows of the side it names, in order, and only one naming both sides
 // has the pair written out, into one reused scratch row. Only a pair that
 // passes them all takes a slot of a slab, so a rejected pair leaves no gap.
-// Its row is lr ++ rr, or the output list of a projection over the join — a
-// bare column picked from its side, a computed one evaluated on the rows it
-// names — written with the batch's others into a fresh slab of the exact
-// size once the batch is complete.
+// Its row is lr ++ rr, or the output list of a projection over the join: a
+// bare column picked from its side's row, a computed one evaluated on the
+// rows it names. An output that fails is reported once the batch is
+// complete, so a later pair's failing condition comes first, as it did when
+// the projection ran over the filter's whole batch.
 type joinCursor struct {
 	ex           *Executor
 	t            *plan.Join
@@ -495,18 +496,18 @@ type joinCursor struct {
 	folded       expr.Expr   // the predicate of a Filter over the join
 	exprs        []expr.Expr // the list of a Project over the join or the filter; nil is lr ++ rr
 	lKeys, rKeys joinKeys
-	on, where    []sided        // the ON's non-key conjuncts, folded's that no ON repeats
-	outs         []sided        // exprs, placed
-	joined       int64          // rows that passed the ON clause, before the filter
-	reuse        bool           // the parent folds each row before it pulls again: one slab for every batch
-	rRows        []value.Row    // build side; all of it is the nested-loop fallback
-	heads        []int32        // bucket (hash & (len-1)) -> 1 + first build row of its chain
-	next         []int32        // build row -> 1 + next row of its chain, 0 at the end
-	hashes       []uint64       // build row -> its key's hash
-	pair         value.Row      // lr ++ rr scratch, for what names both sides
-	paired       bool           // pair holds the pair under test
-	pairs        [][2]value.Row // the batch's pairs, when exprs writes their rows
-	slab         []value.Value  // unused tail is where the next row lr ++ rr goes
+	on, where    []sided       // the ON's non-key conjuncts, folded's that no ON repeats
+	outs         []sided       // exprs, placed
+	joined       int64         // rows that passed the ON clause, before the filter
+	reuse        bool          // the parent folds each row before it pulls again: one slab for every batch
+	rRows        []value.Row   // build side; all of it is the nested-loop fallback
+	heads        []int32       // bucket (hash & (len-1)) -> 1 + first build row of its chain
+	next         []int32       // build row -> 1 + next row of its chain, 0 at the end
+	hashes       []uint64      // build row -> its key's hash
+	pair         value.Row     // lr ++ rr scratch, for what names both sides
+	paired       bool          // pair holds the pair under test
+	outErr       error         // the batch's first failing output, returned once it is complete
+	slab         []value.Value // unused tail is where the next row goes
 	buf          []value.Row
 	idx          int
 	out          []value.Row
@@ -594,7 +595,7 @@ type joinKeys struct {
 // a column; one allocation holds both sides' columns.
 func newJoinKeys(l, r []*expr.Program) (lk, rk joinKeys) {
 	cols := make([]int, len(l)+len(r))
-	side := func(progs []*expr.Program, cols []int) joinKeys {
+	keysOf := func(progs []*expr.Program, cols []int) joinKeys {
 		for i, p := range progs {
 			col, ok := p.Column()
 			if !ok {
@@ -604,7 +605,7 @@ func newJoinKeys(l, r []*expr.Program) (lk, rk joinKeys) {
 		}
 		return joinKeys{progs: progs, cols: cols}
 	}
-	return side(l, cols[:len(l)]), side(r, cols[len(l):])
+	return keysOf(l, cols[:len(l)]), keysOf(r, cols[len(l):])
 }
 
 // hash reads row's key and hashes it as value.HashRow hashes the key's row.
@@ -767,8 +768,7 @@ func (c *joinCursor) holds(conds []sided, lr, rr value.Row) (bool, error) {
 }
 
 // accept keeps the pair when it passes the ON's non-key conjuncts and then
-// the folded filter's: its row lr ++ rr is written at once, a projection's
-// row once the batch is complete.
+// the folded filter's.
 func (c *joinCursor) accept(lr, rr value.Row) error {
 	c.paired = false
 	if ok, err := c.holds(c.on, lr, rr); !ok || err != nil {
@@ -778,24 +778,21 @@ func (c *joinCursor) accept(lr, rr value.Row) error {
 	if ok, err := c.holds(c.where, lr, rr); !ok || err != nil {
 		return err
 	}
-	if c.exprs == nil {
-		c.emit(lr, rr)
-		return nil
-	}
-	if c.pairs == nil {
-		c.pairs = make([][2]value.Row, 0, len(c.buf))
-	}
-	c.pairs = append(c.pairs, [2]value.Row{lr, rr})
+	c.emit(lr, rr)
 	return nil
 }
 
-// emit carves lr ++ rr out of the slab. A full slab is replaced, never
-// regrown (rows already handed out keep theirs), by one sized for the left
-// rows still to probe in this input batch — or, inside a long match chain,
-// for as many rows as the batch holds; under reuse, for at least twice the
-// old one, which it then stands in for at every later batch.
+// emit carves the pair's row out of the slab: lr ++ rr, or the output list.
+// A full slab is replaced, never regrown (rows already handed out keep
+// theirs), by one sized for the left rows still to probe in this input batch
+// — or, inside a long match chain, for as many rows as the batch holds; under
+// reuse, for at least twice the old one, which it then stands in for at
+// every later batch.
 func (c *joinCursor) emit(lr, rr value.Row) {
 	n, w := len(c.slab), len(lr)+len(rr)
+	if c.outs != nil {
+		w = len(c.outs)
+	}
 	if cap(c.slab)-n < w {
 		rows := max(len(c.buf)-c.idx+1, len(c.out))
 		if c.reuse {
@@ -803,29 +800,22 @@ func (c *joinCursor) emit(lr, rr value.Row) {
 		}
 		n, c.slab = 0, make([]value.Value, 0, w*rows)
 	}
-	c.slab = append(append(c.slab, lr...), rr...)
-	c.out = append(c.out, c.slab[n:n+w:n+w])
-}
-
-// project writes the output rows of the batch's pairs into one fresh slab of
-// the exact size, as a projection over the batch would: only once the batch
-// is complete, so a pair's condition that fails comes before an output that
-// fails on an earlier pair of the same batch.
-func (c *joinCursor) project() ([]value.Row, error) {
-	slab := make([]value.Value, 0, len(c.pairs)*len(c.outs))
-	for _, p := range c.pairs {
-		c.paired = false
-		n := len(slab)
-		for _, s := range c.outs {
-			v, err := s.p.Eval(c.row(s.side, p[0], p[1]))
-			if err != nil {
-				return nil, err
-			}
-			slab = append(slab, v)
-		}
-		c.out = append(c.out, slab[n:len(slab):len(slab)])
+	if c.outs == nil {
+		c.slab = append(append(c.slab, lr...), rr...)
 	}
-	return c.out, nil
+	for _, s := range c.outs {
+		row := c.row(s.side, lr, rr)
+		if col, ok := s.p.Column(); ok && col < len(row) {
+			c.slab = append(c.slab, row[col])
+			continue
+		}
+		v, err := s.p.Eval(row)
+		if err != nil && c.outErr == nil {
+			c.outErr = err
+		}
+		c.slab = append(c.slab, v)
+	}
+	c.out = append(c.out, c.slab[n:n+w:n+w])
 }
 
 func (c *joinCursor) Next() ([]value.Row, error) {
@@ -833,13 +823,13 @@ func (c *joinCursor) Next() ([]value.Row, error) {
 		return nil, nil
 	}
 	limit := c.ex.batch()
-	c.out, c.pairs = c.out[:0], c.pairs[:0]
+	c.out = c.out[:0]
 	if c.reuse {
 		c.slab = c.slab[:0] // the parent is done with the last batch
 	}
 	// A single left row can emit many matches, so a batch may overrun the
 	// limit by one row's matches; it stays bounded by max bucket size.
-	for len(c.out)+len(c.pairs) < limit {
+	for len(c.out) < limit {
 		if c.idx >= len(c.buf) {
 			b, err := c.l.Next()
 			if err != nil {
@@ -885,8 +875,8 @@ func (c *joinCursor) Next() ([]value.Row, error) {
 			}
 		}
 	}
-	if c.exprs != nil {
-		return c.project()
+	if c.outErr != nil {
+		return nil, c.outErr
 	}
 	return c.out, nil
 }
