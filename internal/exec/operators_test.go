@@ -463,9 +463,9 @@ func TestOperatorsAllocsPerRow(t *testing.T) {
 }
 
 // The bytes each operator allocates per input row, the drained output
-// included, stay within about 20 % of what they measure on amd64 (join 141,
-// project 137, aggregate 10, distinct 47, project-filter-join 100,
-// project-filter-join-join 157, aggregate-filter-join 37, scan-filter 132).
+// included, stay within about 20 % of what they measure on amd64 (join 143,
+// project 137, aggregate 10, distinct 47, project-filter-join 101,
+// project-filter-join-join 160, aggregate-filter-join 37, scan-filter 132).
 // Before the 40-byte value, the join table without a copy of every key, the
 // exact-size drain and the join writing in place under a projection the
 // first five were 249, 219, 119, 57 and 301; scan-filter read 132 with its
