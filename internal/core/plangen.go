@@ -287,22 +287,9 @@ func (g *planGen) put(o trading.Offer) *offerInfo {
 // relations, same kind and output schema.
 func (g *planGen) add(info *offerInfo) *offerInfo {
 	g.offers = insertByID(g.offers, info)
-	if !combined(info) {
-		return info
+	if info.mask == 0 || info.whole {
+		return info // not about this query, or bought alone: never combined
 	}
-	info.group = g.group(info)
-	info.group.offers = insertByID(info.group.offers, info)
-	clear(info.group.covers)
-	return info
-}
-
-// combined reports whether an entry may be unioned with others: it is about
-// this query and not bought alone.
-func combined(info *offerInfo) bool { return info.mask != 0 && !info.whole }
-
-// group is the group of the offers info may be unioned with, founded when
-// no entry of its relations, kind and output schema is in the pool yet.
-func (g *planGen) group(info *offerInfo) *offerGroup {
 	key := info.signature()
 	i, found := slices.BinarySearchFunc(g.groups, info, func(grp *offerGroup, info *offerInfo) int {
 		return cmp.Or(cmp.Compare(grp.mask, info.mask), strings.Compare(grp.key, key))
@@ -311,45 +298,10 @@ func (g *planGen) group(info *offerInfo) *offerGroup {
 		g.groups = slices.Insert(g.groups, i, &offerGroup{mask: info.mask, partialAgg: info.partialAgg,
 			key: key, covers: make([]coverMemo, len(g.bindings))})
 	}
-	return g.groups[i]
-}
-
-// addAll adds entries to the pool as add does one at a time, in one merge
-// into the pool and one into each group they join: sorted by OfferID, equal
-// ids in the order given, each goes after the entries of its id already
-// there, as insertByID places it. It reorders infos.
-func (g *planGen) addAll(infos []*offerInfo) {
-	slices.SortStableFunc(infos, func(a, b *offerInfo) int { return strings.Compare(a.o.OfferID, b.o.OfferID) })
-	g.offers = mergeByID(g.offers, infos)
-	for _, info := range infos {
-		if combined(info) {
-			info.group = g.group(info)
-		}
-	}
-	// The entries no group takes first, then each group's side by side, in
-	// the order of the groups, each group's still by id.
-	slices.SortStableFunc(infos, func(a, b *offerInfo) int {
-		switch {
-		case a.group == b.group:
-			return 0
-		case a.group == nil:
-			return -1
-		case b.group == nil:
-			return 1
-		}
-		return cmp.Or(cmp.Compare(a.group.mask, b.group.mask), strings.Compare(a.group.key, b.group.key))
-	})
-	for len(infos) > 0 {
-		grp, n := infos[0].group, 1
-		for n < len(infos) && infos[n].group == grp {
-			n++
-		}
-		if grp != nil {
-			grp.offers = mergeByID(grp.offers, infos[:n])
-			clear(grp.covers)
-		}
-		infos = infos[n:]
-	}
+	info.group = g.groups[i]
+	info.group.offers = insertByID(info.group.offers, info)
+	clear(info.group.covers)
+	return info
 }
 
 // drop takes entries out of the pool, keeping every list's order: one pass
@@ -381,11 +333,12 @@ func (g *planGen) drop(infos ...*offerInfo) {
 }
 
 // try builds the candidates of the pool plus entries no seller offered — the
-// predicates analyser's predictions, already corrected for latency, which it
-// reorders — and leaves the pool as it was: none of them can be bought,
-// standing or awarded.
+// predicates analyser's predictions, already corrected for latency — and
+// leaves the pool as it was: none of them can be bought, standing or awarded.
 func (g *planGen) try(predicted []*offerInfo) ([]Candidate, error) {
-	g.addAll(predicted)
+	for _, info := range predicted {
+		g.add(info)
+	}
 	defer g.drop(predicted...)
 	return g.run()
 }
@@ -405,23 +358,6 @@ func (g *planGen) standing() []trading.Offer {
 func insertByID(list []*offerInfo, info *offerInfo) []*offerInfo {
 	i := sort.Search(len(list), func(i int) bool { return list[i].o.OfferID > info.o.OfferID })
 	return slices.Insert(list, i, info)
-}
-
-// mergeByID merges add, ordered by OfferID, into list, ordered the same way,
-// as insertByID would insert each in turn: after every entry of its id that
-// list holds. It merges from the back, in place when list has the room.
-func mergeByID(list, add []*offerInfo) []*offerInfo {
-	n := len(list)
-	list = slices.Grow(list, len(add))[:n+len(add)]
-	i, j := n-1, len(add)-1
-	for k := len(list) - 1; j >= 0; k-- {
-		if i >= 0 && list[i].o.OfferID > add[j].o.OfferID {
-			list[k], i = list[i], i-1
-		} else {
-			list[k], j = add[j], j-1
-		}
-	}
-	return list
 }
 
 // decode validates an offer against the query and computes its coverage.

@@ -679,75 +679,6 @@ func TestTryLeavesThePoolAsItWas(t *testing.T) {
 	}
 }
 
-// TestAddAllIsInsertByID: the predictions try merges into the pool land
-// where adding them one at a time with insertByID puts them — in the pool
-// and in every group, among received ids on both sides of the predicted ones
-// (one sorts after them, one equals one of them), and with equal predicted
-// ids in the order given.
-func TestAddAllIsInsertByID(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 100; trial++ {
-		parts := 2 + rng.Intn(4)
-		script := randomPoolScript(rng, parts)
-		late := script[0][rng.Intn(len(script[0]))].o
-		late.OfferID, late.SQL = "~zz", "SELECT late"
-		tie := script[0][rng.Intn(len(script[0]))].o
-		tie.OfferID, tie.SQL = predictedID+"0", "SELECT tie"
-		var preds []trading.Offer
-		for _, p := range script[1] {
-			if rng.Intn(2) == 0 {
-				o := p.o
-				o.OfferID = predictedID + strconv.Itoa(rng.Intn(len(script[1])/2+1))
-				preds = append(preds, o)
-			}
-		}
-		rng.Shuffle(len(preds), func(i, j int) { preds[i], preds[j] = preds[j], preds[i] })
-		// names labels the entries of one generator: received ones by their
-		// place in the pool before the predictions, predicted ones by their
-		// place in preds.
-		lists := func(merge bool) []string {
-			g := chainGen(t, parts, GenDP)
-			for _, p := range script[0] {
-				g.take(p.o)
-			}
-			g.take(late)
-			g.take(tie)
-			names := map[*offerInfo]string{}
-			for i, info := range g.offers {
-				names[info] = fmt.Sprintf("r%d", i)
-			}
-			var infos []*offerInfo
-			for i := range preds {
-				info := g.decode(&preds[i])
-				names[info] = fmt.Sprintf("p%d", i)
-				infos = append(infos, info)
-			}
-			if merge {
-				g.addAll(infos)
-			} else {
-				for _, info := range infos {
-					g.add(info)
-				}
-			}
-			label := func(list []*offerInfo) string {
-				var out []string
-				for _, info := range list {
-					out = append(out, names[info])
-				}
-				return strings.Join(out, " ")
-			}
-			out := []string{label(g.offers)}
-			for _, grp := range g.groups {
-				out = append(out, label(grp.offers))
-			}
-			return out
-		}
-		if got, want := lists(true), lists(false); !slices.Equal(got, want) {
-			t.Fatalf("trial %d: merged pool and groups\n%q\none at a time\n%q", trial, got, want)
-		}
-	}
-}
-
 func describe(cands []Candidate) string {
 	s := ""
 	for _, c := range cands {
