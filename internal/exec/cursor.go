@@ -784,16 +784,20 @@ func (c *joinCursor) accept(lr, rr value.Row) error {
 
 // emit carves the pair's row out of the slab: lr ++ rr, or the output list.
 // A full slab is replaced, never regrown (rows already handed out keep
-// theirs), by one sized for the rows the batch still lacks — or, inside a
-// long match chain, for as many rows as the batch holds; under reuse, for at
-// least twice the old one, which it then stands in for at every later batch.
+// theirs), by one sized for the rows the batch still lacks, but for no more
+// rows than the join holds — the left rows still to probe in this input
+// batch and the build rows — since the batch setting may far exceed the
+// answer; inside a long match chain, for as many rows as the batch holds;
+// under reuse, for at least twice the old one, which it then stands in for
+// at every later batch.
 func (c *joinCursor) emit(lr, rr value.Row) {
 	n, w := len(c.slab), len(lr)+len(rr)
 	if c.outs != nil {
 		w = len(c.outs)
 	}
 	if cap(c.slab)-n < w {
-		rows := max(c.ex.batch()-len(c.out), len(c.out))
+		held := len(c.buf) - c.idx + 1 + len(c.rRows)
+		rows := max(min(c.ex.batch()-len(c.out), held), len(c.out))
 		if c.reuse {
 			rows = max(rows, 2*cap(c.slab)/w)
 		}

@@ -191,6 +191,69 @@ func TestJoinTableSize(t *testing.T) {
 	}
 }
 
+// A join's slabs are sized by the rows it has in hand, never by the batch
+// setting alone: a buyer may set a batch larger than any answer, and a
+// seller takes its batch from the request. A small join under a setting near
+// the int range's end answers as at the default batch and allocates what
+// its rows need.
+func TestJoinSlabIsSizedByItsRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation sizes")
+	}
+	var l, r []value.Row
+	for i := int64(0); i < 12; i++ {
+		l = append(l, ints(i, i%3))
+		r = append(r, ints(i%4, i))
+	}
+	tables := map[string][]value.Row{"l": l, "r": r}
+	join := func() *plan.Join {
+		return &plan.Join{L: memLeaf("l", "a", "b"), R: memLeaf("r", "a", "b"), On: sqlparse.MustParseExpr("l.a = r.a")}
+	}
+	plans := map[string]func() plan.Node{
+		"join": func() plan.Node { return join() },
+		"project-filter-join": func() plan.Node {
+			return &plan.Project{Input: &plan.Filter{Input: join(), Pred: sqlparse.MustParseExpr("l.b < 2")},
+				Exprs: []expr.Expr{sqlparse.MustParseExpr("r.b"), sqlparse.MustParseExpr("l.a")},
+				Names: []expr.ColumnID{{Name: "rb"}, {Name: "la"}}}
+		},
+		"aggregate-join": func() plan.Node {
+			return &plan.Aggregate{Input: join(), GroupBy: []expr.Expr{sqlparse.MustParseExpr("l.b")},
+				GroupNames: []expr.ColumnID{{Table: "l", Name: "b"}},
+				Aggs:       []plan.AggItem{{Agg: &expr.Agg{Fn: "COUNT", Star: true}, Name: expr.ColumnID{Name: "n"}}}}
+		},
+	}
+	run := func(batch int, p plan.Node) []value.Row {
+		c, err := memExec(batch, tables).Open(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := Drain(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for name, p := range plans {
+		want := run(0, p())
+		if len(want) == 0 {
+			t.Fatalf("%s: empty answer", name)
+		}
+		for _, batch := range []int{1 << 20, math.MaxInt32, math.MaxInt} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got := run(batch, p())
+			runtime.ReadMemStats(&after)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s at batch %d: %v, want %v", name, batch, got, want)
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+				t.Errorf("%s at batch %d: %d bytes allocated for %d rows", name, batch, n, len(want))
+			}
+		}
+	}
+}
+
 // A row the residual rejects gives its slab slot back: the rows of a batch
 // sit back to back in memory, with no rejected row between them. Under a
 // projection the join writes the projection's rows itself, with the
